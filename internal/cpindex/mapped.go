@@ -6,64 +6,55 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/intset"
-	"repro/internal/minhash"
 	"repro/internal/snapshot"
 )
 
-// Mapped is the cold-tier view of a persisted index: the same sections
-// DecodeSections reads, but left in place over the container bytes
-// (typically an mmap'd file) and decoded lazily. Opening one costs only
-// the meta section — a few dozen bytes — regardless of index size:
+// Mapped is the view of the kernel whose collection stays inside a
+// snapshot container (typically an mmap'd file) — the cold tier. Opening
+// one costs only the meta section, a few dozen bytes, regardless of index
+// size:
 //
-//   - the trees are decoded and flattened on the first query (one-time,
-//     structure-only; the flat walk is then byte-identical to a decoded
-//     index's because it IS the same flatTrees code);
+//   - the trie is read and validated on the first query (one-time,
+//     structure-only);
 //   - the sets payload stays untouched until a candidate reaches exact
 //     verification, at which point the whole section is CRC-verified once
-//     and candidates are decoded into pooled scratch and verified by the
-//     same intset kernels the hot path calls.
+//     and each candidate is decoded into pooled scratch, re-checking the
+//     strictly-increasing invariant verification assumes.
 //
-// Answers are therefore byte-identical to the hot path by construction —
-// same traversal arrays, same verification kernel, same tie-breaks — and
-// a flipped bit in any section surfaces as ErrCorrupt at open or first
-// touch, never as a wrong answer (the model harness and the corruption
-// tests in the shard package pin both properties).
+// Answers and QueryStats are identical to Index's because both run the
+// same kernel; a flipped bit in any section surfaces as ErrCorrupt at open
+// or first touch, never as a wrong answer.
 //
 // All query methods are safe for concurrent use, like Index's.
 type Mapped struct {
+	*kernel
 	snap *snapshot.Mapped
 	// retain pins the mapping's owner (an mmap.File) for the GC: the
 	// snapshot bytes alias memory the collector cannot see, so every
 	// method that touches them ends with a KeepAlive of this reference.
 	retain any
 
-	lambda float64
-	opt    Options
-	nsets  int
-	nodes  int
-	leaves int
+	nodes, leaves int
 
-	signer *minhash.Signer
-
-	// structOnce decodes the trees (CRC-verified) and indexes the sets
-	// payload's size prefix on first query.
+	// structOnce reads the trie (CRC-verified) and indexes the sets
+	// payload's size prefix on first use.
 	structOnce sync.Once
 	structErr  error
-	flat       *flatTrees
-	tokenStart []int64 // per-set first token index, len nsets+1
-	tokens     []byte  // token region of the sets payload (aliases snap)
-
-	// setsOnce runs the deferred sets-section CRC the first time any
-	// candidate reaches verification — the "first touch" of the payload.
-	setsOnce sync.Once
-	setsErr  error
-
-	scratch  sync.Pool
-	counters *QueryCounters
 }
 
-// OpenMapped builds the cold view over an already-validated container.
+// mappedSets locates the collection inside the container's sets payload.
+type mappedSets struct {
+	snap       *snapshot.Mapped
+	tokenStart []int64 // per-set first token index, len nsets+1
+	tokens     []byte  // token region of the payload (aliases snap)
+
+	// once runs the deferred sets-section checksum the first time any set
+	// is read — the "first touch" of the payload.
+	once sync.Once
+	err  error
+}
+
+// OpenMapped builds the mapped view over an already-validated container.
 // Only the meta section is read (and CRC-verified) here; retain is held
 // for the lifetime of the Mapped to keep the backing mapping alive.
 func OpenMapped(snap *snapshot.Mapped, retain any) (*Mapped, error) {
@@ -71,73 +62,23 @@ func OpenMapped(snap *snapshot.Mapped, retain any) (*Mapped, error) {
 	if err != nil {
 		return nil, err
 	}
-	meta := snapshot.NewCursor("meta", metaRaw)
-	lambda := meta.F64()
-	opt := Options{
-		T:        int(meta.U32()),
-		LeafSize: int(meta.U32()),
-		MaxDepth: int(meta.U32()),
-		Trees:    int(meta.U32()),
-		Seed:     meta.U64(),
-	}
-	nodes := meta.U64()
-	leaves := meta.U64()
-	nsets := meta.U64()
-	if err := meta.Done(); err != nil {
+	k, nodes, leaves, err := decodeMeta(metaRaw)
+	if err != nil {
 		return nil, err
-	}
-	if lambda <= 0 || lambda >= 1 {
-		return nil, fmt.Errorf("%w: lambda %v out of (0,1)", snapshot.ErrCorrupt, lambda)
-	}
-	if opt.T <= 0 || opt.T > 1<<20 || opt.LeafSize <= 0 ||
-		opt.MaxDepth <= 0 || opt.MaxDepth > 1<<16 ||
-		opt.Trees <= 0 || opt.Trees > 1<<16 || nsets > maxSets {
-		return nil, fmt.Errorf("%w: implausible index meta (T=%d leaf=%d depth=%d trees=%d sets=%d)",
-			snapshot.ErrCorrupt, opt.T, opt.LeafSize, opt.MaxDepth, opt.Trees, nsets)
 	}
 	if snap.Lookup("sets") == nil || snap.Lookup("trees") == nil {
 		return nil, fmt.Errorf("%w: container missing sets/trees sections", snapshot.ErrCorrupt)
 	}
-	return &Mapped{
-		snap:   snap,
-		retain: retain,
-		lambda: lambda,
-		opt:    opt,
-		nsets:  int(nsets),
-		nodes:  int(nodes),
-		leaves: int(leaves),
-		signer: minhash.NewSigner(opt.T, opt.Seed),
-	}, nil
+	return &Mapped{kernel: k, snap: snap, retain: retain, nodes: nodes, leaves: leaves}, nil
 }
-
-// Len returns the number of indexed sets.
-func (m *Mapped) Len() int { return m.nsets }
-
-// Options returns the options the index was built with.
-func (m *Mapped) Options() Options { return m.opt }
-
-// Lambda returns the similarity threshold the index was built for.
-func (m *Mapped) Lambda() float64 { return m.lambda }
 
 // Structure returns the persisted node/leaf counts.
 func (m *Mapped) Structure() (nodes, leaves int) { return m.nodes, m.leaves }
 
-// SetCounters attaches (or detaches) the cross-query stats sink, exactly
-// like Index.SetCounters.
-func (m *Mapped) SetCounters(c *QueryCounters) { m.counters = c }
-
-func (m *Mapped) flushStats(sc *queryScratch) {
-	if c := m.counters; c != nil {
-		c.Candidates.Add(sc.stats.Candidates)
-		c.Verified.Add(sc.stats.Verified)
-		c.Rejected.Add(sc.stats.Rejected)
-	}
-}
-
-// ensureStruct decodes the trees (checksummed) and the sets size prefix.
-// The prefix is parsed unverified — its guards reject anything the query
-// path could trip over, and the deferred whole-section CRC (ensureSets)
-// still runs before any answer derived from payload bytes is returned.
+// ensureStruct reads the trie (checksummed, validated) and the sets size
+// prefix. The prefix is parsed unverified — its guards reject anything the
+// query path could trip over, and the deferred whole-section CRC still
+// runs before any answer derived from payload bytes is returned.
 func (m *Mapped) ensureStruct() error {
 	m.structOnce.Do(func() {
 		treesRaw, err := m.snap.Section("trees")
@@ -145,27 +86,18 @@ func (m *Mapped) ensureStruct() error {
 			m.structErr = err
 			return
 		}
-		tc := snapshot.NewCursor("trees", treesRaw)
-		dec := &nodeDecoder{c: tc, nsets: uint64(m.nsets), t: m.opt.T, maxDepth: m.opt.MaxDepth}
-		trees := make([]*node, m.opt.Trees)
-		for i := range trees {
-			trees[i] = dec.node(0)
-			if tc.Err() != nil {
-				m.structErr = tc.Err()
-				return
-			}
-		}
-		if err := tc.Done(); err != nil {
+		t, err := decodeTrie(treesRaw, m.opt, m.nsets, m.nodes, m.leaves)
+		if err != nil {
 			m.structErr = err
 			return
 		}
-		// The pointer trees are flattened and dropped: queries only ever
-		// walk the flat layout, like a decoded index.
-		m.flat = flatten(trees)
-
 		setsRaw, err := m.snap.Raw("sets")
 		if err != nil {
 			m.structErr = err
+			return
+		}
+		if m.nsets > len(setsRaw) { // each size varint takes >= 1 byte
+			m.structErr = fmt.Errorf("%w: section %q: set count %d exceeds its %d bytes", snapshot.ErrCorrupt, "sets", m.nsets, len(setsRaw))
 			return
 		}
 		c := snapshot.NewCursor("sets", setsRaw)
@@ -190,8 +122,8 @@ func (m *Mapped) ensureStruct() error {
 				snapshot.ErrCorrupt, "sets", total, c.Remaining())
 			return
 		}
-		m.tokenStart = starts
-		m.tokens = setsRaw[len(setsRaw)-c.Remaining():]
+		m.trie = t
+		m.mapped = &mappedSets{snap: m.snap, tokenStart: starts, tokens: setsRaw[len(setsRaw)-c.Remaining():]}
 	})
 	runtime.KeepAlive(m.retain)
 	return m.structErr
@@ -200,207 +132,117 @@ func (m *Mapped) ensureStruct() error {
 // maxMappedSetSize mirrors snapshot.DecodeSets's per-set size cap.
 const maxMappedSetSize = 1 << 28
 
-// ensureSets runs the deferred sets-section checksum — the first (and
-// only) whole-payload read of the cold path, paid when a candidate first
-// reaches verification.
-func (m *Mapped) ensureSets() error {
-	m.setsOnce.Do(func() { m.setsErr = m.snap.Verify("sets") })
-	return m.setsErr
+// verify runs the deferred sets-section checksum — the first (and only)
+// whole-payload read of the mapped path.
+func (s *mappedSets) verify() error {
+	s.once.Do(func() { s.err = s.snap.Verify("sets") })
+	return s.err
 }
 
-// decodeSet decodes set id's tokens into buf (grown as needed),
+// decode decodes set id's tokens into buf (which must have room),
 // revalidating the strictly-increasing invariant verification assumes.
-func (m *Mapped) decodeSet(buf []uint32, id uint32) ([]uint32, error) {
-	lo, hi := m.tokenStart[id], m.tokenStart[id+1]
-	n := int(hi - lo)
-	if cap(buf) < n {
-		buf = make([]uint32, n)
-	}
-	buf = buf[:n]
-	raw := m.tokens[lo*4 : hi*4]
+func (s *mappedSets) decode(buf []uint32, id int) error {
+	raw := s.tokens[s.tokenStart[id]*4 : s.tokenStart[id+1]*4]
 	for i := range buf {
 		buf[i] = binary.LittleEndian.Uint32(raw[i*4:])
 		if i > 0 && buf[i] <= buf[i-1] {
-			return nil, fmt.Errorf("%w: section %q: set %d not strictly increasing", snapshot.ErrCorrupt, "sets", id)
+			return fmt.Errorf("%w: section %q: set %d not strictly increasing", snapshot.ErrCorrupt, "sets", id)
 		}
 	}
-	return buf, nil
+	return nil
 }
 
-// candidateSet returns candidate id's decoded tokens in the scratch
-// buffer, running the deferred sets checksum first.
-func (m *Mapped) candidateSet(sc *queryScratch, id uint32) ([]uint32, error) {
-	if err := m.ensureSets(); err != nil {
+// candidate returns candidate id's decoded tokens in the scratch buffer,
+// running the deferred sets checksum first.
+func (s *mappedSets) candidate(sc *queryScratch, id uint32) ([]uint32, error) {
+	if err := s.verify(); err != nil {
 		return nil, err
 	}
-	buf, err := m.decodeSet(sc.setBuf, id)
-	if err != nil {
-		return nil, err
+	n := int(s.tokenStart[id+1] - s.tokenStart[id])
+	if cap(sc.setBuf) < n {
+		sc.setBuf = make([]uint32, n)
 	}
-	sc.setBuf = buf[:cap(buf)]
-	return buf, nil
+	buf := sc.setBuf[:n]
+	return buf, s.decode(buf, int(id))
 }
 
-// getScratch mirrors Index.getScratch over the mapped index's shape.
-func (m *Mapped) getScratch() *queryScratch {
-	sc, _ := m.scratch.Get().(*queryScratch)
-	if sc == nil {
-		sc = new(queryScratch)
-	}
-	if len(sc.qsig) != m.opt.T {
-		sc.qsig = make([]uint32, m.opt.T)
-	}
-	if len(sc.visited) < m.nsets {
-		sc.visited = make([]uint32, m.nsets)
-		sc.epoch = 0
-	}
-	sc.epoch++
-	if sc.epoch == 0 {
-		clear(sc.visited)
-		sc.epoch = 1
-	}
-	sc.cands = sc.cands[:0]
-	sc.stats = QueryStats{}
-	return sc
-}
-
-func (m *Mapped) putScratch(sc *queryScratch) { m.scratch.Put(sc) }
-
-// Query is Index.Query over the mapped structure, with corruption
+// Query is Index.Query over the mapped collection, with corruption
 // surfaced as an error instead of a panic or a wrong answer.
 func (m *Mapped) Query(q []uint32) (int, float64, bool, error) {
 	id, sim, ok, _, err := m.QueryWithStats(q)
 	return id, sim, ok, err
 }
 
-// QueryWithStats mirrors Index.QueryWithStats's flat path statement for
-// statement — same traversal, same verification kernel, same
-// first-hit-wins tree cutoff — so a cold shard's answers are
-// byte-identical to the hot path's.
+// QueryWithStats is Index.QueryWithStats with the error surfaced.
 func (m *Mapped) QueryWithStats(q []uint32) (int, float64, bool, QueryStats, error) {
-	best := -1
-	bestSim := 0.0
-	if len(q) == 0 {
-		return best, bestSim, false, QueryStats{}, nil
-	}
 	if err := m.ensureStruct(); err != nil {
-		return best, bestSim, false, QueryStats{}, err
+		return -1, 0, false, QueryStats{}, err
 	}
-	sc := m.getScratch()
-	defer m.putScratch(sc)
-	m.signer.SignInto(q, sc.qsig)
-	for _, root := range m.flat.roots {
-		sc.cands = sc.cands[:0]
-		m.flat.collect(root, sc.qsig, sc)
-		for _, id := range sc.cands {
-			sc.stats.Verified++
-			set, err := m.candidateSet(sc, id)
-			if err != nil {
-				return -1, 0, false, QueryStats{}, err
-			}
-			if sim, ok := intset.JaccardAtLeast(q, set, m.lambda); ok {
-				if sim > bestSim {
-					best = int(id)
-					bestSim = sim
-				}
-			} else {
-				sc.stats.Rejected++
-			}
-		}
-		if best >= 0 {
-			// Same first-hit-wins contract as the hot path: finish the
-			// tree that produced a hit, skip the rest.
-			break
-		}
-	}
-	m.flushStats(sc)
+	id, sim, ok, st, err := m.best(q)
 	runtime.KeepAlive(m.retain)
-	return best, bestSim, best >= 0, sc.stats, nil
+	return id, sim, ok, st, err
 }
 
-// AppendAll mirrors Index.AppendAll (flat path): every distinct match in
-// tree-traversal order, appended to dst.
+// AppendAll is Index.AppendAll with the error surfaced.
 func (m *Mapped) AppendAll(dst []Match, q []uint32) ([]Match, error) {
 	dst, _, err := m.AppendAllWithStats(dst, q)
 	return dst, err
 }
 
-// AppendAllWithStats mirrors Index.AppendAllWithStats's flat path.
+// AppendAllWithStats is Index.AppendAllWithStats with the error surfaced.
 func (m *Mapped) AppendAllWithStats(dst []Match, q []uint32) ([]Match, QueryStats, error) {
-	if len(q) == 0 {
-		return dst, QueryStats{}, nil
-	}
 	if err := m.ensureStruct(); err != nil {
 		return dst, QueryStats{}, err
 	}
-	sc := m.getScratch()
-	defer m.putScratch(sc)
-	m.signer.SignInto(q, sc.qsig)
-	for _, root := range m.flat.roots {
-		sc.cands = sc.cands[:0]
-		m.flat.collect(root, sc.qsig, sc)
-		for _, id := range sc.cands {
-			sc.stats.Verified++
-			set, err := m.candidateSet(sc, id)
-			if err != nil {
-				return dst, QueryStats{}, err
-			}
-			if sim, ok := intset.JaccardAtLeast(q, set, m.lambda); ok {
-				dst = append(dst, Match{ID: int(id), Sim: sim})
-			} else {
-				sc.stats.Rejected++
-			}
-		}
-	}
-	m.flushStats(sc)
+	dst, st, err := m.all(dst, q)
 	runtime.KeepAlive(m.retain)
-	return dst, sc.stats, nil
-}
-
-// Set decodes one indexed set into a fresh heap slice, running the
-// deferred sets checksum first — the cold containment path's exact
-// verification reads sets through this.
-func (m *Mapped) Set(id int) ([]uint32, error) {
-	if err := m.ensureStruct(); err != nil {
-		return nil, err
-	}
-	if err := m.ensureSets(); err != nil {
-		return nil, err
-	}
-	if id < 0 || id >= m.nsets {
-		return nil, fmt.Errorf("%w: set id %d out of [0,%d)", snapshot.ErrCorrupt, id, m.nsets)
-	}
-	set, err := m.decodeSet(nil, uint32(id))
-	runtime.KeepAlive(m.retain)
-	return set, err
+	return dst, st, err
 }
 
 // Sets materializes the whole collection onto the heap (one shared token
-// array, like a decoded index). It is the escape hatch for consumers
-// that need every set — containment-index construction, compaction
-// merges — and deliberately NOT cached: callers own the copy's lifetime.
+// array), running the deferred sets checksum first. It is deliberately
+// NOT cached: callers own the copy's lifetime.
 func (m *Mapped) Sets() ([][]uint32, error) {
 	if err := m.ensureStruct(); err != nil {
 		return nil, err
 	}
-	if err := m.ensureSets(); err != nil {
+	s := m.mapped
+	if err := s.verify(); err != nil {
 		return nil, err
 	}
-	total := m.tokenStart[m.nsets]
-	tokens := make([]uint32, total)
+	tokens := make([]uint32, s.tokenStart[m.nsets])
 	sets := make([][]uint32, m.nsets)
-	for i := 0; i < m.nsets; i++ {
-		lo, hi := m.tokenStart[i], m.tokenStart[i+1]
-		set := tokens[lo:hi:hi]
-		raw := m.tokens[lo*4 : hi*4]
-		for j := range set {
-			set[j] = binary.LittleEndian.Uint32(raw[j*4:])
-			if j > 0 && set[j] <= set[j-1] {
-				return nil, fmt.Errorf("%w: section %q: set %d not strictly increasing", snapshot.ErrCorrupt, "sets", i)
-			}
+	for i := range sets {
+		lo, hi := s.tokenStart[i], s.tokenStart[i+1]
+		sets[i] = tokens[lo:hi:hi]
+		if err := s.decode(sets[i], i); err != nil {
+			return nil, err
 		}
-		sets[i] = set
 	}
 	runtime.KeepAlive(m.retain)
 	return sets, nil
+}
+
+// Index moves the collection onto the heap and returns the view that
+// queries it there. The trie is shared with m, not decoded again, and the
+// result references no container bytes — promoting a cold shard and
+// loading a snapshot are both exactly this call.
+func (m *Mapped) Index() (*Index, error) {
+	sets, err := m.Sets()
+	if err != nil {
+		return nil, err
+	}
+	return &Index{
+		kernel: &kernel{
+			lambda:   m.lambda,
+			opt:      m.opt,
+			nsets:    m.nsets,
+			signer:   m.signer,
+			trie:     m.trie,
+			sets:     sets,
+			counters: m.counters,
+		},
+		Nodes:  m.nodes,
+		Leaves: m.leaves,
+	}, nil
 }

@@ -3,6 +3,7 @@ package cpindex
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/snapshot"
@@ -82,23 +83,14 @@ func TestMappedMatchesIndex(t *testing.T) {
 				}
 			}
 		}
-		// Set / Sets materialization must round-trip the exact collection.
+		// Sets materialization must round-trip the exact collection.
 		sets, err := m.Sets()
 		if err != nil {
 			t.Fatalf("seed %d: Sets: %v", seed, err)
 		}
 		for i, want := range ix.Sets() {
-			got, err := m.Set(i)
-			if err != nil {
-				t.Fatalf("seed %d: Set(%d): %v", seed, i, err)
-			}
-			if len(got) != len(want) || len(sets[i]) != len(want) {
-				t.Fatalf("seed %d: set %d lengths diverge", seed, i)
-			}
-			for j := range want {
-				if got[j] != want[j] || sets[i][j] != want[j] {
-					t.Fatalf("seed %d: set %d token %d diverges", seed, i, j)
-				}
+			if !slices.Equal(sets[i], want) {
+				t.Fatalf("seed %d: set %d diverges: %v != %v", seed, i, sets[i], want)
 			}
 		}
 	}
@@ -179,7 +171,7 @@ func TestMappedBitFlip(t *testing.T) {
 	}
 }
 
-// TestMappedNonzeroPadding: version-3 alignment padding must be zero; a
+// TestMappedNonzeroPadding: alignment padding must be zero; a
 // dirty pad byte (a misaligned or hand-edited file) fails at open.
 func TestMappedNonzeroPadding(t *testing.T) {
 	_, data := buildContainer(t, 21)

@@ -3,9 +3,10 @@ package cpindex
 import (
 	"fmt"
 	"io"
-	"sort"
+	"math"
 
 	"repro/internal/minhash"
+	"repro/internal/mmap"
 	"repro/internal/snapshot"
 )
 
@@ -16,7 +17,7 @@ import (
 //
 //	meta   lambda, options, structure stats, set count
 //	sets   the collection (set sizes as varints, then all tokens)
-//	trees  the repetition tries, pre-order, bucket values sorted
+//	trees  the trie's arrays, fixed-width little-endian (see trie.encode)
 //
 // The MinHash signer is not stored: it is a pure function of (T, Seed)
 // and is reconstructed on load. The build-time signature matrix is not
@@ -26,7 +27,7 @@ import (
 
 // SnapshotKind tags a standalone cpindex container; embedders (the shard
 // package) use their own kind and splice the sections in via
-// EncodeSections/DecodeSections.
+// EncodeSections/OpenMapped.
 const SnapshotKind = "cpindex"
 
 // maxSets bounds the plausible collection size on load.
@@ -44,13 +45,29 @@ func (ix *Index) Encode(w io.Writer) error {
 	return sw.Flush()
 }
 
-// Decode deserializes an index written by Encode.
+// Decode deserializes an index written by Encode, validating every
+// structural invariant: a corrupt or truncated snapshot yields a
+// descriptive error, never a panic or a silently wrong index.
 func Decode(r io.Reader) (*Index, error) {
-	sr, err := snapshot.NewReader(r, SnapshotKind)
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	return DecodeSections(sr)
+	return decodeContainer(data)
+}
+
+// decodeContainer opens the mapped view over a complete container and
+// moves its collection to the heap — the only decode path there is.
+func decodeContainer(data []byte) (*Index, error) {
+	snap, err := snapshot.OpenMapped(data, SnapshotKind)
+	if err != nil {
+		return nil, err
+	}
+	m, err := OpenMapped(snap, nil)
+	if err != nil {
+		return nil, err
+	}
+	return m.Index()
 }
 
 // Save writes the index to path atomically.
@@ -60,27 +77,17 @@ func (ix *Index) Save(path string) error {
 
 // Load reads an index saved by Save.
 func Load(path string) (*Index, error) {
-	var ix *Index
-	err := snapshot.ReadFile(path, SnapshotKind, func(r *snapshot.Reader) error {
-		var err error
-		ix, err = DecodeSections(r)
-		return err
-	})
+	f, err := mmap.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close() // the decoded index references no container bytes
+	ix, err := decodeContainer(f.Data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
 	return ix, nil
 }
-
-// Options returns the options the index was built with (Workers reflects
-// build-time parallelism only; it has no effect on a built index).
-func (ix *Index) Options() Options { return ix.opt }
-
-// Lambda returns the similarity threshold the index was built for.
-func (ix *Index) Lambda() float64 { return ix.lambda }
-
-// Sets returns the indexed collection (not a copy).
-func (ix *Index) Sets() [][]uint32 { return ix.sets }
 
 // EncodeSections writes the index's sections into an open container.
 func (ix *Index) EncodeSections(w *snapshot.Writer) error {
@@ -103,52 +110,13 @@ func (ix *Index) EncodeSections(w *snapshot.Writer) error {
 	if err := w.Section("sets", sets.B); err != nil {
 		return err
 	}
-
-	var trees snapshot.Buf
-	for _, tree := range ix.trees {
-		encodeNode(&trees, tree)
-	}
-	return w.Section("trees", trees.B)
+	return w.Section("trees", ix.trie.encode())
 }
 
-// encodeNode writes one node pre-order. The tag varint carries the node
-// shape in its low bit (1 = leaf) and the element count above it. Bucket
-// maps iterate in randomized order, so values are sorted before writing —
-// snapshots of the same index are byte-identical.
-func encodeNode(b *snapshot.Buf, n *node) {
-	if n.leaf != nil {
-		b.Uvarint(uint64(len(n.leaf))<<1 | 1)
-		for _, id := range n.leaf {
-			b.Uvarint(uint64(id))
-		}
-		return
-	}
-	b.Uvarint(uint64(len(n.positions)) << 1)
-	for i, pos := range n.positions {
-		b.Uvarint(uint64(pos))
-		m := n.children[i]
-		b.Uvarint(uint64(len(m)))
-		vals := make([]uint32, 0, len(m))
-		for v := range m {
-			vals = append(vals, v)
-		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
-		for _, v := range vals {
-			b.Uvarint(uint64(v))
-			encodeNode(b, m[v])
-		}
-	}
-}
-
-// DecodeSections reads the index's sections from an open container,
-// validating every structural invariant: a corrupt or truncated snapshot
-// yields a descriptive error, never a panic or a silently wrong index.
-func DecodeSections(r *snapshot.Reader) (*Index, error) {
-	metaRaw, err := r.Section("meta")
-	if err != nil {
-		return nil, err
-	}
-	meta := snapshot.NewCursor("meta", metaRaw)
+// decodeMeta reads the meta section into a kernel that has no trie and no
+// collection yet, plus the persisted structure counts.
+func decodeMeta(payload []byte) (k *kernel, nodes, leaves int, err error) {
+	meta := snapshot.NewCursor("meta", payload)
 	lambda := meta.F64()
 	opt := Options{
 		T:        int(meta.U32()),
@@ -157,140 +125,26 @@ func DecodeSections(r *snapshot.Reader) (*Index, error) {
 		Trees:    int(meta.U32()),
 		Seed:     meta.U64(),
 	}
-	nodes := meta.U64()
-	leaves := meta.U64()
+	nnodes := meta.U64()
+	nleaves := meta.U64()
 	nsets := meta.U64()
 	if err := meta.Done(); err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
 	if lambda <= 0 || lambda >= 1 {
-		return nil, fmt.Errorf("%w: lambda %v out of (0,1)", snapshot.ErrCorrupt, lambda)
+		return nil, 0, 0, fmt.Errorf("%w: lambda %v out of (0,1)", snapshot.ErrCorrupt, lambda)
 	}
-	// MaxDepth bounds the tree decoder's recursion, so it gets a hard cap
-	// of its own: a build derives MaxDepth from ln(n), which never gets
-	// anywhere near 2^16, while an unchecked value from a crafted file
-	// could nest the payload deep enough to overflow the stack.
 	if opt.T <= 0 || opt.T > 1<<20 || opt.LeafSize <= 0 ||
 		opt.MaxDepth <= 0 || opt.MaxDepth > 1<<16 ||
-		opt.Trees <= 0 || opt.Trees > 1<<16 || nsets > maxSets {
-		return nil, fmt.Errorf("%w: implausible index meta (T=%d leaf=%d depth=%d trees=%d sets=%d)",
-			snapshot.ErrCorrupt, opt.T, opt.LeafSize, opt.MaxDepth, opt.Trees, nsets)
+		opt.Trees <= 0 || opt.Trees > 1<<16 || nsets > maxSets ||
+		nnodes > math.MaxInt32 || nleaves > nnodes {
+		return nil, 0, 0, fmt.Errorf("%w: implausible index meta (T=%d leaf=%d depth=%d trees=%d sets=%d nodes=%d leaves=%d)",
+			snapshot.ErrCorrupt, opt.T, opt.LeafSize, opt.MaxDepth, opt.Trees, nsets, nnodes, nleaves)
 	}
-
-	setsRaw, err := r.Section("sets")
-	if err != nil {
-		return nil, err
-	}
-	sc := snapshot.NewCursor("sets", setsRaw)
-	sets := snapshot.DecodeSets(sc, nsets)
-	if err := sc.Done(); err != nil {
-		return nil, err
-	}
-
-	treesRaw, err := r.Section("trees")
-	if err != nil {
-		return nil, err
-	}
-	tc := snapshot.NewCursor("trees", treesRaw)
-	dec := &nodeDecoder{c: tc, nsets: uint64(nsets), t: opt.T, maxDepth: opt.MaxDepth}
-	trees := make([]*node, opt.Trees)
-	for i := range trees {
-		trees[i] = dec.node(0)
-		if tc.Err() != nil {
-			return nil, tc.Err()
-		}
-	}
-	if err := tc.Done(); err != nil {
-		return nil, err
-	}
-
-	ix := &Index{
-		sets:   sets,
+	return &kernel{
 		lambda: lambda,
 		opt:    opt,
+		nsets:  int(nsets),
 		signer: minhash.NewSigner(opt.T, opt.Seed),
-		trees:  trees,
-		Nodes:  int(nodes),
-		Leaves: int(leaves),
-	}
-	// Snapshots persist the pointer trees only; the flat query layout is
-	// always rebuilt from them, so it cannot be corrupted independently
-	// and decoded indexes start on the (default) flat layout.
-	ix.flat = flatten(ix.trees)
-	return ix, nil
-}
-
-// nodeDecoder rebuilds one trie, enforcing the invariants a valid build
-// produces: leaf ids within the collection, positions within [0, T),
-// depth within MaxDepth (+1 for the root, so the recursion is bounded by
-// trusted meta, not by attacker-controlled payload nesting).
-type nodeDecoder struct {
-	c        *snapshot.Cursor
-	nsets    uint64
-	t        int
-	maxDepth int
-}
-
-func (d *nodeDecoder) node(depth int) *node {
-	if d.c.Err() != nil {
-		return nil
-	}
-	if depth > d.maxDepth {
-		d.c.Fail("tree deeper than MaxDepth %d", d.maxDepth)
-		return nil
-	}
-	tag := d.c.Uvarint()
-	count := int(tag >> 1)
-	if tag&1 == 1 { // leaf
-		if uint64(count) > d.nsets || count > d.c.Remaining() {
-			d.c.Fail("leaf with implausible id count %d", count)
-			return nil
-		}
-		leaf := make([]uint32, count)
-		for i := range leaf {
-			id := d.c.Uvarint()
-			if id >= d.nsets {
-				d.c.Fail("leaf id %d out of [0,%d)", id, d.nsets)
-				return nil
-			}
-			leaf[i] = uint32(id)
-		}
-		return &node{leaf: leaf}
-	}
-	if count == 0 {
-		d.c.Fail("internal node with no positions")
-		return nil
-	}
-	if count > d.t {
-		d.c.Fail("internal node with %d positions for T=%d", count, d.t)
-		return nil
-	}
-	n := &node{
-		positions: make([]int, 0, count),
-		children:  make([]map[uint32]*node, 0, count),
-	}
-	for i := 0; i < count; i++ {
-		pos := d.c.Uvarint()
-		if pos >= uint64(d.t) {
-			d.c.Fail("position %d out of [0,%d)", pos, d.t)
-			return nil
-		}
-		nbuckets := d.c.Count(int(d.nsets) + 1)
-		m := make(map[uint32]*node, nbuckets)
-		for j := 0; j < nbuckets; j++ {
-			v := d.c.Uvarint()
-			if v > 1<<32-1 {
-				d.c.Fail("bucket value %d overflows uint32", v)
-				return nil
-			}
-			child := d.node(depth + 1)
-			if d.c.Err() != nil {
-				return nil
-			}
-			m[uint32(v)] = child
-		}
-		n.positions = append(n.positions, int(pos))
-		n.children = append(n.children, m)
-	}
-	return n
+	}, int(nnodes), int(nleaves), nil
 }

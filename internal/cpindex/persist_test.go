@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -180,8 +181,9 @@ func craftContainer(t *testing.T, meta func(*snapshot.Buf), sets, trees []byte) 
 
 // TestCraftedSnapshotsRejected pins the never-panic contract against
 // CRC-valid but adversarial payloads: size-sum overflow, allocation
-// bombs from tiny files, and stack-overflow-deep recursion all must
-// come back as errors.
+// bombs from tiny files, implausible meta and — one per rule of the
+// trie validator — "trees" payloads a walk would leave an array on or
+// never return from. All must come back as errors.
 func TestCraftedSnapshotsRejected(t *testing.T) {
 	validMeta := func(b *snapshot.Buf) {
 		b.F64(0.5)
@@ -216,8 +218,7 @@ func TestCraftedSnapshotsRejected(t *testing.T) {
 		t.Errorf("set-count bomb: err = %v, want ErrCorrupt", err)
 	}
 
-	// MaxDepth beyond any plausible build is rejected up front — it
-	// bounds the tree decoder's recursion depth.
+	// MaxDepth beyond any plausible build is rejected up front.
 	deep := func(b *snapshot.Buf) {
 		b.F64(0.5)
 		b.U32(4)
@@ -232,5 +233,110 @@ func TestCraftedSnapshotsRejected(t *testing.T) {
 	raw = craftContainer(t, deep, nil, nil)
 	if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Errorf("absurd MaxDepth: err = %v, want ErrCorrupt", err)
+	}
+
+	// One crafted trees payload per validator rule, each a valid trie with
+	// a single field changed, under its original meta and sets sections.
+	ix, data := buildContainer(t, 5)
+	snap, err := snapshot.OpenMapped(data, SnapshotKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	section := func(name string) []byte {
+		raw, err := snap.Section(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	realMeta := func(b *snapshot.Buf) { b.B = append(b.B, section("meta")...) }
+	// firstInternal / firstLeaf locate nodes to damage; wide is a position
+	// entry with at least two buckets.
+	firstInternal, firstLeaf, wide := -1, -1, -1
+	for i, n := range ix.trie.nodes {
+		if n.posLo != n.posHi && firstInternal < 0 {
+			firstInternal = i
+		}
+		if n.posLo == n.posHi && firstLeaf < 0 {
+			firstLeaf = i
+		}
+	}
+	for i, p := range ix.trie.pos {
+		if p.bHi-p.bLo >= 2 && wide < 0 {
+			wide = i
+		}
+	}
+	if firstInternal < 0 || firstLeaf < 0 || wide < 0 {
+		t.Fatal("test index too small to craft from")
+	}
+	nsets, nnodes := uint32(ix.Len()), int32(len(ix.trie.nodes))
+	for _, tc := range []struct {
+		rule   string
+		damage func(tr *trie)
+		want   string
+	}{
+		{"child <= parent", func(tr *trie) {
+			tr.buckets[tr.pos[tr.nodes[firstInternal].posLo].bLo].child = int32(firstInternal)
+		}, "child index"},
+		{"child past the node table", func(tr *trie) {
+			tr.buckets[tr.pos[tr.nodes[firstInternal].posLo].bLo].child = nnodes
+		}, "child index"},
+		{"leaf span past array end", func(tr *trie) {
+			last := &tr.nodes[len(tr.nodes)-1]
+			last.leafHi = uint32(len(tr.leafIDs)) + 1
+		}, "leaf span"},
+		{"position span past array end", func(tr *trie) {
+			tr.nodes[firstInternal].posHi = uint32(len(tr.pos)) + 1
+		}, "position span"},
+		{"bucket span past array end", func(tr *trie) {
+			tr.pos[wide].bHi = uint32(len(tr.buckets)) + 1
+		}, "bucket span"},
+		{"duplicate bucket value", func(tr *trie) {
+			tr.buckets[tr.pos[wide].bLo+1].val = tr.buckets[tr.pos[wide].bLo].val
+		}, "strictly increasing"},
+		{"unsorted bucket values", func(tr *trie) {
+			b := tr.buckets[tr.pos[wide].bLo : tr.pos[wide].bLo+2]
+			b[0].val, b[1].val = b[1].val, b[0].val
+		}, "strictly increasing"},
+		{"leaf id >= nsets", func(tr *trie) { tr.leafIDs[0] = nsets }, "leaf id 8 out of"},
+		{"position >= T", func(tr *trie) { tr.pos[0].pos = uint32(ix.Options().T) }, "position 128 out of"},
+		{"internal node with zero positions", func(tr *trie) {
+			tr.nodes[firstLeaf].posLo, tr.nodes[firstLeaf].posHi = 1, 1
+		}, "no positions"},
+		{"root index out of range", func(tr *trie) { tr.roots[0] = nnodes }, "root index"},
+		{"node shared by two parents", func(tr *trie) {
+			b := tr.buckets[tr.pos[wide].bLo : tr.pos[wide].bLo+2]
+			b[0].child = b[1].child
+		}, "claimed twice"},
+	} {
+		tr := &trie{
+			roots:   append([]int32(nil), ix.trie.roots...),
+			nodes:   append([]trieNode(nil), ix.trie.nodes...),
+			leafIDs: append([]uint32(nil), ix.trie.leafIDs...),
+			pos:     append([]triePos(nil), ix.trie.pos...),
+			buckets: append([]trieBucket(nil), ix.trie.buckets...),
+		}
+		tc.damage(tr)
+		raw := craftContainer(t, realMeta, section("sets"), tr.encode())
+		_, err := Decode(bytes.NewReader(raw))
+		if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want ErrCorrupt mentioning %q", tc.rule, err, tc.want)
+		}
+		if m, err := openMappedBytes(t, raw); err == nil {
+			if _, _, _, err := m.Query([]uint32{1, 2, 3}); !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Errorf("%s: mapped query err = %v, want ErrCorrupt", tc.rule, err)
+			}
+		}
+	}
+	// Undamaged, the same crafting path decodes.
+	if _, err := Decode(bytes.NewReader(craftContainer(t, realMeta, section("sets"), ix.trie.encode()))); err != nil {
+		t.Errorf("undamaged crafted container rejected: %v", err)
+	}
+	// Counts that promise more than the payload holds must fail before
+	// anything is allocated for them.
+	huge := ix.trie.encode()
+	huge[4], huge[5], huge[6], huge[7] = 0xff, 0xff, 0xff, 0x7f // node count
+	if _, err := Decode(bytes.NewReader(craftContainer(t, realMeta, section("sets"), huge))); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Errorf("node-count bomb: err = %v, want ErrCorrupt", err)
 	}
 }

@@ -1,54 +1,46 @@
 package cpindex
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
-// TestQueryWithStats pins the stats contract on both layouts: the
-// counted answer is the normal answer, every candidate is verified
-// exactly once, and rejections never exceed verifications.
+// TestQueryWithStats pins the stats contract: the counted answer is the
+// normal answer, every candidate is verified exactly once, and rejections
+// never exceed verifications.
 func TestQueryWithStats(t *testing.T) {
 	sets, _ := buildWorkload(500, 0.8, 41)
 	ix := Build(sets, 0.5, &Options{Seed: 43, Trees: 4, LeafSize: 8})
-	for _, layout := range []Layout{LayoutFlat, LayoutPointer} {
-		t.Run(fmt.Sprintf("layout=%d", layout), func(t *testing.T) {
-			ix.SetLayout(layout)
-			for qi := 0; qi < 100; qi++ {
-				q := sets[qi]
-				wantID, wantSim, wantOK := ix.Query(q)
-				id, sim, ok, st := ix.QueryWithStats(q)
-				if id != wantID || sim != wantSim || ok != wantOK {
-					t.Fatalf("query %d: QueryWithStats answer (%d,%v,%v) != Query (%d,%v,%v)",
-						qi, id, sim, ok, wantID, wantSim, wantOK)
-				}
-				if ok && st.Candidates == 0 {
-					t.Fatalf("query %d: found a match with zero candidates: %+v", qi, st)
-				}
-				if st.Verified != st.Candidates {
-					t.Fatalf("query %d: %d candidates but %d verifications", qi, st.Candidates, st.Verified)
-				}
-				if st.Rejected > st.Verified {
-					t.Fatalf("query %d: %d rejections out of %d verifications", qi, st.Rejected, st.Verified)
-				}
+	for qi := 0; qi < 100; qi++ {
+		q := sets[qi]
+		wantID, wantSim, wantOK := ix.Query(q)
+		id, sim, ok, st := ix.QueryWithStats(q)
+		if id != wantID || sim != wantSim || ok != wantOK {
+			t.Fatalf("query %d: QueryWithStats answer (%d,%v,%v) != Query (%d,%v,%v)",
+				qi, id, sim, ok, wantID, wantSim, wantOK)
+		}
+		if ok && st.Candidates == 0 {
+			t.Fatalf("query %d: found a match with zero candidates: %+v", qi, st)
+		}
+		if st.Verified != st.Candidates {
+			t.Fatalf("query %d: %d candidates but %d verifications", qi, st.Candidates, st.Verified)
+		}
+		if st.Rejected > st.Verified {
+			t.Fatalf("query %d: %d rejections out of %d verifications", qi, st.Rejected, st.Verified)
+		}
 
-				want := ix.QueryAll(q)
-				got, ast := ix.AppendAllWithStats(nil, q)
-				if len(got) != len(want) {
-					t.Fatalf("query %d: AppendAllWithStats %d matches, QueryAll %d", qi, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("query %d match %d: %+v != %+v", qi, i, got[i], want[i])
-					}
-				}
-				// QueryAll scans every tree, so accepted + rejected must
-				// account for every verification.
-				if ast.Verified != ast.Candidates || ast.Rejected != ast.Verified-uint64(len(got)) {
-					t.Fatalf("query %d: inconsistent all-stats %+v with %d matches", qi, ast, len(got))
-				}
+		want := ix.QueryAll(q)
+		got, ast := ix.AppendAllWithStats(nil, q)
+		if len(got) != len(want) {
+			t.Fatalf("query %d: AppendAllWithStats %d matches, QueryAll %d", qi, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("query %d match %d: %+v != %+v", qi, i, got[i], want[i])
 			}
-		})
+		}
+		// QueryAll scans every tree, so accepted + rejected must
+		// account for every verification.
+		if ast.Verified != ast.Candidates || ast.Rejected != ast.Verified-uint64(len(got)) {
+			t.Fatalf("query %d: inconsistent all-stats %+v with %d matches", qi, ast, len(got))
+		}
 	}
 }
 

@@ -1,0 +1,376 @@
+package cpindex
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
+
+	"repro/internal/snapshot"
+	"repro/internal/tabhash"
+)
+
+// trie is the index's only tree representation: every tree of every
+// repetition in one CSR-style node table whose leaves are spans into a
+// shared id array and whose internal nodes are spans of sampled positions,
+// each position owning a span of (value, child) bucket entries sorted by
+// value. Build emits it directly, snapshots persist the arrays as they are
+// (see encode) and queries walk it iteratively, probing buckets by
+// linear/binary search.
+//
+// Nodes are laid out in pre-order, so a child's index is always greater
+// than its parent's; leaf and position spans are handed out in node order.
+// decodeTrie enforces exactly this shape, which is what makes a decoded
+// trie safe to walk.
+type trie struct {
+	roots   []int32      // node index of each tree's root
+	nodes   []trieNode   // all nodes of all trees
+	leafIDs []uint32     // concatenated leaf id spans
+	pos     []triePos    // concatenated sampled-position spans
+	buckets []trieBucket // concatenated per-position bucket spans
+}
+
+// trieNode is one node. It is a leaf iff posLo == posHi: internal nodes
+// always sample at least one position, so the position span doubles as the
+// discriminator. The span a node does not use is zero.
+type trieNode struct {
+	leafLo, leafHi uint32 // leafIDs[leafLo:leafHi], leaves only
+	posLo, posHi   uint32 // pos[posLo:posHi], internal nodes only
+}
+
+// triePos is one sampled signature position of an internal node, with its
+// bucket span.
+type triePos struct {
+	pos      uint32 // signature position in [0, T)
+	bLo, bHi uint32 // buckets[bLo:bHi], sorted by val
+}
+
+// trieBucket maps one minhash value at a sampled position to a child node.
+type trieBucket struct {
+	val   uint32
+	child int32
+}
+
+// treeBuilder grows one tree of the index into arrays of its own; Build
+// runs one per repetition, possibly concurrently, and concatenates them.
+type treeBuilder struct {
+	opt       Options
+	sigs      []uint32 // the collection's flattened signature matrix
+	splitProb float64
+	trie      trie
+	leaves    int
+}
+
+// add appends the subtree over ids and returns its node index. Only the
+// low 32 bits of an entry are the record id — the high bits are the bucket
+// value that routed it here, left over from the parent's grouping sort —
+// and ids arrive ascending by record id, so leaves list ids in ascending
+// order. Each node derives its randomness from a seed determined by its
+// path from the root (parent seed plus the position/value bucket that
+// formed it), never from build order — the same discipline as the CPSJoin
+// recursion in internal/core, and what makes the structure reproducible.
+func (b *treeBuilder) add(ids []uint64, depth int, seed uint64) int32 {
+	t := &b.trie
+	idx := int32(len(t.nodes))
+	var sampled []uint32
+	if len(ids) > b.opt.LeafSize && depth < b.opt.MaxDepth {
+		rng := tabhash.NewSplitMix64(seed)
+		for pos := 0; pos < b.opt.T; pos++ {
+			if rng.Float64() < b.splitProb {
+				sampled = append(sampled, uint32(pos))
+			}
+		}
+	}
+	if len(sampled) == 0 {
+		// Small enough, too deep, or no position sampled (the node dies in
+		// the branching process): keep the points reachable as a leaf, so
+		// recall only improves.
+		lo := uint32(len(t.leafIDs))
+		for _, id := range ids {
+			t.leafIDs = append(t.leafIDs, uint32(id))
+		}
+		t.nodes = append(t.nodes, trieNode{leafLo: lo, leafHi: uint32(len(t.leafIDs))})
+		b.leaves++
+		return idx
+	}
+	posLo := len(t.pos)
+	t.nodes = append(t.nodes, trieNode{posLo: uint32(posLo), posHi: uint32(posLo + len(sampled))})
+	for _, p := range sampled {
+		t.pos = append(t.pos, triePos{pos: p})
+	}
+	for i, p := range sampled {
+		// Group the ids by their minhash value at p: sorting (value, id)
+		// keys leaves each bucket a contiguous, id-ascending run.
+		keys := make([]uint64, len(ids))
+		for j, id := range ids {
+			keys[j] = uint64(b.sigs[int(uint32(id))*b.opt.T+int(p)])<<32 | id&math.MaxUint32
+		}
+		slices.Sort(keys)
+		// Reserve the bucket span before recursing, so the children's own
+		// entries (which land after it) cannot fragment it.
+		bLo := len(t.buckets)
+		for j, k := range keys {
+			if j == 0 || k>>32 != keys[j-1]>>32 {
+				t.buckets = append(t.buckets, trieBucket{val: uint32(k >> 32)})
+			}
+		}
+		t.pos[posLo+i].bLo, t.pos[posLo+i].bHi = uint32(bLo), uint32(len(t.buckets))
+		lo := 0
+		for bi := bLo; bi < int(t.pos[posLo+i].bHi); bi++ {
+			val := t.buckets[bi].val
+			hi := lo
+			for hi < len(keys) && uint32(keys[hi]>>32) == val {
+				hi++
+			}
+			t.buckets[bi].child = b.add(keys[lo:hi], depth+1, tabhash.DeriveSeed(seed, uint64(p), uint64(val)))
+			lo = hi
+		}
+	}
+	return idx
+}
+
+// appendTree concatenates one built tree (whose root is its node 0) onto
+// t, shifting its indices past what t already holds.
+func (t *trie) appendTree(o *trie) {
+	nb, lb, pb, bb := len(t.nodes), uint32(len(t.leafIDs)), uint32(len(t.pos)), uint32(len(t.buckets))
+	if nb+len(o.nodes) > math.MaxInt32 || len(t.leafIDs)+len(o.leafIDs) > math.MaxUint32 ||
+		len(t.pos)+len(o.pos) > math.MaxUint32 || len(t.buckets)+len(o.buckets) > math.MaxUint32 {
+		panic(fmt.Sprintf("cpindex: trie overflow (%d nodes)", nb+len(o.nodes)))
+	}
+	t.roots = append(t.roots, int32(nb))
+	for _, n := range o.nodes {
+		if n.posLo == n.posHi {
+			n.leafLo, n.leafHi = n.leafLo+lb, n.leafHi+lb
+		} else {
+			n.posLo, n.posHi = n.posLo+pb, n.posHi+pb
+		}
+		t.nodes = append(t.nodes, n)
+	}
+	t.leafIDs = append(t.leafIDs, o.leafIDs...)
+	for _, p := range o.pos {
+		p.bLo, p.bHi = p.bLo+bb, p.bHi+bb
+		t.pos = append(t.pos, p)
+	}
+	for _, bk := range o.buckets {
+		bk.child += int32(nb)
+		t.buckets = append(t.buckets, bk)
+	}
+}
+
+// findChild probes the bucket span [bLo, bHi) for val: a linear scan for
+// short spans, binary search otherwise. Spans are sorted by value.
+func (t *trie) findChild(bLo, bHi, val uint32) (int32, bool) {
+	if bHi-bLo <= 8 {
+		for i := bLo; i < bHi; i++ {
+			if t.buckets[i].val == val {
+				return t.buckets[i].child, true
+			}
+		}
+		return 0, false
+	}
+	lo, hi := bLo, bHi
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if t.buckets[mid].val < val {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < bHi && t.buckets[lo].val == val {
+		return t.buckets[lo].child, true
+	}
+	return 0, false
+}
+
+// collect walks the tree rooted at root depth-first, positions in order,
+// following sc.qsig, and leaves every not-yet-visited leaf id in sc.cands
+// in visit order, stamping it in the epoch-keyed visited array. Candidates
+// are verified by the caller; separating traversal from verification
+// changes nothing because verification has no effect on the walk.
+func (t *trie) collect(root int32, sc *queryScratch) {
+	sc.cands = sc.cands[:0]
+	stack := append(sc.stack[:0], root)
+	for len(stack) > 0 {
+		ni := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n := &t.nodes[ni]
+		if n.posLo == n.posHi { // leaf
+			for _, id := range t.leafIDs[n.leafLo:n.leafHi] {
+				if sc.visited[id] != sc.epoch {
+					sc.visited[id] = sc.epoch
+					sc.cands = append(sc.cands, id)
+					sc.stats.Candidates++
+				}
+			}
+			continue
+		}
+		// Push matching children in reverse position order so the LIFO pop
+		// explores the first position's child first.
+		for pi := n.posHi; pi > n.posLo; pi-- {
+			p := &t.pos[pi-1]
+			if child, ok := t.findChild(p.bLo, p.bHi, sc.qsig[p.pos]); ok {
+				stack = append(stack, child)
+			}
+		}
+	}
+	sc.stack = stack // keep the grown stack for reuse
+}
+
+// The persisted form of a trie is its arrays, fixed-width little-endian:
+//
+//	counts   5 x u32   roots, nodes, leaf ids, positions, buckets
+//	roots    u32 each
+//	nodes    4 x u32   leafLo, leafHi, posLo, posHi
+//	leafIDs  u32 each
+//	pos      3 x u32   pos, bLo, bHi
+//	buckets  2 x u32   val, child
+const (
+	trieHeaderWords = 5
+	nodeWords       = 4
+	posWords        = 3
+	bucketWords     = 2
+)
+
+// encode serializes the arrays. The layout is a pure function of the
+// logical trie, so snapshots of the same index are byte-identical.
+func (t *trie) encode() []byte {
+	words := trieHeaderWords + len(t.roots) + nodeWords*len(t.nodes) + len(t.leafIDs) +
+		posWords*len(t.pos) + bucketWords*len(t.buckets)
+	b := make([]byte, 0, 4*words)
+	put := func(vs ...uint32) {
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+	}
+	put(uint32(len(t.roots)), uint32(len(t.nodes)), uint32(len(t.leafIDs)), uint32(len(t.pos)), uint32(len(t.buckets)))
+	for _, r := range t.roots {
+		put(uint32(r))
+	}
+	for _, n := range t.nodes {
+		put(n.leafLo, n.leafHi, n.posLo, n.posHi)
+	}
+	put(t.leafIDs...)
+	for _, p := range t.pos {
+		put(p.pos, p.bLo, p.bHi)
+	}
+	for _, bk := range t.buckets {
+		put(bk.val, uint32(bk.child))
+	}
+	return b
+}
+
+// decodeTrie reads a "trees" payload written by encode and validates it in
+// one linear pass, so that walking the result can neither leave an array
+// nor fail to terminate nor cost more than the structure's size: counts
+// must account for the payload exactly (so they cannot drive an allocation
+// beyond it), every span must lie inside its array, leaf and position
+// spans must follow each other in node order, bucket values must be
+// strictly increasing, every child index must exceed its parent's and be
+// claimed by exactly one bucket, leaf ids must be below nsets and
+// positions below T. A payload that breaks a rule yields ErrCorrupt naming
+// it, never a panic or a silently wrong index.
+func decodeTrie(payload []byte, opt Options, nsets, nodes, leaves int) (*trie, error) {
+	fail := func(format string, args ...any) (*trie, error) {
+		return nil, fmt.Errorf("%w: section %q: %s", snapshot.ErrCorrupt, "trees", fmt.Sprintf(format, args...))
+	}
+	if len(payload) < 4*trieHeaderWords {
+		return fail("truncated header (%d bytes)", len(payload))
+	}
+	next := func() uint32 {
+		v := binary.LittleEndian.Uint32(payload)
+		payload = payload[4:]
+		return v
+	}
+	nroots, nnodes, nleaf, npos, nbuckets := uint64(next()), uint64(next()), uint64(next()), uint64(next()), uint64(next())
+	if want := 4 * (nroots + nodeWords*nnodes + nleaf + posWords*npos + bucketWords*nbuckets); want != uint64(len(payload)) {
+		return fail("counts need %d bytes, payload holds %d", want, len(payload))
+	}
+	if nroots != uint64(opt.Trees) || nnodes != uint64(nodes) || nnodes > math.MaxInt32 {
+		return fail("%d roots over %d nodes, meta says %d trees over %d nodes", nroots, nnodes, opt.Trees, nodes)
+	}
+	t := &trie{
+		roots:   make([]int32, nroots),
+		nodes:   make([]trieNode, nnodes),
+		leafIDs: make([]uint32, nleaf),
+		pos:     make([]triePos, npos),
+		buckets: make([]trieBucket, nbuckets),
+	}
+	for i := range t.roots {
+		t.roots[i] = int32(next())
+	}
+	for i := range t.nodes {
+		t.nodes[i] = trieNode{leafLo: next(), leafHi: next(), posLo: next(), posHi: next()}
+	}
+	for i := range t.leafIDs {
+		t.leafIDs[i] = next()
+	}
+	for i := range t.pos {
+		t.pos[i] = triePos{pos: next(), bLo: next(), bHi: next()}
+	}
+	for i := range t.buckets {
+		t.buckets[i] = trieBucket{val: next(), child: int32(next())}
+	}
+
+	// claimed[i] is set once node i is some tree's root or some bucket's
+	// child: every node must be reached exactly one way, so the walk is a
+	// walk of trees and its cost is bounded by the structure's size.
+	claimed := make([]bool, nnodes)
+	for _, r := range t.roots {
+		if r < 0 || uint64(r) >= nnodes || claimed[r] {
+			return fail("root index %d out of range or repeated (%d nodes)", r, nnodes)
+		}
+		claimed[r] = true
+	}
+	var nextLeaf, nextPos, edges uint32
+	gotLeaves := 0
+	for i, n := range t.nodes {
+		if !claimed[i] {
+			return fail("node %d is not reachable from a preceding node", i)
+		}
+		if n.posLo == n.posHi {
+			if n.posLo != 0 {
+				return fail("internal node %d with no positions", i)
+			}
+			if n.leafLo != nextLeaf || n.leafHi < n.leafLo || uint64(n.leafHi) > nleaf {
+				return fail("node %d: leaf span [%d,%d) out of order or past the %d leaf ids", i, n.leafLo, n.leafHi, nleaf)
+			}
+			nextLeaf = n.leafHi
+			gotLeaves++
+			continue
+		}
+		if n.leafLo != 0 || n.leafHi != 0 || n.posLo != nextPos || n.posHi < n.posLo || uint64(n.posHi) > npos {
+			return fail("node %d: position span [%d,%d) out of order or past the %d positions", i, n.posLo, n.posHi, npos)
+		}
+		nextPos = n.posHi
+		for _, p := range t.pos[n.posLo:n.posHi] {
+			if p.pos >= uint32(opt.T) {
+				return fail("node %d: position %d out of [0,%d)", i, p.pos, opt.T)
+			}
+			if p.bLo >= p.bHi || uint64(p.bHi) > nbuckets {
+				return fail("node %d: bucket span [%d,%d) empty or past the %d buckets", i, p.bLo, p.bHi, nbuckets)
+			}
+			for bi := p.bLo; bi < p.bHi; bi++ {
+				bk := t.buckets[bi]
+				if bi > p.bLo && bk.val <= t.buckets[bi-1].val {
+					return fail("node %d: bucket values not strictly increasing at bucket %d", i, bi)
+				}
+				if int(bk.child) <= i || uint64(bk.child) >= nnodes || claimed[bk.child] {
+					return fail("node %d: child index %d not in (%d,%d) or claimed twice", i, bk.child, i, nnodes)
+				}
+				claimed[bk.child] = true
+				edges++
+			}
+		}
+	}
+	if uint64(nextLeaf) != nleaf || uint64(nextPos) != npos || uint64(edges) != nbuckets || gotLeaves != leaves {
+		return fail("unreferenced entries (%d/%d leaf ids, %d/%d positions, %d/%d buckets) or %d leaves where meta says %d",
+			nextLeaf, nleaf, nextPos, npos, edges, nbuckets, gotLeaves, leaves)
+	}
+	for _, id := range t.leafIDs {
+		if uint64(id) >= uint64(nsets) {
+			return fail("leaf id %d out of [0,%d)", id, nsets)
+		}
+	}
+	return t, nil
+}

@@ -2,8 +2,10 @@ package exec
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunExecutesAllRoots(t *testing.T) {
@@ -83,37 +85,40 @@ func TestWorkerIndexInRange(t *testing.T) {
 	}
 }
 
+// TestWorkStealingSpreadsLoad proves stealing without relying on scheduler
+// timing: one root spawns tasks onto its own deque and then refuses to
+// return until one of them has run on a different worker. The root's worker
+// is stuck inside the root, so the only way that can happen is a steal —
+// on any CPU count, since a blocked root yields to the other workers'
+// goroutines.
 func TestWorkStealingSpreadsLoad(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs >= 2 CPUs to observe stealing reliably")
-	}
-	// One root spawns many tasks onto its own deque; with stealing, other
-	// workers should execute some of them.
 	const workers = 4
-	var perWorker [workers]atomic.Int64
+	stolen := make(chan struct{})
+	var once sync.Once
+	var ran atomic.Int64
 	root := func(c *Ctx) {
-		for i := 0; i < 1000; i++ {
+		home := c.Worker()
+		for i := 0; i < 100; i++ {
 			c.Spawn(func(c *Ctx) {
-				perWorker[c.Worker()].Add(1)
-				// A little work so the spawner does not finish everything
-				// before anyone can steal.
-				s := 0
-				for k := 0; k < 1000; k++ {
-					s += k
+				ran.Add(1)
+				if c.Worker() != home {
+					once.Do(func() { close(stolen) })
 				}
-				_ = s
 			})
 		}
-	}
-	Run(workers, root)
-	busy := 0
-	for i := range perWorker {
-		if perWorker[i].Load() > 0 {
-			busy++
+		select {
+		case <-stolen:
+		case <-time.After(30 * time.Second):
+			t.Error("no spawned task ran on another worker while the spawner was blocked; stealing ineffective")
 		}
 	}
-	if busy < 2 {
-		t.Errorf("only %d of %d workers executed tasks; stealing ineffective", busy, workers)
+	before := ReadStats().Steals
+	Run(workers, root)
+	if ran.Load() != 100 {
+		t.Errorf("%d of 100 spawned tasks ran", ran.Load())
+	}
+	if ReadStats().Steals == before {
+		t.Error("a task ran off its spawner's worker but the steal counter did not move")
 	}
 }
 

@@ -112,8 +112,8 @@ func BitmapFromBytes(data []byte) *Bitmap {
 	return b
 }
 
-// BitmapFromInts builds a bitmap holding the given ids (the legacy
-// sorted-list manifest form). Negative ids panic, as in Set.
+// BitmapFromInts builds a bitmap holding the given ids. Negative ids
+// panic, as in Set.
 func BitmapFromInts(ids []int) *Bitmap {
 	b := &Bitmap{}
 	for _, id := range ids {

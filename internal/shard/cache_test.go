@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cpindex"
+	"repro/internal/race"
 )
 
 // TestCacheIdenticalAnswers pins the cache's core contract: with the
@@ -159,6 +160,9 @@ func TestEnableCacheAfterBuild(t *testing.T) {
 // on an all-local ring with no tombstones and the cache off, Query
 // allocates nothing at steady state.
 func TestQueryZeroAllocsAllLocal(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops pooled scratch at random under the race detector")
+	}
 	sets, _ := workload(1500, 0.8, 331)
 	x := Build(sets, 0.5, &Options{Shards: 3, Seed: 15})
 	for i := 0; i < 30; i++ { // warm scratch pools

@@ -89,17 +89,13 @@ func (x *Index) compact() CompactResult {
 	// Gather the victims' live entries, re-sorted by global id so the
 	// merged shard's leaf order — and therefore Query's within-shard
 	// tie-break toward the lowest id — is independent of ring order.
-	subs := make([]*subIndex, len(victims))
-	for i, v := range victims {
-		subs[i] = v.sub
-	}
-	ids, sets, dropped := collectLive(subs, tombs)
+	ids, sets, dropped := collectLive(victims, tombs)
 
 	// Build the merged shard off-lock. It claims the next seed slot like
 	// a seal does, so its seed is unique for the index's lifetime and
 	// Save/Load cross-checks keep working. An all-tombstoned selection
 	// builds nothing: the victims simply leave the ring.
-	var merged *subIndex
+	var merged *localShard
 	if len(ids) > 0 {
 		x.mu.Lock()
 		slot := x.nextSlot
@@ -111,10 +107,9 @@ func (x *Index) compact() CompactResult {
 			T:        x.opt.T,
 			Seed:     SeedFor(x.opt.Seed, slot),
 			Workers:  x.opt.Workers,
-			Layout:   x.opt.Layout,
 		})
-		x.attachCounters(ix)
-		merged = &subIndex{ix: ix, ids: ids}
+		merged = newLocalShard(ix, ids)
+		x.attachCounters(merged)
 	}
 
 	// Swap. Between selection and here the ring can only have grown
@@ -184,48 +179,39 @@ func (x *Index) compact() CompactResult {
 }
 
 // compactVictim pairs a ring entry selected for compaction with its
-// materialized local structure: the subIndex itself for local shards,
-// the retained local copy or the verified fetched-back decode for
-// remote-backed ones.
+// entries materialized on the heap.
 type compactVictim struct {
 	backend shardBackend
-	sub     *subIndex
+	ids     []int
+	sets    [][]uint32
 }
 
-// materializeVictims recalls every remote-backed victim's structure and
-// re-checks the selection policy over the victims that materialized:
-// fetch failures drop victims, and a selection reduced below two shards
-// with nothing to reclaim is abandoned rather than churned.
+// materializeVictims brings every victim's sets onto the heap — a hot
+// shard's own slice, a cold shard's copy out of its container, a
+// remote-backed shard's retained local copy or its verified fetched-back
+// decode — and re-checks the selection policy over the victims that
+// materialized: a victim whose bytes cannot be read right now (fetch
+// failure, corrupt container) drops out, and a selection reduced below two
+// shards with nothing to reclaim is abandoned rather than churned.
 func (x *Index) materializeVictims(victims []shardBackend, tombs map[int]struct{}) []compactVictim {
 	out := make([]compactVictim, 0, len(victims))
 	for _, v := range victims {
-		switch sh := v.(type) {
-		case *subIndex:
-			out = append(out, compactVictim{backend: v, sub: sh})
-		case *coldShard:
-			// A cold victim decodes from its retained container bytes —
-			// the same path a fetched-back remote shard takes. A decode
-			// failure (corrupt mapping) drops the victim, like a fetch
-			// failure; queries against it will surface the corruption.
-			sub, err := decodeShardBytes(sh.raw, snapshot.ShardEntry{Seed: sh.seed, Sets: len(sh.ids)}, sh.total)
-			if err != nil {
-				continue
+		local, _ := v.(*localShard)
+		if r, ok := v.(*remoteShard); ok {
+			if local = r.local; local == nil {
+				raw, err := r.fetchSnapshot()
+				if err != nil {
+					continue
+				}
+				if local, err = decodeShardBytes(raw, snapshot.ShardEntry{Seed: r.seed, Sets: len(r.ids)}, r.total); err != nil {
+					continue
+				}
 			}
-			out = append(out, compactVictim{backend: v, sub: sub})
-		case *remoteShard:
-			if sh.local != nil {
-				out = append(out, compactVictim{backend: v, sub: sh.local})
-				continue
-			}
-			raw, err := sh.fetchSnapshot()
-			if err != nil {
-				continue
-			}
-			sub, err := decodeShardBytes(raw, snapshot.ShardEntry{Seed: sh.seed, Sets: len(sh.ids)}, sh.total)
-			if err != nil {
-				continue
-			}
-			out = append(out, compactVictim{backend: v, sub: sub})
+		}
+		// Queries against a cold victim that fails here will surface the
+		// corruption themselves.
+		if sets, err := local.res.Load().heapSets(); err == nil {
+			out = append(out, compactVictim{backend: v, ids: local.ids, sets: sets})
 		}
 	}
 	if len(out) == len(victims) {
@@ -238,7 +224,7 @@ func (x *Index) materializeVictims(victims []shardBackend, tombs map[int]struct{
 	}
 	dead := 0
 	for _, v := range out {
-		for _, id := range v.sub.ids {
+		for _, id := range v.ids {
 			if _, d := tombs[id]; d {
 				dead++
 			}
@@ -310,7 +296,7 @@ func (x *Index) selectVictims() ([]shardBackend, map[int]struct{}) {
 
 // collectLive gathers the victims' non-tombstoned entries sorted by
 // global id, plus the ids of the tombstoned entries being dropped.
-func collectLive(victims []*subIndex, tombs map[int]struct{}) (ids []int, sets [][]uint32, dropped []int) {
+func collectLive(victims []compactVictim, tombs map[int]struct{}) (ids []int, sets [][]uint32, dropped []int) {
 	total := 0
 	for _, v := range victims {
 		total += len(v.ids)
@@ -319,7 +305,6 @@ func collectLive(victims []*subIndex, tombs map[int]struct{}) (ids []int, sets [
 	order := make([]int, 0, total) // index into flat below, sorted by id
 	flat := make([][]uint32, 0, total)
 	for _, v := range victims {
-		vsets := v.ix.Sets()
 		for i, id := range v.ids {
 			if _, d := tombs[id]; d {
 				dropped = append(dropped, id)
@@ -327,7 +312,7 @@ func collectLive(victims []*subIndex, tombs map[int]struct{}) (ids []int, sets [
 			}
 			ids = append(ids, id)
 			order = append(order, len(flat))
-			flat = append(flat, vsets[i])
+			flat = append(flat, v.sets[i])
 		}
 	}
 	sort.Sort(&byGlobalID{ids: ids, order: order})

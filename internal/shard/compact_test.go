@@ -432,20 +432,20 @@ func TestCompactPreservesStandaloneEquivalence(t *testing.T) {
 		t.Fatalf("nothing compacted: %+v", st)
 	}
 	x.mu.RLock()
-	merged := x.shards[len(x.shards)-1].(*subIndex)
+	merged := x.shards[len(x.shards)-1].(*localShard).res.Load().hot
 	x.mu.RUnlock()
-	if merged.ix.Len() != res.Sets {
-		t.Fatalf("merged shard holds %d sets, result says %d", merged.ix.Len(), res.Sets)
+	if merged.Len() != res.Sets {
+		t.Fatalf("merged shard holds %d sets, result says %d", merged.Len(), res.Sets)
 	}
-	standalone := cpindex.Build(merged.ix.Sets(), x.Lambda(), &cpindex.Options{
+	standalone := cpindex.Build(merged.Sets(), x.Lambda(), &cpindex.Options{
 		Trees:    x.opt.Trees,
 		LeafSize: x.opt.LeafSize,
 		T:        x.opt.T,
-		Seed:     merged.ix.Options().Seed,
+		Seed:     merged.Options().Seed,
 	})
 	for qi := 0; qi < 50; qi++ {
-		q := merged.ix.Sets()[qi*merged.ix.Len()/50]
-		a, b := merged.ix.QueryAll(q), standalone.QueryAll(q)
+		q := merged.Sets()[qi*merged.Len()/50]
+		a, b := merged.QueryAll(q), standalone.QueryAll(q)
 		if !equalMatches(t, a, b) {
 			t.Fatalf("merged shard diverges from standalone rebuild on query %d", qi)
 		}

@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -221,8 +219,8 @@ func TestQueryContainValidation(t *testing.T) {
 	}
 }
 
-// TestQueryContainSaveLoadRoundTrip: a version-2 snapshot persists the
-// containment signatures, so a loaded index answers byte-identically
+// TestQueryContainSaveLoadRoundTrip: a snapshot persists the containment
+// signatures, so a loaded index answers byte-identically
 // without rebuilding — including for an index that never served a
 // containment query before Save (encoding forces the signing).
 func TestQueryContainSaveLoadRoundTrip(t *testing.T) {
@@ -247,11 +245,6 @@ func TestQueryContainSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sh := range y.shards {
-		if sh.(*subIndex).contain.Load() == nil {
-			t.Fatal("loaded v2 shard has no decoded containment side")
-		}
-	}
 	for pi, q := range probes {
 		for _, th := range containThresholds {
 			want, err1 := x.QueryContain(q, th)
@@ -266,123 +259,54 @@ func TestQueryContainSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// stripContainSection rewrites one cpshard container file as a version-1
-// legacy container: walk the section frames (8-byte name, u64 length,
-// u32 crc — preceded by alignment padding in version-3 files), drop the
-// "contain" section, and re-emit the remaining frames unpadded under a
-// version-1 header — byte surgery standing in for a file written by a
-// pre-containment build.
-func stripContainSection(t *testing.T, path string) {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const headerLen = 8 + 4 + 8 // magic + version + kind
-	version := binary.LittleEndian.Uint32(raw[8:12])
-	out := append([]byte(nil), raw[:headerLen]...)
-	binary.LittleEndian.PutUint32(out[8:12], 1)
-	off := headerLen
-	stripped := false
-	for off < len(raw) {
-		if version >= 3 {
-			// Version-3 containers zero-pad before each section header so
-			// payloads are 8-aligned; legacy frames are back-to-back.
-			off += (8 - (off+20)%8) % 8
-		}
-		if off+20 > len(raw) {
-			t.Fatalf("%s: truncated section header at %d", path, off)
-		}
-		name := raw[off : off+8]
-		length := binary.LittleEndian.Uint64(raw[off+8 : off+16])
-		if off+20+int(length) > len(raw) {
-			t.Fatalf("%s: truncated section payload at %d", path, off)
-		}
-		if strings.TrimRight(string(name), "\x00") == "contain" {
-			stripped = true
-		} else {
-			out = append(out, raw[off:off+20+int(length)]...)
-		}
-		off += 20 + int(length)
-	}
-	if !stripped {
-		t.Fatalf("%s: no contain section found", path)
-	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLoadLegacyV1RebuildsContainment: a version-1 snapshot (no contain
-// sections, pre-containment manifest) still loads, and containment
-// queries work by rebuilding the candidate structure lazily — with
-// byte-identical answers, because the signer's seed is derived from the
-// index seed, not stored state.
-func TestLoadLegacyV1RebuildsContainment(t *testing.T) {
-	sets, _ := workload(300, 0.8, 441)
-	probes := containProbes(sets, 40)
-	x := Build(sets, 0.5, &Options{Shards: 2, Seed: 37, Workers: 2})
+// TestLoadRejectsMissingContainSection: every container carries its
+// containment signatures, so a loaded or hosted shard never signs under
+// guessed options. A shard file without the section is corrupt: a hot load
+// refuses it, and a cold load (which reads sections lazily) errors on the
+// first containment query instead of rebuilding.
+func TestLoadRejectsMissingContainSection(t *testing.T) {
+	sets, _ := workload(120, 0.8, 441)
+	x := Build(sets, 0.5, &Options{Shards: 1, Seed: 37})
 	dir := t.TempDir()
 	if err := x.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-
-	// Surgery: strip every shard's contain section and downgrade both the
-	// container headers and the manifest to format version 1.
-	entries, err := os.ReadDir(dir)
+	m, err := snapshot.ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	surgeries := 0
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".cps") {
-			stripContainSection(t, filepath.Join(dir, e.Name()))
-			surgeries++
-		}
-	}
-	if surgeries == 0 {
-		t.Fatal("no shard files found")
-	}
-	mpath := filepath.Join(dir, snapshot.ManifestFile)
-	mraw, err := os.ReadFile(mpath)
+	path := filepath.Join(dir, m.Shards[0].File)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	patched := strings.Replace(string(mraw),
-		fmt.Sprintf(`"format_version": %d`, snapshot.Version), `"format_version": 1`, 1)
-	if patched == string(mraw) {
-		t.Fatalf("manifest carries no format_version %d marker:\n%s", snapshot.Version, mraw)
-	}
-	if err := os.WriteFile(mpath, []byte(patched), 0o644); err != nil {
+	snap, err := snapshot.OpenMapped(raw, shardKind)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	y, err := Load(dir, 2)
-	if err != nil {
-		t.Fatalf("loading legacy v1 snapshot: %v", err)
-	}
-	for _, sh := range y.shards {
-		if sh.(*subIndex).contain.Load() != nil {
-			t.Fatal("v1 shard decoded a containment side it cannot contain")
-		}
-	}
-	for pi, q := range probes {
-		for _, th := range containThresholds {
-			want, err1 := x.QueryContain(q, th)
-			got, err2 := y.QueryContain(q, th)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("probe %d t=%v: errs %v / %v", pi, th, err1, err2)
+	err = snapshot.WriteFile(path, shardKind, func(w *snapshot.Writer) error {
+		for _, sec := range snap.Sections() {
+			if sec.Name == "contain" {
+				continue
 			}
-			if !equalMatches(t, got, want) {
-				t.Fatalf("probe %d t=%v: lazily rebuilt answers differ from original", pi, th)
+			if err := w.Section(sec.Name, raw[sec.Off:sec.Off+sec.Len]); err != nil {
+				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The lazy build happened exactly where expected.
-	for _, sh := range y.shards {
-		if sh.(*subIndex).contain.Load() == nil {
-			t.Fatal("containment side not built after first containment query")
-		}
+	if _, err := LoadWithOptions(dir, LoadOptions{Tiering: TierHot}); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("hot load without a contain section: err = %v, want ErrCorrupt", err)
+	}
+	cold, err := LoadWithOptions(dir, LoadOptions{Tiering: TierCold})
+	if err != nil {
+		t.Fatalf("cold load reads no contain section, yet failed: %v", err)
+	}
+	if _, err := cold.QueryContain(sets[0], 0.5); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("cold containment query without a contain section: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -424,26 +348,22 @@ func TestQueryContainCache(t *testing.T) {
 	check("after delete")
 }
 
-// TestQueryContainBuiltRequiresShippedSide: the hosted-shard entry point
-// refuses to lazily build — a peer signing with guessed options would
-// break the global determinism contract — so a shard without a shipped
-// containment side answers with an error.
-func TestQueryContainBuiltRequiresShippedSide(t *testing.T) {
+// TestContainSideIsLazy: similarity-only workloads never pay for the
+// containment side — Build leaves it unbuilt, the first containment query
+// (or encode) builds it once.
+func TestContainSideIsLazy(t *testing.T) {
 	sets, _ := workload(50, 0.8, 461)
 	x := Build(sets, 0.5, &Options{Shards: 1, Seed: 3})
-	sub := x.shards[0].(*subIndex)
+	sub := x.shards[0].(*localShard)
+	mustQueryAll(t, x, sets[0])
 	if sub.contain.Load() != nil {
 		t.Fatal("containment side built eagerly; the lazy contract changed")
 	}
-	if _, err := sub.queryContainBuilt(sets[0], 0.5); err == nil {
-		t.Fatal("queryContainBuilt answered without a shipped containment side")
-	}
-	// After any containment query the side exists and the built path works.
 	if _, err := x.QueryContain(sets[0], 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sub.queryContainBuilt(sets[0], 0.5); err != nil {
-		t.Fatalf("queryContainBuilt after build: %v", err)
+	if sub.contain.Load() == nil {
+		t.Fatal("containment side not built by the first containment query")
 	}
 }
 
@@ -489,12 +409,12 @@ func localSets(t *testing.T, x *Index) [][]uint32 {
 	defer x.mu.RUnlock()
 	out := make([][]uint32, x.total)
 	for _, sh := range x.shards {
-		sub, ok := sh.(*subIndex)
+		sub, ok := sh.(*localShard)
 		if !ok {
 			t.Fatal("localSets wants an all-local index")
 		}
 		for local, id := range sub.ids {
-			out[id] = sub.ix.Sets()[local]
+			out[id] = sub.res.Load().hot.Sets()[local]
 		}
 	}
 	for i, id := range x.side.ids {
@@ -520,7 +440,7 @@ func TestConfigureValidationAndPersistence(t *testing.T) {
 	if err := x.Configure(RuntimeOptions{CacheSize: -1}); err == nil {
 		t.Fatal("negative cache size accepted")
 	}
-	want := RuntimeOptions{AutoCompact: true, PointerLayout: true, CacheSize: 32}
+	want := RuntimeOptions{AutoCompact: true, CacheSize: 32}
 	if err := x.Configure(want); err != nil {
 		t.Fatal(err)
 	}

@@ -32,9 +32,6 @@ func TestDroppedBitmapRoundTrip(t *testing.T) {
 	if len(m.DroppedBitmap) == 0 {
 		t.Fatal("manifest carries no dropped bitmap")
 	}
-	if len(m.Dropped) != 0 {
-		t.Fatalf("new save wrote the legacy dropped list: %v", m.Dropped)
-	}
 	// The bitmap is bounded by the id space, not the churn volume.
 	if max := 8 * len(m.DroppedBitmap); max > 8*((m.Total+7)/8) {
 		t.Fatalf("bitmap spans %d bits for %d ids", max, m.Total)
@@ -67,46 +64,9 @@ func TestDroppedBitmapRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacyDroppedListStillLoads: snapshots written before the bitmap
-// carried the dropped set as a sorted id list; Load must keep reading
-// that form identically.
-func TestLegacyDroppedListStillLoads(t *testing.T) {
-	x, probes, _ := churn(t, exactOptions(2, 40, 157))
-	x.Compact()
-	want := mustQueryBatch(t, x, probes)
-	dir := t.TempDir()
-	if err := x.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	m, err := snapshot.ReadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the manifest in the legacy form.
-	m.Dropped = intset.BitmapFromBytes(m.DroppedBitmap).Ints()
-	m.DroppedBitmap = nil
-	if err := snapshot.WriteManifest(dir, m); err != nil {
-		t.Fatal(err)
-	}
-	y, err := Load(dir, 1)
-	if err != nil {
-		t.Fatalf("legacy manifest failed to load: %v", err)
-	}
-	if got, wantN := y.Stats().Reclaimed, len(m.Dropped); got != wantN {
-		t.Fatalf("reclaimed count %d from legacy list of %d", got, wantN)
-	}
-	got := mustQueryBatch(t, y, probes)
-	for i := range probes {
-		if !equalMatches(t, got[i], want[i]) {
-			t.Fatalf("probe %d diverges under legacy dropped list", i)
-		}
-	}
-}
-
-// TestDroppedBitmapValidation: manifest-level guards on the bitmap form —
-// out-of-range bits and a manifest carrying both representations are
-// corruption, and the cross-invariants (dropped ids absent from shards,
-// side and tombstones) hold for the bitmap exactly as for the list.
+// TestDroppedBitmapValidation: manifest-level guards on the bitmap —
+// out-of-range bits are corruption, and so is breaking the
+// cross-invariants (dropped ids absent from shards, side and tombstones).
 func TestDroppedBitmapValidation(t *testing.T) {
 	x, _, _ := churn(t, exactOptions(2, 40, 163))
 	x.Compact()
@@ -133,9 +93,6 @@ func TestDroppedBitmapValidation(t *testing.T) {
 		bm := intset.BitmapFromBytes(m.DroppedBitmap)
 		bm.Set(m.Total)
 		m.DroppedBitmap = bm.Bytes()
-	})
-	corrupt("both dropped representations present", func(m *snapshot.Manifest) {
-		m.Dropped = []int{1}
 	})
 	corrupt("bitmap claims a live shard id", func(m *snapshot.Manifest) {
 		// Id 0 was built into a primary shard and never deleted.

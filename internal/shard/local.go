@@ -1,0 +1,355 @@
+package shard
+
+import (
+	"fmt"
+	"os"
+	"runtime"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/contain"
+	"repro/internal/cpindex"
+	"repro/internal/intset"
+	"repro/internal/mmap"
+	"repro/internal/snapshot"
+)
+
+// localShard is one sealed in-process ring shard: a cpindex over a subset
+// of the collection plus the map from shard-local ids back to global ids.
+//
+// Its storage tier is a residency state, not a type. Hot, the sets live on
+// the heap and queries cannot fail; cold, they stay inside the shard's
+// cpshard container — memory-mapped, so untouched payload pages are never
+// read — and corruption in a lazily read region surfaces as an error
+// wrapping snapshot.ErrCorrupt at first touch, never as a panic or a wrong
+// answer. Both states run the same cpindex kernel over the same trie, so
+// answers are byte-identical and a tier move changes only where candidate
+// verification reads tokens from: promote copies the sets to the heap,
+// demote drops that copy (after giving the shard a container if it never
+// had one). A shard that has a container keeps it, so saving or shipping it
+// is a byte copy.
+type localShard struct {
+	ids  []int  // local id -> global id
+	seed uint64 // build seed: the shard's identity in manifests and ship keys
+
+	// hits counts queries served since the last retier pass and idle the
+	// consecutive passes that found it zero — the auto-tier policy's
+	// gauges (see Retier). hits costs one atomic add per query; idle is
+	// touched only under compactMu.
+	hits atomic.Uint64
+	idle int
+
+	// res is the current residency. Tier moves publish a new value; a query
+	// runs against the one it loaded, which stays valid (the heap copy and
+	// the mapping are both garbage-collected, not closed).
+	res atomic.Pointer[residency]
+	// counters is the owning index's candidate-pipeline sink, handed to the
+	// views tier moves create.
+	counters *cpindex.QueryCounters
+
+	// contain is the shard's containment side (LSH Ensemble candidate
+	// structure plus the heap sets its verification reads), built or decoded
+	// on the first containment query or encode — similarity-only workloads
+	// never pay for it. containMu serializes that one-time load; readers go
+	// through the atomic pointer. Containment against a cold shard therefore
+	// warms it up: documented cost of the cold tier.
+	containMu sync.Mutex
+	contain   atomic.Pointer[containSide]
+}
+
+// residency says where a shard's bytes live. At least one view is set.
+type residency struct {
+	hot  *cpindex.Index   // sets on the heap; nil while the shard is cold
+	cold *cpindex.Mapped  // sets left in the container; nil until the shard has one
+	snap *snapshot.Mapped // cold's container: the exact bytes Save and ship copy
+}
+
+type containSide struct {
+	ix   *contain.Index
+	sets [][]uint32
+}
+
+// newLocalShard wraps a freshly built index: hot, no container yet.
+func newLocalShard(ix *cpindex.Index, ids []int) *localShard {
+	s := &localShard{ids: ids, seed: ix.Options().Seed}
+	s.res.Store(&residency{hot: ix})
+	return s
+}
+
+func (s *localShard) size() int        { return len(s.ids) }
+func (s *localShard) globalIDs() []int { return s.ids }
+func (s *localShard) isCold() bool     { return s.res.Load().hot == nil }
+
+func (s *localShard) traceName(i int) (name, kind string) {
+	if s.isCold() {
+		return fmt.Sprintf("cold-%d", i), "cold"
+	}
+	return fmt.Sprintf("local-%d", i), "local"
+}
+
+// structure returns the shard's node and leaf counts.
+func (s *localShard) structure() (nodes, leaves int) {
+	r := s.res.Load()
+	if r.hot != nil {
+		return r.hot.Nodes, r.hot.Leaves
+	}
+	return r.cold.Structure()
+}
+
+// queryBest and queryAll are the only routes from the ring into a local
+// cpindex: every call counts toward the tier gauge and reports the shard's
+// candidate-pipeline stats, traced or not.
+func (s *localShard) queryBest(q []uint32) (id int, sim float64, ok bool, st cpindex.QueryStats, err error) {
+	s.hits.Add(1)
+	if r := s.res.Load(); r.hot != nil {
+		id, sim, ok, st = r.hot.QueryWithStats(q)
+	} else {
+		id, sim, ok, st, err = r.cold.QueryWithStats(q)
+	}
+	if err != nil || !ok {
+		return -1, 0, false, st, err
+	}
+	return s.ids[id], sim, true, st, nil
+}
+
+func (s *localShard) queryAll(q []uint32) (ms []cpindex.Match, st cpindex.QueryStats, err error) {
+	s.hits.Add(1)
+	if r := s.res.Load(); r.hot != nil {
+		ms, st = r.hot.AppendAllWithStats(nil, q)
+	} else if ms, st, err = r.cold.AppendAllWithStats(nil, q); err != nil {
+		return nil, st, err
+	}
+	for i := range ms {
+		ms[i].ID = s.ids[ms[i].ID]
+	}
+	return ms, st, nil
+}
+
+func (s *localShard) queryBatch(qs [][]uint32) ([][]cpindex.Match, error) {
+	out := make([][]cpindex.Match, len(qs))
+	for i, q := range qs {
+		ms, _, err := s.queryAll(q)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = ms
+	}
+	return out, nil
+}
+
+func (s *localShard) queryContain(q []uint32, t float64, opts contain.Options) ([]cpindex.Match, error) {
+	s.hits.Add(1)
+	c, err := s.containSide(opts)
+	if err != nil {
+		return nil, err
+	}
+	var ms []cpindex.Match
+	for _, lid := range c.ix.Query(q, t) {
+		if sim, ok := intset.ContainmentAtLeast(q, c.sets[lid], t); ok {
+			ms = append(ms, cpindex.Match{ID: s.ids[lid], Sim: sim})
+		}
+	}
+	return ms, nil
+}
+
+// heapSets returns the shard's collection on the heap: the hot view's own
+// slice, or a fresh (uncached) copy out of the container.
+func (r *residency) heapSets() ([][]uint32, error) {
+	if r.hot != nil {
+		return r.hot.Sets(), nil
+	}
+	return r.cold.Sets()
+}
+
+// containOver returns the containment side over sets. A shard with a
+// container always reads the signatures it persisted — a peer hosting a
+// shipped shard answers without knowing its coordinator's options; only a
+// shard that was never encoded signs, under opts.
+func (r *residency) containOver(sets [][]uint32, opts contain.Options) (*containSide, error) {
+	if r.snap == nil {
+		return &containSide{ix: contain.Build(sets, opts), sets: sets}, nil
+	}
+	raw, err := r.snap.Section("contain")
+	if err != nil {
+		return nil, err
+	}
+	ci, err := decodeContainPayload(raw, sets)
+	runtime.KeepAlive(r) // raw aliases the mapping r.cold pins
+	if err != nil {
+		return nil, err
+	}
+	return &containSide{ix: ci, sets: sets}, nil
+}
+
+// containSide returns the shard's containment side, loading it on first
+// use. Double-checked under containMu so concurrent first queries load
+// once.
+func (s *localShard) containSide(opts contain.Options) (*containSide, error) {
+	if c := s.contain.Load(); c != nil {
+		return c, nil
+	}
+	s.containMu.Lock()
+	defer s.containMu.Unlock()
+	if c := s.contain.Load(); c != nil {
+		return c, nil
+	}
+	r := s.res.Load()
+	sets, err := r.heapSets()
+	if err != nil {
+		return nil, err
+	}
+	c, err := r.containOver(sets, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.contain.Store(c)
+	return c, nil
+}
+
+// openLocalShard opens a cold shard over one complete cpshard container
+// and cross-checks it against its manifest-level identity: id bounds,
+// id/set count agreement, the build seed. Every way a container becomes a
+// shard — disk load, shipped upload, fetch-back — goes through here, so a
+// peer accepting an upload enforces exactly the guards a restart would.
+// Only the headers, the meta section and the id map are read; retain (an
+// *mmap.File, or nil for heap bytes) is pinned for the views' lifetime.
+func openLocalShard(data []byte, retain any, entry snapshot.ShardEntry, total int) (*localShard, error) {
+	snap, err := snapshot.OpenMapped(data, shardKind)
+	if err != nil {
+		return nil, err
+	}
+	m, err := cpindex.OpenMapped(snap, retain)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := snap.Section("ids")
+	if err != nil {
+		return nil, err
+	}
+	c := snapshot.NewCursor("ids", raw)
+	ids := make([]int, c.Count(total))
+	for i := range ids {
+		id := c.Uvarint()
+		if id >= uint64(total) {
+			c.Fail("global id %d out of [0,%d)", id, total)
+			break
+		}
+		ids[i] = int(id)
+	}
+	if err := c.Done(); err != nil {
+		return nil, err
+	}
+	if len(ids) != m.Len() {
+		return nil, fmt.Errorf("%w: shard has %d ids for %d sets",
+			snapshot.ErrCorrupt, len(ids), m.Len())
+	}
+	if m.Len() != entry.Sets {
+		return nil, fmt.Errorf("%w: shard holds %d sets, manifest says %d",
+			snapshot.ErrCorrupt, m.Len(), entry.Sets)
+	}
+	if got := m.Options().Seed; got != entry.Seed {
+		return nil, fmt.Errorf("%w: shard built with seed %d, manifest says %d (files shuffled?)",
+			snapshot.ErrCorrupt, got, entry.Seed)
+	}
+	s := &localShard{ids: ids, seed: entry.Seed}
+	s.res.Store(&residency{cold: m, snap: snap})
+	return s, nil
+}
+
+// decodeShardBytes opens a container held on the heap (a shipped or
+// fetched-back shard) and promotes it, which validates every section.
+func decodeShardBytes(raw []byte, entry snapshot.ShardEntry, total int) (*localShard, error) {
+	s, err := openLocalShard(raw, nil, entry, total)
+	if err == nil {
+		err = s.promote()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// promote moves the sets onto the heap; the trie is shared with the mapped
+// view, not decoded again. A promoted shard has read and checksummed every
+// section of its container — promotion is exactly a snapshot load, and
+// what it accepts cannot fail later. Only the containment side's bucket
+// structure stays unbuilt until a containment query wants it, as after
+// Build: rebuilding it costs more than everything else here together.
+func (s *localShard) promote() error {
+	r := s.res.Load()
+	if r.hot != nil {
+		return nil
+	}
+	hot, err := r.cold.Index()
+	if err != nil {
+		return err
+	}
+	raw, err := r.snap.Section("contain")
+	if err == nil {
+		_, _, _, err = containHeader(raw, len(s.ids))
+	}
+	runtime.KeepAlive(r) // raw aliases the mapping r.cold pins
+	if err != nil {
+		return err
+	}
+	// A side loaded while cold verifies against its own copy of the sets;
+	// point it at the hot view's instead.
+	if c := s.contain.Load(); c != nil {
+		s.contain.Store(&containSide{ix: c.ix, sets: hot.Sets()})
+	}
+	s.res.Store(&residency{hot: hot, cold: r.cold, snap: r.snap})
+	return nil
+}
+
+// demote drops the heap copy of the sets. A shard that never had a
+// container gets one first: its canonical bytes (what Save would write, so
+// its content identity and any future ship key are unchanged) are spooled
+// through a temp file that is mapped and unlinked at once — the mapping
+// keeps the bytes readable and nothing is left on disk to clean up.
+func (s *localShard) demote(copts contain.Options) error {
+	r := s.res.Load()
+	if r.hot == nil {
+		return nil
+	}
+	next := &residency{cold: r.cold, snap: r.snap}
+	if next.cold == nil {
+		raw, err := encodeShardBytes(s, copts)
+		if err != nil {
+			return err
+		}
+		f, err := spool(raw)
+		if err != nil {
+			return err
+		}
+		if next.snap, err = snapshot.OpenMapped(f.Data, shardKind); err != nil {
+			return err
+		}
+		if next.cold, err = cpindex.OpenMapped(next.snap, f); err != nil {
+			return err
+		}
+		next.cold.SetCounters(s.counters)
+	}
+	s.res.Store(next)
+	// The container carries the containment signatures; the heap side goes
+	// with the sets and reloads on the next containment query.
+	s.contain.Store(nil)
+	return nil
+}
+
+// spool writes raw to an unlinked temp file and maps it.
+func spool(raw []byte) (*mmap.File, error) {
+	f, err := os.CreateTemp("", "cpshard-cold-*.cps")
+	if err != nil {
+		return nil, err
+	}
+	path := f.Name()
+	defer os.Remove(path)
+	if _, err := f.Write(raw); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if err := f.Close(); err != nil {
+		return nil, err
+	}
+	return mmap.Open(path)
+}

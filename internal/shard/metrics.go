@@ -18,7 +18,7 @@ import (
 // and scrape-time views of state that already lives elsewhere (cache
 // counters, exec totals, index shape). Everything on the query path is a
 // plain atomic update — the zero-allocations-per-query contract of the
-// flat engine survives instrumentation, enforced by TestQueryMetricsAllocs.
+// query kernel survives instrumentation, enforced by TestQueryMetricsAllocs.
 type indexMetrics struct {
 	reg *metrics.Registry
 
@@ -46,8 +46,8 @@ type indexMetrics struct {
 	placementGCErrors   *metrics.Counter
 	placementRebalanced *metrics.Counter
 
-	// Storage tiering: shard moves between the hot (decoded) and cold
-	// (mapped) tiers, by Configure, Promote/DemoteAll or auto-retier passes.
+	// Storage tiering: shard moves between the hot (heap) and cold (mapped)
+	// tiers, by Configure, Promote/DemoteAll or auto-retier passes.
 	tierPromotions *metrics.Counter
 	tierDemotions  *metrics.Counter
 
@@ -135,7 +135,7 @@ func newIndexMetrics(x *Index) *indexMetrics {
 		placementGCErrors:   reg.Counter("cps_placement_gc_errors_total", "hosted-shard evictions that failed and will be retried"),
 		placementRebalanced: reg.Counter("cps_placement_rebalanced_total", "shards whose replicas moved away from unhealthy peers"),
 
-		tierPromotions: reg.Counter("cps_tier_promotions_total", "cold shards decoded to the hot tier"),
+		tierPromotions: reg.Counter("cps_tier_promotions_total", "cold shards promoted to the hot (heap) tier"),
 		tierDemotions:  reg.Counter("cps_tier_demotions_total", "hot shards demoted to the mapped cold tier"),
 	}
 
@@ -168,27 +168,11 @@ func newIndexMetrics(x *Index) *indexMetrics {
 		}
 		return float64(n)
 	})
-	reg.GaugeFunc("cps_tier_hot_shards", "local ring shards fully decoded (hot tier)", func() float64 {
-		x.mu.RLock()
-		defer x.mu.RUnlock()
-		n := 0
-		for _, sh := range x.shards {
-			if _, ok := sh.(*subIndex); ok {
-				n++
-			}
-		}
-		return float64(n)
+	reg.GaugeFunc("cps_tier_hot_shards", "local ring shards with their sets on the heap (hot tier)", func() float64 {
+		return float64(x.Stats().HotShards)
 	})
-	reg.GaugeFunc("cps_tier_cold_shards", "local ring shards memory-mapped (cold tier)", func() float64 {
-		x.mu.RLock()
-		defer x.mu.RUnlock()
-		n := 0
-		for _, sh := range x.shards {
-			if _, ok := sh.(*coldShard); ok {
-				n++
-			}
-		}
-		return float64(n)
+	reg.GaugeFunc("cps_tier_cold_shards", "local ring shards left in their memory-mapped containers (cold tier)", func() float64 {
+		return float64(x.Stats().ColdShards)
 	})
 	reg.GaugeFunc("cps_index_buffered", "sets in the side buffer and in-flight seals", func() float64 {
 		x.mu.RLock()
@@ -296,12 +280,21 @@ func (x *Index) Metrics() *metrics.Registry {
 	return x.metrics.reg
 }
 
-// attachCounters points one cpindex shard at the index's shared candidate
-// pipeline counters. Called at every shard creation site — Build, seal,
-// compaction merge, snapshot load, hosted-shard registration — before the
-// shard is published to queries.
-func (x *Index) attachCounters(ix *cpindex.Index) {
-	if x.metrics != nil {
-		ix.SetCounters(&x.metrics.cand)
+// attachCounters points one local shard — its current views and the ones
+// later tier moves create — at the index's shared candidate pipeline
+// counters. Called at every shard creation site — Build, seal, compaction
+// merge, snapshot load, hosted-shard registration — before the shard is
+// published to queries.
+func (x *Index) attachCounters(s *localShard) {
+	if x.metrics == nil {
+		return
+	}
+	s.counters = &x.metrics.cand
+	r := s.res.Load()
+	if r.hot != nil {
+		r.hot.SetCounters(s.counters)
+	}
+	if r.cold != nil {
+		r.cold.SetCounters(s.counters)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"repro/internal/race"
 	"strconv"
 	"strings"
 	"testing"
@@ -226,6 +227,9 @@ func TestMetricsCounterDeltas(t *testing.T) {
 // state — latency observation and the candidate counters are atomic adds
 // on fixed storage, and stats ride the pooled scratch.
 func TestQueryMetricsAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops pooled scratch at random under the race detector")
+	}
 	sets, _ := workload(1500, 0.8, 921)
 	x := Build(sets, 0.5, &Options{Shards: 3, Seed: 17})
 	if x.metrics == nil {

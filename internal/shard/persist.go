@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,8 +9,8 @@ import (
 	"strings"
 
 	"repro/internal/contain"
-	"repro/internal/cpindex"
 	"repro/internal/exec"
+	"repro/internal/mmap"
 	"repro/internal/snapshot"
 )
 
@@ -112,10 +113,9 @@ func (x *Index) Save(dir string) error {
 	}
 	if rt := x.runtime; rt != (RuntimeOptions{}) {
 		m.Runtime = &snapshot.RuntimeState{
-			AutoCompact:   rt.AutoCompact,
-			PointerLayout: rt.PointerLayout,
-			CacheSize:     rt.CacheSize,
-			Tiering:       string(rt.Tiering),
+			AutoCompact: rt.AutoCompact,
+			CacheSize:   rt.CacheSize,
+			Tiering:     string(rt.Tiering),
 		}
 	}
 	x.mu.RUnlock()
@@ -135,14 +135,9 @@ func (x *Index) Save(dir string) error {
 		file := shardFileName(gen, i)
 		path := filepath.Join(dir, file)
 		switch sh := shards[i].(type) {
-		case *subIndex:
-			m.Shards[i] = snapshot.ShardEntry{File: file, Seed: sh.ix.Options().Seed, Sets: sh.ix.Len()}
-			errs[i] = saveShard(path, sh, copts)
-		case *coldShard:
-			// A cold shard already holds its canonical container bytes —
-			// saving it is a verified file copy, no re-encode.
+		case *localShard:
 			m.Shards[i] = snapshot.ShardEntry{File: file, Seed: sh.seed, Sets: len(sh.ids)}
-			errs[i] = snapshot.WriteRawFile(path, sh.raw)
+			errs[i] = saveShard(path, sh, copts)
 		case *remoteShard:
 			m.Shards[i] = snapshot.ShardEntry{File: file, Seed: sh.seed, Sets: len(sh.ids)}
 			if sh.local != nil {
@@ -182,7 +177,13 @@ func sortedTombstones(ids map[int]struct{}) []int {
 	return out
 }
 
-func saveShard(path string, sh *subIndex, copts contain.Options) error {
+// saveShard writes one shard file: a shard that has a container already
+// holds its canonical bytes, so saving it is a file copy with no re-encode;
+// one that never had a container is encoded straight into the file.
+func saveShard(path string, sh *localShard, copts contain.Options) error {
+	if snap := sh.res.Load().snap; snap != nil {
+		return snapshot.WriteRawFile(path, snap.Bytes())
+	}
 	return snapshot.WriteFile(path, shardKind, func(w *snapshot.Writer) error {
 		return encodeShardSections(w, sh, copts)
 	})
@@ -191,12 +192,13 @@ func saveShard(path string, sh *subIndex, copts contain.Options) error {
 // encodeShardSections writes one shard's container body — cpindex
 // sections, the local→global id map, and the containment signatures.
 // Shared by disk saves and shard shipping, so a shipped shard is
-// bit-for-bit a saved one. Encoding forces the containment side to exist
-// (signing is the expensive part; the bucket structure rebuilds on load),
-// which is what lets version-2 readers consume the section
-// unconditionally: sections are sequential, so presence cannot be probed.
-func encodeShardSections(w *snapshot.Writer, sh *subIndex, copts contain.Options) error {
-	if err := sh.ix.EncodeSections(w); err != nil {
+// bit-for-bit a saved one. Only a hot shard without a container is ever
+// encoded. Encoding forces the containment side to exist (signing is the
+// expensive part; the bucket structure rebuilds on load), so every
+// container carries the section and readers never sign under guessed
+// options.
+func encodeShardSections(w *snapshot.Writer, sh *localShard, copts contain.Options) error {
+	if err := sh.res.Load().hot.EncodeSections(w); err != nil {
 		return err
 	}
 	var ids snapshot.Buf
@@ -207,7 +209,11 @@ func encodeShardSections(w *snapshot.Writer, sh *subIndex, copts contain.Options
 	if err := w.Section("ids", ids.B); err != nil {
 		return err
 	}
-	c := sh.containIndex(copts)
+	side, err := sh.containSide(copts)
+	if err != nil {
+		return err
+	}
+	c := side.ix
 	var cb snapshot.Buf
 	cb.U32(uint32(c.T()))
 	cb.U64(c.Seed())
@@ -218,49 +224,44 @@ func encodeShardSections(w *snapshot.Writer, sh *subIndex, copts contain.Options
 	return w.Section("contain", cb.B)
 }
 
-// decodeContainSection reads the containment signatures of a version-2
-// shard container and rebuilds the candidate structure over the decoded
-// cpindex's sets. The section is self-contained (it carries its own T
-// and seed), so a peer hosting a shipped shard answers containment
-// queries without knowing the coordinator's configuration.
-func decodeContainSection(r *snapshot.Reader, ix *cpindex.Index) (*contain.Index, error) {
-	raw, err := r.Section("contain")
-	if err != nil {
-		return nil, err
-	}
-	return decodeContainPayload(raw, ix.Sets())
-}
-
-// decodeContainPayload decodes one containment section body over the given
-// sets. Split from decodeContainSection so cold shards — which read the
-// section from the mapping, not a sequential Reader — share every guard.
-func decodeContainPayload(raw []byte, sets [][]uint32) (*contain.Index, error) {
+// containHeader validates a containment section's framing against the
+// shard it belongs to and returns its parameters and the signature bytes.
+// The section is self-contained (it carries its own T and seed), so a peer
+// hosting a shipped shard answers containment queries without knowing the
+// coordinator's configuration.
+func containHeader(raw []byte, nsets int) (t int, seed uint64, sigs []byte, err error) {
 	c := snapshot.NewCursor("contain", raw)
-	t := c.U32()
-	seed := c.U64()
+	t = int(c.U32())
+	seed = c.U64()
 	if t == 0 || t > 1<<16 {
 		c.Fail("implausible signature length %d", t)
 	}
-	n := c.Uvarint()
-	if uint64(len(sets)) != n {
-		c.Fail("containment side covers %d sets, shard holds %d", n, len(sets))
+	if n := c.Uvarint(); uint64(nsets) != n {
+		c.Fail("containment side covers %d sets, shard holds %d", n, nsets)
 	}
 	if err := c.Err(); err != nil {
+		return 0, 0, nil, err
+	}
+	if nsets*t*4 != c.Remaining() {
+		return 0, 0, nil, fmt.Errorf("%w: section %q: %d signature bytes for %d sets with T=%d",
+			snapshot.ErrCorrupt, "contain", c.Remaining(), nsets, t)
+	}
+	return t, seed, raw[len(raw)-c.Remaining():], nil
+}
+
+// decodeContainPayload rebuilds the candidate structure of one containment
+// section over the given sets — no signing, but the bucket structure is
+// rebuilt, which is the expensive part of opening a shard; hence lazy.
+func decodeContainPayload(raw []byte, sets [][]uint32) (*contain.Index, error) {
+	t, seed, sigBytes, err := containHeader(raw, len(sets))
+	if err != nil {
 		return nil, err
 	}
-	words := int(n) * int(t)
-	if words*4 != c.Remaining() {
-		return nil, fmt.Errorf("%w: section %q: %d signature bytes for %d sets with T=%d",
-			snapshot.ErrCorrupt, "contain", c.Remaining(), n, t)
-	}
-	sigs := make([]uint32, words)
+	sigs := make([]uint32, len(sigBytes)/4)
 	for i := range sigs {
-		sigs[i] = c.U32()
+		sigs[i] = binary.LittleEndian.Uint32(sigBytes[4*i:])
 	}
-	if err := c.Done(); err != nil {
-		return nil, err
-	}
-	ci, err := contain.FromSignatures(sets, sigs, contain.Options{T: int(t), Seed: seed})
+	ci, err := contain.FromSignatures(sets, sigs, contain.Options{T: t, Seed: seed})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
 	}
@@ -300,8 +301,8 @@ type LoadOptions struct {
 	Workers int
 	// Tiering picks the storage tier shards load into. Empty defers to the
 	// tier the manifest's runtime state recorded (hot when absent): hot
-	// fully decodes, cold memory-maps with lazy decode, auto maps shard
-	// files of at least AutoColdBytes and decodes smaller ones.
+	// moves every shard's sets to the heap, cold leaves them in the mapped
+	// files, auto leaves cold the shard files of at least AutoColdBytes.
 	Tiering Tier
 	// AutoColdBytes is TierAuto's size threshold; 0 means
 	// DefaultAutoColdBytes.
@@ -361,8 +362,7 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 
 	// The compaction-policy knobs come from the manifest so a loaded index
 	// compacts under the policy it was built with; withDefaults fills them
-	// exactly as Build would when they are absent (pre-compaction
-	// manifests store zeros).
+	// exactly as Build would when they are absent.
 	opt := (&Options{
 		Shards:                m.PrimaryShards,
 		Partition:             part,
@@ -395,8 +395,7 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 			x.tombs[id] = struct{}{}
 		}
 	}
-	// The dropped set arrives as a dense bitmap (or the legacy id list of
-	// pre-bitmap snapshots — DroppedIDs reads either). A dropped id is
+	// The dropped set arrives as a dense bitmap. A dropped id is
 	// physically absent: it must not double as a tombstone (that would
 	// wrongly debit the live count below) or still sit in the side shard.
 	if x.dropped = m.DroppedIDs(); x.dropped != nil {
@@ -418,7 +417,10 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 	errs := make([]error, len(m.Shards))
 	exec.RunItems(exec.EffectiveWorkers(workers), len(m.Shards), func(i int) {
 		path := filepath.Join(dir, m.Shards[i].File)
-		x.shards[i], errs[i] = loadTieredShard(path, m.Shards[i], m.Total, tier, autoCold)
+		var s *localShard
+		if s, errs[i] = loadTieredShard(path, m.Shards[i], m.Total, tier, autoCold); errs[i] == nil {
+			x.shards[i] = s
+		}
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -430,12 +432,7 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 	}
 	x.metrics = newIndexMetrics(x)
 	for _, sh := range x.shards {
-		switch b := sh.(type) {
-		case *subIndex:
-			x.attachCounters(b.ix)
-		case *coldShard:
-			b.mapped.SetCounters(&x.metrics.cand)
-		}
+		x.attachCounters(sh.(*localShard))
 	}
 	// One pass over every physically present id checks the remaining
 	// cross-invariants: a dropped id must be absent from every shard (a
@@ -479,13 +476,12 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 	// whichever of them the new ring doesn't re-reference.
 	x.placement.restore(m.Placement)
 	// Re-apply the runtime configuration the index was saved with, so a
-	// restart restores tuning (layout, cache, auto-compaction) and not just
-	// data. Absent on pre-runtime manifests — defaults then.
+	// restart restores tuning (cache, auto-compaction, tiering) and not just
+	// data. Absent when everything was at its default.
 	if m.Runtime != nil || tierName != "" {
 		ro := RuntimeOptions{}
 		if m.Runtime != nil {
 			ro.AutoCompact = m.Runtime.AutoCompact
-			ro.PointerLayout = m.Runtime.PointerLayout
 			ro.CacheSize = m.Runtime.CacheSize
 		}
 		// The effective tier (explicit option over manifest) wins, so an
@@ -500,90 +496,22 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 	return x, nil
 }
 
-// loadTieredShard opens one shard file in the tier the policy picks for
-// it: hot fully decodes, cold memory-maps with lazy decode, and auto
-// stats the file — containers of at least autoCold bytes map, smaller
-// ones decode.
-func loadTieredShard(path string, entry snapshot.ShardEntry, total int, tier Tier, autoCold int64) (shardBackend, error) {
-	cold := tier == TierCold
-	if tier == TierAuto {
-		fi, err := os.Stat(path)
-		if err != nil {
-			return nil, err
-		}
-		cold = fi.Size() >= autoCold
-	}
-	if cold {
-		return openColdShard(path, entry, total)
-	}
-	return loadShard(path, entry, total)
-}
-
-// loadShard reads one per-shard container and cross-checks it against
-// its manifest entry.
-func loadShard(path string, entry snapshot.ShardEntry, total int) (*subIndex, error) {
-	var sub *subIndex
-	err := snapshot.ReadFile(path, shardKind, func(r *snapshot.Reader) error {
-		var err error
-		sub, err = decodeSubIndex(r, entry, total)
-		return err
-	})
+// loadTieredShard maps one shard file, cross-checks it against its manifest
+// entry, and leaves it in the tier the policy picks: cold stops there, hot
+// promotes (reading and checksumming every section), and auto stats the
+// file — containers of at least autoCold bytes stay cold.
+func loadTieredShard(path string, entry snapshot.ShardEntry, total int, tier Tier, autoCold int64) (*localShard, error) {
+	f, err := mmap.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return sub, nil
-}
-
-// decodeSubIndex decodes one cpshard container body and cross-checks it
-// against its manifest-level identity: id bounds, id/set count agreement,
-// and the build seed. Shared by disk loads and shard shipping, so a peer
-// accepting an upload enforces exactly the guards a restart would.
-func decodeSubIndex(r *snapshot.Reader, entry snapshot.ShardEntry, total int) (*subIndex, error) {
-	ix, err := cpindex.DecodeSections(r)
+	s, err := openLocalShard(f.Data, f, entry, total)
+	if err == nil && (tier == TierHot || tier == TierAuto && int64(len(f.Data)) < autoCold) {
+		err = s.promote()
+	}
 	if err != nil {
+		f.Close()
 		return nil, err
 	}
-	raw, err := r.Section("ids")
-	if err != nil {
-		return nil, err
-	}
-	c := snapshot.NewCursor("ids", raw)
-	n := c.Count(total)
-	ids := make([]int, n)
-	for i := range ids {
-		id := c.Uvarint()
-		if id >= uint64(total) {
-			c.Fail("global id %d out of [0,%d)", id, total)
-			break
-		}
-		ids[i] = int(id)
-	}
-	if err := c.Done(); err != nil {
-		return nil, err
-	}
-	if len(ids) != ix.Len() {
-		return nil, fmt.Errorf("%w: shard has %d ids for %d sets",
-			snapshot.ErrCorrupt, len(ids), ix.Len())
-	}
-	if ix.Len() != entry.Sets {
-		return nil, fmt.Errorf("%w: shard holds %d sets, manifest says %d",
-			snapshot.ErrCorrupt, ix.Len(), entry.Sets)
-	}
-	if got := ix.Options().Seed; got != entry.Seed {
-		return nil, fmt.Errorf("%w: shard built with seed %d, manifest says %d (files shuffled?)",
-			snapshot.ErrCorrupt, got, entry.Seed)
-	}
-	sub := &subIndex{ix: ix, ids: ids}
-	// Version-2 containers always carry the containment section (sections
-	// are sequential, so its presence is a format property, not a choice).
-	// Version-1 containers predate containment; the side stays nil and the
-	// owning coordinator rebuilds it lazily on first use.
-	if r.Version() >= 2 {
-		ci, err := decodeContainSection(r, ix)
-		if err != nil {
-			return nil, err
-		}
-		sub.contain.Store(ci)
-	}
-	return sub, nil
+	return s, nil
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/intset"
 	"repro/internal/snapshot"
 )
 
@@ -97,7 +98,7 @@ func TestSaveLoadStatsAndResume(t *testing.T) {
 	y.Flush()
 	seeds := map[uint64]int{}
 	for i, sh := range y.shards {
-		s := sh.(*subIndex).ix.Options().Seed
+		s := sh.(*localShard).seed
 		if prev, dup := seeds[s]; dup {
 			t.Fatalf("shards %d and %d share seed %d", prev, i, s)
 		}
@@ -383,7 +384,7 @@ func TestLoadPreservesCompactionPolicy(t *testing.T) {
 	}
 }
 
-// TestLoadDroppedInvariantsRejected: the manifest's Dropped list must be
+// TestLoadDroppedInvariantsRejected: the manifest's dropped set must be
 // disjoint from the tombstones, the side shard and every sealed shard's
 // ids — a manifest violating any of these would resurrect a reclaimed id
 // as live-but-undeletable data or debit the live count twice.
@@ -413,15 +414,15 @@ func TestLoadDroppedInvariantsRejected(t *testing.T) {
 	}
 	// Id 0 lives in a sealed shard; claiming it was dropped is corruption.
 	corrupt("dropped id present in shard", func(m *snapshot.Manifest) {
-		m.Dropped = []int{0}
+		m.DroppedBitmap = intset.BitmapFromInts([]int{0}).Bytes()
 	})
 	// Id 3 is tombstoned; dropped means its tombstone was retired.
 	corrupt("id both dropped and tombstoned", func(m *snapshot.Manifest) {
-		m.Dropped = []int{3}
+		m.DroppedBitmap = intset.BitmapFromInts([]int{3}).Bytes()
 	})
 	// The first appended id sits in the side shard.
 	corrupt("dropped id still in side shard", func(m *snapshot.Manifest) {
-		m.Dropped = []int{len(sets)}
+		m.DroppedBitmap = intset.BitmapFromInts([]int{len(sets)}).Bytes()
 	})
 	// A ghost tombstone: reclassifying a genuinely absent id (dropped in
 	// a real snapshot) as tombstoned would debit the live count for an id
@@ -546,7 +547,7 @@ func TestCrashedSaveLeavesPreviousSnapshotReadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, sh := range other.shards {
-		if err := saveShard(filepath.Join(dir, shardFileName(gen, i)), sh.(*subIndex), other.containOptions()); err != nil {
+		if err := saveShard(filepath.Join(dir, shardFileName(gen, i)), sh.(*localShard), other.containOptions()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -47,7 +47,7 @@ type remoteShard struct {
 	ids      []int
 	total    int      // id high-water mark at placement; bounds decode validation on fetch
 	replicas []string // peer base URLs, failover order
-	local    *subIndex
+	local    *localShard
 	client   *http.Client
 	// copts are the index-wide containment options, kept so a save-time
 	// re-encode of the local copy writes the containment section with the
@@ -58,8 +58,9 @@ type remoteShard struct {
 	metrics *indexMetrics
 }
 
-func (r *remoteShard) size() int        { return len(r.ids) }
-func (r *remoteShard) globalIDs() []int { return r.ids }
+func (r *remoteShard) size() int                         { return len(r.ids) }
+func (r *remoteShard) globalIDs() []int                  { return r.ids }
+func (r *remoteShard) traceName(int) (name, kind string) { return r.key, "remote" }
 
 func (r *remoteShard) httpClient() *http.Client {
 	if r.client != nil {
@@ -82,7 +83,7 @@ func (r *remoteShard) hasFallback(i int) bool {
 	return i+1 < len(r.replicas) || r.local != nil
 }
 
-func (r *remoteShard) queryBest(q []uint32) (int, float64, bool, error) {
+func (r *remoteShard) queryBest(q []uint32) (int, float64, bool, cpindex.QueryStats, error) {
 	var last error
 	for i, base := range r.replicas {
 		pm := r.metrics.peer(base)
@@ -99,17 +100,17 @@ func (r *remoteShard) queryBest(q []uint32) (int, float64, bool, error) {
 			continue
 		}
 		if !resp.Found {
-			return -1, 0, false, nil
+			return -1, 0, false, cpindex.QueryStats{}, nil
 		}
-		return resp.ID, resp.Sim, true, nil
+		return resp.ID, resp.Sim, true, cpindex.QueryStats{}, nil
 	}
 	if r.local != nil {
 		return r.local.queryBest(q)
 	}
-	return -1, 0, false, r.deadErr(last)
+	return -1, 0, false, cpindex.QueryStats{}, r.deadErr(last)
 }
 
-func (r *remoteShard) queryAll(q []uint32) ([]cpindex.Match, error) {
+func (r *remoteShard) queryAll(q []uint32) ([]cpindex.Match, cpindex.QueryStats, error) {
 	var last error
 	for i, base := range r.replicas {
 		pm := r.metrics.peer(base)
@@ -125,12 +126,12 @@ func (r *remoteShard) queryAll(q []uint32) ([]cpindex.Match, error) {
 			}
 			continue
 		}
-		return resp.Matches, nil
+		return resp.Matches, cpindex.QueryStats{}, nil
 	}
 	if r.local != nil {
 		return r.local.queryAll(q)
 	}
-	return nil, r.deadErr(last)
+	return nil, cpindex.QueryStats{}, r.deadErr(last)
 }
 
 func (r *remoteShard) queryContain(q []uint32, t float64, opts contain.Options) ([]cpindex.Match, error) {
@@ -290,11 +291,16 @@ func shardKey(seed uint64, crc uint32) string {
 	return fmt.Sprintf("cps-%016x-%08x", seed, crc)
 }
 
-// encodeShardBytes serializes one local shard as the self-contained
-// cpshard container Save writes to disk — the unit of shard shipping.
-// copts seed the containment section, so a hosted shard answers
-// containment queries from exactly the structure the coordinator built.
-func encodeShardBytes(sh *subIndex, copts contain.Options) ([]byte, error) {
+// encodeShardBytes returns one local shard as the self-contained cpshard
+// container Save writes to disk — the unit of shard shipping: the shard's
+// own container when it has one (the slice then aliases the mapping, so
+// keep sh reachable while using it), a fresh encode otherwise. copts seed
+// the containment section, so a hosted shard answers containment queries
+// from exactly the structure the coordinator built.
+func encodeShardBytes(sh *localShard, copts contain.Options) ([]byte, error) {
+	if snap := sh.res.Load().snap; snap != nil {
+		return snap.Bytes(), nil
+	}
 	var buf bytes.Buffer
 	w, err := snapshot.NewWriter(&buf, shardKind)
 	if err != nil {
@@ -307,17 +313,6 @@ func encodeShardBytes(sh *subIndex, copts contain.Options) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// decodeShardBytes validates and decodes a shipped cpshard container
-// against its manifest-level identity (seed, set count) and the id bound,
-// sharing every guard the disk loader enforces.
-func decodeShardBytes(raw []byte, entry snapshot.ShardEntry, total int) (*subIndex, error) {
-	r, err := snapshot.NewReader(bytes.NewReader(raw), shardKind)
-	if err != nil {
-		return nil, err
-	}
-	return decodeSubIndex(r, entry, total)
 }
 
 // shipShard uploads one shard snapshot to a peer and verifies the
@@ -484,10 +479,10 @@ func (x *Index) Distribute(peers []string, o *DistributeOptions) error {
 	errs := make([]error, len(shards))
 	exec.RunItems(exec.EffectiveWorkers(x.opt.Workers), len(shards), func(i int) {
 		// Only hot shards ship: tiering is a local storage decision, and a
-		// cold (mapped) shard stays local — promote it first if it should
-		// move to a peer. Already-remote shards are likewise left in place.
-		sub, ok := shards[i].(*subIndex)
-		if !ok {
+		// cold shard stays local — promote it first if it should move to a
+		// peer. Already-remote shards are likewise left in place.
+		sub, ok := shards[i].(*localShard)
+		if !ok || sub.isCold() {
 			return
 		}
 		raw, err := encodeShardBytes(sub, x.containOptions())
@@ -495,7 +490,7 @@ func (x *Index) Distribute(peers []string, o *DistributeOptions) error {
 			errs[i] = fmt.Errorf("shard: encoding shard %d: %w", i, err)
 			return
 		}
-		seed := sub.ix.Options().Seed
+		seed := sub.seed
 		crc := crc32.Checksum(raw, castagnoli)
 		key := shardKey(seed, crc)
 		assigned := make([]string, 0, opt.Replicas)
@@ -508,7 +503,7 @@ func (x *Index) Distribute(peers []string, o *DistributeOptions) error {
 			// on the peer, and a pessimistically recorded pair costs only
 			// one idempotent DELETE at the next GC sweep.
 			x.placement.record(key, peer)
-			if err := shipShard(client, peer, key, seed, sub.ix.Len(), total, raw); err != nil {
+			if err := shipShard(client, peer, key, seed, len(sub.ids), total, raw); err != nil {
 				errs[i] = fmt.Errorf("shard: shipping shard %d to %s: %w", i, peer, err)
 				return
 			}

@@ -246,16 +246,16 @@ func TestShardSnapshotShipping(t *testing.T) {
 	sets, _ := workload(120, 0.8, 711)
 	x := Build(sets, 0.5, exactOptions(2, 30, 73))
 	x.mu.RLock()
-	sub := x.shards[0].(*subIndex)
+	sub := x.shards[0].(*localShard)
 	x.mu.RUnlock()
 	raw, err := encodeShardBytes(sub, x.containOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := sub.ix.Options().Seed
+	seed := sub.seed
 	key := shardKey(seed, crc32.Checksum(raw, castagnoli))
 
-	if err := shipShard(client, ts.URL, key, seed, sub.ix.Len(), len(sets), raw); err != nil {
+	if err := shipShard(client, ts.URL, key, seed, len(sub.ids), len(sets), raw); err != nil {
 		t.Fatalf("shipShard: %v", err)
 	}
 	if srv.HostedShards() != 1 {
@@ -272,30 +272,30 @@ func TestShardSnapshotShipping(t *testing.T) {
 	}
 	// And the round-tripped bytes decode into a queryable shard that
 	// answers exactly like the source.
-	rt, err := decodeShardBytes(back, snapshot.ShardEntry{Seed: seed, Sets: sub.ix.Len()}, len(sets))
+	rt, err := decodeShardBytes(back, snapshot.ShardEntry{Seed: seed, Sets: len(sub.ids)}, len(sets))
 	if err != nil {
 		t.Fatalf("decoding round-tripped shard: %v", err)
 	}
 	for qi := 0; qi < 40; qi++ {
-		a, _ := rt.queryAll(sets[qi])
-		b, _ := sub.queryAll(sets[qi])
+		a, _, _ := rt.queryAll(sets[qi])
+		b, _, _ := sub.queryAll(sets[qi])
 		if !equalMatches(t, a, b) {
 			t.Fatalf("round-tripped shard diverges on query %d", qi)
 		}
 	}
 
 	// A seed mismatch is the shuffled-files failure mode: rejected.
-	if err := shipShard(client, ts.URL, key, seed+1, sub.ix.Len(), len(sets), raw); err == nil {
+	if err := shipShard(client, ts.URL, key, seed+1, len(sub.ids), len(sets), raw); err == nil {
 		t.Fatal("upload with wrong seed accepted")
 	}
 	// A set-count mismatch likewise.
-	if err := shipShard(client, ts.URL, key, seed, sub.ix.Len()+1, len(sets), raw); err == nil {
+	if err := shipShard(client, ts.URL, key, seed, len(sub.ids)+1, len(sets), raw); err == nil {
 		t.Fatal("upload with wrong set count accepted")
 	}
 	// Corrupted bytes fail the container checksums.
 	bad := append([]byte(nil), raw...)
 	bad[len(bad)/2] ^= 0x40
-	if err := shipShard(client, ts.URL, key, seed, sub.ix.Len(), len(sets), bad); err == nil {
+	if err := shipShard(client, ts.URL, key, seed, len(sub.ids), len(sets), bad); err == nil {
 		t.Fatal("corrupted upload accepted")
 	}
 	// Unknown shards are a clean 404 on both query and download.
@@ -314,13 +314,13 @@ func TestShardSnapshotShipping(t *testing.T) {
 	otherSets, _ := workload(120, 0.8, 719)
 	y := Build(otherSets, 0.5, exactOptions(2, 30, 73))
 	y.mu.RLock()
-	otherSub := y.shards[0].(*subIndex)
+	otherSub := y.shards[0].(*localShard)
 	y.mu.RUnlock()
 	otherRaw, err := encodeShardBytes(otherSub, y.containOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if otherSub.ix.Options().Seed != seed {
+	if otherSub.seed != seed {
 		t.Fatal("test premise broken: same options should derive the same shard seed")
 	}
 	if otherKey := shardKey(seed, crc32.Checksum(otherRaw, castagnoli)); otherKey == key {
@@ -431,5 +431,5 @@ func TestLegacyQueryPanicsOnDeadTopology(t *testing.T) {
 // Compile-time checks: both backends satisfy the ring interface.
 var (
 	_ shardBackend = (*remoteShard)(nil)
-	_ shardBackend = (*subIndex)(nil)
+	_ shardBackend = (*localShard)(nil)
 )

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/contain"
 	"repro/internal/cpindex"
 	"repro/internal/intset"
 	"repro/internal/snapshot"
@@ -95,7 +96,7 @@ type ServerOptions struct {
 }
 
 type hostedShard struct {
-	sub *subIndex
+	sub *localShard
 	raw []byte
 	crc uint32
 }
@@ -443,24 +444,18 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 				"bad request: containment mode needs a threshold in (0,1], got %v", req.Threshold)
 			return
 		}
-		// The shipped container must carry its coordinator's containment
-		// signatures — a peer must never sign with guessed options, or the
-		// global determinism contract breaks — so a shard shipped by a
-		// pre-containment build answers with an error and the coordinator
-		// fails over to its local copy.
-		ms, err := h.sub.queryContainBuilt(req.Set, req.Threshold)
-		if err != nil {
-			writeError(w, http.StatusConflict, "%v", err)
-			return
-		}
-		resp.Matches = ms
+		// A hosted shard answers from the containment signatures its
+		// container carries (decoded when the upload was accepted) — a peer
+		// never signs with guessed options, or the global determinism
+		// contract would break — so the options are unused here. Hosted
+		// shards are hot: none of these calls can fail.
+		resp.Matches, _ = h.sub.queryContain(req.Set, req.Threshold, contain.Options{})
 		resp.Found = len(resp.Matches) > 0
 	case req.All:
-		// Local backends never error.
-		resp.Matches, _ = h.sub.queryAll(req.Set)
+		resp.Matches, _, _ = h.sub.queryAll(req.Set)
 		resp.Found = len(resp.Matches) > 0
 	default:
-		if id, sim, ok, _ := h.sub.queryBest(req.Set); ok {
+		if id, sim, ok, _, _ := h.sub.queryBest(req.Set); ok {
 			resp.Found, resp.ID, resp.Sim = true, id, sim
 		}
 	}
@@ -527,7 +522,7 @@ func (s *Server) handleShardSnapshot(w http.ResponseWriter, r *http.Request) {
 		}
 		// Hosted shards answer coordinator RPCs from this process, so their
 		// candidate pipeline flushes into this process's counters.
-		s.ix.attachCounters(sub.ix)
+		s.ix.attachCounters(sub)
 		h := &hostedShard{sub: sub, raw: raw, crc: crc32.Checksum(raw, castagnoli)}
 		s.hostedMu.Lock()
 		s.hosted[key] = h

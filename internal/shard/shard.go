@@ -85,10 +85,6 @@ type Options struct {
 	// execution layer: 0 runs sequentially, negative selects GOMAXPROCS.
 	// Results are identical for any worker count.
 	Workers int
-	// Layout selects the cpindex query representation for every local
-	// shard (default cpindex.LayoutFlat). Answers are byte-identical
-	// either way.
-	Layout cpindex.Layout
 	// CacheSize enables the hot-query result cache with room for that
 	// many entries (0, the default, disables it). Entries are keyed on
 	// the index version, which every mutation bumps, so a cached answer
@@ -186,128 +182,40 @@ func ContiguousRanges(n, k int) [][2]int {
 
 // shardBackend is one ring shard as the query merge sees it: an
 // independent failure and build domain that answers shard-local queries
-// with global ids. The in-process subIndex and the HTTP remoteShard both
-// satisfy it, so fan-out, tombstone filtering and the global-id
-// discipline are written once and hold for any mix of local and remote
-// shards. Backends never apply tombstones — deletes are coordinator
+// with global ids. The in-process localShard (hot or cold) and the HTTP
+// remoteShard both satisfy it, so fan-out, tombstone filtering and the
+// global-id discipline are written once and hold for any mix of local and
+// remote shards. Backends never apply tombstones — deletes are coordinator
 // state, filtered at merge time like always.
 //
-// Only remote backends can fail; subIndex methods always return a nil
-// error, which is what keeps the legacy (error-free) query entry points
-// valid on all-local rings.
+// A hot local shard cannot fail; a cold one fails only on a corrupt
+// container and a remote one on a dead topology. The legacy (error-free)
+// query entry points are valid exactly on rings that cannot fail.
 type shardBackend interface {
 	// queryBest returns the shard's best match — highest similarity,
-	// then lowest id within the shard's traversal order — as a global id.
-	queryBest(q []uint32) (id int, sim float64, ok bool, err error)
+	// then lowest id within the shard's traversal order — as a global id,
+	// with the shard's candidate-pipeline stats (zero for remote shards,
+	// whose counts stay on their peers).
+	queryBest(q []uint32) (id int, sim float64, ok bool, st cpindex.QueryStats, err error)
 	// queryAll returns every match in the shard with global ids,
 	// unfiltered and in shard-traversal order (the merge sorts).
-	queryAll(q []uint32) ([]cpindex.Match, error)
+	queryAll(q []uint32) ([]cpindex.Match, cpindex.QueryStats, error)
 	// queryBatch answers qs against the shard; results[i] corresponds to
 	// qs[i]. Remote backends answer the whole batch in one round trip.
 	queryBatch(qs [][]uint32) ([][]cpindex.Match, error)
 	// queryContain returns the shard's exact-verified containment matches
 	// (C(q, y) >= t) with global ids, in shard-traversal order. opts are
 	// the index-wide containment options, threaded through so a shard
-	// whose containment side is not built yet (a lazily loaded snapshot)
-	// can build it with the right global seed.
+	// whose containment side is not built yet can build it with the right
+	// global seed.
 	queryContain(q []uint32, t float64, opts contain.Options) ([]cpindex.Match, error)
 	// size is the number of physically present sets (tombstoned included).
 	size() int
 	// globalIDs is the shard's local→global id map, kept coordinator-side
 	// even for remote shards (tombstone accounting and persistence).
 	globalIDs() []int
-}
-
-// subIndex is one sealed shard: a built cpindex over a subset of the
-// collection, with the map from shard-local ids back to global ids.
-// (The per-shard set slices live inside the cpindex, which verifies
-// candidates against them during its own queries.)
-type subIndex struct {
-	ix  *cpindex.Index
-	ids []int // local id -> global id
-
-	// hits counts queries served since the last retier pass — the
-	// query-frequency gauge the auto-tier demotion policy reads and resets
-	// (see Retier). One atomic add per query; allocation-free.
-	hits atomic.Uint64
-
-	// contain is the shard's containment side (LSH Ensemble candidate
-	// structure over the same sets), built lazily on the first containment
-	// query or encode — similarity-only workloads never pay for it — and
-	// decoded directly from version-2 snapshots. containMu serializes the
-	// one-time build; readers go through the atomic pointer.
-	containMu sync.Mutex
-	contain   atomic.Pointer[contain.Index]
-}
-
-func (s *subIndex) size() int        { return len(s.ids) }
-func (s *subIndex) globalIDs() []int { return s.ids }
-
-// containIndex returns the shard's containment side, building it from
-// the cpindex's sets on first use. Double-checked under containMu so
-// concurrent first queries build once.
-func (s *subIndex) containIndex(opts contain.Options) *contain.Index {
-	if c := s.contain.Load(); c != nil {
-		return c
-	}
-	s.containMu.Lock()
-	defer s.containMu.Unlock()
-	if c := s.contain.Load(); c != nil {
-		return c
-	}
-	c := contain.Build(s.ix.Sets(), opts)
-	s.contain.Store(c)
-	return c
-}
-
-func (s *subIndex) queryContain(q []uint32, t float64, opts contain.Options) ([]cpindex.Match, error) {
-	s.hits.Add(1)
-	c := s.containIndex(opts)
-	sets := s.ix.Sets()
-	var ms []cpindex.Match
-	for _, lid := range c.Query(q, t) {
-		if sim, ok := intset.ContainmentAtLeast(q, sets[lid], t); ok {
-			ms = append(ms, cpindex.Match{ID: s.ids[lid], Sim: sim})
-		}
-	}
-	return ms, nil
-}
-
-// queryContainBuilt answers containment from an already-built (shipped
-// or decoded) containment side, erroring when none exists — the
-// hosted-shard path, where the coordinator's containment options are not
-// known and a lazy build would break the global-seed contract.
-func (s *subIndex) queryContainBuilt(q []uint32, t float64) ([]cpindex.Match, error) {
-	if s.contain.Load() == nil {
-		return nil, fmt.Errorf("shard: hosted shard has no containment index (shipped by an older build)")
-	}
-	return s.queryContain(q, t, contain.Options{})
-}
-
-func (s *subIndex) queryBest(q []uint32) (int, float64, bool, error) {
-	s.hits.Add(1)
-	local, sim, ok := s.ix.Query(q)
-	if !ok {
-		return -1, 0, false, nil
-	}
-	return s.ids[local], sim, true, nil
-}
-
-func (s *subIndex) queryAll(q []uint32) ([]cpindex.Match, error) {
-	s.hits.Add(1)
-	ms := s.ix.QueryAll(q)
-	for i := range ms {
-		ms[i].ID = s.ids[ms[i].ID]
-	}
-	return ms, nil
-}
-
-func (s *subIndex) queryBatch(qs [][]uint32) ([][]cpindex.Match, error) {
-	out := make([][]cpindex.Match, len(qs))
-	for i, q := range qs {
-		out[i], _ = s.queryAll(q)
-	}
-	return out, nil
+	// traceName names ring entry i in query traces.
+	traceName(i int) (name, kind string)
 }
 
 // Index is a sharded Chosen Path search structure. It is safe for
@@ -332,10 +240,6 @@ type Index struct {
 	// pass. See compactAsync.
 	autoCompacting atomic.Bool
 	compactPending atomic.Bool
-	// tierIdle counts consecutive zero-hit retier passes per hot shard —
-	// the auto-tier demotion gauge. Touched only under compactMu (retier
-	// passes are serialized with ring replacement).
-	tierIdle map[*subIndex]int
 
 	mu     sync.RWMutex
 	shards []shardBackend
@@ -395,8 +299,8 @@ type Index struct {
 	// shards they removed or rewrote.
 	compactions     int
 	compactedShards int
-	// runtime mirrors the operational knobs currently applied (layout,
-	// cache, auto-compaction), whether they arrived through Configure or a
+	// runtime mirrors the operational knobs currently applied (cache,
+	// auto-compaction, tiering), whether they arrived through Configure or a
 	// legacy setter. Save persists it so Load can re-apply the configured
 	// state. Guarded by mu.
 	runtime RuntimeOptions
@@ -485,13 +389,12 @@ func Build(sets [][]uint32, lambda float64, o *Options) *Index {
 		x.cache.Store(newResultCache(opt.CacheSize))
 	}
 	x.runtime = RuntimeOptions{
-		AutoCompact:   opt.AutoCompact,
-		PointerLayout: opt.Layout == cpindex.LayoutPointer,
-		CacheSize:     max(opt.CacheSize, 0),
+		AutoCompact: opt.AutoCompact,
+		CacheSize:   max(opt.CacheSize, 0),
 	}
 	x.metrics = newIndexMetrics(x)
 	for _, sh := range x.shards {
-		x.attachCounters(sh.(*subIndex).ix)
+		x.attachCounters(sh.(*localShard))
 	}
 	return x
 }
@@ -504,26 +407,20 @@ func Build(sets [][]uint32, lambda float64, o *Options) *Index {
 type RuntimeOptions struct {
 	// AutoCompact runs Compact in the background after every seal.
 	AutoCompact bool
-	// PointerLayout routes queries through the pointer-trie representation
-	// instead of the flat-array engine (answers are byte-identical; the
-	// flat default is faster).
-	PointerLayout bool
 	// CacheSize installs the hot-query result cache with room for that
 	// many entries; 0 removes it. Negative values are rejected.
 	CacheSize int
 	// Tiering selects the ring's storage tier: TierHot (or "", the
-	// default) keeps every shard fully decoded, TierCold memory-maps every
-	// shard with lazy decode, TierAuto lets the retier policy move shards
+	// default) keeps every shard's sets on the heap, TierCold leaves them
+	// in memory-mapped containers, TierAuto lets the retier policy move shards
 	// on query frequency. Answers are byte-identical across tiers.
 	Tiering Tier
 }
 
 // Configure applies the runtime options and remembers them as the
 // index's configured state. It subsumes the legacy SetAutoCompact /
-// SetLayout / EnableCache setters: one validated call instead of three,
-// and the applied state is persisted by Save and re-applied by Load.
-// Like SetLayout, the layout switch is a configuration call — apply it
-// before serving, not concurrently with queries.
+// EnableCache setters: one validated call, and the applied state is
+// persisted by Save and re-applied by Load.
 func (x *Index) Configure(ro RuntimeOptions) error {
 	if ro.CacheSize < 0 {
 		return fmt.Errorf("shard: cache size %d must be >= 0", ro.CacheSize)
@@ -532,11 +429,6 @@ func (x *Index) Configure(ro RuntimeOptions) error {
 	if err != nil {
 		return err
 	}
-	l := cpindex.LayoutFlat
-	if ro.PointerLayout {
-		l = cpindex.LayoutPointer
-	}
-	x.SetLayout(l)
 	x.SetAutoCompact(ro.AutoCompact)
 	x.EnableCache(ro.CacheSize)
 	// Remember the tier exactly as configured ("" stays "", so a runtime
@@ -551,27 +443,6 @@ func (x *Index) Runtime() RuntimeOptions {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	return x.runtime
-}
-
-// SetLayout switches every local shard's query representation. Like
-// cpindex.SetLayout it is a configuration call: apply it before serving,
-// not concurrently with queries. Prefer Configure, which applies every
-// runtime knob in one validated call.
-func (x *Index) SetLayout(l cpindex.Layout) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.opt.Layout = l
-	x.runtime.PointerLayout = l == cpindex.LayoutPointer
-	for _, sh := range x.shards {
-		switch b := sh.(type) {
-		case *subIndex:
-			b.ix.SetLayout(l)
-		case *remoteShard:
-			if b.local != nil {
-				b.local.ix.SetLayout(l)
-			}
-		}
-	}
 }
 
 // EnableCache installs a result cache with room for maxEntries entries
@@ -591,22 +462,18 @@ func (x *Index) EnableCache(maxEntries int) {
 }
 
 // buildShard builds the cpindex of one shard over the given global ids.
-func buildShard(sets [][]uint32, ids []int, lambda float64, opt Options, seed uint64, workers int) *subIndex {
+func buildShard(sets [][]uint32, ids []int, lambda float64, opt Options, seed uint64, workers int) *localShard {
 	sub := make([][]uint32, len(ids))
 	for i, id := range ids {
 		sub[i] = sets[id]
 	}
-	return &subIndex{
-		ix: cpindex.Build(sub, lambda, &cpindex.Options{
-			Trees:    opt.Trees,
-			LeafSize: opt.LeafSize,
-			T:        opt.T,
-			Seed:     seed,
-			Workers:  workers,
-			Layout:   opt.Layout,
-		}),
-		ids: ids,
-	}
+	return newLocalShard(cpindex.Build(sub, lambda, &cpindex.Options{
+		Trees:    opt.Trees,
+		LeafSize: opt.LeafSize,
+		T:        opt.T,
+		Seed:     seed,
+		Workers:  workers,
+	}), ids)
 }
 
 // Lambda returns the similarity threshold the index was built for.
@@ -735,9 +602,10 @@ type bestAnswer struct {
 
 // queryBest is the uncached QueryErr body. On an all-local ring it
 // allocates nothing: the snapshot, the merge and the buffer scans all run
-// on pooled or borrowed storage. A non-nil tr turns on per-shard timing
-// and candidate counts (and allocates the trace entries); the merge and
-// its answer are identical either way.
+// on pooled or borrowed storage. A non-nil tr records per-shard timing
+// and the candidate counts every backend call returns anyway (and
+// allocates the trace entries); the calls, the merge and its answer are
+// identical either way.
 func (x *Index) queryBest(q []uint32, tr *QueryTrace) (int, float64, bool, error) {
 	shards, sealing, side, tombs := x.snapshot()
 	// Prefetch every remote shard's best match in parallel; locals are
@@ -757,7 +625,7 @@ func (x *Index) queryBest(q []uint32, tr *QueryTrace) (int, float64, bool, error
 			i := remoteIdx[j]
 			a := &prefetched[i]
 			start := time.Now()
-			a.id, a.sim, a.found, a.err = shards[i].queryBest(q)
+			a.id, a.sim, a.found, _, a.err = shards[i].queryBest(q)
 			a.ns = time.Since(start).Nanoseconds()
 		})
 	}
@@ -775,16 +643,8 @@ func (x *Index) queryBest(q []uint32, tr *QueryTrace) (int, float64, bool, error
 		if prefetched != nil && contains(remoteIdx, i) {
 			a := &prefetched[i]
 			g, s, found, err = a.id, a.sim, a.found, a.err
-		} else if sub, isLocal := sh.(*subIndex); isLocal && tr != nil {
-			// The traced local path goes through the stats variant so the
-			// trace carries this shard's candidate pipeline counts.
-			var local int
-			local, s, found, st = sub.ix.QueryWithStats(q)
-			if found {
-				g = sub.ids[local]
-			}
 		} else {
-			g, s, found, err = sh.queryBest(q)
+			g, s, found, st, err = sh.queryBest(q)
 		}
 		if err != nil {
 			return -1, 0, false, err
@@ -797,7 +657,7 @@ func (x *Index) queryBest(q []uint32, tr *QueryTrace) (int, float64, bool, error
 			if _, dead := tombs[g]; dead {
 				// Rare path — the shard's chosen match was deleted — so the
 				// full rescan stays a plain serial call.
-				ms, err := sh.queryAll(q)
+				ms, _, err := sh.queryAll(q)
 				if err != nil {
 					return -1, 0, false, err
 				}
@@ -816,7 +676,7 @@ func (x *Index) queryBest(q []uint32, tr *QueryTrace) (int, float64, bool, error
 			best, bestSim = g, s
 		}
 		if tr != nil {
-			name, kind := shardTraceName(i, sh)
+			name, kind := sh.traceName(i)
 			e := ShardTrace{Shard: name, Kind: kind, Matches: matched,
 				Candidates: st.Candidates, Verified: st.Verified}
 			if prefetched != nil && contains(remoteIdx, i) {
@@ -951,7 +811,7 @@ func (x *Index) queryAllUncached(q []uint32, tr *QueryTrace) ([]cpindex.Match, e
 	if len(remotes) > 0 {
 		errs := make([]error, len(remotes))
 		exec.RunItems(exec.EffectiveWorkers(x.opt.Workers), len(remotes), func(i int) {
-			extra[i], errs[i] = remotes[i].queryAll(q)
+			extra[i], _, errs[i] = remotes[i].queryAll(q)
 		})
 		for _, err := range errs {
 			if err != nil {
@@ -963,55 +823,36 @@ func (x *Index) queryAllUncached(q []uint32, tr *QueryTrace) ([]cpindex.Match, e
 }
 
 // queryAllShardwise is the traced queryAllUncached body: every shard's
-// matches are pre-fetched (remotes in parallel, locals inline through the
-// stats variant) with per-shard timing, then handed to the same mergeQuery
-// the untraced path uses, so the merged answer is identical.
+// matches are pre-fetched (remotes in parallel, locals inline) with
+// per-shard timing and stats, then handed to the same mergeQuery the
+// untraced path uses, so the merged answer is identical.
 func (x *Index) queryAllShardwise(shards []shardBackend, sealing []*sideBuffer, side sideBuffer, tombs map[int]struct{}, q []uint32, tr *QueryTrace) ([]cpindex.Match, error) {
 	extra := make([][]cpindex.Match, len(shards))
 	nss := make([]int64, len(shards))
 	stats := make([]cpindex.QueryStats, len(shards))
 	errs := make([]error, len(shards))
+	fetch := func(i int) {
+		start := time.Now()
+		extra[i], stats[i], errs[i] = shards[i].queryAll(q)
+		nss[i] = time.Since(start).Nanoseconds()
+	}
 	var remoteIdx []int
 	for i, sh := range shards {
 		if _, remote := sh.(*remoteShard); remote {
 			remoteIdx = append(remoteIdx, i)
 		}
 	}
-	if len(remoteIdx) > 0 {
-		exec.RunItems(exec.EffectiveWorkers(x.opt.Workers), len(remoteIdx), func(j int) {
-			i := remoteIdx[j]
-			start := time.Now()
-			extra[i], errs[i] = shards[i].queryAll(q)
-			nss[i] = time.Since(start).Nanoseconds()
-		})
-	}
+	exec.RunItems(exec.EffectiveWorkers(x.opt.Workers), len(remoteIdx), func(j int) { fetch(remoteIdx[j]) })
 	for i, sh := range shards {
-		if err := errs[i]; err != nil {
-			return nil, err
+		if _, remote := sh.(*remoteShard); !remote {
+			fetch(i)
 		}
-		switch sub := sh.(type) {
-		case *subIndex:
-			start := time.Now()
-			sub.hits.Add(1)
-			var ms []cpindex.Match
-			ms, stats[i] = sub.ix.AppendAllWithStats(nil, q)
-			for j := range ms {
-				ms[j].ID = sub.ids[ms[j].ID]
-			}
-			extra[i] = ms
-			nss[i] = time.Since(start).Nanoseconds()
-		case *coldShard:
-			start := time.Now()
-			ms, st, err := sub.queryAllStats(q)
-			if err != nil {
-				return nil, err
-			}
-			extra[i], stats[i] = ms, st
-			nss[i] = time.Since(start).Nanoseconds()
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
 	}
 	for i, sh := range shards {
-		name, kind := shardTraceName(i, sh)
+		name, kind := sh.traceName(i)
 		tr.add(ShardTrace{Shard: name, Kind: kind, Ns: nss[i], Matches: len(extra[i]),
 			Candidates: stats[i].Candidates, Verified: stats[i].Verified})
 	}
@@ -1043,7 +884,7 @@ func mergeQuery(shards []shardBackend, extra [][]cpindex.Match, sealing []*sideB
 		}
 	}
 	for _, sh := range shards {
-		ms, err := sh.queryAll(q)
+		ms, _, err := sh.queryAll(q)
 		if err != nil {
 			return nil, err
 		}
@@ -1171,15 +1012,21 @@ func (x *Index) queryBatchUncached(qs [][]uint32) ([][]cpindex.Match, error) {
 		}
 	}
 	out := make([][]cpindex.Match, len(qs))
+	errs := make([]error, len(qs))
 	exec.RunItems(workers, len(qs), func(i int) {
 		extra := make([][]cpindex.Match, len(remotes))
 		for s := range remotes {
 			extra[s] = remoteRes[s][i]
 		}
-		// Local backends cannot fail, so the per-query error is always nil
-		// here; remote errors were collected above.
-		out[i], _ = mergeQuery(locals, extra, sealing, side, tombs, x.lambda, qs[i])
+		// Remote errors were collected above; what can still fail here is a
+		// cold local shard with a corrupt container.
+		out[i], errs[i] = mergeQuery(locals, extra, sealing, side, tombs, x.lambda, qs[i])
 	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 	return out, nil
 }
 
@@ -1404,12 +1251,12 @@ func (x *Index) finishSeal(b *sideBuffer, slot int) {
 		T:        x.opt.T,
 		Seed:     SeedFor(x.opt.Seed, slot),
 		Workers:  x.opt.Workers,
-		Layout:   x.opt.Layout,
 	})
-	x.attachCounters(ix)
+	sealed := newLocalShard(ix, b.ids)
+	x.attachCounters(sealed)
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	x.shards = append(x.shards, &subIndex{ix: ix, ids: b.ids})
+	x.shards = append(x.shards, sealed)
 	for i, s := range x.sealing {
 		if s == b {
 			x.sealing = append(x.sealing[:i:i], x.sealing[i+1:]...)
@@ -1550,8 +1397,8 @@ type Stats struct {
 	// replicated via Distribute). Nodes and Leaves cover local structures
 	// only — a remote shard's tree lives on its peer.
 	RemoteShards int `json:"remote_shards"`
-	// HotShards and ColdShards split the local ring by storage tier:
-	// fully decoded versus memory-mapped with lazy decode.
+	// HotShards and ColdShards split the local ring by storage tier: sets
+	// on the heap versus left in memory-mapped containers.
 	HotShards  int `json:"hot_shards"`
 	ColdShards int `json:"cold_shards"`
 	// PlacementEpoch counts placement passes (Distribute calls, manual or
@@ -1605,19 +1452,19 @@ func (x *Index) Stats() Stats {
 	}
 	for _, sh := range x.shards {
 		st.ShardSizes = append(st.ShardSizes, sh.size())
-		switch b := sh.(type) {
-		case *subIndex:
-			st.HotShards++
-			st.Nodes += b.ix.Nodes
-			st.Leaves += b.ix.Leaves
-		case *coldShard:
-			st.ColdShards++
-			nodes, leaves := b.mapped.Structure()
-			st.Nodes += nodes
-			st.Leaves += leaves
-		default:
+		local, ok := sh.(*localShard)
+		if !ok {
 			st.RemoteShards++
+			continue
 		}
+		if local.isCold() {
+			st.ColdShards++
+		} else {
+			st.HotShards++
+		}
+		nodes, leaves := local.structure()
+		st.Nodes += nodes
+		st.Leaves += leaves
 	}
 	return st
 }

@@ -1,33 +1,29 @@
 package shard
 
-import (
-	"fmt"
-	"os"
+import "fmt"
 
-	"repro/internal/snapshot"
-)
-
-// Storage tiering: every ring shard is either hot — the fully decoded
-// subIndex every query path always used — or cold: the same container
-// bytes memory-mapped with lazy decode (coldShard). The two answer every
-// query byte-identically (the model harness runs its whole grid across
-// tiers); they trade memory for latency. Tier selection happens at load
-// time (LoadOptions.Tiering, the manifest's saved runtime state, or the
-// auto size policy) and at runtime: Configure moves the whole ring,
-// Promote/Demote move one shard, and under TierAuto the placement
-// controller retiers on query frequency — shards whose hit gauge stays at
-// zero across consecutive passes demote, cold shards that keep absorbing
-// hits promote. Transitions swap ring pointers under the compaction
-// invariant (compactMu) with a generation bump and no version bump:
-// moving where a shard's bytes live never changes what it answers.
+// Storage tiering: every local ring shard is hot — its sets on the heap —
+// or cold: its sets left in the shard's memory-mapped container and
+// decoded per candidate. That is a residency state of one backend
+// (localShard), so the two answer every query byte-identically (the model
+// harness runs its whole grid across tiers); they trade memory for
+// latency. Tier selection happens at load time (LoadOptions.Tiering, the
+// manifest's saved runtime state, or the auto size policy) and at runtime:
+// Configure moves the whole ring, PromoteAll/DemoteAll likewise, and under
+// TierAuto the placement controller retiers on query frequency — shards
+// whose hit gauge stays at zero across consecutive passes demote, cold
+// shards that keep absorbing hits promote. Moves happen in place under
+// compactMu (serialized with ring replacement) with a generation bump and
+// no version bump: moving where a shard's bytes live never changes what it
+// answers.
 
 // Tier names a shard storage tier policy.
 type Tier string
 
 const (
-	// TierHot fully decodes every shard — today's default path.
+	// TierHot keeps every shard's sets on the heap — the default.
 	TierHot Tier = "hot"
-	// TierCold memory-maps every shard with lazy decode.
+	// TierCold leaves every shard's sets in its memory-mapped container.
 	TierCold Tier = "cold"
 	// TierAuto picks per shard: shards at or above the auto threshold load
 	// cold, and the placement controller retiers on query frequency.
@@ -49,7 +45,7 @@ func ParseTier(s string) (Tier, error) {
 }
 
 // DefaultAutoColdBytes is TierAuto's load-time size threshold: shard
-// files at least this large open cold, smaller ones decode hot. Small
+// files at least this large open cold, smaller ones load hot. Small
 // shards dominate query fan-out cost but not memory, so they stay hot.
 const DefaultAutoColdBytes = 1 << 20
 
@@ -86,142 +82,17 @@ func (x *Index) setTiering(t Tier) {
 	x.mu.Unlock()
 }
 
-// PromoteAll decodes every cold ring shard to hot and returns how many
-// moved. Safe on a serving index: the rebuilds run off-lock and the swap
-// is atomic under a generation bump.
+// PromoteAll moves every cold ring shard to hot and returns how many
+// moved. Safe on a serving index: queries in flight finish against the
+// residency they loaded.
 func (x *Index) PromoteAll() (int, error) {
-	return x.retierRing(func(sh shardBackend) (shardBackend, error) {
-		if cold, ok := sh.(*coldShard); ok {
-			return x.hotFromCold(cold)
-		}
-		return nil, nil
-	})
+	return x.retier(func(s *localShard, _ uint64) bool { return s.isCold() })
 }
 
-// DemoteAll re-encodes every hot ring shard into a mapped cold shard and
-// returns how many moved. Like PromoteAll, serving-safe.
+// DemoteAll moves every hot ring shard to cold and returns how many moved.
+// Like PromoteAll, serving-safe.
 func (x *Index) DemoteAll() (int, error) {
-	return x.retierRing(func(sh shardBackend) (shardBackend, error) {
-		if sub, ok := sh.(*subIndex); ok {
-			return x.coldFromSub(sub)
-		}
-		return nil, nil
-	})
-}
-
-// retierRing applies move to a snapshot of the ring (nil result = leave
-// the shard alone) and swaps the replacements in atomically. It holds
-// compactMu across the pass — ring replacement's serialization point —
-// so victim pointer identity stays valid against concurrent compactions
-// and distributions.
-func (x *Index) retierRing(move func(shardBackend) (shardBackend, error)) (int, error) {
-	x.compactMu.Lock()
-	defer x.compactMu.Unlock()
-	x.mu.RLock()
-	shards := append([]shardBackend(nil), x.shards...)
-	x.mu.RUnlock()
-
-	swap := make(map[shardBackend]shardBackend)
-	for _, sh := range shards {
-		next, err := move(sh)
-		if err != nil {
-			return 0, err
-		}
-		if next != nil {
-			swap[sh] = next
-		}
-	}
-	if len(swap) == 0 {
-		return 0, nil
-	}
-	x.mu.Lock()
-	ring := make([]shardBackend, len(x.shards))
-	for i, sh := range x.shards {
-		if next, ok := swap[sh]; ok {
-			ring[i] = next
-		} else {
-			ring[i] = sh
-		}
-	}
-	x.shards = ring
-	// A tier move changes where bytes live, not what queries answer, so
-	// the generation (ring identity) bumps and the version (result cache
-	// key) deliberately does not.
-	x.generation++
-	x.mu.Unlock()
-	x.countTierMoves(swap)
-	return len(swap), nil
-}
-
-// countTierMoves books the promotion/demotion counters for one swap set.
-func (x *Index) countTierMoves(swap map[shardBackend]shardBackend) {
-	m := x.metrics
-	if m == nil {
-		return
-	}
-	for old := range swap {
-		if _, wasCold := old.(*coldShard); wasCold {
-			m.tierPromotions.Inc()
-		} else {
-			m.tierDemotions.Inc()
-		}
-	}
-}
-
-// hotFromCold decodes a cold shard's retained container bytes into a full
-// subIndex — exactly a snapshot load, sharing every decode guard.
-func (x *Index) hotFromCold(c *coldShard) (*subIndex, error) {
-	sub, err := decodeShardBytes(c.raw, snapshot.ShardEntry{Seed: c.seed, Sets: len(c.ids)}, c.total)
-	if err != nil {
-		return nil, fmt.Errorf("promoting cold shard: %w", err)
-	}
-	x.attachCounters(sub.ix)
-	return sub, nil
-}
-
-// coldFromSub re-encodes one hot shard as its canonical container bytes
-// (the same bytes Save would write, so the shard's content identity — and
-// any future ship key — is unchanged), spools them through a temp file,
-// maps it and unlinks it. The unlinked file stays readable through the
-// mapping; nothing is left on disk to clean up.
-func (x *Index) coldFromSub(sub *subIndex) (*coldShard, error) {
-	raw, err := encodeShardBytes(sub, x.containOptions())
-	if err != nil {
-		return nil, fmt.Errorf("demoting shard: %w", err)
-	}
-	x.mu.RLock()
-	total := x.total
-	x.mu.RUnlock()
-	entry := snapshot.ShardEntry{Seed: sub.ix.Options().Seed, Sets: sub.ix.Len()}
-	cold, err := coldFromBytes(raw, entry, total)
-	if err != nil {
-		return nil, fmt.Errorf("demoting shard: %w", err)
-	}
-	if x.metrics != nil {
-		cold.mapped.SetCounters(&x.metrics.cand)
-	}
-	return cold, nil
-}
-
-// coldFromBytes spools container bytes to an unlinked temp file and opens
-// them as a cold shard.
-func coldFromBytes(raw []byte, entry snapshot.ShardEntry, total int) (*coldShard, error) {
-	f, err := os.CreateTemp("", "cpshard-cold-*.cps")
-	if err != nil {
-		return nil, err
-	}
-	path := f.Name()
-	// The spool file is removed on every path below; the mapping (or the
-	// fallback build's heap copy) carries the bytes from here.
-	defer os.Remove(path)
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	return openColdShard(path, entry, total)
+	return x.retier(func(s *localShard, _ uint64) bool { return !s.isCold() })
 }
 
 // Retier runs one auto-tier pass and reports how many shards moved in
@@ -235,69 +106,70 @@ func (x *Index) Retier() (promoted, demoted int, err error) {
 	if tier != TierAuto {
 		return 0, 0, nil
 	}
+	_, err = x.retier(func(s *localShard, hits uint64) bool {
+		if s.isCold() {
+			if hits >= tierPromoteHits {
+				promoted++
+				return true
+			}
+			return false
+		}
+		if hits > 0 {
+			s.idle = 0
+			return false
+		}
+		if s.idle++; s.idle < tierDemoteIdlePasses {
+			return false
+		}
+		demoted++
+		return true
+	})
+	return promoted, demoted, err
+}
+
+// retier offers every local ring shard to move, together with the hits it
+// served since the previous pass, and flips the tier of those it picks. It
+// holds compactMu across the pass — the serialization point of everything
+// that replaces ring entries — so no shard is compacted away or shipped
+// mid-move.
+func (x *Index) retier(move func(s *localShard, hits uint64) bool) (int, error) {
 	x.compactMu.Lock()
 	defer x.compactMu.Unlock()
 	x.mu.RLock()
-	shards := append([]shardBackend(nil), x.shards...)
+	shards := x.shards
 	x.mu.RUnlock()
 
-	if x.tierIdle == nil {
-		x.tierIdle = make(map[*subIndex]int)
-	}
-	live := make(map[*subIndex]bool)
-	swap := make(map[shardBackend]shardBackend)
+	moved := 0
 	for _, sh := range shards {
-		switch b := sh.(type) {
-		case *coldShard:
-			if b.hits.Swap(0) >= tierPromoteHits {
-				sub, err := x.hotFromCold(b)
-				if err != nil {
-					return 0, 0, err
-				}
-				swap[sh] = sub
-				promoted++
-			}
-		case *subIndex:
-			live[b] = true
-			if b.hits.Swap(0) == 0 {
-				x.tierIdle[b]++
-				if x.tierIdle[b] >= tierDemoteIdlePasses {
-					cold, err := x.coldFromSub(b)
-					if err != nil {
-						return 0, 0, err
-					}
-					swap[sh] = cold
-					demoted++
-					delete(x.tierIdle, b)
-					delete(live, b)
-				}
-			} else {
-				delete(x.tierIdle, b)
-			}
+		s, ok := sh.(*localShard)
+		if !ok || !move(s, s.hits.Swap(0)) {
+			continue
 		}
-	}
-	// Drop idle bookkeeping for shards that left the ring (compacted,
-	// shipped) so the map is bounded by the live hot shard count.
-	for sub := range x.tierIdle {
-		if !live[sub] {
-			delete(x.tierIdle, sub)
-		}
-	}
-	if len(swap) == 0 {
-		return 0, 0, nil
-	}
-	x.mu.Lock()
-	ring := make([]shardBackend, len(x.shards))
-	for i, sh := range x.shards {
-		if next, ok := swap[sh]; ok {
-			ring[i] = next
+		s.idle = 0
+		if s.isCold() {
+			if err := s.promote(); err != nil {
+				return moved, fmt.Errorf("promoting cold shard: %w", err)
+			}
+			if m := x.metrics; m != nil {
+				m.tierPromotions.Inc()
+			}
 		} else {
-			ring[i] = sh
+			if err := s.demote(x.containOptions()); err != nil {
+				return moved, fmt.Errorf("demoting shard: %w", err)
+			}
+			if m := x.metrics; m != nil {
+				m.tierDemotions.Inc()
+			}
 		}
+		moved++
 	}
-	x.shards = ring
-	x.generation++
-	x.mu.Unlock()
-	x.countTierMoves(swap)
-	return promoted, demoted, nil
+	if moved > 0 {
+		// A tier move changes where bytes live, not what queries answer, so
+		// the generation bumps and the version (the result cache's key)
+		// deliberately does not.
+		x.mu.Lock()
+		x.generation++
+		x.mu.Unlock()
+	}
+	return moved, nil
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"io/fs"
 	"os"
@@ -258,4 +259,134 @@ func TestTieringPersistsInManifest(t *testing.T) {
 		t.Fatalf("explicit hot load overridden by manifest: %d cold shards", st.ColdShards)
 	}
 	assertSameAnswers(t, x, z, queries)
+}
+
+// TestTracedBestQueriesCountAsHits is the regression test for the traced
+// best-match path bypassing the backend (and with it the tier gauge):
+// under TierAuto, a hot ring that serves only traced best-match queries —
+// every /v1/query under serve -slow-query — must not be demoted for
+// idleness.
+func TestTracedBestQueriesCountAsHits(t *testing.T) {
+	x, _, queries := saveWorkload(t)
+	if err := x.Configure(RuntimeOptions{Tiering: TierAuto}); err != nil {
+		t.Fatal(err)
+	}
+	hot := x.Stats().HotShards
+	if hot == 0 {
+		t.Fatal("built ring has no hot shards")
+	}
+	for pass := 0; pass < tierDemoteIdlePasses; pass++ {
+		for _, q := range queries[:4] {
+			var tr QueryTrace
+			if _, _, _, err := x.QueryTraced(q, &tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, demoted, err := x.Retier(); err != nil || demoted != 0 {
+			t.Fatalf("pass %d: Retier demoted %d shards serving traced queries (err %v)", pass, demoted, err)
+		}
+	}
+	if st := x.Stats(); st.HotShards != hot {
+		t.Fatalf("%d of %d hot shards left after traced traffic", st.HotShards, hot)
+	}
+}
+
+// TestTracedBestQueryStatsAcrossTiers: a traced best-match query reports
+// the same per-shard candidate pipeline counts whether the ring is hot or
+// cold — cold shards used to take the stats-less branch and report zeros.
+func TestTracedBestQueryStatsAcrossTiers(t *testing.T) {
+	_, dir, queries := saveWorkload(t)
+	load := func(tier Tier) *Index {
+		y, err := LoadWithOptions(dir, LoadOptions{Workers: 2, Tiering: tier})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return y
+	}
+	hot, cold := load(TierHot), load(TierCold)
+	for qi, q := range queries {
+		var ht, ct QueryTrace
+		hid, hsim, hok, err := hot.QueryTraced(q, &ht)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cid, csim, cok, err := cold.QueryTraced(q, &ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hid != cid || hsim != csim || hok != cok {
+			t.Fatalf("query %d: traced answers diverge across tiers", qi)
+		}
+		if len(ht.Shards) != len(ct.Shards) || ht.Candidates == 0 {
+			t.Fatalf("query %d: %d hot / %d cold trace entries, %d candidates", qi, len(ht.Shards), len(ct.Shards), ht.Candidates)
+		}
+		for i := range ht.Shards {
+			h, c := ht.Shards[i], ct.Shards[i]
+			if h.Candidates != c.Candidates || h.Verified != c.Verified || h.Matches != c.Matches {
+				t.Fatalf("query %d shard %d: hot %d/%d/%d, cold %d/%d/%d (candidates/verified/matches)",
+					qi, i, h.Candidates, h.Verified, h.Matches, c.Candidates, c.Verified, c.Matches)
+			}
+			if wantKind := "cold"; c.Kind != "buffer" && c.Kind != wantKind {
+				t.Fatalf("query %d shard %d: cold ring entry has kind %q", qi, i, c.Kind)
+			}
+		}
+	}
+}
+
+// TestSaveBytesIndependentOfTier: the shard files a ring saves are the
+// same bytes whether each shard was encoded from the heap (fresh build, or
+// a hot load's retained container) or copied out of a cold shard's mapping,
+// and tier moves in between change nothing.
+func TestSaveBytesIndependentOfTier(t *testing.T) {
+	x, dir, _ := saveWorkload(t)
+	shardBytes := func(dir string) [][]byte {
+		t.Helper()
+		m, err := snapshot.ReadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][]byte
+		for _, e := range m.Shards {
+			raw, err := os.ReadFile(filepath.Join(dir, e.File))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, raw)
+		}
+		return out
+	}
+	want := shardBytes(dir)
+	resave := func(name string, y *Index) {
+		t.Helper()
+		d := t.TempDir()
+		if err := y.Save(d); err != nil {
+			t.Fatal(err)
+		}
+		got := shardBytes(d)
+		if len(got) != len(want) {
+			t.Fatalf("%s: saved %d shard files, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("%s: shard file %d differs from the fresh build's encode", name, i)
+			}
+		}
+	}
+	resave("fresh build, second save", x)
+	for _, tier := range []Tier{TierHot, TierCold} {
+		y, err := LoadWithOptions(dir, LoadOptions{Workers: 2, Tiering: tier})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resave(string(tier)+" load", y)
+	}
+	// A built ring demoted in place encodes once, then copies.
+	if _, err := x.DemoteAll(); err != nil {
+		t.Fatal(err)
+	}
+	resave("demoted build", x)
+	if _, err := x.PromoteAll(); err != nil {
+		t.Fatal(err)
+	}
+	resave("re-promoted build", x)
 }

@@ -1,9 +1,6 @@
 package shard
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // QueryTrace is the per-query breakdown behind the slow-query log and the
 // "debug":true response field: where one query's time went, shard by
@@ -32,10 +29,10 @@ type QueryTrace struct {
 
 // ShardTrace is one shard's share of a traced query.
 type ShardTrace struct {
-	// Shard names the entry: "local-<ring index>", the remote shard key,
-	// or "buffer".
+	// Shard names the entry: "local-<ring index>", "cold-<ring index>",
+	// the remote shard key, or "buffer".
 	Shard string `json:"shard"`
-	// Kind is "local", "remote" or "buffer".
+	// Kind is "local", "cold", "remote" or "buffer".
 	Kind string `json:"kind"`
 	// Ns is the time spent answering this shard. Remote shards are asked
 	// in parallel, so the entries can sum to more than TotalNs.
@@ -53,17 +50,6 @@ func (tr *QueryTrace) add(e ShardTrace) {
 	tr.Candidates += e.Candidates
 	tr.Verified += e.Verified
 	tr.Shards = append(tr.Shards, e)
-}
-
-// shardTraceName names a ring shard for traces.
-func shardTraceName(i int, sh shardBackend) (name, kind string) {
-	switch b := sh.(type) {
-	case *remoteShard:
-		return b.key, "remote"
-	case *coldShard:
-		return fmt.Sprintf("cold-%d", i), "cold"
-	}
-	return fmt.Sprintf("local-%d", i), "local"
 }
 
 // PeerHealth is one peer's serving view in a health report: the passive

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/intset"
 )
 
 // Native fuzz targets for the two decode surfaces of the persistence
@@ -87,14 +89,14 @@ func FuzzManifest(f *testing.F) {
 		Shards:         []ShardEntry{{File: "shard-g000001-0000.cps", Seed: 7, Sets: 3}},
 		Side:           SideState{IDs: []int{3, 4}, Sets: [][]uint32{{1, 2}, {2, 9}}},
 		Tombstones:     []int{1},
-		Dropped:        []int{2},
+		DroppedBitmap:  intset.BitmapFromInts([]int{2}).Bytes(),
 	}
 	seed, err := json.Marshal(m)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	f.Add([]byte(`{"format_version":1,"lambda":0.5}`))
+	f.Add([]byte(`{"format_version":3,"lambda":0.5}`))
 	f.Add([]byte(`{`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeManifest(ManifestFile, data)
@@ -109,7 +111,7 @@ func FuzzManifest(f *testing.F) {
 			t.Fatalf("ReadManifest accepted mismatched side shard (%d ids, %d sets)",
 				len(m.Side.IDs), len(m.Side.Sets))
 		}
-		for _, id := range append(append(append([]int{}, m.Tombstones...), m.Dropped...), m.Side.IDs...) {
+		for _, id := range append(append(append([]int{}, m.Tombstones...), m.DroppedIDs().Ints()...), m.Side.IDs...) {
 			if id < 0 || id >= m.Total {
 				t.Fatalf("ReadManifest accepted id %d out of [0,%d)", id, m.Total)
 			}

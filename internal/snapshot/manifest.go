@@ -74,13 +74,9 @@ type Manifest struct {
 	// bytes) instead of by lifetime delete volume. Disjoint from
 	// Tombstones and from Side.IDs by construction.
 	DroppedBitmap []byte `json:"dropped_bitmap,omitempty"`
-	// Dropped is the legacy sorted-list form of DroppedBitmap, read (and
-	// validated) for snapshots written before the bitmap existed; new
-	// saves write only the bitmap. At most one of the two may be present.
-	Dropped []int `json:"dropped,omitempty"`
 	// Runtime carries the runtime options applied to the index via
 	// Configure, so a Load re-applies them instead of callers having to
-	// remember to. Absent in format-version-1 manifests (defaults apply).
+	// remember to. Absent when every option is at its default.
 	Runtime *RuntimeState `json:"runtime,omitempty"`
 	// Placement is the coordinator's shipped-shard record: the peers and
 	// options of the last placement pass plus every (key, peers) pair it
@@ -111,29 +107,24 @@ type ShippedShard struct {
 }
 
 // RuntimeState is the persisted form of the index's runtime options
-// (layout, cache, auto-compaction): operational knobs rather than
+// (cache, auto-compaction, tiering): operational knobs rather than
 // build-time parameters, but part of the service's identity across a
 // restart all the same.
 type RuntimeState struct {
-	AutoCompact   bool `json:"auto_compact,omitempty"`
-	PointerLayout bool `json:"pointer_layout,omitempty"`
-	CacheSize     int  `json:"cache_size,omitempty"`
+	AutoCompact bool `json:"auto_compact,omitempty"`
+	CacheSize   int  `json:"cache_size,omitempty"`
 	// Tiering is the configured shard storage tier ("hot", "cold" or
 	// "auto"; empty means hot), restored at load so shards reopen in the
 	// tier the service ran with.
 	Tiering string `json:"tiering,omitempty"`
 }
 
-// DroppedIDs decodes the reclaimed-id set, whichever representation the
-// manifest carries.
+// DroppedIDs decodes the reclaimed-id set (nil when empty).
 func (m *Manifest) DroppedIDs() *intset.Bitmap {
-	if len(m.DroppedBitmap) > 0 {
-		return intset.BitmapFromBytes(m.DroppedBitmap)
+	if len(m.DroppedBitmap) == 0 {
+		return nil
 	}
-	if len(m.Dropped) > 0 {
-		return intset.BitmapFromInts(m.Dropped)
-	}
-	return nil
+	return intset.BitmapFromBytes(m.DroppedBitmap)
 }
 
 // ShardEntry describes one sealed shard file.
@@ -179,9 +170,8 @@ func decodeManifest(path string, data []byte) (*Manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("%s: %w: %v", path, ErrCorrupt, err)
 	}
-	if m.FormatVersion < MinVersion || m.FormatVersion > Version {
-		return nil, fmt.Errorf("%s: %w: manifest has version %d, this build reads versions %d..%d",
-			path, ErrVersion, m.FormatVersion, MinVersion, Version)
+	if err := checkVersion("manifest", int64(m.FormatVersion)); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if m.Lambda <= 0 || m.Lambda >= 1 {
 		return nil, fmt.Errorf("%s: %w: lambda %v out of (0,1)", path, ErrCorrupt, m.Lambda)
@@ -198,14 +188,6 @@ func decodeManifest(path string, data []byte) (*Manifest, error) {
 		if id < 0 || id >= m.Total {
 			return nil, fmt.Errorf("%s: %w: tombstone id %d out of [0,%d)", path, ErrCorrupt, id, m.Total)
 		}
-	}
-	for _, id := range m.Dropped {
-		if id < 0 || id >= m.Total {
-			return nil, fmt.Errorf("%s: %w: dropped id %d out of [0,%d)", path, ErrCorrupt, id, m.Total)
-		}
-	}
-	if len(m.DroppedBitmap) > 0 && len(m.Dropped) > 0 {
-		return nil, fmt.Errorf("%s: %w: manifest carries both dropped and dropped_bitmap", path, ErrCorrupt)
 	}
 	if hi := intset.BitmapFromBytes(m.DroppedBitmap).Max(); hi >= m.Total {
 		return nil, fmt.Errorf("%s: %w: dropped id %d out of [0,%d)", path, ErrCorrupt, hi, m.Total)

@@ -19,7 +19,6 @@ import (
 // themselves — see (*Mapped).Verify.
 type Mapped struct {
 	data     []byte
-	version  uint32
 	sections []MappedSection
 }
 
@@ -38,10 +37,8 @@ type MappedSection struct {
 const maxMappedSections = 1 << 10
 
 // OpenMapped validates the container header of data and indexes its
-// sections without reading any payload bytes. It accepts every version in
-// [MinVersion, Version], applying the v3 alignment-padding rules only to
-// v3+ containers. Structural problems wrap ErrCorrupt; version problems
-// wrap ErrVersion.
+// sections without reading any payload bytes. Structural problems wrap
+// ErrCorrupt; any version but Version wraps ErrVersion.
 func OpenMapped(data []byte, kind string) (*Mapped, error) {
 	k, err := tag(kind)
 	if err != nil {
@@ -54,31 +51,28 @@ func OpenMapped(data []byte, kind string) (*Mapped, error) {
 	if [8]byte(data[:8]) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[:8])
 	}
-	v := binary.LittleEndian.Uint32(data[8:12])
-	if v < MinVersion || v > Version {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads versions %d..%d", ErrVersion, v, MinVersion, Version)
+	if err := checkVersion("file", int64(binary.LittleEndian.Uint32(data[8:12]))); err != nil {
+		return nil, err
 	}
 	if [8]byte(data[12:20]) != k {
 		return nil, fmt.Errorf("%w: snapshot kind %q, want %q", ErrCorrupt, trimTag(data[12:20]), kind)
 	}
-	m := &Mapped{data: data, version: v}
+	m := &Mapped{data: data}
 	off := int64(chl)
 	for off < int64(len(data)) {
 		if len(m.sections) >= maxMappedSections {
 			return nil, fmt.Errorf("%w: more than %d sections", ErrCorrupt, maxMappedSections)
 		}
-		if v >= 3 {
-			pad := int64(sectionPad(off))
-			if off+pad > int64(len(data)) {
-				return nil, fmt.Errorf("%w: truncated alignment padding at byte %d", ErrCorrupt, off)
-			}
-			for _, b := range data[off : off+pad] {
-				if b != 0 {
-					return nil, fmt.Errorf("%w: nonzero alignment padding at byte %d", ErrCorrupt, off)
-				}
-			}
-			off += pad
+		pad := int64(sectionPad(off))
+		if off+pad > int64(len(data)) {
+			return nil, fmt.Errorf("%w: truncated alignment padding at byte %d", ErrCorrupt, off)
 		}
+		for _, b := range data[off : off+pad] {
+			if b != 0 {
+				return nil, fmt.Errorf("%w: nonzero alignment padding at byte %d", ErrCorrupt, off)
+			}
+		}
+		off += pad
 		if off+sectionHdrLen > int64(len(data)) {
 			return nil, fmt.Errorf("%w: truncated section header at byte %d", ErrCorrupt, off)
 		}
@@ -102,9 +96,6 @@ func OpenMapped(data []byte, kind string) (*Mapped, error) {
 	}
 	return m, nil
 }
-
-// Version returns the container's format version.
-func (m *Mapped) Version() uint32 { return m.version }
 
 // Bytes returns the full underlying container bytes.
 func (m *Mapped) Bytes() []byte { return m.data }

@@ -33,26 +33,25 @@ import (
 	"path/filepath"
 )
 
-// Version is the current container format version; MinVersion is the
-// oldest version this build still reads. Readers reject anything outside
-// [MinVersion, Version] with ErrVersion: forward compatibility is
-// explicitly out of scope (a snapshot is a cache of a rebuildable
-// structure, not an archival format), but old snapshots keep loading —
-// decoders branch on Reader.Version for sections that newer versions
-// added.
-//
-// Version history:
-//
-//	1  initial container (cpindex trees + sets, cpshard manifest/ids)
-//	2  cpshard files append a "contain" section (containment-index
-//	   signatures); the manifest gains the persisted runtime options
-//	3  zero padding precedes each section header so every payload starts
-//	   8-byte aligned — the property the mmap-backed cold tier relies on
-//	   to overlay fixed-width views onto mapped pages without copying
+// Version is the container and manifest format version this build writes
+// and the only one it reads (MinVersion == Version): a snapshot is a cache
+// of a rebuildable structure, not an archival format, so files of any other
+// version are rejected with ErrVersion and rebuilt from the input rather
+// than migrated. Version 4 persists the cpindex tries as fixed-width
+// arrays; every section payload starts 8-byte aligned behind zero padding.
 const (
-	Version    = 3
-	MinVersion = 1
+	Version    = 4
+	MinVersion = 4
 )
+
+// checkVersion is the one version gate of the container and the manifest.
+func checkVersion(what string, v int64) error {
+	if v != Version {
+		return fmt.Errorf("%w: %s has version %d, this build reads version %d only: rebuild the snapshot from its input",
+			ErrVersion, what, v, Version)
+	}
+	return nil
+}
 
 var magic = [8]byte{'C', 'P', 'S', 'N', 'A', 'P', 0, 0}
 
@@ -120,8 +119,8 @@ const sectionHdrLen = 8 + 8 + 4
 // zeroPad is the scratch source for alignment padding (max 7 bytes).
 var zeroPad [8]byte
 
-// Section appends one named, CRC-protected section, preceded (since
-// format v3) by zero padding that 8-aligns the payload.
+// Section appends one named, CRC-protected section, preceded by zero
+// padding that 8-aligns the payload.
 func (w *Writer) Section(name string, payload []byte) error {
 	t, err := tag(name)
 	if err != nil {
@@ -155,16 +154,15 @@ func (w *Writer) Flush() error { return w.bw.Flush() }
 
 // Reader deserializes a container written by Writer.
 type Reader struct {
-	br      *bufio.Reader
-	version uint32
-	// n tracks the stream offset, mirroring Writer.n, so a v3 reader can
+	br *bufio.Reader
+	// n tracks the stream offset, mirroring Writer.n, so the reader can
 	// reproduce the alignment padding the writer inserted.
 	n int64
 }
 
-// NewReader validates the header: magic, format version, kind. A version
-// outside [MinVersion, Version] is reported as ErrVersion (with both
-// versions named), every other failure as ErrCorrupt.
+// NewReader validates the header: magic, format version, kind. Any version
+// but Version is reported as ErrVersion (with both versions named), every
+// other failure as ErrCorrupt.
 func NewReader(r io.Reader, kind string) (*Reader, error) {
 	k, err := tag(kind)
 	if err != nil {
@@ -178,19 +176,14 @@ func NewReader(r io.Reader, kind string) (*Reader, error) {
 	if [8]byte(hdr[:8]) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:8])
 	}
-	v := binary.LittleEndian.Uint32(hdr[8:12])
-	if v < MinVersion || v > Version {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads versions %d..%d", ErrVersion, v, MinVersion, Version)
+	if err := checkVersion("file", int64(binary.LittleEndian.Uint32(hdr[8:12]))); err != nil {
+		return nil, err
 	}
 	if [8]byte(hdr[12:20]) != k {
 		return nil, fmt.Errorf("%w: snapshot kind %q, want %q", ErrCorrupt, trimTag(hdr[12:20]), kind)
 	}
-	return &Reader{br: br, version: v, n: int64(len(hdr))}, nil
+	return &Reader{br: br, n: int64(len(hdr))}, nil
 }
-
-// Version returns the container format version read from the header, so
-// decoders can skip sections that the writing build did not emit yet.
-func (r *Reader) Version() uint32 { return r.version }
 
 func trimTag(b []byte) string {
 	end := len(b)
@@ -201,22 +194,20 @@ func trimTag(b []byte) string {
 }
 
 // Section reads the next section, which must carry the given name, and
-// returns its checksum-verified payload. On format v3+ containers it
-// first consumes the alignment padding and requires it to be zero.
+// returns its checksum-verified payload. It first consumes the alignment
+// padding and requires it to be zero.
 func (r *Reader) Section(name string) ([]byte, error) {
-	if r.version >= 3 {
-		if pad := sectionPad(r.n); pad > 0 {
-			var p [8]byte
-			if _, err := io.ReadFull(r.br, p[:pad]); err != nil {
-				return nil, fmt.Errorf("%w: section %q: truncated padding: %v", ErrCorrupt, name, err)
-			}
-			for _, b := range p[:pad] {
-				if b != 0 {
-					return nil, fmt.Errorf("%w: section %q: nonzero alignment padding", ErrCorrupt, name)
-				}
-			}
-			r.n += int64(pad)
+	if pad := sectionPad(r.n); pad > 0 {
+		var p [8]byte
+		if _, err := io.ReadFull(r.br, p[:pad]); err != nil {
+			return nil, fmt.Errorf("%w: section %q: truncated padding: %v", ErrCorrupt, name, err)
 		}
+		for _, b := range p[:pad] {
+			if b != 0 {
+				return nil, fmt.Errorf("%w: section %q: nonzero alignment padding", ErrCorrupt, name)
+			}
+		}
+		r.n += int64(pad)
 	}
 	var hdr [sectionHdrLen]byte
 	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {

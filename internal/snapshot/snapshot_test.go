@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -309,5 +310,51 @@ func TestManifestRoundTripAndValidation(t *testing.T) {
 	}
 	if _, err := ReadManifest(d); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad JSON: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestOlderVersionsRejected: there is no read-compat. A container or
+// manifest of any earlier format version fails every open path with
+// ErrVersion — never ErrCorrupt, never a panic — and the message names both
+// versions and says what to do about it.
+func TestOlderVersionsRejected(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, "kindA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Section("alpha", []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for old := uint32(1); old < Version; old++ {
+		raw := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint32(raw[8:12], old)
+		dir := t.TempDir()
+		manifest := fmt.Sprintf(`{"format_version":%d,"lambda":0.5,"partition":"contiguous"}`, old)
+		if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte(manifest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			open func() error
+		}{
+			{"NewReader", func() error { _, err := NewReader(bytes.NewReader(raw), "kindA"); return err }},
+			{"OpenMapped", func() error { _, err := OpenMapped(raw, "kindA"); return err }},
+			{"ReadManifest", func() error { _, err := ReadManifest(dir); return err }},
+		} {
+			err := tc.open()
+			if !errors.Is(err, ErrVersion) || errors.Is(err, ErrCorrupt) {
+				t.Errorf("v%d %s: err = %v, want ErrVersion only", old, tc.name, err)
+				continue
+			}
+			for _, want := range []string{fmt.Sprintf("version %d,", old), fmt.Sprintf("version %d only", Version), "rebuild"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("v%d %s: message %q lacks %q", old, tc.name, err, want)
+				}
+			}
+		}
 	}
 }

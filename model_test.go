@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/intset"
+	"repro/internal/race"
 	"repro/internal/shard"
 )
 
@@ -18,8 +19,7 @@ import (
 // (Add / Delete / Query / QueryBatch / Flush / Compact / Save / Load) as
 // a real ShardedIndex, and every op's result is checked for byte-identical
 // agreement, across partition schemes × shard counts × worker counts ×
-// topologies × query layouts (flat and pointer) × result cache on/off ×
-// storage tiers (hot, cold, auto).
+// topologies × result cache on/off × storage tiers (hot, cold, auto).
 // Containment queries ride the same sequences: every returned match must
 // be in the model's brute-force containment truth with the exact score
 // (the candidate structure is approximate, so recall is gated in
@@ -218,7 +218,7 @@ func equalModelMatches(a []Match, b []Match) bool {
 // under the race detector (the CI race job runs the full suite with the
 // race build tag set, and the harness at full size would dominate it).
 func modelOps() int {
-	if testing.Short() || raceEnabled {
+	if testing.Short() || race.Enabled {
 		return 150
 	}
 	return 500
@@ -233,17 +233,15 @@ func modelOps() int {
 // to; agreeing with the model exactly, both topologies agree with each
 // other.
 //
-// The layout and cache dimensions ride the same grid: every fourth
-// configuration pairs one of {flat, pointer} × {cache off, cache on},
-// so the flat query engine, the pointer-trie reference it must equal,
-// and the versioned result cache all face the same op sequences. The
-// cache is deliberately small (it evicts constantly) and neither knob
-// survives a snapshot, so every save/load cycle also checks that
-// re-applying them to a freshly loaded index changes no answer.
+// The cache dimension rides the same grid: configurations alternate, two
+// with the versioned result cache off and two with it on, so both face
+// the same op sequences. The cache is deliberately small (it evicts
+// constantly), and every save/load cycle also checks that re-applying
+// the runtime configuration to a freshly loaded index changes no answer.
 //
 // The storage-tier dimension crosses the whole grid with hot, cold and
 // auto tiers: every save/load round trip reopens the snapshot in the
-// configuration's tier (cold memory-maps every shard with lazy decode;
+// configuration's tier (cold leaves every shard's sets in its mapped file;
 // auto uses a threshold small enough that real shard files land on both
 // sides of it, and Retier passes move shards between tiers mid-sequence),
 // and every subsequent answer must still be byte-identical to the model.
@@ -261,7 +259,6 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 		shards  int
 		workers int
 		remote  bool
-		pointer bool
 		cache   bool
 		tier    Tier
 	}
@@ -269,20 +266,16 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 	for _, hash := range []bool{false, true} {
 		for _, shards := range []int{1, 3} {
 			for _, workers := range []int{0, 4} {
-				combo := len(base) % 4
-				base = append(base, config{hash, shards, workers, false,
-					combo&1 != 0, combo&2 != 0, TierHot})
+				base = append(base, config{hash, shards, workers, false, len(base)%4 >= 2, TierHot})
 			}
 		}
 	}
 	// The remote-topology slice of the grid: both partition schemes at
 	// the multi-shard point, sequential and parallel merges, again
-	// cycling through the layout × cache combinations.
+	// alternating the cache.
 	for _, hash := range []bool{false, true} {
 		for _, workers := range []int{0, 4} {
-			combo := len(base) % 4
-			base = append(base, config{hash, 3, workers, true,
-				combo&1 != 0, combo&2 != 0, TierHot})
+			base = append(base, config{hash, 3, workers, true, len(base)%4 >= 2, TierHot})
 		}
 	}
 	var configs []config
@@ -294,8 +287,8 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 	}
 	for ci, cfg := range configs {
 		cfg := cfg
-		name := fmt.Sprintf("hash=%v/shards=%d/workers=%d/remote=%v/pointer=%v/cache=%v/tier=%s",
-			cfg.hash, cfg.shards, cfg.workers, cfg.remote, cfg.pointer, cfg.cache, cfg.tier)
+		name := fmt.Sprintf("hash=%v/shards=%d/workers=%d/remote=%v/cache=%v/tier=%s",
+			cfg.hash, cfg.shards, cfg.workers, cfg.remote, cfg.cache, cfg.tier)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			seed := int64(0xC0FFEE + 1000*ci)
@@ -359,20 +352,18 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 				LeafSize:       1 << 20, // exact mode: every tree is one scanned leaf
 				Seed:           uint64(seed),
 				Workers:        cfg.workers,
-				PointerLayout:  cfg.pointer,
 				CacheSize:      cacheSize,
 			})
 			distribute(ix)
 
-			// Layout and cache go through the consolidated runtime
+			// Cache and tier go through the consolidated runtime
 			// configuration, which Save persists and Load re-applies — so
 			// the explicit re-apply after each round trip is also checking
 			// that Configure is idempotent on an already-restored index.
 			reconfigure := func(ix *ShardedIndex) {
 				if err := ix.Configure(RuntimeOptions{
-					PointerLayout: cfg.pointer,
-					CacheSize:     cacheSize,
-					Tiering:       cfg.tier,
+					CacheSize: cacheSize,
+					Tiering:   cfg.tier,
 				}); err != nil {
 					t.Fatalf("Configure: %v", err)
 				}

@@ -165,9 +165,9 @@ func rankLimit(ms []Match, limit int) []Match {
 type RuntimeOptions = shard.RuntimeOptions
 
 // Tier names a shard storage tier for RuntimeOptions.Tiering and
-// LoadOptions.Tiering: TierHot fully decodes every shard, TierCold
-// memory-maps shards with lazy decode, TierAuto picks per shard by size
-// and retiers on query frequency. Answers are byte-identical across
+// LoadOptions.Tiering: TierHot keeps every shard's sets on the heap,
+// TierCold leaves them in memory-mapped shard files, TierAuto picks per
+// shard by size and retiers on query frequency. Answers are byte-identical across
 // tiers; only memory and latency differ.
 type Tier = shard.Tier
 
@@ -179,11 +179,10 @@ const (
 )
 
 // Configure applies the runtime configuration in one validated call —
-// the replacement for the SetAutoCompact / SetPointerLayout /
-// EnableCache setter sprawl. It is idempotent, and the applied state is
-// saved with the index and re-applied automatically by
-// LoadShardedIndex, so callers no longer re-apply layout and cache by
-// hand after a restart.
+// the replacement for the SetAutoCompact / EnableCache setters. It is
+// idempotent, and the applied state is saved with the index and
+// re-applied automatically by LoadShardedIndex, so callers no longer
+// re-apply the cache by hand after a restart.
 func (s *ShardedIndex) Configure(ro RuntimeOptions) error {
 	return s.ix.Configure(ro)
 }

@@ -169,7 +169,7 @@ func TestConfigureFacade(t *testing.T) {
 	if err := ix.Configure(RuntimeOptions{CacheSize: -3}); err == nil {
 		t.Fatal("negative cache size accepted")
 	}
-	want := RuntimeOptions{PointerLayout: true, CacheSize: 8}
+	want := RuntimeOptions{AutoCompact: true, CacheSize: 8}
 	if err := ix.Configure(want); err != nil {
 		t.Fatal(err)
 	}

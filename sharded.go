@@ -1,9 +1,6 @@
 package ssjoin
 
-import (
-	"repro/internal/cpindex"
-	"repro/internal/shard"
-)
+import "repro/internal/shard"
 
 // ShardedOptions configures a ShardedIndex.
 type ShardedOptions struct {
@@ -36,11 +33,6 @@ type ShardedOptions struct {
 	CompactSmall          int
 	CompactMinShards      int
 	CompactTombstoneRatio float64
-	// PointerLayout routes queries through the original pointer-trie
-	// representation instead of the flat-array engine. Answers are
-	// byte-identical either way — this is an escape hatch and a testing
-	// hook, not a tuning knob; the flat default is faster.
-	PointerLayout bool
 	// CacheSize enables the hot-query result cache with room for that
 	// many entries (0 disables it). Cached answers are keyed on an
 	// internal version bumped by every mutation, so they are always
@@ -79,9 +71,6 @@ func NewShardedIndex(sets [][]uint32, lambda float64, opts *ShardedOptions) *Sha
 		}
 		if opts.HashPartition {
 			o.Partition = shard.PartitionHash
-		}
-		if opts.PointerLayout {
-			o.Layout = cpindex.LayoutPointer
 		}
 	}
 	return &ShardedIndex{ix: shard.Build(sets, lambda, o)}
@@ -235,22 +224,6 @@ func (s *ShardedIndex) Compact() CompactResult {
 // validated call and persists across Save/Load.
 func (s *ShardedIndex) SetAutoCompact(on bool) {
 	s.ix.SetAutoCompact(on)
-}
-
-// SetPointerLayout switches every shard between the flat-array query
-// engine (false, the default) and the pointer-trie reference layout
-// (true). A configuration call: apply it before serving, not concurrently
-// with queries.
-//
-// Deprecated: use Configure, which applies every runtime option in one
-// validated call and persists across Save/Load (a loaded index resumes
-// on the layout it was saved with).
-func (s *ShardedIndex) SetPointerLayout(on bool) {
-	l := cpindex.LayoutFlat
-	if on {
-		l = cpindex.LayoutPointer
-	}
-	s.ix.SetLayout(l)
 }
 
 // EnableCache installs (or, with maxEntries <= 0, removes) the hot-query
