@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race race-full vet fmt bench bench-micro bench-smoke bench-go fuzz-smoke clean
+.PHONY: all build test test-benchmark race race-full vet fmt bench bench-micro bench-smoke bench-go fuzz-smoke clean
 
 all: vet build test
 
@@ -10,6 +10,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# test-benchmark vets and unit-tests the perf ledger's harness. benchmark/
+# is a module of its own that imports repro/internal/..., so `go build ./...`
+# and `go test ./...` above never compile it: without this target an
+# internal API change can break the perf pipeline with every check green.
+# Its tests start no child processes and take about a second.
+test-benchmark:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # race is the quick local loop (-short skips the slowest suites);
 # race-full runs the entire suite under the race detector and is what CI
@@ -73,17 +81,19 @@ bench-go:
 
 # fuzz-smoke runs each native fuzz target briefly (FUZZTIME per target,
 # default 10s) against the decode surfaces: the snapshot container, the
-# directory manifest, and the cpindex codec. The corpus seeds are valid
-# snapshots; the contract is error-not-panic on any mutation, and whatever
-# the trie validator accepts must be safe to query. FuzzDecode and
+# directory manifest, the cpindex codec and the prep index. The corpus seeds
+# are valid snapshots; the contract is error-not-panic on any mutation, and
+# whatever the trie validator accepts must be safe to query. FuzzDecode and
 # FuzzMappedDecode drive the same bytes through the heap and the mapped
-# view and require them to agree. CI runs this on every PR; crashers land
-# in testdata/fuzz/ for replay.
+# view and require them to agree; FuzzReadFrom requires whatever prep
+# accepts to serialize back to the bytes it came from. CI runs this on
+# every PR; crashers land in testdata/fuzz/ for replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzContainer$$' -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/cpindex
 	$(GO) test -run '^$$' -fuzz '^FuzzMappedDecode$$' -fuzztime $(FUZZTIME) ./internal/cpindex
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrom$$' -fuzztime $(FUZZTIME) ./internal/prep
 
 clean:
 	rm -f BENCH_parallel.json BENCH_serving.json BENCH_query.json BENCH_accuracy.json

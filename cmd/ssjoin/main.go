@@ -120,12 +120,10 @@ func main() {
 
 	out := os.Stdout
 	if *output != "" {
-		f, err := os.Create(*output)
+		out, err = os.Create(*output)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		defer f.Close()
-		out = f
 	}
 	w := bufio.NewWriter(out)
 	for _, p := range pairs {
@@ -135,7 +133,12 @@ func main() {
 		}
 		fmt.Fprintf(w, "%d %d %.4f\n", p.A, p.B, ssjoin.Jaccard(sets[p.A], b))
 	}
+	// Some file systems report a failed write only at close, so a pair file
+	// is complete only once Close has succeeded too.
 	if err := w.Flush(); err != nil {
+		fatalf("writing output: %v", err)
+	}
+	if err := out.Close(); err != nil {
 		fatalf("writing output: %v", err)
 	}
 

@@ -1,10 +1,12 @@
 package prep
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/snapshot"
 )
@@ -50,19 +52,41 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 // truncation, flipped bytes, wrong format version, implausible headers —
 // yields a descriptive error wrapping ErrCorrupt, never a panic.
 func ReadFrom(r io.Reader) (*Index, error) {
-	sr, err := snapshot.NewReader(r, snapshotKind)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		return nil, err
 	}
-	ix, err := decodeSections(sr)
+	return decode(data)
+}
+
+// Load reads an index from a file.
+func Load(path string) (*Index, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	ix, err := decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return ix, nil
+}
+
+// decode parses a complete container, wrapping every failure in ErrCorrupt.
+func decode(data []byte) (*Index, error) {
+	ix, err := decodeSections(data)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	return ix, nil
 }
 
-func decodeSections(sr *snapshot.Reader) (*Index, error) {
-	raw, err := sr.Section("meta")
+func decodeSections(data []byte) (*Index, error) {
+	m, err := snapshot.OpenMapped(data, snapshotKind)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := m.Section("meta")
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +104,21 @@ func decodeSections(sr *snapshot.Reader) (*Index, error) {
 	}
 	ix := &Index{Seed: seed, T: int(t), Words: int(words)}
 
-	raw, err = sr.Section("sets")
+	// Exactly the sections WriteTo emits, in its order: anything else would
+	// load into an index that no longer serializes to the bytes it came from.
+	want := []string{"meta", "sets", "sigs", "sketches"}
+	if words == 0 {
+		want = want[:3]
+	}
+	var got []string
+	for _, s := range m.Sections() {
+		got = append(got, s.Name)
+	}
+	if !slices.Equal(got, want) {
+		return nil, fmt.Errorf("sections %q, want %q", got, want)
+	}
+
+	raw, err = m.Section("sets")
 	if err != nil {
 		return nil, err
 	}
@@ -94,37 +132,29 @@ func decodeSections(sr *snapshot.Reader) (*Index, error) {
 	// implied by the header; check the payload is exactly that long
 	// BEFORE allocating, so a corrupt header can never drive a huge
 	// allocation from a small file.
-	raw, err = sr.Section("sigs")
+	raw, err = m.Section("sigs")
 	if err != nil {
 		return nil, err
 	}
 	if want := n * uint64(t) * 4; uint64(len(raw)) != want {
 		return nil, fmt.Errorf("section \"sigs\" has %d bytes, want %d", len(raw), want)
 	}
-	gc := snapshot.NewCursor("sigs", raw)
-	ix.Sigs = make([]uint32, n*uint64(t))
+	ix.Sigs = make([]uint32, len(raw)/4)
 	for i := range ix.Sigs {
-		ix.Sigs[i] = gc.U32()
-	}
-	if err := gc.Done(); err != nil {
-		return nil, err
+		ix.Sigs[i] = binary.LittleEndian.Uint32(raw[4*i:])
 	}
 
 	if words > 0 {
-		raw, err = sr.Section("sketches")
+		raw, err = m.Section("sketches")
 		if err != nil {
 			return nil, err
 		}
 		if want := n * uint64(words) * 8; uint64(len(raw)) != want {
 			return nil, fmt.Errorf("section \"sketches\" has %d bytes, want %d", len(raw), want)
 		}
-		kc := snapshot.NewCursor("sketches", raw)
-		ix.Sketches = make([]uint64, n*uint64(words))
+		ix.Sketches = make([]uint64, len(raw)/8)
 		for i := range ix.Sketches {
-			ix.Sketches[i] = kc.U64()
-		}
-		if err := kc.Done(); err != nil {
-			return nil, err
+			ix.Sketches[i] = binary.LittleEndian.Uint64(raw[8*i:])
 		}
 	}
 	return ix, nil
@@ -150,33 +180,19 @@ func (ix *Index) writeSections(w *snapshot.Writer) error {
 	if err := w.Section("sets", sets.B); err != nil {
 		return err
 	}
-	var sigs snapshot.Buf
-	for _, s := range ix.Sigs {
-		sigs.U32(s)
+	sigs := make([]byte, 4*len(ix.Sigs))
+	for i, s := range ix.Sigs {
+		binary.LittleEndian.PutUint32(sigs[4*i:], s)
 	}
-	if err := w.Section("sigs", sigs.B); err != nil {
+	if err := w.Section("sigs", sigs); err != nil {
 		return err
 	}
 	if ix.Words > 0 {
-		var sk snapshot.Buf
-		for _, s := range ix.Sketches {
-			sk.U64(s)
+		sk := make([]byte, 8*len(ix.Sketches))
+		for i, s := range ix.Sketches {
+			binary.LittleEndian.PutUint64(sk[8*i:], s)
 		}
-		return w.Section("sketches", sk.B)
+		return w.Section("sketches", sk)
 	}
 	return nil
-}
-
-// Load reads an index from a file.
-func Load(path string) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	ix, err := ReadFrom(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return ix, nil
 }

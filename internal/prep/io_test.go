@@ -2,12 +2,19 @@ package prep
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/intset"
 	"repro/internal/snapshot"
+	"repro/internal/tabhash"
 )
 
 func buildTestIndex(t *testing.T) *Index {
@@ -216,5 +223,216 @@ func TestImplausibleHeaderRejected(t *testing.T) {
 	}
 	if _, err := ReadFrom(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("implausible header accepted: %v", err)
+	}
+}
+
+// goldenSets is the fixed collection of internal/sketch's golden test: set
+// sizes 1, 2, 10, 300 and 2000 over token ranges below 2^8, below 2^16 and
+// the full 32 bits with the top byte forced nonzero.
+func goldenSets() [][]uint32 {
+	rng := tabhash.NewSplitMix64(0x601de2)
+	var sets [][]uint32
+	for _, universe := range []uint64{1 << 8, 1 << 16, 1 << 32} {
+		for _, size := range []int{1, 2, 10, 300, 2000} {
+			if uint64(size) > universe/2 {
+				continue
+			}
+			seen := make(map[uint32]bool, size)
+			set := make([]uint32, 0, size)
+			for len(set) < size {
+				tok := uint32(rng.Next() % universe)
+				if universe == 1<<32 {
+					tok |= 1 << 24
+				}
+				if !seen[tok] {
+					seen[tok] = true
+					set = append(set, tok)
+				}
+			}
+			sets = append(sets, intset.Normalize(set))
+		}
+	}
+	return sets
+}
+
+// TestGoldenIndexBytes pins the serialized index — signatures, sketches and
+// container layout — to the bytes written at the commit before the
+// transposed sketch kernel and the bulk section codec (digests recorded
+// there): an index saved by either build loads in the other.
+func TestGoldenIndexBytes(t *testing.T) {
+	sets := goldenSets()
+	for _, tc := range []struct {
+		words int
+		want  string
+	}{
+		{0, "260fabf872fcb20066a16aa1a00bf0a325bd0d5517a11531af5e85fc524fad58"},
+		{1, "ff36fc1ab0840bef3ec01226875d6c118a624250049124b22d7a859423bc5e00"},
+		{8, "d02774017de4bd5255b37d84a5e6c5f9a0962b6427f349a98d33c545373d6be2"},
+	} {
+		var buf bytes.Buffer
+		if _, err := Build(sets, 16, tc.words, 42).WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("words=%d: index digest %s, want %s", tc.words, got, tc.want)
+		}
+		back, err := ReadFrom(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("words=%d: %v", tc.words, err)
+		}
+		var again bytes.Buffer
+		if _, err := back.WriteTo(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+			t.Errorf("words=%d: loaded index serializes to different bytes", tc.words)
+		}
+	}
+}
+
+// TestSectionLayoutChecked: a container whose sections are not exactly the
+// ones WriteTo emits, in its order, is rejected even though every section
+// is individually valid.
+func TestSectionLayoutChecked(t *testing.T) {
+	ix := Build(datagen.Uniform(5, 4, 100, 1).Sets, 4, 1, 3)
+	var valid bytes.Buffer
+	if _, err := ix.WriteTo(&valid); err != nil {
+		t.Fatal(err)
+	}
+	m, err := snapshot.OpenMapped(valid.Bytes(), snapshotKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, order := range [][]string{
+		{"meta", "sets", "sketches", "sigs"},
+		{"meta", "sets", "sigs"},
+		{"meta", "sets", "sigs", "sketches", "sigs"},
+		{"meta", "sets", "sigs", "sketches", "extra"},
+	} {
+		var buf bytes.Buffer
+		w, err := snapshot.NewWriter(&buf, snapshotKind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range order {
+			payload, _ := m.Raw(name) // "extra" is absent: an empty section
+			if err := w.Section(name, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFrom(&buf); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("sections %v: err = %v, want ErrCorrupt", order, err)
+		}
+	}
+}
+
+// FuzzReadFrom feeds ReadFrom arbitrary container bytes. The contract: an
+// error wrapping ErrCorrupt, or an index that serializes back to exactly
+// the bytes it was loaded from — never a panic, and never an allocation a
+// header asked for that the bytes present do not back. The checksums would
+// stop nearly every mutation at the door, so each input is also tried with
+// its section CRCs recomputed, which lets mutated payloads reach the
+// decoders behind them.
+func FuzzReadFrom(f *testing.F) {
+	sets := datagen.Uniform(12, 6, 300, 5).Sets
+	for _, words := range []int{0, 2} {
+		var buf bytes.Buffer
+		if _, err := Build(sets, 8, words, 7).WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()/2])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check := func(data []byte) {
+			ix, err := ReadFrom(bytes.NewReader(data))
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("error does not wrap ErrCorrupt: %v", err)
+				}
+				return
+			}
+			var buf bytes.Buffer
+			if _, err := ix.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), data) {
+				t.Fatalf("accepted %d bytes that serialize back to %d different bytes", len(data), buf.Len())
+			}
+		}
+		check(data)
+		m, err := snapshot.OpenMapped(data, snapshotKind)
+		if err != nil {
+			return
+		}
+		resealed := append([]byte(nil), data...)
+		castagnoli := crc32.MakeTable(crc32.Castagnoli)
+		for _, s := range m.Sections() {
+			binary.LittleEndian.PutUint32(resealed[s.Off-4:], crc32.Checksum(data[s.Off:s.Off+s.Len], castagnoli))
+		}
+		check(resealed)
+	})
+}
+
+// benchIndex is an index with the dimensions of the ledger's join_flat
+// workload (40 000 ten-token sets, T = 128, 8 sketch words: 24.7 MB on
+// disk). The matrices are pseudorandom words rather than real hashes: the
+// codec does not look at them, and building them would dominate the run.
+func benchIndex() *Index {
+	const n, t, words = 40000, 128, 8
+	ix := &Index{
+		Sets:     datagen.Uniform(n, 10, 209, 1).Sets,
+		T:        t,
+		Sigs:     make([]uint32, n*t),
+		Words:    words,
+		Sketches: make([]uint64, n*words),
+		Seed:     42,
+	}
+	rng := tabhash.NewSplitMix64(1)
+	for i := range ix.Sigs {
+		ix.Sigs[i] = uint32(rng.Next())
+	}
+	for i := range ix.Sketches {
+		ix.Sketches[i] = rng.Next()
+	}
+	return ix
+}
+
+func BenchmarkSave(b *testing.B) {
+	ix := benchIndex()
+	path := filepath.Join(b.TempDir(), "ix.bin")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ix.Save(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	st, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(st.Size())
+}
+
+func BenchmarkLoad(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "ix.bin")
+	if err := benchIndex().Save(path); err != nil {
+		b.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(st.Size())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Load(path); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -7,6 +7,15 @@
 // preprocessing step of the approximate methods only has to be performed
 // once for each set and similarity measure"). This package makes that
 // factoring explicit: build an Index once, run many joins against it.
+//
+// An Index persists into the repository's snapshot container (io.go has the
+// section layout), because every later join at another threshold is a new
+// process that pays the load. Load therefore reads the file in one piece,
+// locates the sections by their headers (snapshot.OpenMapped), checksums
+// each payload once and decodes the two fixed-width matrices — nearly all
+// of the file — in one tight little-endian loop each, straight from the
+// container bytes; only the small sets section goes through the validating
+// cursor. The writer fills exact-size section buffers the same way.
 package prep
 
 import (
@@ -57,15 +66,23 @@ func BuildParallel(sets [][]uint32, t, words int, seed uint64, workers int) *Ind
 		maker = sketch.NewMaker(words, seed+0x51ee7c)
 		ix.Sketches = make([]uint64, len(sets)*words)
 	}
+	// One hash family at a time over the range, so that the signer's and
+	// the maker's tables (1 MB and 4 MB) do not evict each other per set.
 	sign := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			signer.SignInto(sets[i], ix.Sigs[i*t:(i+1)*t])
-			if maker != nil {
-				maker.SketchInto(sets[i], ix.Sketches[i*words:(i+1)*words])
-			}
+		}
+		if maker == nil {
+			return
+		}
+		for i := lo; i < hi; i++ {
+			maker.SketchInto(sets[i], ix.Sketches[i*words:(i+1)*words])
 		}
 	}
-	const chunk = 256 // sets per task: tens of ms of hashing each
+	// Sets per task: a few ms of hashing on ten-token sets (≈ 10 µs a set),
+	// long enough to amortize scheduling, short enough that a chunk of
+	// large sets does not leave the other workers idle at the end.
+	const chunk = 256
 	if workers <= 1 || len(sets) <= chunk {
 		sign(0, len(sets))
 		return ix

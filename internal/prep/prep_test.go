@@ -1,6 +1,7 @@
 package prep
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
@@ -34,18 +35,19 @@ func TestBuildWithoutSketches(t *testing.T) {
 	ix.Sketch(0)
 }
 
+// TestBuildDeterministic: the hash functions are fixed by the seed and every
+// set writes only its own slots, so the index is the same whichever worker
+// count — and so whichever chunk schedule — built it.
 func TestBuildDeterministic(t *testing.T) {
-	sets := datagen.Uniform(30, 10, 500, 3).Sets
-	a := Build(sets, 16, 2, 9)
-	b := Build(sets, 16, 2, 9)
-	for i := range a.Sigs {
-		if a.Sigs[i] != b.Sigs[i] {
-			t.Fatal("non-deterministic signatures")
+	sets := datagen.Uniform(700, 10, 500, 3).Sets // several 256-set chunks
+	want := Build(sets, 16, 2, 9)
+	for _, workers := range []int{1, 2, 4} {
+		got := BuildParallel(sets, 16, 2, 9, workers)
+		if !slices.Equal(got.Sigs, want.Sigs) {
+			t.Errorf("workers=%d: signatures differ from the sequential build", workers)
 		}
-	}
-	for i := range a.Sketches {
-		if a.Sketches[i] != b.Sketches[i] {
-			t.Fatal("non-deterministic sketches")
+		if !slices.Equal(got.Sketches, want.Sketches) {
+			t.Errorf("workers=%d: sketches differ from the sequential build", workers)
 		}
 	}
 }

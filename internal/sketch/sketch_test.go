@@ -237,17 +237,6 @@ func TestNewFilterValidation(t *testing.T) {
 	}
 }
 
-func BenchmarkSketch(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	set := randomSet(rng, 100, 100000)
-	m := NewMaker(8, 1)
-	out := make([]uint64, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.SketchInto(set, out)
-	}
-}
-
 func BenchmarkHamming(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	m := NewMaker(8, 1)

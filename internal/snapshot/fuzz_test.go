@@ -49,11 +49,16 @@ func FuzzContainer(f *testing.F) {
 	f.Add(valid[:len(valid)/2]) // truncation
 	f.Add([]byte("CPSNAP\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data), "fuzzkind")
+		m, err := OpenMapped(data, "fuzzkind")
 		if err != nil {
 			return
 		}
-		meta, err := r.Section("meta")
+		for _, s := range m.Sections() {
+			if s.Off%8 != 0 || s.Off < 0 || s.Len < 0 || s.Off+s.Len > int64(len(data)) {
+				t.Fatalf("section %q indexed at [%d, %d+%d) of %d bytes", s.Name, s.Off, s.Off, s.Len, len(data))
+			}
+		}
+		meta, err := m.Section("meta")
 		if err != nil {
 			return
 		}
@@ -62,7 +67,7 @@ func FuzzContainer(f *testing.F) {
 		c.U32()
 		c.Uvarint()
 		_ = c.Done()
-		raw, err := r.Section("sets")
+		raw, err := m.Section("sets")
 		if err != nil {
 			return
 		}

@@ -7,7 +7,8 @@ import (
 )
 
 // Mapped is a read-only view over a complete container held in memory —
-// typically an mmap'd file. OpenMapped walks only the fixed-size headers
+// an mmap'd file, or a file read in one piece — and the only container
+// reader there is. OpenMapped walks only the fixed-size headers
 // (container header plus each 20-byte section header), so a mapped file's
 // payload pages are never faulted in until a caller asks for a section.
 // That is the property the cold shard tier is built on: opening a mapped

@@ -152,106 +152,12 @@ func (w *Writer) Count() int64 { return w.n }
 // Flush drains the internal buffer to the underlying writer.
 func (w *Writer) Flush() error { return w.bw.Flush() }
 
-// Reader deserializes a container written by Writer.
-type Reader struct {
-	br *bufio.Reader
-	// n tracks the stream offset, mirroring Writer.n, so the reader can
-	// reproduce the alignment padding the writer inserted.
-	n int64
-}
-
-// NewReader validates the header: magic, format version, kind. Any version
-// but Version is reported as ErrVersion (with both versions named), every
-// other failure as ErrCorrupt.
-func NewReader(r io.Reader, kind string) (*Reader, error) {
-	k, err := tag(kind)
-	if err != nil {
-		return nil, err
-	}
-	br := bufio.NewReaderSize(r, 1<<20)
-	var hdr [8 + 4 + 8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated header: %v", ErrCorrupt, err)
-	}
-	if [8]byte(hdr[:8]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:8])
-	}
-	if err := checkVersion("file", int64(binary.LittleEndian.Uint32(hdr[8:12]))); err != nil {
-		return nil, err
-	}
-	if [8]byte(hdr[12:20]) != k {
-		return nil, fmt.Errorf("%w: snapshot kind %q, want %q", ErrCorrupt, trimTag(hdr[12:20]), kind)
-	}
-	return &Reader{br: br, n: int64(len(hdr))}, nil
-}
-
 func trimTag(b []byte) string {
 	end := len(b)
 	for end > 0 && b[end-1] == 0 {
 		end--
 	}
 	return string(b[:end])
-}
-
-// Section reads the next section, which must carry the given name, and
-// returns its checksum-verified payload. It first consumes the alignment
-// padding and requires it to be zero.
-func (r *Reader) Section(name string) ([]byte, error) {
-	if pad := sectionPad(r.n); pad > 0 {
-		var p [8]byte
-		if _, err := io.ReadFull(r.br, p[:pad]); err != nil {
-			return nil, fmt.Errorf("%w: section %q: truncated padding: %v", ErrCorrupt, name, err)
-		}
-		for _, b := range p[:pad] {
-			if b != 0 {
-				return nil, fmt.Errorf("%w: section %q: nonzero alignment padding", ErrCorrupt, name)
-			}
-		}
-		r.n += int64(pad)
-	}
-	var hdr [sectionHdrLen]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: section %q: truncated header: %v", ErrCorrupt, name, err)
-	}
-	if got := trimTag(hdr[:8]); got != name {
-		return nil, fmt.Errorf("%w: section %q, want %q", ErrCorrupt, got, name)
-	}
-	length := binary.LittleEndian.Uint64(hdr[8:16])
-	want := binary.LittleEndian.Uint32(hdr[16:20])
-	payload, err := readPayload(r.br, length)
-	if err != nil {
-		return nil, fmt.Errorf("%w: section %q: truncated: %v", ErrCorrupt, name, err)
-	}
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, fmt.Errorf("%w: section %q: checksum mismatch (file %08x, data %08x)", ErrCorrupt, name, want, got)
-	}
-	r.n += int64(len(hdr)) + int64(len(payload))
-	return payload, nil
-}
-
-// readPayload reads exactly length bytes, growing the buffer in bounded
-// steps so a corrupted length field on a truncated file fails at EOF
-// instead of attempting one giant allocation.
-func readPayload(r io.Reader, length uint64) ([]byte, error) {
-	const step = 4 << 20
-	if length <= step {
-		buf := make([]byte, length)
-		_, err := io.ReadFull(r, buf)
-		return buf, err
-	}
-	buf := make([]byte, 0, step)
-	for uint64(len(buf)) < length {
-		n := length - uint64(len(buf))
-		if n > step {
-			n = step
-		}
-		chunk := make([]byte, n)
-		if _, err := io.ReadFull(r, chunk); err != nil {
-			return nil, err
-		}
-		buf = append(buf, chunk...)
-	}
-	return buf, nil
 }
 
 // Buf builds a section payload from primitive values. Integers are
@@ -321,7 +227,9 @@ func (c *Cursor) Uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(c.b[c.off:])
-	if n <= 0 {
+	// A padded encoding (trailing zero group) decodes, but no writer emits
+	// it: accepting it would let two different files load as one structure.
+	if n <= 0 || n > 1 && c.b[c.off+n-1] == 0 {
 		c.fail("bad varint at byte %d", c.off)
 		return 0
 	}
@@ -518,21 +426,4 @@ func WriteRawFile(path string, data []byte) (err error) {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// ReadFile opens path and runs the decoder over its validated container.
-func ReadFile(path, kind string, decode func(*Reader) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r, err := NewReader(f, kind)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if err := decode(r); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return nil
 }

@@ -38,13 +38,20 @@ func TestContainerRoundTrip(t *testing.T) {
 		"bulk":  bytes.Repeat([]byte{0xab}, 10_000),
 		"empty": {},
 	}
-	raw := writeContainer(t, "testkind", sections, []string{"meta", "bulk", "empty"})
-	r, err := NewReader(bytes.NewReader(raw), "testkind")
+	order := []string{"meta", "bulk", "empty"}
+	raw := writeContainer(t, "testkind", sections, order)
+	m, err := OpenMapped(raw, "testkind")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"meta", "bulk", "empty"} {
-		got, err := r.Section(name)
+	if len(m.Sections()) != len(order) {
+		t.Fatalf("%d sections indexed, wrote %d", len(m.Sections()), len(order))
+	}
+	for i, name := range order {
+		if s := m.Sections()[i]; s.Name != name || s.Off%8 != 0 {
+			t.Errorf("section %d is %q at offset %d, want %q 8-aligned", i, s.Name, s.Off, name)
+		}
+		got, err := m.Section(name)
 		if err != nil {
 			t.Fatalf("section %q: %v", name, err)
 		}
@@ -58,21 +65,21 @@ func TestHeaderValidation(t *testing.T) {
 	raw := writeContainer(t, "kindA", map[string][]byte{"s": {1}}, []string{"s"})
 
 	// Wrong kind.
-	if _, err := NewReader(bytes.NewReader(raw), "kindB"); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenMapped(raw, "kindB"); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("wrong kind: err = %v, want ErrCorrupt", err)
 	}
 
 	// Bad magic.
 	bad := append([]byte(nil), raw...)
 	bad[0] ^= 0xff
-	if _, err := NewReader(bytes.NewReader(bad), "kindA"); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenMapped(bad, "kindA"); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad magic: err = %v, want ErrCorrupt", err)
 	}
 
 	// Wrong version: must name both versions in the message.
 	bad = append([]byte(nil), raw...)
 	binary.LittleEndian.PutUint32(bad[8:12], 99)
-	_, err := NewReader(bytes.NewReader(bad), "kindA")
+	_, err := OpenMapped(bad, "kindA")
 	if !errors.Is(err, ErrVersion) {
 		t.Errorf("future version: err = %v, want ErrVersion", err)
 	}
@@ -81,7 +88,7 @@ func TestHeaderValidation(t *testing.T) {
 	}
 
 	// Truncated header.
-	if _, err := NewReader(bytes.NewReader(raw[:10]), "kindA"); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenMapped(raw[:10], "kindA"); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("truncated header: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -91,11 +98,11 @@ func TestSectionCorruption(t *testing.T) {
 	raw := writeContainer(t, "k", map[string][]byte{"data": payload}, []string{"data"})
 
 	read := func(b []byte) error {
-		r, err := NewReader(bytes.NewReader(b), "k")
+		m, err := OpenMapped(b, "k")
 		if err != nil {
 			return err
 		}
-		_, err = r.Section("data")
+		_, err = m.Section("data")
 		return err
 	}
 
@@ -115,35 +122,43 @@ func TestSectionCorruption(t *testing.T) {
 		}
 	}
 
+	// A second section behind a 3-byte payload starts after alignment
+	// padding, which must be zero.
+	two := writeContainer(t, "k", map[string][]byte{"a": {1, 2, 3}, "data": {4}}, []string{"a", "data"})
+	padAt := 20 + sectionHdrLen + 3
+	if sectionPad(int64(padAt)) == 0 || read(two) != nil {
+		t.Fatalf("two-section container: pad %d, err %v", sectionPad(int64(padAt)), read(two))
+	}
+	two[padAt] = 1
+	if err := read(two); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "padding") {
+		t.Errorf("nonzero padding: err = %v, want ErrCorrupt naming the padding", err)
+	}
+
 	// Truncation at every prefix length must fail, never panic.
 	for cut := 0; cut < len(raw); cut += 7 {
-		if err := read(raw[:cut]); err == nil {
-			t.Errorf("truncation at %d not detected", cut)
+		if err := read(raw[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("truncation at %d: err = %v, want ErrCorrupt", cut, err)
 		}
 	}
 
-	// Wrong section name requested.
-	r, err := NewReader(bytes.NewReader(raw), "k")
+	// A section the container does not hold.
+	m, err := OpenMapped(raw, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Section("other"); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("section name mismatch: err = %v, want ErrCorrupt", err)
+	if _, err := m.Section("other"); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("missing section: err = %v, want ErrCorrupt", err)
 	}
 }
 
 func TestHugeLengthOnTruncatedFile(t *testing.T) {
 	raw := writeContainer(t, "k", map[string][]byte{"data": {1, 2, 3}}, []string{"data"})
-	// Corrupt the section length field to claim an enormous payload: the
-	// reader must fail at EOF without attempting the full allocation.
+	// Corrupt the section length field to claim an enormous payload: it
+	// must be rejected against the bytes actually present.
 	bad := append([]byte(nil), raw...)
 	binary.LittleEndian.PutUint64(bad[28:36], 1<<40)
-	r, err := NewReader(bytes.NewReader(bad), "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Section("data"); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("huge length: err = %v, want ErrCorrupt", err)
+	if _, err := OpenMapped(bad, "k"); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("huge length: err = %v, want ErrCorrupt naming the excess", err)
 	}
 }
 
@@ -203,6 +218,15 @@ func TestCursorGuards(t *testing.T) {
 		t.Error("count beyond remaining bytes accepted")
 	}
 
+	// A varint padded with a zero group decodes to the same value as the
+	// minimal form; only the minimal form is accepted.
+	for _, padded := range [][]byte{{0x80, 0x00}, {0x85, 0x80, 0x00}} {
+		c = NewCursor("t", padded)
+		if c.Uvarint(); !errors.Is(c.Err(), ErrCorrupt) {
+			t.Errorf("padded varint %x accepted", padded)
+		}
+	}
+
 	// Trailing bytes are an error from Done.
 	c = NewCursor("t", []byte{1, 2, 3, 4, 5})
 	c.U32()
@@ -228,18 +252,22 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Fatalf("failed WriteFile left temp files: %v", left)
 	}
 
-	// Success round-trips through ReadFile.
+	// Success round-trips through the file.
 	if err := WriteFile(path, "k", func(w *Writer) error {
 		return w.Section("s", []byte{9, 9})
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var got []byte
-	if err := ReadFile(path, "k", func(r *Reader) error {
-		var err error
-		got, err = r.Section("s")
-		return err
-	}); err != nil {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := OpenMapped(raw, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Section("s")
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, []byte{9, 9}) {
@@ -341,7 +369,6 @@ func TestOlderVersionsRejected(t *testing.T) {
 			name string
 			open func() error
 		}{
-			{"NewReader", func() error { _, err := NewReader(bytes.NewReader(raw), "kindA"); return err }},
 			{"OpenMapped", func() error { _, err := OpenMapped(raw, "kindA"); return err }},
 			{"ReadManifest", func() error { _, err := ReadManifest(dir); return err }},
 		} {
