@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-benchmark race race-full vet fmt bench bench-micro bench-smoke bench-go fuzz-smoke clean
+.PHONY: all build test test-benchmark surface race race-full vet fmt bench bench-micro bench-smoke bench-go fuzz-smoke clean
 
 all: vet build test
 
@@ -18,6 +18,14 @@ test:
 # Its tests start no child processes and take about a second.
 test-benchmark:
 	cd benchmark && $(GO) vet . && $(GO) test .
+
+# surface keeps the API from growing back what was deleted: no Go file may
+# carry a "Deprecated:" marker (deprecated surface is removed, not kept),
+# and the serving handler registers every endpoint under /v1/ only (pprof's
+# opt-in mux lives in cmd/serve, not here).
+surface:
+	@out=$$(grep -rn 'Deprecated:' --include='*.go' .); if [ -n "$$out" ]; then echo "deprecated surface:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -n 'mux\.Handle' internal/shard/server.go | grep -v '("/v1/'); if [ -n "$$out" ]; then echo "endpoint outside /v1/:"; echo "$$out"; exit 1; fi
 
 # race is the quick local loop (-short skips the slowest suites);
 # race-full runs the entire suite under the race detector and is what CI

@@ -211,7 +211,7 @@ func BenchmarkParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.JoinParallel(ix, 0.5, &core.Options{Seed: 42}, workers)
+				core.JoinIndexed(ix, 0.5, &core.Options{Seed: 42, Workers: workers})
 			}
 		})
 	}

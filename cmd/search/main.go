@@ -96,7 +96,7 @@ func main() {
 	for qi, q := range qsets {
 		fmt.Fprintf(w, "%d:", qi)
 		if *all {
-			for _, m := range index.QueryAllSims(q) {
+			for _, m := range index.QueryAll(q) {
 				fmt.Fprintf(w, " %d:%.3f", m.ID, m.Sim)
 			}
 		} else if id, sim, ok := index.Query(q); ok {

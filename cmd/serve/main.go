@@ -26,8 +26,7 @@
 // controller's cadence. -tier hot forces full decode; empty keeps
 // whatever tier the snapshot was saved under.
 //
-// Endpoints (each also reachable at its bare pre-/v1 path, kept as an
-// alias; errors are structured JSON {"error":..., "code":...}):
+// Endpoints (errors are structured JSON {"error":..., "code":...}):
 //
 //	POST /v1/query        {"set":[1,2,3], "all":true, "debug":true}  one query (debug adds the per-shard trace)
 //	POST /v1/query        {"set":[1,2,3], "mode":"containment", "threshold":0.8, "limit":10}
@@ -41,18 +40,18 @@
 //	GET  /v1/healthz                                    liveness (always 200, health JSON body)
 //	GET  /v1/readyz                                     readiness (503 while a remote shard is unanswerable)
 //
-// Observability: /metrics exposes query/mutation latency histograms, the
+// Observability: /v1/metrics exposes query/mutation latency histograms, the
 // candidate pipeline counters, per-peer RPC and failover counters,
 // compaction, cache and execution-layer metrics in the Prometheus text
 // format. -slow-query 250ms logs one structured line (query size,
-// per-shard timings, candidate counts, cache outcome) for every /query
-// over the threshold; the same breakdown is available per request with
+// per-shard timings, candidate counts, cache outcome) for every
+// /v1/query over the threshold; the same breakdown is available per request with
 // "debug":true. -access-log logs one line per HTTP request. All logging
 // is structured log/slog on stderr.
 //
 // Performance: -cache N caches up to N hot query results (invalidated
 // automatically by appends, deletes, seals, compactions and shard
-// placement; hit/miss counters appear in /stats and /metrics). -pprof
+// placement; hit/miss counters appear in /v1/stats and /v1/metrics). -pprof
 // mounts the net/http/pprof profiling endpoints under /debug/pprof/ on
 // the serving listener — registered explicitly on the opt-in mux, so
 // profiling endpoints exist only when asked for:
@@ -63,7 +62,7 @@
 // sealed shard leaves a tombstone, so a long-running service degrades
 // without maintenance. With -auto-compact the index merges small shards
 // and reclaims tombstones in the background after each seal; without it,
-// POST /compact runs one pass on demand. Either way queries keep being
+// POST /v1/compact runs one pass on demand. Either way queries keep being
 // served from the old ring until the rebuilt shard swaps in.
 //
 // Distributed serving: with -peers, the service becomes a coordinator —
@@ -75,11 +74,11 @@
 // all-local index even with peers down. With -keep-local=false shards
 // are moved, not replicated: RAM for the bulk structures is freed, and a
 // shard whose replicas are all dead makes queries fail with 502 rather
-// than silently answering from partial topology — /readyz turns 503 in
-// that state so load balancers drain the node. Peers are ordinary serve
-// instances — any instance accepts shipped shards on /shard/snapshot and
-// answers /shard/query — and -peer starts one with an empty index of its
-// own, purely to host shards for coordinators.
+// than silently answering from partial topology — /v1/readyz turns 503
+// in that state so load balancers drain the node. Peers are ordinary
+// serve instances — any instance accepts shipped shards on
+// /v1/shard/snapshot and answers /v1/shard/query — and -peer starts one
+// with an empty index of its own, purely to host shards for coordinators.
 //
 // Placement control plane: -placement-interval D closes the loop that a
 // one-shot -peers distribution leaves open. A background controller
@@ -87,8 +86,8 @@
 // automatically, garbage-collects hosted shards the ring no longer
 // references (re-shipped rings do not leak their predecessors' keys; the
 // ownership record persists in the snapshot manifest, so even a restart
-// cannot orphan keys), and probes every peer's /healthz each
-// -probe-interval — flipping the same health bit /readyz reads — with
+// cannot orphan keys), and probes every peer's /v1/healthz each
+// -probe-interval — flipping the same health bit /v1/readyz reads — with
 // capped exponential backoff on failing peers. -rebalance additionally
 // re-ships replicas away from peers that stay unhealthy. All placement
 // transitions preserve byte-identical query answers.
@@ -96,8 +95,8 @@
 // Example:
 //
 //	serve -input catalogue.txt -threshold 0.5 -data /var/lib/cps -save-on-shutdown &
-//	curl -s localhost:8321/query -d '{"set":[1,2,3],"all":true}'
-//	curl -s localhost:8321/metrics | grep cps_query_seconds
+//	curl -s localhost:8321/v1/query -d '{"set":[1,2,3],"all":true}'
+//	curl -s localhost:8321/v1/metrics | grep cps_query_seconds
 package main
 
 import (
@@ -112,6 +111,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"syscall"
 	"time"
 
 	ssjoin "repro"
@@ -146,9 +146,9 @@ func main() {
 		peerMode  = flag.Bool("peer", false, "start with an empty index and host shards shipped by coordinators")
 		cacheSize = flag.Int("cache", 0, "hot-query result cache entries (0 disables; invalidated automatically on any mutation)")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/")
-		metricsOn = flag.Bool("metrics", true, "expose Prometheus metrics on /metrics")
+		metricsOn = flag.Bool("metrics", true, "expose Prometheus metrics on /v1/metrics")
 		tierName  = flag.String("tier", "", "shard storage tier: hot (fully decoded), cold (mmap-backed, lazy decode) or auto (by shard size and query frequency); empty keeps the snapshot's saved tier")
-		slowQuery = flag.Duration("slow-query", 0, "log a structured line for /query requests over this duration (0 disables)")
+		slowQuery = flag.Duration("slow-query", 0, "log a structured line for /v1/query requests over this duration (0 disables)")
 		accessLog = flag.Bool("access-log", false, "log one structured line per HTTP request")
 	)
 	flag.Parse()
@@ -169,11 +169,11 @@ func main() {
 	start := time.Now()
 	if *peerMode && *input == "" && (*dataDir == "" || !manifestExists(*dataDir)) {
 		// A pure peer serves no collection of its own; it exists to host
-		// shards shipped to /shard/snapshot by coordinators.
+		// shards shipped to /v1/shard/snapshot by coordinators.
 		if *threshold <= 0 || *threshold >= 1 {
 			fatal("threshold out of (0,1)", "threshold", *threshold)
 		}
-		ix = shard.Build(nil, *threshold, &shard.Options{Workers: *workers, Seed: *seed, AutoCompact: *autoComp})
+		ix = shard.Build(nil, *threshold, &shard.Options{Workers: *workers, Seed: *seed})
 		logger.Info("peer mode: empty index", "addr", *addr)
 	} else if *dataDir != "" && manifestExists(*dataDir) {
 		var err error
@@ -211,7 +211,6 @@ func main() {
 			Trees:          *trees,
 			Seed:           *seed,
 			Workers:        *workers,
-			AutoCompact:    *autoComp,
 		}
 		if *hashPart {
 			opts.Partition = shard.PartitionHash
@@ -258,9 +257,8 @@ func main() {
 		}
 	}
 
-	// One validated Configure call applies the runtime tuning (the old
-	// per-setter calls are deprecated). Flags override what a restored
-	// snapshot carried: -auto-compact always wins, -cache only when set
+	// One validated Configure call applies the runtime tuning. Flags
+	// override what a restored snapshot carried: -auto-compact always wins, -cache only when set
 	// (so a snapshot's persisted cache size survives a plain restart).
 	rt := ix.Runtime()
 	rt.AutoCompact = *autoComp
@@ -307,8 +305,12 @@ func main() {
 	if *accessLog {
 		handler = withAccessLog(handler)
 	}
-	srv := &http.Server{Addr: *addr, Handler: handler}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	// ReadHeaderTimeout bounds how long a connection may dribble its
+	// request headers in; bodies are bounded by the handlers' byte limits.
+	srv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
+	// SIGTERM is what kill, systemd, Docker and Kubernetes send: it must
+	// drain and save exactly like an interactive interrupt.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	drained := make(chan struct{})
 	go func() {

@@ -1,0 +1,107 @@
+package main
+
+import (
+	"bytes"
+	"net"
+	"net/http"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"syscall"
+	"testing"
+	"time"
+
+	"repro/internal/shard"
+)
+
+// TestMain lets the test binary stand in for the serve command: re-executed
+// with SERVE_TEST_RUN_MAIN set, it runs main on its arguments, so the test
+// below signals a real process without needing the go tool.
+func TestMain(m *testing.M) {
+	if os.Getenv("SERVE_TEST_RUN_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestSIGTERMDrainsAndSaves: SIGTERM — what kill, systemd, Docker and
+// Kubernetes send — takes the same graceful path as an interrupt: the
+// listener drains and -save-on-shutdown snapshots the index, buffered
+// appends included.
+func TestSIGTERMDrainsAndSaves(t *testing.T) {
+	dir := t.TempDir()
+	input := filepath.Join(dir, "sets.txt")
+	if err := os.WriteFile(input, []byte("1 2 3 4\n1 2 3 5\n10 11 12\n20 21 22 23\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := filepath.Join(dir, "snap")
+	cmd := exec.Command(exe, "-input", input, "-threshold", "0.5", "-shards", "2",
+		"-addr", addr, "-data", data, "-save-on-shutdown")
+	cmd.Env = append(os.Environ(), "SERVE_TEST_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	defer cmd.Process.Kill()
+
+	base := "http://" + addr
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if resp, err := http.Get(base + "/v1/readyz"); err == nil {
+			resp.Body.Close()
+			break
+		}
+		select {
+		case err := <-exited:
+			t.Fatalf("serve exited before it was ready: %v\n%s", err, stderr.String())
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("serve never became ready\n%s", stderr.String())
+		}
+	}
+	// One buffered append: far below the seal threshold, so it lives only in
+	// the side buffer and is lost unless the shutdown saves.
+	resp, err := http.Post(base+"/v1/add", "application/json", bytes.NewReader([]byte(`{"sets":[[30,31,32]]}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/add status %d", resp.StatusCode)
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("serve did not shut down cleanly on SIGTERM: %v\n%s", err, stderr.String())
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatalf("serve still running 20s after SIGTERM\n%s", stderr.String())
+	}
+
+	ix, err := shard.Load(data, 0)
+	if err != nil {
+		t.Fatalf("no usable snapshot after SIGTERM: %v\n%s", err, stderr.String())
+	}
+	if st := ix.Stats(); st.Sets != 5 || st.Buffered != 1 {
+		t.Fatalf("restored %+v, want 5 sets with the 1 buffered append", st)
+	}
+}

@@ -37,8 +37,8 @@ func main() {
 			continue
 		}
 		queries++
-		for _, id := range index.QueryAll(q) {
-			if id == p[1] {
+		for _, m := range index.QueryAll(q) {
+			if m.ID == p[1] {
 				found++
 				break
 			}

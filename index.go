@@ -56,25 +56,6 @@ func (ix *Index) CPSJoin(lambda float64, opts *Options) ([]Pair, Stats) {
 	return fromPairs(pairs), fromCounters(c)
 }
 
-// CPSJoinParallel runs CPSJoin with the given number of worker goroutines
-// (0 = GOMAXPROCS).
-//
-// Deprecated: set Options.Workers and call CPSJoin instead; every join
-// algorithm now runs on the same execution layer. This wrapper remains
-// for callers of the earlier repetition-level parallelism and is
-// equivalent to CPSJoin with Workers set.
-func (ix *Index) CPSJoinParallel(lambda float64, opts *Options, workers int) ([]Pair, Stats) {
-	o := Options{}
-	if opts != nil {
-		o = *opts
-	}
-	if workers <= 0 {
-		workers = -1 // negative selects GOMAXPROCS in the execution layer
-	}
-	o.Workers = workers
-	return ix.CPSJoin(lambda, &o)
-}
-
 // MinHashJoin runs the MinHash LSH join against the index.
 func (ix *Index) MinHashJoin(lambda float64, opts *Options) ([]Pair, Stats) {
 	pairs, c := lshjoin.JoinIndexed(ix.ix, lambda, opts.lsh())

@@ -50,14 +50,13 @@ var scrapeRequired = []string{
 
 // CheckMetricsExposition builds a small sharded index over the workload,
 // distributes its shards to two in-process peers, drives every mutating
-// and querying operation once, and scrapes GET /metrics like a Prometheus
+// and querying operation once, and scrapes GET /v1/metrics like a Prometheus
 // server would — validating status, content type, every line's syntax and
 // the presence of the whole metric catalog (including the per-peer
 // series).
 func CheckMetricsExposition(w Workload, cfg Config) MetricsScrape {
 	const lambda = 0.5
-	ix := shard.Build(w.Sets, lambda, &shard.Options{Shards: 2, Seed: cfg.Seed, MergeThreshold: 64})
-	ix.EnableCache(64)
+	ix := shard.Build(w.Sets, lambda, &shard.Options{Shards: 2, Seed: cfg.Seed, MergeThreshold: 64, CacheSize: 64})
 
 	peerA := httptest.NewServer(shard.NewServer(shard.Build(nil, lambda, &shard.Options{})))
 	peerB := httptest.NewServer(shard.NewServer(shard.Build(nil, lambda, &shard.Options{})))
@@ -85,7 +84,7 @@ func CheckMetricsExposition(w Workload, cfg Config) MetricsScrape {
 
 	srv := httptest.NewServer(shard.NewServer(ix))
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics")
+	resp, err := http.Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		return MetricsScrape{Error: fmt.Sprintf("scrape: %v", err)}
 	}

@@ -12,7 +12,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	sets := testWorkload(500, 40)
 	ix := Preprocess(sets, &Options{Seed: 5})
 	seq, _ := JoinIndexed(ix, 0.5, &Options{Seed: 5})
-	par, _ := JoinParallel(ix, 0.5, &Options{Seed: 5}, 4)
+	par, _ := JoinIndexed(ix, 0.5, &Options{Seed: 5, Workers: 4})
 	if !stats.EqualPairSets(seq, par) {
 		t.Fatalf("parallel (%d pairs) differs from sequential (%d pairs)",
 			len(par), len(seq))
@@ -23,7 +23,7 @@ func TestParallelPrecisionAndRecall(t *testing.T) {
 	sets := testWorkload(600, 41)
 	ix := Preprocess(sets, &Options{Seed: 6})
 	truth := verify.BruteForceJoin(sets, 0.5)
-	got, c := JoinParallel(ix, 0.5, &Options{Seed: 6}, 8)
+	got, c := JoinIndexed(ix, 0.5, &Options{Seed: 6, Workers: 8})
 	for _, p := range got {
 		if intset.Jaccard(sets[p.A], sets[p.B]) < 0.5 {
 			t.Fatal("false positive from parallel join")
@@ -40,9 +40,9 @@ func TestParallelPrecisionAndRecall(t *testing.T) {
 func TestParallelWorkerCounts(t *testing.T) {
 	sets := testWorkload(300, 42)
 	ix := Preprocess(sets, &Options{Seed: 7})
-	ref, _ := JoinParallel(ix, 0.6, &Options{Seed: 7}, 1)
-	for _, workers := range []int{2, 3, 16, 0 /* GOMAXPROCS */} {
-		got, _ := JoinParallel(ix, 0.6, &Options{Seed: 7}, workers)
+	ref, _ := JoinIndexed(ix, 0.6, &Options{Seed: 7, Workers: 1})
+	for _, workers := range []int{2, 3, 16, -1 /* GOMAXPROCS */} {
+		got, _ := JoinIndexed(ix, 0.6, &Options{Seed: 7, Workers: workers})
 		if !stats.EqualPairSets(ref, got) {
 			t.Errorf("workers=%d: results differ from single-worker run", workers)
 		}
@@ -51,7 +51,7 @@ func TestParallelWorkerCounts(t *testing.T) {
 
 func TestParallelTinyInput(t *testing.T) {
 	ix := Preprocess([][]uint32{{1, 2}}, &Options{Seed: 1})
-	if got, _ := JoinParallel(ix, 0.5, nil, 4); got != nil {
+	if got, _ := JoinIndexed(ix, 0.5, &Options{Workers: 4}); got != nil {
 		t.Error("parallel join of single set returned pairs")
 	}
 }

@@ -5,31 +5,25 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/cpindex"
 	"repro/internal/intset"
 	"repro/internal/tabhash"
 )
 
-// Result kinds a cache entry can hold; part of the key, so a Query, a
-// QueryAll and a QueryContain for the same set never collide.
-const (
-	cacheKindBest uint8 = iota
-	cacheKindAll
-	cacheKindContain
-)
-
 // resultCache is the hot-query result cache: a size-bounded LRU keyed on
-// (index version, result kind, query). The version is bumped by every
-// result-affecting mutation — appends, deletes, seals, compaction swaps,
-// distributions — so invalidation is free: entries computed at an older
-// version simply stop being found and age out of the LRU. The map key is
-// a 64-bit hash; the entry stores the exact (version, kind, query) it was
-// computed for and a lookup verifies them, so a hash collision degrades
+// (index version, plan kind, plan threshold, query), so a best-match, an
+// all-matches and a containment answer for the same set — or the same
+// containment query at two thresholds — never collide. The version is
+// bumped by every result-affecting mutation — appends, deletes, seals,
+// compaction swaps, distributions — so invalidation is free: entries
+// computed at an older version simply stop being found and age out of the
+// LRU. The map key is a 64-bit hash; the entry stores the exact tuple it
+// was computed for and a lookup verifies it, so a hash collision degrades
 // to a miss, never to a wrong answer.
 //
-// Cached QueryAll slices are returned without copying and must be treated
-// as read-only by callers (the public ssjoin wrappers copy; the HTTP
-// server only marshals).
+// Cached match lists are returned without copying and are read-only: the
+// pipeline only reads them, Search narrows and ranks into fresh slices,
+// the HTTP server only marshals, and the public ssjoin facade clones at
+// its boundary.
 type resultCache struct {
 	mu      sync.Mutex
 	max     int
@@ -40,20 +34,12 @@ type resultCache struct {
 }
 
 type cacheEntry struct {
-	key     uint64
-	version uint64
-	kind    uint8
-	q       []uint32 // private copy of the query
-	// threshold is the containment threshold of a cacheKindContain entry
-	// (part of the key: the same query at two thresholds has two answers);
-	// zero for the similarity kinds, whose threshold is the index lambda.
+	key       uint64
+	version   uint64
+	kind      queryKind
 	threshold float64
-	// cacheKindBest payload.
-	id  int
-	sim float64
-	ok  bool
-	// cacheKindAll / cacheKindContain payload.
-	all []cpindex.Match
+	q         []uint32 // private copy of the query
+	res       Result
 }
 
 func newResultCache(maxEntries int) *resultCache {
@@ -64,61 +50,47 @@ func newResultCache(maxEntries int) *resultCache {
 	}
 }
 
-// cacheKey hashes (version, kind, query) with chained avalanche mixing.
-// Collisions only cost a miss (lookup verifies the stored tuple).
-func cacheKey(version uint64, kind uint8, q []uint32) uint64 {
-	h := tabhash.Mix64(version ^ uint64(kind)<<56 ^ 0x9e3779b97f4a7c15)
+// cacheKey hashes (version, kind, threshold, query) with chained avalanche
+// mixing. Collisions only cost a miss (get verifies the stored tuple).
+func cacheKey(version uint64, p plan, q []uint32) uint64 {
+	h := tabhash.Mix64(version ^ uint64(p.kind)<<56 ^ 0x9e3779b97f4a7c15)
+	h = tabhash.Mix64(h ^ math.Float64bits(p.threshold))
 	for _, w := range q {
 		h = tabhash.Mix64(h ^ uint64(w))
 	}
 	return h ^ uint64(len(q))
 }
 
-// cacheKeyContain is cacheKey with the containment threshold mixed in,
-// so the same query at two thresholds lands on two slots instead of
-// evicting each other.
-func cacheKeyContain(version uint64, q []uint32, t float64) uint64 {
-	h := tabhash.Mix64(version ^ uint64(cacheKindContain)<<56 ^ 0x9e3779b97f4a7c15)
-	h = tabhash.Mix64(h ^ math.Float64bits(t))
-	for _, w := range q {
-		h = tabhash.Mix64(h ^ uint64(w))
+// get returns the verified entry for (version, plan, query), marking it
+// most recently used, and counts the hit or miss.
+func (c *resultCache) get(version uint64, p plan, q []uint32) (Result, bool) {
+	key := cacheKey(version, p, q)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		e := el.Value.(*cacheEntry)
+		if e.version == version && e.kind == p.kind && e.threshold == p.threshold && intset.Equal(e.q, q) {
+			c.ll.MoveToFront(el)
+			c.hits++
+			return e.res, true
+		}
 	}
-	return h ^ uint64(len(q))
+	c.misses++
+	return Result{}, false
 }
 
-// keyFor computes an entry's map key from its stored tuple.
-func (e *cacheEntry) keyFor() uint64 {
-	if e.kind == cacheKindContain {
-		return cacheKeyContain(e.version, e.q, e.threshold)
+// put inserts or replaces the entry for (version, plan, query) — keeping
+// a private copy of the query — and evicts from the LRU tail past
+// capacity.
+func (c *resultCache) put(version uint64, p plan, q []uint32, res Result) {
+	e := &cacheEntry{
+		key:       cacheKey(version, p, q),
+		version:   version,
+		kind:      p.kind,
+		threshold: p.threshold,
+		q:         append([]uint32(nil), q...),
+		res:       res,
 	}
-	return cacheKey(e.version, e.kind, e.q)
-}
-
-// lookupKey finds a verified entry under a precomputed key and marks it
-// most recently used. Caller holds mu.
-func (c *resultCache) lookupKey(key, version uint64, kind uint8, q []uint32, t float64) (*cacheEntry, bool) {
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	if e.version != version || e.kind != kind || e.threshold != t || !intset.Equal(e.q, q) {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return e, true
-}
-
-// lookup finds a verified similarity-kind entry (threshold 0 by
-// construction) and marks it most recently used. Caller holds mu.
-func (c *resultCache) lookup(version uint64, kind uint8, q []uint32) (*cacheEntry, bool) {
-	return c.lookupKey(cacheKey(version, kind, q), version, kind, q, 0)
-}
-
-// put inserts or replaces the entry for its key and evicts from the LRU
-// tail past capacity.
-func (c *resultCache) put(e *cacheEntry) {
-	e.key = e.keyFor()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[e.key]; ok {
@@ -132,72 +104,6 @@ func (c *resultCache) put(e *cacheEntry) {
 		c.ll.Remove(back)
 		delete(c.entries, back.Value.(*cacheEntry).key)
 	}
-}
-
-func (c *resultCache) getBest(version uint64, q []uint32) (id int, sim float64, ok bool, hit bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, found := c.lookup(version, cacheKindBest, q)
-	if !found {
-		c.misses++
-		return 0, 0, false, false
-	}
-	c.hits++
-	return e.id, e.sim, e.ok, true
-}
-
-func (c *resultCache) putBest(version uint64, q []uint32, id int, sim float64, ok bool) {
-	c.put(&cacheEntry{
-		version: version,
-		kind:    cacheKindBest,
-		q:       append([]uint32(nil), q...),
-		id:      id,
-		sim:     sim,
-		ok:      ok,
-	})
-}
-
-func (c *resultCache) getAll(version uint64, q []uint32) ([]cpindex.Match, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, found := c.lookup(version, cacheKindAll, q)
-	if !found {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	return e.all, true
-}
-
-func (c *resultCache) putAll(version uint64, q []uint32, ms []cpindex.Match) {
-	c.put(&cacheEntry{
-		version: version,
-		kind:    cacheKindAll,
-		q:       append([]uint32(nil), q...),
-		all:     ms,
-	})
-}
-
-func (c *resultCache) getContain(version uint64, q []uint32, t float64) ([]cpindex.Match, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, found := c.lookupKey(cacheKeyContain(version, q, t), version, cacheKindContain, q, t)
-	if !found {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	return e.all, true
-}
-
-func (c *resultCache) putContain(version uint64, q []uint32, t float64, ms []cpindex.Match) {
-	c.put(&cacheEntry{
-		version:   version,
-		kind:      cacheKindContain,
-		q:         append([]uint32(nil), q...),
-		threshold: t,
-		all:       ms,
-	})
 }
 
 func (c *resultCache) stats() (entries int, hits, misses uint64) {

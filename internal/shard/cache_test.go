@@ -3,7 +3,6 @@ package shard
 import (
 	"testing"
 
-	"repro/internal/cpindex"
 	"repro/internal/race"
 )
 
@@ -102,57 +101,69 @@ func TestCacheHitMissCounters(t *testing.T) {
 // oldest entry is the one evicted.
 func TestCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2)
+	best := plan{kind: kindBest}
 	q1, q2, q3 := []uint32{1}, []uint32{2}, []uint32{3}
-	c.putBest(1, q1, 10, 0.9, true)
-	c.putBest(1, q2, 20, 0.8, true)
+	found := func(id int, sim float64) Result { return Result{Found: true, Best: Match{ID: id, Sim: sim}} }
+	c.put(1, best, q1, found(10, 0.9))
+	c.put(1, best, q2, found(20, 0.8))
 	if entries, _, _ := c.stats(); entries != 2 {
 		t.Fatalf("entries = %d, want 2", entries)
 	}
 	// Touch q1 so q2 becomes the LRU victim.
-	if _, _, _, hit := c.getBest(1, q1); !hit {
+	if _, hit := c.get(1, best, q1); !hit {
 		t.Fatal("q1 should hit")
 	}
-	c.putBest(1, q3, 30, 0.7, true)
+	c.put(1, best, q3, found(30, 0.7))
 	if entries, _, _ := c.stats(); entries != 2 {
 		t.Fatalf("entries = %d after eviction, want 2", entries)
 	}
-	if _, _, _, hit := c.getBest(1, q2); hit {
+	if _, hit := c.get(1, best, q2); hit {
 		t.Fatal("q2 should have been evicted")
 	}
-	if _, _, _, hit := c.getBest(1, q1); !hit {
+	if _, hit := c.get(1, best, q1); !hit {
 		t.Fatal("q1 should still be cached")
 	}
-	if id, sim, ok, hit := c.getBest(1, q3); !hit || id != 30 || sim != 0.7 || !ok {
-		t.Fatalf("q3 = (%d,%v,%v,%v), want (30,0.7,true,true)", id, sim, ok, hit)
+	if res, hit := c.get(1, best, q3); !hit || res.Best != (Match{ID: 30, Sim: 0.7}) || !res.Found {
+		t.Fatalf("q3 = (%+v,%v), want (30,0.7,true,true)", res, hit)
 	}
-	// Same query, different kind: distinct entries.
-	c.putAll(1, q3, []cpindex.Match{{ID: 30, Sim: 0.7}})
-	if ms, hit := c.getAll(1, q3); !hit || len(ms) != 1 || ms[0].ID != 30 {
-		t.Fatalf("getAll(q3) = %v, %v", ms, hit)
+	// Same query, different kind or threshold: distinct entries.
+	c.put(1, plan{kind: kindAll}, q3, Result{Found: true, Best: Match{ID: -1}, Matches: []Match{{ID: 30, Sim: 0.7}}})
+	if res, hit := c.get(1, plan{kind: kindAll}, q3); !hit || len(res.Matches) != 1 || res.Matches[0].ID != 30 {
+		t.Fatalf("get all(q3) = %+v, %v", res, hit)
 	}
-	if _, _, _, hit := c.getBest(1, q3); !hit {
+	if _, hit := c.get(1, best, q3); !hit {
 		t.Fatal("best entry clobbered by all entry")
+	}
+	if _, hit := c.get(1, plan{kind: kindContain, threshold: 0.5}, q3); hit {
+		t.Fatal("containment lookup hit a similarity entry")
+	}
+	if _, hit := c.get(2, best, q3); hit {
+		t.Fatal("lookup at a newer version hit a stale entry")
 	}
 }
 
-// TestEnableCacheAfterBuild covers the post-Load path cmd/serve uses.
-func TestEnableCacheAfterBuild(t *testing.T) {
+// TestConfigureCacheAfterBuild covers the post-Load path cmd/serve uses.
+func TestConfigureCacheAfterBuild(t *testing.T) {
 	sets, _ := workload(200, 0.8, 321)
 	x := Build(sets, 0.5, &Options{Shards: 2, Seed: 13})
 	if x.Stats().CacheEnabled {
 		t.Fatal("cache on without CacheSize")
 	}
 	before := mustQueryAll(t, x, sets[0])
-	x.EnableCache(16)
+	if err := x.Configure(RuntimeOptions{CacheSize: 16}); err != nil {
+		t.Fatal(err)
+	}
 	if !x.Stats().CacheEnabled {
-		t.Fatal("cache off after EnableCache")
+		t.Fatal("cache off after Configure(CacheSize: 16)")
 	}
 	if !equalMatches(t, mustQueryAll(t, x, sets[0]), before) {
 		t.Fatal("answers changed when cache enabled")
 	}
-	x.EnableCache(0)
+	if err := x.Configure(RuntimeOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	if x.Stats().CacheEnabled {
-		t.Fatal("cache on after EnableCache(0)")
+		t.Fatal("cache on after Configure(CacheSize: 0)")
 	}
 }
 

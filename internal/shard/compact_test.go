@@ -384,11 +384,12 @@ func TestCompactConcurrentServing(t *testing.T) {
 // thresholds triggers a background pass that shrinks the ring without
 // any Compact call, and answers are unchanged.
 func TestAutoCompact(t *testing.T) {
-	opt := exactOptions(1, 30, 79)
-	opt.AutoCompact = true
 	sets, _ := workload(60, 0.8, 405)
 	extra, _ := workload(240, 0.8, 407)
-	x := Build(sets, 0.5, opt)
+	x := Build(sets, 0.5, exactOptions(1, 30, 79))
+	if err := x.Configure(RuntimeOptions{AutoCompact: true}); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < len(extra); i += 30 {
 		end := i + 30
 		if end > len(extra) {

@@ -201,9 +201,8 @@ func TestQueryContainValidation(t *testing.T) {
 	sets, _ := workload(80, 0.8, 421)
 	x := Build(sets, 0.5, &Options{Shards: 2, Seed: 5})
 	for _, bad := range []float64{0, -0.5, 1.0001, 2} {
-		if _, err := x.QueryContain(sets[0], bad); err == nil ||
-			!strings.Contains(err.Error(), "containment threshold") {
-			t.Fatalf("threshold %v: error %v, want containment-threshold rejection", bad, err)
+		if _, err := x.QueryContain(sets[0], bad); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("threshold %v: error %v, want a bad-request rejection", bad, err)
 		}
 	}
 	if ms, err := x.QueryContain(nil, 0.5); err != nil || ms != nil {

@@ -96,60 +96,64 @@ func (s *localShard) structure() (nodes, leaves int) {
 	return r.cold.Structure()
 }
 
-// queryBest and queryAll are the only routes from the ring into a local
-// cpindex: every call counts toward the tier gauge and reports the shard's
-// candidate-pipeline stats, traced or not.
-func (s *localShard) queryBest(q []uint32) (id int, sim float64, ok bool, st cpindex.QueryStats, err error) {
+// query is the only route from the ring into a local shard: every call
+// counts toward the tier gauge and reports the shard's candidate-pipeline
+// stats, traced or not. Ids come back global.
+func (s *localShard) query(p plan, q []uint32) (res Result, st cpindex.QueryStats, err error) {
 	s.hits.Add(1)
-	if r := s.res.Load(); r.hot != nil {
-		id, sim, ok, st = r.hot.QueryWithStats(q)
-	} else {
-		id, sim, ok, st, err = r.cold.QueryWithStats(q)
+	res = noMatch
+	r := s.res.Load()
+	switch p.kind {
+	case kindBest:
+		var id int
+		if r.hot != nil {
+			id, res.Best.Sim, res.Found, st = r.hot.QueryWithStats(q)
+		} else {
+			id, res.Best.Sim, res.Found, st, err = r.cold.QueryWithStats(q)
+		}
+		if err != nil || !res.Found {
+			return noMatch, st, err
+		}
+		res.Best.ID = s.ids[id]
+	case kindAll:
+		if r.hot != nil {
+			res.Matches, st = r.hot.AppendAllWithStats(nil, q)
+		} else if res.Matches, st, err = r.cold.AppendAllWithStats(nil, q); err != nil {
+			return noMatch, st, err
+		}
+		for i := range res.Matches {
+			res.Matches[i].ID = s.ids[res.Matches[i].ID]
+		}
+	case kindContain:
+		c, err := s.containSide(p.sign)
+		if err != nil {
+			return noMatch, st, err
+		}
+		cands := c.ix.Query(q, p.threshold)
+		st.Candidates, st.Verified = uint64(len(cands)), uint64(len(cands))
+		for _, lid := range cands {
+			if sim, ok := intset.ContainmentAtLeast(q, c.sets[lid], p.threshold); ok {
+				res.Matches = append(res.Matches, Match{ID: s.ids[lid], Sim: sim})
+			}
+		}
 	}
-	if err != nil || !ok {
-		return -1, 0, false, st, err
-	}
-	return s.ids[id], sim, true, st, nil
+	res.Found = res.Found || len(res.Matches) > 0
+	return res, st, nil
 }
 
-func (s *localShard) queryAll(q []uint32) (ms []cpindex.Match, st cpindex.QueryStats, err error) {
-	s.hits.Add(1)
-	if r := s.res.Load(); r.hot != nil {
-		ms, st = r.hot.AppendAllWithStats(nil, q)
-	} else if ms, st, err = r.cold.AppendAllWithStats(nil, q); err != nil {
-		return nil, st, err
-	}
-	for i := range ms {
-		ms[i].ID = s.ids[ms[i].ID]
-	}
-	return ms, st, nil
-}
-
-func (s *localShard) queryBatch(qs [][]uint32) ([][]cpindex.Match, error) {
-	out := make([][]cpindex.Match, len(qs))
+// queryBatch answers every query of a batch with all its matches: what a
+// peer serves a coordinator's batch RPC from, and a remote shard's retained
+// local copy when every replica is down.
+func (s *localShard) queryBatch(qs [][]uint32) ([][]Match, error) {
+	out := make([][]Match, len(qs))
 	for i, q := range qs {
-		ms, _, err := s.queryAll(q)
+		res, _, err := s.query(plan{kind: kindAll}, q)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = ms
+		out[i] = res.Matches
 	}
 	return out, nil
-}
-
-func (s *localShard) queryContain(q []uint32, t float64, opts contain.Options) ([]cpindex.Match, error) {
-	s.hits.Add(1)
-	c, err := s.containSide(opts)
-	if err != nil {
-		return nil, err
-	}
-	var ms []cpindex.Match
-	for _, lid := range c.ix.Query(q, t) {
-		if sim, ok := intset.ContainmentAtLeast(q, c.sets[lid], t); ok {
-			ms = append(ms, cpindex.Match{ID: s.ids[lid], Sim: sim})
-		}
-	}
-	return ms, nil
 }
 
 // heapSets returns the shard's collection on the heap: the hot view's own

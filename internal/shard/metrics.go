@@ -22,12 +22,11 @@ import (
 type indexMetrics struct {
 	reg *metrics.Registry
 
-	queryBest    *metrics.Histogram // cps_query_seconds{op="query"}
-	queryAll     *metrics.Histogram // cps_query_seconds{op="query_all"}
-	queryBatch   *metrics.Histogram // cps_query_seconds{op="query_batch"}
-	queryContain *metrics.Histogram // cps_query_seconds{op="contain"}
-	addLat       *metrics.Histogram // cps_mutation_seconds{op="add"}
-	deleteLat    *metrics.Histogram // cps_mutation_seconds{op="delete"}
+	// queryLat is cps_query_seconds by query kind: op="query", "query_all",
+	// "contain" and "query_batch".
+	queryLat  [numKinds]*metrics.Histogram
+	addLat    *metrics.Histogram // cps_mutation_seconds{op="add"}
+	deleteLat *metrics.Histogram // cps_mutation_seconds{op="delete"}
 
 	queryErrors *metrics.Counter
 	slowQueries *metrics.Counter
@@ -114,14 +113,10 @@ func newIndexMetrics(x *Index) *indexMetrics {
 		reg:   reg,
 		peers: make(map[string]*peerMetrics),
 
-		queryBest:    reg.Histogram("cps_query_seconds", "serving-path query latency by operation", "op", "query"),
-		queryAll:     reg.Histogram("cps_query_seconds", "serving-path query latency by operation", "op", "query_all"),
-		queryBatch:   reg.Histogram("cps_query_seconds", "serving-path query latency by operation", "op", "query_batch"),
-		queryContain: reg.Histogram("cps_query_seconds", "serving-path query latency by operation", "op", "contain"),
-		addLat:       reg.Histogram("cps_mutation_seconds", "mutation latency by operation (add includes any seal it triggers)", "op", "add"),
-		deleteLat:    reg.Histogram("cps_mutation_seconds", "mutation latency by operation (add includes any seal it triggers)", "op", "delete"),
+		addLat:    reg.Histogram("cps_mutation_seconds", "mutation latency by operation (add includes any seal it triggers)", "op", "add"),
+		deleteLat: reg.Histogram("cps_mutation_seconds", "mutation latency by operation (add includes any seal it triggers)", "op", "delete"),
 
-		queryErrors: reg.Counter("cps_query_errors_total", "queries failed on a dead remote topology"),
+		queryErrors: reg.Counter("cps_query_errors_total", "queries failed on a dead remote topology or a corrupt cold shard"),
 		slowQueries: reg.Counter("cps_slow_queries_total", "queries over the configured slow-query threshold"),
 
 		compactLat:       reg.Histogram("cps_compaction_seconds", "duration of completed compaction passes"),
@@ -137,6 +132,10 @@ func newIndexMetrics(x *Index) *indexMetrics {
 
 		tierPromotions: reg.Counter("cps_tier_promotions_total", "cold shards promoted to the hot (heap) tier"),
 		tierDemotions:  reg.Counter("cps_tier_demotions_total", "hot shards demoted to the mapped cold tier"),
+	}
+
+	for kind, op := range [numKinds]string{kindBest: "query", kindAll: "query_all", kindContain: "contain", kindBatch: "query_batch"} {
+		m.queryLat[kind] = reg.Histogram("cps_query_seconds", "serving-path query latency by operation", "op", op)
 	}
 
 	// Candidate pipeline: generated by tree traversal, exact-verified, and

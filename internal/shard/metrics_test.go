@@ -27,7 +27,7 @@ var expositionLine = regexp.MustCompile(
 // every line parses as exposition format.
 func scrapeMetrics(t *testing.T, baseURL string) string {
 	t.Helper()
-	resp, err := http.Get(baseURL + "/metrics")
+	resp, err := http.Get(baseURL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,24 +58,24 @@ func scrapeMetrics(t *testing.T, baseURL string) string {
 func TestMetricsExposition(t *testing.T) {
 	sets, _ := workload(300, 0.8, 901)
 	ix := Build(sets, 0.5, exactOptions(2, 40, 93))
-	ix.EnableCache(16)
+	ix.Configure(RuntimeOptions{CacheSize: 16})
 	ts := httptest.NewServer(NewServer(ix))
 	t.Cleanup(ts.Close)
 
-	post(t, ts.URL+"/query", queryRequest{Set: sets[1]}, nil)
-	post(t, ts.URL+"/query", queryRequest{Set: sets[1], All: true}, nil)
-	post(t, ts.URL+"/query_batch", batchRequest{Sets: sets[:5]}, nil)
+	post(t, ts.URL+"/v1/query", Request{Set: sets[1]}, nil)
+	post(t, ts.URL+"/v1/query", Request{Set: sets[1], All: true}, nil)
+	post(t, ts.URL+"/v1/query_batch", batchRequest{Sets: sets[:5]}, nil)
 	extra, _ := workload(90, 0.8, 95)
 	var added []int
 	for i := 0; i < len(extra); i += 40 {
 		end := min(i+40, len(extra))
 		var ar addResponse
-		post(t, ts.URL+"/add", batchRequest{Sets: extra[i:end]}, &ar)
+		post(t, ts.URL+"/v1/add", batchRequest{Sets: extra[i:end]}, &ar)
 		added = append(added, ar.IDs...)
 	}
 	// Delete sealed appends: their tombstones are what compaction reclaims.
-	post(t, ts.URL+"/delete", deleteRequest{IDs: added[:3]}, nil)
-	post(t, ts.URL+"/compact", struct{}{}, nil)
+	post(t, ts.URL+"/v1/delete", deleteRequest{IDs: added[:3]}, nil)
+	post(t, ts.URL+"/v1/compact", struct{}{}, nil)
 
 	text := scrapeMetrics(t, ts.URL)
 	for _, want := range []string{
@@ -174,7 +174,7 @@ func TestMetricsCounterDeltas(t *testing.T) {
 	}
 
 	mustQuery(t, x, sets[3])
-	if got := m.queryBest.Count(); got != 1 {
+	if got := m.queryLat[kindBest].Count(); got != 1 {
 		t.Errorf("query histogram count = %d, want 1", got)
 	}
 	if c, v := m.cand.Candidates.Load(), m.cand.Verified.Load(); c == 0 || v == 0 {
@@ -182,11 +182,11 @@ func TestMetricsCounterDeltas(t *testing.T) {
 	}
 
 	mustQueryAll(t, x, sets[3])
-	if got := m.queryAll.Count(); got != 1 {
+	if got := m.queryLat[kindAll].Count(); got != 1 {
 		t.Errorf("query_all histogram count = %d, want 1", got)
 	}
 	mustQueryBatch(t, x, sets[:4])
-	if got := m.queryBatch.Count(); got != 1 {
+	if got := m.queryLat[kindBatch].Count(); got != 1 {
 		t.Errorf("query_batch histogram count = %d, want 1 (one batch, not one per query)", got)
 	}
 
@@ -249,7 +249,7 @@ func TestQueryMetricsAllocs(t *testing.T) {
 	if x.metrics.cand.Candidates.Load() == before {
 		t.Error("candidate counter did not advance during the alloc gate")
 	}
-	if x.metrics.queryBest.Count() == 0 {
+	if x.metrics.queryLat[kindBest].Count() == 0 {
 		t.Error("query histogram did not advance during the alloc gate")
 	}
 }
@@ -259,7 +259,7 @@ func TestQueryMetricsAllocs(t *testing.T) {
 // as JSON body.
 func TestHealthEndpoints(t *testing.T) {
 	ts, _ := newTestServer(t)
-	for _, path := range []string{"/healthz", "/readyz"} {
+	for _, path := range []string{"/v1/healthz", "/v1/readyz"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -291,7 +291,7 @@ func TestReadyzPeerDeath(t *testing.T) {
 
 	readyz := func() (int, HealthStatus) {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/readyz")
+		resp, err := http.Get(ts.URL + "/v1/readyz")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func TestReadyzPeerDeath(t *testing.T) {
 	}
 
 	// Liveness is unaffected, and the query error is on the counters.
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestServerDebugTrace(t *testing.T) {
 	ts, sets := newTestServer(t)
 
 	var qr queryResponse
-	post(t, ts.URL+"/query", queryRequest{Set: sets[7], All: true, Debug: true}, &qr)
+	post(t, ts.URL+"/v1/query", queryRequest{Request: Request{Set: sets[7], All: true}, Debug: true}, &qr)
 	if !qr.Found || qr.Trace == nil {
 		t.Fatalf("debug query response %+v", qr)
 	}
@@ -413,10 +413,18 @@ func TestServerDebugTrace(t *testing.T) {
 		t.Errorf("trace shape wrong: %+v", tr.Shards)
 	}
 
+	// Containment queries run the same pipeline, so "debug" traces them too.
+	var cr queryResponse
+	post(t, ts.URL+"/v1/query", queryRequest{
+		Request: Request{Set: sets[7], Mode: ModeContainment, Threshold: 0.8}, Debug: true}, &cr)
+	if !cr.Found || cr.Trace == nil || cr.Trace.TotalNs <= 0 || len(cr.Trace.Shards) != 4 || cr.Trace.Candidates == 0 {
+		t.Fatalf("containment debug response %+v trace %+v", cr, cr.Trace)
+	}
+
 	// The answer must be the normal answer: same matches as an untraced
 	// request, and no trace key on the wire without debug.
-	b, _ := json.Marshal(queryRequest{Set: sets[7], All: true})
-	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(b))
+	b, _ := json.Marshal(Request{Set: sets[7], All: true})
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,13 +450,13 @@ func TestServerDebugTrace(t *testing.T) {
 func TestDebugTraceCacheHit(t *testing.T) {
 	sets, _ := workload(300, 0.8, 931)
 	ix := Build(sets, 0.5, &Options{Shards: 2, Seed: 19, Workers: 2})
-	ix.EnableCache(8)
+	ix.Configure(RuntimeOptions{CacheSize: 8})
 	ts := httptest.NewServer(NewServer(ix))
 	t.Cleanup(ts.Close)
 
 	var first, second queryResponse
-	post(t, ts.URL+"/query", queryRequest{Set: sets[2], Debug: true}, &first)
-	post(t, ts.URL+"/query", queryRequest{Set: sets[2], Debug: true}, &second)
+	post(t, ts.URL+"/v1/query", queryRequest{Request: Request{Set: sets[2]}, Debug: true}, &first)
+	post(t, ts.URL+"/v1/query", queryRequest{Request: Request{Set: sets[2]}, Debug: true}, &second)
 	if first.Trace == nil || first.Trace.CacheHit {
 		t.Fatalf("first trace %+v, want an uncached miss", first.Trace)
 	}
@@ -478,7 +486,7 @@ func TestSlowQueryLog(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	var qr queryResponse
-	post(t, ts.URL+"/query", queryRequest{Set: sets[5]}, &qr)
+	post(t, ts.URL+"/v1/query", Request{Set: sets[5]}, &qr)
 	if !qr.Found {
 		t.Fatalf("query response %+v", qr)
 	}
@@ -495,13 +503,22 @@ func TestSlowQueryLog(t *testing.T) {
 	if qr.Trace != nil {
 		t.Error("slow-query tracing leaked the trace into a non-debug response")
 	}
+	// Containment queries reach the slow-query log like any other.
+	buf.Reset()
+	post(t, ts.URL+"/v1/query", Request{Set: sets[5], Mode: ModeContainment, Threshold: 0.8}, &qr)
+	if line := buf.String(); !qr.Found || !strings.Contains(line, "slow query") || !strings.Contains(line, "mode=containment") {
+		t.Errorf("containment query %+v logged: %s", qr, line)
+	}
+	if got := ix.metrics.slowQueries.Value(); got != 2 {
+		t.Errorf("slow query counter = %d after the containment query, want 2", got)
+	}
 
 	// A server without the threshold logs nothing for the same traffic.
 	var quiet bytes.Buffer
 	srv2 := NewServerOpts(ix, &ServerOptions{Logger: slog.New(slog.NewTextHandler(&quiet, nil))})
 	ts2 := httptest.NewServer(srv2)
 	t.Cleanup(ts2.Close)
-	post(t, ts2.URL+"/query", queryRequest{Set: sets[5]}, nil)
+	post(t, ts2.URL+"/v1/query", Request{Set: sets[5]}, nil)
 	if quiet.Len() != 0 {
 		t.Errorf("unconfigured server logged: %s", quiet.String())
 	}
@@ -514,7 +531,7 @@ func TestDisableMetrics(t *testing.T) {
 	ix := Build(sets, 0.5, &Options{Shards: 2, Seed: 29, Workers: 2})
 	ts := httptest.NewServer(NewServerOpts(ix, &ServerOptions{DisableMetrics: true}))
 	t.Cleanup(ts.Close)
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +540,7 @@ func TestDisableMetrics(t *testing.T) {
 		t.Errorf("/metrics status %d with metrics disabled, want 404", resp.StatusCode)
 	}
 	var qr queryResponse
-	post(t, ts.URL+"/query", queryRequest{Set: sets[0]}, &qr)
+	post(t, ts.URL+"/v1/query", Request{Set: sets[0]}, &qr)
 	if !qr.Found {
 		t.Errorf("query on a metrics-disabled server: %+v", qr)
 	}

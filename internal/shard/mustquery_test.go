@@ -6,10 +6,8 @@ import (
 	"repro/internal/cpindex"
 )
 
-// Test-side query helpers: every test query routes through the primary
-// error-returning API, with a topology error failing the test. They keep
-// the compact three-value call shape the tests are written against now
-// that the panicking wrappers are deprecated.
+// Test-side query helpers: the one-line forms of the query pipeline with a
+// serving error failing the test, so call sites keep a compact shape.
 
 func mustQuery(t testing.TB, x *Index, q []uint32) (int, float64, bool) {
 	t.Helper()

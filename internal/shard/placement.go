@@ -497,13 +497,13 @@ func (c *placementController) probePeers() {
 // endpoint. Any 200 counts — the probe asks "is the process serving",
 // not "is its own ring ready".
 func probePeer(client *http.Client, base string) error {
-	resp, err := client.Get(base + "/healthz")
+	resp, err := client.Get(base + "/v1/healthz")
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s/healthz: %s: %s", base, resp.Status, readErrBody(resp.Body))
+		return fmt.Errorf("%s/v1/healthz: %s: %s", base, resp.Status, readErrBody(resp.Body))
 	}
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
 	return nil

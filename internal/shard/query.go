@@ -1,0 +1,568 @@
+package shard
+
+import (
+	"errors"
+	"fmt"
+	"sort"
+	"time"
+
+	"repro/internal/contain"
+	"repro/internal/cpindex"
+	"repro/internal/exec"
+	"repro/internal/intset"
+)
+
+// The query pipeline. Every query — best match, all matches, containment,
+// single or batched, traced or not — takes the same six steps:
+//
+//	plan     newPlan: the one place mode and threshold are validated
+//	time     query / QueryBatchErr: latency histogram by kind, error counter, trace total
+//	lookup   cacheAt.lookup / put: the empty-query rule and the result cache
+//	fan out  fan / askRemotes: one snapshot, one remote/local split; peers in parallel
+//	merge    fan.merge: tombstone filter, exact buffer scan, canonical order
+//	rank     Search: threshold narrowing and limit ranking over the merged answer
+//
+// A batch is the same pipeline with each peer asked once for the whole
+// batch instead of once per query.
+
+// Mode selects the semantics of a Request: what "match" means and what
+// the threshold is measured against.
+type Mode string
+
+const (
+	// ModeSimilarity matches indexed sets by Jaccard similarity
+	// J(q, x) = |q ∩ x| / |q ∪ x| — the CPSJoin workload the index is
+	// built for. The index's build threshold λ is the floor; a request
+	// threshold may narrow results further but never below λ.
+	ModeSimilarity Mode = "similarity"
+	// ModeContainment matches indexed sets by Jaccard containment
+	// C(q, x) = |q ∩ x| / |q| — "find indexed sets that contain most of
+	// my query", the domain-discovery workload of LSH Ensemble (Zhu et
+	// al., VLDB 2016). The threshold is per query, anywhere in (0,1].
+	ModeContainment Mode = "containment"
+)
+
+// Match is one search result: the global id of an indexed set and its
+// exact score (Jaccard similarity or containment, by mode).
+type Match = cpindex.Match
+
+// Request is one search request — the single request shape of the index,
+// and the JSON body of /v1/query.
+type Request struct {
+	// Set is the query set; it is normalized (sorted, deduplicated) in
+	// place on entry, so callers may pass raw token ids.
+	Set []uint32 `json:"set"`
+	// Mode selects the search semantics; the zero value means
+	// ModeSimilarity.
+	Mode Mode `json:"mode,omitempty"`
+	// Threshold is the match floor. In similarity mode, zero means the
+	// index's build threshold λ, and explicit values must lie in [λ, 1] —
+	// the index cannot see below the threshold it was built for. In
+	// containment mode it is required, in (0,1].
+	Threshold float64 `json:"threshold,omitempty"`
+	// All requests every match instead of the single best one.
+	// Containment queries always return every match, so All is implied
+	// there.
+	All bool `json:"all"`
+	// Limit, when positive, re-ranks the matches by score (ties broken
+	// toward the lower id) and keeps the top Limit. Zero keeps every
+	// match in canonical ascending-id order.
+	Limit int `json:"limit,omitempty"`
+}
+
+// Result is a Search answer. Found reports whether anything matched.
+// Best is the single best match of a best-of similarity query (All
+// false); its ID is -1 when it does not apply. Matches carries the match
+// list of All similarity queries and of every containment query; it may
+// alias a result-cache entry and must be treated as read-only.
+type Result struct {
+	Found   bool
+	Best    Match
+	Matches []Match
+}
+
+// noMatch is the answer to a query nothing matches — and to the empty
+// query, which no shard is asked about.
+var noMatch = Result{Best: Match{ID: -1}}
+
+// ErrBadRequest marks a Search error caused by the request itself (unknown
+// mode, threshold out of range); every other error is a serving failure —
+// a dead distributed topology or a corrupt cold shard.
+var ErrBadRequest = errors.New("shard: bad request")
+
+// queryKind is what a plan computes per shard.
+type queryKind uint8
+
+const (
+	kindBest    queryKind = iota // the single best match over λ
+	kindAll                      // every match over λ
+	kindContain                  // every set containing the query at plan.threshold
+	// kindBatch is QueryBatchErr's latency-histogram slot: a batch answers
+	// kindAll per query and is timed as one operation.
+	kindBatch
+	numKinds
+)
+
+// plan is a validated query: what every shard is asked.
+type plan struct {
+	kind queryKind
+	// threshold is the containment threshold of a kindContain plan; zero
+	// for the similarity kinds, whose threshold is the index λ. Part of the
+	// result cache's key.
+	threshold float64
+	// sign are the index-wide containment options, threaded through so a
+	// shard whose containment side is not built yet signs with the right
+	// global seed.
+	sign contain.Options
+}
+
+// newPlan is the repository's one mode and threshold validation: Search
+// and the peer-side shard RPC both plan through it. lambda is the floor a
+// similarity threshold may not go below.
+func newPlan(mode Mode, all bool, threshold, lambda float64) (plan, error) {
+	switch mode {
+	case "", ModeSimilarity:
+		if threshold != 0 && (threshold < lambda || threshold > 1) {
+			return plan{}, fmt.Errorf(
+				"%w: similarity threshold %v outside [%v, 1] — the index only sees matches at its build threshold λ=%v or above",
+				ErrBadRequest, threshold, lambda, lambda)
+		}
+		if all {
+			return plan{kind: kindAll}, nil
+		}
+		return plan{kind: kindBest}, nil
+	case ModeContainment:
+		if threshold <= 0 || threshold > 1 {
+			return plan{}, fmt.Errorf("%w: containment mode needs a threshold in (0,1], got %v",
+				ErrBadRequest, threshold)
+		}
+		return plan{kind: kindContain, threshold: threshold}, nil
+	default:
+		return plan{}, fmt.Errorf("%w: unknown query mode %q (want %q or %q)",
+			ErrBadRequest, mode, ModeSimilarity, ModeContainment)
+	}
+}
+
+// Search is the index's one query entry point: one request shape, one
+// error-returning path, both workloads. A non-nil tr is filled with the
+// per-shard breakdown of the answer actually returned.
+//
+// Similarity queries return the best match — highest similarity, ties to
+// the lower id — or every match with All. Containment queries return
+// every indexed set y whose containment of the query C(q, y) = |q ∩ y| /
+// |q| reaches the threshold: candidates come from each shard's LSH
+// Ensemble structure (recall ≈ the contain package's TargetProb per true
+// match) and every candidate is exact-verified, so precision is 1.0.
+// Tombstoned ids are never returned, and buffered appends are scanned
+// exactly. Every mode is deterministic: answers are byte-identical across
+// shard counts, partition schemes, worker counts, storage tiers and
+// distributed topologies.
+//
+// Errors wrapping ErrBadRequest report an invalid request; any other
+// error is a serving failure — a remote-backed shard with no live replica
+// and no local copy, or a corrupt cold shard — returned instead of a
+// silently partial merge.
+func (x *Index) Search(req Request, tr *QueryTrace) (Result, error) {
+	p, err := newPlan(req.Mode, req.All, req.Threshold, x.lambda)
+	if err != nil {
+		return noMatch, err
+	}
+	if p.kind == kindContain {
+		p.sign = x.containOptions()
+	}
+	res, err := x.query(p, intset.Normalize(req.Set), tr)
+	if err != nil {
+		return noMatch, err
+	}
+	if floor := req.Threshold; p.kind != kindContain && floor > x.lambda {
+		res = narrow(res, floor)
+	}
+	res.Matches = rankLimit(res.Matches, req.Limit)
+	return res, nil
+}
+
+// narrow drops what scores below floor. It builds a fresh match list: the
+// input may be a live cache entry.
+func narrow(res Result, floor float64) Result {
+	out := noMatch
+	if res.Found && res.Best.ID >= 0 && res.Best.Sim >= floor {
+		out.Best, out.Found = res.Best, true
+	}
+	for _, m := range res.Matches {
+		if m.Sim >= floor {
+			out.Matches = append(out.Matches, m)
+			out.Found = true
+		}
+	}
+	return out
+}
+
+// rankLimit applies Request.Limit: re-rank by score descending (ties by
+// ascending id) and keep the top n. It sorts a copy — the input may be a
+// live cache entry. A non-positive limit returns the input untouched, in
+// its canonical id order.
+func rankLimit(ms []Match, limit int) []Match {
+	if limit <= 0 || ms == nil {
+		return ms
+	}
+	ranked := append([]Match(nil), ms...)
+	sort.SliceStable(ranked, func(i, j int) bool {
+		if ranked[i].Sim != ranked[j].Sim {
+			return ranked[i].Sim > ranked[j].Sim
+		}
+		return ranked[i].ID < ranked[j].ID
+	})
+	if len(ranked) > limit {
+		ranked = ranked[:limit]
+	}
+	return ranked
+}
+
+// QueryErr is the best-match form of the pipeline for an already
+// normalized query: the global id of an indexed set with J(q, result) >= λ
+// and its exact similarity, or ok = false if no shard finds one. On an
+// all-local ring with the cache off it allocates nothing.
+func (x *Index) QueryErr(q []uint32) (id int, sim float64, ok bool, err error) {
+	res, err := x.query(plan{kind: kindBest}, q, nil)
+	return res.Best.ID, res.Best.Sim, res.Found, err
+}
+
+// QueryAllErr is the all-matches form of the pipeline for an already
+// normalized query: every match across the ring and the buffers, sorted by
+// global id. The slice may alias a cache entry: read-only.
+func (x *Index) QueryAllErr(q []uint32) ([]Match, error) {
+	res, err := x.query(plan{kind: kindAll}, q, nil)
+	return res.Matches, err
+}
+
+// QueryContain is the containment form of Search: every indexed set y with
+// C(q, y) >= t, scored exactly and sorted by global id.
+func (x *Index) QueryContain(q []uint32, t float64) ([]Match, error) {
+	res, err := x.Search(Request{Set: q, Mode: ModeContainment, Threshold: t}, nil)
+	return res.Matches, err
+}
+
+// query is the pipeline's timed stage for one query.
+func (x *Index) query(p plan, q []uint32, tr *QueryTrace) (Result, error) {
+	start := time.Now()
+	res, err := x.queryCached(p, q, tr)
+	x.observe(p.kind, start, err, tr)
+	return res, err
+}
+
+// observe closes a timed stage: the kind's latency histogram, the error
+// counter and the trace total. Plain atomic updates — the hot path stays
+// free of closures and allocations.
+func (x *Index) observe(kind queryKind, start time.Time, err error, tr *QueryTrace) {
+	if m := x.metrics; m != nil {
+		m.queryLat[kind].Observe(time.Since(start))
+		if err != nil {
+			m.queryErrors.Inc()
+		}
+	}
+	if tr != nil {
+		tr.TotalNs = time.Since(start).Nanoseconds()
+	}
+}
+
+// cacheAt is the result cache as one query or one batch sees it: the
+// installed cache (nil when disabled) and the version its entries are
+// keyed on. The version is read before the state snapshot, so an answer
+// computed afterwards reflects a state at least as new as the key claims;
+// a concurrent mutation bumps the version and orphans the entry rather
+// than letting it serve stale.
+type cacheAt struct {
+	c *resultCache
+	v uint64
+}
+
+func (x *Index) cacheNow() cacheAt {
+	c := x.cache.Load()
+	if c == nil {
+		return cacheAt{}
+	}
+	return cacheAt{c: c, v: x.version.Load()}
+}
+
+// lookup answers q without consulting any shard when it can: the empty
+// query matches nothing — it is never fanned out and never cached — and a
+// cached answer is the answer the shards would give.
+func (at cacheAt) lookup(p plan, q []uint32, tr *QueryTrace) (Result, bool) {
+	if len(q) == 0 {
+		return noMatch, true
+	}
+	if at.c == nil {
+		return noMatch, false
+	}
+	res, hit := at.c.get(at.v, p, q)
+	if hit && tr != nil {
+		tr.CacheHit = true
+	}
+	return res, hit
+}
+
+func (at cacheAt) put(p plan, q []uint32, res Result) {
+	if at.c != nil {
+		at.c.put(at.v, p, q, res)
+	}
+}
+
+func (x *Index) queryCached(p plan, q []uint32, tr *QueryTrace) (Result, error) {
+	at := x.cacheNow()
+	if res, done := at.lookup(p, q, tr); done {
+		return res, nil
+	}
+	f := x.fan(p)
+	var pre []reply[Result]
+	if len(f.remote) > 0 {
+		var err error
+		if pre, err = askRemotes(f, func(sh shardBackend) (Result, error) {
+			res, _, err := sh.query(p, q)
+			return res, err
+		}); err != nil {
+			return noMatch, err
+		}
+	}
+	res, err := f.merge(q, pre, tr)
+	if err != nil {
+		return noMatch, err
+	}
+	at.put(p, q, res)
+	return res, nil
+}
+
+// QueryBatchErr answers many normalized queries at once against one
+// read-only snapshot of the ring: results[i] is QueryAllErr(qs[i]) against
+// that snapshot, for any worker count. Queries the cache answers are
+// filled from it; the rest go through the fan-out together, so each
+// remote-backed shard sees one RPC for the whole miss set — a batch costs
+// O(remote shards) round trips, not O(queries × shards) — while local
+// shards are answered per query, in parallel across queries on the
+// execution layer. Any unanswerable shard fails the whole batch with its
+// error: a batch never silently merges partial topology.
+func (x *Index) QueryBatchErr(qs [][]uint32) ([][]Match, error) {
+	start := time.Now()
+	out, err := x.queryBatchCached(plan{kind: kindAll}, qs)
+	x.observe(kindBatch, start, err, nil)
+	return out, err
+}
+
+func (x *Index) queryBatchCached(p plan, qs [][]uint32) ([][]Match, error) {
+	at := x.cacheNow()
+	out := make([][]Match, len(qs))
+	missIdx := make([]int, 0, len(qs))
+	miss := make([][]uint32, 0, len(qs))
+	for i, q := range qs {
+		if res, done := at.lookup(p, q, nil); done {
+			out[i] = res.Matches
+		} else {
+			missIdx = append(missIdx, i)
+			miss = append(miss, q)
+		}
+	}
+	if len(miss) == 0 {
+		return out, nil
+	}
+	f := x.fan(p)
+	var pre []reply[[][]Match]
+	if len(f.remote) > 0 {
+		var err error
+		if pre, err = askRemotes(f, func(sh shardBackend) ([][]Match, error) {
+			return sh.queryBatch(miss)
+		}); err != nil {
+			return nil, err
+		}
+	}
+	res := make([]Result, len(miss))
+	errs := make([]error, len(miss))
+	exec.RunItems(exec.EffectiveWorkers(f.workers), len(miss), func(j int) {
+		var mine []reply[Result]
+		if pre != nil {
+			mine = make([]reply[Result], len(pre))
+			for _, i := range f.remote {
+				mine[i] = reply[Result]{v: Result{Matches: pre[i].v[j]}, ok: true}
+			}
+		}
+		// Remote errors were collected above; what can still fail here is a
+		// cold local shard with a corrupt container.
+		res[j], errs[j] = f.merge(miss[j], mine, nil)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	// Stored in query order, not completion order: the cache's LRU state
+	// stays deterministic for any worker count.
+	for j, i := range missIdx {
+		out[i] = res[j].Matches
+		at.put(p, miss[j], res[j])
+	}
+	return out, nil
+}
+
+// fan is one fan-out over the ring: the plan, one snapshot of the index
+// state, and the snapshot's remote/local split.
+type fan struct {
+	p       plan
+	lambda  float64
+	workers int // the Workers option, resolved only where tasks are spawned
+
+	shards  []shardBackend
+	sealing []*sideBuffer
+	side    sideBuffer
+	tombs   map[int]struct{}
+	// remote lists the ring positions backed by peers; nil on an all-local
+	// ring, where a fan-out allocates nothing.
+	remote []int
+}
+
+func (x *Index) fan(p plan) fan {
+	f := fan{p: p, lambda: x.lambda, workers: x.opt.Workers}
+	f.shards, f.sealing, f.side, f.tombs = x.snapshot()
+	for i, sh := range f.shards {
+		if _, ok := sh.(*remoteShard); ok {
+			f.remote = append(f.remote, i)
+		}
+	}
+	return f
+}
+
+// reply is one remote shard's prefetched answer; ok marks the ring
+// positions that have one.
+type reply[T any] struct {
+	v  T
+	ns int64 // RPC wall time, for traces
+	ok bool
+}
+
+// askRemotes asks every remote-backed shard concurrently — a query's
+// latency is bounded by the slowest peer round trip, not their sum — and
+// returns the replies by ring position, or the first error in ring order.
+// Local shards are answered inline by merge: no I/O to overlap. f is taken
+// by value so that the caller's fan never escapes.
+func askRemotes[T any](f fan, ask func(shardBackend) (T, error)) ([]reply[T], error) {
+	pre := make([]reply[T], len(f.shards))
+	errs := make([]error, len(f.remote))
+	exec.RunItems(exec.EffectiveWorkers(f.workers), len(f.remote), func(j int) {
+		r := &pre[f.remote[j]]
+		start := time.Now()
+		r.v, errs[j] = ask(f.shards[f.remote[j]])
+		r.ns, r.ok = time.Since(start).Nanoseconds(), true
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return pre, nil
+}
+
+// merge is the per-query merge: every shard's answer in ring order (pre
+// holds the remote ones, locals are asked here), tombstones filtered, the
+// buffers scanned exactly, and one canonical order — the best match under
+// (score desc, id asc), match lists ascending by global id. Shards are
+// disjoint and ids unique, so the answer is independent of which path a
+// shard's matches arrived by. A non-nil tr records per-shard timing and
+// the candidate counts every backend call returns anyway; the calls, the
+// merge and its answer are identical either way.
+func (f *fan) merge(q []uint32, pre []reply[Result], tr *QueryTrace) (Result, error) {
+	out := noMatch
+	for i, sh := range f.shards {
+		var res Result
+		var st cpindex.QueryStats
+		var err error
+		var ns int64
+		var t0 time.Time
+		if pre != nil && pre[i].ok {
+			res, ns = pre[i].v, pre[i].ns
+		} else {
+			if tr != nil {
+				t0 = time.Now()
+			}
+			res, st, err = sh.query(f.p, q)
+		}
+		if err != nil {
+			return noMatch, err
+		}
+		matched := len(res.Matches)
+		if f.p.kind == kindBest && res.Found {
+			matched = 1
+			if _, dead := f.tombs[res.Best.ID]; dead {
+				// Rare path — the shard's chosen match was deleted — so the
+				// shard is rescanned for its best live match with a plain
+				// serial call: a delete hides exactly one set instead of
+				// masking its neighbors.
+				if res, _, err = sh.query(plan{kind: kindAll}, q); err != nil {
+					return noMatch, err
+				}
+			} else {
+				f.keep(&out, res.Best)
+			}
+		}
+		for _, m := range res.Matches {
+			if _, dead := f.tombs[m.ID]; !dead {
+				f.keep(&out, m)
+			}
+		}
+		if tr != nil {
+			if !t0.IsZero() {
+				ns = time.Since(t0).Nanoseconds()
+			}
+			name, kind := sh.traceName(i)
+			tr.add(ShardTrace{Shard: name, Kind: kind, Ns: ns, Matches: matched,
+				Candidates: st.Candidates, Verified: st.Verified})
+		}
+	}
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
+	scanned := 0
+	for _, b := range f.sealing {
+		scanned += f.scan(&out, *b, q)
+	}
+	scanned += f.scan(&out, f.side, q)
+	if tr != nil {
+		tr.add(ShardTrace{Shard: "buffer", Kind: "buffer", Ns: time.Since(t0).Nanoseconds(),
+			Candidates: uint64(scanned), Verified: uint64(scanned)})
+	}
+	if f.p.kind != kindBest {
+		sort.Slice(out.Matches, func(i, j int) bool { return out.Matches[i].ID < out.Matches[j].ID })
+		out.Found = len(out.Matches) > 0
+	}
+	return out, nil
+}
+
+// keep folds one live match into the answer: the running best under the
+// (score desc, id asc) total order, or one more entry of the match list.
+func (f *fan) keep(out *Result, m Match) {
+	switch {
+	case f.p.kind != kindBest:
+		out.Matches = append(out.Matches, m)
+	case !out.Found || m.Sim > out.Best.Sim || (m.Sim == out.Best.Sim && m.ID < out.Best.ID):
+		out.Best, out.Found = m, true
+	}
+}
+
+// scan folds one exactly-scanned buffer into the answer — buffered appends
+// need no candidate structure, so they keep recall 1.0 — and returns how
+// many sets it compared.
+func (f *fan) scan(out *Result, b sideBuffer, q []uint32) int {
+	for i, set := range b.sets {
+		if _, dead := f.tombs[b.ids[i]]; dead {
+			continue
+		}
+		var score float64
+		var ok bool
+		if f.p.kind == kindContain {
+			score, ok = intset.ContainmentAtLeast(q, set, f.p.threshold)
+		} else {
+			score, ok = intset.JaccardAtLeast(q, set, f.lambda)
+		}
+		if ok {
+			f.keep(out, Match{ID: b.ids[i], Sim: score})
+		}
+	}
+	return len(b.sets)
+}

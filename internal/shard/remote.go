@@ -83,108 +83,67 @@ func (r *remoteShard) hasFallback(i int) bool {
 	return i+1 < len(r.replicas) || r.local != nil
 }
 
-func (r *remoteShard) queryBest(q []uint32) (int, float64, bool, cpindex.QueryStats, error) {
+// call posts req to path on each replica in failover order and returns
+// the first good response; valid, when set, lets the caller reject a
+// malformed one — a replica failure like any other: fail over rather than
+// mis-slot the merge. Every attempt lands in the peer's RPC metrics and
+// passive health bit. When no replica answers it returns the dead-topology
+// error, which callers with a local copy answer from instead.
+func call[T any](r *remoteShard, path string, req any, valid func(*T) error) (T, error) {
 	var last error
 	for i, base := range r.replicas {
 		pm := r.metrics.peer(base)
 		start := time.Now()
-		var resp queryResponse
-		err := postJSON(r.httpClient(), base+"/shard/query",
-			shardQueryRequest{Shard: r.key, Set: q}, &resp)
-		pm.observe(time.Since(start), err)
-		if err != nil {
-			last = err
-			if r.hasFallback(i) {
-				pm.failover()
+		var resp T
+		err := postJSON(r.httpClient(), base+path, req, &resp)
+		if err == nil && valid != nil {
+			if err = valid(&resp); err != nil {
+				err = fmt.Errorf("peer %s: %w", base, err)
 			}
-			continue
 		}
-		if !resp.Found {
-			return -1, 0, false, cpindex.QueryStats{}, nil
+		pm.observe(time.Since(start), err)
+		if err == nil {
+			return resp, nil
 		}
-		return resp.ID, resp.Sim, true, cpindex.QueryStats{}, nil
+		last = err
+		if r.hasFallback(i) {
+			pm.failover()
+		}
 	}
-	if r.local != nil {
-		return r.local.queryBest(q)
-	}
-	return -1, 0, false, cpindex.QueryStats{}, r.deadErr(last)
+	var none T
+	return none, r.deadErr(last)
 }
 
-func (r *remoteShard) queryAll(q []uint32) ([]cpindex.Match, cpindex.QueryStats, error) {
-	var last error
-	for i, base := range r.replicas {
-		pm := r.metrics.peer(base)
-		start := time.Now()
-		var resp queryResponse
-		err := postJSON(r.httpClient(), base+"/shard/query",
-			shardQueryRequest{Shard: r.key, Set: q, All: true}, &resp)
-		pm.observe(time.Since(start), err)
-		if err != nil {
-			last = err
-			if r.hasFallback(i) {
-				pm.failover()
-			}
-			continue
-		}
-		return resp.Matches, cpindex.QueryStats{}, nil
+func (r *remoteShard) query(p plan, q []uint32) (Result, cpindex.QueryStats, error) {
+	req := shardQueryRequest{Shard: r.key, Set: q, All: p.kind == kindAll}
+	if p.kind == kindContain {
+		req.Mode, req.Threshold = ModeContainment, p.threshold
 	}
-	if r.local != nil {
-		return r.local.queryAll(q)
+	resp, err := call[queryResponse](r, "/v1/shard/query", req, nil)
+	switch {
+	case err == nil:
+		return resp.result(), cpindex.QueryStats{}, nil
+	case r.local != nil:
+		return r.local.query(p, q)
 	}
-	return nil, cpindex.QueryStats{}, r.deadErr(last)
+	return noMatch, cpindex.QueryStats{}, err
 }
 
-func (r *remoteShard) queryContain(q []uint32, t float64, opts contain.Options) ([]cpindex.Match, error) {
-	var last error
-	for i, base := range r.replicas {
-		pm := r.metrics.peer(base)
-		start := time.Now()
-		var resp queryResponse
-		err := postJSON(r.httpClient(), base+"/shard/query",
-			shardQueryRequest{Shard: r.key, Set: q, Mode: "containment", Threshold: t}, &resp)
-		pm.observe(time.Since(start), err)
-		if err != nil {
-			last = err
-			if r.hasFallback(i) {
-				pm.failover()
+func (r *remoteShard) queryBatch(qs [][]uint32) ([][]Match, error) {
+	resp, err := call(r, "/v1/shard/query_batch", shardBatchRequest{Shard: r.key, Sets: qs},
+		func(resp *batchResponse) error {
+			if len(resp.Results) != len(qs) {
+				return fmt.Errorf("%d results for %d queries", len(resp.Results), len(qs))
 			}
-			continue
-		}
-		return resp.Matches, nil
-	}
-	if r.local != nil {
-		return r.local.queryContain(q, t, opts)
-	}
-	return nil, r.deadErr(last)
-}
-
-func (r *remoteShard) queryBatch(qs [][]uint32) ([][]cpindex.Match, error) {
-	var last error
-	for i, base := range r.replicas {
-		var resp batchResponse
-		pm := r.metrics.peer(base)
-		start := time.Now()
-		err := postJSON(r.httpClient(), base+"/shard/query_batch",
-			shardBatchRequest{Shard: r.key, Sets: qs}, &resp)
-		if err == nil && len(resp.Results) != len(qs) {
-			// A malformed peer answer is a replica failure like any other:
-			// fail over rather than mis-slot the merge.
-			err = fmt.Errorf("peer %s: %d results for %d queries", base, len(resp.Results), len(qs))
-		}
-		pm.observe(time.Since(start), err)
-		if err != nil {
-			last = err
-			if r.hasFallback(i) {
-				pm.failover()
-			}
-			continue
-		}
+			return nil
+		})
+	switch {
+	case err == nil:
 		return resp.Results, nil
-	}
-	if r.local != nil {
+	case r.local != nil:
 		return r.local.queryBatch(qs)
 	}
-	return nil, r.deadErr(last)
+	return nil, err
 }
 
 // fetchSnapshot downloads the shard's cpshard container from the first
@@ -218,15 +177,14 @@ func (r *remoteShard) fetchSnapshot() ([]byte, error) {
 
 // shardQueryRequest targets one hosted shard on a peer. Queries arrive
 // pre-normalized from the coordinator (this is the internal shard RPC,
-// not the public /query API).
+// not the public /v1/query API).
 type shardQueryRequest struct {
 	Shard string   `json:"shard"`
 	Set   []uint32 `json:"set"`
 	All   bool     `json:"all,omitempty"`
 	// Mode "containment" asks for containment matches at Threshold
-	// instead of similarity matches; absent means similarity, so the
-	// wire stays compatible with pre-containment coordinators.
-	Mode      string  `json:"mode,omitempty"`
+	// instead of similarity matches; absent means similarity.
+	Mode      Mode    `json:"mode,omitempty"`
 	Threshold float64 `json:"threshold,omitempty"`
 }
 
@@ -319,7 +277,7 @@ func encodeShardBytes(sh *localShard, copts contain.Options) ([]byte, error) {
 // receipt: the peer must echo the seed and set count it decoded and the
 // CRC-32C of the bytes it now hosts.
 func shipShard(client *http.Client, peer, key string, seed uint64, sets, total int, raw []byte) error {
-	u := fmt.Sprintf("%s/shard/snapshot?shard=%s&seed=%d&sets=%d&total=%d",
+	u := fmt.Sprintf("%s/v1/shard/snapshot?shard=%s&seed=%d&sets=%d&total=%d",
 		peer, url.QueryEscape(key), seed, sets, total)
 	resp, err := client.Post(u, "application/octet-stream", bytes.NewReader(raw))
 	if err != nil {
@@ -345,7 +303,7 @@ func shipShard(client *http.Client, peer, key string, seed uint64, sets, total i
 // peer must not be able to balloon the coordinator's memory during a
 // fetch-back.
 func getShardSnapshot(client *http.Client, peer, key string) ([]byte, error) {
-	u := fmt.Sprintf("%s/shard/snapshot?shard=%s", peer, url.QueryEscape(key))
+	u := fmt.Sprintf("%s/v1/shard/snapshot?shard=%s", peer, url.QueryEscape(key))
 	resp, err := client.Get(u)
 	if err != nil {
 		return nil, err
@@ -368,7 +326,7 @@ func getShardSnapshot(client *http.Client, peer, key string) ([]byte, error) {
 // DELETE idempotently (an unknown key reports removed=false with 200),
 // so retrying a delete is always safe.
 func deleteShardSnapshot(client *http.Client, peer, key string) error {
-	u := fmt.Sprintf("%s/shard/snapshot?shard=%s", peer, url.QueryEscape(key))
+	u := fmt.Sprintf("%s/v1/shard/snapshot?shard=%s", peer, url.QueryEscape(key))
 	req, err := http.NewRequest(http.MethodDelete, u, nil)
 	if err != nil {
 		return err

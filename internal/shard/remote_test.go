@@ -277,9 +277,9 @@ func TestShardSnapshotShipping(t *testing.T) {
 		t.Fatalf("decoding round-tripped shard: %v", err)
 	}
 	for qi := 0; qi < 40; qi++ {
-		a, _, _ := rt.queryAll(sets[qi])
-		b, _, _ := sub.queryAll(sets[qi])
-		if !equalMatches(t, a, b) {
+		a, _, _ := rt.query(plan{kind: kindAll}, sets[qi])
+		b, _, _ := sub.query(plan{kind: kindAll}, sets[qi])
+		if !equalMatches(t, a.Matches, b.Matches) {
 			t.Fatalf("round-tripped shard diverges on query %d", qi)
 		}
 	}
@@ -303,7 +303,7 @@ func TestShardSnapshotShipping(t *testing.T) {
 		t.Fatal("download of unknown shard succeeded")
 	}
 	var resp queryResponse
-	err = postJSON(client, ts.URL+"/shard/query", shardQueryRequest{Shard: "cps-nope", Set: sets[0], All: true}, &resp)
+	err = postJSON(client, ts.URL+"/v1/shard/query", shardQueryRequest{Shard: "cps-nope", Set: sets[0], All: true}, &resp)
 	if err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("query of unknown shard = %v, want 404", err)
 	}
@@ -329,7 +329,7 @@ func TestShardSnapshotShipping(t *testing.T) {
 
 	// DELETE evicts the hosted shard; repeating it is a no-op, and the
 	// evicted key is gone from queries and downloads.
-	delURL := ts.URL + "/shard/snapshot?shard=" + key
+	delURL := ts.URL + "/v1/shard/snapshot?shard=" + key
 	req, _ := http.NewRequest(http.MethodDelete, delURL, nil)
 	dresp, err := client.Do(req)
 	if err != nil {
@@ -410,22 +410,6 @@ func TestDistributeValidation(t *testing.T) {
 	if _, _, _, err := x.QueryErr(sets[0]); err != nil {
 		t.Fatalf("local ring broken after failed Distribute: %v", err)
 	}
-}
-
-// TestLegacyQueryPanicsOnDeadTopology: the error-free entry points are
-// for all-local rings; on a dead distributed ring they must fail loudly
-// (documented panic), not return a partial merge.
-func TestLegacyQueryPanicsOnDeadTopology(t *testing.T) {
-	p1, f1 := newFlakyPeer(t)
-	_, dist, probes := distributedPair(t, []string{p1.URL},
-		&DistributeOptions{Replicas: 1, KeepLocal: false})
-	f1.broken.Store(true)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Query on a dead topology did not panic")
-		}
-	}()
-	dist.Query(probes[0]) // deliberately the deprecated panicking wrapper
 }
 
 // Compile-time checks: both backends satisfy the ring interface.

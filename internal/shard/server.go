@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -12,8 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/contain"
-	"repro/internal/cpindex"
 	"repro/internal/intset"
 	"repro/internal/snapshot"
 )
@@ -21,10 +20,9 @@ import (
 // Server wraps a sharded index as an HTTP/JSON query service — the
 // serving facade that cmd/serve binds to a listener. All endpoints are
 // safe under concurrent requests; /v1/add serializes against queries
-// through the index's lock. Every endpoint is mounted twice: at its
-// canonical versioned path under /v1/ and at the bare legacy path it had
-// before versioning, which aliases the same handler. Errors are uniform
-// structured JSON — {"error": "...", "code": NNN} — on every endpoint.
+// through the index's lock. Every endpoint answers at exactly one path,
+// under /v1/. Errors are uniform structured JSON — {"error": "...",
+// "code": NNN} — on every endpoint.
 //
 //	POST /v1/query        {"set":[...], "mode":"similarity"|"containment",
 //	                       "threshold":t, "all":bool, "limit":n, "debug":bool}
@@ -37,16 +35,18 @@ import (
 //	GET  /v1/healthz                                -> liveness: 200 + health JSON
 //	GET  /v1/readyz                                 -> readiness: 503 when a remote shard is unanswerable
 //
-// /v1/query's default mode ("similarity", or the field absent) answers
-// with the best match over the index's similarity threshold, or every
-// match with "all":true. Mode "containment" requires "threshold" in
-// (0,1] and returns every indexed set whose containment of the query —
-// |q ∩ x| / |q| — reaches it, the domain-discovery primitive. "limit",
-// when positive, re-ranks the matches by score (ties by id) and keeps
-// the top n. "debug":true returns the per-shard trace (timings,
-// candidate counts, cache outcome) alongside the answer; with
-// ServerOptions.SlowQuery set, every similarity query over the threshold
-// additionally emits one structured log line with the same breakdown.
+// /v1/query's body is a Request and its answer Index.Search's: the
+// default mode ("similarity", or the field absent) answers with the best
+// match over the index's similarity threshold, or every match with
+// "all":true; a "threshold" in [λ, 1] narrows either. Mode "containment"
+// requires "threshold" in (0,1] and returns every indexed set whose
+// containment of the query — |q ∩ x| / |q| — reaches it, the
+// domain-discovery primitive. "limit", when positive, re-ranks the
+// matches by score (ties by id) and keeps the top n. "debug":true returns
+// the per-shard trace (timings, candidate counts, cache outcome)
+// alongside the answer; with ServerOptions.SlowQuery set, every query
+// over the threshold additionally emits one structured log line with the
+// same breakdown.
 //
 // The /v1/shard/* endpoints make any serve instance a peer in a
 // distributed topology: a coordinator ships cpshard snapshot files here
@@ -65,15 +65,15 @@ type Server struct {
 	ix  *Index
 	mux *http.ServeMux
 
-	// slowQuery > 0 traces every /query and logs those over the
+	// slowQuery > 0 traces every /v1/query and logs those over the
 	// threshold to logger (see ServerOptions).
 	slowQuery time.Duration
 	logger    *slog.Logger
 
 	// hosted is the peer-side shard registry: shards shipped here by
 	// coordinators, keyed by their coordinator-assigned name. The decoded
-	// structure answers /shard/query*; the raw container bytes are kept
-	// so /shard/snapshot GETs (re-replication, save-time fetch-back,
+	// structure answers /v1/shard/query*; the raw container bytes are kept
+	// so /v1/shard/snapshot GETs (re-replication, save-time fetch-back,
 	// transfer verification) return exactly what was shipped.
 	hostedMu sync.RWMutex
 	hosted   map[string]*hostedShard
@@ -82,7 +82,7 @@ type Server struct {
 // ServerOptions configure the optional observability behavior of a
 // Server; the zero value (and a nil pointer) keep every default.
 type ServerOptions struct {
-	// SlowQuery, when positive, traces every /query request and emits one
+	// SlowQuery, when positive, traces every /v1/query request and emits one
 	// structured log line for requests whose total latency reaches the
 	// threshold: query size, per-shard timings, candidate counts and cache
 	// outcome. Tracing allocates per request, so this is a knob, not a
@@ -90,7 +90,7 @@ type ServerOptions struct {
 	SlowQuery time.Duration
 	// Logger receives the slow-query lines (default slog.Default()).
 	Logger *slog.Logger
-	// DisableMetrics leaves /metrics unregistered — for embedders that
+	// DisableMetrics leaves /v1/metrics unregistered — for embedders that
 	// mount the registry elsewhere or want no exposition endpoint.
 	DisableMetrics bool
 }
@@ -135,34 +135,24 @@ func NewServerOpts(ix *Index, o *ServerOptions) *Server {
 		logger:    opt.Logger,
 		hosted:    make(map[string]*hostedShard),
 	}
-	s.route("/query", s.handleQuery)
-	s.route("/query_batch", s.handleQueryBatch)
-	s.route("/add", s.handleAdd)
-	s.route("/delete", s.handleDelete)
-	s.route("/compact", s.handleCompact)
-	s.route("/stats", s.handleStats)
-	s.route("/shard/snapshot", s.handleShardSnapshot)
-	s.route("/shard/query", s.handleShardQuery)
-	s.route("/shard/query_batch", s.handleShardQueryBatch)
-	s.route("/healthz", s.handleHealthz)
-	s.route("/readyz", s.handleReadyz)
+	s.mux.HandleFunc("/v1/query", s.handleQuery)
+	s.mux.HandleFunc("/v1/query_batch", s.handleQueryBatch)
+	s.mux.HandleFunc("/v1/add", s.handleAdd)
+	s.mux.HandleFunc("/v1/delete", s.handleDelete)
+	s.mux.HandleFunc("/v1/compact", s.handleCompact)
+	s.mux.HandleFunc("/v1/stats", s.handleStats)
+	s.mux.HandleFunc("/v1/shard/snapshot", s.handleShardSnapshot)
+	s.mux.HandleFunc("/v1/shard/query", s.handleShardQuery)
+	s.mux.HandleFunc("/v1/shard/query_batch", s.handleShardQueryBatch)
+	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
+	s.mux.HandleFunc("/v1/readyz", s.handleReadyz)
 	if reg := ix.Metrics(); reg != nil && !opt.DisableMetrics {
 		reg.GaugeFunc("cps_hosted_shards", "shards hosted here for coordinators", func() float64 {
 			return float64(s.HostedShards())
 		})
 		s.mux.Handle("/v1/metrics", reg)
-		s.mux.Handle("/metrics", reg)
 	}
 	return s
-}
-
-// route registers a handler at its canonical /v1 path and at the bare
-// legacy path it occupied before API versioning. Both stay live — the
-// alias costs nothing and keeps pre-/v1 clients working — but new
-// surface area only appears under /v1/.
-func (s *Server) route(path string, h http.HandlerFunc) {
-	s.mux.HandleFunc("/v1"+path, h)
-	s.mux.HandleFunc(path, h)
 }
 
 // errorResponse is the uniform error body of every endpoint: the
@@ -204,36 +194,33 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// queryRequest is the /v1/query body: a Request plus the trace switch.
 type queryRequest struct {
-	Set []uint32 `json:"set"`
-	// Mode selects the search semantics: "" or "similarity" for Jaccard
-	// similarity against the index's threshold, "containment" for
-	// |q ∩ x| / |q| ≥ Threshold.
-	Mode string `json:"mode,omitempty"`
-	// Threshold is the containment threshold, required in (0,1] when Mode
-	// is "containment"; it must be absent (zero) in similarity mode, whose
-	// threshold is fixed at index build time.
-	Threshold float64 `json:"threshold,omitempty"`
-	// All requests every match instead of the single best one
-	// (similarity mode only; containment always returns every match).
-	All bool `json:"all"`
-	// Limit, when positive, re-ranks matches by score (ties by ascending
-	// id) and keeps the top Limit.
-	Limit int `json:"limit,omitempty"`
+	Request
 	// Debug requests the per-shard trace in the response.
 	Debug bool `json:"debug"`
 }
 
+// queryResponse is the wire form of a Result, on /v1/query and on the
+// shard RPC alike.
 type queryResponse struct {
 	Found bool `json:"found"`
 	// ID and Sim describe the best match of a non-all query; ID is -1
 	// when they don't apply. Always present: id 0 is a legitimate match,
 	// so omitempty would be ambiguous on the wire.
-	ID      int             `json:"id"`
-	Sim     float64         `json:"sim"`
-	Matches []cpindex.Match `json:"matches,omitempty"`
+	ID      int     `json:"id"`
+	Sim     float64 `json:"sim"`
+	Matches []Match `json:"matches,omitempty"`
 	// Trace is present only for "debug":true requests.
 	Trace *QueryTrace `json:"trace,omitempty"`
+}
+
+func wireResult(res Result) queryResponse {
+	return queryResponse{Found: res.Found, ID: res.Best.ID, Sim: res.Best.Sim, Matches: res.Matches}
+}
+
+func (r queryResponse) result() Result {
+	return Result{Found: r.Found, Best: Match{ID: r.ID, Sim: r.Sim}, Matches: r.Matches}
 }
 
 type batchRequest struct {
@@ -241,7 +228,18 @@ type batchRequest struct {
 }
 
 type batchResponse struct {
-	Results [][]cpindex.Match `json:"results"`
+	Results [][]Match `json:"results"`
+}
+
+// wireBatch marshals empty match lists as [] rather than null, so clients
+// can index the results without nil checks.
+func wireBatch(results [][]Match) batchResponse {
+	for i := range results {
+		if results[i] == nil {
+			results[i] = []Match{}
+		}
+	}
+	return batchResponse{Results: results}
 }
 
 type addResponse struct {
@@ -268,22 +266,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	q := intset.Normalize(req.Set)
-	switch req.Mode {
-	case "", "similarity":
-		if req.Threshold != 0 {
-			writeError(w, http.StatusBadRequest,
-				"bad request: threshold applies to containment mode only (similarity threshold is fixed at build time)")
-			return
-		}
-	case "containment":
-		s.handleContainQuery(w, q, req)
-		return
-	default:
-		writeError(w, http.StatusBadRequest,
-			"bad request: unknown mode %q (want \"similarity\" or \"containment\")", req.Mode)
-		return
-	}
 	// Trace when the client asked for the breakdown or when the slow-query
 	// log might need it — the threshold check can only happen after the
 	// fact, so the breakdown must be captured up front. A nil trace is the
@@ -292,29 +274,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Debug || s.slowQuery > 0 {
 		tr = &QueryTrace{}
 	}
-	resp := queryResponse{ID: -1}
-	if req.All {
-		ms, err := s.ix.QueryAllTraced(q, tr)
-		if err != nil {
-			// A dead remote topology (no live replica, no local copy) is a
-			// hard serving error, never a silently partial answer.
-			writeError(w, http.StatusBadGateway, "%v", err)
-			return
-		}
-		resp.Matches = limitMatches(ms, req.Limit)
-		resp.Found = len(resp.Matches) > 0
-	} else {
-		id, sim, ok, err := s.ix.QueryTraced(q, tr)
-		if err != nil {
-			writeError(w, http.StatusBadGateway, "%v", err)
-			return
-		}
-		if ok {
-			resp.Found, resp.ID, resp.Sim = true, id, sim
-		}
+	res, err := s.ix.Search(req.Request, tr)
+	if err != nil {
+		writeQueryError(w, err)
+		return
 	}
+	resp := wireResult(res)
 	if tr != nil {
-		s.logSlow(q, req.All, tr)
+		s.logSlow(req.Request, tr)
 		if req.Debug {
 			resp.Trace = tr
 		}
@@ -322,49 +289,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// handleContainQuery answers the containment arm of /v1/query: every
-// indexed set containing at least Threshold of the query, scored by the
-// exact containment value.
-func (s *Server) handleContainQuery(w http.ResponseWriter, q []uint32, req queryRequest) {
-	if req.Threshold <= 0 || req.Threshold > 1 {
-		writeError(w, http.StatusBadRequest,
-			"bad request: containment mode needs a threshold in (0,1], got %v", req.Threshold)
-		return
+// writeQueryError maps a query error onto its status: the request's own
+// fault is a 400; anything else — a dead remote topology (no live replica,
+// no local copy), a corrupt cold shard — is a hard serving error, never a
+// silently partial answer.
+func writeQueryError(w http.ResponseWriter, err error) {
+	code := http.StatusBadGateway
+	if errors.Is(err, ErrBadRequest) {
+		code = http.StatusBadRequest
 	}
-	ms, err := s.ix.QueryContain(q, req.Threshold)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, "%v", err)
-		return
-	}
-	resp := queryResponse{ID: -1, Matches: limitMatches(ms, req.Limit), Found: len(ms) > 0}
-	writeJSON(w, resp)
-}
-
-// limitMatches applies the query API's "limit" parameter: re-rank by
-// score descending (ties by ascending id) and keep the top n. It sorts a
-// copy — the input may be a live cache entry, which is read-only by
-// contract. Zero (or negative) limit returns the input untouched, in its
-// canonical id order.
-func limitMatches(ms []cpindex.Match, limit int) []cpindex.Match {
-	if limit <= 0 || ms == nil {
-		return ms
-	}
-	ranked := append([]cpindex.Match(nil), ms...)
-	sort.SliceStable(ranked, func(i, j int) bool {
-		if ranked[i].Sim != ranked[j].Sim {
-			return ranked[i].Sim > ranked[j].Sim
-		}
-		return ranked[i].ID < ranked[j].ID
-	})
-	if len(ranked) > limit {
-		ranked = ranked[:limit]
-	}
-	return ranked
+	writeError(w, code, "%v", err)
 }
 
 // logSlow emits the slow-query line when the traced request crossed the
 // threshold.
-func (s *Server) logSlow(q []uint32, all bool, tr *QueryTrace) {
+func (s *Server) logSlow(req Request, tr *QueryTrace) {
 	if s.slowQuery <= 0 || time.Duration(tr.TotalNs) < s.slowQuery {
 		return
 	}
@@ -372,8 +311,9 @@ func (s *Server) logSlow(q []uint32, all bool, tr *QueryTrace) {
 		m.slowQueries.Inc()
 	}
 	s.logger.Warn("slow query",
-		"query_size", len(q),
-		"all", all,
+		"query_size", len(req.Set),
+		"mode", req.Mode,
+		"all", req.All,
 		"total_ns", tr.TotalNs,
 		"cache_hit", tr.CacheHit,
 		"candidates", tr.Candidates,
@@ -392,17 +332,10 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	results, err := s.ix.QueryBatchErr(req.Sets)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "%v", err)
+		writeQueryError(w, err)
 		return
 	}
-	// Empty match lists marshal as [] rather than null so clients can
-	// index the results without nil checks.
-	for i := range results {
-		if results[i] == nil {
-			results[i] = []cpindex.Match{}
-		}
-	}
-	writeJSON(w, batchResponse{Results: results})
+	writeJSON(w, wireBatch(results))
 }
 
 // hostedShardFor resolves a shard RPC's target, writing the 4xx itself
@@ -426,7 +359,12 @@ func (s *Server) hostedShardFor(w http.ResponseWriter, key string) *hostedShard 
 // hosted shard, with global ids (the shipped container carries the id
 // map). This is the internal shard RPC: queries arrive pre-normalized
 // and tombstones stay coordinator-side, exactly as for an in-process
-// shard.
+// shard. A hosted shard answers containment from the signatures its
+// container carries — a peer never signs with guessed options, or the
+// global determinism contract would break — and those are decoded on the
+// first containment query, so a backend error here is real: it goes back
+// as a structured 500 and the coordinator fails over, instead of merging
+// an empty shard.
 func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	var req shardQueryRequest
 	if !decode(w, r, &req) {
@@ -436,30 +374,20 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	if h == nil {
 		return
 	}
-	resp := queryResponse{ID: -1}
-	switch {
-	case req.Mode == "containment":
-		if req.Threshold <= 0 || req.Threshold > 1 {
-			writeError(w, http.StatusBadRequest,
-				"bad request: containment mode needs a threshold in (0,1], got %v", req.Threshold)
-			return
-		}
-		// A hosted shard answers from the containment signatures its
-		// container carries (decoded when the upload was accepted) — a peer
-		// never signs with guessed options, or the global determinism
-		// contract would break — so the options are unused here. Hosted
-		// shards are hot: none of these calls can fail.
-		resp.Matches, _ = h.sub.queryContain(req.Set, req.Threshold, contain.Options{})
-		resp.Found = len(resp.Matches) > 0
-	case req.All:
-		resp.Matches, _, _ = h.sub.queryAll(req.Set)
-		resp.Found = len(resp.Matches) > 0
-	default:
-		if id, sim, ok, _, _ := h.sub.queryBest(req.Set); ok {
-			resp.Found, resp.ID, resp.Sim = true, id, sim
-		}
+	// The coordinator validated any similarity threshold against its λ and
+	// applies it after the merge; here only the mode and the containment
+	// threshold matter.
+	p, err := newPlan(req.Mode, req.All, req.Threshold, 0)
+	if err != nil {
+		writeQueryError(w, err)
+		return
 	}
-	writeJSON(w, resp)
+	res, _, err := h.sub.query(p, req.Set)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "shard %q: %v", req.Shard, err)
+		return
+	}
+	writeJSON(w, wireResult(res))
 }
 
 func (s *Server) handleShardQueryBatch(w http.ResponseWriter, r *http.Request) {
@@ -471,13 +399,12 @@ func (s *Server) handleShardQueryBatch(w http.ResponseWriter, r *http.Request) {
 	if h == nil {
 		return
 	}
-	results, _ := h.sub.queryBatch(req.Sets)
-	for i := range results {
-		if results[i] == nil {
-			results[i] = []cpindex.Match{}
-		}
+	results, err := h.sub.queryBatch(req.Sets)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "shard %q: %v", req.Shard, err)
+		return
 	}
-	writeJSON(w, batchResponse{Results: results})
+	writeJSON(w, wireBatch(results))
 }
 
 // handleShardSnapshot is the shard shipping endpoint. POST accepts one

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/snapshot"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, [][]uint32) {
@@ -43,7 +45,7 @@ func TestServerQuery(t *testing.T) {
 
 	// Best-match self-query: exact hit on the queried set.
 	var qr queryResponse
-	if resp := post(t, ts.URL+"/query", queryRequest{Set: sets[7]}, &qr); resp.StatusCode != 200 {
+	if resp := post(t, ts.URL+"/v1/query", Request{Set: sets[7]}, &qr); resp.StatusCode != 200 {
 		t.Fatalf("/query status %d", resp.StatusCode)
 	}
 	if !qr.Found || qr.Sim != 1.0 {
@@ -52,7 +54,7 @@ func TestServerQuery(t *testing.T) {
 
 	// all=true returns the match list, sorted by id, including the self hit.
 	qr = queryResponse{}
-	post(t, ts.URL+"/query", queryRequest{Set: sets[7], All: true}, &qr)
+	post(t, ts.URL+"/v1/query", Request{Set: sets[7], All: true}, &qr)
 	self := false
 	for i, m := range qr.Matches {
 		if m.ID == 7 {
@@ -68,8 +70,8 @@ func TestServerQuery(t *testing.T) {
 
 	// id 0 is a legitimate best match and must appear on the wire (no
 	// omitempty ambiguity): decode raw to check key presence.
-	b, _ := json.Marshal(queryRequest{Set: sets[0]})
-	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(b))
+	b, _ := json.Marshal(Request{Set: sets[0]})
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func TestServerQuery(t *testing.T) {
 	qr = queryResponse{}
 	raw := append([]uint32{}, sets[7]...)
 	raw = append(raw, sets[7][0], sets[7][2])
-	post(t, ts.URL+"/query", queryRequest{Set: raw}, &qr)
+	post(t, ts.URL+"/v1/query", Request{Set: raw}, &qr)
 	if !qr.Found || qr.Sim != 1.0 {
 		t.Fatalf("unnormalized self-query response %+v", qr)
 	}
@@ -95,7 +97,7 @@ func TestServerQuery(t *testing.T) {
 func TestServerQueryBatch(t *testing.T) {
 	ts, sets := newTestServer(t)
 	var br batchResponse
-	post(t, ts.URL+"/query_batch", batchRequest{Sets: sets[:40]}, &br)
+	post(t, ts.URL+"/v1/query_batch", batchRequest{Sets: sets[:40]}, &br)
 	if len(br.Results) != 40 {
 		t.Fatalf("%d results for 40 queries", len(br.Results))
 	}
@@ -120,19 +122,19 @@ func TestServerAddAndStats(t *testing.T) {
 	novel := []uint32{900001, 900002, 900003, 900004}
 
 	var ar addResponse
-	post(t, ts.URL+"/add", batchRequest{Sets: [][]uint32{novel}}, &ar)
+	post(t, ts.URL+"/v1/add", batchRequest{Sets: [][]uint32{novel}}, &ar)
 	if len(ar.IDs) != 1 || ar.IDs[0] != len(sets) || ar.Total != len(sets)+1 || ar.Buffered != 1 {
 		t.Fatalf("add response %+v", ar)
 	}
 
 	// The appended set is immediately queryable.
 	var qr queryResponse
-	post(t, ts.URL+"/query", queryRequest{Set: novel}, &qr)
+	post(t, ts.URL+"/v1/query", Request{Set: novel}, &qr)
 	if !qr.Found || qr.ID != len(sets) || qr.Sim != 1.0 {
 		t.Fatalf("query for appended set: %+v", qr)
 	}
 
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +147,7 @@ func TestServerAddAndStats(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 
-	resp, err = http.Get(ts.URL + "/healthz")
+	resp, err = http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +161,7 @@ func TestServerDelete(t *testing.T) {
 	ts, sets := newTestServer(t)
 
 	var dr deleteResponse
-	if resp := post(t, ts.URL+"/delete", deleteRequest{IDs: []int{7, 9}}, &dr); resp.StatusCode != 200 {
+	if resp := post(t, ts.URL+"/v1/delete", deleteRequest{IDs: []int{7, 9}}, &dr); resp.StatusCode != 200 {
 		t.Fatalf("/delete status %d", resp.StatusCode)
 	}
 	if dr.Deleted != 2 || dr.Live != len(sets)-2 || dr.Tombstones != 2 {
@@ -168,7 +170,7 @@ func TestServerDelete(t *testing.T) {
 
 	// The deleted set no longer matches; its near-neighbors still do.
 	var qr queryResponse
-	post(t, ts.URL+"/query", queryRequest{Set: sets[7], All: true}, &qr)
+	post(t, ts.URL+"/v1/query", Request{Set: sets[7], All: true}, &qr)
 	for _, m := range qr.Matches {
 		if m.ID == 7 || m.ID == 9 {
 			t.Fatalf("deleted id %d still served: %+v", m.ID, qr)
@@ -178,7 +180,7 @@ func TestServerDelete(t *testing.T) {
 	// Idempotent: deleting again (plus an unknown id) deletes nothing and
 	// is not an error.
 	dr = deleteResponse{}
-	post(t, ts.URL+"/delete", deleteRequest{IDs: []int{7, 1 << 30}}, &dr)
+	post(t, ts.URL+"/v1/delete", deleteRequest{IDs: []int{7, 1 << 30}}, &dr)
 	if dr.Deleted != 0 || dr.Live != len(sets)-2 {
 		t.Fatalf("repeat delete response %+v", dr)
 	}
@@ -206,7 +208,7 @@ func TestServerCompact(t *testing.T) {
 			end = len(extra)
 		}
 		var ar addResponse
-		post(t, ts.URL+"/add", batchRequest{Sets: extra[i:end]}, &ar)
+		post(t, ts.URL+"/v1/add", batchRequest{Sets: extra[i:end]}, &ar)
 		for j, id := range ar.IDs {
 			if j%3 == 0 {
 				del = append(del, id)
@@ -214,15 +216,15 @@ func TestServerCompact(t *testing.T) {
 		}
 	}
 	var dr deleteResponse
-	post(t, ts.URL+"/delete", deleteRequest{IDs: del}, &dr)
+	post(t, ts.URL+"/v1/delete", deleteRequest{IDs: del}, &dr)
 	if dr.Deleted != len(del) {
 		t.Fatalf("delete response %+v, want %d deleted", dr, len(del))
 	}
 
 	var before batchResponse
-	post(t, ts.URL+"/query_batch", batchRequest{Sets: extra}, &before)
+	post(t, ts.URL+"/v1/query_batch", batchRequest{Sets: extra}, &before)
 	var preStats Stats
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +232,7 @@ func TestServerCompact(t *testing.T) {
 	resp.Body.Close()
 
 	// GET must be rejected — compaction is a state change.
-	resp, err = http.Get(ts.URL + "/compact")
+	resp, err = http.Get(ts.URL + "/v1/compact")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +242,7 @@ func TestServerCompact(t *testing.T) {
 	}
 
 	var cr compactResponse
-	post(t, ts.URL+"/compact", struct{}{}, &cr)
+	post(t, ts.URL+"/v1/compact", struct{}{}, &cr)
 	if cr.Merged == 0 || cr.Reclaimed != len(del) {
 		t.Fatalf("compact response %+v, want merged shards and %d reclaimed", cr, len(del))
 	}
@@ -252,7 +254,7 @@ func TestServerCompact(t *testing.T) {
 	}
 
 	var after batchResponse
-	post(t, ts.URL+"/query_batch", batchRequest{Sets: extra}, &after)
+	post(t, ts.URL+"/v1/query_batch", batchRequest{Sets: extra}, &after)
 	if len(after.Results) != len(before.Results) {
 		t.Fatalf("result count changed: %d -> %d", len(before.Results), len(after.Results))
 	}
@@ -268,7 +270,7 @@ func TestServerCompact(t *testing.T) {
 	}
 
 	var st Stats
-	resp, err = http.Get(ts.URL + "/stats")
+	resp, err = http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +285,7 @@ func TestServerErrors(t *testing.T) {
 	ts, _ := newTestServer(t)
 
 	// GET on a POST endpoint.
-	resp, err := http.Get(ts.URL + "/query")
+	resp, err := http.Get(ts.URL + "/v1/query")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +295,7 @@ func TestServerErrors(t *testing.T) {
 	}
 
 	// Malformed JSON.
-	resp, err = http.Post(ts.URL+"/query", "application/json", strings.NewReader("{nope"))
+	resp, err = http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader("{nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +306,7 @@ func TestServerErrors(t *testing.T) {
 
 	// Unknown fields are rejected (catches clients hitting the wrong
 	// endpoint shape).
-	resp, err = http.Post(ts.URL+"/query", "application/json", strings.NewReader(`{"sets":[[1,2]]}`))
+	resp, err = http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(`{"sets":[[1,2]]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +317,7 @@ func TestServerErrors(t *testing.T) {
 
 	// Empty sets are rejected at the boundary (they cannot be indexed
 	// when the side shard seals).
-	resp, err = http.Post(ts.URL+"/add", "application/json", strings.NewReader(`{"sets":[[1,2],[]]}`))
+	resp, err = http.Post(ts.URL+"/v1/add", "application/json", strings.NewReader(`{"sets":[[1,2],[]]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +327,7 @@ func TestServerErrors(t *testing.T) {
 	}
 
 	// POST on /stats.
-	resp, err = http.Post(ts.URL+"/stats", "application/json", strings.NewReader("{}"))
+	resp, err = http.Post(ts.URL+"/v1/stats", "application/json", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,33 +355,25 @@ func decodeError(t *testing.T, resp *http.Response) errorResponse {
 	return er
 }
 
-// TestServerV1Aliases: every endpoint serves identically at its /v1
-// canonical path and at the bare legacy alias.
-func TestServerV1Aliases(t *testing.T) {
-	ts, sets := newTestServer(t)
-
-	var v1, legacy queryResponse
-	if resp := post(t, ts.URL+"/v1/query", queryRequest{Set: sets[3], All: true}, &v1); resp.StatusCode != 200 {
-		t.Fatalf("/v1/query status %d", resp.StatusCode)
-	}
-	post(t, ts.URL+"/query", queryRequest{Set: sets[3], All: true}, &legacy)
-	if len(v1.Matches) == 0 || len(v1.Matches) != len(legacy.Matches) {
-		t.Fatalf("/v1/query (%d matches) != /query (%d matches)", len(v1.Matches), len(legacy.Matches))
-	}
-	for i := range v1.Matches {
-		if v1.Matches[i] != legacy.Matches[i] {
-			t.Fatalf("match %d differs across /v1 alias", i)
-		}
-	}
-
-	for _, path := range []string{"/v1/stats", "/v1/healthz", "/v1/readyz", "/v1/metrics"} {
-		resp, err := http.Get(ts.URL + path)
+// TestServerOnePathPerEndpoint: every endpoint answers under /v1/ and
+// nowhere else — the bare pre-/v1 paths are gone, not aliased.
+func TestServerOnePathPerEndpoint(t *testing.T) {
+	ts, _ := newTestServer(t)
+	for _, path := range []string{"/stats", "/healthz", "/readyz", "/metrics", "/query", "/shard/query"} {
+		resp, err := http.Get(ts.URL + "/v1" + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s status %d", path, resp.StatusCode)
+		if resp.StatusCode == http.StatusNotFound {
+			t.Errorf("GET /v1%s is not routed", path)
+		}
+		if resp, err = http.Get(ts.URL + path); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s status %d, want 404: bare paths are not served", path, resp.StatusCode)
 		}
 	}
 }
@@ -387,7 +381,10 @@ func TestServerV1Aliases(t *testing.T) {
 // TestServerStructuredErrors: every failure answers with the uniform
 // {"error", "code"} JSON body, matching the HTTP status.
 func TestServerStructuredErrors(t *testing.T) {
-	ts, sets := newTestServer(t)
+	sets, _ := workload(500, 0.8, 301)
+	ix := Build(sets, 0.5, &Options{Shards: 3, Seed: 41, MergeThreshold: 64, Workers: 2})
+	ts := httptest.NewServer(NewServer(ix))
+	t.Cleanup(ts.Close)
 
 	// Method not allowed.
 	resp, err := http.Get(ts.URL + "/v1/query")
@@ -409,11 +406,13 @@ func TestServerStructuredErrors(t *testing.T) {
 	}
 	decodeError(t, resp)
 
-	// Mode dispatch errors: unknown mode, similarity with a threshold,
-	// containment without one (or out of range).
-	for _, req := range []queryRequest{
+	// Request validation errors: unknown mode, a similarity threshold
+	// below the index's λ (0.5) or above 1, containment without a
+	// threshold (or out of range).
+	for _, req := range []Request{
 		{Set: sets[0], Mode: "fuzzy"},
-		{Set: sets[0], Threshold: 0.7},
+		{Set: sets[0], Threshold: 0.3},
+		{Set: sets[0], All: true, Threshold: 1.2},
 		{Set: sets[0], Mode: "containment"},
 		{Set: sets[0], Mode: "containment", Threshold: -0.2},
 		{Set: sets[0], Mode: "containment", Threshold: 1.5},
@@ -427,6 +426,35 @@ func TestServerStructuredErrors(t *testing.T) {
 			t.Fatalf("request %+v: status %d, want 400", req, resp.StatusCode)
 		}
 		decodeError(t, resp)
+	}
+
+	// A similarity threshold in [λ, 1] narrows, and the wire answer is
+	// Search's answer — the one the public facade returns.
+	for _, req := range []Request{
+		{Set: sets[0], All: true, Threshold: 0.9},
+		{Set: sets[0], Threshold: 0.9},
+		{Set: sets[0], All: true, Threshold: 0.5, Limit: 2},
+	} {
+		var got queryResponse
+		if resp := post(t, ts.URL+"/v1/query", req, &got); resp.StatusCode != 200 {
+			t.Fatalf("request %+v: status %d", req, resp.StatusCode)
+		}
+		want, err := ix.Search(req, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Found != want.Found || got.ID != want.Best.ID || got.Sim != want.Best.Sim ||
+			!equalMatches(t, got.Matches, want.Matches) {
+			t.Fatalf("request %+v: wire %+v != Search %+v", req, got, want)
+		}
+		for _, m := range got.Matches {
+			if m.Sim < req.Threshold {
+				t.Fatalf("request %+v kept %+v below its threshold", req, m)
+			}
+		}
+		if !got.Found {
+			t.Fatalf("request %+v found nothing; the self match scores 1.0", req)
+		}
 	}
 }
 
@@ -443,7 +471,7 @@ func TestServerContainmentQuery(t *testing.T) {
 	probe := append([]uint32{}, sets[11][:len(sets[11])*2/3]...)
 	var qr queryResponse
 	if resp := post(t, ts.URL+"/v1/query",
-		queryRequest{Set: probe, Mode: "containment", Threshold: 0.6}, &qr); resp.StatusCode != 200 {
+		Request{Set: probe, Mode: "containment", Threshold: 0.6}, &qr); resp.StatusCode != 200 {
 		t.Fatalf("containment query status %d", resp.StatusCode)
 	}
 	want, err := ix.QueryContain(probe, 0.6)
@@ -463,10 +491,35 @@ func TestServerContainmentQuery(t *testing.T) {
 		t.Fatalf("probe's source set not a full-containment match: %+v", qr.Matches)
 	}
 
+	// The empty query matches nothing in every mode: one early return, no
+	// fan-out, nothing cached — and still a traced, well-formed answer.
+	if err := ix.Configure(RuntimeOptions{CacheSize: 8}); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []Request{
+		{Mode: "containment", Threshold: 0.6},
+		{},
+		{All: true},
+	} {
+		var empty queryResponse
+		post(t, ts.URL+"/v1/query", queryRequest{Request: req, Debug: true}, &empty)
+		if empty.Found || empty.ID != -1 || len(empty.Matches) != 0 || empty.Trace == nil || len(empty.Trace.Shards) != 0 {
+			t.Fatalf("empty query %+v answered %+v (trace %+v)", req, empty, empty.Trace)
+		}
+	}
+	var batch batchResponse
+	post(t, ts.URL+"/v1/query_batch", batchRequest{Sets: [][]uint32{{}, probe}}, &batch)
+	if len(batch.Results) != 2 || len(batch.Results[0]) != 0 || len(batch.Results[1]) == 0 {
+		t.Fatalf("batch with an empty query answered %+v", batch.Results)
+	}
+	if st := ix.Stats(); st.CacheEntries != 1 || st.CacheMisses != 1 {
+		t.Fatalf("empty queries touched the cache: %+v", st)
+	}
+
 	// limit=1 keeps the single best-scored match (ties to the lowest id).
 	var limited queryResponse
 	post(t, ts.URL+"/v1/query",
-		queryRequest{Set: probe, Mode: "containment", Threshold: 0.6, Limit: 1}, &limited)
+		Request{Set: probe, Mode: "containment", Threshold: 0.6, Limit: 1}, &limited)
 	if len(limited.Matches) != 1 {
 		t.Fatalf("limit=1 returned %d matches", len(limited.Matches))
 	}
@@ -528,6 +581,100 @@ func TestServerShardQueryContainment(t *testing.T) {
 	decodeError(t, resp)
 }
 
+// TestServerShardQueryBackendError: a hosted shard whose backend fails at
+// query time — here a containment section whose body is damaged and whose
+// CRC was re-sealed, first decoded by the first containment query — answers
+// the shard RPC with a structured 500, so the coordinator fails over to the
+// next replica, or errors, instead of merging an empty shard.
+func TestServerShardQueryBackendError(t *testing.T) {
+	p1URL, p1 := newPeer(t)
+	p2URL, p2 := newPeer(t)
+	sets, _ := workload(200, 0.8, 343)
+	opt := &Options{Shards: 1, Seed: 59, Workers: 2}
+	local, dist := Build(sets, 0.5, opt), Build(sets, 0.5, opt)
+	if err := dist.Distribute([]string{p1URL.URL, p2URL.URL}, &DistributeOptions{Replicas: 2, KeepLocal: false}); err != nil {
+		t.Fatalf("Distribute: %v", err)
+	}
+
+	// damage re-hosts a peer's shard from the same container with the
+	// contain section truncated and every section CRC freshly computed. It
+	// opens cold, as a mapped shard file would: nothing reads the damaged
+	// section until a containment query does.
+	damage := func(srv *Server) string {
+		t.Helper()
+		srv.hostedMu.Lock()
+		defer srv.hostedMu.Unlock()
+		for key, h := range srv.hosted {
+			snap, err := snapshot.OpenMapped(h.raw, shardKind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			w, err := snapshot.NewWriter(&buf, shardKind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sec := range snap.Sections() {
+				payload := h.raw[sec.Off : sec.Off+sec.Len]
+				if sec.Name == "contain" {
+					payload = payload[:len(payload)-4]
+				}
+				if err := w.Section(sec.Name, payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			sub, err := openLocalShard(buf.Bytes(), nil,
+				snapshot.ShardEntry{Seed: h.sub.seed, Sets: len(h.sub.ids)}, len(sets))
+			if err != nil {
+				t.Fatalf("the damaged container must still open cold: %v", err)
+			}
+			srv.hosted[key] = &hostedShard{sub: sub, raw: buf.Bytes()}
+			return key
+		}
+		t.Fatal("peer hosts no shard")
+		return ""
+	}
+	key := damage(p1)
+
+	probe := sets[5][:len(sets[5])*2/3]
+	b, _ := json.Marshal(shardQueryRequest{Shard: key, Set: probe, Mode: ModeContainment, Threshold: 0.6})
+	resp, err := http.Post(p1URL.URL+"/v1/shard/query", "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("shard RPC against a failing backend: status %d, want 500", resp.StatusCode)
+	}
+	decodeError(t, resp)
+	// Similarity reads only intact sections and still answers.
+	var ok queryResponse
+	if resp := post(t, p1URL.URL+"/v1/shard/query", shardQueryRequest{Shard: key, Set: sets[5], All: true}, &ok); resp.StatusCode != 200 || !ok.Found {
+		t.Fatalf("similarity shard RPC: status %d, %+v", resp.StatusCode, ok)
+	}
+
+	// The coordinator fails over to the intact replica: same answer as the
+	// all-local index, one failover booked against the damaged peer.
+	want, err := local.QueryContain(probe, 0.6)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("local QueryContain: %v, %v", want, err)
+	}
+	got, err := dist.QueryContain(probe, 0.6)
+	if err != nil || !equalMatches(t, got, want) {
+		t.Fatalf("distributed QueryContain = %v, %v; all-local index says %v", got, err, want)
+	}
+	if n := dist.metrics.peer(p1URL.URL).failovers.Value(); n != 1 {
+		t.Fatalf("damaged peer booked %d failovers, want 1", n)
+	}
+	// With every replica failing the query errors; it never answers empty.
+	damage(p2)
+	if got, err := dist.QueryContain(probe, 0.6); err == nil {
+		t.Fatalf("QueryContain over failing replicas answered %v, want an error", got)
+	}
+}
+
 // TestServerConcurrentTraffic drives queries, batches and adds from many
 // goroutines at once — the serving path the race job guards.
 func TestServerConcurrentTraffic(t *testing.T) {
@@ -555,7 +702,7 @@ func TestServerConcurrentTraffic(t *testing.T) {
 				switch g % 3 {
 				case 0:
 					var qr queryResponse
-					if err := postJSON(ts.URL+"/query", queryRequest{Set: sets[(g*25+i)%len(sets)]}, &qr); err != nil {
+					if err := postJSON(ts.URL+"/v1/query", Request{Set: sets[(g*25+i)%len(sets)]}, &qr); err != nil {
 						errc <- err
 						return
 					}
@@ -565,7 +712,7 @@ func TestServerConcurrentTraffic(t *testing.T) {
 					}
 				case 1:
 					var br batchResponse
-					if err := postJSON(ts.URL+"/query_batch", batchRequest{Sets: sets[:10]}, &br); err != nil {
+					if err := postJSON(ts.URL+"/v1/query_batch", batchRequest{Sets: sets[:10]}, &br); err != nil {
 						errc <- err
 						return
 					}
@@ -575,7 +722,7 @@ func TestServerConcurrentTraffic(t *testing.T) {
 					}
 				default:
 					var ar addResponse
-					if err := postJSON(ts.URL+"/add", batchRequest{Sets: [][]uint32{{uint32(1000000 + g*1000 + i)}}}, &ar); err != nil {
+					if err := postJSON(ts.URL+"/v1/add", batchRequest{Sets: [][]uint32{{uint32(1000000 + g*1000 + i)}}}, &ar); err != nil {
 						errc <- err
 						return
 					}

@@ -8,7 +8,7 @@
 //
 //   - Build parallelism beyond tree count: K shards × Trees trees are all
 //     independent tasks, so construction saturates any core count.
-//   - Batch throughput: QueryBatch turns a query slice into tasks over the
+//   - Batch throughput: QueryBatchErr turns a query slice into tasks over the
 //     read-only shards, amortizing scheduling overhead per batch.
 //   - Incremental growth: Add buffers new sets in a small side shard that
 //     is scanned exactly (recall 1.0 on recent appends) and sealed into
@@ -26,7 +26,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,7 +80,7 @@ type Options struct {
 	// Seed makes construction reproducible; shard k derives its seed via
 	// SeedFor(Seed, k).
 	Seed uint64
-	// Workers parallelizes Build, seal, and QueryBatch on the shared
+	// Workers parallelizes Build, seal, and QueryBatchErr on the shared
 	// execution layer: 0 runs sequentially, negative selects GOMAXPROCS.
 	// Results are identical for any worker count.
 	Workers int
@@ -91,14 +90,11 @@ type Options struct {
 	// is always the answer the uncached path would give; see resultCache.
 	CacheSize int
 
-	// AutoCompact runs Compact in a background goroutine after every seal,
-	// so a long-running service reclaims small shards and tombstones
-	// without operator intervention. Queries are never blocked either way;
-	// see Compact for the policy knobs below.
-	AutoCompact bool
-	// CompactSmall is the shard size at or below which a ring shard is a
-	// merge candidate (default 2*MergeThreshold — sealed side shards
-	// qualify, full-size primaries do not).
+	// The compaction policy (see Compact; RuntimeOptions.AutoCompact runs
+	// it in the background after every seal). CompactSmall is the shard
+	// size at or below which a ring shard is a merge candidate (default
+	// 2*MergeThreshold — sealed side shards qualify, full-size primaries do
+	// not).
 	CompactSmall int
 	// CompactMinShards is the number of small shards required before a
 	// size-triggered merge runs (default 2: merging fewer cannot shrink
@@ -189,26 +185,19 @@ func ContiguousRanges(n, k int) [][2]int {
 // state, filtered at merge time like always.
 //
 // A hot local shard cannot fail; a cold one fails only on a corrupt
-// container and a remote one on a dead topology. The legacy (error-free)
-// query entry points are valid exactly on rings that cannot fail.
+// container and a remote one on a dead topology.
 type shardBackend interface {
-	// queryBest returns the shard's best match — highest similarity,
-	// then lowest id within the shard's traversal order — as a global id,
-	// with the shard's candidate-pipeline stats (zero for remote shards,
-	// whose counts stay on their peers).
-	queryBest(q []uint32) (id int, sim float64, ok bool, st cpindex.QueryStats, err error)
-	// queryAll returns every match in the shard with global ids,
-	// unfiltered and in shard-traversal order (the merge sorts).
-	queryAll(q []uint32) ([]cpindex.Match, cpindex.QueryStats, error)
-	// queryBatch answers qs against the shard; results[i] corresponds to
-	// qs[i]. Remote backends answer the whole batch in one round trip.
-	queryBatch(qs [][]uint32) ([][]cpindex.Match, error)
-	// queryContain returns the shard's exact-verified containment matches
-	// (C(q, y) >= t) with global ids, in shard-traversal order. opts are
-	// the index-wide containment options, threaded through so a shard
-	// whose containment side is not built yet can build it with the right
-	// global seed.
-	queryContain(q []uint32, t float64, opts contain.Options) ([]cpindex.Match, error)
+	// query answers one planned query against the shard, with global ids
+	// and the shard's candidate-pipeline stats (zero for remote shards,
+	// whose counts stay on their peers): the best match — highest
+	// similarity, then lowest id within the shard's traversal order — or
+	// every match, unfiltered and in shard-traversal order (the merge
+	// sorts).
+	query(p plan, q []uint32) (Result, cpindex.QueryStats, error)
+	// queryBatch returns every match of every query in qs; results[i]
+	// corresponds to qs[i]. Remote backends answer the whole batch in one
+	// round trip.
+	queryBatch(qs [][]uint32) ([][]Match, error)
 	// size is the number of physically present sets (tombstoned included).
 	size() int
 	// globalIDs is the shard's local→global id map, kept coordinator-side
@@ -293,16 +282,15 @@ type Index struct {
 	// results without resealing a shard).
 	version atomic.Uint64
 	// cache is the optional hot-query result cache (nil when disabled).
-	// An atomic pointer so EnableCache can install it on a serving index.
+	// An atomic pointer so Configure can install it on a serving index.
 	cache atomic.Pointer[resultCache]
 	// compactions / compactedShards count completed Compact passes and the
 	// shards they removed or rewrote.
 	compactions     int
 	compactedShards int
-	// runtime mirrors the operational knobs currently applied (cache,
-	// auto-compaction, tiering), whether they arrived through Configure or a
-	// legacy setter. Save persists it so Load can re-apply the configured
-	// state. Guarded by mu.
+	// runtime holds the operational knobs currently applied (cache,
+	// auto-compaction, tiering). Save persists it so Load can re-apply the
+	// configured state. Guarded by mu.
 	runtime RuntimeOptions
 
 	// metrics is the index's instrumentation hub (latency histograms,
@@ -387,10 +375,7 @@ func Build(sets [][]uint32, lambda float64, o *Options) *Index {
 	}
 	if opt.CacheSize > 0 {
 		x.cache.Store(newResultCache(opt.CacheSize))
-	}
-	x.runtime = RuntimeOptions{
-		AutoCompact: opt.AutoCompact,
-		CacheSize:   max(opt.CacheSize, 0),
+		x.runtime.CacheSize = opt.CacheSize
 	}
 	x.metrics = newIndexMetrics(x)
 	for _, sh := range x.shards {
@@ -405,7 +390,10 @@ func Build(sets [][]uint32, lambda float64, o *Options) *Index {
 // atomically; Save persists it and Load re-applies it, so a restarted
 // service keeps its configured state.
 type RuntimeOptions struct {
-	// AutoCompact runs Compact in the background after every seal.
+	// AutoCompact runs Compact in a background goroutine after every seal,
+	// so a long-running service reclaims small shards and tombstones
+	// without operator intervention. Queries are never blocked either way;
+	// Options carries the policy knobs.
 	AutoCompact bool
 	// CacheSize installs the hot-query result cache with room for that
 	// many entries; 0 removes it. Negative values are rejected.
@@ -417,10 +405,11 @@ type RuntimeOptions struct {
 	Tiering Tier
 }
 
-// Configure applies the runtime options and remembers them as the
-// index's configured state. It subsumes the legacy SetAutoCompact /
-// EnableCache setters: one validated call, and the applied state is
-// persisted by Save and re-applied by Load.
+// Configure applies the runtime options in one validated call and
+// remembers them as the index's configured state, which Save persists and
+// Load re-applies. Safe on a serving index: queries pick a new cache up
+// atomically — entries are version-keyed, so there is no warm-up hazard —
+// and tier moves never change an answer.
 func (x *Index) Configure(ro RuntimeOptions) error {
 	if ro.CacheSize < 0 {
 		return fmt.Errorf("shard: cache size %d must be >= 0", ro.CacheSize)
@@ -429,12 +418,17 @@ func (x *Index) Configure(ro RuntimeOptions) error {
 	if err != nil {
 		return err
 	}
-	x.SetAutoCompact(ro.AutoCompact)
-	x.EnableCache(ro.CacheSize)
-	// Remember the tier exactly as configured ("" stays "", so a runtime
-	// state that never mentioned tiering round-trips unchanged), then move
-	// the ring to it. Idempotent when the ring is already there.
-	x.setTiering(ro.Tiering)
+	// The tier is remembered exactly as configured ("" stays "", so a
+	// runtime state that never mentioned tiering round-trips unchanged).
+	x.mu.Lock()
+	x.runtime = ro
+	x.mu.Unlock()
+	if ro.CacheSize > 0 {
+		x.cache.Store(newResultCache(ro.CacheSize))
+	} else {
+		x.cache.Store(nil)
+	}
+	// Move the ring to the tier; idempotent when it is already there.
 	return x.applyTiering(tier)
 }
 
@@ -443,22 +437,6 @@ func (x *Index) Runtime() RuntimeOptions {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	return x.runtime
-}
-
-// EnableCache installs a result cache with room for maxEntries entries
-// (or removes it when maxEntries <= 0). Safe on a serving index: queries
-// pick the cache up atomically, and entries are version-keyed, so there
-// is no warm-up hazard. Prefer Configure, which applies every runtime
-// knob in one validated call.
-func (x *Index) EnableCache(maxEntries int) {
-	x.mu.Lock()
-	x.runtime.CacheSize = max(maxEntries, 0)
-	x.mu.Unlock()
-	if maxEntries <= 0 {
-		x.cache.Store(nil)
-		return
-	}
-	x.cache.Store(newResultCache(maxEntries))
 }
 
 // buildShard builds the cpindex of one shard over the given global ids.
@@ -508,637 +486,6 @@ func (x *Index) snapshot() ([]shardBackend, []*sideBuffer, sideBuffer, map[int]s
 	return x.shards, sealing, side, x.tombs
 }
 
-// Query returns the best match across all shards: the global id of an
-// indexed set with J(q, result) >= λ and its exact similarity, or
-// ok = false if no shard finds one. Ties on similarity break toward the
-// lower id, so the answer is independent of shard iteration details.
-// Tombstoned ids are never returned: if a shard's chosen match turns out
-// to be deleted, that shard is rescanned for its best live match, so a
-// delete hides exactly one set instead of masking its neighbors.
-//
-// Query panics if a remote-backed shard has no live replica and no local
-// copy — an all-local ring can never fail, and serving paths over a
-// distributed ring must use QueryErr, which reports the dead topology as
-// an error instead of a silent partial merge.
-//
-// Deprecated: the error-returning path is the primary API. Query remains
-// only as a convenience for all-local rings, where the error is
-// structurally impossible; use QueryErr everywhere else.
-func (x *Index) Query(q []uint32) (id int, sim float64, ok bool) {
-	id, sim, ok, err := x.QueryErr(q)
-	if err != nil {
-		panic(fmt.Sprintf("shard: %v (use QueryErr on a distributed ring)", err))
-	}
-	return id, sim, ok
-}
-
-// QueryErr is Query with the remote-topology failure mode surfaced: when
-// a remote-backed shard cannot be reached on any replica (and keeps no
-// local copy), it returns the error rather than merging a partial answer.
-// Remote shards are asked concurrently, so a single query's latency is
-// bounded by the slowest peer round trip, not their sum.
-func (x *Index) QueryErr(q []uint32) (id int, sim float64, ok bool, err error) {
-	return x.queryBestTimed(q, nil)
-}
-
-// QueryTraced is QueryErr with the per-shard breakdown filled into tr —
-// the serving layer's debug and slow-query path. Passing nil tr is
-// exactly QueryErr.
-func (x *Index) QueryTraced(q []uint32, tr *QueryTrace) (id int, sim float64, ok bool, err error) {
-	return x.queryBestTimed(q, tr)
-}
-
-// queryBestTimed wraps the cached best-match path with the latency
-// histogram; the inline time.Now/Observe pair keeps the hot path free of
-// closures and allocations.
-func (x *Index) queryBestTimed(q []uint32, tr *QueryTrace) (int, float64, bool, error) {
-	start := time.Now()
-	id, sim, ok, err := x.queryBestCached(q, tr)
-	if m := x.metrics; m != nil {
-		m.queryBest.Observe(time.Since(start))
-		if err != nil {
-			m.queryErrors.Inc()
-		}
-	}
-	if tr != nil {
-		tr.TotalNs = time.Since(start).Nanoseconds()
-	}
-	return id, sim, ok, err
-}
-
-func (x *Index) queryBestCached(q []uint32, tr *QueryTrace) (int, float64, bool, error) {
-	if len(q) == 0 {
-		return -1, 0, false, nil
-	}
-	if c := x.cache.Load(); c != nil {
-		// The version is read before the state snapshot, so the answer
-		// computed below reflects a state at least as new as the key
-		// claims; a concurrent mutation bumps the version and orphans the
-		// entry rather than letting it serve stale.
-		v := x.version.Load()
-		if id, sim, ok, hit := c.getBest(v, q); hit {
-			if tr != nil {
-				tr.CacheHit = true
-			}
-			return id, sim, ok, nil
-		}
-		id, sim, ok, err := x.queryBest(q, tr)
-		if err == nil {
-			c.putBest(v, q, id, sim, ok)
-		}
-		return id, sim, ok, err
-	}
-	return x.queryBest(q, tr)
-}
-
-// bestAnswer carries one shard's prefetched queryBest result.
-type bestAnswer struct {
-	id    int
-	sim   float64
-	found bool
-	err   error
-	ns    int64 // RPC wall time, for traces
-}
-
-// queryBest is the uncached QueryErr body. On an all-local ring it
-// allocates nothing: the snapshot, the merge and the buffer scans all run
-// on pooled or borrowed storage. A non-nil tr records per-shard timing
-// and the candidate counts every backend call returns anyway (and
-// allocates the trace entries); the calls, the merge and its answer are
-// identical either way.
-func (x *Index) queryBest(q []uint32, tr *QueryTrace) (int, float64, bool, error) {
-	shards, sealing, side, tombs := x.snapshot()
-	// Prefetch every remote shard's best match in parallel; locals are
-	// answered inline in the merge loop below (no I/O to overlap). The
-	// merge itself stays in ring order, and the (sim desc, id asc) total
-	// order makes the answer independent of evaluation order anyway.
-	var remoteIdx []int
-	for i, sh := range shards {
-		if _, remote := sh.(*remoteShard); remote {
-			remoteIdx = append(remoteIdx, i)
-		}
-	}
-	var prefetched []bestAnswer
-	if len(remoteIdx) > 0 {
-		prefetched = make([]bestAnswer, len(shards))
-		exec.RunItems(exec.EffectiveWorkers(x.opt.Workers), len(remoteIdx), func(j int) {
-			i := remoteIdx[j]
-			a := &prefetched[i]
-			start := time.Now()
-			a.id, a.sim, a.found, _, a.err = shards[i].queryBest(q)
-			a.ns = time.Since(start).Nanoseconds()
-		})
-	}
-	best, bestSim := -1, 0.0
-	for i, sh := range shards {
-		g := -1
-		var s float64
-		var found bool
-		var err error
-		var st cpindex.QueryStats
-		var t0 time.Time
-		if tr != nil {
-			t0 = time.Now()
-		}
-		if prefetched != nil && contains(remoteIdx, i) {
-			a := &prefetched[i]
-			g, s, found, err = a.id, a.sim, a.found, a.err
-		} else {
-			g, s, found, st, err = sh.queryBest(q)
-		}
-		if err != nil {
-			return -1, 0, false, err
-		}
-		matched := 0
-		if found {
-			matched = 1
-		}
-		if found {
-			if _, dead := tombs[g]; dead {
-				// Rare path — the shard's chosen match was deleted — so the
-				// full rescan stays a plain serial call.
-				ms, _, err := sh.queryAll(q)
-				if err != nil {
-					return -1, 0, false, err
-				}
-				for _, m := range ms {
-					if _, dead := tombs[m.ID]; dead {
-						continue
-					}
-					if m.Sim > bestSim || (m.Sim == bestSim && (best < 0 || m.ID < best)) {
-						best, bestSim = m.ID, m.Sim
-					}
-				}
-				found = false
-			}
-		}
-		if found && (s > bestSim || (s == bestSim && (best < 0 || g < best))) {
-			best, bestSim = g, s
-		}
-		if tr != nil {
-			name, kind := sh.traceName(i)
-			e := ShardTrace{Shard: name, Kind: kind, Matches: matched,
-				Candidates: st.Candidates, Verified: st.Verified}
-			if prefetched != nil && contains(remoteIdx, i) {
-				e.Ns = prefetched[i].ns
-			} else {
-				e.Ns = time.Since(t0).Nanoseconds()
-			}
-			tr.add(e)
-		}
-	}
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	scanned := 0
-	for _, b := range sealing {
-		best, bestSim = scanBufferBest(*b, q, x.lambda, tombs, best, bestSim)
-		scanned += len(b.sets)
-	}
-	best, bestSim = scanBufferBest(side, q, x.lambda, tombs, best, bestSim)
-	scanned += len(side.sets)
-	if tr != nil {
-		tr.add(ShardTrace{Shard: "buffer", Kind: "buffer", Ns: time.Since(t0).Nanoseconds(),
-			Candidates: uint64(scanned), Verified: uint64(scanned)})
-	}
-	return best, bestSim, best >= 0, nil
-}
-
-// scanBufferBest folds one exactly-scanned buffer into the running best
-// match under the (sim desc, id asc) total order.
-func scanBufferBest(b sideBuffer, q []uint32, lambda float64, tombs map[int]struct{}, best int, bestSim float64) (int, float64) {
-	for i, set := range b.sets {
-		id := b.ids[i]
-		if _, dead := tombs[id]; dead {
-			continue
-		}
-		if s, ok := intset.JaccardAtLeast(q, set, lambda); ok &&
-			(s > bestSim || (s == bestSim && (best < 0 || id < best))) {
-			best, bestSim = id, s
-		}
-	}
-	return best, bestSim
-}
-
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// QueryAll returns every match across all shards and the side buffer,
-// sorted by global id — shards are disjoint, so the merge is a plain
-// concatenation with no deduplication. Tombstoned ids are filtered here,
-// at merge time. Like Query, it panics on a dead remote topology; use
-// QueryAllErr on a distributed ring.
-//
-// Deprecated: the error-returning path is the primary API. QueryAll
-// remains only as a convenience for all-local rings; use QueryAllErr
-// everywhere else.
-func (x *Index) QueryAll(q []uint32) []cpindex.Match {
-	ms, err := x.QueryAllErr(q)
-	if err != nil {
-		panic(fmt.Sprintf("shard: %v (use QueryAllErr on a distributed ring)", err))
-	}
-	return ms
-}
-
-// QueryAllErr is QueryAll with the remote-topology failure mode surfaced
-// as an error instead of a silent partial merge. Remote shards are asked
-// concurrently, like QueryErr.
-func (x *Index) QueryAllErr(q []uint32) ([]cpindex.Match, error) {
-	return x.queryAllTimed(q, nil)
-}
-
-// QueryAllTraced is QueryAllErr with the per-shard breakdown filled into
-// tr. Passing nil tr is exactly QueryAllErr.
-func (x *Index) QueryAllTraced(q []uint32, tr *QueryTrace) ([]cpindex.Match, error) {
-	return x.queryAllTimed(q, tr)
-}
-
-func (x *Index) queryAllTimed(q []uint32, tr *QueryTrace) ([]cpindex.Match, error) {
-	start := time.Now()
-	ms, err := x.queryAllCached(q, tr)
-	if m := x.metrics; m != nil {
-		m.queryAll.Observe(time.Since(start))
-		if err != nil {
-			m.queryErrors.Inc()
-		}
-	}
-	if tr != nil {
-		tr.TotalNs = time.Since(start).Nanoseconds()
-	}
-	return ms, err
-}
-
-func (x *Index) queryAllCached(q []uint32, tr *QueryTrace) ([]cpindex.Match, error) {
-	if c := x.cache.Load(); c != nil {
-		v := x.version.Load()
-		if ms, hit := c.getAll(v, q); hit {
-			if tr != nil {
-				tr.CacheHit = true
-			}
-			return ms, nil
-		}
-		ms, err := x.queryAllUncached(q, tr)
-		if err == nil {
-			c.putAll(v, q, ms)
-		}
-		return ms, err
-	}
-	return x.queryAllUncached(q, tr)
-}
-
-func (x *Index) queryAllUncached(q []uint32, tr *QueryTrace) ([]cpindex.Match, error) {
-	shards, sealing, side, tombs := x.snapshot()
-	if tr != nil {
-		return x.queryAllShardwise(shards, sealing, side, tombs, q, tr)
-	}
-	var locals []shardBackend
-	var remotes []shardBackend
-	for _, sh := range shards {
-		if _, remote := sh.(*remoteShard); remote {
-			remotes = append(remotes, sh)
-		} else {
-			locals = append(locals, sh)
-		}
-	}
-	extra := make([][]cpindex.Match, len(remotes))
-	if len(remotes) > 0 {
-		errs := make([]error, len(remotes))
-		exec.RunItems(exec.EffectiveWorkers(x.opt.Workers), len(remotes), func(i int) {
-			extra[i], _, errs[i] = remotes[i].queryAll(q)
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return mergeQuery(locals, extra, sealing, side, tombs, x.lambda, q)
-}
-
-// queryAllShardwise is the traced queryAllUncached body: every shard's
-// matches are pre-fetched (remotes in parallel, locals inline) with
-// per-shard timing and stats, then handed to the same mergeQuery the
-// untraced path uses, so the merged answer is identical.
-func (x *Index) queryAllShardwise(shards []shardBackend, sealing []*sideBuffer, side sideBuffer, tombs map[int]struct{}, q []uint32, tr *QueryTrace) ([]cpindex.Match, error) {
-	extra := make([][]cpindex.Match, len(shards))
-	nss := make([]int64, len(shards))
-	stats := make([]cpindex.QueryStats, len(shards))
-	errs := make([]error, len(shards))
-	fetch := func(i int) {
-		start := time.Now()
-		extra[i], stats[i], errs[i] = shards[i].queryAll(q)
-		nss[i] = time.Since(start).Nanoseconds()
-	}
-	var remoteIdx []int
-	for i, sh := range shards {
-		if _, remote := sh.(*remoteShard); remote {
-			remoteIdx = append(remoteIdx, i)
-		}
-	}
-	exec.RunItems(exec.EffectiveWorkers(x.opt.Workers), len(remoteIdx), func(j int) { fetch(remoteIdx[j]) })
-	for i, sh := range shards {
-		if _, remote := sh.(*remoteShard); !remote {
-			fetch(i)
-		}
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-	}
-	for i, sh := range shards {
-		name, kind := sh.traceName(i)
-		tr.add(ShardTrace{Shard: name, Kind: kind, Ns: nss[i], Matches: len(extra[i]),
-			Candidates: stats[i].Candidates, Verified: stats[i].Verified})
-	}
-	t0 := time.Now()
-	scanned := len(side.sets)
-	for _, b := range sealing {
-		scanned += len(b.sets)
-	}
-	out, err := mergeQuery(nil, extra, sealing, side, tombs, x.lambda, q)
-	tr.add(ShardTrace{Shard: "buffer", Kind: "buffer", Ns: time.Since(t0).Nanoseconds(),
-		Candidates: uint64(scanned), Verified: uint64(scanned)})
-	return out, err
-}
-
-// mergeQuery is the shared per-query merge: matches from every shard in
-// shards (fetched through the backend), plus pre-fetched per-shard match
-// lists in extra (the batched remote path), plus the exactly-scanned
-// buffers — tombstones filtered throughout, sorted by global id. Shards
-// are disjoint and ids unique, so the sort yields one canonical answer
-// regardless of which path a shard's matches arrived by.
-func mergeQuery(shards []shardBackend, extra [][]cpindex.Match, sealing []*sideBuffer, side sideBuffer, tombs map[int]struct{}, lambda float64, q []uint32) ([]cpindex.Match, error) {
-	var out []cpindex.Match
-	keep := func(ms []cpindex.Match) {
-		for _, m := range ms {
-			if _, dead := tombs[m.ID]; dead {
-				continue
-			}
-			out = append(out, m)
-		}
-	}
-	for _, sh := range shards {
-		ms, _, err := sh.queryAll(q)
-		if err != nil {
-			return nil, err
-		}
-		keep(ms)
-	}
-	for _, ms := range extra {
-		keep(ms)
-	}
-	if len(q) > 0 {
-		for _, b := range sealing {
-			out = appendBufferMatches(out, *b, q, lambda, tombs)
-		}
-		out = appendBufferMatches(out, side, q, lambda, tombs)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
-}
-
-// appendBufferMatches exact-scans one buffer and appends its live matches.
-func appendBufferMatches(out []cpindex.Match, b sideBuffer, q []uint32, lambda float64, tombs map[int]struct{}) []cpindex.Match {
-	for i, set := range b.sets {
-		if _, dead := tombs[b.ids[i]]; dead {
-			continue
-		}
-		if sim, ok := intset.JaccardAtLeast(q, set, lambda); ok {
-			out = append(out, cpindex.Match{ID: b.ids[i], Sim: sim})
-		}
-	}
-	return out
-}
-
-// QueryBatch answers many queries at once: the queries become chunked
-// tasks on the execution layer over one read-only snapshot of the shards,
-// and the result slice is indexed like the input — results[i] is
-// QueryAll(qs[i]) against that snapshot. Output is deterministic for any
-// worker count (each query writes only its own slot). Like Query, it
-// panics on a dead remote topology; use QueryBatchErr on a distributed
-// ring.
-//
-// Deprecated: the error-returning path is the primary API. QueryBatch
-// remains only as a convenience for all-local rings; use QueryBatchErr
-// everywhere else.
-func (x *Index) QueryBatch(qs [][]uint32) [][]cpindex.Match {
-	out, err := x.QueryBatchErr(qs)
-	if err != nil {
-		panic(fmt.Sprintf("shard: %v (use QueryBatchErr on a distributed ring)", err))
-	}
-	return out
-}
-
-// QueryBatchErr is QueryBatch with the remote-topology failure mode
-// surfaced. Remote-backed shards answer the whole batch in one RPC each —
-// a batch costs O(remote shards) round trips, not O(queries × shards) —
-// while local shards stay on the per-query path, which parallelizes
-// across queries on the execution layer. Any shard left unanswerable (no
-// live replica, no local copy) fails the whole batch with its error: a
-// batch never silently merges partial topology.
-func (x *Index) QueryBatchErr(qs [][]uint32) ([][]cpindex.Match, error) {
-	start := time.Now()
-	out, err := x.queryBatchCached(qs)
-	if m := x.metrics; m != nil {
-		m.queryBatch.Observe(time.Since(start))
-		if err != nil {
-			m.queryErrors.Inc()
-		}
-	}
-	return out, err
-}
-
-func (x *Index) queryBatchCached(qs [][]uint32) ([][]cpindex.Match, error) {
-	c := x.cache.Load()
-	if c == nil {
-		return x.queryBatchUncached(qs)
-	}
-	// Per-query cache consult: hits are filled from the cache, misses go
-	// through the normal batch machinery together (remote shards still see
-	// one RPC for the whole miss set) and are stored back under the
-	// version read before the snapshot.
-	v := x.version.Load()
-	out := make([][]cpindex.Match, len(qs))
-	var missIdx []int
-	var missQs [][]uint32
-	for i, q := range qs {
-		if ms, hit := c.getAll(v, q); hit {
-			out[i] = ms
-		} else {
-			missIdx = append(missIdx, i)
-			missQs = append(missQs, q)
-		}
-	}
-	if len(missQs) > 0 {
-		res, err := x.queryBatchUncached(missQs)
-		if err != nil {
-			return nil, err
-		}
-		for j, i := range missIdx {
-			out[i] = res[j]
-			c.putAll(v, qs[i], res[j])
-		}
-	}
-	return out, nil
-}
-
-func (x *Index) queryBatchUncached(qs [][]uint32) ([][]cpindex.Match, error) {
-	shards, sealing, side, tombs := x.snapshot()
-	workers := exec.EffectiveWorkers(x.opt.Workers)
-	var locals, remotes []shardBackend
-	for _, sh := range shards {
-		if _, ok := sh.(*remoteShard); ok {
-			remotes = append(remotes, sh)
-		} else {
-			locals = append(locals, sh)
-		}
-	}
-	remoteRes := make([][][]cpindex.Match, len(remotes))
-	if len(remotes) > 0 {
-		errs := make([]error, len(remotes))
-		exec.RunItems(workers, len(remotes), func(s int) {
-			remoteRes[s], errs[s] = remotes[s].queryBatch(qs)
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	out := make([][]cpindex.Match, len(qs))
-	errs := make([]error, len(qs))
-	exec.RunItems(workers, len(qs), func(i int) {
-		extra := make([][]cpindex.Match, len(remotes))
-		for s := range remotes {
-			extra[s] = remoteRes[s][i]
-		}
-		// Remote errors were collected above; what can still fail here is a
-		// cold local shard with a corrupt container.
-		out[i], errs[i] = mergeQuery(locals, extra, sealing, side, tombs, x.lambda, qs[i])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// QueryContain returns every indexed set whose containment of the query
-// C(q, y) = |q ∩ y| / |q| reaches t, with the exact containment score,
-// sorted by global id — the domain-discovery workload: "which indexed
-// domains cover (almost) all of my query column". Candidates come from
-// each shard's LSH Ensemble structure (recall ≈ the contain package's
-// TargetProb per true match) and every candidate is exact-verified, so
-// precision is 1.0 and, because candidate generation hashes with one
-// global seed and global cardinality bands, results are byte-identical
-// across shard counts, partition schemes, worker counts and distributed
-// topologies. Buffered appends are scanned exactly. The threshold must
-// lie in (0, 1]; an unreachable remote shard surfaces as an error like
-// the QueryErr family.
-func (x *Index) QueryContain(q []uint32, t float64) ([]cpindex.Match, error) {
-	start := time.Now()
-	ms, err := x.queryContainCached(q, t)
-	if m := x.metrics; m != nil {
-		m.queryContain.Observe(time.Since(start))
-		if err != nil {
-			m.queryErrors.Inc()
-		}
-	}
-	return ms, err
-}
-
-func (x *Index) queryContainCached(q []uint32, t float64) ([]cpindex.Match, error) {
-	if t <= 0 || t > 1 {
-		return nil, fmt.Errorf("shard: containment threshold %v out of (0,1]", t)
-	}
-	if len(q) == 0 {
-		return nil, nil
-	}
-	if c := x.cache.Load(); c != nil {
-		v := x.version.Load()
-		if ms, hit := c.getContain(v, q, t); hit {
-			return ms, nil
-		}
-		ms, err := x.queryContainUncached(q, t)
-		if err == nil {
-			c.putContain(v, q, t, ms)
-		}
-		return ms, err
-	}
-	return x.queryContainUncached(q, t)
-}
-
-func (x *Index) queryContainUncached(q []uint32, t float64) ([]cpindex.Match, error) {
-	shards, sealing, side, tombs := x.snapshot()
-	opts := x.containOptions()
-	var locals, remotes []shardBackend
-	for _, sh := range shards {
-		if _, ok := sh.(*remoteShard); ok {
-			remotes = append(remotes, sh)
-		} else {
-			locals = append(locals, sh)
-		}
-	}
-	extra := make([][]cpindex.Match, len(remotes))
-	if len(remotes) > 0 {
-		errs := make([]error, len(remotes))
-		exec.RunItems(exec.EffectiveWorkers(x.opt.Workers), len(remotes), func(i int) {
-			extra[i], errs[i] = remotes[i].queryContain(q, t, opts)
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	var out []cpindex.Match
-	keep := func(ms []cpindex.Match) {
-		for _, m := range ms {
-			if _, dead := tombs[m.ID]; dead {
-				continue
-			}
-			out = append(out, m)
-		}
-	}
-	for _, sh := range locals {
-		ms, err := sh.queryContain(q, t, opts)
-		if err != nil {
-			return nil, err
-		}
-		keep(ms)
-	}
-	for _, ms := range extra {
-		keep(ms)
-	}
-	for _, b := range sealing {
-		out = appendBufferContain(out, *b, q, t, tombs)
-	}
-	out = appendBufferContain(out, side, q, t, tombs)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
-}
-
-// appendBufferContain exact-scans one buffer for containment matches —
-// buffered appends need no candidate structure, so they keep recall 1.0.
-func appendBufferContain(out []cpindex.Match, b sideBuffer, q []uint32, t float64, tombs map[int]struct{}) []cpindex.Match {
-	for i, set := range b.sets {
-		if _, dead := tombs[b.ids[i]]; dead {
-			continue
-		}
-		if sim, ok := intset.ContainmentAtLeast(q, set, t); ok {
-			out = append(out, cpindex.Match{ID: b.ids[i], Sim: sim})
-		}
-	}
-	return out
-}
-
 // Add appends sets to the index and returns their global ids. The sets
 // are buffered in the side shard (scanned exactly by queries, so they are
 // findable immediately with recall 1.0); once the buffer crosses
@@ -1174,7 +521,7 @@ func (x *Index) Add(sets [][]uint32) []int {
 	if len(x.side.sets) >= x.opt.MergeThreshold {
 		pending, slot = x.beginSealLocked()
 	}
-	auto := x.opt.AutoCompact
+	auto := x.runtime.AutoCompact
 	x.mu.Unlock()
 	if pending != nil {
 		x.finishSeal(pending, slot)
@@ -1346,7 +693,7 @@ func (x *Index) Flush() {
 	if len(x.side.sets) > 0 {
 		pending, slot = x.beginSealLocked()
 	}
-	auto := x.opt.AutoCompact
+	auto := x.runtime.AutoCompact
 	x.mu.Unlock()
 	if pending != nil {
 		x.finishSeal(pending, slot)
@@ -1355,116 +702,4 @@ func (x *Index) Flush() {
 		}
 		x.placementKick()
 	}
-}
-
-// SetAutoCompact enables or disables seal-triggered background compaction
-// on a built or loaded index. Prefer Configure, which applies every
-// runtime knob in one validated call.
-func (x *Index) SetAutoCompact(on bool) {
-	x.mu.Lock()
-	x.opt.AutoCompact = on
-	x.runtime.AutoCompact = on
-	x.mu.Unlock()
-}
-
-// Stats describes the current shape of a sharded index.
-type Stats struct {
-	Lambda float64 `json:"lambda"`
-	// Sets counts live sets (deleted sets excluded, buffered included).
-	Sets       int   `json:"sets"`
-	Shards     int   `json:"shards"`
-	ShardSizes []int `json:"shard_sizes"`
-	Buffered   int   `json:"buffered"`
-	Appends    int   `json:"appends"`
-	Merges     int   `json:"merges"`
-	// Deletes counts lifetime Delete calls that hit a live id;
-	// Tombstones counts the deleted ids still physically present (and
-	// thus filtered at query time) — seals compact buffered ones away,
-	// Compact reclaims the rest.
-	Deletes    int `json:"deletes"`
-	Tombstones int `json:"tombstones"`
-	// Compactions counts completed Compact passes, CompactedShards the
-	// ring shards they removed or rewrote, and Reclaimed the deleted ids
-	// whose physical entries have been dropped (by seals and compactions)
-	// and whose tombstones are retired for good.
-	Compactions     int `json:"compactions"`
-	CompactedShards int `json:"compacted_shards"`
-	Reclaimed       int `json:"reclaimed"`
-	// Generation counts ring changes: seals, compaction swaps and remote
-	// placements.
-	Generation int `json:"generation"`
-	// RemoteShards counts ring shards currently backed by peers (placed or
-	// replicated via Distribute). Nodes and Leaves cover local structures
-	// only — a remote shard's tree lives on its peer.
-	RemoteShards int `json:"remote_shards"`
-	// HotShards and ColdShards split the local ring by storage tier: sets
-	// on the heap versus left in memory-mapped containers.
-	HotShards  int `json:"hot_shards"`
-	ColdShards int `json:"cold_shards"`
-	// PlacementEpoch counts placement passes (Distribute calls, manual or
-	// controller-driven); PlacementKeys is the number of distinct shard
-	// keys this coordinator currently believes peers host for it — after a
-	// clean GC sweep it equals the ring's remote key count.
-	PlacementEpoch int    `json:"placement_epoch"`
-	PlacementKeys  int    `json:"placement_keys"`
-	Nodes          int    `json:"nodes"`
-	Leaves         int    `json:"leaves"`
-	Partition      string `json:"partition"`
-	Workers        int    `json:"workers"`
-	// CacheEnabled reports whether the hot-query result cache is on;
-	// when it is, CacheEntries is its current size and CacheHits /
-	// CacheMisses its lifetime counters (misses include entries orphaned
-	// by a version bump).
-	CacheEnabled bool   `json:"cache_enabled"`
-	CacheEntries int    `json:"cache_entries"`
-	CacheHits    uint64 `json:"cache_hits"`
-	CacheMisses  uint64 `json:"cache_misses"`
-}
-
-// Stats returns a point-in-time snapshot of the index shape.
-func (x *Index) Stats() Stats {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	buffered := len(x.side.sets)
-	for _, b := range x.sealing {
-		buffered += len(b.sets)
-	}
-	st := Stats{
-		Lambda:          x.lambda,
-		Sets:            x.live,
-		Shards:          len(x.shards),
-		Buffered:        buffered,
-		Appends:         x.appends,
-		Merges:          x.merges,
-		Deletes:         x.deletes,
-		Tombstones:      len(x.tombs),
-		Compactions:     x.compactions,
-		CompactedShards: x.compactedShards,
-		Reclaimed:       x.dropped.Count(),
-		Generation:      x.generation,
-		Partition:       x.opt.Partition.String(),
-		Workers:         x.opt.Workers,
-	}
-	st.PlacementEpoch, st.PlacementKeys = x.placement.stats()
-	if c := x.cache.Load(); c != nil {
-		st.CacheEnabled = true
-		st.CacheEntries, st.CacheHits, st.CacheMisses = c.stats()
-	}
-	for _, sh := range x.shards {
-		st.ShardSizes = append(st.ShardSizes, sh.size())
-		local, ok := sh.(*localShard)
-		if !ok {
-			st.RemoteShards++
-			continue
-		}
-		if local.isCold() {
-			st.ColdShards++
-		} else {
-			st.HotShards++
-		}
-		nodes, leaves := local.structure()
-		st.Nodes += nodes
-		st.Leaves += leaves
-	}
-	return st
 }

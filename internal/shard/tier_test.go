@@ -278,7 +278,7 @@ func TestTracedBestQueriesCountAsHits(t *testing.T) {
 	for pass := 0; pass < tierDemoteIdlePasses; pass++ {
 		for _, q := range queries[:4] {
 			var tr QueryTrace
-			if _, _, _, err := x.QueryTraced(q, &tr); err != nil {
+			if _, err := x.Search(Request{Set: q}, &tr); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -306,15 +306,15 @@ func TestTracedBestQueryStatsAcrossTiers(t *testing.T) {
 	hot, cold := load(TierHot), load(TierCold)
 	for qi, q := range queries {
 		var ht, ct QueryTrace
-		hid, hsim, hok, err := hot.QueryTraced(q, &ht)
+		hres, err := hot.Search(Request{Set: q}, &ht)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cid, csim, cok, err := cold.QueryTraced(q, &ct)
+		cres, err := cold.Search(Request{Set: q}, &ct)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hid != cid || hsim != csim || hok != cok {
+		if hres.Best != cres.Best || hres.Found != cres.Found {
 			t.Fatalf("query %d: traced answers diverge across tiers", qi)
 		}
 		if len(ht.Shards) != len(ct.Shards) || ht.Candidates == 0 {

@@ -1,7 +1,5 @@
 package shard
 
-import "sort"
-
 // QueryTrace is the per-query breakdown behind the slow-query log and the
 // "debug":true response field: where one query's time went, shard by
 // shard, plus its candidate-pipeline totals and cache outcome. Traced
@@ -50,81 +48,4 @@ func (tr *QueryTrace) add(e ShardTrace) {
 	tr.Candidates += e.Candidates
 	tr.Verified += e.Verified
 	tr.Shards = append(tr.Shards, e)
-}
-
-// PeerHealth is one peer's serving view in a health report: the passive
-// health bit plus its lifetime RPC counters.
-type PeerHealth struct {
-	Peer      string `json:"peer"`
-	Healthy   bool   `json:"healthy"`
-	RPCs      uint64 `json:"rpcs"`
-	Errors    uint64 `json:"errors"`
-	Failovers uint64 `json:"failovers"`
-}
-
-// HealthStatus is the readiness report behind /healthz and /readyz. Ready
-// is false exactly when some remote-backed shard is unanswerable: every
-// replica's last RPC failed and no local copy remains — the condition
-// under which QueryErr would return an error. An all-local ring is always
-// ready.
-type HealthStatus struct {
-	Ready        bool   `json:"ready"`
-	Generation   int    `json:"generation"`
-	Version      uint64 `json:"version"`
-	Shards       int    `json:"shards"`
-	RemoteShards int    `json:"remote_shards"`
-	// UnreadyShards lists the remote shard keys with no healthy replica
-	// and no local copy.
-	UnreadyShards []string `json:"unready_shards,omitempty"`
-	// Peers covers every peer referenced by the current ring, sorted by
-	// URL. Health is passive — observed from real query RPCs, not probes —
-	// so a never-contacted peer reports healthy.
-	Peers []PeerHealth `json:"peers,omitempty"`
-}
-
-// Health reports the index's current serving health from the ring and the
-// passive per-peer counters.
-func (x *Index) Health() HealthStatus {
-	x.mu.RLock()
-	shards := x.shards
-	gen := x.generation
-	x.mu.RUnlock()
-
-	st := HealthStatus{
-		Ready:      true,
-		Generation: gen,
-		Version:    x.version.Load(),
-		Shards:     len(shards),
-	}
-	seen := make(map[string]bool)
-	for _, sh := range shards {
-		r, ok := sh.(*remoteShard)
-		if !ok {
-			continue
-		}
-		st.RemoteShards++
-		answerable := r.local != nil
-		for _, base := range r.replicas {
-			pm := x.metrics.peer(base)
-			if pm.isHealthy() {
-				answerable = true
-			}
-			if !seen[base] {
-				seen[base] = true
-				ph := PeerHealth{Peer: base, Healthy: pm.isHealthy()}
-				if pm != nil {
-					ph.RPCs = pm.lat.Count()
-					ph.Errors = pm.rpcErrors.Value()
-					ph.Failovers = pm.failovers.Value()
-				}
-				st.Peers = append(st.Peers, ph)
-			}
-		}
-		if !answerable {
-			st.Ready = false
-			st.UnreadyShards = append(st.UnreadyShards, r.key)
-		}
-	}
-	sort.Slice(st.Peers, func(i, j int) bool { return st.Peers[i].Peer < st.Peers[j].Peer })
-	return st
 }

@@ -377,32 +377,39 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 			checkQuery := func(op int, q []uint32) {
 				t.Helper()
 				wantID, wantSim, wantOK := model.query(q)
-				id, sim, ok, err := ix.QueryErr(q)
+				best, err := ix.Search(Query{Set: q})
 				if err != nil {
-					fail(op, "QueryErr(%v): %v", q, err)
+					fail(op, "Search(%v): %v", q, err)
 				}
-				if id != wantID || sim != wantSim || ok != wantOK {
-					fail(op, "Query(%v) = (%d, %v, %v), model says (%d, %v, %v)",
-						q, id, sim, ok, wantID, wantSim, wantOK)
+				if best.Best.ID != wantID || best.Best.Sim != wantSim || best.Found != wantOK {
+					fail(op, "Search(%v) = %+v, model says (%d, %v, %v)",
+						q, best, wantID, wantSim, wantOK)
 				}
-				got, err := ix.QueryAllErr(q)
+				all, err := ix.Search(Query{Set: q, All: true})
 				if err != nil {
-					fail(op, "QueryAllErr(%v): %v", q, err)
+					fail(op, "Search(%v, all): %v", q, err)
 				}
-				if want := model.queryAll(q); !equalModelMatches(got, want) {
-					fail(op, "QueryAll(%v) = %v, model says %v", q, got, want)
+				if want := model.queryAll(q); !equalModelMatches(all.Matches, want) {
+					fail(op, "Search(%v, all) = %v, model says %v", q, all.Matches, want)
 				}
 			}
 
 			// The containment dimension: the index's containment answers are
 			// checked for exactness against the brute-force model — every
 			// returned match must be in the model's truth with the exact
-			// containment score, in ascending id order — and the Search
-			// entry point must agree byte-for-byte with QueryContain. The
-			// candidate structure is approximate (recall is a target, not
-			// 1.0), so misses are tallied and gated in aggregate at the end
-			// instead of per probe.
+			// containment score, in ascending id order. The candidate
+			// structure is approximate (recall is a target, not 1.0), so
+			// misses are tallied and gated in aggregate at the end instead
+			// of per probe.
 			var containTruth, containHits int
+			contain := func(op int, q []uint32, th float64) []Match {
+				t.Helper()
+				res, err := ix.Search(Query{Set: q, Mode: ModeContainment, Threshold: th})
+				if err != nil {
+					fail(op, "containment Search(%v, t=%v): %v", q, th, err)
+				}
+				return res.Matches
+			}
 			checkContain := func(op int, q []uint32) {
 				t.Helper()
 				for _, th := range []float64{0.5, 1.0} {
@@ -411,11 +418,7 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 					for _, m := range want {
 						inTruth[m.ID] = m.Sim
 					}
-					res, err := ix.Search(Query{Set: q, Mode: ModeContainment, Threshold: th})
-					if err != nil {
-						fail(op, "containment Search(%v, t=%v): %v", q, th, err)
-					}
-					got := res.Matches
+					got := contain(op, q, th)
 					for i, m := range got {
 						if i > 0 && got[i-1].ID >= m.ID {
 							fail(op, "containment matches not ascending: %v", got)
@@ -423,13 +426,6 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 						if sim, in := inTruth[m.ID]; !in || sim != m.Sim {
 							fail(op, "containment match %+v at t=%v not in model truth %v", m, th, want)
 						}
-					}
-					conv, err := ix.QueryContain(q, th)
-					if err != nil {
-						fail(op, "QueryContain(%v, t=%v): %v", q, th, err)
-					}
-					if !equalModelMatches(got, conv) {
-						fail(op, "Search containment %v != QueryContain %v", got, conv)
 					}
 					containTruth += len(want)
 					containHits += len(got)
@@ -468,9 +464,9 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 					for i := range qs {
 						qs[i] = genQuery(r, model)
 					}
-					got, err := ix.QueryBatchErr(qs)
+					got, err := ix.QueryBatch(qs)
 					if err != nil {
-						fail(op, "QueryBatchErr: %v", err)
+						fail(op, "QueryBatch: %v", err)
 					}
 					for i, q := range qs {
 						if want := model.queryAll(q); !equalModelMatches(got[i], want) {
@@ -496,10 +492,7 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 					// and the signer's seed is global, so no rebuild may
 					// change a single match.
 					containProbe := genQuery(r, model)
-					preContain, err := ix.QueryContain(containProbe, 0.5)
-					if err != nil {
-						fail(op, "pre-save QueryContain: %v", err)
-					}
+					preContain := contain(op, containProbe, 0.5)
 					if err := ix.Save(dir); err != nil {
 						fail(op, "Save: %v", err)
 					}
@@ -517,10 +510,7 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 					// every round trip exercises placement afresh.
 					distribute(ix)
 					reconfigure(ix)
-					postContain, err := ix.QueryContain(containProbe, 0.5)
-					if err != nil {
-						fail(op, "post-load QueryContain: %v", err)
-					}
+					postContain := contain(op, containProbe, 0.5)
 					if !equalModelMatches(preContain, postContain) {
 						fail(op, "containment answers changed across save/load: %v -> %v",
 							preContain, postContain)
@@ -565,9 +555,9 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 			for p := 0; p < 30; p++ {
 				finals = append(finals, genQuery(r, model))
 			}
-			got, err := ix.QueryBatchErr(finals)
+			got, err := ix.QueryBatch(finals)
 			if err != nil {
-				t.Fatalf("seed=%d final: QueryBatchErr: %v", seed, err)
+				t.Fatalf("seed=%d final: QueryBatch: %v", seed, err)
 			}
 			for i, q := range finals {
 				if want := model.queryAll(q); !equalModelMatches(got[i], want) {

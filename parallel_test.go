@@ -178,7 +178,7 @@ func TestSketchDisabledUniform(t *testing.T) {
 }
 
 // TestIndexJoinsWithWorkers exercises the Workers path through the
-// prebuilt-index API, including the deprecated CPSJoinParallel wrapper.
+// prebuilt-index API.
 func TestIndexJoinsWithWorkers(t *testing.T) {
 	sets := parallelWorkload(500, 83)
 	ix := NewIndex(sets, &Options{Seed: 21})
@@ -189,10 +189,6 @@ func TestIndexJoinsWithWorkers(t *testing.T) {
 		if !equalPairSets(ref, got) {
 			t.Errorf("workers=%d: indexed join differs from sequential", workers)
 		}
-	}
-	dep, _ := ix.CPSJoinParallel(0.5, &Options{Seed: 21}, 3)
-	if !equalPairSets(ref, dep) {
-		t.Error("deprecated CPSJoinParallel differs from sequential CPSJoin")
 	}
 }
 
@@ -206,8 +202,9 @@ func TestSearchIndexParallelBuild(t *testing.T) {
 	for q := 0; q < 100; q++ {
 		a := seqIx.QueryAll(sets[q])
 		b := parIx.QueryAll(sets[q])
-		sort.Ints(a)
-		sort.Ints(b)
+		for _, ms := range [][]Match{a, b} {
+			sort.Slice(ms, func(i, j int) bool { return ms[i].ID < ms[j].ID })
+		}
 		if len(a) != len(b) {
 			misses++
 			continue

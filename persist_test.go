@@ -76,8 +76,8 @@ func TestShardedIndexSaveLoadDelete(t *testing.T) {
 	}
 
 	queries := append(append([][]uint32{}, sets[:100]...), extra...)
-	want := ix.QueryBatch(queries)
-	got := back.QueryBatch(queries)
+	want := shardedBatch(t, ix, queries)
+	got := shardedBatch(t, back, queries)
 	for i := range got {
 		if len(got[i]) != len(want[i]) {
 			t.Fatalf("query %d: %d matches, want %d", i, len(got[i]), len(want[i]))
@@ -89,7 +89,7 @@ func TestShardedIndexSaveLoadDelete(t *testing.T) {
 		}
 	}
 	for _, q := range [][]uint32{sets[5], extra[3]} {
-		for _, m := range back.QueryAll(q) {
+		for _, m := range shardedAll(t, back, q) {
 			if m.ID == 5 || m.ID == sideVictim {
 				t.Fatalf("deleted id %d served after reload", m.ID)
 			}

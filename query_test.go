@@ -1,6 +1,7 @@
 package ssjoin
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,6 +27,11 @@ func queryTestIndex(t *testing.T) (*ShardedIndex, [][]uint32) {
 
 func TestSearchSimilarityModes(t *testing.T) {
 	ix, sets := queryTestIndex(t)
+	// With the result cache on, repeated queries are served from shared
+	// entries — which the facade must never hand out.
+	if err := ix.Configure(RuntimeOptions{CacheSize: 8}); err != nil {
+		t.Fatal(err)
+	}
 
 	// Zero value = best-of similarity at λ.
 	res, err := ix.Search(Query{Set: sets[0]})
@@ -41,14 +47,14 @@ func TestSearchSimilarityModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantAll := ix.QueryAll(sets[0])
-	if !res.Found || len(res.Matches) != len(wantAll) {
-		t.Fatalf("all-search %+v != QueryAll %v", res, wantAll)
+	wantAll := []Match{{ID: 0, Sim: 1}, {ID: 1, Sim: 0.75}, {ID: 2, Sim: 0.5}}
+	if !res.Found || !slices.Equal(res.Matches, wantAll) {
+		t.Fatalf("all-search %+v, want %v", res, wantAll)
 	}
-	for i := range wantAll {
-		if res.Matches[i] != wantAll[i] {
-			t.Fatalf("match %d: %+v != %+v", i, res.Matches[i], wantAll[i])
-		}
+	// The caller owns the match list: scribbling on it changes no later answer.
+	res.Matches[0] = Match{ID: 99}
+	if again, _ := ix.Search(Query{Set: sets[0], All: true}); !slices.Equal(again.Matches, wantAll) {
+		t.Fatalf("answer changed after the caller modified a result: %v", again.Matches)
 	}
 
 	// An explicit threshold above λ narrows: only matches at that
@@ -131,21 +137,6 @@ func TestSearchContainment(t *testing.T) {
 		}
 	}
 
-	// The convenience form answers identically to Search.
-	conv, err := ix.QueryContain(sets[2], 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _ = ix.Search(Query{Set: sets[2], Mode: ModeContainment, Threshold: 1.0})
-	if len(conv) != len(res.Matches) {
-		t.Fatalf("QueryContain %v != Search %v", conv, res.Matches)
-	}
-	for i := range conv {
-		if conv[i] != res.Matches[i] {
-			t.Fatalf("QueryContain[%d] %+v != Search %+v", i, conv[i], res.Matches[i])
-		}
-	}
-
 	// Containment needs an explicit threshold in (0,1].
 	for _, bad := range []float64{0, -1, 1.01} {
 		if _, err := ix.Search(Query{Set: sets[2], Mode: ModeContainment, Threshold: bad}); err == nil {
@@ -154,11 +145,10 @@ func TestSearchContainment(t *testing.T) {
 	}
 
 	// Unnormalized input is normalized on entry.
-	raw := []uint32{3, 1, 2, 2, 1}
-	a, _ := ix.QueryContain(raw, 1.0)
-	b, _ := ix.QueryContain([]uint32{1, 2, 3}, 1.0)
-	if len(a) != len(b) {
-		t.Fatalf("unnormalized probe answers %v, normalized %v", a, b)
+	a, _ := ix.Search(Query{Set: []uint32{3, 1, 2, 2, 1}, Mode: ModeContainment, Threshold: 1.0})
+	b, _ := ix.Search(Query{Set: []uint32{1, 2, 3}, Mode: ModeContainment, Threshold: 1.0})
+	if !a.Found || !slices.Equal(a.Matches, b.Matches) {
+		t.Fatalf("unnormalized probe answers %v, normalized %v", a.Matches, b.Matches)
 	}
 }
 

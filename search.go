@@ -5,12 +5,10 @@ import (
 	"repro/internal/exec"
 )
 
-// Match is one similarity search result: the id of an indexed set and its
-// exact Jaccard similarity to the query.
-type Match struct {
-	ID  int     `json:"id"`
-	Sim float64 `json:"sim"`
-}
+// Match is one search result: the id of an indexed set and its exact score
+// against the query — Jaccard similarity, or containment for containment
+// queries.
+type Match = cpindex.Match
 
 // SearchIndex answers approximate similarity search queries: given a query
 // set, find indexed sets with Jaccard similarity at least λ. It is the
@@ -68,36 +66,22 @@ func (s *SearchIndex) Query(q []uint32) (id int, sim float64, ok bool) {
 	return s.ix.Query(q)
 }
 
-// QueryAll returns the ids of all indexed sets with J(q, y) >= λ that the
-// search reaches (high recall with the default tree count; exact-verified,
-// so no false positives). Use QueryAllSims to also get the similarities
-// without recomputing them.
-func (s *SearchIndex) QueryAll(q []uint32) []int {
-	ms := s.ix.QueryAll(q)
-	if ms == nil {
-		return nil
-	}
-	ids := make([]int, len(ms))
-	for i, m := range ms {
-		ids[i] = m.ID
-	}
-	return ids
-}
-
-// QueryAllSims is QueryAll with each match's exact Jaccard similarity —
-// already computed during verification, so callers never pay for it twice.
-func (s *SearchIndex) QueryAllSims(q []uint32) []Match {
-	return toMatches(s.ix.QueryAll(q))
+// QueryAll returns all indexed sets with J(q, y) >= λ that the search
+// reaches (high recall with the default tree count; exact-verified, so no
+// false positives), each with its exact similarity — already computed
+// during verification, so callers never pay for it twice.
+func (s *SearchIndex) QueryAll(q []uint32) []Match {
+	return s.ix.QueryAll(q)
 }
 
 // QueryBatch answers many queries at once, fanning them out as tasks on
 // the shared execution layer over the read-only index; results[i] is
-// QueryAllSims(qs[i]). Parallelism follows the construction-time Workers
+// QueryAll(qs[i]). Parallelism follows the construction-time Workers
 // option, and output is identical for any worker count.
 func (s *SearchIndex) QueryBatch(qs [][]uint32) [][]Match {
 	out := make([][]Match, len(qs))
 	exec.RunItems(exec.EffectiveWorkers(s.workers), len(qs), func(i int) {
-		out[i] = s.QueryAllSims(qs[i])
+		out[i] = s.QueryAll(qs[i])
 	})
 	return out
 }
@@ -121,16 +105,4 @@ func LoadSearchIndex(path string, workers int) (*SearchIndex, error) {
 		return nil, err
 	}
 	return &SearchIndex{ix: ix, workers: workers}, nil
-}
-
-// toMatches converts internal matches to the public type.
-func toMatches(ms []cpindex.Match) []Match {
-	if ms == nil {
-		return nil
-	}
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{ID: m.ID, Sim: m.Sim}
-	}
-	return out
 }

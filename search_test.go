@@ -28,9 +28,9 @@ func TestSearchIndexQueryAllPrecision(t *testing.T) {
 	sets := GenerateUniform(1000, 20, 30000, 43)
 	ix := NewSearchIndex(sets, 0.7, &SearchOptions{Seed: 44, Trees: 5})
 	for i := 0; i < 40; i++ {
-		for _, id := range ix.QueryAll(sets[i]) {
-			if Jaccard(sets[i], sets[id]) < 0.7 {
-				t.Fatalf("QueryAll returned below-threshold id %d", id)
+		for _, m := range ix.QueryAll(sets[i]) {
+			if Jaccard(sets[i], sets[m.ID]) < 0.7 || m.Sim != Jaccard(sets[i], sets[m.ID]) {
+				t.Fatalf("QueryAll returned below-threshold or mis-scored match %+v", m)
 			}
 		}
 	}

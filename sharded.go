@@ -1,6 +1,10 @@
 package ssjoin
 
-import "repro/internal/shard"
+import (
+	"slices"
+
+	"repro/internal/shard"
+)
 
 // ShardedOptions configures a ShardedIndex.
 type ShardedOptions struct {
@@ -63,7 +67,6 @@ func NewShardedIndex(sets [][]uint32, lambda float64, opts *ShardedOptions) *Sha
 			T:                     opts.T,
 			Seed:                  opts.Seed,
 			Workers:               opts.Workers,
-			AutoCompact:           opts.AutoCompact,
 			CompactSmall:          opts.CompactSmall,
 			CompactMinShards:      opts.CompactMinShards,
 			CompactTombstoneRatio: opts.CompactTombstoneRatio,
@@ -73,79 +76,27 @@ func NewShardedIndex(sets [][]uint32, lambda float64, opts *ShardedOptions) *Sha
 			o.Partition = shard.PartitionHash
 		}
 	}
-	return &ShardedIndex{ix: shard.Build(sets, lambda, o)}
-}
-
-// Query returns the best match across all shards: a global id with
-// J(q, result) >= λ and its exact similarity, or ok = false when no shard
-// finds one. On a distributed index it panics when a moved shard has no
-// live replica; serving paths should use QueryErr there.
-//
-// Deprecated: use Search (the query-mode API) or QueryErr. Query remains
-// only as an all-local-ring convenience, where the panic is structurally
-// unreachable.
-func (s *ShardedIndex) Query(q []uint32) (id int, sim float64, ok bool) {
-	return s.ix.Query(q)
-}
-
-// QueryErr is Query with the distributed-topology failure mode surfaced:
-// when a shard moved to peers (Distribute without KeepLocal) has no live
-// replica, it returns the error instead of a silent partial answer.
-// Results are byte-identical to Query whenever both succeed.
-func (s *ShardedIndex) QueryErr(q []uint32) (id int, sim float64, ok bool, err error) {
-	return s.ix.QueryErr(q)
-}
-
-// QueryAll returns every match across all shards (and any buffered
-// appends, which are scanned exactly), sorted by id. Panics on a dead
-// distributed topology; use QueryAllErr there.
-//
-// Deprecated: use Search with All set, or QueryAllErr. QueryAll remains
-// only as an all-local-ring convenience.
-func (s *ShardedIndex) QueryAll(q []uint32) []Match {
-	return toMatches(s.ix.QueryAll(q))
-}
-
-// QueryAllErr is QueryAll with the distributed-topology failure mode
-// surfaced as an error instead of a silent partial merge.
-func (s *ShardedIndex) QueryAllErr(q []uint32) ([]Match, error) {
-	ms, err := s.ix.QueryAllErr(q)
-	if err != nil {
-		return nil, err
+	ix := shard.Build(sets, lambda, o)
+	if opts != nil && opts.AutoCompact {
+		rt := ix.Runtime()
+		rt.AutoCompact = true
+		ix.Configure(rt) // cannot fail: the state Build installed plus one flag
 	}
-	return toMatches(ms), nil
+	return &ShardedIndex{ix: ix}
 }
 
-// QueryBatch answers many queries at once as parallel tasks over a
-// read-only snapshot of the shards; results[i] is QueryAll(qs[i]) and the
-// output is identical for any worker count. Panics on a dead distributed
-// topology; use QueryBatchErr there.
-//
-// Deprecated: use QueryBatchErr. QueryBatch remains only as an
-// all-local-ring convenience.
-func (s *ShardedIndex) QueryBatch(qs [][]uint32) [][]Match {
-	raw := s.ix.QueryBatch(qs)
-	out := make([][]Match, len(raw))
-	for i, ms := range raw {
-		out[i] = toMatches(ms)
+// QueryBatch answers many normalized queries at once as parallel tasks
+// over a read-only snapshot of the shards: results[i] is every similarity
+// match of qs[i] (buffered appends included, scanned exactly), sorted by
+// id, identical for any worker count. Remote shards answer the whole batch
+// in one round trip each; an unanswerable shard fails the batch with its
+// error — a batch never silently merges partial topology.
+func (s *ShardedIndex) QueryBatch(qs [][]uint32) ([][]Match, error) {
+	out, err := s.ix.QueryBatchErr(qs)
+	for i := range out {
+		out[i] = slices.Clone(out[i])
 	}
-	return out
-}
-
-// QueryBatchErr is QueryBatch with the distributed-topology failure mode
-// surfaced. Remote shards answer the whole batch in one round trip each;
-// an unanswerable shard fails the batch with its error — a batch never
-// silently merges partial topology.
-func (s *ShardedIndex) QueryBatchErr(qs [][]uint32) ([][]Match, error) {
-	raw, err := s.ix.QueryBatchErr(qs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Match, len(raw))
-	for i, ms := range raw {
-		out[i] = toMatches(ms)
-	}
-	return out, nil
+	return out, err
 }
 
 // DistributeOptions configure ShardedIndex.Distribute: replication
@@ -217,25 +168,6 @@ func (s *ShardedIndex) Compact() CompactResult {
 	return s.ix.Compact()
 }
 
-// SetAutoCompact enables or disables background compaction after each
-// seal (also settable up front via ShardedOptions.AutoCompact).
-//
-// Deprecated: use Configure, which applies every runtime option in one
-// validated call and persists across Save/Load.
-func (s *ShardedIndex) SetAutoCompact(on bool) {
-	s.ix.SetAutoCompact(on)
-}
-
-// EnableCache installs (or, with maxEntries <= 0, removes) the hot-query
-// result cache on a built or loaded index — the post-Load counterpart of
-// ShardedOptions.CacheSize.
-//
-// Deprecated: use Configure, which applies every runtime option in one
-// validated call and persists across Save/Load.
-func (s *ShardedIndex) EnableCache(maxEntries int) {
-	s.ix.EnableCache(maxEntries)
-}
-
 // Delete removes the set with the given global id from all query results,
 // reporting whether the id was live. Deletes are tombstones: sealed
 // shards are immutable, so the id is filtered out at query-merge time and
@@ -268,9 +200,9 @@ func (s *ShardedIndex) Save(dir string) error {
 
 // LoadShardedIndex reopens an index saved by Save, loading shard files as
 // parallel tasks with the given worker count (which also becomes the
-// loaded index's Workers option). The loaded index answers Query,
-// QueryAll and QueryBatch identically to the one that was saved, and Add
-// continues assigning ids from where it left off. Corrupt, truncated or
+// loaded index's Workers option). The loaded index answers Search and
+// QueryBatch identically to the one that was saved, and Add continues
+// assigning ids from where it left off. Corrupt, truncated or
 // wrong-version snapshots yield descriptive errors, never a panic.
 func LoadShardedIndex(dir string, workers int) (*ShardedIndex, error) {
 	ix, err := shard.Load(dir, workers)

@@ -7,6 +7,26 @@ import (
 	"repro/internal/shard"
 )
 
+// shardedAll and shardedBatch are the all-matches Search and QueryBatch of
+// a ShardedIndex with a serving error failing the test.
+func shardedAll(t *testing.T, x *ShardedIndex, q []uint32) []Match {
+	t.Helper()
+	res, err := x.Search(Query{Set: q, All: true})
+	if err != nil {
+		t.Fatalf("Search: %v", err)
+	}
+	return res.Matches
+}
+
+func shardedBatch(t *testing.T, x *ShardedIndex, qs [][]uint32) [][]Match {
+	t.Helper()
+	out, err := x.QueryBatch(qs)
+	if err != nil {
+		t.Fatalf("QueryBatch: %v", err)
+	}
+	return out
+}
+
 // TestShardedIndexMatchesSearchIndexes pins the acceptance contract of the
 // serving subsystem: QueryBatch over a sharded index returns exactly what
 // querying unsharded SearchIndexes — one per partition, built with the
@@ -28,7 +48,7 @@ func TestShardedIndexMatchesSearchIndexes(t *testing.T) {
 	want := make([][]Match, len(queries))
 	for i, q := range queries {
 		for k, r := range ranges {
-			for _, m := range ref[k].QueryAllSims(q) {
+			for _, m := range ref[k].QueryAll(q) {
 				want[i] = append(want[i], Match{ID: m.ID + r[0], Sim: m.Sim})
 			}
 		}
@@ -37,7 +57,7 @@ func TestShardedIndexMatchesSearchIndexes(t *testing.T) {
 
 	for _, workers := range []int{0, 1, 2, 4, 8} {
 		x := NewShardedIndex(sets, lambda, &ShardedOptions{Shards: shards, Seed: seed, Workers: workers})
-		got := x.QueryBatch(queries)
+		got := shardedBatch(t, x, queries)
 		for i := range queries {
 			if len(got[i]) != len(want[i]) {
 				t.Fatalf("workers=%d query %d: %d matches, want %d", workers, i, len(got[i]), len(want[i]))
@@ -52,7 +72,7 @@ func TestShardedIndexMatchesSearchIndexes(t *testing.T) {
 }
 
 // TestSearchIndexQueryBatchDeterministic: the unsharded batch API yields
-// results identical to one-at-a-time QueryAllSims for any worker count.
+// results identical to one-at-a-time QueryAll for any worker count.
 func TestSearchIndexQueryBatchDeterministic(t *testing.T) {
 	sets := GenerateUniform(800, 25, 40000, 63)
 	sets, _ = PlantSimilarPairs(sets, 30, 0.8, 64)
@@ -61,7 +81,7 @@ func TestSearchIndexQueryBatchDeterministic(t *testing.T) {
 	ref := NewSearchIndex(sets, 0.5, &SearchOptions{Seed: 3})
 	want := make([][]Match, len(queries))
 	for i, q := range queries {
-		want[i] = ref.QueryAllSims(q)
+		want[i] = ref.QueryAll(q)
 	}
 
 	for _, workers := range []int{0, 2, 4, 8} {
@@ -99,7 +119,7 @@ func TestShardedIndexAddAndQuery(t *testing.T) {
 	}
 	for i, q := range extra {
 		found := false
-		for _, m := range x.QueryAll(q) {
+		for _, m := range shardedAll(t, x, q) {
 			if m.ID == len(sets)+i {
 				found = true
 			}

@@ -186,7 +186,7 @@ func TestCPSJoinParallelPublic(t *testing.T) {
 	sets := workload(400, 32)
 	ix := NewIndex(sets, &Options{Seed: 33})
 	seq, _ := ix.CPSJoin(0.5, &Options{Seed: 33})
-	par, _ := ix.CPSJoinParallel(0.5, &Options{Seed: 33}, 4)
+	par, _ := ix.CPSJoin(0.5, &Options{Seed: 33, Workers: 4})
 	if len(seq) != len(par) {
 		t.Fatalf("parallel %d pairs, sequential %d", len(par), len(seq))
 	}
