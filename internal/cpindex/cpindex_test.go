@@ -108,8 +108,9 @@ func TestSelfQuery(t *testing.T) {
 			misses++
 		}
 	}
-	// Identical sets share every signature position, so self-queries reach
-	// the same leaves with certainty.
+	// An identical set follows the query into every sampled child, so only
+	// dead nodes can lose it: at s/λ = 1.11 one level deep a tree keeps it
+	// with probability 0.67, ten trees all but surely.
 	if misses > 0 {
 		t.Errorf("%d/100 self-queries missed", misses)
 	}

@@ -14,17 +14,24 @@ import (
 // (or hang) right here — and must answer exactly as the mapped view over
 // the same bytes does.
 func FuzzDecode(f *testing.F) {
-	// Seed with valid snapshots of two differently shaped indexes, so
-	// mutation explores the format rather than rediscovering the magic.
-	for _, seed := range []uint64{1, 99} {
+	// Seed with valid snapshots of differently shaped indexes, so mutation
+	// explores the format rather than rediscovering the magic: seeds 1 and
+	// 99 are all real trees, at 8 both roots died (two empty leaves are the
+	// whole trie), at 12 a dead root sits beside a real tree.
+	dead := 0
+	for _, seed := range []uint64{1, 8, 12, 99} {
 		sets := [][]uint32{{1, 2, 3}, {2, 3, 4}, {5, 6}, {1, 9, 12, 40}}
 		ix := Build(sets, 0.5, &Options{Trees: 2, LeafSize: 2, Seed: seed})
+		dead += deadLeaves(ix)
 		var buf bytes.Buffer
 		if err := ix.Encode(&buf); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
 		f.Add(buf.Bytes()[:buf.Len()*2/3]) // truncation
+	}
+	if dead != 3 {
+		f.Fatalf("seed corpus holds %d empty leaves, built for 3", dead)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ix, err := Decode(bytes.NewReader(data))

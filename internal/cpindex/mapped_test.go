@@ -25,6 +25,17 @@ func buildContainer(tb testing.TB, seed uint64) (*Index, []byte) {
 	return ix, buf.Bytes()
 }
 
+// deadLeaves counts the empty leaves of a built index: the nodes that
+// sampled no position. (A leaf that is merely small holds at least one id.)
+func deadLeaves(ix *Index) (dead int) {
+	for _, n := range ix.trie.nodes {
+		if n.posLo == n.posHi && n.leafLo == n.leafHi {
+			dead++
+		}
+	}
+	return dead
+}
+
 func openMappedBytes(tb testing.TB, data []byte) (*Mapped, error) {
 	tb.Helper()
 	snap, err := snapshot.OpenMapped(data, SnapshotKind)
@@ -205,13 +216,20 @@ func TestMappedNonzeroPadding(t *testing.T) {
 // with an error — never a panic, an unbounded allocation or an invalid
 // match.
 func FuzzMappedDecode(f *testing.F) {
-	for _, seed := range []uint64{1, 99} {
-		_, data := buildContainer(f, seed)
+	// Seeds 8 and 12 build trees whose root died: empty leaf spans, alone
+	// in a tree and beside real ones.
+	dead := 0
+	for _, seed := range []uint64{1, 8, 12, 99} {
+		ix, data := buildContainer(f, seed)
+		dead += deadLeaves(ix)
 		f.Add(data)
 		f.Add(data[:len(data)*2/3]) // truncation
 		flipped := append([]byte(nil), data...)
 		flipped[len(flipped)-1] ^= 0x01 // sets payload flip
 		f.Add(flipped)
+	}
+	if dead < 5 {
+		f.Fatalf("seed corpus holds %d empty leaves, built for at least 5", dead)
 	}
 	probes := [][]uint32{{1, 2, 3}, {5, 6}, {3, 4, 5, 6, 7}, {7}, nil}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -59,6 +59,7 @@ type treeBuilder struct {
 	splitProb float64
 	trie      trie
 	leaves    int
+	keys      [][]uint64 // one grouping buffer per depth, see add
 }
 
 // add appends the subtree over ids and returns its node index. Only the
@@ -69,39 +70,84 @@ type treeBuilder struct {
 // path from the root (parent seed plus the position/value bucket that
 // formed it), never from build order — the same discipline as the CPSJoin
 // recursion in internal/core, and what makes the structure reproducible.
+//
+// A node becomes a leaf for one of three reasons, and only two of them
+// keep its ids. Small enough (at most LeafSize) and too deep (MaxDepth):
+// the ids stay and queries that reach the leaf verify them. Over LeafSize,
+// under MaxDepth, and none of the T positions sampled: the node dies, as
+// in the paper's recursion and in the index of Christiani and Pagh — it is
+// emitted as an empty leaf, so the sets under it are simply not reachable
+// through this branch, and the other branches and trees carry the recall.
+// Keeping them instead would make the leaf a scan of the whole node: at
+// the root that is every indexed set, with probability (1-1/(λT))^T ≈
+// e^(-1/λ) per tree.
+//
+// The guarantee this gives. Fix an indexed set x and a query q with
+// J(q, x) = s, and call a node live when it holds x and q's walk reaches
+// it. A live internal node samples each of the T positions with
+// probability 1/(λT), and a sampled position leads both x and q to the
+// same child exactly when their minhashes agree there, which has
+// probability s: the live children number Binomial(T, s/(λT)), mean s/λ,
+// a branching process that is critical at s = λ and supercritical above.
+// x is reported when a live node is a leaf that kept its ids. If the nodes
+// around x fall to LeafSize after d levels (d ≈ log(n/LeafSize)/log(1/b)
+// for a background similarity b; 2 to 3 for the benchmark's flat and skewed
+// collections at 10 000 sets per shard), one tree succeeds with
+// probability p_d(s), where
+//
+//	p_0 = 1,  p_k+1 = 1 - (1 - p_k·s/(λT))^T ≈ 1 - exp(-p_k·s/λ),
+//
+// and Trees independent trees with probability 1 - (1 - p_d(s))^Trees
+// (T = 128):
+//
+//	s/λ    p_2    p_3    p_5    10 trees at d = 2, 3, 5
+//	1.0    0.470  0.376  0.269  0.998  0.991  0.957
+//	1.1    0.522  0.437  0.344  0.999  0.997  0.985
+//	1.4    0.654  0.601  0.551  1.000  1.000  1.000
+//	2.0    0.825  0.810  0.802  1.000  1.000  1.000
+//
+// That is why Trees defaults to 10: it is the smallest round count that
+// holds 0.99 at s = λ itself up to three levels, and everything a tenth
+// above λ up to five. A collection whose background similarity is close to
+// λ splits deeper and needs ln(1-ϕ)/ln(1-p_d(λ)) trees for recall ϕ at the
+// threshold; TestRecallByBand measures the table's first column.
 func (b *treeBuilder) add(ids []uint64, depth int, seed uint64) int32 {
 	t := &b.trie
 	idx := int32(len(t.nodes))
-	var sampled []uint32
-	if len(ids) > b.opt.LeafSize && depth < b.opt.MaxDepth {
+	posLo := len(t.pos)
+	split := len(ids) > b.opt.LeafSize && depth < b.opt.MaxDepth
+	if split {
 		rng := tabhash.NewSplitMix64(seed)
 		for pos := 0; pos < b.opt.T; pos++ {
 			if rng.Float64() < b.splitProb {
-				sampled = append(sampled, uint32(pos))
+				t.pos = append(t.pos, triePos{pos: uint32(pos)})
 			}
 		}
 	}
-	if len(sampled) == 0 {
-		// Small enough, too deep, or no position sampled (the node dies in
-		// the branching process): keep the points reachable as a leaf, so
-		// recall only improves.
+	posHi := len(t.pos)
+	if posLo == posHi {
 		lo := uint32(len(t.leafIDs))
-		for _, id := range ids {
-			t.leafIDs = append(t.leafIDs, uint32(id))
+		if !split { // a node that wanted to split and sampled nothing is dead
+			for _, id := range ids {
+				t.leafIDs = append(t.leafIDs, uint32(id))
+			}
 		}
 		t.nodes = append(t.nodes, trieNode{leafLo: lo, leafHi: uint32(len(t.leafIDs))})
 		b.leaves++
 		return idx
 	}
-	posLo := len(t.pos)
-	t.nodes = append(t.nodes, trieNode{posLo: uint32(posLo), posHi: uint32(posLo + len(sampled))})
-	for _, p := range sampled {
-		t.pos = append(t.pos, triePos{pos: p})
+	t.nodes = append(t.nodes, trieNode{posLo: uint32(posLo), posHi: uint32(posHi)})
+	if depth == len(b.keys) { // depths are first reached one at a time
+		b.keys = append(b.keys, nil)
 	}
-	for i, p := range sampled {
+	for pi := posLo; pi < posHi; pi++ {
 		// Group the ids by their minhash value at p: sorting (value, id)
-		// keys leaves each bucket a contiguous, id-ascending run.
-		keys := make([]uint64, len(ids))
+		// keys leaves each bucket a contiguous, id-ascending run. The keys
+		// live in this depth's buffer: children read their slice of it and
+		// write only deeper buffers, so it is free again once they return.
+		p := t.pos[pi].pos
+		keys := slices.Grow(b.keys[depth][:0], len(ids))[:len(ids)]
+		b.keys[depth] = keys
 		for j, id := range ids {
 			keys[j] = uint64(b.sigs[int(uint32(id))*b.opt.T+int(p)])<<32 | id&math.MaxUint32
 		}
@@ -114,15 +160,18 @@ func (b *treeBuilder) add(ids []uint64, depth int, seed uint64) int32 {
 				t.buckets = append(t.buckets, trieBucket{val: uint32(k >> 32)})
 			}
 		}
-		t.pos[posLo+i].bLo, t.pos[posLo+i].bHi = uint32(bLo), uint32(len(t.buckets))
+		bHi := len(t.buckets)
+		t.pos[pi].bLo, t.pos[pi].bHi = uint32(bLo), uint32(bHi)
 		lo := 0
-		for bi := bLo; bi < int(t.pos[posLo+i].bHi); bi++ {
+		for bi := bLo; bi < bHi; bi++ {
 			val := t.buckets[bi].val
 			hi := lo
 			for hi < len(keys) && uint32(keys[hi]>>32) == val {
 				hi++
 			}
-			t.buckets[bi].child = b.add(keys[lo:hi], depth+1, tabhash.DeriveSeed(seed, uint64(p), uint64(val)))
+			// The call appends to t.buckets: index it only afterwards.
+			child := b.add(keys[lo:hi], depth+1, tabhash.DeriveSeed(seed, uint64(p), uint64(val)))
+			t.buckets[bi].child = child
 			lo = hi
 		}
 	}

@@ -135,8 +135,8 @@ func TestHashPartitionCoversAllIDs(t *testing.T) {
 	if total != len(sets) {
 		t.Fatalf("shard sizes sum to %d, want %d", total, len(sets))
 	}
-	// Every set must be reachable under its global id: self-queries reach
-	// identical sets with certainty.
+	// Every set must be reachable under its global id. (A self-query is
+	// lost only if every tree dies above the set; at these seeds none is.)
 	for i := 0; i < len(sets); i += 7 {
 		ms := mustQueryAll(t, x, sets[i])
 		self := false
@@ -186,8 +186,8 @@ func TestAddBufferSealAndQuery(t *testing.T) {
 	if st.Sets != len(sets)+len(extra) {
 		t.Fatalf("total %d, want %d", st.Sets, len(sets)+len(extra))
 	}
-	// Sealed appends stay findable (identical sets share every signature
-	// position, so self-queries reach their leaves with certainty).
+	// Sealed appends stay findable: an identical set follows the query into
+	// every sampled child (TestSealedDuplicateFound runs this over seeds).
 	for i, q := range extra {
 		found := false
 		for _, m := range mustQueryAll(t, x, q) {

@@ -19,7 +19,8 @@ type ShardedOptions struct {
 	// side shard into the ring as a full shard (default 1024).
 	MergeThreshold int
 	// Trees, LeafSize, T, Seed are the per-shard index parameters, as in
-	// SearchOptions; shard k is built with seed shard.SeedFor(Seed, k).
+	// SearchOptions (recall is per shard, so it does not depend on the
+	// shard count); shard k is built with seed shard.SeedFor(Seed, k).
 	Trees    int
 	LeafSize int
 	T        int
