@@ -114,7 +114,9 @@ func main() {
 	} else {
 		pairs, stats, err = ssjoin.Join(sets, *threshold, ssjoin.Algorithm(*algorithm), opts)
 		if err != nil {
-			fatalf("%v", err)
+			// The library's error already names the package.
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 	}
 

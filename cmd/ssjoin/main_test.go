@@ -71,3 +71,16 @@ func TestOutputWriteErrorIsFatal(t *testing.T) {
 		t.Errorf("stderr does not name the failed write:\n%s", msg)
 	}
 }
+
+// TestUnknownAlgorithmMessage: the dispatcher's error is printed as the
+// library words it, with the program's name in front once, not twice.
+func TestUnknownAlgorithmMessage(t *testing.T) {
+	msg, err := ssjoinCmd(t, "-input", writeInput(t), "-algorithm", "nosuch").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("ssjoin -algorithm nosuch: err = %v, want exit status 1\n%s", err, msg)
+	}
+	if want := "ssjoin: unknown algorithm \"nosuch\"\n"; string(msg) != want {
+		t.Errorf("stderr %q, want %q", msg, want)
+	}
+}

@@ -140,7 +140,7 @@ func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, ver
 
 	workers := exec.EffectiveWorkers(opt.Workers)
 	res := verify.NewSink(workers)
-	v := verify.NewVerifier(sets, lambda, nil)
+	v := verify.NewVerifier(sets, lambda)
 	var atomics verify.AtomicCounters
 
 	runRep := func(rep int) {

@@ -12,6 +12,21 @@
 // (Algorithm 2 of the paper), which is what makes the method parameter-free
 // and robust on data without rare tokens.
 //
+// Almost all of the time goes to two loops, and both run on memory
+// gathered for them instead of chasing ids across the collection. Brute
+// force (BRUTEFORCEPAIRS and BRUTEFORCEPOINT alike) copies the sizes and
+// 1-bit minwise sketches of up to blockRows points into contiguous scratch,
+// orders the block by size, so that the size filter is one window per row
+// rather than a branch per pair (the standard trick of the exact joins the
+// paper benchmarks against, Mann, Augsten and Bouros, PVLDB 2016), and runs
+// XOR/popcount over the window, dropping a pair once its partial Hamming
+// distance rules it out (Section V-A.2). Only survivors reach the result-set
+// lookup and exact verification. Splitting groups a node by minhash value
+// with a reusable open-addressing table and a stable counting scatter into
+// one buffer per sampled position. The order of work differs from the
+// paper's per-pair formulation; which pairs are looked at, which survive
+// and what every node draws do not (TestGoldenJoin).
+//
 // Parallelism follows Section VII's observation that "most of the
 // computation happens in independent, recursive calls": with Workers > 1
 // the recursion runs on the shared work-stealing pool of internal/exec.
@@ -20,12 +35,14 @@
 // repetition saturates all workers. Every node derives its randomness from
 // a seed that depends only on its path from the root, so the tree ensemble
 // — and therefore the result set — is identical regardless of worker count
-// or scheduling.
+// or scheduling. Scratch is per worker, not per task.
 package core
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/prep"
@@ -233,16 +250,19 @@ type joiner struct {
 	sigs     []uint32 // flattened n × t signatures
 	w        int      // sketch words; 0 if disabled
 	sketches []uint64 // flattened n × w sketches
-	filter   *sketch.Filter
+	maxHam   int      // sketch filter: a pair further apart than this is rejected
+	stride   int      // words per row of a gathered block: max(w, 4)
+	sizes    []uint32 // len(sets[i]), so that gathering a block never touches sets
+	root     []uint32 // 0..n-1: the root node of every repetition, read-only
 
 	verifier *verify.Verifier
 	res      verify.PairSink
 	tracker  *verify.RecallTracker
 	counters verify.Counters
-	atomics  verify.AtomicCounters
 
 	workers     int
-	spawnCutoff int // node size above which child subtrees become tasks
+	states      []*taskState // one per worker
+	spawnCutoff int          // node size above which child subtrees become tasks
 
 	splitProb float64
 	maxDepth  int
@@ -299,9 +319,16 @@ func newJoiner(sets [][]uint32, owners []uint8, lambda float64, o *Options, ix *
 	if opt.SketchWords > 0 {
 		j.w = ix.Words
 		j.sketches = ix.Sketches
-		j.filter = sketch.NewFilter(j.w, lambda, opt.Delta)
+		j.maxHam = 64*j.w - sketch.NewFilter(j.w, lambda, opt.Delta).MinAgree
 	}
-	j.verifier = verify.NewVerifier(sets, lambda, nil)
+	j.stride = max(j.w, 4)
+	j.sizes = make([]uint32, len(sets))
+	j.root = make([]uint32, len(sets))
+	for i, set := range sets {
+		j.sizes[i] = uint32(len(set))
+		j.root[i] = uint32(i)
+	}
+	j.verifier = verify.NewVerifier(sets, lambda)
 	j.res = verify.NewSink(j.workers)
 	j.tracker = verify.NewRecallTracker(opt.GroundTruth, opt.StopAtRecall)
 	j.splitProb = 1 / (lambda * float64(opt.T))
@@ -327,80 +354,96 @@ func repSeed(seed uint64, rep int) uint64 {
 // childSeed derives a child node's seed from its parent's seed and the
 // (position, minhash value) bucket that formed it. Both inputs are stable
 // properties of the tree, so the full ensemble of recursion trees is
-// deterministic no matter which worker expands which subtree — map
-// iteration order and task scheduling never enter the derivation.
+// deterministic no matter which worker expands which subtree — neither the
+// order in which split emits the buckets nor task scheduling enters the
+// derivation.
 func childSeed(seed uint64, pos int, v uint32) uint64 {
 	return tabhash.DeriveSeed(seed, uint64(pos), uint64(v))
-}
-
-func (j *joiner) rootNode() []uint32 {
-	root := make([]uint32, len(j.sets))
-	for i := range root {
-		root[i] = uint32(i)
-	}
-	return root
 }
 
 func (j *joiner) run() {
 	if j.opt.Stopping == StopIndividual {
 		j.computeIndividualDepths()
 	}
+	j.states = make([]*taskState, j.workers)
+	for i := range j.states {
+		j.states[i] = j.newTaskState()
+	}
 	if j.workers <= 1 {
-		ts := j.newTaskState()
-		for rep := 0; rep < j.opt.Repetitions; rep++ {
-			if j.tracker.Reached() {
-				break
-			}
-			ts.recurse(nil, j.rootNode(), 0, repSeed(j.opt.Seed, rep))
+		for rep := 0; rep < j.opt.Repetitions && !j.tracker.Reached(); rep++ {
+			j.states[0].recurse(nil, j.root, 0, repSeed(j.opt.Seed, rep))
 		}
-		ts.flush()
 	} else {
 		roots := make([]exec.Task, j.opt.Repetitions)
 		for rep := range roots {
 			seed := repSeed(j.opt.Seed, rep)
-			roots[rep] = func(c *exec.Ctx) {
-				if j.tracker.Reached() {
-					return
-				}
-				ts := j.newTaskState()
-				ts.recurse(c, j.rootNode(), 0, seed)
-				ts.flush()
-			}
+			roots[rep] = func(c *exec.Ctx) { j.states[c.Worker()].recurse(c, j.root, 0, seed) }
 		}
 		exec.Run(j.workers, roots...)
 	}
-	j.counters = j.atomics.Counters()
+	for _, ts := range j.states {
+		j.counters.PreCandidates += ts.pre
+		j.counters.Candidates += ts.cand
+	}
 	j.counters.Results = int64(j.res.Len())
 }
 
-// taskState is the per-task execution context: candidate counters batched
-// locally (flushed atomically once per task) and scratch buffers. Each
-// task owns one; the joiner itself is read-only while tasks run, except
-// for the concurrent result sink and the atomic counters.
+// blockRows is the most points the brute-force kernel gathers at a time: a
+// whole node at the default Limit, 18 KB with 8-word sketches, so the block
+// a row is compared against stays in L1. Larger inputs go tile by tile.
+const blockRows = 256
+
+// block is the kernel's working copy of up to blockRows points, ascending
+// in keys[p] = size<<32 | id, with row p of sk (stride words) their sketch,
+// zero-padded: with sketches off every pair is at distance 0.
+type block struct {
+	keys []uint64
+	sk   []uint64
+}
+
+// group is one minhash value met by split and the number of members
+// carrying it (while scattering: where its next member goes).
+type group struct{ v, n uint32 }
+
+// taskState is one worker's execution context: its share of the candidate
+// counters (summed when the join ends) and all scratch of the recursion. A
+// worker runs one task at a time and tasks reach it through
+// exec.Ctx.Worker, so nothing is locked; the joiner is read-only while
+// tasks run, except for the concurrent result sink. No buffer here is live
+// across a recursive call: blocks, node sketch and marked points are used up
+// before recurse splits, and split's table, groups and slots are dead once
+// the child buffer — the one allocation per call — is filled.
 type taskState struct {
-	j         *joiner
-	pre, cand int64
-	scratch   []uint64 // node sketch buffer
+	j          *joiner
+	pre, cand  int64
+	nodeSketch []uint64
+	a, b       block
+	count      [4 * blockRows]uint32 // gather: counting sort by size
+	marked     []uint32              // points the stopping rule takes out of a node
+	table      []uint64              // split: open addressing, value<<32 | group+1
+	groups     []group
+	slot       []uint32 // split: each member's value, then its group
 }
 
 func (j *joiner) newTaskState() *taskState {
-	ts := &taskState{j: j}
-	if j.w > 0 {
-		ts.scratch = make([]uint64, j.w)
+	ts := &taskState{j: j, nodeSketch: make([]uint64, j.w)}
+	for _, b := range []*block{&ts.a, &ts.b} {
+		b.keys = make([]uint64, 0, blockRows)
+		b.sk = make([]uint64, blockRows*j.stride)
 	}
 	return ts
 }
 
-// flush publishes the task-local counters into the shared atomics.
-func (ts *taskState) flush() {
-	ts.j.atomics.Add(ts.pre, ts.cand)
-	ts.pre, ts.cand = 0, 0
-}
-
 // recurse processes one node of the Chosen Path Tree (Algorithm 1). In
 // parallel runs (c != nil), child subtrees of nodes larger than the spawn
-// cutoff become independent tasks; subtrees at or below the cutoff run
-// inline as one sequential task.
+// cutoff become independent tasks, each run on the state of the worker that
+// picks it up; subtrees at or below the cutoff run inline.
+//
+// A node is its member ids in ascending order, and the order is part of the
+// randomness contract: bruteForceStep samples the node sketch by position,
+// so the same members in another order would draw another sketch. The
+// root, split and the stopping rules' remainders all keep ids ascending;
+// size order exists only inside the kernel's gathered blocks.
 func (ts *taskState) recurse(c *exec.Ctx, node []uint32, depth int, seed uint64) {
 	j := ts.j
 	if j.tracker.Reached() {
@@ -468,28 +511,82 @@ func (ts *taskState) recurse(c *exec.Ctx, node []uint32, depth int, seed uint64)
 		if rng.Float64() >= j.splitProb {
 			continue
 		}
-		buckets := make(map[uint32][]uint32, len(node)/2+1)
-		for _, id := range node {
-			v := j.sigs[int(id)*j.t+pos]
-			buckets[v] = append(buckets[v], id)
-		}
-		for v, child := range buckets {
-			if len(child) < 2 {
-				continue
-			}
+		// kids is value, count, ids for one child after the other.
+		for kids := ts.split(node, pos); len(kids) > 0; {
+			v, n := kids[0], int(kids[1])
+			child := kids[2 : 2+n : 2+n]
+			kids = kids[2+n:]
 			cseed := childSeed(seed, pos, v)
 			if spawn {
-				child := child
-				c.Spawn(func(c *exec.Ctx) {
-					sub := j.newTaskState()
-					sub.recurse(c, child, depth+1, cseed)
-					sub.flush()
-				})
+				c.Spawn(func(c *exec.Ctx) { j.states[c.Worker()].recurse(c, child, depth+1, cseed) })
 			} else {
 				ts.recurse(c, child, depth+1, cseed)
 			}
 		}
 	}
+}
+
+// split groups node by the minhash value at pos and returns the groups of
+// two or more members — the children — in one new buffer, each as value,
+// count, ids. A table numbers the values in order of first appearance and
+// a counting scatter moves the ids, so members stay ascending and a value
+// carried by one member (most of them, deep in the tree) gets no room.
+func (ts *taskState) split(node []uint32, pos int) []uint32 {
+	j := ts.j
+	lg := bits.Len(uint(2*len(node) - 1)) // table of 2^lg >= 2·len(node) entries
+	if len(ts.table) < 1<<lg {
+		ts.table = make([]uint64, 1<<lg)
+		ts.slot = make([]uint32, 1<<lg/2)
+	}
+	table, groups, slot := ts.table[:1<<lg], ts.groups[:0], ts.slot[:len(node)]
+	clear(table)
+	// Fetch the values in a loop of their own: each is a cache miss, and
+	// with nothing else in the loop many of them are in flight at once.
+	for i, id := range node {
+		slot[i] = j.sigs[int(id)*j.t+pos]
+	}
+	for i, v := range slot {
+		// Values are tokens, often small and dense: hash multiplicatively.
+		for h := v * 0x9e3779b1 >> (32 - lg); ; h = (h + 1) & (1<<lg - 1) {
+			e := table[h]
+			if e == 0 {
+				e = uint64(v)<<32 | uint64(len(groups)+1)
+				table[h] = e
+				groups = append(groups, group{v: v})
+			} else if uint32(e>>32) != v {
+				continue
+			}
+			slot[i] = uint32(e) - 1
+			groups[slot[i]].n++
+			break
+		}
+	}
+	ts.groups = groups
+	total := 0
+	for _, g := range groups {
+		if g.n >= 2 {
+			total += 2 + int(g.n)
+		}
+	}
+	if total == 0 {
+		return nil
+	}
+	kids, at := make([]uint32, total), uint32(0)
+	for i, g := range groups {
+		groups[i].n = 0 // no room
+		if g.n >= 2 {
+			kids[at], kids[at+1] = g.v, g.n
+			groups[i].n = at + 2
+			at += 2 + g.n
+		}
+	}
+	for i, id := range node {
+		if g := &groups[slot[i]]; g.n != 0 {
+			kids[g.n] = id
+			g.n++
+		}
+	}
+	return kids
 }
 
 func (j *joiner) defaultGlobalDepth() int {
@@ -520,7 +617,7 @@ func (ts *taskState) bruteForceStep(node []uint32, rng *tabhash.SplitMix64) []ui
 	// Node sketch ŝ: bit i is bit i of the sketch of a uniformly sampled
 	// member, so agreement between x̂ and ŝ estimates the average
 	// similarity of x to the node.
-	nodeSketch := ts.scratch
+	nodeSketch := ts.nodeSketch
 	for wd := 0; wd < j.w; wd++ {
 		var word uint64
 		for b := 0; b < 64; b++ {
@@ -532,26 +629,36 @@ func (ts *taskState) bruteForceStep(node []uint32, rng *tabhash.SplitMix64) []ui
 	}
 
 	threshold := (1 - j.opt.Epsilon) * j.lambda
-	var marked, rest []uint32
-	for _, id := range node {
-		xs := j.sketches[int(id)*j.w : (int(id)+1)*j.w]
-		if sketch.EstimateJaccard(xs, nodeSketch) > threshold {
+	rest := ts.removeMarked(node, func(id uint32) bool {
+		return sketch.EstimateJaccard(j.sketches[int(id)*j.w:(int(id)+1)*j.w], nodeSketch) > threshold
+	})
+	if m := j.opt.Metrics; m != nil {
+		m.BruteForcedPoints += int64(len(node) - len(rest))
+	}
+	return rest
+}
+
+// removeMarked takes the points that mark selects out of the branching
+// process: each is compared against everything in the node exactly once —
+// against the remainder, plus all pairs among themselves — and the
+// remainder is returned (node itself when nothing is marked).
+func (ts *taskState) removeMarked(node []uint32, mark func(id uint32) bool) []uint32 {
+	marked, rest := ts.marked[:0], []uint32(nil)
+	for i, id := range node {
+		if mark(id) {
+			if rest == nil {
+				rest = append(make([]uint32, 0, len(node)), node[:i]...)
+			}
 			marked = append(marked, id)
-		} else {
+		} else if rest != nil {
 			rest = append(rest, id)
 		}
 	}
+	ts.marked = marked
 	if len(marked) == 0 {
 		return node
 	}
-	if m := j.opt.Metrics; m != nil {
-		m.BruteForcedPoints += int64(len(marked))
-	}
-	// Marked points are compared against everything in the node exactly
-	// once: each against the survivors, plus all pairs among themselves.
-	for _, id := range marked {
-		ts.bruteForcePoint(id, rest)
-	}
+	ts.bruteForcePoints(marked, rest)
 	ts.bruteForcePairs(marked)
 	return rest
 }
@@ -583,8 +690,8 @@ func (ts *taskState) bruteForceStrict(node []uint32) []uint32 {
 			}
 			avg := float64(sum) / (float64(j.t) * float64(len(node)-1))
 			if avg > threshold {
-				ts.bruteForcePoint(id, node[:idx])
-				ts.bruteForcePoint(id, node[idx+1:])
+				ts.bruteForcePoints(node[idx:idx+1], node[:idx])
+				ts.bruteForcePoints(node[idx:idx+1], node[idx+1:])
 				node = append(append([]uint32{}, node[:idx]...), node[idx+1:]...)
 				removed = true
 				break
@@ -604,22 +711,7 @@ func (ts *taskState) individualStep(node []uint32, depth int) []uint32 {
 		ts.bruteForcePairs(node)
 		return nil
 	}
-	var marked, rest []uint32
-	for _, id := range node {
-		if depth >= j.kx[id] {
-			marked = append(marked, id)
-		} else {
-			rest = append(rest, id)
-		}
-	}
-	if len(marked) == 0 {
-		return node
-	}
-	for _, id := range marked {
-		ts.bruteForcePoint(id, rest)
-	}
-	ts.bruteForcePairs(marked)
-	return rest
+	return ts.removeMarked(node, func(id uint32) bool { return depth >= j.kx[id] })
 }
 
 // computeIndividualDepths estimates, for every point, the depth k_x
@@ -675,59 +767,135 @@ func (j *joiner) crossPair(a, b uint32) bool {
 	return j.owners == nil || j.owners[a] != j.owners[b]
 }
 
-// checkPair runs the candidate pipeline on one pair: ownership, size
-// filter, sketch filter, dedup, exact verification. The cheap constant-time
-// filters run before the dedup lookup because the overwhelming majority of
-// pre-candidates die in them. In parallel runs two tasks can race past the
-// dedup check and verify the same pair; the sink's Add keeps the result
-// set exact, so only the Candidates counter can drift by the handful of
-// double-verified pairs.
-func (ts *taskState) checkPair(a, b uint32) {
+// candidate finishes the pipeline for a pair that passed the size and
+// sketch filters: ownership, dedup, exact verification. In parallel runs two
+// tasks can race past the dedup check and verify the same pair; the sink's
+// Add keeps the result set exact, so only the Candidates counter can drift
+// by the handful of double-verified pairs.
+func (ts *taskState) candidate(a, b uint32) {
 	j := ts.j
-	ts.pre++
-	if !j.crossPair(a, b) {
-		return
-	}
-	if !j.verifier.SizeCompatible(len(j.sets[a]), len(j.sets[b])) {
-		return
-	}
-	if j.filter != nil {
-		sa := j.sketches[int(a)*j.w : (int(a)+1)*j.w]
-		sb := j.sketches[int(b)*j.w : (int(b)+1)*j.w]
-		if !j.filter.Accept(sa, sb) {
-			return
-		}
-	}
-	if j.res.Contains(a, b) {
+	if !j.crossPair(a, b) || j.res.Contains(a, b) {
 		return
 	}
 	ts.cand++
-	if j.verifier.Verify(a, b) {
-		if j.res.Add(a, b) {
-			j.tracker.Hit(a, b)
+	if j.verifier.Verify(a, b) && j.res.Add(a, b) {
+		j.tracker.Hit(a, b)
+	}
+}
+
+// gather fills b with the given points (at most blockRows): keys ascending
+// by (size, id), sketches copied side by side in that order — the only
+// place brute force reads the collection-wide arrays. The order comes from
+// a stable counting sort over the block's range of sizes (ids arrive
+// ascending) or, if that range outgrows the counters, a comparison sort.
+func (ts *taskState) gather(b *block, ids []uint32) {
+	j := ts.j
+	lo, hi := ^uint32(0), uint32(0)
+	for _, id := range ids {
+		lo, hi = min(lo, j.sizes[id]), max(hi, j.sizes[id])
+	}
+	b.keys = b.keys[:len(ids)]
+	if span := int(hi - lo); span+1 < len(ts.count) {
+		at := ts.count[:span+2] // at[s-lo]: where the next row of size s goes
+		clear(at)
+		for _, id := range ids {
+			at[j.sizes[id]-lo+1]++
+		}
+		for i := 1; i < len(at); i++ {
+			at[i] += at[i-1]
+		}
+		for _, id := range ids {
+			s := j.sizes[id]
+			b.keys[at[s-lo]] = uint64(s)<<32 | uint64(id)
+			at[s-lo]++
+		}
+	} else {
+		for i, id := range ids {
+			b.keys[i] = uint64(j.sizes[id])<<32 | uint64(id)
+		}
+		slices.Sort(b.keys)
+	}
+	for p, k := range b.keys {
+		copy(b.sk[p*j.stride:][:j.w], j.sketches[int(uint32(k))*j.w:])
+	}
+}
+
+// compare runs the candidate pipeline over every pair of a row of a and a
+// row of b or, with tri (a and b are then one block), over every unordered
+// pair within it; all count as pre-candidates. Rows are in size order, so
+// the partners passing the size filter — Verifier.SizeCompatible's float
+// predicate, both ways — are a window [lo, hi) of b whose ends only move
+// forward; within it a pair passes the sketch filter as in
+// sketch.Filter.Accept, Hamming distance at most maxHam, except that the
+// count stops as soon as it is exceeded.
+func (ts *taskState) compare(a, b *block, tri bool) {
+	j := ts.j
+	if tri {
+		ts.pre += int64(len(a.keys) * (len(a.keys) - 1) / 2)
+	} else {
+		ts.pre += int64(len(a.keys) * len(b.keys))
+	}
+	stride, maxHam, lo, hi := j.stride, j.maxHam, 0, 0
+	for p, ka := range a.keys {
+		size := float64(ka >> 32)
+		for lo < len(b.keys) && float64(b.keys[lo]>>32) < j.lambda*size {
+			lo++
+		}
+		for hi < len(b.keys) && size >= j.lambda*float64(b.keys[hi]>>32) {
+			hi++
+		}
+		q := lo
+		if tri {
+			q = max(lo, p+1)
+		}
+		// The row's first four words stay in registers across the window;
+		// a pair still alive after them walks the rest word by word.
+		row := a.sk[p*stride : (p+1)*stride]
+		head, rest := (*[4]uint64)(row), row[4:]
+		r0, r1, r2, r3 := head[0], head[1], head[2], head[3]
+	partners:
+		for win := b.sk[q*stride : hi*stride]; len(win) >= len(row); win = win[len(row):] {
+			o := (*[4]uint64)(win)
+			d := bits.OnesCount64(r0^o[0]) + bits.OnesCount64(r1^o[1]) + bits.OnesCount64(r2^o[2]) + bits.OnesCount64(r3^o[3])
+			if d > maxHam {
+				continue
+			}
+			other := win[4:][:len(rest)]
+			for i, x := range rest {
+				if d += bits.OnesCount64(x ^ other[i]); d > maxHam {
+					continue partners
+				}
+			}
+			ts.candidate(uint32(ka), uint32(b.keys[hi-len(win)/stride]))
 		}
 	}
 }
 
 // bruteForcePairs reports all qualifying pairs within the node
-// (BRUTEFORCEPAIRS in Algorithm 2).
+// (BRUTEFORCEPAIRS in Algorithm 2): within each tile of blockRows members,
+// then between it and everything after it.
 func (ts *taskState) bruteForcePairs(node []uint32) {
 	if m := ts.j.opt.Metrics; m != nil && len(node) > 1 {
 		m.BruteForcedNodes++
 	}
-	for i := 0; i < len(node); i++ {
-		for k := i + 1; k < len(node); k++ {
-			ts.checkPair(node[i], node[k])
-		}
+	for len(node) > 0 {
+		tile := node[:min(blockRows, len(node))]
+		node = node[len(tile):]
+		ts.gather(&ts.a, tile)
+		ts.compare(&ts.a, &ts.a, true)
+		ts.bruteForcePoints(tile, node)
 	}
 }
 
-// bruteForcePoint compares one point against a list of others
-// (BRUTEFORCEPOINT in Algorithm 2).
-func (ts *taskState) bruteForcePoint(id uint32, others []uint32) {
-	for _, other := range others {
-		if other != id {
-			ts.checkPair(id, other)
+// bruteForcePoints compares each of points against all of others
+// (BRUTEFORCEPOINT in Algorithm 2, for several points at once), tile by
+// tile; the two lists share no id.
+func (ts *taskState) bruteForcePoints(points, others []uint32) {
+	for ; len(points) > 0 && len(others) > 0; points = points[min(blockRows, len(points)):] {
+		ts.gather(&ts.a, points[:min(blockRows, len(points))])
+		for rest := others; len(rest) > 0; rest = rest[min(blockRows, len(rest)):] {
+			ts.gather(&ts.b, rest[:min(blockRows, len(rest))])
+			ts.compare(&ts.a, &ts.b, false)
 		}
 	}
 }

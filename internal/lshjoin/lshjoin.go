@@ -151,7 +151,7 @@ func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, ver
 	workers := exec.EffectiveWorkers(opt.Workers)
 	res := verify.NewSink(workers)
 	tracker := verify.NewRecallTracker(opt.GroundTruth, opt.StopAtRecall)
-	v := verify.NewVerifier(sets, lambda, nil)
+	v := verify.NewVerifier(sets, lambda)
 	hasher := tabhash.NewTable64(opt.Seed + 0x7e7e)
 	var atomics verify.AtomicCounters
 

@@ -5,7 +5,7 @@ package verify
 // this repository is tested, and the recall denominator in experiments.
 func BruteForceJoin(sets [][]uint32, lambda float64) []Pair {
 	var out []Pair
-	v := NewVerifier(sets, lambda, nil)
+	v := NewVerifier(sets, lambda)
 	for i := 0; i < len(sets); i++ {
 		for j := i + 1; j < len(sets); j++ {
 			if !v.SizeCompatible(len(sets[i]), len(sets[j])) {

@@ -81,27 +81,19 @@ func (a *AtomicCounters) Counters() Counters {
 type Verifier struct {
 	Sets   [][]uint32
 	Lambda float64
-	// Count, when non-nil, receives candidate accounting.
-	Count *Counters
 }
 
 // NewVerifier returns a Verifier for the collection at threshold lambda.
-func NewVerifier(sets [][]uint32, lambda float64, count *Counters) *Verifier {
-	return &Verifier{Sets: sets, Lambda: lambda, Count: count}
+func NewVerifier(sets [][]uint32, lambda float64) *Verifier {
+	return &Verifier{Sets: sets, Lambda: lambda}
 }
 
 // Verify computes whether J(sets[i], sets[j]) >= lambda exactly, using the
 // equivalent overlap bound with an early-terminating merge.
 func (v *Verifier) Verify(i, j uint32) bool {
-	if v.Count != nil {
-		v.Count.Candidates++
-	}
 	a, b := v.Sets[i], v.Sets[j]
 	required := intset.JaccardOverlapBound(len(a), len(b), v.Lambda)
 	_, ok := intset.IntersectSizeAtLeast(a, b, required)
-	if ok && v.Count != nil {
-		v.Count.Results++
-	}
 	return ok
 }
 
