@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-benchmark surface race race-full vet fmt bench bench-micro bench-smoke bench-go fuzz-smoke clean
+.PHONY: all build test test-benchmark surface race race-full vet fmt ledger fuzz-smoke clean
 
 all: vet build test
 
@@ -21,11 +21,17 @@ test-benchmark:
 
 # surface keeps the API from growing back what was deleted: no Go file may
 # carry a "Deprecated:" marker (deprecated surface is removed, not kept),
-# and the serving handler registers every endpoint under /v1/ only (pprof's
-# opt-in mux lives in cmd/serve, not here).
+# the serving handler registers every endpoint under /v1/ only (pprof's
+# opt-in mux lives in cmd/serve, not here), and there is one benchmark
+# system: no BENCH_*.json artifact at the root, and cmd/experiments — the
+# paper's tables and figures — links neither the serving stack nor net/http
+# nor testing (internal/snapshot is not on the list: internal/prep keeps the
+# join's saved index in that container).
 surface:
 	@out=$$(grep -rn 'Deprecated:' --include='*.go' .); if [ -n "$$out" ]; then echo "deprecated surface:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'mux\.Handle' internal/shard/server.go | grep -v '("/v1/'); if [ -n "$$out" ]; then echo "endpoint outside /v1/:"; echo "$$out"; exit 1; fi
+	@out=$$(ls BENCH_*.json 2>/dev/null); if [ -n "$$out" ]; then echo "second benchmark system (the ledger's JSON is the only one):"; echo "$$out"; exit 1; fi
+	@deps=$$($(GO) list -deps ./cmd/experiments) || exit 1; out=$$(echo "$$deps" | grep -xE 'repro/internal/(shard|cpindex|contain|mmap|metrics)|net/http|testing'); if [ -n "$$out" ]; then echo "cmd/experiments links the serving stack:"; echo "$$out"; exit 1; fi
 
 # race is the quick local loop (-short skips the slowest suites);
 # race-full runs the entire suite under the race detector and is what CI
@@ -44,48 +50,14 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# bench records the performance trajectory for cross-PR comparison:
-# parallel join scaling (every algorithm at every worker count, with the
-# determinism check), sharded-serving batch-query throughput (every
-# shard count at every worker count, with the same check), the query
-# microbenchmarks, and the containment-search accuracy rows
-# (precision/recall/F1 vs brute-force ground truth, recall gated in CI).
-bench:
-	$(GO) run ./cmd/experiments -quiet -format json parallel > BENCH_parallel.json
-	@echo "wrote BENCH_parallel.json"
-	$(GO) run ./cmd/experiments -quiet -format json serving > BENCH_serving.json
-	@echo "wrote BENCH_serving.json"
-	$(GO) run ./cmd/experiments -quiet -format json query > BENCH_query.json
-	@echo "wrote BENCH_query.json"
-	$(GO) run ./cmd/experiments -quiet -format json accuracy > BENCH_accuracy.json
-	@echo "wrote BENCH_accuracy.json"
-
-# bench-micro records just the point-query microbenchmarks (Query /
-# QueryAll / QueryBatch ns/op, allocs/op and qps at the cpindex level and,
-# at the shard level, with the result cache off and on, measured with
-# testing.Benchmark). Every row's answers are checked identical to its
-# reference, and CI additionally requires the cpindex rows to report
-# 0 allocs/op.
-bench-micro:
-	$(GO) run ./cmd/experiments -quiet -format json query > BENCH_query.json
-	@echo "wrote BENCH_query.json"
-
-# bench-smoke is the reduced bench CI runs on every PR (small synthetic
-# datasets, same JSON schema): the per-PR perf trajectory the ROADMAP
-# asks for, uploaded as workflow artifacts.
-bench-smoke:
-	$(GO) run ./cmd/experiments -quiet -format json -scale smoke parallel > BENCH_parallel.json
-	@echo "wrote BENCH_parallel.json (smoke scale)"
-	$(GO) run ./cmd/experiments -quiet -format json -scale smoke serving > BENCH_serving.json
-	@echo "wrote BENCH_serving.json (smoke scale)"
-	$(GO) run ./cmd/experiments -quiet -format json -scale smoke query > BENCH_query.json
-	@echo "wrote BENCH_query.json (smoke scale)"
-	$(GO) run ./cmd/experiments -quiet -format json -scale smoke accuracy > BENCH_accuracy.json
-	@echo "wrote BENCH_accuracy.json (smoke scale)"
-
-# bench-go runs the Go testing benchmarks for the same scaling curves.
-bench-go:
-	$(GO) test -run '^$$' -bench 'Parallel' -benchmem .
+# ledger is the one performance target: the end-to-end perf ledger in
+# benchmark/ (see benchmark/README.md), run in the form BENCHMARK.json runs
+# it. It builds cmd/ssjoin and cmd/serve into .bench_build/, drives them as
+# child processes on all four workloads, checks their output (and exits
+# non-zero if a check fails) and prints, per workload, the metrics and the
+# one-line JSON result the driver reads; add --out FILE for one JSON file.
+ledger:
+	bash benchmark/run.sh --workload all --seed 1
 
 # fuzz-smoke runs each native fuzz target briefly (FUZZTIME per target,
 # default 10s) against the decode surfaces: the snapshot container, the
@@ -104,4 +76,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrom$$' -fuzztime $(FUZZTIME) ./internal/prep
 
 clean:
-	rm -f BENCH_parallel.json BENCH_serving.json BENCH_query.json BENCH_accuracy.json
+	rm -rf .bench_build/

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments [-scale smoke|small|paper] [-runs 1] [-seed 42] <subcommand>
+//	experiments [-scale smoke|small|paper] [-format table|csv] [-workers N] [-runs 1] [-seed 42] <subcommand>
 //
 // Subcommands:
 //
@@ -19,31 +19,12 @@
 //	ablation  stopping strategies                   (Section IV-C.5)
 //	bayes     BayesLSH comparison                   (Section VI-A.2)
 //	theory    depth/space bounds                    (Lemma 4, Remark 9)
-//	parallel  join time vs -workers scaling         (Section VII; -format
-//	          json emits the BENCH_parallel.json schema used by `make bench`)
-//	serving   sharded-index batch-query throughput vs shards and workers,
-//	          in both topologies — all-local and distributed over two
-//	          in-process HTTP peers with every shard moved (the
-//	          local/remote equivalence flag checked per cell) — plus the
-//	          compaction churn workload (-format json emits the
-//	          BENCH_serving.json schema with both row arrays)
-//	compaction  add/delete churn, one Compact pass, post-compaction
-//	          queries: ring shrinkage, reclaimed tombstones, and the
-//	          equivalence/determinism flags (table view of the compaction
-//	          rows inside BENCH_serving.json)
-//	query     point-query microbenchmarks (Query / QueryAll / QueryBatch
-//	          ns/op, allocs/op and qps) of one cpindex and of a sharded
-//	          ring with the result cache off and on, every cell's answers
-//	          checked identical to its reference (-format json emits the
-//	          BENCH_query.json schema used by `make bench-micro`)
-//	accuracy  containment-search accuracy: precision/recall/F1 of the
-//	          sharded index's containment answers against brute-force
-//	          ground truth, across thresholds and a shards × partition
-//	          topology grid with the byte-identical determinism check
-//	          (-format json emits the BENCH_accuracy.json schema used by
-//	          `make bench`)
-//	all       everything above except parallel, serving, compaction,
-//	          query and accuracy
+//	all       everything above; Table II is measured once and Figure 2
+//	          derived from the same cells
+//
+// Nothing here measures the serving stack or gates anything: end-to-end
+// performance is the ledger's (`make ledger`, benchmark/README.md), and
+// every correctness contract is a Go test next to the code it protects.
 package main
 
 import (
@@ -91,19 +72,11 @@ func main() {
 	out := os.Stdout
 
 	csvOut := *format == "csv"
-	jsonOut := *format == "json"
-	if *format != "table" && *format != "csv" && *format != "json" {
-		fatalf("unknown format %q (want table, csv or json)", *format)
-	}
-	switch flag.Arg(0) {
-	case "parallel", "serving", "compaction", "query", "accuracy":
-	default:
-		if jsonOut {
-			fatalf("-format json is only supported by the parallel, serving, compaction, query and accuracy subcommands")
-		}
+	if *format != "table" && !csvOut {
+		fatalf("unknown format %q (want table or csv)", *format)
 	}
 	banner := func(s string) {
-		if !csvOut && !jsonOut {
+		if !csvOut {
 			fmt.Fprintln(out, s)
 		}
 	}
@@ -111,6 +84,15 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
+	}
+
+	// Table II and Figure 2 are one measurement: `all` takes it once.
+	var table2 []bench.Table2Cell
+	table2Cells := func() []bench.Table2Cell {
+		if table2 == nil {
+			table2 = bench.RunTable2(bench.AllWorkloads(scale), bench.Thresholds, cfg, progress)
+		}
+		return table2
 	}
 
 	cmd := flag.Arg(0)
@@ -126,7 +108,7 @@ func main() {
 			}
 		case "table2":
 			banner("== Table II: join time in seconds (CP | MH | ALL), recall >= target ==")
-			cells := bench.RunTable2(bench.AllWorkloads(scale), bench.Thresholds, cfg, progress)
+			cells := table2Cells()
 			if csvOut {
 				check(bench.CSVTable2(out, cells))
 			} else {
@@ -134,8 +116,7 @@ func main() {
 			}
 		case "fig2":
 			banner("== Figure 2: CPSJoin speedup over AllPairs ==")
-			cells := bench.RunTable2(bench.AllWorkloads(scale), bench.Thresholds, cfg, progress)
-			points := bench.Fig2FromTable2(cells)
+			points := bench.Fig2FromTable2(table2Cells())
 			if csvOut {
 				check(bench.CSVFig2(out, points))
 			} else {
@@ -195,72 +176,6 @@ func main() {
 				check(bench.CSVBayes(out, rows))
 			} else {
 				bench.PrintBayes(out, rows)
-			}
-		case "parallel":
-			banner("== Parallel scaling: join time vs workers (λ=0.5) ==")
-			rows := bench.RunParallelScaling(bench.SyntheticWorkloads(scale), bench.DefaultWorkerCounts(), cfg, progress)
-			if jsonOut {
-				check(bench.WriteParallelJSON(out, rows))
-			} else {
-				bench.PrintParallel(out, rows)
-			}
-		case "serving":
-			banner("== Serving: sharded batch-query throughput vs shards and workers (λ=0.5) ==")
-			// UNIFORM005 only: one workload keeps the cell grid (shards ×
-			// workers) affordable on every `make bench`.
-			ws := bench.SyntheticWorkloads(scale)[:1]
-			rows := bench.RunServingBench(ws, bench.DefaultShardCounts(), bench.DefaultWorkerCounts(), cfg, progress)
-			comp := bench.RunCompactionBench(ws, []int{2, 4}, bench.DefaultWorkerCounts(), cfg, progress)
-			// The observability check rides along: scrape /metrics off an
-			// instrumented distributed index and record the verdict with
-			// the rows, so CI gates on the exposition staying valid.
-			scrape := bench.CheckMetricsExposition(ws[0], cfg)
-			// So does the placement-GC soak: seal + compact + re-distribute
-			// churn against live peers, gated on peers hosting exactly the
-			// final ring.
-			churn := bench.RunPlacementChurn(ws[0], cfg, progress)
-			// And the storage-tier comparison: the same saved index
-			// restored hot and cold, gated on cold answers staying
-			// byte-identical and the lazy open being ≥5× faster.
-			tiering := bench.RunTieringBench(ws[0], cfg, progress)
-			if jsonOut {
-				check(bench.WriteServingJSON(out, rows, comp, &scrape, &churn, &tiering))
-			} else {
-				bench.PrintServing(out, rows)
-				banner("== Compaction: churn, one pass, post-compaction queries (λ=0.5) ==")
-				bench.PrintCompaction(out, comp)
-				banner("== Tiering: hot vs cold restore of the same saved index ==")
-				bench.PrintTiering(out, tiering)
-				fmt.Fprintf(out, "\nmetrics scrape: ok=%v series=%d %s\n", scrape.OK, scrape.Series, scrape.Error)
-				fmt.Fprintf(out, "placement churn: gc_clean=%v identical=%v ring=%d\n", churn.GCClean, churn.Identical, churn.RingKeys)
-			}
-		case "compaction":
-			banner("== Compaction: churn, one pass, post-compaction queries (λ=0.5) ==")
-			comp := bench.RunCompactionBench(bench.SyntheticWorkloads(scale)[:1], []int{2, 4}, bench.DefaultWorkerCounts(), cfg, progress)
-			if jsonOut {
-				check(bench.WriteServingJSON(out, nil, comp, nil, nil, nil))
-			} else {
-				bench.PrintCompaction(out, comp)
-			}
-		case "accuracy":
-			banner("== Containment accuracy: index answers vs brute-force ground truth ==")
-			// UNIFORM005 only, like serving and query: one workload keeps
-			// the threshold × topology grid affordable on every run.
-			arows := bench.RunAccuracyBench(bench.SyntheticWorkloads(scale)[:1], bench.AccuracyThresholds, cfg, progress)
-			if jsonOut {
-				check(bench.WriteAccuracyJSON(out, arows))
-			} else {
-				bench.PrintAccuracy(out, arows)
-			}
-		case "query":
-			banner("== Query microbenchmarks: cpindex kernel and shard cache dimension (λ=0.5) ==")
-			// UNIFORM005 only, like serving: one workload keeps the cell
-			// grid affordable on every run.
-			qrows := bench.RunQueryBench(bench.SyntheticWorkloads(scale)[:1], cfg, progress)
-			if jsonOut {
-				check(bench.WriteQueryJSON(out, qrows))
-			} else {
-				bench.PrintQuery(out, qrows)
 			}
 		default:
 			fatalf("unknown subcommand %q", name)

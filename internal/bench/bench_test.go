@@ -215,58 +215,3 @@ func mustWorkload(t *testing.T, name string) Workload {
 	}
 	return w
 }
-
-// TestRunPlacementChurn runs the placement-GC soak at tiny scale: after
-// the seal + compact + re-distribute rounds, the peers must host exactly
-// the final ring's keys and answers must match the all-local reference —
-// the same flags the CI bench gate reads from BENCH_serving.json.
-func TestRunPlacementChurn(t *testing.T) {
-	w := mustWorkload(t, "UNIFORM005")
-	var buf bytes.Buffer
-	churn := RunPlacementChurn(w, DefaultConfig(), &buf)
-	if !churn.GCClean {
-		t.Fatalf("placement churn not GC-clean: %+v\n%s", churn, buf.String())
-	}
-	if !churn.Identical {
-		t.Fatalf("placement churn answers diverged: %+v\n%s", churn, buf.String())
-	}
-	if churn.RingKeys == 0 || churn.HostedA != churn.RingKeys || churn.HostedB != churn.RingKeys {
-		t.Fatalf("placement churn hosted/ring mismatch: %+v", churn)
-	}
-	var out bytes.Buffer
-	if err := WriteServingJSON(&out, nil, nil, nil, &churn, nil); err != nil {
-		t.Fatalf("WriteServingJSON: %v", err)
-	}
-	for _, want := range []string{`"placement_gc_clean": true`, `"identical_to_sequential": true`} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("serving JSON missing %s:\n%s", want, out.String())
-		}
-	}
-}
-
-// TestRunTieringBench runs the storage-tier comparison at tiny scale:
-// the cold restore must answer byte-identically to hot, and every timing
-// the CI gate compares must have been measured. The orderings themselves
-// (cold <= hot <= build) are gated in CI on the bench-smoke artifact, not
-// asserted here: a timing comparison has no place in tier-1.
-func TestRunTieringBench(t *testing.T) {
-	w := mustWorkload(t, "UNIFORM005")
-	var buf bytes.Buffer
-	r := RunTieringBench(w, DefaultConfig(), &buf)
-	if !r.Identical {
-		t.Fatalf("tiering answers diverged: %+v\n%s", r, buf.String())
-	}
-	if r.BuildSeconds <= 0 || r.HotRestoreSeconds <= 0 || r.ColdRestoreSeconds <= 0 {
-		t.Fatalf("tiering timings not recorded: %+v\n%s", r, buf.String())
-	}
-	if r.ColdResidentBytes >= r.HotResidentBytes {
-		t.Logf("warning: cold resident %d >= hot %d at tiny scale", r.ColdResidentBytes, r.HotResidentBytes)
-	}
-	var out bytes.Buffer
-	if err := WriteServingJSON(&out, nil, nil, nil, nil, &r); err != nil {
-		t.Fatalf("WriteServingJSON: %v", err)
-	}
-	if !strings.Contains(out.String(), `"tiering_identical": true`) {
-		t.Fatalf("serving JSON missing tiering flag:\n%s", out.String())
-	}
-}

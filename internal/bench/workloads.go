@@ -1,6 +1,11 @@
-// Package bench is the experiment harness that regenerates every table and
-// figure of the paper's evaluation (Section VI). See DESIGN.md §3 for the
-// per-experiment index and §4 for the dataset substitutions.
+// Package bench regenerates the tables and figures of the paper's own
+// evaluation (Christiani, Pagh & Sivertsen, Section VI, whose protocol
+// follows Mann, Augsten & Bouros, PVLDB 2016) and nothing else: the
+// workloads (workloads.go), one Run/Print pair per artifact
+// (experiments.go) and their CSV form (csv.go), driven by cmd/experiments
+// and the root package's benchmarks. It imports the join algorithms only.
+// How fast the system is end to end is the business of the ledger in
+// benchmark/; the serving stack's contracts are Go tests next to the code.
 package bench
 
 import (
@@ -42,10 +47,9 @@ func PaperScale() Scale {
 	return Scale{ProfileSets: 100_000, UniformSets: 100_000, TokensCap: 10_000, Seed: 2018}
 }
 
-// SmokeScale is the CI bench-smoke scale: the same workload structure as
-// DefaultScale, shrunk until the parallel and serving benchmarks finish
-// in seconds on a shared two-core runner, while timings stay far enough
-// from zero that the recorded trajectory is comparable across PRs.
+// SmokeScale is the same workload structure as DefaultScale, shrunk until
+// every table finishes in seconds on a shared two-core runner (`all` in
+// under a minute) while each workload keeps join mass at every threshold.
 func SmokeScale() Scale {
 	return Scale{ProfileSets: 1200, UniformSets: 1200, TokensCap: 150, Seed: 2018}
 }

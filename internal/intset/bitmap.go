@@ -111,13 +111,3 @@ func BitmapFromBytes(data []byte) *Bitmap {
 	}
 	return b
 }
-
-// BitmapFromInts builds a bitmap holding the given ids. Negative ids
-// panic, as in Set.
-func BitmapFromInts(ids []int) *Bitmap {
-	b := &Bitmap{}
-	for _, id := range ids {
-		b.Set(id)
-	}
-	return b
-}

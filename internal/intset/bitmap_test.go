@@ -82,18 +82,12 @@ func TestBitmapBytesRoundTrip(t *testing.T) {
 				t.Fatalf("trial %d: round trip lost id %d", trial, id)
 			}
 		}
-		if !bytes.Equal(enc, BitmapFromInts(b.Ints()).Bytes()) {
+		sibling := &Bitmap{}
+		for _, id := range b.Ints() {
+			sibling.Set(id)
+		}
+		if !bytes.Equal(enc, sibling.Bytes()) {
 			t.Fatalf("trial %d: encoding not canonical", trial)
 		}
-	}
-}
-
-func TestBitmapFromInts(t *testing.T) {
-	b := BitmapFromInts([]int{5, 2, 900})
-	if b.Count() != 3 || !b.Get(2) || !b.Get(5) || !b.Get(900) {
-		t.Fatalf("BitmapFromInts wrong members: %v", b.Ints())
-	}
-	if BitmapFromInts(nil).Count() != 0 {
-		t.Fatal("BitmapFromInts(nil) not empty")
 	}
 }

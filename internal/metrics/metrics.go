@@ -30,7 +30,6 @@ import (
 	"math/bits"
 	"net/http"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -359,21 +358,4 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	r.WritePrometheus(w)
-}
-
-// Names returns the registered metric names, sorted — a testing and
-// documentation hook.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	seen := make(map[string]bool)
-	var out []string
-	for _, e := range r.ents {
-		if !seen[e.name] {
-			seen[e.name] = true
-			out = append(out, e.name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

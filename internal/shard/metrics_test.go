@@ -340,6 +340,18 @@ func TestReadyzPeerDeath(t *testing.T) {
 	if !strings.Contains(text, "cps_peer_healthy{peer=") || !strings.Contains(text, "} 0") {
 		t.Error("cps_peer_healthy gauge did not go to 0")
 	}
+	// A distributed index's scrape carries the per-peer families, labelled
+	// by peer (scrapeMetrics has already held every line to the format).
+	for _, want := range []string{
+		`cps_peer_rpc_seconds_bucket{peer="`,
+		`cps_peer_rpc_seconds_count{peer="`,
+		`cps_peer_rpc_errors_total{peer="`,
+		`cps_peer_failovers_total{peer="`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("distributed scrape missing %q", want)
+		}
+	}
 
 	// Recovery: the next successful RPC flips readiness back.
 	f1.broken.Store(false)

@@ -412,17 +412,22 @@ func TestLoadDroppedInvariantsRejected(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
+	droppedOnly := func(id int) []byte {
+		var b intset.Bitmap
+		b.Set(id)
+		return b.Bytes()
+	}
 	// Id 0 lives in a sealed shard; claiming it was dropped is corruption.
 	corrupt("dropped id present in shard", func(m *snapshot.Manifest) {
-		m.DroppedBitmap = intset.BitmapFromInts([]int{0}).Bytes()
+		m.DroppedBitmap = droppedOnly(0)
 	})
 	// Id 3 is tombstoned; dropped means its tombstone was retired.
 	corrupt("id both dropped and tombstoned", func(m *snapshot.Manifest) {
-		m.DroppedBitmap = intset.BitmapFromInts([]int{3}).Bytes()
+		m.DroppedBitmap = droppedOnly(3)
 	})
 	// The first appended id sits in the side shard.
 	corrupt("dropped id still in side shard", func(m *snapshot.Manifest) {
-		m.DroppedBitmap = intset.BitmapFromInts([]int{len(sets)}).Bytes()
+		m.DroppedBitmap = droppedOnly(len(sets))
 	})
 	// A ghost tombstone: reclassifying a genuinely absent id (dropped in
 	// a real snapshot) as tombstoned would debit the live count for an id

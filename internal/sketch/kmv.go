@@ -11,7 +11,6 @@ package sketch
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/tabhash"
@@ -85,43 +84,4 @@ func (s *KMV) Estimate() float64 {
 		return float64(s.k)
 	}
 	return float64(s.k-1) / frac
-}
-
-// RelativeError returns the expected relative standard error of
-// Estimate for this sketch size, 1/sqrt(k-2).
-func (s *KMV) RelativeError() float64 {
-	return 1 / math.Sqrt(float64(s.k-2))
-}
-
-// Merge folds another sketch built with the SAME k and seed into s, so
-// per-partition sketches can be combined into a global one. It panics
-// on a size mismatch (different seeds are not detectable and yield
-// garbage estimates; callers derive all sketches from one seed).
-func (s *KMV) Merge(o *KMV) {
-	if s.k != o.k {
-		panic(fmt.Sprintf("sketch: KMV merge size mismatch %d != %d", s.k, o.k))
-	}
-	merged := make([]uint64, 0, s.k)
-	i, j := 0, 0
-	for len(merged) < s.k && (i < len(s.vals) || j < len(o.vals)) {
-		switch {
-		case i == len(s.vals):
-			merged = append(merged, o.vals[j])
-			j++
-		case j == len(o.vals):
-			merged = append(merged, s.vals[i])
-			i++
-		case s.vals[i] < o.vals[j]:
-			merged = append(merged, s.vals[i])
-			i++
-		case s.vals[i] > o.vals[j]:
-			merged = append(merged, o.vals[j])
-			j++
-		default:
-			merged = append(merged, s.vals[i])
-			i++
-			j++
-		}
-	}
-	s.vals = merged
 }

@@ -68,31 +68,6 @@ func TestKMVDeterministic(t *testing.T) {
 	}
 }
 
-func TestKMVMerge(t *testing.T) {
-	const k = 64
-	whole := NewKMV(k, 11)
-	left, right := NewKMV(k, 11), NewKMV(k, 11)
-	for i := 0; i < 5000; i++ {
-		tok := uint32(i * 2654435761)
-		whole.Add(tok)
-		if i%2 == 0 {
-			left.Add(tok)
-		} else {
-			right.Add(tok)
-		}
-	}
-	// Overlap too: both halves see a shared block.
-	for i := 0; i < 100; i++ {
-		left.Add(uint32(i))
-		right.Add(uint32(i))
-		whole.Add(uint32(i))
-	}
-	left.Merge(right)
-	if left.Estimate() != whole.Estimate() {
-		t.Fatalf("merged estimate %v != whole-stream estimate %v", left.Estimate(), whole.Estimate())
-	}
-}
-
 func TestKMVPanicsOnTinyK(t *testing.T) {
 	defer func() {
 		if recover() == nil {

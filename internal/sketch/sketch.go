@@ -38,10 +38,10 @@ import (
 // concurrent use.
 type Maker struct {
 	words int
-	// rows holds the value hashes transposed: the row of key byte position
-	// c and byte value v, at rows[(c*256+v)*Bits():], is entry v of table c
-	// of every value hash in function order, so hashing a token with all
-	// Bits() functions XORs four contiguous rows.
+	// rows holds the value hashes transposed, n = 64*words functions wide:
+	// the row of key byte position c and byte value v, at rows[(c*256+v)*n:],
+	// is entry v of table c of every value hash in function order, so
+	// hashing a token with all n functions XORs four contiguous rows.
 	rows []uint64
 	// bitrows holds the low bit of every bit-hash table entry: bit b of
 	// bitrows[(w*8+c)*256+v] is that of entry v of table c of function
@@ -97,9 +97,6 @@ func NewMaker(words int, seed uint64) *Maker {
 // Words returns the sketch width in 64-bit words.
 func (m *Maker) Words() int { return m.words }
 
-// Bits returns the sketch width in bits.
-func (m *Maker) Bits() int { return 64 * m.words }
-
 // Sketch computes the sketch of set. It panics on an empty set.
 func (m *Maker) Sketch(set []uint32) []uint64 {
 	out := make([]uint64, m.words)
@@ -121,7 +118,7 @@ func (m *Maker) SketchInto(set []uint32, out []uint64) {
 	mins := *buf
 
 	// Token-major: each token's four rows are XORed into the hash values
-	// of all Bits() functions at once and folded into the running minima.
+	// of all n functions at once and folded into the running minima.
 	n := len(mins)
 	for k, tok := range set {
 		r0, r1, r2, r3 := m.row(0, tok, n), m.row(1, tok, n), m.row(2, tok, n), m.row(3, tok, n)
@@ -155,7 +152,7 @@ func (m *Maker) SketchInto(set []uint32, out []uint64) {
 	}
 }
 
-// row returns the n = Bits() value hashes of byte c of tok.
+// row returns the n = 64*words value hashes of byte c of tok.
 func (m *Maker) row(c int, tok uint32, n int) []uint64 {
 	return m.rows[(c<<8|int(byte(tok>>(8*c))))*n:][:n]
 }
@@ -245,13 +242,6 @@ func NewFilter(words int, lambda, delta float64) *Filter {
 // Accept reports whether the pair with the given sketches passes the filter.
 func (f *Filter) Accept(a, b []uint64) bool {
 	return AgreeBits(a, b) >= f.MinAgree
-}
-
-// EstimateThreshold returns the effective similarity threshold λ̂ implied by
-// MinAgree: pairs whose *estimated* similarity is below λ̂ are rejected.
-func (f *Filter) EstimateThreshold() float64 {
-	p := float64(f.MinAgree) / float64(64*f.Words)
-	return 2*p - 1
 }
 
 // logBinomPMF returns log Pr[Binomial(n, p) = k].

@@ -79,6 +79,8 @@ func FuzzContainer(f *testing.F) {
 }
 
 func FuzzManifest(f *testing.F) {
+	var dropped intset.Bitmap
+	dropped.Set(2)
 	m := &Manifest{
 		FormatVersion:  Version,
 		Lambda:         0.5,
@@ -94,7 +96,7 @@ func FuzzManifest(f *testing.F) {
 		Shards:         []ShardEntry{{File: "shard-g000001-0000.cps", Seed: 7, Sets: 3}},
 		Side:           SideState{IDs: []int{3, 4}, Sets: [][]uint32{{1, 2}, {2, 9}}},
 		Tombstones:     []int{1},
-		DroppedBitmap:  intset.BitmapFromInts([]int{2}).Bytes(),
+		DroppedBitmap:  dropped.Bytes(),
 	}
 	seed, err := json.Marshal(m)
 	if err != nil {

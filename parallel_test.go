@@ -222,8 +222,8 @@ func TestSearchIndexParallelBuild(t *testing.T) {
 }
 
 // BenchmarkCPSJoinParallel measures the scaling of one CPSJoin run across
-// worker counts on a synthetic workload; `make bench` wraps the same
-// measurement (via cmd/experiments parallel) into BENCH_parallel.json.
+// worker counts on a synthetic workload; the ledger's exec.join_speedup is
+// the same ratio on its own workloads.
 func BenchmarkCPSJoinParallel(b *testing.B) {
 	sets := parallelWorkload(4000, 90)
 	ix := NewIndex(sets, &Options{Seed: 7, Workers: -1})
