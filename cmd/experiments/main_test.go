@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/csv"
+	"encoding/hex"
 	"errors"
 	"os"
 	"os/exec"
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/race"
 )
 
 // TestMain lets the test binary stand in for the experiments command:
@@ -99,6 +102,26 @@ func TestCSVFormat(t *testing.T) {
 	}
 	if stdout != want.String() {
 		t.Errorf("csv output:\n%s\nwant:\n%s", stdout, want.String())
+	}
+}
+
+// TestTable4IsPinned: Table IV is counts only — pre-candidates, candidates
+// and results of ALLPAIRS, CPSJoin and MINHASH on every workload — so at one
+// worker its CSV is a function of the code alone. The digest was taken at the
+// commit before the join family got one brute-force kernel, one result set,
+// one probe loop per exact join and a one-worker pool in place of its
+// sequential forks; whatever is simplified underneath, these bytes stay.
+func TestTable4IsPinned(t *testing.T) {
+	if testing.Short() || race.Enabled {
+		t.Skip("runs every join on every smoke workload: 6 s, a minute under the race detector")
+	}
+	stdout, stderr, code := experiments(t, "-scale", "smoke", "-workers", "1", "-quiet", "-format", "csv", "table4")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	sum := sha256.Sum256([]byte(stdout))
+	if got, want := hex.EncodeToString(sum[:]), "6561ab622ba282868328a6c24d2c395163e31c1226f9f5f5532aeff215471a8c"; got != want {
+		t.Errorf("table4 CSV hashes to %s, want %s:\n%s", got, want, stdout)
 	}
 }
 

@@ -10,6 +10,14 @@
 // the rarest tokens and inverted lists stay short — this is exactly the
 // structural assumption ("many rare tokens") whose absence CPSJoin is
 // robust to.
+//
+// There is one probe loop, run at every worker count: the prefix index is
+// materialized first, then every set probes it — on the execution layer of
+// internal/exec, in chunks — for the postings of strictly smaller ids, which
+// are exactly what an index grown while probing would have held when the
+// set's turn came. Pairs and all three counters are therefore a function of
+// the input alone (TestGoldenExactJoins pins them to what the interleaved
+// loop of Mann et al. counted).
 package allpairs
 
 import (
@@ -47,10 +55,6 @@ func indexPrefix(size int, lambda float64) int {
 	return size - minOverlap + 1
 }
 
-type posting struct {
-	id uint32 // index into the size-sorted collection
-}
-
 // Join computes the exact self-join {(i, j) : J(sets[i], sets[j]) >= lambda}
 // and returns the pairs (in original indices) together with candidate
 // statistics. The input sets must be normalized (sorted, unique); they are
@@ -60,91 +64,17 @@ func Join(sets [][]uint32, lambda float64) ([]verify.Pair, verify.Counters) {
 }
 
 // JoinWorkers is Join executed with the given worker count on the shared
-// execution layer (0 = sequential, negative = GOMAXPROCS). The sequential
-// algorithm interleaves probing and indexing (a set only probes smaller
-// sets, indexed before it); the parallel variant materializes the complete
-// prefix index first, then probes every set concurrently against the
-// postings of strictly smaller ids — the same candidate set, so pairs
-// *and* counters are identical to the sequential run for any worker count.
+// execution layer (0 = one worker, negative = GOMAXPROCS). Postings are
+// appended in id order, and ids are size order, so each probe
+// binary-searches its minsize lower bound and stops at the first posting
+// with id >= its own. Pairs and counters are identical for any worker
+// count.
 func JoinWorkers(sets [][]uint32, lambda float64, workers int) ([]verify.Pair, verify.Counters) {
 	if len(sets) < 2 {
 		return nil, verify.Counters{}
 	}
-	if workers = exec.EffectiveWorkers(workers); workers > 1 {
-		return joinParallel(sets, lambda, workers)
-	}
-	var counters verify.Counters
+	workers = exec.EffectiveWorkers(workers)
 	// Work on a frequency-remapped, size-sorted copy.
-	ds := (&dataset.Dataset{Sets: sets}).Clone()
-	ds.RemapByFrequency()
-	perm := ds.SortBySize()
-	sorted := ds.Sets
-
-	index := make(map[uint32][]posting)
-	// listStart[token] tracks how far the list head has been pruned by the
-	// minsize filter; sizes only grow, so pruning is monotone.
-	listStart := make(map[uint32]int)
-
-	overlap := make([]int32, len(sorted)) // candidate overlap accumulator
-	touched := make([]uint32, 0, 1024)
-
-	var pairs []verify.Pair
-
-	for xi := 0; xi < len(sorted); xi++ {
-		x := sorted[xi]
-		sx := len(x)
-		minsize := int(math.Ceil(lambda * float64(sx)))
-		pp := probePrefix(sx, lambda)
-		touched = touched[:0]
-
-		for p := 0; p < pp; p++ {
-			tok := x[p]
-			list := index[tok]
-			start := listStart[tok]
-			// Prune candidates below the size filter once and for all:
-			// postings are appended in size order.
-			for start < len(list) && len(sorted[list[start].id]) < minsize {
-				start++
-			}
-			if start > 0 {
-				listStart[tok] = start
-			}
-			for _, post := range list[start:] {
-				counters.PreCandidates++
-				if overlap[post.id] == 0 {
-					touched = append(touched, post.id)
-				}
-				overlap[post.id]++
-			}
-		}
-
-		// Verify unique candidates.
-		for _, yi := range touched {
-			overlap[yi] = 0
-			counters.Candidates++
-			y := sorted[yi]
-			required := intset.JaccardOverlapBound(sx, len(y), lambda)
-			if _, ok := intset.IntersectSizeAtLeast(x, y, required); ok {
-				counters.Results++
-				pairs = append(pairs, verify.MakePair(uint32(perm[xi]), uint32(perm[yi])))
-			}
-		}
-
-		// Index the midprefix of x.
-		ip := indexPrefix(sx, lambda)
-		for p := 0; p < ip; p++ {
-			index[x[p]] = append(index[x[p]], posting{id: uint32(xi)})
-		}
-	}
-	return pairs, counters
-}
-
-// joinParallel probes all sets concurrently against a fully materialized
-// prefix index. Postings are appended in id order, and ids are size
-// order, so each probe binary-searches its minsize lower bound and stops
-// at the first posting with id >= its own — exactly the candidates the
-// incremental index would have held.
-func joinParallel(sets [][]uint32, lambda float64, workers int) ([]verify.Pair, verify.Counters) {
 	ds := (&dataset.Dataset{Sets: sets}).Clone()
 	ds.RemapByFrequency()
 	perm := ds.SortBySize()
@@ -153,9 +83,8 @@ func joinParallel(sets [][]uint32, lambda float64, workers int) ([]verify.Pair, 
 
 	index := make(map[uint32][]uint32)
 	for xi, x := range sorted {
-		ip := indexPrefix(len(x), lambda)
-		for p := 0; p < ip; p++ {
-			index[x[p]] = append(index[x[p]], uint32(xi))
+		for _, tok := range x[:indexPrefix(len(x), lambda)] {
+			index[tok] = append(index[tok], uint32(xi))
 		}
 	}
 
@@ -176,10 +105,9 @@ func joinParallel(sets [][]uint32, lambda float64, workers int) ([]verify.Pair, 
 		x := sorted[xi]
 		sx := len(x)
 		minsize := int(math.Ceil(lambda * float64(sx)))
-		pp := probePrefix(sx, lambda)
 		touched := w.touched[:0]
-		for p := 0; p < pp; p++ {
-			list := index[x[p]]
+		for _, tok := range x[:probePrefix(sx, lambda)] {
+			list := index[tok]
 			start := sort.Search(len(list), func(i int) bool {
 				return len(sorted[list[i]]) >= minsize
 			})
@@ -194,6 +122,7 @@ func joinParallel(sets [][]uint32, lambda float64, workers int) ([]verify.Pair, 
 				w.overlap[yi]++
 			}
 		}
+		// Verify unique candidates.
 		for _, yi := range touched {
 			w.overlap[yi] = 0
 			w.c.Candidates++

@@ -25,7 +25,7 @@ func JoinRS(r, s [][]uint32, lambda float64) ([]verify.Pair, verify.Counters) {
 }
 
 // JoinRSWorkers is JoinRS with the R-side probes spread over the given
-// number of workers (0 = sequential, negative = GOMAXPROCS). The S index
+// number of workers (0 = one worker, negative = GOMAXPROCS). The S index
 // is built once and read-only during probing, and each probe is
 // independent, so pairs and counters are identical for any worker count.
 func JoinRSWorkers(r, s [][]uint32, lambda float64, workers int) ([]verify.Pair, verify.Counters) {
@@ -111,18 +111,12 @@ func JoinRSWorkers(r, s [][]uint32, lambda float64, workers int) ([]verify.Pair,
 		w.touched = touched[:0]
 	}
 
-	if workers <= 1 {
-		for xi := range rr {
-			probe(scr[0], xi)
+	exec.RunChunks(workers, len(rr), 0, func(c *exec.Ctx, lo, hi int) {
+		w := scr[c.Worker()]
+		for xi := lo; xi < hi; xi++ {
+			probe(w, xi)
 		}
-	} else {
-		exec.RunChunks(workers, len(rr), 0, func(c *exec.Ctx, lo, hi int) {
-			w := scr[c.Worker()]
-			for xi := lo; xi < hi; xi++ {
-				probe(w, xi)
-			}
-		})
-	}
+	})
 
 	var pairs []verify.Pair
 	var counters verify.Counters

@@ -7,7 +7,10 @@
 // candidate's sketch incrementally, word by word, pruning as soon as the
 // upper confidence bound on the similarity estimate falls below the
 // threshold; survivors get an exact similarity computation (the "-lite"
-// configuration benchmarked in the paper). The original uses Bayesian
+// configuration benchmarked in the paper). The Pruner is this method's own
+// stage, deliberately not the shared block kernel; what follows it — dedup
+// against the result set, exact verification — is verify.Pipeline's, as for
+// CPSJoin and MINHASH. The original uses Bayesian
 // posterior tail bounds on uniform priors; we use the equivalent Hoeffding
 // upper confidence bound on the bit-agreement rate, which prunes at the
 // same asymptotic rate and keeps the false-negative probability bounded by
@@ -31,32 +34,31 @@ import (
 
 // Options configures the BayesLSH-lite join.
 type Options struct {
-	// L is the number of single-hash repetitions; 0 derives it from
-	// TargetRecall: a pair at similarity λ collides per repetition with
-	// probability λ, so L = ceil(ln(1/(1-ϕ))/λ).
-	L int
 	// TargetRecall is the candidate-generation recall ϕ (default 0.95,
-	// the BayesLSH package default).
+	// the BayesLSH package default). It fixes the number of single-hash
+	// repetitions: a pair at similarity λ collides per repetition with
+	// probability λ, so L = ceil(ln(1/(1-ϕ))/λ).
 	TargetRecall float64
 	// SketchWords is the sketch width used for incremental pruning
 	// (default 8 words = 512 bits). Negative disables sketch pruning —
 	// the repository-wide convention — in which case candidates go
 	// straight from the size filter to exact verification.
 	SketchWords int
-	// Gamma is the per-stage false-pruning budget (default 0.05).
-	Gamma float64
 	// T is the MinHash signature pool size (default 128).
 	T int
 	// Seed makes runs reproducible.
 	Seed uint64
 	// Workers is the worker count of the parallel execution layer
 	// (internal/exec): repetitions run as independent tasks merging into a
-	// shared concurrent result set. 0 runs sequentially, negative selects
+	// shared concurrent result set. 0 is one worker, negative selects
 	// GOMAXPROCS. Each repetition's bucket position is drawn before any
 	// task starts, so the result set is identical across worker counts
 	// for a fixed Seed.
 	Workers int
 }
+
+// gamma is the pruner's false-pruning budget over all stages.
+const gamma = 0.05
 
 func (o *Options) withDefaults() Options {
 	opt := Options{}
@@ -68,9 +70,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if opt.SketchWords == 0 {
 		opt.SketchWords = 8
-	}
-	if opt.Gamma <= 0 || opt.Gamma >= 1 {
-		opt.Gamma = 0.05
 	}
 	if opt.T <= 0 {
 		opt.T = 128
@@ -84,11 +83,7 @@ func Join(sets [][]uint32, lambda float64, o *Options) ([]verify.Pair, verify.Co
 	if len(sets) < 2 {
 		return nil, verify.Counters{}
 	}
-	words := opt.SketchWords
-	if words < 0 {
-		words = 0
-	}
-	ix := prep.BuildParallel(sets, opt.T, words, opt.Seed, exec.EffectiveWorkers(opt.Workers))
+	ix := prep.BuildParallel(sets, opt.T, max(opt.SketchWords, 0), opt.Seed, exec.EffectiveWorkers(opt.Workers))
 	return JoinIndexed(ix, lambda, o)
 }
 
@@ -111,22 +106,18 @@ func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, ver
 	if lambda <= 0 || lambda >= 1 {
 		panic(fmt.Sprintf("bayeslsh: lambda %v out of (0,1)", lambda))
 	}
-	l := opt.L
-	if l <= 0 {
-		l = int(math.Ceil(math.Log(1/(1-opt.TargetRecall)) / lambda))
-		if l < 1 {
-			l = 1
-		}
-	}
+	l := max(1, int(math.Ceil(math.Log(1/(1-opt.TargetRecall))/lambda)))
 
 	sigs := ix.Sigs
+	workers := exec.EffectiveWorkers(opt.Workers)
+	tail := verify.NewPipeline(sets, lambda, workers)
 	var sketches []uint64
 	var pruner *Pruner
 	w := 0
 	if opt.SketchWords > 0 {
 		w = opt.SketchWords
 		sketches = ix.Sketches
-		pruner = NewPruner(w, lambda, opt.Gamma)
+		pruner = NewPruner(w, lambda, gamma)
 	}
 
 	// Draw every repetition's bucket position up front so the join's
@@ -138,65 +129,34 @@ func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, ver
 		positions[rep] = rng.Intn(opt.T)
 	}
 
-	workers := exec.EffectiveWorkers(opt.Workers)
-	res := verify.NewSink(workers)
-	v := verify.NewVerifier(sets, lambda)
-	var atomics verify.AtomicCounters
-
-	runRep := func(rep int) {
-		var pre, cand int64
-		pos := positions[rep]
-		buckets := make(map[uint32][]uint32, len(sets)/4+1)
-		for id := range sets {
-			val := sigs[id*opt.T+pos]
-			buckets[val] = append(buckets[val], uint32(id))
-		}
-		for _, bucket := range buckets {
-			if len(bucket) < 2 {
-				continue
+	scratch := tail.NewScratches(workers)
+	roots := make([]exec.Task, l)
+	for rep, pos := range positions {
+		roots[rep] = func(c *exec.Ctx) {
+			s := scratch[c.Worker()]
+			buckets := make(map[uint32][]uint32, len(sets)/4+1)
+			for id := range sets {
+				val := sigs[id*opt.T+pos]
+				buckets[val] = append(buckets[val], uint32(id))
 			}
-			for i := 0; i < len(bucket); i++ {
-				for k := i + 1; k < len(bucket); k++ {
-					a, b := bucket[i], bucket[k]
-					pre++
-					if res.Contains(a, b) {
-						continue
-					}
-					if !v.SizeCompatible(len(sets[a]), len(sets[b])) {
-						continue
-					}
-					if pruner != nil {
-						sa := sketches[int(a)*w : (int(a)+1)*w]
-						sb := sketches[int(b)*w : (int(b)+1)*w]
-						if !pruner.Survives(sa, sb) {
+			for _, bucket := range buckets {
+				for i, a := range bucket {
+					for _, b := range bucket[i+1:] {
+						s.Pre++
+						if !tail.Verifier.SizeCompatible(int(tail.Sizes[a]), int(tail.Sizes[b])) {
 							continue
 						}
-					}
-					cand++
-					if v.Verify(a, b) {
-						res.Add(a, b)
+						if pruner != nil && !pruner.Survives(sketches[int(a)*w:][:w], sketches[int(b)*w:][:w]) {
+							continue
+						}
+						s.Candidate(a, b)
 					}
 				}
 			}
 		}
-		atomics.Add(pre, cand)
 	}
-
-	if workers <= 1 {
-		for rep := 0; rep < l; rep++ {
-			runRep(rep)
-		}
-	} else {
-		roots := make([]exec.Task, l)
-		for rep := range roots {
-			rep := rep
-			roots[rep] = func(c *exec.Ctx) { runRep(rep) }
-		}
-		exec.Run(workers, roots...)
-	}
-	counters := atomics.Counters()
-	counters.Results = int64(res.Len())
-	return res.Pairs(), counters
+	exec.Run(workers, roots...)
+	return tail.Res.Pairs(), tail.Counters(scratch)
 }
 
 // Pruner performs incremental sketch comparison with early termination:

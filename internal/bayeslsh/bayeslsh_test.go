@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/intset"
+	"repro/internal/prep"
 	"repro/internal/sketch"
 	"repro/internal/stats"
 	"repro/internal/verify"
@@ -114,5 +115,48 @@ func TestCountersSane(t *testing.T) {
 	}
 	if c.Candidates > c.PreCandidates {
 		t.Errorf("candidates %d > pre-candidates %d", c.Candidates, c.PreCandidates)
+	}
+}
+
+// TestGoldenJoin pins the join to what it returned at the commit before it
+// looked pairs up in the result set only after the size filter and the
+// pruner (it used to ask first, a lock per pre-candidate): SHA-256 of the
+// sorted pair set at every worker count, and at one worker the three
+// counters. Candidates are the pairs that pass both stages and are not yet
+// results, in whichever order that is found out — on both shapes of the
+// perf ledger, pruner on and off.
+func TestGoldenJoin(t *testing.T) {
+	flat := prep.Build(datagen.LedgerShape(false, 3000, 1), 128, 8, 42)
+	skew := prep.Build(datagen.LedgerShape(true, 3000, 2), 128, 8, 42)
+	for _, tc := range []struct {
+		name   string
+		ix     *prep.Index
+		lambda float64
+		words  int // SketchWords: 0 takes the index's sketches, -1 none
+		digest string
+		c      verify.Counters
+	}{
+		{"flat/l50/pruner", flat, 0.5, 0, "a5cb0d226bd3133af868b838306f65618b723f4d2931cae1f0360acd7bb33500", verify.Counters{PreCandidates: 644876, Candidates: 364, Results: 302}},
+		{"flat/l80/pruner", flat, 0.8, 0, "bb5a13436d99c86a036e1a3b786e1a30703c0325bbe2000580751bdc390a23bc", verify.Counters{PreCandidates: 435344, Candidates: 223, Results: 223}},
+		{"flat/l50/none", flat, 0.5, -1, "a5cb0d226bd3133af868b838306f65618b723f4d2931cae1f0360acd7bb33500", verify.Counters{PreCandidates: 644876, Candidates: 575803, Results: 302}},
+		{"flat/l80/none", flat, 0.8, -1, "bb5a13436d99c86a036e1a3b786e1a30703c0325bbe2000580751bdc390a23bc", verify.Counters{PreCandidates: 435344, Candidates: 175764, Results: 223}},
+		{"skew/l50/pruner", skew, 0.5, 0, "171ca5089196b385e1b0de55bb61ee6d1db98b632386157f3cc6ee4299e67e86", verify.Counters{PreCandidates: 613084, Candidates: 15857, Results: 1493}},
+		{"skew/l80/pruner", skew, 0.8, 0, "9ebeb527886402873aa2131274d29afbad32b4b52976e138469305ba90b73a41", verify.Counters{PreCandidates: 285608, Candidates: 450, Results: 450}},
+		{"skew/l50/none", skew, 0.5, -1, "171ca5089196b385e1b0de55bb61ee6d1db98b632386157f3cc6ee4299e67e86", verify.Counters{PreCandidates: 613084, Candidates: 313914, Results: 1493}},
+		{"skew/l80/none", skew, 0.8, -1, "9ebeb527886402873aa2131274d29afbad32b4b52976e138469305ba90b73a41", verify.Counters{PreCandidates: 285608, Candidates: 59366, Results: 450}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, workers := range []int{0, 1, 2, 4} {
+				pairs, c := JoinIndexed(tc.ix, tc.lambda, &Options{Seed: 42, SketchWords: tc.words, Workers: workers})
+				if d := stats.PairDigest(pairs); d != tc.digest {
+					t.Errorf("workers=%d: pair set %s, want %s", workers, d, tc.digest)
+				}
+				// Two workers can verify one pair twice: Candidates may
+				// drift up by a handful, the rest may not.
+				if c.PreCandidates != tc.c.PreCandidates || c.Results != tc.c.Results || c.Candidates < tc.c.Candidates || (workers <= 1 && c != tc.c) {
+					t.Errorf("workers=%d: counters %+v, want %+v", workers, c, tc.c)
+				}
+			}
+		})
 	}
 }

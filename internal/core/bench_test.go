@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"repro/internal/datagen"
 )
 
 // BenchmarkJoinIndexed measures the join proper — preprocessing excluded —
@@ -21,8 +23,8 @@ func BenchmarkJoinIndexed(b *testing.B) {
 		name string
 		sets [][]uint32
 	}{
-		{"flat", goldenCollection(false, 10000, 1)},
-		{"skew", goldenCollection(true, 10000, 2)},
+		{"flat", datagen.LedgerShape(false, 10000, 1)},
+		{"skew", datagen.LedgerShape(true, 10000, 2)},
 	} {
 		ix := Preprocess(ds.sets, &Options{Seed: 42, Workers: -1})
 		for _, lambda := range []float64{0.5, 0.9} {

@@ -12,37 +12,33 @@
 // (Algorithm 2 of the paper), which is what makes the method parameter-free
 // and robust on data without rare tokens.
 //
-// Almost all of the time goes to two loops, and both run on memory
-// gathered for them instead of chasing ids across the collection. Brute
-// force (BRUTEFORCEPAIRS and BRUTEFORCEPOINT alike) copies the sizes and
-// 1-bit minwise sketches of up to blockRows points into contiguous scratch,
-// orders the block by size, so that the size filter is one window per row
-// rather than a branch per pair (the standard trick of the exact joins the
-// paper benchmarks against, Mann, Augsten and Bouros, PVLDB 2016), and runs
-// XOR/popcount over the window, dropping a pair once its partial Hamming
-// distance rules it out (Section V-A.2). Only survivors reach the result-set
-// lookup and exact verification. Splitting groups a node by minhash value
-// with a reusable open-addressing table and a stable counting scatter into
-// one buffer per sampled position. The order of work differs from the
-// paper's per-pair formulation; which pairs are looked at, which survive
-// and what every node draws do not (TestGoldenJoin).
+// Almost all of the time goes to two loops. Brute force (BRUTEFORCEPAIRS
+// and BRUTEFORCEPOINT alike) is verify.Pipeline, the block kernel this join
+// shares with the MinHash comparator, as Algorithms 2 and 3 of the paper
+// share the subroutine: size window, XOR/popcount over gathered sketches,
+// and only survivors reach the result-set lookup and exact verification.
+// Splitting groups a node by minhash value with a reusable open-addressing
+// table and a stable counting scatter into one buffer per sampled position.
+// The order of work differs from the paper's per-pair formulation; which
+// pairs are looked at, which survive and what every node draws do not
+// (TestGoldenJoin).
 //
 // Parallelism follows Section VII's observation that "most of the
-// computation happens in independent, recursive calls": with Workers > 1
-// the recursion runs on the shared work-stealing pool of internal/exec.
-// Whole repetitions are root tasks, and within a repetition every subtree
-// hanging off a large node is spawned as its own task, so a single
-// repetition saturates all workers. Every node derives its randomness from
-// a seed that depends only on its path from the root, so the tree ensemble
-// — and therefore the result set — is identical regardless of worker count
-// or scheduling. Scratch is per worker, not per task.
+// computation happens in independent, recursive calls": the recursion runs
+// on the work-stealing pool of internal/exec. Whole repetitions are root
+// tasks, and within a repetition every subtree hanging off a large node is
+// spawned as its own task, so a single repetition saturates all workers. On
+// one worker a spawned task runs where it is spawned, and the same code is
+// the depth-first recursion. Every node derives its randomness from a seed
+// that depends only on its path from the root, so the tree ensemble — and
+// therefore the result set — is identical regardless of worker count or
+// scheduling. Scratch is per worker, not per task.
 package core
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/prep"
@@ -96,8 +92,8 @@ type Options struct {
 	// GOMAXPROCS. The result set is identical across worker counts for a
 	// fixed Seed and options; only the candidate counters (and, with
 	// StopAtRecall, the early-stopping point) depend on scheduling.
-	// A non-nil Metrics forces sequential execution, as the recursion
-	// statistics it collects are properties of the depth-first traversal.
+	// A non-nil Metrics forces one worker, as the recursion statistics it
+	// collects are properties of the depth-first traversal.
 	Workers int
 	// Stopping selects the stopping strategy (ablation of Section IV-C.5).
 	Stopping Stopping
@@ -109,9 +105,6 @@ type Options struct {
 	// heuristic of Section V-A.4. Exponentially slower; for tests and
 	// ablations.
 	StrictBruteForce bool
-	// MaxDepth caps recursion depth as a safety net; 0 derives a bound
-	// from n and ε following Lemma 4.
-	MaxDepth int
 	// GroundTruth, when non-nil together with StopAtRecall > 0, enables
 	// the paper's experimental procedure (Section VI-2): the join stops as
 	// soon as recall against the known exact result reaches StopAtRecall.
@@ -177,12 +170,7 @@ func (o *Options) withDefaults() Options {
 // Returned pairs are deduplicated, exact-verified (100% precision), and in
 // input indices.
 func Join(sets [][]uint32, lambda float64, o *Options) ([]verify.Pair, verify.Counters) {
-	j := newJoiner(sets, nil, lambda, o, nil)
-	if j == nil {
-		return nil, verify.Counters{}
-	}
-	j.run()
-	return j.res.Pairs(), j.counters
+	return newJoiner(sets, nil, lambda, o, nil).run()
 }
 
 // Preprocess builds the reusable index (signatures and sketches) for a
@@ -192,23 +180,14 @@ func Join(sets [][]uint32, lambda float64, o *Options) ([]verify.Pair, verify.Co
 // hashing is spread across the execution layer.
 func Preprocess(sets [][]uint32, o *Options) *prep.Index {
 	opt := o.withDefaults()
-	words := opt.SketchWords
-	if words < 0 {
-		words = 0
-	}
-	return prep.BuildParallel(sets, opt.T, words, opt.Seed, exec.EffectiveWorkers(opt.Workers))
+	return prep.BuildParallel(sets, opt.T, max(opt.SketchWords, 0), opt.Seed, exec.EffectiveWorkers(opt.Workers))
 }
 
 // JoinIndexed runs a self-join against a prebuilt index. The index
 // determines the signature length and sketch width; other options apply
 // unchanged.
 func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, verify.Counters) {
-	j := newJoiner(ix.Sets, nil, lambda, o, ix)
-	if j == nil {
-		return nil, verify.Counters{}
-	}
-	j.run()
-	return j.res.Pairs(), j.counters
+	return newJoiner(ix.Sets, nil, lambda, o, ix).run()
 }
 
 // JoinRS computes an approximate R-S join: pairs (i, k) with
@@ -223,26 +202,17 @@ func JoinRS(r, s [][]uint32, lambda float64, o *Options) ([]verify.Pair, verify.
 	for i := len(r); i < len(all); i++ {
 		owners[i] = 1
 	}
-	j := newJoiner(all, owners, lambda, o, nil)
-	if j == nil {
-		return nil, verify.Counters{}
-	}
-	j.run()
-	nR := uint32(len(r))
-	pairs := j.res.Pairs()
-	out := make([]verify.Pair, 0, len(pairs))
-	for _, p := range pairs {
+	pairs, counters := newJoiner(all, owners, lambda, o, nil).run()
+	for i := range pairs {
 		// Normalized pairs have A < B; cross pairs have exactly one side
-		// >= nR, and since all R ids precede S ids, A is the R side.
-		out = append(out, verify.Pair{A: p.A, B: p.B - nR})
+		// >= len(r), and since all R ids precede S ids, A is the R side.
+		pairs[i].B -= uint32(len(r))
 	}
-	j.counters.Results = int64(len(out))
-	return out, j.counters
+	return pairs, counters
 }
 
 type joiner struct {
 	sets   [][]uint32
-	owners []uint8 // nil for self-join
 	lambda float64
 	opt    Options
 
@@ -250,15 +220,9 @@ type joiner struct {
 	sigs     []uint32 // flattened n × t signatures
 	w        int      // sketch words; 0 if disabled
 	sketches []uint64 // flattened n × w sketches
-	maxHam   int      // sketch filter: a pair further apart than this is rejected
-	stride   int      // words per row of a gathered block: max(w, 4)
-	sizes    []uint32 // len(sets[i]), so that gathering a block never touches sets
 	root     []uint32 // 0..n-1: the root node of every repetition, read-only
 
-	verifier *verify.Verifier
-	res      verify.PairSink
-	tracker  *verify.RecallTracker
-	counters verify.Counters
+	bf *verify.Pipeline // brute force: filters, result set, recall tracker
 
 	workers     int
 	states      []*taskState // one per worker
@@ -290,7 +254,6 @@ func newJoiner(sets [][]uint32, owners []uint8, lambda float64, o *Options, ix *
 	}
 	j := &joiner{
 		sets:   sets,
-		owners: owners,
 		lambda: lambda,
 		opt:    opt,
 		t:      opt.T,
@@ -304,45 +267,34 @@ func newJoiner(sets [][]uint32, owners []uint8, lambda float64, o *Options, ix *
 	// A subtree is one task once its root fits within a few brute-force
 	// limits: large enough to amortize scheduling, small enough that a
 	// single repetition decomposes into many tasks.
-	j.spawnCutoff = 4 * opt.Limit
-	if j.spawnCutoff < 1024 {
-		j.spawnCutoff = 1024
-	}
+	j.spawnCutoff = max(4*opt.Limit, 1024)
 	if ix == nil {
-		words := opt.SketchWords
-		if words < 0 {
-			words = 0
-		}
-		ix = prep.BuildParallel(sets, opt.T, words, opt.Seed, j.workers)
+		ix = Preprocess(sets, &opt)
 	}
 	j.sigs = ix.Sigs
+	j.bf = verify.NewPipeline(sets, lambda, j.workers)
+	j.bf.Owners = owners
+	j.bf.Tracker = verify.NewRecallTracker(opt.GroundTruth, opt.StopAtRecall)
 	if opt.SketchWords > 0 {
 		j.w = ix.Words
 		j.sketches = ix.Sketches
-		j.maxHam = 64*j.w - sketch.NewFilter(j.w, lambda, opt.Delta).MinAgree
+		j.bf.Words, j.bf.Sketches = j.w, j.sketches
+		j.bf.MaxHam = 64*j.w - sketch.NewFilter(j.w, lambda, opt.Delta).MinAgree
 	}
-	j.stride = max(j.w, 4)
-	j.sizes = make([]uint32, len(sets))
 	j.root = make([]uint32, len(sets))
-	for i, set := range sets {
-		j.sizes[i] = uint32(len(set))
+	for i := range j.root {
 		j.root[i] = uint32(i)
 	}
-	j.verifier = verify.NewVerifier(sets, lambda)
-	j.res = verify.NewSink(j.workers)
-	j.tracker = verify.NewRecallTracker(opt.GroundTruth, opt.StopAtRecall)
 	j.splitProb = 1 / (lambda * float64(opt.T))
-	j.maxDepth = opt.MaxDepth
-	if j.maxDepth <= 0 {
-		// Lemma 4: explored depth is O(log n / ε) w.h.p.; use a generous
-		// constant and treat ε=0 as ε=0.05 for the bound only.
-		eps := opt.Epsilon
-		if eps < 0.05 {
-			eps = 0.05
-		}
-		j.maxDepth = int(4*math.Log(float64(len(sets)+1))/eps) + 8
-	}
+	j.maxDepth = maxDepth(len(sets), opt.Epsilon)
 	return j
+}
+
+// maxDepth caps the recursion as a safety net. Lemma 4: explored depth is
+// O(log n / ε) w.h.p.; use a generous constant and treat ε below 0.05 as
+// 0.05 for the bound only.
+func maxDepth(n int, eps float64) int {
+	return int(4*math.Log(float64(n+1))/max(eps, 0.05)) + 8
 }
 
 // repSeed derives the root seed of one repetition; it depends only on the
@@ -361,83 +313,54 @@ func childSeed(seed uint64, pos int, v uint32) uint64 {
 	return tabhash.DeriveSeed(seed, uint64(pos), uint64(v))
 }
 
-func (j *joiner) run() {
+func (j *joiner) run() ([]verify.Pair, verify.Counters) {
+	if j == nil { // fewer than two sets
+		return nil, verify.Counters{}
+	}
 	if j.opt.Stopping == StopIndividual {
 		j.computeIndividualDepths()
 	}
+	scratch := j.bf.NewScratches(j.workers)
 	j.states = make([]*taskState, j.workers)
 	for i := range j.states {
-		j.states[i] = j.newTaskState()
+		j.states[i] = &taskState{j: j, bf: scratch[i], nodeSketch: make([]uint64, j.w)}
 	}
-	if j.workers <= 1 {
-		for rep := 0; rep < j.opt.Repetitions && !j.tracker.Reached(); rep++ {
-			j.states[0].recurse(nil, j.root, 0, repSeed(j.opt.Seed, rep))
-		}
-	} else {
-		roots := make([]exec.Task, j.opt.Repetitions)
-		for rep := range roots {
-			seed := repSeed(j.opt.Seed, rep)
-			roots[rep] = func(c *exec.Ctx) { j.states[c.Worker()].recurse(c, j.root, 0, seed) }
-		}
-		exec.Run(j.workers, roots...)
+	roots := make([]exec.Task, j.opt.Repetitions)
+	for rep := range roots {
+		seed := repSeed(j.opt.Seed, rep)
+		roots[rep] = func(c *exec.Ctx) { j.states[c.Worker()].recurse(c, j.root, 0, seed) }
 	}
-	for _, ts := range j.states {
-		j.counters.PreCandidates += ts.pre
-		j.counters.Candidates += ts.cand
-	}
-	j.counters.Results = int64(j.res.Len())
-}
-
-// blockRows is the most points the brute-force kernel gathers at a time: a
-// whole node at the default Limit, 18 KB with 8-word sketches, so the block
-// a row is compared against stays in L1. Larger inputs go tile by tile.
-const blockRows = 256
-
-// block is the kernel's working copy of up to blockRows points, ascending
-// in keys[p] = size<<32 | id, with row p of sk (stride words) their sketch,
-// zero-padded: with sketches off every pair is at distance 0.
-type block struct {
-	keys []uint64
-	sk   []uint64
+	exec.Run(j.workers, roots...)
+	return j.bf.Res.Pairs(), j.bf.Counters(scratch)
 }
 
 // group is one minhash value met by split and the number of members
 // carrying it (while scattering: where its next member goes).
 type group struct{ v, n uint32 }
 
-// taskState is one worker's execution context: its share of the candidate
-// counters (summed when the join ends) and all scratch of the recursion. A
-// worker runs one task at a time and tasks reach it through
+// taskState is one worker's execution context: its half of the brute-force
+// pipeline (with its share of the candidate counters) and all scratch of the
+// recursion. A worker runs one task at a time and tasks reach it through
 // exec.Ctx.Worker, so nothing is locked; the joiner is read-only while
-// tasks run, except for the concurrent result sink. No buffer here is live
-// across a recursive call: blocks, node sketch and marked points are used up
-// before recurse splits, and split's table, groups and slots are dead once
-// the child buffer — the one allocation per call — is filled.
+// tasks run, except for the concurrent result set. No buffer here is live
+// across a recursive call: node sketch and marked points are used up before
+// recurse splits, and split's table, groups and slots are dead once the
+// child buffer — the one allocation per call — is filled.
 type taskState struct {
 	j          *joiner
-	pre, cand  int64
+	bf         *verify.Scratch
 	nodeSketch []uint64
-	a, b       block
-	count      [4 * blockRows]uint32 // gather: counting sort by size
-	marked     []uint32              // points the stopping rule takes out of a node
-	table      []uint64              // split: open addressing, value<<32 | group+1
+	marked     []uint32 // points the stopping rule takes out of a node
+	table      []uint64 // split: open addressing, value<<32 | group+1
 	groups     []group
 	slot       []uint32 // split: each member's value, then its group
 }
 
-func (j *joiner) newTaskState() *taskState {
-	ts := &taskState{j: j, nodeSketch: make([]uint64, j.w)}
-	for _, b := range []*block{&ts.a, &ts.b} {
-		b.keys = make([]uint64, 0, blockRows)
-		b.sk = make([]uint64, blockRows*j.stride)
-	}
-	return ts
-}
-
-// recurse processes one node of the Chosen Path Tree (Algorithm 1). In
-// parallel runs (c != nil), child subtrees of nodes larger than the spawn
-// cutoff become independent tasks, each run on the state of the worker that
-// picks it up; subtrees at or below the cutoff run inline.
+// recurse processes one node of the Chosen Path Tree (Algorithm 1). Child
+// subtrees of nodes larger than the spawn cutoff become independent tasks,
+// each run on the state of the worker that picks it up — on one worker,
+// this one, before Spawn returns; subtrees at or below the cutoff are plain
+// calls.
 //
 // A node is its member ids in ascending order, and the order is part of the
 // randomness contract: bruteForceStep samples the node sketch by position,
@@ -446,7 +369,7 @@ func (j *joiner) newTaskState() *taskState {
 // size order exists only inside the kernel's gathered blocks.
 func (ts *taskState) recurse(c *exec.Ctx, node []uint32, depth int, seed uint64) {
 	j := ts.j
-	if j.tracker.Reached() {
+	if j.bf.Tracker.Reached() {
 		return
 	}
 	if m := j.opt.Metrics; m != nil {
@@ -506,7 +429,7 @@ func (ts *taskState) recurse(c *exec.Ctx, node []uint32, depth int, seed uint64)
 	// Splitting step: sample each signature position with probability
 	// 1/(λt) (expected 1/λ positions) and split the node by the minhash
 	// value at each sampled position (Section V-A.3).
-	spawn := c != nil && len(node) > j.spawnCutoff
+	spawn := len(node) > j.spawnCutoff
 	for pos := 0; pos < j.t; pos++ {
 		if rng.Float64() >= j.splitProb {
 			continue
@@ -658,7 +581,7 @@ func (ts *taskState) removeMarked(node []uint32, mark func(id uint32) bool) []ui
 	if len(marked) == 0 {
 		return node
 	}
-	ts.bruteForcePoints(marked, rest)
+	ts.bf.BruteForcePoints(marked, rest)
 	ts.bruteForcePairs(marked)
 	return rest
 }
@@ -690,8 +613,8 @@ func (ts *taskState) bruteForceStrict(node []uint32) []uint32 {
 			}
 			avg := float64(sum) / (float64(j.t) * float64(len(node)-1))
 			if avg > threshold {
-				ts.bruteForcePoints(node[idx:idx+1], node[:idx])
-				ts.bruteForcePoints(node[idx:idx+1], node[idx+1:])
+				ts.bf.BruteForcePoints(node[idx:idx+1], node[:idx])
+				ts.bf.BruteForcePoints(node[idx:idx+1], node[idx+1:])
 				node = append(append([]uint32{}, node[:idx]...), node[idx+1:]...)
 				removed = true
 				break
@@ -761,141 +684,11 @@ func (j *joiner) computeIndividualDepths() {
 	}
 }
 
-// crossPair reports whether the pair should be emitted given ownership
-// (always true for self-joins).
-func (j *joiner) crossPair(a, b uint32) bool {
-	return j.owners == nil || j.owners[a] != j.owners[b]
-}
-
-// candidate finishes the pipeline for a pair that passed the size and
-// sketch filters: ownership, dedup, exact verification. In parallel runs two
-// tasks can race past the dedup check and verify the same pair; the sink's
-// Add keeps the result set exact, so only the Candidates counter can drift
-// by the handful of double-verified pairs.
-func (ts *taskState) candidate(a, b uint32) {
-	j := ts.j
-	if !j.crossPair(a, b) || j.res.Contains(a, b) {
-		return
-	}
-	ts.cand++
-	if j.verifier.Verify(a, b) && j.res.Add(a, b) {
-		j.tracker.Hit(a, b)
-	}
-}
-
-// gather fills b with the given points (at most blockRows): keys ascending
-// by (size, id), sketches copied side by side in that order — the only
-// place brute force reads the collection-wide arrays. The order comes from
-// a stable counting sort over the block's range of sizes (ids arrive
-// ascending) or, if that range outgrows the counters, a comparison sort.
-func (ts *taskState) gather(b *block, ids []uint32) {
-	j := ts.j
-	lo, hi := ^uint32(0), uint32(0)
-	for _, id := range ids {
-		lo, hi = min(lo, j.sizes[id]), max(hi, j.sizes[id])
-	}
-	b.keys = b.keys[:len(ids)]
-	if span := int(hi - lo); span+1 < len(ts.count) {
-		at := ts.count[:span+2] // at[s-lo]: where the next row of size s goes
-		clear(at)
-		for _, id := range ids {
-			at[j.sizes[id]-lo+1]++
-		}
-		for i := 1; i < len(at); i++ {
-			at[i] += at[i-1]
-		}
-		for _, id := range ids {
-			s := j.sizes[id]
-			b.keys[at[s-lo]] = uint64(s)<<32 | uint64(id)
-			at[s-lo]++
-		}
-	} else {
-		for i, id := range ids {
-			b.keys[i] = uint64(j.sizes[id])<<32 | uint64(id)
-		}
-		slices.Sort(b.keys)
-	}
-	for p, k := range b.keys {
-		copy(b.sk[p*j.stride:][:j.w], j.sketches[int(uint32(k))*j.w:])
-	}
-}
-
-// compare runs the candidate pipeline over every pair of a row of a and a
-// row of b or, with tri (a and b are then one block), over every unordered
-// pair within it; all count as pre-candidates. Rows are in size order, so
-// the partners passing the size filter — Verifier.SizeCompatible's float
-// predicate, both ways — are a window [lo, hi) of b whose ends only move
-// forward; within it a pair passes the sketch filter as in
-// sketch.Filter.Accept, Hamming distance at most maxHam, except that the
-// count stops as soon as it is exceeded.
-func (ts *taskState) compare(a, b *block, tri bool) {
-	j := ts.j
-	if tri {
-		ts.pre += int64(len(a.keys) * (len(a.keys) - 1) / 2)
-	} else {
-		ts.pre += int64(len(a.keys) * len(b.keys))
-	}
-	stride, maxHam, lo, hi := j.stride, j.maxHam, 0, 0
-	for p, ka := range a.keys {
-		size := float64(ka >> 32)
-		for lo < len(b.keys) && float64(b.keys[lo]>>32) < j.lambda*size {
-			lo++
-		}
-		for hi < len(b.keys) && size >= j.lambda*float64(b.keys[hi]>>32) {
-			hi++
-		}
-		q := lo
-		if tri {
-			q = max(lo, p+1)
-		}
-		// The row's first four words stay in registers across the window;
-		// a pair still alive after them walks the rest word by word.
-		row := a.sk[p*stride : (p+1)*stride]
-		head, rest := (*[4]uint64)(row), row[4:]
-		r0, r1, r2, r3 := head[0], head[1], head[2], head[3]
-	partners:
-		for win := b.sk[q*stride : hi*stride]; len(win) >= len(row); win = win[len(row):] {
-			o := (*[4]uint64)(win)
-			d := bits.OnesCount64(r0^o[0]) + bits.OnesCount64(r1^o[1]) + bits.OnesCount64(r2^o[2]) + bits.OnesCount64(r3^o[3])
-			if d > maxHam {
-				continue
-			}
-			other := win[4:][:len(rest)]
-			for i, x := range rest {
-				if d += bits.OnesCount64(x ^ other[i]); d > maxHam {
-					continue partners
-				}
-			}
-			ts.candidate(uint32(ka), uint32(b.keys[hi-len(win)/stride]))
-		}
-	}
-}
-
 // bruteForcePairs reports all qualifying pairs within the node
-// (BRUTEFORCEPAIRS in Algorithm 2): within each tile of blockRows members,
-// then between it and everything after it.
+// (BRUTEFORCEPAIRS in Algorithm 2).
 func (ts *taskState) bruteForcePairs(node []uint32) {
 	if m := ts.j.opt.Metrics; m != nil && len(node) > 1 {
 		m.BruteForcedNodes++
 	}
-	for len(node) > 0 {
-		tile := node[:min(blockRows, len(node))]
-		node = node[len(tile):]
-		ts.gather(&ts.a, tile)
-		ts.compare(&ts.a, &ts.a, true)
-		ts.bruteForcePoints(tile, node)
-	}
-}
-
-// bruteForcePoints compares each of points against all of others
-// (BRUTEFORCEPOINT in Algorithm 2, for several points at once), tile by
-// tile; the two lists share no id.
-func (ts *taskState) bruteForcePoints(points, others []uint32) {
-	for ; len(points) > 0 && len(others) > 0; points = points[min(blockRows, len(points)):] {
-		ts.gather(&ts.a, points[:min(blockRows, len(points))])
-		for rest := others; len(rest) > 0; rest = rest[min(blockRows, len(rest)):] {
-			ts.gather(&ts.b, rest[:min(blockRows, len(rest))])
-			ts.compare(&ts.a, &ts.b, false)
-		}
-	}
+	ts.bf.BruteForcePairs(node)
 }

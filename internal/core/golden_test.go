@@ -1,102 +1,25 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"math"
-	"slices"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/prep"
 	"repro/internal/race"
 	"repro/internal/stats"
-	"repro/internal/tabhash"
 	"repro/internal/verify"
 )
-
-// The two collection shapes of the perf ledger (benchmark/gen.go), rebuilt
-// on the repository's own PRNG so that nothing outside this file moves the
-// digests below: flat is the paper's UNIFORM005 shape — Poisson(10) sizes
-// over 209 equally likely tokens, no token rare, every node full of
-// size-compatible low-similarity pairs — and skew is Zipf(1.0) tokens over
-// a universe of 2n with log-normal sizes (median 5, σ 1.3, clipped at
-// 2000), where the size filter does most of the rejecting. Every tenth set
-// is a mutated copy of its predecessor, so each threshold has results.
-func goldenCollection(skew bool, n int, seed uint64) [][]uint32 {
-	r := tabhash.NewSplitMix64(seed)
-	size := func() int { // Knuth's Poisson(10)
-		k, p := 0, r.Float64()
-		for limit := math.Exp(-10); p > limit; k++ {
-			p *= r.Float64()
-		}
-		return max(2, k)
-	}
-	token := func() uint32 { return uint32(r.Intn(209)) }
-	if skew {
-		cdf := make([]float64, 2*n)
-		sum := 0.0
-		for i := range cdf {
-			sum += 1 / float64(i+1)
-			cdf[i] = sum
-		}
-		size = func() int {
-			u := max(r.Float64(), math.SmallestNonzeroFloat64)
-			z := math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*r.Float64())
-			return min(2000, max(2, int(math.Round(5*math.Exp(1.3*z)))))
-		}
-		token = func() uint32 {
-			i, _ := slices.BinarySearch(cdf, r.Float64()*sum)
-			return uint32(min(i, len(cdf)-1))
-		}
-	}
-	sets := make([][]uint32, 0, n)
-	for len(sets) < n {
-		var set []uint32
-		if i := len(sets); i%10 == 9 {
-			// A near-duplicate: drop every k-th token of the previous set
-			// (k from 2 to 11, so similarities from about 0.5 to 0.9).
-			k := 2 + (i/10)%10
-			for pos, tok := range sets[i-1] {
-				if pos%k != k-1 {
-					set = append(set, tok)
-				}
-			}
-		}
-		for want := size(); len(set) < 2 || (len(sets)%10 != 9 && len(set) < want); {
-			if tok := token(); !slices.Contains(set, tok) {
-				set = append(set, tok)
-			}
-		}
-		slices.Sort(set)
-		sets = append(sets, set)
-	}
-	return sets
-}
 
 // goldenCluster is the shape of TestAdaptiveRemovesDensePoints: a flat
 // background plus a cluster of copies of one set. With more copies than
 // Limit the adaptive rule fires, BRUTEFORCEPOINT runs and a brute-forced
 // block exceeds Limit.
 func goldenCluster(background, copies int) [][]uint32 {
-	sets := goldenCollection(false, background, 51)
+	sets := datagen.LedgerShape(false, background, 51)
 	for i := 0; i < copies; i++ {
 		sets = append(sets, sets[0])
 	}
 	return sets
-}
-
-func pairDigest(pairs []verify.Pair) string {
-	pairs = slices.Clone(pairs)
-	stats.SortPairs(pairs)
-	h := sha256.New()
-	var b [8]byte
-	for _, p := range pairs {
-		binary.LittleEndian.PutUint32(b[:4], p.A)
-		binary.LittleEndian.PutUint32(b[4:], p.B)
-		h.Write(b[:])
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // golden is what one sequential run is pinned to.
@@ -119,9 +42,9 @@ type golden struct {
 // and the split may reorder work; they may not change which pairs are
 // looked at, which survive the filters, or which node draws what.
 func TestGoldenJoin(t *testing.T) {
-	flat := goldenCollection(false, 3000, 1)
-	skew := goldenCollection(true, 3000, 2)
-	small := goldenCollection(false, 500, 3)
+	flat := datagen.LedgerShape(false, 3000, 1)
+	skew := datagen.LedgerShape(true, 3000, 2)
+	small := datagen.LedgerShape(false, 500, 3)
 	for _, tc := range []struct {
 		name   string
 		sets   [][]uint32
@@ -197,7 +120,7 @@ func TestGoldenJoin(t *testing.T) {
 			}
 			var m Metrics
 			pairs, c := run(0, &m)
-			got := golden{digest: pairDigest(pairs), c: c, nodes: m.Nodes, maxDepth: m.MaxDepth,
+			got := golden{digest: stats.PairDigest(pairs), c: c, nodes: m.Nodes, maxDepth: m.MaxDepth,
 				bfPoints: m.BruteForcedPoints, bfNodes: m.BruteForcedNodes}
 			if got != tc.want {
 				t.Errorf("sequential run\n got %#v\nwant %#v", got, tc.want)
@@ -211,7 +134,7 @@ func TestGoldenJoin(t *testing.T) {
 			}
 			for _, workers := range workerCounts {
 				p, pc := run(workers, nil)
-				if d := pairDigest(p); d != got.digest {
+				if d := stats.PairDigest(p); d != got.digest {
 					t.Errorf("workers=%d: pair set %s differs from the sequential %s", workers, d, got.digest)
 				}
 				if workers <= 1 && pc != c {

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math/bits"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/exec"
@@ -15,46 +15,40 @@ import (
 	"repro/internal/verify"
 )
 
-// recorder is a PairSink that remembers every pair the pipeline asks it
-// about — the pairs that survived ownership, the size filter and the
-// sketch filter — and claims to hold none of them, so each goes on to
-// verification and is counted as a candidate.
-type recorder struct {
-	mu   sync.Mutex
-	seen map[verify.Pair]int
+// kernelWorker is one worker of the kernel test: a copy of the pipeline —
+// sharing its read-only arrays with every other copy — whose verifier and
+// result set are replaced case by case, and the scratch bound to the copy.
+type kernelWorker struct {
+	p *verify.Pipeline
+	s *verify.Scratch
 }
 
-func (r *recorder) Contains(a, b uint32) bool {
-	r.mu.Lock()
-	r.seen[verify.MakePair(a, b)]++
-	r.mu.Unlock()
-	return false
+func newKernelWorker(shared *verify.Pipeline) *kernelWorker {
+	p := *shared
+	return &kernelWorker{p: &p, s: p.NewScratches(1)[0]}
 }
-func (r *recorder) Add(a, b uint32) bool { return true }
-func (r *recorder) Len() int             { return 0 }
-func (r *recorder) Pairs() []verify.Pair { return nil }
 
 // refCheckPair is the per-pair pipeline the block kernel replaced, kept as
 // the reference the kernel must agree with: one pre-candidate, then
 // ownership, Verifier.SizeCompatible, Filter.Accept, dedup, verification.
-func refCheckPair(ts *taskState, f *sketch.Filter, a, b uint32) {
-	j := ts.j
-	ts.pre++
-	if !j.crossPair(a, b) {
+func refCheckPair(w *kernelWorker, f *sketch.Filter, a, b uint32) {
+	p, s := w.p, w.s
+	s.Pre++
+	if p.Owners != nil && p.Owners[a] == p.Owners[b] {
 		return
 	}
-	if !j.verifier.SizeCompatible(len(j.sets[a]), len(j.sets[b])) {
+	if !p.Verifier.SizeCompatible(int(p.Sizes[a]), int(p.Sizes[b])) {
 		return
 	}
-	if f != nil && !f.Accept(j.sketches[int(a)*j.w:(int(a)+1)*j.w], j.sketches[int(b)*j.w:(int(b)+1)*j.w]) {
+	if f != nil && !f.Accept(p.Sketches[int(a)*p.Words:][:p.Words], p.Sketches[int(b)*p.Words:][:p.Words]) {
 		return
 	}
-	if j.res.Contains(a, b) {
+	if p.Res.Contains(a, b) {
 		return
 	}
-	ts.cand++
-	if j.verifier.Verify(a, b) && j.res.Add(a, b) {
-		j.tracker.Hit(a, b)
+	s.Cand++
+	if p.Verifier.Verify(a, b) && p.Res.Add(a, b) {
+		p.Tracker.Hit(a, b)
 	}
 }
 
@@ -67,9 +61,9 @@ type kernelCase struct {
 	split int
 }
 
-// kernelFixture is a hand-made collection in which every case owns its own
-// range of ids, so a recorded pair names the case it came from. Sets are
-// {0, …, size-1}: only their sizes matter to the filters.
+// kernelFixture is a hand-made collection of blocks of points, each block
+// the ids of a few cases. Sets are {0, …, size-1}: only their sizes matter
+// to the filters.
 type kernelFixture struct {
 	words    int
 	filter   *sketch.Filter // nil when words == 0
@@ -147,6 +141,24 @@ func (fx *kernelFixture) sizes(n int, heavy bool) []int {
 	return out
 }
 
+// outcome is what one brute-force call leaves behind: its counters and the
+// pairs it added to a result set of its own, sorted.
+type outcome struct {
+	pre, cand int64
+	pairs     []verify.Pair
+}
+
+// run gives the worker a fresh result set and the given verifier, runs f
+// and returns what it left behind.
+func (w *kernelWorker) run(v *verify.Verifier, f func()) outcome {
+	w.p.Verifier, w.p.Res = v, verify.NewResultSet(1)
+	w.s.Pre, w.s.Cand = 0, 0
+	f()
+	pairs := w.p.Res.Pairs()
+	slices.SortFunc(pairs, func(a, b verify.Pair) int { return cmp.Compare(a.Key(), b.Key()) })
+	return outcome{w.s.Pre, w.s.Cand, pairs}
+}
+
 // TestKernelMatchesPerPairReference runs brute force through the block
 // kernel and through the per-pair reference on the same blocks and requires
 // the same pre-candidate count, the same candidate count and the same
@@ -154,10 +166,15 @@ func (fx *kernelFixture) sizes(n int, heavy bool) []int {
 // size, equal sizes, sizes exactly on the edge of the size window (which
 // pins the float predicate), every sketch width including none, sketches
 // exactly at and one bit beyond the filter's threshold, and an R-S
-// ownership split. The kernel side runs on four workers sharing the joiner,
-// each on its own taskState, which is what -race is pointed at.
+// ownership split. Every case runs twice. Under a verifier that accepts
+// everything each survivor enters the case's result set, which names the
+// survivors; under one that rejects everything the set stays empty, no
+// lookup ever hits, and the candidate count is the number of times a
+// survivor was looked at — so a pair the kernel visited twice shows. The
+// kernel side runs on four workers sharing the pipeline's arrays, each on
+// its own Scratch, which is what -race is pointed at.
 func TestKernelMatchesPerPairReference(t *testing.T) {
-	const limit = 250
+	const limit, blockRows = 250, 256 // CPSJoin's default Limit, the kernel's tile
 	for _, lambda := range []float64{0.5, 0.9} {
 		for _, words := range []int{0, 1, 3, 8} {
 			for _, rs := range []bool{false, true} {
@@ -177,93 +194,88 @@ func TestKernelMatchesPerPairReference(t *testing.T) {
 					edge := []int{5, 10, 11, 9, 10, 4, 20, 21, 19, 18, 2, 1, 3}
 					fx.add("edge", slices.Concat(edge, edge, edge), 1, 13)
 
-					owners := []uint8(nil)
+					p := verify.NewPipeline(fx.sets, lambda, 4)
+					p.Words, p.Sketches, p.MaxHam = words, fx.sketches, fx.maxHam
 					if rs {
-						owners = make([]uint8, len(fx.sets))
-						for i := range owners {
-							owners[i] = uint8(fx.rng.Intn(2))
+						p.Owners = make([]uint8, len(fx.sets))
+						for i := range p.Owners {
+							p.Owners[i] = uint8(fx.rng.Intn(2))
 						}
 					}
-					ix := &prep.Index{Sets: fx.sets, T: 1, Words: words, Sigs: make([]uint32, len(fx.sets)), Sketches: fx.sketches}
-					newSide := func(workers int) (*joiner, *recorder) {
-						j := newJoiner(fx.sets, owners, lambda, &Options{Workers: workers}, ix)
-						rec := &recorder{seen: map[verify.Pair]int{}}
-						j.res = rec
-						j.states = make([]*taskState, workers)
-						for i := range j.states {
-							j.states[i] = j.newTaskState()
+					// Verification sees one-token sets: all {0}, Jaccard 1,
+					// or {id}, Jaccard 0. The filters read Sizes and
+					// Sketches only.
+					all, none := make([][]uint32, len(fx.sets)), make([][]uint32, len(fx.sets))
+					for i := range all {
+						all[i], none[i] = []uint32{0}, []uint32{uint32(i)}
+					}
+					for _, v := range []*verify.Verifier{verify.NewVerifier(all, lambda), verify.NewVerifier(none, lambda)} {
+						accepts := v.Verify(0, 1)
+						ref := newKernelWorker(p)
+						want := make([]outcome, len(fx.cases))
+						for ci, c := range fx.cases {
+							want[ci] = ref.run(v, func() {
+								a, b := c.ids[:c.split], c.ids[c.split:]
+								if c.split == 0 {
+									for i := range b {
+										for k := i + 1; k < len(b); k++ {
+											refCheckPair(ref, fx.filter, b[i], b[k])
+										}
+									}
+								}
+								for _, x := range a {
+									for _, y := range b {
+										refCheckPair(ref, fx.filter, x, y)
+									}
+								}
+							})
 						}
-						return j, rec
-					}
-					if j, _ := newSide(1); j.w != words || j.maxHam != fx.maxHam {
-						t.Fatalf("joiner has w=%d maxHam=%d, fixture %d, %d", j.w, j.maxHam, words, fx.maxHam)
-					}
 
-					type counts struct{ pre, cand int64 }
-					want := make([]counts, len(fx.cases))
-					ref, refRec := newSide(1)
-					for ci, c := range fx.cases {
-						ts := ref.states[0]
-						ts.pre, ts.cand = 0, 0
-						a, b := c.ids[:c.split], c.ids[c.split:]
-						if c.split == 0 {
-							for i := range b {
-								for k := i + 1; k < len(b); k++ {
-									refCheckPair(ts, fx.filter, b[i], b[k])
+						got := make([]outcome, len(fx.cases))
+						kern := []*kernelWorker{newKernelWorker(p), newKernelWorker(p), newKernelWorker(p), newKernelWorker(p)}
+						exec.RunChunks(len(kern), len(fx.cases), 1, func(ctx *exec.Ctx, lo, hi int) {
+							w := kern[ctx.Worker()]
+							for ci := lo; ci < hi; ci++ {
+								c := fx.cases[ci]
+								got[ci] = w.run(v, func() {
+									if c.split == 0 {
+										w.s.BruteForcePairs(c.ids)
+									} else {
+										w.s.BruteForcePoints(c.ids[:c.split], c.ids[c.split:])
+									}
+								})
+							}
+						})
+
+						survivors, onEdge := 0, 0
+						for ci, c := range fx.cases {
+							g, w := got[ci], want[ci]
+							if g.pre != w.pre || g.cand != w.cand {
+								t.Errorf("%s (accepts=%v): kernel counted pre=%d cand=%d, reference pre=%d cand=%d", c.name, accepts, g.pre, g.cand, w.pre, w.cand)
+							}
+							if !slices.Equal(g.pairs, w.pairs) {
+								t.Errorf("%s: %d pairs survive in the kernel, %d in the reference, or not the same ones", c.name, len(g.pairs), len(w.pairs))
+							}
+							if accepts && int64(len(w.pairs)) != w.cand {
+								t.Errorf("%s: reference verified %d candidates and kept %d", c.name, w.cand, len(w.pairs))
+							}
+							survivors += len(w.pairs)
+							for _, pr := range w.pairs {
+								if words > 0 && sketch.Hamming(fx.sketches[int(pr.A)*words:][:words], fx.sketches[int(pr.B)*words:][:words]) == fx.maxHam {
+									onEdge++
 								}
 							}
 						}
-						for _, x := range a {
-							for _, y := range b {
-								refCheckPair(ts, fx.filter, x, y)
+						if !accepts {
+							if survivors != 0 {
+								t.Errorf("%d pairs verified by a verifier that rejects everything", survivors)
 							}
+							continue
 						}
-						want[ci] = counts{ts.pre, ts.cand}
-					}
-
-					got := make([]counts, len(fx.cases))
-					kern, kernRec := newSide(4)
-					exec.RunChunks(4, len(fx.cases), 1, func(c *exec.Ctx, lo, hi int) {
-						ts := kern.states[c.Worker()]
-						for ci := lo; ci < hi; ci++ {
-							ts.pre, ts.cand = 0, 0
-							if c := fx.cases[ci]; c.split == 0 {
-								ts.bruteForcePairs(c.ids)
-							} else {
-								ts.bruteForcePoints(c.ids[:c.split], c.ids[c.split:])
-							}
-							got[ci] = counts{ts.pre, ts.cand}
+						if survivors == 0 {
+							t.Error("no pair survives the filters: the case compares nothing")
 						}
-					})
-
-					for ci, c := range fx.cases {
-						if got[ci] != want[ci] {
-							t.Errorf("%s: kernel counted %+v, reference %+v", c.name, got[ci], want[ci])
-						}
-					}
-					if !maps.Equal(kernRec.seen, refRec.seen) {
-						t.Errorf("%d distinct pairs survive in the kernel, %d in the reference, or not equally often", len(kernRec.seen), len(refRec.seen))
-						shown := 0
-						for _, p := range slices.Concat(slices.Collect(maps.Keys(refRec.seen)), slices.Collect(maps.Keys(kernRec.seen))) {
-							if kernRec.seen[p] != refRec.seen[p] && shown < 5 {
-								shown++
-								t.Errorf("pair %v (sizes %d, %d): %d times in the kernel, %d in the reference",
-									p, len(fx.sets[p.A]), len(fx.sets[p.B]), kernRec.seen[p], refRec.seen[p])
-							}
-						}
-					}
-					if len(refRec.seen) == 0 {
-						t.Error("no pair survives the filters: the case compares nothing")
-					}
-					if words > 0 {
-						edge := 0
-						for p := range refRec.seen {
-							a, b := fx.sketches[int(p.A)*words:][:words], fx.sketches[int(p.B)*words:][:words]
-							if sketch.Hamming(a, b) == fx.maxHam {
-								edge++
-							}
-						}
-						if edge == 0 {
+						if words > 0 && onEdge == 0 {
 							t.Error("no surviving pair sits exactly on the sketch threshold")
 						}
 					}
@@ -293,7 +305,7 @@ func TestSplitMatchesMapGrouping(t *testing.T) {
 	j := newJoiner(sets, nil, 0.5, &Options{Workers: 4}, ix)
 	j.states = make([]*taskState, 4)
 	for i := range j.states {
-		j.states[i] = j.newTaskState()
+		j.states[i] = &taskState{j: j}
 	}
 	var nodes [][]uint32
 	for _, size := range []int{2, 3, 10, 257, 1000, n} {

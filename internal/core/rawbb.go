@@ -26,9 +26,12 @@ import (
 //
 // The recursion runs on the same work-stealing scheduler as the optimized
 // join (internal/exec) under the same discipline: per-node seeds derived
-// from the path, subtrees of large nodes spawned as tasks, results merged
-// through a concurrent sink — so the reference implementation, too, is
-// deterministic across worker counts.
+// from the path, subtrees of large nodes spawned as tasks, counters per
+// worker, results merged through the concurrent result set — so the
+// reference implementation, too, is deterministic across worker counts. Its
+// pair loop is deliberately its own, one checkPair at a time: another
+// similarity, no sketches, and the cross-check of the block kernel
+// (TestJoinBBAgreesWithEmbeddedOnFixedSize).
 
 // BBOptions configures the reference Braun-Blanquet join.
 type BBOptions struct {
@@ -46,8 +49,6 @@ type BBOptions struct {
 	// sequentially, negative selects GOMAXPROCS. Result sets are identical
 	// across worker counts for a fixed Seed.
 	Workers int
-	// MaxDepth caps recursion (0 = derive from n and ε).
-	MaxDepth int
 }
 
 func (o *BBOptions) withDefaults() BBOptions {
@@ -80,27 +81,32 @@ func JoinBB(sets [][]uint32, lambda float64, o *BBOptions) ([]verify.Pair, verif
 	opt := o.withDefaults()
 	workers := exec.EffectiveWorkers(opt.Workers)
 	j := &bbJoiner{
-		sets:    sets,
-		lambda:  lambda,
-		opt:     opt,
-		workers: workers,
-		res:     verify.NewSink(workers),
+		sets:        sets,
+		lambda:      lambda,
+		opt:         opt,
+		res:         verify.NewResultSet(workers),
+		states:      make([]*bbTask, workers),
+		spawnCutoff: max(4*opt.Limit, 1024),
+		maxDepth:    maxDepth(len(sets), opt.Epsilon),
 	}
-	j.spawnCutoff = 4 * opt.Limit
-	if j.spawnCutoff < 1024 {
-		j.spawnCutoff = 1024
+	for i := range j.states {
+		j.states[i] = &bbTask{j: j}
 	}
-	j.maxDepth = opt.MaxDepth
-	if j.maxDepth <= 0 {
-		eps := opt.Epsilon
-		if eps < 0.05 {
-			eps = 0.05
-		}
-		j.maxDepth = int(4*math.Log(float64(len(sets)+1))/eps) + 8
+	root := make([]uint32, len(sets)) // read-only: every step copies what it keeps
+	for i := range root {
+		root[i] = uint32(i)
 	}
-	j.run()
-	counters := j.atomics.Counters()
-	counters.Results = int64(j.res.Len())
+	roots := make([]exec.Task, opt.Repetitions)
+	for rep := range roots {
+		seed := bbRepSeed(opt.Seed, rep)
+		roots[rep] = func(c *exec.Ctx) { j.states[c.Worker()].recurse(c, root, 0, seed) }
+	}
+	exec.Run(workers, roots...)
+	counters := verify.Counters{Results: int64(j.res.Len())}
+	for _, ts := range j.states {
+		counters.PreCandidates += ts.pre
+		counters.Candidates += ts.cand
+	}
 	return j.res.Pairs(), counters
 }
 
@@ -156,40 +162,10 @@ type bbJoiner struct {
 	sets        [][]uint32
 	lambda      float64
 	opt         BBOptions
-	res         verify.PairSink
-	atomics     verify.AtomicCounters
-	workers     int
+	res         *verify.ResultSet
+	states      []*bbTask // one per worker
 	spawnCutoff int
 	maxDepth    int
-}
-
-func (j *bbJoiner) run() {
-	n := len(j.sets)
-	root := func() []uint32 {
-		ids := make([]uint32, n)
-		for i := range ids {
-			ids[i] = uint32(i)
-		}
-		return ids
-	}
-	if j.workers <= 1 {
-		ts := &bbTask{j: j}
-		for rep := 0; rep < j.opt.Repetitions; rep++ {
-			ts.recurse(nil, root(), 0, bbRepSeed(j.opt.Seed, rep))
-		}
-		ts.flush()
-		return
-	}
-	roots := make([]exec.Task, j.opt.Repetitions)
-	for rep := range roots {
-		seed := bbRepSeed(j.opt.Seed, rep)
-		roots[rep] = func(c *exec.Ctx) {
-			ts := &bbTask{j: j}
-			ts.recurse(c, root(), 0, seed)
-			ts.flush()
-		}
-	}
-	exec.Run(j.workers, roots...)
 }
 
 func bbRepSeed(seed uint64, rep int) uint64 {
@@ -202,15 +178,11 @@ func bbChildSeed(seed uint64, tok uint32) uint64 {
 	return tabhash.DeriveSeed(seed, 0, uint64(tok))
 }
 
-// bbTask is the per-task context: locally batched counters.
+// bbTask is one worker's context: its share of the candidate counters,
+// summed when the join ends.
 type bbTask struct {
 	j         *bbJoiner
 	pre, cand int64
-}
-
-func (ts *bbTask) flush() {
-	ts.j.atomics.Add(ts.pre, ts.cand)
-	ts.pre, ts.cand = 0, 0
 }
 
 // recurse is Algorithm 1, verbatim: BRUTEFORCE, then split on a fresh
@@ -242,19 +214,14 @@ func (ts *bbTask) recurse(c *exec.Ctx, node []uint32, depth int, seed uint64) {
 		}
 	}
 	// Line 7: recurse on each non-empty S_j.
-	spawn := c != nil && len(node) > j.spawnCutoff
+	spawn := len(node) > j.spawnCutoff
 	for tok, child := range buckets {
 		if len(child) < 2 {
 			continue
 		}
 		cseed := bbChildSeed(seed, tok)
 		if spawn {
-			child := child
-			c.Spawn(func(c *exec.Ctx) {
-				sub := &bbTask{j: j}
-				sub.recurse(c, child, depth+1, cseed)
-				sub.flush()
-			})
+			c.Spawn(func(c *exec.Ctx) { j.states[c.Worker()].recurse(c, child, depth+1, cseed) })
 		} else {
 			ts.recurse(c, child, depth+1, cseed)
 		}

@@ -344,9 +344,6 @@ func Build(sets [][]uint32, lambda float64, o *Options) *Index {
 // signAll computes the flattened signature matrix, chunked across workers.
 func signAll(signer *minhash.Signer, sets [][]uint32, workers int) []uint32 {
 	const chunk = 256
-	if workers <= 1 || len(sets) <= chunk {
-		return signer.SignAll(sets)
-	}
 	t := signer.T()
 	flat := make([]uint32, len(sets)*t)
 	exec.RunChunks(workers, len(sets), chunk, func(c *exec.Ctx, lo, hi int) {

@@ -15,8 +15,15 @@
 // The pool makes no ordering promises. Algorithms that must produce
 // identical results regardless of worker count derive all randomness from
 // per-task seeds and publish results into order-insensitive sinks (see
-// verify.ConcurrentResultSet); every algorithm in this repository follows
-// that discipline.
+// verify.ResultSet); every algorithm in this repository follows that
+// discipline.
+//
+// A pool of one worker is the calling goroutine: Run executes the roots in
+// submission order, Spawn runs the task before it returns, and nothing is
+// queued, started or locked. A recursion that spawns its subtrees is then
+// the plain depth-first recursion, so an algorithm is written once, against
+// this package, and its worker count is a number: nothing above exec
+// branches on it.
 package exec
 
 import (
@@ -45,7 +52,7 @@ var (
 type Stats struct {
 	TasksRun   uint64 // tasks completed, across all pools since process start
 	Steals     uint64 // tasks taken from another worker's deque
-	QueueDepth int64  // tasks currently queued or executing
+	QueueDepth int64  // tasks queued or executing on pools of two or more workers
 }
 
 // ReadStats returns the current package-level execution counters.
@@ -86,8 +93,16 @@ func (c *Ctx) Workers() int { return c.pool.workers }
 
 // Spawn schedules t for execution. The task lands on the executing
 // worker's own deque and is typically run by that worker next (LIFO),
-// unless another worker steals it.
-func (c *Ctx) Spawn(t Task) { c.pool.push(c.worker, t) }
+// unless another worker steals it. On a pool of one worker it runs here
+// and now: when Spawn returns, t and everything it spawned are done.
+func (c *Ctx) Spawn(t Task) {
+	if c.pool.workers == 1 {
+		t(c)
+		tasksRun.Add(1)
+		return
+	}
+	c.pool.push(c.worker, t)
+}
 
 // Pool is a bounded work-stealing task pool: a fixed number of workers,
 // one deque per worker, and a global quiescence count. A Pool executes one
@@ -117,6 +132,9 @@ func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	if workers == 1 {
+		return &Pool{workers: 1} // the caller's goroutine: no queue to allocate
+	}
 	return &Pool{
 		workers: workers,
 		deques:  make([]deque, workers),
@@ -131,6 +149,13 @@ func (p *Pool) Workers() int { return p.workers }
 // Run executes the root tasks and everything they spawn, blocking until
 // the pool is quiescent. It must be called at most once per Pool.
 func (p *Pool) Run(roots ...Task) {
+	if p.workers == 1 {
+		c := &Ctx{pool: p}
+		for _, t := range roots {
+			c.Spawn(t)
+		}
+		return
+	}
 	if len(roots) == 0 {
 		return
 	}
@@ -160,7 +185,9 @@ func Run(workers int, roots ...Task) {
 // on a pool of the given size — the shared fan-out shape of the
 // data-parallel stages (index probing, signature computation). chunk <= 0
 // derives a size that yields roughly 16 chunks per worker with a floor of
-// 64, small enough that stealing rebalances skewed per-item cost.
+// 64, small enough that stealing rebalances skewed per-item cost. A single
+// chunk needs no second goroutine and runs on the caller's, like every
+// chunk of a one-worker run.
 func RunChunks(workers, n, chunk int, f func(c *Ctx, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -170,6 +197,9 @@ func RunChunks(workers, n, chunk int, f func(c *Ctx, lo, hi int)) {
 		if chunk < 64 {
 			chunk = 64
 		}
+	}
+	if n <= chunk {
+		workers = 1
 	}
 	tasks := make([]Task, 0, (n+chunk-1)/chunk)
 	for lo := 0; lo < n; lo += chunk {
@@ -182,24 +212,14 @@ func RunChunks(workers, n, chunk int, f func(c *Ctx, lo, hi int)) {
 	Run(workers, tasks...)
 }
 
-// RunItems runs f for every i in [0, n) on a pool of the given size,
-// inline when workers <= 1. Chunks are an eighth of an even split —
-// finer than RunChunks' default — for fan-outs with skewed per-item cost
-// (e.g. batch queries, where result-heavy items verify more candidates),
-// so stealing can rebalance. Each item must write only its own slot of
-// any shared output; the call returns after all items complete.
+// RunItems runs f for every i in [0, n) on a pool of the given size.
+// Chunks are an eighth of an even split — finer than RunChunks' default —
+// for fan-outs with skewed per-item cost (e.g. batch queries, where
+// result-heavy items verify more candidates), so stealing can rebalance.
+// Each item must write only its own slot of any shared output; the call
+// returns after all items complete.
 func RunItems(workers, n int, f func(i int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	chunk := n / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	RunChunks(workers, n, chunk, func(c *Ctx, lo, hi int) {
+	RunChunks(workers, n, max(1, n/(max(workers, 1)*8)), func(c *Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			f(i)
 		}

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"bytes"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -169,5 +171,78 @@ func TestReadStats(t *testing.T) {
 	}
 	if after.Steals < before.Steals {
 		t.Errorf("Steals decreased: %d -> %d", before.Steals, after.Steals)
+	}
+}
+
+// goroutineID reads the running goroutine's number off its stack header
+// ("goroutine 18 [running]:"): the only way to tell goroutines apart, and
+// good enough for a test.
+func goroutineID() string {
+	var buf [64]byte
+	return string(bytes.Fields(buf[:runtime.Stack(buf[:], false)])[1])
+}
+
+// TestOneWorkerIsTheCaller pins what the joins are written against: a pool of
+// one worker starts no goroutine. Run, RunChunks and RunItems execute their
+// tasks on the calling goroutine as worker 0 — roots and chunks in
+// submission order, a spawned task to completion before Spawn returns, which
+// makes a spawning recursion the plain depth-first one — and a single chunk
+// runs there whatever the worker count. The tasks still show in ReadStats.
+func TestOneWorkerIsTheCaller(t *testing.T) {
+	caller := goroutineID()
+	var order []int
+	record := func(id int) {
+		if g := goroutineID(); g != caller {
+			t.Errorf("task %d runs on goroutine %s, the caller is %s", id, g, caller)
+		}
+		order = append(order, id)
+	}
+	visit := func(c *Ctx, id int) {
+		if c.Worker() != 0 || c.Workers() != 1 {
+			t.Errorf("task %d: worker %d of %d, want 0 of 1", id, c.Worker(), c.Workers())
+		}
+		record(id)
+	}
+	// Each node of a binary tree spawns its children 2id+1 and 2id+2.
+	var node func(id int) Task
+	node = func(id int) Task {
+		return func(c *Ctx) {
+			visit(c, id)
+			if id < 3 {
+				c.Spawn(node(2*id + 1))
+				c.Spawn(node(2*id + 2))
+			}
+		}
+	}
+	before := ReadStats()
+	Run(1, node(0), func(c *Ctx) { visit(c, 100) }, func(c *Ctx) { visit(c, 101) })
+	if want := []int{0, 1, 3, 4, 2, 5, 6, 100, 101}; !slices.Equal(order, want) {
+		t.Errorf("Run(1): order %v, want depth first, roots in submission order: %v", order, want)
+	}
+	after := ReadStats()
+	if got := after.TasksRun - before.TasksRun; got != 9 {
+		t.Errorf("TasksRun moved by %d over 9 tasks", got)
+	}
+	if after.Steals != before.Steals || after.QueueDepth != before.QueueDepth {
+		t.Errorf("steals %d -> %d, queue depth %d -> %d: a one-worker run queues nothing", before.Steals, after.Steals, before.QueueDepth, after.QueueDepth)
+	}
+
+	order = order[:0]
+	RunChunks(1, 10, 3, func(c *Ctx, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			visit(c, i)
+		}
+	})
+	RunItems(1, 5, func(i int) { record(10 + i) })
+	if want := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}; !slices.Equal(order, want) {
+		t.Errorf("RunChunks(1), RunItems(1): order %v, want ascending", order)
+	}
+
+	// One chunk is one task: no second goroutine for it at any worker count.
+	order = order[:0]
+	RunChunks(4, 10, 10, func(c *Ctx, lo, hi int) { visit(c, hi-lo) })
+	RunItems(4, 1, record)
+	if want := []int{10, 0}; !slices.Equal(order, want) {
+		t.Errorf("single chunk: ran %v, want %v", order, want)
 	}
 }

@@ -1,8 +1,10 @@
 // Package lshjoin implements the MINHASH locality-sensitive hashing
 // similarity join of Algorithm 3 in the CPSJoin paper: L independent
-// repetitions of bucketing on k concatenated MinHash values, followed by
-// brute-force verification within buckets, sharing the 1-bit minwise
-// sketch pre-filter with the CPSJoin implementation.
+// repetitions of bucketing on k concatenated MinHash values, each bucket
+// finished by the same BRUTEFORCEPAIRS subroutine as CPSJoin's nodes —
+// verify.Pipeline, size filter, 1-bit minwise sketch filter, dedup, exact
+// verification. This package owns the bucketing and the choice of k and L;
+// it has no pair loop of its own.
 //
 // The number of concatenated hash functions k is chosen per dataset and
 // threshold by estimating the combined cost of bucket lookups and bucket
@@ -25,13 +27,13 @@ import (
 
 // Options configures the MinHash LSH join.
 type Options struct {
-	// K is the number of concatenated MinHash values per bucket key.
-	// 0 selects K automatically by cost estimation over {2..10}.
+	// K is the number of concatenated MinHash values per bucket key, at
+	// most T (they are distinct positions of the signature). 0 selects K
+	// automatically by cost estimation over {2..10}.
 	K int
-	// L is the number of repetitions. 0 derives L from TargetRecall and K.
+	// L is the number of repetitions. 0 derives L from TargetRecall and K,
+	// capped at maxL.
 	L int
-	// MaxL caps the derived repetition count (guards against tiny λᵏ).
-	MaxL int
 	// TargetRecall is the per-pair recall probability ϕ (default 0.9).
 	TargetRecall float64
 	// T is the signature length used as the pool of MinHash values
@@ -46,7 +48,7 @@ type Options struct {
 	Seed uint64
 	// Workers is the worker count of the parallel execution layer
 	// (internal/exec): repetitions run as independent tasks merging into a
-	// shared concurrent result set. 0 runs sequentially, negative selects
+	// shared concurrent result set. 0 is one worker, negative selects
 	// GOMAXPROCS. The bucket positions of every repetition are drawn
 	// before any task starts, so the result set is identical across worker
 	// counts for a fixed Seed (StopAtRecall excepted: the early-stopping
@@ -77,25 +79,21 @@ func (o *Options) withDefaults() Options {
 	if opt.Delta <= 0 || opt.Delta >= 1 {
 		opt.Delta = 0.05
 	}
-	if opt.MaxL <= 0 {
-		opt.MaxL = 512
-	}
 	return opt
 }
+
+// maxL caps the derived repetition count: a guard against tiny λᵏ.
+const maxL = 512
 
 // Join computes an approximate self-join at Jaccard threshold lambda,
 // reporting each true result pair with probability at least TargetRecall.
 // Returned pairs are deduplicated and exact-verified (100% precision).
 func Join(sets [][]uint32, lambda float64, o *Options) ([]verify.Pair, verify.Counters) {
 	opt := o.withDefaults()
-	words := opt.SketchWords
-	if words < 0 {
-		words = 0
-	}
 	if len(sets) < 2 {
 		return nil, verify.Counters{}
 	}
-	ix := prep.BuildParallel(sets, opt.T, words, opt.Seed, exec.EffectiveWorkers(opt.Workers))
+	ix := prep.BuildParallel(sets, opt.T, max(opt.SketchWords, 0), opt.Seed, exec.EffectiveWorkers(opt.Workers))
 	return JoinIndexed(ix, lambda, o)
 }
 
@@ -106,92 +104,63 @@ func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, ver
 	opt := o.withDefaults()
 	opt.T = ix.T
 	sets := ix.Sets
-	var counters verify.Counters
 	if len(sets) < 2 {
-		return nil, counters
+		return nil, verify.Counters{}
 	}
 	if lambda <= 0 || lambda >= 1 {
 		panic(fmt.Sprintf("lshjoin: lambda %v out of (0,1)", lambda))
 	}
 
 	sigs := ix.Sigs
-
-	var sketches []uint64
-	var filter *sketch.Filter
+	workers := exec.EffectiveWorkers(opt.Workers)
+	bf := verify.NewPipeline(sets, lambda, workers)
+	bf.Tracker = verify.NewRecallTracker(opt.GroundTruth, opt.StopAtRecall)
 	if opt.SketchWords > 0 && ix.Words > 0 {
-		opt.SketchWords = ix.Words
-		sketches = ix.Sketches
-		filter = sketch.NewFilter(opt.SketchWords, lambda, opt.Delta)
+		bf.Words, bf.Sketches = ix.Words, ix.Sketches
+		bf.MaxHam = 64*ix.Words - sketch.NewFilter(ix.Words, lambda, opt.Delta).MinAgree
 	}
 
 	rng := tabhash.NewSplitMix64(opt.Seed + 0x1f1f)
 
-	k := opt.K
+	// The k values of a bucket key sit at distinct positions: no more than T.
+	k := min(opt.K, opt.T)
 	if k <= 0 {
 		k = chooseK(sets, sigs, opt.T, lambda, opt.TargetRecall, rng)
 	}
 	l := opt.L
 	if l <= 0 {
-		l = Repetitions(lambda, k, opt.TargetRecall)
-		if l > opt.MaxL {
-			l = opt.MaxL
-		}
+		l = min(Repetitions(lambda, k, opt.TargetRecall), maxL)
 	}
 
-	// Draw every repetition's bucket positions up front, from the same
-	// stream and in the same order as a sequential run would: the join's
-	// only randomness is then fixed before any task starts, which is what
-	// makes the result set identical across worker counts.
+	// Draw every repetition's bucket positions up front, one stream in
+	// repetition order: the join's only randomness is then fixed before
+	// any task starts, which is what makes the result set identical across
+	// worker counts.
 	allPositions := make([][]int, l)
 	for rep := 0; rep < l; rep++ {
 		allPositions[rep] = make([]int, k)
 		samplePositions(rng, allPositions[rep], opt.T)
 	}
 
-	workers := exec.EffectiveWorkers(opt.Workers)
-	res := verify.NewSink(workers)
-	tracker := verify.NewRecallTracker(opt.GroundTruth, opt.StopAtRecall)
-	v := verify.NewVerifier(sets, lambda)
 	hasher := tabhash.NewTable64(opt.Seed + 0x7e7e)
-	var atomics verify.AtomicCounters
-
-	runRep := func(rep int) {
-		if tracker.Reached() {
-			return
-		}
-		j := &lshTask{
-			sets: sets, sigs: sigs, t: opt.T,
-			sketches: sketches, filter: filter, words: opt.SketchWords,
-			v: v, res: res, tracker: tracker,
-		}
-		buckets := bucketize(sets, sigs, opt.T, allPositions[rep], hasher)
-		for _, bucket := range buckets {
-			if tracker.Reached() {
-				break
+	scratch := bf.NewScratches(workers)
+	roots := make([]exec.Task, l)
+	for rep := range roots {
+		roots[rep] = func(c *exec.Ctx) {
+			if bf.Tracker.Reached() {
+				return // before paying for the buckets
 			}
-			j.bruteForceBucket(bucket)
-		}
-		atomics.Add(j.pre, j.cand)
-	}
-
-	if workers <= 1 {
-		for rep := 0; rep < l; rep++ {
-			if tracker.Reached() {
-				break
+			s := scratch[c.Worker()]
+			for _, bucket := range bucketize(sets, sigs, opt.T, allPositions[rep], hasher) {
+				if bf.Tracker.Reached() {
+					return
+				}
+				s.BruteForcePairs(bucket)
 			}
-			runRep(rep)
 		}
-	} else {
-		roots := make([]exec.Task, l)
-		for rep := range roots {
-			rep := rep
-			roots[rep] = func(c *exec.Ctx) { runRep(rep) }
-		}
-		exec.Run(workers, roots...)
 	}
-	counters = atomics.Counters()
-	counters.Results = int64(res.Len())
-	return res.Pairs(), counters
+	exec.Run(workers, roots...)
+	return bf.Res.Pairs(), bf.Counters(scratch)
 }
 
 // Repetitions returns the repetition count needed for per-pair recall phi
@@ -205,7 +174,8 @@ func Repetitions(lambda float64, k int, phi float64) int {
 	return l
 }
 
-// samplePositions fills pos with k distinct indices from [t].
+// samplePositions fills pos with distinct indices from [t], by rejection:
+// len(pos) must not exceed t.
 func samplePositions(rng *tabhash.SplitMix64, pos []int, t int) {
 	seen := make(map[int]bool, len(pos))
 	for i := range pos {
@@ -235,58 +205,10 @@ func bucketize(sets [][]uint32, sigs []uint32, t int, positions []int, hasher *t
 	return buckets
 }
 
-// lshTask is the per-repetition execution context: locally batched
-// counters around the shared read-only state and concurrent sink.
-type lshTask struct {
-	sets      [][]uint32
-	sigs      []uint32
-	t         int
-	sketches  []uint64
-	filter    *sketch.Filter
-	words     int
-	v         *verify.Verifier
-	res       verify.PairSink
-	tracker   *verify.RecallTracker
-	pre, cand int64
-}
-
-// bruteForceBucket verifies all pairs within a bucket, applying the size
-// filter and the sketch filter before exact verification.
-func (j *lshTask) bruteForceBucket(bucket []uint32) {
-	if len(bucket) < 2 {
-		return
-	}
-	for i := 0; i < len(bucket); i++ {
-		for k := i + 1; k < len(bucket); k++ {
-			a, b := bucket[i], bucket[k]
-			j.pre++
-			if j.res.Contains(a, b) {
-				continue // already reported in an earlier repetition
-			}
-			if !j.v.SizeCompatible(len(j.sets[a]), len(j.sets[b])) {
-				continue
-			}
-			if j.filter != nil {
-				sa := j.sketches[int(a)*j.words : (int(a)+1)*j.words]
-				sb := j.sketches[int(b)*j.words : (int(b)+1)*j.words]
-				if !j.filter.Accept(sa, sb) {
-					continue
-				}
-			}
-			j.cand++
-			if j.v.Verify(a, b) {
-				if j.res.Add(a, b) {
-					j.tracker.Hit(a, b)
-				}
-			}
-		}
-	}
-}
-
-// chooseK estimates, for each k in {2..10}, the total cost of the splitting
-// step (bucket construction) plus within-bucket comparisons across the
-// L(k) repetitions required for the target recall, by performing one
-// trial split per k and counting bucket sizes. It returns the k with the
+// chooseK estimates, for each k in {2..10} (and at most t), the total cost
+// of the splitting step (bucket construction) plus within-bucket comparisons
+// across the L(k) repetitions required for the target recall, by performing
+// one trial split per k and counting bucket sizes. It returns the k with the
 // lowest estimate (Section V-B of the paper).
 func chooseK(sets [][]uint32, sigs []uint32, t int, lambda, phi float64, rng *tabhash.SplitMix64) int {
 	const (
@@ -294,8 +216,8 @@ func chooseK(sets [][]uint32, sigs []uint32, t int, lambda, phi float64, rng *ta
 		costCompare = 0.4 // relative cost of one sketch comparison
 	)
 	hasher := tabhash.NewTable64(rng.Next())
-	bestK, bestCost := 2, math.Inf(1)
-	for k := 2; k <= 10; k++ {
+	bestK, bestCost := min(2, t), math.Inf(1)
+	for k := 2; k <= min(10, t); k++ {
 		positions := make([]int, k)
 		samplePositions(rng, positions, t)
 		buckets := bucketize(sets, sigs, t, positions, hasher)

@@ -2,13 +2,29 @@ package lshjoin
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/datagen"
 	"repro/internal/intset"
+	"repro/internal/prep"
 	"repro/internal/stats"
 	"repro/internal/tabhash"
 	"repro/internal/verify"
 )
+
+// within fails the test if f has not returned after ten seconds, instead of
+// letting it hang the suite: samplePositions draws distinct positions by
+// rejection and never ends when asked for more than there are.
+func within(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { defer close(done); f() }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: still running after 10 s", what)
+	}
+}
 
 // testWorkload builds a dataset with known similar pairs.
 func testWorkload(seed uint64) [][]uint32 {
@@ -74,18 +90,22 @@ func TestRepetitions(t *testing.T) {
 
 func TestSamplePositionsDistinct(t *testing.T) {
 	rng := tabhash.NewSplitMix64(1)
-	pos := make([]int, 10)
-	for trial := 0; trial < 100; trial++ {
-		samplePositions(rng, pos, 128)
-		seen := make(map[int]bool)
-		for _, p := range pos {
-			if p < 0 || p >= 128 {
-				t.Fatalf("position %d out of range", p)
+	// Ten of 128 as in a default join, and all of eight: the most a caller
+	// may ask for (JoinIndexed caps K and the sweep of chooseK at T).
+	for _, tc := range []struct{ k, t int }{{10, 128}, {8, 8}} {
+		pos := make([]int, tc.k)
+		for trial := 0; trial < 100; trial++ {
+			within(t, "samplePositions", func() { samplePositions(rng, pos, tc.t) })
+			seen := make(map[int]bool)
+			for _, p := range pos {
+				if p < 0 || p >= tc.t {
+					t.Fatalf("position %d out of range", p)
+				}
+				if seen[p] {
+					t.Fatal("duplicate position sampled")
+				}
+				seen[p] = true
 			}
-			if seen[p] {
-				t.Fatal("duplicate position sampled")
-			}
-			seen[p] = true
 		}
 	}
 }
@@ -96,6 +116,15 @@ func TestExplicitKAndL(t *testing.T) {
 	for _, p := range got {
 		if intset.Jaccard(sets[p.A], sets[p.B]) < 0.6 {
 			t.Fatal("false positive with explicit k")
+		}
+	}
+	// A signature shorter than the sweep of chooseK (k up to 10), and an
+	// explicit K beyond it: both used to spin in samplePositions forever.
+	truth := verify.BruteForceJoin(sets, 0.6)
+	for _, opt := range []Options{{T: 8, Seed: 1}, {T: 8, K: 12, Seed: 1}, {T: 1, Seed: 1}} {
+		within(t, "Join with a short signature", func() { got, _ = Join(sets, 0.6, &opt) })
+		if len(got) == 0 || stats.Precision(got, truth) != 1 {
+			t.Errorf("T=%d K=%d: %d pairs, precision %v", opt.T, opt.K, len(got), stats.Precision(got, truth))
 		}
 	}
 }
@@ -144,5 +173,48 @@ func TestDeterministicWithSeed(t *testing.T) {
 	b, _ := Join(sets, 0.6, &Options{Seed: 42})
 	if !stats.EqualPairSets(a, b) {
 		t.Error("same seed produced different results")
+	}
+}
+
+// TestGoldenJoin pins the join to what it returned at the commit before its
+// buckets went through the shared block kernel (verify.Pipeline), when a
+// loop of its own checked a bucket pair by pair, looking every pair up in
+// the result set first: SHA-256 of the sorted pair set at every worker
+// count, and at one worker the three counters — Candidates are the pairs
+// that pass the filters and are not yet results, whichever is asked first —
+// on both shapes of the perf ledger, sketches on and off.
+func TestGoldenJoin(t *testing.T) {
+	flat := prep.Build(datagen.LedgerShape(false, 3000, 1), 128, 8, 42)
+	skew := prep.Build(datagen.LedgerShape(true, 3000, 2), 128, 8, 42)
+	for _, tc := range []struct {
+		name   string
+		ix     *prep.Index
+		lambda float64
+		words  int // SketchWords: 0 takes the index's sketches, -1 none
+		digest string
+		c      verify.Counters
+	}{
+		{"flat/l50/sketches", flat, 0.5, 0, "af93d1451d98b18f88c586b8d4b7e693e008d6b554acfddb2e1c9b1b9d0dbf1a", verify.Counters{PreCandidates: 91748, Candidates: 300, Results: 300}},
+		{"flat/l80/sketches", flat, 0.8, 0, "7aceaf503e30e58256e8366e609c1390436d1614da19f16546f5dfa4d8347ef1", verify.Counters{PreCandidates: 3466, Candidates: 222, Results: 222}},
+		{"flat/l50/none", flat, 0.5, -1, "e43e631a0ddd26252648bfe2f542627396da1420bde6d33583c4028eea7af787", verify.Counters{PreCandidates: 91748, Candidates: 80385, Results: 301}},
+		{"flat/l80/none", flat, 0.8, -1, "bb5a13436d99c86a036e1a3b786e1a30703c0325bbe2000580751bdc390a23bc", verify.Counters{PreCandidates: 3466, Candidates: 1323, Results: 223}},
+		{"skew/l50/sketches", skew, 0.5, 0, "867fee6e2a59767be20797d2f5d01e08d7aaf92f7e0ccad0a57b0724541cdaae", verify.Counters{PreCandidates: 40258, Candidates: 1578, Results: 1451}},
+		{"skew/l80/sketches", skew, 0.8, 0, "9ebeb527886402873aa2131274d29afbad32b4b52976e138469305ba90b73a41", verify.Counters{PreCandidates: 9219, Candidates: 450, Results: 450}},
+		{"skew/l50/none", skew, 0.5, -1, "27e203d859714693bb5ae00100ec2badb69a19aab1d5d300f048125bac08b165", verify.Counters{PreCandidates: 40258, Candidates: 21971, Results: 1466}},
+		{"skew/l80/none", skew, 0.8, -1, "9ebeb527886402873aa2131274d29afbad32b4b52976e138469305ba90b73a41", verify.Counters{PreCandidates: 9219, Candidates: 3794, Results: 450}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, workers := range []int{0, 1, 2, 4} {
+				pairs, c := JoinIndexed(tc.ix, tc.lambda, &Options{Seed: 42, SketchWords: tc.words, Workers: workers})
+				if d := stats.PairDigest(pairs); d != tc.digest {
+					t.Errorf("workers=%d: pair set %s, want %s", workers, d, tc.digest)
+				}
+				// Two workers can verify one pair twice: Candidates may
+				// drift up by a handful, the rest may not.
+				if c.PreCandidates != tc.c.PreCandidates || c.Results != tc.c.Results || c.Candidates < tc.c.Candidates || (workers <= 1 && c != tc.c) {
+					t.Errorf("workers=%d: counters %+v, want %+v", workers, c, tc.c)
+				}
+			}
+		})
 	}
 }

@@ -8,6 +8,11 @@
 // the CPSJoin paper reports that ALLPAIRS is within a small factor of the
 // best family member on every dataset. Implementing it gives the benchmark
 // harness a second exact baseline and tests the claim locally.
+//
+// As in internal/allpairs there is one probe loop for every worker count:
+// the positional prefix index is materialized, then each set probes the
+// postings of strictly smaller ids (TestGoldenExactJoins pins pairs and
+// counters to what the interleaved loop counted).
 package ppjoin
 
 import (
@@ -33,117 +38,15 @@ func Join(sets [][]uint32, lambda float64) ([]verify.Pair, verify.Counters) {
 }
 
 // JoinWorkers is Join executed with the given worker count on the shared
-// execution layer (0 = sequential, negative = GOMAXPROCS). Like the
-// parallel AllPairs, it materializes the complete positional prefix index
-// up front and probes concurrently against postings of strictly smaller
-// ids; the positional filter state is per probe, so pairs and counters
-// are identical to the sequential run for any worker count.
+// execution layer (0 = one worker, negative = GOMAXPROCS). Like AllPairs,
+// it materializes the complete positional prefix index up front and probes
+// against postings of strictly smaller ids; the positional filter state is
+// per probe, so pairs and counters are identical for any worker count.
 func JoinWorkers(sets [][]uint32, lambda float64, workers int) ([]verify.Pair, verify.Counters) {
 	if len(sets) < 2 {
 		return nil, verify.Counters{}
 	}
-	if workers = exec.EffectiveWorkers(workers); workers > 1 {
-		return joinParallel(sets, lambda, workers)
-	}
-	var counters verify.Counters
-	ds := (&dataset.Dataset{Sets: sets}).Clone()
-	ds.RemapByFrequency()
-	perm := ds.SortBySize()
-	sorted := ds.Sets
-
-	index := make(map[uint32][]posting)
-	listStart := make(map[uint32]int)
-
-	// alpha[y] accumulates matched prefix overlap; pruned[y] marks
-	// candidates disqualified by the positional filter for the current
-	// probe set.
-	alpha := make([]int32, len(sorted))
-	pruned := make([]bool, len(sorted))
-	touched := make([]uint32, 0, 1024)
-
-	var pairs []verify.Pair
-
-	for xi := 0; xi < len(sorted); xi++ {
-		x := sorted[xi]
-		sx := len(x)
-		minsize := int(math.Ceil(lambda * float64(sx)))
-		minOverlapProbe := int(math.Ceil(lambda * float64(sx)))
-		if minOverlapProbe < 1 {
-			minOverlapProbe = 1
-		}
-		pp := sx - minOverlapProbe + 1 // probe prefix
-		touched = touched[:0]
-
-		for p := 0; p < pp; p++ {
-			tok := x[p]
-			list := index[tok]
-			start := listStart[tok]
-			for start < len(list) && len(sorted[list[start].id]) < minsize {
-				start++
-			}
-			if start > 0 {
-				listStart[tok] = start
-			}
-			for _, post := range list[start:] {
-				counters.PreCandidates++
-				yi := post.id
-				if pruned[yi] {
-					continue
-				}
-				// A candidate is in touched iff alpha > 0 or pruned, so
-				// record first contact before any state change.
-				if alpha[yi] == 0 {
-					touched = append(touched, yi)
-				}
-				y := sorted[yi]
-				required := intset.JaccardOverlapBound(sx, len(y), lambda)
-				// Positional filter: tokens matched so far plus everything
-				// that can still match after positions p (in x) and
-				// post.pos (in y).
-				ubound := int(alpha[yi]) + 1 + min(sx-p-1, len(y)-int(post.pos)-1)
-				if ubound < required {
-					pruned[yi] = true
-					continue
-				}
-				alpha[yi]++
-			}
-		}
-
-		for _, yi := range touched {
-			alpha[yi] = 0
-			if pruned[yi] {
-				pruned[yi] = false
-				continue
-			}
-			counters.Candidates++
-			y := sorted[yi]
-			required := intset.JaccardOverlapBound(sx, len(y), lambda)
-			if _, ok := intset.IntersectSizeAtLeast(x, y, required); ok {
-				counters.Results++
-				pairs = append(pairs, verify.MakePair(uint32(perm[xi]), uint32(perm[yi])))
-			}
-		}
-
-		// Index the midprefix of x with positions.
-		minOverlapIndex := int(math.Ceil(2 * lambda / (1 + lambda) * float64(sx)))
-		if minOverlapIndex < 1 {
-			minOverlapIndex = 1
-		}
-		ip := sx - minOverlapIndex + 1
-		for p := 0; p < ip; p++ {
-			index[x[p]] = append(index[x[p]], posting{id: uint32(xi), pos: uint32(p)})
-		}
-	}
-	return pairs, counters
-}
-
-// joinParallel probes all sets concurrently against a fully materialized
-// positional prefix index (see the AllPairs analogue for the candidate
-// equivalence argument). The probe logic deliberately mirrors the
-// sequential loop above — the sequential form is the paper-faithful
-// reference, this one its order-independent reformulation — and
-// TestParallelExactJoins pins the two in lockstep (pairs and counters).
-func joinParallel(sets [][]uint32, lambda float64, workers int) ([]verify.Pair, verify.Counters) {
+	workers = exec.EffectiveWorkers(workers)
 	ds := (&dataset.Dataset{Sets: sets}).Clone()
 	ds.RemapByFrequency()
 	perm := ds.SortBySize()
@@ -204,11 +107,16 @@ func joinParallel(sets [][]uint32, lambda float64, workers int) ([]verify.Pair, 
 				if w.pruned[yi] {
 					continue
 				}
+				// A candidate is in touched iff alpha > 0 or pruned, so
+				// record first contact before any state change.
 				if w.alpha[yi] == 0 {
 					touched = append(touched, yi)
 				}
 				y := sorted[yi]
 				required := intset.JaccardOverlapBound(sx, len(y), lambda)
+				// Positional filter: tokens matched so far plus everything
+				// that can still match after positions p (in x) and
+				// post.pos (in y).
 				ubound := int(w.alpha[yi]) + 1 + min(sx-p-1, len(y)-int(post.pos)-1)
 				if ubound < required {
 					w.pruned[yi] = true

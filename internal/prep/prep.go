@@ -80,13 +80,10 @@ func BuildParallel(sets [][]uint32, t, words int, seed uint64, workers int) *Ind
 		}
 	}
 	// Sets per task: a few ms of hashing on ten-token sets (≈ 10 µs a set),
-	// long enough to amortize scheduling, short enough that a chunk of
-	// large sets does not leave the other workers idle at the end.
+	// long enough to amortize scheduling (and, per task, the switch from
+	// one hash family to the other), short enough that a chunk of large
+	// sets does not leave the other workers idle at the end.
 	const chunk = 256
-	if workers <= 1 || len(sets) <= chunk {
-		sign(0, len(sets))
-		return ix
-	}
 	exec.RunChunks(workers, len(sets), chunk, func(c *exec.Ctx, lo, hi int) { sign(lo, hi) })
 	return ix
 }

@@ -366,13 +366,7 @@ func Build(sets [][]uint32, lambda float64, o *Options) *Index {
 			x.shards[s] = buildShard(sets, members[s], lambda, opt, SeedFor(opt.Seed, s), inner)
 		}
 	}
-	if workers <= 1 {
-		for _, t := range tasks {
-			t(nil)
-		}
-	} else {
-		exec.Run(workers, tasks...)
-	}
+	exec.Run(workers, tasks...)
 	if opt.CacheSize > 0 {
 		x.cache.Store(newResultCache(opt.CacheSize))
 		x.runtime.CacheSize = opt.CacheSize

@@ -5,6 +5,10 @@
 package stats
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"slices"
 	"sort"
 
 	"repro/internal/verify"
@@ -55,6 +59,21 @@ func SortPairs(pairs []verify.Pair) {
 		}
 		return pairs[i].B < pairs[j].B
 	})
+}
+
+// PairDigest is the SHA-256 of the sorted pair set, eight little-endian
+// bytes a pair: what the golden tests pin a join's answer to.
+func PairDigest(pairs []verify.Pair) string {
+	pairs = slices.Clone(pairs)
+	SortPairs(pairs)
+	h := sha256.New()
+	var b [8]byte
+	for _, p := range pairs {
+		binary.LittleEndian.PutUint32(b[:4], p.A)
+		binary.LittleEndian.PutUint32(b[4:], p.B)
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // EqualPairSets reports whether two results contain exactly the same pairs.

@@ -6,34 +6,20 @@ import (
 	"sync/atomic"
 )
 
-// PairSink abstracts result-pair collection so the join algorithms can run
-// against the single-threaded ResultSet or the sharded ConcurrentResultSet
-// without branching at every emission site.
-type PairSink interface {
-	// Add inserts the pair (i, j), returning true if it was new.
-	Add(i, j uint32) bool
-	// Contains reports whether the pair is present.
-	Contains(i, j uint32) bool
-	// Len returns the number of distinct pairs.
-	Len() int
-	// Pairs returns the pairs in unspecified order.
-	Pairs() []Pair
-}
-
-var (
-	_ PairSink = (*ResultSet)(nil)
-	_ PairSink = (*ConcurrentResultSet)(nil)
-)
-
-// ConcurrentResultSet is a sharded, lock-striped result set safe for
-// concurrent use by the workers of a parallel join. Pairs are routed to
-// shards by a mixed hash of the packed pair key, so contention spreads
-// evenly no matter how the input ids cluster.
+// ResultSet collects result pairs with deduplication: approximate joins
+// emit the same pair from several subproblems or repetitions, and each is
+// reported once. It is lock-striped and safe for concurrent use by the
+// workers of a join; pairs are routed to shards by a mixed hash of the
+// packed pair key, so contention spreads evenly no matter how the input ids
+// cluster. A join on one worker uses the same set: the pipeline looks up
+// only pairs that passed the size and sketch filters, a few thousand against
+// millions of pre-candidates, so an uncontended lock per lookup is not
+// measurable.
 //
 // The final pair *set* is independent of interleaving: Add is idempotent
-// and the shard map dedups, which is what lets the parallel joins promise
-// identical result sets across worker counts.
-type ConcurrentResultSet struct {
+// and the shard map dedups, which is what lets the joins promise identical
+// result sets across worker counts.
+type ResultSet struct {
 	shards []resultShard
 	mask   uint64
 	n      atomic.Int64
@@ -45,14 +31,15 @@ type resultShard struct {
 	_  [48]byte // pad to 64 bytes: one shard lock per cache line
 }
 
-// NewConcurrentResultSet returns a result set striped over at least the
-// given number of shards (rounded up to a power of two, minimum 8).
-func NewConcurrentResultSet(shards int) *ConcurrentResultSet {
+// NewResultSet returns an empty result set for a join run by the given
+// number of workers: striped eight times wider than that, rounded up to a
+// power of two.
+func NewResultSet(workers int) *ResultSet {
 	n := 8
-	for n < shards && n < 1<<16 {
+	for n < 8*workers && n < 1<<16 {
 		n <<= 1
 	}
-	r := &ConcurrentResultSet{shards: make([]resultShard, n), mask: uint64(n - 1)}
+	r := &ResultSet{shards: make([]resultShard, n), mask: uint64(n - 1)}
 	for i := range r.shards {
 		r.shards[i].m = make(map[uint64]struct{})
 	}
@@ -62,14 +49,14 @@ func NewConcurrentResultSet(shards int) *ConcurrentResultSet {
 // shard routes a packed pair key to its stripe. The multiply-xorshift mix
 // decorrelates the stripe index from the low bits of B (which would
 // otherwise concentrate consecutive ids on few stripes).
-func (r *ConcurrentResultSet) shard(key uint64) *resultShard {
+func (r *ResultSet) shard(key uint64) *resultShard {
 	h := key * 0x9e3779b97f4a7c15
 	h ^= h >> 29
 	return &r.shards[h&r.mask]
 }
 
 // Add inserts the pair (i, j); it returns true if the pair was new.
-func (r *ConcurrentResultSet) Add(i, j uint32) bool {
+func (r *ResultSet) Add(i, j uint32) bool {
 	key := MakePair(i, j).Key()
 	s := r.shard(key)
 	s.mu.Lock()
@@ -84,7 +71,7 @@ func (r *ConcurrentResultSet) Add(i, j uint32) bool {
 }
 
 // Contains reports whether the pair is present.
-func (r *ConcurrentResultSet) Contains(i, j uint32) bool {
+func (r *ResultSet) Contains(i, j uint32) bool {
 	key := MakePair(i, j).Key()
 	s := r.shard(key)
 	s.mu.Lock()
@@ -94,12 +81,12 @@ func (r *ConcurrentResultSet) Contains(i, j uint32) bool {
 }
 
 // Len returns the number of distinct pairs added so far.
-func (r *ConcurrentResultSet) Len() int { return int(r.n.Load()) }
+func (r *ResultSet) Len() int { return int(r.n.Load()) }
 
 // Pairs returns the pairs in unspecified order. It must not race with
 // concurrent Adds if a consistent snapshot is required; the joins call it
 // only after the pool has quiesced.
-func (r *ConcurrentResultSet) Pairs() []Pair {
+func (r *ResultSet) Pairs() []Pair {
 	out := make([]Pair, 0, r.Len())
 	for i := range r.shards {
 		s := &r.shards[i]
@@ -110,17 +97,6 @@ func (r *ConcurrentResultSet) Pairs() []Pair {
 		s.mu.Unlock()
 	}
 	return out
-}
-
-// NewSink returns a PairSink appropriate for the given worker count: the
-// plain ResultSet when a single worker runs (no locking overhead), a
-// ConcurrentResultSet striped a few times wider than the worker count
-// otherwise.
-func NewSink(workers int) PairSink {
-	if workers <= 1 {
-		return NewResultSet()
-	}
-	return NewConcurrentResultSet(workers * 8)
 }
 
 // RecallTracker gives the workers of a parallel join a shared atomic view

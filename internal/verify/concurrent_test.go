@@ -5,34 +5,41 @@ import (
 	"testing"
 )
 
+// TestConcurrentResultSetBasics runs the set's contract at the narrowest
+// striping, a usual one and the cap: the stripe count must not show.
 func TestConcurrentResultSetBasics(t *testing.T) {
-	r := NewConcurrentResultSet(4)
-	if !r.Add(3, 1) {
-		t.Error("first Add returned false")
-	}
-	if r.Add(1, 3) {
-		t.Error("duplicate Add (swapped order) returned true")
-	}
-	if !r.Contains(1, 3) || !r.Contains(3, 1) {
-		t.Error("Contains failed for added pair")
-	}
-	if r.Contains(1, 2) {
-		t.Error("Contains true for absent pair")
-	}
-	if r.Len() != 1 {
-		t.Errorf("Len = %d, want 1", r.Len())
-	}
-	pairs := r.Pairs()
-	if len(pairs) != 1 || pairs[0] != (Pair{A: 1, B: 3}) {
-		t.Errorf("Pairs = %v", pairs)
+	for _, workers := range []int{0, 1, 4, 1 << 20} {
+		r := NewResultSet(workers)
+		if n := len(r.shards); n < 8 || n > 1<<16 || n&(n-1) != 0 {
+			t.Fatalf("workers=%d: %d stripes", workers, n)
+		}
+		if !r.Add(3, 1) {
+			t.Error("first Add returned false")
+		}
+		if r.Add(1, 3) {
+			t.Error("duplicate Add (swapped order) returned true")
+		}
+		if !r.Contains(1, 3) || !r.Contains(3, 1) {
+			t.Error("Contains failed for added pair")
+		}
+		if r.Contains(1, 2) {
+			t.Error("Contains true for absent pair")
+		}
+		if r.Len() != 1 {
+			t.Errorf("Len = %d, want 1", r.Len())
+		}
+		pairs := r.Pairs()
+		if len(pairs) != 1 || pairs[0] != (Pair{A: 1, B: 3}) {
+			t.Errorf("Pairs = %v", pairs)
+		}
 	}
 }
 
 // TestConcurrentResultSetContention hammers one set from many goroutines
-// with overlapping pair ranges; run under -race this is the contention
-// check the parallel joins rely on.
+// with overlapping pair ranges, at the striping a one-worker join gets; run
+// under -race this is the contention check the joins rely on.
 func TestConcurrentResultSetContention(t *testing.T) {
-	r := NewConcurrentResultSet(8)
+	r := NewResultSet(1)
 	const (
 		goroutines = 16
 		pairsEach  = 2000
@@ -76,15 +83,6 @@ func TestConcurrentResultSetContention(t *testing.T) {
 	}
 	if got := len(r.Pairs()); got != want {
 		t.Errorf("len(Pairs) = %d, want %d", got, want)
-	}
-}
-
-func TestNewSinkSelectsImplementation(t *testing.T) {
-	if _, ok := NewSink(1).(*ResultSet); !ok {
-		t.Error("NewSink(1) is not a plain ResultSet")
-	}
-	if _, ok := NewSink(4).(*ConcurrentResultSet); !ok {
-		t.Error("NewSink(4) is not a ConcurrentResultSet")
 	}
 }
 

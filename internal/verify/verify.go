@@ -1,13 +1,13 @@
-// Package verify provides exact similarity verification with early
-// termination, result-pair bookkeeping, and the pre-candidate/candidate/
-// result accounting reported in Table IV of the paper.
+// Package verify is what every join ends in: exact similarity verification
+// with early termination (Verifier), the brute-force candidate pipeline the
+// approximate joins share (Pipeline: size filter, sketch filter, dedup,
+// verification — BRUTEFORCEPAIRS of the paper's Algorithms 2 and 3), the one
+// result set (ResultSet, lock-striped, the same type at every worker count),
+// recall tracking against a known ground truth (RecallTracker), and the
+// pre-candidate/candidate/result accounting reported in Table IV (Counters).
 package verify
 
-import (
-	"sync/atomic"
-
-	"repro/internal/intset"
-)
+import "repro/internal/intset"
 
 // Pair is an unordered result pair of set indices, normalized so A < B.
 type Pair struct {
@@ -53,30 +53,6 @@ func (c *Counters) Add(other Counters) {
 	c.Results += other.Results
 }
 
-// AtomicCounters accumulates pre-candidate/candidate counts from
-// concurrent workers. Tasks batch counts locally and publish them with one
-// Add per task, so the atomics stay off the hot path.
-type AtomicCounters struct {
-	pre  atomic.Int64
-	cand atomic.Int64
-}
-
-// Add accumulates a task's local counts.
-func (a *AtomicCounters) Add(pre, cand int64) {
-	if pre != 0 {
-		a.pre.Add(pre)
-	}
-	if cand != 0 {
-		a.cand.Add(cand)
-	}
-}
-
-// Counters returns the accumulated totals (Results is left for the caller,
-// which knows the result sink).
-func (a *AtomicCounters) Counters() Counters {
-	return Counters{PreCandidates: a.pre.Load(), Candidates: a.cand.Load()}
-}
-
 // Verifier performs exact Jaccard verification over a fixed collection.
 type Verifier struct {
 	Sets   [][]uint32
@@ -105,44 +81,4 @@ func (v *Verifier) SizeCompatible(la, lb int) bool {
 		la, lb = lb, la
 	}
 	return float64(la) >= v.Lambda*float64(lb)
-}
-
-// ResultSet collects result pairs with deduplication. Approximate joins
-// can emit the same pair from multiple subproblems or repetitions; the
-// set ensures each pair is reported once.
-type ResultSet struct {
-	pairs map[uint64]struct{}
-}
-
-// NewResultSet returns an empty result set.
-func NewResultSet() *ResultSet {
-	return &ResultSet{pairs: make(map[uint64]struct{})}
-}
-
-// Add inserts the pair (i, j); it returns true if the pair was new.
-func (r *ResultSet) Add(i, j uint32) bool {
-	k := MakePair(i, j).Key()
-	if _, ok := r.pairs[k]; ok {
-		return false
-	}
-	r.pairs[k] = struct{}{}
-	return true
-}
-
-// Contains reports whether the pair is present.
-func (r *ResultSet) Contains(i, j uint32) bool {
-	_, ok := r.pairs[MakePair(i, j).Key()]
-	return ok
-}
-
-// Len returns the number of pairs.
-func (r *ResultSet) Len() int { return len(r.pairs) }
-
-// Pairs returns the pairs in unspecified order.
-func (r *ResultSet) Pairs() []Pair {
-	out := make([]Pair, 0, len(r.pairs))
-	for k := range r.pairs {
-		out = append(out, PairFromKey(k))
-	}
-	return out
 }

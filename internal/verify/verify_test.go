@@ -76,7 +76,7 @@ func TestSizeCompatible(t *testing.T) {
 }
 
 func TestResultSetDedup(t *testing.T) {
-	r := NewResultSet()
+	r := NewResultSet(1)
 	if !r.Add(3, 1) {
 		t.Error("first Add returned false")
 	}
