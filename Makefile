@@ -25,11 +25,12 @@ test-benchmark:
 # opt-in mux lives in cmd/serve, not here), and there is one benchmark
 # system: no BENCH_*.json artifact at the root, and cmd/experiments — the
 # paper's tables and figures — links neither the serving stack nor net/http
-# nor testing (internal/snapshot is not on the list: internal/prep keeps the
-# join's saved index in that container). The join family stays one path
-# each: a one-worker exec pool is the caller's goroutine, so no non-test Go
-# file outside internal/exec (benchmark/ measures what it likes) compares a
-# worker count with 1, and the second result set and its selector
+# nor testing (internal/snapshot and internal/mmap are not on the list:
+# internal/prep keeps the join's saved index in that container and maps it,
+# and mmap is a leaf over syscall, not serving code). The join family stays
+# one path each: a one-worker exec pool is the caller's goroutine, so no
+# non-test Go file outside internal/exec (benchmark/ measures what it likes)
+# compares a worker count with 1, and the second result set and its selector
 # (PairSink, NewSink, AtomicCounters) do not come back.
 surface:
 	@out=$$(grep -rn 'Deprecated:' --include='*.go' .); if [ -n "$$out" ]; then echo "deprecated surface:"; echo "$$out"; exit 1; fi
@@ -37,7 +38,7 @@ surface:
 	@out=$$(ls BENCH_*.json 2>/dev/null); if [ -n "$$out" ]; then echo "second benchmark system (the ledger's JSON is the only one):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'workers\s*(<=|>)\s*1\b' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(internal/exec|benchmark)/'); if [ -n "$$out" ]; then echo "worker count compared with 1 outside internal/exec (hand exec the number instead):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'PairSink|NewSink\(|AtomicCounters' --include='*.go' .); if [ -n "$$out" ]; then echo "a second result set or counter path:"; echo "$$out"; exit 1; fi
-	@deps=$$($(GO) list -deps ./cmd/experiments) || exit 1; out=$$(echo "$$deps" | grep -xE 'repro/internal/(shard|cpindex|contain|mmap|metrics)|net/http|testing'); if [ -n "$$out" ]; then echo "cmd/experiments links the serving stack:"; echo "$$out"; exit 1; fi
+	@deps=$$($(GO) list -deps ./cmd/experiments) || exit 1; out=$$(echo "$$deps" | grep -xE 'repro/internal/(shard|cpindex|contain|metrics)|net/http|testing'); if [ -n "$$out" ]; then echo "cmd/experiments links the serving stack:"; echo "$$out"; exit 1; fi
 
 # race is the quick local loop (-short skips the slowest suites);
 # race-full runs the entire suite under the race detector and is what CI

@@ -8,7 +8,8 @@
 // Usage:
 //
 //	ssjoin -input sets.txt -threshold 0.5 [-algorithm cpsjoin] [-seed 42]
-//	       [-repetitions 10] [-stats] [-output pairs.txt]
+//	       [-repetitions 10] [-stats] [-output pairs.txt] [-save-index ix.bin]
+//	ssjoin -load-index ix.bin -threshold 0.7 [...]
 package main
 
 import (
@@ -35,12 +36,12 @@ func main() {
 		noClean    = flag.Bool("no-clean", false, "skip duplicate/singleton removal")
 		printStats = flag.Bool("stats", false, "print candidate statistics to stderr")
 		saveIndex  = flag.String("save-index", "", "after preprocessing, persist the index to this file")
-		loadIndex  = flag.String("load-index", "", "load a persisted index instead of -input (cpsjoin only)")
+		loadIndex  = flag.String("load-index", "", "load a persisted index instead of -input (cpsjoin, minhash and bayeslsh reuse its preprocessing; the other algorithms join its sets)")
 	)
 	flag.Parse()
 
-	if *input == "" && *loadIndex == "" {
-		fmt.Fprintln(os.Stderr, "ssjoin: -input (or -load-index) is required")
+	if (*input == "") == (*loadIndex == "") {
+		fmt.Fprintln(os.Stderr, "ssjoin: exactly one of -input and -load-index is required (a saved index carries its collection)")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -108,9 +109,9 @@ func main() {
 		default:
 			fatalf("R-S joins support cpsjoin and allpairs, not %q", *algorithm)
 		}
-	} else if ix != nil && ssjoin.Algorithm(*algorithm) == ssjoin.AlgCPSJoin {
+	} else if join := indexed[ssjoin.Algorithm(*algorithm)]; ix != nil && join != nil {
 		// Reuse the loaded/saved preprocessing.
-		pairs, stats = ix.CPSJoin(*threshold, opts)
+		pairs, stats = join(ix, *threshold, opts)
 	} else {
 		pairs, stats, err = ssjoin.Join(sets, *threshold, ssjoin.Algorithm(*algorithm), opts)
 		if err != nil {
@@ -148,6 +149,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ssjoin: %d pairs, %d pre-candidates, %d candidates verified\n",
 			stats.Results, stats.PreCandidates, stats.Candidates)
 	}
+}
+
+// indexed lists the joins that run over a preprocessed index.
+var indexed = map[ssjoin.Algorithm]func(*ssjoin.Index, float64, *ssjoin.Options) ([]ssjoin.Pair, ssjoin.Stats){
+	ssjoin.AlgCPSJoin:  (*ssjoin.Index).CPSJoin,
+	ssjoin.AlgMinHash:  (*ssjoin.Index).MinHashJoin,
+	ssjoin.AlgBayesLSH: (*ssjoin.Index).BayesLSHJoin,
 }
 
 func fatalf(format string, args ...any) {

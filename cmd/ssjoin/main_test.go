@@ -5,8 +5,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+
+	ssjoin "repro"
+	"repro/internal/datagen"
 )
 
 // TestMain lets the test binary stand in for the ssjoin command: re-executed
@@ -82,5 +86,59 @@ func TestUnknownAlgorithmMessage(t *testing.T) {
 	}
 	if want := "ssjoin: unknown algorithm \"nosuch\"\n"; string(msg) != want {
 		t.Errorf("stderr %q, want %q", msg, want)
+	}
+}
+
+// sortedPairs runs ssjoin with -output and returns the pair file's lines in
+// canonical order (workers emit pairs in the order they find them).
+func sortedPairs(t *testing.T, args ...string) string {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "pairs.txt")
+	if msg, err := ssjoinCmd(t, append(args, "-output", out)...).CombinedOutput(); err != nil {
+		t.Fatalf("ssjoin %v: %v\n%s", args, err, msg)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(got), "\n"), "\n")
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// TestLoadIndexMatchesInput: a run over a saved index writes the pair set
+// of the run that read the sets and built it — for every join that
+// preprocesses, since all three are JoinIndexed over the same signatures
+// and sketches either way.
+func TestLoadIndexMatchesInput(t *testing.T) {
+	input := filepath.Join(t.TempDir(), "sets.txt")
+	if err := ssjoin.SaveSets(input, datagen.LedgerShape(true, 600, 9)); err != nil {
+		t.Fatal(err)
+	}
+	index := filepath.Join(t.TempDir(), "ix.bin")
+	for _, alg := range []string{"cpsjoin", "minhash", "bayeslsh"} {
+		want := sortedPairs(t, "-input", input, "-algorithm", alg, "-threshold", "0.5", "-seed", "7", "-save-index", index)
+		if strings.Count(want, "\n") < 20 {
+			t.Fatalf("%s: the -input run found next to nothing:\n%s", alg, want)
+		}
+		for _, workers := range []string{"1", "4"} {
+			if got := sortedPairs(t, "-load-index", index, "-algorithm", alg, "-threshold", "0.5", "-seed", "7", "-workers", workers); got != want {
+				t.Errorf("%s, -workers %s: -load-index pairs differ from the -input run's\n got %d lines\nwant %d lines",
+					alg, workers, strings.Count(got, "\n")+1, strings.Count(want, "\n")+1)
+			}
+		}
+	}
+}
+
+// TestInputWithLoadIndexIsUsageError: the index carries its collection, so
+// -input beside it would be silently ignored; it is refused instead.
+func TestInputWithLoadIndexIsUsageError(t *testing.T) {
+	msg, err := ssjoinCmd(t, "-input", writeInput(t), "-load-index", "ix.bin").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("ssjoin -input -load-index: err = %v, want exit status 2\n%s", err, msg)
+	}
+	if !strings.Contains(string(msg), "exactly one of -input and -load-index") {
+		t.Errorf("stderr does not say why:\n%s", msg)
 	}
 }

@@ -40,6 +40,8 @@ func (ix *Index) Save(path string) error {
 
 // LoadIndex reads an index written by Save. The loaded index is
 // self-contained: it carries the collection, so joins can run immediately.
+// The file is validated in full and then used where it is mapped, for as
+// long as the Index is reachable; Sets returns heap copies that outlive it.
 func LoadIndex(path string) (*Index, error) {
 	p, err := prep.Load(path)
 	if err != nil {

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 
 	"repro/internal/exec"
 	"repro/internal/prep"
@@ -92,6 +93,7 @@ func Join(sets [][]uint32, lambda float64, o *Options) ([]verify.Pair, verify.Co
 // width; an index without sketches (or a negative SketchWords) disables
 // the incremental pruner.
 func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, verify.Counters) {
+	defer runtime.KeepAlive(ix) // a loaded index's matrices live only as long as ix
 	opt := o.withDefaults()
 	opt.T = ix.T
 	if opt.SketchWords > 0 && ix.Words > 0 {

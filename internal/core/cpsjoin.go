@@ -26,19 +26,21 @@
 // Parallelism follows Section VII's observation that "most of the
 // computation happens in independent, recursive calls": the recursion runs
 // on the work-stealing pool of internal/exec. Whole repetitions are root
-// tasks, and within a repetition every subtree hanging off a large node is
-// spawned as its own task, so a single repetition saturates all workers. On
-// one worker a spawned task runs where it is spawned, and the same code is
-// the depth-first recursion. Every node derives its randomness from a seed
-// that depends only on its path from the root, so the tree ensemble — and
-// therefore the result set — is identical regardless of worker count or
-// scheduling. Scratch is per worker, not per task.
+// tasks, and within a repetition every subtree of more than a few members
+// hanging off a large node is spawned as its own task (spawnFloor), so a
+// single repetition saturates all workers. On one worker a spawned task runs
+// where it is spawned, and the same code is the depth-first recursion. Every
+// node derives its randomness from a seed that depends only on its path from
+// the root, so the tree ensemble — and therefore the result set — is
+// identical regardless of worker count or scheduling. Scratch is per worker,
+// not per task.
 package core
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 
 	"repro/internal/exec"
 	"repro/internal/prep"
@@ -187,6 +189,9 @@ func Preprocess(sets [][]uint32, o *Options) *prep.Index {
 // determines the signature length and sketch width; other options apply
 // unchanged.
 func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, verify.Counters) {
+	// The joiner keeps the matrices' slice headers, not the index, and those
+	// of a loaded index point into a mapping that lives only as long as ix.
+	defer runtime.KeepAlive(ix)
 	return newJoiner(ix.Sets, nil, lambda, o, ix).run()
 }
 
@@ -290,6 +295,13 @@ func newJoiner(sets [][]uint32, owners []uint8, lambda float64, o *Options, ix *
 	return j
 }
 
+// spawnFloor is the size a child must exceed to become a task. Most children
+// of a large node have two or three members (84 062 tasks in a 40 000-set
+// skew join), and 16 members are at most 120 comparisons, under a microsecond
+// of kernel: less than a spawn's closure, push and wake-up. Join time is flat
+// from 16 to Limit on both ledger shapes; the smallest leaves most to steal.
+const spawnFloor = 16
+
 // maxDepth caps the recursion as a safety net. Lemma 4: explored depth is
 // O(log n / ε) w.h.p.; use a generous constant and treat ε below 0.05 as
 // 0.05 for the bound only.
@@ -357,10 +369,10 @@ type taskState struct {
 }
 
 // recurse processes one node of the Chosen Path Tree (Algorithm 1). Child
-// subtrees of nodes larger than the spawn cutoff become independent tasks,
-// each run on the state of the worker that picks it up — on one worker,
-// this one, before Spawn returns; subtrees at or below the cutoff are plain
-// calls.
+// subtrees of nodes larger than the spawn cutoff become independent tasks
+// if they have more than spawnFloor members themselves, each run on the
+// state of the worker that picks it up — on one worker, this one, before
+// Spawn returns; all other subtrees are plain calls.
 //
 // A node is its member ids in ascending order, and the order is part of the
 // randomness contract: bruteForceStep samples the node sketch by position,
@@ -440,7 +452,7 @@ func (ts *taskState) recurse(c *exec.Ctx, node []uint32, depth int, seed uint64)
 			child := kids[2 : 2+n : 2+n]
 			kids = kids[2+n:]
 			cseed := childSeed(seed, pos, v)
-			if spawn {
+			if spawn && len(child) > spawnFloor {
 				c.Spawn(func(c *exec.Ctx) { j.states[c.Worker()].recurse(c, child, depth+1, cseed) })
 			} else {
 				ts.recurse(c, child, depth+1, cseed)

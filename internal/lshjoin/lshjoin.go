@@ -17,6 +17,7 @@ package lshjoin
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"repro/internal/exec"
 	"repro/internal/prep"
@@ -101,6 +102,7 @@ func Join(sets [][]uint32, lambda float64, o *Options) ([]verify.Pair, verify.Co
 // sketches), excluding preprocessing from the join work, as in the paper's
 // measurements. The index fixes T and the sketch width.
 func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, verify.Counters) {
+	defer runtime.KeepAlive(ix) // a loaded index's matrices live only as long as ix
 	opt := o.withDefaults()
 	opt.T = ix.T
 	sets := ix.Sets

@@ -6,6 +6,12 @@
 // under the nommap build tag) Open falls back to reading the whole file
 // onto the heap, preserving the API so callers need no build tags of
 // their own.
+//
+// A mapping goes when its File is collected, and a slice of Data (or a typed
+// view over one) does not keep the File alive. So whatever hands such slices
+// out holds the File, and whoever reads them keeps that holder reachable
+// until the last read: every query goes through its cpindex.Mapped, and the
+// joins, which copy Sigs and Sketches out of a prep.Index, KeepAlive it.
 package mmap
 
 import (

@@ -1,13 +1,12 @@
 package prep
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"slices"
 
+	"repro/internal/mmap"
 	"repro/internal/snapshot"
 )
 
@@ -27,6 +26,11 @@ import (
 //
 // The sets themselves are stored so a loaded index is self-contained:
 // the joins verify candidates against the exact token lists.
+//
+// Neither direction copies a matrix: loading checksums every section once
+// (the only full read), decodes the small sets section and hands out sigs
+// and sketches as snapshot.View over the container bytes; saving hands the
+// writer snapshot.Bytes of the two slices.
 
 // snapshotKind tags a prep index container.
 const snapshotKind = "prepidx"
@@ -50,7 +54,8 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 
 // ReadFrom deserializes an index written by WriteTo. Corruption —
 // truncation, flipped bytes, wrong format version, implausible headers —
-// yields a descriptive error wrapping ErrCorrupt, never a panic.
+// yields a descriptive error wrapping ErrCorrupt, never a panic. The
+// matrices are views over the bytes read, which stay on the heap with them.
 func ReadFrom(r io.Reader) (*Index, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -59,16 +64,22 @@ func ReadFrom(r io.Reader) (*Index, error) {
 	return decode(data)
 }
 
-// Load reads an index from a file.
+// Load maps an index file (reads it onto the heap where mmap.Supported is
+// false) and validates all of it, as ReadFrom does. The index is read-only:
+// Sigs and Sketches are views over the mapping, so a write through them
+// faults, and they are valid only while the *Index, which owns the mapping,
+// is reachable. Sets are heap copies and outlive it.
 func Load(path string) (*Index, error) {
-	data, err := os.ReadFile(path)
+	f, err := mmap.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	ix, err := decode(data)
+	ix, err := decode(f.Data)
 	if err != nil {
+		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	ix.file = f
 	return ix, nil
 }
 
@@ -129,35 +140,28 @@ func decodeSections(data []byte) (*Index, error) {
 	}
 
 	// The matrix sections are fixed-width, so their element counts are
-	// implied by the header; check the payload is exactly that long
-	// BEFORE allocating, so a corrupt header can never drive a huge
-	// allocation from a small file.
-	raw, err = m.Section("sigs")
-	if err != nil {
+	// implied by the header: the payload must be exactly that long, so a
+	// corrupt header can never yield a matrix the bytes do not back.
+	if raw, err = matrix(m, "sigs", n*uint64(t)*4); err != nil {
 		return nil, err
 	}
-	if want := n * uint64(t) * 4; uint64(len(raw)) != want {
-		return nil, fmt.Errorf("section \"sigs\" has %d bytes, want %d", len(raw), want)
-	}
-	ix.Sigs = make([]uint32, len(raw)/4)
-	for i := range ix.Sigs {
-		ix.Sigs[i] = binary.LittleEndian.Uint32(raw[4*i:])
-	}
-
+	ix.Sigs = snapshot.View[uint32](raw)
 	if words > 0 {
-		raw, err = m.Section("sketches")
-		if err != nil {
+		if raw, err = matrix(m, "sketches", n*uint64(words)*8); err != nil {
 			return nil, err
 		}
-		if want := n * uint64(words) * 8; uint64(len(raw)) != want {
-			return nil, fmt.Errorf("section \"sketches\" has %d bytes, want %d", len(raw), want)
-		}
-		ix.Sketches = make([]uint64, len(raw)/8)
-		for i := range ix.Sketches {
-			ix.Sketches[i] = binary.LittleEndian.Uint64(raw[8*i:])
-		}
+		ix.Sketches = snapshot.View[uint64](raw)
 	}
 	return ix, nil
+}
+
+// matrix returns a checksummed section that must be exactly want bytes.
+func matrix(m *snapshot.Mapped, name string, want uint64) ([]byte, error) {
+	raw, err := m.Section(name)
+	if err == nil && uint64(len(raw)) != want {
+		err = fmt.Errorf("section %q has %d bytes, want %d", name, len(raw), want)
+	}
+	return raw, err
 }
 
 // Save writes the index to a file atomically (temp file + rename).
@@ -180,19 +184,11 @@ func (ix *Index) writeSections(w *snapshot.Writer) error {
 	if err := w.Section("sets", sets.B); err != nil {
 		return err
 	}
-	sigs := make([]byte, 4*len(ix.Sigs))
-	for i, s := range ix.Sigs {
-		binary.LittleEndian.PutUint32(sigs[4*i:], s)
-	}
-	if err := w.Section("sigs", sigs); err != nil {
+	if err := w.Section("sigs", snapshot.Bytes(ix.Sigs)); err != nil {
 		return err
 	}
 	if ix.Words > 0 {
-		sk := make([]byte, 8*len(ix.Sketches))
-		for i, s := range ix.Sketches {
-			binary.LittleEndian.PutUint64(sk[8*i:], s)
-		}
-		return w.Section("sketches", sk)
+		return w.Section("sketches", snapshot.Bytes(ix.Sketches))
 	}
 	return nil
 }

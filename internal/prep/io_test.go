@@ -6,9 +6,11 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
@@ -51,6 +53,47 @@ func indexesEqual(a, b *Index) bool {
 		}
 	}
 	return true
+}
+
+// serialize returns the container bytes of ix.
+func serialize(t *testing.T, ix *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// loaders are the two ways into an index: ReadFrom over the bytes, and Load
+// of a file holding them, which maps it. Every malformed input below goes
+// through both.
+var loaders = []struct {
+	name string
+	load func(t *testing.T, raw []byte) (*Index, error)
+}{
+	{"ReadFrom", func(t *testing.T, raw []byte) (*Index, error) { return ReadFrom(bytes.NewReader(raw)) }},
+	{"Load", func(t *testing.T, raw []byte) (*Index, error) {
+		path := filepath.Join(t.TempDir(), "ix.bin")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return Load(path)
+	}},
+}
+
+// rejected asserts that both loaders refuse raw with an error wrapping
+// ErrCorrupt and every error in also.
+func rejected(t *testing.T, what string, raw []byte, also ...error) {
+	t.Helper()
+	for _, l := range loaders {
+		_, err := l.load(t, raw)
+		for _, target := range append([]error{ErrCorrupt}, also...) {
+			if !errors.Is(err, target) {
+				t.Errorf("%s, %s: err = %v, want it to wrap %v", what, l.name, err, target)
+			}
+		}
+	}
 }
 
 func TestIndexRoundTrip(t *testing.T) {
@@ -103,42 +146,34 @@ func TestSaveLoadFile(t *testing.T) {
 }
 
 func TestCorruptionDetected(t *testing.T) {
-	ix := buildTestIndex(t)
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	raw := serialize(t, buildTestIndex(t))
+	// Flip one byte — in the meta and sets sections, in each matrix, in a
+	// section header: a checksum, a header check or a set invariant must
+	// catch it before anything is handed out.
+	m, err := snapshot.OpenMapped(raw, snapshotKind)
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-
-	// Flip one payload byte: checksum (or set invariant) must catch it.
-	for _, pos := range []int{40, len(raw) / 2, len(raw) - 10} {
+	positions := []int{40, len(raw) / 2, len(raw) - 10}
+	for _, sec := range m.Sections() {
+		positions = append(positions, int(sec.Off)-1, int(sec.Off), int(sec.Off+sec.Len)-1)
+	}
+	for _, pos := range positions {
 		mutated := append([]byte(nil), raw...)
 		mutated[pos] ^= 0xff
-		if _, err := ReadFrom(bytes.NewReader(mutated)); err == nil {
-			t.Errorf("corruption at byte %d not detected", pos)
-		}
+		rejected(t, fmt.Sprintf("byte %d flipped", pos), mutated)
 	}
 }
 
 func TestBadMagic(t *testing.T) {
-	_, err := ReadFrom(bytes.NewReader([]byte("NOTANIDX........................")))
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bad magic error = %v", err)
-	}
+	rejected(t, "bad magic", []byte("NOTANIDX........................"))
+	rejected(t, "empty file", nil)
 }
 
 func TestWrongVersionRejected(t *testing.T) {
-	ix := buildTestIndex(t)
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := serialize(t, buildTestIndex(t))
 	raw[8] = 0x6e // container version field
-	_, err := ReadFrom(bytes.NewReader(raw))
-	if !errors.Is(err, ErrCorrupt) || !errors.Is(err, snapshot.ErrVersion) {
-		t.Fatalf("wrong version error = %v, want ErrCorrupt wrapping ErrVersion", err)
-	}
+	rejected(t, "version 110", raw, snapshot.ErrVersion)
 }
 
 func TestWrongKindRejected(t *testing.T) {
@@ -152,22 +187,13 @@ func TestWrongKindRejected(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFrom(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("wrong kind error = %v", err)
-	}
+	rejected(t, "kind cpindex", buf.Bytes())
 }
 
 func TestTruncation(t *testing.T) {
-	ix := buildTestIndex(t)
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := serialize(t, buildTestIndex(t))
 	for _, cut := range []int{5, 30, len(raw) / 2, len(raw) - 2} {
-		if _, err := ReadFrom(bytes.NewReader(raw[:cut])); err == nil {
-			t.Errorf("truncation at %d bytes not detected", cut)
-		}
+		rejected(t, fmt.Sprintf("cut at %d bytes", cut), raw[:cut])
 	}
 }
 
@@ -197,9 +223,15 @@ func TestMatrixSectionLengthChecked(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFrom(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("huge matrix header accepted: %v", err)
-	}
+	rejected(t, "huge matrix header", buf.Bytes())
+
+	// A matrix one element short or long of what the header implies.
+	ix := buildTestIndex(t)
+	short, long := *ix, *ix
+	short.Sigs = ix.Sigs[:len(ix.Sigs)-1]
+	long.Sketches = append(slices.Clone(ix.Sketches), 0)
+	rejected(t, "sigs one element short", serialize(t, &short))
+	rejected(t, "sketches one element long", serialize(t, &long))
 }
 
 func TestImplausibleHeaderRejected(t *testing.T) {
@@ -221,9 +253,7 @@ func TestImplausibleHeaderRejected(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFrom(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("implausible header accepted: %v", err)
-	}
+	rejected(t, "implausible header", buf.Bytes())
 }
 
 // goldenSets is the fixed collection of internal/sketch's golden test: set
@@ -324,9 +354,7 @@ func TestSectionLayoutChecked(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadFrom(&buf); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("sections %v: err = %v, want ErrCorrupt", order, err)
-		}
+		rejected(t, fmt.Sprintf("sections %v", order), buf.Bytes())
 	}
 }
 
@@ -405,6 +433,7 @@ func benchIndex() *Index {
 func BenchmarkSave(b *testing.B) {
 	ix := benchIndex()
 	path := filepath.Join(b.TempDir(), "ix.bin")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := ix.Save(path); err != nil {
@@ -429,6 +458,7 @@ func BenchmarkLoad(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(st.Size())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Load(path); err != nil {

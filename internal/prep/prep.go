@@ -10,12 +10,12 @@
 //
 // An Index persists into the repository's snapshot container (io.go has the
 // section layout), because every later join at another threshold is a new
-// process that pays the load. Load therefore reads the file in one piece,
-// locates the sections by their headers (snapshot.OpenMapped), checksums
-// each payload once and decodes the two fixed-width matrices — nearly all
-// of the file — in one tight little-endian loop each, straight from the
-// container bytes; only the small sets section goes through the validating
-// cursor. The writer fills exact-size section buffers the same way.
+// process that pays the load. Load therefore maps the file, locates the
+// sections by their headers (snapshot.OpenMapped), checksums each payload
+// once — the only full read — and uses the two fixed-width matrices, nearly
+// all of the file, where they lie (snapshot.View); only the small sets
+// section is decoded, through the validating cursor. The writer hands the
+// matrices' own bytes to the container.
 package prep
 
 import (
@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/minhash"
+	"repro/internal/mmap"
 	"repro/internal/sketch"
 )
 
@@ -40,6 +41,10 @@ type Index struct {
 	Sketches []uint64
 	// Seed is the randomness the index was built with.
 	Seed uint64
+
+	// file is what Load mapped: Sigs and Sketches point into it, and it
+	// unmaps once it is unreachable, so they must not outlive the Index.
+	file *mmap.File
 }
 
 // Build preprocesses a collection: t-dimensional MinHash signatures and,
