@@ -21,10 +21,13 @@
 // Storage tiers: -tier cold restores shards memory-mapped with lazy
 // decode — restore time and resident memory drop to the container
 // headers, while queries fault in only the pages they touch and answer
-// byte-identically to the hot tier. -tier auto maps large shards, keeps
-// small ones decoded, and retiers on query frequency via the placement
-// controller's cadence. -tier hot forces full decode; empty keeps
-// whatever tier the snapshot was saved under.
+// byte-identically to the hot tier. -tier auto maps large shards and
+// keeps small ones decoded: a load-time size rule. Shards move afterwards
+// by query frequency only where something calls Retier, and here that is
+// the placement controller's pass alone (-peers with -placement-interval;
+// -placement-interval without -peers exits 2), so a single-node serve
+// never retiers. -tier hot forces full decode; empty keeps whatever tier
+// the snapshot was saved under.
 //
 // Endpoints (errors are structured JSON {"error":..., "code":...}):
 //
@@ -147,7 +150,7 @@ func main() {
 		cacheSize = flag.Int("cache", 0, "hot-query result cache entries (0 disables; invalidated automatically on any mutation)")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/")
 		metricsOn = flag.Bool("metrics", true, "expose Prometheus metrics on /v1/metrics")
-		tierName  = flag.String("tier", "", "shard storage tier: hot (fully decoded), cold (mmap-backed, lazy decode) or auto (by shard size and query frequency); empty keeps the snapshot's saved tier")
+		tierName  = flag.String("tier", "", "shard storage tier: hot (fully decoded), cold (mmap-backed, lazy decode) or auto (by shard size at load; by query frequency afterwards only with -peers and -placement-interval, whose controller is the one caller of Retier); empty keeps the snapshot's saved tier")
 		slowQuery = flag.Duration("slow-query", 0, "log a structured line for /v1/query requests over this duration (0 disables)")
 		accessLog = flag.Bool("access-log", false, "log one structured line per HTTP request")
 	)

@@ -20,6 +20,20 @@
 // bands close to the threshold are probed precisely while permissive
 // bands stay cheap.
 //
+// Every r is served by one structure, as LSH Ensemble does by building
+// on LSH Forest (Bawa, Condie & Ganesan, WWW 2005): keys are kept
+// sorted and a band of r rows is a prefix lookup. For each start row
+// s in [0, T) a cardinality band keeps its members sorted by signature
+// rows s, s+1, …; r is always a power of two, so the LSH band
+// [bi·r, (bi+1)·r) starts at s = bi·r and the members colliding with a
+// query there are the run of that order whose first r rows equal the
+// query's, found by binary search against the signature matrix. A set
+// costs 4·T bytes of order beside its 4·T bytes of signature (256 + 256
+// at the default T) and the index holds no hash keys — a hash table per
+// r held each set 2T − 1 times, keys and slice headers on top. The run
+// is exactly the bucket such a table would hold (two members share a
+// bucket iff their r rows are equal), so candidates are the same.
+//
 // Candidates are approximate (recall ~ TargetProb, possible false
 // positives from banding); callers verify each candidate exactly with
 // intset.ContainmentAtLeast, which makes final results exact-precision
@@ -27,27 +41,26 @@
 // shard builds with the same seed and the same global band boundaries,
 // so the union of per-shard candidate sets always covers the same true
 // matches.
-//
-// A KMV sketch per cardinality band summarizes the band's distinct
-// token universe (the LSH Ensemble cardinality-estimation device),
-// exposed through Stats for capacity planning and the accuracy harness.
 package contain
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
+	"sort"
 
 	"repro/internal/minhash"
-	"repro/internal/sketch"
 )
 
-// Defaults for Options fields left zero.
-const (
-	DefaultT          = 64
-	DefaultTargetProb = 0.9
-	DefaultKMVSize    = 128
-)
+// DefaultT is the signature length used when Options.T is zero.
+const DefaultT = 64
+
+// TargetProb is the per-band collision probability the query-time
+// (b, r) tuning aims for at the equivalent Jaccard threshold. It
+// lower-bounds the recall of candidate generation for true matches.
+const TargetProb = 0.9
 
 // maxBands bounds the geometric cardinality partition: band j covers
 // set sizes [2^j, 2^(j+1)), so 32 bands cover every possible set.
@@ -63,103 +76,102 @@ type Options struct {
 	// of one logical index must share a seed so candidate generation
 	// is independent of the partitioning.
 	Seed uint64
-	// TargetProb is the per-band collision probability the query-time
-	// (b, r) tuning aims for at the equivalent Jaccard threshold
-	// (default DefaultTargetProb). It lower-bounds the recall of
-	// candidate generation for true matches.
-	TargetProb float64
-	// KMVSize is the size of the per-band KMV cardinality sketch
-	// (default DefaultKMVSize).
-	KMVSize int
-}
-
-func (o Options) withDefaults() Options {
-	if o.T <= 0 {
-		o.T = DefaultT
-	}
-	if o.TargetProb <= 0 || o.TargetProb >= 1 {
-		o.TargetProb = DefaultTargetProb
-	}
-	if o.KMVSize < 2 {
-		o.KMVSize = DefaultKMVSize
-	}
-	return o
-}
-
-// band is one cardinality partition: the sets whose size falls in
-// [lo, hi], with one bucket map per probe-able row count r.
-type band struct {
-	lo, hi  int
-	members []int32
-	// buckets[ri] maps a hashed (band index, r signature rows) key to
-	// the members that produced it, in insertion order; ri indexes the
-	// index-wide rs slice.
-	buckets []map[uint64][]int32
-	kmv     *sketch.KMV
 }
 
 // Index is an immutable containment index over a collection of sets.
 // Build it once; concurrent Query calls are safe.
 type Index struct {
-	opt    Options
+	t      int
+	seed   uint64
 	signer *minhash.Signer
 	n      int
 	sigs   []uint32 // n*T flattened signatures; empty sets hold zeros
-	lens   []int    // set sizes (band assignment + persistence checks)
-	rs     []int    // probe-able row counts: 1, 2, 4, ... <= T
-	bands  [maxBands]*band
+	// bands[j] is cardinality band j, the m non-empty sets of size in
+	// [2^j, 2^(j+1)), as T orders back to back: bands[j][s*m:(s+1)*m]
+	// holds the members sorted by signature rows s, …, s+width(s)−1,
+	// ties by id. nil when the band has no member.
+	bands [maxBands][]int32
+}
+
+// newIndex returns an index over n sets that has a signer and nothing else.
+func newIndex(n int, opts Options) *Index {
+	if opts.T <= 0 {
+		opts.T = DefaultT
+	}
+	return &Index{t: opts.T, seed: opts.Seed, signer: minhash.NewSigner(opts.T, opts.Seed), n: n}
 }
 
 // Build indexes the collection. Empty sets are tolerated and simply
 // never returned as candidates. The input slices are not retained.
 func Build(sets [][]uint32, opts Options) *Index {
-	opts = opts.withDefaults()
-	signer := minhash.NewSigner(opts.T, opts.Seed)
-	sigs := make([]uint32, len(sets)*opts.T)
+	ix := newIndex(len(sets), opts)
+	ix.sigs = make([]uint32, len(sets)*ix.t)
 	for i, set := range sets {
-		if len(set) == 0 {
-			continue
+		if len(set) > 0 {
+			ix.signer.SignInto(set, ix.sigs[i*ix.t:(i+1)*ix.t])
 		}
-		signer.SignInto(set, sigs[i*opts.T:(i+1)*opts.T])
 	}
-	ix, err := FromSignatures(sets, sigs, opts)
-	if err != nil {
-		// Impossible: the signatures were just produced at the right length.
-		panic(err)
-	}
+	ix.sortBands(sets)
 	return ix
 }
 
 // FromSignatures builds the index from precomputed flattened signatures
 // (the persistence path: signing is the expensive part of Build, so
-// snapshots store signatures and rebuild the cheap bucket structure on
-// load). sets supplies cardinalities and KMV tokens and must be the
-// same collection the signatures were computed from, in the same order
-// and with the same T and Seed.
+// snapshots store signatures and only the orders are sorted again on
+// load). sets supplies the cardinalities and must be the same
+// collection the signatures were computed from, in the same order and
+// with the same T and Seed. sigs is retained, not copied.
 func FromSignatures(sets [][]uint32, sigs []uint32, opts Options) (*Index, error) {
-	opts = opts.withDefaults()
-	if len(sigs) != len(sets)*opts.T {
+	ix := newIndex(len(sets), opts)
+	if len(sigs) != len(sets)*ix.t {
 		return nil, fmt.Errorf("contain: %d signature words for %d sets with T=%d (want %d)",
-			len(sigs), len(sets), opts.T, len(sets)*opts.T)
+			len(sigs), len(sets), ix.t, len(sets)*ix.t)
 	}
-	ix := &Index{
-		opt:    opts,
-		signer: minhash.NewSigner(opts.T, opts.Seed),
-		n:      len(sets),
-		sigs:   sigs,
-		lens:   make([]int, len(sets)),
+	ix.sigs = sigs
+	ix.sortBands(sets)
+	return ix, nil
+}
+
+// sortBands assigns every non-empty set to its cardinality band and sorts
+// the band's T orders over the signatures already in place: two
+// allocation-free passes size and fill the bands, so a band is one slice.
+func (ix *Index) sortBands(sets [][]uint32) {
+	var size, fill [maxBands]int
+	for _, set := range sets {
+		if len(set) > 0 {
+			size[bandFor(len(set))]++
+		}
 	}
-	for r := 1; r <= opts.T; r <<= 1 {
-		ix.rs = append(ix.rs, r)
+	for j, m := range size {
+		if m > 0 {
+			ix.bands[j] = make([]int32, m*ix.t)
+		}
 	}
 	for i, set := range sets {
-		ix.lens[i] = len(set)
-		if len(set) == 0 {
+		if len(set) > 0 {
+			j := bandFor(len(set))
+			ix.bands[j][fill[j]] = int32(i)
+			fill[j]++
+		}
+	}
+	for j, m := range size {
+		if m == 0 {
 			continue
 		}
-		ix.insert(int32(i), set)
+		orders := ix.bands[j]
+		for s := 0; s < ix.t; s++ {
+			order, w := orders[s*m:(s+1)*m], ix.width(s)
+			// The comparison is a total order, so whichever permutation
+			// of the members the first block holds by now sorts the same.
+			copy(order, orders[:m])
+			slices.SortFunc(order, func(x, y int32) int {
+				if c := slices.Compare(ix.rows(x, s, w), ix.rows(y, s, w)); c != 0 {
+					return c
+				}
+				return cmp.Compare(x, y)
+			})
+		}
 	}
-	return ix, nil
 }
 
 // bandFor returns the cardinality band index of a set of size n >= 1:
@@ -168,46 +180,21 @@ func bandFor(n int) int {
 	return bits.Len(uint(n)) - 1
 }
 
-func (ix *Index) insert(lid int32, set []uint32) {
-	j := bandFor(len(set))
-	b := ix.bands[j]
-	if b == nil {
-		b = &band{
-			lo:      1 << j,
-			hi:      1<<(j+1) - 1,
-			buckets: make([]map[uint64][]int32, len(ix.rs)),
-			kmv:     sketch.NewKMV(ix.opt.KMVSize, ix.opt.Seed),
-		}
-		for ri := range b.buckets {
-			b.buckets[ri] = make(map[uint64][]int32)
-		}
-		ix.bands[j] = b
+// width returns the widest probe-able r whose LSH bands include one
+// starting at row s: the largest power of two that divides s and fits
+// in [s, T). Every narrower r that starts at s divides it, so its band
+// is a prefix of the rows the order at s is sorted by.
+func (ix *Index) width(s int) int {
+	w := 1
+	for s%(2*w) == 0 && s+2*w <= ix.t {
+		w *= 2
 	}
-	b.members = append(b.members, lid)
-	b.kmv.AddSet(set)
-	sig := ix.sigs[int(lid)*ix.opt.T : (int(lid)+1)*ix.opt.T]
-	for ri, r := range ix.rs {
-		nb := ix.opt.T / r
-		for bi := 0; bi < nb; bi++ {
-			key := bucketHash(bi, sig[bi*r:(bi+1)*r])
-			b.buckets[ri][key] = append(b.buckets[ri][key], lid)
-		}
-	}
+	return w
 }
 
-// bucketHash hashes one LSH band (r consecutive signature words plus
-// the band position) to a bucket key, FNV-1a style. Cross-band key
-// collisions only ever add candidates, which exact verification
-// removes, so a single map per r suffices.
-func bucketHash(bandIdx int, words []uint32) uint64 {
-	h := uint64(14695981039346656037)
-	h ^= uint64(bandIdx)
-	h *= 1099511628211
-	for _, w := range words {
-		h ^= uint64(w)
-		h *= 1099511628211
-	}
-	return h
+// rows returns signature rows [s, s+r) of member lid.
+func (ix *Index) rows(lid int32, s, r int) []uint32 {
+	return ix.sigs[int(lid)*ix.t+s : int(lid)*ix.t+s+r]
 }
 
 // EquivalentJaccard returns ξ(qlen, upper, t): the Jaccard threshold
@@ -238,48 +225,55 @@ func (ix *Index) Query(q []uint32, t float64) []int32 {
 		return nil
 	}
 	sig := ix.signer.Sign(q)
-	var out []int32
-	var seen map[int32]bool
+	// A member collides in many LSH bands: runs are merged in a bit set
+	// over the local ids (n/8 bytes beside orders of 4·T·n), which also
+	// hands the candidates back ascending.
+	seen := make([]uint64, (ix.n+63)/64)
 	lq := len(q)
-	for _, b := range ix.bands {
-		if b == nil {
+	for j, orders := range ix.bands {
+		if orders == nil {
 			continue
 		}
 		// No member of this band can pass exact verification: the best
-		// possible intersection is min(|q|, hi) tokens.
-		if float64(min(lq, b.hi))/float64(lq) < t {
+		// possible intersection is min(|q|, upper) tokens.
+		upper := 1<<(j+1) - 1
+		if float64(min(lq, upper))/float64(lq) < t {
 			continue
 		}
-		xi := EquivalentJaccard(lq, b.hi, t)
-		ri := ix.chooseR(xi)
-		r := ix.rs[ri]
-		nb := ix.opt.T / r
-		for bi := 0; bi < nb; bi++ {
-			key := bucketHash(bi, sig[bi*r:(bi+1)*r])
-			for _, lid := range b.buckets[ri][key] {
-				if seen == nil {
-					seen = make(map[int32]bool, 16)
-				}
-				if !seen[lid] {
-					seen[lid] = true
-					out = append(out, lid)
-				}
+		r := ix.chooseR(EquivalentJaccard(lq, upper, t))
+		m := len(orders) / ix.t
+		for s := 0; s+r <= ix.t; s += r {
+			order, key := orders[s*m:(s+1)*m], sig[s:s+r]
+			lo := sort.Search(m, func(i int) bool {
+				return slices.Compare(ix.rows(order[i], s, r), key) >= 0
+			})
+			n := sort.Search(m-lo, func(i int) bool {
+				return slices.Compare(ix.rows(order[lo+i], s, r), key) > 0
+			})
+			for _, lid := range order[lo : lo+n] {
+				seen[lid>>6] |= 1 << (lid & 63)
 			}
 		}
 	}
-	sortInt32(out)
+	var out []int32
+	for wi, w := range seen {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, int32(wi<<6+bits.TrailingZeros64(w)))
+		}
+	}
 	return out
 }
 
-// chooseR picks the largest probe-able row count whose collision
-// probability at the equivalent Jaccard threshold xi still reaches
-// TargetProb, falling back to r=1 (probe everything that shares a
-// single minhash) when even that is too selective.
+// chooseR picks the largest probe-able row count — a power of two up
+// to T — whose collision probability at the equivalent Jaccard
+// threshold xi still reaches TargetProb, falling back to r=1 (probe
+// everything that shares a single minhash) when even that is too
+// selective.
 func (ix *Index) chooseR(xi float64) int {
-	best := 0
-	for ri, r := range ix.rs {
-		if CollisionProb(xi, r, ix.opt.T/r) >= ix.opt.TargetProb {
-			best = ri
+	best := 1
+	for r := 2; r <= ix.t; r <<= 1 {
+		if CollisionProb(xi, r, ix.t/r) >= TargetProb {
+			best = r
 		}
 	}
 	return best
@@ -289,59 +283,11 @@ func (ix *Index) chooseR(xi float64) int {
 func (ix *Index) Len() int { return ix.n }
 
 // T returns the signature length.
-func (ix *Index) T() int { return ix.opt.T }
+func (ix *Index) T() int { return ix.t }
 
 // Seed returns the seed the index hashes with.
-func (ix *Index) Seed() uint64 { return ix.opt.Seed }
+func (ix *Index) Seed() uint64 { return ix.seed }
 
 // Signatures returns the flattened n*T signature matrix backing the
 // index. The slice is shared, not copied; callers must not mutate it.
 func (ix *Index) Signatures() []uint32 { return ix.sigs }
-
-// BandStats describes one cardinality partition.
-type BandStats struct {
-	Lo, Hi int
-	// Sets is the number of member sets.
-	Sets int
-	// DistinctTokens is the KMV estimate of the band's token universe.
-	DistinctTokens float64
-}
-
-// Stats summarizes the partition structure.
-type Stats struct {
-	Sets  int
-	T     int
-	Bands []BandStats
-}
-
-// Stats returns the partition summary, band order ascending by
-// cardinality range.
-func (ix *Index) Stats() Stats {
-	st := Stats{Sets: ix.n, T: ix.opt.T}
-	for _, b := range ix.bands {
-		if b == nil {
-			continue
-		}
-		st.Bands = append(st.Bands, BandStats{
-			Lo:             b.lo,
-			Hi:             b.hi,
-			Sets:           len(b.members),
-			DistinctTokens: b.kmv.Estimate(),
-		})
-	}
-	return st
-}
-
-func sortInt32(s []int32) {
-	// Insertion sort: candidate lists are short and nearly sorted
-	// (bands emit in ascending member order).
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
-}

@@ -50,9 +50,11 @@ type localShard struct {
 	// contain is the shard's containment side (LSH Ensemble candidate
 	// structure plus the heap sets its verification reads), built or decoded
 	// on the first containment query or encode — similarity-only workloads
-	// never pay for it. containMu serializes that one-time load; readers go
-	// through the atomic pointer. Containment against a cold shard therefore
-	// warms it up: documented cost of the cold tier.
+	// never pay for it. containMu serializes that one-time load, and tier
+	// moves take it to swap the residency and the side together, so a load
+	// never publishes a side over the sets of a residency that is gone;
+	// readers go through the atomic pointer. Containment against a cold
+	// shard therefore warms it up: documented cost of the cold tier.
 	containMu sync.Mutex
 	contain   atomic.Pointer[containSide]
 }
@@ -64,6 +66,9 @@ type residency struct {
 	snap *snapshot.Mapped // cold's container: the exact bytes Save and ship copy
 }
 
+// containSide is reached through its shard only: ix's signatures may be a
+// view of the shard's container (see decodeContainPayload), which stays
+// mapped for as long as the shard is reachable.
 type containSide struct {
 	ix   *contain.Index
 	sets [][]uint32
@@ -130,6 +135,7 @@ func (s *localShard) query(p plan, q []uint32) (res Result, st cpindex.QueryStat
 			return noMatch, st, err
 		}
 		cands := c.ix.Query(q, p.threshold)
+		runtime.KeepAlive(s) // c.ix may read the mapping s pins
 		st.Candidates, st.Verified = uint64(len(cands)), uint64(len(cands))
 		for _, lid := range cands {
 			if sim, ok := intset.ContainmentAtLeast(q, c.sets[lid], p.threshold); ok {
@@ -276,9 +282,9 @@ func decodeShardBytes(raw []byte, entry snapshot.ShardEntry, total int) (*localS
 // promote moves the sets onto the heap; the trie is shared with the mapped
 // view, not decoded again. A promoted shard has read and checksummed every
 // section of its container — promotion is exactly a snapshot load, and
-// what it accepts cannot fail later. Only the containment side's bucket
-// structure stays unbuilt until a containment query wants it, as after
-// Build: rebuilding it costs more than everything else here together.
+// what it accepts cannot fail later. Only the containment side's sorted
+// orders stay unbuilt until a containment query wants them, as after
+// Build: they are the one part of a load that is not validation.
 func (s *localShard) promote() error {
 	r := s.res.Load()
 	if r.hot != nil {
@@ -297,7 +303,10 @@ func (s *localShard) promote() error {
 		return err
 	}
 	// A side loaded while cold verifies against its own copy of the sets;
-	// point it at the hot view's instead.
+	// point it at the hot view's instead. Under containMu, so a load in
+	// flight lands first and is re-pointed too.
+	s.containMu.Lock()
+	defer s.containMu.Unlock()
 	if c := s.contain.Load(); c != nil {
 		s.contain.Store(&containSide{ix: c.ix, sets: hot.Sets()})
 	}
@@ -333,9 +342,14 @@ func (s *localShard) demote(copts contain.Options) error {
 		}
 		next.cold.SetCounters(s.counters)
 	}
-	s.res.Store(next)
 	// The container carries the containment signatures; the heap side goes
-	// with the sets and reloads on the next containment query.
+	// with the sets and reloads on the next containment query. Under
+	// containMu: a load that read the hot residency stores its side before
+	// this clears it, not after — nothing else would ever clear it, and it
+	// would pin the heap copy of the sets on a cold shard for good.
+	s.containMu.Lock()
+	defer s.containMu.Unlock()
+	s.res.Store(next)
 	s.contain.Store(nil)
 	return nil
 }

@@ -147,8 +147,10 @@ func ContainSeed(seed uint64) uint64 {
 }
 
 // containOptions are the options every shard's containment side builds
-// with; defaults (T, TargetProb, KMV size) are filled by the contain
-// package.
+// with: the seed alone. T is the contain package's default (64 rows, so a
+// set costs 256 B of signature and 256 B of sorted orders) and the recall
+// target is its constant, so two shards can differ in nothing that would
+// make their candidates differ.
 func (x *Index) containOptions() contain.Options {
 	return contain.Options{Seed: ContainSeed(x.opt.Seed)}
 }

@@ -7,8 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/snapshot"
 )
 
@@ -389,4 +391,54 @@ func TestSaveBytesIndependentOfTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	resave("re-promoted build", x)
+}
+
+// TestContainSideFollowsTierMoves races the lazy containment load against
+// tier moves. A load that read the hot residency must publish its side
+// before demote clears it, never after: nothing else clears it, so a cold
+// shard would keep the heap copy of the sets it was demoted to drop. And a
+// load that read the cold residency must land before promote re-points the
+// side, or a hot shard holds its sets twice.
+func TestContainSideFollowsTierMoves(t *testing.T) {
+	sets, _ := workload(400, 0.8, 521)
+	x := Build(sets, 0.5, &Options{Shards: 1, Seed: 5})
+	s := x.shards[0].(*localShard)
+	copts := x.containOptions()
+	loadDuring := func(move func() error) {
+		t.Helper()
+		s.contain.Store(nil) // every round loads afresh
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if _, err := s.containSide(copts); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if err := move(); err != nil {
+				t.Error(err)
+			}
+		}()
+		wg.Wait()
+	}
+	rounds := 100
+	if race.Enabled {
+		rounds = 30 // the parent failed within two under the detector
+	}
+	for round := 0; round < rounds; round++ {
+		hot := s.res.Load().hot.Sets()
+		loadDuring(func() error { return s.demote(copts) })
+		if !s.isCold() {
+			t.Fatalf("round %d: shard still hot after demote", round)
+		}
+		if c := s.contain.Load(); c != nil && &c.sets[0] == &hot[0] {
+			t.Fatalf("round %d: a cold shard's containment side verifies against the hot view's sets", round)
+		}
+		loadDuring(s.promote)
+		if c := s.contain.Load(); c == nil || &c.sets[0] != &s.res.Load().hot.Sets()[0] {
+			t.Fatalf("round %d: a hot shard's containment side holds its own copy of the sets", round)
+		}
+	}
 }
