@@ -34,7 +34,11 @@ test-benchmark:
 # (PairSink, NewSink, AtomicCounters) do not come back. The containment side
 # is sorted arrays over the signature matrix: non-test internal/contain
 # declares no map type (a hash table per r held every set 2T-1 times), and
-# the KMV sketch nothing read stays deleted.
+# the KMV sketch nothing read stays deleted. A stored set is read one way,
+# as a header over the token region snapshot.ReadSets validated: no
+# per-candidate decoder (setBuf, mappedSets) or second sets decoder
+# (DecodeSets) in non-test Go, and the containment side of a shard owns no
+# sets (no containSide struct to put them on).
 surface:
 	@out=$$(grep -rn 'Deprecated:' --include='*.go' .); if [ -n "$$out" ]; then echo "deprecated surface:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'mux\.Handle' internal/shard/server.go | grep -v '("/v1/'); if [ -n "$$out" ]; then echo "endpoint outside /v1/:"; echo "$$out"; exit 1; fi
@@ -43,6 +47,7 @@ surface:
 	@out=$$(grep -rnE 'PairSink|NewSink\(|AtomicCounters' --include='*.go' .); if [ -n "$$out" ]; then echo "a second result set or counter path:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'KMV' --include='*.go' .); if [ -n "$$out" ]; then echo "the KMV sketch is back (nothing read it):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'map\[' internal/contain/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a map type in internal/contain (its one structure is sorted arrays):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE 'setBuf|mappedSets|maxMappedSetSize|DecodeSets|type containSide' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second way to read a stored set, or sets on the containment side:"; echo "$$out"; exit 1; fi
 	@deps=$$($(GO) list -deps ./cmd/experiments) || exit 1; out=$$(echo "$$deps" | grep -xE 'repro/internal/(shard|cpindex|contain|metrics)|net/http|testing'); if [ -n "$$out" ]; then echo "cmd/experiments links the serving stack:"; echo "$$out"; exit 1; fi
 
 # race is the quick local loop (-short skips the slowest suites);

@@ -18,16 +18,19 @@
 // With -save-on-shutdown it snapshots the live index (including buffered
 // appends and tombstones) into DIR on graceful shutdown.
 //
-// Storage tiers: -tier cold restores shards memory-mapped with lazy
-// decode — restore time and resident memory drop to the container
-// headers, while queries fault in only the pages they touch and answer
-// byte-identically to the hot tier. -tier auto maps large shards and
-// keeps small ones decoded: a load-time size rule. Shards move afterwards
-// by query frequency only where something calls Retier, and here that is
-// the placement controller's pass alone (-peers with -placement-interval;
-// -placement-interval without -peers exits 2), so a single-node serve
-// never retiers. -tier hot forces full decode; empty keeps whatever tier
-// the snapshot was saved under.
+// Storage tiers: a tier is where the token array behind a shard's sets
+// lies. -tier cold restores shards memory-mapped and uses that array where
+// it is in the file — restore time and resident memory drop to the
+// container headers, a shard's first query checksums and validates it once,
+// and from then on every query, containment included, verifies against the
+// mapped tokens at the hot tier's cost and answers byte-identically to it.
+// -tier auto maps large shards and copies small ones to the heap: a
+// load-time size rule. Shards move afterwards by query frequency only where
+// something calls Retier, and here that is the placement controller's pass
+// alone (-peers with -placement-interval; -placement-interval without -peers
+// exits 2), so a single-node serve never retiers. -tier hot validates and
+// copies every shard at load; empty keeps whatever tier the snapshot was
+// saved under.
 //
 // Endpoints (errors are structured JSON {"error":..., "code":...}):
 //

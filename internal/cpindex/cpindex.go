@@ -114,19 +114,16 @@ type Match struct {
 // kernel is the one query engine behind both views of an index: it owns
 // signing, the iterative trie walk, the two candidate-verify loops, the
 // pooled scratch and the counter flush. Index and Mapped differ only in
-// where verification reads a candidate's tokens from — sets (the heap) or
-// mapped (a snapshot container left in place) — so their answers and
-// QueryStats are identical by construction.
+// where the token array behind sets lies — the heap, or a snapshot container
+// left in place — so their answers, QueryStats and verification cost are
+// identical by construction.
 type kernel struct {
 	lambda float64
 	opt    Options
 	nsets  int
 	signer *minhash.Signer
 	trie   *trie
-
-	// Exactly one of the two is set.
 	sets   [][]uint32
-	mapped *mappedSets
 
 	// scratch pools queryScratch instances; see getScratch.
 	scratch sync.Pool
@@ -150,22 +147,14 @@ func (k *kernel) Lambda() float64 { return k.lambda }
 // the hot path stays allocation-free.
 func (k *kernel) SetCounters(c *QueryCounters) { k.counters = c }
 
-// candidate returns the tokens of indexed set id for verification.
-func (k *kernel) candidate(sc *queryScratch, id uint32) ([]uint32, error) {
-	if k.mapped == nil {
-		return k.sets[id], nil
-	}
-	return k.mapped.candidate(sc, id)
-}
-
 // best answers a best-match query: trees are walked in order and the
 // first tree that yields a verified neighbor ends the search — any
 // verified neighbor satisfies the contract, so the kernel finishes that
 // tree for its best candidate but does not scan the remaining ones.
-func (k *kernel) best(q []uint32) (int, float64, bool, QueryStats, error) {
+func (k *kernel) best(q []uint32) (int, float64, bool, QueryStats) {
 	best, bestSim := -1, 0.0
 	if len(q) == 0 {
-		return best, bestSim, false, QueryStats{}, nil
+		return best, bestSim, false, QueryStats{}
 	}
 	sc := k.getScratch()
 	defer k.scratch.Put(sc)
@@ -173,12 +162,8 @@ func (k *kernel) best(q []uint32) (int, float64, bool, QueryStats, error) {
 	for _, root := range k.trie.roots {
 		k.trie.collect(root, sc)
 		for _, id := range sc.cands {
-			set, err := k.candidate(sc, id)
-			if err != nil {
-				return -1, 0, false, QueryStats{}, err
-			}
 			sc.stats.Verified++
-			if sim, ok := intset.JaccardAtLeast(q, set, k.lambda); !ok {
+			if sim, ok := intset.JaccardAtLeast(q, k.sets[id], k.lambda); !ok {
 				sc.stats.Rejected++
 			} else if sim > bestSim {
 				best, bestSim = int(id), sim
@@ -189,14 +174,14 @@ func (k *kernel) best(q []uint32) (int, float64, bool, QueryStats, error) {
 		}
 	}
 	k.flush(sc)
-	return best, bestSim, best >= 0, sc.stats, nil
+	return best, bestSim, best >= 0, sc.stats
 }
 
 // all appends every distinct match reachable through the trees to dst, in
 // tree-traversal order.
-func (k *kernel) all(dst []Match, q []uint32) ([]Match, QueryStats, error) {
+func (k *kernel) all(dst []Match, q []uint32) ([]Match, QueryStats) {
 	if len(q) == 0 {
-		return dst, QueryStats{}, nil
+		return dst, QueryStats{}
 	}
 	sc := k.getScratch()
 	defer k.scratch.Put(sc)
@@ -204,12 +189,8 @@ func (k *kernel) all(dst []Match, q []uint32) ([]Match, QueryStats, error) {
 	for _, root := range k.trie.roots {
 		k.trie.collect(root, sc)
 		for _, id := range sc.cands {
-			set, err := k.candidate(sc, id)
-			if err != nil {
-				return dst, QueryStats{}, err
-			}
 			sc.stats.Verified++
-			if sim, ok := intset.JaccardAtLeast(q, set, k.lambda); ok {
+			if sim, ok := intset.JaccardAtLeast(q, k.sets[id], k.lambda); ok {
 				dst = append(dst, Match{ID: int(id), Sim: sim})
 			} else {
 				sc.stats.Rejected++
@@ -217,7 +198,7 @@ func (k *kernel) all(dst []Match, q []uint32) ([]Match, QueryStats, error) {
 		}
 	}
 	k.flush(sc)
-	return dst, sc.stats, nil
+	return dst, sc.stats
 }
 
 // flush publishes one finished query's stats to the attached counters.
@@ -240,7 +221,6 @@ type queryScratch struct {
 	epoch   uint32
 	stack   []int32  // trie traversal stack
 	cands   []uint32 // the current tree's new candidate ids, in visit order
-	setBuf  []uint32 // mapped-mode candidate set decode buffer
 	stats   QueryStats
 }
 
@@ -366,7 +346,7 @@ func (ix *Index) Sets() [][]uint32 { return ix.sets }
 // one of the Trees repetitions to fail: under 1 % at s = λ with the default
 // 10, under 0.1 % from s = 1.1λ up, measured in TestRecallByBand.
 func (ix *Index) Query(q []uint32) (int, float64, bool) {
-	id, sim, ok, _, _ := ix.best(q)
+	id, sim, ok, _ := ix.best(q)
 	return id, sim, ok
 }
 
@@ -375,8 +355,7 @@ func (ix *Index) Query(q []uint32) (int, float64, bool) {
 // stats are also flushed to the attached QueryCounters, and the hot path
 // stays allocation-free either way.
 func (ix *Index) QueryWithStats(q []uint32) (int, float64, bool, QueryStats) {
-	id, sim, ok, st, _ := ix.best(q)
-	return id, sim, ok, st
+	return ix.best(q)
 }
 
 // QueryAll returns every distinct indexed set with J(q, y) >= lambda
@@ -393,13 +372,12 @@ func (ix *Index) QueryAll(q []uint32) []Match {
 // steady state) and the grown slice is returned. Match order is identical
 // to QueryAll's.
 func (ix *Index) AppendAll(dst []Match, q []uint32) []Match {
-	dst, _, _ = ix.all(dst, q)
+	dst, _ = ix.all(dst, q)
 	return dst
 }
 
 // AppendAllWithStats is AppendAll plus this call's candidate-pipeline
 // breakdown, flushed to the attached QueryCounters like QueryWithStats.
 func (ix *Index) AppendAllWithStats(dst []Match, q []uint32) ([]Match, QueryStats) {
-	dst, st, _ := ix.all(dst, q)
-	return dst, st
+	return ix.all(dst, q)
 }

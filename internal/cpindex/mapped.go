@@ -1,7 +1,6 @@
 package cpindex
 
 import (
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -12,14 +11,11 @@ import (
 // Mapped is the view of the kernel whose collection stays inside a
 // snapshot container (typically an mmap'd file) — the cold tier. Opening
 // one costs only the meta section, a few dozen bytes, regardless of index
-// size:
-//
-//   - the trie is read and validated on the first query (one-time,
-//     structure-only);
-//   - the sets payload stays untouched until a candidate reaches exact
-//     verification, at which point the whole section is CRC-verified once
-//     and each candidate is decoded into pooled scratch, re-checking the
-//     strictly-increasing invariant verification assumes.
+// size. The first query is the first touch: it checksums the trees and sets
+// sections, validates the trie onto the heap and runs snapshot.ReadSets
+// over the sets payload once, after which the kernel's sets are headers over
+// the container's own token region and a candidate is verified exactly as
+// Index verifies it.
 //
 // Answers and QueryStats are identical to Index's because both run the
 // same kernel; a flipped bit in any section surfaces as ErrCorrupt at open
@@ -30,28 +26,16 @@ type Mapped struct {
 	*kernel
 	snap *snapshot.Mapped
 	// retain pins the mapping's owner (an mmap.File) for the GC: the
-	// snapshot bytes alias memory the collector cannot see, so every
-	// method that touches them ends with a KeepAlive of this reference.
+	// snapshot bytes — and, after first touch, the sets — alias memory the
+	// collector cannot see, so every method that touches them ends with a
+	// KeepAlive of this reference.
 	retain any
 
 	nodes, leaves int
 
-	// structOnce reads the trie (CRC-verified) and indexes the sets
-	// payload's size prefix on first use.
+	// structOnce is the first touch.
 	structOnce sync.Once
 	structErr  error
-}
-
-// mappedSets locates the collection inside the container's sets payload.
-type mappedSets struct {
-	snap       *snapshot.Mapped
-	tokenStart []int64 // per-set first token index, len nsets+1
-	tokens     []byte  // token region of the payload (aliases snap)
-
-	// once runs the deferred sets-section checksum the first time any set
-	// is read — the "first touch" of the payload.
-	once sync.Once
-	err  error
 }
 
 // OpenMapped builds the mapped view over an already-validated container.
@@ -75,10 +59,8 @@ func OpenMapped(snap *snapshot.Mapped, retain any) (*Mapped, error) {
 // Structure returns the persisted node/leaf counts.
 func (m *Mapped) Structure() (nodes, leaves int) { return m.nodes, m.leaves }
 
-// ensureStruct reads the trie (checksummed, validated) and the sets size
-// prefix. The prefix is parsed unverified — its guards reject anything the
-// query path could trip over, and the deferred whole-section CRC still
-// runs before any answer derived from payload bytes is returned.
+// ensureStruct is the first touch: both bulk sections checksummed, the trie
+// decoded, the sets read in place.
 func (m *Mapped) ensureStruct() error {
 	m.structOnce.Do(func() {
 		treesRaw, err := m.snap.Section("trees")
@@ -91,79 +73,20 @@ func (m *Mapped) ensureStruct() error {
 			m.structErr = err
 			return
 		}
-		setsRaw, err := m.snap.Raw("sets")
+		setsRaw, err := m.snap.Section("sets")
 		if err != nil {
 			m.structErr = err
 			return
 		}
-		if m.nsets > len(setsRaw) { // each size varint takes >= 1 byte
-			m.structErr = fmt.Errorf("%w: section %q: set count %d exceeds its %d bytes", snapshot.ErrCorrupt, "sets", m.nsets, len(setsRaw))
+		sets, err := snapshot.ReadSets(setsRaw, uint64(m.nsets))
+		if err != nil {
+			m.structErr = err
 			return
 		}
-		c := snapshot.NewCursor("sets", setsRaw)
-		starts := make([]int64, m.nsets+1)
-		var total int64
-		for i := 0; i < m.nsets; i++ {
-			starts[i] = total
-			size := c.Uvarint()
-			if size > maxMappedSetSize {
-				m.structErr = fmt.Errorf("%w: section %q: implausible set size %d", snapshot.ErrCorrupt, "sets", size)
-				return
-			}
-			total += int64(size)
-		}
-		starts[m.nsets] = total
-		if c.Err() != nil {
-			m.structErr = c.Err()
-			return
-		}
-		if int64(c.Remaining()) != total*4 {
-			m.structErr = fmt.Errorf("%w: section %q: %d tokens for %d remaining bytes",
-				snapshot.ErrCorrupt, "sets", total, c.Remaining())
-			return
-		}
-		m.trie = t
-		m.mapped = &mappedSets{snap: m.snap, tokenStart: starts, tokens: setsRaw[len(setsRaw)-c.Remaining():]}
+		m.trie, m.sets = t, sets
 	})
 	runtime.KeepAlive(m.retain)
 	return m.structErr
-}
-
-// maxMappedSetSize mirrors snapshot.DecodeSets's per-set size cap.
-const maxMappedSetSize = 1 << 28
-
-// verify runs the deferred sets-section checksum — the first (and only)
-// whole-payload read of the mapped path.
-func (s *mappedSets) verify() error {
-	s.once.Do(func() { s.err = s.snap.Verify("sets") })
-	return s.err
-}
-
-// decode decodes set id's tokens into buf (which must have room),
-// revalidating the strictly-increasing invariant verification assumes.
-func (s *mappedSets) decode(buf []uint32, id int) error {
-	raw := s.tokens[s.tokenStart[id]*4 : s.tokenStart[id+1]*4]
-	for i := range buf {
-		buf[i] = binary.LittleEndian.Uint32(raw[i*4:])
-		if i > 0 && buf[i] <= buf[i-1] {
-			return fmt.Errorf("%w: section %q: set %d not strictly increasing", snapshot.ErrCorrupt, "sets", id)
-		}
-	}
-	return nil
-}
-
-// candidate returns candidate id's decoded tokens in the scratch buffer,
-// running the deferred sets checksum first.
-func (s *mappedSets) candidate(sc *queryScratch, id uint32) ([]uint32, error) {
-	if err := s.verify(); err != nil {
-		return nil, err
-	}
-	n := int(s.tokenStart[id+1] - s.tokenStart[id])
-	if cap(sc.setBuf) < n {
-		sc.setBuf = make([]uint32, n)
-	}
-	buf := sc.setBuf[:n]
-	return buf, s.decode(buf, int(id))
 }
 
 // Query is Index.Query over the mapped collection, with corruption
@@ -178,9 +101,9 @@ func (m *Mapped) QueryWithStats(q []uint32) (int, float64, bool, QueryStats, err
 	if err := m.ensureStruct(); err != nil {
 		return -1, 0, false, QueryStats{}, err
 	}
-	id, sim, ok, st, err := m.best(q)
+	id, sim, ok, st := m.best(q)
 	runtime.KeepAlive(m.retain)
-	return id, sim, ok, st, err
+	return id, sim, ok, st, nil
 }
 
 // AppendAll is Index.AppendAll with the error surfaced.
@@ -194,31 +117,29 @@ func (m *Mapped) AppendAllWithStats(dst []Match, q []uint32) ([]Match, QueryStat
 	if err := m.ensureStruct(); err != nil {
 		return dst, QueryStats{}, err
 	}
-	dst, st, err := m.all(dst, q)
+	dst, st := m.all(dst, q)
 	runtime.KeepAlive(m.retain)
-	return dst, st, err
+	return dst, st, nil
 }
 
-// Sets materializes the whole collection onto the heap (one shared token
-// array), running the deferred sets checksum first. It is deliberately
-// NOT cached: callers own the copy's lifetime.
-func (m *Mapped) Sets() ([][]uint32, error) {
+// View returns the collection where it lies: the sets alias the container,
+// so they are read-only and valid only while m is reachable — a caller ends
+// its use of them with runtime.KeepAlive(m).
+func (m *Mapped) View() ([][]uint32, error) {
 	if err := m.ensureStruct(); err != nil {
 		return nil, err
 	}
-	s := m.mapped
-	if err := s.verify(); err != nil {
+	return m.sets, nil
+}
+
+// Sets copies the whole collection onto the heap (one shared token array).
+// It is deliberately NOT cached: callers own the copy's lifetime.
+func (m *Mapped) Sets() ([][]uint32, error) {
+	view, err := m.View()
+	if err != nil {
 		return nil, err
 	}
-	tokens := make([]uint32, s.tokenStart[m.nsets])
-	sets := make([][]uint32, m.nsets)
-	for i := range sets {
-		lo, hi := s.tokenStart[i], s.tokenStart[i+1]
-		sets[i] = tokens[lo:hi:hi]
-		if err := s.decode(sets[i], i); err != nil {
-			return nil, err
-		}
-	}
+	sets := snapshot.CloneSets(view)
 	runtime.KeepAlive(m.retain)
 	return sets, nil
 }

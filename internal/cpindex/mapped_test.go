@@ -13,10 +13,14 @@ import (
 // real internal nodes) as a standalone container.
 func buildContainer(tb testing.TB, seed uint64) (*Index, []byte) {
 	tb.Helper()
-	sets := [][]uint32{
+	return encodeIndex(tb, [][]uint32{
 		{1, 2, 3}, {2, 3, 4}, {5, 6}, {1, 9, 12, 40},
 		{3, 4, 5, 6, 7}, {2, 4, 9}, {7, 8, 9, 10}, {1, 3, 40},
-	}
+	}, seed)
+}
+
+func encodeIndex(tb testing.TB, sets [][]uint32, seed uint64) (*Index, []byte) {
+	tb.Helper()
 	ix := Build(sets, 0.4, &Options{Trees: 3, LeafSize: 2, Seed: seed})
 	var buf bytes.Buffer
 	if err := ix.Encode(&buf); err != nil {
@@ -128,9 +132,9 @@ func TestMappedTruncated(t *testing.T) {
 }
 
 // TestMappedBitFlip: a flipped bit in any section payload must surface as
-// ErrCorrupt at open or first touch — never a wrong answer. The sets
-// payload is the interesting case: its pages are untouched at open and
-// only checksummed when a candidate first reaches exact verification.
+// ErrCorrupt at open or first touch — never a wrong answer. The sets and
+// trees payloads are the interesting case: their pages are untouched at open
+// and only checksummed by the first query.
 func TestMappedBitFlip(t *testing.T) {
 	ix, data := buildContainer(t, 13)
 	snap, err := snapshot.OpenMapped(data, SnapshotKind)
@@ -142,8 +146,7 @@ func TestMappedBitFlip(t *testing.T) {
 		if s == nil || s.Len == 0 {
 			t.Fatalf("valid container has no %q payload", name)
 		}
-		// Flip the last payload byte: in "sets" that is token data, past the
-		// size prefix the lazy open parses unverified.
+		// Flip the last payload byte: in "sets" that is token data.
 		corrupt := append([]byte(nil), data...)
 		corrupt[s.Off+s.Len-1] ^= 0x40
 
@@ -171,8 +174,6 @@ func TestMappedBitFlip(t *testing.T) {
 			}
 		}
 		if name == "sets" {
-			// The self-query of every indexed set reaches verification, so
-			// at least the deferred sets checksum must have fired.
 			if _, err := m.Sets(); err == nil {
 				t.Fatalf("sets flip: whole-collection materialization passed the checksum")
 			} else if !errors.Is(err, snapshot.ErrCorrupt) {
@@ -182,8 +183,10 @@ func TestMappedBitFlip(t *testing.T) {
 	}
 }
 
-// TestMappedNonzeroPadding: alignment padding must be zero; a
-// dirty pad byte (a misaligned or hand-edited file) fails at open.
+// TestMappedNonzeroPadding: alignment padding must be zero; a dirty pad byte
+// (a misaligned or hand-edited file) fails at open before a section header,
+// and at first touch — the sets section is not read before — between the
+// size prefix and the tokens of a sets payload, fresh checksum or not.
 func TestMappedNonzeroPadding(t *testing.T) {
 	_, data := buildContainer(t, 21)
 	snap, err := snapshot.OpenMapped(data, SnapshotKind)
@@ -207,6 +210,35 @@ func TestMappedNonzeroPadding(t *testing.T) {
 	}
 	if !patched {
 		t.Fatal("container has no alignment padding to corrupt — section sizes all 8-aligned?")
+	}
+
+	// Seven sets: seven size bytes, one byte of token padding.
+	ix, data := encodeIndex(t, [][]uint32{{1, 2, 3}, {2, 3, 4}, {5, 6}, {1, 9, 12, 40}, {3, 4, 5, 6, 7}, {2, 4, 9}, {7, 8, 9, 10}}, 21)
+	if snap, err = snapshot.OpenMapped(data, SnapshotKind); err != nil {
+		t.Fatal(err)
+	}
+	section := func(name string) []byte {
+		raw, err := snap.Section(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	sets := append([]byte(nil), section("sets")...)
+	if sets[7] != 0 || sets[8] != 1 {
+		t.Fatalf("sets payload % x has no pad byte after seven sizes", sets[:12])
+	}
+	sets[7] = 0xFF
+	crafted := craftContainer(t, func(b *snapshot.Buf) { b.B = append(b.B, section("meta")...) }, sets, section("trees"))
+	m, err := openMappedBytes(t, crafted)
+	if err != nil {
+		t.Fatalf("the mapped open read the sets section: %v", err)
+	}
+	if _, _, _, err := m.Query(ix.Sets()[0]); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("dirty token pad byte: first touch error %v does not wrap ErrCorrupt", err)
+	}
+	if _, err := Decode(bytes.NewReader(crafted)); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("dirty token pad byte: heap load error %v does not wrap ErrCorrupt", err)
 	}
 }
 

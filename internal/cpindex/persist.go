@@ -16,7 +16,7 @@ import (
 // sections:
 //
 //	meta   lambda, options, structure stats, set count
-//	sets   the collection (set sizes as varints, then all tokens)
+//	sets   the collection (snapshot.EncodeSets: sizes, padding, tokens)
 //	trees  the trie's arrays, fixed-width little-endian (see trie.encode)
 //
 // The MinHash signer is not stored: it is a pure function of (T, Seed)
@@ -105,9 +105,7 @@ func (ix *Index) EncodeSections(w *snapshot.Writer) error {
 		return err
 	}
 
-	var sets snapshot.Buf
-	snapshot.EncodeSets(&sets, ix.sets)
-	if err := w.Section("sets", sets.B); err != nil {
+	if err := w.Section("sets", snapshot.EncodeSets(ix.sets)); err != nil {
 		return err
 	}
 	return w.Section("trees", ix.trie.encode())

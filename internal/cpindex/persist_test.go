@@ -3,6 +3,7 @@ package cpindex
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -84,6 +85,9 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 }
 
+// TestSaveLoadFile: Load returns an index that references no container
+// bytes — it has unmapped its file by the time it returns, so a set still
+// aliasing the mapping faults in the queries or the save below.
 func TestSaveLoadFile(t *testing.T) {
 	sets := persistWorkload(200, 47)
 	ix := Build(sets, 0.5, &Options{Trees: 4, Seed: 11})
@@ -95,10 +99,21 @@ func TestSaveLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if maps, err := os.ReadFile("/proc/self/maps"); err == nil && bytes.Contains(maps, []byte(path)) {
+		t.Fatalf("Load returned with %s still mapped", path)
+	}
 	for qi := 0; qi < len(sets); qi += 5 {
 		if !matchesEqual(ix.QueryAll(sets[qi]), back.QueryAll(sets[qi])) {
 			t.Fatalf("query %d differs after file round trip", qi)
 		}
+	}
+	again := filepath.Join(t.TempDir(), "again.cps")
+	if err := back.Save(again); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := os.ReadFile(path)
+	if got, _ := os.ReadFile(again); len(got) == 0 || !bytes.Equal(got, want) {
+		t.Fatalf("a loaded index saves %d bytes that differ from the %d it was loaded from", len(got), len(want))
 	}
 }
 
@@ -328,6 +343,69 @@ func TestCraftedSnapshotsRejected(t *testing.T) {
 			}
 		}
 	}
+	// One crafted sets payload per guard of the one sets reader, under the
+	// meta and trees sections of the index they were cut from (six sets, so
+	// the size prefix ends two bytes short of a multiple of four): the heap
+	// path rejects at load, the mapped path opens — it reads meta only — and
+	// rejects at first touch.
+	six, sixData := encodeIndex(t, ix.Sets()[:6], 5)
+	sixSnap, err := snapshot.OpenMapped(sixData, SnapshotKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sixSection := func(name string) []byte {
+		raw, err := sixSnap.Section(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	sixMeta := func(b *snapshot.Buf) { b.B = append(b.B, sixSection("meta")...) }
+	goodSets := sixSection("sets")
+	if goodSets[6] != 0 || goodSets[7] != 0 || uint32(goodSets[8]) != six.Sets()[0][0] {
+		t.Fatalf("sets payload % x does not pad six sizes to eight bytes", goodSets[:12])
+	}
+	edit := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), goodSets...)) }
+	for _, tc := range []struct {
+		rule string
+		raw  []byte
+		want string
+	}{
+		{"nonzero token padding", edit(func(b []byte) []byte { b[7] = 1; return b }), "nonzero token padding"},
+		{"token padding truncated", goodSets[:7], "truncated"},
+		{"tokens not a multiple of four", edit(func(b []byte) []byte { return append(b, 0) }), "tokens for"},
+		{"a token short", goodSets[:len(goodSets)-4], "tokens for"},
+		{"a size one over", edit(func(b []byte) []byte { b[5]++; return b }), "tokens for"},
+		{"size above the cap", edit(func(b []byte) []byte {
+			return append([]byte{0x81, 0x80, 0x80, 0x80, 0x01}, b[1:]...) // 2^28 + 1
+		}), "implausible set size"},
+		{"one unsorted set", edit(func(b []byte) []byte {
+			copy(b[8:12], goodSets[12:16])
+			copy(b[12:16], goodSets[8:12])
+			return b
+		}), "set 0 not strictly increasing"},
+	} {
+		raw := craftContainer(t, sixMeta, tc.raw, sixSection("trees"))
+		_, err := Decode(bytes.NewReader(raw))
+		if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: heap load err = %v, want ErrCorrupt mentioning %q", tc.rule, err, tc.want)
+		}
+		m, err := openMappedBytes(t, raw)
+		if err != nil {
+			t.Errorf("%s: the mapped open read the sets section: %v", tc.rule, err)
+			continue
+		}
+		if _, err := m.AppendAll(nil, []uint32{1, 2, 3}); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: mapped first touch err = %v, want ErrCorrupt mentioning %q", tc.rule, err, tc.want)
+		}
+		if sets, err := m.View(); !errors.Is(err, snapshot.ErrCorrupt) || sets != nil {
+			t.Errorf("%s: mapped View = %v, %v after a failed first touch", tc.rule, sets, err)
+		}
+	}
+	if _, err := Decode(bytes.NewReader(craftContainer(t, sixMeta, goodSets, sixSection("trees")))); err != nil {
+		t.Errorf("undamaged six-set container rejected: %v", err)
+	}
+
 	// Undamaged, the same crafting path decodes.
 	if _, err := Decode(bytes.NewReader(craftContainer(t, realMeta, section("sets"), ix.trie.encode()))); err != nil {
 		t.Errorf("undamaged crafted container rejected: %v", err)

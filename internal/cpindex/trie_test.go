@@ -366,31 +366,54 @@ func TestCandidateCountGate(t *testing.T) {
 }
 
 // TestQueryZeroAllocs: steady-state Query and AppendAll (with a reused
-// destination) allocate nothing.
+// destination) allocate nothing, against the heap view and the mapped one.
 func TestQueryZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops pooled scratch at random under the race detector")
 	}
 	sets, _ := buildWorkload(2000, 0.8, 41)
 	ix := Build(sets, 0.5, &Options{Seed: 42})
-	var dst []Match
-	// Warm the scratch pool and the destination buffer to steady state.
-	for i := 0; i < 50; i++ {
-		ix.Query(sets[i])
-		dst = ix.AppendAll(dst[:0], sets[i])
+	var buf bytes.Buffer
+	if err := ix.Encode(&buf); err != nil {
+		t.Fatal(err)
 	}
-	qi := 0
-	if n := testing.AllocsPerRun(200, func() {
-		ix.Query(sets[qi%1000])
-		qi++
-	}); n != 0 {
-		t.Errorf("Query allocates %v/op, want 0", n)
+	m, err := openMappedBytes(t, buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(200, func() {
-		dst = ix.AppendAll(dst[:0], sets[qi%1000])
-		qi++
-	}); n != 0 {
-		t.Errorf("AppendAll allocates %v/op, want 0", n)
+	for _, view := range []struct {
+		name      string
+		query     func(q []uint32)
+		appendAll func(dst []Match, q []uint32) []Match
+	}{
+		{"Index", func(q []uint32) { ix.Query(q) }, ix.AppendAll},
+		{"Mapped", func(q []uint32) { m.Query(q) }, func(dst []Match, q []uint32) []Match {
+			dst, _ = m.AppendAll(dst, q)
+			return dst
+		}},
+	} {
+		var dst []Match
+		// Warm the scratch pool and the destination buffer to steady state.
+		for i := 0; i < 50; i++ {
+			view.query(sets[i])
+			dst = view.appendAll(dst[:0], sets[i])
+		}
+		if len(dst) == 0 {
+			t.Fatalf("%s: a self-query matched nothing", view.name)
+		}
+		qi := 0
+		if n := testing.AllocsPerRun(200, func() {
+			view.query(sets[qi%1000])
+			qi++
+		}); n != 0 {
+			t.Errorf("%s.Query allocates %v/op, want 0", view.name, n)
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			dst = view.appendAll(dst[:0], sets[qi%1000])
+			qi++
+		}); n != 0 {
+			t.Errorf("%s.AppendAll allocates %v/op, want 0", view.name, n)
+		}
 	}
 }
 

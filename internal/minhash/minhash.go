@@ -15,6 +15,7 @@ package minhash
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/tabhash"
 )
@@ -138,24 +139,9 @@ func Embed(sets [][]uint32, t int, seed uint64) *Embedding {
 		// Tokens at different positions get distinct ids, and within one
 		// signature each position yields one token, so out has t distinct
 		// values; sort for the set invariant.
-		sortUint32(out)
+		slices.Sort(out)
 		emb.Sets[i] = out
 	}
 	emb.Universe = len(dict)
 	return emb
-}
-
-func sortUint32(s []uint32) {
-	// Insertion sort: t is small (64-256) and signatures are nearly random,
-	// but more importantly this avoids a sort.Slice closure allocation in a
-	// loop over the whole collection.
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
 }

@@ -20,7 +20,8 @@ import (
 // under kind "prepidx", with sections:
 //
 //	meta      seed, set count, signature length, sketch width
-//	sets      set sizes as varints, then all tokens (uint32, LE)
+//	sets      snapshot.EncodeSets: set sizes as varints, padding, then all
+//	          tokens (uint32, LE)
 //	sigs      the flattened n×T signature matrix
 //	sketches  the flattened n×Words sketch matrix (present iff Words > 0)
 //
@@ -28,9 +29,9 @@ import (
 // the joins verify candidates against the exact token lists.
 //
 // Neither direction copies a matrix: loading checksums every section once
-// (the only full read), decodes the small sets section and hands out sigs
-// and sketches as snapshot.View over the container bytes; saving hands the
-// writer snapshot.Bytes of the two slices.
+// (the only full read), copies the small sets section out of it and hands
+// out sigs and sketches as snapshot.View over the container bytes; saving
+// hands the writer snapshot.Bytes of the two slices.
 
 // snapshotKind tags a prep index container.
 const snapshotKind = "prepidx"
@@ -133,11 +134,11 @@ func decodeSections(data []byte) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := snapshot.NewCursor("sets", raw)
-	ix.Sets = snapshot.DecodeSets(sc, n)
-	if err := sc.Done(); err != nil {
+	view, err := snapshot.ReadSets(raw, n)
+	if err != nil {
 		return nil, err
 	}
+	ix.Sets = snapshot.CloneSets(view) // Sets outlive the mapping, see Load
 
 	// The matrix sections are fixed-width, so their element counts are
 	// implied by the header: the payload must be exactly that long, so a
@@ -179,9 +180,7 @@ func (ix *Index) writeSections(w *snapshot.Writer) error {
 	if err := w.Section("meta", meta.B); err != nil {
 		return err
 	}
-	var sets snapshot.Buf
-	snapshot.EncodeSets(&sets, ix.Sets)
-	if err := w.Section("sets", sets.B); err != nil {
+	if err := w.Section("sets", snapshot.EncodeSets(ix.Sets)); err != nil {
 		return err
 	}
 	if err := w.Section("sigs", snapshot.Bytes(ix.Sigs)); err != nil {

@@ -1,7 +1,8 @@
 package shard
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/cpindex"
@@ -301,40 +302,27 @@ func collectLive(victims []compactVictim, tombs map[int]struct{}) (ids []int, se
 	for _, v := range victims {
 		total += len(v.ids)
 	}
-	ids = make([]int, 0, total)
-	order := make([]int, 0, total) // index into flat below, sorted by id
-	flat := make([][]uint32, 0, total)
+	type entry struct {
+		id  int
+		set []uint32
+	}
+	live := make([]entry, 0, total)
 	for _, v := range victims {
 		for i, id := range v.ids {
 			if _, d := tombs[id]; d {
 				dropped = append(dropped, id)
 				continue
 			}
-			ids = append(ids, id)
-			order = append(order, len(flat))
-			flat = append(flat, v.sets[i])
+			live = append(live, entry{id, v.sets[i]})
 		}
 	}
-	sort.Sort(&byGlobalID{ids: ids, order: order})
-	sets = make([][]uint32, len(order))
-	for i, f := range order {
-		sets[i] = flat[f]
+	slices.SortFunc(live, func(a, b entry) int { return cmp.Compare(a.id, b.id) })
+	ids, sets = make([]int, len(live)), make([][]uint32, len(live))
+	for i, e := range live {
+		ids[i], sets[i] = e.id, e.set
 	}
-	sort.Ints(dropped)
+	slices.Sort(dropped)
 	return ids, sets, dropped
-}
-
-// byGlobalID co-sorts the id list and the set-permutation by global id.
-type byGlobalID struct {
-	ids   []int
-	order []int
-}
-
-func (s *byGlobalID) Len() int           { return len(s.ids) }
-func (s *byGlobalID) Less(i, j int) bool { return s.ids[i] < s.ids[j] }
-func (s *byGlobalID) Swap(i, j int) {
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-	s.order[i], s.order[j] = s.order[j], s.order[i]
 }
 
 // compactAsync runs Compact in a background goroutine — the

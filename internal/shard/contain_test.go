@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -258,13 +260,11 @@ func TestQueryContainSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsMissingContainSection: every container carries its
-// containment signatures, so a loaded or hosted shard never signs under
-// guessed options. A shard file without the section is corrupt: a hot load
-// refuses it, and a cold load (which reads sections lazily) errors on the
-// first containment query instead of rebuilding.
-func TestLoadRejectsMissingContainSection(t *testing.T) {
-	sets, _ := workload(120, 0.8, 441)
+// rewriteContainSection saves a one-shard index of sets to a fresh directory
+// and rewrites the shard file with edit applied to its contain payload
+// (nil drops the section), every checksum fresh.
+func rewriteContainSection(t *testing.T, sets [][]uint32, edit func(payload []byte) []byte) string {
+	t.Helper()
 	x := Build(sets, 0.5, &Options{Shards: 1, Seed: 37})
 	dir := t.TempDir()
 	if err := x.Save(dir); err != nil {
@@ -285,10 +285,13 @@ func TestLoadRejectsMissingContainSection(t *testing.T) {
 	}
 	err = snapshot.WriteFile(path, shardKind, func(w *snapshot.Writer) error {
 		for _, sec := range snap.Sections() {
+			payload := raw[sec.Off : sec.Off+sec.Len]
 			if sec.Name == "contain" {
-				continue
+				if payload = edit(append([]byte(nil), payload...)); payload == nil {
+					continue
+				}
 			}
-			if err := w.Section(sec.Name, raw[sec.Off:sec.Off+sec.Len]); err != nil {
+			if err := w.Section(sec.Name, payload); err != nil {
 				return err
 			}
 		}
@@ -297,16 +300,97 @@ func TestLoadRejectsMissingContainSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadWithOptions(dir, LoadOptions{Tiering: TierHot}); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Fatalf("hot load without a contain section: err = %v, want ErrCorrupt", err)
+	return dir
+}
+
+// TestLoadRejectsMissingContainSection: every container carries its containment
+// signatures, so a loaded or hosted shard never signs under guessed options.
+// A shard file without the section, or with one whose 16-byte header does not
+// describe the shard and the matrix behind it, is corrupt: a hot load refuses
+// it, and a cold load (which reads sections lazily) errors on the first
+// containment query instead of rebuilding.
+func TestLoadRejectsMissingContainSection(t *testing.T) {
+	sets, _ := workload(120, 0.8, 441)
+	le := binary.LittleEndian
+	for _, tc := range []struct {
+		name string
+		edit func(payload []byte) []byte
+		want string
+	}{
+		{"missing", func([]byte) []byte { return nil }, "missing section"},
+		{"T = 0", func(b []byte) []byte { le.PutUint32(b[0:], 0); return b }, "implausible signature length"},
+		{"T past the cap", func(b []byte) []byte { le.PutUint32(b[0:], 1<<16+1); return b }, "implausible signature length"},
+		{"n of another shard", func(b []byte) []byte { le.PutUint32(b[12:], 121); return b }, "covers 121 sets"},
+		{"matrix a word short", func(b []byte) []byte { return b[:len(b)-4] }, "signature bytes"},
+		{"matrix a byte over", func(b []byte) []byte { return append(b, 0) }, "signature bytes"},
+		{"header truncated", func(b []byte) []byte { return b[:15] }, "truncated"},
+	} {
+		dir := rewriteContainSection(t, sets, tc.edit)
+		if _, err := LoadWithOptions(dir, LoadOptions{Tiering: TierHot}); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: hot load err = %v, want ErrCorrupt mentioning %q", tc.name, err, tc.want)
+		}
+		cold, err := LoadWithOptions(dir, LoadOptions{Tiering: TierCold})
+		if err != nil {
+			t.Errorf("%s: cold load reads no contain section, yet failed: %v", tc.name, err)
+			continue
+		}
+		if _, err := cold.QueryContain(sets[0], 0.5); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: cold containment query err = %v, want ErrCorrupt mentioning %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestColdContainmentReadsInPlace: a containment query leaves a cold shard
+// cold. The side holds no sets — candidates are verified against the token
+// region of the container, like any cold query — and its signature matrix is
+// the container's own, 4-aligned behind the section's 16-byte header. Answers
+// are those of the hot restore.
+func TestColdContainmentReadsInPlace(t *testing.T) {
+	sets, _ := workload(300, 0.8, 443)
+	dir := rewriteContainSection(t, sets, func(b []byte) []byte { return b })
+	hot, err := LoadWithOptions(dir, LoadOptions{Tiering: TierHot})
+	if err != nil {
+		t.Fatal(err)
 	}
 	cold, err := LoadWithOptions(dir, LoadOptions{Tiering: TierCold})
 	if err != nil {
-		t.Fatalf("cold load reads no contain section, yet failed: %v", err)
+		t.Fatal(err)
 	}
-	if _, err := cold.QueryContain(sets[0], 0.5); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Fatalf("cold containment query without a contain section: err = %v, want ErrCorrupt", err)
+	for pi, q := range containProbes(sets, 40) {
+		for _, th := range containThresholds {
+			want, err := hot.QueryContain(q, th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := cold.QueryContain(q, th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalMatches(t, got, want) {
+				t.Fatalf("probe %d t=%v: cold answers differ from hot", pi, th)
+			}
+		}
 	}
+	s := cold.shards[0].(*localShard)
+	r := s.res.Load()
+	if !s.isCold() || cold.Stats().ColdShards != 1 {
+		t.Fatal("a containment query moved a cold shard's sets to the heap")
+	}
+	sec := r.snap.Lookup("contain")
+	if (sec.Off+16)%4 != 0 || sec.Len != int64(16+4*64*len(sets)) {
+		t.Fatalf("contain section at %d+%d: the matrix does not start 16 bytes in, 4-aligned", sec.Off, sec.Len)
+	}
+	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+		return // a big-endian host converts; nothing aliases
+	}
+	view, err := r.cold.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data := r.snap.Bytes(); !aliases(data, s.contain.Load().Signatures()) || !aliases(data, view[0]) {
+		t.Fatal("a cold shard's signatures or sets are heap copies of its container")
+	}
+	runtime.KeepAlive(s)
 }
 
 // TestQueryContainCache: containment answers are cached under their own

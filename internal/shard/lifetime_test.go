@@ -1,0 +1,107 @@
+package shard
+
+import (
+	"bytes"
+	"os"
+	"runtime"
+	"testing"
+
+	"repro/internal/mmap"
+)
+
+// mappedUnder counts the mappings of this process whose file lies under dir.
+func mappedUnder(t *testing.T, dir string) int {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Count(maps, []byte(dir))
+}
+
+// TestSetsOutliveTheirShards: a cold shard's sets are headers over its mapped
+// file, and a mapping goes when the shard that owns it is collected. Whatever
+// outlives the shard — a compaction's merged shard takes its victims' sets,
+// from a cold victim's container or a promoted victim's heap view — must hold
+// copies. Victims are loaded from a directory, half of them promoted, all of
+// them merged and dropped, and their files watched until they are unmapped:
+// a merged shard that aliases one dies here with "unexpected fault address"
+// in the middle of a query or a save, it does not fail an assertion.
+func TestSetsOutliveTheirShards(t *testing.T) {
+	x, probes, _ := churn(t, exactOptions(2, 40, 171))
+	want := mustQueryBatch(t, x, probes)
+	contained := func(x *Index) (out [][]Match) {
+		for _, q := range probes[:40] {
+			ms, err := x.QueryContain(q[:len(q)*2/3], 0.8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, ms)
+		}
+		return out
+	}
+	wantContained := contained(x)
+	dir := t.TempDir()
+	if err := x.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	y, err := LoadWithOptions(dir, LoadOptions{Workers: 2, Tiering: TierCold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := 0
+	for i, sh := range y.shards {
+		if sh.size() > y.opt.CompactSmall {
+			continue
+		}
+		if small++; i%2 == 0 {
+			if err := sh.(*localShard).promote(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	kept := len(y.shards) - small
+	if small < 4 || kept == 0 {
+		t.Fatalf("workload has %d small shards and %d others, built for several and some", small, kept)
+	}
+	if res := y.Compact(); res.Merged < small {
+		t.Fatalf("compaction merged %d shards, want the %d small ones: %+v", res.Merged, small, res)
+	}
+	// The victims are unreachable now. On Linux with real mappings, watch them
+	// go: only the shards still in the ring keep their files.
+	if mmap.Supported && runtime.GOOS == "linux" {
+		waitFor(t, "the victims' files to be unmapped", func() bool {
+			runtime.GC()
+			return mappedUnder(t, dir) <= kept
+		})
+	} else {
+		runtime.GC()
+		runtime.GC()
+	}
+
+	check := func(stage string, y *Index) {
+		t.Helper()
+		got := mustQueryBatch(t, y, probes)
+		for i := range probes {
+			if !equalMatches(t, got[i], want[i]) {
+				t.Fatalf("%s: query %d differs from the index the directory was saved from", stage, i)
+			}
+		}
+		for i, ms := range contained(y) {
+			if !equalMatches(t, ms, wantContained[i]) {
+				t.Fatalf("%s: containment query %d differs from the index the directory was saved from", stage, i)
+			}
+		}
+	}
+	check("merged", y)
+	dir2 := t.TempDir()
+	if err := y.Save(dir2); err != nil {
+		t.Fatal(err)
+	}
+	z, err := Load(dir2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("merged, saved and reloaded", z)
+}

@@ -17,17 +17,18 @@ import (
 // localShard is one sealed in-process ring shard: a cpindex over a subset
 // of the collection plus the map from shard-local ids back to global ids.
 //
-// Its storage tier is a residency state, not a type. Hot, the sets live on
-// the heap and queries cannot fail; cold, they stay inside the shard's
-// cpshard container — memory-mapped, so untouched payload pages are never
-// read — and corruption in a lazily read region surfaces as an error
-// wrapping snapshot.ErrCorrupt at first touch, never as a panic or a wrong
-// answer. Both states run the same cpindex kernel over the same trie, so
-// answers are byte-identical and a tier move changes only where candidate
-// verification reads tokens from: promote copies the sets to the heap,
-// demote drops that copy (after giving the shard a container if it never
-// had one). A shard that has a container keeps it, so saving or shipping it
-// is a byte copy.
+// Its storage tier is a residency state, not a type: where the token array
+// behind the sets lies and when it was validated. Hot, it is on the heap,
+// validated when the shard was built or promoted, and queries cannot fail;
+// cold, it is the token region of the shard's cpshard container —
+// memory-mapped, so untouched payload pages are never read — validated once
+// at first touch, where corruption surfaces as an error wrapping
+// snapshot.ErrCorrupt, never as a panic or a wrong answer. Both states run
+// the same cpindex kernel over the same trie and the same [][]uint32, so
+// answers are byte-identical and verification costs the same: promote copies
+// the tokens to the heap, demote drops that copy (after giving the shard a
+// container if it never had one). A shard that has a container keeps it, so
+// saving or shipping it is a byte copy.
 type localShard struct {
 	ids  []int  // local id -> global id
 	seed uint64 // build seed: the shard's identity in manifests and ship keys
@@ -47,16 +48,16 @@ type localShard struct {
 	// views tier moves create.
 	counters *cpindex.QueryCounters
 
-	// contain is the shard's containment side (LSH Ensemble candidate
-	// structure plus the heap sets its verification reads), built or decoded
-	// on the first containment query or encode — similarity-only workloads
-	// never pay for it. containMu serializes that one-time load, and tier
-	// moves take it to swap the residency and the side together, so a load
-	// never publishes a side over the sets of a residency that is gone;
-	// readers go through the atomic pointer. Containment against a cold
-	// shard therefore warms it up: documented cost of the cold tier.
+	// contain is the shard's containment side, the LSH Ensemble candidate
+	// structure, built or decoded on the first containment query or encode —
+	// similarity-only workloads never pay for it. It owns no sets: a query
+	// verifies its candidates against the residency it loaded. Its signatures
+	// may be a view of the shard's container (see decodeContainPayload),
+	// which stays mapped for as long as the shard is reachable. containMu
+	// serializes the one-time load, and demote takes it to drop the side
+	// with the heap copy; readers go through the atomic pointer.
 	containMu sync.Mutex
-	contain   atomic.Pointer[containSide]
+	contain   atomic.Pointer[contain.Index]
 }
 
 // residency says where a shard's bytes live. At least one view is set.
@@ -64,14 +65,6 @@ type residency struct {
 	hot  *cpindex.Index   // sets on the heap; nil while the shard is cold
 	cold *cpindex.Mapped  // sets left in the container; nil until the shard has one
 	snap *snapshot.Mapped // cold's container: the exact bytes Save and ship copy
-}
-
-// containSide is reached through its shard only: ix's signatures may be a
-// view of the shard's container (see decodeContainPayload), which stays
-// mapped for as long as the shard is reachable.
-type containSide struct {
-	ix   *contain.Index
-	sets [][]uint32
 }
 
 // newLocalShard wraps a freshly built index: hot, no container yet.
@@ -134,14 +127,18 @@ func (s *localShard) query(p plan, q []uint32) (res Result, st cpindex.QueryStat
 		if err != nil {
 			return noMatch, st, err
 		}
-		cands := c.ix.Query(q, p.threshold)
-		runtime.KeepAlive(s) // c.ix may read the mapping s pins
+		sets, err := r.sets()
+		if err != nil {
+			return noMatch, st, err
+		}
+		cands := c.Query(q, p.threshold)
 		st.Candidates, st.Verified = uint64(len(cands)), uint64(len(cands))
 		for _, lid := range cands {
-			if sim, ok := intset.ContainmentAtLeast(q, c.sets[lid], p.threshold); ok {
+			if sim, ok := intset.ContainmentAtLeast(q, sets[lid], p.threshold); ok {
 				res.Matches = append(res.Matches, Match{ID: s.ids[lid], Sim: sim})
 			}
 		}
+		runtime.KeepAlive(s) // c and a cold r's sets read the mapping s pins
 	}
 	res.Found = res.Found || len(res.Matches) > 0
 	return res, st, nil
@@ -162,8 +159,19 @@ func (s *localShard) queryBatch(qs [][]uint32) ([][]Match, error) {
 	return out, nil
 }
 
-// heapSets returns the shard's collection on the heap: the hot view's own
-// slice, or a fresh (uncached) copy out of the container.
+// sets returns the collection where the residency keeps it: the hot view's
+// heap slice, or the cold view's headers over the container, which are valid
+// only while r is reachable (end their use with runtime.KeepAlive).
+func (r *residency) sets() ([][]uint32, error) {
+	if r.hot != nil {
+		return r.hot.Sets(), nil
+	}
+	return r.cold.View()
+}
+
+// heapSets returns the collection for a reader that outlives the shard (a
+// compaction's merged shard keeps its victims' sets): the hot view's own
+// slice, or a fresh copy out of the container.
 func (r *residency) heapSets() ([][]uint32, error) {
 	if r.hot != nil {
 		return r.hot.Sets(), nil
@@ -171,30 +179,12 @@ func (r *residency) heapSets() ([][]uint32, error) {
 	return r.cold.Sets()
 }
 
-// containOver returns the containment side over sets. A shard with a
-// container always reads the signatures it persisted — a peer hosting a
-// shipped shard answers without knowing its coordinator's options; only a
-// shard that was never encoded signs, under opts.
-func (r *residency) containOver(sets [][]uint32, opts contain.Options) (*containSide, error) {
-	if r.snap == nil {
-		return &containSide{ix: contain.Build(sets, opts), sets: sets}, nil
-	}
-	raw, err := r.snap.Section("contain")
-	if err != nil {
-		return nil, err
-	}
-	ci, err := decodeContainPayload(raw, sets)
-	runtime.KeepAlive(r) // raw aliases the mapping r.cold pins
-	if err != nil {
-		return nil, err
-	}
-	return &containSide{ix: ci, sets: sets}, nil
-}
-
 // containSide returns the shard's containment side, loading it on first
 // use. Double-checked under containMu so concurrent first queries load
-// once.
-func (s *localShard) containSide(opts contain.Options) (*containSide, error) {
+// once. A shard with a container always reads the signatures it persisted —
+// a peer hosting a shipped shard answers without knowing its coordinator's
+// options; only a shard that was never encoded signs, under opts.
+func (s *localShard) containSide(opts contain.Options) (*contain.Index, error) {
 	if c := s.contain.Load(); c != nil {
 		return c, nil
 	}
@@ -204,14 +194,23 @@ func (s *localShard) containSide(opts contain.Options) (*containSide, error) {
 		return c, nil
 	}
 	r := s.res.Load()
-	sets, err := r.heapSets()
+	sets, err := r.sets()
 	if err != nil {
 		return nil, err
 	}
-	c, err := r.containOver(sets, opts)
-	if err != nil {
-		return nil, err
+	var c *contain.Index
+	if r.snap == nil {
+		c = contain.Build(sets, opts)
+	} else {
+		raw, err := r.snap.Section("contain")
+		if err == nil {
+			c, err = decodeContainPayload(raw, sets)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
+	runtime.KeepAlive(r) // sets and raw may alias the mapping r.cold pins
 	s.contain.Store(c)
 	return c, nil
 }
@@ -302,14 +301,6 @@ func (s *localShard) promote() error {
 	if err != nil {
 		return err
 	}
-	// A side loaded while cold verifies against its own copy of the sets;
-	// point it at the hot view's instead. Under containMu, so a load in
-	// flight lands first and is re-pointed too.
-	s.containMu.Lock()
-	defer s.containMu.Unlock()
-	if c := s.contain.Load(); c != nil {
-		s.contain.Store(&containSide{ix: c.ix, sets: hot.Sets()})
-	}
 	s.res.Store(&residency{hot: hot, cold: r.cold, snap: r.snap})
 	return nil
 }
@@ -345,8 +336,8 @@ func (s *localShard) demote(copts contain.Options) error {
 	// The container carries the containment signatures; the heap side goes
 	// with the sets and reloads on the next containment query. Under
 	// containMu: a load that read the hot residency stores its side before
-	// this clears it, not after — nothing else would ever clear it, and it
-	// would pin the heap copy of the sets on a cold shard for good.
+	// this clears it, not after — nothing else would ever clear it, and a
+	// side signed on the heap would stay on a cold shard for good.
 	s.containMu.Lock()
 	defer s.containMu.Unlock()
 	s.res.Store(next)

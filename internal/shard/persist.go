@@ -209,24 +209,24 @@ func encodeShardSections(w *snapshot.Writer, sh *localShard, copts contain.Optio
 	if err := w.Section("ids", ids.B); err != nil {
 		return err
 	}
-	side, err := sh.containSide(copts)
+	c, err := sh.containSide(copts)
 	if err != nil {
 		return err
 	}
-	c := side.ix
 	var cb snapshot.Buf
 	cb.U32(uint32(c.T()))
 	cb.U64(c.Seed())
-	cb.Uvarint(uint64(c.Len()))
+	cb.U32(uint32(c.Len()))
 	cb.B = append(cb.B, snapshot.Bytes(c.Signatures())...)
 	return w.Section("contain", cb.B)
 }
 
 // containHeader validates a containment section's framing against the
 // shard it belongs to and returns its parameters and the signature bytes.
-// The section is self-contained (it carries its own T and seed), so a peer
-// hosting a shipped shard answers containment queries without knowing the
-// coordinator's configuration.
+// The header is 16 bytes fixed-width (T u32, seed u64, n u32), so the matrix
+// behind it is 4-aligned in the container. The section is self-contained (it
+// carries its own T and seed), so a peer hosting a shipped shard answers
+// containment queries without knowing the coordinator's configuration.
 func containHeader(raw []byte, nsets int) (t int, seed uint64, sigs []byte, err error) {
 	c := snapshot.NewCursor("contain", raw)
 	t = int(c.U32())
@@ -234,7 +234,7 @@ func containHeader(raw []byte, nsets int) (t int, seed uint64, sigs []byte, err 
 	if t == 0 || t > 1<<16 {
 		c.Fail("implausible signature length %d", t)
 	}
-	if n := c.Uvarint(); uint64(nsets) != n {
+	if n := c.U32(); uint64(nsets) != uint64(n) {
 		c.Fail("containment side covers %d sets, shard holds %d", n, nsets)
 	}
 	if err := c.Err(); err != nil {
@@ -250,10 +250,9 @@ func containHeader(raw []byte, nsets int) (t int, seed uint64, sigs []byte, err 
 // decodeContainPayload rebuilds the candidate structure of one containment
 // section over the given sets — no signing, but the sorted orders are
 // rebuilt (T sorts per cardinality band), the one part of opening a shard
-// that is more than validation; hence lazy. The signatures follow a 13–15
-// byte header in an 8-aligned payload (16 only from 2^21 sets up), so View
-// hands back a heap copy of them; where it can alias raw instead, the index
-// reads the container its shard keeps mapped (see containSide).
+// that is more than validation; hence lazy. The signatures are a View of raw:
+// the index reads the container its shard keeps mapped (see
+// localShard.contain).
 func decodeContainPayload(raw []byte, sets [][]uint32) (*contain.Index, error) {
 	t, seed, sigBytes, err := containHeader(raw, len(sets))
 	if err != nil {

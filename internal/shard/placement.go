@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -565,11 +566,11 @@ func (x *Index) rebalanceAway(bad map[string]bool, peers []string, opts Distribu
 			if len(next) >= len(r.replicas) {
 				break
 			}
-			if !containsStr(next, g) {
+			if !slices.Contains(next, g) {
 				next = append(next, g)
 			}
 		}
-		if len(next) == 0 || sliceEq(next, keep) {
+		if len(next) == 0 || slices.Equal(next, keep) {
 			// No healthy peer can take the lost replica (all already hold
 			// it); leave the shard on its thinned list.
 			continue
@@ -580,7 +581,7 @@ func (x *Index) rebalanceAway(bad map[string]bool, peers []string, opts Distribu
 		}
 		shipped := true
 		for _, peer := range next {
-			if containsStr(r.replicas, peer) {
+			if slices.Contains(r.replicas, peer) {
 				continue // already hosts it
 			}
 			x.placement.record(r.key, peer)
@@ -630,25 +631,4 @@ func (x *Index) rebalanceAway(bad map[string]bool, peers []string, opts Distribu
 		m.placementRebalanced.Add(uint64(moved))
 	}
 	return moved
-}
-
-func containsStr(xs []string, v string) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func sliceEq(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -45,7 +46,7 @@ func hostedExactly(x *Index, servers map[string]*Server) bool {
 	for base, srv := range servers {
 		var want []string
 		for key, replicas := range placed {
-			if containsStr(replicas, base) {
+			if slices.Contains(replicas, base) {
 				want = append(want, key)
 			}
 		}
@@ -277,7 +278,7 @@ func TestPlacementProbeRebalance(t *testing.T) {
 			return false
 		}
 		for _, replicas := range placed {
-			if containsStr(replicas, p2.URL) {
+			if slices.Contains(replicas, p2.URL) {
 				return false
 			}
 		}

@@ -72,11 +72,11 @@ type Server struct {
 
 	// hosted is the peer-side shard registry: shards shipped here by
 	// coordinators, keyed by their coordinator-assigned name. The decoded
-	// structure answers /v1/shard/query*; the raw container bytes are kept
-	// so /v1/shard/snapshot GETs (re-replication, save-time fetch-back,
-	// transfer verification) return exactly what was shipped.
+	// structure answers /v1/shard/query*; a shard keeps its container, the
+	// posted body, so /v1/shard/snapshot GETs (re-replication, save-time
+	// fetch-back, transfer verification) return exactly what was shipped.
 	hostedMu sync.RWMutex
-	hosted   map[string]*hostedShard
+	hosted   map[string]*localShard
 }
 
 // ServerOptions configure the optional observability behavior of a
@@ -93,12 +93,6 @@ type ServerOptions struct {
 	// DisableMetrics leaves /v1/metrics unregistered — for embedders that
 	// mount the registry elsewhere or want no exposition endpoint.
 	DisableMetrics bool
-}
-
-type hostedShard struct {
-	sub *localShard
-	raw []byte
-	crc uint32
 }
 
 // maxRequestBytes bounds a single request body (64 MiB covers batches of
@@ -133,7 +127,7 @@ func NewServerOpts(ix *Index, o *ServerOptions) *Server {
 		mux:       http.NewServeMux(),
 		slowQuery: opt.SlowQuery,
 		logger:    opt.Logger,
-		hosted:    make(map[string]*hostedShard),
+		hosted:    make(map[string]*localShard),
 	}
 	s.mux.HandleFunc("/v1/query", s.handleQuery)
 	s.mux.HandleFunc("/v1/query_batch", s.handleQueryBatch)
@@ -340,7 +334,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 
 // hostedShardFor resolves a shard RPC's target, writing the 4xx itself
 // when the request names no shard or an unknown one.
-func (s *Server) hostedShardFor(w http.ResponseWriter, key string) *hostedShard {
+func (s *Server) hostedShardFor(w http.ResponseWriter, key string) *localShard {
 	if key == "" {
 		writeError(w, http.StatusBadRequest, "bad request: missing shard key")
 		return nil
@@ -382,7 +376,7 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, err)
 		return
 	}
-	res, _, err := h.sub.query(p, req.Set)
+	res, _, err := h.query(p, req.Set)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "shard %q: %v", req.Shard, err)
 		return
@@ -399,7 +393,7 @@ func (s *Server) handleShardQueryBatch(w http.ResponseWriter, r *http.Request) {
 	if h == nil {
 		return
 	}
-	results, err := h.sub.queryBatch(req.Sets)
+	results, err := h.queryBatch(req.Sets)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "shard %q: %v", req.Shard, err)
 		return
@@ -424,7 +418,7 @@ func (s *Server) handleShardSnapshot(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(h.raw)
+		w.Write(h.res.Load().snap.Bytes()) // the body it was posted as
 	case http.MethodPost:
 		if key == "" {
 			writeError(w, http.StatusBadRequest, "bad request: missing shard key")
@@ -450,11 +444,10 @@ func (s *Server) handleShardSnapshot(w http.ResponseWriter, r *http.Request) {
 		// Hosted shards answer coordinator RPCs from this process, so their
 		// candidate pipeline flushes into this process's counters.
 		s.ix.attachCounters(sub)
-		h := &hostedShard{sub: sub, raw: raw, crc: crc32.Checksum(raw, castagnoli)}
 		s.hostedMu.Lock()
-		s.hosted[key] = h
+		s.hosted[key] = sub
 		s.hostedMu.Unlock()
-		writeJSON(w, shipReceipt{Shard: key, Seed: seed, Sets: sets, CRC32C: h.crc})
+		writeJSON(w, shipReceipt{Shard: key, Seed: seed, Sets: sets, CRC32C: crc32.Checksum(raw, castagnoli)})
 	case http.MethodDelete:
 		// Eviction: a coordinator (or operator) retires a hosted shard it
 		// no longer routes to — after a re-distribution superseded it, or

@@ -605,17 +605,14 @@ func TestServerShardQueryBackendError(t *testing.T) {
 		srv.hostedMu.Lock()
 		defer srv.hostedMu.Unlock()
 		for key, h := range srv.hosted {
-			snap, err := snapshot.OpenMapped(h.raw, shardKind)
-			if err != nil {
-				t.Fatal(err)
-			}
+			snap := h.res.Load().snap
 			var buf bytes.Buffer
 			w, err := snapshot.NewWriter(&buf, shardKind)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, sec := range snap.Sections() {
-				payload := h.raw[sec.Off : sec.Off+sec.Len]
+				payload := snap.Bytes()[sec.Off : sec.Off+sec.Len]
 				if sec.Name == "contain" {
 					payload = payload[:len(payload)-4]
 				}
@@ -627,11 +624,11 @@ func TestServerShardQueryBackendError(t *testing.T) {
 				t.Fatal(err)
 			}
 			sub, err := openLocalShard(buf.Bytes(), nil,
-				snapshot.ShardEntry{Seed: h.sub.seed, Sets: len(h.sub.ids)}, len(sets))
+				snapshot.ShardEntry{Seed: h.seed, Sets: len(h.ids)}, len(sets))
 			if err != nil {
 				t.Fatalf("the damaged container must still open cold: %v", err)
 			}
-			srv.hosted[key] = &hostedShard{sub: sub, raw: buf.Bytes()}
+			srv.hosted[key] = sub
 			return key
 		}
 		t.Fatal("peer hosts no shard")

@@ -2,12 +2,13 @@ package shard
 
 import "fmt"
 
-// Storage tiering: every local ring shard is hot — its sets on the heap —
-// or cold: its sets left in the shard's memory-mapped container and
-// decoded per candidate. That is a residency state of one backend
-// (localShard), so the two answer every query byte-identically (the model
-// harness runs its whole grid across tiers); they trade memory for
-// latency. Tier selection happens at load time (LoadOptions.Tiering, the
+// Storage tiering: every local ring shard is hot — the token array behind
+// its sets on the heap — or cold: that array is the token region of the
+// shard's memory-mapped container, validated once at first touch. That is a
+// residency state of one backend (localShard) over one [][]uint32, so the
+// two answer every query byte-identically (the model harness runs its whole
+// grid across tiers) at the same cost per query; they trade resident heap
+// for page cache and a first touch. Tier selection happens at load time (LoadOptions.Tiering, the
 // manifest's saved runtime state, or the auto size policy) and at runtime:
 // Configure moves the whole ring, PromoteAll/DemoteAll likewise, and under
 // TierAuto the placement controller retiers on query frequency — shards

@@ -9,7 +9,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
+	"repro/internal/contain"
 	"repro/internal/race"
 	"repro/internal/snapshot"
 )
@@ -394,19 +396,22 @@ func TestSaveBytesIndependentOfTier(t *testing.T) {
 }
 
 // TestContainSideFollowsTierMoves races the lazy containment load against
-// tier moves. A load that read the hot residency must publish its side
-// before demote clears it, never after: nothing else clears it, so a cold
-// shard would keep the heap copy of the sets it was demoted to drop. And a
-// load that read the cold residency must land before promote re-points the
-// side, or a hot shard holds its sets twice.
+// tier moves. A load that read the hot residency of a shard without a
+// container signs on the heap and must publish its side before demote clears
+// it, never after: nothing else clears it, so a cold shard would keep the
+// heap side it was demoted to drop. Whatever a cold shard holds afterwards
+// was decoded from its container. Promote leaves the side alone.
 func TestContainSideFollowsTierMoves(t *testing.T) {
 	sets, _ := workload(400, 0.8, 521)
-	x := Build(sets, 0.5, &Options{Shards: 1, Seed: 5})
-	s := x.shards[0].(*localShard)
-	copts := x.containOptions()
-	loadDuring := func(move func() error) {
-		t.Helper()
-		s.contain.Store(nil) // every round loads afresh
+	copts := contain.Options{Seed: ContainSeed(5)}
+	rounds := 100
+	if race.Enabled {
+		rounds = 30 // the parent of the fix failed within two under the detector
+	}
+	for round := 0; round < rounds; round++ {
+		// A fresh shard every round: only one that never had a container
+		// signs on the heap.
+		s := Build(sets, 0.5, &Options{Shards: 1, Seed: 5}).shards[0].(*localShard)
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
@@ -417,28 +422,32 @@ func TestContainSideFollowsTierMoves(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			if err := move(); err != nil {
+			if err := s.demote(copts); err != nil {
 				t.Error(err)
 			}
 		}()
 		wg.Wait()
-	}
-	rounds := 100
-	if race.Enabled {
-		rounds = 30 // the parent failed within two under the detector
-	}
-	for round := 0; round < rounds; round++ {
-		hot := s.res.Load().hot.Sets()
-		loadDuring(func() error { return s.demote(copts) })
 		if !s.isCold() {
 			t.Fatalf("round %d: shard still hot after demote", round)
 		}
-		if c := s.contain.Load(); c != nil && &c.sets[0] == &hot[0] {
-			t.Fatalf("round %d: a cold shard's containment side verifies against the hot view's sets", round)
+		if c := s.contain.Load(); c != nil && !aliases(s.res.Load().snap.Bytes(), c.Signatures()) {
+			t.Fatalf("round %d: a cold shard's containment side is the one signed on the heap", round)
 		}
-		loadDuring(s.promote)
-		if c := s.contain.Load(); c == nil || &c.sets[0] != &s.res.Load().hot.Sets()[0] {
-			t.Fatalf("round %d: a hot shard's containment side holds its own copy of the sets", round)
+		c, err := s.containSide(copts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.promote(); err != nil {
+			t.Fatal(err)
+		}
+		if s.contain.Load() != c {
+			t.Fatalf("round %d: promote replaced the containment side", round)
 		}
 	}
+}
+
+// aliases reports whether words lies inside data.
+func aliases(data []byte, words []uint32) bool {
+	lo, p := uintptr(unsafe.Pointer(&data[0])), uintptr(unsafe.Pointer(&words[0]))
+	return p >= lo && p < lo+uintptr(len(data))
 }

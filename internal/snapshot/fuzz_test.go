@@ -27,14 +27,12 @@ func validContainer(t testing.TB) []byte {
 	}
 	var meta Buf
 	meta.F64(0.5)
-	meta.U32(7)
+	meta.U32(2) // set count
 	meta.Uvarint(99)
 	if err := w.Section("meta", meta.B); err != nil {
 		t.Fatal(err)
 	}
-	var sets Buf
-	EncodeSets(&sets, [][]uint32{{1, 2, 3}, {2, 5}})
-	if err := w.Section("sets", sets.B); err != nil {
+	if err := w.Section("sets", EncodeSets([][]uint32{{1, 2, 3}, {2, 5}})); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -64,17 +62,27 @@ func FuzzContainer(f *testing.F) {
 		}
 		c := NewCursor("meta", meta)
 		c.F64()
-		c.U32()
+		n := c.U32()
 		c.Uvarint()
 		_ = c.Done()
 		raw, err := m.Section("sets")
 		if err != nil {
 			return
 		}
-		sc := NewCursor("sets", raw)
-		n := sc.Count(sc.Remaining())
-		DecodeSets(sc, uint64(n))
-		_ = sc.Done()
+		sets, err := ReadSets(raw, uint64(n))
+		if err != nil {
+			return
+		}
+		// Whatever the reader accepts is the collection the payload encodes:
+		// the layout is canonical (minimal varints, zero padding, exact length).
+		if len(sets) != int(n) || !bytes.Equal(EncodeSets(sets), raw) {
+			t.Fatalf("ReadSets accepted %v for %d sets from %x", sets, n, raw)
+		}
+		for i, set := range sets {
+			if !intset.IsSet(set) {
+				t.Fatalf("ReadSets accepted set %d = %v", i, set)
+			}
+		}
 	})
 }
 

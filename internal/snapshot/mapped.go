@@ -14,10 +14,9 @@ import (
 // That is the property the cold shard tier is built on: opening a mapped
 // snapshot costs a few page reads regardless of file size.
 //
-// Checksums are therefore deferred: Section verifies its payload's CRC on
-// every call, while Raw returns the payload bytes unverified for callers
-// that want to schedule the (one-time, whole-section) verification
-// themselves — see (*Mapped).Verify.
+// Checksums are therefore deferred to Section, which verifies its payload's
+// CRC on every call: callers read a section once and keep what they made of
+// it.
 type Mapped struct {
 	data     []byte
 	sections []MappedSection
@@ -115,41 +114,17 @@ func (m *Mapped) Lookup(name string) *MappedSection {
 	return nil
 }
 
-// Raw returns a section's payload bytes without checksum verification —
-// the caller owns scheduling Verify before trusting derived answers. The
-// returned slice aliases the mapped bytes; callers must not modify it.
-func (m *Mapped) Raw(name string) ([]byte, error) {
+// Section returns a section's payload after verifying its checksum — for a
+// mapped file the read that faults the payload's pages in. The returned
+// slice aliases the container bytes; callers must not modify it.
+func (m *Mapped) Section(name string) ([]byte, error) {
 	s := m.Lookup(name)
 	if s == nil {
 		return nil, fmt.Errorf("%w: missing section %q", ErrCorrupt, name)
 	}
-	return m.data[s.Off : s.Off+s.Len], nil
-}
-
-// Section returns a section's payload after verifying its checksum.
-func (m *Mapped) Section(name string) ([]byte, error) {
-	payload, err := m.Raw(name)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Verify(name); err != nil {
-		return nil, err
-	}
-	return payload, nil
-}
-
-// Verify checksums one section's payload against its header CRC. This is
-// the deferred half of the open-time validation: callers that served Raw
-// bytes run it once (faulting the payload pages in) before trusting any
-// answer derived from them.
-func (m *Mapped) Verify(name string) error {
-	s := m.Lookup(name)
-	if s == nil {
-		return fmt.Errorf("%w: missing section %q", ErrCorrupt, name)
-	}
 	payload := m.data[s.Off : s.Off+s.Len]
 	if got := crc32.Checksum(payload, castagnoli); got != s.CRC {
-		return fmt.Errorf("%w: section %q: checksum mismatch (file %08x, data %08x)", ErrCorrupt, name, s.CRC, got)
+		return nil, fmt.Errorf("%w: section %q: checksum mismatch (file %08x, data %08x)", ErrCorrupt, name, s.CRC, got)
 	}
-	return nil
+	return payload, nil
 }

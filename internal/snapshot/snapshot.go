@@ -11,11 +11,29 @@
 //	magic    [8]byte  "CPSNAP\x00\x00"
 //	version  uint32   format version (little-endian, like all integers)
 //	kind     [8]byte  zero-padded application tag ("cpindex", "cpshard", ...)
-//	sections ...      each: name [8]byte, length uint64, crc uint32, payload
+//	sections ...      each: zero padding, name [8]byte, length uint64,
+//	                  crc uint32, payload
 //
 // Every section payload carries its own CRC-32C, so a flipped byte is
 // pinned to the section it corrupted, and a reader that only needs the
 // manifest-level metadata never pays to checksum the bulk data it skips.
+//
+// Two paddings, both zero bytes that the reader checks, make the
+// fixed-width arrays usable where they lie (View). Before each section
+// header, 0-7 bytes so that the payload starts 8-byte aligned; OpenMapped
+// checks them. Inside a sets payload (EncodeSets, shared by cpindex, the
+// shard containers and prep),
+//
+//	sizes    one uvarint per set
+//	padding  0-3 bytes, up to the next multiple of four from the payload start
+//	tokens   every set's tokens back to back, uint32
+//
+// so the token region is a []uint32 of the mapping; ReadSets checks that
+// padding and everything else about the payload. Array sections (the trie,
+// prep's matrices) are fixed-width from their first byte, and the contain
+// section of a shard container has a 16-byte fixed header for the same
+// reason.
+//
 // Load paths must return descriptive errors — wrapping ErrCorrupt or
 // ErrVersion — for truncated files, checksum mismatches and unsupported
 // versions; they must never panic or silently yield a wrong structure.
@@ -31,17 +49,20 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+
+	"repro/internal/intset"
 )
 
 // Version is the container and manifest format version this build writes
 // and the only one it reads (MinVersion == Version): a snapshot is a cache
 // of a rebuildable structure, not an archival format, so files of any other
 // version are rejected with ErrVersion and rebuilt from the input rather
-// than migrated. Version 4 persists the cpindex tries as fixed-width
-// arrays; every section payload starts 8-byte aligned behind zero padding.
+// than migrated. Version 5 aligns the two regions version 4 left where their
+// varint prefixes put them: the tokens of a sets payload and the signature
+// matrix of a shard's contain section.
 const (
-	Version    = 4
-	MinVersion = 4
+	Version    = 5
+	MinVersion = 5
 )
 
 // checkVersion is the one version gate of the container and the manifest.
@@ -281,67 +302,91 @@ func (c *Cursor) Done() error {
 	return nil
 }
 
-// EncodeSets appends a collection in the shared sets-section layout: one
-// size varint per set, then every token as fixed uint32. DecodeSets is
-// the validating inverse; prep and cpindex both store their collections
-// this way so the decode guards live in exactly one place.
-func EncodeSets(b *Buf, sets [][]uint32) {
+// EncodeSets returns a collection as a sets-section payload: one size
+// varint per set, zero bytes up to the next multiple of four, then every
+// token as fixed uint32. A payload starts 8-aligned in its container, so the
+// token region is a []uint32 where it lies; ReadSets is the inverse.
+func EncodeSets(sets [][]uint32) []byte {
+	var b Buf
 	for _, set := range sets {
 		b.Uvarint(uint64(len(set)))
 	}
+	b.B = append(b.B, zeroPad[:-len(b.B)&3]...)
 	for _, set := range sets {
-		for _, tok := range set {
-			b.U32(tok)
-		}
+		b.B = append(b.B, Bytes(set)...)
 	}
+	return b.B
 }
 
 // maxSetSize bounds one set's plausible token count on decode.
 const maxSetSize = 1 << 28
 
-// DecodeSets reads n sets written by EncodeSets, enforcing every decode
-// guard: the count and each size must fit the remaining payload (so a
-// corrupt header can never drive a huge allocation), sizes are capped,
-// the size sum is overflow-checked against the payload, and each set
-// must be strictly increasing (the normalization invariant every query
-// and join assumes). All sets share one backing token array.
-func DecodeSets(c *Cursor, n uint64) [][]uint32 {
-	if n > uint64(c.Remaining()) { // each size varint takes >= 1 byte
-		c.Fail("set count %d exceeds remaining %d bytes", n, c.Remaining())
-		return nil
+// ReadSets is the one reader of a sets payload: it returns the n sets
+// EncodeSets wrote as headers over View of the token region, so on a
+// little-endian host they alias payload (valid as long as it is, read-only
+// if it is) and nothing is copied. Every guard lives here: the count and
+// each size must fit the payload (a corrupt header can never drive a huge
+// allocation), sizes are capped, the padding is zero, the token region
+// holds exactly the tokens the sizes promise, and each set is strictly
+// increasing (the normalization invariant every query and join assumes).
+func ReadSets(payload []byte, n uint64) ([][]uint32, error) {
+	c := NewCursor("sets", payload)
+	if n > uint64(len(payload)) { // each size varint takes >= 1 byte
+		c.Fail("set count %d exceeds its %d bytes", n, len(payload))
+		return nil, c.Err()
 	}
-	sizes := make([]uint64, n)
-	var total uint64
+	sizes := make([]uint32, n)
+	var total uint64 // n <= len(payload), sizes <= 2^28: no overflow
 	for i := range sizes {
-		sizes[i] = c.Uvarint()
-		if sizes[i] > maxSetSize {
-			c.Fail("implausible set size %d", sizes[i])
-			return nil
+		size := c.Uvarint()
+		if size > maxSetSize {
+			c.Fail("implausible set size %d", size)
+			break
 		}
-		total += sizes[i] // n <= remaining bytes, sizes <= 2^28: no overflow
+		sizes[i] = uint32(size)
+		total += size
 	}
-	if c.err != nil {
-		return nil
+	if err := c.Err(); err != nil {
+		return nil, err
 	}
-	if total*4 > uint64(c.Remaining()) { // every token takes 4 bytes
-		c.Fail("%d tokens exceed remaining %d bytes", total, c.Remaining())
-		return nil
+	for _, b := range c.take(-c.off & 3) {
+		if b != 0 {
+			c.Fail("nonzero token padding")
+		}
 	}
+	if rest := uint64(c.Remaining()); rest%4 != 0 || rest/4 != total {
+		c.Fail("%d tokens for %d remaining bytes", total, rest)
+	}
+	if err := c.Err(); err != nil { // the first of the two, if both failed
+		return nil, err
+	}
+	tokens := View[uint32](payload[c.off:])
 	sets := make([][]uint32, n)
-	tokens := make([]uint32, total)
 	for i, size := range sizes {
-		set := tokens[:size:size]
+		sets[i] = tokens[:size:size]
 		tokens = tokens[size:]
-		for j := range set {
-			set[j] = c.U32()
-			if j > 0 && set[j] <= set[j-1] {
-				c.Fail("set %d not strictly increasing", i)
-				return nil
-			}
+		if !intset.IsSet(sets[i]) {
+			c.Fail("set %d not strictly increasing", i)
+			return nil, c.Err()
 		}
-		sets[i] = set
 	}
-	return sets
+	return sets, nil
+}
+
+// CloneSets copies sets onto one fresh token array: how sets read in place
+// outlive the container they were read from.
+func CloneSets(sets [][]uint32) [][]uint32 {
+	total := 0
+	for _, set := range sets {
+		total += len(set)
+	}
+	tokens := make([]uint32, 0, total)
+	out := make([][]uint32, len(sets))
+	for i, set := range sets {
+		tokens = append(tokens, set...)
+		out[i] = tokens[len(tokens)-len(set) : len(tokens) : len(tokens)]
+	}
+	return out
 }
 
 // ValidateSets checks the invariants of sets that arrive pre-decoded
@@ -354,10 +399,8 @@ func ValidateSets(sets [][]uint32) error {
 		if len(set) == 0 {
 			return fmt.Errorf("%w: set %d is empty", ErrCorrupt, i)
 		}
-		for j := 1; j < len(set); j++ {
-			if set[j] <= set[j-1] {
-				return fmt.Errorf("%w: set %d not strictly increasing", ErrCorrupt, i)
-			}
+		if !intset.IsSet(set) {
+			return fmt.Errorf("%w: set %d not strictly increasing", ErrCorrupt, i)
 		}
 	}
 	return nil

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func writeContainer(t *testing.T, kind string, sections map[string][]byte, order []string) []byte {
@@ -382,6 +384,90 @@ func TestOlderVersionsRejected(t *testing.T) {
 					t.Errorf("v%d %s: message %q lacks %q", old, tc.name, err, want)
 				}
 			}
+		}
+	}
+}
+
+// TestSetsRoundTrip: ReadSets returns what EncodeSets wrote at every padding
+// length, as headers over the payload's own token region wherever View can
+// alias it, and CloneSets detaches them from it.
+func TestSetsRoundTrip(t *testing.T) {
+	for n := 0; n <= 9; n++ { // n one-byte sizes: paddings 0, 3, 2, 1, 0, ...
+		sets := make([][]uint32, n)
+		for i := range sets {
+			sets[i] = []uint32{uint32(i), uint32(i) + 7, 1 << 31}[:i%4]
+		}
+		payload := EncodeSets(sets)
+		got, err := ReadSets(payload, uint64(n))
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for i := range sets {
+			if !slices.Equal(got[i], sets[i]) {
+				t.Fatalf("n=%d set %d: %v, want %v", n, i, got[i], sets[i])
+			}
+		}
+		if n < 2 {
+			continue
+		}
+		first := unsafe.Pointer(&got[1][0]) // set 0 is empty
+		inPlace := uintptr(first) >= uintptr(unsafe.Pointer(&payload[0])) &&
+			uintptr(first) < uintptr(unsafe.Pointer(&payload[len(payload)-1]))
+		if aligned := uintptr(unsafe.Pointer(&payload[0]))%4 == 0; inPlace != (hostLittleEndian && aligned) {
+			t.Errorf("n=%d: sets in place = %v on a little-endian=%v host with an aligned=%v payload",
+				n, inPlace, hostLittleEndian, aligned)
+		}
+		clone := CloneSets(got)
+		for i := range payload {
+			payload[i] = 0xff
+		}
+		for i := range sets {
+			if !slices.Equal(clone[i], sets[i]) {
+				t.Fatalf("n=%d: cloned set %d follows the payload: %v", n, i, clone[i])
+			}
+		}
+	}
+}
+
+// TestReadSetsGuards: one crafted payload per guard of the one sets reader.
+func TestReadSetsGuards(t *testing.T) {
+	payload := func(sizes []uint64, pad []byte, tokens ...uint32) []byte {
+		var b Buf
+		for _, s := range sizes {
+			b.Uvarint(s)
+		}
+		b.B = append(b.B, pad...)
+		for _, tok := range tokens {
+			b.U32(tok)
+		}
+		return b.B
+	}
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		n    uint64
+		want string
+	}{
+		{"valid", payload([]uint64{2, 1}, []byte{0, 0}, 1, 2, 9), 2, ""},
+		{"count beyond the payload", payload([]uint64{1}, nil), 1 << 40, "set count"},
+		{"size above the cap", payload([]uint64{1<<28 + 1, 1}, nil), 2, "implausible set size"},
+		{"sizes that would wrap a sum", payload([]uint64{1 << 63, 1 << 63}, nil), 2, "implausible set size"},
+		{"size prefix truncated", []byte{2, 0x80}, 2, "bad varint"},
+		{"nonzero padding", payload([]uint64{2, 1}, []byte{0, 1}, 1, 2, 9), 2, "nonzero token padding"},
+		{"padding truncated", payload([]uint64{0, 0}, []byte{0}), 2, "truncated"},
+		{"padding missing", payload([]uint64{2, 1}, nil, 1, 2, 9), 2, "nonzero token padding"},
+		{"tokens not a multiple of four", append(payload([]uint64{2, 1}, []byte{0, 0}, 1, 2, 9), 0), 2, "tokens for"},
+		{"a token short", payload([]uint64{2, 1}, []byte{0, 0}, 1, 2), 2, "tokens for"},
+		{"a token over", payload([]uint64{2, 1}, []byte{0, 0}, 1, 2, 9, 9), 2, "tokens for"},
+		{"unsorted set", payload([]uint64{2, 1}, []byte{0, 0}, 2, 1, 9), 2, "set 0 not strictly increasing"},
+		{"duplicate token", payload([]uint64{1, 2}, []byte{0, 0}, 1, 9, 9), 2, "set 1 not strictly increasing"},
+	} {
+		sets, err := ReadSets(tc.raw, tc.n)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (!errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.want) || sets != nil):
+			t.Errorf("%s: sets %v, err = %v, want ErrCorrupt mentioning %q", tc.name, sets, err, tc.want)
 		}
 	}
 }
