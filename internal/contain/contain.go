@@ -78,12 +78,37 @@ type Options struct {
 	Seed uint64
 }
 
+// Signer is the hash functions of one Options: T MinHash functions drawn
+// from Seed, 8 KB of tabulation tables each (0.5 MB at the default T). It is
+// immutable and safe for concurrent use, and any number of indexes share
+// one — the shards of a ring all sign under the ring's seed, so the ring
+// keeps one Signer, builds every shard's index with it, signs a query once
+// and asks each shard with QuerySigned.
+type Signer struct {
+	opts Options // T resolved
+	mh   *minhash.Signer
+}
+
+// NewSigner draws the hash functions of opts.
+func NewSigner(opts Options) *Signer {
+	if opts.T <= 0 {
+		opts.T = DefaultT
+	}
+	return &Signer{opts: opts, mh: minhash.NewSigner(opts.T, opts.Seed)}
+}
+
+// Options returns the options the signer was drawn from, T resolved.
+func (s *Signer) Options() Options { return s.opts }
+
+// Sign returns the signature of q, which must not be empty: what
+// Index.QuerySigned takes, for every index that shares s.
+func (s *Signer) Sign(q []uint32) []uint32 { return s.mh.Sign(q) }
+
 // Index is an immutable containment index over a collection of sets.
 // Build it once; concurrent Query calls are safe.
 type Index struct {
 	t      int
-	seed   uint64
-	signer *minhash.Signer
+	signer *Signer
 	n      int
 	sigs   []uint32 // n*T flattened signatures; empty sets hold zeros
 	// bands[j] is cardinality band j, the m non-empty sets of size in
@@ -93,22 +118,20 @@ type Index struct {
 	bands [maxBands][]int32
 }
 
-// newIndex returns an index over n sets that has a signer and nothing else.
-func newIndex(n int, opts Options) *Index {
-	if opts.T <= 0 {
-		opts.T = DefaultT
-	}
-	return &Index{t: opts.T, seed: opts.Seed, signer: minhash.NewSigner(opts.T, opts.Seed), n: n}
+// Build indexes the collection under hash functions of its own. Empty sets
+// are tolerated and simply never returned as candidates. The input slices
+// are not retained.
+func Build(sets [][]uint32, opts Options) *Index {
+	return NewSigner(opts).Build(sets)
 }
 
-// Build indexes the collection. Empty sets are tolerated and simply
-// never returned as candidates. The input slices are not retained.
-func Build(sets [][]uint32, opts Options) *Index {
-	ix := newIndex(len(sets), opts)
+// Build is the package's Build under s, which the index shares.
+func (s *Signer) Build(sets [][]uint32) *Index {
+	ix := &Index{t: s.opts.T, signer: s, n: len(sets)}
 	ix.sigs = make([]uint32, len(sets)*ix.t)
 	for i, set := range sets {
 		if len(set) > 0 {
-			ix.signer.SignInto(set, ix.sigs[i*ix.t:(i+1)*ix.t])
+			s.mh.SignInto(set, ix.sigs[i*ix.t:(i+1)*ix.t])
 		}
 	}
 	ix.sortBands(sets)
@@ -119,10 +142,10 @@ func Build(sets [][]uint32, opts Options) *Index {
 // (the persistence path: signing is the expensive part of Build, so
 // snapshots store signatures and only the orders are sorted again on
 // load). sets supplies the cardinalities and must be the same
-// collection the signatures were computed from, in the same order and
-// with the same T and Seed. sigs is retained, not copied.
-func FromSignatures(sets [][]uint32, sigs []uint32, opts Options) (*Index, error) {
-	ix := newIndex(len(sets), opts)
+// collection the signatures were computed from, in the same order, under
+// a signer of s's options; the index shares s. sigs is retained, not copied.
+func FromSignatures(sets [][]uint32, sigs []uint32, s *Signer) (*Index, error) {
+	ix := &Index{t: s.opts.T, signer: s, n: len(sets)}
 	if len(sigs) != len(sets)*ix.t {
 		return nil, fmt.Errorf("contain: %d signature words for %d sets with T=%d (want %d)",
 			len(sigs), len(sets), ix.t, len(sets)*ix.t)
@@ -218,18 +241,30 @@ func CollisionProb(s float64, r, b int) float64 {
 // matches is approximately TargetProb per matching set. It panics if t
 // is outside (0, 1]. An empty query has no candidates.
 func (ix *Index) Query(q []uint32, t float64) []int32 {
+	var sig []uint32
+	if len(q) > 0 {
+		sig = ix.signer.Sign(q)
+	}
+	return ix.QuerySigned(sig, len(q), t)
+}
+
+// QuerySigned is Query for a query of lq tokens whose signature under
+// Signer() the caller already holds: one signing serves every index that
+// shares the signer. sig is ignored when lq is zero.
+func (ix *Index) QuerySigned(sig []uint32, lq int, t float64) []int32 {
 	if t <= 0 || t > 1 {
 		panic(fmt.Sprintf("contain: threshold %v out of (0,1]", t))
 	}
-	if len(q) == 0 || ix.n == 0 {
+	if lq == 0 || ix.n == 0 {
 		return nil
 	}
-	sig := ix.signer.Sign(q)
+	if len(sig) != ix.t {
+		panic(fmt.Sprintf("contain: query signature of %d rows, index has T=%d", len(sig), ix.t))
+	}
 	// A member collides in many LSH bands: runs are merged in a bit set
 	// over the local ids (n/8 bytes beside orders of 4·T·n), which also
 	// hands the candidates back ascending.
 	seen := make([]uint64, (ix.n+63)/64)
-	lq := len(q)
 	for j, orders := range ix.bands {
 		if orders == nil {
 			continue
@@ -286,7 +321,11 @@ func (ix *Index) Len() int { return ix.n }
 func (ix *Index) T() int { return ix.t }
 
 // Seed returns the seed the index hashes with.
-func (ix *Index) Seed() uint64 { return ix.seed }
+func (ix *Index) Seed() uint64 { return ix.signer.opts.Seed }
+
+// Signer returns the hash functions the index was built under: what signs
+// a query for QuerySigned.
+func (ix *Index) Signer() *Signer { return ix.signer }
 
 // Signatures returns the flattened n*T signature matrix backing the
 // index. The slice is shared, not copied; callers must not mutate it.

@@ -196,9 +196,8 @@ func TestQueryInvariants(t *testing.T) {
 func TestFromSignaturesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sets := buildCorpus(rng, 300)
-	opts := Options{Seed: 55, T: 32}
-	a := Build(sets, opts)
-	b, err := FromSignatures(sets, a.Signatures(), opts)
+	a := Build(sets, Options{Seed: 55, T: 32})
+	b, err := FromSignatures(sets, a.Signatures(), a.Signer())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +206,8 @@ func TestFromSignaturesRoundTrip(t *testing.T) {
 		if len(q) == 0 {
 			continue
 		}
-		ca, cb := a.Query(q, 0.6), b.Query(q, 0.6)
+		// One signing serves both: they share the signer.
+		ca, cb := a.Query(q, 0.6), b.QuerySigned(a.Signer().Sign(q), len(q), 0.6)
 		if len(ca) != len(cb) {
 			t.Fatalf("rebuilt index differs: %v vs %v", ca, cb)
 		}
@@ -217,7 +217,7 @@ func TestFromSignaturesRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := FromSignatures(sets, a.Signatures()[:1], opts); err == nil {
+	if _, err := FromSignatures(sets, a.Signatures()[:1], a.Signer()); err == nil {
 		t.Fatal("length mismatch must error")
 	}
 }

@@ -12,10 +12,11 @@ import (
 // snapshot container (typically an mmap'd file) — the cold tier. Opening
 // one costs only the meta section, a few dozen bytes, regardless of index
 // size. The first query is the first touch: it checksums the trees and sets
-// sections, validates the trie onto the heap and runs snapshot.ReadSets
-// over the sets payload once, after which the kernel's sets are headers over
-// the container's own token region and a candidate is verified exactly as
-// Index verifies it.
+// sections and runs decodeTrie and snapshot.ReadSets over them once. Neither
+// copies: afterwards the kernel's trie is five typed views of the trees
+// section and its sets are headers over the sets section's token region, so a
+// query walks and verifies exactly as Index does, over the container's own
+// bytes, and a cold index costs page cache plus 24 B of header per set.
 //
 // Answers and QueryStats are identical to Index's because both run the
 // same kernel; a flipped bit in any section surfaces as ErrCorrupt at open
@@ -26,9 +27,9 @@ type Mapped struct {
 	*kernel
 	snap *snapshot.Mapped
 	// retain pins the mapping's owner (an mmap.File) for the GC: the
-	// snapshot bytes — and, after first touch, the sets — alias memory the
-	// collector cannot see, so every method that touches them ends with a
-	// KeepAlive of this reference.
+	// snapshot bytes — and, after first touch, the trie and the sets — alias
+	// memory the collector cannot see, so every method that touches them
+	// ends with a KeepAlive of this reference.
 	retain any
 
 	nodes, leaves int
@@ -59,8 +60,8 @@ func OpenMapped(snap *snapshot.Mapped, retain any) (*Mapped, error) {
 // Structure returns the persisted node/leaf counts.
 func (m *Mapped) Structure() (nodes, leaves int) { return m.nodes, m.leaves }
 
-// ensureStruct is the first touch: both bulk sections checksummed, the trie
-// decoded, the sets read in place.
+// ensureStruct is the first touch: both bulk sections checksummed, then
+// validated and read in place.
 func (m *Mapped) ensureStruct() error {
 	m.structOnce.Do(func() {
 		treesRaw, err := m.snap.Section("trees")
@@ -144,22 +145,24 @@ func (m *Mapped) Sets() ([][]uint32, error) {
 	return sets, nil
 }
 
-// Index moves the collection onto the heap and returns the view that
-// queries it there. The trie is shared with m, not decoded again, and the
-// result references no container bytes — promoting a cold shard and
-// loading a snapshot are both exactly this call.
+// Index moves the collection and the trie onto the heap — one bulk copy per
+// array, nothing validated again — and returns the view that queries them
+// there. The result references no container bytes — promoting a cold shard
+// and loading a snapshot are both exactly this call.
 func (m *Mapped) Index() (*Index, error) {
 	sets, err := m.Sets()
 	if err != nil {
 		return nil, err
 	}
+	t := m.trie.clone()
+	runtime.KeepAlive(m.retain)
 	return &Index{
 		kernel: &kernel{
 			lambda:   m.lambda,
 			opt:      m.opt,
 			nsets:    m.nsets,
 			signer:   m.signer,
-			trie:     m.trie,
+			trie:     t,
 			sets:     sets,
 			counters: m.counters,
 		},

@@ -2,10 +2,14 @@ package cpindex
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"path/filepath"
 	"slices"
 	"testing"
+	"unsafe"
 
+	"repro/internal/mmap"
 	"repro/internal/snapshot"
 )
 
@@ -108,6 +112,135 @@ func TestMappedMatchesIndex(t *testing.T) {
 				t.Fatalf("seed %d: set %d diverges: %v != %v", seed, i, sets[i], want)
 			}
 		}
+	}
+}
+
+// trieArrays lists the first element of each of a trie's five arrays.
+func trieArrays(t *trie) map[string]unsafe.Pointer {
+	return map[string]unsafe.Pointer{
+		"roots":   unsafe.Pointer(unsafe.SliceData(t.roots)),
+		"nodes":   unsafe.Pointer(unsafe.SliceData(t.nodes)),
+		"leafIDs": unsafe.Pointer(unsafe.SliceData(t.leafIDs)),
+		"pos":     unsafe.Pointer(unsafe.SliceData(t.pos)),
+		"buckets": unsafe.Pointer(unsafe.SliceData(t.buckets)),
+	}
+}
+
+func within(data []byte, p unsafe.Pointer) bool {
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
+	return uintptr(p) >= lo && uintptr(p) < lo+uintptr(len(data))
+}
+
+func equalTries(a, b *trie) bool {
+	return slices.Equal(a.roots, b.roots) && slices.Equal(a.nodes, b.nodes) && slices.Equal(a.leafIDs, b.leafIDs) &&
+		slices.Equal(a.pos, b.pos) && slices.Equal(a.buckets, b.buckets)
+}
+
+// TestMappedTrieReadsInPlace: after first touch the five arrays of a mapped
+// index's trie are the trees section of its file — on a little-endian host
+// nothing is copied, elsewhere View converts once — and Index() clones them,
+// so the heap view still answers once the file is unmapped (a trie left
+// aliasing the mapping dies there with "unexpected fault address").
+func TestMappedTrieReadsInPlace(t *testing.T) {
+	sets := persistWorkload(400, 53)
+	ix := Build(sets, 0.5, &Options{Trees: 4, Seed: 13})
+	path := filepath.Join(t.TempDir(), "ix.cps")
+	if err := ix.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	f, err := mmap.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.OpenMapped(f.Data, SnapshotKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := OpenMapped(snap, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.trie != nil {
+		t.Fatal("the trie was read before the first query")
+	}
+	for qi := 0; qi < len(sets); qi += 7 {
+		got, err := m.AppendAll(nil, sets[qi])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matchesEqual(got, ix.QueryAll(sets[qi])) {
+			t.Fatalf("query %d: the mapped view answers differently", qi)
+		}
+	}
+	if !equalTries(m.trie, ix.trie) {
+		t.Fatal("the trie read in place is not the trie that was saved")
+	}
+	sec := snap.Lookup("trees")
+	trees := f.Data[sec.Off : sec.Off+sec.Len]
+	littleEndian := binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+	for name, p := range trieArrays(m.trie) {
+		if within(trees, p) != littleEndian {
+			t.Errorf("%s: inside the trees section = %v on a host whose little-endianness is %v", name, !littleEndian, littleEndian)
+		}
+	}
+	hot, err := m.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range trieArrays(hot.trie) {
+		if within(f.Data, p) {
+			t.Errorf("%s: the heap view's array lies inside the container", name)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for qi := 0; qi < len(sets); qi += 7 {
+		if !matchesEqual(hot.QueryAll(sets[qi]), ix.QueryAll(sets[qi])) {
+			t.Fatalf("query %d: the heap view answers differently once the file is gone", qi)
+		}
+	}
+}
+
+// TestDecodeTrieMisaligned drives the path a little-endian host otherwise
+// never takes: a payload that does not start on a word boundary cannot be
+// viewed, so View copies it to native words and the same casts, the same
+// validation and the same rejections run over the copy.
+func TestDecodeTrieMisaligned(t *testing.T) {
+	ix := Build(persistWorkload(300, 59), 0.5, &Options{Trees: 3, Seed: 17})
+	enc := ix.trie.encode()
+	buf := make([]byte, len(enc)+8)
+	off := 1
+	if uintptr(unsafe.Pointer(&buf[0]))%4 != 0 {
+		t.Fatal("a byte slice this size does not start word-aligned")
+	}
+	payload := buf[off : off+len(enc)]
+	copy(payload, enc)
+	got, err := decodeTrie(payload, ix.opt, ix.nsets, ix.Nodes, ix.Leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalTries(got, ix.trie) {
+		t.Fatal("a misaligned payload decodes to a different trie")
+	}
+	for name, p := range trieArrays(got) {
+		if within(buf, p) {
+			t.Errorf("%s aliases a payload that is not word-aligned", name)
+		}
+	}
+	k := &kernel{lambda: ix.lambda, opt: ix.opt, nsets: ix.nsets, signer: ix.signer, trie: got, sets: ix.sets}
+	for qi, q := range ix.sets[:50] {
+		if ms, _ := k.all(nil, q); !matchesEqual(ms, ix.QueryAll(q)) {
+			t.Fatalf("query %d: the copied trie walks differently", qi)
+		}
+	}
+	// The validator sees the copy exactly as it sees a view: one child index
+	// pointed back at its parent is rejected, not walked.
+	bad := slices.Clone(buf)
+	first := 4 * (trieHeaderWords + len(ix.trie.roots) + nodeWords*len(ix.trie.nodes) + len(ix.trie.leafIDs) + posWords*len(ix.trie.pos))
+	binary.LittleEndian.PutUint32(bad[off+first+4:], 0)
+	if _, err := decodeTrie(bad[off:off+len(enc)], ix.opt, ix.nsets, ix.Nodes, ix.Leaves); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("a child index of 0 in a misaligned payload: %v, want ErrCorrupt", err)
 	}
 }
 

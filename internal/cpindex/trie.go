@@ -1,7 +1,6 @@
 package cpindex
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -22,6 +21,11 @@ import (
 // than its parent's; leaf and position spans are handed out in node order.
 // decodeTrie enforces exactly this shape, which is what makes a decoded
 // trie safe to walk.
+//
+// The arrays are Build's own on the heap, or decodeTrie's views of a
+// container's "trees" section: the three record types below are that
+// section's layout, 4-byte fields in file order, so they must not be
+// reordered or widened.
 type trie struct {
 	roots   []int32      // node index of each tree's root
 	nodes   []trieNode   // all nodes of all trees
@@ -281,44 +285,54 @@ const (
 	bucketWords     = 2
 )
 
-// encode serializes the arrays. The layout is a pure function of the
-// logical trie, so snapshots of the same index are byte-identical.
+// encode serializes the arrays, each with one append of its own words. The
+// layout is a pure function of the logical trie, so snapshots of the same
+// index are byte-identical.
 func (t *trie) encode() []byte {
-	words := trieHeaderWords + len(t.roots) + nodeWords*len(t.nodes) + len(t.leafIDs) +
-		posWords*len(t.pos) + bucketWords*len(t.buckets)
-	b := make([]byte, 0, 4*words)
-	put := func(vs ...uint32) {
-		for _, v := range vs {
-			b = binary.LittleEndian.AppendUint32(b, v)
-		}
-	}
-	put(uint32(len(t.roots)), uint32(len(t.nodes)), uint32(len(t.leafIDs)), uint32(len(t.pos)), uint32(len(t.buckets)))
-	for _, r := range t.roots {
-		put(uint32(r))
-	}
-	for _, n := range t.nodes {
-		put(n.leafLo, n.leafHi, n.posLo, n.posHi)
-	}
-	put(t.leafIDs...)
-	for _, p := range t.pos {
-		put(p.pos, p.bLo, p.bHi)
-	}
-	for _, bk := range t.buckets {
-		put(bk.val, uint32(bk.child))
+	counts := []uint32{uint32(len(t.roots)), uint32(len(t.nodes)), uint32(len(t.leafIDs)), uint32(len(t.pos)), uint32(len(t.buckets))}
+	b := make([]byte, 0, 4*(trieHeaderWords+len(t.roots)+nodeWords*len(t.nodes)+len(t.leafIDs)+
+		posWords*len(t.pos)+bucketWords*len(t.buckets)))
+	for _, words := range [][]uint32{
+		counts,
+		snapshot.Cast[uint32](t.roots),
+		snapshot.Cast[uint32](t.nodes),
+		t.leafIDs,
+		snapshot.Cast[uint32](t.pos),
+		snapshot.Cast[uint32](t.buckets),
+	} {
+		b = append(b, snapshot.Bytes(words)...)
 	}
 	return b
 }
 
-// decodeTrie reads a "trees" payload written by encode and validates it in
-// one linear pass, so that walking the result can neither leave an array
-// nor fail to terminate nor cost more than the structure's size: counts
-// must account for the payload exactly (so they cannot drive an allocation
-// beyond it), every span must lie inside its array, leaf and position
-// spans must follow each other in node order, bucket values must be
-// strictly increasing, every child index must exceed its parent's and be
-// claimed by exactly one bucket, leaf ids must be below nsets and
-// positions below T. A payload that breaks a rule yields ErrCorrupt naming
-// it, never a panic or a silently wrong index.
+// clone copies the five arrays to the heap: what a view that outlives the
+// container decodeTrie read (Mapped.Index) walks instead.
+func (t *trie) clone() *trie {
+	return &trie{
+		roots:   slices.Clone(t.roots),
+		nodes:   slices.Clone(t.nodes),
+		leafIDs: slices.Clone(t.leafIDs),
+		pos:     slices.Clone(t.pos),
+		buckets: slices.Clone(t.buckets),
+	}
+}
+
+// decodeTrie reads a "trees" payload written by encode where it lies: the
+// arrays of the result are snapshot.Cast over a snapshot.View of payload, so
+// they alias it when it is 4-aligned on a little-endian host (a section of a
+// mapped container is) and are View's one native copy otherwise. Either way
+// nothing is decoded field by field, and the trie is valid for as long as
+// payload is.
+//
+// The payload is validated in one linear pass, so that walking the result
+// can neither leave an array nor fail to terminate nor cost more than the
+// structure's size: counts must account for the payload exactly (so no
+// array reaches beyond it), every span must lie inside its array, leaf and
+// position spans must follow each other in node order, bucket values must
+// be strictly increasing, every child index must exceed its parent's and be
+// claimed by exactly one bucket, leaf ids must be below nsets and positions
+// below T. A payload that breaks a rule yields ErrCorrupt naming it, never
+// a panic or a silently wrong index.
 func decodeTrie(payload []byte, opt Options, nsets, nodes, leaves int) (*trie, error) {
 	fail := func(format string, args ...any) (*trie, error) {
 		return nil, fmt.Errorf("%w: section %q: %s", snapshot.ErrCorrupt, "trees", fmt.Sprintf(format, args...))
@@ -326,40 +340,28 @@ func decodeTrie(payload []byte, opt Options, nsets, nodes, leaves int) (*trie, e
 	if len(payload) < 4*trieHeaderWords {
 		return fail("truncated header (%d bytes)", len(payload))
 	}
-	next := func() uint32 {
-		v := binary.LittleEndian.Uint32(payload)
-		payload = payload[4:]
-		return v
-	}
-	nroots, nnodes, nleaf, npos, nbuckets := uint64(next()), uint64(next()), uint64(next()), uint64(next()), uint64(next())
-	if want := 4 * (nroots + nodeWords*nnodes + nleaf + posWords*npos + bucketWords*nbuckets); want != uint64(len(payload)) {
-		return fail("counts need %d bytes, payload holds %d", want, len(payload))
+	body := len(payload) - 4*trieHeaderWords
+	words := snapshot.View[uint32](payload)
+	nroots, nnodes, nleaf, npos, nbuckets := uint64(words[0]), uint64(words[1]), uint64(words[2]), uint64(words[3]), uint64(words[4])
+	if want := 4 * (nroots + nodeWords*nnodes + nleaf + posWords*npos + bucketWords*nbuckets); want != uint64(body) {
+		return fail("counts need %d bytes, payload holds %d", want, body)
 	}
 	if nroots != uint64(opt.Trees) || nnodes != uint64(nodes) || nnodes > math.MaxInt32 {
 		return fail("%d roots over %d nodes, meta says %d trees over %d nodes", nroots, nnodes, opt.Trees, nodes)
 	}
-	t := &trie{
-		roots:   make([]int32, nroots),
-		nodes:   make([]trieNode, nnodes),
-		leafIDs: make([]uint32, nleaf),
-		pos:     make([]triePos, npos),
-		buckets: make([]trieBucket, nbuckets),
+	// The counts add up to the words that are there, so each take is in range.
+	words = words[trieHeaderWords:]
+	take := func(n uint64) []uint32 {
+		part := words[:n:n]
+		words = words[n:]
+		return part
 	}
-	for i := range t.roots {
-		t.roots[i] = int32(next())
-	}
-	for i := range t.nodes {
-		t.nodes[i] = trieNode{leafLo: next(), leafHi: next(), posLo: next(), posHi: next()}
-	}
-	for i := range t.leafIDs {
-		t.leafIDs[i] = next()
-	}
-	for i := range t.pos {
-		t.pos[i] = triePos{pos: next(), bLo: next(), bHi: next()}
-	}
-	for i := range t.buckets {
-		t.buckets[i] = trieBucket{val: next(), child: int32(next())}
-	}
+	t := new(trie)
+	t.roots = snapshot.Cast[int32](take(nroots))
+	t.nodes = snapshot.Cast[trieNode](take(nodeWords * nnodes))
+	t.leafIDs = take(nleaf)
+	t.pos = snapshot.Cast[triePos](take(posWords * npos))
+	t.buckets = snapshot.Cast[trieBucket](take(bucketWords * nbuckets))
 
 	// claimed[i] is set once node i is some tree's root or some bucket's
 	// child: every node must be reached exactly one way, so the walk is a

@@ -10,8 +10,16 @@
 // A mapping goes when its File is collected, and a slice of Data (or a typed
 // view over one) does not keep the File alive. So whatever hands such slices
 // out holds the File, and whoever reads them keeps that holder reachable
-// until the last read: every query goes through its cpindex.Mapped, and the
-// joins, which copy Sigs and Sketches out of a prep.Index, KeepAlive it.
+// until the last read. There are two holders. A cpindex.Mapped keeps views of
+// three sections of its container after first touch — the trie's five arrays,
+// the sets' token region and (through the shard that owns it) the containment
+// signature matrix — and every query goes through it and ends with a
+// KeepAlive of the File; what must outlive it (a promoted or loaded
+// cpindex.Index, a compaction's merged shard) takes clones. A prep.Index
+// keeps Sigs and Sketches, and the joins, which copy them out, KeepAlive it.
+// Mappings are read-only and a file under one is never rewritten in place
+// (writers go through a temp file and a rename), so a view validated once
+// stays what was validated.
 package mmap
 
 import (

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cpindex"
 	"repro/internal/intset"
+	"repro/internal/race"
 	"repro/internal/snapshot"
 )
 
@@ -391,6 +392,83 @@ func TestColdContainmentReadsInPlace(t *testing.T) {
 		t.Fatal("a cold shard's signatures or sets are heap copies of its container")
 	}
 	runtime.KeepAlive(s)
+}
+
+// TestColdTrieReadsInPlace: the first touch of a cold shard validates its
+// trie where the container holds it. Queries leave the shard cold, and the
+// whole first query — both checksums, the trie's validation, the set headers
+// — allocates a fraction of the trees section's size: a decoder that copied
+// the five arrays would allocate all of it. (The arrays themselves are
+// cpindex's; TestMappedTrieReadsInPlace there checks they alias the file.)
+func TestColdTrieReadsInPlace(t *testing.T) {
+	sets, _ := workload(2000, 0.8, 461)
+	want := Build(sets, 0.5, &Options{Shards: 1, Seed: 37})
+	dir := t.TempDir()
+	if err := want.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := LoadWithOptions(dir, LoadOptions{Tiering: TierCold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := cold.shards[0].(*localShard).res.Load().snap.Lookup("trees").Len
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	first := mustQueryAll(t, cold, sets[0])
+	runtime.ReadMemStats(&after)
+	if !equalMatches(t, first, mustQueryAll(t, want, sets[0])) {
+		t.Fatal("first query: cold answers differ from the index that was saved")
+	}
+	allocated := int64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("first touch allocated %d B beside a trees section of %d B", allocated, trees)
+	if binary.NativeEndian.Uint16([]byte{1, 0}) == 1 && !race.Enabled && allocated > trees/4 {
+		t.Errorf("first touch allocated %d B, the trees section holds %d: the trie was copied", allocated, trees)
+	}
+	for i := 0; i < len(sets); i += 20 {
+		if !equalMatches(t, mustQueryAll(t, cold, sets[i]), mustQueryAll(t, want, sets[i])) {
+			t.Fatalf("query %d: cold answers differ from the index that was saved", i)
+		}
+	}
+	if got := cold.Stats().ColdShards; got != 1 {
+		t.Fatalf("cold_shards = %d after similarity queries, want 1", got)
+	}
+}
+
+// TestRingSharesOneSigner: ContainSeed is ring-wide, so the shards of a ring —
+// built, sealed or restored from their containers — draw no hash functions of
+// their own: every containment side holds the ring's one signer, under which
+// a query is signed once for all of them.
+func TestRingSharesOneSigner(t *testing.T) {
+	sets, _ := workload(600, 0.8, 471)
+	built := Build(sets[:500], 0.5, &Options{Shards: 3, Seed: 43, MergeThreshold: 50})
+	built.Add(sets[500:])
+	built.Flush()
+	dir := t.TempDir()
+	if err := built.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := LoadWithOptions(dir, LoadOptions{Tiering: TierCold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, x := range map[string]*Index{"built": built, "restored cold": cold} {
+		for pi, q := range containProbes(sets, 20) {
+			if _, err := x.QueryContain(q, 0.7); err != nil {
+				t.Fatalf("%s: probe %d: %v", name, pi, err)
+			}
+		}
+		if len(x.shards) < 4 {
+			t.Fatalf("%s: %d shards, built for a sealed one beside the three", name, len(x.shards))
+		}
+		for i, sh := range x.shards {
+			if c := sh.(*localShard).contain.Load(); c == nil || c.Signer() != x.signers.own() {
+				t.Fatalf("%s: shard %d has no containment side after a query, or one with a signer of its own", name, i)
+			}
+		}
+		if n := len(x.signers.m); n != 1 {
+			t.Fatalf("%s: the ring keeps %d signers, want the one of its seed", name, n)
+		}
+	}
 }
 
 // TestQueryContainCache: containment answers are cached under their own

@@ -105,3 +105,88 @@ func TestSetsOutliveTheirShards(t *testing.T) {
 	}
 	check("merged, saved and reloaded", z)
 }
+
+// TestColdShardQueriedFromOnlyReference: a cold shard's trie and sets are
+// views of its mapping, which goes when the shard is collected, and nothing
+// but the query in flight need hold the shard — a ring swap can drop it in
+// the middle of a walk. Every round loads the directory afresh, keeps one
+// shard and nothing else, and lets a query be the last use of it while
+// another goroutine collects garbage as fast as it can: a walk or a
+// verification that outlives the KeepAlive of its mapping dies with
+// "unexpected fault address", it does not fail an assertion.
+func TestColdShardQueriedFromOnlyReference(t *testing.T) {
+	x, dir, queries := saveWorkload(t)
+	want := make([][]Match, len(queries))
+	for i, q := range queries {
+		res, _, err := x.shards[0].query(plan{kind: kindAll}, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Matches
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.GC()
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	for round := 0; round < 10; round++ {
+		y, err := LoadWithOptions(dir, LoadOptions{Tiering: TierCold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := y.shards[0].(*localShard)
+		y = nil // from here on sh is the only way to the mapping
+		for i, q := range queries {
+			res, _, err := sh.query(plan{kind: kindAll}, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalMatches(t, res.Matches, want[i]) {
+				t.Fatalf("round %d, query %d: differs from the shard that was saved", round, i)
+			}
+		}
+	}
+}
+
+// TestPromotedShardOutlivesItsMapping: promotion clones the trie and the sets,
+// so the heap view it creates references no container bytes. The view is
+// taken out of a promoted shard, the shard and its ring are dropped, and once
+// the shard files have left /proc/self/maps the view still answers as the
+// saved shard did — a trie array or a set left aliasing the mapping faults.
+func TestPromotedShardOutlivesItsMapping(t *testing.T) {
+	x, dir, queries := saveWorkload(t)
+	y, err := LoadWithOptions(dir, LoadOptions{Tiering: TierCold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := y.shards[0].(*localShard)
+	if err := sh.promote(); err != nil {
+		t.Fatal(err)
+	}
+	hot := sh.res.Load().hot
+	hot.SetCounters(nil) // the ring's counters point into its metrics, which point at the ring
+	sh, y = nil, nil
+	if mmap.Supported && runtime.GOOS == "linux" {
+		waitFor(t, "the shard files to be unmapped", func() bool {
+			runtime.GC()
+			return mappedUnder(t, dir) == 0
+		})
+	} else {
+		runtime.GC()
+		runtime.GC()
+	}
+	saved := x.shards[0].(*localShard).res.Load().hot
+	for i, q := range queries {
+		if got, want := hot.QueryAll(q), saved.QueryAll(q); !equalMatches(t, got, want) {
+			t.Fatalf("query %d: the promoted view differs from the shard that was saved once its file is unmapped", i)
+		}
+	}
+}

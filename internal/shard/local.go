@@ -23,12 +23,16 @@ import (
 // cold, it is the token region of the shard's cpshard container —
 // memory-mapped, so untouched payload pages are never read — validated once
 // at first touch, where corruption surfaces as an error wrapping
-// snapshot.ErrCorrupt, never as a panic or a wrong answer. Both states run
-// the same cpindex kernel over the same trie and the same [][]uint32, so
-// answers are byte-identical and verification costs the same: promote copies
-// the tokens to the heap, demote drops that copy (after giving the shard a
-// container if it never had one). A shard that has a container keeps it, so
-// saving or shipping it is a byte copy.
+// snapshot.ErrCorrupt, never as a panic or a wrong answer. The trie lies
+// where the sets lie: on the heap, or as typed views of the container's trees
+// section. Both states run the same cpindex kernel over equal tries and
+// equal [][]uint32, so answers are byte-identical and the walk and the
+// verification cost the same: promote copies the trie's arrays and the
+// tokens to the heap (one bulk copy each, nothing validated twice), demote
+// drops those copies (after giving the shard a container if it never had
+// one), and a cold shard costs page cache, 24 B of header per set and its
+// id map. A shard that has a container keeps it, so saving or shipping it is
+// a byte copy.
 type localShard struct {
 	ids  []int  // local id -> global id
 	seed uint64 // build seed: the shard's identity in manifests and ship keys
@@ -123,7 +127,7 @@ func (s *localShard) query(p plan, q []uint32) (res Result, st cpindex.QueryStat
 			res.Matches[i].ID = s.ids[res.Matches[i].ID]
 		}
 	case kindContain:
-		c, err := s.containSide(p.sign)
+		c, err := s.containSide(p.signers)
 		if err != nil {
 			return noMatch, st, err
 		}
@@ -131,7 +135,12 @@ func (s *localShard) query(p plan, q []uint32) (res Result, st cpindex.QueryStat
 		if err != nil {
 			return noMatch, st, err
 		}
-		cands := c.Query(q, p.threshold)
+		var cands []int32
+		if c.Signer() == p.by {
+			cands = c.QuerySigned(p.sig, len(q), p.threshold)
+		} else { // a hosted shard, or one shipped here under other options
+			cands = c.Query(q, p.threshold)
+		}
 		st.Candidates, st.Verified = uint64(len(cands)), uint64(len(cands))
 		for _, lid := range cands {
 			if sim, ok := intset.ContainmentAtLeast(q, sets[lid], p.threshold); ok {
@@ -183,8 +192,10 @@ func (r *residency) heapSets() ([][]uint32, error) {
 // use. Double-checked under containMu so concurrent first queries load
 // once. A shard with a container always reads the signatures it persisted —
 // a peer hosting a shipped shard answers without knowing its coordinator's
-// options; only a shard that was never encoded signs, under opts.
-func (s *localShard) containSide(opts contain.Options) (*contain.Index, error) {
+// options; only a shard that was never encoded is signed, under cs's own
+// signer. Either way the side shares its signer with every other shard cs
+// serves under the same T and seed.
+func (s *localShard) containSide(cs *signers) (*contain.Index, error) {
 	if c := s.contain.Load(); c != nil {
 		return c, nil
 	}
@@ -200,11 +211,11 @@ func (s *localShard) containSide(opts contain.Options) (*contain.Index, error) {
 	}
 	var c *contain.Index
 	if r.snap == nil {
-		c = contain.Build(sets, opts)
+		c = cs.own().Build(sets)
 	} else {
 		raw, err := r.snap.Section("contain")
 		if err == nil {
-			c, err = decodeContainPayload(raw, sets)
+			c, err = decodeContainPayload(raw, sets, cs)
 		}
 		if err != nil {
 			return nil, err
@@ -278,8 +289,9 @@ func decodeShardBytes(raw []byte, entry snapshot.ShardEntry, total int) (*localS
 	return s, nil
 }
 
-// promote moves the sets onto the heap; the trie is shared with the mapped
-// view, not decoded again. A promoted shard has read and checksummed every
+// promote moves the sets and the trie onto the heap: clones of what the
+// mapped view validated, so the hot view reads no container bytes and
+// survives its shard. A promoted shard has read and checksummed every
 // section of its container — promotion is exactly a snapshot load, and
 // what it accepts cannot fail later. Only the containment side's sorted
 // orders stay unbuilt until a containment query wants them, as after
@@ -305,19 +317,19 @@ func (s *localShard) promote() error {
 	return nil
 }
 
-// demote drops the heap copy of the sets. A shard that never had a
-// container gets one first: its canonical bytes (what Save would write, so
-// its content identity and any future ship key are unchanged) are spooled
-// through a temp file that is mapped and unlinked at once — the mapping
-// keeps the bytes readable and nothing is left on disk to clean up.
-func (s *localShard) demote(copts contain.Options) error {
+// demote drops the heap copies of the sets and the trie. A shard that never
+// had a container gets one first: its canonical bytes (what Save would
+// write, so its content identity and any future ship key are unchanged) are
+// spooled through a temp file that is mapped and unlinked at once — the
+// mapping keeps the bytes readable and nothing is left on disk to clean up.
+func (s *localShard) demote(cs *signers) error {
 	r := s.res.Load()
 	if r.hot == nil {
 		return nil
 	}
 	next := &residency{cold: r.cold, snap: r.snap}
 	if next.cold == nil {
-		raw, err := encodeShardBytes(s, copts)
+		raw, err := encodeShardBytes(s, cs)
 		if err != nil {
 			return err
 		}

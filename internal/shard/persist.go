@@ -121,7 +121,6 @@ func (x *Index) Save(dir string) error {
 	// The placement record rides along so the coordinator's ownership of
 	// hosted keys survives a restart (its own mutex; not under mu).
 	m.Placement = x.placement.snapshotState()
-	copts := x.containOptions()
 
 	// Snapshots are topology-free: a remote-backed shard saves the same
 	// cpshard bytes as a local one — from the retained local copy when
@@ -136,11 +135,11 @@ func (x *Index) Save(dir string) error {
 		switch sh := shards[i].(type) {
 		case *localShard:
 			m.Shards[i] = snapshot.ShardEntry{File: file, Seed: sh.seed, Sets: len(sh.ids)}
-			errs[i] = saveShard(path, sh, copts)
+			errs[i] = saveShard(path, sh, x.signers)
 		case *remoteShard:
 			m.Shards[i] = snapshot.ShardEntry{File: file, Seed: sh.seed, Sets: len(sh.ids)}
 			if sh.local != nil {
-				errs[i] = saveShard(path, sh.local, copts)
+				errs[i] = saveShard(path, sh.local, x.signers)
 				return
 			}
 			raw, err := sh.fetchSnapshot()
@@ -179,12 +178,12 @@ func sortedTombstones(ids map[int]struct{}) []int {
 // saveShard writes one shard file: a shard that has a container already
 // holds its canonical bytes, so saving it is a file copy with no re-encode;
 // one that never had a container is encoded straight into the file.
-func saveShard(path string, sh *localShard, copts contain.Options) error {
+func saveShard(path string, sh *localShard, cs *signers) error {
 	if snap := sh.res.Load().snap; snap != nil {
 		return snapshot.WriteRawFile(path, snap.Bytes())
 	}
 	return snapshot.WriteFile(path, shardKind, func(w *snapshot.Writer) error {
-		return encodeShardSections(w, sh, copts)
+		return encodeShardSections(w, sh, cs)
 	})
 }
 
@@ -197,7 +196,7 @@ func saveShard(path string, sh *localShard, copts contain.Options) error {
 // options: for a shard that never served a containment query that is one
 // signing pass plus the side's sorted orders (4·T bytes per set, about
 // 0.1 s per 10 000 sets in all) and 4·T bytes per set in the file.
-func encodeShardSections(w *snapshot.Writer, sh *localShard, copts contain.Options) error {
+func encodeShardSections(w *snapshot.Writer, sh *localShard, cs *signers) error {
 	if err := sh.res.Load().hot.EncodeSections(w); err != nil {
 		return err
 	}
@@ -209,7 +208,7 @@ func encodeShardSections(w *snapshot.Writer, sh *localShard, copts contain.Optio
 	if err := w.Section("ids", ids.B); err != nil {
 		return err
 	}
-	c, err := sh.containSide(copts)
+	c, err := sh.containSide(cs)
 	if err != nil {
 		return err
 	}
@@ -252,13 +251,14 @@ func containHeader(raw []byte, nsets int) (t int, seed uint64, sigs []byte, err 
 // rebuilt (T sorts per cardinality band), the one part of opening a shard
 // that is more than validation; hence lazy. The signatures are a View of raw:
 // the index reads the container its shard keeps mapped (see
-// localShard.contain).
-func decodeContainPayload(raw []byte, sets [][]uint32) (*contain.Index, error) {
+// localShard.contain). Its signer is the one cs keeps for the section's T and
+// seed, shared with every other shard built under them.
+func decodeContainPayload(raw []byte, sets [][]uint32, cs *signers) (*contain.Index, error) {
 	t, seed, sigBytes, err := containHeader(raw, len(sets))
 	if err != nil {
 		return nil, err
 	}
-	ci, err := contain.FromSignatures(sets, snapshot.View[uint32](sigBytes), contain.Options{T: t, Seed: seed})
+	ci, err := contain.FromSignatures(sets, snapshot.View[uint32](sigBytes), cs.get(contain.Options{T: t, Seed: seed}))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
 	}
@@ -376,6 +376,7 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 	x := &Index{
 		lambda:          m.Lambda,
 		opt:             opt,
+		signers:         newSigners(opt.Seed),
 		side:            &sideBuffer{sets: m.Side.Sets, ids: m.Side.IDs},
 		nextSlot:        m.NextSlot,
 		total:           m.Total,

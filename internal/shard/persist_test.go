@@ -552,7 +552,7 @@ func TestCrashedSaveLeavesPreviousSnapshotReadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, sh := range other.shards {
-		if err := saveShard(filepath.Join(dir, shardFileName(gen, i)), sh.(*localShard), other.containOptions()); err != nil {
+		if err := saveShard(filepath.Join(dir, shardFileName(gen, i)), sh.(*localShard), other.signers); err != nil {
 			t.Fatal(err)
 		}
 	}

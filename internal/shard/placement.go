@@ -606,7 +606,7 @@ func (x *Index) rebalanceAway(bad map[string]bool, peers []string, opts Distribu
 			replicas: next,
 			local:    r.local,
 			client:   r.client,
-			copts:    r.copts,
+			signers:  r.signers,
 			metrics:  r.metrics,
 		}
 		swap[sh] = nr

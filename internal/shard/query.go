@@ -110,10 +110,16 @@ type plan struct {
 	// for the similarity kinds, whose threshold is the index λ. Part of the
 	// result cache's key.
 	threshold float64
-	// sign are the index-wide containment options, threaded through so a
-	// shard whose containment side is not built yet signs with the right
-	// global seed.
-	sign contain.Options
+	// signers are the ring's containment signers, threaded through so a
+	// shard whose containment side is not built yet is signed with the
+	// right global seed.
+	signers *signers
+	// sig is the query's signature under by, the ring's own signer, taken
+	// once a containment query has missed the cache: a shard whose side
+	// shares by — every shard built or loaded under the ring's seed — does
+	// not sign the query again.
+	by  *contain.Signer
+	sig []uint32
 }
 
 // newPlan is the repository's one mode and threshold validation: Search
@@ -168,7 +174,7 @@ func (x *Index) Search(req Request, tr *QueryTrace) (Result, error) {
 		return noMatch, err
 	}
 	if p.kind == kindContain {
-		p.sign = x.containOptions()
+		p.signers = x.signers
 	}
 	res, err := x.query(p, intset.Normalize(req.Set), tr)
 	if err != nil {
@@ -311,6 +317,10 @@ func (x *Index) queryCached(p plan, q []uint32, tr *QueryTrace) (Result, error) 
 	at := x.cacheNow()
 	if res, done := at.lookup(p, q, tr); done {
 		return res, nil
+	}
+	if p.kind == kindContain {
+		p.by = p.signers.own()
+		p.sig = p.by.Sign(q)
 	}
 	f := x.fan(p)
 	var pre []reply[Result]

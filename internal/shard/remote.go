@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/contain"
 	"repro/internal/cpindex"
 	"repro/internal/exec"
 	"repro/internal/snapshot"
@@ -49,10 +48,10 @@ type remoteShard struct {
 	replicas []string // peer base URLs, failover order
 	local    *localShard
 	client   *http.Client
-	// copts are the index-wide containment options, kept so a save-time
-	// re-encode of the local copy writes the containment section with the
-	// right global seed.
-	copts contain.Options
+	// signers are the owning index's containment signers, kept so a
+	// save-time re-encode of the local copy writes the containment section
+	// with the right global seed.
+	signers *signers
 	// metrics is the owning index's instrumentation hub (nil-safe); RPC
 	// latency, errors, failovers and passive health are recorded per peer.
 	metrics *indexMetrics
@@ -170,7 +169,7 @@ func (r *remoteShard) fetchSnapshot() ([]byte, error) {
 		return raw, nil
 	}
 	if r.local != nil {
-		return encodeShardBytes(r.local, r.copts)
+		return encodeShardBytes(r.local, r.signers)
 	}
 	return nil, r.deadErr(last)
 }
@@ -252,10 +251,10 @@ func shardKey(seed uint64, crc uint32) string {
 // encodeShardBytes returns one local shard as the self-contained cpshard
 // container Save writes to disk — the unit of shard shipping: the shard's
 // own container when it has one (the slice then aliases the mapping, so
-// keep sh reachable while using it), a fresh encode otherwise. copts seed
+// keep sh reachable while using it), a fresh encode otherwise. cs sign
 // the containment section, so a hosted shard answers containment queries
 // from exactly the structure the coordinator built.
-func encodeShardBytes(sh *localShard, copts contain.Options) ([]byte, error) {
+func encodeShardBytes(sh *localShard, cs *signers) ([]byte, error) {
 	if snap := sh.res.Load().snap; snap != nil {
 		return snap.Bytes(), nil
 	}
@@ -264,7 +263,7 @@ func encodeShardBytes(sh *localShard, copts contain.Options) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := encodeShardSections(w, sh, copts); err != nil {
+	if err := encodeShardSections(w, sh, cs); err != nil {
 		return nil, err
 	}
 	if err := w.Flush(); err != nil {
@@ -443,7 +442,7 @@ func (x *Index) Distribute(peers []string, o *DistributeOptions) error {
 		if !ok || sub.isCold() {
 			return
 		}
-		raw, err := encodeShardBytes(sub, x.containOptions())
+		raw, err := encodeShardBytes(sub, x.signers)
 		if err != nil {
 			errs[i] = fmt.Errorf("shard: encoding shard %d: %w", i, err)
 			return
@@ -478,7 +477,7 @@ func (x *Index) Distribute(peers []string, o *DistributeOptions) error {
 			replicas: assigned,
 			client:   opt.Client,
 			metrics:  x.metrics,
-			copts:    x.containOptions(),
+			signers:  x.signers,
 		}
 		// Pre-create the peer collectors so /metrics and Health cover
 		// every replica from placement time, not first contact.

@@ -248,7 +248,7 @@ func TestShardSnapshotShipping(t *testing.T) {
 	x.mu.RLock()
 	sub := x.shards[0].(*localShard)
 	x.mu.RUnlock()
-	raw, err := encodeShardBytes(sub, x.containOptions())
+	raw, err := encodeShardBytes(sub, x.signers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestShardSnapshotShipping(t *testing.T) {
 	y.mu.RLock()
 	otherSub := y.shards[0].(*localShard)
 	y.mu.RUnlock()
-	otherRaw, err := encodeShardBytes(otherSub, y.containOptions())
+	otherRaw, err := encodeShardBytes(otherSub, y.signers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -376,6 +376,7 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, err)
 		return
 	}
+	p.signers = s.ix.signers // hosted shards share this process's signers
 	res, _, err := h.query(p, req.Set)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "shard %q: %v", req.Shard, err)

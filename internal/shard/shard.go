@@ -146,13 +146,46 @@ func ContainSeed(seed uint64) uint64 {
 	return tabhash.DeriveSeed(seed, 0xC047, 0)
 }
 
-// containOptions are the options every shard's containment side builds
-// with: the seed alone. T is the contain package's default (64 rows, so a
-// set costs 256 B of signature and 256 B of sorted orders) and the recall
-// target is its constant, so two shards can differ in nothing that would
-// make their candidates differ.
-func (x *Index) containOptions() contain.Options {
-	return contain.Options{Seed: ContainSeed(x.opt.Seed)}
+// signers are a ring's containment hash functions, one contain.Signer per
+// (T, seed) it has met, shared by every shard under it (0.5 MB of tables at
+// T = 64 that each shard used to draw for itself): the ring's own, which a
+// shard that was never encoded is signed with and a containment query is
+// signed under once for the whole ring, and those of any container it hosts
+// that was built under others — a peer answers from the signatures a shipped
+// shard carries, whatever its coordinator's options were.
+type signers struct {
+	// opts are the options every containment side this ring builds is
+	// built with: the seed alone. T is the contain package's default (64
+	// rows, so a set costs 256 B of signature and 256 B of sorted orders)
+	// and the recall target is its constant, so two shards can differ in
+	// nothing that would make their candidates differ.
+	opts contain.Options
+
+	mu sync.Mutex
+	m  map[contain.Options]*contain.Signer
+}
+
+func newSigners(seed uint64) *signers {
+	return &signers{
+		opts: contain.Options{T: contain.DefaultT, Seed: ContainSeed(seed)},
+		m:    make(map[contain.Options]*contain.Signer),
+	}
+}
+
+// own returns the ring's signer.
+func (s *signers) own() *contain.Signer { return s.get(s.opts) }
+
+// get returns the signer of opts, drawing it on first use. T is resolved:
+// the ring's own, or one a container's contain section carries.
+func (s *signers) get(opts contain.Options) *contain.Signer {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	signer := s.m[opts]
+	if signer == nil {
+		signer = contain.NewSigner(opts)
+		s.m[opts] = signer
+	}
+	return signer
 }
 
 // ContiguousRanges returns the [lo, hi) ranges of the contiguous
@@ -215,6 +248,9 @@ type shardBackend interface {
 type Index struct {
 	lambda float64
 	opt    Options
+	// signers are the containment hash functions every shard of the ring
+	// shares; set with opt, then immutable.
+	signers *signers
 
 	// saveMu serializes Save calls (generation numbering and pruning in
 	// the target directory); it is never held together with mu writes,
@@ -328,6 +364,7 @@ func Build(sets [][]uint32, lambda float64, o *Options) *Index {
 	x := &Index{
 		lambda:   lambda,
 		opt:      opt,
+		signers:  newSigners(opt.Seed),
 		side:     &sideBuffer{},
 		nextSlot: opt.Shards,
 		total:    len(sets),

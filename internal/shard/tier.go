@@ -2,13 +2,14 @@ package shard
 
 import "fmt"
 
-// Storage tiering: every local ring shard is hot — the token array behind
-// its sets on the heap — or cold: that array is the token region of the
-// shard's memory-mapped container, validated once at first touch. That is a
-// residency state of one backend (localShard) over one [][]uint32, so the
-// two answer every query byte-identically (the model harness runs its whole
-// grid across tiers) at the same cost per query; they trade resident heap
-// for page cache and a first touch. Tier selection happens at load time (LoadOptions.Tiering, the
+// Storage tiering: every local ring shard is hot — its trie's arrays and the
+// token array behind its sets on the heap — or cold: those arrays are the
+// trees section and the token region of the shard's memory-mapped
+// container, validated once at first touch. That is a residency state of one
+// backend (localShard) over one trie and one [][]uint32, so the two answer
+// every query byte-identically (the model harness runs its whole grid
+// across tiers) at the same cost per query; they trade resident heap for
+// page cache and a first touch. Tier selection happens at load time (LoadOptions.Tiering, the
 // manifest's saved runtime state, or the auto size policy) and at runtime:
 // Configure moves the whole ring, PromoteAll/DemoteAll likewise, and under
 // TierAuto the placement controller retiers on query frequency — shards
@@ -22,9 +23,10 @@ import "fmt"
 type Tier string
 
 const (
-	// TierHot keeps every shard's sets on the heap — the default.
+	// TierHot keeps every shard's trie and sets on the heap — the default.
 	TierHot Tier = "hot"
-	// TierCold leaves every shard's sets in its memory-mapped container.
+	// TierCold leaves every shard's trie and sets in its memory-mapped
+	// container.
 	TierCold Tier = "cold"
 	// TierAuto picks per shard: shards at or above the auto threshold load
 	// cold, and the placement controller retiers on query frequency.
@@ -155,7 +157,7 @@ func (x *Index) retier(move func(s *localShard, hits uint64) bool) (int, error) 
 				m.tierPromotions.Inc()
 			}
 		} else {
-			if err := s.demote(x.containOptions()); err != nil {
+			if err := s.demote(x.signers); err != nil {
 				return moved, fmt.Errorf("demoting shard: %w", err)
 			}
 			if m := x.metrics; m != nil {

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"repro/internal/contain"
 	"repro/internal/race"
 	"repro/internal/snapshot"
 )
@@ -403,7 +402,7 @@ func TestSaveBytesIndependentOfTier(t *testing.T) {
 // was decoded from its container. Promote leaves the side alone.
 func TestContainSideFollowsTierMoves(t *testing.T) {
 	sets, _ := workload(400, 0.8, 521)
-	copts := contain.Options{Seed: ContainSeed(5)}
+	cs := newSigners(5)
 	rounds := 100
 	if race.Enabled {
 		rounds = 30 // the parent of the fix failed within two under the detector
@@ -416,13 +415,13 @@ func TestContainSideFollowsTierMoves(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			if _, err := s.containSide(copts); err != nil {
+			if _, err := s.containSide(cs); err != nil {
 				t.Error(err)
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			if err := s.demote(copts); err != nil {
+			if err := s.demote(cs); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -433,7 +432,7 @@ func TestContainSideFollowsTierMoves(t *testing.T) {
 		if c := s.contain.Load(); c != nil && !aliases(s.res.Load().snap.Bytes(), c.Signatures()) {
 			t.Fatalf("round %d: a cold shard's containment side is the one signed on the heap", round)
 		}
-		c, err := s.containSide(copts)
+		c, err := s.containSide(cs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"encoding/binary"
+	"fmt"
 	"unsafe"
 )
 
@@ -9,6 +10,7 @@ import (
 // little-endian host an array section already is the slice a decoder would
 // build from it. View and Bytes reinterpret in place when they can and
 // convert element by element when not: the one byte-order loop per direction.
+// Cast then regroups words into records, which involves no byte order at all.
 
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
@@ -56,4 +58,24 @@ func encodeWords[T uint32 | uint64](v []T) []byte {
 		}
 	}
 	return out
+}
+
+// Cast regroups a slice of 4-byte words into records and back: From and To are
+// uint32, int32 or structs of such fields only, so a record has no padding,
+// needs no more than a word's alignment, and reads the same from native words
+// on either byte order — View has already dealt with the file's. The result
+// aliases v and lives as long as v does. A cpindex trie is walked through Cast
+// over View over a mapped container: that is sound because a container is
+// never modified in place (writers go through a temp file and a rename) and
+// because Go's bounds checks stay on, so a file changed under a mapping anyway
+// can panic a walk but never take it outside the arrays. It panics if the
+// types do not fit: that is a bug in the caller, not a property of the data.
+func Cast[To, From any](v []From) []To {
+	var from From
+	var to To
+	bytes, size := uintptr(len(v))*unsafe.Sizeof(from), unsafe.Sizeof(to)
+	if unsafe.Sizeof(from)%4 != 0 || size == 0 || size%4 != 0 || unsafe.Alignof(to) > unsafe.Alignof(from) || bytes%size != 0 {
+		panic(fmt.Sprintf("snapshot: cannot cast %d %T to %T", len(v), from, to))
+	}
+	return unsafe.Slice((*To)(unsafe.Pointer(unsafe.SliceData(v))), bytes/size)
 }

@@ -79,3 +79,41 @@ func TestBytes(t *testing.T) {
 	t.Run("uint32", testBytes[uint32])
 	t.Run("uint64", testBytes[uint64])
 }
+
+// TestCast: records of 4-byte fields over words and back, in place; a length
+// or a type that does not fit is the caller's bug and panics.
+func TestCast(t *testing.T) {
+	type rec struct {
+		a uint32
+		b int32
+		c uint32
+	}
+	words := []uint32{1, 0xfffffffe, 3, 4, 5, 6}
+	recs := Cast[rec](words)
+	if want := []rec{{1, -2, 3}, {4, 5, 6}}; !slices.Equal(recs, want) {
+		t.Fatalf("Cast = %v, want %v", recs, want)
+	}
+	if unsafe.Pointer(&recs[0]) != unsafe.Pointer(&words[0]) {
+		t.Fatal("Cast copied")
+	}
+	if back := Cast[uint32](recs); !slices.Equal(back, words) || &back[0] != &words[0] {
+		t.Fatalf("Cast back = %v, want the words it came from, in place", back)
+	}
+	if got := Cast[rec]([]uint32(nil)); len(got) != 0 {
+		t.Fatalf("Cast(nil) has %d records", len(got))
+	}
+	for name, bad := range map[string]func(){
+		"a word short of a record":  func() { Cast[rec](words[:5]) },
+		"an 8-aligned record":       func() { Cast[struct{ a uint64 }](words[:2]) },
+		"a record of no whole word": func() { Cast[[3]uint16](words) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Cast did not panic", name)
+				}
+			}()
+			bad()
+		}()
+	}
+}
