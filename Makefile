@@ -42,7 +42,12 @@ test-benchmark:
 # too, as typed views of the trees section: byte order lives in
 # internal/snapshot/view.go, so non-test internal/cpindex imports no
 # encoding/binary and trie.go allocates no trie array (Build pre-sizes its
-# own in cpindex.go) — the per-field decoder cannot grow back.
+# own in cpindex.go) — the per-field decoder cannot grow back. A tier is
+# where a shard's bytes lie, chosen by the operator: hot and cold cost the
+# same per query, so no policy moves shards on traffic (TierAuto,
+# AutoColdBytes, Retier stay out of non-test Go), and placement does not ask
+# which tier a shard is in (no isCold() inside remote.go's Distribute: a
+# cold shard ships its mapped container as it lies).
 surface:
 	@out=$$(grep -rn 'Deprecated:' --include='*.go' .); if [ -n "$$out" ]; then echo "deprecated surface:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'mux\.Handle' internal/shard/server.go | grep -v '("/v1/'); if [ -n "$$out" ]; then echo "endpoint outside /v1/:"; echo "$$out"; exit 1; fi
@@ -53,6 +58,8 @@ surface:
 	@out=$$(grep -n 'map\[' internal/contain/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a map type in internal/contain (its one structure is sorted arrays):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'setBuf|mappedSets|maxMappedSetSize|DecodeSets|type containSide' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second way to read a stored set, or sets on the containment side:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n '"encoding/binary"' internal/cpindex/*.go | grep -v '_test\.go:'; grep -n 'make(\[\]trie' internal/cpindex/trie.go); if [ -n "$$out" ]; then echo "a per-field trie codec in internal/cpindex (cast the section: snapshot.View, snapshot.Cast):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE 'TierAuto|AutoColdBytes|\bRetier\b' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a tier policy is back (hot and cold cost the same per query; the tier is the operator's choice):"; echo "$$out"; exit 1; fi
+	@out=$$(sed -n '/^func (x \*Index) Distribute(/,/^}/p' internal/shard/remote.go | grep -n 'isCold()'); if [ -n "$$out" ]; then echo "Distribute asks which tier a shard is in (tier and placement are orthogonal):"; echo "$$out"; exit 1; fi
 	@deps=$$($(GO) list -deps ./cmd/experiments) || exit 1; out=$$(echo "$$deps" | grep -xE 'repro/internal/(shard|cpindex|contain|metrics)|net/http|testing'); if [ -n "$$out" ]; then echo "cmd/experiments links the serving stack:"; echo "$$out"; exit 1; fi
 
 # race is the quick local loop (-short skips the slowest suites);

@@ -24,13 +24,9 @@
 // container headers, a shard's first query checksums and validates it once,
 // and from then on every query, containment included, verifies against the
 // mapped tokens at the hot tier's cost and answers byte-identically to it.
-// -tier auto maps large shards and copies small ones to the heap: a
-// load-time size rule. Shards move afterwards by query frequency only where
-// something calls Retier, and here that is the placement controller's pass
-// alone (-peers with -placement-interval; -placement-interval without -peers
-// exits 2), so a single-node serve never retiers. -tier hot validates and
-// copies every shard at load; empty keeps whatever tier the snapshot was
-// saved under.
+// -tier hot validates and copies every shard at load; empty keeps whatever
+// tier the snapshot was saved under. Those are the two tiers, the flag is
+// the only thing that picks one, and -peers ships shards from either.
 //
 // Endpoints (errors are structured JSON {"error":..., "code":...}):
 //
@@ -153,7 +149,7 @@ func main() {
 		cacheSize = flag.Int("cache", 0, "hot-query result cache entries (0 disables; invalidated automatically on any mutation)")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/")
 		metricsOn = flag.Bool("metrics", true, "expose Prometheus metrics on /v1/metrics")
-		tierName  = flag.String("tier", "", "shard storage tier: hot (fully decoded), cold (mmap-backed, lazy decode) or auto (by shard size at load; by query frequency afterwards only with -peers and -placement-interval, whose controller is the one caller of Retier); empty keeps the snapshot's saved tier")
+		tierName  = flag.String("tier", "", "shard storage tier: hot (copied to the heap at load) or cold (memory-mapped, used in place); empty keeps the snapshot's saved tier")
 		slowQuery = flag.Duration("slow-query", 0, "log a structured line for /v1/query requests over this duration (0 disables)")
 		accessLog = flag.Bool("access-log", false, "log one structured line per HTTP request")
 	)

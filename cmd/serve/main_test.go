@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -103,5 +105,29 @@ func TestSIGTERMDrainsAndSaves(t *testing.T) {
 	}
 	if st := ix.Stats(); st.Sets != 5 || st.Buffered != 1 {
 		t.Fatalf("restored %+v, want 5 sets with the 1 buffered append", st)
+	}
+}
+
+// TestAutoTierIsAUsageError: there are two tiers. The value an earlier build
+// also took exits 2 with a message naming them, before any file is opened —
+// -input and -data point at paths that do not exist and are never reported.
+func TestAutoTierIsAUsageError(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(t.TempDir(), "missing")
+	cmd := exec.Command(exe, "-tier", "auto", "-input", missing, "-data", missing, "-threshold", "0.5")
+	cmd.Env = append(os.Environ(), "SERVE_TEST_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("serve -tier auto: %v, want exit status 2\n%s", err, stderr.String())
+	}
+	msg := stderr.String()
+	if !strings.Contains(msg, "want hot or cold") || strings.Contains(msg, missing) {
+		t.Fatalf("serve -tier auto stderr does not name the two tiers, or a file was opened:\n%s", msg)
 	}
 }

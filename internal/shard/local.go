@@ -32,17 +32,10 @@ import (
 // drops those copies (after giving the shard a container if it never had
 // one), and a cold shard costs page cache, 24 B of header per set and its
 // id map. A shard that has a container keeps it, so saving or shipping it is
-// a byte copy.
+// a byte copy, whichever tier it is in.
 type localShard struct {
 	ids  []int  // local id -> global id
 	seed uint64 // build seed: the shard's identity in manifests and ship keys
-
-	// hits counts queries served since the last retier pass and idle the
-	// consecutive passes that found it zero — the auto-tier policy's
-	// gauges (see Retier). hits costs one atomic add per query; idle is
-	// touched only under compactMu.
-	hits atomic.Uint64
-	idle int
 
 	// res is the current residency. Tier moves publish a new value; a query
 	// runs against the one it loaded, which stays valid (the heap copy and
@@ -99,10 +92,9 @@ func (s *localShard) structure() (nodes, leaves int) {
 }
 
 // query is the only route from the ring into a local shard: every call
-// counts toward the tier gauge and reports the shard's candidate-pipeline
-// stats, traced or not. Ids come back global.
+// reports the shard's candidate-pipeline stats, traced or not, and writes
+// nothing the shard's other queries share. Ids come back global.
 func (s *localShard) query(p plan, q []uint32) (res Result, st cpindex.QueryStats, err error) {
-	s.hits.Add(1)
 	res = noMatch
 	r := s.res.Load()
 	switch p.kind {

@@ -46,7 +46,7 @@ type indexMetrics struct {
 	placementRebalanced *metrics.Counter
 
 	// Storage tiering: shard moves between the hot (heap) and cold (mapped)
-	// tiers, by Configure, Promote/DemoteAll or auto-retier passes.
+	// tiers, by Configure (at runtime, or re-applied at the end of a load).
 	tierPromotions *metrics.Counter
 	tierDemotions  *metrics.Counter
 
@@ -168,10 +168,12 @@ func newIndexMetrics(x *Index) *indexMetrics {
 		return float64(n)
 	})
 	reg.GaugeFunc("cps_tier_hot_shards", "local ring shards with their sets on the heap (hot tier)", func() float64 {
-		return float64(x.Stats().HotShards)
+		hot, _ := x.tierCounts()
+		return float64(hot)
 	})
 	reg.GaugeFunc("cps_tier_cold_shards", "local ring shards left in their memory-mapped containers (cold tier)", func() float64 {
-		return float64(x.Stats().ColdShards)
+		_, cold := x.tierCounts()
+		return float64(cold)
 	})
 	reg.GaugeFunc("cps_index_buffered", "sets in the side buffer and in-flight seals", func() float64 {
 		x.mu.RLock()
@@ -238,6 +240,25 @@ func newIndexMetrics(x *Index) *indexMetrics {
 		return float64(exec.ReadStats().QueueDepth)
 	})
 	return m
+}
+
+// tierCounts splits the local ring by residency: one walk under the read
+// lock, no allocation — a scrape must not cost what Stats does.
+func (x *Index) tierCounts() (hot, cold int) {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	for _, sh := range x.shards {
+		s, ok := sh.(*localShard)
+		if !ok {
+			continue
+		}
+		if s.isCold() {
+			cold++
+		} else {
+			hot++
+		}
+	}
+	return hot, cold
 }
 
 // peer returns (creating on first use) the collectors for one peer base

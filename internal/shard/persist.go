@@ -298,12 +298,9 @@ type LoadOptions struct {
 	Workers int
 	// Tiering picks the storage tier shards load into. Empty defers to the
 	// tier the manifest's runtime state recorded (hot when absent): hot
-	// moves every shard's sets to the heap, cold leaves them in the mapped
-	// files, auto leaves cold the shard files of at least AutoColdBytes.
+	// moves every shard's trie and sets to the heap, cold leaves them in the
+	// mapped files.
 	Tiering Tier
-	// AutoColdBytes is TierAuto's size threshold; 0 means
-	// DefaultAutoColdBytes.
-	AutoColdBytes int64
 }
 
 // Load reopens an index saved by Save with the default (hot, or
@@ -333,11 +330,12 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 	}
 	tier, err := ParseTier(tierName)
 	if err != nil {
+		if lo.Tiering == "" {
+			// The name came from the manifest, not the caller. Shard files are
+			// the same bytes under any tier, so an explicit one restores them.
+			return nil, fmt.Errorf("%s: saved under a tier this build does not have: pass -tier hot or -tier cold: %w", dir, err)
+		}
 		return nil, fmt.Errorf("%s: %w", dir, err)
-	}
-	autoCold := lo.AutoColdBytes
-	if autoCold <= 0 {
-		autoCold = DefaultAutoColdBytes
 	}
 	var part Partition
 	switch m.Partition {
@@ -416,7 +414,7 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 	exec.RunItems(exec.EffectiveWorkers(workers), len(m.Shards), func(i int) {
 		path := filepath.Join(dir, m.Shards[i].File)
 		var s *localShard
-		if s, errs[i] = loadTieredShard(path, m.Shards[i], m.Total, tier, autoCold); errs[i] == nil {
+		if s, errs[i] = loadTieredShard(path, m.Shards[i], m.Total, tier); errs[i] == nil {
 			x.shards[i] = s
 		}
 	})
@@ -495,16 +493,15 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 }
 
 // loadTieredShard maps one shard file, cross-checks it against its manifest
-// entry, and leaves it in the tier the policy picks: cold stops there, hot
-// promotes (reading and checksumming every section), and auto stats the
-// file — containers of at least autoCold bytes stay cold.
-func loadTieredShard(path string, entry snapshot.ShardEntry, total int, tier Tier, autoCold int64) (*localShard, error) {
+// entry, and leaves it in the given tier: cold stops there, hot promotes
+// (reading and checksumming every section).
+func loadTieredShard(path string, entry snapshot.ShardEntry, total int, tier Tier) (*localShard, error) {
 	f, err := mmap.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	s, err := openLocalShard(f.Data, f, entry, total)
-	if err == nil && (tier == TierHot || tier == TierAuto && int64(len(f.Data)) < autoCold) {
+	if err == nil && tier == TierHot {
 		err = s.promote()
 	}
 	if err != nil {

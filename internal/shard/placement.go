@@ -394,10 +394,8 @@ func (c *placementController) run() {
 			return
 		case <-c.kick:
 			c.pass()
-			c.retier()
 		case <-passC:
 			c.pass()
-			c.retier()
 		case <-probeC:
 			c.probePeers()
 		}
@@ -420,15 +418,6 @@ func (c *placementController) pass() {
 			m.placementErrors.Inc()
 		}
 	}
-}
-
-// retier runs one auto-tier pass on the controller's reconciliation
-// cadence — a no-op unless the index is configured with TierAuto. A
-// failed move leaves the shard in its current tier (queries against a
-// corrupt cold shard surface the corruption themselves), so the error is
-// deliberately not fatal to the controller.
-func (c *placementController) retier() {
-	c.x.Retier()
 }
 
 // probePeers actively checks every recorded peer with a lightweight GET,

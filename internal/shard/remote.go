@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"runtime"
 	"strings"
 	"time"
 
@@ -435,11 +436,12 @@ func (x *Index) Distribute(peers []string, o *DistributeOptions) error {
 	remotes := make([]*remoteShard, len(shards))
 	errs := make([]error, len(shards))
 	exec.RunItems(exec.EffectiveWorkers(x.opt.Workers), len(shards), func(i int) {
-		// Only hot shards ship: tiering is a local storage decision, and a
-		// cold shard stays local — promote it first if it should move to a
-		// peer. Already-remote shards are likewise left in place.
+		// Every local shard ships, from whichever tier it is in: a shard
+		// that has a container uploads those bytes as they lie (for a cold
+		// one, the mapping), only a hot never-encoded one pays an encode.
+		// Already-remote shards are left in place.
 		sub, ok := shards[i].(*localShard)
-		if !ok || sub.isCold() {
+		if !ok {
 			return
 		}
 		raw, err := encodeShardBytes(sub, x.signers)
@@ -468,6 +470,7 @@ func (x *Index) Distribute(peers []string, o *DistributeOptions) error {
 				m.placementShipped.Inc()
 			}
 		}
+		runtime.KeepAlive(sub) // raw may be the mapping sub pins; the last upload has read it
 		remote := &remoteShard{
 			key:      key,
 			seed:     seed,

@@ -6,6 +6,9 @@ import (
 	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -386,6 +389,115 @@ func TestSaveWithRemoteShards(t *testing.T) {
 		t.Fatal("Save with all peers down succeeded")
 	} else if !strings.Contains(err.Error(), "no live replica") {
 		t.Fatalf("Save error = %v, want 'no live replica'", err)
+	}
+}
+
+// TestDistributeShipsColdShards: tier and placement are orthogonal. A ring
+// restored cold ships like a hot one — every shard becomes remote, moved or
+// replicated — and what it ships is the mapping itself, so each peer holds
+// the shard file's bytes and a Save of the distributed ring writes them
+// again. A GC loop runs across the upload: raw aliases a mapping that only
+// the shard pins.
+func TestDistributeShipsColdShards(t *testing.T) {
+	_, dir, queries := saveWorkload(t)
+	local, err := Load(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardFiles := func(dir string) [][]byte {
+		t.Helper()
+		m, err := snapshot.ReadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([][]byte, len(m.Shards))
+		for i, e := range m.Shards {
+			if out[i], err = os.ReadFile(filepath.Join(dir, e.File)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	want := shardFiles(dir)
+
+	for _, keepLocal := range []bool{false, true} {
+		t.Run(fmt.Sprintf("keepLocal=%v", keepLocal), func(t *testing.T) {
+			p1, _ := newPeer(t)
+			p2, _ := newPeer(t)
+			dist, err := LoadWithOptions(dir, LoadOptions{Workers: 2, Tiering: TierCold})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := dist.Stats(); st.ColdShards != len(want) {
+				t.Fatalf("restored %d cold shards, want %d", st.ColdShards, len(want))
+			}
+
+			stop, collected := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(collected)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						runtime.GC()
+					}
+				}
+			}()
+			err = dist.Distribute([]string{p1.URL, p2.URL}, &DistributeOptions{Replicas: 2, KeepLocal: keepLocal})
+			close(stop)
+			<-collected
+			if err != nil {
+				t.Fatalf("Distribute of a cold ring: %v", err)
+			}
+			if st := dist.Stats(); st.RemoteShards != len(want) || st.ColdShards != 0 || st.HotShards != 0 {
+				t.Fatalf("after Distribute: %d remote / %d cold / %d hot, want %d / 0 / 0",
+					st.RemoteShards, st.ColdShards, st.HotShards, len(want))
+			}
+			// A moved shard's mapping is garbage now; nothing may still read it.
+			runtime.GC()
+			runtime.GC()
+			assertIdentical(t, local, dist, queries)
+			for qi, q := range queries[:20] {
+				wantC, err1 := local.QueryContain(q, 0.7)
+				gotC, err2 := dist.QueryContain(q, 0.7)
+				if err1 != nil || err2 != nil || !equalMatches(t, gotC, wantC) {
+					t.Fatalf("containment probe %d diverges on the distributed cold ring (errs %v / %v)", qi, err1, err2)
+				}
+			}
+
+			dist.mu.RLock()
+			ring := dist.shards
+			dist.mu.RUnlock()
+			for i, sh := range ring {
+				r := sh.(*remoteShard)
+				if (r.local != nil) != keepLocal {
+					t.Fatalf("shard %d: local copy kept = %v, want %v", i, r.local != nil, keepLocal)
+				}
+				if keepLocal && !r.local.isCold() {
+					t.Fatalf("shard %d: shipping promoted the retained copy", i)
+				}
+				for _, peer := range r.replicas {
+					got, err := getShardSnapshot(http.DefaultClient, peer, r.key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want[i]) {
+						t.Fatalf("shard %d: peer %s holds bytes that differ from the shard file", i, peer)
+					}
+				}
+			}
+
+			saved := t.TempDir()
+			if err := dist.Save(saved); err != nil {
+				t.Fatal(err)
+			}
+			for i, got := range shardFiles(saved) {
+				if !bytes.Equal(got, want[i]) {
+					t.Fatalf("shard file %d saved from the distributed ring differs", i)
+				}
+			}
+		})
 	}
 }
 

@@ -432,9 +432,9 @@ type RuntimeOptions struct {
 	// many entries; 0 removes it. Negative values are rejected.
 	CacheSize int
 	// Tiering selects the ring's storage tier: TierHot (or "", the
-	// default) keeps every shard's sets on the heap, TierCold leaves them
-	// in memory-mapped containers, TierAuto lets the retier policy move shards
-	// on query frequency. Answers are byte-identical across tiers.
+	// default) keeps every shard's trie and sets on the heap, TierCold leaves
+	// them in memory-mapped containers. Answers are byte-identical across
+	// tiers, and nothing but this option ever moves a shard between them.
 	Tiering Tier
 }
 
@@ -462,7 +462,8 @@ func (x *Index) Configure(ro RuntimeOptions) error {
 		x.cache.Store(nil)
 	}
 	// Move the ring to the tier; idempotent when it is already there.
-	return x.applyTiering(tier)
+	_, err = x.applyTiering(tier)
+	return err
 }
 
 // Runtime returns the runtime options currently applied.

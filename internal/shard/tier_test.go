@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -91,76 +92,131 @@ func TestPromoteDemoteAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := y.Stats().ColdShards
+	gen := y.Stats().Generation
 
-	promoted, err := y.PromoteAll()
+	promoted, err := y.applyTiering(TierHot)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if promoted != total {
-		t.Fatalf("PromoteAll moved %d shards, want %d", promoted, total)
+		t.Fatalf("applyTiering(hot) moved %d shards, want %d", promoted, total)
 	}
 	if st := y.Stats(); st.ColdShards != 0 || st.HotShards != total {
-		t.Fatalf("after PromoteAll: %d cold / %d hot, want 0 / %d", st.ColdShards, st.HotShards, total)
+		t.Fatalf("after applyTiering(hot): %d cold / %d hot, want 0 / %d", st.ColdShards, st.HotShards, total)
 	}
 	assertSameAnswers(t, x, y, queries)
 
-	demoted, err := y.DemoteAll()
+	demoted, err := y.applyTiering(TierCold)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if demoted != total {
-		t.Fatalf("DemoteAll moved %d shards, want %d", demoted, total)
+		t.Fatalf("applyTiering(cold) moved %d shards, want %d", demoted, total)
 	}
 	if st := y.Stats(); st.HotShards != 0 || st.ColdShards != total {
-		t.Fatalf("after DemoteAll: %d cold / %d hot, want %d / 0", st.ColdShards, st.HotShards, total)
+		t.Fatalf("after applyTiering(cold): %d cold / %d hot, want %d / 0", st.ColdShards, st.HotShards, total)
 	}
 	assertSameAnswers(t, x, y, queries)
+
+	// Each whole-ring move is one generation and one count per shard on its
+	// counter; re-applying the tier the ring is in moves and bumps nothing.
+	if again, err := y.applyTiering(TierCold); err != nil || again != 0 {
+		t.Fatalf("re-applying the current tier moved %d shards (err %v)", again, err)
+	}
+	if got := y.Stats().Generation; got != gen+2 {
+		t.Fatalf("generation %d after two moves from %d", got, gen)
+	}
+	if p, d := y.metrics.tierPromotions.Value(), y.metrics.tierDemotions.Value(); p != uint64(total) || d != uint64(total) {
+		t.Fatalf("tier counters %d up / %d down, want %d / %d", p, d, total, total)
+	}
 }
 
-// TestAutoRetier: under TierAuto a cold shard that keeps answering
-// queries is promoted by Retier, and a hot shard that sits idle is
-// demoted — with answers identical throughout.
-func TestAutoRetier(t *testing.T) {
-	x, dir, queries := saveWorkload(t)
-	// AutoColdBytes 1: every sealed shard starts cold.
-	y, err := LoadWithOptions(dir, LoadOptions{Workers: 2, Tiering: TierAuto, AutoColdBytes: 1})
+// TestTierGaugesFollowTheRing: the two residency gauges a scrape reads agree
+// with Stats through a tier move and a placement (a remote shard is in
+// neither tier, retained copy or not), without building a Stats to do it.
+func TestTierGaugesFollowTheRing(t *testing.T) {
+	_, dir, _ := saveWorkload(t)
+	x, err := LoadWithOptions(dir, LoadOptions{Workers: 2, Tiering: TierCold})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := y.Stats().ColdShards
-	if cold == 0 {
-		t.Fatal("auto load with AutoColdBytes=1 left no shard cold")
-	}
-
-	// Drive traffic into every shard, then retier: the hit counters are
-	// past tierPromoteHits, so every cold shard comes back hot.
-	for i := 0; i < 2*tierPromoteHits; i++ {
-		assertSameAnswers(t, x, y, queries[:4])
-	}
-	promoted, demoted, err := y.Retier()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if promoted != cold || demoted != 0 {
-		t.Fatalf("Retier after traffic moved %d up / %d down, want %d / 0", promoted, demoted, cold)
-	}
-	assertSameAnswers(t, x, y, queries)
-
-	// Now leave everything idle for the demotion window: one extra pass
-	// drains the hit counters the equivalence probes just charged, then
-	// tierDemoteIdlePasses zero-hit passes trip the demotion.
-	var down int
-	for i := 0; i < tierDemoteIdlePasses+1; i++ {
-		_, d, err := y.Retier()
-		if err != nil {
+	check := func(stage string) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := x.Metrics().WritePrometheus(&buf); err != nil {
 			t.Fatal(err)
 		}
-		down += d
+		st := x.Stats()
+		for name, want := range map[string]int{"cps_tier_hot_shards": st.HotShards, "cps_tier_cold_shards": st.ColdShards} {
+			if line := fmt.Sprintf("\n%s %d\n", name, want); !strings.Contains(buf.String(), line) {
+				t.Fatalf("%s: scrape lacks %q (Stats: %d hot / %d cold / %d remote)",
+					stage, strings.TrimSpace(line), st.HotShards, st.ColdShards, st.RemoteShards)
+			}
+		}
 	}
-	if down != promoted {
-		t.Fatalf("idle Retier demoted %d shards, want %d", down, promoted)
+	check("restored cold")
+	if err := x.Configure(RuntimeOptions{Tiering: TierHot}); err != nil {
+		t.Fatal(err)
 	}
-	assertSameAnswers(t, x, y, queries)
+	check("configured hot")
+	peer, _ := newPeer(t)
+	if err := x.Distribute([]string{peer.URL}, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("distributed, copies kept")
+	if allocs := testing.AllocsPerRun(20, func() { x.tierCounts() }); allocs != 0 {
+		t.Fatalf("tierCounts allocates %v times a call; Stats is the walk that may", allocs)
+	}
+}
+
+// TestAutoTierRejected: there are two tiers. The name an earlier build also
+// took is refused with a message that names them — by ParseTier and by
+// Configure — and a directory that build saved under it says how to get the
+// data back: an explicit tier overrides the manifest, as it always has.
+func TestAutoTierRejected(t *testing.T) {
+	if _, err := ParseTier("auto"); err == nil || !strings.Contains(err.Error(), "want hot or cold") {
+		t.Fatalf("ParseTier(auto): %v, want an error naming hot and cold", err)
+	}
+
+	x, dir, queries := saveWorkload(t)
+	before := x.Runtime()
+	if err := x.Configure(RuntimeOptions{Tiering: "auto"}); err == nil || !strings.Contains(err.Error(), "want hot or cold") {
+		t.Fatalf("Configure(auto): %v, want an error naming hot and cold", err)
+	}
+	if x.Runtime() != before {
+		t.Fatalf("a rejected Configure changed the runtime options: %+v", x.Runtime())
+	}
+
+	m, err := snapshot.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Runtime = &snapshot.RuntimeState{Tiering: "auto"}
+	if err := snapshot.WriteManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Load(dir, 2)
+	if err == nil {
+		t.Fatal("a manifest saved under tier auto loaded without an explicit tier")
+	}
+	for _, want := range []string{dir, "pass -tier hot or -tier cold", "want hot or cold"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("load error %q lacks %q", err, want)
+		}
+	}
+	for _, tier := range []Tier{TierHot, TierCold} {
+		y, err := LoadWithOptions(dir, LoadOptions{Workers: 2, Tiering: tier})
+		if err != nil {
+			t.Fatalf("explicit %s load of a tier-auto directory: %v", tier, err)
+		}
+		if st := y.Stats(); (tier == TierCold) != (st.ColdShards > 0) || (tier == TierHot) != (st.HotShards > 0) {
+			t.Fatalf("explicit %s load left %d hot / %d cold shards", tier, st.HotShards, st.ColdShards)
+		}
+		if got := y.Runtime().Tiering; got != tier {
+			t.Fatalf("explicit %s load remembers tier %q", tier, got)
+		}
+		assertSameAnswers(t, x, y, queries)
+	}
 }
 
 // TestLoadShardErrorNamesFile is the regression test for the latent Load
@@ -264,36 +320,6 @@ func TestTieringPersistsInManifest(t *testing.T) {
 	assertSameAnswers(t, x, z, queries)
 }
 
-// TestTracedBestQueriesCountAsHits is the regression test for the traced
-// best-match path bypassing the backend (and with it the tier gauge):
-// under TierAuto, a hot ring that serves only traced best-match queries —
-// every /v1/query under serve -slow-query — must not be demoted for
-// idleness.
-func TestTracedBestQueriesCountAsHits(t *testing.T) {
-	x, _, queries := saveWorkload(t)
-	if err := x.Configure(RuntimeOptions{Tiering: TierAuto}); err != nil {
-		t.Fatal(err)
-	}
-	hot := x.Stats().HotShards
-	if hot == 0 {
-		t.Fatal("built ring has no hot shards")
-	}
-	for pass := 0; pass < tierDemoteIdlePasses; pass++ {
-		for _, q := range queries[:4] {
-			var tr QueryTrace
-			if _, err := x.Search(Request{Set: q}, &tr); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, demoted, err := x.Retier(); err != nil || demoted != 0 {
-			t.Fatalf("pass %d: Retier demoted %d shards serving traced queries (err %v)", pass, demoted, err)
-		}
-	}
-	if st := x.Stats(); st.HotShards != hot {
-		t.Fatalf("%d of %d hot shards left after traced traffic", st.HotShards, hot)
-	}
-}
-
 // TestTracedBestQueryStatsAcrossTiers: a traced best-match query reports
 // the same per-shard candidate pipeline counts whether the ring is hot or
 // cold — cold shards used to take the stats-less branch and report zeros.
@@ -384,11 +410,11 @@ func TestSaveBytesIndependentOfTier(t *testing.T) {
 		resave(string(tier)+" load", y)
 	}
 	// A built ring demoted in place encodes once, then copies.
-	if _, err := x.DemoteAll(); err != nil {
+	if _, err := x.applyTiering(TierCold); err != nil {
 		t.Fatal(err)
 	}
 	resave("demoted build", x)
-	if _, err := x.PromoteAll(); err != nil {
+	if _, err := x.applyTiering(TierHot); err != nil {
 		t.Fatal(err)
 	}
 	resave("re-promoted build", x)

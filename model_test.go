@@ -239,21 +239,15 @@ func modelOps() int {
 // constantly), and every save/load cycle also checks that re-applying
 // the runtime configuration to a freshly loaded index changes no answer.
 //
-// The storage-tier dimension crosses the whole grid with hot, cold and
-// auto tiers: every save/load round trip reopens the snapshot in the
-// configuration's tier (cold leaves every shard's sets in its mapped file;
-// auto uses a threshold small enough that real shard files land on both
-// sides of it, and Retier passes move shards between tiers mid-sequence),
-// and every subsequent answer must still be byte-identical to the model.
-// Cold shards deliberately stay local on Distribute, so the remote×cold
-// combinations degrade to local serving after the first round trip —
-// remote coverage comes from the hot rows of the grid.
+// The storage-tier dimension crosses the whole grid with the hot and the
+// cold tier: every save/load round trip reopens the snapshot in the
+// configuration's tier (cold leaves every shard's trie and sets in its
+// mapped file), and every subsequent answer must still be byte-identical to
+// the model. Tier and placement are orthogonal — a cold ring ships to the
+// peers like a hot one — so the remote×cold cells answer over the wire too.
 func TestShardedIndexMatchesModel(t *testing.T) {
 	const lambda = 0.5
 	const cacheEntries = 48
-	// autoColdBytes sizes TierAuto's threshold so the harness's small
-	// shard files genuinely split across tiers.
-	const autoColdBytes = 2048
 	type config struct {
 		hash    bool
 		shards  int
@@ -279,7 +273,7 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 		}
 	}
 	var configs []config
-	for _, tier := range []Tier{TierHot, TierCold, TierAuto} {
+	for _, tier := range []Tier{TierHot, TierCold} {
 		for _, c := range base {
 			c.tier = tier
 			configs = append(configs, c)
@@ -318,6 +312,10 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 					// superseded key from an earlier pass or a previous
 					// (pre-Load) life survives.
 					st := ix.Stats()
+					if st.RemoteShards == 0 || st.RemoteShards != st.Shards {
+						t.Fatalf("Distribute left %d of %d ring shards remote (tier %s)",
+							st.RemoteShards, st.Shards, cfg.tier)
+					}
 					k1, k2 := srv1.HostedKeys(), srv2.HostedKeys()
 					if len(k1) != st.RemoteShards || len(k2) != st.RemoteShards {
 						t.Fatalf("peers host %d/%d shards, ring references %d",
@@ -473,11 +471,8 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 							fail(op, "QueryBatch[%d](%v) = %v, model says %v", i, q, got[i], want)
 						}
 					}
-				case k < 85: // Flush (+ one auto-tier pass, a no-op off TierAuto)
+				case k < 85: // Flush
 					ix.Flush()
-					if _, _, err := ix.Retier(); err != nil {
-						fail(op, "Retier: %v", err)
-					}
 				case k < 93: // Compact
 					res := ix.Compact()
 					if res.Merged > 0 {
@@ -497,9 +492,8 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 						fail(op, "Save: %v", err)
 					}
 					loaded, err := LoadShardedIndexWithOptions(dir, LoadOptions{
-						Workers:       cfg.workers,
-						Tiering:       cfg.tier,
-						AutoColdBytes: autoColdBytes,
+						Workers: cfg.workers,
+						Tiering: cfg.tier,
 					})
 					if err != nil {
 						fail(op, "Load: %v", err)
@@ -536,9 +530,8 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 				t.Fatalf("final Save: %v", err)
 			}
 			loaded, err := LoadShardedIndexWithOptions(dir, LoadOptions{
-				Workers:       cfg.workers,
-				Tiering:       cfg.tier,
-				AutoColdBytes: autoColdBytes,
+				Workers: cfg.workers,
+				Tiering: cfg.tier,
 			})
 			if err != nil {
 				t.Fatalf("final Load: %v", err)

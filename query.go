@@ -61,17 +61,17 @@ func (s *ShardedIndex) Search(q Query) (Result, error) {
 type RuntimeOptions = shard.RuntimeOptions
 
 // Tier names a shard storage tier for RuntimeOptions.Tiering and
-// LoadOptions.Tiering: TierHot keeps every shard's sets on the heap,
-// TierCold leaves them in memory-mapped shard files, TierAuto picks per
-// shard by size and retiers on query frequency. Answers are byte-identical across
-// tiers; only memory and latency differ.
+// LoadOptions.Tiering: TierHot keeps every shard's trie and sets on the
+// heap, TierCold leaves them in memory-mapped shard files. Answers are
+// byte-identical across tiers and cost the same per query; the choice is
+// about memory and restarts, it is the operator's, and nothing moves a
+// shard between tiers behind it.
 type Tier = shard.Tier
 
 // Storage tiers (see Tier).
 const (
 	TierHot  = shard.TierHot
 	TierCold = shard.TierCold
-	TierAuto = shard.TierAuto
 )
 
 // Configure applies the runtime configuration in one validated call. It

@@ -215,9 +215,9 @@ func LoadShardedIndex(dir string, workers int) (*ShardedIndex, error) {
 
 // LoadOptions controls how LoadShardedIndexWithOptions reopens a
 // snapshot: shard-load parallelism plus the storage tier shards load
-// into (hot decodes fully, cold memory-maps with lazy decode, auto
-// splits by shard file size; empty defers to the tier the snapshot was
-// saved under).
+// into (hot copies every shard to the heap, cold memory-maps the files
+// and uses them in place; empty defers to the tier the snapshot was saved
+// under).
 type LoadOptions = shard.LoadOptions
 
 // LoadShardedIndexWithOptions is LoadShardedIndex with the storage tier
@@ -229,14 +229,6 @@ func LoadShardedIndexWithOptions(dir string, opts LoadOptions) (*ShardedIndex, e
 		return nil, err
 	}
 	return &ShardedIndex{ix: ix}, nil
-}
-
-// Retier runs one auto-tier pass (a no-op unless Tiering is TierAuto),
-// promoting cold shards that kept absorbing queries and demoting hot
-// shards that sat idle. The placement controller runs this on its own
-// cadence; exposing it lets operators and tests drive passes directly.
-func (s *ShardedIndex) Retier() (promoted, demoted int, err error) {
-	return s.ix.Retier()
 }
 
 // ShardStats describes the current shape of a ShardedIndex.
