@@ -10,7 +10,6 @@
 //	      [-data DIR] [-save-on-shutdown] [-auto-compact] [-tier T]
 //	      [-cache N] [-pprof] [-metrics] [-slow-query D] [-access-log]
 //	      [-peers URL,URL,...] [-replicas N] [-keep-local] [-peer]
-//	      [-placement-interval D] [-probe-interval D] [-rebalance]
 //
 // Persistence: with -data, the service restores the index from DIR's
 // snapshot (manifest + per-shard files) when one exists — restart cost
@@ -77,22 +76,19 @@
 // are moved, not replicated: RAM for the bulk structures is freed, and a
 // shard whose replicas are all dead makes queries fail with 502 rather
 // than silently answering from partial topology — /v1/readyz turns 503
-// in that state so load balancers drain the node. Peers are ordinary
-// serve instances — any instance accepts shipped shards on
+// in that state so load balancers drain the node, and re-checks the dead
+// peers on each request, so it turns 200 again once they heal. Peers are
+// ordinary serve instances — any instance accepts shipped shards on
 // /v1/shard/snapshot and answers /v1/shard/query — and -peer starts one
 // with an empty index of its own, purely to host shards for coordinators.
 //
-// Placement control plane: -placement-interval D closes the loop that a
-// one-shot -peers distribution leaves open. A background controller
-// re-ships newly sealed (and compaction-merged) shards to the peers
-// automatically, garbage-collects hosted shards the ring no longer
-// references (re-shipped rings do not leak their predecessors' keys; the
-// ownership record persists in the snapshot manifest, so even a restart
-// cannot orphan keys), and probes every peer's /v1/healthz each
-// -probe-interval — flipping the same health bit /v1/readyz reads — with
-// capped exponential backoff on failing peers. -rebalance additionally
-// re-ships replicas away from peers that stay unhealthy. All placement
-// transitions preserve byte-identical query answers.
+// -peers alone keeps the ring placed: shards sealed by /v1/add and merged
+// by compaction are shipped under the same -replicas and -keep-local, and
+// the hosted shards the ring no longer references are evicted from the
+// peers (the ownership record persists in the snapshot manifest, so even a
+// restart cannot orphan keys; a restart without -peers ships nothing).
+// -replicas other than 1 or -keep-local=false without -peers is a usage
+// error. Placement never changes an answer.
 //
 // Example:
 //
@@ -139,12 +135,9 @@ func main() {
 		dataDir   = flag.String("data", "", "snapshot directory: restore from it on start if it holds a manifest")
 		saveOnEnd = flag.Bool("save-on-shutdown", false, "snapshot the index into -data on graceful shutdown (requires -data)")
 		autoComp  = flag.Bool("auto-compact", false, "background-compact small and tombstone-heavy shards after each seal")
-		peers     = flag.String("peers", "", "comma-separated peer base URLs: ship every sealed shard to peers and serve as coordinator")
+		peers     = flag.String("peers", "", "comma-separated peer base URLs: ship every sealed shard to peers, now and after every seal and compaction, and serve as coordinator")
 		replicas  = flag.Int("replicas", 1, "peers each shard is shipped to (N-way replication; requires -peers)")
-		keepLocal = flag.Bool("keep-local", true, "retain in-process shard copies as last-resort replicas (false moves shards instead of replicating)")
-		placement = flag.Duration("placement-interval", 0, "run the background placement controller with this pass interval (0 disables; requires -peers): auto-ship sealed shards, GC superseded hosted shards, probe peer health")
-		probeIvl  = flag.Duration("probe-interval", 5*time.Second, "active peer health-probe cadence for the placement controller")
-		rebalance = flag.Bool("rebalance", false, "re-ship replicas away from persistently unhealthy peers (requires -placement-interval)")
+		keepLocal = flag.Bool("keep-local", true, "retain in-process shard copies as last-resort replicas (false moves shards instead of replicating; requires -peers)")
 		peerMode  = flag.Bool("peer", false, "start with an empty index and host shards shipped by coordinators")
 		cacheSize = flag.Int("cache", 0, "hot-query result cache entries (0 disables; invalidated automatically on any mutation)")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/")
@@ -159,6 +152,21 @@ func main() {
 		logger.Error("-save-on-shutdown requires -data")
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *peers == "" {
+		// The placement flags mean nothing without peers; setting one is a
+		// mistake to report, not a value to ignore.
+		var stray []string
+		flag.Visit(func(f *flag.Flag) {
+			if (f.Name == "replicas" && *replicas != 1) || (f.Name == "keep-local" && !*keepLocal) {
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+		if len(stray) > 0 {
+			logger.Error("placement flags require -peers", "flags", strings.Join(stray, " "))
+			flag.Usage()
+			os.Exit(2)
+		}
 	}
 	tier, err := shard.ParseTier(*tierName)
 	if err != nil {
@@ -224,11 +232,6 @@ func main() {
 			"nodes", st.Nodes, "seconds", time.Since(start).Seconds(), "addr", *addr)
 	}
 
-	if *placement > 0 && *peers == "" {
-		logger.Error("-placement-interval requires -peers")
-		flag.Usage()
-		os.Exit(2)
-	}
 	if *peers != "" {
 		peerList := strings.Split(*peers, ",")
 		dopts := &shard.DistributeOptions{
@@ -244,19 +247,6 @@ func main() {
 			"remote_shards", st.RemoteShards, "peers", len(peerList),
 			"replicas", *replicas, "keep_local", *keepLocal,
 			"seconds", time.Since(distStart).Seconds())
-		if *placement > 0 {
-			err := ix.StartPlacement(peerList, dopts, &shard.PlacementOptions{
-				Interval:      *placement,
-				ProbeInterval: *probeIvl,
-				Rebalance:     *rebalance,
-			})
-			if err != nil {
-				fatal("starting placement controller failed", "err", err)
-			}
-			defer ix.StopPlacement()
-			logger.Info("placement controller running",
-				"interval", *placement, "probe_interval", *probeIvl, "rebalance", *rebalance)
-		}
 	}
 
 	// One validated Configure call applies the runtime tuning. Flags

@@ -54,7 +54,9 @@ type CompactResult struct {
 // throughout (the rebuild holds no index lock — only the final swap takes
 // the write lock briefly). The side buffer is not touched: buffered
 // appends reach the ring through seals, which already reclaim their
-// deleted entries.
+// deleted entries. A pass that changed a distributed ring re-places it
+// before returning: the merged shard ships, and the sweep at the end of that
+// pass retires the recalled victims' hosted copies.
 func (x *Index) Compact() CompactResult {
 	start := time.Now()
 	res := x.compact()
@@ -62,6 +64,9 @@ func (x *Index) Compact() CompactResult {
 		m.compactLat.Observe(time.Since(start))
 		m.compactMerged.Add(uint64(res.Merged))
 		m.compactReclaimed.Add(uint64(res.Reclaimed))
+	}
+	if res.Merged > 0 {
+		x.keepPlaced()
 	}
 	return res
 }
@@ -121,12 +126,8 @@ func (x *Index) compact() CompactResult {
 	// retire them.
 	x.mu.Lock()
 	gone := make(map[shardBackend]struct{}, len(victims))
-	remote := 0
 	for _, v := range victims {
 		gone[v.backend] = struct{}{}
-		if _, ok := v.backend.(*remoteShard); ok {
-			remote++
-		}
 	}
 	ring := make([]shardBackend, 0, len(x.shards)-len(victims)+1)
 	for _, sh := range x.shards {
@@ -167,15 +168,6 @@ func (x *Index) compact() CompactResult {
 		Generation: x.generation,
 	}
 	x.mu.Unlock()
-	if remote > 0 {
-		// Recalled shards left the ring, so their hosted copies are now
-		// unreferenced: sweep them off the peers right away (best-effort;
-		// the next pass retries any the sweep couldn't reach).
-		x.placementGC()
-	}
-	// The merged shard is local; nudge the controller (if one runs) to
-	// re-ship it under the recorded placement.
-	x.placementKick()
 	return res
 }
 
@@ -325,28 +317,32 @@ func collectLive(victims []compactVictim, tombs map[int]struct{}) (ids []int, se
 	return ids, sets, dropped
 }
 
-// compactAsync runs Compact in a background goroutine — the
-// seal-triggered auto-compaction path. At most one goroutine is in
-// flight; triggers that arrive while a pass is running are coalesced
-// into one follow-up pass rather than dropped, so a shard sealed during
-// a running pass is compacted even if append traffic then stops.
-func (x *Index) compactAsync() {
-	x.compactPending.Store(true)
-	if !x.autoCompacting.CompareAndSwap(false, true) {
-		return // the in-flight goroutine will observe compactPending
+// maintainAsync runs the maintenance a seal calls for in a background
+// goroutine: Compact when AutoCompact is set, then the recorded placement
+// when the ring was distributed (a compaction that changed the ring has
+// re-placed it already). At most one goroutine is in flight; triggers that
+// arrive while a pass is running are coalesced into one follow-up pass
+// rather than dropped, so a shard sealed during a running pass is
+// compacted and shipped even if append traffic then stops.
+func (x *Index) maintainAsync() {
+	x.maintainPending.Store(true)
+	if !x.maintaining.CompareAndSwap(false, true) {
+		return // the in-flight goroutine will observe maintainPending
 	}
 	go func() {
 		for {
-			for x.compactPending.CompareAndSwap(true, false) {
-				x.Compact()
+			for x.maintainPending.CompareAndSwap(true, false) {
+				if !x.Runtime().AutoCompact || x.Compact().Merged == 0 {
+					x.keepPlaced()
+				}
 			}
-			x.autoCompacting.Store(false)
+			x.maintaining.Store(false)
 			// A trigger landing between the last CompareAndSwap and the
-			// Store above saw autoCompacting still true and returned; it
+			// Store above saw maintaining still true and returned; it
 			// must not be lost. Re-acquire and loop if one did — unless a
 			// newer trigger's own CompareAndSwap won, in which case its
 			// goroutine owns the pending flag now.
-			if !x.compactPending.Load() || !x.autoCompacting.CompareAndSwap(false, true) {
+			if !x.maintainPending.Load() || !x.maintaining.CompareAndSwap(false, true) {
 				return
 			}
 		}

@@ -35,15 +35,13 @@ type indexMetrics struct {
 	compactMerged    *metrics.Counter
 	compactReclaimed *metrics.Counter
 
-	// Placement control plane: reconciliation passes run by the
-	// controller, shard uploads, GC evictions (and eviction attempts that
-	// failed and will be retried), and rebalance moves.
-	placementPasses     *metrics.Counter
-	placementErrors     *metrics.Counter
-	placementShipped    *metrics.Counter
-	placementDeleted    *metrics.Counter
-	placementGCErrors   *metrics.Counter
-	placementRebalanced *metrics.Counter
+	// Placement: re-runs of Distribute after a ring change that failed,
+	// shard uploads, and GC evictions (and eviction attempts that failed
+	// and will be retried).
+	placementErrors   *metrics.Counter
+	placementShipped  *metrics.Counter
+	placementDeleted  *metrics.Counter
+	placementGCErrors *metrics.Counter
 
 	// Storage tiering: shard moves between the hot (heap) and cold (mapped)
 	// tiers, by Configure (at runtime, or re-applied at the end of a load).
@@ -63,18 +61,14 @@ type indexMetrics struct {
 
 // peerMetrics is one peer's RPC instrumentation plus its passive health
 // bit: healthy flips false on any failed RPC and back on the next success,
-// so readiness reflects what queries actually observed, with no extra
-// probe traffic.
+// so readiness reflects what queries actually observed. The only other
+// traffic that moves it is /v1/readyz re-checking a down peer that leaves
+// a shard unanswerable (see Index.ready).
 type peerMetrics struct {
 	lat       *metrics.Histogram
 	rpcErrors *metrics.Counter
 	failovers *metrics.Counter
-	// probes / probeFailures count the placement controller's active
-	// health checks; the controller flips healthy from them too (false
-	// only after its consecutive-failure threshold).
-	probes        *metrics.Counter
-	probeFailures *metrics.Counter
-	healthy       atomic.Bool
+	healthy   atomic.Bool
 }
 
 // observe records one RPC's latency and updates the passive health bit.
@@ -123,12 +117,10 @@ func newIndexMetrics(x *Index) *indexMetrics {
 		compactMerged:    reg.Counter("cps_compaction_merged_shards_total", "ring shards removed or rewritten by compaction"),
 		compactReclaimed: reg.Counter("cps_compaction_reclaimed_ids_total", "tombstoned entries physically dropped by compaction"),
 
-		placementPasses:     reg.Counter("cps_placement_passes_total", "reconciliation passes run by the placement controller"),
-		placementErrors:     reg.Counter("cps_placement_errors_total", "placement passes that ended in an error"),
-		placementShipped:    reg.Counter("cps_placement_shipped_total", "shard uploads to peers (initial placement, re-ship and rebalance)"),
-		placementDeleted:    reg.Counter("cps_placement_gc_deleted_total", "superseded hosted shards evicted from peers"),
-		placementGCErrors:   reg.Counter("cps_placement_gc_errors_total", "hosted-shard evictions that failed and will be retried"),
-		placementRebalanced: reg.Counter("cps_placement_rebalanced_total", "shards whose replicas moved away from unhealthy peers"),
+		placementErrors:   reg.Counter("cps_placement_errors_total", "re-placements after a seal or compaction that ended in an error"),
+		placementShipped:  reg.Counter("cps_placement_shipped_total", "shard uploads to peers"),
+		placementDeleted:  reg.Counter("cps_placement_gc_deleted_total", "superseded hosted shards evicted from peers"),
+		placementGCErrors: reg.Counter("cps_placement_gc_errors_total", "hosted-shard evictions that failed and will be retried"),
 
 		tierPromotions: reg.Counter("cps_tier_promotions_total", "cold shards promoted to the hot (heap) tier"),
 		tierDemotions:  reg.Counter("cps_tier_demotions_total", "hot shards demoted to the mapped cold tier"),
@@ -197,7 +189,7 @@ func newIndexMetrics(x *Index) *indexMetrics {
 	reg.GaugeFunc("cps_index_version", "result version (bumped by every result-affecting mutation)", func() float64 {
 		return float64(x.version.Load())
 	})
-	reg.GaugeFunc("cps_placement_epoch", "placement passes recorded (manual and controller-driven)", func() float64 {
+	reg.GaugeFunc("cps_placement_epoch", "placement passes recorded (Distribute calls and the re-runs ring changes trigger)", func() float64 {
 		e, _ := x.placement.stats()
 		return float64(e)
 	})
@@ -273,11 +265,9 @@ func (m *indexMetrics) peer(base string) *peerMetrics {
 	pm, ok := m.peers[base]
 	if !ok {
 		pm = &peerMetrics{
-			lat:           m.reg.Histogram("cps_peer_rpc_seconds", "per-peer shard RPC latency", "peer", base),
-			rpcErrors:     m.reg.Counter("cps_peer_rpc_errors_total", "failed shard RPCs by peer", "peer", base),
-			failovers:     m.reg.Counter("cps_peer_failovers_total", "replica skips by peer (another replica or the local copy took over)", "peer", base),
-			probes:        m.reg.Counter("cps_peer_probes_total", "active health probes sent to the peer", "peer", base),
-			probeFailures: m.reg.Counter("cps_peer_probe_failures_total", "active health probes the peer failed", "peer", base),
+			lat:       m.reg.Histogram("cps_peer_rpc_seconds", "per-peer shard RPC latency (readiness re-checks included)", "peer", base),
+			rpcErrors: m.reg.Counter("cps_peer_rpc_errors_total", "failed shard RPCs by peer (readiness re-checks included)", "peer", base),
+			failovers: m.reg.Counter("cps_peer_failovers_total", "replica skips by peer (another replica or the local copy took over)", "peer", base),
 		}
 		pm.healthy.Store(true)
 		m.reg.GaugeFunc("cps_peer_healthy", "1 when the peer's last shard RPC succeeded", func() float64 {

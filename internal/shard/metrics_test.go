@@ -281,7 +281,8 @@ func TestHealthEndpoints(t *testing.T) {
 // TestReadyzPeerDeath: with moved shards (KeepLocal=false, one replica), a
 // dead peer makes queries error — and the same condition must flip /readyz
 // to 503, name the unanswerable shards, and mark the peer unhealthy in the
-// health report, while /healthz stays 200 (the process itself is fine).
+// health report, while /healthz stays 200 (the process itself is fine) —
+// and once the peer heals, /readyz turns 200 with no query in between.
 func TestReadyzPeerDeath(t *testing.T) {
 	p1, f1 := newFlakyPeer(t)
 	_, dist, probes := distributedPair(t, []string{p1.URL},
@@ -353,13 +354,14 @@ func TestReadyzPeerDeath(t *testing.T) {
 		}
 	}
 
-	// Recovery: the next successful RPC flips readiness back.
+	// Recovery needs no query: a load balancer that drained the node on
+	// 503 sends none, so /readyz itself re-checks the down peer.
 	f1.broken.Store(false)
+	if code, h := readyz(); code != http.StatusOK || !h.Ready {
+		t.Fatalf("healed peer, no query since: /readyz = %d, %+v", code, h)
+	}
 	if _, _, _, err := dist.QueryErr(probes[0]); err != nil {
 		t.Fatalf("query after recovery: %v", err)
-	}
-	if code, h := readyz(); code != http.StatusOK || !h.Ready {
-		t.Fatalf("recovered topology: /readyz = %d, %+v", code, h)
 	}
 }
 

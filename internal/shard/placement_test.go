@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -10,7 +11,7 @@ import (
 )
 
 // waitFor polls cond until it holds or the deadline passes — the
-// controller tests' only clock dependence, so they stay fast when the
+// background tests' only clock dependence, so they stay fast when the
 // condition is already true and robust on slow machines.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -165,9 +166,119 @@ func TestDistributeErrorCleanup(t *testing.T) {
 	assertIdentical(t, ref, x, probes)
 }
 
-// TestPlacementControllerAutoShip: with a controller running, shards
-// sealed after placement are shipped automatically — no explicit
-// Distribute call — and a second controller cannot be started.
+// quiesce waits until the seal-triggered maintenance goroutine has no pass
+// running and none pending, read off its single-flight flags: once a test
+// stops sealing, what it checks after quiesce is final.
+func quiesce(t *testing.T, x *Index) {
+	t.Helper()
+	waitFor(t, "the maintenance pass", func() bool {
+		return !x.maintaining.Load() && !x.maintainPending.Load()
+	})
+}
+
+// TestDistributedRingStaysDistributed: once Distribute ran, every ring
+// change re-runs it. A seal is shipped with no explicit call, a
+// compaction's merged shard is remote when Compact returns, auto-compaction
+// re-places what it merges, and each peer hosts exactly the ring's keys
+// throughout, with answers identical to the all-local twin. A placement
+// record restored from a manifest does not arm shipping: a loaded ring that
+// seals without a Distribute of its own ships nothing.
+func TestDistributedRingStaysDistributed(t *testing.T) {
+	for _, keepLocal := range []bool{false, true} {
+		t.Run(fmt.Sprintf("keepLocal=%v", keepLocal), func(t *testing.T) {
+			p1, s1 := newPeer(t)
+			p2, s2 := newPeer(t)
+			servers := map[string]*Server{p1.URL: s1, p2.URL: s2}
+			local, dist, probes := distributedPair(t, []string{p1.URL, p2.URL},
+				&DistributeOptions{Replicas: 1, KeepLocal: keepLocal})
+			placed := func(stage string) {
+				t.Helper()
+				if st := dist.Stats(); st.RemoteShards != st.Shards || st.Buffered != 0 {
+					t.Fatalf("%s: %d of %d ring shards remote, %d buffered", stage, st.RemoteShards, st.Shards, st.Buffered)
+				}
+				assertHostedExactly(t, dist, servers)
+				assertIdentical(t, local, dist, probes)
+			}
+			add := func(n int, seed uint64) {
+				sets, _ := workload(n, 0.8, seed)
+				sets = sets[:n]
+				local.Add(sets)
+				dist.Add(sets)
+				probes = append(probes, sets[:5]...)
+			}
+			placed("Distribute")
+
+			add(40, 731) // crosses MergeThreshold: Add seals
+			quiesce(t, dist)
+			placed("seal")
+
+			add(10, 733)
+			local.Flush()
+			dist.Flush()
+			quiesce(t, dist)
+			placed("flush")
+
+			for id := 0; id < local.Stats().Appends+300; id += 2 {
+				local.Delete(id)
+				dist.Delete(id)
+			}
+			local.Compact()
+			if res := dist.Compact(); res.Merged == 0 {
+				t.Fatalf("ratio-triggered compaction merged nothing: %+v", res)
+			}
+			placed("compaction")
+
+			for _, x := range []*Index{local, dist} {
+				if err := x.Configure(RuntimeOptions{AutoCompact: true}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := dist.Stats().Compactions
+			for seed := uint64(741); seed < 745; seed++ {
+				add(30, seed)
+			}
+			quiesce(t, dist)
+			if dist.Stats().Compactions == before {
+				t.Fatal("no auto-compaction ran after four seals")
+			}
+			placed("auto-compaction")
+
+			// A restart keeps the record, for the GC sweep of its next
+			// Distribute, but not the shipping: its seals stay local.
+			dir := t.TempDir()
+			if err := dist.Save(dir); err != nil {
+				t.Fatal(err)
+			}
+			y, err := Load(dir, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			epoch, keys := y.placement.stats()
+			if epoch == 0 || keys == 0 {
+				t.Fatalf("loaded placement record: epoch %d, %d keys", epoch, keys)
+			}
+			hosted := [][]string{s1.HostedKeys(), s2.HostedKeys()}
+			sets, _ := workload(40, 0.8, 751)
+			sets = sets[:40]
+			local.Add(sets)
+			y.Add(sets)
+			probes = append(probes, sets[:5]...)
+			quiesce(t, y)
+			if st := y.Stats(); st.RemoteShards != 0 || st.PlacementEpoch != epoch {
+				t.Fatalf("loaded ring sealed without Distribute: %d remote shards, epoch %d -> %d",
+					st.RemoteShards, epoch, st.PlacementEpoch)
+			}
+			if !slices.Equal(s1.HostedKeys(), hosted[0]) || !slices.Equal(s2.HostedKeys(), hosted[1]) {
+				t.Fatal("a loaded ring that never distributed shipped or evicted hosted shards")
+			}
+			assertIdentical(t, local, y, probes)
+		})
+	}
+}
+
+// TestPlacementControllerAutoShip: shards sealed after Distribute are
+// shipped to every replica with no explicit call — the job the placement
+// controller used to do, now the seal's maintenance pass.
 func TestPlacementControllerAutoShip(t *testing.T) {
 	p1, s1 := newPeer(t)
 	p2, s2 := newPeer(t)
@@ -176,129 +287,49 @@ func TestPlacementControllerAutoShip(t *testing.T) {
 	sets, _ := workload(300, 0.8, 721)
 	local := Build(sets, 0.5, exactOptions(3, 30, 75))
 	x := Build(sets, 0.5, exactOptions(3, 30, 75))
-
-	err := x.StartPlacement(peers, &DistributeOptions{Replicas: 2, KeepLocal: true},
-		&PlacementOptions{Interval: 20 * time.Millisecond, ProbeInterval: -1})
-	if err != nil {
-		t.Fatalf("StartPlacement: %v", err)
+	if err := x.Distribute(peers, &DistributeOptions{Replicas: 2, KeepLocal: true}); err != nil {
+		t.Fatalf("Distribute: %v", err)
 	}
-	defer x.StopPlacement()
-	if err := x.StartPlacement(peers, nil, nil); err == nil {
-		t.Fatal("second StartPlacement succeeded")
-	}
+	assertHostedExactly(t, x, servers)
 
-	// The initial kick ships the ring built before the controller existed.
-	waitFor(t, "initial placement pass", func() bool {
-		st := x.Stats()
-		return st.RemoteShards == st.Shards && st.RemoteShards > 0 && hostedExactly(x, servers)
-	})
-
-	// Seal new shards: the controller observes the seal kick and ships
-	// them without an explicit Distribute.
 	extra, _ := workload(60, 0.8, 723)
 	local.Add(extra)
 	x.Add(extra)
-	waitFor(t, "auto-ship of sealed shards", func() bool {
-		st := x.Stats()
-		return st.Buffered == 0 && st.RemoteShards == st.Shards && hostedExactly(x, servers)
-	})
+	quiesce(t, x)
+	if st := x.Stats(); st.Buffered != 0 || st.RemoteShards != st.Shards {
+		t.Fatalf("sealed shards not shipped: %d of %d ring shards remote, %d buffered",
+			st.RemoteShards, st.Shards, st.Buffered)
+	}
+	assertHostedExactly(t, x, servers)
 
 	probes := append(append([][]uint32{}, sets[:60]...), extra[:20]...)
 	assertIdentical(t, local, x, probes)
-	x.StopPlacement()
-	x.StopPlacement() // idempotent no-op
 }
 
-// TestPlacementControllerCompactReship: a compaction pass under a
-// running controller recalls remote victims, merges them, sweeps the
-// recalled keys, and the controller re-ships the merged shard — ending
-// with peers hosting exactly the new ring and byte-identical answers.
+// TestPlacementControllerCompactReship: a compaction of a distributed ring
+// recalls remote victims, merges them, sweeps the recalled keys and ships
+// the merged shard before Compact returns — peers host exactly the new
+// ring and answers stay byte-identical.
 func TestPlacementControllerCompactReship(t *testing.T) {
 	p1, s1 := newPeer(t)
 	p2, s2 := newPeer(t)
 	peers := []string{p1.URL, p2.URL}
 	servers := map[string]*Server{p1.URL: s1, p2.URL: s2}
-	opt := &DistributeOptions{Replicas: 2, KeepLocal: true}
-	local, dist, probes := distributedPair(t, peers, opt)
-
-	if err := dist.StartPlacement(peers, opt,
-		&PlacementOptions{Interval: 20 * time.Millisecond, ProbeInterval: -1}); err != nil {
-		t.Fatalf("StartPlacement: %v", err)
-	}
-	defer dist.StopPlacement()
+	local, dist, probes := distributedPair(t, peers, &DistributeOptions{Replicas: 2, KeepLocal: true})
+	quiesce(t, dist)
 
 	for id := 0; id < 390; id += 2 {
 		local.Delete(id)
 		dist.Delete(id)
 	}
 	local.Compact()
-	dist.Compact()
-	waitFor(t, "post-compaction re-ship and GC", func() bool {
-		st := dist.Stats()
-		return st.RemoteShards == st.Shards && st.RemoteShards > 0 && hostedExactly(dist, servers)
-	})
-	assertIdentical(t, local, dist, probes)
-}
-
-// TestPlacementProbeRebalance: active probes flip the shared health bit
-// after UnhealthyAfter consecutive failures, rebalancing (when enabled)
-// re-ships the dead peer's replicas to healthy ones without touching
-// answers, and a healed peer's first successful probe flips the bit
-// back and lets the GC retire its stale copies.
-func TestPlacementProbeRebalance(t *testing.T) {
-	p1, s1 := newPeer(t)
-	p2, f2 := newFlakyPeer(t)
-	peers := []string{p1.URL, p2.URL}
-	opt := &DistributeOptions{Replicas: 1, KeepLocal: true}
-	local, dist, probes := distributedPair(t, peers, opt)
-	if err := dist.StartPlacement(peers, opt, &PlacementOptions{
-		Interval:        25 * time.Millisecond,
-		ProbeInterval:   5 * time.Millisecond,
-		UnhealthyAfter:  2,
-		ProbeBackoffMax: 10 * time.Millisecond,
-		Rebalance:       true,
-	}); err != nil {
-		t.Fatalf("StartPlacement: %v", err)
+	if res := dist.Compact(); res.Merged == 0 {
+		t.Fatalf("ratio-triggered compaction merged nothing: %+v", res)
 	}
-	defer dist.StopPlacement()
-
-	waitFor(t, "probe marks live peers healthy", func() bool {
-		return dist.metrics.peer(p2.URL).healthy.Load()
-	})
-
-	// Kill peer 2: probes flip its health bit and the rebalancer moves
-	// its replicas onto peer 1.
-	f2.broken.Store(true)
-	waitFor(t, "probe flips dead peer unhealthy", func() bool {
-		return !dist.metrics.peer(p2.URL).healthy.Load()
-	})
-	waitFor(t, "replicas rebalanced off the dead peer", func() bool {
-		placed := ringPlacement(dist)
-		if len(placed) == 0 {
-			return false
-		}
-		for _, replicas := range placed {
-			if slices.Contains(replicas, p2.URL) {
-				return false
-			}
-		}
-		return true
-	})
-	assertIdentical(t, local, dist, probes)
-
-	// Heal: the next successful probe flips the bit back, and the stale
-	// copies the dead peer still holds are swept by a later GC pass.
-	f2.broken.Store(false)
-	waitFor(t, "probe flips healed peer healthy", func() bool {
-		return dist.metrics.peer(p2.URL).healthy.Load()
-	})
-	srv2, ok := f2.h.(*Server)
-	if !ok {
-		t.Fatal("flaky peer does not wrap a *Server")
+	if st := dist.Stats(); st.RemoteShards != st.Shards || st.RemoteShards == 0 {
+		t.Fatalf("after Compact: %d of %d ring shards remote", st.RemoteShards, st.Shards)
 	}
-	waitFor(t, "stale copies swept from healed peer", func() bool {
-		return hostedExactly(dist, map[string]*Server{p1.URL: s1, p2.URL: srv2})
-	})
+	assertHostedExactly(t, dist, servers)
 	assertIdentical(t, local, dist, probes)
 }
 

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -343,6 +344,25 @@ func deleteShardSnapshot(client *http.Client, peer, key string) error {
 	return nil
 }
 
+// pingPeer GETs a peer's liveness endpoint. Any 200 counts — it asks "is
+// the process serving", not "is its own ring ready".
+func pingPeer(ctx context.Context, client *http.Client, peer string) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/healthz", nil)
+	if err != nil {
+		return err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s/v1/healthz: %s: %s", peer, resp.Status, readErrBody(resp.Body))
+	}
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
+	return nil
+}
+
 // DistributeOptions configure Index.Distribute.
 type DistributeOptions struct {
 	// Replicas is the number of peers each shard is shipped to (N-way
@@ -360,7 +380,7 @@ type DistributeOptions struct {
 }
 
 // normalizePeers validates and canonicalizes peer base URLs (trailing
-// slashes stripped) — shared by Distribute and StartPlacement.
+// slashes stripped).
 func normalizePeers(peers []string) ([]string, error) {
 	if len(peers) == 0 {
 		return nil, fmt.Errorf("shard: need at least one peer")
@@ -384,19 +404,20 @@ func normalizePeers(peers []string) ([]string, error) {
 // ring: peers answer from exactly the shipped structure, global ids and
 // tombstone filtering stay coordinator-side.
 //
-// Shards sealed after Distribute stay local until a later Distribute
-// ships them (or the placement controller does — see StartPlacement);
-// already-remote shards are left untouched. Shipping runs against a read
+// Already-remote shards are left untouched. Shipping runs against a read
 // snapshot of the ring and the swap is atomic under a generation bump, so
 // queries are served throughout.
 //
 // Every call records its peers and options as the index's placement
-// state and ends with a garbage-collection sweep: hosted (key, peer)
-// pairs this coordinator shipped that the post-swap ring no longer
-// references are DELETEd from their peers. The sweep runs on the error
-// path too — a failed pass leaves the ring unchanged, so everything it
-// shipped before failing is unreferenced and is unwound the same way a
-// superseded key from an earlier pass is.
+// state, and from then on every ring change re-runs it (see placement.go):
+// shards sealed or merged later are shipped by the index itself, a
+// compaction's before Compact returns, a seal's on the background
+// maintenance goroutine. Each pass ends with a garbage-collection sweep:
+// hosted (key, peer) pairs this coordinator shipped that the post-swap
+// ring no longer references are DELETEd from their peers. The sweep runs
+// on the error path too — a failed pass leaves the ring unchanged, so
+// everything it shipped before failing is unreferenced and is unwound the
+// same way a superseded key from an earlier pass is.
 func (x *Index) Distribute(peers []string, o *DistributeOptions) error {
 	bases, err := normalizePeers(peers)
 	if err != nil {

@@ -120,7 +120,8 @@ func assertIdentical(t *testing.T, local, dist *Index, probes [][]uint32) {
 // TestDistributeEquivalence pins the tentpole contract: a mixed
 // local/remote topology answers byte-identically (exact mode) to the
 // all-local index — shards moved or replicated, deletes before and after
-// placement, appends after placement, and the stats reflecting it all.
+// placement, appends sealed and shipped after placement, compaction, and
+// the stats reflecting it all.
 func TestDistributeEquivalence(t *testing.T) {
 	for _, keepLocal := range []bool{true, false} {
 		t.Run(fmt.Sprintf("keepLocal=%v", keepLocal), func(t *testing.T) {
@@ -143,11 +144,18 @@ func TestDistributeEquivalence(t *testing.T) {
 			dist.Delete(7)
 			assertIdentical(t, local, dist, probes)
 
-			// Appends after placement stay local (mixed topology) and the
-			// answers still agree.
-			more, _ := workload(25, 0.8, 707)
+			// Appends after placement are shipped too: the seal re-runs the
+			// recorded Distribute on the maintenance goroutine. Answers agree
+			// while it runs and once the ring is all remote again.
+			more, _ := workload(35, 0.8, 707)
 			local.Add(more)
 			dist.Add(more)
+			assertIdentical(t, local, dist, probes)
+			quiesce(t, dist)
+			if st := dist.Stats(); st.RemoteShards != st.Shards || s2.HostedShards() != st.Shards {
+				t.Fatalf("sealed shard not shipped: %d of %d remote, peer hosts %d",
+					st.RemoteShards, st.Shards, s2.HostedShards())
+			}
 			assertIdentical(t, local, dist, probes)
 
 			// A pass with nothing eligible is a no-op on both indexes.
@@ -158,8 +166,9 @@ func TestDistributeEquivalence(t *testing.T) {
 			// Remote-backed shards are compaction-eligible like local ones:
 			// tombstone half of everything so every shard crosses the ratio,
 			// and the pass recalls the remote victims (local copy or verified
-			// fetch-back), merges them locally, and garbage-collects the
-			// recalled copies off the peers. Answers stay byte-identical.
+			// fetch-back), merges them locally, ships the merged shard and
+			// garbage-collects the recalled copies off the peers before
+			// Compact returns. Answers stay byte-identical.
 			for id := 0; id < 300+90+len(more); id += 2 {
 				local.Delete(id)
 				dist.Delete(id)
@@ -167,9 +176,9 @@ func TestDistributeEquivalence(t *testing.T) {
 			local.Compact()
 			dist.Compact()
 			after := dist.Stats()
-			if after.RemoteShards >= st.RemoteShards {
-				t.Fatalf("ratio-triggered compaction left remote shards in place: %d -> %d",
-					st.RemoteShards, after.RemoteShards)
+			if after.Shards >= st.Shards || after.RemoteShards != after.Shards {
+				t.Fatalf("ratio-triggered compaction: %d -> %d shards, %d remote after",
+					st.Shards, after.Shards, after.RemoteShards)
 			}
 			if hosted := s2.HostedShards(); hosted != after.RemoteShards {
 				t.Fatalf("peer hosts %d shards after compaction GC, ring references %d",

@@ -73,7 +73,7 @@ type Server struct {
 	// hosted is the peer-side shard registry: shards shipped here by
 	// coordinators, keyed by their coordinator-assigned name. The decoded
 	// structure answers /v1/shard/query*; a shard keeps its container, the
-	// posted body, so /v1/shard/snapshot GETs (re-replication, save-time
+	// posted body, so /v1/shard/snapshot GETs (compaction recall, save-time
 	// fetch-back, transfer verification) return exactly what was shipped.
 	hostedMu sync.RWMutex
 	hosted   map[string]*localShard
@@ -174,9 +174,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleReadyz is the readiness probe: 503 with the report when some
 // remote-backed shard has no healthy replica and no local copy — the
-// state in which queries error — so load balancers drain the node.
+// state in which queries error — so load balancers drain the node. The
+// down peers behind such a shard are re-checked first, so the node turns
+// ready again once they heal, with no query traffic to notice.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	h := s.ix.Health()
+	h := s.ix.ready(r.Context())
 	w.Header().Set("Content-Type", "application/json")
 	if !h.Ready {
 		w.WriteHeader(http.StatusServiceUnavailable)
@@ -409,7 +411,7 @@ func (s *Server) handleShardQueryBatch(w http.ResponseWriter, r *http.Request) {
 // seed and count cross-checks, id bounds — and only then registers it;
 // the receipt echoes the decoded identity plus the CRC-32C of the hosted
 // bytes so the shipper verifies the transfer end to end. GET returns the
-// hosted bytes unchanged, for re-replication and save-time fetch-back.
+// hosted bytes unchanged, for compaction recall and save-time fetch-back.
 func (s *Server) handleShardSnapshot(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("shard")
 	switch r.Method {

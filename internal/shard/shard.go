@@ -261,12 +261,12 @@ type Index struct {
 	// per index. It is held across the off-lock build, never together with
 	// a held mu, so compacting stalls neither queries nor appends.
 	compactMu sync.Mutex
-	// autoCompacting gates the seal-triggered background compaction
-	// goroutine (at most one in flight); compactPending coalesces
+	// maintaining gates the seal-triggered background maintenance
+	// goroutine (at most one in flight); maintainPending coalesces
 	// triggers that arrive while a pass is running into one follow-up
-	// pass. See compactAsync.
-	autoCompacting atomic.Bool
-	compactPending atomic.Bool
+	// pass. See maintainAsync.
+	maintaining     atomic.Bool
+	maintainPending atomic.Bool
 
 	mu     sync.RWMutex
 	shards []shardBackend
@@ -338,10 +338,8 @@ type Index struct {
 	metrics *indexMetrics
 
 	// placement is the durable record of shards shipped to peers plus the
-	// last Distribute parameters (own mutex; see placement.go), and
-	// controller holds the background placement loop when one is running.
-	placement  placementState
-	controller atomic.Pointer[placementController]
+	// last Distribute parameters (own mutex; see placement.go).
+	placement placementState
 }
 
 type sideBuffer struct {
@@ -555,14 +553,9 @@ func (x *Index) Add(sets [][]uint32) []int {
 	if len(x.side.sets) >= x.opt.MergeThreshold {
 		pending, slot = x.beginSealLocked()
 	}
-	auto := x.runtime.AutoCompact
 	x.mu.Unlock()
 	if pending != nil {
 		x.finishSeal(pending, slot)
-		if auto {
-			x.compactAsync()
-		}
-		x.placementKick()
 	}
 	if m := x.metrics; m != nil {
 		m.addLat.Observe(time.Since(start))
@@ -624,7 +617,9 @@ func (x *Index) beginSealLocked() (*sideBuffer, int) {
 }
 
 // finishSeal builds the detached buffer into a full shard — outside the
-// lock, so serving never stalls on a seal — then swaps it into the ring.
+// lock, so serving never stalls on a seal — then swaps it into the ring and
+// starts the maintenance the new shard calls for: compaction under
+// AutoCompact, shipping when the ring was distributed.
 func (x *Index) finishSeal(b *sideBuffer, slot int) {
 	ix := cpindex.Build(b.sets, x.lambda, &cpindex.Options{
 		Trees:    x.opt.Trees,
@@ -636,7 +631,6 @@ func (x *Index) finishSeal(b *sideBuffer, slot int) {
 	sealed := newLocalShard(ix, b.ids)
 	x.attachCounters(sealed)
 	x.mu.Lock()
-	defer x.mu.Unlock()
 	x.shards = append(x.shards, sealed)
 	for i, s := range x.sealing {
 		if s == b {
@@ -647,6 +641,11 @@ func (x *Index) finishSeal(b *sideBuffer, slot int) {
 	x.merges++
 	x.generation++
 	x.version.Add(1)
+	auto := x.runtime.AutoCompact
+	x.mu.Unlock()
+	if _, _, placed := x.placement.recorded(); auto || placed {
+		x.maintainAsync()
+	}
 }
 
 // markDroppedLocked records ids whose physical entries have just been
@@ -727,13 +726,8 @@ func (x *Index) Flush() {
 	if len(x.side.sets) > 0 {
 		pending, slot = x.beginSealLocked()
 	}
-	auto := x.runtime.AutoCompact
 	x.mu.Unlock()
 	if pending != nil {
 		x.finishSeal(pending, slot)
-		if auto {
-			x.compactAsync()
-		}
-		x.placementKick()
 	}
 }

@@ -1,6 +1,12 @@
 package shard
 
-import "sort"
+import (
+	"context"
+	"net/http"
+	"sort"
+	"sync"
+	"time"
+)
 
 // Status reporting: the index's shape (Stats, behind /v1/stats) and its
 // serving health (Health, behind /v1/healthz and /v1/readyz). Both are
@@ -41,8 +47,9 @@ type Stats struct {
 	// on the heap versus left in memory-mapped containers.
 	HotShards  int `json:"hot_shards"`
 	ColdShards int `json:"cold_shards"`
-	// PlacementEpoch counts placement passes (Distribute calls, manual or
-	// controller-driven); PlacementKeys is the number of distinct shard
+	// PlacementEpoch counts placement passes (Distribute calls, and the
+	// re-runs every later seal or compaction triggers on a distributed
+	// ring); PlacementKeys is the number of distinct shard
 	// keys this coordinator currently believes peers host for it — after a
 	// clean GC sweep it equals the ring's remote key count.
 	PlacementEpoch int    `json:"placement_epoch"`
@@ -134,9 +141,64 @@ type HealthStatus struct {
 	// and no local copy.
 	UnreadyShards []string `json:"unready_shards,omitempty"`
 	// Peers covers every peer referenced by the current ring, sorted by
-	// URL. Health is passive — observed from real query RPCs, not probes —
-	// so a never-contacted peer reports healthy.
+	// URL. Health is passive — observed from real query RPCs — so a
+	// never-contacted peer reports healthy. The one exception is
+	// /v1/readyz on an unready ring: it re-checks the down peers that make
+	// it unready (see Index.ready), so readiness recovers without query
+	// traffic.
 	Peers []PeerHealth `json:"peers,omitempty"`
+}
+
+// readyRecheckTimeout bounds /v1/readyz's re-check of the down peers.
+const readyRecheckTimeout = time.Second
+
+// answerable reports whether a query can reach the shard: a peer replica
+// not marked down, or the local copy.
+func (r *remoteShard) answerable() bool {
+	if r.local != nil {
+		return true
+	}
+	for _, base := range r.replicas {
+		if r.metrics.peer(base).isHealthy() {
+			return true
+		}
+	}
+	return false
+}
+
+// ready is Health for /v1/readyz. When some shard is unanswerable it first
+// sends one concurrent GET /v1/healthz to each of that shard's replicas —
+// all marked down — bounded by readyRecheckTimeout; an answer flips the
+// peer's health bit back, so a node a load balancer drained on 503 turns
+// ready again once its peers heal, without a query to notice.
+func (x *Index) ready(ctx context.Context) HealthStatus {
+	x.mu.RLock()
+	shards := x.shards
+	x.mu.RUnlock()
+	down := make(map[string]*http.Client)
+	for _, sh := range shards {
+		if r, ok := sh.(*remoteShard); ok && !r.answerable() {
+			for _, base := range r.replicas {
+				down[base] = r.httpClient()
+			}
+		}
+	}
+	if len(down) > 0 {
+		ctx, cancel := context.WithTimeout(ctx, readyRecheckTimeout)
+		defer cancel()
+		var wg sync.WaitGroup
+		for base, client := range down {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start := time.Now()
+				err := pingPeer(ctx, client, base)
+				x.metrics.peer(base).observe(time.Since(start), err)
+			}()
+		}
+		wg.Wait()
+	}
+	return x.Health()
 }
 
 // Health reports the index's current serving health from the ring and the
@@ -160,12 +222,8 @@ func (x *Index) Health() HealthStatus {
 			continue
 		}
 		st.RemoteShards++
-		answerable := r.local != nil
 		for _, base := range r.replicas {
 			pm := x.metrics.peer(base)
-			if pm.isHealthy() {
-				answerable = true
-			}
 			if !seen[base] {
 				seen[base] = true
 				ph := PeerHealth{Peer: base, Healthy: pm.isHealthy()}
@@ -177,7 +235,7 @@ func (x *Index) Health() HealthStatus {
 				st.Peers = append(st.Peers, ph)
 			}
 		}
-		if !answerable {
+		if !r.answerable() {
 			st.Ready = false
 			st.UnreadyShards = append(st.UnreadyShards, r.key)
 		}

@@ -90,8 +90,9 @@ type Manifest struct {
 type PlacementState struct {
 	// Epoch counts placement passes over the index's lifetime.
 	Epoch int `json:"epoch"`
-	// Peers and Replicas/KeepLocal are the parameters of the last pass,
-	// restored so the controller resumes under the same policy.
+	// Peers and Replicas/KeepLocal are the parameters of the last pass.
+	// They are restored as a record only: a loaded index ships nothing
+	// until it is distributed again.
 	Peers     []string `json:"peers,omitempty"`
 	Replicas  int      `json:"replicas,omitempty"`
 	KeepLocal bool     `json:"keep_local,omitempty"`

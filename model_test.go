@@ -227,8 +227,9 @@ func modelOps() int {
 // TestShardedIndexMatchesModel is the harness entry point. The topology
 // dimension runs the same generated op sequences against a mixed
 // local/remote index — primary shards moved (not just replicated) to two
-// in-process httptest peers, later seals staying local until the next
-// save/load cycle re-distributes — and requires byte-for-byte agreement
+// in-process httptest peers, later seals and compactions shipped by the
+// index itself, every save/load cycle distributing afresh — and requires
+// byte-for-byte agreement
 // with the same brute-force model the all-local configurations answer
 // to; agreeing with the model exactly, both topologies agree with each
 // other.
@@ -331,6 +332,16 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 							st.PlacementKeys, st.RemoteShards)
 					}
 				}
+			}
+
+			// save snapshots the index. A remote configuration distributes
+			// it first: a seal re-places the ring in the background, and
+			// this explicit pass, serialized with that one, leaves the ring
+			// all remote, so a pass still pending ships and evicts nothing
+			// and cannot race the next life's hosted-keys check.
+			save := func(ix *ShardedIndex) error {
+				distribute(ix)
+				return ix.Save(dir)
 			}
 
 			initial := make([][]uint32, 40)
@@ -488,7 +499,7 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 					// change a single match.
 					containProbe := genQuery(r, model)
 					preContain := contain(op, containProbe, 0.5)
-					if err := ix.Save(dir); err != nil {
+					if err := save(ix); err != nil {
 						fail(op, "Save: %v", err)
 					}
 					loaded, err := LoadShardedIndexWithOptions(dir, LoadOptions{
@@ -526,7 +537,7 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 			// every live set self-queries correctly plus a probe batch.
 			ix.Flush()
 			ix.Compact()
-			if err := ix.Save(dir); err != nil {
+			if err := save(ix); err != nil {
 				t.Fatalf("final Save: %v", err)
 			}
 			loaded, err := LoadShardedIndexWithOptions(dir, LoadOptions{

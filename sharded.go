@@ -112,32 +112,12 @@ type DistributeOptions = shard.DistributeOptions
 // the next replica, then to the retained local copy when KeepLocal is
 // set. Results stay byte-identical to the all-local index: peers answer
 // from exactly the shipped structure, and global ids and tombstone
-// filtering remain coordinator-side. Shards sealed later stay local
-// until the next Distribute call.
+// filtering remain coordinator-side. A distributed index stays
+// distributed: shards sealed or merged later are shipped under the same
+// peers and options, and the hosted copies the ring no longer references
+// are evicted from the peers.
 func (s *ShardedIndex) Distribute(peers []string, opts *DistributeOptions) error {
 	return s.ix.Distribute(peers, opts)
-}
-
-// PlacementOptions configure the background placement controller: pass
-// and probe cadence, the consecutive-failure threshold for active health
-// flips, and whether to rebalance replicas away from unhealthy peers.
-type PlacementOptions = shard.PlacementOptions
-
-// StartPlacement starts the autonomous placement control plane against
-// the given peers: newly sealed shards are shipped automatically under
-// opts, compaction-merged shards are re-shipped, superseded hosted
-// shards are garbage-collected off peers, and peer health is probed
-// actively. Every transition keeps query answers byte-identical to the
-// all-local index — placement moves where a shard answers from, never
-// what it answers. One controller per index; StopPlacement stops it.
-func (s *ShardedIndex) StartPlacement(peers []string, opts *DistributeOptions, po *PlacementOptions) error {
-	return s.ix.StartPlacement(peers, opts, po)
-}
-
-// StopPlacement stops the placement controller and waits for it to
-// exit; a no-op when none is running.
-func (s *ShardedIndex) StopPlacement() {
-	s.ix.StopPlacement()
 }
 
 // Add appends sets (normalized, like the build input) to the index and
