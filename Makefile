@@ -45,15 +45,13 @@ test-benchmark:
 # own in cpindex.go) — the per-field decoder cannot grow back. A tier is
 # where a shard's bytes lie, chosen by the operator: hot and cold cost the
 # same per query, so no policy moves shards on traffic (TierAuto,
-# AutoColdBytes, Retier stay out of non-test Go), and placement does not ask
-# which tier a shard is in (no isCold() inside remote.go's Distribute: a
-# cold shard ships its mapped container as it lies). Placement is Distribute,
-# re-run by the index after every ring change: the only job a distributed
-# ring needs is shipping what seals and compactions create, so no second
-# control loop comes back (no StartPlacement/StopPlacement, PlacementOptions,
-# placementController, probePeers or rebalanceAway in non-test Go) — its
-# periodic pass repeated that call, its prober was a second writer of the
-# health bit RPCs already drive, and nothing turned its rebalancer on.
+# AutoColdBytes, Retier stay out of non-test Go). The index is served from
+# one process: CPSJoin and the Chosen Path index are single-machine
+# algorithms, no ledger workload measured a remote shard, and on one
+# machine moving the shards behind HTTP peers doubled query latency. So the
+# remote backend stays deleted — no remoteShard, shardBackend interface,
+# Distribute, placementState, hostedShardFor, KeepLocal or /v1/shard/
+# endpoint in non-test Go.
 surface:
 	@out=$$(grep -rn 'Deprecated:' --include='*.go' .); if [ -n "$$out" ]; then echo "deprecated surface:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'mux\.Handle' internal/shard/server.go | grep -v '("/v1/'); if [ -n "$$out" ]; then echo "endpoint outside /v1/:"; echo "$$out"; exit 1; fi
@@ -65,8 +63,7 @@ surface:
 	@out=$$(grep -rnE 'setBuf|mappedSets|maxMappedSetSize|DecodeSets|type containSide' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second way to read a stored set, or sets on the containment side:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n '"encoding/binary"' internal/cpindex/*.go | grep -v '_test\.go:'; grep -n 'make(\[\]trie' internal/cpindex/trie.go); if [ -n "$$out" ]; then echo "a per-field trie codec in internal/cpindex (cast the section: snapshot.View, snapshot.Cast):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'TierAuto|AutoColdBytes|\bRetier\b' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a tier policy is back (hot and cold cost the same per query; the tier is the operator's choice):"; echo "$$out"; exit 1; fi
-	@out=$$(sed -n '/^func (x \*Index) Distribute(/,/^}/p' internal/shard/remote.go | grep -n 'isCold()'); if [ -n "$$out" ]; then echo "Distribute asks which tier a shard is in (tier and placement are orthogonal):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -rnE 'StartPlacement|StopPlacement|PlacementOptions|placementController|rebalanceAway|probePeers' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a placement control loop is back (a distributed ring re-runs Distribute on every ring change; that is the whole job):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE 'remoteShard|shardBackend|Distribute|placementState|hostedShardFor|KeepLocal|/v1/shard/' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "the remote backend is back (the index is served from one process):"; echo "$$out"; exit 1; fi
 	@deps=$$($(GO) list -deps ./cmd/experiments) || exit 1; out=$$(echo "$$deps" | grep -xE 'repro/internal/(shard|cpindex|contain|metrics)|net/http|testing'); if [ -n "$$out" ]; then echo "cmd/experiments links the serving stack:"; echo "$$out"; exit 1; fi
 
 # race is the quick local loop (-short skips the slowest suites);

@@ -9,7 +9,6 @@
 //	      [-hash] [-merge 1024] [-trees 10] [-seed 42] [-workers N]
 //	      [-data DIR] [-save-on-shutdown] [-auto-compact] [-tier T]
 //	      [-cache N] [-pprof] [-metrics] [-slow-query D] [-access-log]
-//	      [-peers URL,URL,...] [-replicas N] [-keep-local] [-peer]
 //
 // Persistence: with -data, the service restores the index from DIR's
 // snapshot (manifest + per-shard files) when one exists — restart cost
@@ -24,8 +23,11 @@
 // and from then on every query, containment included, verifies against the
 // mapped tokens at the hot tier's cost and answers byte-identically to it.
 // -tier hot validates and copies every shard at load; empty keeps whatever
-// tier the snapshot was saved under. Those are the two tiers, the flag is
-// the only thing that picks one, and -peers ships shards from either.
+// tier the snapshot was saved under. Those are the two tiers and the flag
+// is the only thing that picks one. Shards that /v1/add seals or that
+// compaction merges are built on the heap and stay there: a cold ring that
+// takes writes holds hot shards beside its cold ones until the next
+// restart.
 //
 // Endpoints (errors are structured JSON {"error":..., "code":...}):
 //
@@ -39,11 +41,11 @@
 //	GET  /v1/stats                                      index shape snapshot
 //	GET  /v1/metrics                                    Prometheus text exposition (disable with -metrics=false)
 //	GET  /v1/healthz                                    liveness (always 200, health JSON body)
-//	GET  /v1/readyz                                     readiness (503 while a remote shard is unanswerable)
+//	GET  /v1/readyz                                     readiness (200 once listening: the index is built or restored first)
 //
 // Observability: /v1/metrics exposes query/mutation latency histograms, the
-// candidate pipeline counters, per-peer RPC and failover counters,
-// compaction, cache and execution-layer metrics in the Prometheus text
+// candidate pipeline counters, compaction, tier, cache and execution-layer
+// metrics in the Prometheus text
 // format. -slow-query 250ms logs one structured line (query size,
 // per-shard timings, candidate counts, cache outcome) for every
 // /v1/query over the threshold; the same breakdown is available per request with
@@ -51,8 +53,8 @@
 // is structured log/slog on stderr.
 //
 // Performance: -cache N caches up to N hot query results (invalidated
-// automatically by appends, deletes, seals, compactions and shard
-// placement; hit/miss counters appear in /v1/stats and /v1/metrics). -pprof
+// automatically by appends, deletes, seals and compactions; hit/miss
+// counters appear in /v1/stats and /v1/metrics). -pprof
 // mounts the net/http/pprof profiling endpoints under /debug/pprof/ on
 // the serving listener — registered explicitly on the opt-in mux, so
 // profiling endpoints exist only when asked for:
@@ -65,30 +67,6 @@
 // and reclaims tombstones in the background after each seal; without it,
 // POST /v1/compact runs one pass on demand. Either way queries keep being
 // served from the old ring until the rebuilt shard swaps in.
-//
-// Distributed serving: with -peers, the service becomes a coordinator —
-// after building or restoring its index it ships every sealed shard's
-// snapshot to -replicas peers (a static round-robin assignment over the
-// peer list) and fans queries out to them, failing over down each
-// shard's replica list and, with -keep-local (the default), to the
-// retained in-process copy, so answers stay byte-identical to the
-// all-local index even with peers down. With -keep-local=false shards
-// are moved, not replicated: RAM for the bulk structures is freed, and a
-// shard whose replicas are all dead makes queries fail with 502 rather
-// than silently answering from partial topology — /v1/readyz turns 503
-// in that state so load balancers drain the node, and re-checks the dead
-// peers on each request, so it turns 200 again once they heal. Peers are
-// ordinary serve instances — any instance accepts shipped shards on
-// /v1/shard/snapshot and answers /v1/shard/query — and -peer starts one
-// with an empty index of its own, purely to host shards for coordinators.
-//
-// -peers alone keeps the ring placed: shards sealed by /v1/add and merged
-// by compaction are shipped under the same -replicas and -keep-local, and
-// the hosted shards the ring no longer references are evicted from the
-// peers (the ownership record persists in the snapshot manifest, so even a
-// restart cannot orphan keys; a restart without -peers ships nothing).
-// -replicas other than 1 or -keep-local=false without -peers is a usage
-// error. Placement never changes an answer.
 //
 // Example:
 //
@@ -108,7 +86,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -135,10 +112,6 @@ func main() {
 		dataDir   = flag.String("data", "", "snapshot directory: restore from it on start if it holds a manifest")
 		saveOnEnd = flag.Bool("save-on-shutdown", false, "snapshot the index into -data on graceful shutdown (requires -data)")
 		autoComp  = flag.Bool("auto-compact", false, "background-compact small and tombstone-heavy shards after each seal")
-		peers     = flag.String("peers", "", "comma-separated peer base URLs: ship every sealed shard to peers, now and after every seal and compaction, and serve as coordinator")
-		replicas  = flag.Int("replicas", 1, "peers each shard is shipped to (N-way replication; requires -peers)")
-		keepLocal = flag.Bool("keep-local", true, "retain in-process shard copies as last-resort replicas (false moves shards instead of replicating; requires -peers)")
-		peerMode  = flag.Bool("peer", false, "start with an empty index and host shards shipped by coordinators")
 		cacheSize = flag.Int("cache", 0, "hot-query result cache entries (0 disables; invalidated automatically on any mutation)")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/")
 		metricsOn = flag.Bool("metrics", true, "expose Prometheus metrics on /v1/metrics")
@@ -153,21 +126,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *peers == "" {
-		// The placement flags mean nothing without peers; setting one is a
-		// mistake to report, not a value to ignore.
-		var stray []string
-		flag.Visit(func(f *flag.Flag) {
-			if (f.Name == "replicas" && *replicas != 1) || (f.Name == "keep-local" && !*keepLocal) {
-				stray = append(stray, "-"+f.Name)
-			}
-		})
-		if len(stray) > 0 {
-			logger.Error("placement flags require -peers", "flags", strings.Join(stray, " "))
-			flag.Usage()
-			os.Exit(2)
-		}
-	}
 	tier, err := shard.ParseTier(*tierName)
 	if err != nil {
 		logger.Error("bad -tier", "err", err)
@@ -177,15 +135,7 @@ func main() {
 
 	var ix *shard.Index
 	start := time.Now()
-	if *peerMode && *input == "" && (*dataDir == "" || !manifestExists(*dataDir)) {
-		// A pure peer serves no collection of its own; it exists to host
-		// shards shipped to /v1/shard/snapshot by coordinators.
-		if *threshold <= 0 || *threshold >= 1 {
-			fatal("threshold out of (0,1)", "threshold", *threshold)
-		}
-		ix = shard.Build(nil, *threshold, &shard.Options{Workers: *workers, Seed: *seed})
-		logger.Info("peer mode: empty index", "addr", *addr)
-	} else if *dataDir != "" && manifestExists(*dataDir) {
+	if *dataDir != "" && manifestExists(*dataDir) {
 		var err error
 		// The tier flag's raw value goes through: empty defers to the tier
 		// the snapshot was saved under.
@@ -230,23 +180,6 @@ func main() {
 		logger.Info("indexed collection",
 			"sets", st.Sets, "shards", st.Shards, "partition", st.Partition,
 			"nodes", st.Nodes, "seconds", time.Since(start).Seconds(), "addr", *addr)
-	}
-
-	if *peers != "" {
-		peerList := strings.Split(*peers, ",")
-		dopts := &shard.DistributeOptions{
-			Replicas:  *replicas,
-			KeepLocal: *keepLocal,
-		}
-		distStart := time.Now()
-		if err := ix.Distribute(peerList, dopts); err != nil {
-			fatal("distributing shards failed", "err", err)
-		}
-		st := ix.Stats()
-		logger.Info("placed shards on peers",
-			"remote_shards", st.RemoteShards, "peers", len(peerList),
-			"replicas", *replicas, "keep_local", *keepLocal,
-			"seconds", time.Since(distStart).Seconds())
 	}
 
 	// One validated Configure call applies the runtime tuning. Flags

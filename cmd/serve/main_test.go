@@ -132,16 +132,17 @@ func TestAutoTierIsAUsageError(t *testing.T) {
 	}
 }
 
-// TestPeerFlagsWithoutPeersAreUsageErrors: -replicas and -keep-local only
-// shape what -peers ships, so setting one away from its default without
-// -peers exits 2 naming the flag, before any file is opened.
-func TestPeerFlagsWithoutPeersAreUsageErrors(t *testing.T) {
+// TestPeerFlagsAreUsageErrors: serve has no peers — the index is served
+// from this process alone — so the flags that once placed its shards on
+// other processes are unknown flags: each exits 2 naming itself, before any
+// file is opened.
+func TestPeerFlagsAreUsageErrors(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
 	missing := filepath.Join(t.TempDir(), "missing")
-	for _, flag := range []string{"-replicas=2", "-keep-local=false"} {
+	for _, flag := range []string{"-peers=http://127.0.0.1:8402", "-replicas=2", "-keep-local=false", "-peer"} {
 		cmd := exec.Command(exe, flag, "-input", missing, "-data", missing, "-threshold", "0.5")
 		cmd.Env = append(os.Environ(), "SERVE_TEST_RUN_MAIN=1")
 		var stderr bytes.Buffer
@@ -149,12 +150,12 @@ func TestPeerFlagsWithoutPeersAreUsageErrors(t *testing.T) {
 		err := cmd.Run()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Fatalf("serve %s without -peers: %v, want exit status 2\n%s", flag, err, stderr.String())
+			t.Fatalf("serve %s: %v, want exit status 2\n%s", flag, err, stderr.String())
 		}
 		name, _, _ := strings.Cut(flag, "=")
 		msg := stderr.String()
-		if !strings.Contains(msg, "require -peers") || !strings.Contains(msg, "flags="+name) || strings.Contains(msg, missing) {
-			t.Fatalf("serve %s stderr does not name the flag and -peers, or a file was opened:\n%s", flag, msg)
+		if !strings.Contains(msg, "flag provided but not defined: "+name) || strings.Contains(msg, missing) {
+			t.Fatalf("serve %s stderr does not name the flag, or a file was opened:\n%s", flag, msg)
 		}
 	}
 }

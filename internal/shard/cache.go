@@ -14,7 +14,7 @@ import (
 // all-matches and a containment answer for the same set — or the same
 // containment query at two thresholds — never collide. The version is
 // bumped by every result-affecting mutation — appends, deletes, seals,
-// compaction swaps, distributions — so invalidation is free: entries
+// compaction swaps — so invalidation is free: entries
 // computed at an older version simply stop being found and age out of the
 // LRU. The map key is a 64-bit hash; the entry stores the exact tuple it
 // was computed for and a lookup verifies it, so a hash collision degrades

@@ -4,9 +4,6 @@ import (
 	"cmp"
 	"slices"
 	"time"
-
-	"repro/internal/cpindex"
-	"repro/internal/snapshot"
 )
 
 // Compaction: the background maintenance pass that keeps a long-running
@@ -49,14 +46,22 @@ type CompactResult struct {
 	Generation int `json:"generation"`
 }
 
+// The compaction policy. A ring shard of at most 2×MergeThreshold sets is
+// small — a sealed side buffer qualifies, a full-size primary does not —
+// and small shards merge once there are compactMinShards of them (merging
+// fewer cannot shrink the ring). A shard of any size whose tombstoned
+// fraction reaches compactTombstoneRatio is rewritten to reclaim them.
+const (
+	compactMinShards      = 2
+	compactTombstoneRatio = 0.3
+)
+
 // Compact runs one compaction pass and reports what it did. Passes are
 // serialized per index; queries, appends and saves proceed concurrently
 // throughout (the rebuild holds no index lock — only the final swap takes
 // the write lock briefly). The side buffer is not touched: buffered
 // appends reach the ring through seals, which already reclaim their
-// deleted entries. A pass that changed a distributed ring re-places it
-// before returning: the merged shard ships, and the sweep at the end of that
-// pass retires the recalled victims' hosted copies.
+// deleted entries.
 func (x *Index) Compact() CompactResult {
 	start := time.Now()
 	res := x.compact()
@@ -64,9 +69,6 @@ func (x *Index) Compact() CompactResult {
 		m.compactLat.Observe(time.Since(start))
 		m.compactMerged.Add(uint64(res.Merged))
 		m.compactReclaimed.Add(uint64(res.Reclaimed))
-	}
-	if res.Merged > 0 {
-		x.keepPlaced()
 	}
 	return res
 }
@@ -76,15 +78,10 @@ func (x *Index) compact() CompactResult {
 	defer x.compactMu.Unlock()
 
 	selected, tombs := x.selectVictims()
-	// Remote-backed victims are recalled first: their verified container
-	// bytes come back over the same fetch-back path Save uses (local copy
-	// when one was kept, otherwise a checksum- and decode-verified GET
-	// from a live replica), so the merge reads exactly the structure the
-	// coordinator shipped. A victim whose bytes cannot be recovered right
-	// now drops out of the pass — the next pass retries — and the
-	// remaining selection is re-checked against the policy so a lone
-	// survivor with nothing to reclaim isn't churned.
-	victims := x.materializeVictims(selected, tombs)
+	// A cold victim whose container fails to read right now drops out of
+	// the pass, and the remaining selection is re-checked against the policy
+	// so a lone survivor with nothing to reclaim isn't churned.
+	victims := materializeVictims(selected, tombs)
 	if len(victims) == 0 {
 		x.mu.RLock()
 		gen := x.generation
@@ -107,15 +104,7 @@ func (x *Index) compact() CompactResult {
 		slot := x.nextSlot
 		x.nextSlot++
 		x.mu.Unlock()
-		ix := cpindex.Build(sets, x.lambda, &cpindex.Options{
-			Trees:    x.opt.Trees,
-			LeafSize: x.opt.LeafSize,
-			T:        x.opt.T,
-			Seed:     SeedFor(x.opt.Seed, slot),
-			Workers:  x.opt.Workers,
-		})
-		merged = newLocalShard(ix, ids)
-		x.attachCounters(merged)
+		merged = x.buildShard(sets, ids, slot, x.opt.Workers)
 	}
 
 	// Swap. Between selection and here the ring can only have grown
@@ -125,11 +114,11 @@ func (x *Index) compact() CompactResult {
 	// are still in x.tombs for the same reason — only this pass may
 	// retire them.
 	x.mu.Lock()
-	gone := make(map[shardBackend]struct{}, len(victims))
+	gone := make(map[*localShard]struct{}, len(victims))
 	for _, v := range victims {
-		gone[v.backend] = struct{}{}
+		gone[v.shard] = struct{}{}
 	}
-	ring := make([]shardBackend, 0, len(x.shards)-len(victims)+1)
+	ring := make([]*localShard, 0, len(x.shards)-len(victims)+1)
 	for _, sh := range x.shards {
 		if _, dead := gone[sh]; !dead {
 			ring = append(ring, sh)
@@ -171,40 +160,26 @@ func (x *Index) compact() CompactResult {
 	return res
 }
 
-// compactVictim pairs a ring entry selected for compaction with its
-// entries materialized on the heap.
+// compactVictim pairs a ring shard selected for compaction with its sets
+// materialized on the heap.
 type compactVictim struct {
-	backend shardBackend
-	ids     []int
-	sets    [][]uint32
+	shard *localShard
+	sets  [][]uint32
 }
 
 // materializeVictims brings every victim's sets onto the heap — a hot
-// shard's own slice, a cold shard's copy out of its container, a
-// remote-backed shard's retained local copy or its verified fetched-back
-// decode — and re-checks the selection policy over the victims that
-// materialized: a victim whose bytes cannot be read right now (fetch
-// failure, corrupt container) drops out, and a selection reduced below two
-// shards with nothing to reclaim is abandoned rather than churned.
-func (x *Index) materializeVictims(victims []shardBackend, tombs map[int]struct{}) []compactVictim {
+// shard's own slice, a cold shard's copy out of its container — and
+// re-checks the selection policy over the victims that materialized: a
+// victim whose container cannot be read right now drops out, and a
+// selection reduced below two shards with nothing to reclaim is abandoned
+// rather than churned.
+func materializeVictims(victims []*localShard, tombs map[int]struct{}) []compactVictim {
 	out := make([]compactVictim, 0, len(victims))
 	for _, v := range victims {
-		local, _ := v.(*localShard)
-		if r, ok := v.(*remoteShard); ok {
-			if local = r.local; local == nil {
-				raw, err := r.fetchSnapshot()
-				if err != nil {
-					continue
-				}
-				if local, err = decodeShardBytes(raw, snapshot.ShardEntry{Seed: r.seed, Sets: len(r.ids)}, r.total); err != nil {
-					continue
-				}
-			}
-		}
 		// Queries against a cold victim that fails here will surface the
 		// corruption themselves.
-		if sets, err := local.res.Load().heapSets(); err == nil {
-			out = append(out, compactVictim{backend: v, ids: local.ids, sets: sets})
+		if sets, err := v.res.Load().heapSets(); err == nil {
+			out = append(out, compactVictim{shard: v, sets: sets})
 		}
 	}
 	if len(out) == len(victims) {
@@ -217,7 +192,7 @@ func (x *Index) materializeVictims(victims []shardBackend, tombs map[int]struct{
 	}
 	dead := 0
 	for _, v := range out {
-		for _, id := range v.ids {
+		for _, id := range v.shard.ids {
 			if _, d := tombs[id]; d {
 				dead++
 			}
@@ -230,46 +205,34 @@ func (x *Index) materializeVictims(victims []shardBackend, tombs map[int]struct{
 }
 
 // selectVictims applies the compaction policy to a read snapshot of the
-// ring: every shard at or below CompactSmall is a merge candidate
-// (merged only when at least CompactMinShards of them exist, since fewer
-// cannot shrink the ring), and any shard whose tombstone ratio reaches
-// CompactTombstoneRatio is rewritten regardless of size. A single
+// ring: every small shard is a merge candidate (merged only when at least
+// compactMinShards of them exist), and any shard whose tombstone ratio
+// reaches compactTombstoneRatio is rewritten regardless of size. A single
 // candidate with nothing to reclaim is left alone — rewriting it would
 // churn bytes without improving anything.
-//
-// Remote-backed shards are eligible like local ones: the policy reads
-// only the coordinator-side id map, and the merge recalls their
-// structure over the verified fetch-back path (see materializeVictims).
-// The recalled keys go unreferenced when the merged shard swaps in, and
-// the placement GC sweep retires them from the peers.
-func (x *Index) selectVictims() ([]shardBackend, map[int]struct{}) {
+func (x *Index) selectVictims() ([]*localShard, map[int]struct{}) {
 	x.mu.RLock()
 	shards := x.shards
 	tombs := x.tombs
 	x.mu.RUnlock()
 
-	// withDefaults (applied on both the Build and Load paths) guarantees
-	// the policy knobs are set.
-	small := x.opt.CompactSmall
-	minShards := x.opt.CompactMinShards
-	ratio := x.opt.CompactTombstoneRatio
-
-	var smalls, heavies []shardBackend
+	small := 2 * x.opt.MergeThreshold
+	var smalls, heavies []*localShard
 	dead := 0
 	for _, sh := range shards {
-		n := sh.size()
+		n := len(sh.ids)
 		shardDead := 0
 		// The id scan only pays when deletes exist; the common post-seal
 		// pass of a delete-free service stays O(shards).
 		if len(tombs) > 0 {
-			for _, id := range sh.globalIDs() {
+			for _, id := range sh.ids {
 				if _, d := tombs[id]; d {
 					shardDead++
 				}
 			}
 		}
 		switch {
-		case n > 0 && float64(shardDead)/float64(n) >= ratio:
+		case n > 0 && float64(shardDead)/float64(n) >= compactTombstoneRatio:
 			heavies = append(heavies, sh)
 			dead += shardDead
 		case n <= small:
@@ -278,7 +241,7 @@ func (x *Index) selectVictims() ([]shardBackend, map[int]struct{}) {
 		}
 	}
 	victims := heavies
-	if len(smalls) >= minShards {
+	if len(smalls) >= compactMinShards {
 		victims = append(victims, smalls...)
 	}
 	if len(victims) == 1 && dead == 0 {
@@ -292,7 +255,7 @@ func (x *Index) selectVictims() ([]shardBackend, map[int]struct{}) {
 func collectLive(victims []compactVictim, tombs map[int]struct{}) (ids []int, sets [][]uint32, dropped []int) {
 	total := 0
 	for _, v := range victims {
-		total += len(v.ids)
+		total += len(v.shard.ids)
 	}
 	type entry struct {
 		id  int
@@ -300,7 +263,7 @@ func collectLive(victims []compactVictim, tombs map[int]struct{}) (ids []int, se
 	}
 	live := make([]entry, 0, total)
 	for _, v := range victims {
-		for i, id := range v.ids {
+		for i, id := range v.shard.ids {
 			if _, d := tombs[id]; d {
 				dropped = append(dropped, id)
 				continue
@@ -317,32 +280,31 @@ func collectLive(victims []compactVictim, tombs map[int]struct{}) (ids []int, se
 	return ids, sets, dropped
 }
 
-// maintainAsync runs the maintenance a seal calls for in a background
-// goroutine: Compact when AutoCompact is set, then the recorded placement
-// when the ring was distributed (a compaction that changed the ring has
-// re-placed it already). At most one goroutine is in flight; triggers that
-// arrive while a pass is running are coalesced into one follow-up pass
-// rather than dropped, so a shard sealed during a running pass is
-// compacted and shipped even if append traffic then stops.
-func (x *Index) maintainAsync() {
-	x.maintainPending.Store(true)
-	if !x.maintaining.CompareAndSwap(false, true) {
-		return // the in-flight goroutine will observe maintainPending
+// compactAsync runs Compact in a background goroutine after a seal under
+// AutoCompact. At most one goroutine is in flight; triggers that arrive
+// while a pass is running are coalesced into one follow-up pass rather
+// than dropped, so a shard sealed during a running pass is compacted even
+// if append traffic then stops. A pass runs only while AutoCompact is
+// still set.
+func (x *Index) compactAsync() {
+	x.compactPending.Store(true)
+	if !x.compacting.CompareAndSwap(false, true) {
+		return // the in-flight goroutine will observe compactPending
 	}
 	go func() {
 		for {
-			for x.maintainPending.CompareAndSwap(true, false) {
-				if !x.Runtime().AutoCompact || x.Compact().Merged == 0 {
-					x.keepPlaced()
+			for x.compactPending.CompareAndSwap(true, false) {
+				if x.Runtime().AutoCompact {
+					x.Compact()
 				}
 			}
-			x.maintaining.Store(false)
+			x.compacting.Store(false)
 			// A trigger landing between the last CompareAndSwap and the
-			// Store above saw maintaining still true and returned; it
-			// must not be lost. Re-acquire and loop if one did — unless a
-			// newer trigger's own CompareAndSwap won, in which case its
-			// goroutine owns the pending flag now.
-			if !x.maintainPending.Load() || !x.maintaining.CompareAndSwap(false, true) {
+			// Store above saw compacting still true and returned; it must
+			// not be lost. Re-acquire and loop if one did — unless a newer
+			// trigger's own CompareAndSwap won, in which case its goroutine
+			// owns the pending flag now.
+			if !x.compactPending.Load() || !x.compacting.CompareAndSwap(false, true) {
 				return
 			}
 		}

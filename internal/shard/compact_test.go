@@ -110,14 +110,14 @@ func TestCompactEquivalence(t *testing.T) {
 	}
 }
 
-// TestCompactTombstoneRatioRewritesLargeShard: a shard above CompactSmall
-// is still rewritten once enough of it is deleted, reclaiming the
-// tombstones without touching answers.
+// TestCompactTombstoneRatioRewritesLargeShard: a shard above the small-shard
+// size (2×MergeThreshold) is still rewritten once enough of it is deleted,
+// reclaiming the tombstones without touching answers.
 func TestCompactTombstoneRatioRewritesLargeShard(t *testing.T) {
 	sets, _ := workload(600, 0.8, 307)
-	opt := exactOptions(2, 1<<20, 43)
-	opt.CompactSmall = 10 // nothing is "small": only the ratio can trigger
-	x := Build(sets, 0.5, opt)
+	// Two 300-set shards over a merge threshold of 100: nothing is "small",
+	// so only the ratio can trigger.
+	x := Build(sets, 0.5, exactOptions(2, 100, 43))
 	// Delete 40% of shard 0 (ids 0..299 under the contiguous partition).
 	for id := 0; id < 300; id += 5 {
 		x.Delete(id)
@@ -433,7 +433,7 @@ func TestCompactPreservesStandaloneEquivalence(t *testing.T) {
 		t.Fatalf("nothing compacted: %+v", st)
 	}
 	x.mu.RLock()
-	merged := x.shards[len(x.shards)-1].(*localShard).res.Load().hot
+	merged := x.shards[len(x.shards)-1].res.Load().hot
 	x.mu.RUnlock()
 	if merged.Len() != res.Sets {
 		t.Fatalf("merged shard holds %d sets, result says %d", merged.Len(), res.Sets)

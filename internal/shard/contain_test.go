@@ -305,11 +305,12 @@ func rewriteContainSection(t *testing.T, sets [][]uint32, edit func(payload []by
 }
 
 // TestLoadRejectsMissingContainSection: every container carries its containment
-// signatures, so a loaded or hosted shard never signs under guessed options.
-// A shard file without the section, or with one whose 16-byte header does not
-// describe the shard and the matrix behind it, is corrupt: a hot load refuses
-// it, and a cold load (which reads sections lazily) errors on the first
-// containment query instead of rebuilding.
+// signatures, so a loaded shard never signs its sets. A shard file without the
+// section, or with one whose 16-byte header does not describe the shard and the
+// matrix behind it or names a T or seed other than the ring's, is corrupt — its
+// candidates would not be the ring's: a hot load refuses it, and a cold load
+// (which reads sections lazily) errors on the first containment query instead
+// of rebuilding.
 func TestLoadRejectsMissingContainSection(t *testing.T) {
 	sets, _ := workload(120, 0.8, 441)
 	le := binary.LittleEndian
@@ -322,6 +323,8 @@ func TestLoadRejectsMissingContainSection(t *testing.T) {
 		{"T = 0", func(b []byte) []byte { le.PutUint32(b[0:], 0); return b }, "implausible signature length"},
 		{"T past the cap", func(b []byte) []byte { le.PutUint32(b[0:], 1<<16+1); return b }, "implausible signature length"},
 		{"n of another shard", func(b []byte) []byte { le.PutUint32(b[12:], 121); return b }, "covers 121 sets"},
+		{"another seed", func(b []byte) []byte { le.PutUint64(b[4:], le.Uint64(b[4:])+1); return b }, "the ring signs under"},
+		{"another T", func(b []byte) []byte { le.PutUint32(b[0:], 32); return b }, "signed under T=32"},
 		{"matrix a word short", func(b []byte) []byte { return b[:len(b)-4] }, "signature bytes"},
 		{"matrix a byte over", func(b []byte) []byte { return append(b, 0) }, "signature bytes"},
 		{"header truncated", func(b []byte) []byte { return b[:15] }, "truncated"},
@@ -372,7 +375,7 @@ func TestColdContainmentReadsInPlace(t *testing.T) {
 			}
 		}
 	}
-	s := cold.shards[0].(*localShard)
+	s := cold.shards[0]
 	r := s.res.Load()
 	if !s.isCold() || cold.Stats().ColdShards != 1 {
 		t.Fatal("a containment query moved a cold shard's sets to the heap")
@@ -411,7 +414,7 @@ func TestColdTrieReadsInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trees := cold.shards[0].(*localShard).res.Load().snap.Lookup("trees").Len
+	trees := cold.shards[0].res.Load().snap.Lookup("trees").Len
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	first := mustQueryAll(t, cold, sets[0])
@@ -461,12 +464,9 @@ func TestRingSharesOneSigner(t *testing.T) {
 			t.Fatalf("%s: %d shards, built for a sealed one beside the three", name, len(x.shards))
 		}
 		for i, sh := range x.shards {
-			if c := sh.(*localShard).contain.Load(); c == nil || c.Signer() != x.signers.own() {
+			if c := sh.contain.Load(); c == nil || c.Signer() != x.signer.get() {
 				t.Fatalf("%s: shard %d has no containment side after a query, or one with a signer of its own", name, i)
 			}
-		}
-		if n := len(x.signers.m); n != 1 {
-			t.Fatalf("%s: the ring keeps %d signers, want the one of its seed", name, n)
 		}
 	}
 }
@@ -515,7 +515,7 @@ func TestQueryContainCache(t *testing.T) {
 func TestContainSideIsLazy(t *testing.T) {
 	sets, _ := workload(50, 0.8, 461)
 	x := Build(sets, 0.5, &Options{Shards: 1, Seed: 3})
-	sub := x.shards[0].(*localShard)
+	sub := x.shards[0]
 	mustQueryAll(t, x, sets[0])
 	if sub.contain.Load() != nil {
 		t.Fatal("containment side built eagerly; the lazy contract changed")
@@ -526,68 +526,6 @@ func TestContainSideIsLazy(t *testing.T) {
 	if sub.contain.Load() == nil {
 		t.Fatal("containment side not built by the first containment query")
 	}
-}
-
-// TestDistributeContainmentEquivalence: a distributed topology answers
-// containment queries byte-identically to the all-local twin — shipped
-// containers carry the signatures, so peers answer without knowing the
-// coordinator's configuration — and failover to a second replica keeps
-// the answers intact.
-func TestDistributeContainmentEquivalence(t *testing.T) {
-	peer1, _ := newPeer(t)
-	peer2, _ := newPeer(t)
-	local, dist, _ := distributedPair(t, []string{peer1.URL, peer2.URL},
-		&DistributeOptions{Replicas: 2, KeepLocal: false})
-	probes := containProbes(localSets(t, local), 40)
-	probes = append(probes, nil)
-
-	assertContainIdentical := func(stage string) {
-		t.Helper()
-		for pi, q := range probes {
-			for _, th := range containThresholds {
-				want, err1 := local.QueryContain(q, th)
-				got, err2 := dist.QueryContain(q, th)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("%s: probe %d t=%v: errs %v / %v", stage, pi, th, err1, err2)
-				}
-				if !equalMatches(t, got, want) {
-					t.Fatalf("%s: probe %d t=%v: distributed containment diverges", stage, pi, th)
-				}
-			}
-		}
-	}
-	assertContainIdentical("both replicas up")
-	peer1.Close() // failover: every query falls to the second replica
-	assertContainIdentical("first replica down")
-}
-
-// localSets reconstructs the live set collection of an all-local index
-// from its shards and side buffer, indexed by global id (nil = absent),
-// so tests can derive probes without carrying the build inputs around.
-func localSets(t *testing.T, x *Index) [][]uint32 {
-	t.Helper()
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	out := make([][]uint32, x.total)
-	for _, sh := range x.shards {
-		sub, ok := sh.(*localShard)
-		if !ok {
-			t.Fatal("localSets wants an all-local index")
-		}
-		for local, id := range sub.ids {
-			out[id] = sub.res.Load().hot.Sets()[local]
-		}
-	}
-	for i, id := range x.side.ids {
-		out[id] = x.side.sets[i]
-	}
-	kept := out[:0]
-	for _, s := range out {
-		if s != nil {
-			kept = append(kept, s)
-		}
-	}
-	return kept
 }
 
 // TestConfigureValidationAndPersistence: Configure rejects invalid

@@ -49,9 +49,9 @@ func TestSealedDuplicateFound(t *testing.T) {
 
 // TestFilteringRingDeterministic: on filtering trees the answers are still
 // a pure function of (collection, partition, shard count, seed) — the same
-// bytes for any worker count, from the heap or the mapped tier, locally or
-// over the wire, before and after a snapshot round trip — and they keep a
-// recall floor against brute force on the planted neighbors.
+// bytes for any worker count, from the heap or the mapped tier, before and
+// after a snapshot round trip — and they keep a recall floor against brute
+// force on the planted neighbors.
 func TestFilteringRingDeterministic(t *testing.T) {
 	ds := datagen.Uniform(3000, 10, 209, 31)
 	planted := datagen.PlantPairs(ds, 150, 0.7, 32)
@@ -60,8 +60,6 @@ func TestFilteringRingDeterministic(t *testing.T) {
 	for _, p := range planted {
 		queries = append(queries, sets[p[0]], sets[p[1]])
 	}
-	p1, _ := newPeer(t)
-	p2, _ := newPeer(t)
 
 	for _, part := range []Partition{PartitionContiguous, PartitionHash} {
 		t.Run(fmt.Sprint(part), func(t *testing.T) {
@@ -116,15 +114,6 @@ func TestFilteringRingDeterministic(t *testing.T) {
 				}
 				same("loaded "+string(tier), y)
 			}
-
-			dist := build(2)
-			if err := dist.Distribute([]string{p1.URL, p2.URL}, &DistributeOptions{Replicas: 2}); err != nil {
-				t.Fatal(err)
-			}
-			if st := dist.Stats(); st.RemoteShards != 3 {
-				t.Fatalf("%d of 3 shards remote after Distribute", st.RemoteShards)
-			}
-			same("remote", dist)
 		})
 	}
 }

@@ -5,9 +5,25 @@ import (
 	"os"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/mmap"
 )
+
+// waitFor polls cond until it holds or the deadline passes, so the tests
+// that watch the garbage collector unmap files stay fast when the condition
+// is already true and robust on slow machines.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("timed out waiting for %s", what)
+}
 
 // mappedUnder counts the mappings of this process whose file lies under dir.
 func mappedUnder(t *testing.T, dir string) int {
@@ -52,11 +68,11 @@ func TestSetsOutliveTheirShards(t *testing.T) {
 	}
 	small := 0
 	for i, sh := range y.shards {
-		if sh.size() > y.opt.CompactSmall {
+		if len(sh.ids) > 2*y.opt.MergeThreshold {
 			continue
 		}
 		if small++; i%2 == 0 {
-			if err := sh.(*localShard).promote(); err != nil {
+			if err := sh.promote(y.signer); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -142,7 +158,7 @@ func TestColdShardQueriedFromOnlyReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh := y.shards[0].(*localShard)
+		sh := y.shards[0]
 		y = nil // from here on sh is the only way to the mapping
 		for i, q := range queries {
 			res, _, err := sh.query(plan{kind: kindAll}, q)
@@ -167,8 +183,8 @@ func TestPromotedShardOutlivesItsMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := y.shards[0].(*localShard)
-	if err := sh.promote(); err != nil {
+	sh := y.shards[0]
+	if err := sh.promote(y.signer); err != nil {
 		t.Fatal(err)
 	}
 	hot := sh.res.Load().hot
@@ -183,7 +199,7 @@ func TestPromotedShardOutlivesItsMapping(t *testing.T) {
 		runtime.GC()
 		runtime.GC()
 	}
-	saved := x.shards[0].(*localShard).res.Load().hot
+	saved := x.shards[0].res.Load().hot
 	for i, q := range queries {
 		if got, want := hot.QueryAll(q), saved.QueryAll(q); !equalMatches(t, got, want) {
 			t.Fatalf("query %d: the promoted view differs from the shard that was saved once its file is unmapped", i)

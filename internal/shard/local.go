@@ -31,11 +31,15 @@ import (
 // tokens to the heap (one bulk copy each, nothing validated twice), demote
 // drops those copies (after giving the shard a container if it never had
 // one), and a cold shard costs page cache, 24 B of header per set and its
-// id map. A shard that has a container keeps it, so saving or shipping it is
-// a byte copy, whichever tier it is in.
+// id map. A shard that has a container keeps it, so saving it is a byte
+// copy, whichever tier it is in.
+//
+// A hot shard cannot fail a query; a cold one fails only on a corrupt
+// container. Shards never apply tombstones: deletes are index state,
+// filtered at merge time.
 type localShard struct {
 	ids  []int  // local id -> global id
-	seed uint64 // build seed: the shard's identity in manifests and ship keys
+	seed uint64 // build seed: the shard's identity in manifests
 
 	// res is the current residency. Tier moves publish a new value; a query
 	// runs against the one it loaded, which stays valid (the heap copy and
@@ -61,7 +65,7 @@ type localShard struct {
 type residency struct {
 	hot  *cpindex.Index   // sets on the heap; nil while the shard is cold
 	cold *cpindex.Mapped  // sets left in the container; nil until the shard has one
-	snap *snapshot.Mapped // cold's container: the exact bytes Save and ship copy
+	snap *snapshot.Mapped // cold's container: the exact bytes Save copies
 }
 
 // newLocalShard wraps a freshly built index: hot, no container yet.
@@ -71,10 +75,9 @@ func newLocalShard(ix *cpindex.Index, ids []int) *localShard {
 	return s
 }
 
-func (s *localShard) size() int        { return len(s.ids) }
-func (s *localShard) globalIDs() []int { return s.ids }
-func (s *localShard) isCold() bool     { return s.res.Load().hot == nil }
+func (s *localShard) isCold() bool { return s.res.Load().hot == nil }
 
+// traceName names ring entry i in query traces.
 func (s *localShard) traceName(i int) (name, kind string) {
 	if s.isCold() {
 		return fmt.Sprintf("cold-%d", i), "cold"
@@ -91,9 +94,12 @@ func (s *localShard) structure() (nodes, leaves int) {
 	return r.cold.Structure()
 }
 
-// query is the only route from the ring into a local shard: every call
-// reports the shard's candidate-pipeline stats, traced or not, and writes
-// nothing the shard's other queries share. Ids come back global.
+// query is the only route from the ring into a shard: every call reports
+// the shard's candidate-pipeline stats, traced or not, and writes nothing
+// the shard's other queries share. It answers with global ids: the best
+// match — highest similarity, then lowest id within the shard's traversal
+// order — or every match, unfiltered and in shard-traversal order (the
+// merge sorts).
 func (s *localShard) query(p plan, q []uint32) (res Result, st cpindex.QueryStats, err error) {
 	res = noMatch
 	r := s.res.Load()
@@ -119,7 +125,7 @@ func (s *localShard) query(p plan, q []uint32) (res Result, st cpindex.QueryStat
 			res.Matches[i].ID = s.ids[res.Matches[i].ID]
 		}
 	case kindContain:
-		c, err := s.containSide(p.signers)
+		c, err := s.containSide(p.signer)
 		if err != nil {
 			return noMatch, st, err
 		}
@@ -127,12 +133,7 @@ func (s *localShard) query(p plan, q []uint32) (res Result, st cpindex.QueryStat
 		if err != nil {
 			return noMatch, st, err
 		}
-		var cands []int32
-		if c.Signer() == p.by {
-			cands = c.QuerySigned(p.sig, len(q), p.threshold)
-		} else { // a hosted shard, or one shipped here under other options
-			cands = c.Query(q, p.threshold)
-		}
+		cands := c.QuerySigned(p.sig, len(q), p.threshold)
 		st.Candidates, st.Verified = uint64(len(cands)), uint64(len(cands))
 		for _, lid := range cands {
 			if sim, ok := intset.ContainmentAtLeast(q, sets[lid], p.threshold); ok {
@@ -143,21 +144,6 @@ func (s *localShard) query(p plan, q []uint32) (res Result, st cpindex.QueryStat
 	}
 	res.Found = res.Found || len(res.Matches) > 0
 	return res, st, nil
-}
-
-// queryBatch answers every query of a batch with all its matches: what a
-// peer serves a coordinator's batch RPC from, and a remote shard's retained
-// local copy when every replica is down.
-func (s *localShard) queryBatch(qs [][]uint32) ([][]Match, error) {
-	out := make([][]Match, len(qs))
-	for i, q := range qs {
-		res, _, err := s.query(plan{kind: kindAll}, q)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res.Matches
-	}
-	return out, nil
 }
 
 // sets returns the collection where the residency keeps it: the hot view's
@@ -182,12 +168,11 @@ func (r *residency) heapSets() ([][]uint32, error) {
 
 // containSide returns the shard's containment side, loading it on first
 // use. Double-checked under containMu so concurrent first queries load
-// once. A shard with a container always reads the signatures it persisted —
-// a peer hosting a shipped shard answers without knowing its coordinator's
-// options; only a shard that was never encoded is signed, under cs's own
-// signer. Either way the side shares its signer with every other shard cs
-// serves under the same T and seed.
-func (s *localShard) containSide(cs *signers) (*contain.Index, error) {
+// once. A shard with a container reads the signatures it persisted, which
+// must have been signed under signer, the ring's; only a shard that was
+// never encoded is signed. Either way the side shares signer with every
+// other shard of the ring.
+func (s *localShard) containSide(signer *ringSigner) (*contain.Index, error) {
 	if c := s.contain.Load(); c != nil {
 		return c, nil
 	}
@@ -203,11 +188,11 @@ func (s *localShard) containSide(cs *signers) (*contain.Index, error) {
 	}
 	var c *contain.Index
 	if r.snap == nil {
-		c = cs.own().Build(sets)
+		c = signer.get().Build(sets)
 	} else {
 		raw, err := r.snap.Section("contain")
 		if err == nil {
-			c, err = decodeContainPayload(raw, sets, cs)
+			c, err = decodeContainPayload(raw, sets, signer)
 		}
 		if err != nil {
 			return nil, err
@@ -218,19 +203,16 @@ func (s *localShard) containSide(cs *signers) (*contain.Index, error) {
 	return c, nil
 }
 
-// openLocalShard opens a cold shard over one complete cpshard container
-// and cross-checks it against its manifest-level identity: id bounds,
-// id/set count agreement, the build seed. Every way a container becomes a
-// shard — disk load, shipped upload, fetch-back — goes through here, so a
-// peer accepting an upload enforces exactly the guards a restart would.
-// Only the headers, the meta section and the id map are read; retain (an
-// *mmap.File, or nil for heap bytes) is pinned for the views' lifetime.
-func openLocalShard(data []byte, retain any, entry snapshot.ShardEntry, total int) (*localShard, error) {
-	snap, err := snapshot.OpenMapped(data, shardKind)
+// openLocalShard opens a cold shard over one mapped cpshard container and
+// cross-checks it against its manifest-level identity: id bounds, id/set
+// count agreement, the build seed. Only the headers, the meta section and
+// the id map are read; f is pinned for the views' lifetime.
+func openLocalShard(f *mmap.File, entry snapshot.ShardEntry, total int) (*localShard, error) {
+	snap, err := snapshot.OpenMapped(f.Data, shardKind)
 	if err != nil {
 		return nil, err
 	}
-	m, err := cpindex.OpenMapped(snap, retain)
+	m, err := cpindex.OpenMapped(snap, f)
 	if err != nil {
 		return nil, err
 	}
@@ -268,27 +250,15 @@ func openLocalShard(data []byte, retain any, entry snapshot.ShardEntry, total in
 	return s, nil
 }
 
-// decodeShardBytes opens a container held on the heap (a shipped or
-// fetched-back shard) and promotes it, which validates every section.
-func decodeShardBytes(raw []byte, entry snapshot.ShardEntry, total int) (*localShard, error) {
-	s, err := openLocalShard(raw, nil, entry, total)
-	if err == nil {
-		err = s.promote()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // promote moves the sets and the trie onto the heap: clones of what the
 // mapped view validated, so the hot view reads no container bytes and
 // survives its shard. A promoted shard has read and checksummed every
-// section of its container — promotion is exactly a snapshot load, and
-// what it accepts cannot fail later. Only the containment side's sorted
-// orders stay unbuilt until a containment query wants them, as after
-// Build: they are the one part of a load that is not validation.
-func (s *localShard) promote() error {
+// section of its container, and found its containment section signed under
+// signer — promotion is exactly a snapshot load, and what it accepts cannot
+// fail later. Only the containment side's sorted orders stay unbuilt until
+// a containment query wants them, as after Build: they are the one part of
+// a load that is not validation.
+func (s *localShard) promote(signer *ringSigner) error {
 	r := s.res.Load()
 	if r.hot != nil {
 		return nil
@@ -299,7 +269,7 @@ func (s *localShard) promote() error {
 	}
 	raw, err := r.snap.Section("contain")
 	if err == nil {
-		_, _, _, err = containHeader(raw, len(s.ids))
+		_, err = containHeader(raw, len(s.ids), signer)
 	}
 	runtime.KeepAlive(r) // raw aliases the mapping r.cold pins
 	if err != nil {
@@ -311,17 +281,17 @@ func (s *localShard) promote() error {
 
 // demote drops the heap copies of the sets and the trie. A shard that never
 // had a container gets one first: its canonical bytes (what Save would
-// write, so its content identity and any future ship key are unchanged) are
-// spooled through a temp file that is mapped and unlinked at once — the
-// mapping keeps the bytes readable and nothing is left on disk to clean up.
-func (s *localShard) demote(cs *signers) error {
+// write) are spooled through a temp file that is mapped and unlinked at
+// once — the mapping keeps the bytes readable and nothing is left on disk to
+// clean up.
+func (s *localShard) demote(signer *ringSigner) error {
 	r := s.res.Load()
 	if r.hot == nil {
 		return nil
 	}
 	next := &residency{cold: r.cold, snap: r.snap}
 	if next.cold == nil {
-		raw, err := encodeShardBytes(s, cs)
+		raw, err := encodeShardBytes(s, signer)
 		if err != nil {
 			return err
 		}

@@ -101,12 +101,10 @@ func TestMetricsExposition(t *testing.T) {
 		"cps_exec_queue_depth",
 		"cps_index_sets",
 		"cps_index_shards",
-		"cps_index_remote_shards",
 		"cps_index_buffered",
 		"cps_index_tombstones",
 		"cps_index_generation",
 		"cps_index_version",
-		"cps_hosted_shards",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
@@ -254,147 +252,44 @@ func TestQueryMetricsAllocs(t *testing.T) {
 	}
 }
 
-// TestHealthEndpoints covers the liveness/readiness split on a healthy
-// all-local index: /healthz and /readyz both 200, with the health report
-// as JSON body.
+// TestHealthEndpoints: /v1/healthz and /v1/readyz both answer 200 with the
+// health report as JSON body, ready — for a built index, and for hot and cold
+// restores before their first query (a child process's harness waits for
+// exactly that before it times anything).
 func TestHealthEndpoints(t *testing.T) {
-	ts, _ := newTestServer(t)
-	for _, path := range []string{"/v1/healthz", "/v1/readyz"} {
-		resp, err := http.Get(ts.URL + path)
+	x, dir, _ := saveWorkload(t)
+	indexes := map[string]*Index{"built": x}
+	for _, tier := range []Tier{TierHot, TierCold} {
+		y, err := LoadWithOptions(dir, LoadOptions{Workers: 2, Tiering: tier})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var h HealthStatus
-		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-			t.Fatalf("%s body: %v", path, err)
+		indexes["restored "+string(tier)] = y
+	}
+	for name, ix := range indexes {
+		ts := httptest.NewServer(NewServer(ix))
+		for _, path := range []string{"/v1/healthz", "/v1/readyz"} {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var h HealthStatus
+			if err := json.Unmarshal(body, &h); err != nil {
+				t.Fatalf("%s %s body: %v", name, path, err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s %s status %d, want 200", name, path, resp.StatusCode)
+			}
+			if !strings.Contains(string(body), `"ready":true`) || h.Shards != ix.Stats().Shards {
+				t.Errorf("%s %s report %s, want ready with %d shards", name, path, body, ix.Stats().Shards)
+			}
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s status %d, want 200", path, resp.StatusCode)
-		}
-		if !h.Ready || h.Shards != 3 || h.RemoteShards != 0 {
-			t.Errorf("%s report %+v, want ready with 3 local shards", path, h)
-		}
-	}
-}
-
-// TestReadyzPeerDeath: with moved shards (KeepLocal=false, one replica), a
-// dead peer makes queries error — and the same condition must flip /readyz
-// to 503, name the unanswerable shards, and mark the peer unhealthy in the
-// health report, while /healthz stays 200 (the process itself is fine) —
-// and once the peer heals, /readyz turns 200 with no query in between.
-func TestReadyzPeerDeath(t *testing.T) {
-	p1, f1 := newFlakyPeer(t)
-	_, dist, probes := distributedPair(t, []string{p1.URL},
-		&DistributeOptions{Replicas: 1, KeepLocal: false})
-	ts := httptest.NewServer(NewServer(dist))
-	t.Cleanup(ts.Close)
-
-	readyz := func() (int, HealthStatus) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/readyz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var h HealthStatus
-		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, h
-	}
-
-	if code, h := readyz(); code != http.StatusOK || !h.Ready {
-		t.Fatalf("healthy topology: /readyz = %d, %+v", code, h)
-	}
-
-	// Kill the only replica. Health is passive, so unreadiness appears with
-	// the first failed RPC, not before.
-	f1.broken.Store(true)
-	if _, _, _, err := dist.QueryErr(probes[0]); err == nil {
-		t.Fatal("query against a dead sole replica succeeded")
-	}
-	code, h := readyz()
-	if code != http.StatusServiceUnavailable || h.Ready {
-		t.Fatalf("dead peer: /readyz = %d, %+v, want 503 and ready=false", code, h)
-	}
-	if len(h.UnreadyShards) == 0 {
-		t.Error("no unready shards named in the report")
-	}
-	if len(h.Peers) != 1 || h.Peers[0].Healthy || h.Peers[0].Errors == 0 {
-		t.Errorf("peer report %+v, want the one peer unhealthy with errors", h.Peers)
-	}
-
-	// Liveness is unaffected, and the query error is on the counters.
-	resp, err := http.Get(ts.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/healthz status %d during unreadiness, want 200", resp.StatusCode)
-	}
-	text := scrapeMetrics(t, ts.URL)
-	if !regexp.MustCompile(`(?m)^cps_query_errors_total [1-9]`).MatchString(text) {
-		t.Error("cps_query_errors_total did not count the failed query")
-	}
-	if !strings.Contains(text, "cps_peer_healthy{peer=") || !strings.Contains(text, "} 0") {
-		t.Error("cps_peer_healthy gauge did not go to 0")
-	}
-	// A distributed index's scrape carries the per-peer families, labelled
-	// by peer (scrapeMetrics has already held every line to the format).
-	for _, want := range []string{
-		`cps_peer_rpc_seconds_bucket{peer="`,
-		`cps_peer_rpc_seconds_count{peer="`,
-		`cps_peer_rpc_errors_total{peer="`,
-		`cps_peer_failovers_total{peer="`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("distributed scrape missing %q", want)
-		}
-	}
-
-	// Recovery needs no query: a load balancer that drained the node on
-	// 503 sends none, so /readyz itself re-checks the down peer.
-	f1.broken.Store(false)
-	if code, h := readyz(); code != http.StatusOK || !h.Ready {
-		t.Fatalf("healed peer, no query since: /readyz = %d, %+v", code, h)
-	}
-	if _, _, _, err := dist.QueryErr(probes[0]); err != nil {
-		t.Fatalf("query after recovery: %v", err)
-	}
-}
-
-// TestPeerFailoverMetrics: with 2-way replication and one peer down,
-// answers are served by the survivor while the dead peer accrues RPC
-// errors and failovers and loses its healthy bit — and the index stays
-// ready throughout.
-func TestPeerFailoverMetrics(t *testing.T) {
-	p1, f1 := newFlakyPeer(t)
-	p2, _ := newFlakyPeer(t)
-	local, dist, probes := distributedPair(t, []string{p1.URL, p2.URL},
-		&DistributeOptions{Replicas: 2, KeepLocal: false})
-	f1.broken.Store(true)
-	assertIdentical(t, local, dist, probes)
-
-	pm1, pm2 := dist.metrics.peer(p1.URL), dist.metrics.peer(p2.URL)
-	if pm1.isHealthy() {
-		t.Error("dead peer still marked healthy")
-	}
-	if !pm2.isHealthy() {
-		t.Error("surviving peer marked unhealthy")
-	}
-	if pm1.rpcErrors.Value() == 0 {
-		t.Error("dead peer has no RPC errors")
-	}
-	if pm1.failovers.Value() == 0 {
-		t.Error("no failovers counted despite a live fallback replica")
-	}
-	if pm2.rpcErrors.Value() != 0 {
-		t.Errorf("surviving peer has %d RPC errors", pm2.rpcErrors.Value())
-	}
-	if h := dist.Health(); !h.Ready {
-		t.Errorf("index not ready despite a healthy replica per shard: %+v", h)
+		ts.Close()
 	}
 }
 

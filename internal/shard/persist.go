@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -77,7 +78,7 @@ func (x *Index) Save(dir string) error {
 	}
 
 	x.mu.RLock()
-	shards := append([]shardBackend(nil), x.shards...)
+	shards := x.shards
 	side := snapshot.SideState{}
 	for _, b := range x.sealing {
 		side.IDs = append(side.IDs, b.ids...)
@@ -86,29 +87,26 @@ func (x *Index) Save(dir string) error {
 	side.IDs = append(side.IDs, x.side.ids...)
 	side.Sets = append(side.Sets, x.side.sets...)
 	m := &snapshot.Manifest{
-		FormatVersion:         snapshot.Version,
-		Lambda:                x.lambda,
-		Partition:             x.opt.Partition.String(),
-		PrimaryShards:         x.opt.Shards,
-		MergeThreshold:        x.opt.MergeThreshold,
-		Trees:                 x.opt.Trees,
-		LeafSize:              x.opt.LeafSize,
-		T:                     x.opt.T,
-		Seed:                  x.opt.Seed,
-		NextSlot:              x.nextSlot,
-		Total:                 x.total,
-		Appends:               x.appends,
-		Merges:                x.merges,
-		Deletes:               x.deletes,
-		Compactions:           x.compactions,
-		CompactedShards:       x.compactedShards,
-		RingGeneration:        x.generation,
-		CompactSmall:          x.opt.CompactSmall,
-		CompactMinShards:      x.opt.CompactMinShards,
-		CompactTombstoneRatio: x.opt.CompactTombstoneRatio,
-		Side:                  side,
-		Tombstones:            sortedTombstones(x.tombs),
-		DroppedBitmap:         x.dropped.Bytes(),
+		FormatVersion:   snapshot.Version,
+		Lambda:          x.lambda,
+		Partition:       x.opt.Partition.String(),
+		PrimaryShards:   x.opt.Shards,
+		MergeThreshold:  x.opt.MergeThreshold,
+		Trees:           x.opt.Trees,
+		LeafSize:        x.opt.LeafSize,
+		T:               x.opt.T,
+		Seed:            x.opt.Seed,
+		NextSlot:        x.nextSlot,
+		Total:           x.total,
+		Appends:         x.appends,
+		Merges:          x.merges,
+		Deletes:         x.deletes,
+		Compactions:     x.compactions,
+		CompactedShards: x.compactedShards,
+		RingGeneration:  x.generation,
+		Side:            side,
+		Tombstones:      sortedTombstones(x.tombs),
+		DroppedBitmap:   x.dropped.Bytes(),
 	}
 	if rt := x.runtime; rt != (RuntimeOptions{}) {
 		m.Runtime = &snapshot.RuntimeState{
@@ -118,39 +116,14 @@ func (x *Index) Save(dir string) error {
 		}
 	}
 	x.mu.RUnlock()
-	// The placement record rides along so the coordinator's ownership of
-	// hosted keys survives a restart (its own mutex; not under mu).
-	m.Placement = x.placement.snapshotState()
 
-	// Snapshots are topology-free: a remote-backed shard saves the same
-	// cpshard bytes as a local one — from the retained local copy when
-	// there is one, otherwise fetched back (and re-verified) from a live
-	// replica — so Load always restores a complete all-local index that
-	// the operator can re-Distribute.
 	m.Shards = make([]snapshot.ShardEntry, len(shards))
 	errs := make([]error, len(shards))
 	exec.RunItems(exec.EffectiveWorkers(x.opt.Workers), len(shards), func(i int) {
+		sh := shards[i]
 		file := shardFileName(gen, i)
-		path := filepath.Join(dir, file)
-		switch sh := shards[i].(type) {
-		case *localShard:
-			m.Shards[i] = snapshot.ShardEntry{File: file, Seed: sh.seed, Sets: len(sh.ids)}
-			errs[i] = saveShard(path, sh, x.signers)
-		case *remoteShard:
-			m.Shards[i] = snapshot.ShardEntry{File: file, Seed: sh.seed, Sets: len(sh.ids)}
-			if sh.local != nil {
-				errs[i] = saveShard(path, sh.local, x.signers)
-				return
-			}
-			raw, err := sh.fetchSnapshot()
-			if err != nil {
-				errs[i] = fmt.Errorf("fetching remote shard %d for save: %w", i, err)
-				return
-			}
-			errs[i] = snapshot.WriteRawFile(path, raw)
-		default:
-			errs[i] = fmt.Errorf("shard %d: unknown backend %T", i, shards[i])
-		}
+		m.Shards[i] = snapshot.ShardEntry{File: file, Seed: sh.seed, Sets: len(sh.ids)}
+		errs[i] = saveShard(filepath.Join(dir, file), sh, x.signer)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -178,25 +151,42 @@ func sortedTombstones(ids map[int]struct{}) []int {
 // saveShard writes one shard file: a shard that has a container already
 // holds its canonical bytes, so saving it is a file copy with no re-encode;
 // one that never had a container is encoded straight into the file.
-func saveShard(path string, sh *localShard, cs *signers) error {
+func saveShard(path string, sh *localShard, signer *ringSigner) error {
 	if snap := sh.res.Load().snap; snap != nil {
 		return snapshot.WriteRawFile(path, snap.Bytes())
 	}
 	return snapshot.WriteFile(path, shardKind, func(w *snapshot.Writer) error {
-		return encodeShardSections(w, sh, cs)
+		return encodeShardSections(w, sh, signer)
 	})
+}
+
+// encodeShardBytes encodes a shard that has no container into the cpshard
+// container Save would write to disk.
+func encodeShardBytes(sh *localShard, signer *ringSigner) ([]byte, error) {
+	var buf bytes.Buffer
+	w, err := snapshot.NewWriter(&buf, shardKind)
+	if err != nil {
+		return nil, err
+	}
+	if err := encodeShardSections(w, sh, signer); err != nil {
+		return nil, err
+	}
+	if err := w.Flush(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // encodeShardSections writes one shard's container body — cpindex
 // sections, the local→global id map, and the containment signatures.
-// Shared by disk saves and shard shipping, so a shipped shard is
+// Shared by disk saves and demotion, so a demoted shard's container is
 // bit-for-bit a saved one. Only a hot shard without a container is ever
 // encoded. Encoding forces the containment side to exist, so every
-// container carries the section and readers never sign under guessed
-// options: for a shard that never served a containment query that is one
-// signing pass plus the side's sorted orders (4·T bytes per set, about
-// 0.1 s per 10 000 sets in all) and 4·T bytes per set in the file.
-func encodeShardSections(w *snapshot.Writer, sh *localShard, cs *signers) error {
+// container carries the section and a reader never signs its sets: for a
+// shard that never served a containment query that is one signing pass
+// plus the side's sorted orders (4·T bytes per set, about 0.1 s per
+// 10 000 sets in all) and 4·T bytes per set in the file.
+func encodeShardSections(w *snapshot.Writer, sh *localShard, signer *ringSigner) error {
 	if err := sh.res.Load().hot.EncodeSections(w); err != nil {
 		return err
 	}
@@ -208,7 +198,7 @@ func encodeShardSections(w *snapshot.Writer, sh *localShard, cs *signers) error 
 	if err := w.Section("ids", ids.B); err != nil {
 		return err
 	}
-	c, err := sh.containSide(cs)
+	c, err := sh.containSide(signer)
 	if err != nil {
 		return err
 	}
@@ -221,15 +211,15 @@ func encodeShardSections(w *snapshot.Writer, sh *localShard, cs *signers) error 
 }
 
 // containHeader validates a containment section's framing against the
-// shard it belongs to and returns its parameters and the signature bytes.
-// The header is 16 bytes fixed-width (T u32, seed u64, n u32), so the matrix
-// behind it is 4-aligned in the container. The section is self-contained (it
-// carries its own T and seed), so a peer hosting a shipped shard answers
-// containment queries without knowing the coordinator's configuration.
-func containHeader(raw []byte, nsets int) (t int, seed uint64, sigs []byte, err error) {
+// shard it belongs to and returns the signature bytes. The header is 16
+// bytes fixed-width (T u32, seed u64, n u32), so the matrix behind it is
+// 4-aligned in the container. The T and seed it names must be signer's:
+// every container a ring opens was written under the ring's own options,
+// and candidates signed under any others would not be the ring's answers.
+func containHeader(raw []byte, nsets int, signer *ringSigner) ([]byte, error) {
 	c := snapshot.NewCursor("contain", raw)
-	t = int(c.U32())
-	seed = c.U64()
+	t := int(c.U32())
+	seed := c.U64()
 	if t == 0 || t > 1<<16 {
 		c.Fail("implausible signature length %d", t)
 	}
@@ -237,13 +227,17 @@ func containHeader(raw []byte, nsets int) (t int, seed uint64, sigs []byte, err 
 		c.Fail("containment side covers %d sets, shard holds %d", n, nsets)
 	}
 	if err := c.Err(); err != nil {
-		return 0, 0, nil, err
+		return nil, err
+	}
+	if want := signer.opts; t != want.T || seed != want.Seed {
+		return nil, fmt.Errorf("%w: section %q: signed under T=%d seed %d, the ring signs under T=%d seed %d",
+			snapshot.ErrCorrupt, "contain", t, seed, want.T, want.Seed)
 	}
 	if nsets*t*4 != c.Remaining() {
-		return 0, 0, nil, fmt.Errorf("%w: section %q: %d signature bytes for %d sets with T=%d",
+		return nil, fmt.Errorf("%w: section %q: %d signature bytes for %d sets with T=%d",
 			snapshot.ErrCorrupt, "contain", c.Remaining(), nsets, t)
 	}
-	return t, seed, raw[len(raw)-c.Remaining():], nil
+	return raw[len(raw)-c.Remaining():], nil
 }
 
 // decodeContainPayload rebuilds the candidate structure of one containment
@@ -251,14 +245,14 @@ func containHeader(raw []byte, nsets int) (t int, seed uint64, sigs []byte, err 
 // rebuilt (T sorts per cardinality band), the one part of opening a shard
 // that is more than validation; hence lazy. The signatures are a View of raw:
 // the index reads the container its shard keeps mapped (see
-// localShard.contain). Its signer is the one cs keeps for the section's T and
-// seed, shared with every other shard built under them.
-func decodeContainPayload(raw []byte, sets [][]uint32, cs *signers) (*contain.Index, error) {
-	t, seed, sigBytes, err := containHeader(raw, len(sets))
+// localShard.contain). It shares signer, the ring's, which the section's
+// header must name.
+func decodeContainPayload(raw []byte, sets [][]uint32, signer *ringSigner) (*contain.Index, error) {
+	sigBytes, err := containHeader(raw, len(sets), signer)
 	if err != nil {
 		return nil, err
 	}
-	ci, err := contain.FromSignatures(sets, snapshot.View[uint32](sigBytes), cs.get(contain.Options{T: t, Seed: seed}))
+	ci, err := contain.FromSignatures(sets, snapshot.View[uint32](sigBytes), signer.get())
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
 	}
@@ -355,26 +349,20 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 		return nil, fmt.Errorf("%s: side shard: %w", dir, err)
 	}
 
-	// The compaction-policy knobs come from the manifest so a loaded index
-	// compacts under the policy it was built with; withDefaults fills them
-	// exactly as Build would when they are absent.
 	opt := (&Options{
-		Shards:                m.PrimaryShards,
-		Partition:             part,
-		MergeThreshold:        m.MergeThreshold,
-		Trees:                 m.Trees,
-		LeafSize:              m.LeafSize,
-		T:                     m.T,
-		Seed:                  m.Seed,
-		Workers:               workers,
-		CompactSmall:          m.CompactSmall,
-		CompactMinShards:      m.CompactMinShards,
-		CompactTombstoneRatio: m.CompactTombstoneRatio,
+		Shards:         m.PrimaryShards,
+		Partition:      part,
+		MergeThreshold: m.MergeThreshold,
+		Trees:          m.Trees,
+		LeafSize:       m.LeafSize,
+		T:              m.T,
+		Seed:           m.Seed,
+		Workers:        workers,
 	}).withDefaults()
 	x := &Index{
 		lambda:          m.Lambda,
 		opt:             opt,
-		signers:         newSigners(opt.Seed),
+		signer:          newRingSigner(opt.Seed),
 		side:            &sideBuffer{sets: m.Side.Sets, ids: m.Side.IDs},
 		nextSlot:        m.NextSlot,
 		total:           m.Total,
@@ -409,14 +397,11 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 		}
 	}
 
-	x.shards = make([]shardBackend, len(m.Shards))
+	x.shards = make([]*localShard, len(m.Shards))
 	errs := make([]error, len(m.Shards))
 	exec.RunItems(exec.EffectiveWorkers(workers), len(m.Shards), func(i int) {
 		path := filepath.Join(dir, m.Shards[i].File)
-		var s *localShard
-		if s, errs[i] = loadTieredShard(path, m.Shards[i], m.Total, tier); errs[i] == nil {
-			x.shards[i] = s
-		}
+		x.shards[i], errs[i] = loadTieredShard(path, m.Shards[i], m.Total, tier, x.signer)
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -428,7 +413,7 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 	}
 	x.metrics = newIndexMetrics(x)
 	for _, sh := range x.shards {
-		x.attachCounters(sh.(*localShard))
+		x.attachCounters(sh)
 	}
 	// One pass over every physically present id checks the remaining
 	// cross-invariants: a dropped id must be absent from every shard (a
@@ -444,7 +429,7 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 		}
 	}
 	for _, sh := range x.shards {
-		for _, id := range sh.globalIDs() {
+		for _, id := range sh.ids {
 			if x.dropped.Get(id) {
 				return nil, fmt.Errorf("%s: %w: dropped id %d still present in a shard",
 					dir, snapshot.ErrCorrupt, id)
@@ -464,13 +449,8 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 	// subtraction cannot go negative).
 	x.live = len(x.side.ids) - len(x.tombs)
 	for _, sh := range x.shards {
-		x.live += sh.size()
+		x.live += len(sh.ids)
 	}
-	// Restore the placement record: the ring reloads all-local (snapshots
-	// are topology-free), but the keys the previous life shipped are
-	// still hosted on peers, and the next Distribute pass garbage-collects
-	// whichever of them the new ring doesn't re-reference.
-	x.placement.restore(m.Placement)
 	// Re-apply the runtime configuration the index was saved with, so a
 	// restart restores tuning (cache, auto-compaction, tiering) and not just
 	// data. Absent when everything was at its default.
@@ -494,15 +474,16 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 
 // loadTieredShard maps one shard file, cross-checks it against its manifest
 // entry, and leaves it in the given tier: cold stops there, hot promotes
-// (reading and checksumming every section).
-func loadTieredShard(path string, entry snapshot.ShardEntry, total int, tier Tier) (*localShard, error) {
+// (reading and checksumming every section, and checking that the
+// containment section was signed under signer).
+func loadTieredShard(path string, entry snapshot.ShardEntry, total int, tier Tier, signer *ringSigner) (*localShard, error) {
 	f, err := mmap.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	s, err := openLocalShard(f.Data, f, entry, total)
+	s, err := openLocalShard(f, entry, total)
 	if err == nil && tier == TierHot {
-		err = s.promote()
+		err = s.promote(signer)
 	}
 	if err != nil {
 		f.Close()

@@ -1,9 +1,12 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/intset"
@@ -98,7 +101,7 @@ func TestSaveLoadStatsAndResume(t *testing.T) {
 	y.Flush()
 	seeds := map[uint64]int{}
 	for i, sh := range y.shards {
-		s := sh.(*localShard).seed
+		s := sh.seed
 		if prev, dup := seeds[s]; dup {
 			t.Fatalf("shards %d and %d share seed %d", prev, i, s)
 		}
@@ -341,46 +344,64 @@ func TestLoadCorruptionRejected(t *testing.T) {
 	}
 }
 
-// TestLoadPreservesCompactionPolicy: custom compaction knobs survive a
-// Save/Load round trip (a ratio above 1 is the documented way to disable
-// ratio-triggered rewrites — resetting it to the default on restart
-// would compact shards the operator excluded), while zeroed knobs in a
-// pre-compaction manifest still select the defaults.
-func TestLoadPreservesCompactionPolicy(t *testing.T) {
-	sets, _ := workload(40, 0.8, 341)
-	x := Build(sets, 0.5, &Options{
-		Shards: 2, Seed: 41, MergeThreshold: 10,
-		CompactSmall: 7, CompactMinShards: 3, CompactTombstoneRatio: 1.5,
-	})
+// TestLoadIgnoresRetiredManifestKeys: a directory saved by an earlier build
+// may carry manifest keys this one no longer writes — the three compaction
+// knobs and the shipped-shard record of a ring that was placed on peers.
+// They are ignored: the directory loads and answers as the index that was
+// saved, and a re-save drops them.
+func TestLoadIgnoresRetiredManifestKeys(t *testing.T) {
+	sets, _ := workload(300, 0.8, 343)
+	x := Build(sets, 0.5, &Options{Shards: 2, Seed: 41, MergeThreshold: 40, Workers: 2})
 	dir := t.TempDir()
 	if err := x.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	y, err := Load(dir, 1)
+	path := filepath.Join(dir, snapshot.ManifestFile)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if y.opt.CompactSmall != 7 || y.opt.CompactMinShards != 3 || y.opt.CompactTombstoneRatio != 1.5 {
-		t.Errorf("loaded policy = {%d %d %v}, want {7 3 1.5}",
-			y.opt.CompactSmall, y.opt.CompactMinShards, y.opt.CompactTombstoneRatio)
+	var m map[string]any
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber() // seeds are 64-bit
+	if err := dec.Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	peer := "http://127.0.0.1:8402"
+	m["compact_small"], m["compact_min_shards"], m["compact_tombstone_ratio"] = 7, 3, 1.5
+	m["placement"] = map[string]any{
+		"epoch": 2, "peers": []string{peer}, "replicas": 1, "keep_local": true,
+		"shipped": []any{map[string]any{"key": "cps-0123456789abcdef-01234567", "peers": []string{peer}}},
+	}
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
-	// A manifest without the knobs (pre-compaction snapshot) defaults.
-	m, err := snapshot.ReadManifest(dir)
+	y, err := Load(dir, 2)
+	if err != nil {
+		t.Fatalf("a manifest with retired keys does not load: %v", err)
+	}
+	want, got := mustQueryBatch(t, x, sets[:60]), mustQueryBatch(t, y, sets[:60])
+	for i := range want {
+		if !equalMatches(t, got[i], want[i]) {
+			t.Fatalf("query %d differs after loading a manifest with retired keys", i)
+		}
+	}
+	dir2 := t.TempDir()
+	if err := y.Save(dir2); err != nil {
+		t.Fatal(err)
+	}
+	resaved, err := os.ReadFile(filepath.Join(dir2, snapshot.ManifestFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.CompactSmall, m.CompactMinShards, m.CompactTombstoneRatio = 0, 0, 0
-	if err := snapshot.WriteManifest(dir, m); err != nil {
-		t.Fatal(err)
-	}
-	z, err := Load(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if z.opt.CompactSmall != 2*m.MergeThreshold || z.opt.CompactMinShards != 2 || z.opt.CompactTombstoneRatio != 0.3 {
-		t.Errorf("defaulted policy = {%d %d %v}, want {%d 2 0.3}",
-			z.opt.CompactSmall, z.opt.CompactMinShards, z.opt.CompactTombstoneRatio, 2*m.MergeThreshold)
+	for _, key := range []string{"compact_small", "compact_min_shards", "compact_tombstone_ratio", "placement"} {
+		if strings.Contains(string(resaved), `"`+key+`"`) {
+			t.Errorf("re-saved manifest still carries %q", key)
+		}
 	}
 }
 
@@ -552,7 +573,7 @@ func TestCrashedSaveLeavesPreviousSnapshotReadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, sh := range other.shards {
-		if err := saveShard(filepath.Join(dir, shardFileName(gen, i)), sh.(*localShard), other.signers); err != nil {
+		if err := saveShard(filepath.Join(dir, shardFileName(gen, i)), sh, other.signer); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/contain"
 	"repro/internal/cpindex"
 	"repro/internal/exec"
 	"repro/internal/intset"
@@ -18,12 +17,12 @@ import (
 //	plan     newPlan: the one place mode and threshold are validated
 //	time     query / QueryBatchErr: latency histogram by kind, error counter, trace total
 //	lookup   cacheAt.lookup / put: the empty-query rule and the result cache
-//	fan out  fan / askRemotes: one snapshot, one remote/local split; peers in parallel
-//	merge    fan.merge: tombstone filter, exact buffer scan, canonical order
+//	snapshot fan: one read-locked view of the ring, the buffers and the tombstones
+//	merge    fan.merge: every shard asked, tombstone filter, exact buffer scan, canonical order
 //	rank     Search: threshold narrowing and limit ranking over the merged answer
 //
-// A batch is the same pipeline with each peer asked once for the whole
-// batch instead of once per query.
+// A batch is the same pipeline over one snapshot, its queries merged in
+// parallel on the execution layer.
 
 // Mode selects the semantics of a Request: what "match" means and what
 // the threshold is measured against.
@@ -87,7 +86,7 @@ var noMatch = Result{Best: Match{ID: -1}}
 
 // ErrBadRequest marks a Search error caused by the request itself (unknown
 // mode, threshold out of range); every other error is a serving failure —
-// a dead distributed topology or a corrupt cold shard.
+// a corrupt cold shard.
 var ErrBadRequest = errors.New("shard: bad request")
 
 // queryKind is what a plan computes per shard.
@@ -110,21 +109,16 @@ type plan struct {
 	// for the similarity kinds, whose threshold is the index λ. Part of the
 	// result cache's key.
 	threshold float64
-	// signers are the ring's containment signers, threaded through so a
-	// shard whose containment side is not built yet is signed with the
-	// right global seed.
-	signers *signers
-	// sig is the query's signature under by, the ring's own signer, taken
-	// once a containment query has missed the cache: a shard whose side
-	// shares by — every shard built or loaded under the ring's seed — does
-	// not sign the query again.
-	by  *contain.Signer
-	sig []uint32
+	// signer is the ring's containment signer and sig the query's signature
+	// under it, taken once a containment query has missed the cache: every
+	// shard's containment side shares signer, so none signs the query again,
+	// and a shard whose side is not built yet builds it under signer.
+	signer *ringSigner
+	sig    []uint32
 }
 
-// newPlan is the repository's one mode and threshold validation: Search
-// and the peer-side shard RPC both plan through it. lambda is the floor a
-// similarity threshold may not go below.
+// newPlan is the repository's one mode and threshold validation. lambda is
+// the floor a similarity threshold may not go below.
 func newPlan(mode Mode, all bool, threshold, lambda float64) (plan, error) {
 	switch mode {
 	case "", ModeSimilarity:
@@ -161,20 +155,15 @@ func newPlan(mode Mode, all bool, threshold, lambda float64) (plan, error) {
 // match) and every candidate is exact-verified, so precision is 1.0.
 // Tombstoned ids are never returned, and buffered appends are scanned
 // exactly. Every mode is deterministic: answers are byte-identical across
-// shard counts, partition schemes, worker counts, storage tiers and
-// distributed topologies.
+// shard counts, partition schemes, worker counts and storage tiers.
 //
 // Errors wrapping ErrBadRequest report an invalid request; any other
-// error is a serving failure — a remote-backed shard with no live replica
-// and no local copy, or a corrupt cold shard — returned instead of a
-// silently partial merge.
+// error is a serving failure — a corrupt cold shard — returned instead of
+// a silently partial merge.
 func (x *Index) Search(req Request, tr *QueryTrace) (Result, error) {
 	p, err := newPlan(req.Mode, req.All, req.Threshold, x.lambda)
 	if err != nil {
 		return noMatch, err
-	}
-	if p.kind == kindContain {
-		p.signers = x.signers
 	}
 	res, err := x.query(p, intset.Normalize(req.Set), tr)
 	if err != nil {
@@ -226,8 +215,8 @@ func rankLimit(ms []Match, limit int) []Match {
 
 // QueryErr is the best-match form of the pipeline for an already
 // normalized query: the global id of an indexed set with J(q, result) >= λ
-// and its exact similarity, or ok = false if no shard finds one. On an
-// all-local ring with the cache off it allocates nothing.
+// and its exact similarity, or ok = false if no shard finds one. With the
+// cache off it allocates nothing.
 func (x *Index) QueryErr(q []uint32) (id int, sim float64, ok bool, err error) {
 	res, err := x.query(plan{kind: kindBest}, q, nil)
 	return res.Best.ID, res.Best.Sim, res.Found, err
@@ -319,21 +308,11 @@ func (x *Index) queryCached(p plan, q []uint32, tr *QueryTrace) (Result, error) 
 		return res, nil
 	}
 	if p.kind == kindContain {
-		p.by = p.signers.own()
-		p.sig = p.by.Sign(q)
+		p.signer = x.signer
+		p.sig = x.signer.get().Sign(q)
 	}
 	f := x.fan(p)
-	var pre []reply[Result]
-	if len(f.remote) > 0 {
-		var err error
-		if pre, err = askRemotes(f, func(sh shardBackend) (Result, error) {
-			res, _, err := sh.query(p, q)
-			return res, err
-		}); err != nil {
-			return noMatch, err
-		}
-	}
-	res, err := f.merge(q, pre, tr)
+	res, err := f.merge(q, tr)
 	if err != nil {
 		return noMatch, err
 	}
@@ -344,12 +323,9 @@ func (x *Index) queryCached(p plan, q []uint32, tr *QueryTrace) (Result, error) 
 // QueryBatchErr answers many normalized queries at once against one
 // read-only snapshot of the ring: results[i] is QueryAllErr(qs[i]) against
 // that snapshot, for any worker count. Queries the cache answers are
-// filled from it; the rest go through the fan-out together, so each
-// remote-backed shard sees one RPC for the whole miss set — a batch costs
-// O(remote shards) round trips, not O(queries × shards) — while local
-// shards are answered per query, in parallel across queries on the
-// execution layer. Any unanswerable shard fails the whole batch with its
-// error: a batch never silently merges partial topology.
+// filled from it; the rest are merged in parallel across queries on the
+// execution layer. A shard that fails (a corrupt cold container) fails the
+// whole batch with its error: a batch never silently merges a partial ring.
 func (x *Index) QueryBatchErr(qs [][]uint32) ([][]Match, error) {
 	start := time.Now()
 	out, err := x.queryBatchCached(plan{kind: kindAll}, qs)
@@ -374,28 +350,10 @@ func (x *Index) queryBatchCached(p plan, qs [][]uint32) ([][]Match, error) {
 		return out, nil
 	}
 	f := x.fan(p)
-	var pre []reply[[][]Match]
-	if len(f.remote) > 0 {
-		var err error
-		if pre, err = askRemotes(f, func(sh shardBackend) ([][]Match, error) {
-			return sh.queryBatch(miss)
-		}); err != nil {
-			return nil, err
-		}
-	}
 	res := make([]Result, len(miss))
 	errs := make([]error, len(miss))
 	exec.RunItems(exec.EffectiveWorkers(f.workers), len(miss), func(j int) {
-		var mine []reply[Result]
-		if pre != nil {
-			mine = make([]reply[Result], len(pre))
-			for _, i := range f.remote {
-				mine[i] = reply[Result]{v: Result{Matches: pre[i].v[j]}, ok: true}
-			}
-		}
-		// Remote errors were collected above; what can still fail here is a
-		// cold local shard with a corrupt container.
-		res[j], errs[j] = f.merge(miss[j], mine, nil)
+		res[j], errs[j] = f.merge(miss[j], nil)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -411,87 +369,40 @@ func (x *Index) queryBatchCached(p plan, qs [][]uint32) ([][]Match, error) {
 	return out, nil
 }
 
-// fan is one fan-out over the ring: the plan, one snapshot of the index
-// state, and the snapshot's remote/local split.
+// fan is one fan-out over the ring: the plan and one snapshot of the index
+// state.
 type fan struct {
 	p       plan
 	lambda  float64
 	workers int // the Workers option, resolved only where tasks are spawned
 
-	shards  []shardBackend
+	shards  []*localShard
 	sealing []*sideBuffer
 	side    sideBuffer
 	tombs   map[int]struct{}
-	// remote lists the ring positions backed by peers; nil on an all-local
-	// ring, where a fan-out allocates nothing.
-	remote []int
 }
 
 func (x *Index) fan(p plan) fan {
 	f := fan{p: p, lambda: x.lambda, workers: x.opt.Workers}
 	f.shards, f.sealing, f.side, f.tombs = x.snapshot()
-	for i, sh := range f.shards {
-		if _, ok := sh.(*remoteShard); ok {
-			f.remote = append(f.remote, i)
-		}
-	}
 	return f
 }
 
-// reply is one remote shard's prefetched answer; ok marks the ring
-// positions that have one.
-type reply[T any] struct {
-	v  T
-	ns int64 // RPC wall time, for traces
-	ok bool
-}
-
-// askRemotes asks every remote-backed shard concurrently — a query's
-// latency is bounded by the slowest peer round trip, not their sum — and
-// returns the replies by ring position, or the first error in ring order.
-// Local shards are answered inline by merge: no I/O to overlap. f is taken
-// by value so that the caller's fan never escapes.
-func askRemotes[T any](f fan, ask func(shardBackend) (T, error)) ([]reply[T], error) {
-	pre := make([]reply[T], len(f.shards))
-	errs := make([]error, len(f.remote))
-	exec.RunItems(exec.EffectiveWorkers(f.workers), len(f.remote), func(j int) {
-		r := &pre[f.remote[j]]
-		start := time.Now()
-		r.v, errs[j] = ask(f.shards[f.remote[j]])
-		r.ns, r.ok = time.Since(start).Nanoseconds(), true
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return pre, nil
-}
-
-// merge is the per-query merge: every shard's answer in ring order (pre
-// holds the remote ones, locals are asked here), tombstones filtered, the
-// buffers scanned exactly, and one canonical order — the best match under
-// (score desc, id asc), match lists ascending by global id. Shards are
-// disjoint and ids unique, so the answer is independent of which path a
-// shard's matches arrived by. A non-nil tr records per-shard timing and
-// the candidate counts every backend call returns anyway; the calls, the
+// merge is the per-query merge: every shard's answer in ring order,
+// tombstones filtered, the buffers scanned exactly, and one canonical order
+// — the best match under (score desc, id asc), match lists ascending by
+// global id. Shards are disjoint and ids unique, so the answer is
+// independent of the ring's order. A non-nil tr records per-shard timing
+// and the candidate counts every shard call returns anyway; the calls, the
 // merge and its answer are identical either way.
-func (f *fan) merge(q []uint32, pre []reply[Result], tr *QueryTrace) (Result, error) {
+func (f *fan) merge(q []uint32, tr *QueryTrace) (Result, error) {
 	out := noMatch
 	for i, sh := range f.shards {
-		var res Result
-		var st cpindex.QueryStats
-		var err error
-		var ns int64
 		var t0 time.Time
-		if pre != nil && pre[i].ok {
-			res, ns = pre[i].v, pre[i].ns
-		} else {
-			if tr != nil {
-				t0 = time.Now()
-			}
-			res, st, err = sh.query(f.p, q)
+		if tr != nil {
+			t0 = time.Now()
 		}
+		res, st, err := sh.query(f.p, q)
 		if err != nil {
 			return noMatch, err
 		}
@@ -516,11 +427,8 @@ func (f *fan) merge(q []uint32, pre []reply[Result], tr *QueryTrace) (Result, er
 			}
 		}
 		if tr != nil {
-			if !t0.IsZero() {
-				ns = time.Since(t0).Nanoseconds()
-			}
 			name, kind := sh.traceName(i)
-			tr.add(ShardTrace{Shard: name, Kind: kind, Ns: ns, Matches: matched,
+			tr.add(ShardTrace{Shard: name, Kind: kind, Ns: time.Since(t0).Nanoseconds(), Matches: matched,
 				Candidates: st.Candidates, Verified: st.Verified})
 		}
 	}

@@ -8,8 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/snapshot"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, [][]uint32) {
@@ -359,7 +357,7 @@ func decodeError(t *testing.T, resp *http.Response) errorResponse {
 // nowhere else — the bare pre-/v1 paths are gone, not aliased.
 func TestServerOnePathPerEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
-	for _, path := range []string{"/stats", "/healthz", "/readyz", "/metrics", "/query", "/shard/query"} {
+	for _, path := range []string{"/stats", "/healthz", "/readyz", "/metrics", "/query"} {
 		resp, err := http.Get(ts.URL + "/v1" + path)
 		if err != nil {
 			t.Fatal(err)
@@ -531,144 +529,36 @@ func TestServerContainmentQuery(t *testing.T) {
 	}
 }
 
-// TestServerShardQueryContainment covers the internal shard RPC's
-// containment arm: a hosted shard answers containment with the shipped
-// signatures, and an invalid threshold from a (buggy) coordinator is a
-// 400, not a panic.
-func TestServerShardQueryContainment(t *testing.T) {
-	peerURL, peerSrv := newPeer(t)
-	_ = peerSrv
-	sets, _ := workload(200, 0.8, 341)
-	x := Build(sets, 0.5, &Options{Shards: 2, Seed: 53, Workers: 2})
-	if err := x.Distribute([]string{peerURL.URL}, &DistributeOptions{Replicas: 1, KeepLocal: false}); err != nil {
-		t.Fatalf("Distribute: %v", err)
-	}
-
-	probe := sets[5][:len(sets[5])*2/3]
-	want, err := x.QueryContain(probe, 0.6)
-	if err != nil {
-		t.Fatalf("distributed QueryContain: %v", err)
-	}
-	found := false
-	for _, m := range want {
-		if m.ID == 5 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("hosted-shard containment missed the probe's source: %v", want)
-	}
-
-	// The peer rejects an out-of-range threshold on the shard RPC itself.
-	key := ""
-	peerSrv.hostedMu.RLock()
-	for k := range peerSrv.hosted {
-		key = k
-		break
-	}
-	peerSrv.hostedMu.RUnlock()
-	if key == "" {
-		t.Fatal("peer hosts no shards after Distribute")
-	}
-	b, _ := json.Marshal(shardQueryRequest{Shard: key, Set: probe, Mode: "containment", Threshold: 7})
-	resp, err := http.Post(peerURL.URL+"/v1/shard/query", "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad shard-RPC threshold: status %d, want 400", resp.StatusCode)
-	}
-	decodeError(t, resp)
-}
-
-// TestServerShardQueryBackendError: a hosted shard whose backend fails at
-// query time — here a containment section whose body is damaged and whose
-// CRC was re-sealed, first decoded by the first containment query — answers
-// the shard RPC with a structured 500, so the coordinator fails over to the
-// next replica, or errors, instead of merging an empty shard.
-func TestServerShardQueryBackendError(t *testing.T) {
-	p1URL, p1 := newPeer(t)
-	p2URL, p2 := newPeer(t)
+// TestServerColdShardBackendError: a shard whose backend fails at query
+// time — here a cold shard whose containment section is damaged and
+// re-sealed with fresh checksums, first decoded by the first containment
+// query — fails /v1/query with a structured 502, never an answer merged
+// without it. Similarity reads only intact sections and still answers.
+func TestServerColdShardBackendError(t *testing.T) {
 	sets, _ := workload(200, 0.8, 343)
-	opt := &Options{Shards: 1, Seed: 59, Workers: 2}
-	local, dist := Build(sets, 0.5, opt), Build(sets, 0.5, opt)
-	if err := dist.Distribute([]string{p1URL.URL, p2URL.URL}, &DistributeOptions{Replicas: 2, KeepLocal: false}); err != nil {
-		t.Fatalf("Distribute: %v", err)
+	dir := rewriteContainSection(t, sets, func(b []byte) []byte { return b[:len(b)-4] })
+	cold, err := LoadWithOptions(dir, LoadOptions{Tiering: TierCold})
+	if err != nil {
+		t.Fatalf("the damaged container must still open cold: %v", err)
 	}
-
-	// damage re-hosts a peer's shard from the same container with the
-	// contain section truncated and every section CRC freshly computed. It
-	// opens cold, as a mapped shard file would: nothing reads the damaged
-	// section until a containment query does.
-	damage := func(srv *Server) string {
-		t.Helper()
-		srv.hostedMu.Lock()
-		defer srv.hostedMu.Unlock()
-		for key, h := range srv.hosted {
-			snap := h.res.Load().snap
-			var buf bytes.Buffer
-			w, err := snapshot.NewWriter(&buf, shardKind)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, sec := range snap.Sections() {
-				payload := snap.Bytes()[sec.Off : sec.Off+sec.Len]
-				if sec.Name == "contain" {
-					payload = payload[:len(payload)-4]
-				}
-				if err := w.Section(sec.Name, payload); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			sub, err := openLocalShard(buf.Bytes(), nil,
-				snapshot.ShardEntry{Seed: h.seed, Sets: len(h.ids)}, len(sets))
-			if err != nil {
-				t.Fatalf("the damaged container must still open cold: %v", err)
-			}
-			srv.hosted[key] = sub
-			return key
-		}
-		t.Fatal("peer hosts no shard")
-		return ""
-	}
-	key := damage(p1)
+	ts := httptest.NewServer(NewServer(cold))
+	t.Cleanup(ts.Close)
 
 	probe := sets[5][:len(sets[5])*2/3]
-	b, _ := json.Marshal(shardQueryRequest{Shard: key, Set: probe, Mode: ModeContainment, Threshold: 0.6})
-	resp, err := http.Post(p1URL.URL+"/v1/shard/query", "application/json", bytes.NewReader(b))
+	b, _ := json.Marshal(Request{Set: probe, Mode: ModeContainment, Threshold: 0.6})
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("shard RPC against a failing backend: status %d, want 500", resp.StatusCode)
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("containment over a failing shard: status %d, want 502", resp.StatusCode)
 	}
-	decodeError(t, resp)
-	// Similarity reads only intact sections and still answers.
+	if er := decodeError(t, resp); !strings.Contains(er.Error, "signature bytes") {
+		t.Fatalf("error %q does not name the damaged section", er.Error)
+	}
 	var ok queryResponse
-	if resp := post(t, p1URL.URL+"/v1/shard/query", shardQueryRequest{Shard: key, Set: sets[5], All: true}, &ok); resp.StatusCode != 200 || !ok.Found {
-		t.Fatalf("similarity shard RPC: status %d, %+v", resp.StatusCode, ok)
-	}
-
-	// The coordinator fails over to the intact replica: same answer as the
-	// all-local index, one failover booked against the damaged peer.
-	want, err := local.QueryContain(probe, 0.6)
-	if err != nil || len(want) == 0 {
-		t.Fatalf("local QueryContain: %v, %v", want, err)
-	}
-	got, err := dist.QueryContain(probe, 0.6)
-	if err != nil || !equalMatches(t, got, want) {
-		t.Fatalf("distributed QueryContain = %v, %v; all-local index says %v", got, err, want)
-	}
-	if n := dist.metrics.peer(p1URL.URL).failovers.Value(); n != 1 {
-		t.Fatalf("damaged peer booked %d failovers, want 1", n)
-	}
-	// With every replica failing the query errors; it never answers empty.
-	damage(p2)
-	if got, err := dist.QueryContain(probe, 0.6); err == nil {
-		t.Fatalf("QueryContain over failing replicas answered %v, want an error", got)
+	if resp := post(t, ts.URL+"/v1/query", Request{Set: sets[5], All: true}, &ok); resp.StatusCode != 200 || !ok.Found {
+		t.Fatalf("similarity query: status %d, %+v", resp.StatusCode, ok)
 	}
 }
 

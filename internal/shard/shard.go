@@ -89,21 +89,6 @@ type Options struct {
 	// the index version, which every mutation bumps, so a cached answer
 	// is always the answer the uncached path would give; see resultCache.
 	CacheSize int
-
-	// The compaction policy (see Compact; RuntimeOptions.AutoCompact runs
-	// it in the background after every seal). CompactSmall is the shard
-	// size at or below which a ring shard is a merge candidate (default
-	// 2*MergeThreshold — sealed side shards qualify, full-size primaries do
-	// not).
-	CompactSmall int
-	// CompactMinShards is the number of small shards required before a
-	// size-triggered merge runs (default 2: merging fewer cannot shrink
-	// the ring).
-	CompactMinShards int
-	// CompactTombstoneRatio is the dead fraction at which a shard of any
-	// size is rewritten to reclaim its tombstones (default 0.3; values
-	// above 1 disable ratio-triggered rewrites).
-	CompactTombstoneRatio float64
 }
 
 func (o *Options) withDefaults() Options {
@@ -116,15 +101,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if opt.MergeThreshold <= 0 {
 		opt.MergeThreshold = 1024
-	}
-	if opt.CompactSmall <= 0 {
-		opt.CompactSmall = 2 * opt.MergeThreshold
-	}
-	if opt.CompactMinShards <= 0 {
-		opt.CompactMinShards = 2
-	}
-	if opt.CompactTombstoneRatio <= 0 {
-		opt.CompactTombstoneRatio = 0.3
 	}
 	return opt
 }
@@ -146,46 +122,30 @@ func ContainSeed(seed uint64) uint64 {
 	return tabhash.DeriveSeed(seed, 0xC047, 0)
 }
 
-// signers are a ring's containment hash functions, one contain.Signer per
-// (T, seed) it has met, shared by every shard under it (0.5 MB of tables at
-// T = 64 that each shard used to draw for itself): the ring's own, which a
-// shard that was never encoded is signed with and a containment query is
-// signed under once for the whole ring, and those of any container it hosts
-// that was built under others — a peer answers from the signatures a shipped
-// shard carries, whatever its coordinator's options were.
-type signers struct {
-	// opts are the options every containment side this ring builds is
-	// built with: the seed alone. T is the contain package's default (64
-	// rows, so a set costs 256 B of signature and 256 B of sorted orders)
-	// and the recall target is its constant, so two shards can differ in
-	// nothing that would make their candidates differ.
-	opts contain.Options
-
-	mu sync.Mutex
-	m  map[contain.Options]*contain.Signer
+// ringSigner is a ring's containment hash functions, shared by every shard's
+// containment side (0.5 MB of tables that each shard would otherwise draw
+// for itself), so a query is signed once for the whole ring. The seed alone
+// picks them: T is the contain package's default (64 rows, so a set costs
+// 256 B of signature and 256 B of sorted orders) and the recall target is
+// its constant, so two shards of a ring can differ in nothing that would
+// make their candidates differ. The signer is drawn on first use, so a ring
+// that serves no containment query and encodes no shard never draws it.
+type ringSigner struct {
+	// opts are the options every container the ring opens must have been
+	// signed under.
+	opts   contain.Options
+	once   sync.Once
+	signer *contain.Signer
 }
 
-func newSigners(seed uint64) *signers {
-	return &signers{
-		opts: contain.Options{T: contain.DefaultT, Seed: ContainSeed(seed)},
-		m:    make(map[contain.Options]*contain.Signer),
-	}
+func newRingSigner(seed uint64) *ringSigner {
+	return &ringSigner{opts: contain.Options{T: contain.DefaultT, Seed: ContainSeed(seed)}}
 }
 
-// own returns the ring's signer.
-func (s *signers) own() *contain.Signer { return s.get(s.opts) }
-
-// get returns the signer of opts, drawing it on first use. T is resolved:
-// the ring's own, or one a container's contain section carries.
-func (s *signers) get(opts contain.Options) *contain.Signer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	signer := s.m[opts]
-	if signer == nil {
-		signer = contain.NewSigner(opts)
-		s.m[opts] = signer
-	}
-	return signer
+// get returns the signer, drawing it on first use.
+func (r *ringSigner) get() *contain.Signer {
+	r.once.Do(func() { r.signer = contain.NewSigner(r.opts) })
+	return r.signer
 }
 
 // ContiguousRanges returns the [lo, hi) ranges of the contiguous
@@ -211,46 +171,16 @@ func ContiguousRanges(n, k int) [][2]int {
 	return out
 }
 
-// shardBackend is one ring shard as the query merge sees it: an
-// independent failure and build domain that answers shard-local queries
-// with global ids. The in-process localShard (hot or cold) and the HTTP
-// remoteShard both satisfy it, so fan-out, tombstone filtering and the
-// global-id discipline are written once and hold for any mix of local and
-// remote shards. Backends never apply tombstones — deletes are coordinator
-// state, filtered at merge time like always.
-//
-// A hot local shard cannot fail; a cold one fails only on a corrupt
-// container and a remote one on a dead topology.
-type shardBackend interface {
-	// query answers one planned query against the shard, with global ids
-	// and the shard's candidate-pipeline stats (zero for remote shards,
-	// whose counts stay on their peers): the best match — highest
-	// similarity, then lowest id within the shard's traversal order — or
-	// every match, unfiltered and in shard-traversal order (the merge
-	// sorts).
-	query(p plan, q []uint32) (Result, cpindex.QueryStats, error)
-	// queryBatch returns every match of every query in qs; results[i]
-	// corresponds to qs[i]. Remote backends answer the whole batch in one
-	// round trip.
-	queryBatch(qs [][]uint32) ([][]Match, error)
-	// size is the number of physically present sets (tombstoned included).
-	size() int
-	// globalIDs is the shard's local→global id map, kept coordinator-side
-	// even for remote shards (tombstone accounting and persistence).
-	globalIDs() []int
-	// traceName names ring entry i in query traces.
-	traceName(i int) (name, kind string)
-}
-
 // Index is a sharded Chosen Path search structure. It is safe for
 // concurrent use: queries proceed under a shared lock and Add under an
 // exclusive one, and sealed shards are immutable.
 type Index struct {
 	lambda float64
 	opt    Options
-	// signers are the containment hash functions every shard of the ring
-	// shares; set with opt, then immutable.
-	signers *signers
+	// signer is the ring's containment hash functions. Every container the
+	// ring opens was written under them, which the contain section's header
+	// must confirm. Set with opt.
+	signer *ringSigner
 
 	// saveMu serializes Save calls (generation numbering and pruning in
 	// the target directory); it is never held together with mu writes,
@@ -261,15 +191,15 @@ type Index struct {
 	// per index. It is held across the off-lock build, never together with
 	// a held mu, so compacting stalls neither queries nor appends.
 	compactMu sync.Mutex
-	// maintaining gates the seal-triggered background maintenance
-	// goroutine (at most one in flight); maintainPending coalesces
-	// triggers that arrive while a pass is running into one follow-up
-	// pass. See maintainAsync.
-	maintaining     atomic.Bool
-	maintainPending atomic.Bool
+	// compacting gates the seal-triggered background compaction goroutine
+	// (at most one in flight); compactPending coalesces triggers that
+	// arrive while a pass is running into one follow-up pass. See
+	// compactAsync.
+	compacting     atomic.Bool
+	compactPending atomic.Bool
 
 	mu     sync.RWMutex
-	shards []shardBackend
+	shards []*localShard
 	// side buffers appended sets (with their global ids) until sealing;
 	// queries scan it exactly, so fresh appends have recall 1.0.
 	side *sideBuffer
@@ -312,12 +242,12 @@ type Index struct {
 	// been superseded; in-flight queries finish against their snapshot.
 	generation int
 	// version counts every mutation that can change any query's answer:
-	// appends, deletes, seals, compaction swaps and distributions. It is
-	// the result cache's invalidation key — a cached answer is keyed on
-	// the version it was computed at, so a bump orphans every stale entry
-	// without scanning anything. Kept separate from generation, which
-	// deliberately tracks ring changes only (Add and Delete mutate
-	// results without resealing a shard).
+	// appends, deletes, seals and compaction swaps. It is the result
+	// cache's invalidation key — a cached answer is keyed on the version it
+	// was computed at, so a bump orphans every stale entry without scanning
+	// anything. Kept separate from generation, which deliberately tracks
+	// ring changes only (Add and Delete mutate results without resealing a
+	// shard).
 	version atomic.Uint64
 	// cache is the optional hot-query result cache (nil when disabled).
 	// An atomic pointer so Configure can install it on a serving index.
@@ -332,14 +262,10 @@ type Index struct {
 	runtime RuntimeOptions
 
 	// metrics is the index's instrumentation hub (latency histograms,
-	// candidate counters, per-peer health — see indexMetrics). Set once by
-	// Build and Load before the index is published, then immutable, so it
-	// is read without the lock.
+	// candidate counters — see indexMetrics). Set once by Build and Load
+	// before the index is published, then immutable, so it is read without
+	// the lock.
 	metrics *indexMetrics
-
-	// placement is the durable record of shards shipped to peers plus the
-	// last Distribute parameters (own mutex; see placement.go).
-	placement placementState
 }
 
 type sideBuffer struct {
@@ -362,12 +288,13 @@ func Build(sets [][]uint32, lambda float64, o *Options) *Index {
 	x := &Index{
 		lambda:   lambda,
 		opt:      opt,
-		signers:  newSigners(opt.Seed),
+		signer:   newRingSigner(opt.Seed),
 		side:     &sideBuffer{},
 		nextSlot: opt.Shards,
 		total:    len(sets),
 		live:     len(sets),
 	}
+	x.metrics = newIndexMetrics(x)
 
 	// Assign global ids to shards.
 	members := make([][]int, opt.Shards)
@@ -387,7 +314,7 @@ func Build(sets [][]uint32, lambda float64, o *Options) *Index {
 		}
 	}
 
-	x.shards = make([]shardBackend, opt.Shards)
+	x.shards = make([]*localShard, opt.Shards)
 	workers := exec.EffectiveWorkers(opt.Workers)
 	// Each shard build is one root task; leftover parallelism (more
 	// workers than shards) goes to the inner tree builds, which are
@@ -400,7 +327,11 @@ func Build(sets [][]uint32, lambda float64, o *Options) *Index {
 	for s := range tasks {
 		s := s
 		tasks[s] = func(c *exec.Ctx) {
-			x.shards[s] = buildShard(sets, members[s], lambda, opt, SeedFor(opt.Seed, s), inner)
+			sub := make([][]uint32, len(members[s]))
+			for i, id := range members[s] {
+				sub[i] = sets[id]
+			}
+			x.shards[s] = x.buildShard(sub, members[s], s, inner)
 		}
 	}
 	exec.Run(workers, tasks...)
@@ -408,11 +339,23 @@ func Build(sets [][]uint32, lambda float64, o *Options) *Index {
 		x.cache.Store(newResultCache(opt.CacheSize))
 		x.runtime.CacheSize = opt.CacheSize
 	}
-	x.metrics = newIndexMetrics(x)
-	for _, sh := range x.shards {
-		x.attachCounters(sh.(*localShard))
-	}
 	return x
+}
+
+// buildShard builds one ring shard: the cpindex of sets, whose global ids
+// are ids, under the seed of the given slot, with workers inner tree
+// builds, attached to the index's candidate counters. Build, seal and
+// compaction all build their shards here, so they cannot drift apart.
+func (x *Index) buildShard(sets [][]uint32, ids []int, slot, workers int) *localShard {
+	sh := newLocalShard(cpindex.Build(sets, x.lambda, &cpindex.Options{
+		Trees:    x.opt.Trees,
+		LeafSize: x.opt.LeafSize,
+		T:        x.opt.T,
+		Seed:     SeedFor(x.opt.Seed, slot),
+		Workers:  workers,
+	}), ids)
+	x.attachCounters(sh)
+	return sh
 }
 
 // RuntimeOptions are the operational knobs adjustable on a built or
@@ -429,10 +372,13 @@ type RuntimeOptions struct {
 	// CacheSize installs the hot-query result cache with room for that
 	// many entries; 0 removes it. Negative values are rejected.
 	CacheSize int
-	// Tiering selects the ring's storage tier: TierHot (or "", the
-	// default) keeps every shard's trie and sets on the heap, TierCold leaves
-	// them in memory-mapped containers. Answers are byte-identical across
-	// tiers, and nothing but this option ever moves a shard between them.
+	// Tiering selects the storage tier of the shards in the ring when it is
+	// applied: TierHot (or "", the default) moves their tries and sets to
+	// the heap, TierCold leaves them in memory-mapped containers. Shards a
+	// later seal or compaction builds are built on the heap and stay there
+	// until the tier is applied again (Configure, or a load). Answers are
+	// byte-identical across tiers, and nothing but applying this option
+	// ever moves a shard between them.
 	Tiering Tier
 }
 
@@ -471,21 +417,6 @@ func (x *Index) Runtime() RuntimeOptions {
 	return x.runtime
 }
 
-// buildShard builds the cpindex of one shard over the given global ids.
-func buildShard(sets [][]uint32, ids []int, lambda float64, opt Options, seed uint64, workers int) *localShard {
-	sub := make([][]uint32, len(ids))
-	for i, id := range ids {
-		sub[i] = sets[id]
-	}
-	return newLocalShard(cpindex.Build(sub, lambda, &cpindex.Options{
-		Trees:    opt.Trees,
-		LeafSize: opt.LeafSize,
-		T:        opt.T,
-		Seed:     seed,
-		Workers:  workers,
-	}), ids)
-}
-
 // Lambda returns the similarity threshold the index was built for.
 func (x *Index) Lambda() float64 { return x.lambda }
 
@@ -507,7 +438,7 @@ func (x *Index) Len() int {
 // semantics. Detached sealing buffers come back as the shared pointers
 // (they are frozen) and the live buffer as a capped value, so a snapshot
 // allocates nothing — part of the zero-allocation query contract.
-func (x *Index) snapshot() ([]shardBackend, []*sideBuffer, sideBuffer, map[int]struct{}) {
+func (x *Index) snapshot() ([]*localShard, []*sideBuffer, sideBuffer, map[int]struct{}) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	sealing := x.sealing[:len(x.sealing):len(x.sealing)]
@@ -617,19 +548,10 @@ func (x *Index) beginSealLocked() (*sideBuffer, int) {
 }
 
 // finishSeal builds the detached buffer into a full shard — outside the
-// lock, so serving never stalls on a seal — then swaps it into the ring and
-// starts the maintenance the new shard calls for: compaction under
-// AutoCompact, shipping when the ring was distributed.
+// lock, so serving never stalls on a seal — then swaps it into the ring and,
+// under AutoCompact, starts a background compaction.
 func (x *Index) finishSeal(b *sideBuffer, slot int) {
-	ix := cpindex.Build(b.sets, x.lambda, &cpindex.Options{
-		Trees:    x.opt.Trees,
-		LeafSize: x.opt.LeafSize,
-		T:        x.opt.T,
-		Seed:     SeedFor(x.opt.Seed, slot),
-		Workers:  x.opt.Workers,
-	})
-	sealed := newLocalShard(ix, b.ids)
-	x.attachCounters(sealed)
+	sealed := x.buildShard(b.sets, b.ids, slot, x.opt.Workers)
 	x.mu.Lock()
 	x.shards = append(x.shards, sealed)
 	for i, s := range x.sealing {
@@ -643,8 +565,8 @@ func (x *Index) finishSeal(b *sideBuffer, slot int) {
 	x.version.Add(1)
 	auto := x.runtime.AutoCompact
 	x.mu.Unlock()
-	if _, _, placed := x.placement.recorded(); auto || placed {
-		x.maintainAsync()
+	if auto {
+		x.compactAsync()
 	}
 }
 

@@ -132,8 +132,8 @@ func TestPromoteDemoteAll(t *testing.T) {
 }
 
 // TestTierGaugesFollowTheRing: the two residency gauges a scrape reads agree
-// with Stats through a tier move and a placement (a remote shard is in
-// neither tier, retained copy or not), without building a Stats to do it.
+// with Stats through a tier move and a seal, without building a Stats to do
+// it.
 func TestTierGaugesFollowTheRing(t *testing.T) {
 	_, dir, _ := saveWorkload(t)
 	x, err := LoadWithOptions(dir, LoadOptions{Workers: 2, Tiering: TierCold})
@@ -149,24 +149,53 @@ func TestTierGaugesFollowTheRing(t *testing.T) {
 		st := x.Stats()
 		for name, want := range map[string]int{"cps_tier_hot_shards": st.HotShards, "cps_tier_cold_shards": st.ColdShards} {
 			if line := fmt.Sprintf("\n%s %d\n", name, want); !strings.Contains(buf.String(), line) {
-				t.Fatalf("%s: scrape lacks %q (Stats: %d hot / %d cold / %d remote)",
-					stage, strings.TrimSpace(line), st.HotShards, st.ColdShards, st.RemoteShards)
+				t.Fatalf("%s: scrape lacks %q (Stats: %d hot / %d cold)",
+					stage, strings.TrimSpace(line), st.HotShards, st.ColdShards)
 			}
 		}
 	}
 	check("restored cold")
+	extra, _ := workload(20, 0.8, 507)
+	x.Add(extra)
+	x.Flush()
+	check("sealed beside the cold shards")
 	if err := x.Configure(RuntimeOptions{Tiering: TierHot}); err != nil {
 		t.Fatal(err)
 	}
 	check("configured hot")
-	peer, _ := newPeer(t)
-	if err := x.Distribute([]string{peer.URL}, nil); err != nil {
-		t.Fatal(err)
-	}
-	check("distributed, copies kept")
 	if allocs := testing.AllocsPerRun(20, func() { x.tierCounts() }); allocs != 0 {
 		t.Fatalf("tierCounts allocates %v times a call; Stats is the walk that may", allocs)
 	}
+}
+
+// TestColdRingSealsOnTheHeap: applying a tier moves the shards the ring
+// holds at that moment; a shard a later seal builds is built on the heap and
+// stays there. After a cold restore one seal leaves every restored shard
+// cold beside one hot shard, and the ring answers as the all-hot one does.
+func TestColdRingSealsOnTheHeap(t *testing.T) {
+	_, dir, queries := saveWorkload(t)
+	load := func(tier Tier) *Index {
+		y, err := LoadWithOptions(dir, LoadOptions{Workers: 2, Tiering: tier})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return y
+	}
+	hot, cold := load(TierHot), load(TierCold)
+	restored := cold.Stats()
+	extra, _ := workload(30, 0.8, 505)
+	for _, y := range []*Index{hot, cold} {
+		y.Add(extra)
+		y.Flush()
+	}
+	if st := cold.Stats(); st.ColdShards != restored.ColdShards || st.HotShards != 1 {
+		t.Fatalf("cold ring after one seal: %d cold / %d hot shards, want %d / 1",
+			st.ColdShards, st.HotShards, restored.ColdShards)
+	}
+	if st := hot.Stats(); st.ColdShards != 0 {
+		t.Fatalf("hot ring after one seal: %d cold shards", st.ColdShards)
+	}
+	assertSameAnswers(t, hot, cold, append(queries, extra...))
 }
 
 // TestAutoTierRejected: there are two tiers. The name an earlier build also
@@ -428,7 +457,6 @@ func TestSaveBytesIndependentOfTier(t *testing.T) {
 // was decoded from its container. Promote leaves the side alone.
 func TestContainSideFollowsTierMoves(t *testing.T) {
 	sets, _ := workload(400, 0.8, 521)
-	cs := newSigners(5)
 	rounds := 100
 	if race.Enabled {
 		rounds = 30 // the parent of the fix failed within two under the detector
@@ -436,18 +464,19 @@ func TestContainSideFollowsTierMoves(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		// A fresh shard every round: only one that never had a container
 		// signs on the heap.
-		s := Build(sets, 0.5, &Options{Shards: 1, Seed: 5}).shards[0].(*localShard)
+		x := Build(sets, 0.5, &Options{Shards: 1, Seed: 5})
+		s := x.shards[0]
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			if _, err := s.containSide(cs); err != nil {
+			if _, err := s.containSide(x.signer); err != nil {
 				t.Error(err)
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			if err := s.demote(cs); err != nil {
+			if err := s.demote(x.signer); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -458,11 +487,11 @@ func TestContainSideFollowsTierMoves(t *testing.T) {
 		if c := s.contain.Load(); c != nil && !aliases(s.res.Load().snap.Bytes(), c.Signatures()) {
 			t.Fatalf("round %d: a cold shard's containment side is the one signed on the heap", round)
 		}
-		c, err := s.containSide(cs)
+		c, err := s.containSide(x.signer)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.promote(); err != nil {
+		if err := s.promote(x.signer); err != nil {
 			t.Fatal(err)
 		}
 		if s.contain.Load() != c {

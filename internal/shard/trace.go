@@ -14,9 +14,8 @@ type QueryTrace struct {
 	CacheHit bool `json:"cache_hit"`
 	// TotalNs is the whole call, snapshot to merged answer.
 	TotalNs int64 `json:"total_ns"`
-	// Candidates and Verified sum the local shards' pipeline counts plus
-	// the exact buffer scans. Remote shards' internal counts stay on their
-	// peers (visible in the peers' own /metrics).
+	// Candidates and Verified sum the shards' pipeline counts plus the
+	// exact buffer scans.
 	Candidates uint64 `json:"candidates"`
 	Verified   uint64 `json:"verified"`
 	// Shards is one entry per consulted shard in ring order, plus one
@@ -27,18 +26,16 @@ type QueryTrace struct {
 
 // ShardTrace is one shard's share of a traced query.
 type ShardTrace struct {
-	// Shard names the entry: "local-<ring index>", "cold-<ring index>",
-	// the remote shard key, or "buffer".
+	// Shard names the entry: "local-<ring index>", "cold-<ring index>" or
+	// "buffer".
 	Shard string `json:"shard"`
-	// Kind is "local", "cold", "remote" or "buffer".
+	// Kind is "local", "cold" or "buffer".
 	Kind string `json:"kind"`
-	// Ns is the time spent answering this shard. Remote shards are asked
-	// in parallel, so the entries can sum to more than TotalNs.
+	// Ns is the time spent answering this shard.
 	Ns int64 `json:"ns"`
 	// Matches counts the shard's raw matches before tombstone filtering.
 	Matches int `json:"matches"`
-	// Candidates and Verified are the shard's pipeline counts; zero for
-	// remote shards (counted peer-side).
+	// Candidates and Verified are the shard's pipeline counts.
 	Candidates uint64 `json:"candidates"`
 	Verified   uint64 `json:"verified"`
 }

@@ -46,13 +46,6 @@ type Manifest struct {
 	Compactions     int `json:"compactions,omitempty"`
 	CompactedShards int `json:"compacted_shards,omitempty"`
 	RingGeneration  int `json:"ring_generation,omitempty"`
-	// Compaction policy knobs, persisted so a loaded index compacts under
-	// the policy it was built with (an operator may have raised the ratio
-	// past 1 to disable rewrites, for example). Zero/absent — as in
-	// pre-compaction manifests — selects the defaults on load.
-	CompactSmall          int     `json:"compact_small,omitempty"`
-	CompactMinShards      int     `json:"compact_min_shards,omitempty"`
-	CompactTombstoneRatio float64 `json:"compact_tombstone_ratio,omitempty"`
 	// Shards lists the sealed shard files in ring order.
 	Shards []ShardEntry `json:"shards"`
 	// Side is the unsealed side-shard state, stored inline: it is bounded
@@ -78,33 +71,6 @@ type Manifest struct {
 	// Configure, so a Load re-applies them instead of callers having to
 	// remember to. Absent when every option is at its default.
 	Runtime *RuntimeState `json:"runtime,omitempty"`
-	// Placement is the coordinator's shipped-shard record: the peers and
-	// options of the last placement pass plus every (key, peers) pair it
-	// has shipped and not yet confirmed evicted. Persisted so a restarted
-	// coordinator garbage-collects the keys its previous life placed.
-	// Absent when the index never distributed.
-	Placement *PlacementState `json:"placement,omitempty"`
-}
-
-// PlacementState is the persisted placement record (see Manifest).
-type PlacementState struct {
-	// Epoch counts placement passes over the index's lifetime.
-	Epoch int `json:"epoch"`
-	// Peers and Replicas/KeepLocal are the parameters of the last pass.
-	// They are restored as a record only: a loaded index ships nothing
-	// until it is distributed again.
-	Peers     []string `json:"peers,omitempty"`
-	Replicas  int      `json:"replicas,omitempty"`
-	KeepLocal bool     `json:"keep_local,omitempty"`
-	// Shipped lists, per shard key, the peers the coordinator shipped it
-	// to and has not yet confirmed evicted.
-	Shipped []ShippedShard `json:"shipped,omitempty"`
-}
-
-// ShippedShard records one shipped shard key and its hosting peers.
-type ShippedShard struct {
-	Key   string   `json:"key"`
-	Peers []string `json:"peers"`
 }
 
 // RuntimeState is the persisted form of the index's runtime options
@@ -165,7 +131,11 @@ func ReadManifest(dir string) (*Manifest, error) {
 
 // decodeManifest parses and validates raw manifest bytes; path only
 // labels errors. Split from ReadManifest so the fuzz target can drive
-// the validation logic without touching the filesystem.
+// the validation logic without touching the filesystem. Keys the Manifest
+// does not declare are ignored, so a directory written by an earlier build
+// still loads: its compaction knobs (compact_small, compact_min_shards,
+// compact_tombstone_ratio) and its shipped-shard record (placement) are
+// skipped.
 func decodeManifest(path string, data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
@@ -196,22 +166,6 @@ func decodeManifest(path string, data []byte) (*Manifest, error) {
 	for _, id := range m.Side.IDs {
 		if id < 0 || id >= m.Total {
 			return nil, fmt.Errorf("%s: %w: side shard id %d out of [0,%d)", path, ErrCorrupt, id, m.Total)
-		}
-	}
-	if p := m.Placement; p != nil {
-		if p.Epoch < 0 || p.Replicas < 0 {
-			return nil, fmt.Errorf("%s: %w: negative placement counters (epoch=%d replicas=%d)",
-				path, ErrCorrupt, p.Epoch, p.Replicas)
-		}
-		for _, s := range p.Shipped {
-			if s.Key == "" {
-				return nil, fmt.Errorf("%s: %w: shipped shard with empty key", path, ErrCorrupt)
-			}
-			for _, peer := range s.Peers {
-				if peer == "" {
-					return nil, fmt.Errorf("%s: %w: shipped shard %q names an empty peer", path, ErrCorrupt, s.Key)
-				}
-			}
 		}
 	}
 	return &m, nil

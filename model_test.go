@@ -3,13 +3,11 @@ package ssjoin
 import (
 	"fmt"
 	"math/rand"
-	"net/http/httptest"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/intset"
 	"repro/internal/race"
-	"repro/internal/shard"
 )
 
 // Model-based randomized harness for the sharded serving subsystem.
@@ -19,7 +17,7 @@ import (
 // (Add / Delete / Query / QueryBatch / Flush / Compact / Save / Load) as
 // a real ShardedIndex, and every op's result is checked for byte-identical
 // agreement, across partition schemes × shard counts × worker counts ×
-// topologies × result cache on/off × storage tiers (hot, cold, auto).
+// result cache on/off × storage tiers (hot, cold).
 // Containment queries ride the same sequences: every returned match must
 // be in the model's brute-force containment truth with the exact score
 // (the candidate structure is approximate, so recall is gated in
@@ -224,19 +222,11 @@ func modelOps() int {
 	return 500
 }
 
-// TestShardedIndexMatchesModel is the harness entry point. The topology
-// dimension runs the same generated op sequences against a mixed
-// local/remote index — primary shards moved (not just replicated) to two
-// in-process httptest peers, later seals and compactions shipped by the
-// index itself, every save/load cycle distributing afresh — and requires
-// byte-for-byte agreement
-// with the same brute-force model the all-local configurations answer
-// to; agreeing with the model exactly, both topologies agree with each
-// other.
+// TestShardedIndexMatchesModel is the harness entry point.
 //
-// The cache dimension rides the same grid: configurations alternate, two
-// with the versioned result cache off and two with it on, so both face
-// the same op sequences. The cache is deliberately small (it evicts
+// The cache dimension rides the grid: configurations alternate, two with
+// the versioned result cache off and two with it on, so both face the
+// same op sequences. The cache is deliberately small (it evicts
 // constantly), and every save/load cycle also checks that re-applying
 // the runtime configuration to a freshly loaded index changes no answer.
 //
@@ -244,8 +234,7 @@ func modelOps() int {
 // cold tier: every save/load round trip reopens the snapshot in the
 // configuration's tier (cold leaves every shard's trie and sets in its
 // mapped file), and every subsequent answer must still be byte-identical to
-// the model. Tier and placement are orthogonal — a cold ring ships to the
-// peers like a hot one — so the remote×cold cells answer over the wire too.
+// the model.
 func TestShardedIndexMatchesModel(t *testing.T) {
 	const lambda = 0.5
 	const cacheEntries = 48
@@ -253,7 +242,6 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 		hash    bool
 		shards  int
 		workers int
-		remote  bool
 		cache   bool
 		tier    Tier
 	}
@@ -261,16 +249,8 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 	for _, hash := range []bool{false, true} {
 		for _, shards := range []int{1, 3} {
 			for _, workers := range []int{0, 4} {
-				base = append(base, config{hash, shards, workers, false, len(base)%4 >= 2, TierHot})
+				base = append(base, config{hash, shards, workers, len(base)%4 >= 2, TierHot})
 			}
-		}
-	}
-	// The remote-topology slice of the grid: both partition schemes at
-	// the multi-shard point, sequential and parallel merges, again
-	// alternating the cache.
-	for _, hash := range []bool{false, true} {
-		for _, workers := range []int{0, 4} {
-			base = append(base, config{hash, 3, workers, true, len(base)%4 >= 2, TierHot})
 		}
 	}
 	var configs []config
@@ -282,67 +262,13 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 	}
 	for ci, cfg := range configs {
 		cfg := cfg
-		name := fmt.Sprintf("hash=%v/shards=%d/workers=%d/remote=%v/cache=%v/tier=%s",
-			cfg.hash, cfg.shards, cfg.workers, cfg.remote, cfg.cache, cfg.tier)
+		name := fmt.Sprintf("hash=%v/shards=%d/workers=%d/cache=%v/tier=%s",
+			cfg.hash, cfg.shards, cfg.workers, cfg.cache, cfg.tier)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			seed := int64(0xC0FFEE + 1000*ci)
 			r := rand.New(rand.NewSource(seed))
 			dir := filepath.Join(t.TempDir(), "snap")
-
-			distribute := func(ix *ShardedIndex) {}
-			if cfg.remote {
-				srv1 := shard.NewServer(shard.Build(nil, lambda, &shard.Options{}))
-				srv2 := shard.NewServer(shard.Build(nil, lambda, &shard.Options{}))
-				peer1 := httptest.NewServer(srv1)
-				peer2 := httptest.NewServer(srv2)
-				t.Cleanup(peer1.Close)
-				t.Cleanup(peer2.Close)
-				peers := []string{peer1.URL, peer2.URL}
-				distribute = func(ix *ShardedIndex) {
-					// KeepLocal false is the strong form: answers must come
-					// over the wire, and Save must fetch the bytes back.
-					err := ix.Distribute(peers, &DistributeOptions{Replicas: 2, KeepLocal: false})
-					if err != nil {
-						t.Fatalf("Distribute: %v", err)
-					}
-					// Placement-GC invariant, re-checked on every pass (the
-					// round trips repeatedly re-ship evolved rings): with
-					// 2-way replication over two peers, each peer hosts
-					// exactly one copy of every remote ring shard — no
-					// superseded key from an earlier pass or a previous
-					// (pre-Load) life survives.
-					st := ix.Stats()
-					if st.RemoteShards == 0 || st.RemoteShards != st.Shards {
-						t.Fatalf("Distribute left %d of %d ring shards remote (tier %s)",
-							st.RemoteShards, st.Shards, cfg.tier)
-					}
-					k1, k2 := srv1.HostedKeys(), srv2.HostedKeys()
-					if len(k1) != st.RemoteShards || len(k2) != st.RemoteShards {
-						t.Fatalf("peers host %d/%d shards, ring references %d",
-							len(k1), len(k2), st.RemoteShards)
-					}
-					for i := range k1 {
-						if k1[i] != k2[i] {
-							t.Fatalf("replica sets diverge: %v vs %v", k1, k2)
-						}
-					}
-					if st.PlacementKeys != st.RemoteShards {
-						t.Fatalf("placement registry tracks %d keys, ring references %d",
-							st.PlacementKeys, st.RemoteShards)
-					}
-				}
-			}
-
-			// save snapshots the index. A remote configuration distributes
-			// it first: a seal re-places the ring in the background, and
-			// this explicit pass, serialized with that one, leaves the ring
-			// all remote, so a pass still pending ships and evicts nothing
-			// and cannot race the next life's hosted-keys check.
-			save := func(ix *ShardedIndex) error {
-				distribute(ix)
-				return ix.Save(dir)
-			}
 
 			initial := make([][]uint32, 40)
 			for i := range initial {
@@ -363,7 +289,6 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 				Workers:        cfg.workers,
 				CacheSize:      cacheSize,
 			})
-			distribute(ix)
 
 			// Cache and tier go through the consolidated runtime
 			// configuration, which Save persists and Load re-applies — so
@@ -499,7 +424,7 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 					// change a single match.
 					containProbe := genQuery(r, model)
 					preContain := contain(op, containProbe, 0.5)
-					if err := save(ix); err != nil {
+					if err := ix.Save(dir); err != nil {
 						fail(op, "Save: %v", err)
 					}
 					loaded, err := LoadShardedIndexWithOptions(dir, LoadOptions{
@@ -510,10 +435,6 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 						fail(op, "Load: %v", err)
 					}
 					ix = loaded
-					// Snapshots are topology-free: the loaded index is all
-					// local, so a remote configuration re-ships its shards —
-					// every round trip exercises placement afresh.
-					distribute(ix)
 					reconfigure(ix)
 					postContain := contain(op, containProbe, 0.5)
 					if !equalModelMatches(preContain, postContain) {
@@ -537,7 +458,7 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 			// every live set self-queries correctly plus a probe batch.
 			ix.Flush()
 			ix.Compact()
-			if err := save(ix); err != nil {
+			if err := ix.Save(dir); err != nil {
 				t.Fatalf("final Save: %v", err)
 			}
 			loaded, err := LoadShardedIndexWithOptions(dir, LoadOptions{
@@ -548,7 +469,6 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 				t.Fatalf("final Load: %v", err)
 			}
 			ix = loaded
-			distribute(ix)
 			reconfigure(ix)
 			var finals [][]uint32
 			for id := 0; id < model.next; id++ {

@@ -42,11 +42,9 @@ type Result = shard.Result
 // error-returning path, both workloads.
 //
 // Every mode is deterministic: answers are byte-identical across shard
-// counts, partition schemes, worker counts and distributed topologies.
-// The only error sources are an invalid request (mode or threshold) and
-// a serving failure: a dead distributed topology (a shard moved to peers
-// with no live replica and no retained local copy) or a corrupt cold
-// shard.
+// counts, partition schemes, worker counts and storage tiers. The only
+// error sources are an invalid request (mode or threshold) and a serving
+// failure: a corrupt cold shard.
 func (s *ShardedIndex) Search(q Query) (Result, error) {
 	res, err := s.ix.Search(q, nil)
 	// The match list may be a live result-cache entry, read-only inside the

@@ -32,12 +32,6 @@ type ShardedOptions struct {
 	// AutoCompact runs Compact in the background after every seal, so a
 	// long-lived index reclaims small shards and tombstones on its own.
 	AutoCompact bool
-	// CompactSmall, CompactMinShards and CompactTombstoneRatio tune the
-	// compaction policy (see Compact); zero values select the defaults
-	// (2*MergeThreshold, 2 and 0.3).
-	CompactSmall          int
-	CompactMinShards      int
-	CompactTombstoneRatio float64
 	// CacheSize enables the hot-query result cache with room for that
 	// many entries (0 disables it). Cached answers are keyed on an
 	// internal version bumped by every mutation, so they are always
@@ -61,17 +55,14 @@ func NewShardedIndex(sets [][]uint32, lambda float64, opts *ShardedOptions) *Sha
 	var o *shard.Options
 	if opts != nil {
 		o = &shard.Options{
-			Shards:                opts.Shards,
-			MergeThreshold:        opts.MergeThreshold,
-			Trees:                 opts.Trees,
-			LeafSize:              opts.LeafSize,
-			T:                     opts.T,
-			Seed:                  opts.Seed,
-			Workers:               opts.Workers,
-			CompactSmall:          opts.CompactSmall,
-			CompactMinShards:      opts.CompactMinShards,
-			CompactTombstoneRatio: opts.CompactTombstoneRatio,
-			CacheSize:             opts.CacheSize,
+			Shards:         opts.Shards,
+			MergeThreshold: opts.MergeThreshold,
+			Trees:          opts.Trees,
+			LeafSize:       opts.LeafSize,
+			T:              opts.T,
+			Seed:           opts.Seed,
+			Workers:        opts.Workers,
+			CacheSize:      opts.CacheSize,
 		}
 		if opts.HashPartition {
 			o.Partition = shard.PartitionHash
@@ -89,35 +80,15 @@ func NewShardedIndex(sets [][]uint32, lambda float64, opts *ShardedOptions) *Sha
 // QueryBatch answers many normalized queries at once as parallel tasks
 // over a read-only snapshot of the shards: results[i] is every similarity
 // match of qs[i] (buffered appends included, scanned exactly), sorted by
-// id, identical for any worker count. Remote shards answer the whole batch
-// in one round trip each; an unanswerable shard fails the batch with its
-// error — a batch never silently merges partial topology.
+// id, identical for any worker count. A shard that fails (a corrupt cold
+// shard file) fails the batch with its error — a batch never silently
+// merges a partial ring.
 func (s *ShardedIndex) QueryBatch(qs [][]uint32) ([][]Match, error) {
 	out, err := s.ix.QueryBatchErr(qs)
 	for i := range out {
 		out[i] = slices.Clone(out[i])
 	}
 	return out, err
-}
-
-// DistributeOptions configure ShardedIndex.Distribute: replication
-// factor, whether to retain local copies as last-resort replicas, and an
-// optional HTTP client.
-type DistributeOptions = shard.DistributeOptions
-
-// Distribute places the index's sealed shards on peer serve instances:
-// each shard's snapshot container is shipped (checksum- and
-// seed-verified) to Replicas peers in a static round-robin assignment,
-// and queries then fan out to those peers with in-order failover — to
-// the next replica, then to the retained local copy when KeepLocal is
-// set. Results stay byte-identical to the all-local index: peers answer
-// from exactly the shipped structure, and global ids and tombstone
-// filtering remain coordinator-side. A distributed index stays
-// distributed: shards sealed or merged later are shipped under the same
-// peers and options, and the hosted copies the ring no longer references
-// are evicted from the peers.
-func (s *ShardedIndex) Distribute(peers []string, opts *DistributeOptions) error {
-	return s.ix.Distribute(peers, opts)
 }
 
 // Add appends sets (normalized, like the build input) to the index and
@@ -137,10 +108,10 @@ func (s *ShardedIndex) Flush() {
 // CompactResult reports what one Compact pass did.
 type CompactResult = shard.CompactResult
 
-// Compact runs one compaction pass: small ring shards (sealed appends
-// accumulate them) and shards whose tombstone ratio crossed the policy
-// threshold are rebuilt — minus their tombstoned sets — into one merged
-// shard, which swaps into the ring atomically. Query results are
+// Compact runs one compaction pass: small ring shards (at most
+// 2×MergeThreshold sets; sealed appends accumulate them) and shards at
+// least 30% deleted are rebuilt — minus their tombstoned sets — into one
+// merged shard, which swaps into the ring atomically. Query results are
 // provably unchanged: global ids are preserved and only already-deleted
 // sets are dropped (their tombstones retire with them). Queries and
 // appends proceed concurrently; in-flight queries finish against the old
