@@ -45,8 +45,11 @@ test-benchmark:
 # own in cpindex.go) — the per-field decoder cannot grow back. A tier is
 # where a shard's bytes lie, chosen by the operator: hot and cold cost the
 # same per query, so no policy moves shards on traffic (TierAuto,
-# AutoColdBytes, Retier stay out of non-test Go). The index is served from
-# one process: CPSJoin and the Chosen Path index are single-machine
+# AutoColdBytes, Retier stay out of non-test Go), and a shard keeps the
+# tier it was opened in: no runtime tier move (applyTiering, promote,
+# demote, spool, encodeShardBytes, the promotion/demotion counters, a
+# RuntimeOptions tier) in non-test Go outside benchmark/. The index is
+# served from one process: CPSJoin and the Chosen Path index are single-machine
 # algorithms, no ledger workload measured a remote shard, and on one
 # machine moving the shards behind HTTP peers doubled query latency. So the
 # remote backend stays deleted — no remoteShard, shardBackend interface,
@@ -63,6 +66,7 @@ surface:
 	@out=$$(grep -rnE 'setBuf|mappedSets|maxMappedSetSize|DecodeSets|type containSide' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second way to read a stored set, or sets on the containment side:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n '"encoding/binary"' internal/cpindex/*.go | grep -v '_test\.go:'; grep -n 'make(\[\]trie' internal/cpindex/trie.go); if [ -n "$$out" ]; then echo "a per-field trie codec in internal/cpindex (cast the section: snapshot.View, snapshot.Cast):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'TierAuto|AutoColdBytes|\bRetier\b' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a tier policy is back (hot and cold cost the same per query; the tier is the operator's choice):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE 'applyTiering|encodeShardBytes|func spool|\) (promote|demote)\(|tierPromotions|tierDemotions|(rt|ro)\.Tiering' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./benchmark/'); if [ -n "$$out" ]; then echo "a runtime tier move is back (a shard keeps the tier it was opened in):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'remoteShard|shardBackend|Distribute|placementState|hostedShardFor|KeepLocal|/v1/shard/' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "the remote backend is back (the index is served from one process):"; echo "$$out"; exit 1; fi
 	@deps=$$($(GO) list -deps ./cmd/experiments) || exit 1; out=$$(echo "$$deps" | grep -xE 'repro/internal/(shard|cpindex|contain|metrics)|net/http|testing'); if [ -n "$$out" ]; then echo "cmd/experiments links the serving stack:"; echo "$$out"; exit 1; fi
 

@@ -17,17 +17,18 @@
 // appends and tombstones) into DIR on graceful shutdown.
 //
 // Storage tiers: a tier is where the token array behind a shard's sets
-// lies. -tier cold restores shards memory-mapped and uses that array where
-// it is in the file — restore time and resident memory drop to the
-// container headers, a shard's first query checksums and validates it once,
-// and from then on every query, containment included, verifies against the
-// mapped tokens at the hot tier's cost and answers byte-identically to it.
-// -tier hot validates and copies every shard at load; empty keeps whatever
-// tier the snapshot was saved under. Those are the two tiers and the flag
-// is the only thing that picks one. Shards that /v1/add seals or that
-// compaction merges are built on the heap and stay there: a cold ring that
-// takes writes holds hot shards beside its cold ones until the next
-// restart.
+// lies, and -tier picks it for the shards a restore opens. -tier cold
+// restores shards memory-mapped and uses that array where it is in the file
+// — restore time and resident memory drop to the container headers, a
+// shard's first query checksums and validates it once, and from then on
+// every query, containment included, verifies against the mapped tokens at
+// the hot tier's cost and answers byte-identically to it. -tier hot, the
+// default, validates and copies every shard at load. The flag is a restore
+// option: without -data it is a usage error, and when -data holds no
+// snapshot yet the index is built on the heap. A shard keeps the tier it
+// was opened in: shards that /v1/add seals or that compaction merges are
+// built on the heap, so a cold ring that takes writes holds hot shards
+// beside its cold ones until the next restart.
 //
 // Endpoints (errors are structured JSON {"error":..., "code":...}):
 //
@@ -112,14 +113,19 @@ func main() {
 		dataDir   = flag.String("data", "", "snapshot directory: restore from it on start if it holds a manifest")
 		saveOnEnd = flag.Bool("save-on-shutdown", false, "snapshot the index into -data on graceful shutdown (requires -data)")
 		autoComp  = flag.Bool("auto-compact", false, "background-compact small and tombstone-heavy shards after each seal")
-		cacheSize = flag.Int("cache", 0, "hot-query result cache entries (0 disables; invalidated automatically on any mutation)")
+		cacheSize = flag.Int("cache", 0, "hot-query result cache entries (0 disables; invalidated automatically on any mutation); when given, overrides a restored snapshot's cache size")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/")
 		metricsOn = flag.Bool("metrics", true, "expose Prometheus metrics on /v1/metrics")
-		tierName  = flag.String("tier", "", "shard storage tier: hot (copied to the heap at load) or cold (memory-mapped, used in place); empty keeps the snapshot's saved tier")
+		tierName  = flag.String("tier", "", "storage tier of the shards a restore opens: hot (validated and copied to the heap; the default) or cold (memory-mapped, used in place); requires -data")
 		slowQuery = flag.Duration("slow-query", 0, "log a structured line for /v1/query requests over this duration (0 disables)")
 		accessLog = flag.Bool("access-log", false, "log one structured line per HTTP request")
 	)
 	flag.Parse()
+	// given names the flags set on the command line, as opposed to left at
+	// their defaults: -tier must come with -data, and a restored snapshot's
+	// cache size yields only to a given -cache.
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
 
 	if *saveOnEnd && *dataDir == "" {
 		logger.Error("-save-on-shutdown requires -data")
@@ -132,17 +138,17 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if given["tier"] && *dataDir == "" {
+		logger.Error("-tier applies to a restore: it requires -data")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var ix *shard.Index
 	start := time.Now()
 	if *dataDir != "" && manifestExists(*dataDir) {
 		var err error
-		// The tier flag's raw value goes through: empty defers to the tier
-		// the snapshot was saved under.
-		ix, err = shard.LoadWithOptions(*dataDir, shard.LoadOptions{
-			Workers: *workers,
-			Tiering: shard.Tier(*tierName),
-		})
+		ix, err = shard.LoadWithOptions(*dataDir, shard.LoadOptions{Workers: *workers, Tiering: tier})
 		if err != nil {
 			fatal("restore failed", "dir", *dataDir, "err", err)
 		}
@@ -153,6 +159,10 @@ func main() {
 			"partition", st.Partition,
 			"dir", *dataDir, "seconds", time.Since(start).Seconds(), "addr", *addr)
 	} else {
+		if given["tier"] {
+			logger.Info("no snapshot to restore: -tier applies only to restores, building on the heap",
+				"dir", *dataDir, "tier", string(tier))
+		}
 		if *input == "" {
 			logger.Error("-input is required (no snapshot in -data)")
 			flag.Usage()
@@ -183,26 +193,19 @@ func main() {
 	}
 
 	// One validated Configure call applies the runtime tuning. Flags
-	// override what a restored snapshot carried: -auto-compact always wins, -cache only when set
-	// (so a snapshot's persisted cache size survives a plain restart).
+	// override what a restored snapshot carried: -auto-compact always wins,
+	// -cache only when given (so a snapshot's persisted cache size survives a
+	// plain restart, and -cache 0 turns it off).
 	rt := ix.Runtime()
 	rt.AutoCompact = *autoComp
-	if *cacheSize > 0 {
+	if given["cache"] {
 		rt.CacheSize = *cacheSize
-	}
-	if *tierName != "" {
-		rt.Tiering = tier
 	}
 	if err := ix.Configure(rt); err != nil {
 		fatal("runtime configuration rejected", "err", err)
 	}
 	if rt.CacheSize > 0 {
 		logger.Info("result cache enabled", "entries", rt.CacheSize)
-	}
-	if rt.Tiering != "" && rt.Tiering != shard.TierHot {
-		st := ix.Stats()
-		logger.Info("storage tiering active",
-			"tier", string(rt.Tiering), "hot_shards", st.HotShards, "cold_shards", st.ColdShards)
 	}
 
 	var handler http.Handler = shard.NewServerOpts(ix, &shard.ServerOptions{

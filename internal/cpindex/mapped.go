@@ -147,8 +147,8 @@ func (m *Mapped) Sets() ([][]uint32, error) {
 
 // Index moves the collection and the trie onto the heap — one bulk copy per
 // array, nothing validated again — and returns the view that queries them
-// there. The result references no container bytes — promoting a cold shard
-// and loading a snapshot are both exactly this call.
+// there. The result references no container bytes — a hot shard load and
+// cpindex.Load are both exactly this call.
 func (m *Mapped) Index() (*Index, error) {
 	sets, err := m.Sets()
 	if err != nil {

@@ -64,9 +64,9 @@ func TestDoubleClose(t *testing.T) {
 	}
 }
 
-// TestReadAfterUnlink: the cold tier spools containers through temp files
-// it unlinks at once, and Save prunes shard files a serving index still
-// has open — the contents must outlive the path.
+// TestReadAfterUnlink: Save prunes shard files a serving index still has
+// mapped (a cold shard's, or the container a hot-loaded one keeps) — the
+// contents must outlive the path.
 func TestReadAfterUnlink(t *testing.T) {
 	want := bytes.Repeat([]byte("unlinked "), 2000)
 	path := writeTemp(t, want)

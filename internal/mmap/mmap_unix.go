@@ -14,8 +14,9 @@
 // three sections of its container after first touch — the trie's five arrays,
 // the sets' token region and (through the shard that owns it) the containment
 // signature matrix — and every query goes through it and ends with a
-// KeepAlive of the File; what must outlive it (a promoted or loaded
-// cpindex.Index, a compaction's merged shard) takes clones. A prep.Index
+// KeepAlive of the File; what must outlive it (the cpindex.Index of a
+// hot-loaded shard or of cpindex.Load, a compaction's merged shard) takes
+// clones. A prep.Index
 // keeps Sigs and Sketches, and the joins, which copy them out, KeepAlive it.
 // Mappings are read-only and a file under one is never rewritten in place
 // (writers go through a temp file and a rename), so a view validated once

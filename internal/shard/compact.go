@@ -178,7 +178,7 @@ func materializeVictims(victims []*localShard, tombs map[int]struct{}) []compact
 	for _, v := range victims {
 		// Queries against a cold victim that fails here will surface the
 		// corruption themselves.
-		if sets, err := v.res.Load().heapSets(); err == nil {
+		if sets, err := v.res.heapSets(); err == nil {
 			out = append(out, compactVictim{shard: v, sets: sets})
 		}
 	}

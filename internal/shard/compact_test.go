@@ -433,7 +433,7 @@ func TestCompactPreservesStandaloneEquivalence(t *testing.T) {
 		t.Fatalf("nothing compacted: %+v", st)
 	}
 	x.mu.RLock()
-	merged := x.shards[len(x.shards)-1].res.Load().hot
+	merged := x.shards[len(x.shards)-1].res.hot
 	x.mu.RUnlock()
 	if merged.Len() != res.Sets {
 		t.Fatalf("merged shard holds %d sets, result says %d", merged.Len(), res.Sets)

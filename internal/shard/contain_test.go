@@ -376,7 +376,7 @@ func TestColdContainmentReadsInPlace(t *testing.T) {
 		}
 	}
 	s := cold.shards[0]
-	r := s.res.Load()
+	r := &s.res
 	if !s.isCold() || cold.Stats().ColdShards != 1 {
 		t.Fatal("a containment query moved a cold shard's sets to the heap")
 	}
@@ -414,7 +414,7 @@ func TestColdTrieReadsInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trees := cold.shards[0].res.Load().snap.Lookup("trees").Len
+	trees := cold.shards[0].res.snap.Lookup("trees").Len
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	first := mustQueryAll(t, cold, sets[0])
@@ -538,6 +538,9 @@ func TestConfigureValidationAndPersistence(t *testing.T) {
 
 	if err := x.Configure(RuntimeOptions{CacheSize: -1}); err == nil {
 		t.Fatal("negative cache size accepted")
+	}
+	if got := x.Runtime(); got != (RuntimeOptions{}) {
+		t.Fatalf("a rejected Configure changed the runtime options: %+v", got)
 	}
 	want := RuntimeOptions{AutoCompact: true, CacheSize: 32}
 	if err := x.Configure(want); err != nil {

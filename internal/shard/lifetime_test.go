@@ -38,13 +38,29 @@ func mappedUnder(t *testing.T, dir string) int {
 // TestSetsOutliveTheirShards: a cold shard's sets are headers over its mapped
 // file, and a mapping goes when the shard that owns it is collected. Whatever
 // outlives the shard — a compaction's merged shard takes its victims' sets,
-// from a cold victim's container or a promoted victim's heap view — must hold
-// copies. Victims are loaded from a directory, half of them promoted, all of
-// them merged and dropped, and their files watched until they are unmapped:
-// a merged shard that aliases one dies here with "unexpected fault address"
-// in the middle of a query or a save, it does not fail an assertion.
+// from a cold victim's container or a hot victim's heap view — must hold
+// copies. The directory is restored cold and hot, seals add heap shards
+// beside the restored ones, the small shards of both kinds are merged and
+// dropped, and the restored victims' files are watched until they are
+// unmapped: a merged shard that aliases one dies here with "unexpected fault
+// address" in the middle of a query or a save, it does not fail an assertion.
 func TestSetsOutliveTheirShards(t *testing.T) {
 	x, probes, _ := churn(t, exactOptions(2, 40, 171))
+	dir := t.TempDir()
+	if err := x.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	// Seals after the restore: heap shards, with no container, beside the
+	// restored ones. x takes the same ones, so it still answers as truth.
+	more, _ := workload(100, 0.8, 173)
+	seal := func(x *Index) {
+		for i := 0; i < len(more); i += 40 {
+			x.Add(more[i:min(i+40, len(more))])
+		}
+		x.Flush()
+	}
+	seal(x)
+	probes = append(probes, more...)
 	want := mustQueryBatch(t, x, probes)
 	contained := func(x *Index) (out [][]Match) {
 		for _, q := range probes[:40] {
@@ -57,45 +73,6 @@ func TestSetsOutliveTheirShards(t *testing.T) {
 		return out
 	}
 	wantContained := contained(x)
-	dir := t.TempDir()
-	if err := x.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	y, err := LoadWithOptions(dir, LoadOptions{Workers: 2, Tiering: TierCold})
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := 0
-	for i, sh := range y.shards {
-		if len(sh.ids) > 2*y.opt.MergeThreshold {
-			continue
-		}
-		if small++; i%2 == 0 {
-			if err := sh.promote(y.signer); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	kept := len(y.shards) - small
-	if small < 4 || kept == 0 {
-		t.Fatalf("workload has %d small shards and %d others, built for several and some", small, kept)
-	}
-	if res := y.Compact(); res.Merged < small {
-		t.Fatalf("compaction merged %d shards, want the %d small ones: %+v", res.Merged, small, res)
-	}
-	// The victims are unreachable now. On Linux with real mappings, watch them
-	// go: only the shards still in the ring keep their files.
-	if mmap.Supported && runtime.GOOS == "linux" {
-		waitFor(t, "the victims' files to be unmapped", func() bool {
-			runtime.GC()
-			return mappedUnder(t, dir) <= kept
-		})
-	} else {
-		runtime.GC()
-		runtime.GC()
-	}
-
 	check := func(stage string, y *Index) {
 		t.Helper()
 		got := mustQueryBatch(t, y, probes)
@@ -110,16 +87,63 @@ func TestSetsOutliveTheirShards(t *testing.T) {
 			}
 		}
 	}
-	check("merged", y)
-	dir2 := t.TempDir()
-	if err := y.Save(dir2); err != nil {
-		t.Fatal(err)
+
+	for _, tier := range []Tier{TierCold, TierHot} {
+		t.Run(string(tier), func(t *testing.T) {
+			y, err := LoadWithOptions(dir, LoadOptions{Workers: 2, Tiering: tier})
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored := len(y.shards)
+			seal(y)
+			smallRestored, smallSealed, kept := 0, 0, 0
+			for i, sh := range y.shards {
+				switch {
+				case len(sh.ids) > 2*y.opt.MergeThreshold:
+					kept++
+				case i < restored:
+					smallRestored++
+				default:
+					smallSealed++
+				}
+			}
+			if smallRestored < 2 || smallSealed < 2 || kept == 0 {
+				t.Fatalf("%d small restored, %d small sealed and %d other shards, built for several, several and some",
+					smallRestored, smallSealed, kept)
+			}
+			wantCold := 0
+			if tier == TierCold {
+				wantCold = restored
+			}
+			if st := y.Stats(); st.ColdShards != wantCold {
+				t.Fatalf("%s restore with seals: %d cold shards, want %d", tier, st.ColdShards, wantCold)
+			}
+			if res := y.Compact(); res.Merged < smallRestored+smallSealed {
+				t.Fatalf("compaction merged %d shards, want the %d small ones: %+v", res.Merged, smallRestored+smallSealed, res)
+			}
+			// The victims are unreachable now. On Linux with real mappings, watch
+			// them go: only the restored shards still in the ring keep their files.
+			if mmap.Supported && runtime.GOOS == "linux" {
+				waitFor(t, "the victims' files to be unmapped", func() bool {
+					runtime.GC()
+					return mappedUnder(t, dir) <= kept
+				})
+			} else {
+				runtime.GC()
+				runtime.GC()
+			}
+			check("merged", y)
+			dir2 := t.TempDir()
+			if err := y.Save(dir2); err != nil {
+				t.Fatal(err)
+			}
+			z, err := Load(dir2, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("merged, saved and reloaded", z)
+		})
 	}
-	z, err := Load(dir2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("merged, saved and reloaded", z)
 }
 
 // TestColdShardQueriedFromOnlyReference: a cold shard's trie and sets are
@@ -172,22 +196,20 @@ func TestColdShardQueriedFromOnlyReference(t *testing.T) {
 	}
 }
 
-// TestPromotedShardOutlivesItsMapping: promotion clones the trie and the sets,
-// so the heap view it creates references no container bytes. The view is
-// taken out of a promoted shard, the shard and its ring are dropped, and once
-// the shard files have left /proc/self/maps the view still answers as the
-// saved shard did — a trie array or a set left aliasing the mapping faults.
+// TestPromotedShardOutlivesItsMapping: a hot load clones the trie and the
+// sets, so the heap view it creates references no container bytes. The view
+// is taken out of a hot-loaded shard, the shard and its ring are dropped, and
+// once the shard files have left /proc/self/maps the view still answers as
+// the saved shard did — a trie array or a set left aliasing the mapping
+// faults.
 func TestPromotedShardOutlivesItsMapping(t *testing.T) {
 	x, dir, queries := saveWorkload(t)
-	y, err := LoadWithOptions(dir, LoadOptions{Tiering: TierCold})
+	y, err := LoadWithOptions(dir, LoadOptions{Tiering: TierHot})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sh := y.shards[0]
-	if err := sh.promote(y.signer); err != nil {
-		t.Fatal(err)
-	}
-	hot := sh.res.Load().hot
+	hot := sh.res.hot
 	hot.SetCounters(nil) // the ring's counters point into its metrics, which point at the ring
 	sh, y = nil, nil
 	if mmap.Supported && runtime.GOOS == "linux" {
@@ -199,10 +221,10 @@ func TestPromotedShardOutlivesItsMapping(t *testing.T) {
 		runtime.GC()
 		runtime.GC()
 	}
-	saved := x.shards[0].res.Load().hot
+	saved := x.shards[0].res.hot
 	for i, q := range queries {
 		if got, want := hot.QueryAll(q), saved.QueryAll(q); !equalMatches(t, got, want) {
-			t.Fatalf("query %d: the promoted view differs from the shard that was saved once its file is unmapped", i)
+			t.Fatalf("query %d: the hot-loaded view differs from the shard that was saved once its file is unmapped", i)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -17,22 +16,20 @@ import (
 // localShard is one sealed in-process ring shard: a cpindex over a subset
 // of the collection plus the map from shard-local ids back to global ids.
 //
-// Its storage tier is a residency state, not a type: where the token array
-// behind the sets lies and when it was validated. Hot, it is on the heap,
-// validated when the shard was built or promoted, and queries cannot fail;
-// cold, it is the token region of the shard's cpshard container —
-// memory-mapped, so untouched payload pages are never read — validated once
-// at first touch, where corruption surfaces as an error wrapping
-// snapshot.ErrCorrupt, never as a panic or a wrong answer. The trie lies
-// where the sets lie: on the heap, or as typed views of the container's trees
-// section. Both states run the same cpindex kernel over equal tries and
-// equal [][]uint32, so answers are byte-identical and the walk and the
-// verification cost the same: promote copies the trie's arrays and the
-// tokens to the heap (one bulk copy each, nothing validated twice), demote
-// drops those copies (after giving the shard a container if it never had
-// one), and a cold shard costs page cache, 24 B of header per set and its
-// id map. A shard that has a container keeps it, so saving it is a byte
-// copy, whichever tier it is in.
+// Its storage tier is a residency state, not a type, fixed when the shard is
+// created: where the token array behind the sets lies and when it was
+// validated. Hot, it is on the heap — built there, or cloned there by a hot
+// load that validated every section first — and queries cannot fail; cold,
+// it is the token region of the shard's cpshard container — memory-mapped,
+// so untouched payload pages are never read — validated once at first touch,
+// where corruption surfaces as an error wrapping snapshot.ErrCorrupt, never
+// as a panic or a wrong answer. The trie lies where the sets lie: on the
+// heap, or as typed views of the container's trees section. Both states run
+// the same cpindex kernel over equal tries and equal [][]uint32, so answers
+// are byte-identical and the walk and the verification cost the same; a cold
+// shard costs page cache, 24 B of header per set and its id map. A loaded
+// shard keeps its container, so saving it is a byte copy, whichever tier it
+// is in.
 //
 // A hot shard cannot fail a query; a cold one fails only on a corrupt
 // container. Shards never apply tombstones: deletes are index state,
@@ -41,41 +38,33 @@ type localShard struct {
 	ids  []int  // local id -> global id
 	seed uint64 // build seed: the shard's identity in manifests
 
-	// res is the current residency. Tier moves publish a new value; a query
-	// runs against the one it loaded, which stays valid (the heap copy and
-	// the mapping are both garbage-collected, not closed).
-	res atomic.Pointer[residency]
-	// counters is the owning index's candidate-pipeline sink, handed to the
-	// views tier moves create.
-	counters *cpindex.QueryCounters
+	// res is set before the shard is published and never replaced.
+	res residency
 
 	// contain is the shard's containment side, the LSH Ensemble candidate
 	// structure, built or decoded on the first containment query or encode —
 	// similarity-only workloads never pay for it. It owns no sets: a query
-	// verifies its candidates against the residency it loaded. Its signatures
+	// verifies its candidates against the shard's residency. Its signatures
 	// may be a view of the shard's container (see decodeContainPayload),
 	// which stays mapped for as long as the shard is reachable. containMu
-	// serializes the one-time load, and demote takes it to drop the side
-	// with the heap copy; readers go through the atomic pointer.
+	// serializes the one-time load; readers go through the atomic pointer.
 	containMu sync.Mutex
 	contain   atomic.Pointer[contain.Index]
 }
 
 // residency says where a shard's bytes live. At least one view is set.
 type residency struct {
-	hot  *cpindex.Index   // sets on the heap; nil while the shard is cold
-	cold *cpindex.Mapped  // sets left in the container; nil until the shard has one
+	hot  *cpindex.Index   // sets on the heap; nil for a cold shard
+	cold *cpindex.Mapped  // the container's view, which pins its mapping; nil for a built shard
 	snap *snapshot.Mapped // cold's container: the exact bytes Save copies
 }
 
-// newLocalShard wraps a freshly built index: hot, no container yet.
+// newLocalShard wraps a freshly built index: hot, no container.
 func newLocalShard(ix *cpindex.Index, ids []int) *localShard {
-	s := &localShard{ids: ids, seed: ix.Options().Seed}
-	s.res.Store(&residency{hot: ix})
-	return s
+	return &localShard{ids: ids, seed: ix.Options().Seed, res: residency{hot: ix}}
 }
 
-func (s *localShard) isCold() bool { return s.res.Load().hot == nil }
+func (s *localShard) isCold() bool { return s.res.hot == nil }
 
 // traceName names ring entry i in query traces.
 func (s *localShard) traceName(i int) (name, kind string) {
@@ -87,7 +76,7 @@ func (s *localShard) traceName(i int) (name, kind string) {
 
 // structure returns the shard's node and leaf counts.
 func (s *localShard) structure() (nodes, leaves int) {
-	r := s.res.Load()
+	r := &s.res
 	if r.hot != nil {
 		return r.hot.Nodes, r.hot.Leaves
 	}
@@ -102,7 +91,7 @@ func (s *localShard) structure() (nodes, leaves int) {
 // merge sorts).
 func (s *localShard) query(p plan, q []uint32) (res Result, st cpindex.QueryStats, err error) {
 	res = noMatch
-	r := s.res.Load()
+	r := &s.res
 	switch p.kind {
 	case kindBest:
 		var id int
@@ -148,7 +137,7 @@ func (s *localShard) query(p plan, q []uint32) (res Result, st cpindex.QueryStat
 
 // sets returns the collection where the residency keeps it: the hot view's
 // heap slice, or the cold view's headers over the container, which are valid
-// only while r is reachable (end their use with runtime.KeepAlive).
+// only while the shard is reachable (end their use with runtime.KeepAlive).
 func (r *residency) sets() ([][]uint32, error) {
 	if r.hot != nil {
 		return r.hot.Sets(), nil
@@ -169,8 +158,8 @@ func (r *residency) heapSets() ([][]uint32, error) {
 // containSide returns the shard's containment side, loading it on first
 // use. Double-checked under containMu so concurrent first queries load
 // once. A shard with a container reads the signatures it persisted, which
-// must have been signed under signer, the ring's; only a shard that was
-// never encoded is signed. Either way the side shares signer with every
+// must have been signed under signer, the ring's; a built shard, which has
+// no container, signs its sets. Either way the side shares signer with every
 // other shard of the ring.
 func (s *localShard) containSide(signer *ringSigner) (*contain.Index, error) {
 	if c := s.contain.Load(); c != nil {
@@ -181,7 +170,7 @@ func (s *localShard) containSide(signer *ringSigner) (*contain.Index, error) {
 	if c := s.contain.Load(); c != nil {
 		return c, nil
 	}
-	r := s.res.Load()
+	r := &s.res
 	sets, err := r.sets()
 	if err != nil {
 		return nil, err
@@ -198,7 +187,7 @@ func (s *localShard) containSide(signer *ringSigner) (*contain.Index, error) {
 			return nil, err
 		}
 	}
-	runtime.KeepAlive(r) // sets and raw may alias the mapping r.cold pins
+	runtime.KeepAlive(s) // sets and raw may alias the mapping r.cold pins
 	s.contain.Store(c)
 	return c, nil
 }
@@ -245,94 +234,5 @@ func openLocalShard(f *mmap.File, entry snapshot.ShardEntry, total int) (*localS
 		return nil, fmt.Errorf("%w: shard built with seed %d, manifest says %d (files shuffled?)",
 			snapshot.ErrCorrupt, got, entry.Seed)
 	}
-	s := &localShard{ids: ids, seed: entry.Seed}
-	s.res.Store(&residency{cold: m, snap: snap})
-	return s, nil
-}
-
-// promote moves the sets and the trie onto the heap: clones of what the
-// mapped view validated, so the hot view reads no container bytes and
-// survives its shard. A promoted shard has read and checksummed every
-// section of its container, and found its containment section signed under
-// signer — promotion is exactly a snapshot load, and what it accepts cannot
-// fail later. Only the containment side's sorted orders stay unbuilt until
-// a containment query wants them, as after Build: they are the one part of
-// a load that is not validation.
-func (s *localShard) promote(signer *ringSigner) error {
-	r := s.res.Load()
-	if r.hot != nil {
-		return nil
-	}
-	hot, err := r.cold.Index()
-	if err != nil {
-		return err
-	}
-	raw, err := r.snap.Section("contain")
-	if err == nil {
-		_, err = containHeader(raw, len(s.ids), signer)
-	}
-	runtime.KeepAlive(r) // raw aliases the mapping r.cold pins
-	if err != nil {
-		return err
-	}
-	s.res.Store(&residency{hot: hot, cold: r.cold, snap: r.snap})
-	return nil
-}
-
-// demote drops the heap copies of the sets and the trie. A shard that never
-// had a container gets one first: its canonical bytes (what Save would
-// write) are spooled through a temp file that is mapped and unlinked at
-// once — the mapping keeps the bytes readable and nothing is left on disk to
-// clean up.
-func (s *localShard) demote(signer *ringSigner) error {
-	r := s.res.Load()
-	if r.hot == nil {
-		return nil
-	}
-	next := &residency{cold: r.cold, snap: r.snap}
-	if next.cold == nil {
-		raw, err := encodeShardBytes(s, signer)
-		if err != nil {
-			return err
-		}
-		f, err := spool(raw)
-		if err != nil {
-			return err
-		}
-		if next.snap, err = snapshot.OpenMapped(f.Data, shardKind); err != nil {
-			return err
-		}
-		if next.cold, err = cpindex.OpenMapped(next.snap, f); err != nil {
-			return err
-		}
-		next.cold.SetCounters(s.counters)
-	}
-	// The container carries the containment signatures; the heap side goes
-	// with the sets and reloads on the next containment query. Under
-	// containMu: a load that read the hot residency stores its side before
-	// this clears it, not after — nothing else would ever clear it, and a
-	// side signed on the heap would stay on a cold shard for good.
-	s.containMu.Lock()
-	defer s.containMu.Unlock()
-	s.res.Store(next)
-	s.contain.Store(nil)
-	return nil
-}
-
-// spool writes raw to an unlinked temp file and maps it.
-func spool(raw []byte) (*mmap.File, error) {
-	f, err := os.CreateTemp("", "cpshard-cold-*.cps")
-	if err != nil {
-		return nil, err
-	}
-	path := f.Name()
-	defer os.Remove(path)
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	return mmap.Open(path)
+	return &localShard{ids: ids, seed: entry.Seed, res: residency{cold: m, snap: snap}}, nil
 }

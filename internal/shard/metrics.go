@@ -30,11 +30,6 @@ type indexMetrics struct {
 	compactMerged    *metrics.Counter
 	compactReclaimed *metrics.Counter
 
-	// Storage tiering: shard moves between the hot (heap) and cold (mapped)
-	// tiers, by Configure (at runtime, or re-applied at the end of a load).
-	tierPromotions *metrics.Counter
-	tierDemotions  *metrics.Counter
-
 	// cand is the candidate-pipeline counter set every cpindex shard of
 	// this index flushes into (see cpindex.SetCounters).
 	cand cpindex.QueryCounters
@@ -57,9 +52,6 @@ func newIndexMetrics(x *Index) *indexMetrics {
 		compactLat:       reg.Histogram("cps_compaction_seconds", "duration of completed compaction passes"),
 		compactMerged:    reg.Counter("cps_compaction_merged_shards_total", "ring shards removed or rewritten by compaction"),
 		compactReclaimed: reg.Counter("cps_compaction_reclaimed_ids_total", "tombstoned entries physically dropped by compaction"),
-
-		tierPromotions: reg.Counter("cps_tier_promotions_total", "cold shards promoted to the hot (heap) tier"),
-		tierDemotions:  reg.Counter("cps_tier_demotions_total", "hot shards demoted to the mapped cold tier"),
 	}
 
 	for kind, op := range [numKinds]string{kindBest: "query", kindAll: "query_all", kindContain: "contain", kindBatch: "query_batch"} {
@@ -106,7 +98,7 @@ func newIndexMetrics(x *Index) *indexMetrics {
 		defer x.mu.RUnlock()
 		return float64(len(x.tombs))
 	})
-	reg.GaugeFunc("cps_index_generation", "ring generation (seals, compaction swaps, tier moves)", func() float64 {
+	reg.GaugeFunc("cps_index_generation", "ring generation (seals and compaction swaps)", func() float64 {
 		x.mu.RLock()
 		defer x.mu.RUnlock()
 		return float64(x.generation)
@@ -175,21 +167,17 @@ func (x *Index) Metrics() *metrics.Registry {
 	return x.metrics.reg
 }
 
-// attachCounters points one shard — its current views and the ones later
-// tier moves create — at the index's shared candidate pipeline counters.
-// Called at every shard creation site — buildShard (Build, seal,
-// compaction merge) and snapshot load — before the shard is published to
-// queries.
+// attachCounters points one shard's views at the index's shared candidate
+// pipeline counters. Called at every shard creation site — buildShard
+// (Build, seal, compaction merge) and snapshot load — before the shard is
+// published to queries.
 func (x *Index) attachCounters(s *localShard) {
 	if x.metrics == nil {
 		return
 	}
-	s.counters = &x.metrics.cand
-	r := s.res.Load()
-	if r.hot != nil {
-		r.hot.SetCounters(s.counters)
-	}
-	if r.cold != nil {
-		r.cold.SetCounters(s.counters)
+	if r := &s.res; r.hot != nil {
+		r.hot.SetCounters(&x.metrics.cand)
+	} else {
+		r.cold.SetCounters(&x.metrics.cand)
 	}
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -112,7 +111,6 @@ func (x *Index) Save(dir string) error {
 		m.Runtime = &snapshot.RuntimeState{
 			AutoCompact: rt.AutoCompact,
 			CacheSize:   rt.CacheSize,
-			Tiering:     string(rt.Tiering),
 		}
 	}
 	x.mu.RUnlock()
@@ -148,11 +146,11 @@ func sortedTombstones(ids map[int]struct{}) []int {
 	return out
 }
 
-// saveShard writes one shard file: a shard that has a container already
-// holds its canonical bytes, so saving it is a file copy with no re-encode;
-// one that never had a container is encoded straight into the file.
+// saveShard writes one shard file: a loaded shard's container holds its
+// canonical bytes, so saving it is a file copy with no re-encode; a built
+// shard, which has no container, is encoded straight into the file.
 func saveShard(path string, sh *localShard, signer *ringSigner) error {
-	if snap := sh.res.Load().snap; snap != nil {
+	if snap := sh.res.snap; snap != nil {
 		return snapshot.WriteRawFile(path, snap.Bytes())
 	}
 	return snapshot.WriteFile(path, shardKind, func(w *snapshot.Writer) error {
@@ -160,34 +158,15 @@ func saveShard(path string, sh *localShard, signer *ringSigner) error {
 	})
 }
 
-// encodeShardBytes encodes a shard that has no container into the cpshard
-// container Save would write to disk.
-func encodeShardBytes(sh *localShard, signer *ringSigner) ([]byte, error) {
-	var buf bytes.Buffer
-	w, err := snapshot.NewWriter(&buf, shardKind)
-	if err != nil {
-		return nil, err
-	}
-	if err := encodeShardSections(w, sh, signer); err != nil {
-		return nil, err
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // encodeShardSections writes one shard's container body — cpindex
-// sections, the local→global id map, and the containment signatures.
-// Shared by disk saves and demotion, so a demoted shard's container is
-// bit-for-bit a saved one. Only a hot shard without a container is ever
-// encoded. Encoding forces the containment side to exist, so every
-// container carries the section and a reader never signs its sets: for a
-// shard that never served a containment query that is one signing pass
-// plus the side's sorted orders (4·T bytes per set, about 0.1 s per
-// 10 000 sets in all) and 4·T bytes per set in the file.
+// sections, the local→global id map, and the containment signatures. Only
+// a built shard is ever encoded. Encoding forces the containment side to
+// exist, so every container carries the section and a reader never signs
+// its sets: for a shard that never served a containment query that is one
+// signing pass plus the side's sorted orders (4·T bytes per set, about 0.1 s
+// per 10 000 sets in all) and 4·T bytes per set in the file.
 func encodeShardSections(w *snapshot.Writer, sh *localShard, signer *ringSigner) error {
-	if err := sh.res.Load().hot.EncodeSections(w); err != nil {
+	if err := sh.res.hot.EncodeSections(w); err != nil {
 		return err
 	}
 	var ids snapshot.Buf
@@ -290,21 +269,20 @@ type LoadOptions struct {
 	// Workers is the shard-load parallelism (0 = sequential, negative =
 	// GOMAXPROCS); it also becomes the loaded index's Workers option.
 	Workers int
-	// Tiering picks the storage tier shards load into. Empty defers to the
-	// tier the manifest's runtime state recorded (hot when absent): hot
-	// moves every shard's trie and sets to the heap, cold leaves them in the
-	// mapped files.
+	// Tiering picks the storage tier the loaded shards keep: hot (or "",
+	// the default) validates every shard file and copies its trie and sets
+	// to the heap, cold leaves them in the mapped files. Shards a later seal
+	// or compaction builds are on the heap either way.
 	Tiering Tier
 }
 
-// Load reopens an index saved by Save with the default (hot, or
-// manifest-recorded) storage tier. Shard files load as parallel tasks on
-// the execution layer with the given worker count (0 = sequential,
-// negative = GOMAXPROCS), which also becomes the loaded index's Workers
-// option for future seals and batch queries; everything else — options,
-// counters, side shard, tombstones — comes from the manifest. A corrupt
-// or truncated snapshot returns a descriptive error wrapping
-// snapshot.ErrCorrupt (or ErrVersion), never a panic.
+// Load reopens an index saved by Save in the hot tier. Shard files load as
+// parallel tasks on the execution layer with the given worker count (0 =
+// sequential, negative = GOMAXPROCS), which also becomes the loaded index's
+// Workers option for future seals and batch queries; everything else —
+// options, counters, side shard, tombstones, runtime options — comes from
+// the manifest. A corrupt or truncated snapshot returns a descriptive error
+// wrapping snapshot.ErrCorrupt (or ErrVersion), never a panic.
 func Load(dir string, workers int) (*Index, error) {
 	return LoadWithOptions(dir, LoadOptions{Workers: workers})
 }
@@ -312,24 +290,13 @@ func Load(dir string, workers int) (*Index, error) {
 // LoadWithOptions is Load with the storage tier under caller control.
 func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 	workers := lo.Workers
+	tier, err := ParseTier(string(lo.Tiering))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", dir, err)
+	}
 	m, err := snapshot.ReadManifest(dir)
 	if err != nil {
 		return nil, err
-	}
-	// Resolve the effective tier before touching shard files: an explicit
-	// option wins, then the tier the snapshot was saved under, then hot.
-	tierName := string(lo.Tiering)
-	if tierName == "" && m.Runtime != nil {
-		tierName = m.Runtime.Tiering
-	}
-	tier, err := ParseTier(tierName)
-	if err != nil {
-		if lo.Tiering == "" {
-			// The name came from the manifest, not the caller. Shard files are
-			// the same bytes under any tier, so an explicit one restores them.
-			return nil, fmt.Errorf("%s: saved under a tier this build does not have: pass -tier hot or -tier cold: %w", dir, err)
-		}
-		return nil, fmt.Errorf("%s: %w", dir, err)
 	}
 	var part Partition
 	switch m.Partition {
@@ -452,20 +419,10 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 		x.live += len(sh.ids)
 	}
 	// Re-apply the runtime configuration the index was saved with, so a
-	// restart restores tuning (cache, auto-compaction, tiering) and not just
-	// data. Absent when everything was at its default.
-	if m.Runtime != nil || tierName != "" {
-		ro := RuntimeOptions{}
-		if m.Runtime != nil {
-			ro.AutoCompact = m.Runtime.AutoCompact
-			ro.CacheSize = m.Runtime.CacheSize
-		}
-		// The effective tier (explicit option over manifest) wins, so an
-		// explicit LoadOptions.Tiering is not undone by the saved state;
-		// shards already loaded in the target tier make this re-application
-		// a no-op.
-		ro.Tiering = Tier(tierName)
-		if err := x.Configure(ro); err != nil {
+	// restart restores tuning (cache, auto-compaction) and not just data.
+	// Absent when everything was at its default.
+	if rt := m.Runtime; rt != nil {
+		if err := x.Configure(RuntimeOptions{AutoCompact: rt.AutoCompact, CacheSize: rt.CacheSize}); err != nil {
 			return nil, fmt.Errorf("%s: %w: saved runtime options: %v", dir, snapshot.ErrCorrupt, err)
 		}
 	}
@@ -473,9 +430,14 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 }
 
 // loadTieredShard maps one shard file, cross-checks it against its manifest
-// entry, and leaves it in the given tier: cold stops there, hot promotes
-// (reading and checksumming every section, and checking that the
-// containment section was signed under signer).
+// entry, and opens it in the given tier, which the shard keeps. Cold stops
+// there. Hot reads and checksums every section and clones the trie and the
+// sets onto the heap, so the hot view reads no container bytes and survives
+// its shard, then checks that the containment section was signed under
+// signer: what a hot load accepts cannot fail later. Only the containment
+// side's sorted orders stay unbuilt until a containment query wants them, as
+// after Build; they are the one part of a load that is not validation.
+// Either way the shard keeps its container, so saving it is a byte copy.
 func loadTieredShard(path string, entry snapshot.ShardEntry, total int, tier Tier, signer *ringSigner) (*localShard, error) {
 	f, err := mmap.Open(path)
 	if err != nil {
@@ -483,7 +445,12 @@ func loadTieredShard(path string, entry snapshot.ShardEntry, total int, tier Tie
 	}
 	s, err := openLocalShard(f, entry, total)
 	if err == nil && tier == TierHot {
-		err = s.promote(signer)
+		if s.res.hot, err = s.res.cold.Index(); err == nil {
+			var raw []byte
+			if raw, err = s.res.snap.Section("contain"); err == nil {
+				_, err = containHeader(raw, len(s.ids), signer)
+			}
+		}
 	}
 	if err != nil {
 		f.Close()

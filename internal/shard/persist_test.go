@@ -346,9 +346,10 @@ func TestLoadCorruptionRejected(t *testing.T) {
 
 // TestLoadIgnoresRetiredManifestKeys: a directory saved by an earlier build
 // may carry manifest keys this one no longer writes — the three compaction
-// knobs and the shipped-shard record of a ring that was placed on peers.
-// They are ignored: the directory loads and answers as the index that was
-// saved, and a re-save drops them.
+// knobs, the shipped-shard record of a ring that was placed on peers, and
+// the tier the ring was saved under, "auto" included. They are ignored: the
+// directory loads hot with no explicit tier and cold with TierCold, answers
+// as the index that was saved either way, and a re-save drops them.
 func TestLoadIgnoresRetiredManifestKeys(t *testing.T) {
 	sets, _ := workload(300, 0.8, 343)
 	x := Build(sets, 0.5, &Options{Shards: 2, Seed: 41, MergeThreshold: 40, Workers: 2})
@@ -373,34 +374,46 @@ func TestLoadIgnoresRetiredManifestKeys(t *testing.T) {
 		"epoch": 2, "peers": []string{peer}, "replicas": 1, "keep_local": true,
 		"shipped": []any{map[string]any{"key": "cps-0123456789abcdef-01234567", "peers": []string{peer}}},
 	}
-	if raw, err = json.Marshal(m); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	y, err := Load(dir, 2)
-	if err != nil {
-		t.Fatalf("a manifest with retired keys does not load: %v", err)
-	}
-	want, got := mustQueryBatch(t, x, sets[:60]), mustQueryBatch(t, y, sets[:60])
-	for i := range want {
-		if !equalMatches(t, got[i], want[i]) {
-			t.Fatalf("query %d differs after loading a manifest with retired keys", i)
+	want := mustQueryBatch(t, x, sets[:60])
+	for _, saved := range []string{"cold", "auto"} {
+		m["runtime"] = map[string]any{"tiering": saved}
+		if raw, err = json.Marshal(m); err != nil {
+			t.Fatal(err)
 		}
-	}
-	dir2 := t.TempDir()
-	if err := y.Save(dir2); err != nil {
-		t.Fatal(err)
-	}
-	resaved, err := os.ReadFile(filepath.Join(dir2, snapshot.ManifestFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"compact_small", "compact_min_shards", "compact_tombstone_ratio", "placement"} {
-		if strings.Contains(string(resaved), `"`+key+`"`) {
-			t.Errorf("re-saved manifest still carries %q", key)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, tier := range []Tier{"", TierCold} {
+			y, err := LoadWithOptions(dir, LoadOptions{Workers: 2, Tiering: tier})
+			if err != nil {
+				t.Fatalf("saved tier %q, load tier %q: a manifest with retired keys does not load: %v", saved, tier, err)
+			}
+			wantCold := 0
+			if tier == TierCold {
+				wantCold = len(y.shards)
+			}
+			if st := y.Stats(); st.ColdShards != wantCold {
+				t.Fatalf("saved tier %q, load tier %q: %d cold shards, want %d", saved, tier, st.ColdShards, wantCold)
+			}
+			got := mustQueryBatch(t, y, sets[:60])
+			for i := range want {
+				if !equalMatches(t, got[i], want[i]) {
+					t.Fatalf("saved tier %q, load tier %q: query %d differs after loading a manifest with retired keys", saved, tier, i)
+				}
+			}
+			dir2 := t.TempDir()
+			if err := y.Save(dir2); err != nil {
+				t.Fatal(err)
+			}
+			resaved, err := os.ReadFile(filepath.Join(dir2, snapshot.ManifestFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range []string{"compact_small", "compact_min_shards", "compact_tombstone_ratio", "placement", "runtime", "tiering"} {
+				if strings.Contains(string(resaved), `"`+key+`"`) {
+					t.Errorf("re-saved manifest still carries %q", key)
+				}
+			}
 		}
 	}
 }

@@ -257,8 +257,8 @@ type Index struct {
 	compactions     int
 	compactedShards int
 	// runtime holds the operational knobs currently applied (cache,
-	// auto-compaction, tiering). Save persists it so Load can re-apply the
-	// configured state. Guarded by mu.
+	// auto-compaction). Save persists it so Load can re-apply the configured
+	// state. Guarded by mu.
 	runtime RuntimeOptions
 
 	// metrics is the index's instrumentation hub (latency histograms,
@@ -372,31 +372,17 @@ type RuntimeOptions struct {
 	// CacheSize installs the hot-query result cache with room for that
 	// many entries; 0 removes it. Negative values are rejected.
 	CacheSize int
-	// Tiering selects the storage tier of the shards in the ring when it is
-	// applied: TierHot (or "", the default) moves their tries and sets to
-	// the heap, TierCold leaves them in memory-mapped containers. Shards a
-	// later seal or compaction builds are built on the heap and stay there
-	// until the tier is applied again (Configure, or a load). Answers are
-	// byte-identical across tiers, and nothing but applying this option
-	// ever moves a shard between them.
-	Tiering Tier
 }
 
 // Configure applies the runtime options in one validated call and
 // remembers them as the index's configured state, which Save persists and
-// Load re-applies. Safe on a serving index: queries pick a new cache up
-// atomically — entries are version-keyed, so there is no warm-up hazard —
-// and tier moves never change an answer.
+// Load re-applies. It fails only on invalid options, before changing
+// anything. Safe on a serving index: queries pick a new cache up
+// atomically — entries are version-keyed, so there is no warm-up hazard.
 func (x *Index) Configure(ro RuntimeOptions) error {
 	if ro.CacheSize < 0 {
 		return fmt.Errorf("shard: cache size %d must be >= 0", ro.CacheSize)
 	}
-	tier, err := ParseTier(string(ro.Tiering))
-	if err != nil {
-		return err
-	}
-	// The tier is remembered exactly as configured ("" stays "", so a
-	// runtime state that never mentioned tiering round-trips unchanged).
 	x.mu.Lock()
 	x.runtime = ro
 	x.mu.Unlock()
@@ -405,9 +391,7 @@ func (x *Index) Configure(ro RuntimeOptions) error {
 	} else {
 		x.cache.Store(nil)
 	}
-	// Move the ring to the tier; idempotent when it is already there.
-	_, err = x.applyTiering(tier)
-	return err
+	return nil
 }
 
 // Runtime returns the runtime options currently applied.

@@ -28,8 +28,7 @@ type Stats struct {
 	Compactions     int `json:"compactions"`
 	CompactedShards int `json:"compacted_shards"`
 	Reclaimed       int `json:"reclaimed"`
-	// Generation counts ring changes: seals, compaction swaps and tier
-	// moves.
+	// Generation counts ring changes: seals and compaction swaps.
 	Generation int `json:"generation"`
 	// HotShards and ColdShards split the ring by storage tier: sets on the
 	// heap versus left in memory-mapped containers.

@@ -8,11 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"unsafe"
 
-	"repro/internal/race"
 	"repro/internal/snapshot"
 )
 
@@ -67,13 +65,12 @@ func TestColdTierRoundTrip(t *testing.T) {
 	assertSameAnswers(t, x, cold, queries)
 
 	// Saving a cold index must not decode it: the shard files are copied
-	// raw, and a hot reload of the copy still matches. The cold load
-	// persisted its tier in the manifest, so hot must be explicit here.
+	// raw, and a plain (hot) reload of the copy still matches.
 	dir2 := t.TempDir()
 	if err := cold.Save(dir2); err != nil {
 		t.Fatal(err)
 	}
-	hot, err := LoadWithOptions(dir2, LoadOptions{Workers: 2, Tiering: TierHot})
+	hot, err := Load(dir2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,57 +80,9 @@ func TestColdTierRoundTrip(t *testing.T) {
 	assertSameAnswers(t, x, hot, queries)
 }
 
-// TestPromoteDemoteAll: explicit tier moves swap every shard, keep
-// answers identical, and bump the tier-move counters.
-func TestPromoteDemoteAll(t *testing.T) {
-	x, dir, queries := saveWorkload(t)
-	y, err := LoadWithOptions(dir, LoadOptions{Workers: 2, Tiering: TierCold})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := y.Stats().ColdShards
-	gen := y.Stats().Generation
-
-	promoted, err := y.applyTiering(TierHot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if promoted != total {
-		t.Fatalf("applyTiering(hot) moved %d shards, want %d", promoted, total)
-	}
-	if st := y.Stats(); st.ColdShards != 0 || st.HotShards != total {
-		t.Fatalf("after applyTiering(hot): %d cold / %d hot, want 0 / %d", st.ColdShards, st.HotShards, total)
-	}
-	assertSameAnswers(t, x, y, queries)
-
-	demoted, err := y.applyTiering(TierCold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if demoted != total {
-		t.Fatalf("applyTiering(cold) moved %d shards, want %d", demoted, total)
-	}
-	if st := y.Stats(); st.HotShards != 0 || st.ColdShards != total {
-		t.Fatalf("after applyTiering(cold): %d cold / %d hot, want %d / 0", st.ColdShards, st.HotShards, total)
-	}
-	assertSameAnswers(t, x, y, queries)
-
-	// Each whole-ring move is one generation and one count per shard on its
-	// counter; re-applying the tier the ring is in moves and bumps nothing.
-	if again, err := y.applyTiering(TierCold); err != nil || again != 0 {
-		t.Fatalf("re-applying the current tier moved %d shards (err %v)", again, err)
-	}
-	if got := y.Stats().Generation; got != gen+2 {
-		t.Fatalf("generation %d after two moves from %d", got, gen)
-	}
-	if p, d := y.metrics.tierPromotions.Value(), y.metrics.tierDemotions.Value(); p != uint64(total) || d != uint64(total) {
-		t.Fatalf("tier counters %d up / %d down, want %d / %d", p, d, total, total)
-	}
-}
-
 // TestTierGaugesFollowTheRing: the two residency gauges a scrape reads agree
-// with Stats through a tier move and a seal, without building a Stats to do
-// it.
+// with Stats after a cold restore and after a seal beside it, without
+// building a Stats to do it.
 func TestTierGaugesFollowTheRing(t *testing.T) {
 	_, dir, _ := saveWorkload(t)
 	x, err := LoadWithOptions(dir, LoadOptions{Workers: 2, Tiering: TierCold})
@@ -159,19 +108,15 @@ func TestTierGaugesFollowTheRing(t *testing.T) {
 	x.Add(extra)
 	x.Flush()
 	check("sealed beside the cold shards")
-	if err := x.Configure(RuntimeOptions{Tiering: TierHot}); err != nil {
-		t.Fatal(err)
-	}
-	check("configured hot")
 	if allocs := testing.AllocsPerRun(20, func() { x.tierCounts() }); allocs != 0 {
 		t.Fatalf("tierCounts allocates %v times a call; Stats is the walk that may", allocs)
 	}
 }
 
-// TestColdRingSealsOnTheHeap: applying a tier moves the shards the ring
-// holds at that moment; a shard a later seal builds is built on the heap and
-// stays there. After a cold restore one seal leaves every restored shard
-// cold beside one hot shard, and the ring answers as the all-hot one does.
+// TestColdRingSealsOnTheHeap: a shard keeps the tier it was opened in, and a
+// shard a seal builds is built on the heap. After a cold restore one seal
+// leaves every restored shard cold beside one hot shard, and the ring
+// answers as the all-hot one does.
 func TestColdRingSealsOnTheHeap(t *testing.T) {
 	_, dir, queries := saveWorkload(t)
 	load := func(tier Tier) *Index {
@@ -199,52 +144,10 @@ func TestColdRingSealsOnTheHeap(t *testing.T) {
 }
 
 // TestAutoTierRejected: there are two tiers. The name an earlier build also
-// took is refused with a message that names them — by ParseTier and by
-// Configure — and a directory that build saved under it says how to get the
-// data back: an explicit tier overrides the manifest, as it always has.
+// took is refused with a message that names them.
 func TestAutoTierRejected(t *testing.T) {
 	if _, err := ParseTier("auto"); err == nil || !strings.Contains(err.Error(), "want hot or cold") {
 		t.Fatalf("ParseTier(auto): %v, want an error naming hot and cold", err)
-	}
-
-	x, dir, queries := saveWorkload(t)
-	before := x.Runtime()
-	if err := x.Configure(RuntimeOptions{Tiering: "auto"}); err == nil || !strings.Contains(err.Error(), "want hot or cold") {
-		t.Fatalf("Configure(auto): %v, want an error naming hot and cold", err)
-	}
-	if x.Runtime() != before {
-		t.Fatalf("a rejected Configure changed the runtime options: %+v", x.Runtime())
-	}
-
-	m, err := snapshot.ReadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Runtime = &snapshot.RuntimeState{Tiering: "auto"}
-	if err := snapshot.WriteManifest(dir, m); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Load(dir, 2)
-	if err == nil {
-		t.Fatal("a manifest saved under tier auto loaded without an explicit tier")
-	}
-	for _, want := range []string{dir, "pass -tier hot or -tier cold", "want hot or cold"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("load error %q lacks %q", err, want)
-		}
-	}
-	for _, tier := range []Tier{TierHot, TierCold} {
-		y, err := LoadWithOptions(dir, LoadOptions{Workers: 2, Tiering: tier})
-		if err != nil {
-			t.Fatalf("explicit %s load of a tier-auto directory: %v", tier, err)
-		}
-		if st := y.Stats(); (tier == TierCold) != (st.ColdShards > 0) || (tier == TierHot) != (st.HotShards > 0) {
-			t.Fatalf("explicit %s load left %d hot / %d cold shards", tier, st.HotShards, st.ColdShards)
-		}
-		if got := y.Runtime().Tiering; got != tier {
-			t.Fatalf("explicit %s load remembers tier %q", tier, got)
-		}
-		assertSameAnswers(t, x, y, queries)
 	}
 }
 
@@ -318,37 +221,6 @@ func TestLoadColdCorruptShard(t *testing.T) {
 	}
 }
 
-// TestTieringPersistsInManifest: Configure(Tiering) is saved with the
-// index and re-applied on a plain Load, and an explicit LoadOptions tier
-// overrides the manifest.
-func TestTieringPersistsInManifest(t *testing.T) {
-	x, _, queries := saveWorkload(t)
-	if err := x.Configure(RuntimeOptions{Tiering: TierCold}); err != nil {
-		t.Fatal(err)
-	}
-	dir2 := t.TempDir()
-	if err := x.Save(dir2); err != nil {
-		t.Fatal(err)
-	}
-	y, err := Load(dir2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := y.Stats(); st.ColdShards == 0 {
-		t.Fatalf("manifest tier ignored: %d cold shards after plain Load", st.ColdShards)
-	}
-	assertSameAnswers(t, x, y, queries)
-
-	z, err := LoadWithOptions(dir2, LoadOptions{Tiering: TierHot})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := z.Stats(); st.ColdShards != 0 {
-		t.Fatalf("explicit hot load overridden by manifest: %d cold shards", st.ColdShards)
-	}
-	assertSameAnswers(t, x, z, queries)
-}
-
 // TestTracedBestQueryStatsAcrossTiers: a traced best-match query reports
 // the same per-shard candidate pipeline counts whether the ring is hot or
 // cold — cold shards used to take the stats-less branch and report zeros.
@@ -392,9 +264,8 @@ func TestTracedBestQueryStatsAcrossTiers(t *testing.T) {
 }
 
 // TestSaveBytesIndependentOfTier: the shard files a ring saves are the
-// same bytes whether each shard was encoded from the heap (fresh build, or
-// a hot load's retained container) or copied out of a cold shard's mapping,
-// and tier moves in between change nothing.
+// same bytes whether each shard was encoded from the heap (a fresh build)
+// or copied out of the container a hot or a cold load kept.
 func TestSaveBytesIndependentOfTier(t *testing.T) {
 	x, dir, _ := saveWorkload(t)
 	shardBytes := func(dir string) [][]byte {
@@ -437,66 +308,6 @@ func TestSaveBytesIndependentOfTier(t *testing.T) {
 			t.Fatal(err)
 		}
 		resave(string(tier)+" load", y)
-	}
-	// A built ring demoted in place encodes once, then copies.
-	if _, err := x.applyTiering(TierCold); err != nil {
-		t.Fatal(err)
-	}
-	resave("demoted build", x)
-	if _, err := x.applyTiering(TierHot); err != nil {
-		t.Fatal(err)
-	}
-	resave("re-promoted build", x)
-}
-
-// TestContainSideFollowsTierMoves races the lazy containment load against
-// tier moves. A load that read the hot residency of a shard without a
-// container signs on the heap and must publish its side before demote clears
-// it, never after: nothing else clears it, so a cold shard would keep the
-// heap side it was demoted to drop. Whatever a cold shard holds afterwards
-// was decoded from its container. Promote leaves the side alone.
-func TestContainSideFollowsTierMoves(t *testing.T) {
-	sets, _ := workload(400, 0.8, 521)
-	rounds := 100
-	if race.Enabled {
-		rounds = 30 // the parent of the fix failed within two under the detector
-	}
-	for round := 0; round < rounds; round++ {
-		// A fresh shard every round: only one that never had a container
-		// signs on the heap.
-		x := Build(sets, 0.5, &Options{Shards: 1, Seed: 5})
-		s := x.shards[0]
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			if _, err := s.containSide(x.signer); err != nil {
-				t.Error(err)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			if err := s.demote(x.signer); err != nil {
-				t.Error(err)
-			}
-		}()
-		wg.Wait()
-		if !s.isCold() {
-			t.Fatalf("round %d: shard still hot after demote", round)
-		}
-		if c := s.contain.Load(); c != nil && !aliases(s.res.Load().snap.Bytes(), c.Signatures()) {
-			t.Fatalf("round %d: a cold shard's containment side is the one signed on the heap", round)
-		}
-		c, err := s.containSide(x.signer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.promote(x.signer); err != nil {
-			t.Fatal(err)
-		}
-		if s.contain.Load() != c {
-			t.Fatalf("round %d: promote replaced the containment side", round)
-		}
 	}
 }
 

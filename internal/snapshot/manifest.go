@@ -74,16 +74,13 @@ type Manifest struct {
 }
 
 // RuntimeState is the persisted form of the index's runtime options
-// (cache, auto-compaction, tiering): operational knobs rather than
-// build-time parameters, but part of the service's identity across a
-// restart all the same.
+// (cache, auto-compaction): operational knobs rather than build-time
+// parameters, but part of the service's identity across a restart all the
+// same. The storage tier is not one of them: it is chosen by whoever opens
+// the directory.
 type RuntimeState struct {
 	AutoCompact bool `json:"auto_compact,omitempty"`
 	CacheSize   int  `json:"cache_size,omitempty"`
-	// Tiering is the configured shard storage tier ("hot", "cold" or
-	// "auto"; empty means hot), restored at load so shards reopen in the
-	// tier the service ran with.
-	Tiering string `json:"tiering,omitempty"`
 }
 
 // DroppedIDs decodes the reclaimed-id set (nil when empty).
@@ -134,8 +131,8 @@ func ReadManifest(dir string) (*Manifest, error) {
 // the validation logic without touching the filesystem. Keys the Manifest
 // does not declare are ignored, so a directory written by an earlier build
 // still loads: its compaction knobs (compact_small, compact_min_shards,
-// compact_tombstone_ratio) and its shipped-shard record (placement) are
-// skipped.
+// compact_tombstone_ratio), its shipped-shard record (placement) and the
+// tier it was saved under (runtime.tiering) are skipped.
 func decodeManifest(path string, data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {

@@ -231,10 +231,12 @@ func modelOps() int {
 // the runtime configuration to a freshly loaded index changes no answer.
 //
 // The storage-tier dimension crosses the whole grid with the hot and the
-// cold tier: every save/load round trip reopens the snapshot in the
-// configuration's tier (cold leaves every shard's trie and sets in its
-// mapped file), and every subsequent answer must still be byte-identical to
-// the model.
+// cold tier. A shard keeps the tier it was opened in, so a cold cell saves
+// and reopens its index cold right after the build (every op then runs
+// against a ring whose restored shards leave their tries and sets in their
+// mapped files), and every save/load round trip reopens the snapshot in the
+// configuration's tier; every answer must still be byte-identical to the
+// model.
 func TestShardedIndexMatchesModel(t *testing.T) {
 	const lambda = 0.5
 	const cacheEntries = 48
@@ -290,19 +292,31 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 				CacheSize:      cacheSize,
 			})
 
-			// Cache and tier go through the consolidated runtime
-			// configuration, which Save persists and Load re-applies — so
-			// the explicit re-apply after each round trip is also checking
-			// that Configure is idempotent on an already-restored index.
+			// The cache goes through the consolidated runtime configuration,
+			// which Save persists and Load re-applies — so the explicit
+			// re-apply after each round trip is also checking that Configure
+			// is idempotent on an already-restored index.
 			reconfigure := func(ix *ShardedIndex) {
-				if err := ix.Configure(RuntimeOptions{
-					CacheSize: cacheSize,
-					Tiering:   cfg.tier,
-				}); err != nil {
+				if err := ix.Configure(RuntimeOptions{CacheSize: cacheSize}); err != nil {
 					t.Fatalf("Configure: %v", err)
 				}
 			}
 			reconfigure(ix)
+			reload := func() (*ShardedIndex, error) {
+				if err := ix.Save(dir); err != nil {
+					return nil, err
+				}
+				return LoadShardedIndexWithOptions(dir, LoadOptions{Workers: cfg.workers, Tiering: cfg.tier})
+			}
+			if cfg.tier == TierCold {
+				var err error
+				if ix, err = reload(); err != nil {
+					t.Fatalf("cold restore of the build: %v", err)
+				}
+				if st := ix.Stats(); st.HotShards != 0 || st.ColdShards == 0 {
+					t.Fatalf("cold restore of the build: %d hot / %d cold shards", st.HotShards, st.ColdShards)
+				}
+			}
 
 			fail := func(op int, format string, args ...any) {
 				t.Helper()
@@ -424,15 +438,9 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 					// change a single match.
 					containProbe := genQuery(r, model)
 					preContain := contain(op, containProbe, 0.5)
-					if err := ix.Save(dir); err != nil {
-						fail(op, "Save: %v", err)
-					}
-					loaded, err := LoadShardedIndexWithOptions(dir, LoadOptions{
-						Workers: cfg.workers,
-						Tiering: cfg.tier,
-					})
+					loaded, err := reload()
 					if err != nil {
-						fail(op, "Load: %v", err)
+						fail(op, "Save + Load: %v", err)
 					}
 					ix = loaded
 					reconfigure(ix)
@@ -458,15 +466,9 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 			// every live set self-queries correctly plus a probe batch.
 			ix.Flush()
 			ix.Compact()
-			if err := ix.Save(dir); err != nil {
-				t.Fatalf("final Save: %v", err)
-			}
-			loaded, err := LoadShardedIndexWithOptions(dir, LoadOptions{
-				Workers: cfg.workers,
-				Tiering: cfg.tier,
-			})
+			loaded, err := reload()
 			if err != nil {
-				t.Fatalf("final Load: %v", err)
+				t.Fatalf("final Save + Load: %v", err)
 			}
 			ix = loaded
 			reconfigure(ix)

@@ -58,12 +58,13 @@ func (s *ShardedIndex) Search(q Query) (Result, error) {
 // changing its answers. See ShardedIndex.Configure.
 type RuntimeOptions = shard.RuntimeOptions
 
-// Tier names a shard storage tier for RuntimeOptions.Tiering and
-// LoadOptions.Tiering: TierHot keeps every shard's trie and sets on the
-// heap, TierCold leaves them in memory-mapped shard files. Answers are
-// byte-identical across tiers and cost the same per query; the choice is
-// about memory and restarts, it is the operator's, and nothing moves a
-// shard between tiers behind it.
+// Tier names a shard storage tier for LoadOptions.Tiering: TierHot keeps
+// every loaded shard's trie and sets on the heap, TierCold leaves them in
+// memory-mapped shard files. Answers are byte-identical across tiers and
+// cost the same per query; the choice is about memory and restarts, it is
+// made when a snapshot is loaded, and a shard keeps it: nothing moves a
+// shard between tiers afterwards. Shards that Add seals or Compact merges
+// are built on the heap.
 type Tier = shard.Tier
 
 // Storage tiers (see Tier).
@@ -73,8 +74,9 @@ const (
 )
 
 // Configure applies the runtime configuration in one validated call. It
-// is idempotent, and the applied state is saved with the index and
-// re-applied automatically by LoadShardedIndex.
+// is idempotent, fails only on invalid options (changing nothing), and the
+// applied state is saved with the index and re-applied automatically by
+// LoadShardedIndex.
 func (s *ShardedIndex) Configure(ro RuntimeOptions) error {
 	return s.ix.Configure(ro)
 }

@@ -150,8 +150,8 @@ func (s *ShardedIndex) Save(dir string) error {
 	return s.ix.Save(dir)
 }
 
-// LoadShardedIndex reopens an index saved by Save, loading shard files as
-// parallel tasks with the given worker count (which also becomes the
+// LoadShardedIndex reopens an index saved by Save in the hot tier, loading
+// shard files as parallel tasks with the given worker count (which also becomes the
 // loaded index's Workers option). The loaded index answers Search and
 // QueryBatch identically to the one that was saved, and Add continues
 // assigning ids from where it left off. Corrupt, truncated or
@@ -165,10 +165,10 @@ func LoadShardedIndex(dir string, workers int) (*ShardedIndex, error) {
 }
 
 // LoadOptions controls how LoadShardedIndexWithOptions reopens a
-// snapshot: shard-load parallelism plus the storage tier shards load
-// into (hot copies every shard to the heap, cold memory-maps the files
-// and uses them in place; empty defers to the tier the snapshot was saved
-// under).
+// snapshot: shard-load parallelism plus the storage tier the loaded shards
+// keep (hot, the default, validates every shard file and copies it to the
+// heap; cold memory-maps the files and uses them in place). The tier a
+// snapshot was saved from plays no part.
 type LoadOptions = shard.LoadOptions
 
 // LoadShardedIndexWithOptions is LoadShardedIndex with the storage tier
