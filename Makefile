@@ -54,7 +54,10 @@ test-benchmark:
 # machine moving the shards behind HTTP peers doubled query latency. So the
 # remote backend stays deleted — no remoteShard, shardBackend interface,
 # Distribute, placementState, hostedShardFor, KeepLocal or /v1/shard/
-# endpoint in non-test Go.
+# endpoint in non-test Go. A shard is validated when it is built or opened,
+# in either tier, so a query cannot fail: no 502, no query error counter, no
+# compaction that skips a victim it cannot read, and no QueryErr or
+# QueryContain beside Search in non-test Go outside benchmark/.
 surface:
 	@out=$$(grep -rn 'Deprecated:' --include='*.go' .); if [ -n "$$out" ]; then echo "deprecated surface:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'mux\.Handle' internal/shard/server.go | grep -v '("/v1/'); if [ -n "$$out" ]; then echo "endpoint outside /v1/:"; echo "$$out"; exit 1; fi
@@ -68,6 +71,7 @@ surface:
 	@out=$$(grep -rnE 'TierAuto|AutoColdBytes|\bRetier\b' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a tier policy is back (hot and cold cost the same per query; the tier is the operator's choice):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'applyTiering|encodeShardBytes|func spool|\) (promote|demote)\(|tierPromotions|tierDemotions|(rt|ro)\.Tiering' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./benchmark/'); if [ -n "$$out" ]; then echo "a runtime tier move is back (a shard keeps the tier it was opened in):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'remoteShard|shardBackend|Distribute|placementState|hostedShardFor|KeepLocal|/v1/shard/' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "the remote backend is back (the index is served from one process):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE 'StatusBadGateway|cps_query_errors_total|queryErrors|materializeVictims|\) QueryErr\(|\) QueryContain\(' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./benchmark/'); if [ -n "$$out" ]; then echo "a query error path is back (shards are validated when opened; only a bad request fails):"; echo "$$out"; exit 1; fi
 	@deps=$$($(GO) list -deps ./cmd/experiments) || exit 1; out=$$(echo "$$deps" | grep -xE 'repro/internal/(shard|cpindex|contain|metrics)|net/http|testing'); if [ -n "$$out" ]; then echo "cmd/experiments links the serving stack:"; echo "$$out"; exit 1; fi
 
 # race is the quick local loop (-short skips the slowest suites);

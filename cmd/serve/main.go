@@ -16,14 +16,16 @@
 // With -save-on-shutdown it snapshots the live index (including buffered
 // appends and tombstones) into DIR on graceful shutdown.
 //
-// Storage tiers: a tier is where the token array behind a shard's sets
-// lies, and -tier picks it for the shards a restore opens. -tier cold
-// restores shards memory-mapped and uses that array where it is in the file
-// — restore time and resident memory drop to the container headers, a
-// shard's first query checksums and validates it once, and from then on
-// every query, containment included, verifies against the mapped tokens at
-// the hot tier's cost and answers byte-identically to it. -tier hot, the
-// default, validates and copies every shard at load. The flag is a restore
+// Storage tiers: a tier is where a shard's trie and the token array behind
+// its sets lie, and -tier picks it for the shards a restore opens. Either
+// way the restore checksums and validates every shard file before the
+// server listens, so no query can fail on a corrupt file. -tier hot, the
+// default, then copies each shard's arrays to the heap; -tier cold leaves
+// them memory-mapped and uses them where they are in the file — resident
+// heap drops to the set headers and id maps, the file's pages live in the
+// page cache, and every query, containment included, verifies against the
+// mapped tokens at the hot tier's cost and answers byte-identically to it.
+// The flag is a restore
 // option: without -data it is a usage error, and when -data holds no
 // snapshot yet the index is built on the heap. A shard keeps the tier it
 // was opened in: shards that /v1/add seals or that compaction merges are
@@ -116,7 +118,7 @@ func main() {
 		cacheSize = flag.Int("cache", 0, "hot-query result cache entries (0 disables; invalidated automatically on any mutation); when given, overrides a restored snapshot's cache size")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/")
 		metricsOn = flag.Bool("metrics", true, "expose Prometheus metrics on /v1/metrics")
-		tierName  = flag.String("tier", "", "storage tier of the shards a restore opens: hot (validated and copied to the heap; the default) or cold (memory-mapped, used in place); requires -data")
+		tierName  = flag.String("tier", "", "storage tier of the shards a restore opens, each validated in full either way: hot (copied to the heap; the default) or cold (memory-mapped, used in place); requires -data")
 		slowQuery = flag.Duration("slow-query", 0, "log a structured line for /v1/query requests over this duration (0 disables)")
 		accessLog = flag.Bool("access-log", false, "log one structured line per HTTP request")
 	)

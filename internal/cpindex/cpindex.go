@@ -114,9 +114,10 @@ type Match struct {
 // kernel is the one query engine behind both views of an index: it owns
 // signing, the iterative trie walk, the two candidate-verify loops, the
 // pooled scratch and the counter flush. Index and Mapped differ only in
-// where the token array behind sets lies — the heap, or a snapshot container
-// left in place — so their answers, QueryStats and verification cost are
-// identical by construction.
+// when a container was validated — before the view exists, or at its first
+// query — and wherever the token array behind sets lies, the heap or a
+// snapshot container left in place, the answers, QueryStats and verification
+// cost are identical by construction.
 type kernel struct {
 	lambda float64
 	opt    Options
@@ -248,8 +249,9 @@ func (k *kernel) getScratch() *queryScratch {
 	return sc
 }
 
-// Index is a built Chosen Path search structure with its collection on the
-// heap: the view of the kernel whose queries cannot fail.
+// Index is a built or validated Chosen Path search structure: the view of the
+// kernel whose queries cannot fail. Build and Mapped.Index put its trie and
+// collection on the heap; Mapped.InPlace leaves them in their container.
 type Index struct {
 	*kernel
 
@@ -334,7 +336,8 @@ func signAll(signer *minhash.Signer, sets [][]uint32, workers int) []uint32 {
 	return flat
 }
 
-// Sets returns the indexed collection (not a copy).
+// Sets returns the indexed collection (not a copy: for an InPlace view, the
+// headers over its container).
 func (ix *Index) Sets() [][]uint32 { return ix.sets }
 
 // Query returns an indexed set with J(q, result) >= lambda if the search

@@ -9,14 +9,19 @@ import (
 )
 
 // Mapped is the view of the kernel whose collection stays inside a
-// snapshot container (typically an mmap'd file) — the cold tier. Opening
-// one costs only the meta section, a few dozen bytes, regardless of index
-// size. The first query is the first touch: it checksums the trees and sets
-// sections and runs decodeTrie and snapshot.ReadSets over them once. Neither
-// copies: afterwards the kernel's trie is five typed views of the trees
-// section and its sets are headers over the sets section's token region, so a
-// query walks and verifies exactly as Index does, over the container's own
-// bytes, and a cold index costs page cache plus 24 B of header per set.
+// snapshot container (typically an mmap'd file). Opening one costs only the
+// meta section, a few dozen bytes, regardless of index size. The first touch
+// checksums the trees and sets sections and runs decodeTrie and
+// snapshot.ReadSets over them once. Neither copies: afterwards the kernel's
+// trie is five typed views of the trees section and its sets are headers over
+// the sets section's token region, so a query walks and verifies exactly as
+// Index does, over the container's own bytes, and costs page cache plus 24 B
+// of header per set.
+//
+// Who touches it when: Index (cpindex.Load, a hot shard load) and InPlace (a
+// cold shard load) run the first touch at once and return a view that cannot
+// fail; only the query methods below defer it to the first query, which is
+// how the ledger's trace (benchmark/) times the first touch on its own.
 //
 // Answers and QueryStats are identical to Index's because both run the
 // same kernel; a flipped bit in any section surfaces as ErrCorrupt at open
@@ -143,6 +148,18 @@ func (m *Mapped) Sets() ([][]uint32, error) {
 	sets := snapshot.CloneSets(view)
 	runtime.KeepAlive(m.retain)
 	return sets, nil
+}
+
+// InPlace runs the first touch and returns the validated view without copying
+// it: an Index over m's own kernel, whose trie and sets lie in the container.
+// It is valid only while the container is: a caller keeps the mapping m pins
+// reachable and ends every use of the result with runtime.KeepAlive — a cold
+// shard load is this call.
+func (m *Mapped) InPlace() (*Index, error) {
+	if err := m.ensureStruct(); err != nil {
+		return nil, err
+	}
+	return &Index{kernel: m.kernel, Nodes: m.nodes, Leaves: m.leaves}, nil
 }
 
 // Index moves the collection and the trie onto the heap — one bulk copy per

@@ -138,7 +138,8 @@ func equalTries(a, b *trie) bool {
 
 // TestMappedTrieReadsInPlace: after first touch the five arrays of a mapped
 // index's trie are the trees section of its file — on a little-endian host
-// nothing is copied, elsewhere View converts once — and Index() clones them,
+// nothing is copied, elsewhere View converts once — InPlace() hands out that
+// same view, and Index() clones them,
 // so the heap view still answers once the file is unmapped (a trie left
 // aliasing the mapping dies there with "unexpected fault address").
 func TestMappedTrieReadsInPlace(t *testing.T) {
@@ -182,6 +183,13 @@ func TestMappedTrieReadsInPlace(t *testing.T) {
 		if within(trees, p) != littleEndian {
 			t.Errorf("%s: inside the trees section = %v on a host whose little-endianness is %v", name, !littleEndian, littleEndian)
 		}
+	}
+	in, err := m.InPlace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.trie != m.trie || !matchesEqual(in.QueryAll(sets[0]), ix.QueryAll(sets[0])) {
+		t.Fatal("InPlace is not the validated view the mapped index queries")
 	}
 	hot, err := m.Index()
 	if err != nil {

@@ -10,13 +10,14 @@
 // A mapping goes when its File is collected, and a slice of Data (or a typed
 // view over one) does not keep the File alive. So whatever hands such slices
 // out holds the File, and whoever reads them keeps that holder reachable
-// until the last read. There are two holders. A cpindex.Mapped keeps views of
-// three sections of its container after first touch — the trie's five arrays,
-// the sets' token region and (through the shard that owns it) the containment
-// signature matrix — and every query goes through it and ends with a
-// KeepAlive of the File; what must outlive it (the cpindex.Index of a
-// hot-loaded shard or of cpindex.Load, a compaction's merged shard) takes
-// clones. A prep.Index
+// until the last read. There are three holders. A cpindex.Mapped keeps views
+// of two sections of its container after first touch — the trie's five arrays
+// and the sets' token region — and each of its query methods ends with a
+// KeepAlive of the File. A loaded ring shard (internal/shard) holds the File
+// itself beside the same views (Mapped.InPlace, for a cold shard) and the
+// containment signature matrix, and every query of it ends with a KeepAlive
+// of the shard; what must outlive it (the cpindex.Index of a hot-loaded shard
+// or of cpindex.Load, a compaction's merged shard) takes clones. A prep.Index
 // keeps Sigs and Sketches, and the joins, which copy them out, KeepAlive it.
 // Mappings are read-only and a file under one is never rewritten in place
 // (writers go through a temp file and a rename), so a view validated once

@@ -26,12 +26,12 @@ func TestCacheIdenticalAnswers(t *testing.T) {
 					t.Fatalf("%s pass %d Query(%d): cached (%d,%v,%v) != plain (%d,%v,%v)",
 						stage, pass, i, gid, gsim, gok, wid, wsim, wok)
 				}
-				if !equalMatches(t, mustQueryAll(t, cached, q), mustQueryAll(t, plain, q)) {
+				if !equalMatches(t, cached.QueryAllErr(q), plain.QueryAllErr(q)) {
 					t.Fatalf("%s pass %d QueryAll(%d) differs", stage, pass, i)
 				}
 			}
-			wb := mustQueryBatch(t, plain, qs)
-			gb := mustQueryBatch(t, cached, qs)
+			wb := plain.QueryBatchErr(qs)
+			gb := cached.QueryBatchErr(qs)
 			for i := range wb {
 				if !equalMatches(t, gb[i], wb[i]) {
 					t.Fatalf("%s pass %d QueryBatch[%d] differs", stage, pass, i)
@@ -149,14 +149,14 @@ func TestConfigureCacheAfterBuild(t *testing.T) {
 	if x.Stats().CacheEnabled {
 		t.Fatal("cache on without CacheSize")
 	}
-	before := mustQueryAll(t, x, sets[0])
+	before := x.QueryAllErr(sets[0])
 	if err := x.Configure(RuntimeOptions{CacheSize: 16}); err != nil {
 		t.Fatal(err)
 	}
 	if !x.Stats().CacheEnabled {
 		t.Fatal("cache off after Configure(CacheSize: 16)")
 	}
-	if !equalMatches(t, mustQueryAll(t, x, sets[0]), before) {
+	if !equalMatches(t, x.QueryAllErr(sets[0]), before) {
 		t.Fatal("answers changed when cache enabled")
 	}
 	if err := x.Configure(RuntimeOptions{}); err != nil {

@@ -77,11 +77,7 @@ func (x *Index) compact() CompactResult {
 	x.compactMu.Lock()
 	defer x.compactMu.Unlock()
 
-	selected, tombs := x.selectVictims()
-	// A cold victim whose container fails to read right now drops out of
-	// the pass, and the remaining selection is re-checked against the policy
-	// so a lone survivor with nothing to reclaim isn't churned.
-	victims := materializeVictims(selected, tombs)
+	victims, tombs := x.selectVictims()
 	if len(victims) == 0 {
 		x.mu.RLock()
 		gen := x.generation
@@ -116,7 +112,7 @@ func (x *Index) compact() CompactResult {
 	x.mu.Lock()
 	gone := make(map[*localShard]struct{}, len(victims))
 	for _, v := range victims {
-		gone[v.shard] = struct{}{}
+		gone[v] = struct{}{}
 	}
 	ring := make([]*localShard, 0, len(x.shards)-len(victims)+1)
 	for _, sh := range x.shards {
@@ -158,50 +154,6 @@ func (x *Index) compact() CompactResult {
 	}
 	x.mu.Unlock()
 	return res
-}
-
-// compactVictim pairs a ring shard selected for compaction with its sets
-// materialized on the heap.
-type compactVictim struct {
-	shard *localShard
-	sets  [][]uint32
-}
-
-// materializeVictims brings every victim's sets onto the heap — a hot
-// shard's own slice, a cold shard's copy out of its container — and
-// re-checks the selection policy over the victims that materialized: a
-// victim whose container cannot be read right now drops out, and a
-// selection reduced below two shards with nothing to reclaim is abandoned
-// rather than churned.
-func materializeVictims(victims []*localShard, tombs map[int]struct{}) []compactVictim {
-	out := make([]compactVictim, 0, len(victims))
-	for _, v := range victims {
-		// Queries against a cold victim that fails here will surface the
-		// corruption themselves.
-		if sets, err := v.res.heapSets(); err == nil {
-			out = append(out, compactVictim{shard: v, sets: sets})
-		}
-	}
-	if len(out) == len(victims) {
-		return out
-	}
-	// Some victims failed to materialize; keep the pass only if what
-	// remains still merges usefully (mirrors selectVictims' final rule).
-	if len(out) >= 2 {
-		return out
-	}
-	dead := 0
-	for _, v := range out {
-		for _, id := range v.shard.ids {
-			if _, d := tombs[id]; d {
-				dead++
-			}
-		}
-	}
-	if dead == 0 {
-		return nil
-	}
-	return out
 }
 
 // selectVictims applies the compaction policy to a read snapshot of the
@@ -251,11 +203,12 @@ func (x *Index) selectVictims() ([]*localShard, map[int]struct{}) {
 }
 
 // collectLive gathers the victims' non-tombstoned entries sorted by
-// global id, plus the ids of the tombstoned entries being dropped.
-func collectLive(victims []compactVictim, tombs map[int]struct{}) (ids []int, sets [][]uint32, dropped []int) {
+// global id, with their sets on the heap (see heapSets), plus the ids of the
+// tombstoned entries being dropped.
+func collectLive(victims []*localShard, tombs map[int]struct{}) (ids []int, sets [][]uint32, dropped []int) {
 	total := 0
 	for _, v := range victims {
-		total += len(v.shard.ids)
+		total += len(v.ids)
 	}
 	type entry struct {
 		id  int
@@ -263,12 +216,13 @@ func collectLive(victims []compactVictim, tombs map[int]struct{}) (ids []int, se
 	}
 	live := make([]entry, 0, total)
 	for _, v := range victims {
-		for i, id := range v.shard.ids {
+		vsets := v.heapSets()
+		for i, id := range v.ids {
 			if _, d := tombs[id]; d {
 				dropped = append(dropped, id)
 				continue
 			}
-			live = append(live, entry{id, v.sets[i]})
+			live = append(live, entry{id, vsets[i]})
 		}
 	}
 	slices.SortFunc(live, func(a, b entry) int { return cmp.Compare(a.id, b.id) })

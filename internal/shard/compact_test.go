@@ -60,7 +60,7 @@ func TestCompactEquivalence(t *testing.T) {
 	if before.Shards < 4 {
 		t.Fatalf("churn produced only %d shards, want several seals", before.Shards)
 	}
-	wantBatch := mustQueryBatch(t, x, probes)
+	wantBatch := x.QueryBatchErr(probes)
 	wantBest := make([][3]any, len(probes))
 	for i, q := range probes {
 		id, sim, ok := mustQuery(t, x, q)
@@ -91,7 +91,7 @@ func TestCompactEquivalence(t *testing.T) {
 		t.Fatalf("generation did not bump: %d -> %d", before.Generation, after.Generation)
 	}
 
-	got := mustQueryBatch(t, x, probes)
+	got := x.QueryBatchErr(probes)
 	for i := range probes {
 		if !equalMatches(t, got[i], wantBatch[i]) {
 			t.Fatalf("query %d: QueryBatch changed across Compact: %v != %v", i, got[i], wantBatch[i])
@@ -124,7 +124,7 @@ func TestCompactTombstoneRatioRewritesLargeShard(t *testing.T) {
 		x.Delete(id + 1)
 	}
 	probes := sets[:150]
-	want := mustQueryBatch(t, x, probes)
+	want := x.QueryBatchErr(probes)
 
 	res := x.Compact()
 	if res.Merged != 1 || res.Reclaimed != 120 {
@@ -137,7 +137,7 @@ func TestCompactTombstoneRatioRewritesLargeShard(t *testing.T) {
 	if st.Tombstones != 0 {
 		t.Fatalf("tombstones not reclaimed: %d left", st.Tombstones)
 	}
-	got := mustQueryBatch(t, x, probes)
+	got := x.QueryBatchErr(probes)
 	for i := range probes {
 		if !equalMatches(t, got[i], want[i]) {
 			t.Fatalf("query %d changed across ratio-triggered rewrite", i)
@@ -196,7 +196,7 @@ func TestQueryDeadBestMatchRescan(t *testing.T) {
 	if id, _, ok := mustQuery(t, x, q); ok {
 		t.Fatalf("all matches dead, Query still returned id=%d", id)
 	}
-	if ms := mustQueryAll(t, x, q); len(ms) != 0 {
+	if ms := x.QueryAllErr(q); len(ms) != 0 {
 		t.Fatalf("all matches dead, QueryAll returned %v", ms)
 	}
 
@@ -267,7 +267,7 @@ func TestDeleteIdempotentAfterReclaim(t *testing.T) {
 // compaction restore an index that answers identically.
 func TestCompactSaveLoad(t *testing.T) {
 	x, probes, dead := churn(t, exactOptions(2, 40, 71))
-	want := mustQueryBatch(t, x, probes)
+	want := x.QueryBatchErr(probes)
 
 	// Save racing the compaction: the snapshot sees the old or the new
 	// ring, both of which answer identically.
@@ -286,7 +286,7 @@ func TestCompactSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := mustQueryBatch(t, mid, probes)
+	got := mid.QueryBatchErr(probes)
 	for i := range probes {
 		if !equalMatches(t, got[i], want[i]) {
 			t.Fatalf("query %d differs after mid-compaction save/load", i)
@@ -302,7 +302,7 @@ func TestCompactSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = mustQueryBatch(t, post, probes)
+	got = post.QueryBatchErr(probes)
 	for i := range probes {
 		if !equalMatches(t, got[i], want[i]) {
 			t.Fatalf("query %d differs after post-compaction save/load", i)
@@ -357,7 +357,7 @@ func TestCompactConcurrentServing(t *testing.T) {
 					return
 				}
 			}
-			for _, ms := range mustQueryBatch(t, x, extra[:40]) {
+			for _, ms := range x.QueryBatchErr(extra[:40]) {
 				for _, m := range ms {
 					if m.ID >= deadSince && (m.ID-deadSince)%4 == 0 {
 						// The add/delete goroutine may not have deleted it
@@ -411,7 +411,7 @@ func TestAutoCompact(t *testing.T) {
 	// Every appended set remains findable under its global id.
 	for i, q := range extra {
 		found := false
-		for _, m := range mustQueryAll(t, x, q) {
+		for _, m := range x.QueryAllErr(q) {
 			if m.ID == len(sets)+i {
 				found = true
 			}
@@ -433,7 +433,7 @@ func TestCompactPreservesStandaloneEquivalence(t *testing.T) {
 		t.Fatalf("nothing compacted: %+v", st)
 	}
 	x.mu.RLock()
-	merged := x.shards[len(x.shards)-1].res.hot
+	merged := x.shards[len(x.shards)-1].ix
 	x.mu.RUnlock()
 	if merged.Len() != res.Sets {
 		t.Fatalf("merged shard holds %d sets, result says %d", merged.Len(), res.Sets)

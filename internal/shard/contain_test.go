@@ -11,6 +11,8 @@ import (
 
 	"repro/internal/cpindex"
 	"repro/internal/intset"
+	"repro/internal/minhash"
+	"repro/internal/mmap"
 	"repro/internal/race"
 	"repro/internal/snapshot"
 )
@@ -103,10 +105,7 @@ func TestQueryContainAgainstBruteForce(t *testing.T) {
 					for _, m := range truth {
 						inTruth[m.ID] = m.Sim
 					}
-					got, err := x.QueryContain(q, th)
-					if err != nil {
-						t.Fatalf("%v/%d: probe %d t=%v: %v", part, shards, pi, th, err)
-					}
+					got := mustContain(t, x, q, th)
 					for i, m := range got {
 						if i > 0 && got[i-1].ID >= m.ID {
 							t.Fatalf("%v/%d: probe %d t=%v: ids not strictly ascending: %v",
@@ -180,11 +179,7 @@ func TestQueryContainIdenticalAcrossTopologies(t *testing.T) {
 		var answers []cpindex.Match
 		for _, q := range probes {
 			for _, th := range containThresholds {
-				ms, err := x.QueryContain(q, th)
-				if err != nil {
-					t.Fatalf("config %d: %v", ci, err)
-				}
-				answers = append(answers, ms...)
+				answers = append(answers, mustContain(t, x, q, th)...)
 				answers = append(answers, cpindex.Match{ID: -1}) // probe separator
 			}
 		}
@@ -204,21 +199,19 @@ func TestQueryContainValidation(t *testing.T) {
 	sets, _ := workload(80, 0.8, 421)
 	x := Build(sets, 0.5, &Options{Shards: 2, Seed: 5})
 	for _, bad := range []float64{0, -0.5, 1.0001, 2} {
-		if _, err := x.QueryContain(sets[0], bad); !errors.Is(err, ErrBadRequest) {
+		if _, err := x.Search(Request{Set: sets[0], Mode: ModeContainment, Threshold: bad}, nil); !errors.Is(err, ErrBadRequest) {
 			t.Fatalf("threshold %v: error %v, want a bad-request rejection", bad, err)
 		}
 	}
-	if ms, err := x.QueryContain(nil, 0.5); err != nil || ms != nil {
-		t.Fatalf("empty query: (%v, %v), want (nil, nil)", ms, err)
+	if ms := mustContain(t, x, nil, 0.5); ms != nil {
+		t.Fatalf("empty query: %v, want nil", ms)
 	}
 	empty := Build(nil, 0.5, &Options{})
-	if ms, err := empty.QueryContain(sets[0], 0.5); err != nil || len(ms) != 0 {
-		t.Fatalf("empty index: (%v, %v), want no matches", ms, err)
+	if ms := mustContain(t, empty, sets[0], 0.5); len(ms) != 0 {
+		t.Fatalf("empty index: %v, want no matches", ms)
 	}
 	// t=1 is valid: exact full containment.
-	if _, err := x.QueryContain(sets[0][:5], 1); err != nil {
-		t.Fatalf("t=1: %v", err)
-	}
+	mustContain(t, x, sets[0][:5], 1)
 }
 
 // TestQueryContainSaveLoadRoundTrip: a snapshot persists the containment
@@ -249,25 +242,19 @@ func TestQueryContainSaveLoadRoundTrip(t *testing.T) {
 	}
 	for pi, q := range probes {
 		for _, th := range containThresholds {
-			want, err1 := x.QueryContain(q, th)
-			got, err2 := y.QueryContain(q, th)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("probe %d t=%v: errs %v / %v", pi, th, err1, err2)
-			}
-			if !equalMatches(t, got, want) {
+			if !equalMatches(t, mustContain(t, y, q, th), mustContain(t, x, q, th)) {
 				t.Fatalf("probe %d t=%v: answers differ across save/load", pi, th)
 			}
 		}
 	}
 }
 
-// rewriteContainSection saves a one-shard index of sets to a fresh directory
-// and rewrites the shard file with edit applied to its contain payload
-// (nil drops the section), every checksum fresh.
-func rewriteContainSection(t *testing.T, sets [][]uint32, edit func(payload []byte) []byte) string {
+// saveOneShard saves a one-shard index of sets to a fresh directory and
+// returns the directory and the shard file's path.
+func saveOneShard(t *testing.T, sets [][]uint32) (dir, path string) {
 	t.Helper()
 	x := Build(sets, 0.5, &Options{Shards: 1, Seed: 37})
-	dir := t.TempDir()
+	dir = t.TempDir()
 	if err := x.Save(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +262,13 @@ func rewriteContainSection(t *testing.T, sets [][]uint32, edit func(payload []by
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, m.Shards[0].File)
+	return dir, filepath.Join(dir, m.Shards[0].File)
+}
+
+// rewriteContainSection rewrites the shard file at path with edit applied to
+// its contain payload (nil drops the section), every checksum fresh.
+func rewriteContainSection(t *testing.T, path string, edit func(payload []byte) []byte) {
+	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -301,47 +294,114 @@ func rewriteContainSection(t *testing.T, sets [][]uint32, edit func(payload []by
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dir
+}
+
+// editFile applies edit to the bytes of the file at path, checksums left as
+// they were.
+func editFile(t *testing.T, path string, edit func(raw []byte) []byte) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, edit(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// corruptShard is one way to damage a saved one-shard directory's shard file,
+// and the text its load error must carry.
+type corruptShard struct {
+	name    string
+	corrupt func(t *testing.T, path string)
+	want    string
+}
+
+// checkLoadsRejected saves sets as one shard once per case, applies the case,
+// and requires LoadWithOptions to fail hot and cold alike, with ErrCorrupt,
+// the same message and the shard file's name: a load validates every section
+// of every shard file, in either tier, so what loads cannot fail a query later.
+func checkLoadsRejected(t *testing.T, sets [][]uint32, cases []corruptShard) {
+	t.Helper()
+	for _, tc := range cases {
+		dir, path := saveOneShard(t, sets)
+		tc.corrupt(t, path)
+		var msgs []string
+		for _, tier := range []Tier{TierHot, TierCold} {
+			_, err := LoadWithOptions(dir, LoadOptions{Tiering: tier})
+			if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) ||
+				!strings.Contains(err.Error(), filepath.Base(path)) {
+				t.Errorf("%s: %s load err = %v, want ErrCorrupt naming %s and mentioning %q",
+					tc.name, tier, err, filepath.Base(path), tc.want)
+				continue
+			}
+			msgs = append(msgs, err.Error())
+		}
+		if len(msgs) == 2 && msgs[0] != msgs[1] {
+			t.Errorf("%s: hot load says %q, cold load %q", tc.name, msgs[0], msgs[1])
+		}
+	}
+}
+
+// TestLoadRejectsCorruptShard: a flipped byte in any section of a shard file
+// fails its checksum at load, in either tier.
+func TestLoadRejectsCorruptShard(t *testing.T) {
+	sets, _ := workload(120, 0.8, 441)
+	flip := func(section string) func(t *testing.T, path string) {
+		return func(t *testing.T, path string) {
+			editFile(t, path, func(raw []byte) []byte {
+				snap, err := snapshot.OpenMapped(raw, shardKind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sec := snap.Lookup(section)
+				raw[sec.Off+sec.Len/2] ^= 0x10
+				return raw
+			})
+		}
+	}
+	checkLoadsRejected(t, sets, []corruptShard{
+		{"trees flipped", flip("trees"), `section "trees": checksum mismatch`},
+		{"sets flipped", flip("sets"), `section "sets": checksum mismatch`},
+		{"ids flipped", flip("ids"), `section "ids": checksum mismatch`},
+		{"contain flipped", flip("contain"), `section "contain": checksum mismatch`},
+	})
+}
+
+// TestLoadColdCorruptShard: a truncated shard file fails the container walk
+// at load, cold as hot — never a panic from the mapped decoder.
+func TestLoadColdCorruptShard(t *testing.T) {
+	sets, _ := workload(120, 0.8, 441)
+	checkLoadsRejected(t, sets, []corruptShard{
+		{"truncated", func(t *testing.T, path string) {
+			editFile(t, path, func(raw []byte) []byte { return raw[:len(raw)/2] })
+		}, "exceeds remaining"},
+	})
 }
 
 // TestLoadRejectsMissingContainSection: every container carries its containment
 // signatures, so a loaded shard never signs its sets. A shard file without the
-// section, or with one whose 16-byte header does not describe the shard and the
-// matrix behind it or names a T or seed other than the ring's, is corrupt — its
-// candidates would not be the ring's: a hot load refuses it, and a cold load
-// (which reads sections lazily) errors on the first containment query instead
-// of rebuilding.
+// section, or with one whose 16-byte header, re-sealed with a fresh checksum,
+// does not describe the shard and the matrix behind it or names a T or seed
+// other than the ring's, is corrupt — its candidates would not be the ring's —
+// and a load refuses it in either tier.
 func TestLoadRejectsMissingContainSection(t *testing.T) {
 	sets, _ := workload(120, 0.8, 441)
 	le := binary.LittleEndian
-	for _, tc := range []struct {
-		name string
-		edit func(payload []byte) []byte
-		want string
-	}{
-		{"missing", func([]byte) []byte { return nil }, "missing section"},
-		{"T = 0", func(b []byte) []byte { le.PutUint32(b[0:], 0); return b }, "implausible signature length"},
-		{"T past the cap", func(b []byte) []byte { le.PutUint32(b[0:], 1<<16+1); return b }, "implausible signature length"},
-		{"n of another shard", func(b []byte) []byte { le.PutUint32(b[12:], 121); return b }, "covers 121 sets"},
-		{"another seed", func(b []byte) []byte { le.PutUint64(b[4:], le.Uint64(b[4:])+1); return b }, "the ring signs under"},
-		{"another T", func(b []byte) []byte { le.PutUint32(b[0:], 32); return b }, "signed under T=32"},
-		{"matrix a word short", func(b []byte) []byte { return b[:len(b)-4] }, "signature bytes"},
-		{"matrix a byte over", func(b []byte) []byte { return append(b, 0) }, "signature bytes"},
-		{"header truncated", func(b []byte) []byte { return b[:15] }, "truncated"},
-	} {
-		dir := rewriteContainSection(t, sets, tc.edit)
-		if _, err := LoadWithOptions(dir, LoadOptions{Tiering: TierHot}); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: hot load err = %v, want ErrCorrupt mentioning %q", tc.name, err, tc.want)
-		}
-		cold, err := LoadWithOptions(dir, LoadOptions{Tiering: TierCold})
-		if err != nil {
-			t.Errorf("%s: cold load reads no contain section, yet failed: %v", tc.name, err)
-			continue
-		}
-		if _, err := cold.QueryContain(sets[0], 0.5); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: cold containment query err = %v, want ErrCorrupt mentioning %q", tc.name, err, tc.want)
-		}
+	contain := func(edit func(payload []byte) []byte) func(t *testing.T, path string) {
+		return func(t *testing.T, path string) { rewriteContainSection(t, path, edit) }
 	}
+	checkLoadsRejected(t, sets, []corruptShard{
+		{"missing", contain(func([]byte) []byte { return nil }), "missing section"},
+		{"T = 0", contain(func(b []byte) []byte { le.PutUint32(b[0:], 0); return b }), "implausible signature length"},
+		{"T past the cap", contain(func(b []byte) []byte { le.PutUint32(b[0:], 1<<16+1); return b }), "implausible signature length"},
+		{"n of another shard", contain(func(b []byte) []byte { le.PutUint32(b[12:], 121); return b }), "covers 121 sets"},
+		{"another seed", contain(func(b []byte) []byte { le.PutUint64(b[4:], le.Uint64(b[4:])+1); return b }), "the ring signs under"},
+		{"another T", contain(func(b []byte) []byte { le.PutUint32(b[0:], 32); return b }), "signed under T=32"},
+		{"matrix a word short", contain(func(b []byte) []byte { return b[:len(b)-4] }), "signature bytes"},
+		{"matrix a byte over", contain(func(b []byte) []byte { return append(b, 0) }), "signature bytes"},
+		{"header truncated", contain(func(b []byte) []byte { return b[:15] }), "truncated"},
+	})
 }
 
 // TestColdContainmentReadsInPlace: a containment query leaves a cold shard
@@ -351,7 +411,8 @@ func TestLoadRejectsMissingContainSection(t *testing.T) {
 // are those of the hot restore.
 func TestColdContainmentReadsInPlace(t *testing.T) {
 	sets, _ := workload(300, 0.8, 443)
-	dir := rewriteContainSection(t, sets, func(b []byte) []byte { return b })
+	dir, path := saveOneShard(t, sets)
+	rewriteContainSection(t, path, func(b []byte) []byte { return b })
 	hot, err := LoadWithOptions(dir, LoadOptions{Tiering: TierHot})
 	if err != nil {
 		t.Fatal(err)
@@ -362,46 +423,35 @@ func TestColdContainmentReadsInPlace(t *testing.T) {
 	}
 	for pi, q := range containProbes(sets, 40) {
 		for _, th := range containThresholds {
-			want, err := hot.QueryContain(q, th)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := cold.QueryContain(q, th)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalMatches(t, got, want) {
+			if !equalMatches(t, mustContain(t, cold, q, th), mustContain(t, hot, q, th)) {
 				t.Fatalf("probe %d t=%v: cold answers differ from hot", pi, th)
 			}
 		}
 	}
 	s := cold.shards[0]
-	r := &s.res
-	if !s.isCold() || cold.Stats().ColdShards != 1 {
+	if !s.cold || cold.Stats().ColdShards != 1 {
 		t.Fatal("a containment query moved a cold shard's sets to the heap")
 	}
-	sec := r.snap.Lookup("contain")
+	sec := s.snap.Lookup("contain")
 	if (sec.Off+16)%4 != 0 || sec.Len != int64(16+4*64*len(sets)) {
 		t.Fatalf("contain section at %d+%d: the matrix does not start 16 bytes in, 4-aligned", sec.Off, sec.Len)
 	}
 	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
 		return // a big-endian host converts; nothing aliases
 	}
-	view, err := r.cold.View()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data := r.snap.Bytes(); !aliases(data, s.contain.Load().Signatures()) || !aliases(data, view[0]) {
+	if data := s.snap.Bytes(); !aliases(data, s.contain.Load().Signatures()) || !aliases(data, s.ix.Sets()[0]) {
 		t.Fatal("a cold shard's signatures or sets are heap copies of its container")
 	}
 	runtime.KeepAlive(s)
 }
 
-// TestColdTrieReadsInPlace: the first touch of a cold shard validates its
-// trie where the container holds it. Queries leave the shard cold, and the
-// whole first query — both checksums, the trie's validation, the set headers
-// — allocates a fraction of the trees section's size: a decoder that copied
-// the five arrays would allocate all of it. (The arrays themselves are
+// TestColdTrieReadsInPlace: a cold load validates each shard's trie where the
+// container holds it. The whole load — every checksum, the trie's
+// validation, the set headers, the id map — allocates a fraction of the trees
+// section's size beside the MinHash signer every load draws (a function of T
+// and the seed, not of the data): a decoder that copied the five arrays would
+// allocate all of it. The first query after it validates nothing and copies
+// no trie, and queries leave the shard cold. (The arrays themselves are
 // cpindex's; TestMappedTrieReadsInPlace there checks they alias the file.)
 func TestColdTrieReadsInPlace(t *testing.T) {
 	sets, _ := workload(2000, 0.8, 461)
@@ -410,25 +460,38 @@ func TestColdTrieReadsInPlace(t *testing.T) {
 	if err := want.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	cold, err := LoadWithOptions(dir, LoadOptions{Tiering: TierCold})
-	if err != nil {
-		t.Fatal(err)
+	allocated := func(f func()) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
 	}
-	trees := cold.shards[0].res.snap.Lookup("trees").Len
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	first := mustQueryAll(t, cold, sets[0])
-	runtime.ReadMemStats(&after)
-	if !equalMatches(t, first, mustQueryAll(t, want, sets[0])) {
+	signer := allocated(func() { minhash.NewSigner(want.shards[0].ix.Options().T, 1) })
+	var cold *Index
+	load := allocated(func() {
+		var err error
+		if cold, err = LoadWithOptions(dir, LoadOptions{Tiering: TierCold}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var first []Match
+	query := allocated(func() { first = cold.QueryAllErr(sets[0]) })
+	trees := cold.shards[0].snap.Lookup("trees").Len
+	t.Logf("cold load allocated %d B (%d B of it the signer), first query %d B, beside a trees section of %d B",
+		load, signer, query, trees)
+	// Without mmap the load reads the whole file onto the heap, so only the
+	// first query is bounded there.
+	loadCopied := mmap.Supported && load-signer > trees/4
+	if binary.NativeEndian.Uint16([]byte{1, 0}) == 1 && !race.Enabled && (loadCopied || query > trees/4) {
+		t.Errorf("the trie was copied: the cold load allocated %d B beside its signer, the first query %d B; the trees section holds %d",
+			load-signer, query, trees)
+	}
+	if !equalMatches(t, first, want.QueryAllErr(sets[0])) {
 		t.Fatal("first query: cold answers differ from the index that was saved")
 	}
-	allocated := int64(after.TotalAlloc - before.TotalAlloc)
-	t.Logf("first touch allocated %d B beside a trees section of %d B", allocated, trees)
-	if binary.NativeEndian.Uint16([]byte{1, 0}) == 1 && !race.Enabled && allocated > trees/4 {
-		t.Errorf("first touch allocated %d B, the trees section holds %d: the trie was copied", allocated, trees)
-	}
 	for i := 0; i < len(sets); i += 20 {
-		if !equalMatches(t, mustQueryAll(t, cold, sets[i]), mustQueryAll(t, want, sets[i])) {
+		if !equalMatches(t, cold.QueryAllErr(sets[i]), want.QueryAllErr(sets[i])) {
 			t.Fatalf("query %d: cold answers differ from the index that was saved", i)
 		}
 	}
@@ -455,10 +518,8 @@ func TestRingSharesOneSigner(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, x := range map[string]*Index{"built": built, "restored cold": cold} {
-		for pi, q := range containProbes(sets, 20) {
-			if _, err := x.QueryContain(q, 0.7); err != nil {
-				t.Fatalf("%s: probe %d: %v", name, pi, err)
-			}
+		for _, q := range containProbes(sets, 20) {
+			mustContain(t, x, q, 0.7)
 		}
 		if len(x.shards) < 4 {
 			t.Fatalf("%s: %d shards, built for a sealed one beside the three", name, len(x.shards))
@@ -487,13 +548,9 @@ func TestQueryContainCache(t *testing.T) {
 		t.Helper()
 		for pi, q := range probes {
 			for _, th := range containThresholds {
-				want, _ := plain.QueryContain(q, th)
+				want := mustContain(t, plain, q, th)
 				for rep := 0; rep < 2; rep++ { // second rep is the cache hit
-					got, err := cached.QueryContain(q, th)
-					if err != nil {
-						t.Fatalf("%s: probe %d t=%v rep %d: %v", stage, pi, th, rep, err)
-					}
-					if !equalMatches(t, got, want) {
+					if !equalMatches(t, mustContain(t, cached, q, th), want) {
 						t.Fatalf("%s: probe %d t=%v rep %d: cached answers diverge", stage, pi, th, rep)
 					}
 				}
@@ -516,13 +573,11 @@ func TestContainSideIsLazy(t *testing.T) {
 	sets, _ := workload(50, 0.8, 461)
 	x := Build(sets, 0.5, &Options{Shards: 1, Seed: 3})
 	sub := x.shards[0]
-	mustQueryAll(t, x, sets[0])
+	x.QueryAllErr(sets[0])
 	if sub.contain.Load() != nil {
 		t.Fatal("containment side built eagerly; the lazy contract changed")
 	}
-	if _, err := x.QueryContain(sets[0], 0.5); err != nil {
-		t.Fatal(err)
-	}
+	mustContain(t, x, sets[0], 0.5)
 	if sub.contain.Load() == nil {
 		t.Fatal("containment side not built by the first containment query")
 	}

@@ -19,7 +19,7 @@ func TestDroppedBitmapRoundTrip(t *testing.T) {
 	if st.Reclaimed == 0 {
 		t.Fatalf("churn produced no reclaimed ids: %+v", st)
 	}
-	want := mustQueryBatch(t, x, probes)
+	want := x.QueryBatchErr(probes)
 
 	dir := t.TempDir()
 	if err := x.Save(dir); err != nil {
@@ -56,7 +56,7 @@ func TestDroppedBitmapRoundTrip(t *testing.T) {
 	if y.Len() != live {
 		t.Fatalf("re-deletes moved the live count: %d -> %d", live, y.Len())
 	}
-	got := mustQueryBatch(t, y, probes)
+	got := y.QueryBatchErr(probes)
 	for i := range probes {
 		if !equalMatches(t, got[i], want[i]) {
 			t.Fatalf("probe %d diverges after bitmap round trip", i)

@@ -38,7 +38,7 @@ func TestSealedDuplicateFound(t *testing.T) {
 				t.Fatalf("seed %d: the appends were not sealed: %+v", seed, st)
 			}
 			for i, q := range sets {
-				ms := mustQueryAll(t, x, q)
+				ms := x.QueryAllErr(q)
 				if !slices.ContainsFunc(ms, func(m Match) bool { return m.ID == ids[i] && m.Sim == 1 }) {
 					t.Fatalf("seed %d: sealed set %d (%d tokens) not found by its own query", seed, ids[i], len(q))
 				}
@@ -70,7 +70,7 @@ func TestFilteringRingDeterministic(t *testing.T) {
 			if st := base.Stats(); slices.Min(st.ShardSizes) <= 32 {
 				t.Fatalf("shards of %v sets do not filter", st.ShardSizes)
 			}
-			want := mustQueryBatch(t, base, queries)
+			want := base.QueryBatchErr(queries)
 
 			// Recall: every pair of the ring at J ≥ 0.5 the brute force sees.
 			truth, hits := 0, 0
@@ -92,7 +92,7 @@ func TestFilteringRingDeterministic(t *testing.T) {
 
 			same := func(name string, y *Index) {
 				t.Helper()
-				got := mustQueryBatch(t, y, queries)
+				got := y.QueryBatchErr(queries)
 				for i := range queries {
 					if !equalMatches(t, got[i], want[i]) {
 						t.Fatalf("%s: QueryBatch[%d] = %v, the sequential hot local ring says %v", name, i, got[i], want[i])

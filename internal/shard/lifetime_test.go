@@ -61,21 +61,17 @@ func TestSetsOutliveTheirShards(t *testing.T) {
 	}
 	seal(x)
 	probes = append(probes, more...)
-	want := mustQueryBatch(t, x, probes)
+	want := x.QueryBatchErr(probes)
 	contained := func(x *Index) (out [][]Match) {
 		for _, q := range probes[:40] {
-			ms, err := x.QueryContain(q[:len(q)*2/3], 0.8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, ms)
+			out = append(out, mustContain(t, x, q[:len(q)*2/3], 0.8))
 		}
 		return out
 	}
 	wantContained := contained(x)
 	check := func(stage string, y *Index) {
 		t.Helper()
-		got := mustQueryBatch(t, y, probes)
+		got := y.QueryBatchErr(probes)
 		for i := range probes {
 			if !equalMatches(t, got[i], want[i]) {
 				t.Fatalf("%s: query %d differs from the index the directory was saved from", stage, i)
@@ -158,10 +154,7 @@ func TestColdShardQueriedFromOnlyReference(t *testing.T) {
 	x, dir, queries := saveWorkload(t)
 	want := make([][]Match, len(queries))
 	for i, q := range queries {
-		res, _, err := x.shards[0].query(plan{kind: kindAll}, q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, _ := x.shards[0].query(plan{kind: kindAll}, q)
 		want[i] = res.Matches
 	}
 	stop, done := make(chan struct{}), make(chan struct{})
@@ -185,10 +178,7 @@ func TestColdShardQueriedFromOnlyReference(t *testing.T) {
 		sh := y.shards[0]
 		y = nil // from here on sh is the only way to the mapping
 		for i, q := range queries {
-			res, _, err := sh.query(plan{kind: kindAll}, q)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res, _ := sh.query(plan{kind: kindAll}, q)
 			if !equalMatches(t, res.Matches, want[i]) {
 				t.Fatalf("round %d, query %d: differs from the shard that was saved", round, i)
 			}
@@ -209,7 +199,7 @@ func TestPromotedShardOutlivesItsMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := y.shards[0]
-	hot := sh.res.hot
+	hot := sh.ix
 	hot.SetCounters(nil) // the ring's counters point into its metrics, which point at the ring
 	sh, y = nil, nil
 	if mmap.Supported && runtime.GOOS == "linux" {
@@ -221,7 +211,7 @@ func TestPromotedShardOutlivesItsMapping(t *testing.T) {
 		runtime.GC()
 		runtime.GC()
 	}
-	saved := x.shards[0].res.hot
+	saved := x.shards[0].ix
 	for i, q := range queries {
 		if got, want := hot.QueryAll(q), saved.QueryAll(q); !equalMatches(t, got, want) {
 			t.Fatalf("query %d: the hot-loaded view differs from the shard that was saved once its file is unmapped", i)

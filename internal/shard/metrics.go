@@ -23,7 +23,6 @@ type indexMetrics struct {
 	addLat    *metrics.Histogram // cps_mutation_seconds{op="add"}
 	deleteLat *metrics.Histogram // cps_mutation_seconds{op="delete"}
 
-	queryErrors *metrics.Counter
 	slowQueries *metrics.Counter
 
 	compactLat       *metrics.Histogram
@@ -46,7 +45,6 @@ func newIndexMetrics(x *Index) *indexMetrics {
 		addLat:    reg.Histogram("cps_mutation_seconds", "mutation latency by operation (add includes any seal it triggers)", "op", "add"),
 		deleteLat: reg.Histogram("cps_mutation_seconds", "mutation latency by operation (add includes any seal it triggers)", "op", "delete"),
 
-		queryErrors: reg.Counter("cps_query_errors_total", "queries failed on a corrupt cold shard"),
 		slowQueries: reg.Counter("cps_slow_queries_total", "queries over the configured slow-query threshold"),
 
 		compactLat:       reg.Histogram("cps_compaction_seconds", "duration of completed compaction passes"),
@@ -149,7 +147,7 @@ func (x *Index) tierCounts() (hot, cold int) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	for _, s := range x.shards {
-		if s.isCold() {
+		if s.cold {
 			cold++
 		} else {
 			hot++
@@ -175,9 +173,5 @@ func (x *Index) attachCounters(s *localShard) {
 	if x.metrics == nil {
 		return
 	}
-	if r := &s.res; r.hot != nil {
-		r.hot.SetCounters(&x.metrics.cand)
-	} else {
-		r.cold.SetCounters(&x.metrics.cand)
-	}
+	s.ix.SetCounters(&x.metrics.cand)
 }

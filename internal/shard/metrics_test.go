@@ -88,7 +88,6 @@ func TestMetricsExposition(t *testing.T) {
 		"cps_candidates_total",
 		"cps_verified_total",
 		"cps_rejected_total",
-		"cps_query_errors_total",
 		"cps_slow_queries_total",
 		"cps_compaction_seconds_count",
 		"cps_compaction_merged_shards_total",
@@ -179,11 +178,11 @@ func TestMetricsCounterDeltas(t *testing.T) {
 		t.Errorf("candidate pipeline after Query: candidates=%d verified=%d, want both > 0", c, v)
 	}
 
-	mustQueryAll(t, x, sets[3])
+	x.QueryAllErr(sets[3])
 	if got := m.queryLat[kindAll].Count(); got != 1 {
 		t.Errorf("query_all histogram count = %d, want 1", got)
 	}
-	mustQueryBatch(t, x, sets[:4])
+	x.QueryBatchErr(sets[:4])
 	if got := m.queryLat[kindBatch].Count(); got != 1 {
 		t.Errorf("query_batch histogram count = %d, want 1 (one batch, not one per query)", got)
 	}

@@ -1,37 +1,26 @@
 package shard
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/cpindex"
-)
-
-// Test-side query helpers: the one-line forms of the query pipeline with a
-// serving error failing the test, so call sites keep a compact shape.
+// Test-side query helpers: the one-line forms of Search with an error
+// failing the test, so call sites keep a compact shape.
 
 func mustQuery(t testing.TB, x *Index, q []uint32) (int, float64, bool) {
 	t.Helper()
-	id, sim, ok, err := x.QueryErr(q)
+	res, err := x.Search(Request{Set: q}, nil)
 	if err != nil {
-		t.Fatalf("QueryErr: %v", err)
+		t.Fatalf("Search: %v", err)
 	}
-	return id, sim, ok
+	return res.Best.ID, res.Best.Sim, res.Found
 }
 
-func mustQueryAll(t testing.TB, x *Index, q []uint32) []cpindex.Match {
+// mustContain is the containment form: every indexed set y with
+// C(q, y) >= th, scored exactly and sorted by global id.
+func mustContain(t testing.TB, x *Index, q []uint32, th float64) []Match {
 	t.Helper()
-	ms, err := x.QueryAllErr(q)
+	res, err := x.Search(Request{Set: q, Mode: ModeContainment, Threshold: th}, nil)
 	if err != nil {
-		t.Fatalf("QueryAllErr: %v", err)
+		t.Fatalf("containment Search: %v", err)
 	}
-	return ms
-}
-
-func mustQueryBatch(t testing.TB, x *Index, qs [][]uint32) [][]cpindex.Match {
-	t.Helper()
-	out, err := x.QueryBatchErr(qs)
-	if err != nil {
-		t.Fatalf("QueryBatchErr: %v", err)
-	}
-	return out
+	return res.Matches
 }

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 
-	"repro/internal/contain"
 	"repro/internal/exec"
-	"repro/internal/mmap"
+	"repro/internal/intset"
 	"repro/internal/snapshot"
 )
 
@@ -150,8 +150,10 @@ func sortedTombstones(ids map[int]struct{}) []int {
 // canonical bytes, so saving it is a file copy with no re-encode; a built
 // shard, which has no container, is encoded straight into the file.
 func saveShard(path string, sh *localShard, signer *ringSigner) error {
-	if snap := sh.res.snap; snap != nil {
-		return snapshot.WriteRawFile(path, snap.Bytes())
+	if sh.snap != nil {
+		err := snapshot.WriteRawFile(path, sh.snap.Bytes())
+		runtime.KeepAlive(sh) // the bytes are the mapping sh pins
+		return err
 	}
 	return snapshot.WriteFile(path, shardKind, func(w *snapshot.Writer) error {
 		return encodeShardSections(w, sh, signer)
@@ -166,7 +168,7 @@ func saveShard(path string, sh *localShard, signer *ringSigner) error {
 // signing pass plus the side's sorted orders (4·T bytes per set, about 0.1 s
 // per 10 000 sets in all) and 4·T bytes per set in the file.
 func encodeShardSections(w *snapshot.Writer, sh *localShard, signer *ringSigner) error {
-	if err := sh.res.hot.EncodeSections(w); err != nil {
+	if err := sh.ix.EncodeSections(w); err != nil {
 		return err
 	}
 	var ids snapshot.Buf
@@ -177,10 +179,7 @@ func encodeShardSections(w *snapshot.Writer, sh *localShard, signer *ringSigner)
 	if err := w.Section("ids", ids.B); err != nil {
 		return err
 	}
-	c, err := sh.containSide(signer)
-	if err != nil {
-		return err
-	}
+	c := sh.containSide(signer)
 	var cb snapshot.Buf
 	cb.U32(uint32(c.T()))
 	cb.U64(c.Seed())
@@ -219,30 +218,12 @@ func containHeader(raw []byte, nsets int, signer *ringSigner) ([]byte, error) {
 	return raw[len(raw)-c.Remaining():], nil
 }
 
-// decodeContainPayload rebuilds the candidate structure of one containment
-// section over the given sets — no signing, but the sorted orders are
-// rebuilt (T sorts per cardinality band), the one part of opening a shard
-// that is more than validation; hence lazy. The signatures are a View of raw:
-// the index reads the container its shard keeps mapped (see
-// localShard.contain). It shares signer, the ring's, which the section's
-// header must name.
-func decodeContainPayload(raw []byte, sets [][]uint32, signer *ringSigner) (*contain.Index, error) {
-	sigBytes, err := containHeader(raw, len(sets), signer)
-	if err != nil {
-		return nil, err
-	}
-	ci, err := contain.FromSignatures(sets, snapshot.View[uint32](sigBytes), signer.get())
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
-	}
-	return ci, nil
-}
-
 // pruneUnreferenced deletes every shard file the freshly written
-// manifest does not name: earlier generations, shards of a larger
-// previous snapshot, and leftovers of crashed saves. It runs only after
-// the manifest landed, so nothing the directory's reader could need is
-// ever removed.
+// manifest does not name — earlier generations, shards of a larger
+// previous snapshot, the shard files of a crashed save — and the temp files
+// a save killed mid-write leaves (shard-….cps.tmp…, manifest.json.tmp…). It
+// runs only after the manifest landed, and Save holds saveMu, so nothing the
+// directory's reader could need is ever removed.
 func pruneUnreferenced(dir string, m *snapshot.Manifest) error {
 	keep := make(map[string]bool, len(m.Shards))
 	for _, e := range m.Shards {
@@ -254,7 +235,9 @@ func pruneUnreferenced(dir string, m *snapshot.Manifest) error {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, "shard-") || !strings.HasSuffix(name, ".cps") || keep[name] {
+		ours := strings.HasPrefix(name, "shard-") && (strings.HasSuffix(name, ".cps") || strings.Contains(name, ".cps.tmp")) ||
+			strings.HasPrefix(name, snapshot.ManifestFile+".tmp")
+		if !ours || keep[name] {
 			continue
 		}
 		if err := os.Remove(filepath.Join(dir, name)); err != nil {
@@ -269,10 +252,10 @@ type LoadOptions struct {
 	// Workers is the shard-load parallelism (0 = sequential, negative =
 	// GOMAXPROCS); it also becomes the loaded index's Workers option.
 	Workers int
-	// Tiering picks the storage tier the loaded shards keep: hot (or "",
-	// the default) validates every shard file and copies its trie and sets
-	// to the heap, cold leaves them in the mapped files. Shards a later seal
-	// or compaction builds are on the heap either way.
+	// Tiering picks the storage tier the loaded shards keep. Every shard
+	// file is validated in full either way; hot (or "", the default) then
+	// copies its trie and sets to the heap, cold leaves them in the mapped
+	// file. Shards a later seal or compaction builds are on the heap.
 	Tiering Tier
 }
 
@@ -282,7 +265,8 @@ type LoadOptions struct {
 // Workers option for future seals and batch queries; everything else —
 // options, counters, side shard, tombstones, runtime options — comes from
 // the manifest. A corrupt or truncated snapshot returns a descriptive error
-// wrapping snapshot.ErrCorrupt (or ErrVersion), never a panic.
+// wrapping snapshot.ErrCorrupt (or ErrVersion), never a panic; what loads
+// cannot fail a query later, in either tier.
 func Load(dir string, workers int) (*Index, error) {
 	return LoadWithOptions(dir, LoadOptions{Workers: workers})
 }
@@ -368,7 +352,7 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 	errs := make([]error, len(m.Shards))
 	exec.RunItems(exec.EffectiveWorkers(workers), len(m.Shards), func(i int) {
 		path := filepath.Join(dir, m.Shards[i].File)
-		x.shards[i], errs[i] = loadTieredShard(path, m.Shards[i], m.Total, tier, x.signer)
+		x.shards[i], errs[i] = openLocalShard(path, m.Shards[i], m.Total, tier, x.signer)
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -383,16 +367,29 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 		x.attachCounters(sh)
 	}
 	// One pass over every physically present id checks the remaining
-	// cross-invariants: a dropped id must be absent from every shard (a
-	// manifest claiming otherwise would resurrect a reclaimed entry as
-	// live data that Delete, which skips dropped ids, could never remove),
-	// and every tombstone must be physically present somewhere (a ghost
-	// tombstone would debit the live count below for an id that does not
-	// exist).
+	// cross-invariants: an id is held once, by one shard or by the side
+	// buffer (an id held twice would be answered twice); a dropped id must
+	// be absent from every shard (a manifest claiming otherwise would
+	// resurrect a reclaimed entry as live data that Delete, which skips
+	// dropped ids, could never remove); and every tombstone must be
+	// physically present somewhere (a ghost tombstone would debit the live
+	// count below for an id that does not exist). Every id was checked to
+	// lie in [0, Total) already.
+	var held intset.Bitmap
 	present := 0
-	for _, id := range m.Side.IDs {
+	hold := func(id int) error {
+		if held.Get(id) {
+			return fmt.Errorf("%s: %w: id %d held twice", dir, snapshot.ErrCorrupt, id)
+		}
+		held.Set(id)
 		if _, dead := x.tombs[id]; dead {
 			present++
+		}
+		return nil
+	}
+	for _, id := range m.Side.IDs {
+		if err := hold(id); err != nil {
+			return nil, err
 		}
 	}
 	for _, sh := range x.shards {
@@ -401,8 +398,8 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 				return nil, fmt.Errorf("%s: %w: dropped id %d still present in a shard",
 					dir, snapshot.ErrCorrupt, id)
 			}
-			if _, dead := x.tombs[id]; dead {
-				present++
+			if err := hold(id); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -427,34 +424,4 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 		}
 	}
 	return x, nil
-}
-
-// loadTieredShard maps one shard file, cross-checks it against its manifest
-// entry, and opens it in the given tier, which the shard keeps. Cold stops
-// there. Hot reads and checksums every section and clones the trie and the
-// sets onto the heap, so the hot view reads no container bytes and survives
-// its shard, then checks that the containment section was signed under
-// signer: what a hot load accepts cannot fail later. Only the containment
-// side's sorted orders stay unbuilt until a containment query wants them, as
-// after Build; they are the one part of a load that is not validation.
-// Either way the shard keeps its container, so saving it is a byte copy.
-func loadTieredShard(path string, entry snapshot.ShardEntry, total int, tier Tier, signer *ringSigner) (*localShard, error) {
-	f, err := mmap.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := openLocalShard(f, entry, total)
-	if err == nil && tier == TierHot {
-		if s.res.hot, err = s.res.cold.Index(); err == nil {
-			var raw []byte
-			if raw, err = s.res.snap.Section("contain"); err == nil {
-				_, err = containHeader(raw, len(s.ids), signer)
-			}
-		}
-	}
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return s, nil
 }

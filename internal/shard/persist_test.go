@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,7 +41,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			if err := x.Save(dir); err != nil {
 				t.Fatalf("%v/%d: Save: %v", part, shards, err)
 			}
-			want := mustQueryBatch(t, x, queries)
+			want := x.QueryBatchErr(queries)
 
 			for _, workers := range []int{0, 1, 4, 8} {
 				y, err := Load(dir, workers)
@@ -50,7 +51,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				if y.Len() != x.Len() {
 					t.Fatalf("%v/%d/w=%d: Len %d != %d", part, shards, workers, y.Len(), x.Len())
 				}
-				got := mustQueryBatch(t, y, queries)
+				got := y.QueryBatchErr(queries)
 				for i := range got {
 					if !equalMatches(t, got[i], want[i]) {
 						t.Fatalf("%v/%d/w=%d: query %d differs after reload", part, shards, workers, i)
@@ -148,12 +149,12 @@ func TestDeleteTombstones(t *testing.T) {
 			if id, _, ok := mustQuery(t, x, q); ok && id == victim {
 				t.Fatalf("%s: Query returned deleted id %d", label, victim)
 			}
-			for _, m := range mustQueryAll(t, x, q) {
+			for _, m := range x.QueryAllErr(q) {
 				if m.ID == victim {
 					t.Fatalf("%s: QueryAll returned deleted id %d", label, victim)
 				}
 			}
-			for _, ms := range mustQueryBatch(t, x, [][]uint32{q}) {
+			for _, ms := range x.QueryBatchErr([][]uint32{q}) {
 				for _, m := range ms {
 					if m.ID == victim {
 						t.Fatalf("%s: QueryBatch returned deleted id %d", label, victim)
@@ -374,7 +375,7 @@ func TestLoadIgnoresRetiredManifestKeys(t *testing.T) {
 		"epoch": 2, "peers": []string{peer}, "replicas": 1, "keep_local": true,
 		"shipped": []any{map[string]any{"key": "cps-0123456789abcdef-01234567", "peers": []string{peer}}},
 	}
-	want := mustQueryBatch(t, x, sets[:60])
+	want := x.QueryBatchErr(sets[:60])
 	for _, saved := range []string{"cold", "auto"} {
 		m["runtime"] = map[string]any{"tiering": saved}
 		if raw, err = json.Marshal(m); err != nil {
@@ -395,7 +396,7 @@ func TestLoadIgnoresRetiredManifestKeys(t *testing.T) {
 			if st := y.Stats(); st.ColdShards != wantCold {
 				t.Fatalf("saved tier %q, load tier %q: %d cold shards, want %d", saved, tier, st.ColdShards, wantCold)
 			}
-			got := mustQueryBatch(t, y, sets[:60])
+			got := y.QueryBatchErr(sets[:60])
 			for i := range want {
 				if !equalMatches(t, got[i], want[i]) {
 					t.Fatalf("saved tier %q, load tier %q: query %d differs after loading a manifest with retired keys", saved, tier, i)
@@ -421,7 +422,9 @@ func TestLoadIgnoresRetiredManifestKeys(t *testing.T) {
 // TestLoadDroppedInvariantsRejected: the manifest's dropped set must be
 // disjoint from the tombstones, the side shard and every sealed shard's
 // ids — a manifest violating any of these would resurrect a reclaimed id
-// as live-but-undeletable data or debit the live count twice.
+// as live-but-undeletable data or debit the live count twice — and every
+// present id lives in one place: a side shard repeating an id a shard holds,
+// or one of its own, would answer that id twice.
 func TestLoadDroppedInvariantsRejected(t *testing.T) {
 	sets, _ := workload(60, 0.8, 337)
 	extra, _ := workload(10, 0.8, 339)
@@ -462,6 +465,13 @@ func TestLoadDroppedInvariantsRejected(t *testing.T) {
 	// The first appended id sits in the side shard.
 	corrupt("dropped id still in side shard", func(m *snapshot.Manifest) {
 		m.DroppedBitmap = droppedOnly(len(sets))
+	})
+	// Id 0 lives in a sealed shard; the side shard's ids are distinct.
+	corrupt("side id a shard holds", func(m *snapshot.Manifest) {
+		m.Side.IDs = append([]int{0}, m.Side.IDs[1:]...)
+	})
+	corrupt("side id twice", func(m *snapshot.Manifest) {
+		m.Side.IDs = append([]int{m.Side.IDs[1]}, m.Side.IDs[1:]...)
 	})
 	// A ghost tombstone: reclassifying a genuinely absent id (dropped in
 	// a real snapshot) as tombstoned would debit the live count for an id
@@ -532,9 +542,9 @@ func TestConcurrentSaveDeleteQuery(t *testing.T) {
 	}()
 	go func() {
 		for pass := 0; pass < 4; pass++ {
-			mustQueryBatch(t, x, sets[:40])
+			x.QueryBatchErr(sets[:40])
 			for i := 0; i < len(sets); i += 11 {
-				mustQueryAll(t, x, sets[i])
+				x.QueryAllErr(sets[i])
 			}
 		}
 		done <- nil
@@ -556,8 +566,8 @@ func TestConcurrentSaveDeleteQuery(t *testing.T) {
 	if y.Len() != x.Len() {
 		t.Fatalf("final reload Len %d != %d", y.Len(), x.Len())
 	}
-	want := mustQueryBatch(t, x, sets[:60])
-	got := mustQueryBatch(t, y, sets[:60])
+	want := x.QueryBatchErr(sets[:60])
+	got := y.QueryBatchErr(sets[:60])
 	for i := range got {
 		if !equalMatches(t, got[i], want[i]) {
 			t.Fatalf("query %d differs after settled reload", i)
@@ -568,7 +578,9 @@ func TestConcurrentSaveDeleteQuery(t *testing.T) {
 // TestCrashedSaveLeavesPreviousSnapshotReadable: a save that dies after
 // writing shard files but before the manifest must not disturb the
 // previous snapshot — generations keep new files out of the old
-// manifest's namespace, and the next successful save prunes the debris.
+// manifest's namespace, and the next successful save prunes the debris:
+// those shard files and the temp files of the writes it was killed in
+// (shard-….cps.tmp…, manifest.json.tmp…), and nothing it did not write.
 func TestCrashedSaveLeavesPreviousSnapshotReadable(t *testing.T) {
 	sets, _ := workload(300, 0.8, 341)
 	x := Build(sets, 0.5, &Options{Shards: 2, Seed: 37, Workers: 2})
@@ -576,7 +588,7 @@ func TestCrashedSaveLeavesPreviousSnapshotReadable(t *testing.T) {
 	if err := x.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	want := mustQueryBatch(t, x, sets[:50])
+	want := x.QueryBatchErr(sets[:50])
 
 	// Simulate the crash window of a DIFFERENT index's save: its shard
 	// files landed (next generation), the manifest write never happened.
@@ -590,13 +602,19 @@ func TestCrashedSaveLeavesPreviousSnapshotReadable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	temps := []string{shardFileName(gen, 2) + ".tmp123", snapshot.ManifestFile + ".tmp9"}
+	for _, name := range append(temps, "notes.txt") {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// The previous snapshot still loads, bit-for-bit.
 	y, err := Load(dir, 2)
 	if err != nil {
 		t.Fatalf("snapshot unreadable after crashed save: %v", err)
 	}
-	got := mustQueryBatch(t, y, sets[:50])
+	got := y.QueryBatchErr(sets[:50])
 	for i := range got {
 		if !equalMatches(t, got[i], want[i]) {
 			t.Fatalf("query %d differs after crashed save", i)
@@ -623,6 +641,14 @@ func TestCrashedSaveLeavesPreviousSnapshotReadable(t *testing.T) {
 	}
 	if cps != len(m.Shards) {
 		t.Fatalf("%d shard files on disk, manifest names %d (debris not pruned)", cps, len(m.Shards))
+	}
+	for _, name := range temps {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s survived the save (stat: %v)", name, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "notes.txt")); err != nil {
+		t.Errorf("a file the save did not write was pruned: %v", err)
 	}
 }
 

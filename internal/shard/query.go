@@ -15,14 +15,16 @@ import (
 // single or batched, traced or not — takes the same six steps:
 //
 //	plan     newPlan: the one place mode and threshold are validated
-//	time     query / QueryBatchErr: latency histogram by kind, error counter, trace total
+//	time     query / QueryBatchErr: latency histogram by kind, trace total
 //	lookup   cacheAt.lookup / put: the empty-query rule and the result cache
 //	snapshot fan: one read-locked view of the ring, the buffers and the tombstones
 //	merge    fan.merge: every shard asked, tombstone filter, exact buffer scan, canonical order
 //	rank     Search: threshold narrowing and limit ranking over the merged answer
 //
 // A batch is the same pipeline over one snapshot, its queries merged in
-// parallel on the execution layer.
+// parallel on the execution layer. Only the plan can fail: every shard was
+// validated when it was built or opened, so nothing after it returns an
+// error.
 
 // Mode selects the semantics of a Request: what "match" means and what
 // the threshold is measured against.
@@ -84,9 +86,9 @@ type Result struct {
 // query, which no shard is asked about.
 var noMatch = Result{Best: Match{ID: -1}}
 
-// ErrBadRequest marks a Search error caused by the request itself (unknown
-// mode, threshold out of range); every other error is a serving failure —
-// a corrupt cold shard.
+// ErrBadRequest marks a Search error: the request itself is invalid
+// (unknown mode, threshold out of range). It is the only error Search
+// returns.
 var ErrBadRequest = errors.New("shard: bad request")
 
 // queryKind is what a plan computes per shard.
@@ -144,8 +146,8 @@ func newPlan(mode Mode, all bool, threshold, lambda float64) (plan, error) {
 }
 
 // Search is the index's one query entry point: one request shape, one
-// error-returning path, both workloads. A non-nil tr is filled with the
-// per-shard breakdown of the answer actually returned.
+// path, both workloads. A non-nil tr is filled with the per-shard breakdown
+// of the answer actually returned.
 //
 // Similarity queries return the best match — highest similarity, ties to
 // the lower id — or every match with All. Containment queries return
@@ -157,18 +159,13 @@ func newPlan(mode Mode, all bool, threshold, lambda float64) (plan, error) {
 // exactly. Every mode is deterministic: answers are byte-identical across
 // shard counts, partition schemes, worker counts and storage tiers.
 //
-// Errors wrapping ErrBadRequest report an invalid request; any other
-// error is a serving failure — a corrupt cold shard — returned instead of
-// a silently partial merge.
+// An error, always wrapping ErrBadRequest, reports an invalid request.
 func (x *Index) Search(req Request, tr *QueryTrace) (Result, error) {
 	p, err := newPlan(req.Mode, req.All, req.Threshold, x.lambda)
 	if err != nil {
 		return noMatch, err
 	}
-	res, err := x.query(p, intset.Normalize(req.Set), tr)
-	if err != nil {
-		return noMatch, err
-	}
+	res := x.query(p, intset.Normalize(req.Set), tr)
 	if floor := req.Threshold; p.kind != kindContain && floor > x.lambda {
 		res = narrow(res, floor)
 	}
@@ -213,47 +210,29 @@ func rankLimit(ms []Match, limit int) []Match {
 	return ranked
 }
 
-// QueryErr is the best-match form of the pipeline for an already
-// normalized query: the global id of an indexed set with J(q, result) >= λ
-// and its exact similarity, or ok = false if no shard finds one. With the
-// cache off it allocates nothing.
-func (x *Index) QueryErr(q []uint32) (id int, sim float64, ok bool, err error) {
-	res, err := x.query(plan{kind: kindBest}, q, nil)
-	return res.Best.ID, res.Best.Sim, res.Found, err
-}
-
 // QueryAllErr is the all-matches form of the pipeline for an already
 // normalized query: every match across the ring and the buffers, sorted by
-// global id. The slice may alias a cache entry: read-only.
-func (x *Index) QueryAllErr(q []uint32) ([]Match, error) {
-	res, err := x.query(plan{kind: kindAll}, q, nil)
-	return res.Matches, err
-}
-
-// QueryContain is the containment form of Search: every indexed set y with
-// C(q, y) >= t, scored exactly and sorted by global id.
-func (x *Index) QueryContain(q []uint32, t float64) ([]Match, error) {
-	res, err := x.Search(Request{Set: q, Mode: ModeContainment, Threshold: t}, nil)
-	return res.Matches, err
+// global id, allocation-free with the cache off. The slice may alias a cache
+// entry: read-only. It cannot fail, whatever its name says: benchmark/
+// calls it by this one.
+func (x *Index) QueryAllErr(q []uint32) []Match {
+	return x.query(plan{kind: kindAll}, q, nil).Matches
 }
 
 // query is the pipeline's timed stage for one query.
-func (x *Index) query(p plan, q []uint32, tr *QueryTrace) (Result, error) {
+func (x *Index) query(p plan, q []uint32, tr *QueryTrace) Result {
 	start := time.Now()
-	res, err := x.queryCached(p, q, tr)
-	x.observe(p.kind, start, err, tr)
-	return res, err
+	res := x.queryCached(p, q, tr)
+	x.observe(p.kind, start, tr)
+	return res
 }
 
-// observe closes a timed stage: the kind's latency histogram, the error
-// counter and the trace total. Plain atomic updates — the hot path stays
-// free of closures and allocations.
-func (x *Index) observe(kind queryKind, start time.Time, err error, tr *QueryTrace) {
+// observe closes a timed stage: the kind's latency histogram and the trace
+// total. Plain atomic updates — the hot path stays free of closures and
+// allocations.
+func (x *Index) observe(kind queryKind, start time.Time, tr *QueryTrace) {
 	if m := x.metrics; m != nil {
 		m.queryLat[kind].Observe(time.Since(start))
-		if err != nil {
-			m.queryErrors.Inc()
-		}
 	}
 	if tr != nil {
 		tr.TotalNs = time.Since(start).Nanoseconds()
@@ -302,38 +281,35 @@ func (at cacheAt) put(p plan, q []uint32, res Result) {
 	}
 }
 
-func (x *Index) queryCached(p plan, q []uint32, tr *QueryTrace) (Result, error) {
+func (x *Index) queryCached(p plan, q []uint32, tr *QueryTrace) Result {
 	at := x.cacheNow()
 	if res, done := at.lookup(p, q, tr); done {
-		return res, nil
+		return res
 	}
 	if p.kind == kindContain {
 		p.signer = x.signer
 		p.sig = x.signer.get().Sign(q)
 	}
 	f := x.fan(p)
-	res, err := f.merge(q, tr)
-	if err != nil {
-		return noMatch, err
-	}
+	res := f.merge(q, tr)
 	at.put(p, q, res)
-	return res, nil
+	return res
 }
 
 // QueryBatchErr answers many normalized queries at once against one
 // read-only snapshot of the ring: results[i] is QueryAllErr(qs[i]) against
 // that snapshot, for any worker count. Queries the cache answers are
 // filled from it; the rest are merged in parallel across queries on the
-// execution layer. A shard that fails (a corrupt cold container) fails the
-// whole batch with its error: a batch never silently merges a partial ring.
-func (x *Index) QueryBatchErr(qs [][]uint32) ([][]Match, error) {
+// execution layer. Like QueryAllErr it cannot fail, and benchmark/ calls it
+// by this name.
+func (x *Index) QueryBatchErr(qs [][]uint32) [][]Match {
 	start := time.Now()
-	out, err := x.queryBatchCached(plan{kind: kindAll}, qs)
-	x.observe(kindBatch, start, err, nil)
-	return out, err
+	out := x.queryBatchCached(plan{kind: kindAll}, qs)
+	x.observe(kindBatch, start, nil)
+	return out
 }
 
-func (x *Index) queryBatchCached(p plan, qs [][]uint32) ([][]Match, error) {
+func (x *Index) queryBatchCached(p plan, qs [][]uint32) [][]Match {
 	at := x.cacheNow()
 	out := make([][]Match, len(qs))
 	missIdx := make([]int, 0, len(qs))
@@ -347,26 +323,20 @@ func (x *Index) queryBatchCached(p plan, qs [][]uint32) ([][]Match, error) {
 		}
 	}
 	if len(miss) == 0 {
-		return out, nil
+		return out
 	}
 	f := x.fan(p)
 	res := make([]Result, len(miss))
-	errs := make([]error, len(miss))
 	exec.RunItems(exec.EffectiveWorkers(f.workers), len(miss), func(j int) {
-		res[j], errs[j] = f.merge(miss[j], nil)
+		res[j] = f.merge(miss[j], nil)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	// Stored in query order, not completion order: the cache's LRU state
 	// stays deterministic for any worker count.
 	for j, i := range missIdx {
 		out[i] = res[j].Matches
 		at.put(p, miss[j], res[j])
 	}
-	return out, nil
+	return out
 }
 
 // fan is one fan-out over the ring: the plan and one snapshot of the index
@@ -395,17 +365,14 @@ func (x *Index) fan(p plan) fan {
 // independent of the ring's order. A non-nil tr records per-shard timing
 // and the candidate counts every shard call returns anyway; the calls, the
 // merge and its answer are identical either way.
-func (f *fan) merge(q []uint32, tr *QueryTrace) (Result, error) {
+func (f *fan) merge(q []uint32, tr *QueryTrace) Result {
 	out := noMatch
 	for i, sh := range f.shards {
 		var t0 time.Time
 		if tr != nil {
 			t0 = time.Now()
 		}
-		res, st, err := sh.query(f.p, q)
-		if err != nil {
-			return noMatch, err
-		}
+		res, st := sh.query(f.p, q)
 		matched := len(res.Matches)
 		if f.p.kind == kindBest && res.Found {
 			matched = 1
@@ -414,9 +381,7 @@ func (f *fan) merge(q []uint32, tr *QueryTrace) (Result, error) {
 				// shard is rescanned for its best live match with a plain
 				// serial call: a delete hides exactly one set instead of
 				// masking its neighbors.
-				if res, _, err = sh.query(plan{kind: kindAll}, q); err != nil {
-					return noMatch, err
-				}
+				res, _ = sh.query(plan{kind: kindAll}, q)
 			} else {
 				f.keep(&out, res.Best)
 			}
@@ -449,7 +414,7 @@ func (f *fan) merge(q []uint32, tr *QueryTrace) (Result, error) {
 		sort.Slice(out.Matches, func(i, j int) bool { return out.Matches[i].ID < out.Matches[j].ID })
 		out.Found = len(out.Matches) > 0
 	}
-	return out, nil
+	return out
 }
 
 // keep folds one live match into the answer: the running best under the

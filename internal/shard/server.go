@@ -2,7 +2,6 @@ package shard
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -214,7 +213,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.ix.Search(req.Request, tr)
 	if err != nil {
-		writeQueryError(w, err)
+		// The only query error is the request's own fault (ErrBadRequest):
+		// every shard was validated when it was built or opened.
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	resp := wireResult(res)
@@ -225,17 +226,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, resp)
-}
-
-// writeQueryError maps a query error onto its status: the request's own
-// fault is a 400; anything else — a corrupt cold shard — is a hard serving
-// error, never a silently partial answer.
-func writeQueryError(w http.ResponseWriter, err error) {
-	code := http.StatusBadGateway
-	if errors.Is(err, ErrBadRequest) {
-		code = http.StatusBadRequest
-	}
-	writeError(w, code, "%v", err)
 }
 
 // logSlow emits the slow-query line when the traced request crossed the
@@ -267,12 +257,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	for i, set := range req.Sets {
 		req.Sets[i] = intset.Normalize(set)
 	}
-	results, err := s.ix.QueryBatchErr(req.Sets)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	writeJSON(w, wireBatch(results))
+	writeJSON(w, wireBatch(s.ix.QueryBatchErr(req.Sets)))
 }
 
 func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {

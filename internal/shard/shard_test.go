@@ -59,7 +59,7 @@ func TestShardedMatchesStandaloneShards(t *testing.T) {
 			}
 		}
 		sortMatches(want)
-		if got := mustQueryAll(t, x, q); !equalMatches(t, got, want) {
+		if got := x.QueryAllErr(q); !equalMatches(t, got, want) {
 			t.Fatalf("query %d: sharded QueryAll %v != standalone merge %v", qi, got, want)
 		}
 	}
@@ -75,7 +75,7 @@ func TestQueryBatchDeterministic(t *testing.T) {
 		var base [][]cpindex.Match
 		for _, workers := range []int{0, 1, 2, 4, 8} {
 			x := Build(sets, 0.5, &Options{Shards: shards, Seed: 11, Workers: workers})
-			got := mustQueryBatch(t, x, queries)
+			got := x.QueryBatchErr(queries)
 			if len(got) != len(queries) {
 				t.Fatalf("shards=%d workers=%d: %d results for %d queries", shards, workers, len(got), len(queries))
 			}
@@ -83,7 +83,7 @@ func TestQueryBatchDeterministic(t *testing.T) {
 				base = got
 				// The batch must agree with one-at-a-time queries.
 				for i, q := range queries[:50] {
-					if !equalMatches(t, got[i], mustQueryAll(t, x, q)) {
+					if !equalMatches(t, got[i], x.QueryAllErr(q)) {
 						t.Fatalf("shards=%d: batch result %d differs from QueryAll", shards, i)
 					}
 				}
@@ -138,7 +138,7 @@ func TestHashPartitionCoversAllIDs(t *testing.T) {
 	// Every set must be reachable under its global id. (A self-query is
 	// lost only if every tree dies above the set; at these seeds none is.)
 	for i := 0; i < len(sets); i += 7 {
-		ms := mustQueryAll(t, x, sets[i])
+		ms := x.QueryAllErr(sets[i])
 		self := false
 		for _, m := range ms {
 			if m.ID == i {
@@ -190,7 +190,7 @@ func TestAddBufferSealAndQuery(t *testing.T) {
 	// every sampled child (TestSealedDuplicateFound runs this over seeds).
 	for i, q := range extra {
 		found := false
-		for _, m := range mustQueryAll(t, x, q) {
+		for _, m := range x.QueryAllErr(q) {
 			if m.ID == len(sets)+i {
 				found = true
 			}
@@ -218,7 +218,7 @@ func TestAddDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{0, 3, 8} {
 		x := Build(sets, 0.5, &Options{Shards: 3, Seed: 23, MergeThreshold: 80, Workers: workers})
 		x.Add(extra)
-		got := mustQueryBatch(t, x, append(sets[:100:100], extra...))
+		got := x.QueryBatchErr(append(sets[:100:100], extra...))
 		if base == nil {
 			base = got
 			continue
@@ -252,7 +252,7 @@ func TestConcurrentAddAndQuery(t *testing.T) {
 					return
 				}
 			}
-			mustQueryBatch(t, x, sets[:50])
+			x.QueryBatchErr(sets[:50])
 			x.Stats()
 		}
 	}()
@@ -268,7 +268,7 @@ func TestEdgeCases(t *testing.T) {
 	if _, _, ok := mustQuery(t, x, []uint32{1, 2, 3}); ok {
 		t.Error("query against empty index found a neighbor")
 	}
-	if ms := mustQueryAll(t, x, nil); ms != nil {
+	if ms := x.QueryAllErr(nil); ms != nil {
 		t.Errorf("empty QueryAll returned %v", ms)
 	}
 	ids := x.Add([][]uint32{{1, 2, 3}})

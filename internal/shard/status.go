@@ -78,14 +78,13 @@ func (x *Index) Stats() Stats {
 	}
 	for _, sh := range x.shards {
 		st.ShardSizes = append(st.ShardSizes, len(sh.ids))
-		if sh.isCold() {
+		if sh.cold {
 			st.ColdShards++
 		} else {
 			st.HotShards++
 		}
-		nodes, leaves := sh.structure()
-		st.Nodes += nodes
-		st.Leaves += leaves
+		st.Nodes += sh.ix.Nodes
+		st.Leaves += sh.ix.Leaves
 	}
 	return st
 }

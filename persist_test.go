@@ -76,8 +76,8 @@ func TestShardedIndexSaveLoadDelete(t *testing.T) {
 	}
 
 	queries := append(append([][]uint32{}, sets[:100]...), extra...)
-	want := shardedBatch(t, ix, queries)
-	got := shardedBatch(t, back, queries)
+	want := ix.QueryBatch(queries)
+	got := back.QueryBatch(queries)
 	for i := range got {
 		if len(got[i]) != len(want[i]) {
 			t.Fatalf("query %d: %d matches, want %d", i, len(got[i]), len(want[i]))

@@ -38,13 +38,13 @@ type Query = shard.Request
 // list of All similarity queries and of every containment query.
 type Result = shard.Result
 
-// Search is the single query entry point: one request shape, one
-// error-returning path, both workloads.
+// Search is the single query entry point: one request shape, one path,
+// both workloads.
 //
 // Every mode is deterministic: answers are byte-identical across shard
 // counts, partition schemes, worker counts and storage tiers. The only
-// error sources are an invalid request (mode or threshold) and a serving
-// failure: a corrupt cold shard.
+// error source is an invalid request (mode or threshold): every shard was
+// validated when it was built or loaded, so serving one cannot fail.
 func (s *ShardedIndex) Search(q Query) (Result, error) {
 	res, err := s.ix.Search(q, nil)
 	// The match list may be a live result-cache entry, read-only inside the
@@ -60,10 +60,10 @@ type RuntimeOptions = shard.RuntimeOptions
 
 // Tier names a shard storage tier for LoadOptions.Tiering: TierHot keeps
 // every loaded shard's trie and sets on the heap, TierCold leaves them in
-// memory-mapped shard files. Answers are byte-identical across tiers and
-// cost the same per query; the choice is about memory and restarts, it is
-// made when a snapshot is loaded, and a shard keeps it: nothing moves a
-// shard between tiers afterwards. Shards that Add seals or Compact merges
+// memory-mapped shard files. Both validate every shard file at load, answer
+// byte-identically and cost the same per query; the choice is about memory,
+// it is made when a snapshot is loaded, and a shard keeps it: nothing moves
+// a shard between tiers afterwards. Shards that Add seals or Compact merges
 // are built on the heap.
 type Tier = shard.Tier
 

@@ -80,15 +80,14 @@ func NewShardedIndex(sets [][]uint32, lambda float64, opts *ShardedOptions) *Sha
 // QueryBatch answers many normalized queries at once as parallel tasks
 // over a read-only snapshot of the shards: results[i] is every similarity
 // match of qs[i] (buffered appends included, scanned exactly), sorted by
-// id, identical for any worker count. A shard that fails (a corrupt cold
-// shard file) fails the batch with its error — a batch never silently
-// merges a partial ring.
-func (s *ShardedIndex) QueryBatch(qs [][]uint32) ([][]Match, error) {
-	out, err := s.ix.QueryBatchErr(qs)
+// id, identical for any worker count. It cannot fail: every shard was
+// validated when it was built or loaded.
+func (s *ShardedIndex) QueryBatch(qs [][]uint32) [][]Match {
+	out := s.ix.QueryBatchErr(qs)
 	for i := range out {
 		out[i] = slices.Clone(out[i])
 	}
-	return out, err
+	return out
 }
 
 // Add appends sets (normalized, like the build input) to the index and
@@ -154,8 +153,9 @@ func (s *ShardedIndex) Save(dir string) error {
 // shard files as parallel tasks with the given worker count (which also becomes the
 // loaded index's Workers option). The loaded index answers Search and
 // QueryBatch identically to the one that was saved, and Add continues
-// assigning ids from where it left off. Corrupt, truncated or
-// wrong-version snapshots yield descriptive errors, never a panic.
+// assigning ids from where it left off. Every shard file is validated here:
+// corrupt, truncated or wrong-version snapshots yield descriptive errors,
+// never a panic, and what loads cannot fail a query later.
 func LoadShardedIndex(dir string, workers int) (*ShardedIndex, error) {
 	ix, err := shard.Load(dir, workers)
 	if err != nil {
@@ -166,9 +166,9 @@ func LoadShardedIndex(dir string, workers int) (*ShardedIndex, error) {
 
 // LoadOptions controls how LoadShardedIndexWithOptions reopens a
 // snapshot: shard-load parallelism plus the storage tier the loaded shards
-// keep (hot, the default, validates every shard file and copies it to the
-// heap; cold memory-maps the files and uses them in place). The tier a
-// snapshot was saved from plays no part.
+// keep. Every shard file is validated in either tier; hot, the default, then
+// copies it to the heap, cold uses the memory-mapped file in place. The tier
+// a snapshot was saved from plays no part.
 type LoadOptions = shard.LoadOptions
 
 // LoadShardedIndexWithOptions is LoadShardedIndex with the storage tier

@@ -7,8 +7,8 @@ import (
 	"repro/internal/shard"
 )
 
-// shardedAll and shardedBatch are the all-matches Search and QueryBatch of
-// a ShardedIndex with a serving error failing the test.
+// shardedAll is the all-matches Search of a ShardedIndex with an error
+// failing the test.
 func shardedAll(t *testing.T, x *ShardedIndex, q []uint32) []Match {
 	t.Helper()
 	res, err := x.Search(Query{Set: q, All: true})
@@ -16,15 +16,6 @@ func shardedAll(t *testing.T, x *ShardedIndex, q []uint32) []Match {
 		t.Fatalf("Search: %v", err)
 	}
 	return res.Matches
-}
-
-func shardedBatch(t *testing.T, x *ShardedIndex, qs [][]uint32) [][]Match {
-	t.Helper()
-	out, err := x.QueryBatch(qs)
-	if err != nil {
-		t.Fatalf("QueryBatch: %v", err)
-	}
-	return out
 }
 
 // TestShardedIndexMatchesSearchIndexes pins the acceptance contract of the
@@ -57,7 +48,7 @@ func TestShardedIndexMatchesSearchIndexes(t *testing.T) {
 
 	for _, workers := range []int{0, 1, 2, 4, 8} {
 		x := NewShardedIndex(sets, lambda, &ShardedOptions{Shards: shards, Seed: seed, Workers: workers})
-		got := shardedBatch(t, x, queries)
+		got := x.QueryBatch(queries)
 		for i := range queries {
 			if len(got[i]) != len(want[i]) {
 				t.Fatalf("workers=%d query %d: %d matches, want %d", workers, i, len(got[i]), len(want[i]))
