@@ -3,17 +3,27 @@ package intset
 import "math/bits"
 
 // Bitmap is a dense bit set over a bounded id space [0, n). The sharded
-// serving layer uses it for reclaimed-id bookkeeping: the set of ids whose
-// physical entries compaction or sealing dropped grows with lifetime
-// churn, but as a bitmap it is bounded by ids ever assigned — total/8
-// bytes of RAM and manifest, and O(total/64) scans — instead of by delete
-// volume.
+// serving layer keeps its one deleted set in it — every id ever deleted,
+// whether a shard still holds the set or a seal or compaction dropped it —
+// which grows with lifetime churn, but as a bitmap is bounded by ids ever
+// assigned: total/8 bytes of RAM, O(total/64) to copy or count, one word
+// test per membership check. The manifest stores the dropped half in the
+// Bytes form.
 //
-// Read methods (Get, Count, Max, Ints, Bytes) are nil-receiver safe and
-// treat a nil Bitmap as empty, so callers can keep the "nil until first
-// use" discipline the tombstone map established.
+// Read methods (Get, Count, Max, Ints, Bytes, Clone) are nil-receiver safe
+// and treat a nil Bitmap as empty, so a set can stay nil until its first
+// member.
 type Bitmap struct {
 	words []uint64
+}
+
+// Clone returns an independent copy, never nil: the copy in a
+// copy-on-write update.
+func (b *Bitmap) Clone() *Bitmap {
+	if b == nil {
+		return &Bitmap{}
+	}
+	return &Bitmap{words: append([]uint64(nil), b.words...)}
 }
 
 // Set marks id as a member, growing the bitmap as needed. Negative ids

@@ -37,12 +37,21 @@ func TestBitmapBasics(t *testing.T) {
 	if b.Get(-1) || b.Get(2000) {
 		t.Fatal("out-of-range ids reported as members")
 	}
+	c := b.Clone()
+	c.Set(2)
+	c.Set(2000)
+	if b.Get(2) || b.Get(2000) || !c.Get(1000) || c.Count() != 8 {
+		t.Fatal("a Clone is not an independent copy")
+	}
 }
 
 func TestBitmapNilReceiverReads(t *testing.T) {
 	var b *Bitmap
 	if b.Get(3) || b.Count() != 0 || b.Max() != -1 || b.Ints() != nil || b.Bytes() != nil {
 		t.Fatal("nil bitmap reads not empty")
+	}
+	if c := b.Clone(); c == nil || c.Count() != 0 {
+		t.Fatal("Clone of a nil bitmap is not an empty bitmap")
 	}
 }
 

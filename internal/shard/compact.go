@@ -4,32 +4,32 @@ import (
 	"cmp"
 	"slices"
 	"time"
+
+	"repro/internal/intset"
 )
 
 // Compaction: the background maintenance pass that keeps a long-running
 // index from degrading. Every seal appends a small shard to the ring and
-// every delete against a sealed shard leaves a tombstone filtered on each
-// query — left alone, fan-out and memory grow monotonically (the LSM
-// "many small sealed shards" hazard). Compact selects the eligible shards
-// — small ones, and any shard whose tombstone ratio crossed the threshold
-// — rebuilds them into one merged shard entirely outside the index lock
-// on the shared execution layer, then swaps it into the ring atomically
-// under a generation bump. Queries never block: in-flight queries finish
-// against their snapshot of the old ring, and a query that starts during
-// the rebuild simply sees the old shards.
+// every delete against a sealed shard leaves a tombstone (a deleted id the
+// shard still holds) filtered on each query — left alone, fan-out and
+// memory grow monotonically (the LSM "many small sealed shards" hazard).
+// Compact selects the eligible shards — small ones, and any shard whose
+// tombstone ratio crossed the threshold — rebuilds them into one merged
+// shard entirely outside the index lock on the shared execution layer, then
+// swaps it into the ring atomically under a generation bump. Queries never
+// block: in-flight queries finish against their snapshot of the old ring.
 //
 // The rewrite preserves the indexed content exactly: global ids are kept
-// (the merged shard carries the same local→global map entries, re-sorted
-// by global id), live sets are copied verbatim, and only sets that were
-// already tombstoned — and therefore already invisible to every query —
-// are dropped. Their tombstones retire with them, and the ids join the
-// dropped set so a later Delete of the same id stays a no-op. In exact
-// mode (LeafSize at or above every shard size) query results are
-// therefore byte-identical before and after a pass — the model-based
-// harness in the root package pins this across partition schemes, shard
-// counts and worker counts. At approximate LeafSize the merged shard's
-// fresh seed draws different randomized tries, so individual results can
-// shift within recall noise, exactly as rebuilding any index would.
+// (re-sorted by global id), live sets are copied verbatim, and only sets
+// in the deleted set — already invisible to every query — are dropped. A
+// pass only reads that set (a dropped id stays deleted, so a later Delete of
+// it is a no-op) and adds to the reclaimed count. In exact mode (LeafSize at
+// or above every shard size) query results are therefore byte-identical
+// before and after a pass — the model-based harness in the root package
+// pins this across partition schemes, shard counts and worker counts. At
+// approximate LeafSize the merged shard's fresh seed draws different
+// randomized tries, so individual results can shift within recall noise,
+// exactly as rebuilding any index would.
 
 // CompactResult reports what one Compact pass did.
 type CompactResult struct {
@@ -39,8 +39,7 @@ type CompactResult struct {
 	// Sets is the live set count of the merged shard (0 when every
 	// victim entry was tombstoned and no merged shard was built).
 	Sets int `json:"sets"`
-	// Reclaimed is the number of tombstoned entries physically dropped;
-	// their tombstones are retired permanently.
+	// Reclaimed is the number of tombstoned entries physically dropped.
 	Reclaimed int `json:"reclaimed"`
 	// Generation is the ring generation after the swap.
 	Generation int `json:"generation"`
@@ -77,7 +76,7 @@ func (x *Index) compact() CompactResult {
 	x.compactMu.Lock()
 	defer x.compactMu.Unlock()
 
-	victims, tombs := x.selectVictims()
+	victims, deleted := x.selectVictims()
 	if len(victims) == 0 {
 		x.mu.RLock()
 		gen := x.generation
@@ -88,7 +87,7 @@ func (x *Index) compact() CompactResult {
 	// Gather the victims' live entries, re-sorted by global id so the
 	// merged shard's leaf order — and therefore Query's within-shard
 	// tie-break toward the lowest id — is independent of ring order.
-	ids, sets, dropped := collectLive(victims, tombs)
+	ids, sets, dropped := collectLive(victims, deleted)
 
 	// Build the merged shard off-lock. It claims the next seed slot like
 	// a seal does, so its seed is unique for the index's lifetime and
@@ -106,9 +105,7 @@ func (x *Index) compact() CompactResult {
 	// Swap. Between selection and here the ring can only have grown
 	// (seals append; removal and replacement happen only under compactMu,
 	// which we hold), so every victim is still present and pointer
-	// identity selects exactly them. The tombstones of dropped entries
-	// are still in x.tombs for the same reason — only this pass may
-	// retire them.
+	// identity selects exactly them.
 	x.mu.Lock()
 	gone := make(map[*localShard]struct{}, len(victims))
 	for _, v := range victims {
@@ -124,24 +121,7 @@ func (x *Index) compact() CompactResult {
 		ring = append(ring, merged)
 	}
 	x.shards = ring
-	if len(dropped) > 0 {
-		// Copy-on-write like Delete: in-flight queries may hold the old
-		// map (they would filter the dropped ids anyway, but must never
-		// see a map mutate under them).
-		next := make(map[int]struct{}, len(x.tombs))
-		for id := range x.tombs {
-			next[id] = struct{}{}
-		}
-		for _, id := range dropped {
-			delete(next, id)
-		}
-		if len(next) == 0 {
-			x.tombs = nil
-		} else {
-			x.tombs = next
-		}
-		x.markDroppedLocked(dropped)
-	}
+	x.reclaimed += dropped
 	x.generation++
 	x.version.Add(1)
 	x.compactions++
@@ -149,7 +129,7 @@ func (x *Index) compact() CompactResult {
 	res := CompactResult{
 		Merged:     len(victims),
 		Sets:       len(ids),
-		Reclaimed:  len(dropped),
+		Reclaimed:  dropped,
 		Generation: x.generation,
 	}
 	x.mu.Unlock()
@@ -162,10 +142,10 @@ func (x *Index) compact() CompactResult {
 // reaches compactTombstoneRatio is rewritten regardless of size. A single
 // candidate with nothing to reclaim is left alone — rewriting it would
 // churn bytes without improving anything.
-func (x *Index) selectVictims() ([]*localShard, map[int]struct{}) {
+func (x *Index) selectVictims() ([]*localShard, *intset.Bitmap) {
 	x.mu.RLock()
 	shards := x.shards
-	tombs := x.tombs
+	deleted := x.deleted
 	x.mu.RUnlock()
 
 	small := 2 * x.opt.MergeThreshold
@@ -176,9 +156,9 @@ func (x *Index) selectVictims() ([]*localShard, map[int]struct{}) {
 		shardDead := 0
 		// The id scan only pays when deletes exist; the common post-seal
 		// pass of a delete-free service stays O(shards).
-		if len(tombs) > 0 {
+		if deleted != nil {
 			for _, id := range sh.ids {
-				if _, d := tombs[id]; d {
+				if deleted.Get(id) {
 					shardDead++
 				}
 			}
@@ -197,15 +177,15 @@ func (x *Index) selectVictims() ([]*localShard, map[int]struct{}) {
 		victims = append(victims, smalls...)
 	}
 	if len(victims) == 1 && dead == 0 {
-		return nil, tombs
+		return nil, deleted
 	}
-	return victims, tombs
+	return victims, deleted
 }
 
-// collectLive gathers the victims' non-tombstoned entries sorted by
-// global id, with their sets on the heap (see heapSets), plus the ids of the
-// tombstoned entries being dropped.
-func collectLive(victims []*localShard, tombs map[int]struct{}) (ids []int, sets [][]uint32, dropped []int) {
+// collectLive gathers the victims' entries that are not in deleted, sorted
+// by global id, with their sets on the heap (see heapSets), and counts the
+// deleted entries being dropped.
+func collectLive(victims []*localShard, deleted *intset.Bitmap) (ids []int, sets [][]uint32, dropped int) {
 	total := 0
 	for _, v := range victims {
 		total += len(v.ids)
@@ -218,8 +198,8 @@ func collectLive(victims []*localShard, tombs map[int]struct{}) (ids []int, sets
 	for _, v := range victims {
 		vsets := v.heapSets()
 		for i, id := range v.ids {
-			if _, d := tombs[id]; d {
-				dropped = append(dropped, id)
+			if deleted.Get(id) {
+				dropped++
 				continue
 			}
 			live = append(live, entry{id, vsets[i]})
@@ -230,7 +210,6 @@ func collectLive(victims []*localShard, tombs map[int]struct{}) (ids []int, sets
 	for i, e := range live {
 		ids[i], sets[i] = e.id, e.set
 	}
-	slices.Sort(dropped)
 	return ids, sets, dropped
 }
 

@@ -108,3 +108,47 @@ func TestDroppedBitmapValidation(t *testing.T) {
 		t.Errorf("pristine manifest failed to load: %v", err)
 	}
 }
+
+// TestLoadRejectsMaskedDeletedSetCorruption: the two corruptions of the
+// deleted set's halves that only one load check can see. A tombstone that
+// is also dropped but held nowhere adds nothing to the deleted set; a held
+// id moved into the dropped half while a dropped id moves to the
+// tombstones keeps the count of held deleted ids equal to the tombstones.
+func TestLoadRejectsMaskedDeletedSetCorruption(t *testing.T) {
+	x, _, _ := churn(t, exactOptions(2, 40, 163))
+	x.Compact()
+	dir := t.TempDir()
+	if err := x.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	m0, err := snapshot.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := m0.DroppedIDs().Ints()
+	if len(dropped) == 0 || len(m0.Tombstones) != 0 {
+		t.Fatalf("want dropped ids and no tombstones, manifest has %d and %v", len(dropped), m0.Tombstones)
+	}
+	for name, mutate := range map[string]func(m *snapshot.Manifest){
+		"a dropped tombstone held nowhere": func(m *snapshot.Manifest) {
+			m.Tombstones = []int{dropped[0]}
+		},
+		"a held dropped id beside a ghost tombstone": func(m *snapshot.Manifest) {
+			var bm intset.Bitmap
+			bm.Set(0) // held by a primary shard, never deleted
+			for _, id := range dropped[1:] {
+				bm.Set(id)
+			}
+			m.Tombstones, m.DroppedBitmap = []int{dropped[0]}, bm.Bytes()
+		},
+	} {
+		m := *m0
+		mutate(&m)
+		if err := snapshot.WriteManifest(dir, &m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(dir, 1); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}

@@ -94,7 +94,7 @@ func newIndexMetrics(x *Index) *indexMetrics {
 	reg.GaugeFunc("cps_index_tombstones", "deleted ids still physically present", func() float64 {
 		x.mu.RLock()
 		defer x.mu.RUnlock()
-		return float64(len(x.tombs))
+		return float64(x.deleted.Count() - x.reclaimed)
 	})
 	reg.GaugeFunc("cps_index_generation", "ring generation (seals and compaction swaps)", func() float64 {
 		x.mu.RLock()

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 
 	"repro/internal/exec"
@@ -57,7 +56,7 @@ func nextGeneration(dir string) (int, error) {
 // Save writes the index to dir (created if needed), overwriting any
 // snapshot already there. It runs against one read-locked snapshot of
 // the index: sealed shards, every exactly-scanned buffer (in-flight
-// seals included — they reload as side-shard state), tombstones and
+// seals included — they reload as side-shard state), the deleted set and
 // counters, so a concurrent Add or Delete lands entirely before or
 // entirely after the snapshot point. Shard files are written in parallel
 // on the execution layer.
@@ -85,6 +84,7 @@ func (x *Index) Save(dir string) error {
 	}
 	side.IDs = append(side.IDs, x.side.ids...)
 	side.Sets = append(side.Sets, x.side.sets...)
+	deleted := x.deleted
 	m := &snapshot.Manifest{
 		FormatVersion:   snapshot.Version,
 		Lambda:          x.lambda,
@@ -104,8 +104,6 @@ func (x *Index) Save(dir string) error {
 		CompactedShards: x.compactedShards,
 		RingGeneration:  x.generation,
 		Side:            side,
-		Tombstones:      sortedTombstones(x.tombs),
-		DroppedBitmap:   x.dropped.Bytes(),
 	}
 	if rt := x.runtime; rt != (RuntimeOptions{}) {
 		m.Runtime = &snapshot.RuntimeState{
@@ -114,6 +112,27 @@ func (x *Index) Save(dir string) error {
 		}
 	}
 	x.mu.RUnlock()
+
+	// One pass over the held ids splits the deleted set into the manifest's
+	// two halves: the tombstones a load must find held, and the dropped rest.
+	var tombs, dropped intset.Bitmap
+	hold := func(ids []int) {
+		for _, id := range ids {
+			if deleted.Get(id) {
+				tombs.Set(id)
+			}
+		}
+	}
+	hold(side.IDs)
+	for _, sh := range shards {
+		hold(sh.ids)
+	}
+	for _, id := range deleted.Ints() {
+		if !tombs.Get(id) {
+			dropped.Set(id)
+		}
+	}
+	m.Tombstones, m.DroppedBitmap = tombs.Ints(), dropped.Bytes()
 
 	m.Shards = make([]snapshot.ShardEntry, len(shards))
 	errs := make([]error, len(shards))
@@ -132,18 +151,6 @@ func (x *Index) Save(dir string) error {
 		return err
 	}
 	return pruneUnreferenced(dir, m)
-}
-
-func sortedTombstones(ids map[int]struct{}) []int {
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(ids))
-	for id := range ids {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // saveShard writes one shard file: a loaded shard's container holds its
@@ -263,7 +270,7 @@ type LoadOptions struct {
 // parallel tasks on the execution layer with the given worker count (0 =
 // sequential, negative = GOMAXPROCS), which also becomes the loaded index's
 // Workers option for future seals and batch queries; everything else —
-// options, counters, side shard, tombstones, runtime options — comes from
+// options, counters, side shard, deleted set, runtime options — comes from
 // the manifest. A corrupt or truncated snapshot returns a descriptive error
 // wrapping snapshot.ErrCorrupt (or ErrVersion), never a panic; what loads
 // cannot fail a query later, in either tier.
@@ -324,28 +331,21 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 		compactedShards: m.CompactedShards,
 		generation:      m.RingGeneration,
 	}
-	if len(m.Tombstones) > 0 {
-		x.tombs = make(map[int]struct{}, len(m.Tombstones))
-		for _, id := range m.Tombstones {
-			x.tombs[id] = struct{}{}
+	// The deleted set is the dropped bitmap plus the tombstones, added to a
+	// clone: the checks below need dropped as saved. A dropped id is
+	// physically absent, so it must not double as a tombstone (that would
+	// wrongly debit the live count).
+	dropped := m.DroppedIDs()
+	x.deleted, x.reclaimed = dropped, dropped.Count()
+	for _, id := range m.Tombstones {
+		if dropped.Get(id) {
+			return nil, fmt.Errorf("%s: %w: id %d both dropped and tombstoned",
+				dir, snapshot.ErrCorrupt, id)
 		}
-	}
-	// The dropped set arrives as a dense bitmap. A dropped id is
-	// physically absent: it must not double as a tombstone (that would
-	// wrongly debit the live count below) or still sit in the side shard.
-	if x.dropped = m.DroppedIDs(); x.dropped != nil {
-		for _, id := range m.Tombstones {
-			if x.dropped.Get(id) {
-				return nil, fmt.Errorf("%s: %w: id %d both dropped and tombstoned",
-					dir, snapshot.ErrCorrupt, id)
-			}
+		if x.deleted == dropped {
+			x.deleted = dropped.Clone()
 		}
-		for _, id := range m.Side.IDs {
-			if x.dropped.Get(id) {
-				return nil, fmt.Errorf("%s: %w: dropped id %d still in side shard",
-					dir, snapshot.ErrCorrupt, id)
-			}
-		}
+		x.deleted.Set(id)
 	}
 
 	x.shards = make([]*localShard, len(m.Shards))
@@ -368,50 +368,45 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 	}
 	// One pass over every physically present id checks the remaining
 	// cross-invariants: an id is held once, by one shard or by the side
-	// buffer (an id held twice would be answered twice); a dropped id must
-	// be absent from every shard (a manifest claiming otherwise would
-	// resurrect a reclaimed entry as live data that Delete, which skips
-	// dropped ids, could never remove); and every tombstone must be
-	// physically present somewhere (a ghost tombstone would debit the live
-	// count below for an id that does not exist). Every id was checked to
-	// lie in [0, Total) already.
+	// buffer (an id held twice would be answered twice); a dropped id is
+	// held nowhere (a manifest claiming otherwise would resurrect a
+	// reclaimed entry as live data that Delete, which skips deleted ids,
+	// could never remove); and every tombstone is held somewhere (a ghost
+	// tombstone would debit the live count below for an id that does not
+	// exist). Every id was checked to lie in [0, Total) already.
 	var held intset.Bitmap
-	present := 0
-	hold := func(id int) error {
-		if held.Get(id) {
-			return fmt.Errorf("%s: %w: id %d held twice", dir, snapshot.ErrCorrupt, id)
-		}
-		held.Set(id)
-		if _, dead := x.tombs[id]; dead {
-			present++
+	present, tombs := 0, x.deleted.Count()-x.reclaimed
+	hold := func(ids []int) error {
+		for _, id := range ids {
+			switch {
+			case dropped.Get(id):
+				return fmt.Errorf("%s: %w: dropped id %d still held", dir, snapshot.ErrCorrupt, id)
+			case held.Get(id):
+				return fmt.Errorf("%s: %w: id %d held twice", dir, snapshot.ErrCorrupt, id)
+			case x.deleted.Get(id):
+				present++
+			}
+			held.Set(id)
 		}
 		return nil
 	}
-	for _, id := range m.Side.IDs {
-		if err := hold(id); err != nil {
+	if err := hold(m.Side.IDs); err != nil {
+		return nil, err
+	}
+	for _, sh := range x.shards {
+		if err := hold(sh.ids); err != nil {
 			return nil, err
 		}
 	}
-	for _, sh := range x.shards {
-		for _, id := range sh.ids {
-			if x.dropped.Get(id) {
-				return nil, fmt.Errorf("%s: %w: dropped id %d still present in a shard",
-					dir, snapshot.ErrCorrupt, id)
-			}
-			if err := hold(id); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if present != len(x.tombs) {
+	if present != tombs {
 		return nil, fmt.Errorf("%s: %w: %d of %d tombstoned ids not present in any shard",
-			dir, snapshot.ErrCorrupt, len(x.tombs)-present, len(x.tombs))
+			dir, snapshot.ErrCorrupt, tombs-present, tombs)
 	}
 
 	// live is derived, not stored: every physically present id minus the
 	// tombstones (all physically present, per the check above, so the
 	// subtraction cannot go negative).
-	x.live = len(x.side.ids) - len(x.tombs)
+	x.live = len(x.side.ids) - tombs
 	for _, sh := range x.shards {
 		x.live += len(sh.ids)
 	}

@@ -17,8 +17,8 @@ import (
 //	plan     newPlan: the one place mode and threshold are validated
 //	time     query / QueryBatchErr: latency histogram by kind, trace total
 //	lookup   cacheAt.lookup / put: the empty-query rule and the result cache
-//	snapshot fan: one read-locked view of the ring, the buffers and the tombstones
-//	merge    fan.merge: every shard asked, tombstone filter, exact buffer scan, canonical order
+//	snapshot fan: one read-locked view of the ring, the buffers and the deleted set
+//	merge    fan.merge: every shard asked, deleted ids filtered, exact buffer scan, canonical order
 //	rank     Search: threshold narrowing and limit ranking over the merged answer
 //
 // A batch is the same pipeline over one snapshot, its queries merged in
@@ -58,8 +58,10 @@ type Request struct {
 	Mode Mode `json:"mode,omitempty"`
 	// Threshold is the match floor. In similarity mode, zero means the
 	// index's build threshold λ, and explicit values must lie in [λ, 1] —
-	// the index cannot see below the threshold it was built for. In
-	// containment mode it is required, in (0,1].
+	// the index cannot see below the threshold it was built for; above λ
+	// it narrows the all-matches answer, and a best-of query returns the top
+	// match left (ties to the lower id), found exactly when All finds one.
+	// In containment mode it is required, in (0,1].
 	Threshold float64 `json:"threshold,omitempty"`
 	// All requests every match instead of the single best one.
 	// Containment queries always return every match, so All is implied
@@ -165,25 +167,32 @@ func (x *Index) Search(req Request, tr *QueryTrace) (Result, error) {
 	if err != nil {
 		return noMatch, err
 	}
+	floor := req.Threshold
+	narrowed := p.kind != kindContain && floor > x.lambda
+	if narrowed {
+		p.kind = kindAll // a shard's best over λ may miss floor while another set clears it
+	}
 	res := x.query(p, intset.Normalize(req.Set), tr)
-	if floor := req.Threshold; p.kind != kindContain && floor > x.lambda {
-		res = narrow(res, floor)
+	if narrowed {
+		res = narrow(res.Matches, floor, req.All)
 	}
 	res.Matches = rankLimit(res.Matches, req.Limit)
 	return res, nil
 }
 
-// narrow drops what scores below floor. It builds a fresh match list: the
-// input may be a live cache entry.
-func narrow(res Result, floor float64) Result {
+// narrow answers a similarity query above λ from its all-matches answer ms,
+// ascending by id: the matches scoring at least floor, or the top one of
+// them (ties to the lower id) if not all. ms may be a live cache entry.
+func narrow(ms []Match, floor float64, all bool) Result {
 	out := noMatch
-	if res.Found && res.Best.ID >= 0 && res.Best.Sim >= floor {
-		out.Best, out.Found = res.Best, true
-	}
-	for _, m := range res.Matches {
-		if m.Sim >= floor {
+	for _, m := range ms {
+		switch {
+		case m.Sim < floor:
+		case all:
 			out.Matches = append(out.Matches, m)
 			out.Found = true
+		case !out.Found || m.Sim > out.Best.Sim:
+			out.Best, out.Found = m, true
 		}
 	}
 	return out
@@ -349,17 +358,17 @@ type fan struct {
 	shards  []*localShard
 	sealing []*sideBuffer
 	side    sideBuffer
-	tombs   map[int]struct{}
+	deleted *intset.Bitmap
 }
 
 func (x *Index) fan(p plan) fan {
 	f := fan{p: p, lambda: x.lambda, workers: x.opt.Workers}
-	f.shards, f.sealing, f.side, f.tombs = x.snapshot()
+	f.shards, f.sealing, f.side, f.deleted = x.snapshot()
 	return f
 }
 
 // merge is the per-query merge: every shard's answer in ring order,
-// tombstones filtered, the buffers scanned exactly, and one canonical order
+// deleted ids filtered, the buffers scanned exactly, and one canonical order
 // — the best match under (score desc, id asc), match lists ascending by
 // global id. Shards are disjoint and ids unique, so the answer is
 // independent of the ring's order. A non-nil tr records per-shard timing
@@ -376,7 +385,7 @@ func (f *fan) merge(q []uint32, tr *QueryTrace) Result {
 		matched := len(res.Matches)
 		if f.p.kind == kindBest && res.Found {
 			matched = 1
-			if _, dead := f.tombs[res.Best.ID]; dead {
+			if f.deleted.Get(res.Best.ID) {
 				// Rare path — the shard's chosen match was deleted — so the
 				// shard is rescanned for its best live match with a plain
 				// serial call: a delete hides exactly one set instead of
@@ -387,7 +396,7 @@ func (f *fan) merge(q []uint32, tr *QueryTrace) Result {
 			}
 		}
 		for _, m := range res.Matches {
-			if _, dead := f.tombs[m.ID]; !dead {
+			if !f.deleted.Get(m.ID) {
 				f.keep(&out, m)
 			}
 		}
@@ -433,7 +442,7 @@ func (f *fan) keep(out *Result, m Match) {
 // many sets it compared.
 func (f *fan) scan(out *Result, b sideBuffer, q []uint32) int {
 	for i, set := range b.sets {
-		if _, dead := f.tombs[b.ids[i]]; dead {
+		if f.deleted.Get(b.ids[i]) {
 			continue
 		}
 		var score float64

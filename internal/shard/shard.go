@@ -219,24 +219,18 @@ type Index struct {
 	appends int
 	merges  int
 	deletes int
-	// tombs is the shared tombstone set: global ids deleted but still
-	// physically present in a sealed shard or a buffer. It is copy-on-
-	// write — Delete publishes a new map, never mutates the old — so
-	// query snapshots read it without locks. Sealing compacts away the
-	// tombstones whose sets lived in the sealed buffer; tombstones in
-	// sealed shards persist until Compact rewrites the shard. nil means
-	// no tombstones.
-	tombs map[int]struct{}
-	// dropped records ids whose physical entries have been reclaimed — by
-	// a seal that compacted a deleted buffered entry, or by Compact
-	// dropping a tombstoned set from a rewritten shard. Their tombstones
-	// are retired, so Delete must consult this set to stay idempotent: a
-	// reclaimed id is gone, not live, and re-deleting it must not touch
-	// the live count. A dense bitmap over [0, total): the cost is bounded
-	// by ids ever assigned, not by lifetime churn. Mutated only under the
-	// write lock (queries never read it: dropped ids appear in no shard
-	// or buffer); nil until the first reclamation.
-	dropped *intset.Bitmap
+	// deleted is every id ever deleted, whether a shard or a buffer still
+	// holds its set (a tombstone, filtered when answers merge) or a seal or
+	// a compaction has dropped it. A dropped id stays in it, so a repeat
+	// Delete is a no-op. It is copy-on-write — DeleteBatch publishes a new
+	// bitmap and never changes the old one — so query snapshots read it
+	// without a lock, and seals and compactions only read it. nil until the
+	// first delete.
+	deleted *intset.Bitmap
+	// reclaimed counts the deleted ids whose sets a seal or a compaction
+	// has physically dropped; the other deleted.Count()-reclaimed are
+	// tombstones.
+	reclaimed int
 	// generation counts ring changes (seals and compaction swaps). A
 	// bumped generation tells observers the shard set they snapshotted has
 	// been superseded; in-flight queries finish against their snapshot.
@@ -413,8 +407,8 @@ func (x *Index) Len() int {
 }
 
 // snapshot returns the current sealed shards, exactly-scanned buffers
-// (in-flight seals plus the live side buffer) and the tombstone set under
-// the read lock. Sealed shards, sealing buffers and the tombstone map are
+// (in-flight seals plus the live side buffer) and the deleted set under
+// the read lock. Sealed shards, sealing buffers and the deleted set are
 // immutable (the latter by the copy-on-write discipline), and the side
 // buffer's visible prefix is capped with a full slice expression, so the
 // snapshot stays valid after the lock is released; entries appended after
@@ -422,7 +416,7 @@ func (x *Index) Len() int {
 // semantics. Detached sealing buffers come back as the shared pointers
 // (they are frozen) and the live buffer as a capped value, so a snapshot
 // allocates nothing — part of the zero-allocation query contract.
-func (x *Index) snapshot() ([]*localShard, []*sideBuffer, sideBuffer, map[int]struct{}) {
+func (x *Index) snapshot() ([]*localShard, []*sideBuffer, sideBuffer, *intset.Bitmap) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	sealing := x.sealing[:len(x.sealing):len(x.sealing)]
@@ -430,7 +424,7 @@ func (x *Index) snapshot() ([]*localShard, []*sideBuffer, sideBuffer, map[int]st
 		sets: x.side.sets[:len(x.side.sets):len(x.side.sets)],
 		ids:  x.side.ids[:len(x.side.ids):len(x.side.ids)],
 	}
-	return x.shards, sealing, side, x.tombs
+	return x.shards, sealing, side, x.deleted
 }
 
 // Add appends sets to the index and returns their global ids. The sets
@@ -483,44 +477,25 @@ func (x *Index) Add(sets [][]uint32) []int {
 // joins x.sealing, so queries keep scanning it exactly while the shard
 // build runs outside the lock.
 //
-// Sealing is also where tombstones are compacted: entries deleted while
-// buffered are dropped before the shard is built, and their tombstones
-// retire with them — a delete that never reaches a sealed shard costs
-// nothing forever after. (Deletes that land after this point still serve
-// correctly: the built shard contains the set, but query merges filter
-// it through the tombstone set.) If compaction empties the buffer, no
-// slot is claimed and no shard is built.
+// Sealing also drops the entries deleted while buffered, before the shard
+// is built, and counts them reclaimed — a delete that never reaches a
+// sealed shard costs nothing forever after. (Deletes that land after this
+// point still serve correctly: the built shard contains the set, but query
+// merges filter it through the deleted set.) If that empties the buffer,
+// no slot is claimed and no shard is built.
 func (x *Index) beginSealLocked() (*sideBuffer, int) {
-	b := x.side
+	old := x.side
 	x.side = &sideBuffer{}
-	if len(x.tombs) > 0 {
-		// Copy-on-write on both sides: in-flight queries may still hold
-		// the old buffer slices and the old tombstone map, so filter into
-		// fresh slices and publish a fresh map.
-		remaining := make(map[int]struct{}, len(x.tombs))
-		for id := range x.tombs {
-			remaining[id] = struct{}{}
+	// In-flight queries may still hold the old buffer's slices, so the live
+	// entries go to fresh ones.
+	b := &sideBuffer{sets: make([][]uint32, 0, len(old.ids)), ids: make([]int, 0, len(old.ids))}
+	for i, id := range old.ids {
+		if x.deleted.Get(id) {
+			x.reclaimed++
+			continue
 		}
-		kept := &sideBuffer{}
-		var reclaimed []int
-		for i, id := range b.ids {
-			if _, dead := remaining[id]; dead {
-				delete(remaining, id)
-				reclaimed = append(reclaimed, id)
-				continue
-			}
-			kept.sets = append(kept.sets, b.sets[i])
-			kept.ids = append(kept.ids, id)
-		}
-		if len(reclaimed) > 0 {
-			b = kept
-			if len(remaining) == 0 {
-				x.tombs = nil
-			} else {
-				x.tombs = remaining
-			}
-			x.markDroppedLocked(reclaimed)
-		}
+		b.sets = append(b.sets, old.sets[i])
+		b.ids = append(b.ids, id)
 	}
 	if len(b.sets) == 0 {
 		return nil, 0
@@ -554,33 +529,20 @@ func (x *Index) finishSeal(b *sideBuffer, slot int) {
 	}
 }
 
-// markDroppedLocked records ids whose physical entries have just been
-// reclaimed, so later deletes of the same ids stay no-ops. Caller holds
-// the write lock.
-func (x *Index) markDroppedLocked(ids []int) {
-	if x.dropped == nil {
-		x.dropped = &intset.Bitmap{}
-	}
-	for _, id := range ids {
-		x.dropped.Set(id)
-	}
-}
-
 // Delete removes the set with the given global id from query results. It
 // reports whether the id was live (false for out-of-range or already
-// deleted ids). The set is tombstoned, not unbuilt: sealed shards are
-// immutable, so query merges filter the id out, and the physical entry
-// is reclaimed when its side buffer seals (buffered entries) or when
-// Compact rewrites its shard (sealed entries).
+// deleted ids). The id joins the deleted set and its set stays built for
+// now: sealed shards are immutable, so query merges filter the id out,
+// and the physical entry is reclaimed when its side buffer seals (buffered
+// entries) or when Compact rewrites its shard (sealed entries). Reclaiming
+// leaves the id in the deleted set, so deleting it again stays a no-op.
 func (x *Index) Delete(id int) bool {
 	return x.DeleteBatch([]int{id}) == 1
 }
 
-// DeleteBatch deletes many ids at once with a single copy of the
-// tombstone set, returning how many were live. Unknown and already
-// deleted ids are skipped — including ids whose physical entries were
-// already reclaimed by a seal or a compaction, which would otherwise be
-// re-tombstoned and corrupt the live count.
+// DeleteBatch deletes many ids at once with a single copy of the deleted
+// set, returning how many were live. Out-of-range ids and ids already in
+// the deleted set, whether still held or already reclaimed, are skipped.
 func (x *Index) DeleteBatch(ids []int) int {
 	start := time.Now()
 	x.mu.Lock()
@@ -590,37 +552,25 @@ func (x *Index) DeleteBatch(ids []int) int {
 			m.deleteLat.Observe(time.Since(start))
 		}
 	}()
-	var next map[int]struct{}
-	deleted := 0
+	next := x.deleted
+	n := 0
 	for _, id := range ids {
-		if id < 0 || id >= x.total {
+		if id < 0 || id >= x.total || next.Get(id) {
 			continue
 		}
-		if x.dropped.Get(id) {
-			continue
+		if next == x.deleted {
+			next = x.deleted.Clone()
 		}
-		if _, dead := x.tombs[id]; dead {
-			continue
-		}
-		if next == nil {
-			next = make(map[int]struct{}, len(x.tombs)+len(ids))
-			for t := range x.tombs {
-				next[t] = struct{}{}
-			}
-		}
-		if _, dead := next[id]; dead {
-			continue
-		}
-		next[id] = struct{}{}
-		deleted++
+		next.Set(id)
+		n++
 	}
-	if deleted > 0 {
-		x.tombs = next
-		x.deletes += deleted
-		x.live -= deleted
+	if n > 0 {
+		x.deleted = next
+		x.deletes += n
+		x.live -= n
 		x.version.Add(1)
 	}
-	return deleted
+	return n
 }
 
 // Flush seals the side buffer into the ring immediately, regardless of

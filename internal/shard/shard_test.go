@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -118,6 +119,59 @@ func TestQueryBestAcrossShards(t *testing.T) {
 	}
 	if found == 0 {
 		t.Fatal("no valid planted queries")
+	}
+}
+
+// TestNarrowedBestIsAllsTop pins the narrowing contract: with a similarity
+// threshold above λ, a best-match query finds a match exactly when the
+// all-matches query does, and its Best is the top of that list (score
+// descending, lower id on ties). The kernel's best-match walk stops at the
+// first tree with any match over λ, so narrowing that one answer loses the
+// matches the other trees would have found. Clusters of perturbed copies
+// at λ = 0.3 put many matches just above and below each threshold.
+func TestNarrowedBestIsAllsTop(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	perturb := func(base []uint32) []uint32 {
+		out := append([]uint32(nil), base...)
+		for n := 2 + r.Intn(3); n > 0; n-- {
+			out[r.Intn(len(out))] = uint32(r.Intn(5000))
+		}
+		return intset.Normalize(out)
+	}
+	var sets, queries [][]uint32
+	for b := 0; b < 300; b++ {
+		base := make([]uint32, 12)
+		for i := range base {
+			base[i] = uint32(r.Intn(5000))
+		}
+		base = intset.Normalize(base)
+		for v := 0; v < 5; v++ {
+			sets = append(sets, perturb(base))
+		}
+		queries = append(queries, perturb(base))
+	}
+	x := Build(sets, 0.3, &Options{Shards: 1, Seed: 3})
+	for _, th := range []float64{0.5, 0.6, 0.7} {
+		for qi, q := range queries {
+			all, err := x.Search(Request{Set: q, All: true, Threshold: th}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best, err := x.Search(Request{Set: q, Threshold: th}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := noMatch
+			for _, m := range all.Matches {
+				if !want.Found || m.Sim > want.Best.Sim {
+					want.Best, want.Found = m, true
+				}
+			}
+			if best.Found != want.Found || best.Best != want.Best {
+				t.Fatalf("threshold %v, query %d: best-match %+v, the top of the all-matches answer is %+v",
+					th, qi, best, want)
+			}
+		}
 	}
 }
 

@@ -17,14 +17,14 @@ type Stats struct {
 	Merges     int   `json:"merges"`
 	// Deletes counts lifetime Delete calls that hit a live id;
 	// Tombstones counts the deleted ids still physically present (and
-	// thus filtered at query time) — seals compact buffered ones away,
-	// Compact reclaims the rest.
+	// thus filtered at query time) — seals drop buffered ones, Compact
+	// reclaims the rest.
 	Deletes    int `json:"deletes"`
 	Tombstones int `json:"tombstones"`
 	// Compactions counts completed Compact passes, CompactedShards the
 	// ring shards they removed or rewrote, and Reclaimed the deleted ids
-	// whose physical entries have been dropped (by seals and compactions)
-	// and whose tombstones are retired for good.
+	// whose physical entries seals and compactions have dropped.
+	// Tombstones + Reclaimed is every id ever deleted.
 	Compactions     int `json:"compactions"`
 	CompactedShards int `json:"compacted_shards"`
 	Reclaimed       int `json:"reclaimed"`
@@ -64,10 +64,10 @@ func (x *Index) Stats() Stats {
 		Appends:         x.appends,
 		Merges:          x.merges,
 		Deletes:         x.deletes,
-		Tombstones:      len(x.tombs),
+		Tombstones:      x.deleted.Count() - x.reclaimed,
 		Compactions:     x.compactions,
 		CompactedShards: x.compactedShards,
-		Reclaimed:       x.dropped.Count(),
+		Reclaimed:       x.reclaimed,
 		Generation:      x.generation,
 		Partition:       x.opt.Partition.String(),
 		Workers:         x.opt.Workers,

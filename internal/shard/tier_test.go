@@ -234,20 +234,28 @@ func TestTracedBestQueryStatsAcrossTiers(t *testing.T) {
 	}
 }
 
-// TestSaveBytesIndependentOfTier: the shard files a ring saves are the
-// same bytes whether each shard was encoded from the heap (a fresh build)
-// or copied out of the container a hot or a cold load kept.
+// TestSaveBytesIndependentOfTier: the files a ring saves — the manifest and
+// every shard file — are the same bytes whether each shard was encoded from
+// the heap (a fresh build) or copied out of the container a hot or a cold
+// load kept. The churned input holds a deleted id in each place one can
+// be: still in the side buffer, still in a sealed shard, dropped by a seal
+// and dropped by a compaction, so the manifest's two halves of the deleted
+// set (tombstones, dropped_bitmap) round-trip byte for byte too.
 func TestSaveBytesIndependentOfTier(t *testing.T) {
-	x, dir, _ := saveWorkload(t)
-	shardBytes := func(dir string) [][]byte {
+	// savedBytes returns the manifest followed by the shard files it names.
+	savedBytes := func(dir string) [][]byte {
 		t.Helper()
 		m, err := snapshot.ReadManifest(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out [][]byte
+		names := []string{snapshot.ManifestFile}
 		for _, e := range m.Shards {
-			raw, err := os.ReadFile(filepath.Join(dir, e.File))
+			names = append(names, e.File)
+		}
+		var out [][]byte
+		for _, name := range names {
+			raw, err := os.ReadFile(filepath.Join(dir, name))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -255,31 +263,53 @@ func TestSaveBytesIndependentOfTier(t *testing.T) {
 		}
 		return out
 	}
-	want := shardBytes(dir)
-	resave := func(name string, y *Index) {
+	check := func(input string, x *Index, dir string) {
 		t.Helper()
-		d := t.TempDir()
-		if err := y.Save(d); err != nil {
-			t.Fatal(err)
-		}
-		got := shardBytes(d)
-		if len(got) != len(want) {
-			t.Fatalf("%s: saved %d shard files, want %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("%s: shard file %d differs from the fresh build's encode", name, i)
+		want := savedBytes(dir)
+		resave := func(name string, y *Index) {
+			t.Helper()
+			d := t.TempDir()
+			if err := y.Save(d); err != nil {
+				t.Fatal(err)
+			}
+			got := savedBytes(d)
+			if len(got) != len(want) {
+				t.Fatalf("%s, %s: saved %d files, want %d", input, name, len(got), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("%s, %s: file %d (0 is the manifest) differs from the first save", input, name, i)
+				}
 			}
 		}
-	}
-	resave("fresh build, second save", x)
-	for _, tier := range []Tier{TierHot, TierCold} {
-		y, err := LoadWithOptions(dir, LoadOptions{Workers: 2, Tiering: tier})
-		if err != nil {
-			t.Fatal(err)
+		resave("second save", x)
+		for _, tier := range []Tier{TierHot, TierCold} {
+			y, err := LoadWithOptions(dir, LoadOptions{Workers: 2, Tiering: tier})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resave(string(tier)+" load", y)
 		}
-		resave(string(tier)+" load", y)
 	}
+	x, dir, _ := saveWorkload(t)
+	check("fresh build", x, dir)
+
+	x, _, _ = churn(t, exactOptions(2, 40, 151))
+	x.Compact() // drops the churn's deleted ids from the merged shards
+	x.Delete(0) // held by a primary shard
+	extra, _ := workload(5, 0.8, 509)
+	x.Delete(x.Add(extra[:3])[0])
+	x.Flush()                      // the seal drops it
+	x.Delete(x.Add(extra[3:5])[0]) // held by the side buffer
+	st := x.Stats()
+	if st.Tombstones != 2 || st.Reclaimed < 2 || st.Buffered != 2 {
+		t.Fatalf("churned input: %+v", st)
+	}
+	dir = t.TempDir()
+	if err := x.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	check("churned", x, dir)
 }
 
 // aliases reports whether words lies inside data.

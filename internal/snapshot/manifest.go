@@ -15,7 +15,7 @@ const ManifestFile = "manifest.json"
 // Manifest is the JSON root of a persisted sharded index: everything
 // needed to reopen the directory — shard files and their seeds, the
 // partition scheme and build options for future seals, the unsealed
-// side-shard contents, tombstones, and the counters that make a restarted
+// side-shard contents, the deleted set, and the counters that make a restarted
 // service indistinguishable from one that never stopped. It is JSON (not
 // the binary container) on purpose: the manifest is the part an operator
 // inspects and tooling diffs, while the bulk per-shard structures stay
@@ -52,20 +52,19 @@ type Manifest struct {
 	// by the merge threshold, so JSON keeps the whole directory readable
 	// with one binary format instead of two.
 	Side SideState `json:"side"`
-	// Tombstones are the deleted ids still physically present in some
-	// shard or in Side, sorted ascending. Query merges filter them; a
-	// seal compacts away the ones that lived in the sealed buffer and a
-	// compaction reclaims the ones in its victim shards.
+	// Tombstones and DroppedBitmap are the index's one deleted set (every
+	// id ever deleted) in two disjoint halves. Tombstones, sorted
+	// ascending, are the ids some shard or Side still holds: query merges
+	// filter them, and a load checks that each is held.
 	Tombstones []int `json:"tombstones,omitempty"`
-	// DroppedBitmap records the deleted ids whose physical entries have
-	// been reclaimed (their tombstones are retired) as a dense bitmap over
-	// [0, Total): byte i/8 bit i%8 set means id i is dropped, trailing
-	// zero bytes trimmed (intset.Bitmap's canonical encoding, base64 on
-	// the wire via encoding/json). The loaded index needs it so a repeat
-	// Delete of a reclaimed id stays a no-op instead of corrupting the
-	// live count; a bitmap bounds the cost by ids ever assigned (Total/8
-	// bytes) instead of by lifetime delete volume. Disjoint from
-	// Tombstones and from Side.IDs by construction.
+	// DroppedBitmap is the rest, the ids whose physical entries a seal or a
+	// compaction reclaimed, as a dense bitmap over [0, Total): byte i/8 bit
+	// i%8 set means id i is dropped, trailing zero bytes trimmed
+	// (intset.Bitmap's canonical encoding, base64 on the wire via
+	// encoding/json). The loaded index needs it so a repeat Delete of a
+	// reclaimed id stays a no-op instead of corrupting the live count; a
+	// bitmap bounds the cost by ids ever assigned (Total/8 bytes) instead of
+	// by lifetime delete volume. A load checks that none is held.
 	DroppedBitmap []byte `json:"dropped_bitmap,omitempty"`
 	// Runtime carries the runtime options applied to the index via
 	// Configure, so a Load re-applies them instead of callers having to
@@ -83,7 +82,7 @@ type RuntimeState struct {
 	CacheSize   int  `json:"cache_size,omitempty"`
 }
 
-// DroppedIDs decodes the reclaimed-id set (nil when empty).
+// DroppedIDs decodes the dropped half of the deleted set (nil when empty).
 func (m *Manifest) DroppedIDs() *intset.Bitmap {
 	if len(m.DroppedBitmap) == 0 {
 		return nil

@@ -349,6 +349,28 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 			// structure is approximate (recall is a target, not 1.0), so
 			// misses are tallied and gated in aggregate at the end instead
 			// of per probe.
+			// The deletion counts against the model: Deletes is every delete
+			// that hit a live id, and each of those ids is either still held
+			// (a tombstone) or dropped by a seal or a compaction (reclaimed).
+			// A save and load changes none of the three.
+			deletes := 0
+			checkDeletes := func(op int) ShardStats {
+				t.Helper()
+				st := ix.Stats()
+				if st.Deletes != deletes || st.Tombstones+st.Reclaimed != st.Deletes {
+					fail(op, "deletes %d, tombstones %d + reclaimed %d; the model deleted %d",
+						st.Deletes, st.Tombstones, st.Reclaimed, deletes)
+				}
+				return st
+			}
+			checkReloadedDeletes := func(op int, pre ShardStats) {
+				t.Helper()
+				if st := checkDeletes(op); st.Tombstones != pre.Tombstones || st.Reclaimed != pre.Reclaimed {
+					fail(op, "tombstones %d, reclaimed %d after save and load, %d, %d before",
+						st.Tombstones, st.Reclaimed, pre.Tombstones, pre.Reclaimed)
+				}
+			}
+
 			var containTruth, containHits int
 			contain := func(op int, q []uint32, th float64) []Match {
 				t.Helper()
@@ -402,6 +424,9 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 						if got := ix.Delete(id); got != want {
 							fail(op, "Delete(%d) = %v, model says %v", id, got, want)
 						}
+						if want {
+							deletes++
+						}
 					}
 				case k < 70: // Query + QueryAll + containment
 					q := genQuery(r, model)
@@ -435,12 +460,14 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 					// change a single match.
 					containProbe := genQuery(r, model)
 					preContain := contain(op, containProbe, 0.5)
+					pre := checkDeletes(op)
 					loaded, err := reload()
 					if err != nil {
 						fail(op, "Save + Load: %v", err)
 					}
 					ix = loaded
 					reconfigure(ix)
+					checkReloadedDeletes(op, pre)
 					postContain := contain(op, containProbe, 0.5)
 					if !equalModelMatches(preContain, postContain) {
 						fail(op, "containment answers changed across save/load: %v -> %v",
@@ -451,6 +478,7 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 				if got, want := ix.Len(), len(model.sets); got != want {
 					fail(op, "Len() = %d, model says %d", got, want)
 				}
+				checkDeletes(op)
 				if op%20 == 19 {
 					for p := 0; p < 5; p++ {
 						checkQuery(op, genQuery(r, model))
@@ -463,12 +491,14 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 			// every live set self-queries correctly plus a probe batch.
 			ix.Flush()
 			ix.Compact()
+			pre := checkDeletes(ops)
 			loaded, err := reload()
 			if err != nil {
 				t.Fatalf("final Save + Load: %v", err)
 			}
 			ix = loaded
 			reconfigure(ix)
+			checkReloadedDeletes(ops, pre)
 			var finals [][]uint32
 			for id := 0; id < model.next; id++ {
 				if s, live := model.sets[id]; live {

@@ -26,7 +26,8 @@ const (
 // Query is one search request against a ShardedIndex — the single
 // request shape of the query-mode API: the set (normalized on entry, so
 // callers may pass raw token ids), the Mode, the Threshold (similarity:
-// zero means the build threshold λ, explicit values must lie in [λ, 1];
+// zero means λ, explicit values lie in [λ, 1], and one above λ narrows the
+// all-matches answer, best-of returning its top match, ties to the lower id;
 // containment: required, in (0,1]), All (every match instead of the best
 // one; implied in containment mode) and Limit (when positive, re-rank by
 // score and keep the top Limit).

@@ -109,21 +109,22 @@ type CompactResult = shard.CompactResult
 
 // Compact runs one compaction pass: small ring shards (at most
 // 2×MergeThreshold sets; sealed appends accumulate them) and shards at
-// least 30% deleted are rebuilt — minus their tombstoned sets — into one
+// least 30% deleted are rebuilt — minus their deleted sets — into one
 // merged shard, which swaps into the ring atomically. Query results are
 // provably unchanged: global ids are preserved and only already-deleted
-// sets are dropped (their tombstones retire with them). Queries and
-// appends proceed concurrently; in-flight queries finish against the old
-// ring. Passes serialize; Merged == 0 means nothing was eligible.
+// sets are dropped (their ids stay deleted). Queries and appends proceed
+// concurrently; in-flight queries finish against the old ring. Passes
+// serialize; Merged == 0 means nothing was eligible.
 func (s *ShardedIndex) Compact() CompactResult {
 	return s.ix.Compact()
 }
 
 // Delete removes the set with the given global id from all query results,
-// reporting whether the id was live. Deletes are tombstones: sealed
-// shards are immutable, so the id is filtered out at query-merge time and
-// the physical entry is reclaimed when its side buffer seals. Safe to
-// call concurrently with queries and Add.
+// reporting whether the id was live. Sealed shards are immutable, so the
+// id joins one deleted set filtered out at query-merge time, and the
+// physical entry is reclaimed when its side buffer seals or, once sealed,
+// when Compact rewrites its shard; the id stays deleted. Safe to call
+// concurrently with queries and Add.
 func (s *ShardedIndex) Delete(id int) bool {
 	return s.ix.Delete(id)
 }
