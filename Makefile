@@ -61,7 +61,11 @@ test-benchmark:
 # is one bit of one copy-on-write deleted set that seals and compactions
 # only read: non-test internal/shard declares no id set as a map (the
 # tombstone map that every seal and compaction rebuilt) and no
-# markDroppedLocked or sortedTombstones.
+# markDroppedLocked or sortedTombstones. A best-match query is the
+# all-matches answer reduced by cpindex.Top at every threshold, so the
+# kernel's first-tree early exit and its plumbing (kindBest, a best
+# method, the narrowed special case in Search) stay out of non-test Go
+# outside benchmark/.
 surface:
 	@out=$$(grep -rn 'Deprecated:' --include='*.go' .); if [ -n "$$out" ]; then echo "deprecated surface:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'mux\.Handle' internal/shard/server.go | grep -v '("/v1/'); if [ -n "$$out" ]; then echo "endpoint outside /v1/:"; echo "$$out"; exit 1; fi
@@ -77,6 +81,7 @@ surface:
 	@out=$$(grep -rnE 'remoteShard|shardBackend|Distribute|placementState|hostedShardFor|KeepLocal|/v1/shard/' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "the remote backend is back (the index is served from one process):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'StatusBadGateway|cps_query_errors_total|queryErrors|materializeVictims|\) QueryErr\(|\) QueryContain\(' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./benchmark/'); if [ -n "$$out" ]; then echo "a query error path is back (shards are validated when opened; only a bad request fails):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'markDroppedLocked|sortedTombstones|map\[int\]struct\{\}' --include='*.go' internal/shard | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second deletion structure is back (a deleted id is one bit of the deleted set; seals and compactions only read it):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE 'kindBest|\) best\(|narrowed :=' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./benchmark/'); if [ -n "$$out" ]; then echo "the best-match early exit is back (a best-match query is the all-matches answer reduced by cpindex.Top):"; echo "$$out"; exit 1; fi
 	@deps=$$($(GO) list -deps ./cmd/experiments) || exit 1; out=$$(echo "$$deps" | grep -xE 'repro/internal/(shard|cpindex|contain|metrics)|net/http|testing'); if [ -n "$$out" ]; then echo "cmd/experiments links the serving stack:"; echo "$$out"; exit 1; fi
 
 # race is the quick local loop (-short skips the slowest suites);

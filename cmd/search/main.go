@@ -33,7 +33,7 @@ func main() {
 		input     = flag.String("input", "", "catalogue dataset file (required)")
 		queries   = flag.String("queries", "", "query dataset file (default: stdin)")
 		threshold = flag.Float64("threshold", 0.5, "Jaccard similarity threshold in (0,1)")
-		all       = flag.Bool("all", false, "report all matches per query instead of the best one")
+		all       = flag.Bool("all", false, "report all matches per query instead of the best one, their top match (highest similarity, ties to the lower id)")
 		trees     = flag.Int("trees", 0, "number of index trees (0 = default 10)")
 		seed      = flag.Uint64("seed", 42, "random seed")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for index construction (1 = sequential; the built index is identical for any value)")

@@ -2,13 +2,17 @@
 // Christiani and Pagh (STOC 2017) — reference [5] of the CPSJoin paper
 // and the data structure the join algorithm is derived from.
 //
-// The index answers approximate similarity search: given a query set q,
-// return some indexed set y with J(q, y) >= λ if one exists, with
-// probability at least ϕ. It materializes the same random splitting trees
-// that CPSJoin traverses on the fly (Section IV-B of the paper discusses
-// the trade-off: the index stores the trees and supports online queries at
-// the cost of O(n^(1+ρ)) space, while CPSJoin streams them in near-linear
-// space). Having both makes the relationship concrete and testable.
+// The index answers approximate similarity search: given a query set q, it
+// returns every indexed set y with J(q, y) >= λ that the trees reach, each
+// reached with probability at least ϕ (Index.QueryAll), or the best of them
+// — the highest similarity, ties to the lower id (Index.Query, which is
+// QueryAll reduced by Top). STOC'17 promises only some such y; reducing the
+// whole answer gives "best match" one meaning at every threshold. It
+// materializes the same random splitting trees that CPSJoin traverses on
+// the fly (Section IV-B of the paper discusses the trade-off: the index
+// stores the trees and supports online queries at the cost of O(n^(1+ρ))
+// space, while CPSJoin streams them in near-linear space). Having both
+// makes the relationship concrete and testable.
 package cpindex
 
 import (
@@ -112,7 +116,7 @@ type Match struct {
 }
 
 // kernel is the one query engine behind both views of an index: it owns
-// signing, the iterative trie walk, the two candidate-verify loops, the
+// signing, the iterative trie walk, the one candidate-verify loop, the
 // pooled scratch and the counter flush. Index and Mapped differ only in
 // when a container was validated — before the view exists, or at its first
 // query — and wherever the token array behind sets lies, the heap or a
@@ -148,44 +152,14 @@ func (k *kernel) Lambda() float64 { return k.lambda }
 // the hot path stays allocation-free.
 func (k *kernel) SetCounters(c *QueryCounters) { k.counters = c }
 
-// best answers a best-match query: trees are walked in order and the
-// first tree that yields a verified neighbor ends the search — any
-// verified neighbor satisfies the contract, so the kernel finishes that
-// tree for its best candidate but does not scan the remaining ones.
-func (k *kernel) best(q []uint32) (int, float64, bool, QueryStats) {
-	best, bestSim := -1, 0.0
+// all appends to dst every distinct match reachable through the trees, in
+// tree-traversal order, walking with sc — a fresh getScratch the caller puts
+// back — and leaves the query's stats in sc.stats. It is the kernel's one
+// walk-and-verify loop: a best-match query is this answer reduced by Top.
+func (k *kernel) all(sc *queryScratch, dst []Match, q []uint32) []Match {
 	if len(q) == 0 {
-		return best, bestSim, false, QueryStats{}
+		return dst
 	}
-	sc := k.getScratch()
-	defer k.scratch.Put(sc)
-	k.signer.SignInto(q, sc.qsig)
-	for _, root := range k.trie.roots {
-		k.trie.collect(root, sc)
-		for _, id := range sc.cands {
-			sc.stats.Verified++
-			if sim, ok := intset.JaccardAtLeast(q, k.sets[id], k.lambda); !ok {
-				sc.stats.Rejected++
-			} else if sim > bestSim {
-				best, bestSim = int(id), sim
-			}
-		}
-		if best >= 0 {
-			break
-		}
-	}
-	k.flush(sc)
-	return best, bestSim, best >= 0, sc.stats
-}
-
-// all appends every distinct match reachable through the trees to dst, in
-// tree-traversal order.
-func (k *kernel) all(dst []Match, q []uint32) ([]Match, QueryStats) {
-	if len(q) == 0 {
-		return dst, QueryStats{}
-	}
-	sc := k.getScratch()
-	defer k.scratch.Put(sc)
 	k.signer.SignInto(q, sc.qsig)
 	for _, root := range k.trie.roots {
 		k.trie.collect(root, sc)
@@ -199,7 +173,21 @@ func (k *kernel) all(dst []Match, q []uint32) ([]Match, QueryStats) {
 		}
 	}
 	k.flush(sc)
-	return dst, sc.stats
+	return dst
+}
+
+// Top reduces a match list, in any order, to its best match: the highest
+// score, ties to the lower id. ok is false, and best.ID -1, for an empty
+// list. It is the one place the best-match order is defined: Index.Query and
+// a sharded best-match search both reduce an all-matches answer with it.
+func Top(ms []Match) (best Match, ok bool) {
+	best.ID = -1
+	for _, m := range ms {
+		if !ok || m.Sim > best.Sim || (m.Sim == best.Sim && m.ID < best.ID) {
+			best, ok = m, true
+		}
+	}
+	return best, ok
 }
 
 // flush publishes one finished query's stats to the attached counters.
@@ -212,16 +200,17 @@ func (k *kernel) flush(sc *queryScratch) {
 }
 
 // queryScratch is the per-query working memory: the signature buffer, the
-// epoch-stamped visited array, the traversal stack, the candidate buffer
-// and this query's stats. Instances are pooled per kernel, so steady-state
-// queries allocate nothing — riding the pooled scratch is also what keeps
-// instrumentation off the allocation path.
+// epoch-stamped visited array, the traversal stack, the candidate and match
+// buffers and this query's stats. Instances are pooled per kernel, so
+// steady-state queries allocate nothing — riding the pooled scratch is also
+// what keeps instrumentation off the allocation path.
 type queryScratch struct {
 	qsig    []uint32 // query signature, len T
 	visited []uint32 // visited[id] == epoch ⇔ id already scanned this query
 	epoch   uint32
 	stack   []int32  // trie traversal stack
 	cands   []uint32 // the current tree's new candidate ids, in visit order
+	matches []Match  // Index.Query's all-matches answer, reduced by Top
 	stats   QueryStats
 }
 
@@ -340,25 +329,32 @@ func signAll(signer *minhash.Signer, sets [][]uint32, workers int) []uint32 {
 // headers over its container).
 func (ix *Index) Sets() [][]uint32 { return ix.sets }
 
-// Query returns an indexed set with J(q, result) >= lambda if the search
-// finds one: the id, its exact similarity, and whether one was found. The
-// query set must be normalized. One tree reaches a given neighbor at
-// similarity s with the survival probability of a branching process of
-// mean s/λ (treeBuilder.add derives it: 0.38 to 0.47 at s = λ, over 0.8 at
-// s = 2λ), so a miss — ok = false despite a neighbor existing — needs every
-// one of the Trees repetitions to fail: under 1 % at s = λ with the default
-// 10, under 0.1 % from s = 1.1λ up, measured in TestRecallByBand.
+// Query returns the best indexed set the search finds: the one with the
+// highest J(q, result) >= lambda, ties to the lower id — QueryAll reduced by
+// Top, so it finds a match exactly when QueryAll does. It returns the id, its
+// exact similarity, and whether one was found. The query set must be
+// normalized. One tree reaches a given neighbor at similarity s with the
+// survival probability of a branching process of mean s/λ
+// (treeBuilder.add derives it: 0.38 to 0.47 at s = λ, over 0.8 at s = 2λ), so
+// a miss — ok = false despite a neighbor existing — needs every one of the
+// Trees repetitions to fail: under 1 % at s = λ with the default 10, under
+// 0.1 % from s = 1.1λ up, measured in TestRecallByBand.
 func (ix *Index) Query(q []uint32) (int, float64, bool) {
-	id, sim, ok, _ := ix.best(q)
+	id, sim, ok, _ := ix.QueryWithStats(q)
 	return id, sim, ok
 }
 
 // QueryWithStats is Query plus this call's candidate-pipeline breakdown —
-// the per-query numbers debug traces and the slow-query log report. The
-// stats are also flushed to the attached QueryCounters, and the hot path
-// stays allocation-free either way.
+// the per-query numbers debug traces and the slow-query log report, the
+// same as AppendAllWithStats's for q. The stats are also flushed to the
+// attached QueryCounters; the all-matches answer lies in the pooled scratch,
+// so the hot path stays allocation-free.
 func (ix *Index) QueryWithStats(q []uint32) (int, float64, bool, QueryStats) {
-	return ix.best(q)
+	sc := ix.getScratch()
+	defer ix.scratch.Put(sc)
+	sc.matches = ix.all(sc, sc.matches[:0], q)
+	best, ok := Top(sc.matches)
+	return best.ID, best.Sim, ok, sc.stats
 }
 
 // QueryAll returns every distinct indexed set with J(q, y) >= lambda
@@ -375,12 +371,15 @@ func (ix *Index) QueryAll(q []uint32) []Match {
 // steady state) and the grown slice is returned. Match order is identical
 // to QueryAll's.
 func (ix *Index) AppendAll(dst []Match, q []uint32) []Match {
-	dst, _ = ix.all(dst, q)
+	dst, _ = ix.AppendAllWithStats(dst, q)
 	return dst
 }
 
 // AppendAllWithStats is AppendAll plus this call's candidate-pipeline
 // breakdown, flushed to the attached QueryCounters like QueryWithStats.
 func (ix *Index) AppendAllWithStats(dst []Match, q []uint32) ([]Match, QueryStats) {
-	return ix.all(dst, q)
+	sc := ix.getScratch()
+	defer ix.scratch.Put(sc)
+	dst = ix.all(sc, dst, q)
+	return dst, sc.stats
 }

@@ -50,17 +50,17 @@ func FuzzDecode(f *testing.F) {
 			if ok && (id < 0 || id >= ix.Len() || sim < ix.Lambda()) {
 				t.Fatalf("decoded index returned invalid match (%d, %v)", id, sim)
 			}
-			if mid, msim, mok, mst, err := m.QueryWithStats(q); err != nil || mid != id || msim != sim || mok != ok || mst != st {
-				t.Fatalf("Query(%v): mapped (%d,%v,%v,%+v,%v) != decoded (%d,%v,%v,%+v)", q, mid, msim, mok, mst, err, id, sim, ok, st)
-			}
-			all := ix.QueryAll(q)
+			all, ast := ix.AppendAllWithStats(nil, q)
 			for _, match := range all {
 				if match.ID < 0 || match.ID >= ix.Len() || match.Sim < ix.Lambda() {
 					t.Fatalf("decoded index returned invalid match %+v", match)
 				}
 			}
-			if mall, err := m.AppendAll(nil, q); err != nil || !matchesEqual(mall, all) {
-				t.Fatalf("QueryAll(%v): mapped %v (%v) != decoded %v", q, mall, err, all)
+			if top, tok := Top(all); top.ID != id || top.Sim != sim || tok != ok || ast != st {
+				t.Fatalf("Query(%v) = (%d,%v,%v,%+v), the top of its all-matches answer is (%+v,%v,%+v)", q, id, sim, ok, st, top, tok, ast)
+			}
+			if mall, mst, err := m.AppendAllWithStats(nil, q); err != nil || !matchesEqual(mall, all) || mst != ast {
+				t.Fatalf("QueryAll(%v): mapped %v/%+v (%v) != decoded %v/%+v", q, mall, mst, err, all, ast)
 			}
 		}
 	})

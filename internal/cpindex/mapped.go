@@ -20,8 +20,9 @@ import (
 //
 // Who touches it when: Index (cpindex.Load, a hot shard load) and InPlace (a
 // cold shard load) run the first touch at once and return a view that cannot
-// fail; only the query methods below defer it to the first query, which is
-// how the ledger's trace (benchmark/) times the first touch on its own.
+// fail; only AppendAll and AppendAllWithStats defer it to the first query,
+// which is how the ledger's trace (benchmark/) times the first touch on its
+// own. A best-match query runs on the validated view (InPlace or Index).
 //
 // Answers and QueryStats are identical to Index's because both run the
 // same kernel; a flipped bit in any section surfaces as ErrCorrupt at open
@@ -95,23 +96,6 @@ func (m *Mapped) ensureStruct() error {
 	return m.structErr
 }
 
-// Query is Index.Query over the mapped collection, with corruption
-// surfaced as an error instead of a panic or a wrong answer.
-func (m *Mapped) Query(q []uint32) (int, float64, bool, error) {
-	id, sim, ok, _, err := m.QueryWithStats(q)
-	return id, sim, ok, err
-}
-
-// QueryWithStats is Index.QueryWithStats with the error surfaced.
-func (m *Mapped) QueryWithStats(q []uint32) (int, float64, bool, QueryStats, error) {
-	if err := m.ensureStruct(); err != nil {
-		return -1, 0, false, QueryStats{}, err
-	}
-	id, sim, ok, st := m.best(q)
-	runtime.KeepAlive(m.retain)
-	return id, sim, ok, st, nil
-}
-
 // AppendAll is Index.AppendAll with the error surfaced.
 func (m *Mapped) AppendAll(dst []Match, q []uint32) ([]Match, error) {
 	dst, _, err := m.AppendAllWithStats(dst, q)
@@ -123,9 +107,11 @@ func (m *Mapped) AppendAllWithStats(dst []Match, q []uint32) ([]Match, QueryStat
 	if err := m.ensureStruct(); err != nil {
 		return dst, QueryStats{}, err
 	}
-	dst, st := m.all(dst, q)
+	sc := m.getScratch()
+	defer m.scratch.Put(sc)
+	dst = m.all(sc, dst, q)
 	runtime.KeepAlive(m.retain)
-	return dst, st, nil
+	return dst, sc.stats, nil
 }
 
 // View returns the collection where it lies: the sets alias the container,

@@ -59,9 +59,9 @@ var mappedProbes = [][]uint32{
 }
 
 // TestMappedMatchesIndex pins the tentpole equivalence at the cpindex
-// layer: the lazily decoded mapped view answers Query and AppendAll
-// byte-identically to the fully decoded index, including the candidate
-// pipeline stats (same traversal, same verification kernel).
+// layer: the lazily decoded mapped view answers AppendAll, and its InPlace
+// view Query, byte-identically to the fully decoded index, including the
+// candidate pipeline stats (same traversal, same verification kernel).
 func TestMappedMatchesIndex(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 99} {
 		ix, data := buildContainer(t, seed)
@@ -78,15 +78,6 @@ func TestMappedMatchesIndex(t *testing.T) {
 			t.Fatalf("seed %d: mapped structure %d/%d, index %d/%d", seed, nodes, leaves, ix.Nodes, ix.Leaves)
 		}
 		for _, q := range mappedProbes {
-			hid, hsim, hok, hst := ix.QueryWithStats(q)
-			cid, csim, cok, cst, err := m.QueryWithStats(q)
-			if err != nil {
-				t.Fatalf("seed %d: mapped Query(%v): %v", seed, q, err)
-			}
-			if cid != hid || csim != hsim || cok != hok || cst != hst {
-				t.Fatalf("seed %d: Query(%v): mapped (%d,%v,%v,%+v) != hot (%d,%v,%v,%+v)",
-					seed, q, cid, csim, cok, cst, hid, hsim, hok, hst)
-			}
 			hall, hallSt := ix.AppendAllWithStats(nil, q)
 			call, callSt, err := m.AppendAllWithStats(nil, q)
 			if err != nil {
@@ -100,6 +91,18 @@ func TestMappedMatchesIndex(t *testing.T) {
 				if hall[i] != call[i] {
 					t.Fatalf("seed %d: AppendAll(%v)[%d]: mapped %+v != hot %+v", seed, q, i, call[i], hall[i])
 				}
+			}
+		}
+		in, err := m.InPlace()
+		if err != nil {
+			t.Fatalf("seed %d: InPlace: %v", seed, err)
+		}
+		for _, q := range mappedProbes {
+			hid, hsim, hok, hst := ix.QueryWithStats(q)
+			cid, csim, cok, cst := in.QueryWithStats(q)
+			if cid != hid || csim != hsim || cok != hok || cst != hst {
+				t.Fatalf("seed %d: Query(%v): in place (%d,%v,%v,%+v) != hot (%d,%v,%v,%+v)",
+					seed, q, cid, csim, cok, cst, hid, hsim, hok, hst)
 			}
 		}
 		// Sets materialization must round-trip the exact collection.
@@ -238,7 +241,7 @@ func TestDecodeTrieMisaligned(t *testing.T) {
 	}
 	k := &kernel{lambda: ix.lambda, opt: ix.opt, nsets: ix.nsets, signer: ix.signer, trie: got, sets: ix.sets}
 	for qi, q := range ix.sets[:50] {
-		if ms, _ := k.all(nil, q); !matchesEqual(ms, ix.QueryAll(q)) {
+		if ms := k.all(k.getScratch(), nil, q); !matchesEqual(ms, ix.QueryAll(q)) {
 			t.Fatalf("query %d: the copied trie walks differently", qi)
 		}
 	}
@@ -261,7 +264,7 @@ func TestMappedTruncated(t *testing.T) {
 		if err == nil {
 			// The mapped open is lazy, so a truncation that leaves every
 			// section header intact can only surface at first query.
-			if _, _, _, qerr := m.Query([]uint32{1, 2, 3}); qerr == nil {
+			if _, qerr := m.AppendAll(nil, []uint32{1, 2, 3}); qerr == nil {
 				t.Fatalf("truncation to %d/%d bytes opened and queried cleanly", n, len(data))
 			}
 			continue
@@ -299,8 +302,8 @@ func TestMappedBitFlip(t *testing.T) {
 			continue // caught at open (meta is read eagerly)
 		}
 		for _, q := range mappedProbes {
-			wantID, wantSim, wantOK := ix.Query(q)
-			id, sim, ok, err := m.Query(q)
+			want := ix.QueryAll(q)
+			got, err := m.AppendAll(nil, q)
 			if err != nil {
 				if !errors.Is(err, snapshot.ErrCorrupt) {
 					t.Fatalf("%s flip: query error %v does not wrap ErrCorrupt", name, err)
@@ -309,9 +312,9 @@ func TestMappedBitFlip(t *testing.T) {
 			}
 			// A query that never touched the corrupt bytes may legitimately
 			// succeed — but then it must agree with the pristine index.
-			if id != wantID || sim != wantSim || ok != wantOK {
-				t.Fatalf("%s flip: Query(%v) silently answered (%d,%v,%v), pristine index says (%d,%v,%v)",
-					name, q, id, sim, ok, wantID, wantSim, wantOK)
+			if !matchesEqual(got, want) {
+				t.Fatalf("%s flip: AppendAll(%v) silently answered %v, pristine index says %v",
+					name, q, got, want)
 			}
 		}
 		if name == "sets" {
@@ -375,7 +378,7 @@ func TestMappedNonzeroPadding(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the mapped open read the sets section: %v", err)
 	}
-	if _, _, _, err := m.Query(ix.Sets()[0]); !errors.Is(err, snapshot.ErrCorrupt) {
+	if _, err := m.AppendAll(nil, ix.Sets()[0]); !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("dirty token pad byte: first touch error %v does not wrap ErrCorrupt", err)
 	}
 	if _, err := Decode(bytes.NewReader(crafted)); !errors.Is(err, snapshot.ErrCorrupt) {
@@ -412,27 +415,18 @@ func FuzzMappedDecode(f *testing.F) {
 		}
 		hot, hotErr := Decode(bytes.NewReader(data))
 		for _, q := range probes {
-			id, sim, ok, err := m.Query(q)
-			if err != nil {
-				continue // corruption surfaced at first touch — the contract
-			}
-			if ok && (id < 0 || id >= m.Len() || sim < m.Lambda()) {
-				t.Fatalf("mapped index returned invalid match (%d, %v)", id, sim)
-			}
-			if hotErr == nil {
-				hid, hsim, hok := hot.Query(q)
-				if id != hid || sim != hsim || ok != hok {
-					t.Fatalf("Query(%v): mapped (%d,%v,%v) != decoded (%d,%v,%v)",
-						q, id, sim, ok, hid, hsim, hok)
-				}
-			}
 			ms, err := m.AppendAll(nil, q)
 			if err != nil {
-				continue
+				continue // corruption surfaced at first touch — the contract
 			}
 			for _, match := range ms {
 				if match.ID < 0 || match.ID >= m.Len() || match.Sim < m.Lambda() {
 					t.Fatalf("mapped index returned invalid match %+v", match)
+				}
+			}
+			if hotErr == nil {
+				if hall := hot.QueryAll(q); !matchesEqual(ms, hall) {
+					t.Fatalf("QueryAll(%v): mapped %v != decoded %v", q, ms, hall)
 				}
 			}
 		}

@@ -338,7 +338,7 @@ func TestCraftedSnapshotsRejected(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrCorrupt mentioning %q", tc.rule, err, tc.want)
 		}
 		if m, err := openMappedBytes(t, raw); err == nil {
-			if _, _, _, err := m.Query([]uint32{1, 2, 3}); !errors.Is(err, snapshot.ErrCorrupt) {
+			if _, err := m.AppendAll(nil, []uint32{1, 2, 3}); !errors.Is(err, snapshot.ErrCorrupt) {
 				t.Errorf("%s: mapped query err = %v, want ErrCorrupt", tc.rule, err)
 			}
 		}

@@ -20,16 +20,18 @@ import (
 // the digest of the empty index come from the pointer-tree walk the CSR
 // trie replaced; the other three digests are those of trees whose dead
 // nodes hold nothing (CHANGES.md, PR 16, lists the ones they replaced).
-// TestGoldenPointerWalk also checks them against refTree, an independent
+// Their best-match halves were re-recorded once more when a best-match
+// query became the all-matches walk reduced by Top; the all-matches halves
+// did not change. TestGoldenPointerWalk also checks them against refTree, an independent
 // pointer-tree build and walk, so they are not the kernel pinned to itself.
 var goldenShapes = []struct {
 	n, leafSize   int
 	nodes, leaves int
 	digest        string
 }{
-	{400, 4, 12972, 10193, "c7a3ad15a9612929fa466e1066849dd051d4344f9430a7d0ec959726de69ef5e"},
-	{1500, 32, 13930, 13925, "f508ee727fafd519e8961edce62070bae9317a73e8341d3e27d36a28c59561ee"},
-	{50, 1, 1347681, 782953, "bb5e77137e1baff8a1bb2703252f9bf99720068029f1c220defb861bb885e8b8"},
+	{400, 4, 12972, 10193, "9106390e2e410c39c5d0c80273a6996705134eacdf2870bedfc92c1f4f50ba58"},
+	{1500, 32, 13930, 13925, "57e580bbfce379fc8a66cb4cd1cc42201345764bfecf71c0f8e5a0961773d7f5"},
+	{50, 1, 1347681, 782953, "a47b517e68306d3dfabd90ffc961dce600be14fe54bab94dfcbb5e35a1c1e591"},
 	{0, 32, 6, 6, "f03c505957b59072d4d0a15035bd65822ef9f0e8772538985ef5f3d0ab94cf71"},
 }
 
@@ -85,9 +87,9 @@ func (n *refTree) walk(qsig []uint32, seen map[uint32]bool, out []uint32) []uint
 	return out
 }
 
-// refIndex answers both query kinds from refTrees the way the kernel
-// documents them: trees in order, ids seen once per query, every candidate
-// verified, best-match stopping after the first tree with a neighbor.
+// refIndex answers the all-matches query from refTrees the way the kernel
+// documents it: trees in order, ids seen once per query, every candidate
+// verified. Its best match is that answer reduced by Top.
 type refIndex struct {
 	lambda float64
 	sets   [][]uint32
@@ -108,8 +110,7 @@ func newRefIndex(sets [][]uint32, lambda float64, opt Options) *refIndex {
 	return r
 }
 
-func (r *refIndex) query(q []uint32, all bool) (best int, bestSim float64, ms []Match, st QueryStats) {
-	best = -1
+func (r *refIndex) query(q []uint32) (ms []Match, st QueryStats) {
 	if len(q) == 0 {
 		return
 	}
@@ -120,18 +121,11 @@ func (r *refIndex) query(q []uint32, all bool) (best int, bestSim float64, ms []
 		for _, id := range tree.walk(qsig, seen, nil) {
 			st.Candidates++
 			st.Verified++
-			sim := intset.Jaccard(q, r.sets[id])
-			switch {
-			case sim < r.lambda:
+			if sim := intset.Jaccard(q, r.sets[id]); sim < r.lambda {
 				st.Rejected++
-			case all:
+			} else {
 				ms = append(ms, Match{ID: int(id), Sim: sim})
-			case sim > bestSim:
-				best, bestSim = int(id), sim
 			}
-		}
-		if !all && best >= 0 {
-			break
 		}
 	}
 	return
@@ -202,11 +196,12 @@ func TestGoldenPointerWalk(t *testing.T) {
 			ref := newRefIndex(sets, 0.5, ix.Options())
 			got := goldenDigest(t, queries,
 				func(q []uint32) (int, float64, bool, QueryStats, error) {
-					id, sim, _, st := ref.query(q, false)
-					return id, sim, id >= 0, st, nil
+					ms, st := ref.query(q)
+					best, ok := Top(ms)
+					return best.ID, best.Sim, ok, st, nil
 				},
 				func(q []uint32) ([]Match, QueryStats, error) {
-					_, _, ms, st := ref.query(q, true)
+					ms, st := ref.query(q)
 					return ms, st, nil
 				})
 			if got != tc.digest {
@@ -239,12 +234,53 @@ func TestGoldenPointerWalk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = goldenDigest(t, queries, m.QueryWithStats,
-				func(q []uint32) ([]Match, QueryStats, error) { return m.AppendAllWithStats(nil, q) })
-			if got != tc.digest {
-				t.Errorf("through Mapped: digest %s, recorded %s", got, tc.digest)
+			in, err := m.InPlace()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := indexDigest(t, in, queries); got != tc.digest {
+				t.Errorf("through Mapped.InPlace: digest %s, recorded %s", got, tc.digest)
 			}
 		})
+	}
+}
+
+// TestQueryIsTopOfAll: on every golden shape, Query's answer and stats are
+// those of the all-matches walk, its answer reduced by Top, so a best-match
+// query finds the best match the trees reach.
+func TestQueryIsTopOfAll(t *testing.T) {
+	for _, tc := range goldenShapes {
+		sets, _ := buildWorkload(tc.n, 0.8, uint64(tc.n)+21)
+		ix := Build(sets, 0.5, &Options{Seed: 22, LeafSize: tc.leafSize, Trees: 6})
+		queries := append(slices.Clone(sets[:min(len(sets), 200)]), []uint32{1 << 30, 1<<30 + 3}, nil)
+		for qi, q := range queries {
+			id, sim, ok, st := ix.QueryWithStats(q)
+			all, ast := ix.AppendAllWithStats(nil, q)
+			if top, tok := Top(all); top.ID != id || top.Sim != sim || tok != ok || ast != st {
+				t.Fatalf("n=%d query %d: Query (%d,%v,%v,%+v), the top of QueryAll (%+v,%v,%+v)",
+					tc.n, qi, id, sim, ok, st, top, tok, ast)
+			}
+		}
+	}
+}
+
+// TestTop pins the best-match order on lists in any order: the highest
+// score, ties to the lower id, and no match in an empty list.
+func TestTop(t *testing.T) {
+	for _, tc := range []struct {
+		ms   []Match
+		want Match
+		ok   bool
+	}{
+		{nil, Match{ID: -1}, false},
+		{[]Match{{ID: 4, Sim: 0.5}}, Match{ID: 4, Sim: 0.5}, true},
+		{[]Match{{ID: 9, Sim: 0.6}, {ID: 2, Sim: 0.8}, {ID: 5, Sim: 0.7}}, Match{ID: 2, Sim: 0.8}, true},
+		{[]Match{{ID: 9, Sim: 0.8}, {ID: 3, Sim: 0.8}, {ID: 7, Sim: 0.8}}, Match{ID: 3, Sim: 0.8}, true},
+		{[]Match{{ID: 1, Sim: 0.5}, {ID: 8, Sim: 0.9}, {ID: 6, Sim: 0.9}}, Match{ID: 6, Sim: 0.9}, true},
+	} {
+		if got, ok := Top(tc.ms); got != tc.want || ok != tc.ok {
+			t.Errorf("Top(%v) = %+v, %v; want %+v, %v", tc.ms, got, ok, tc.want, tc.ok)
+		}
 	}
 }
 
@@ -366,7 +402,8 @@ func TestCandidateCountGate(t *testing.T) {
 }
 
 // TestQueryZeroAllocs: steady-state Query and AppendAll (with a reused
-// destination) allocate nothing, against the heap view and the mapped one.
+// destination) allocate nothing, against the heap view and the mapped one
+// (Query through its InPlace view, AppendAll through the lazy one).
 func TestQueryZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops pooled scratch at random under the race detector")
@@ -381,13 +418,17 @@ func TestQueryZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in, err := m.InPlace()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, view := range []struct {
 		name      string
 		query     func(q []uint32)
 		appendAll func(dst []Match, q []uint32) []Match
 	}{
 		{"Index", func(q []uint32) { ix.Query(q) }, ix.AppendAll},
-		{"Mapped", func(q []uint32) { m.Query(q) }, func(dst []Match, q []uint32) []Match {
+		{"Mapped", func(q []uint32) { in.Query(q) }, func(dst []Match, q []uint32) []Match {
 			dst, _ = m.AppendAll(dst, q)
 			return dst
 		}},

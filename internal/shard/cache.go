@@ -9,10 +9,12 @@ import (
 	"repro/internal/tabhash"
 )
 
-// resultCache is the hot-query result cache: a size-bounded LRU keyed on
-// (index version, plan kind, plan threshold, query), so a best-match, an
-// all-matches and a containment answer for the same set — or the same
-// containment query at two thresholds — never collide. The version is
+// resultCache is the hot-query result cache: a size-bounded LRU of match
+// lists keyed on (index version, plan kind, plan threshold, query). Every
+// similarity query of a set — best-of or all-matches, at any threshold — is
+// one entry, the all-matches answer over λ that Search narrows and reduces;
+// what cannot collide is a similarity and a containment answer for the same
+// set, or the same containment query at two thresholds. The version is
 // bumped by every result-affecting mutation — appends, deletes, seals,
 // compaction swaps — so invalidation is free: entries
 // computed at an older version simply stop being found and age out of the
@@ -23,7 +25,8 @@ import (
 // Cached match lists are returned without copying and are read-only: the
 // pipeline only reads them, Search narrows and ranks into fresh slices,
 // the HTTP server only marshals, and the public ssjoin facade clones at
-// its boundary.
+// its boundary. A list is cached at its exact size, never a pooled merge
+// buffer.
 type resultCache struct {
 	mu      sync.Mutex
 	max     int
@@ -39,7 +42,7 @@ type cacheEntry struct {
 	kind      queryKind
 	threshold float64
 	q         []uint32 // private copy of the query
-	res       Result
+	ms        []Match
 }
 
 func newResultCache(maxEntries int) *resultCache {
@@ -63,7 +66,7 @@ func cacheKey(version uint64, p plan, q []uint32) uint64 {
 
 // get returns the verified entry for (version, plan, query), marking it
 // most recently used, and counts the hit or miss.
-func (c *resultCache) get(version uint64, p plan, q []uint32) (Result, bool) {
+func (c *resultCache) get(version uint64, p plan, q []uint32) ([]Match, bool) {
 	key := cacheKey(version, p, q)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -72,24 +75,24 @@ func (c *resultCache) get(version uint64, p plan, q []uint32) (Result, bool) {
 		if e.version == version && e.kind == p.kind && e.threshold == p.threshold && intset.Equal(e.q, q) {
 			c.ll.MoveToFront(el)
 			c.hits++
-			return e.res, true
+			return e.ms, true
 		}
 	}
 	c.misses++
-	return Result{}, false
+	return nil, false
 }
 
 // put inserts or replaces the entry for (version, plan, query) — keeping
 // a private copy of the query — and evicts from the LRU tail past
 // capacity.
-func (c *resultCache) put(version uint64, p plan, q []uint32, res Result) {
+func (c *resultCache) put(version uint64, p plan, q []uint32, ms []Match) {
 	e := &cacheEntry{
 		key:       cacheKey(version, p, q),
 		version:   version,
 		kind:      p.kind,
 		threshold: p.threshold,
 		q:         append([]uint32(nil), q...),
-		res:       res,
+		ms:        ms,
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

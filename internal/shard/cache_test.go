@@ -101,44 +101,107 @@ func TestCacheHitMissCounters(t *testing.T) {
 // oldest entry is the one evicted.
 func TestCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2)
-	best := plan{kind: kindBest}
+	sim := plan{kind: kindAll}
 	q1, q2, q3 := []uint32{1}, []uint32{2}, []uint32{3}
-	found := func(id int, sim float64) Result { return Result{Found: true, Best: Match{ID: id, Sim: sim}} }
-	c.put(1, best, q1, found(10, 0.9))
-	c.put(1, best, q2, found(20, 0.8))
+	one := func(id int, s float64) []Match { return []Match{{ID: id, Sim: s}} }
+	c.put(1, sim, q1, one(10, 0.9))
+	c.put(1, sim, q2, one(20, 0.8))
 	if entries, _, _ := c.stats(); entries != 2 {
 		t.Fatalf("entries = %d, want 2", entries)
 	}
 	// Touch q1 so q2 becomes the LRU victim.
-	if _, hit := c.get(1, best, q1); !hit {
+	if _, hit := c.get(1, sim, q1); !hit {
 		t.Fatal("q1 should hit")
 	}
-	c.put(1, best, q3, found(30, 0.7))
+	c.put(1, sim, q3, one(30, 0.7))
 	if entries, _, _ := c.stats(); entries != 2 {
 		t.Fatalf("entries = %d after eviction, want 2", entries)
 	}
-	if _, hit := c.get(1, best, q2); hit {
+	if _, hit := c.get(1, sim, q2); hit {
 		t.Fatal("q2 should have been evicted")
 	}
-	if _, hit := c.get(1, best, q1); !hit {
+	if _, hit := c.get(1, sim, q1); !hit {
 		t.Fatal("q1 should still be cached")
 	}
-	if res, hit := c.get(1, best, q3); !hit || res.Best != (Match{ID: 30, Sim: 0.7}) || !res.Found {
-		t.Fatalf("q3 = (%+v,%v), want (30,0.7,true,true)", res, hit)
+	if ms, hit := c.get(1, sim, q3); !hit || len(ms) != 1 || ms[0] != (Match{ID: 30, Sim: 0.7}) {
+		t.Fatalf("q3 = (%+v,%v), want [{30 0.7}]", ms, hit)
 	}
-	// Same query, different kind or threshold: distinct entries.
-	c.put(1, plan{kind: kindAll}, q3, Result{Found: true, Best: Match{ID: -1}, Matches: []Match{{ID: 30, Sim: 0.7}}})
-	if res, hit := c.get(1, plan{kind: kindAll}, q3); !hit || len(res.Matches) != 1 || res.Matches[0].ID != 30 {
-		t.Fatalf("get all(q3) = %+v, %v", res, hit)
+	if _, hit := c.get(2, sim, q3); hit {
+		t.Fatal("lookup at a newer version hit a stale entry")
 	}
-	if _, hit := c.get(1, best, q3); !hit {
-		t.Fatal("best entry clobbered by all entry")
+
+	// What cannot collide: a similarity and a containment answer for the
+	// same set, and one containment query at two thresholds.
+	c = newResultCache(8)
+	half, most := plan{kind: kindContain, threshold: 0.5}, plan{kind: kindContain, threshold: 0.9}
+	if _, hit := c.get(1, half, q3); hit {
+		t.Fatal("empty cache hit")
 	}
-	if _, hit := c.get(1, plan{kind: kindContain, threshold: 0.5}, q3); hit {
+	c.put(1, sim, q3, one(30, 0.7))
+	if _, hit := c.get(1, half, q3); hit {
 		t.Fatal("containment lookup hit a similarity entry")
 	}
-	if _, hit := c.get(2, best, q3); hit {
-		t.Fatal("lookup at a newer version hit a stale entry")
+	c.put(1, half, q3, one(31, 0.5))
+	if ms, hit := c.get(1, sim, q3); !hit || ms[0].ID != 30 {
+		t.Fatalf("similarity entry clobbered by a containment entry: %+v, %v", ms, hit)
+	}
+	if _, hit := c.get(1, most, q3); hit {
+		t.Fatal("containment lookup at 0.9 hit the entry at 0.5")
+	}
+	c.put(1, most, q3, one(32, 0.9))
+	if ms, hit := c.get(1, half, q3); !hit || ms[0].ID != 31 {
+		t.Fatalf("containment entry at 0.5 clobbered by the one at 0.9: %+v, %v", ms, hit)
+	}
+	if ms, hit := c.get(1, most, q3); !hit || ms[0].ID != 32 {
+		t.Fatalf("containment entry at 0.9: %+v, %v", ms, hit)
+	}
+}
+
+// TestCacheBestSharesAllEntry: a best-of Search and an all-matches Search
+// of the same set are one cache entry, so the best-of query right after the
+// all-matches one is a hit and returns the top of the cached list — at λ
+// and above it — and the all-matches query after a best-of one hits too.
+func TestCacheBestSharesAllEntry(t *testing.T) {
+	sets, _ := workload(600, 0.8, 341)
+	x := Build(sets, 0.5, &Options{Shards: 3, Seed: 21, CacheSize: 64})
+	hits := func() uint64 {
+		_, h, _ := x.cache.Load().stats()
+		return h
+	}
+	for qi, q := range sets[:40] {
+		all, err := x.Search(Request{Set: q, All: true}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, th := range []float64{0, 0.5, 0.7} {
+			before := hits()
+			var tr QueryTrace
+			best, err := x.Search(Request{Set: q, Threshold: th}, &tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hits() != before+1 || !tr.CacheHit {
+				t.Fatalf("query %d threshold %v: best-of after all-matches missed the cache", qi, th)
+			}
+			want, ok := Match{ID: -1}, false
+			for _, m := range all.Matches {
+				if m.Sim >= th && (!ok || m.Sim > want.Sim || (m.Sim == want.Sim && m.ID < want.ID)) {
+					want, ok = m, true
+				}
+			}
+			if best.Found != ok || best.Best != want {
+				t.Fatalf("query %d threshold %v: cached best-of %+v, the top of the cached list is %+v", qi, th, best, want)
+			}
+		}
+	}
+	q := sets[41]
+	mustQuery(t, x, q)
+	before := hits()
+	if _, err := x.Search(Request{Set: q, All: true}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if hits() != before+1 {
+		t.Fatal("all-matches after best-of missed the cache")
 	}
 }
 

@@ -173,11 +173,12 @@ func TestCompactAllTombstonedShards(t *testing.T) {
 	}
 }
 
-// TestQueryDeadBestMatchRescan is the regression suite for the Query
-// rescan path: when a shard's chosen best match is tombstoned the shard
-// is rescanned for its best live match, and when *every* match in the
-// shard is tombstoned the shard must contribute no match — never a dead
-// id, before or after compaction reclaims the tombstones.
+// TestQueryDeadBestMatchRescan is the regression suite for a deleted best
+// match: the merge drops deleted ids before a best-of query reduces the
+// answer, so when a shard's best match is tombstoned its best live match
+// wins, and when *every* match in the shard is tombstoned the shard must
+// contribute no match — never a dead id, before or after compaction
+// reclaims the tombstones.
 func TestQueryDeadBestMatchRescan(t *testing.T) {
 	q := []uint32{1, 2, 3, 4}
 	sets := [][]uint32{

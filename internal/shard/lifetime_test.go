@@ -154,8 +154,7 @@ func TestColdShardQueriedFromOnlyReference(t *testing.T) {
 	x, dir, queries := saveWorkload(t)
 	want := make([][]Match, len(queries))
 	for i, q := range queries {
-		res, _ := x.shards[0].query(plan{kind: kindAll}, q)
-		want[i] = res.Matches
+		want[i], _ = x.shards[0].query(plan{kind: kindAll}, q, nil)
 	}
 	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -178,8 +177,7 @@ func TestColdShardQueriedFromOnlyReference(t *testing.T) {
 		sh := y.shards[0]
 		y = nil // from here on sh is the only way to the mapping
 		for i, q := range queries {
-			res, _ := sh.query(plan{kind: kindAll}, q)
-			if !equalMatches(t, res.Matches, want[i]) {
+			if got, _ := sh.query(plan{kind: kindAll}, q, nil); !equalMatches(t, got, want[i]) {
 				t.Fatalf("round %d, query %d: differs from the shard that was saved", round, i)
 			}
 		}

@@ -68,36 +68,25 @@ func (s *localShard) traceName(i int) (name, kind string) {
 
 // query is the only route from the ring into a shard: every call reports
 // the shard's candidate-pipeline stats, traced or not, and writes nothing
-// the shard's other queries share. It answers with global ids: the best
-// match — highest similarity, then lowest id within the shard's traversal
-// order — or every match, unfiltered and in shard-traversal order (the
-// merge sorts).
-func (s *localShard) query(p plan, q []uint32) (res Result, st cpindex.QueryStats) {
-	res = noMatch
-	switch p.kind {
-	case kindBest:
-		var id int
-		if id, res.Best.Sim, res.Found, st = s.ix.QueryWithStats(q); res.Found {
-			res.Best.ID = s.ids[id]
-		}
-	case kindAll:
-		res.Matches, st = s.ix.AppendAllWithStats(nil, q)
-		for i := range res.Matches {
-			res.Matches[i].ID = s.ids[res.Matches[i].ID]
-		}
-	case kindContain:
+// the shard's other queries share. It appends every match to dst, under
+// shard-local ids, unfiltered and in shard-traversal order: the merge maps
+// the ids, drops the deleted ones and sorts.
+func (s *localShard) query(p plan, q []uint32, dst []Match) ([]Match, cpindex.QueryStats) {
+	var st cpindex.QueryStats
+	if p.kind == kindContain {
 		c, sets := s.containSide(p.signer), s.ix.Sets()
 		cands := c.QuerySigned(p.sig, len(q), p.threshold)
 		st.Candidates, st.Verified = uint64(len(cands)), uint64(len(cands))
 		for _, lid := range cands {
 			if sim, ok := intset.ContainmentAtLeast(q, sets[lid], p.threshold); ok {
-				res.Matches = append(res.Matches, Match{ID: s.ids[lid], Sim: sim})
+				dst = append(dst, Match{ID: int(lid), Sim: sim})
 			}
 		}
+	} else {
+		dst, st = s.ix.AppendAllWithStats(dst, q)
 	}
 	runtime.KeepAlive(s) // a cold ix and a loaded containment side read the mapping s pins
-	res.Found = res.Found || len(res.Matches) > 0
-	return res, st
+	return dst, st
 }
 
 // heapSets returns the collection for a reader that outlives the shard (a

@@ -17,8 +17,9 @@ import (
 type indexMetrics struct {
 	reg *metrics.Registry
 
-	// queryLat is cps_query_seconds by query kind: op="query", "query_all",
-	// "contain" and "query_batch".
+	// queryLat is cps_query_seconds by query kind: op="query_all" (every
+	// similarity query, best-of ones included: they are the all-matches query
+	// reduced to its top match), "contain" and "query_batch".
 	queryLat  [numKinds]*metrics.Histogram
 	addLat    *metrics.Histogram // cps_mutation_seconds{op="add"}
 	deleteLat *metrics.Histogram // cps_mutation_seconds{op="delete"}
@@ -52,7 +53,7 @@ func newIndexMetrics(x *Index) *indexMetrics {
 		compactReclaimed: reg.Counter("cps_compaction_reclaimed_ids_total", "tombstoned entries physically dropped by compaction"),
 	}
 
-	for kind, op := range [numKinds]string{kindBest: "query", kindAll: "query_all", kindContain: "contain", kindBatch: "query_batch"} {
+	for kind, op := range [numKinds]string{kindAll: "query_all", kindContain: "contain", kindBatch: "query_batch"} {
 		m.queryLat[kind] = reg.Histogram("cps_query_seconds", "serving-path query latency by operation", "op", op)
 	}
 

@@ -79,10 +79,9 @@ func TestMetricsExposition(t *testing.T) {
 
 	text := scrapeMetrics(t, ts.URL)
 	for _, want := range []string{
-		`cps_query_seconds_count{op="query"}`,
 		`cps_query_seconds_count{op="query_all"}`,
 		`cps_query_seconds_count{op="query_batch"}`,
-		`cps_query_seconds_bucket{op="query",le="`,
+		`cps_query_seconds_bucket{op="query_all",le="`,
 		`cps_mutation_seconds_count{op="add"}`,
 		`cps_mutation_seconds_count{op="delete"}`,
 		"cps_candidates_total",
@@ -110,6 +109,12 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 
+	// A best-of query is the all-matches query reduced to its top match, so
+	// it is timed as one: there is no op="query" series.
+	if strings.Contains(text, `op="query"`) {
+		t.Error(`exposition still has an op="query" series`)
+	}
+
 	// The instrumented traffic must actually land in the series.
 	mustSample := func(pattern string, atLeast uint64) {
 		t.Helper()
@@ -123,7 +128,7 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("sample %q = %d, want >= %d", pattern, v, atLeast)
 		}
 	}
-	mustSample(`(?m)^cps_query_seconds_count\{op="query"\} ([0-9]+)$`, 1)
+	mustSample(`(?m)^cps_query_seconds_count\{op="query_all"\} ([0-9]+)$`, 2)
 	mustSample(`(?m)^cps_candidates_total ([0-9]+)$`, 1)
 	mustSample(`(?m)^cps_verified_total ([0-9]+)$`, 1)
 	mustSample(`(?m)^cps_compaction_merged_shards_total ([0-9]+)$`, 2)
@@ -131,7 +136,7 @@ func TestMetricsExposition(t *testing.T) {
 	mustSample(`(?m)^cps_index_sets ([0-9]+)$`, uint64(len(sets)))
 
 	// Cumulative histogram buckets must be monotone with increasing bounds.
-	bucketLine := regexp.MustCompile(`^cps_query_seconds_bucket\{op="query",le="([^"]+)"\} ([0-9]+)$`)
+	bucketLine := regexp.MustCompile(`^cps_query_seconds_bucket\{op="query_all",le="([^"]+)"\} ([0-9]+)$`)
 	prev, prevBound, n := uint64(0), -1.0, 0
 	for _, line := range strings.Split(text, "\n") {
 		m := bucketLine.FindStringSubmatch(line)
@@ -171,16 +176,16 @@ func TestMetricsCounterDeltas(t *testing.T) {
 	}
 
 	mustQuery(t, x, sets[3])
-	if got := m.queryLat[kindBest].Count(); got != 1 {
-		t.Errorf("query histogram count = %d, want 1", got)
+	if got := m.queryLat[kindAll].Count(); got != 1 {
+		t.Errorf("query_all histogram count = %d after a best-of query, want 1", got)
 	}
 	if c, v := m.cand.Candidates.Load(), m.cand.Verified.Load(); c == 0 || v == 0 {
 		t.Errorf("candidate pipeline after Query: candidates=%d verified=%d, want both > 0", c, v)
 	}
 
 	x.QueryAllErr(sets[3])
-	if got := m.queryLat[kindAll].Count(); got != 1 {
-		t.Errorf("query_all histogram count = %d, want 1", got)
+	if got := m.queryLat[kindAll].Count(); got != 2 {
+		t.Errorf("query_all histogram count = %d, want 2", got)
 	}
 	x.QueryBatchErr(sets[:4])
 	if got := m.queryLat[kindBatch].Count(); got != 1 {
@@ -219,10 +224,13 @@ func TestMetricsCounterDeltas(t *testing.T) {
 }
 
 // TestQueryMetricsAllocs pins that instrumentation kept the serving-path
-// allocation contract: the flat-layout query path with metrics attached
-// (as Build always attaches them now) still allocates nothing at steady
+// allocation contract with the cache off: a best-of Search with metrics
+// attached (as Build always attaches them now) allocates nothing at steady
 // state — latency observation and the candidate counters are atomic adds
-// on fixed storage, and stats ride the pooled scratch.
+// on fixed storage, stats ride the pooled scratch, and the merged answer
+// lies in a pooled buffer that the reduction to the top match reads in
+// place. The all-matches path allocates exactly one slice, the answer at
+// its exact size (QueryAllErr's doc states the number).
 func TestQueryMetricsAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops pooled scratch at random under the race detector")
@@ -246,8 +254,16 @@ func TestQueryMetricsAllocs(t *testing.T) {
 	if x.metrics.cand.Candidates.Load() == before {
 		t.Error("candidate counter did not advance during the alloc gate")
 	}
-	if x.metrics.queryLat[kindBest].Count() == 0 {
+	if x.metrics.queryLat[kindAll].Count() == 0 {
 		t.Error("query histogram did not advance during the alloc gate")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if len(x.QueryAllErr(sets[qi%700])) == 0 {
+			t.Fatal("a self-query matched nothing")
+		}
+		qi++
+	}); n != 1 {
+		t.Errorf("instrumented QueryAllErr allocates %v/op, want 1 (the answer)", n)
 	}
 }
 

@@ -223,7 +223,8 @@ func TestDeleteEverythingInBuffer(t *testing.T) {
 }
 
 // TestQueryFallbackPastTombstone: deleting the best match must not hide
-// other matches living in the same shard (Query rescans past a dead best).
+// other matches living in the same shard (deleted ids are dropped before the
+// answer is reduced to its best match).
 func TestQueryFallbackPastTombstone(t *testing.T) {
 	// Two identical sets in one shard: both match any self-query with
 	// sim 1.0; delete the lower id and the other must still be found.

@@ -1,9 +1,12 @@
 package shard
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/cpindex"
@@ -18,13 +21,16 @@ import (
 //	time     query / QueryBatchErr: latency histogram by kind, trace total
 //	lookup   cacheAt.lookup / put: the empty-query rule and the result cache
 //	snapshot fan: one read-locked view of the ring, the buffers and the deleted set
-//	merge    fan.merge: every shard asked, deleted ids filtered, exact buffer scan, canonical order
-//	rank     Search: threshold narrowing and limit ranking over the merged answer
+//	merge    fan.merge: every shard's matches and the exact buffer scan in one buffer, deleted ids dropped, ascending ids
+//	rank     Search: narrow — the threshold floor, then cpindex.Top for a best match — and the limit ranking
 //
-// A batch is the same pipeline over one snapshot, its queries merged in
-// parallel on the execution layer. Only the plan can fail: every shard was
-// validated when it was built or opened, so nothing after it returns an
-// error.
+// A similarity query is one query whatever it asks for: the shards answer
+// every match over λ, and a best-match query is that answer reduced to its
+// top match (score descending, lower id on ties), so it finds a match
+// exactly when the all-matches query does, at every threshold. A batch is
+// the same pipeline over one snapshot, its queries merged in parallel on
+// the execution layer. Only the plan can fail: every shard was validated
+// when it was built or opened, so nothing after it returns an error.
 
 // Mode selects the semantics of a Request: what "match" means and what
 // the threshold is measured against.
@@ -58,10 +64,11 @@ type Request struct {
 	Mode Mode `json:"mode,omitempty"`
 	// Threshold is the match floor. In similarity mode, zero means the
 	// index's build threshold λ, and explicit values must lie in [λ, 1] —
-	// the index cannot see below the threshold it was built for; above λ
-	// it narrows the all-matches answer, and a best-of query returns the top
-	// match left (ties to the lower id), found exactly when All finds one.
-	// In containment mode it is required, in (0,1].
+	// the index cannot see below the threshold it was built for. Either way
+	// the answer is the all-matches answer narrowed to the floor, and a
+	// best-of query returns its top match (ties to the lower id), found
+	// exactly when All finds one. In containment mode it is required, in
+	// (0,1].
 	Threshold float64 `json:"threshold,omitempty"`
 	// All requests every match instead of the single best one.
 	// Containment queries always return every match, so All is implied
@@ -75,9 +82,10 @@ type Request struct {
 
 // Result is a Search answer. Found reports whether anything matched.
 // Best is the single best match of a best-of similarity query (All
-// false); its ID is -1 when it does not apply. Matches carries the match
-// list of All similarity queries and of every containment query; it may
-// alias a result-cache entry and must be treated as read-only.
+// false) — the top of the all-matches answer at the same threshold; its ID
+// is -1 when it does not apply. Matches carries the match list of All
+// similarity queries and of every containment query; it may alias a
+// result-cache entry and must be treated as read-only.
 type Result struct {
 	Found   bool
 	Best    Match
@@ -97,8 +105,7 @@ var ErrBadRequest = errors.New("shard: bad request")
 type queryKind uint8
 
 const (
-	kindBest    queryKind = iota // the single best match over λ
-	kindAll                      // every match over λ
+	kindAll     queryKind = iota // every match over λ: every similarity query, best-of included
 	kindContain                  // every set containing the query at plan.threshold
 	// kindBatch is QueryBatchErr's latency-histogram slot: a batch answers
 	// kindAll per query and is timed as one operation.
@@ -110,8 +117,8 @@ const (
 type plan struct {
 	kind queryKind
 	// threshold is the containment threshold of a kindContain plan; zero
-	// for the similarity kinds, whose threshold is the index λ. Part of the
-	// result cache's key.
+	// for kindAll, whose threshold is the index λ. Part of the result
+	// cache's key.
 	threshold float64
 	// signer is the ring's containment signer and sig the query's signature
 	// under it, taken once a containment query has missed the cache: every
@@ -123,7 +130,7 @@ type plan struct {
 
 // newPlan is the repository's one mode and threshold validation. lambda is
 // the floor a similarity threshold may not go below.
-func newPlan(mode Mode, all bool, threshold, lambda float64) (plan, error) {
+func newPlan(mode Mode, threshold, lambda float64) (plan, error) {
 	switch mode {
 	case "", ModeSimilarity:
 		if threshold != 0 && (threshold < lambda || threshold > 1) {
@@ -131,10 +138,7 @@ func newPlan(mode Mode, all bool, threshold, lambda float64) (plan, error) {
 				"%w: similarity threshold %v outside [%v, 1] — the index only sees matches at its build threshold λ=%v or above",
 				ErrBadRequest, threshold, lambda, lambda)
 		}
-		if all {
-			return plan{kind: kindAll}, nil
-		}
-		return plan{kind: kindBest}, nil
+		return plan{kind: kindAll}, nil
 	case ModeContainment:
 		if threshold <= 0 || threshold > 1 {
 			return plan{}, fmt.Errorf("%w: containment mode needs a threshold in (0,1], got %v",
@@ -151,50 +155,67 @@ func newPlan(mode Mode, all bool, threshold, lambda float64) (plan, error) {
 // path, both workloads. A non-nil tr is filled with the per-shard breakdown
 // of the answer actually returned.
 //
-// Similarity queries return the best match — highest similarity, ties to
-// the lower id — or every match with All. Containment queries return
-// every indexed set y whose containment of the query C(q, y) = |q ∩ y| /
-// |q| reaches the threshold: candidates come from each shard's LSH
-// Ensemble structure (recall ≈ the contain package's TargetProb per true
-// match) and every candidate is exact-verified, so precision is 1.0.
-// Tombstoned ids are never returned, and buffered appends are scanned
-// exactly. Every mode is deterministic: answers are byte-identical across
-// shard counts, partition schemes, worker counts and storage tiers.
+// Similarity queries return every match at or above the threshold with
+// All, or else the top one of them — highest similarity, ties to the lower
+// id. Containment queries return every indexed set y whose containment of
+// the query C(q, y) = |q ∩ y| / |q| reaches the threshold: candidates come
+// from each shard's LSH Ensemble structure (recall ≈ the contain package's
+// TargetProb per true match) and every candidate is exact-verified, so
+// precision is 1.0. Tombstoned ids are never returned, and buffered appends
+// are scanned exactly. Every mode is deterministic: answers are
+// byte-identical across shard counts, partition schemes, worker counts and
+// storage tiers.
 //
 // An error, always wrapping ErrBadRequest, reports an invalid request.
 func (x *Index) Search(req Request, tr *QueryTrace) (Result, error) {
-	p, err := newPlan(req.Mode, req.All, req.Threshold, x.lambda)
+	p, err := newPlan(req.Mode, req.Threshold, x.lambda)
 	if err != nil {
 		return noMatch, err
 	}
 	floor := req.Threshold
-	narrowed := p.kind != kindContain && floor > x.lambda
-	if narrowed {
-		p.kind = kindAll // a shard's best over λ may miss floor while another set clears it
+	if p.kind == kindContain {
+		floor = 0 // the plan's threshold, which the shards applied
 	}
-	res := x.query(p, intset.Normalize(req.Set), tr)
-	if narrowed {
-		res = narrow(res.Matches, floor, req.All)
-	}
+	res := x.query(p, intset.Normalize(req.Set), floor, req.All || p.kind == kindContain, tr)
 	res.Matches = rankLimit(res.Matches, req.Limit)
 	return res, nil
 }
 
-// narrow answers a similarity query above λ from its all-matches answer ms,
-// ascending by id: the matches scoring at least floor, or the top one of
-// them (ties to the lower id) if not all. ms may be a live cache entry.
-func narrow(ms []Match, floor float64, all bool) Result {
-	out := noMatch
+// narrow is the one floor-then-reduce step: the answer to a query whose
+// match list is ms, ascending by id — a cache entry or, when pooled, a
+// pooled merge buffer. With all it is the matches scoring at least floor, as
+// a list that outlives the buffer: ms itself when it is a cache entry and the
+// floor drops nothing, else one exact-size copy. Otherwise it is their top
+// match (cpindex.Top), which is ms's own top when that clears the floor —
+// nothing under the top can — so a best-of answer allocates nothing.
+func narrow(ms []Match, floor float64, all, pooled bool) Result {
+	if !all {
+		best, ok := cpindex.Top(ms)
+		if !ok || best.Sim < floor {
+			return noMatch
+		}
+		return Result{Found: true, Best: best}
+	}
+	n := 0
 	for _, m := range ms {
-		switch {
-		case m.Sim < floor:
-		case all:
-			out.Matches = append(out.Matches, m)
-			out.Found = true
-		case !out.Found || m.Sim > out.Best.Sim:
-			out.Best, out.Found = m, true
+		if m.Sim >= floor {
+			n++
 		}
 	}
+	out := noMatch
+	switch {
+	case n == 0:
+	case n == len(ms) && !pooled:
+		out.Matches = ms
+	default:
+		out.Matches = make([]Match, 0, n)
+		for _, m := range ms {
+			if m.Sim >= floor {
+				out.Matches = append(out.Matches, m)
+			}
+		}
+	}
+	out.Found = n > 0
 	return out
 }
 
@@ -221,17 +242,45 @@ func rankLimit(ms []Match, limit int) []Match {
 
 // QueryAllErr is the all-matches form of the pipeline for an already
 // normalized query: every match across the ring and the buffers, sorted by
-// global id, allocation-free with the cache off. The slice may alias a cache
-// entry: read-only. It cannot fail, whatever its name says: benchmark/
-// calls it by this one.
+// global id. With the cache off it allocates one exact-size copy of the
+// answer, nothing when nothing matches (TestQueryMetricsAllocs pins it); a
+// cache hit allocates nothing. The slice may alias a cache entry: read-only.
+// It cannot fail, whatever its name says: benchmark/ calls it by this one.
 func (x *Index) QueryAllErr(q []uint32) []Match {
-	return x.query(plan{kind: kindAll}, q, nil).Matches
+	return x.query(plan{kind: kindAll}, q, 0, true, nil).Matches
 }
 
-// query is the pipeline's timed stage for one query.
-func (x *Index) query(p plan, q []uint32, tr *QueryTrace) Result {
+// matchBufs pools the merge buffers: a query's shards and buffer scans all
+// append into one, so a best-of query reduces its answer in place and
+// allocates nothing, and a list that outlives the query is copied out of it
+// once, at its exact size.
+var matchBufs = sync.Pool{New: func() any { return new([]Match) }}
+
+// query is the pipeline's timed stage for one query: q's matches under p —
+// a cache entry, or merged into a pooled buffer and, with the cache on,
+// cached at their exact size — narrowed to floor and, unless all, reduced
+// to the top match.
+func (x *Index) query(p plan, q []uint32, floor float64, all bool, tr *QueryTrace) Result {
 	start := time.Now()
-	res := x.queryCached(p, q, tr)
+	at := x.cacheNow()
+	buf := matchBufs.Get().(*[]Match)
+	ms, hit := at.lookup(p, q, tr)
+	pooled := !hit
+	if !hit {
+		if p.kind == kindContain {
+			p.signer = x.signer
+			p.sig = x.signer.get().Sign(q)
+		}
+		f := x.fan(p)
+		*buf = f.merge((*buf)[:0], q, tr)
+		ms = *buf
+		if at.c != nil {
+			ms, pooled = narrow(ms, 0, true, true).Matches, false
+			at.put(p, q, ms)
+		}
+	}
+	res := narrow(ms, floor, all, pooled)
+	matchBufs.Put(buf)
 	x.observe(p.kind, start, tr)
 	return res
 }
@@ -270,39 +319,24 @@ func (x *Index) cacheNow() cacheAt {
 // lookup answers q without consulting any shard when it can: the empty
 // query matches nothing — it is never fanned out and never cached — and a
 // cached answer is the answer the shards would give.
-func (at cacheAt) lookup(p plan, q []uint32, tr *QueryTrace) (Result, bool) {
+func (at cacheAt) lookup(p plan, q []uint32, tr *QueryTrace) ([]Match, bool) {
 	if len(q) == 0 {
-		return noMatch, true
+		return nil, true
 	}
 	if at.c == nil {
-		return noMatch, false
+		return nil, false
 	}
-	res, hit := at.c.get(at.v, p, q)
+	ms, hit := at.c.get(at.v, p, q)
 	if hit && tr != nil {
 		tr.CacheHit = true
 	}
-	return res, hit
+	return ms, hit
 }
 
-func (at cacheAt) put(p plan, q []uint32, res Result) {
+func (at cacheAt) put(p plan, q []uint32, ms []Match) {
 	if at.c != nil {
-		at.c.put(at.v, p, q, res)
+		at.c.put(at.v, p, q, ms)
 	}
-}
-
-func (x *Index) queryCached(p plan, q []uint32, tr *QueryTrace) Result {
-	at := x.cacheNow()
-	if res, done := at.lookup(p, q, tr); done {
-		return res
-	}
-	if p.kind == kindContain {
-		p.signer = x.signer
-		p.sig = x.signer.get().Sign(q)
-	}
-	f := x.fan(p)
-	res := f.merge(q, tr)
-	at.put(p, q, res)
-	return res
 }
 
 // QueryBatchErr answers many normalized queries at once against one
@@ -321,29 +355,28 @@ func (x *Index) QueryBatchErr(qs [][]uint32) [][]Match {
 func (x *Index) queryBatchCached(p plan, qs [][]uint32) [][]Match {
 	at := x.cacheNow()
 	out := make([][]Match, len(qs))
-	missIdx := make([]int, 0, len(qs))
-	miss := make([][]uint32, 0, len(qs))
+	miss := make([]int, 0, len(qs))
 	for i, q := range qs {
-		if res, done := at.lookup(p, q, nil); done {
-			out[i] = res.Matches
+		if ms, done := at.lookup(p, q, nil); done {
+			out[i] = ms
 		} else {
-			missIdx = append(missIdx, i)
-			miss = append(miss, q)
+			miss = append(miss, i)
 		}
 	}
 	if len(miss) == 0 {
 		return out
 	}
 	f := x.fan(p)
-	res := make([]Result, len(miss))
 	exec.RunItems(exec.EffectiveWorkers(f.workers), len(miss), func(j int) {
-		res[j] = f.merge(miss[j], nil)
+		buf := matchBufs.Get().(*[]Match)
+		*buf = f.merge((*buf)[:0], qs[miss[j]], nil)
+		out[miss[j]] = narrow(*buf, 0, true, true).Matches
+		matchBufs.Put(buf)
 	})
 	// Stored in query order, not completion order: the cache's LRU state
 	// stays deterministic for any worker count.
-	for j, i := range missIdx {
-		out[i] = res[j].Matches
-		at.put(p, miss[j], res[j])
+	for _, i := range miss {
+		at.put(p, qs[i], out[i])
 	}
 	return out
 }
@@ -367,39 +400,31 @@ func (x *Index) fan(p plan) fan {
 	return f
 }
 
-// merge is the per-query merge: every shard's answer in ring order,
-// deleted ids filtered, the buffers scanned exactly, and one canonical order
-// — the best match under (score desc, id asc), match lists ascending by
-// global id. Shards are disjoint and ids unique, so the answer is
-// independent of the ring's order. A non-nil tr records per-shard timing
+// merge appends q's answer to dst and returns the grown slice: every
+// shard's matches in ring order, remapped to global ids with the deleted ones
+// dropped in place, then the buffers scanned exactly, and the appended tail
+// sorted ascending by id. Shards are disjoint and ids unique, so the answer
+// is independent of the ring's order. A non-nil tr records per-shard timing
 // and the candidate counts every shard call returns anyway; the calls, the
 // merge and its answer are identical either way.
-func (f *fan) merge(q []uint32, tr *QueryTrace) Result {
-	out := noMatch
+func (f *fan) merge(dst []Match, q []uint32, tr *QueryTrace) []Match {
+	base := len(dst)
 	for i, sh := range f.shards {
 		var t0 time.Time
 		if tr != nil {
 			t0 = time.Now()
 		}
-		res, st := sh.query(f.p, q)
-		matched := len(res.Matches)
-		if f.p.kind == kindBest && res.Found {
-			matched = 1
-			if f.deleted.Get(res.Best.ID) {
-				// Rare path — the shard's chosen match was deleted — so the
-				// shard is rescanned for its best live match with a plain
-				// serial call: a delete hides exactly one set instead of
-				// masking its neighbors.
-				res, _ = sh.query(plan{kind: kindAll}, q)
-			} else {
-				f.keep(&out, res.Best)
+		n := len(dst)
+		var st cpindex.QueryStats
+		dst, st = sh.query(f.p, q, dst)
+		matched := len(dst) - n
+		for _, m := range dst[n:] {
+			if id := sh.ids[m.ID]; !f.deleted.Get(id) {
+				dst[n] = Match{ID: id, Sim: m.Sim}
+				n++
 			}
 		}
-		for _, m := range res.Matches {
-			if !f.deleted.Get(m.ID) {
-				f.keep(&out, m)
-			}
-		}
+		dst = dst[:n]
 		if tr != nil {
 			name, kind := sh.traceName(i)
 			tr.add(ShardTrace{Shard: name, Kind: kind, Ns: time.Since(t0).Nanoseconds(), Matches: matched,
@@ -410,37 +435,23 @@ func (f *fan) merge(q []uint32, tr *QueryTrace) Result {
 	if tr != nil {
 		t0 = time.Now()
 	}
-	scanned := 0
+	scanned := len(f.side.sets)
 	for _, b := range f.sealing {
-		scanned += f.scan(&out, *b, q)
+		dst = f.scan(dst, *b, q)
+		scanned += len(b.sets)
 	}
-	scanned += f.scan(&out, f.side, q)
+	dst = f.scan(dst, f.side, q)
 	if tr != nil {
 		tr.add(ShardTrace{Shard: "buffer", Kind: "buffer", Ns: time.Since(t0).Nanoseconds(),
 			Candidates: uint64(scanned), Verified: uint64(scanned)})
 	}
-	if f.p.kind != kindBest {
-		sort.Slice(out.Matches, func(i, j int) bool { return out.Matches[i].ID < out.Matches[j].ID })
-		out.Found = len(out.Matches) > 0
-	}
-	return out
+	slices.SortFunc(dst[base:], func(a, b Match) int { return cmp.Compare(a.ID, b.ID) })
+	return dst
 }
 
-// keep folds one live match into the answer: the running best under the
-// (score desc, id asc) total order, or one more entry of the match list.
-func (f *fan) keep(out *Result, m Match) {
-	switch {
-	case f.p.kind != kindBest:
-		out.Matches = append(out.Matches, m)
-	case !out.Found || m.Sim > out.Best.Sim || (m.Sim == out.Best.Sim && m.ID < out.Best.ID):
-		out.Best, out.Found = m, true
-	}
-}
-
-// scan folds one exactly-scanned buffer into the answer — buffered appends
-// need no candidate structure, so they keep recall 1.0 — and returns how
-// many sets it compared.
-func (f *fan) scan(out *Result, b sideBuffer, q []uint32) int {
+// scan appends the live matches of one exactly-scanned buffer to dst —
+// buffered appends need no candidate structure, so they keep recall 1.0.
+func (f *fan) scan(dst []Match, b sideBuffer, q []uint32) []Match {
 	for i, set := range b.sets {
 		if f.deleted.Get(b.ids[i]) {
 			continue
@@ -453,8 +464,8 @@ func (f *fan) scan(out *Result, b sideBuffer, q []uint32) int {
 			score, ok = intset.JaccardAtLeast(q, set, f.lambda)
 		}
 		if ok {
-			f.keep(out, Match{ID: b.ids[i], Sim: score})
+			dst = append(dst, Match{ID: b.ids[i], Sim: score})
 		}
 	}
-	return len(b.sets)
+	return dst
 }

@@ -29,9 +29,10 @@ import (
 //	GET  /v1/readyz                                 -> readiness: the same 200 + health JSON
 //
 // /v1/query's body is a Request and its answer Index.Search's: the
-// default mode ("similarity", or the field absent) answers with the best
-// match over the index's similarity threshold, or every match with
-// "all":true; a "threshold" in [λ, 1] narrows either. Mode "containment"
+// default mode ("similarity", or the field absent) answers with every match
+// over the index's similarity threshold with "all":true, or else the top of
+// that list (highest similarity, ties to the lower id); a "threshold" in
+// [λ, 1] narrows the list first, for either. Mode "containment"
 // requires "threshold" in (0,1] and returns every indexed set whose
 // containment of the query — |q ∩ x| / |q| — reaches it, the
 // domain-discovery primitive. "limit", when positive, re-ranks the

@@ -122,13 +122,14 @@ func TestQueryBestAcrossShards(t *testing.T) {
 	}
 }
 
-// TestNarrowedBestIsAllsTop pins the narrowing contract: with a similarity
-// threshold above λ, a best-match query finds a match exactly when the
-// all-matches query does, and its Best is the top of that list (score
-// descending, lower id on ties). The kernel's best-match walk stops at the
-// first tree with any match over λ, so narrowing that one answer loses the
-// matches the other trees would have found. Clusters of perturbed copies
-// at λ = 0.3 put many matches just above and below each threshold.
+// TestNarrowedBestIsAllsTop pins the best-match contract at every
+// threshold — the default (0), λ itself and above it — on one shard and on
+// four: a best-match query finds a match exactly when the all-matches query
+// does, and its Best is the top of that list (score descending, lower id on
+// ties). A walk that stopped at the first tree with any match over λ would
+// return a lower similarity, or a higher id, whenever a later tree reaches
+// a better match. Clusters of perturbed copies at λ = 0.3 put many matches
+// just above and below each threshold, and ties among them.
 func TestNarrowedBestIsAllsTop(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	perturb := func(base []uint32) []uint32 {
@@ -150,27 +151,34 @@ func TestNarrowedBestIsAllsTop(t *testing.T) {
 		}
 		queries = append(queries, perturb(base))
 	}
-	x := Build(sets, 0.3, &Options{Shards: 1, Seed: 3})
-	for _, th := range []float64{0.5, 0.6, 0.7} {
-		for qi, q := range queries {
-			all, err := x.Search(Request{Set: q, All: true, Threshold: th}, nil)
-			if err != nil {
-				t.Fatal(err)
+	for _, shards := range []int{1, 4} {
+		x := Build(sets, 0.3, &Options{Shards: shards, Seed: 3})
+		for _, th := range []float64{0, 0.3, 0.5, 0.6, 0.7} {
+			checkBestIsAllsTop(t, x, queries, th)
+		}
+	}
+}
+
+func checkBestIsAllsTop(t *testing.T, x *Index, queries [][]uint32, th float64) {
+	t.Helper()
+	for qi, q := range queries {
+		all, err := x.Search(Request{Set: q, All: true, Threshold: th}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best, err := x.Search(Request{Set: q, Threshold: th}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := noMatch
+		for _, m := range all.Matches { // ascending ids: a strict > keeps the lower id of a tie
+			if !want.Found || m.Sim > want.Best.Sim {
+				want.Best, want.Found = m, true
 			}
-			best, err := x.Search(Request{Set: q, Threshold: th}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := noMatch
-			for _, m := range all.Matches {
-				if !want.Found || m.Sim > want.Best.Sim {
-					want.Best, want.Found = m, true
-				}
-			}
-			if best.Found != want.Found || best.Best != want.Best {
-				t.Fatalf("threshold %v, query %d: best-match %+v, the top of the all-matches answer is %+v",
-					th, qi, best, want)
-			}
+		}
+		if best.Found != want.Found || best.Best != want.Best {
+			t.Fatalf("%d shards, threshold %v, query %d: best-match %+v, the top of the all-matches answer is %+v",
+				len(x.shards), th, qi, best, want)
 		}
 	}
 }

@@ -26,17 +26,18 @@ const (
 // Query is one search request against a ShardedIndex — the single
 // request shape of the query-mode API: the set (normalized on entry, so
 // callers may pass raw token ids), the Mode, the Threshold (similarity:
-// zero means λ, explicit values lie in [λ, 1], and one above λ narrows the
-// all-matches answer, best-of returning its top match, ties to the lower id;
-// containment: required, in (0,1]), All (every match instead of the best
-// one; implied in containment mode) and Limit (when positive, re-rank by
-// score and keep the top Limit).
+// zero means λ, explicit values lie in [λ, 1], and either way the answer is
+// the all-matches answer narrowed to the threshold, best-of returning its
+// top match, ties to the lower id; containment: required, in (0,1]), All
+// (every match instead of the best one; implied in containment mode) and
+// Limit (when positive, re-rank by score and keep the top Limit).
 type Query = shard.Request
 
 // Result is a Search answer. Found reports whether anything matched.
 // Best is the single best match of a best-of similarity query (All
-// false); its ID is -1 when it does not apply. Matches carries the match
-// list of All similarity queries and of every containment query.
+// false) — the top of the All answer at the same threshold; its ID is -1
+// when it does not apply. Matches carries the match list of All similarity
+// queries and of every containment query.
 type Result = shard.Result
 
 // Search is the single query entry point: one request shape, one path,

@@ -64,8 +64,10 @@ func NewSearchIndex(sets [][]uint32, lambda float64, opts *SearchOptions) *Searc
 	return &SearchIndex{ix: cpindex.Build(sets, lambda, o), workers: workers}
 }
 
-// Query returns the id of an indexed set with J(q, result) >= λ and its
-// exact similarity, or ok = false when the search finds none. A true
+// Query returns the best match the search finds — the id of the indexed set
+// with the highest J(q, result) >= λ, ties to the lower id, and its exact
+// similarity — or ok = false when it finds none. It is QueryAll reduced to
+// its top match, so it finds a match exactly when QueryAll does. A true
 // neighbor is missed only when every tree fails to reach it, the residual
 // probability of the (λ, ϕ) guarantee (see SearchOptions.Trees).
 func (s *SearchIndex) Query(q []uint32) (id int, sim float64, ok bool) {
