@@ -235,6 +235,7 @@ type joiner struct {
 
 	splitProb float64
 	maxDepth  int
+	nearBound int   // bruteForceStep: a member fewer bits than this from the node sketch is removed
 	kx        []int // per-point stopping depth for StopIndividual
 
 	liveMass int64 // total size of nodes on the recursion stack (Metrics)
@@ -283,8 +284,8 @@ func newJoiner(sets [][]uint32, owners []uint8, lambda float64, o *Options, ix *
 	if opt.SketchWords > 0 {
 		j.w = ix.Words
 		j.sketches = ix.Sketches
-		j.bf.Words, j.bf.Sketches = j.w, j.sketches
-		j.bf.MaxHam = 64*j.w - sketch.NewFilter(j.w, lambda, opt.Delta).MinAgree
+		j.bf.UseSketches(j.w, j.sketches, opt.Delta)
+		j.nearBound = sketch.HammingBelow(j.w, (1-opt.Epsilon)*lambda)
 	}
 	j.root = make([]uint32, len(sets))
 	for i := range j.root {
@@ -537,7 +538,10 @@ func (j *joiner) defaultGlobalDepth() int {
 // bruteForceStep is the implementation heuristic of Section V-A.4: a
 // single pass that estimates, via a sampled node sketch, each point's
 // average similarity to the node, brute-forces every point above
-// (1-ε)λ, and returns the remainder.
+// (1-ε)λ, and returns the remainder. The pass is verify.Scratch.Near, the
+// sketch filter's block run against the node sketch: the estimate is above
+// (1-ε)λ exactly when the Hamming distance is below nearBound
+// (sketch.HammingBelow), so no member's estimate is computed.
 func (ts *taskState) bruteForceStep(node []uint32, rng *tabhash.SplitMix64) []uint32 {
 	j := ts.j
 	if len(node) <= j.opt.Limit {
@@ -563,35 +567,29 @@ func (ts *taskState) bruteForceStep(node []uint32, rng *tabhash.SplitMix64) []ui
 		nodeSketch[wd] = word
 	}
 
-	threshold := (1 - j.opt.Epsilon) * j.lambda
-	rest := ts.removeMarked(node, func(id uint32) bool {
-		return sketch.EstimateJaccard(j.sketches[int(id)*j.w:(int(id)+1)*j.w], nodeSketch) > threshold
-	})
+	rest := ts.removeMarked(node, ts.bf.Near(node, nodeSketch, j.nearBound, ts.marked[:0]))
 	if m := j.opt.Metrics; m != nil {
 		m.BruteForcedPoints += int64(len(node) - len(rest))
 	}
 	return rest
 }
 
-// removeMarked takes the points that mark selects out of the branching
-// process: each is compared against everything in the node exactly once —
-// against the remainder, plus all pairs among themselves — and the
-// remainder is returned (node itself when nothing is marked).
-func (ts *taskState) removeMarked(node []uint32, mark func(id uint32) bool) []uint32 {
-	marked, rest := ts.marked[:0], []uint32(nil)
-	for i, id := range node {
-		if mark(id) {
-			if rest == nil {
-				rest = append(make([]uint32, 0, len(node)), node[:i]...)
-			}
-			marked = append(marked, id)
-		} else if rest != nil {
-			rest = append(rest, id)
-		}
-	}
+// removeMarked takes the marked points, a subsequence of node, out of the
+// branching process: each is compared against everything in the node
+// exactly once — against the remainder, plus all pairs among themselves —
+// and the remainder is returned (node itself when nothing is marked).
+func (ts *taskState) removeMarked(node, marked []uint32) []uint32 {
 	ts.marked = marked
 	if len(marked) == 0 {
 		return node
+	}
+	rest, m := make([]uint32, 0, len(node)-len(marked)), marked
+	for _, id := range node {
+		if len(m) > 0 && m[0] == id {
+			m = m[1:]
+		} else {
+			rest = append(rest, id)
+		}
 	}
 	ts.bf.BruteForcePoints(marked, rest)
 	ts.bruteForcePairs(marked)
@@ -646,7 +644,13 @@ func (ts *taskState) individualStep(node []uint32, depth int) []uint32 {
 		ts.bruteForcePairs(node)
 		return nil
 	}
-	return ts.removeMarked(node, func(id uint32) bool { return depth >= j.kx[id] })
+	marked := ts.marked[:0]
+	for _, id := range node {
+		if depth >= j.kx[id] {
+			marked = append(marked, id)
+		}
+	}
+	return ts.removeMarked(node, marked)
 }
 
 // computeIndividualDepths estimates, for every point, the depth k_x

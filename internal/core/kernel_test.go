@@ -21,6 +21,8 @@ import (
 type kernelWorker struct {
 	p *verify.Pipeline
 	s *verify.Scratch
+
+	headOver int // reference pairs over MaxHam within their first four words
 }
 
 func newKernelWorker(shared *verify.Pipeline) *kernelWorker {
@@ -40,8 +42,14 @@ func refCheckPair(w *kernelWorker, f *sketch.Filter, a, b uint32) {
 	if !p.Verifier.SizeCompatible(int(p.Sizes[a]), int(p.Sizes[b])) {
 		return
 	}
-	if f != nil && !f.Accept(p.Sketches[int(a)*p.Words:][:p.Words], p.Sketches[int(b)*p.Words:][:p.Words]) {
-		return
+	if f != nil {
+		x, y := p.Sketches[int(a)*p.Words:][:p.Words], p.Sketches[int(b)*p.Words:][:p.Words]
+		if head := min(p.Words, 4); sketch.Hamming(x[:head], y[:head]) > p.MaxHam {
+			w.headOver++
+		}
+		if !f.Accept(x, y) {
+			return
+		}
 	}
 	if p.Res.Contains(a, b) {
 		return
@@ -77,7 +85,11 @@ type kernelFixture struct {
 // add appends one block of points with the given sizes. Sketches are a base
 // sketch per block with a number of flipped bits spread around maxHam, so
 // that a good share of the pairs sits near the filter's threshold; rows 1
-// and 2 are at distance exactly maxHam and maxHam+1 from row 0.
+// and 2 are at distance exactly maxHam and maxHam+1 from row 0, row 3 at
+// maxHam with every flip in the first four words (as far as they hold
+// them), and every fourth row from then on has half its bits flipped, as
+// an unrelated sketch would, which the filter's exit after four words
+// rejects whenever it is taken.
 func (fx *kernelFixture) add(name string, sizes []int, splits ...int) {
 	first := len(fx.sets)
 	base := make([]uint64, fx.words)
@@ -92,16 +104,21 @@ func (fx *kernelFixture) add(name string, sizes []int, splits ...int) {
 		fx.sets = append(fx.sets, set)
 		sk := slices.Clone(base)
 		if fx.words > 0 {
-			flips := fx.rng.Intn(2*fx.maxHam + 2)
-			switch row {
-			case 0:
+			flips, span := fx.rng.Intn(2*fx.maxHam+2), 64*fx.words
+			switch {
+			case row == 0:
 				flips = 0
-			case 1:
+			case row == 1:
 				flips = fx.maxHam
-			case 2:
+			case row == 2:
 				flips = fx.maxHam + 1
+			case row == 3:
+				span = 64 * min(fx.words, 4)
+				flips = min(fx.maxHam, span)
+			case row%4 == 3:
+				flips = 32 * fx.words
 			}
-			for _, bit := range fx.perm(64 * fx.words)[:flips] {
+			for _, bit := range fx.perm(span)[:flips] {
 				sk[bit/64] ^= 1 << (bit % 64)
 			}
 		}
@@ -164,9 +181,12 @@ func (w *kernelWorker) run(v *verify.Verifier, f func()) outcome {
 // the same pre-candidate count, the same candidate count and the same
 // surviving pairs, case by case: block sizes around Limit and the tile
 // size, equal sizes, sizes exactly on the edge of the size window (which
-// pins the float predicate), every sketch width including none, sketches
-// exactly at and one bit beyond the filter's threshold, and an R-S
-// ownership split. Every case runs twice. Under a verifier that accepts
+// pins the float predicate), sketch widths from none through one and two
+// 8-word blocks, padded or not, thresholds on both sides of where the kernel
+// exits after four words (MaxHam 144 and 117 at λ 0.5 and 0.6, 90 and 34 at
+// 0.7 and 0.9, at 8 words), sketches exactly at and one bit beyond the
+// filter's threshold, at it within the first four words, and half a sketch
+// apart, and an R-S ownership split. Every case runs twice. Under a verifier that accepts
 // everything each survivor enters the case's result set, which names the
 // survivors; under one that rejects everything the set stays empty, no
 // lookup ever hits, and the candidate count is the number of times a
@@ -175,8 +195,8 @@ func (w *kernelWorker) run(v *verify.Verifier, f func()) outcome {
 // its own Scratch, which is what -race is pointed at.
 func TestKernelMatchesPerPairReference(t *testing.T) {
 	const limit, blockRows = 250, 256 // CPSJoin's default Limit, the kernel's tile
-	for _, lambda := range []float64{0.5, 0.9} {
-		for _, words := range []int{0, 1, 3, 8} {
+	for _, lambda := range []float64{0.5, 0.6, 0.7, 0.9} {
+		for _, words := range []int{0, 1, 2, 3, 4, 8, 16} {
 			for _, rs := range []bool{false, true} {
 				t.Run(fmt.Sprintf("l%02.0f/w%d/rs=%v", 100*lambda, words, rs), func(t *testing.T) {
 					fx := &kernelFixture{words: words, rng: tabhash.NewSplitMix64(uint64(words) + 17)}
@@ -195,7 +215,12 @@ func TestKernelMatchesPerPairReference(t *testing.T) {
 					fx.add("edge", slices.Concat(edge, edge, edge), 1, 13)
 
 					p := verify.NewPipeline(fx.sets, lambda, 4)
-					p.Words, p.Sketches, p.MaxHam = words, fx.sketches, fx.maxHam
+					if words > 0 {
+						p.UseSketches(words, fx.sketches, 0.05)
+						if p.MaxHam != fx.maxHam {
+							t.Fatalf("UseSketches derives MaxHam %d, the filter accepts up to %d", p.MaxHam, fx.maxHam)
+						}
+					}
 					if rs {
 						p.Owners = make([]uint8, len(fx.sets))
 						for i := range p.Owners {
@@ -274,6 +299,9 @@ func TestKernelMatchesPerPairReference(t *testing.T) {
 						}
 						if survivors == 0 {
 							t.Error("no pair survives the filters: the case compares nothing")
+						}
+						if words > 0 && fx.maxHam < 64*min(words, 4) && ref.headOver == 0 {
+							t.Error("no pair is over the threshold within its first four words: the early exit rejects nothing")
 						}
 						if words > 0 && onEdge == 0 {
 							t.Error("no surviving pair sits exactly on the sketch threshold")

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/prep"
-	"repro/internal/sketch"
 	"repro/internal/tabhash"
 	"repro/internal/verify"
 )
@@ -118,8 +117,7 @@ func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, ver
 	bf := verify.NewPipeline(sets, lambda, workers)
 	bf.Tracker = verify.NewRecallTracker(opt.GroundTruth, opt.StopAtRecall)
 	if opt.SketchWords > 0 && ix.Words > 0 {
-		bf.Words, bf.Sketches = ix.Words, ix.Sketches
-		bf.MaxHam = 64*ix.Words - sketch.NewFilter(ix.Words, lambda, opt.Delta).MinAgree
+		bf.UseSketches(ix.Words, ix.Sketches, opt.Delta)
 	}
 
 	rng := tabhash.NewSplitMix64(opt.Seed + 0x1f1f)

@@ -189,12 +189,30 @@ func EstimateJaccard(a, b []uint64) float64 {
 	if len(a) != len(b) || len(a) == 0 {
 		panic("sketch: length mismatch")
 	}
-	p := float64(AgreeBits(a, b)) / float64(64*len(a))
+	return estimate(len(a), Hamming(a, b))
+}
+
+// estimate is EstimateJaccard for sketches of the given width d bits apart.
+func estimate(words, d int) float64 {
+	p := float64(64*words-d) / float64(64*words)
 	j := 2*p - 1
 	if j < 0 {
 		return 0
 	}
 	return j
+}
+
+// HammingBelow returns the bound b for which a Hamming distance d < b
+// between two sketches of the given width holds exactly when their
+// EstimateJaccard is above j, for every d in [0, 64·words]: a float test on
+// the estimate as one integer compare on the distance. The estimate falls
+// with d, so b is the first distance at which it no longer exceeds j.
+func HammingBelow(words int, j float64) int {
+	d := 0
+	for d <= 64*words && estimate(words, d) > j {
+		d++
+	}
+	return d
 }
 
 // Filter is a precomputed accept/reject rule: a candidate pair passes when

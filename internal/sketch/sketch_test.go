@@ -3,6 +3,7 @@ package sketch
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/intset"
@@ -215,6 +216,36 @@ func TestBinomTail(t *testing.T) {
 	}
 	if got := BinomTail(10, 11, 0.3); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("full tail = %v", got)
+	}
+}
+
+// TestHammingBelowMatchesEstimate pins the stopping rule's integer test to
+// the float test it replaces: on sketches built at every exact distance d,
+// d < HammingBelow(W, (1-ε)λ) holds exactly when EstimateJaccard is above
+// (1-ε)λ.
+func TestHammingBelowMatchesEstimate(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, words := range []int{1, 3, 8, 16} {
+		x := make([]uint64, words)
+		for i := range x {
+			x[i] = rng.Uint64()
+		}
+		order := rng.Perm(64 * words)
+		for _, lambda := range []float64{0.5, 0.6, 0.7, 0.8, 0.9} {
+			for _, eps := range []float64{0, 0.1, 0.5} {
+				threshold := (1 - eps) * lambda
+				bound := HammingBelow(words, threshold)
+				node := slices.Clone(x)
+				for d := 0; d <= 64*words; d++ {
+					if d > 0 {
+						node[order[d-1]/64] ^= 1 << (order[d-1] % 64)
+					}
+					if below, above := d < bound, EstimateJaccard(x, node) > threshold; below != above {
+						t.Errorf("W=%d λ=%v ε=%v d=%d: d < %d is %v, the estimate above %v is %v", words, lambda, eps, d, bound, below, threshold, above)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package verify
 import (
 	"math/bits"
 	"slices"
+
+	"repro/internal/sketch"
 )
 
 // Pipeline is the candidate pipeline that finishes every subproblem of the
@@ -18,23 +20,24 @@ import (
 // points into contiguous blocks, orders each block by size, so that the size
 // filter is one window per row rather than a branch per pair (the standard
 // trick of the exact joins the paper benchmarks against, Mann, Augsten and
-// Bouros, PVLDB 2016), and runs XOR/popcount over the window, dropping a
-// pair once its partial Hamming distance rules it out. The order of work
-// differs from a per-pair formulation; which pairs are looked at and which
-// survive do not (TestKernelMatchesPerPairReference).
+// Bouros, PVLDB 2016), and runs the sketch filter over the window as one
+// unrolled XOR/popcount block per pair with a single comparison at its end
+// (within). The order of work differs from a per-pair formulation; which
+// pairs are looked at and which survive do not
+// (TestKernelMatchesPerPairReference).
 //
 // A Pipeline is the half all workers share, read-only while they run apart
 // from the result set and the tracker, which are safe for concurrent use;
-// the caller sets the sketch fields, Owners and Tracker after NewPipeline and
-// before NewScratches.
+// the caller calls UseSketches and sets Owners and Tracker after NewPipeline
+// and before NewScratches.
 type Pipeline struct {
 	Lambda float64
 	Sizes  []uint32 // len(sets[i]), so that gathering a block never touches sets
 
 	// Words is the sketch width in 64-bit words, Sketches the flattened
 	// n × Words matrix; a pair whose sketches are further apart than MaxHam
-	// bits is rejected — sketch.Filter.Accept for MaxHam = 64·Words −
-	// MinAgree. All zero with the sketch filter off.
+	// bits is rejected — sketch.Filter.Accept's decision. UseSketches sets
+	// all three; all zero with the sketch filter off.
 	Words    int
 	Sketches []uint64
 	MaxHam   int
@@ -61,6 +64,15 @@ func NewPipeline(sets [][]uint32, lambda float64, workers int) *Pipeline {
 		p.Sizes[i] = uint32(len(set))
 	}
 	return p
+}
+
+// UseSketches turns the sketch filter on over the given n × words matrix,
+// calibrated so that a pair at similarity λ is rejected with probability at
+// most delta (sketch.NewFilter): MaxHam = 64·words − MinAgree. It is the one
+// place a join derives MaxHam.
+func (p *Pipeline) UseSketches(words int, sketches []uint64, delta float64) {
+	p.Words, p.Sketches = words, sketches
+	p.MaxHam = 64*words - sketch.NewFilter(words, p.Lambda, delta).MinAgree
 }
 
 // Counters sums the workers' shares of the candidate counters and reads
@@ -95,8 +107,10 @@ type block struct {
 type Scratch struct {
 	p         *Pipeline
 	Pre, Cand int64
-	stride    int // words per row of a gathered block: max(Words, 4)
+	stride    int // words per gathered row: Words rounded up to whole 8-word blocks
 	a, b      block
+	center    []uint64              // Near: the center sketch, one gathered row
+	hits      [blockRows]int32      // within: the rows of one scan that pass
 	count     [4 * blockRows]uint32 // gather: counting sort by size
 }
 
@@ -104,7 +118,8 @@ type Scratch struct {
 func (p *Pipeline) NewScratches(workers int) []*Scratch {
 	out := make([]*Scratch, workers)
 	for i := range out {
-		s := &Scratch{p: p, stride: max(p.Words, 4)}
+		s := &Scratch{p: p, stride: 8 * max(1, (p.Words+7)/8)}
+		s.center = make([]uint64, s.stride)
 		for _, b := range []*block{&s.a, &s.b} {
 			b.keys = make([]uint64, 0, blockRows)
 			b.sk = make([]uint64, blockRows*s.stride)
@@ -172,9 +187,7 @@ func (s *Scratch) gather(b *block, ids []uint32) {
 // within it; all count as pre-candidates. Rows are in size order, so the
 // partners passing the size filter — Verifier.SizeCompatible's float
 // predicate, both ways — are a window [lo, hi) of b whose ends only move
-// forward; within it a pair passes the sketch filter as in
-// sketch.Filter.Accept, Hamming distance at most MaxHam, except that the
-// count stops as soon as it is exceeded.
+// forward; within it, within picks the partners that pass the sketch filter.
 func (s *Scratch) compare(a, b *block, tri bool) {
 	if tri {
 		s.Pre += int64(len(a.keys) * (len(a.keys) - 1) / 2)
@@ -194,27 +207,79 @@ func (s *Scratch) compare(a, b *block, tri bool) {
 		if tri {
 			q = max(lo, p+1)
 		}
-		// The row's first four words stay in registers across the window;
-		// a pair still alive after them walks the rest word by word.
-		row := a.sk[p*stride : (p+1)*stride]
-		head, rest := (*[4]uint64)(row), row[4:]
-		r0, r1, r2, r3 := head[0], head[1], head[2], head[3]
-	partners:
-		for win := b.sk[q*stride : hi*stride]; len(win) >= len(row); win = win[len(row):] {
-			o := (*[4]uint64)(win)
-			d := bits.OnesCount64(r0^o[0]) + bits.OnesCount64(r1^o[1]) + bits.OnesCount64(r2^o[2]) + bits.OnesCount64(r3^o[3])
-			if d > maxHam {
-				continue
-			}
-			other := win[4:][:len(rest)]
-			for i, x := range rest {
-				if d += bits.OnesCount64(x ^ other[i]); d > maxHam {
-					continue partners
-				}
-			}
-			s.Candidate(uint32(ka), uint32(b.keys[hi-len(win)/stride]))
+		if q >= hi {
+			continue
+		}
+		for _, i := range within(a.sk[p*stride:][:stride], b.sk[q*stride:hi*stride], maxHam, s.hits[:0]) {
+			s.Candidate(uint32(ka), uint32(b.keys[q+int(i)]))
 		}
 	}
+}
+
+// headBits is where the sketch filter may exit early: after the first four
+// words. Two unrelated sketches differ there in 128 ± 8 bits (σ = √(256/4)),
+// so below headCut, 3σ under that mean, nearly every unrelated pair is over
+// the bound by then and the exit is a branch taken almost always. Above it,
+// the exit is a coin flip the hardware cannot predict, and costs more than
+// the four words it saves.
+const (
+	headBits = 4 * 64
+	headCut  = headBits/2 - 3*8
+)
+
+// within appends to hits the index of every row of rows at most maxHam bits
+// from row, and returns it; rows are len(row) words each, a multiple of 8.
+// It is the sketch filter's one loop: a partner's first 8 words are XORed
+// with the row's and popcounted fully unrolled (any further blocks by
+// sketch.Hamming), and the sum is compared with maxHam once. The one early
+// exit, after four words, is bounded by maxHam when maxHam < headCut and by
+// headBits, which four words never exceed, otherwise: no flag, and no
+// branch the hardware mispredicts. The row is read through a pointer rather
+// than held in eight locals: each popcount carries a CPU-feature fallback
+// call that clobbers every register, so locals would be spilled anyway.
+func within(row, rows []uint64, maxHam int, hits []int32) []int32 {
+	head := headBits
+	if maxHam < headCut {
+		head = maxHam
+	}
+	stride := len(row)
+	r := (*[8]uint64)(row)
+	for i := int32(0); len(rows) >= stride; i, rows = i+1, rows[stride:] {
+		o := (*[8]uint64)(rows)
+		d := bits.OnesCount64(r[0]^o[0]) + bits.OnesCount64(r[1]^o[1]) + bits.OnesCount64(r[2]^o[2]) + bits.OnesCount64(r[3]^o[3])
+		if d > head {
+			continue
+		}
+		d += bits.OnesCount64(r[4]^o[4]) + bits.OnesCount64(r[5]^o[5]) + bits.OnesCount64(r[6]^o[6]) + bits.OnesCount64(r[7]^o[7])
+		if stride > 8 {
+			d += sketch.Hamming(row[8:], rows[8:stride])
+		}
+		if d <= maxHam {
+			hits = append(hits, i)
+		}
+	}
+	return hits
+}
+
+// Near appends to dst, in order, the ids whose sketch differs from center
+// (Words words) in fewer than bound bits, and returns it: the stopping
+// rule's pass over a node, run by the same block as the sketch filter. The
+// sketches are fetched tile by tile into a gathered block first, in a loop
+// of their own, so that their cache misses overlap.
+func (s *Scratch) Near(ids []uint32, center []uint64, bound int, dst []uint32) []uint32 {
+	p, stride := s.p, s.stride
+	copy(s.center, center)
+	for len(ids) > 0 {
+		tile := ids[:min(blockRows, len(ids))]
+		ids = ids[len(tile):]
+		for row, id := range tile {
+			copy(s.a.sk[row*stride:][:p.Words], p.Sketches[int(id)*p.Words:])
+		}
+		for _, i := range within(s.center, s.a.sk[:len(tile)*stride], bound-1, s.hits[:0]) {
+			dst = append(dst, tile[i])
+		}
+	}
+	return dst
 }
 
 // BruteForcePairs reports all qualifying pairs within the node
