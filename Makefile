@@ -65,7 +65,9 @@ test-benchmark:
 # all-matches answer reduced by cpindex.Top at every threshold, so the
 # kernel's first-tree early exit and its plumbing (kindBest, a best
 # method, the narrowed special case in Search) stay out of non-test Go
-# outside benchmark/.
+# outside benchmark/. Assembly stays in one file: no *.s outside
+# internal/verify, where within_amd64.s is the sketch filter's POPCNT loop
+# beside withinGo, its portable reference.
 surface:
 	@out=$$(grep -rn 'Deprecated:' --include='*.go' .); if [ -n "$$out" ]; then echo "deprecated surface:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'mux\.Handle' internal/shard/server.go | grep -v '("/v1/'); if [ -n "$$out" ]; then echo "endpoint outside /v1/:"; echo "$$out"; exit 1; fi
@@ -82,6 +84,7 @@ surface:
 	@out=$$(grep -rnE 'StatusBadGateway|cps_query_errors_total|queryErrors|materializeVictims|\) QueryErr\(|\) QueryContain\(' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./benchmark/'); if [ -n "$$out" ]; then echo "a query error path is back (shards are validated when opened; only a bad request fails):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'markDroppedLocked|sortedTombstones|map\[int\]struct\{\}' --include='*.go' internal/shard | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second deletion structure is back (a deleted id is one bit of the deleted set; seals and compactions only read it):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'kindBest|\) best\(|narrowed :=' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./benchmark/'); if [ -n "$$out" ]; then echo "the best-match early exit is back (a best-match query is the all-matches answer reduced by cpindex.Top):"; echo "$$out"; exit 1; fi
+	@out=$$(find . -name '*.s' -not -path './internal/verify/*' -not -path './.bench_build/*'); if [ -n "$$out" ]; then echo "assembly outside internal/verify (the sketch filter's kernel is the one assembly file):"; echo "$$out"; exit 1; fi
 	@deps=$$($(GO) list -deps ./cmd/experiments) || exit 1; out=$$(echo "$$deps" | grep -xE 'repro/internal/(shard|cpindex|contain|metrics)|net/http|testing'); if [ -n "$$out" ]; then echo "cmd/experiments links the serving stack:"; echo "$$out"; exit 1; fi
 
 # race is the quick local loop (-short skips the slowest suites);
@@ -117,14 +120,18 @@ ledger:
 # whatever the trie validator accepts must be safe to query. FuzzDecode and
 # FuzzMappedDecode drive the same bytes through the heap and the mapped
 # view and require them to agree; FuzzReadFrom requires whatever prep
-# accepts to serialize back to the bytes it came from. CI runs this on
-# every PR; crashers land in testdata/fuzz/ for replay.
+# accepts to serialize back to the bytes it came from. FuzzWithin runs the
+# sketch filter's loop, the path picked at start-up and withinGo, on raw
+# words at any bound and requires exactly the rows sketch.Hamming puts
+# within it. CI runs this on every PR; crashers land in testdata/fuzz/ for
+# replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzContainer$$' -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/cpindex
 	$(GO) test -run '^$$' -fuzz '^FuzzMappedDecode$$' -fuzztime $(FUZZTIME) ./internal/cpindex
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrom$$' -fuzztime $(FUZZTIME) ./internal/prep
+	$(GO) test -run '^$$' -fuzz '^FuzzWithin$$' -fuzztime $(FUZZTIME) ./internal/verify
 
 clean:
 	rm -rf .bench_build/

@@ -15,8 +15,9 @@
 // Almost all of the time goes to two loops. Brute force (BRUTEFORCEPAIRS
 // and BRUTEFORCEPOINT alike) is verify.Pipeline, the block kernel this join
 // shares with the MinHash comparator, as Algorithms 2 and 3 of the paper
-// share the subroutine: size window, XOR/popcount over gathered sketches,
-// and only survivors reach the result-set lookup and exact verification.
+// share the subroutine: size window, XOR/popcount over gathered sketches
+// (POPCNT assembly on amd64, picked at start-up; Go elsewhere), and only
+// survivors reach the result-set lookup and exact verification.
 // Splitting groups a node by minhash value with a reusable open-addressing
 // table and a stable counting scatter into one buffer per sampled position.
 // The order of work differs from the paper's per-pair formulation; which

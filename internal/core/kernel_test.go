@@ -192,8 +192,15 @@ func (w *kernelWorker) run(v *verify.Verifier, f func()) outcome {
 // lookup ever hits, and the candidate count is the number of times a
 // survivor was looked at — so a pair the kernel visited twice shows. The
 // kernel side runs on four workers sharing the pipeline's arrays, each on
-// its own Scratch, which is what -race is pointed at.
+// its own Scratch, which is what -race is pointed at. It runs on the
+// sketch filter's loop picked at start-up, then on the portable one if that
+// was another (verify.WithGoKernel).
 func TestKernelMatchesPerPairReference(t *testing.T) {
+	testKernelMatchesPerPairReference(t)
+	verify.WithGoKernel(func() { t.Run("go", testKernelMatchesPerPairReference) })
+}
+
+func testKernelMatchesPerPairReference(t *testing.T) {
 	const limit, blockRows = 250, 256 // CPSJoin's default Limit, the kernel's tile
 	for _, lambda := range []float64{0.5, 0.6, 0.7, 0.9} {
 		for _, words := range []int{0, 1, 2, 3, 4, 8, 16} {

@@ -22,9 +22,10 @@ import (
 // trick of the exact joins the paper benchmarks against, Mann, Augsten and
 // Bouros, PVLDB 2016), and runs the sketch filter over the window as one
 // unrolled XOR/popcount block per pair with a single comparison at its end
-// (within). The order of work differs from a per-pair formulation; which
+// (within) — on amd64 in assembly with the POPCNT instruction, picked once
+// at start-up. The order of work differs from a per-pair formulation; which
 // pairs are looked at and which survive do not
-// (TestKernelMatchesPerPairReference).
+// (TestKernelMatchesPerPairReference, on each path).
 //
 // A Pipeline is the half all workers share, read-only while they run apart
 // from the result set and the tracker, which are safe for concurrent use;
@@ -177,8 +178,25 @@ func (s *Scratch) gather(b *block, ids []uint32) {
 		}
 		slices.Sort(b.keys)
 	}
-	for row, k := range b.keys {
-		copy(b.sk[row*s.stride:][:p.Words], p.Sketches[int(uint32(k))*p.Words:])
+	fetch(p, b.sk, s.stride, b.keys)
+}
+
+// fetch copies the sketches of ids, the low 32 bits of each, into rows of
+// dst stride words apart. At 8 words, the default width, a row is eight
+// loads and eight stores: copy is a call to runtime.memmove, and so is
+// assigning a [8]uint64 through pointers.
+func fetch[T uint32 | uint64](p *Pipeline, dst []uint64, stride int, ids []T) {
+	w, sk := p.Words, p.Sketches
+	if w != 8 {
+		for row, id := range ids {
+			copy(dst[row*stride:][:w], sk[int(uint32(id))*w:])
+		}
+		return
+	}
+	for row, id := range ids {
+		d, s := (*[8]uint64)(dst[row*stride:]), (*[8]uint64)(sk[int(uint32(id))*8:])
+		d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
+		d[4], d[5], d[6], d[7] = s[4], s[5], s[6], s[7]
 	}
 }
 
@@ -227,22 +245,51 @@ const (
 	headCut  = headBits/2 - 3*8
 )
 
-// within appends to hits the index of every row of rows at most maxHam bits
-// from row, and returns it; rows are len(row) words each, a multiple of 8.
-// It is the sketch filter's one loop: a partner's first 8 words are XORed
-// with the row's and popcounted fully unrolled (any further blocks by
-// sketch.Hamming), and the sum is compared with maxHam once. The one early
-// exit, after four words, is bounded by maxHam when maxHam < headCut and by
-// headBits, which four words never exceed, otherwise: no flag, and no
-// branch the hardware mispredicts. The row is read through a pointer rather
-// than held in eight locals: each popcount carries a CPU-feature fallback
-// call that clobbers every register, so locals would be spilled anyway.
-func within(row, rows []uint64, maxHam int, hits []int32) []int32 {
-	head := headBits
+// headBound is the distance over which the sketch filter leaves a pair
+// after four words: maxHam below headCut, otherwise headBits, which four
+// words never exceed — no flag, and no branch the hardware mispredicts.
+func headBound(maxHam int) int {
 	if maxHam < headCut {
-		head = maxHam
+		return maxHam
 	}
-	stride := len(row)
+	return headBits
+}
+
+// popcnt is withinPOPCNT where the probe at start-up found the POPCNT
+// instruction (within_amd64.go), and nil on other CPUs and architectures.
+var popcnt func(row, rows []uint64, maxHam, head int, hits []int32) int
+
+// within appends to hits the index of every row of rows at most maxHam bits
+// from row, and returns it; rows are len(row) words each, a multiple of 8,
+// and hits has room for all of them. It is the sketch filter's one loop: a
+// partner's first four words are XORed with the row's and popcounted, the
+// pair leaves if that is over headBound(maxHam), the rest of the row is
+// XORed and popcounted fully unrolled, 8 words at a time, and the sum is
+// compared with maxHam once. within picks the path — withinPOPCNT where the
+// CPU has the instruction, withinGo otherwise — and hands it hits resliced
+// to one slot per row, so that a hits too short panics here instead of
+// being overrun.
+func within(row, rows []uint64, maxHam int, hits []int32) []int32 {
+	if len(row) == 0 || len(row)%8 != 0 {
+		panic("verify: sketch rows are not whole 8-word blocks")
+	}
+	n, head := len(hits), headBound(maxHam)
+	out := hits[n : n+len(rows)/len(row)]
+	if popcnt != nil {
+		return hits[:n+popcnt(row, rows, maxHam, head, out)]
+	}
+	return hits[:n+withinGo(row, rows, maxHam, head, out)]
+}
+
+// withinGo is within's loop in Go, the reference for withinPOPCNT and the
+// path wherever that is missing: it writes the passing row indices to hits
+// in order, leaving a pair after four words if they are over head, and
+// returns how many. The row is read through a pointer rather than held in
+// eight locals: under the default GOAMD64=v1 each bits.OnesCount64 tests a
+// CPU feature and keeps a fallback call that clobbers every register, so
+// locals would be spilled anyway.
+func withinGo(row, rows []uint64, maxHam, head int, hits []int32) int {
+	stride, k := len(row), 0
 	r := (*[8]uint64)(row)
 	for i := int32(0); len(rows) >= stride; i, rows = i+1, rows[stride:] {
 		o := (*[8]uint64)(rows)
@@ -255,10 +302,26 @@ func within(row, rows []uint64, maxHam int, hits []int32) []int32 {
 			d += sketch.Hamming(row[8:], rows[8:stride])
 		}
 		if d <= maxHam {
-			hits = append(hits, i)
+			hits[k] = i
+			k++
 		}
 	}
-	return hits
+	return k
+}
+
+// WithGoKernel runs f with the sketch filter on withinGo, the portable
+// loop, instead of the one picked at start-up, and reports whether that
+// was a different loop; if it was not, f is not run. Tests outside this
+// package use it to run the join once per path; no join calls it.
+func WithGoKernel(f func()) bool {
+	if popcnt == nil {
+		return false
+	}
+	k := popcnt
+	popcnt = nil
+	defer func() { popcnt = k }()
+	f()
+	return true
 }
 
 // Near appends to dst, in order, the ids whose sketch differs from center
@@ -272,9 +335,7 @@ func (s *Scratch) Near(ids []uint32, center []uint64, bound int, dst []uint32) [
 	for len(ids) > 0 {
 		tile := ids[:min(blockRows, len(ids))]
 		ids = ids[len(tile):]
-		for row, id := range tile {
-			copy(s.a.sk[row*stride:][:p.Words], p.Sketches[int(id)*p.Words:])
-		}
+		fetch(p, s.a.sk, stride, tile)
 		for _, i := range within(s.center, s.a.sk[:len(tile)*stride], bound-1, s.hits[:0]) {
 			dst = append(dst, tile[i])
 		}

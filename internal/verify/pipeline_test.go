@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,8 +13,14 @@ import (
 // TestNearMatchesHamming runs the stopping rule's pass over more points than
 // one tile, at sketch widths padded to one and to two 8-word blocks and at
 // bounds from 0 to past the widest distance, and requires exactly the ids
-// fewer than bound bits from the center, in input order.
+// fewer than bound bits from the center, in input order: on the loop picked
+// at start-up, then on withinGo if that was another.
 func TestNearMatchesHamming(t *testing.T) {
+	testNearMatchesHamming(t)
+	WithGoKernel(func() { t.Run("go", testNearMatchesHamming) })
+}
+
+func testNearMatchesHamming(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 2*blockRows + 7
 	for _, words := range []int{1, 3, 8, 16} {
@@ -49,4 +57,94 @@ func TestNearMatchesHamming(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzWithin feeds the sketch filter a row and its partners as raw words,
+// one to three 8-word blocks wide, at any bound, and requires within — the
+// loop picked at start-up — and withinGo to pick exactly the partners at
+// most that many bits away. The seeds put partners one bit under, on and
+// one bit over the bound.
+func FuzzWithin(f *testing.F) {
+	rng := rand.New(rand.NewSource(13))
+	for i, maxHam := range []int{-1, 0, 1, 34, headCut - 1, headCut, 144, 511, 1000} {
+		stride := 8 * (1 + i%3)
+		words := randomWords(rng, stride)
+		for k := range 30 {
+			partner := slices.Clone(words[:stride])
+			for _, bit := range rng.Perm(64 * stride)[:min(64*stride, max(0, maxHam+k%3-1))] {
+				partner[bit/64] ^= 1 << (bit % 64)
+			}
+			words = append(words, partner...)
+		}
+		raw := make([]byte, 0, 8*len(words))
+		for _, w := range words {
+			raw = binary.LittleEndian.AppendUint64(raw, w)
+		}
+		f.Add(raw, uint8(i), maxHam)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, blocks uint8, maxHam int) {
+		stride := 8 * (1 + int(blocks)%3)
+		words := make([]uint64, max(stride, len(raw)/8))
+		for i := range len(raw) / 8 {
+			words[i] = binary.LittleEndian.Uint64(raw[8*i:])
+		}
+		row, rows := words[:stride], words[stride:]
+		want := withinRef(row, rows, maxHam)
+		if got := within(row, rows, maxHam, make([]int32, 0, len(rows)/stride)); !slices.Equal(got, want) {
+			t.Fatalf("stride %d, maxHam %d: within picks %v, want %v", stride, maxHam, got, want)
+		}
+		hits := make([]int32, len(rows)/stride)
+		if got := hits[:withinGo(row, rows, maxHam, headBound(maxHam), hits)]; !slices.Equal(got, want) {
+			t.Fatalf("stride %d, maxHam %d: withinGo picks %v, want %v", stride, maxHam, got, want)
+		}
+	})
+}
+
+// BenchmarkWithin times the sketch filter's loop over a tile of 256 random
+// 8-word rows, on each path this CPU can run, at the bound of λ 0.5 (144,
+// no early exit) and of λ 0.9 (34, the exit after four words); ns/row is
+// per partner.
+func BenchmarkWithin(b *testing.B) {
+	type path struct {
+		name string
+		f    func(row, rows []uint64, maxHam, head int, hits []int32) int
+	}
+	paths := []path{{"go", withinGo}}
+	if popcnt != nil {
+		paths = append(paths, path{"popcnt", popcnt})
+	}
+	rng := rand.New(rand.NewSource(17))
+	row, rows := randomWords(rng, 8), randomWords(rng, blockRows*8)
+	hits := make([]int32, blockRows)
+	for _, p := range paths {
+		for _, lambda := range []float64{0.5, 0.9} {
+			maxHam := 64*8 - sketch.NewFilter(8, lambda, 0.05).MinAgree
+			b.Run(fmt.Sprintf("%s/l%02.0f", p.name, 100*lambda), func(b *testing.B) {
+				for range b.N {
+					p.f(row, rows, maxHam, headBound(maxHam), hits)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blockRows), "ns/row")
+			})
+		}
+	}
+}
+
+// withinRef is within by definition: the rows at most maxHam bits from row
+// by sketch.Hamming.
+func withinRef(row, rows []uint64, maxHam int) []int32 {
+	var want []int32
+	for i := 0; (i+1)*len(row) <= len(rows); i++ {
+		if sketch.Hamming(row, rows[i*len(row):][:len(row)]) <= maxHam {
+			want = append(want, int32(i))
+		}
+	}
+	return want
+}
+
+func randomWords(rng *rand.Rand, n int) []uint64 {
+	w := make([]uint64, n)
+	for i := range w {
+		w[i] = rng.Uint64()
+	}
+	return w
 }
