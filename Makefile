@@ -67,7 +67,10 @@ test-benchmark:
 # method, the narrowed special case in Search) stay out of non-test Go
 # outside benchmark/. Assembly stays in one file: no *.s outside
 # internal/verify, where within_amd64.s is the sketch filter's POPCNT loop
-# beside withinGo, its portable reference.
+# beside withinGo, its portable reference. The exact prefix-filter family
+# is one package on one frame: internal/ppjoin stays folded into
+# internal/allpairs, whose non-test Go declares no second frequency order
+# (rankByFrequency, func reorder) beside dataset.RemapByFrequency.
 surface:
 	@out=$$(grep -rn 'Deprecated:' --include='*.go' .); if [ -n "$$out" ]; then echo "deprecated surface:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'mux\.Handle' internal/shard/server.go | grep -v '("/v1/'); if [ -n "$$out" ]; then echo "endpoint outside /v1/:"; echo "$$out"; exit 1; fi
@@ -85,6 +88,7 @@ surface:
 	@out=$$(grep -rnE 'markDroppedLocked|sortedTombstones|map\[int\]struct\{\}' --include='*.go' internal/shard | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second deletion structure is back (a deleted id is one bit of the deleted set; seals and compactions only read it):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'kindBest|\) best\(|narrowed :=' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./benchmark/'); if [ -n "$$out" ]; then echo "the best-match early exit is back (a best-match query is the all-matches answer reduced by cpindex.Top):"; echo "$$out"; exit 1; fi
 	@out=$$(find . -name '*.s' -not -path './internal/verify/*' -not -path './.bench_build/*'); if [ -n "$$out" ]; then echo "assembly outside internal/verify (the sketch filter's kernel is the one assembly file):"; echo "$$out"; exit 1; fi
+	@out=$$(ls -d internal/ppjoin 2>/dev/null; grep -nE 'rankByFrequency|func reorder' internal/allpairs/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second copy of the exact prefix-filter family (PPJoin lives in internal/allpairs; its one frequency order is dataset.RemapByFrequency):"; echo "$$out"; exit 1; fi
 	@deps=$$($(GO) list -deps ./cmd/experiments) || exit 1; out=$$(echo "$$deps" | grep -xE 'repro/internal/(shard|cpindex|contain|metrics)|net/http|testing'); if [ -n "$$out" ]; then echo "cmd/experiments links the serving stack:"; echo "$$out"; exit 1; fi
 
 # race is the quick local loop (-short skips the slowest suites);

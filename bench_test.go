@@ -25,7 +25,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/lshjoin"
-	"repro/internal/ppjoin"
 	"repro/internal/verify"
 )
 
@@ -228,7 +227,7 @@ func BenchmarkPPJoinVsAllPairs(b *testing.B) {
 	})
 	b.Run("ppjoin", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ppjoin.Join(w.Sets, 0.5)
+			allpairs.PPJoin(w.Sets, 0.5)
 		}
 	})
 }

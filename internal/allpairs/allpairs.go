@@ -1,23 +1,24 @@
-// Package allpairs implements the ALLPAIRS exact set similarity join of
-// Bayardo, Ma and Srikant (WWW 2007) for Jaccard thresholds, in the
-// optimized formulation of Mann, Augsten and Bouros (VLDB 2016) whose
-// implementation the CPSJoin paper uses as the representative
-// state-of-the-art exact baseline ("ALL").
+// Package allpairs implements the exact prefix-filter family of set
+// similarity joins for Jaccard thresholds: ALLPAIRS of Bayardo, Ma and
+// Srikant (WWW 2007), in the optimized formulation of Mann, Augsten and
+// Bouros (VLDB 2016) whose implementation the CPSJoin paper uses as the
+// representative state-of-the-art exact baseline ("ALL"), its R-S form, and
+// PPJoin of Xiao et al. (TODS 2011): ALLPAIRS plus a positional filter.
 //
-// The algorithm processes sets in order of increasing size, keeping an
-// inverted index over the *prefix* of each processed set. Tokens within a
-// set are ordered by increasing global frequency, so prefixes consist of
-// the rarest tokens and inverted lists stay short — this is exactly the
-// structural assumption ("many rare tokens") whose absence CPSJoin is
-// robust to.
+// Tokens within a set are ordered by increasing global frequency
+// (dataset.RemapByFrequency, over R ∪ S for the R-S join), so the *prefix*
+// of a set is its rarest tokens and inverted lists over prefixes stay short
+// — exactly the structural assumption ("many rare tokens") whose absence
+// CPSJoin is robust to.
 //
-// There is one probe loop, run at every worker count: the prefix index is
-// materialized first, then every set probes it — on the execution layer of
-// internal/exec, in chunks — for the postings of strictly smaller ids, which
-// are exactly what an index grown while probing would have held when the
-// set's turn came. Pairs and all three counters are therefore a function of
-// the input alone (TestGoldenExactJoins pins them to what the interleaved
-// loop of Mann et al. counted).
+// The three joins share one frame (join): the prefix index is materialized,
+// every set probes it on the execution layer of internal/exec, in chunks,
+// and the sets its probe touched are verified; each join supplies only its
+// probe. A self-join processes sets by increasing size and probes the
+// postings of strictly smaller ids, exactly what an index grown while
+// probing would have held at the set's turn, so pairs and all three
+// counters are a function of the input alone (TestGoldenExactJoins and
+// TestPPGoldenExactJoins pin them to the interleaved loop of Mann et al.).
 package allpairs
 
 import (
@@ -55,6 +56,93 @@ func indexPrefix(size int, lambda float64) int {
 	return size - minOverlap + 1
 }
 
+// sizeOrdered returns a copy of sets in the self-joins' order: tokens
+// relabelled rarest first, sets by increasing size. perm maps a position
+// back to its index in sets.
+func sizeOrdered(sets [][]uint32) (sorted [][]uint32, perm []int) {
+	ds := (&dataset.Dataset{Sets: sets}).Clone()
+	ds.RemapByFrequency()
+	perm = ds.SortBySize()
+	return ds.Sets, perm
+}
+
+// scratch is one worker's probe state. mark holds, per indexed set, what
+// the current probe has seen of it: an overlap count, or -1 once the
+// positional filter pruned it; touched lists the sets whose mark is not 0.
+type scratch struct {
+	mark    []int32
+	touched []uint32
+	pairs   []verify.Pair
+	c       verify.Counters
+	_       [64]byte // keeps two workers' counters off one cache line
+}
+
+// touch records a probe's first contact with indexed set yi.
+func (w *scratch) touch(yi uint32) {
+	if w.mark[yi] == 0 {
+		w.touched = append(w.touched, yi)
+	}
+}
+
+// join is the frame of every join in the package: probe(w, xi) marks the
+// sets of ys that xs[xi] reaches through the index, then each touched set
+// is unmarked and verified, pairs named {A: xi, B: yi}. The probes run on
+// the given worker count (0 = one worker, negative = GOMAXPROCS) in chunks
+// small enough that stealing balances the skew from size-sorted probes. A
+// worker's scratch is O(|ys|), so memory scales with the worker count, not
+// the probe count; pairs and counters are concatenated in worker order.
+func join(xs, ys [][]uint32, lambda float64, workers int, probe func(w *scratch, xi int)) ([]verify.Pair, verify.Counters) {
+	workers = exec.EffectiveWorkers(workers)
+	scr := make([]*scratch, workers)
+	for i := range scr {
+		scr[i] = &scratch{mark: make([]int32, len(ys)), touched: make([]uint32, 0, 1024)}
+	}
+	exec.RunChunks(workers, len(xs), 0, func(c *exec.Ctx, lo, hi int) {
+		w := scr[c.Worker()]
+		for xi := lo; xi < hi; xi++ {
+			probe(w, xi)
+			w.verify(uint32(xi), xs[xi], ys, lambda)
+		}
+	})
+	var pairs []verify.Pair
+	var counters verify.Counters
+	for _, w := range scr {
+		pairs = append(pairs, w.pairs...)
+		counters.Add(w.c)
+	}
+	return pairs, counters
+}
+
+// verify unmarks every set the probe of x touched and verifies the ones
+// not pruned that pass the size filter λ·max(|x|,|y|) <= min(|x|,|y|). A
+// self-join candidate always passes it: its probe only takes postings of
+// sizes in [⌈λ|x|⌉, |x|].
+func (w *scratch) verify(xi uint32, x []uint32, ys [][]uint32, lambda float64) {
+	for _, yi := range w.touched {
+		pruned := w.mark[yi] < 0
+		w.mark[yi] = 0
+		y := ys[yi]
+		if pruned || float64(min(len(x), len(y))) < lambda*float64(max(len(x), len(y))) {
+			continue
+		}
+		w.c.Candidates++
+		required := intset.JaccardOverlapBound(len(x), len(y), lambda)
+		if _, ok := intset.IntersectSizeAtLeast(x, y, required); ok {
+			w.c.Results++
+			w.pairs = append(w.pairs, verify.Pair{A: xi, B: yi})
+		}
+	}
+	w.touched = w.touched[:0]
+}
+
+// inOriginalIDs renames self-join pairs from size-sorted positions to input indices.
+func inOriginalIDs(pairs []verify.Pair, perm []int) []verify.Pair {
+	for i, p := range pairs {
+		pairs[i] = verify.MakePair(uint32(perm[p.A]), uint32(perm[p.B]))
+	}
+	return pairs
+}
+
 // Join computes the exact self-join {(i, j) : J(sets[i], sets[j]) >= lambda}
 // and returns the pairs (in original indices) together with candidate
 // statistics. The input sets must be normalized (sorted, unique); they are
@@ -64,49 +152,25 @@ func Join(sets [][]uint32, lambda float64) ([]verify.Pair, verify.Counters) {
 }
 
 // JoinWorkers is Join executed with the given worker count on the shared
-// execution layer (0 = one worker, negative = GOMAXPROCS). Postings are
-// appended in id order, and ids are size order, so each probe
-// binary-searches its minsize lower bound and stops at the first posting
-// with id >= its own. Pairs and counters are identical for any worker
-// count.
+// execution layer (0 = one worker, negative = GOMAXPROCS). Postings are in
+// id order, which is size order, so each probe binary-searches its minsize
+// lower bound and stops at the first posting with id >= its own. Pairs and
+// counters are identical for any worker count.
 func JoinWorkers(sets [][]uint32, lambda float64, workers int) ([]verify.Pair, verify.Counters) {
 	if len(sets) < 2 {
 		return nil, verify.Counters{}
 	}
-	workers = exec.EffectiveWorkers(workers)
-	// Work on a frequency-remapped, size-sorted copy.
-	ds := (&dataset.Dataset{Sets: sets}).Clone()
-	ds.RemapByFrequency()
-	perm := ds.SortBySize()
-	sorted := ds.Sets
-	n := len(sorted)
-
+	sorted, perm := sizeOrdered(sets)
 	index := make(map[uint32][]uint32)
 	for xi, x := range sorted {
 		for _, tok := range x[:indexPrefix(len(x), lambda)] {
 			index[tok] = append(index[tok], uint32(xi))
 		}
 	}
-
-	// Per-worker scratch: the overlap accumulator is O(n) per worker, so
-	// memory scales with the worker count, not the probe count.
-	type scratch struct {
-		overlap []int32
-		touched []uint32
-		pairs   []verify.Pair
-		c       verify.Counters
-	}
-	scr := make([]*scratch, workers)
-	for i := range scr {
-		scr[i] = &scratch{overlap: make([]int32, n), touched: make([]uint32, 0, 1024)}
-	}
-
-	probe := func(w *scratch, xi int) {
+	pairs, c := join(sorted, sorted, lambda, workers, func(w *scratch, xi int) {
 		x := sorted[xi]
-		sx := len(x)
-		minsize := int(math.Ceil(lambda * float64(sx)))
-		touched := w.touched[:0]
-		for _, tok := range x[:probePrefix(sx, lambda)] {
+		minsize := int(math.Ceil(lambda * float64(len(x))))
+		for _, tok := range x[:probePrefix(len(x), lambda)] {
 			list := index[tok]
 			start := sort.Search(len(list), func(i int) bool {
 				return len(sorted[list[i]]) >= minsize
@@ -116,41 +180,10 @@ func JoinWorkers(sets [][]uint32, lambda float64, workers int) ([]verify.Pair, v
 					break
 				}
 				w.c.PreCandidates++
-				if w.overlap[yi] == 0 {
-					touched = append(touched, yi)
-				}
-				w.overlap[yi]++
+				w.touch(yi)
+				w.mark[yi]++
 			}
-		}
-		// Verify unique candidates.
-		for _, yi := range touched {
-			w.overlap[yi] = 0
-			w.c.Candidates++
-			y := sorted[yi]
-			required := intset.JaccardOverlapBound(sx, len(y), lambda)
-			if _, ok := intset.IntersectSizeAtLeast(x, y, required); ok {
-				w.c.Results++
-				w.pairs = append(w.pairs, verify.MakePair(uint32(perm[xi]), uint32(perm[yi])))
-			}
-		}
-		w.touched = touched[:0]
-	}
-
-	// Default chunking is small enough that stealing balances the skew
-	// from size-sorted probes (late ids are the largest sets and the most
-	// expensive).
-	exec.RunChunks(workers, n, 0, func(c *exec.Ctx, lo, hi int) {
-		w := scr[c.Worker()]
-		for xi := lo; xi < hi; xi++ {
-			probe(w, xi)
 		}
 	})
-
-	var pairs []verify.Pair
-	var counters verify.Counters
-	for _, w := range scr {
-		pairs = append(pairs, w.pairs...)
-		counters.Add(w.c)
-	}
-	return pairs, counters
+	return inOriginalIDs(pairs, perm), c
 }

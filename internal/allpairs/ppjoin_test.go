@@ -1,35 +1,14 @@
-package ppjoin
+package allpairs
 
 import (
-	"math/rand"
 	"testing"
 
-	"repro/internal/allpairs"
 	"repro/internal/datagen"
-	"repro/internal/intset"
 	"repro/internal/stats"
 	"repro/internal/verify"
 )
 
-func randomSets(seed int64, n, maxLen, universe int) [][]uint32 {
-	rng := rand.New(rand.NewSource(seed))
-	sets := make([][]uint32, n)
-	for i := range sets {
-		m := 2 + rng.Intn(maxLen-1)
-		s := make([]uint32, 0, m)
-		for j := 0; j < m; j++ {
-			s = append(s, uint32(rng.Intn(universe)))
-		}
-		s = intset.Normalize(s)
-		for len(s) < 2 {
-			s = intset.Normalize(append(s, uint32(rng.Intn(universe))))
-		}
-		sets[i] = s
-	}
-	return sets
-}
-
-func TestExactAgainstBruteForce(t *testing.T) {
+func TestPPExactAgainstBruteForce(t *testing.T) {
 	for _, tc := range []struct {
 		seed              int64
 		n, maxLen, domain int
@@ -42,7 +21,7 @@ func TestExactAgainstBruteForce(t *testing.T) {
 		sets := randomSets(tc.seed, tc.n, tc.maxLen, tc.domain)
 		for _, lambda := range []float64{0.5, 0.6, 0.7, 0.8, 0.9} {
 			want := verify.BruteForceJoin(sets, lambda)
-			got, counters := Join(sets, lambda)
+			got, counters := PPJoin(sets, lambda)
 			if !stats.EqualPairSets(got, want) {
 				t.Fatalf("seed=%d λ=%v: PPJoin %d pairs, brute force %d; missing=%v",
 					tc.seed, lambda, len(got), len(want), stats.Missing(got, want))
@@ -58,8 +37,8 @@ func TestExactAgainstBruteForce(t *testing.T) {
 // candidates than AllPairs (the positional filter only removes candidates).
 func TestPositionalFilterPrunes(t *testing.T) {
 	ds := datagen.Uniform(600, 12, 80, 19) // dense: long inverted lists
-	_, cAll := allpairs.Join(ds.Sets, 0.6)
-	_, cPP := Join(ds.Sets, 0.6)
+	_, cAll := Join(ds.Sets, 0.6)
+	_, cPP := PPJoin(ds.Sets, 0.6)
 	if cPP.Candidates > cAll.Candidates {
 		t.Errorf("PPJoin verified %d candidates, AllPairs %d; positional filter ineffective",
 			cPP.Candidates, cAll.Candidates)
@@ -79,27 +58,27 @@ func TestPrunedStateDoesNotLeak(t *testing.T) {
 		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},         // duplicate of set 0
 	}
 	want := verify.BruteForceJoin(sets, 0.5)
-	got, _ := Join(sets, 0.5)
+	got, _ := PPJoin(sets, 0.5)
 	if !stats.EqualPairSets(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
 }
 
-func TestTinyInputs(t *testing.T) {
-	if got, _ := Join(nil, 0.5); got != nil {
-		t.Errorf("Join(nil) = %v", got)
+func TestPPTinyInputs(t *testing.T) {
+	if got, _ := PPJoin(nil, 0.5); got != nil {
+		t.Errorf("PPJoin(nil) = %v", got)
 	}
-	got, _ := Join([][]uint32{{1, 2}, {1, 2}}, 0.9)
+	got, _ := PPJoin([][]uint32{{1, 2}, {1, 2}}, 0.9)
 	if len(got) != 1 {
-		t.Errorf("Join(two identical) = %v", got)
+		t.Errorf("PPJoin(two identical) = %v", got)
 	}
 }
 
-func TestOnGeneratedWorkloads(t *testing.T) {
+func TestPPOnGeneratedWorkloads(t *testing.T) {
 	zipf := datagen.Zipf(400, 15, 400, 0.9, 20)
 	for _, lambda := range []float64{0.5, 0.7, 0.9} {
 		want := verify.BruteForceJoin(zipf.Sets, lambda)
-		got, _ := Join(zipf.Sets, lambda)
+		got, _ := PPJoin(zipf.Sets, lambda)
 		if !stats.EqualPairSets(got, want) {
 			t.Fatalf("λ=%v: got %d pairs, want %d", lambda, len(got), len(want))
 		}
@@ -110,16 +89,16 @@ func BenchmarkPPJoinUniform(b *testing.B) {
 	ds := datagen.Uniform(2000, 10, 300, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Join(ds.Sets, 0.5)
+		PPJoin(ds.Sets, 0.5)
 	}
 }
 
-// TestGoldenExactJoins pins the one probe loop of JoinWorkers to what the
-// commit before it returned at one worker, where probing was still
+// TestPPGoldenExactJoins pins the one probe loop of PPJoinWorkers to what
+// the commit before it returned at one worker, where probing was still
 // interleaved with indexing: SHA-256 of the sorted pair set and all three
 // counters, on both shapes of the perf ledger, the same at every worker
-// count. The pair sets are the ones internal/allpairs is pinned to.
-func TestGoldenExactJoins(t *testing.T) {
+// count. The pair sets are the ones TestGoldenExactJoins pins for Join.
+func TestPPGoldenExactJoins(t *testing.T) {
 	flat := datagen.LedgerShape(false, 3000, 1)
 	skew := datagen.LedgerShape(true, 3000, 2)
 	for _, tc := range []struct {
@@ -136,7 +115,7 @@ func TestGoldenExactJoins(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range []int{0, 1, 2, 4} {
-				pairs, c := JoinWorkers(tc.sets, tc.lambda, workers)
+				pairs, c := PPJoinWorkers(tc.sets, tc.lambda, workers)
 				if d := stats.PairDigest(pairs); d != tc.digest || c != tc.c {
 					t.Errorf("workers=%d: pairs %s counters %+v, want %s %+v", workers, d, c, tc.digest, tc.c)
 				}

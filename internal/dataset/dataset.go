@@ -210,8 +210,10 @@ func (d *Dataset) TokenFrequencies() map[uint32]int {
 // RemapByFrequency relabels tokens so that token ids are assigned in order
 // of increasing document frequency (ties broken by original id). After
 // remapping, the natural ascending order of each set is exactly the
-// rare-tokens-first order required by prefix-filtering joins, so AllPairs
-// and PPJoin can use the sets directly. Returns the mapping old->new.
+// rare-tokens-first order required by prefix-filtering joins. It is the one
+// frequency order of all three exact joins in internal/allpairs: AllPairs
+// and PPJoin remap a copy of their input, the R-S join a copy of R ∪ S.
+// Returns the mapping old->new.
 func (d *Dataset) RemapByFrequency() map[uint32]uint32 {
 	freq := d.TokenFrequencies()
 	tokens := make([]uint32, 0, len(freq))

@@ -1,5 +1,4 @@
-// Package minhash implements minwise hashing signatures and the randomized
-// embedding of Section II-A of the CPSJoin paper.
+// Package minhash implements minwise hashing signatures.
 //
 // A MinHash function h is sampled by drawing a random tabulation hash
 // g: [d] -> [2^64] and letting h(x) = argmin_{j in x} g(j). For two sets
@@ -7,15 +6,13 @@
 // t-dimensional signatures is a binomially concentrated estimator of the
 // Jaccard similarity.
 //
-// The embedding f(x) = {(i, h_i(x)) : i = 1..t} maps an arbitrary set to a
-// set of exactly t tokens such that the Braun-Blanquet similarity
-// |f(x) ∩ f(y)| / t estimates J(x, y); this is what makes CPSJoin
-// applicable to any LSHable similarity measure.
+// The randomized embedding of Section II-A of the CPSJoin paper, which
+// turns any LSHable similarity join into a set similarity join, is
+// ssjoin.Embed, over any hash family.
 package minhash
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/tabhash"
 )
@@ -98,50 +95,4 @@ func Estimate(a, b []uint32) float64 {
 		}
 	}
 	return float64(agree) / float64(len(a))
-}
-
-// Embedding is the result of embedding a collection of sets: each input set
-// becomes a set of exactly T tokens over a fresh dense universe, where
-// matching tokens correspond to agreeing MinHash positions. Braun-Blanquet
-// similarity of two embedded sets (intersection divided by T) estimates the
-// Jaccard similarity of the originals.
-type Embedding struct {
-	T        int
-	Sets     [][]uint32
-	Universe int
-}
-
-// Embed embeds every input set into a t-token set. Token ids are assigned
-// densely per (position, minhash value) pair, so there are no collisions:
-// two embedded sets share a token exactly when their MinHash signatures
-// agree at that position.
-func Embed(sets [][]uint32, t int, seed uint64) *Embedding {
-	signer := NewSigner(t, seed)
-	flat := signer.SignAll(sets)
-	type pv struct {
-		pos uint32
-		val uint32
-	}
-	dict := make(map[pv]uint32)
-	emb := &Embedding{T: t, Sets: make([][]uint32, len(sets))}
-	for i := range sets {
-		sig := flat[i*t : (i+1)*t]
-		out := make([]uint32, t)
-		for p, v := range sig {
-			key := pv{uint32(p), v}
-			id, ok := dict[key]
-			if !ok {
-				id = uint32(len(dict))
-				dict[key] = id
-			}
-			out[p] = id
-		}
-		// Tokens at different positions get distinct ids, and within one
-		// signature each position yields one token, so out has t distinct
-		// values; sort for the set invariant.
-		slices.Sort(out)
-		emb.Sets[i] = out
-	}
-	emb.Universe = len(dict)
-	return emb
 }

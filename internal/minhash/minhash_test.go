@@ -132,72 +132,6 @@ func TestEstimatePanicsOnMismatch(t *testing.T) {
 	Estimate([]uint32{1, 2}, []uint32{1})
 }
 
-func TestEmbedShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	sets := make([][]uint32, 50)
-	for i := range sets {
-		sets[i] = randomSet(rng, 2+rng.Intn(30), 1000)
-	}
-	const tEmb = 64
-	emb := Embed(sets, tEmb, 99)
-	if len(emb.Sets) != len(sets) {
-		t.Fatalf("embedded %d sets, want %d", len(emb.Sets), len(sets))
-	}
-	for i, e := range emb.Sets {
-		if len(e) != tEmb {
-			t.Fatalf("embedded set %d has size %d, want %d", i, len(e), tEmb)
-		}
-		if !intset.IsSet(e) {
-			t.Fatalf("embedded set %d is not sorted/unique", i)
-		}
-	}
-	if emb.Universe == 0 || emb.Universe > len(sets)*tEmb {
-		t.Fatalf("implausible universe %d", emb.Universe)
-	}
-}
-
-// TestEmbedPreservesSimilarity: Braun-Blanquet similarity of embedded sets
-// (|∩|/t) estimates Jaccard of the originals.
-func TestEmbedPreservesSimilarity(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	size := 80
-	for _, wantJ := range []float64{0.3, 0.6, 0.9} {
-		shared := int(math.Round(2 * wantJ / (1 + wantJ) * float64(size)))
-		a, b := overlappingPair(rng, size, shared, 50000)
-		trueJ := intset.Jaccard(a, b)
-		const tEmb = 512
-		est := 0.0
-		const reps = 4
-		for r := 0; r < reps; r++ {
-			emb := Embed([][]uint32{a, b}, tEmb, uint64(500+r))
-			est += float64(intset.IntersectSize(emb.Sets[0], emb.Sets[1])) / tEmb
-		}
-		est /= reps
-		if math.Abs(est-trueJ) > 0.05 {
-			t.Errorf("embedded similarity %v too far from true J %v", est, trueJ)
-		}
-	}
-}
-
-// TestEmbedExactIdentity: identical input sets embed to identical token
-// sets (intersection t), disjoint unrelated sets to nearly disjoint ones.
-func TestEmbedExactIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := randomSet(rng, 40, 10000)
-	b := append([]uint32(nil), a...)
-	c := randomSet(rng, 40, 10000)
-	for intset.IntersectSize(a, c) > 0 {
-		c = randomSet(rng, 40, 10000)
-	}
-	emb := Embed([][]uint32{a, b, c}, 128, 11)
-	if got := intset.IntersectSize(emb.Sets[0], emb.Sets[1]); got != 128 {
-		t.Fatalf("identical sets share %d/128 embedded tokens", got)
-	}
-	if got := intset.IntersectSize(emb.Sets[0], emb.Sets[2]); got > 8 {
-		t.Fatalf("disjoint sets share %d/128 embedded tokens", got)
-	}
-}
-
 func BenchmarkSign(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	set := randomSet(rng, 100, 100000)

@@ -406,47 +406,35 @@ func ValidateSets(sets [][]uint32) error {
 	return nil
 }
 
-// WriteFile writes one container to path atomically: the encoder runs
-// against a temp file in the same directory, which is synced and renamed
-// over path only on success, so a crashed or failed save never leaves a
-// half-written snapshot behind.
-func WriteFile(path, kind string, encode func(*Writer) error) (err error) {
-	dir, base := filepath.Split(path)
-	f, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	defer func() {
+// WriteFile writes one container to path atomically (writeAtomic): the
+// encoder runs against a temp file in the same directory, so a crashed or
+// failed save never leaves a half-written snapshot behind.
+func WriteFile(path, kind string, encode func(*Writer) error) error {
+	return writeAtomic(path, func(f *os.File) error {
+		w, err := NewWriter(f, kind)
 		if err != nil {
-			f.Close()
-			os.Remove(tmp)
+			return err
 		}
-	}()
-	w, err := NewWriter(f, kind)
-	if err != nil {
-		return err
-	}
-	if err = encode(w); err != nil {
-		return err
-	}
-	if err = w.Flush(); err != nil {
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+		if err := encode(w); err != nil {
+			return err
+		}
+		return w.Flush()
+	})
 }
 
-// WriteRawFile writes pre-serialized bytes to path with the same
-// atomicity discipline as WriteFile: temp file in the same directory,
-// fsync, rename. Shared by the manifest writer and raw-byte shard saves
-// so the crash-safety dance lives in one place.
-func WriteRawFile(path string, data []byte) (err error) {
+// WriteRawFile writes pre-serialized bytes to path atomically, like
+// WriteFile. The manifest writer and raw-byte shard saves use it.
+func WriteRawFile(path string, data []byte) error {
+	return writeAtomic(path, func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
+}
+
+// writeAtomic is the crash-safety dance of both writers: write fills a temp
+// file in path's directory, which is synced, closed and renamed over path
+// only on success. On any error the temp file is closed and removed.
+func writeAtomic(path string, write func(*os.File) error) (err error) {
 	dir, base := filepath.Split(path)
 	f, err := os.CreateTemp(dir, base+".tmp*")
 	if err != nil {
@@ -459,7 +447,7 @@ func WriteRawFile(path string, data []byte) (err error) {
 			os.Remove(tmp)
 		}
 	}()
-	if _, err = f.Write(data); err != nil {
+	if err = write(f); err != nil {
 		return err
 	}
 	if err = f.Sync(); err != nil {

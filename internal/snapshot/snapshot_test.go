@@ -254,6 +254,38 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Fatalf("failed WriteFile left temp files: %v", left)
 	}
 
+	// Both entry points fail cleanly on a target in a missing directory
+	// (no temp file can be made) and on a target that is a directory (the
+	// temp file is written and synced, and the rename fails).
+	encode := func(w *Writer) error { return w.Section("s", []byte{1}) }
+	busy := filepath.Join(dir, "busy")
+	if err := os.Mkdir(busy, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range []string{filepath.Join(dir, "missing", "x.cps"), busy} {
+		for name, write := range map[string]func() error{
+			"WriteFile":    func() error { return WriteFile(target, "k", encode) },
+			"WriteRawFile": func() error { return WriteRawFile(target, []byte{1, 2, 3}) },
+		} {
+			if err := write(); err == nil {
+				t.Fatalf("%s(%s) succeeded", name, target)
+			}
+			if _, statErr := os.Stat(filepath.Join(dir, "missing")); !os.IsNotExist(statErr) {
+				t.Fatalf("%s(%s) created the missing directory", name, target)
+			}
+			left, _ := os.ReadDir(dir)
+			if len(left) != 1 || left[0].Name() != "busy" || !left[0].IsDir() {
+				t.Fatalf("%s(%s) left files behind: %v", name, target, left)
+			}
+			if inside, _ := os.ReadDir(busy); len(inside) != 0 {
+				t.Fatalf("%s(%s) wrote into the target directory: %v", name, target, inside)
+			}
+		}
+	}
+	if err := os.Remove(busy); err != nil {
+		t.Fatal(err)
+	}
+
 	// Success round-trips through the file.
 	if err := WriteFile(path, "k", func(w *Writer) error {
 		return w.Section("s", []byte{9, 9})

@@ -25,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/intset"
 	"repro/internal/lshjoin"
-	"repro/internal/ppjoin"
 	"repro/internal/stats"
 	"repro/internal/verify"
 )
@@ -238,7 +237,7 @@ func AllPairsRS(r, s [][]uint32, lambda float64, opts *Options) ([]Pair, Stats) 
 // al.), a second member of the prefix-filter family. Exact algorithms
 // consult only Workers from opts.
 func PPJoin(sets [][]uint32, lambda float64, opts *Options) ([]Pair, Stats) {
-	pairs, c := ppjoin.JoinWorkers(sets, lambda, opts.workers())
+	pairs, c := allpairs.PPJoinWorkers(sets, lambda, opts.workers())
 	return fromPairs(pairs), fromCounters(c)
 }
 
