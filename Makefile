@@ -70,7 +70,12 @@ test-benchmark:
 # beside withinGo, its portable reference. The exact prefix-filter family
 # is one package on one frame: internal/ppjoin stays folded into
 # internal/allpairs, whose non-test Go declares no second frequency order
-# (rankByFrequency, func reorder) beside dataset.RemapByFrequency.
+# (rankByFrequency, func reorder) beside dataset.RemapByFrequency. A
+# threshold becomes integers in one place, internal/intset's rule (the
+# division Jaccard computes, and MinOverlap, MinShare, SizeWindow from it):
+# JaccardOverlapBound, whose float ceiling missed pairs at J = λ exactly,
+# stays deleted, and no non-test Go outside internal/intset takes the
+# ceiling of a product of λ (Ceil(lambda, Ceil(2 * lambda).
 surface:
 	@out=$$(grep -rn 'Deprecated:' --include='*.go' .); if [ -n "$$out" ]; then echo "deprecated surface:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'mux\.Handle' internal/shard/server.go | grep -v '("/v1/'); if [ -n "$$out" ]; then echo "endpoint outside /v1/:"; echo "$$out"; exit 1; fi
@@ -89,6 +94,7 @@ surface:
 	@out=$$(grep -rnE 'kindBest|\) best\(|narrowed :=' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./benchmark/'); if [ -n "$$out" ]; then echo "the best-match early exit is back (a best-match query is the all-matches answer reduced by cpindex.Top):"; echo "$$out"; exit 1; fi
 	@out=$$(find . -name '*.s' -not -path './internal/verify/*' -not -path './.bench_build/*'); if [ -n "$$out" ]; then echo "assembly outside internal/verify (the sketch filter's kernel is the one assembly file):"; echo "$$out"; exit 1; fi
 	@out=$$(ls -d internal/ppjoin 2>/dev/null; grep -nE 'rankByFrequency|func reorder' internal/allpairs/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second copy of the exact prefix-filter family (PPJoin lives in internal/allpairs; its one frequency order is dataset.RemapByFrequency):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn 'JaccardOverlapBound' --include='*.go' .; grep -rnE 'Ceil\((2 \* )?lambda' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/intset/'); if [ -n "$$out" ]; then echo "a threshold bound outside internal/intset (take MinOverlap, MinShare or SizeWindow):"; echo "$$out"; exit 1; fi
 	@deps=$$($(GO) list -deps ./cmd/experiments) || exit 1; out=$$(echo "$$deps" | grep -xE 'repro/internal/(shard|cpindex|contain|metrics)|net/http|testing'); if [ -n "$$out" ]; then echo "cmd/experiments links the serving stack:"; echo "$$out"; exit 1; fi
 
 # race is the quick local loop (-short skips the slowest suites);
@@ -127,8 +133,11 @@ ledger:
 # accepts to serialize back to the bytes it came from. FuzzWithin runs the
 # sketch filter's loop, the path picked at start-up and withinGo, on raw
 # words at any bound and requires exactly the rows sketch.Hamming puts
-# within it. CI runs this on every PR; crashers land in testdata/fuzz/ for
-# replay.
+# within it. FuzzIntersect runs the intersection merges on arbitrary sets
+# and requires every exact threshold decision (JaccardAtLeast,
+# ContainmentAtLeast, BraunBlanquetAtLeast, Verifier.Verify) to be the
+# similarity's own division compared with a fuzzed threshold. CI runs this
+# on every PR; crashers land in testdata/fuzz/ for replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzContainer$$' -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/snapshot
@@ -136,6 +145,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMappedDecode$$' -fuzztime $(FUZZTIME) ./internal/cpindex
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrom$$' -fuzztime $(FUZZTIME) ./internal/prep
 	$(GO) test -run '^$$' -fuzz '^FuzzWithin$$' -fuzztime $(FUZZTIME) ./internal/verify
+	$(GO) test -run '^$$' -fuzz '^FuzzIntersect$$' -fuzztime $(FUZZTIME) ./internal/intset
 
 clean:
 	rm -rf .bench_build/

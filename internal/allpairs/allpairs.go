@@ -19,10 +19,14 @@
 // probing would have held at the set's turn, so pairs and all three
 // counters are a function of the input alone (TestGoldenExactJoins and
 // TestPPGoldenExactJoins pin them to the interleaved loop of Mann et al.).
+//
+// The joins are exact against intset.Jaccard's own division: prefix
+// lengths, the minimum partner size, the size and positional filters and
+// verification all come from intset's threshold rule, so a pair is
+// reported exactly when Jaccard(x, y) >= λ, a pair at λ exactly included.
 package allpairs
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/dataset"
@@ -32,28 +36,20 @@ import (
 )
 
 // probePrefix returns the probing prefix length for a set of the given
-// size: tokens outside the prefix cannot be the sole witness of a match
-// with any candidate of size >= lambda*size.
+// size: tokens outside the prefix cannot be the sole witness of a match.
+// The smallest overlap any partner needs is intset.MinShare(size, lambda),
+// needed by the smallest partner the size filter lets through, nested in
+// the set.
 func probePrefix(size int, lambda float64) int {
-	// Minimum overlap with any join partner is ceil(lambda * size)
-	// (achieved when the partner has size lambda*size).
-	minOverlap := int(math.Ceil(lambda * float64(size)))
-	if minOverlap < 1 {
-		minOverlap = 1
-	}
-	return size - minOverlap + 1
+	return size - max(intset.MinShare(size, lambda), 1) + 1
 }
 
 // indexPrefix returns the indexing prefix length: only this many tokens
 // need to enter the inverted index, because any future probe set is at
-// least as large, so the equivalent-overlap bound is at least
-// ceil(2*lambda/(1+lambda) * size).
+// least as large, so the overlap it needs is at least
+// intset.MinOverlap(size, size, lambda).
 func indexPrefix(size int, lambda float64) int {
-	minOverlap := int(math.Ceil(2 * lambda / (1 + lambda) * float64(size)))
-	if minOverlap < 1 {
-		minOverlap = 1
-	}
-	return size - minOverlap + 1
+	return size - max(intset.MinOverlap(size, size, lambda), 1) + 1
 }
 
 // sizeOrdered returns a copy of sets in the self-joins' order: tokens
@@ -69,12 +65,27 @@ func sizeOrdered(sets [][]uint32) (sorted [][]uint32, perm []int) {
 // scratch is one worker's probe state. mark holds, per indexed set, what
 // the current probe has seen of it: an overlap count, or -1 once the
 // positional filter pruned it; touched lists the sets whose mark is not 0.
+// need[k] is the overlap a set of size lo+k needs with the probing set,
+// intset.MinOverlap, for every size of its intset.SizeWindow up to largest,
+// the largest indexed size: the rule runs once per probe and size, not once
+// per candidate.
 type scratch struct {
-	mark    []int32
-	touched []uint32
-	pairs   []verify.Pair
-	c       verify.Counters
-	_       [64]byte // keeps two workers' counters off one cache line
+	mark        []int32
+	touched     []uint32
+	lo, largest int
+	need        []int
+	pairs       []verify.Pair
+	c           verify.Counters
+	_           [64]byte // keeps two workers' counters off one cache line
+}
+
+// bounds sets lo and need for a probing set of size n.
+func (w *scratch) bounds(n int, lambda float64) {
+	lo, hi := intset.SizeWindow(n, lambda)
+	w.lo, w.need = lo, w.need[:0]
+	for size := lo; size <= min(hi, w.largest); size++ {
+		w.need = append(w.need, intset.MinOverlap(n, size, lambda))
+	}
 }
 
 // touch records a probe's first contact with indexed set yi.
@@ -93,15 +104,20 @@ func (w *scratch) touch(yi uint32) {
 // the probe count; pairs and counters are concatenated in worker order.
 func join(xs, ys [][]uint32, lambda float64, workers int, probe func(w *scratch, xi int)) ([]verify.Pair, verify.Counters) {
 	workers = exec.EffectiveWorkers(workers)
+	largest := 0
+	for _, y := range ys {
+		largest = max(largest, len(y))
+	}
 	scr := make([]*scratch, workers)
 	for i := range scr {
-		scr[i] = &scratch{mark: make([]int32, len(ys)), touched: make([]uint32, 0, 1024)}
+		scr[i] = &scratch{mark: make([]int32, len(ys)), touched: make([]uint32, 0, 1024), largest: largest}
 	}
 	exec.RunChunks(workers, len(xs), 0, func(c *exec.Ctx, lo, hi int) {
 		w := scr[c.Worker()]
 		for xi := lo; xi < hi; xi++ {
+			w.bounds(len(xs[xi]), lambda)
 			probe(w, xi)
-			w.verify(uint32(xi), xs[xi], ys, lambda)
+			w.verify(uint32(xi), xs[xi], ys)
 		}
 	})
 	var pairs []verify.Pair
@@ -114,20 +130,20 @@ func join(xs, ys [][]uint32, lambda float64, workers int, probe func(w *scratch,
 }
 
 // verify unmarks every set the probe of x touched and verifies the ones
-// not pruned that pass the size filter λ·max(|x|,|y|) <= min(|x|,|y|). A
-// self-join candidate always passes it: its probe only takes postings of
-// sizes in [⌈λ|x|⌉, |x|].
-func (w *scratch) verify(xi uint32, x []uint32, ys [][]uint32, lambda float64) {
+// not pruned whose size is in x's intset.SizeWindow: the intersection must
+// reach the size's need. A self-join candidate is always in the window: its
+// probe only takes postings of sizes in [lo, |x|].
+func (w *scratch) verify(xi uint32, x []uint32, ys [][]uint32) {
 	for _, yi := range w.touched {
 		pruned := w.mark[yi] < 0
 		w.mark[yi] = 0
 		y := ys[yi]
-		if pruned || float64(min(len(x), len(y))) < lambda*float64(max(len(x), len(y))) {
+		k := len(y) - w.lo
+		if pruned || k < 0 || k >= len(w.need) {
 			continue
 		}
 		w.c.Candidates++
-		required := intset.JaccardOverlapBound(len(x), len(y), lambda)
-		if _, ok := intset.IntersectSizeAtLeast(x, y, required); ok {
+		if _, ok := intset.IntersectSizeAtLeast(x, y, w.need[k]); ok {
 			w.c.Results++
 			w.pairs = append(w.pairs, verify.Pair{A: xi, B: yi})
 		}
@@ -153,9 +169,9 @@ func Join(sets [][]uint32, lambda float64) ([]verify.Pair, verify.Counters) {
 
 // JoinWorkers is Join executed with the given worker count on the shared
 // execution layer (0 = one worker, negative = GOMAXPROCS). Postings are in
-// id order, which is size order, so each probe binary-searches its minsize
-// lower bound and stops at the first posting with id >= its own. Pairs and
-// counters are identical for any worker count.
+// id order, which is size order, so each probe binary-searches its minimum
+// partner size (the scratch's lo) and stops at the first posting with id >=
+// its own. Pairs and counters are identical for any worker count.
 func JoinWorkers(sets [][]uint32, lambda float64, workers int) ([]verify.Pair, verify.Counters) {
 	if len(sets) < 2 {
 		return nil, verify.Counters{}
@@ -169,11 +185,10 @@ func JoinWorkers(sets [][]uint32, lambda float64, workers int) ([]verify.Pair, v
 	}
 	pairs, c := join(sorted, sorted, lambda, workers, func(w *scratch, xi int) {
 		x := sorted[xi]
-		minsize := int(math.Ceil(lambda * float64(len(x))))
 		for _, tok := range x[:probePrefix(len(x), lambda)] {
 			list := index[tok]
 			start := sort.Search(len(list), func(i int) bool {
-				return len(sorted[list[i]]) >= minsize
+				return len(sorted[list[i]]) >= w.lo
 			})
 			for _, yi := range list[start:] {
 				if int(yi) >= xi {

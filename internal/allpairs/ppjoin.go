@@ -1,10 +1,8 @@
 package allpairs
 
 import (
-	"math"
 	"sort"
 
-	"repro/internal/intset"
 	"repro/internal/verify"
 )
 
@@ -42,11 +40,10 @@ func PPJoinWorkers(sets [][]uint32, lambda float64, workers int) ([]verify.Pair,
 	pairs, c := join(sorted, sorted, lambda, workers, func(w *scratch, xi int) {
 		x := sorted[xi]
 		sx := len(x)
-		minsize := int(math.Ceil(lambda * float64(sx)))
 		for p, tok := range x[:probePrefix(sx, lambda)] {
 			list := index[tok]
 			start := sort.Search(len(list), func(i int) bool {
-				return len(sorted[list[i].id]) >= minsize
+				return len(sorted[list[i].id]) >= w.lo
 			})
 			for _, post := range list[start:] {
 				yi := post.id
@@ -60,11 +57,10 @@ func PPJoinWorkers(sets [][]uint32, lambda float64, workers int) ([]verify.Pair,
 				}
 				w.touch(yi)
 				y := sorted[yi]
-				required := intset.JaccardOverlapBound(sx, len(y), lambda)
 				// Positional filter: tokens matched so far plus everything
 				// that can still match after positions p (in x) and
-				// post.pos (in y).
-				if int(alpha)+1+min(sx-p-1, len(y)-int(post.pos)-1) < required {
+				// post.pos (in y) must reach the overlap y's size needs.
+				if int(alpha)+1+min(sx-p-1, len(y)-int(post.pos)-1) < w.need[len(y)-w.lo] {
 					w.mark[yi] = -1
 					continue
 				}

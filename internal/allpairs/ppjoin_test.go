@@ -98,6 +98,10 @@ func BenchmarkPPJoinUniform(b *testing.B) {
 // interleaved with indexing: SHA-256 of the sorted pair set and all three
 // counters, on both shapes of the perf ledger, the same at every worker
 // count. The pair sets are the ones TestGoldenExactJoins pins for Join.
+// skew/l80's Candidates were 1063 while the positional filter's bound was
+// ⌈λ/(1+λ)·(|x|+|y|)⌉ in floats, one above intset.MinOverlap at some sizes
+// (0.8/1.8·63 rounds above 28): the two candidates it pruned are verified
+// now, and fail.
 func TestPPGoldenExactJoins(t *testing.T) {
 	flat := datagen.LedgerShape(false, 3000, 1)
 	skew := datagen.LedgerShape(true, 3000, 2)
@@ -111,7 +115,7 @@ func TestPPGoldenExactJoins(t *testing.T) {
 		{"flat/l50", flat, 0.5, "a5cb0d226bd3133af868b838306f65618b723f4d2931cae1f0360acd7bb33500", verify.Counters{PreCandidates: 651102, Candidates: 416769, Results: 302}},
 		{"flat/l80", flat, 0.8, "bb5a13436d99c86a036e1a3b786e1a30703c0325bbe2000580751bdc390a23bc", verify.Counters{PreCandidates: 105639, Candidates: 69014, Results: 223}},
 		{"skew/l50", skew, 0.5, "09fa9fe8fd7b63cb9895a87f55369d6301c526a885f9ade291be1e43266e8cb1", verify.Counters{PreCandidates: 21870, Candidates: 8119, Results: 1532}},
-		{"skew/l80", skew, 0.8, "9ebeb527886402873aa2131274d29afbad32b4b52976e138469305ba90b73a41", verify.Counters{PreCandidates: 1423, Candidates: 1063, Results: 450}},
+		{"skew/l80", skew, 0.8, "9ebeb527886402873aa2131274d29afbad32b4b52976e138469305ba90b73a41", verify.Counters{PreCandidates: 1423, Candidates: 1065, Results: 450}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range []int{0, 1, 2, 4} {

@@ -11,11 +11,11 @@ import (
 // indexing r and B indexing s.
 //
 // Prefix soundness for two-collection joins: a qualifying pair needs
-// overlap at least ceil(λ/(1+λ)(|x|+|y|)), which is at least
-// ceil(λ·|x|) and at least ceil(λ·|y|) for any pair passing the size
-// filter λ|x| <= |y| <= |x|/λ; hence prefixes of length
-// |x| - ceil(λ|x|) + 1 (probePrefix) on both sides must share a token under
-// any common global token order.
+// overlap at least intset.MinOverlap(|x|, |y|, λ), which is at least
+// intset.MinShare(|x|, λ) and at least intset.MinShare(|y|, λ) for any
+// pair passing the size filter; hence prefixes of length
+// |x| - MinShare(|x|, λ) + 1 (probePrefix) on both sides must share a token
+// under any common global token order.
 func JoinRS(r, s [][]uint32, lambda float64) ([]verify.Pair, verify.Counters) {
 	return JoinRSWorkers(r, s, lambda, 1)
 }

@@ -145,7 +145,7 @@ func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, ver
 				for i, a := range bucket {
 					for _, b := range bucket[i+1:] {
 						s.Pre++
-						if !tail.Verifier.SizeCompatible(int(tail.Sizes[a]), int(tail.Sizes[b])) {
+						if !tail.SizeCompatible(a, b) {
 							continue
 						}
 						if pruner != nil && !pruner.Survives(sketches[int(a)*w:][:w], sketches[int(b)*w:][:w]) {
@@ -166,35 +166,42 @@ func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, ver
 // (upper confidence bound) read of the agreement rate cannot reach the
 // threshold.
 type Pruner struct {
-	words  int
-	lambda float64
 	// slack[w] is the confidence radius after w words.
 	slack []float64
+	// maxDist[w] is the largest Hamming distance over the first w+1 words
+	// that survives, -1 if none does: NewPruner's float test, made once per
+	// distance so that Survives only compares integers.
+	maxDist []int
 }
 
 // NewPruner builds a pruner for the given sketch width, threshold, and
 // per-stage error budget gamma.
 func NewPruner(words int, lambda, gamma float64) *Pruner {
-	p := &Pruner{words: words, lambda: lambda, slack: make([]float64, words+1)}
+	p := &Pruner{slack: make([]float64, words+1), maxDist: make([]int, words)}
 	// Hoeffding: Pr[p̂ < p - eps] <= exp(-2 eps² m). Budget gamma/words
 	// per stage keeps the total false-pruning probability below gamma.
 	perStage := gamma / float64(words)
+	need := (1 + lambda) / 2 // required bit-agreement rate
 	for w := 1; w <= words; w++ {
 		m := float64(64 * w)
 		p.slack[w] = math.Sqrt(math.Log(1/perStage) / (2 * m))
+		// The candidate is pruned when agree/m + slack < need, agree being
+		// 64w minus the distance; agree/m only grows with agree.
+		d := 64 * w
+		for d >= 0 && float64(64*w-d)/m+p.slack[w] < need {
+			d--
+		}
+		p.maxDist[w-1] = d
 	}
 	return p
 }
 
 // Survives reports whether the candidate survives incremental pruning.
 func (p *Pruner) Survives(a, b []uint64) bool {
-	need := (1 + p.lambda) / 2 // required bit-agreement rate
-	agree := 0
-	for w := 0; w < p.words; w++ {
-		agree += 64 - bits.OnesCount64(a[w]^b[w])
-		m := float64(64 * (w + 1))
-		ucb := float64(agree)/m + p.slack[w+1]
-		if ucb < need {
+	d := 0
+	for w, most := range p.maxDist {
+		d += bits.OnesCount64(a[w] ^ b[w])
+		if d > most {
 			return false
 		}
 	}

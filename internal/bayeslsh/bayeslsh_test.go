@@ -53,6 +53,31 @@ func TestPrunerMonotoneSlack(t *testing.T) {
 	}
 }
 
+// TestPrunerBoundsMatchTheFloatTest proves the integer bounds exhaustively:
+// at every width from 1 to 16 words, every λ from 0.5 to 0.9 in steps of
+// 0.05 and every distance over every prefix, a distance passes maxDist
+// exactly when the float test the pruner made per word, agree/m + slack <
+// (1+λ)/2, keeps the candidate.
+func TestPrunerBoundsMatchTheFloatTest(t *testing.T) {
+	for words := 1; words <= 16; words++ {
+		for l := 50; l <= 90; l += 5 {
+			lambda := float64(l) / 100
+			p := NewPruner(words, lambda, gamma)
+			need := (1 + lambda) / 2
+			for w := 1; w <= words; w++ {
+				m := float64(64 * w)
+				for d := 0; d <= 64*w; d++ {
+					keep := !(float64(64*w-d)/m+p.slack[w] < need)
+					if got := d <= p.maxDist[w-1]; got != keep {
+						t.Fatalf("W=%d λ=%v: distance %d over %d words kept=%v, float test %v (maxDist %d)",
+							words, lambda, d, w, got, keep, p.maxDist[w-1])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPrunerAcceptsIdentical(t *testing.T) {
 	p := NewPruner(8, 0.9, 0.05)
 	s := []uint64{1, 2, 3, 4, 5, 6, 7, 8}

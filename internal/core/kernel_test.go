@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/intset"
 	"repro/internal/prep"
 	"repro/internal/sketch"
 	"repro/internal/tabhash"
@@ -32,14 +33,14 @@ func newKernelWorker(shared *verify.Pipeline) *kernelWorker {
 
 // refCheckPair is the per-pair pipeline the block kernel replaced, kept as
 // the reference the kernel must agree with: one pre-candidate, then
-// ownership, Verifier.SizeCompatible, Filter.Accept, dedup, verification.
+// ownership, the size window, Filter.Accept, dedup, verification.
 func refCheckPair(w *kernelWorker, f *sketch.Filter, a, b uint32) {
 	p, s := w.p, w.s
 	s.Pre++
 	if p.Owners != nil && p.Owners[a] == p.Owners[b] {
 		return
 	}
-	if !p.Verifier.SizeCompatible(int(p.Sizes[a]), int(p.Sizes[b])) {
+	if lo, hi := intset.SizeWindow(int(p.Sizes[a]), p.Lambda); int(p.Sizes[b]) < lo || int(p.Sizes[b]) > hi {
 		return
 	}
 	if f != nil {
@@ -217,7 +218,7 @@ func testKernelMatchesPerPairReference(t *testing.T) {
 					}
 					fx.add("equal", slices.Repeat([]int{7}, 300), 1, 100)
 					// 5 and 10 at λ = 0.5, 9 and 10 at λ = 0.9: compatible,
-					// with equality in SizeCompatible; one more is not.
+					// with equality in the size window; one more is not.
 					edge := []int{5, 10, 11, 9, 10, 4, 20, 21, 19, 18, 2, 1, 3}
 					fx.add("edge", slices.Concat(edge, edge, edge), 1, 13)
 

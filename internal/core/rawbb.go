@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/exec"
+	"repro/internal/intset"
 	"repro/internal/tabhash"
 	"repro/internal/verify"
 )
@@ -116,46 +116,12 @@ func BruteForceJoinBB(sets [][]uint32, lambda float64) []verify.Pair {
 	var out []verify.Pair
 	for i := 0; i < len(sets); i++ {
 		for k := i + 1; k < len(sets); k++ {
-			if bbAtLeast(sets[i], sets[k], lambda) {
+			if intset.BraunBlanquetAtLeast(sets[i], sets[k], lambda) {
 				out = append(out, verify.Pair{A: uint32(i), B: uint32(k)})
 			}
 		}
 	}
 	return out
-}
-
-// bbAtLeast reports whether BB(a, b) >= lambda, via the overlap bound
-// |a∩b| >= ceil(lambda * max(|a|, |b|)).
-func bbAtLeast(a, b []uint32, lambda float64) bool {
-	m := len(a)
-	if len(b) > m {
-		m = len(b)
-	}
-	required := int(math.Ceil(lambda * float64(m)))
-	if required < 1 {
-		required = 1
-	}
-	n := 0
-	i, k := 0, 0
-	for i < len(a) && k < len(b) {
-		if n+min(len(a)-i, len(b)-k) < required {
-			return false
-		}
-		switch {
-		case a[i] == b[k]:
-			n++
-			if n >= required {
-				return true
-			}
-			i++
-			k++
-		case a[i] < b[k]:
-			i++
-		default:
-			k++
-		}
-	}
-	return n >= required
 }
 
 type bbJoiner struct {
@@ -276,16 +242,13 @@ func (ts *bbTask) checkPair(a, b uint32) {
 	if j.res.Contains(a, b) {
 		return
 	}
-	// Size filter under Braun-Blanquet: |small| >= lambda * |large|.
+	// Size filter under Braun-Blanquet: BB <= |small| / |large|.
 	la, lb := len(j.sets[a]), len(j.sets[b])
-	if la > lb {
-		la, lb = lb, la
-	}
-	if float64(la) < j.lambda*float64(lb) {
+	if min(la, lb) < intset.MinShare(max(la, lb), j.lambda) {
 		return
 	}
 	ts.cand++
-	if bbAtLeast(j.sets[a], j.sets[b], j.lambda) {
+	if intset.BraunBlanquetAtLeast(j.sets[a], j.sets[b], j.lambda) {
 		j.res.Add(a, b)
 	}
 }

@@ -15,8 +15,8 @@ func TestBBAtLeastMatchesDirect(t *testing.T) {
 		for i := 0; i < len(sets); i++ {
 			for k := i + 1; k < len(sets); k++ {
 				want := intset.BraunBlanquet(sets[i], sets[k]) >= lambda
-				if got := bbAtLeast(sets[i], sets[k], lambda); got != want {
-					t.Fatalf("bbAtLeast(%v) = %v, want %v (BB=%v)",
+				if got := intset.BraunBlanquetAtLeast(sets[i], sets[k], lambda); got != want {
+					t.Fatalf("BraunBlanquetAtLeast(%v) = %v, want %v (BB=%v)",
 						lambda, got, want, intset.BraunBlanquet(sets[i], sets[k]))
 				}
 			}

@@ -5,6 +5,14 @@
 // computing (or bounding) intersection sizes of such sets, so these
 // functions are the innermost loops of the whole system. They are written
 // for predictable branch behaviour and zero allocation.
+//
+// The package is also the one place a threshold becomes integers. Every
+// exact "similarity >= t" decision — the joins' verification and size
+// filters, their prefix and positional bounds, brute force, search — uses
+// the rule: the predicate float64(c)/float64(d) >= t, the division Jaccard,
+// Containment and BraunBlanquet themselves compute, and the integer bounds
+// MinOverlap, MinShare and SizeWindow derived from it. So a pair exactly at
+// the threshold is found by all of them or by none.
 package intset
 
 import (
@@ -136,31 +144,25 @@ func gallopIntersectSize(a, b []uint32) int {
 	return n
 }
 
-// IntersectSizeAtLeast reports whether |a ∩ b| >= required, terminating
-// early as soon as the bound can no longer be reached (or as soon as it has
-// been reached). It returns the exact intersection size if it finished the
-// scan, or a value >= required / < required suitable only for threshold
-// comparison otherwise. The boolean result is the authoritative answer.
+// IntersectSizeAtLeast returns |a ∩ b| and true when it is at least
+// required. Otherwise it returns false as soon as the elements left in the
+// merge can no longer close the gap, with a count below required. It is the
+// one early-exit merge behind every exact threshold decision (JaccardAtLeast,
+// ContainmentAtLeast, BraunBlanquetAtLeast), and required comes from the
+// threshold rule (MinOverlap, MinShare).
 func IntersectSizeAtLeast(a, b []uint32, required int) (int, bool) {
-	if required <= 0 {
-		return 0, true
-	}
 	if len(a) < required || len(b) < required {
 		return 0, false
 	}
 	n := 0
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		// Remaining elements cannot reach the bound: bail out.
 		if n+min(len(a)-i, len(b)-j) < required {
 			return n, false
 		}
 		ai, bj := a[i], b[j]
 		if ai == bj {
 			n++
-			if n >= required {
-				return n, true
-			}
 			i++
 			j++
 		} else if ai < bj {
@@ -170,11 +172,6 @@ func IntersectSizeAtLeast(a, b []uint32, required int) (int, bool) {
 		}
 	}
 	return n, n >= required
-}
-
-// UnionSize returns |a ∪ b|.
-func UnionSize(a, b []uint32) int {
-	return len(a) + len(b) - IntersectSize(a, b)
 }
 
 // Jaccard returns |a ∩ b| / |a ∪ b|, with Jaccard(∅, ∅) defined as 0.
@@ -191,54 +188,18 @@ func Jaccard(a, b []uint32) float64 {
 // cannot reach lambda are rejected early — first by the size bound, then
 // mid-merge as soon as the remaining elements cannot close the gap — so
 // the common below-threshold candidate costs a fraction of a full merge.
-//
-// The accept/reject decision is bit-identical to
-// `Jaccard(a, b) >= lambda`: the cutoff intersection size is found by
-// binary search over the very float comparison that check performs
-// (float division is monotone in the intersection size), never by a
-// rearranged inequality that could round differently at the boundary.
+// The decision is bit-identical to `Jaccard(a, b) >= lambda`: the cutoff is
+// MinOverlap.
 func JaccardAtLeast(a, b []uint32, lambda float64) (float64, bool) {
 	la, lb := len(a), len(b)
 	if la == 0 && lb == 0 {
 		return 0, 0 >= lambda
 	}
-	n := la + lb
-	maxC := min(la, lb)
-	if float64(maxC)/float64(n-maxC) < lambda {
+	c, ok := IntersectSizeAtLeast(a, b, MinOverlap(la, lb, lambda))
+	if !ok {
 		return 0, false
 	}
-	// Smallest intersection size whose similarity passes lambda.
-	lo, hi := 0, maxC
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if float64(mid)/float64(n-mid) < lambda {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	cReq := lo
-	c := 0
-	i, j := 0, 0
-	for i < la && j < lb {
-		if c+min(la-i, lb-j) < cReq {
-			return 0, false
-		}
-		ai, bj := a[i], b[j]
-		if ai == bj {
-			c++
-			i++
-			j++
-		} else if ai < bj {
-			i++
-		} else {
-			j++
-		}
-	}
-	if c < cReq {
-		return 0, false
-	}
-	return float64(c) / float64(n-c), true
+	return float64(c) / float64(la+lb-c), true
 }
 
 // Containment returns |q ∩ y| / |q|, the fraction of q's tokens present
@@ -255,57 +216,17 @@ func Containment(q, y []uint32) float64 {
 
 // ContainmentAtLeast reports whether C(q, y) = |q ∩ y| / |q| >= t and,
 // when it is, returns the exact containment (the same value Containment
-// would). Pairs that cannot reach t are rejected early — first by the
-// size bound, then mid-merge as soon as the remaining elements cannot
-// close the gap — mirroring JaccardAtLeast.
-//
-// The accept/reject decision is bit-identical to
-// `Containment(q, y) >= t`: the cutoff intersection size is found by
-// binary search over the very float comparison that check performs
-// (the denominator |q| is fixed, so the division is monotone in the
-// intersection size), never by a rearranged inequality that could round
-// differently at the boundary.
+// would), rejecting early like JaccardAtLeast. The decision is
+// bit-identical to `Containment(q, y) >= t`: the cutoff is MinShare.
 func ContainmentAtLeast(q, y []uint32, t float64) (float64, bool) {
-	lq, ly := len(q), len(y)
-	if lq == 0 {
+	if len(q) == 0 {
 		return 0, 0 >= t
 	}
-	maxC := min(lq, ly)
-	if float64(maxC)/float64(lq) < t {
+	c, ok := IntersectSizeAtLeast(q, y, MinShare(len(q), t))
+	if !ok {
 		return 0, false
 	}
-	// Smallest intersection size whose containment passes t.
-	lo, hi := 0, maxC
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if float64(mid)/float64(lq) < t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	cReq := lo
-	c := 0
-	i, j := 0, 0
-	for i < lq && j < ly {
-		if c+min(lq-i, ly-j) < cReq {
-			return 0, false
-		}
-		qi, yj := q[i], y[j]
-		if qi == yj {
-			c++
-			i++
-			j++
-		} else if qi < yj {
-			i++
-		} else {
-			j++
-		}
-	}
-	if c < cReq {
-		return 0, false
-	}
-	return float64(c) / float64(lq), true
+	return float64(c) / float64(len(q)), true
 }
 
 // BraunBlanquet returns |a ∩ b| / max(|a|, |b|), with BB(∅, ∅) = 0.
@@ -317,36 +238,79 @@ func BraunBlanquet(a, b []uint32) float64 {
 	return float64(IntersectSize(a, b)) / float64(m)
 }
 
-// CosineSet returns the cosine similarity of two sets viewed as binary
-// vectors: |a ∩ b| / sqrt(|a| · |b|).
-func CosineSet(a, b []uint32) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
+// BraunBlanquetAtLeast reports whether BB(a, b) >= t, rejecting early like
+// JaccardAtLeast. The decision is bit-identical to
+// `BraunBlanquet(a, b) >= t`: the cutoff is MinShare.
+func BraunBlanquetAtLeast(a, b []uint32, t float64) bool {
+	m := max(len(a), len(b))
+	if m == 0 {
+		return 0 >= t
 	}
-	return float64(IntersectSize(a, b)) / math.Sqrt(float64(len(a))*float64(len(b)))
+	_, ok := IntersectSizeAtLeast(a, b, MinShare(m, t))
+	return ok
 }
 
-// JaccardOverlapBound returns the minimum intersection size two sets of the
-// given sizes must have so that their Jaccard similarity can reach lambda:
-// ceil(lambda/(1+lambda) * (la+lb)).
-func JaccardOverlapBound(la, lb int, lambda float64) int {
-	t := lambda / (1 + lambda) * float64(la+lb)
-	o := int(t)
-	if float64(o) < t {
-		o++
-	}
-	if o < 1 {
-		o = 1
-	}
-	return o
+// The threshold rule. Whether a similarity reaches a threshold t is decided
+// by the same float division the similarity itself computes —
+// float64(c)/float64(d) >= t — and every integer bound a join or a filter
+// uses is the smallest or largest integer that passes it. The division is
+// correctly rounded, so it is monotone in c and in d, and a bound found by
+// stepping the predicate from a close estimate is exact: nothing is
+// rearranged into a product or a ratio of t that could round the other way
+// at the boundary (0.8/1.8·63 is above 28, yet 28/35 >= 0.8).
+
+// reaches is the predicate itself.
+func reaches(c, d int, t float64) bool {
+	return float64(c)/float64(d) >= t
 }
 
-// JaccardFromOverlap returns the Jaccard similarity implied by an exact
-// intersection size.
-func JaccardFromOverlap(la, lb, inter int) float64 {
-	u := la + lb - inter
-	if u == 0 {
-		return 0
+// MinShare returns the smallest c in [0, d] with c/d >= t, or d+1 if there
+// is none: the overlap a containment or Braun-Blanquet similarity over a
+// denominator d needs, and the smallest partner size whose ratio to a set
+// of size d reaches t.
+func MinShare(d int, t float64) int {
+	c := min(max(int(math.Ceil(t*float64(d))), 0), d+1)
+	for c > 0 && reaches(c-1, d, t) {
+		c--
 	}
-	return float64(inter) / float64(u)
+	for c <= d && !reaches(c, d, t) {
+		c++
+	}
+	return c
+}
+
+// MinOverlap returns the smallest c in [0, min(la, lb)] with
+// c/(la+lb−c) >= t — the overlap two sets of sizes la and lb need for their
+// Jaccard similarity to reach t — or min(la, lb)+1 if there is none.
+func MinOverlap(la, lb int, t float64) int {
+	n, m := la+lb, min(la, lb)
+	c := min(max(int(math.Ceil(t/(1+t)*float64(n))), 0), m+1)
+	for c > 0 && reaches(c-1, n-c+1, t) {
+		c--
+	}
+	for c <= m && !reaches(c, n-c, t) {
+		c++
+	}
+	return c
+}
+
+// SizeWindow returns the partner sizes [lo, hi] whose ratio to size s,
+// smaller over larger, reaches t: lo = MinShare(s, t), and hi is the
+// largest p with s/p >= t. No similarity of two sets exceeds that ratio,
+// so a partner outside the window cannot reach t. The window is empty
+// (lo > hi) when s is 0; hi is math.MaxInt when t is too small to bound it.
+func SizeWindow(s int, t float64) (lo, hi int) {
+	lo = MinShare(s, t)
+	h := float64(s) / t
+	if t <= 0 || !(h < 1<<62) {
+		return lo, math.MaxInt
+	}
+	hi = max(int(h), s)
+	for reaches(s, hi+1, t) {
+		hi++
+	}
+	for hi >= s && !reaches(s, hi, t) {
+		hi--
+	}
+	return lo, hi
 }

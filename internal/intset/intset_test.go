@@ -204,68 +204,37 @@ func TestJaccardProperties(t *testing.T) {
 	}
 }
 
-func TestSimilarityMeasureOrdering(t *testing.T) {
-	// For any pair, Jaccard <= CosineSet <= BraunBlanquet is false in
-	// general; but Jaccard <= Cosine and BraunBlanquet <= Cosine hold:
-	// J = i/(a+b-i) <= i/sqrt(ab) (AM-GM on union), BB = i/max <= i/sqrt(ab).
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 1000; i++ {
-		a := randomSet(rng, 30, 40)
-		b := randomSet(rng, 30, 40)
-		if len(a) == 0 || len(b) == 0 {
-			continue
-		}
-		j, c, bb := Jaccard(a, b), CosineSet(a, b), BraunBlanquet(a, b)
-		const eps = 1e-12
-		if j > c+eps {
-			t.Fatalf("J=%v > cosine=%v for %v %v", j, c, a, b)
-		}
-		if bb > c+eps {
-			t.Fatalf("BB=%v > cosine=%v for %v %v", bb, c, a, b)
-		}
+// TestThresholdRule checks the rule's integer bounds exhaustively against
+// the predicate they come from, at every threshold from 0.01 to 0.99 in
+// steps of 0.01 plus 1/3 and 2/3, and every size up to 512. The predicate
+// is monotone in the count, so a bound c is exact when c passes and c−1
+// does not (or, for "none", when the largest count does not pass).
+func TestThresholdRule(t *testing.T) {
+	const maxSize = 512
+	lambdas := []float64{1.0 / 3, 2.0 / 3}
+	for i := 1; i <= 99; i++ {
+		lambdas = append(lambdas, float64(i)/100)
 	}
-}
-
-func TestJaccardOverlapBound(t *testing.T) {
-	// The bound must be tight: overlap >= bound iff J can be >= lambda.
-	for _, lambda := range []float64{0.5, 0.6, 0.7, 0.8, 0.9} {
-		for la := 1; la <= 30; la++ {
-			for lb := 1; lb <= 30; lb++ {
-				bound := JaccardOverlapBound(la, lb, lambda)
-				maxInter := min(la, lb)
-				for o := 0; o <= maxInter; o++ {
-					j := JaccardFromOverlap(la, lb, o)
-					if j >= lambda && o < bound {
-						t.Fatalf("bound too high: la=%d lb=%d o=%d j=%v bound=%d",
-							la, lb, o, j, bound)
-					}
+	for _, l := range lambdas {
+		for d := 0; d <= maxSize; d++ {
+			c := MinShare(d, l)
+			if c < 0 || c > d+1 || (c <= d && !reaches(c, d, l)) || (c > 0 && reaches(c-1, d, l)) {
+				t.Fatalf("MinShare(%d, %v) = %d", d, l, c)
+			}
+			lo, hi := SizeWindow(d, l)
+			if lo != c || hi < d-1 || (hi >= d && !reaches(d, hi, l)) || reaches(d, hi+1, l) {
+				t.Fatalf("SizeWindow(%d, %v) = [%d, %d]", d, l, lo, hi)
+			}
+			for lb := d; lb <= maxSize; lb++ {
+				n := d + lb
+				c := MinOverlap(d, lb, l)
+				if c != MinOverlap(lb, d, l) {
+					t.Fatalf("MinOverlap(%d, %d, %v) is not symmetric", d, lb, l)
 				}
-				if bound <= maxInter {
-					// At exactly the bound the similarity must reach lambda.
-					if j := JaccardFromOverlap(la, lb, bound); j < lambda-1e-9 {
-						t.Fatalf("bound too low: la=%d lb=%d bound=%d j=%v",
-							la, lb, bound, j)
-					}
+				if c < 0 || c > d+1 || (c <= d && !reaches(c, n-c, l)) || (c > 0 && reaches(c-1, n-c+1, l)) {
+					t.Fatalf("MinOverlap(%d, %d, %v) = %d", d, lb, l, c)
 				}
 			}
-		}
-	}
-}
-
-func TestUnionSize(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 500; i++ {
-		a := randomSet(rng, 30, 50)
-		b := randomSet(rng, 30, 50)
-		union := make(map[uint32]bool)
-		for _, x := range a {
-			union[x] = true
-		}
-		for _, x := range b {
-			union[x] = true
-		}
-		if got := UnionSize(a, b); got != len(union) {
-			t.Fatalf("UnionSize = %d, want %d", got, len(union))
 		}
 	}
 }

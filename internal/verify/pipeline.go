@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"repro/internal/intset"
 	"repro/internal/sketch"
 )
 
@@ -35,6 +36,10 @@ type Pipeline struct {
 	Lambda float64
 	Sizes  []uint32 // len(sets[i]), so that gathering a block never touches sets
 
+	// window[s] is the partner sizes [lo, end) of a set of size s that pass
+	// the size filter: intset.SizeWindow at Lambda, cut at the largest size.
+	window [][2]uint32
+
 	// Words is the sketch width in 64-bit words, Sketches the flattened
 	// n × Words matrix; a pair whose sketches are further apart than MaxHam
 	// bits is rejected — sketch.Filter.Accept's decision. UseSketches sets
@@ -61,8 +66,15 @@ func NewPipeline(sets [][]uint32, lambda float64, workers int) *Pipeline {
 		Verifier: NewVerifier(sets, lambda),
 		Res:      NewResultSet(workers),
 	}
+	largest := 0
 	for i, set := range sets {
 		p.Sizes[i] = uint32(len(set))
+		largest = max(largest, len(set))
+	}
+	p.window = make([][2]uint32, largest+1)
+	for size := range p.window {
+		lo, hi := intset.SizeWindow(size, lambda)
+		p.window[size] = [2]uint32{uint32(lo), uint32(min(hi, largest) + 1)}
 	}
 	return p
 }
@@ -74,6 +86,15 @@ func NewPipeline(sets [][]uint32, lambda float64, workers int) *Pipeline {
 func (p *Pipeline) UseSketches(words int, sketches []uint64, delta float64) {
 	p.Words, p.Sketches = words, sketches
 	p.MaxHam = 64*words - sketch.NewFilter(words, p.Lambda, delta).MinAgree
+}
+
+// SizeCompatible reports whether sets a and b pass the size filter, the
+// kernel's window, for a caller that meets its pairs one at a time: whether
+// the smaller size over the larger reaches Lambda, which no similarity of
+// the two exceeds.
+func (p *Pipeline) SizeCompatible(a, b uint32) bool {
+	w, size := p.window[p.Sizes[a]], p.Sizes[b]
+	return w[0] <= size && size < w[1]
 }
 
 // Counters sums the workers' shares of the candidate counters and reads
@@ -203,22 +224,22 @@ func fetch[T uint32 | uint64](p *Pipeline, dst []uint64, stride int, ids []T) {
 // compare runs the pipeline over every pair of a row of a and a row of b
 // or, with tri (a and b are then one block), over every unordered pair
 // within it; all count as pre-candidates. Rows are in size order, so the
-// partners passing the size filter — Verifier.SizeCompatible's float
-// predicate, both ways — are a window [lo, hi) of b whose ends only move
-// forward; within it, within picks the partners that pass the sketch filter.
+// partners passing the size filter — the row's size window — are a window
+// [lo, hi) of b whose ends only move forward; within it, within picks the
+// partners that pass the sketch filter.
 func (s *Scratch) compare(a, b *block, tri bool) {
 	if tri {
 		s.Pre += int64(len(a.keys) * (len(a.keys) - 1) / 2)
 	} else {
 		s.Pre += int64(len(a.keys) * len(b.keys))
 	}
-	lambda, stride, maxHam, lo, hi := s.p.Lambda, s.stride, s.p.MaxHam, 0, 0
+	window, stride, maxHam, lo, hi := s.p.window, s.stride, s.p.MaxHam, 0, 0
 	for p, ka := range a.keys {
-		size := float64(ka >> 32)
-		for lo < len(b.keys) && float64(b.keys[lo]>>32) < lambda*size {
+		w := window[ka>>32]
+		for lo < len(b.keys) && uint32(b.keys[lo]>>32) < w[0] {
 			lo++
 		}
-		for hi < len(b.keys) && size >= lambda*float64(b.keys[hi]>>32) {
+		for hi < len(b.keys) && uint32(b.keys[hi]>>32) < w[1] {
 			hi++
 		}
 		q := lo

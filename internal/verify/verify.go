@@ -64,21 +64,9 @@ func NewVerifier(sets [][]uint32, lambda float64) *Verifier {
 	return &Verifier{Sets: sets, Lambda: lambda}
 }
 
-// Verify computes whether J(sets[i], sets[j]) >= lambda exactly, using the
-// equivalent overlap bound with an early-terminating merge.
+// Verify reports whether J(sets[i], sets[j]) >= lambda exactly, by
+// intset.JaccardAtLeast's early-terminating merge.
 func (v *Verifier) Verify(i, j uint32) bool {
-	a, b := v.Sets[i], v.Sets[j]
-	required := intset.JaccardOverlapBound(len(a), len(b), v.Lambda)
-	_, ok := intset.IntersectSizeAtLeast(a, b, required)
+	_, ok := intset.JaccardAtLeast(v.Sets[i], v.Sets[j], v.Lambda)
 	return ok
-}
-
-// SizeCompatible reports whether two sets of the given sizes can possibly
-// reach the threshold: lambda*|a| <= |b| <= |a|/lambda (assuming |a|<=|b|
-// gives J <= |a|/|b|).
-func (v *Verifier) SizeCompatible(la, lb int) bool {
-	if la > lb {
-		la, lb = lb, la
-	}
-	return float64(la) >= v.Lambda*float64(lb)
 }

@@ -56,21 +56,24 @@ func TestVerifyMatchesDirectJaccard(t *testing.T) {
 }
 
 func TestSizeCompatible(t *testing.T) {
-	v := &Verifier{Lambda: 0.5}
-	cases := []struct {
+	for _, c := range []struct {
+		lambda float64
 		la, lb int
 		want   bool
 	}{
-		{10, 10, true},
-		{10, 20, true},  // J can be 10/20 = 0.5
-		{10, 21, false}, // J at most 10/21 < 0.5
-		{21, 10, false}, // symmetric
-		{5, 2, false},
-		{4, 2, true},
-	}
-	for _, c := range cases {
-		if got := v.SizeCompatible(c.la, c.lb); got != c.want {
-			t.Errorf("SizeCompatible(%d, %d) = %v, want %v", c.la, c.lb, got, c.want)
+		{0.5, 10, 10, true},
+		{0.5, 10, 20, true},  // J can be 10/20 = 0.5
+		{0.5, 10, 21, false}, // J at most 10/21 < 0.5
+		{0.5, 21, 10, false}, // symmetric
+		{0.5, 5, 2, false},
+		{0.5, 4, 2, true},
+		{0.55, 55, 100, true}, // 55/100 >= 0.55, though 0.55·100 > 55
+		{0.9, 70, 63, true},   // likewise 0.9·70 > 63
+		{0.9, 70, 62, false},
+	} {
+		p := NewPipeline([][]uint32{make([]uint32, c.la), make([]uint32, c.lb)}, c.lambda, 1)
+		if got := p.SizeCompatible(0, 1); got != c.want {
+			t.Errorf("SizeCompatible(%d, %d) at %v = %v, want %v", c.la, c.lb, c.lambda, got, c.want)
 		}
 	}
 }
