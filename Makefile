@@ -30,8 +30,12 @@ test-benchmark:
 # and mmap is a leaf over syscall, not serving code). The join family stays
 # one path each: a one-worker exec pool is the caller's goroutine, so no
 # non-test Go file outside internal/exec (benchmark/ measures what it likes)
-# compares a worker count with 1, and the second result set and its selector
-# (PairSink, NewSink, AtomicCounters) do not come back. The containment side
+# compares a worker count with 1 or pins one to 1 (the recursion statistics
+# are per-worker tallies, so asking for them leaves the worker count alone),
+# and the second result set and its selector (PairSink, NewSink,
+# AtomicCounters) do not come back. Join knobs no caller set stay deleted:
+# no StrictBruteForce (the literal Algorithm 2 is what runs without
+# sketches) or GlobalDepth (StopGlobal derives its depth) in non-test Go. The containment side
 # is sorted arrays over the signature matrix: non-test internal/contain
 # declares no map type (a hash table per r held every set 2T-1 times), and
 # the KMV sketch nothing read stays deleted. A stored set is read one way,
@@ -81,6 +85,8 @@ surface:
 	@out=$$(grep -n 'mux\.Handle' internal/shard/server.go | grep -v '("/v1/'); if [ -n "$$out" ]; then echo "endpoint outside /v1/:"; echo "$$out"; exit 1; fi
 	@out=$$(ls BENCH_*.json 2>/dev/null); if [ -n "$$out" ]; then echo "second benchmark system (the ledger's JSON is the only one):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'workers\s*(<=|>)\s*1\b' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(internal/exec|benchmark)/'); if [ -n "$$out" ]; then echo "worker count compared with 1 outside internal/exec (hand exec the number instead):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE 'workers\s*=\s*1\b' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(internal/exec|benchmark)/'); if [ -n "$$out" ]; then echo "worker count pinned to 1 outside internal/exec (nothing above exec runs differently on one worker):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE 'StrictBruteForce|GlobalDepth' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a deleted join knob is back (no caller set it):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'PairSink|NewSink\(|AtomicCounters' --include='*.go' .); if [ -n "$$out" ]; then echo "a second result set or counter path:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'KMV' --include='*.go' .); if [ -n "$$out" ]; then echo "the KMV sketch is back (nothing read it):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'map\[' internal/contain/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a map type in internal/contain (its one structure is sorted arrays):"; echo "$$out"; exit 1; fi

@@ -443,13 +443,13 @@ type TheoryRow struct {
 	Nodes        int64
 }
 
-// RunTheory measures recursion statistics at λ=0.5.
+// RunTheory measures recursion statistics at λ=0.5 on cfg.Workers workers.
 func RunTheory(workloads []Workload, cfg Config, progress io.Writer) []TheoryRow {
 	var rows []TheoryRow
 	for _, w := range workloads {
 		ix := core.Preprocess(w.Sets, &core.Options{Seed: cfg.Seed, Workers: cfg.Workers})
 		var m core.Metrics
-		core.JoinIndexed(ix, 0.5, &core.Options{Seed: cfg.Seed, Metrics: &m})
+		core.JoinIndexed(ix, 0.5, &core.Options{Seed: cfg.Seed, Workers: cfg.Workers, Metrics: &m})
 		rows = append(rows, TheoryRow{
 			Dataset:      w.Name,
 			N:            len(w.Sets),

@@ -33,8 +33,8 @@
 // where it is spawned, and the same code is the depth-first recursion. Every
 // node derives its randomness from a seed that depends only on its path from
 // the root, so the tree ensemble — and therefore the result set — is
-// identical regardless of worker count or scheduling. Scratch is per worker,
-// not per task.
+// identical regardless of worker count or scheduling. Scratch and the
+// recursion statistics (Metrics) are per worker, not per task.
 package core
 
 import (
@@ -92,22 +92,13 @@ type Options struct {
 	Seed uint64
 	// Workers is the number of worker goroutines of the parallel execution
 	// layer (internal/exec): 0 runs sequentially, negative selects
-	// GOMAXPROCS. The result set is identical across worker counts for a
-	// fixed Seed and options; only the candidate counters (and, with
-	// StopAtRecall, the early-stopping point) depend on scheduling.
-	// A non-nil Metrics forces one worker, as the recursion statistics it
-	// collects are properties of the depth-first traversal.
+	// GOMAXPROCS. The result set and the recursion Metrics except
+	// PeakLiveMass are identical across worker counts for a fixed Seed and
+	// options; only the candidate counters (and, with StopAtRecall, the
+	// early-stopping point) depend on scheduling.
 	Workers int
 	// Stopping selects the stopping strategy (ablation of Section IV-C.5).
 	Stopping Stopping
-	// GlobalDepth is the fixed depth for StopGlobal; 0 derives
-	// k = ln(n)/ln(1/λ), the value balancing tree size against node count.
-	GlobalDepth int
-	// StrictBruteForce uses the literal Algorithm 2 (exact token counts,
-	// recomputed after every removal) instead of the sampled node-sketch
-	// heuristic of Section V-A.4. Exponentially slower; for tests and
-	// ablations.
-	StrictBruteForce bool
 	// GroundTruth, when non-nil together with StopAtRecall > 0, enables
 	// the paper's experimental procedure (Section VI-2): the join stops as
 	// soon as recall against the known exact result reaches StopAtRecall.
@@ -122,7 +113,8 @@ type Options struct {
 	Metrics *Metrics
 }
 
-// Metrics instruments the Chosen Path recursion.
+// Metrics instruments the Chosen Path recursion. Each worker keeps a tally;
+// a join adds the counts to Metrics and raises its maxima once all are done.
 type Metrics struct {
 	// MaxDepth is the deepest node explored across all repetitions;
 	// Lemma 4 bounds it by O(log(n)/ε) with high probability.
@@ -132,12 +124,12 @@ type Metrics struct {
 	// NodeMass is the sum of node sizes over all visited nodes — the
 	// total splitting work.
 	NodeMass int64
-	// PeakLiveMass is the maximum, over the depth-first traversal, of the
-	// total size of nodes on the recursion stack: the working-space
-	// measure of Lemma 8 and the O(n) conjecture of Remark 9.
+	// PeakLiveMass is the largest total size of the nodes on one worker's
+	// recursion stack (on one worker, the depth-first traversal's): the
+	// working-space measure of Lemma 8 and the O(n) conjecture of Remark 9.
 	PeakLiveMass int64
-	// BruteForcedPoints counts points removed by the adaptive rule
-	// (BRUTEFORCEPOINT calls); BruteForcedNodes counts nodes finished by
+	// BruteForcedPoints counts every point a stopping rule took out of a
+	// node (BRUTEFORCEPOINT); BruteForcedNodes counts nodes finished by
 	// BRUTEFORCEPAIRS.
 	BruteForcedPoints int64
 	BruteForcedNodes  int64
@@ -238,8 +230,6 @@ type joiner struct {
 	maxDepth  int
 	nearBound int   // bruteForceStep: a member fewer bits than this from the node sketch is removed
 	kx        []int // per-point stopping depth for StopIndividual
-
-	liveMass int64 // total size of nodes on the recursion stack (Metrics)
 }
 
 func newJoiner(sets [][]uint32, owners []uint8, lambda float64, o *Options, ix *prep.Index) *joiner {
@@ -266,11 +256,6 @@ func newJoiner(sets [][]uint32, owners []uint8, lambda float64, o *Options, ix *
 		t:      opt.T,
 	}
 	j.workers = exec.EffectiveWorkers(opt.Workers)
-	if opt.Metrics != nil {
-		// Recursion statistics (stack mass, traversal depth) are
-		// properties of the sequential depth-first walk.
-		j.workers = 1
-	}
 	// A subtree is one task once its root fits within a few brute-force
 	// limits: large enough to amortize scheduling, small enough that a
 	// single repetition decomposes into many tasks.
@@ -345,6 +330,17 @@ func (j *joiner) run() ([]verify.Pair, verify.Counters) {
 		roots[rep] = func(c *exec.Ctx) { j.states[c.Worker()].recurse(c, j.root, 0, seed) }
 	}
 	exec.Run(j.workers, roots...)
+	if m := j.opt.Metrics; m != nil {
+		for _, ts := range j.states {
+			w := &ts.m
+			m.MaxDepth = max(m.MaxDepth, w.MaxDepth)
+			m.Nodes += w.Nodes
+			m.NodeMass += w.NodeMass
+			m.PeakLiveMass = max(m.PeakLiveMass, w.PeakLiveMass)
+			m.BruteForcedPoints += w.BruteForcedPoints
+			m.BruteForcedNodes += w.BruteForcedNodes
+		}
+	}
 	return j.bf.Res.Pairs(), j.bf.Counters(scratch)
 }
 
@@ -353,16 +349,19 @@ func (j *joiner) run() ([]verify.Pair, verify.Counters) {
 type group struct{ v, n uint32 }
 
 // taskState is one worker's execution context: its half of the brute-force
-// pipeline (with its share of the candidate counters) and all scratch of the
-// recursion. A worker runs one task at a time and tasks reach it through
-// exec.Ctx.Worker, so nothing is locked; the joiner is read-only while
-// tasks run, except for the concurrent result set. No buffer here is live
-// across a recursive call: node sketch and marked points are used up before
-// recurse splits, and split's table, groups and slots are dead once the
-// child buffer — the one allocation per call — is filled.
+// pipeline (with its share of the candidate counters), its tally of the
+// recursion statistics and all scratch of the recursion. A worker runs one
+// task at a time and tasks reach it through exec.Ctx.Worker, so nothing is
+// locked; the joiner is read-only while tasks run, except for the
+// concurrent result set. No buffer here is live across a recursive call:
+// node sketch and marked points are used up before recurse splits, and
+// split's table, groups and slots are dead once the child buffer — the one
+// allocation per call — is filled.
 type taskState struct {
 	j          *joiner
 	bf         *verify.Scratch
+	m          Metrics // this worker's tally, kept when Options.Metrics is set
+	liveMass   int64   // total size of the nodes on this worker's stack (m)
 	nodeSketch []uint64
 	marked     []uint32 // points the stopping rule takes out of a node
 	table      []uint64 // split: open addressing, value<<32 | group+1
@@ -386,21 +385,18 @@ func (ts *taskState) recurse(c *exec.Ctx, node []uint32, depth int, seed uint64)
 	if j.bf.Tracker.Reached() {
 		return
 	}
-	if m := j.opt.Metrics; m != nil {
-		if depth > m.MaxDepth {
-			m.MaxDepth = depth
-		}
+	if j.opt.Metrics != nil {
+		m := &ts.m
+		m.MaxDepth = max(m.MaxDepth, depth)
 		m.Nodes++
 		// Capture the entry size: node is reassigned below when the
 		// brute-force step removes points, and the deferred decrement must
 		// mirror the increment exactly.
 		size := int64(len(node))
 		m.NodeMass += size
-		j.liveMass += size
-		if j.liveMass > m.PeakLiveMass {
-			m.PeakLiveMass = j.liveMass
-		}
-		defer func() { j.liveMass -= size }()
+		ts.liveMass += size
+		m.PeakLiveMass = max(m.PeakLiveMass, ts.liveMass)
+		defer func() { ts.liveMass -= size }()
 	}
 	// Every node draws from its own generator, seeded by its path from
 	// the root: first the stopping step (node-sketch sampling), then the
@@ -408,11 +404,7 @@ func (ts *taskState) recurse(c *exec.Ctx, node []uint32, depth int, seed uint64)
 	rng := tabhash.NewSplitMix64(seed)
 	switch j.opt.Stopping {
 	case StopGlobal:
-		gd := j.opt.GlobalDepth
-		if gd <= 0 {
-			gd = j.defaultGlobalDepth()
-		}
-		if depth >= gd || len(node) <= 2 {
+		if depth >= j.globalDepth() || len(node) <= 2 {
 			ts.bruteForcePairs(node)
 			return
 		}
@@ -426,11 +418,7 @@ func (ts *taskState) recurse(c *exec.Ctx, node []uint32, depth int, seed uint64)
 			return
 		}
 	default: // StopAdaptive
-		if j.opt.StrictBruteForce {
-			node = ts.bruteForceStrict(node)
-		} else {
-			node = ts.bruteForceStep(node, rng)
-		}
+		node = ts.bruteForceStep(node, rng)
 		if len(node) < 2 {
 			return
 		}
@@ -526,9 +514,9 @@ func (ts *taskState) split(node []uint32, pos int) []uint32 {
 	return kids
 }
 
-func (j *joiner) defaultGlobalDepth() int {
-	// Balance n(1/λ)^k tree cost against within-node comparisons:
-	// k = ln(n)/ln(1/λ).
+// globalDepth is StopGlobal's fixed depth k = ln(n)/ln(1/λ), balancing
+// n(1/λ)^k tree cost against within-node comparisons.
+func (j *joiner) globalDepth() int {
 	k := int(math.Ceil(math.Log(float64(len(j.sets))) / math.Log(1/j.lambda)))
 	if k < 1 {
 		k = 1
@@ -568,11 +556,7 @@ func (ts *taskState) bruteForceStep(node []uint32, rng *tabhash.SplitMix64) []ui
 		nodeSketch[wd] = word
 	}
 
-	rest := ts.removeMarked(node, ts.bf.Near(node, nodeSketch, j.nearBound, ts.marked[:0]))
-	if m := j.opt.Metrics; m != nil {
-		m.BruteForcedPoints += int64(len(node) - len(rest))
-	}
-	return rest
+	return ts.removeMarked(node, ts.bf.Near(node, nodeSketch, j.nearBound, ts.marked[:0]))
 }
 
 // removeMarked takes the marked points, a subsequence of node, out of the
@@ -583,6 +567,9 @@ func (ts *taskState) removeMarked(node, marked []uint32) []uint32 {
 	ts.marked = marked
 	if len(marked) == 0 {
 		return node
+	}
+	if ts.j.opt.Metrics != nil {
+		ts.m.BruteForcedPoints += int64(len(marked))
 	}
 	rest, m := make([]uint32, 0, len(node)-len(marked)), marked
 	for _, id := range node {
@@ -599,7 +586,7 @@ func (ts *taskState) removeMarked(node, marked []uint32) []uint32 {
 
 // bruteForceStrict is the literal Algorithm 2: exact average Braun-Blanquet
 // similarity from token counts over the embedded sets, recomputed after
-// every removal. Used with StrictBruteForce and when sketches are disabled.
+// every removal. bruteForceStep falls back to it when sketches are disabled.
 func (ts *taskState) bruteForceStrict(node []uint32) []uint32 {
 	j := ts.j
 	for {
@@ -627,6 +614,9 @@ func (ts *taskState) bruteForceStrict(node []uint32) []uint32 {
 				ts.bf.BruteForcePoints(node[idx:idx+1], node[:idx])
 				ts.bf.BruteForcePoints(node[idx:idx+1], node[idx+1:])
 				node = append(append([]uint32{}, node[:idx]...), node[idx+1:]...)
+				if j.opt.Metrics != nil {
+					ts.m.BruteForcedPoints++
+				}
 				removed = true
 				break
 			}
@@ -663,7 +653,7 @@ func (j *joiner) computeIndividualDepths() {
 	j.kx = make([]int, n)
 	if j.w == 0 {
 		for i := range j.kx {
-			j.kx[i] = j.defaultGlobalDepth()
+			j.kx[i] = j.globalDepth()
 		}
 		return
 	}
@@ -672,7 +662,7 @@ func (j *joiner) computeIndividualDepths() {
 	if sample > n-1 {
 		sample = n - 1
 	}
-	kMax := j.defaultGlobalDepth() + 4
+	kMax := j.globalDepth() + 4
 	sims := make([]float64, 0, sample)
 	for x := 0; x < n; x++ {
 		sims = sims[:0]
@@ -704,8 +694,8 @@ func (j *joiner) computeIndividualDepths() {
 // bruteForcePairs reports all qualifying pairs within the node
 // (BRUTEFORCEPAIRS in Algorithm 2).
 func (ts *taskState) bruteForcePairs(node []uint32) {
-	if m := ts.j.opt.Metrics; m != nil && len(node) > 1 {
-		m.BruteForcedNodes++
+	if ts.j.opt.Metrics != nil && len(node) > 1 {
+		ts.m.BruteForcedNodes++
 	}
 	ts.bf.BruteForcePairs(node)
 }

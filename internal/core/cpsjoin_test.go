@@ -101,22 +101,23 @@ func TestMoreRepetitionsMoreRecall(t *testing.T) {
 	}
 }
 
-func TestStrictBruteForceAgrees(t *testing.T) {
-	// The literal Algorithm 2 and the sampled heuristic must both deliver
-	// the recall contract; results are random but both subsets of truth.
+func TestNoSketchBruteForceAgrees(t *testing.T) {
+	// The literal Algorithm 2, the rule that runs without sketches, and the
+	// sampled heuristic must both deliver the recall contract; results are
+	// random but both subsets of truth.
 	sets := testWorkload(300, 7)
 	truth := verify.BruteForceJoin(sets, 0.6)
 	fast, _ := Join(sets, 0.6, &Options{Seed: 3})
-	strict, _ := Join(sets, 0.6, &Options{Seed: 3, StrictBruteForce: true})
-	if r := stats.Recall(strict, truth); r < 0.9 {
-		t.Errorf("strict recall %v", r)
+	literal, _ := Join(sets, 0.6, &Options{Seed: 3, SketchWords: -1})
+	if r := stats.Recall(literal, truth); r < 0.9 {
+		t.Errorf("literal recall %v", r)
 	}
 	if r := stats.Recall(fast, truth); r < 0.9 {
 		t.Errorf("fast recall %v", r)
 	}
-	for _, p := range strict {
+	for _, p := range literal {
 		if intset.Jaccard(sets[p.A], sets[p.B]) < 0.6 {
-			t.Fatal("strict produced a false positive")
+			t.Fatal("literal produced a false positive")
 		}
 	}
 }
@@ -126,7 +127,6 @@ func TestStoppingStrategies(t *testing.T) {
 	truth := verify.BruteForceJoin(sets, 0.6)
 	for name, opt := range map[string]*Options{
 		"global":     {Seed: 4, Stopping: StopGlobal},
-		"globalK3":   {Seed: 4, Stopping: StopGlobal, GlobalDepth: 3},
 		"individual": {Seed: 4, Stopping: StopIndividual},
 	} {
 		got, _ := Join(sets, 0.6, opt)

@@ -34,13 +34,15 @@ type golden struct {
 
 // TestGoldenJoin pins the join to what the per-pair pipeline and the
 // map-based split produced at the commit before the block kernel (digests,
-// counters and recursion metrics recorded there, none re-recorded since):
+// counters and recursion metrics recorded there; bfPoints re-recorded where
+// it began to count the literal rule's and the individual rule's removals):
 // the sorted pair set, the sequential candidate counters and the shape of
 // the recursion, for both ledger shapes, the dense cluster, an R-S join,
-// every sketch width, the three stopping rules, the literal Algorithm 2 and
-// a small Limit — and the same pair set at every worker count. The kernel
-// and the split may reorder work; they may not change which pairs are
-// looked at, which survive the filters, or which node draws what.
+// every sketch width, the three stopping rules, the literal Algorithm 2 (no
+// sketches) and a small Limit — and the same pair set and the same recursion
+// metrics (all but PeakLiveMass, which is per worker) at every worker count.
+// The kernel and the split may reorder work; they may not change which pairs
+// are looked at, which survive the filters, or which node draws what.
 func TestGoldenJoin(t *testing.T) {
 	flat := datagen.LedgerShape(false, 3000, 1)
 	skew := datagen.LedgerShape(true, 3000, 2)
@@ -72,7 +74,7 @@ func TestGoldenJoin(t *testing.T) {
 		{name: "words-1", sets: small, lambda: 0.5, opt: Options{Seed: 5, SketchWords: -1, Limit: 100},
 			want: golden{digest: "4c74d1aceae52405a6a1c3e598639bfbcc41f5d661d397799e16ec50c94358fd", c: verify.Counters{PreCandidates: 53838, Candidates: 47596, Results: 50}, nodes: 1060, maxDepth: 1, bfPoints: 0, bfNodes: 1050}},
 		{name: "words-1/cluster", sets: goldenCluster(200, 120), lambda: 0.5, opt: Options{Seed: 5, SketchWords: -1, Limit: 100, Repetitions: 2},
-			want: golden{digest: "7996a6af981fff48632d884306762bd29ae9b152ac4d60c42e9535feb5d7177d", c: verify.Counters{PreCandidates: 17260, Candidates: 9754, Results: 7278}, nodes: 80, maxDepth: 1, bfPoints: 0, bfNodes: 78}},
+			want: golden{digest: "7996a6af981fff48632d884306762bd29ae9b152ac4d60c42e9535feb5d7177d", c: verify.Counters{PreCandidates: 17260, Candidates: 9754, Results: 7278}, nodes: 80, maxDepth: 1, bfPoints: 56, bfNodes: 78}},
 		{name: "words1", sets: flat, lambda: 0.5, opt: Options{Seed: 5, SketchWords: 1},
 			want: golden{digest: "a5cb0d226bd3133af868b838306f65618b723f4d2931cae1f0360acd7bb33500", c: verify.Counters{PreCandidates: 1964432, Candidates: 80565, Results: 302}, nodes: 1722, maxDepth: 1, bfPoints: 9, bfNodes: 1715}},
 		{name: "words3", sets: flat, lambda: 0.5, opt: Options{Seed: 5, SketchWords: 3},
@@ -81,14 +83,8 @@ func TestGoldenJoin(t *testing.T) {
 			want: golden{digest: "3f770c0301a5f7317fbbc3ba696dc1fdfff4182735520732d1f1e6df694964ff", c: verify.Counters{PreCandidates: 800253, Candidates: 1091, Results: 849}, nodes: 6941, maxDepth: 3, bfPoints: 0, bfNodes: 6914}},
 		{name: "global", sets: flat, lambda: 0.6, opt: Options{Seed: 4, Stopping: StopGlobal},
 			want: golden{digest: "b49579a2bf11a61e7fd907c2567a290eac065ffc8d7bff9f837ec0a3e0507a87", c: verify.Counters{PreCandidates: 19690, Candidates: 271, Results: 271}, nodes: 33925, maxDepth: 11, bfPoints: 0, bfNodes: 19690}},
-		{name: "globalK2", sets: flat, lambda: 0.6, opt: Options{Seed: 4, Stopping: StopGlobal, GlobalDepth: 2},
-			want: golden{digest: "b49579a2bf11a61e7fd907c2567a290eac065ffc8d7bff9f837ec0a3e0507a87", c: verify.Counters{PreCandidates: 235217, Candidates: 271, Results: 271}, nodes: 17348, maxDepth: 2, bfPoints: 0, bfNodes: 16071}},
 		{name: "individual", sets: flat, lambda: 0.6, opt: Options{Seed: 4, Stopping: StopIndividual},
-			want: golden{digest: "b49579a2bf11a61e7fd907c2567a290eac065ffc8d7bff9f837ec0a3e0507a87", c: verify.Counters{PreCandidates: 41023, Candidates: 271, Results: 271}, nodes: 30057, maxDepth: 4, bfPoints: 0, bfNodes: 18904}},
-		{name: "strict", sets: small, lambda: 0.6, opt: Options{Seed: 3, StrictBruteForce: true, Limit: 100},
-			want: golden{digest: "3226f1e5502d2c269a7eb5ce4f3e02431fefe64335b97db32c612220ea3ca22c", c: verify.Counters{PreCandidates: 32982, Candidates: 45, Results: 45}, nodes: 645, maxDepth: 1, bfPoints: 0, bfNodes: 635}},
-		{name: "strict/cluster", sets: goldenCluster(200, 120), lambda: 0.6, opt: Options{Seed: 3, StrictBruteForce: true, Limit: 100, Repetitions: 2},
-			want: golden{digest: "a9cdde4d8600a1b131576d15f47aee37a0baa8a28c6bc6f04194f96173702ef5", c: verify.Counters{PreCandidates: 42399, Candidates: 7278, Results: 7278}, nodes: 194, maxDepth: 1, bfPoints: 0, bfNodes: 192}},
+			want: golden{digest: "b49579a2bf11a61e7fd907c2567a290eac065ffc8d7bff9f837ec0a3e0507a87", c: verify.Counters{PreCandidates: 41023, Candidates: 271, Results: 271}, nodes: 30057, maxDepth: 4, bfPoints: 6756, bfNodes: 18904}},
 		{name: "limit60", sets: skew, lambda: 0.5, opt: Options{Seed: 7, Limit: 60},
 			want: golden{digest: "ecb1dd959ef82478945a1abb5f38713719c9714f7e1d9f6a00f2a1e73ec8db3b", c: verify.Counters{PreCandidates: 311955, Candidates: 2940, Results: 1489}, nodes: 9279, maxDepth: 5, bfPoints: 94, bfNodes: 9151}},
 		{name: "limit10", sets: flat, lambda: 0.5, opt: Options{Seed: 7, Limit: 10},
@@ -96,7 +92,7 @@ func TestGoldenJoin(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Preprocessing depends on the sets, the seed and the sketch
-			// width alone: one index serves all five runs of the case.
+			// width alone: one index serves all runs of the case.
 			var ix *prep.Index
 			var r, s [][]uint32
 			if tc.rs {
@@ -133,12 +129,17 @@ func TestGoldenJoin(t *testing.T) {
 				workerCounts = []int{0, 4} // the detector makes every join ten times slower
 			}
 			for _, workers := range workerCounts {
-				p, pc := run(workers, nil)
+				var pm Metrics
+				p, pc := run(workers, &pm)
 				if d := stats.PairDigest(p); d != got.digest {
 					t.Errorf("workers=%d: pair set %s differs from the sequential %s", workers, d, got.digest)
 				}
 				if workers <= 1 && pc != c {
-					t.Errorf("workers=%d: counters %+v, with Metrics %+v", workers, pc, c)
+					t.Errorf("workers=%d: counters %+v, sequential %+v", workers, pc, c)
+				}
+				pm.PeakLiveMass = m.PeakLiveMass // the one per-worker statistic
+				if pm != m {
+					t.Errorf("workers=%d: recursion metrics %+v, sequential %+v", workers, pm, m)
 				}
 			}
 		})

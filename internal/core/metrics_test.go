@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/exec"
 )
 
 // TestDepthBoundLemma4: the explored depth of the Chosen Path recursion
@@ -31,18 +32,51 @@ func TestDepthBoundLemma4(t *testing.T) {
 // TestWorkingSpaceRemark9: peak live node mass on the recursion stack
 // should stay within a small multiple of n (the paper conjectures O(n)
 // expected working space; Lemma 8 proves O(n log n / ε) w.h.p.).
+// On four workers the peak is the largest single worker's stack, which holds
+// a root of n points whenever it runs a repetition.
 func TestWorkingSpaceRemark9(t *testing.T) {
 	for _, n := range []int{1000, 4000} {
 		ds := datagen.Uniform(n, 20, 10*n, uint64(n)+77)
-		var m Metrics
-		// Ten repetitions: the accounting must not drift across runs.
-		Join(ds.Sets, 0.5, &Options{Seed: 2, Repetitions: 10, Metrics: &m})
-		if m.PeakLiveMass > int64(4*n) {
-			t.Errorf("n=%d: peak live mass %d exceeds 4n", n, m.PeakLiveMass)
+		for _, workers := range []int{1, 4} {
+			var m Metrics
+			// Ten repetitions: the accounting must not drift across runs.
+			Join(ds.Sets, 0.5, &Options{Seed: 2, Repetitions: 10, Workers: workers, Metrics: &m})
+			if m.PeakLiveMass > int64(4*n) {
+				t.Errorf("n=%d workers=%d: peak live mass %d exceeds 4n", n, workers, m.PeakLiveMass)
+			}
+			if m.PeakLiveMass < int64(n) {
+				t.Errorf("n=%d workers=%d: peak live mass %d below n — accounting broken", n, workers, m.PeakLiveMass)
+			}
 		}
-		if m.PeakLiveMass < int64(n) {
-			t.Errorf("n=%d: peak live mass %d below n — accounting broken", n, m.PeakLiveMass)
-		}
+	}
+}
+
+// TestMetricsKeepTheWorkers: asking for recursion statistics must not
+// change how the join runs. One repetition is a single root, which reaches
+// the second of two workers only by a steal; on one CPU that worker runs
+// only when the scheduler preempts the first, and a join can end before it
+// does, so up to ten joins get the chance (the index is built beforehand,
+// so no steal comes from preprocessing). Every spawned subtree then starts
+// a stack of its own: the peak stack mass is below the one-worker
+// depth-first peak, while every tree count is the same.
+func TestMetricsKeepTheWorkers(t *testing.T) {
+	ix := Preprocess(datagen.LedgerShape(false, 3000, 1), &Options{Seed: 42})
+	var one, two Metrics
+	JoinIndexed(ix, 0.5, &Options{Seed: 42, Repetitions: 1, Metrics: &one})
+	before := exec.ReadStats().Steals
+	for try := 0; try < 10 && exec.ReadStats().Steals == before; try++ {
+		two = Metrics{}
+		JoinIndexed(ix, 0.5, &Options{Seed: 42, Repetitions: 1, Workers: 2, Metrics: &two})
+	}
+	if exec.ReadStats().Steals == before {
+		t.Error("two-worker joins with Metrics stole no task: they ran on one worker")
+	}
+	if two.PeakLiveMass >= one.PeakLiveMass {
+		t.Errorf("peak live mass %d on two workers, %d on one: the subtrees shared a stack", two.PeakLiveMass, one.PeakLiveMass)
+	}
+	two.PeakLiveMass = one.PeakLiveMass
+	if two != one {
+		t.Errorf("two workers: %+v, one worker: %+v", two, one)
 	}
 }
 

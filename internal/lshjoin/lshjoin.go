@@ -31,10 +31,8 @@ type Options struct {
 	// most T (they are distinct positions of the signature). 0 selects K
 	// automatically by cost estimation over {2..10}.
 	K int
-	// L is the number of repetitions. 0 derives L from TargetRecall and K,
-	// capped at maxL.
-	L int
-	// TargetRecall is the per-pair recall probability ϕ (default 0.9).
+	// TargetRecall is the per-pair recall probability ϕ (default 0.9). The
+	// repetition count L follows from it and K, capped at maxL.
 	TargetRecall float64
 	// T is the signature length used as the pool of MinHash values
 	// (default 128, as in the paper's implementation).
@@ -127,10 +125,7 @@ func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, ver
 	if k <= 0 {
 		k = chooseK(sets, sigs, opt.T, lambda, opt.TargetRecall, rng)
 	}
-	l := opt.L
-	if l <= 0 {
-		l = min(Repetitions(lambda, k, opt.TargetRecall), maxL)
-	}
+	l := min(Repetitions(lambda, k, opt.TargetRecall), maxL)
 
 	// Draw every repetition's bucket positions up front, one stream in
 	// repetition order: the join's only randomness is then fixed before

@@ -110,9 +110,9 @@ func TestSamplePositionsDistinct(t *testing.T) {
 	}
 }
 
-func TestExplicitKAndL(t *testing.T) {
+func TestExplicitK(t *testing.T) {
 	sets := testWorkload(4)
-	got, _ := Join(sets, 0.6, &Options{K: 4, L: 30, Seed: 5})
+	got, _ := Join(sets, 0.6, &Options{K: 4, Seed: 5})
 	for _, p := range got {
 		if intset.Jaccard(sets[p.A], sets[p.B]) < 0.6 {
 			t.Fatal("false positive with explicit k")
