@@ -79,7 +79,15 @@ test-benchmark:
 # division Jaccard computes, and MinOverlap, MinShare, SizeWindow from it):
 # JaccardOverlapBound, whose float ceiling missed pairs at J = λ exactly,
 # stays deleted, and no non-test Go outside internal/intset takes the
-# ceiling of a product of λ (Ceil(lambda, Ceil(2 * lambda).
+# ceiling of a product of λ (Ceil(lambda, Ceil(2 * lambda). Each experiment
+# row's columns are defined once, by its header and cells, and Table.Write
+# prints them as text or CSV: non-test internal/bench declares no
+# per-format printer (func Print…, func CSV…), and Figure 2 is Table II's
+# speedup column, not a derived series (Fig2FromTable2). MinHash LSH visits
+# its buckets in a fixed order, so a join stopped at a recall target stops
+# at the same bucket on every one-worker run: non-test internal/lshjoin
+# keeps no buckets in a map[uint64][]uint32, whose iteration order Go
+# randomises.
 surface:
 	@out=$$(grep -rn 'Deprecated:' --include='*.go' .); if [ -n "$$out" ]; then echo "deprecated surface:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'mux\.Handle' internal/shard/server.go | grep -v '("/v1/'); if [ -n "$$out" ]; then echo "endpoint outside /v1/:"; echo "$$out"; exit 1; fi
@@ -101,6 +109,8 @@ surface:
 	@out=$$(find . -name '*.s' -not -path './internal/verify/*' -not -path './.bench_build/*'); if [ -n "$$out" ]; then echo "assembly outside internal/verify (the sketch filter's kernel is the one assembly file):"; echo "$$out"; exit 1; fi
 	@out=$$(ls -d internal/ppjoin 2>/dev/null; grep -nE 'rankByFrequency|func reorder' internal/allpairs/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second copy of the exact prefix-filter family (PPJoin lives in internal/allpairs; its one frequency order is dataset.RemapByFrequency):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'JaccardOverlapBound' --include='*.go' .; grep -rnE 'Ceil\((2 \* )?lambda' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/intset/'); if [ -n "$$out" ]; then echo "a threshold bound outside internal/intset (take MinOverlap, MinShare or SizeWindow):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -nE 'func (Print|CSV)[A-Z]|Fig2FromTable2' internal/bench/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a per-format printer in internal/bench (a row's header and cells print both formats through Table.Write):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -n 'map\[uint64\]\[\]uint32' internal/lshjoin/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "MinHash buckets in a map (its iteration order moves the recall-stop point; keep them in a slice):"; echo "$$out"; exit 1; fi
 	@deps=$$($(GO) list -deps ./cmd/experiments) || exit 1; out=$$(echo "$$deps" | grep -xE 'repro/internal/(shard|cpindex|contain|metrics)|net/http|testing'); if [ -n "$$out" ]; then echo "cmd/experiments links the serving stack:"; echo "$$out"; exit 1; fi
 
 # race is the quick local loop (-short skips the slowest suites);

@@ -9,8 +9,8 @@
 // Subcommands:
 //
 //	table1    dataset statistics                    (Table I)
-//	table2    join times CP/MH/ALL at >=90% recall  (Table II)
-//	fig2      CPSJoin speedup over AllPairs         (Figure 2)
+//	table2    join times CP/MH/ALL, recall reached  (Table II) and
+//	          speedup ALL/CP                        (Figure 2)
 //	fig3a     join time vs brute-force limit        (Figure 3a)
 //	fig3b     join time vs epsilon                  (Figure 3b)
 //	fig3c     join time vs sketch words             (Figure 3c)
@@ -19,8 +19,10 @@
 //	ablation  stopping strategies                   (Section IV-C.5)
 //	bayes     BayesLSH comparison                   (Section VI-A.2)
 //	theory    depth/space bounds                    (Lemma 4, Remark 9)
-//	all       everything above; Table II is measured once and Figure 2
-//	          derived from the same cells
+//	all       everything above, in this order
+//
+// Every experiment prints one table: -format table aligns its columns as
+// text under a banner, -format csv writes the same header and cells as CSV.
 //
 // Nothing here measures the serving stack or gates anything: end-to-end
 // performance is the ledger's (`make ledger`, benchmark/README.md), and
@@ -75,124 +77,68 @@ func main() {
 	if *format != "table" && !csvOut {
 		fatalf("unknown format %q (want table or csv)", *format)
 	}
-	banner := func(s string) {
-		if !csvOut {
-			fmt.Fprintln(out, s)
-		}
-	}
 	check := func(err error) {
 		if err != nil {
 			fatalf("%v", err)
 		}
 	}
-
-	// Table II and Figure 2 are one measurement: `all` takes it once.
-	var table2 []bench.Table2Cell
-	table2Cells := func() []bench.Table2Cell {
-		if table2 == nil {
-			table2 = bench.RunTable2(bench.AllWorkloads(scale), bench.Thresholds, cfg, progress)
-		}
-		return table2
-	}
-
-	cmd := flag.Arg(0)
-	run := func(name string) {
-		switch name {
-		case "table1":
-			banner("== Table I: dataset statistics ==")
-			rows := bench.RunTable1(bench.AllWorkloads(scale))
-			if csvOut {
-				check(bench.CSVTable1(out, rows))
-			} else {
-				bench.PrintTable1(out, rows)
-			}
-		case "table2":
-			banner("== Table II: join time in seconds (CP | MH | ALL), recall >= target ==")
-			cells := table2Cells()
-			if csvOut {
-				check(bench.CSVTable2(out, cells))
-			} else {
-				bench.PrintTable2(out, cells, bench.Thresholds)
-			}
-		case "fig2":
-			banner("== Figure 2: CPSJoin speedup over AllPairs ==")
-			points := bench.Fig2FromTable2(table2Cells())
-			if csvOut {
-				check(bench.CSVFig2(out, points))
-			} else {
-				bench.PrintFig2(out, points)
-			}
-		case "fig3a", "fig3b", "fig3c":
-			param := map[string]string{"fig3a": "limit", "fig3b": "epsilon", "fig3c": "words"}[name]
-			if !csvOut {
-				fmt.Fprintf(out, "== Figure 3: join time vs %s (λ=0.5, recall >= 0.8) ==\n", param)
-			}
+	fig3 := func(param string) func() bench.Table {
+		return func() bench.Table {
 			cfg3 := cfg
 			cfg3.TargetRecall = 0.8
 			points, err := bench.RunFig3(bench.AllWorkloads(scale), param, cfg3, progress)
 			check(err)
-			if csvOut {
-				check(bench.CSVFig3(out, points))
-			} else {
-				bench.PrintFig3(out, points)
-			}
-		case "table4":
-			banner("== Table IV: pre-candidates / candidates / results ==")
-			rows := bench.RunTable4(bench.AllWorkloads(scale), cfg, progress)
-			if csvOut {
-				check(bench.CSVTable4(out, rows))
-			} else {
-				bench.PrintTable4(out, rows)
-			}
-		case "tokens":
-			banner("== TOKENS robustness progression (Section VI-A.3) ==")
-			cells := bench.RunTable2(bench.SyntheticWorkloads(scale), bench.Thresholds, cfg, progress)
-			if csvOut {
-				check(bench.CSVTable2(out, cells))
-			} else {
-				bench.PrintTable2(out, cells, bench.Thresholds)
-				bench.PrintFig2(out, bench.Fig2FromTable2(cells))
-			}
-		case "theory":
-			banner("== Recursion bounds: Lemma 4 depth, Remark 9 working space ==")
-			rows := bench.RunTheory(bench.AllWorkloads(scale), cfg, progress)
-			if csvOut {
-				check(bench.CSVTheory(out, rows))
-			} else {
-				bench.PrintTheory(out, rows)
-			}
-		case "ablation":
-			banner("== Stopping-strategy ablation (Section IV-C.5) ==")
-			rows := bench.RunAblation(bench.SyntheticWorkloads(scale), cfg, progress)
-			if csvOut {
-				check(bench.CSVAblation(out, rows))
-			} else {
-				bench.PrintAblation(out, rows)
-			}
-		case "bayes":
-			banner("== BayesLSH-lite comparison (Section VI-A.2) ==")
-			rows := bench.RunBayes(bench.SyntheticWorkloads(scale), cfg, progress)
-			if csvOut {
-				check(bench.CSVBayes(out, rows))
-			} else {
-				bench.PrintBayes(out, rows)
-			}
-		default:
-			fatalf("unknown subcommand %q", name)
+			return bench.TableOf(points)
 		}
 	}
 
-	if cmd == "all" {
-		for _, name := range []string{
-			"table1", "table2", "fig2", "fig3a", "fig3b", "fig3c",
-			"table4", "tokens", "ablation", "bayes", "theory",
-		} {
-			run(name)
+	experiments := []struct {
+		name, banner string
+		run          func() bench.Table
+	}{
+		{"table1", "== Table I: dataset statistics ==", func() bench.Table {
+			return bench.TableOf(bench.RunTable1(bench.AllWorkloads(scale)))
+		}},
+		{"table2", "== Table II: join time in seconds, recall reached (target or cap), speedup ALL/CP (Figure 2) ==", func() bench.Table {
+			return bench.TableOf(bench.RunTable2(bench.AllWorkloads(scale), bench.Thresholds, cfg, progress))
+		}},
+		{"fig3a", "== Figure 3: join time vs limit (λ=0.5, recall >= 0.8) ==", fig3("limit")},
+		{"fig3b", "== Figure 3: join time vs epsilon (λ=0.5, recall >= 0.8) ==", fig3("epsilon")},
+		{"fig3c", "== Figure 3: join time vs words (λ=0.5, recall >= 0.8) ==", fig3("words")},
+		{"table4", "== Table IV: pre-candidates / candidates / results ==", func() bench.Table {
+			return bench.TableOf(bench.RunTable4(bench.AllWorkloads(scale), cfg, progress))
+		}},
+		{"tokens", "== TOKENS robustness progression (Section VI-A.3) ==", func() bench.Table {
+			return bench.TableOf(bench.RunTable2(bench.SyntheticWorkloads(scale), bench.Thresholds, cfg, progress))
+		}},
+		{"ablation", "== Stopping-strategy ablation (Section IV-C.5) ==", func() bench.Table {
+			return bench.TableOf(bench.RunAblation(bench.SyntheticWorkloads(scale), cfg, progress))
+		}},
+		{"bayes", "== BayesLSH-lite comparison (Section VI-A.2) ==", func() bench.Table {
+			return bench.TableOf(bench.RunBayes(bench.SyntheticWorkloads(scale), cfg, progress))
+		}},
+		{"theory", "== Recursion bounds: Lemma 4 depth, Remark 9 working space ==", func() bench.Table {
+			return bench.TableOf(bench.RunTheory(bench.AllWorkloads(scale), cfg, progress))
+		}},
+	}
+
+	cmd, ran := flag.Arg(0), false
+	for _, e := range experiments {
+		if cmd != "all" && cmd != e.name {
+			continue
+		}
+		if ran {
 			fmt.Fprintln(out)
 		}
-		return
+		if !csvOut {
+			fmt.Fprintln(out, e.banner)
+		}
+		check(e.run().Write(out, csvOut))
+		ran = true
 	}
-	run(cmd)
+	if !ran {
+		fatalf("unknown subcommand %q", cmd)
+	}
 }
 
 func fatalf(format string, args ...any) {

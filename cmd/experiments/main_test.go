@@ -57,12 +57,13 @@ var smokeTable1 = sync.OnceValue(func() []bench.Table1Row {
 })
 
 // TestTablesPrintEveryWorkload: table1 and theory exit 0 with their banner,
-// their column header and one row per bundled workload, in order.
+// their column header — the CSV column names — and one row per bundled
+// workload, in order.
 func TestTablesPrintEveryWorkload(t *testing.T) {
 	want := smokeTable1()
 	for _, tc := range []struct{ cmd, banner, header string }{
-		{"table1", "== Table I: dataset statistics ==", "avg set size"},
-		{"theory", "== Recursion bounds: Lemma 4 depth, Remark 9 working space ==", "max depth"},
+		{"table1", "== Table I: dataset statistics ==", "avg_set_size"},
+		{"theory", "== Recursion bounds: Lemma 4 depth, Remark 9 working space ==", "max_depth"},
 	} {
 		stdout, stderr, code := experiments(t, "-quiet", "-scale", "smoke", "-workers", "1", tc.cmd)
 		if code != 0 {
@@ -75,7 +76,7 @@ func TestTablesPrintEveryWorkload(t *testing.T) {
 		if lines[0] != tc.banner {
 			t.Errorf("%s: banner %q, want %q", tc.cmd, lines[0], tc.banner)
 		}
-		if !strings.HasPrefix(lines[1], "Dataset") || !strings.Contains(lines[1], tc.header) {
+		if !strings.HasPrefix(lines[1], "dataset") || !strings.Contains(lines[1], tc.header) {
 			t.Errorf("%s: header %q does not name %q", tc.cmd, lines[1], tc.header)
 		}
 		for i, r := range want {
@@ -87,7 +88,7 @@ func TestTablesPrintEveryWorkload(t *testing.T) {
 }
 
 // TestCSVFormat: -format csv drops the banner and writes exactly the CSV
-// form of the rows.
+// form of the rows' table.
 func TestCSVFormat(t *testing.T) {
 	stdout, stderr, code := experiments(t, "-quiet", "-scale", "smoke", "-workers", "1", "-format", "csv", "table1")
 	if code != 0 {
@@ -97,7 +98,7 @@ func TestCSVFormat(t *testing.T) {
 		t.Fatalf("output is not CSV: %v\n%s", err, stdout)
 	}
 	var want bytes.Buffer
-	if err := bench.CSVTable1(&want, smokeTable1()); err != nil {
+	if err := bench.TableOf(smokeTable1()).Write(&want, true); err != nil {
 		t.Fatal(err)
 	}
 	if stdout != want.String() {
@@ -127,9 +128,9 @@ func TestTable4IsPinned(t *testing.T) {
 
 // TestRemovedSurfaceStaysRemoved: the timing harness's subcommands and its
 // JSON format are unknown, and the errors name nothing that no longer
-// exists.
+// exists. fig2 is gone too: Figure 2 is table2's speedup column.
 func TestRemovedSurfaceStaysRemoved(t *testing.T) {
-	removed := []string{"parallel", "serving", "compaction", "query", "accuracy"}
+	removed := []string{"parallel", "serving", "compaction", "query", "accuracy", "fig2"}
 	for _, name := range removed {
 		stdout, stderr, code := experiments(t, "-quiet", "-scale", "smoke", name)
 		if want := "experiments: unknown subcommand \"" + name + "\"\n"; code != 1 || stderr != want || stdout != "" {

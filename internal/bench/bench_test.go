@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"io"
 	"strings"
 	"testing"
@@ -71,9 +70,7 @@ func TestRunTable1(t *testing.T) {
 	if len(rows) != 14 {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	var buf bytes.Buffer
-	PrintTable1(&buf, rows)
-	if !strings.Contains(buf.String(), "NETFLIX") {
+	if !strings.Contains(render(t, TableOf(rows), false), "NETFLIX") {
 		t.Error("Table 1 output missing NETFLIX row")
 	}
 }
@@ -93,16 +90,12 @@ func TestRunTable2Small(t *testing.T) {
 			t.Errorf("%s λ=%v: empty exact result; workload has no join mass", c.Dataset, c.Threshold)
 		}
 	}
-	var buf bytes.Buffer
-	PrintTable2(&buf, cells, []float64{0.5, 0.7})
-	if !strings.Contains(buf.String(), "TOKENS10K") {
-		t.Error("Table 2 output missing dataset")
+	out := render(t, TableOf(cells), false)
+	for _, col := range []string{"TOKENS10K", "cp_recall", "mh_recall", "speedup"} {
+		if !strings.Contains(out, col) {
+			t.Errorf("Table 2 output missing %s:\n%s", col, out)
+		}
 	}
-	points := Fig2FromTable2(cells)
-	if len(points) != len(cells) {
-		t.Fatalf("Fig2 points %d, cells %d", len(points), len(cells))
-	}
-	PrintFig2(&buf, points)
 }
 
 func TestRunFig3(t *testing.T) {
@@ -146,9 +139,7 @@ func TestRunTable4(t *testing.T) {
 			t.Errorf("%+v: results exceed candidates", r)
 		}
 	}
-	var buf bytes.Buffer
-	PrintTable4(&buf, rows)
-	if !strings.Contains(buf.String(), "CP") {
+	if !strings.Contains(render(t, TableOf(rows), false), "CP") {
 		t.Error("Table 4 output missing CP rows")
 	}
 }
@@ -164,9 +155,7 @@ func TestRunAblation(t *testing.T) {
 			t.Errorf("%s/%s recall %v suspiciously low", r.Dataset, r.Strategy, r.Recall)
 		}
 	}
-	var buf bytes.Buffer
-	PrintAblation(&buf, rows)
-	if !strings.Contains(buf.String(), "adaptive") {
+	if !strings.Contains(render(t, TableOf(rows), false), "adaptive") {
 		t.Error("ablation output missing adaptive row")
 	}
 }
@@ -177,9 +166,7 @@ func TestRunBayes(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	var buf bytes.Buffer
-	PrintBayes(&buf, rows)
-	if !strings.Contains(buf.String(), "UNIFORM005") {
+	if !strings.Contains(render(t, TableOf(rows), false), "UNIFORM005") {
 		t.Error("bayes output missing dataset")
 	}
 }

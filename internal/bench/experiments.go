@@ -23,8 +23,9 @@ type Config struct {
 	// reported (the paper averages five; minimum is steadier at small
 	// scale).
 	Runs int
-	// TargetRecall is the recall the approximate methods must reach
-	// (>= 0.9 in Table II, >= 0.8 in Figure 3).
+	// TargetRecall is the recall at which the approximate methods stop
+	// (0.9 in Table II, 0.8 in Figure 3), unless their own repetition cap
+	// stops them first.
 	TargetRecall float64
 	// Seed drives the randomized algorithms.
 	Seed uint64
@@ -63,6 +64,14 @@ type Table1Row struct {
 	SetsPerToken float64
 }
 
+func (Table1Row) header() []string {
+	return []string{"dataset", "num_sets", "avg_set_size", "sets_per_token"}
+}
+
+func (r Table1Row) cells() []string {
+	return []string{r.Dataset, itoa(int64(r.NumSets)), ftoa(r.AvgSetSize), ftoa(r.SetsPerToken)}
+}
+
 // RunTable1 computes dataset statistics for every workload.
 func RunTable1(workloads []Workload) []Table1Row {
 	rows := make([]Table1Row, 0, len(workloads))
@@ -78,32 +87,45 @@ func RunTable1(workloads []Workload) []Table1Row {
 	return rows
 }
 
-// PrintTable1 writes Table I in the paper's layout.
-func PrintTable1(w io.Writer, rows []Table1Row) {
-	fmt.Fprintf(w, "%-12s %10s %14s %14s\n", "Dataset", "# sets", "avg set size", "sets/tokens")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-12s %10d %14.1f %14.1f\n", r.Dataset, r.NumSets, r.AvgSetSize, r.SetsPerToken)
-	}
-}
-
-// Table2Cell is one (dataset, threshold) measurement of Table II.
+// Table2Cell is one (dataset, threshold) measurement of Table II. Its last
+// column, the speedup ALL/CP, is Figure 2.
 type Table2Cell struct {
 	Dataset   string
 	Threshold float64
-	// Join times at >= TargetRecall recall for the approximate methods.
+	// Join times; the approximate methods stop at the target recall or at
+	// their repetition cap, whichever comes first.
 	CP, MH, ALL time.Duration
-	// Achieved recall of the approximate methods (ALL is exact).
+	// Recall the approximate methods reached (ALL is exact).
 	CPRecall, MHRecall float64
 	// Result-set size of the exact join.
 	Results int
 }
 
+func (Table2Cell) header() []string {
+	return []string{
+		"dataset", "threshold", "cp_seconds", "mh_seconds", "all_seconds",
+		"cp_recall", "mh_recall", "results", "speedup",
+	}
+}
+
+func (c Table2Cell) cells() []string {
+	return []string{
+		c.Dataset, ftoa(c.Threshold),
+		ftoa(c.CP.Seconds()), ftoa(c.MH.Seconds()), ftoa(c.ALL.Seconds()),
+		ftoa(c.CPRecall), ftoa(c.MHRecall), itoa(int64(c.Results)),
+		ftoa(c.ALL.Seconds() / c.CP.Seconds()),
+	}
+}
+
 // RunTable2 measures join time for CPSJOIN, MINHASH and ALLPAIRS on every
 // workload and threshold — the experiment behind Table II and Figure 2.
-// Approximate methods run repetitions until recall >= cfg.TargetRecall
-// against the exact result, mirroring Section VI-2. Preprocessing
-// (signatures, sketches) is done once per workload and not counted towards
-// join time, as in the paper.
+// Following Section VI-2, each approximate method stops repeating once its
+// recall against the exact result reaches cfg.TargetRecall, or at its own
+// cap (CPSJoin's Repetitions; MinHash LSH's L, derived from its per-pair
+// recall ϕ), whichever comes first; the cell reports the recall reached,
+// which may be below the target. Preprocessing (signatures, sketches) is
+// done once per workload and not counted towards join time, as in the
+// paper.
 func RunTable2(workloads []Workload, thresholds []float64, cfg Config, progress io.Writer) []Table2Cell {
 	var cells []Table2Cell
 	for _, w := range workloads {
@@ -142,81 +164,11 @@ func RunTable2(workloads []Workload, thresholds []float64, cfg Config, progress 
 			})
 			cell.MHRecall = stats.Recall(mhPairs, truth)
 
-			if progress != nil {
-				fmt.Fprintf(progress, "table2 %-12s λ=%.1f  CP=%8.3fs  MH=%8.3fs  ALL=%8.3fs  recall CP=%.2f MH=%.2f  results=%d\n",
-					w.Name, lambda, cell.CP.Seconds(), cell.MH.Seconds(), cell.ALL.Seconds(),
-					cell.CPRecall, cell.MHRecall, cell.Results)
-			}
+			report(progress, "table2", cell)
 			cells = append(cells, cell)
 		}
 	}
 	return cells
-}
-
-// PrintTable2 writes Table II in the paper's layout: one row per dataset,
-// CP/MH/ALL columns per threshold.
-func PrintTable2(w io.Writer, cells []Table2Cell, thresholds []float64) {
-	fmt.Fprintf(w, "%-12s", "Dataset")
-	for _, t := range thresholds {
-		fmt.Fprintf(w, " |    λ=%.1f: CP      MH     ALL", t)
-	}
-	fmt.Fprintln(w)
-	byDataset := map[string][]Table2Cell{}
-	var order []string
-	for _, c := range cells {
-		if _, ok := byDataset[c.Dataset]; !ok {
-			order = append(order, c.Dataset)
-		}
-		byDataset[c.Dataset] = append(byDataset[c.Dataset], c)
-	}
-	for _, name := range order {
-		fmt.Fprintf(w, "%-12s", name)
-		for _, t := range thresholds {
-			found := false
-			for _, c := range byDataset[name] {
-				if c.Threshold == t {
-					fmt.Fprintf(w, " | %7.2f %7.2f %7.2f", c.CP.Seconds(), c.MH.Seconds(), c.ALL.Seconds())
-					found = true
-					break
-				}
-			}
-			if !found {
-				fmt.Fprintf(w, " | %7s %7s %7s", "-", "-", "-")
-			}
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-// Fig2Point is one point of Figure 2: CPSJoin speedup over AllPairs.
-type Fig2Point struct {
-	Dataset   string
-	Threshold float64
-	Speedup   float64
-}
-
-// Fig2FromTable2 derives Figure 2 from Table II measurements.
-func Fig2FromTable2(cells []Table2Cell) []Fig2Point {
-	out := make([]Fig2Point, 0, len(cells))
-	for _, c := range cells {
-		if c.CP <= 0 {
-			continue
-		}
-		out = append(out, Fig2Point{
-			Dataset:   c.Dataset,
-			Threshold: c.Threshold,
-			Speedup:   c.ALL.Seconds() / c.CP.Seconds(),
-		})
-	}
-	return out
-}
-
-// PrintFig2 writes the Figure 2 series: speedup per dataset per threshold.
-func PrintFig2(w io.Writer, points []Fig2Point) {
-	fmt.Fprintf(w, "%-12s %9s %9s\n", "Dataset", "λ", "speedup")
-	for _, p := range points {
-		fmt.Fprintf(w, "%-12s %9.1f %9.2fx\n", p.Dataset, p.Threshold, p.Speedup)
-	}
 }
 
 // Fig3Point is one point of Figure 3: join time as a function of one
@@ -229,6 +181,14 @@ type Fig3Point struct {
 	// Relative is the time divided by the time at the index setting
 	// (limit=250, ε=0.1, ℓ=8), matching the y-axis of Figure 3.
 	Relative float64
+}
+
+func (Fig3Point) header() []string {
+	return []string{"dataset", "param", "value", "seconds", "relative"}
+}
+
+func (p Fig3Point) cells() []string {
+	return []string{p.Dataset, p.Param, ftoa(p.Value), ftoa(p.Time.Seconds()), ftoa(p.Relative)}
 }
 
 // Fig3Sweeps mirror the parameter values of Figure 3.
@@ -300,30 +260,21 @@ func RunFig3(workloads []Workload, param string, cfg Config, progress io.Writer)
 			if values[i] == indexValue {
 				indexTime = times[i]
 			}
-			if progress != nil {
-				fmt.Fprintf(progress, "fig3 %-12s %s=%v  t=%.3fs\n", w.Name, param, values[i], times[i].Seconds())
-			}
 		}
 		for i := range values {
 			rel := 0.0
 			if indexTime > 0 {
 				rel = times[i].Seconds() / indexTime.Seconds()
 			}
-			out = append(out, Fig3Point{
+			p := Fig3Point{
 				Dataset: w.Name, Param: param, Value: values[i],
 				Time: times[i], Relative: rel,
-			})
+			}
+			report(progress, "fig3", p)
+			out = append(out, p)
 		}
 	}
 	return out, nil
-}
-
-// PrintFig3 writes a Figure 3 panel.
-func PrintFig3(w io.Writer, points []Fig3Point) {
-	fmt.Fprintf(w, "%-12s %-8s %8s %10s %9s\n", "Dataset", "param", "value", "time", "relative")
-	for _, p := range points {
-		fmt.Fprintf(w, "%-12s %-8s %8v %9.3fs %9.2f\n", p.Dataset, p.Param, p.Value, p.Time.Seconds(), p.Relative)
-	}
 }
 
 // Table4Row is one (dataset, threshold, algorithm) row of Table IV.
@@ -336,6 +287,17 @@ type Table4Row struct {
 	Results       int64
 }
 
+func (Table4Row) header() []string {
+	return []string{"dataset", "threshold", "algorithm", "pre_candidates", "candidates", "results"}
+}
+
+func (r Table4Row) cells() []string {
+	return []string{
+		r.Dataset, ftoa(r.Threshold), r.Algorithm,
+		itoa(r.PreCandidates), itoa(r.Candidates), itoa(r.Results),
+	}
+}
+
 // RunTable4 collects pre-candidate/candidate/result counts for ALLPAIRS
 // and CPSJOIN at λ in {0.5, 0.7}, as in Table IV.
 func RunTable4(workloads []Workload, cfg Config, progress io.Writer) []Table4Row {
@@ -344,35 +306,22 @@ func RunTable4(workloads []Workload, cfg Config, progress io.Writer) []Table4Row
 		ix := core.Preprocess(w.Sets, &core.Options{Seed: cfg.Seed, Workers: cfg.Workers})
 		for _, lambda := range []float64{0.5, 0.7} {
 			truth, ac := allpairs.JoinWorkers(w.Sets, lambda, cfg.Workers)
-			rows = append(rows, Table4Row{
-				Dataset: w.Name, Threshold: lambda, Algorithm: "ALL",
-				PreCandidates: ac.PreCandidates, Candidates: ac.Candidates, Results: ac.Results,
-			})
 			_, cc := core.JoinIndexed(ix, lambda, &core.Options{
 				Seed: cfg.Seed, Workers: cfg.Workers,
 				GroundTruth: truth, StopAtRecall: cfg.TargetRecall,
 			})
-			rows = append(rows, Table4Row{
-				Dataset: w.Name, Threshold: lambda, Algorithm: "CP",
-				PreCandidates: cc.PreCandidates, Candidates: cc.Candidates, Results: cc.Results,
-			})
-			if progress != nil {
-				fmt.Fprintf(progress, "table4 %-12s λ=%.1f done\n", w.Name, lambda)
+			for _, r := range []Table4Row{
+				{Dataset: w.Name, Threshold: lambda, Algorithm: "ALL",
+					PreCandidates: ac.PreCandidates, Candidates: ac.Candidates, Results: ac.Results},
+				{Dataset: w.Name, Threshold: lambda, Algorithm: "CP",
+					PreCandidates: cc.PreCandidates, Candidates: cc.Candidates, Results: cc.Results},
+			} {
+				report(progress, "table4", r)
+				rows = append(rows, r)
 			}
 		}
 	}
 	return rows
-}
-
-// PrintTable4 writes Table IV.
-func PrintTable4(w io.Writer, rows []Table4Row) {
-	fmt.Fprintf(w, "%-12s %5s %5s %14s %14s %12s\n",
-		"Dataset", "λ", "alg", "pre-cand", "candidates", "results")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-12s %5.1f %5s %14.2e %14.2e %12.2e\n",
-			r.Dataset, r.Threshold, r.Algorithm,
-			float64(r.PreCandidates), float64(r.Candidates), float64(r.Results))
-	}
 }
 
 // AblationRow compares stopping strategies (Section IV-C.5) on one
@@ -382,6 +331,12 @@ type AblationRow struct {
 	Strategy string
 	Time     time.Duration
 	Recall   float64
+}
+
+func (AblationRow) header() []string { return []string{"dataset", "strategy", "seconds", "recall"} }
+
+func (r AblationRow) cells() []string {
+	return []string{r.Dataset, r.Strategy, ftoa(r.Time.Seconds()), ftoa(r.Recall)}
 }
 
 // RunAblation measures adaptive vs global vs individual stopping at λ=0.5.
@@ -408,25 +363,15 @@ func RunAblation(workloads []Workload, cfg Config, progress io.Writer) []Ablatio
 			d := timed(cfg.Runs, func() {
 				pairs, _ = core.JoinIndexed(ix, lambda, opt)
 			})
-			rows = append(rows, AblationRow{
+			r := AblationRow{
 				Dataset: w.Name, Strategy: s.name, Time: d,
 				Recall: stats.Recall(pairs, truth),
-			})
-			if progress != nil {
-				fmt.Fprintf(progress, "ablation %-12s %-10s t=%.3fs recall=%.2f\n",
-					w.Name, s.name, d.Seconds(), stats.Recall(pairs, truth))
 			}
+			report(progress, "ablation", r)
+			rows = append(rows, r)
 		}
 	}
 	return rows
-}
-
-// PrintAblation writes the stopping-strategy comparison.
-func PrintAblation(w io.Writer, rows []AblationRow) {
-	fmt.Fprintf(w, "%-12s %-10s %10s %8s\n", "Dataset", "strategy", "time", "recall")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-12s %-10s %9.3fs %8.2f\n", r.Dataset, r.Strategy, r.Time.Seconds(), r.Recall)
-	}
 }
 
 // TheoryRow instruments one workload's Chosen Path recursion, checking
@@ -443,6 +388,23 @@ type TheoryRow struct {
 	Nodes        int64
 }
 
+func (TheoryRow) header() []string {
+	return []string{
+		"dataset", "n", "max_depth", "depth_bound", "peak_live_mass",
+		"node_mass", "bruteforced_points", "nodes", "peak_per_n",
+	}
+}
+
+// cells ends with peak_per_n, the working space per set that Remark 9
+// conjectures is O(1).
+func (r TheoryRow) cells() []string {
+	return []string{
+		r.Dataset, itoa(int64(r.N)), itoa(int64(r.MaxDepth)), ftoa(r.DepthBound),
+		itoa(r.PeakLiveMass), itoa(r.NodeMass), itoa(r.Points), itoa(r.Nodes),
+		ftoa(float64(r.PeakLiveMass) / float64(r.N)),
+	}
+}
+
 // RunTheory measures recursion statistics at λ=0.5 on cfg.Workers workers.
 func RunTheory(workloads []Workload, cfg Config, progress io.Writer) []TheoryRow {
 	var rows []TheoryRow
@@ -450,7 +412,7 @@ func RunTheory(workloads []Workload, cfg Config, progress io.Writer) []TheoryRow
 		ix := core.Preprocess(w.Sets, &core.Options{Seed: cfg.Seed, Workers: cfg.Workers})
 		var m core.Metrics
 		core.JoinIndexed(ix, 0.5, &core.Options{Seed: cfg.Seed, Workers: cfg.Workers, Metrics: &m})
-		rows = append(rows, TheoryRow{
+		r := TheoryRow{
 			Dataset:      w.Name,
 			N:            len(w.Sets),
 			MaxDepth:     m.MaxDepth,
@@ -459,24 +421,11 @@ func RunTheory(workloads []Workload, cfg Config, progress io.Writer) []TheoryRow
 			NodeMass:     m.NodeMass,
 			Points:       m.BruteForcedPoints,
 			Nodes:        m.Nodes,
-		})
-		if progress != nil {
-			fmt.Fprintf(progress, "theory %-12s depth=%d peak=%d\n", w.Name, m.MaxDepth, m.PeakLiveMass)
 		}
+		report(progress, "theory", r)
+		rows = append(rows, r)
 	}
 	return rows
-}
-
-// PrintTheory writes the recursion statistics with the analytical
-// reference values.
-func PrintTheory(w io.Writer, rows []TheoryRow) {
-	fmt.Fprintf(w, "%-12s %8s %9s %12s %12s %12s %10s\n",
-		"Dataset", "n", "max depth", "ln(n)/ε", "peak mass", "peak/n", "removals")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-12s %8d %9d %12.1f %12d %12.2f %10d\n",
-			r.Dataset, r.N, r.MaxDepth, r.DepthBound,
-			r.PeakLiveMass, float64(r.PeakLiveMass)/float64(r.N), r.Points)
-	}
 }
 
 // BayesRow compares BayesLSH-lite against the other methods on one
@@ -487,6 +436,14 @@ type BayesRow struct {
 	Bayes     time.Duration
 	CP        time.Duration
 	Recall    float64
+}
+
+func (BayesRow) header() []string {
+	return []string{"dataset", "threshold", "bayes_seconds", "cp_seconds", "recall"}
+}
+
+func (r BayesRow) cells() []string {
+	return []string{r.Dataset, ftoa(r.Threshold), ftoa(r.Bayes.Seconds()), ftoa(r.CP.Seconds()), ftoa(r.Recall)}
 }
 
 // RunBayes measures BayesLSH-lite against CPSJoin.
@@ -506,24 +463,13 @@ func RunBayes(workloads []Workload, cfg Config, progress io.Writer) []BayesRow {
 					GroundTruth: truth, StopAtRecall: cfg.TargetRecall,
 				})
 			})
-			rows = append(rows, BayesRow{
+			r := BayesRow{
 				Dataset: w.Name, Threshold: lambda,
 				Bayes: bTime, CP: cpTime, Recall: stats.Recall(bp, truth),
-			})
-			if progress != nil {
-				fmt.Fprintf(progress, "bayes %-12s λ=%.1f  bayes=%.3fs cp=%.3fs\n",
-					w.Name, lambda, bTime.Seconds(), cpTime.Seconds())
 			}
+			report(progress, "bayes", r)
+			rows = append(rows, r)
 		}
 	}
 	return rows
-}
-
-// PrintBayes writes the BayesLSH comparison.
-func PrintBayes(w io.Writer, rows []BayesRow) {
-	fmt.Fprintf(w, "%-12s %5s %12s %12s %8s\n", "Dataset", "λ", "BayesLSH", "CPSJoin", "recall")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-12s %5.1f %11.3fs %11.3fs %8.2f\n",
-			r.Dataset, r.Threshold, r.Bayes.Seconds(), r.CP.Seconds(), r.Recall)
-	}
 }

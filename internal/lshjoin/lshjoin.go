@@ -55,7 +55,9 @@ type Options struct {
 	// GroundTruth, when non-nil together with StopAtRecall > 0, stops
 	// repetitions as soon as recall against the known exact result reaches
 	// StopAtRecall (the paper's experimental procedure, Section VI-2). All
-	// workers share one atomic view of the accumulated recall.
+	// workers share one atomic view of the accumulated recall. Buckets are
+	// visited in a fixed order, so at one worker the stopping point, and
+	// with it the result set and counters, repeat from run to run.
 	GroundTruth  []verify.Pair
 	StopAtRecall float64
 }
@@ -186,16 +188,38 @@ func samplePositions(rng *tabhash.SplitMix64, pos []int, t int) {
 }
 
 // bucketize groups set ids by the hash of their signature values at the
-// sampled positions.
-func bucketize(sets [][]uint32, sigs []uint32, t int, positions []int, hasher *tabhash.Table64) map[uint64][]uint32 {
-	buckets := make(map[uint64][]uint32, len(sets)/2)
+// sampled positions. The buckets come back in order of first appearance
+// (the map only numbers them), so a join that stops at a recall target
+// stops after the same buckets on every run; they are views into one
+// array of ids.
+func bucketize(sets [][]uint32, sigs []uint32, t int, positions []int, hasher *tabhash.Table64) [][]uint32 {
+	index := make(map[uint64]int32, len(sets)/2)
+	of := make([]int32, len(sets)) // the bucket of each set
+	var sizes []int32
 	for id := range sets {
 		sig := sigs[id*t : (id+1)*t]
 		key := uint64(0x9e3779b97f4a7c15)
 		for _, p := range positions {
 			key = hasher.Hash(key ^ uint64(sig[p]))
 		}
-		buckets[key] = append(buckets[key], uint32(id))
+		b, ok := index[key]
+		if !ok {
+			b = int32(len(sizes))
+			index[key] = b
+			sizes = append(sizes, 0)
+		}
+		of[id] = b
+		sizes[b]++
+	}
+	ids := make([]uint32, len(sets))
+	buckets := make([][]uint32, len(sizes))
+	start := 0
+	for b, n := range sizes {
+		buckets[b] = ids[start : start : start+int(n)]
+		start += int(n)
+	}
+	for id, b := range of {
+		buckets[b] = append(buckets[b], uint32(id))
 	}
 	return buckets
 }

@@ -218,3 +218,28 @@ func TestGoldenJoin(t *testing.T) {
 		})
 	}
 }
+
+// TestStopAtRecallRepeats: at one worker a join that stops at a recall
+// target stops at the same bucket on every run — same pair set, same
+// counters — so a recall column measured with StopAtRecall repeats.
+func TestStopAtRecallRepeats(t *testing.T) {
+	for _, skew := range []bool{false, true} {
+		sets := datagen.LedgerShape(skew, 3000, 1)
+		ix := prep.Build(sets, 128, 8, 42)
+		for _, lambda := range []float64{0.5, 0.7} {
+			truth := verify.BruteForceJoin(sets, lambda)
+			opt := &Options{Seed: 42, Workers: 1, GroundTruth: truth, StopAtRecall: 0.9}
+			var digest string
+			var c0 verify.Counters
+			for run := 0; run < 10; run++ {
+				pairs, c := JoinIndexed(ix, lambda, opt)
+				if d := stats.PairDigest(pairs); run == 0 {
+					digest, c0 = d, c
+				} else if d != digest || c != c0 {
+					t.Fatalf("skew=%v λ=%v run %d: pair set %s, counters %+v; run 0 gave %s, %+v",
+						skew, lambda, run, d, c, digest, c0)
+				}
+			}
+		}
+	}
+}

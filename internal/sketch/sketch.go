@@ -275,9 +275,9 @@ func logBinomPMF(n, k int, p float64) float64 {
 		float64(k)*math.Log(p) + float64(n-k)*math.Log(1-p)
 }
 
-// BinomTail returns Pr[Binomial(n, p) < m], the exact lower tail used by
-// the filter calibration; exported for tests and for the BayesLSH-style
-// incremental pruning.
+// BinomTail returns Pr[Binomial(n, p) < m], the exact lower tail that
+// NewFilter's calibration sums term by term. Only tests call it, to check
+// that calibration; BayesLSH-lite prunes with a Hoeffding bound instead.
 func BinomTail(n, m int, p float64) float64 {
 	cdf := 0.0
 	for k := 0; k < m; k++ {
