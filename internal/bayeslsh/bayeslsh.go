@@ -2,32 +2,37 @@
 // join (Chakrabarti et al., TKDD 2015) as the third comparator of the
 // paper's evaluation (Section V-D).
 //
-// Candidate generation follows the original package's LSH mode: repetitions
-// of single-MinHash bucketing (k = 1). Verification processes each
-// candidate's sketch incrementally, word by word, pruning as soon as the
-// upper confidence bound on the similarity estimate falls below the
-// threshold; survivors get an exact similarity computation (the "-lite"
-// configuration benchmarked in the paper). The Pruner is this method's own
-// stage, deliberately not the shared block kernel; what follows it — dedup
-// against the result set, exact verification — is verify.Pipeline's, as for
-// CPSJoin and MINHASH. The original uses Bayesian
-// posterior tail bounds on uniform priors; we use the equivalent Hoeffding
-// upper confidence bound on the bit-agreement rate, which prunes at the
-// same asymptotic rate and keeps the false-negative probability bounded by
-// the same per-stage budget.
+// It is MinHash LSH at k = 1 with a sequential sketch test. Candidate
+// generation follows the original package's LSH mode: repetitions of
+// single-MinHash bucketing, run by lshjoin.Repeat, the repetition loop of
+// the MINHASH join, so the buckets are lshjoin's and every bucket is
+// finished by verify.Pipeline, the kernel CPSJoin's nodes end in. The one
+// stage of its own is the test: a candidate's sketch is compared word by
+// word, and the pair is dropped as soon as the upper confidence bound on its
+// bit-agreement rate falls below what similarity λ implies; survivors get an
+// exact similarity computation (the "-lite" configuration benchmarked in the
+// paper). The original uses Bayesian posterior tail bounds on uniform
+// priors; we use the equivalent Hoeffding upper confidence bound, which
+// prunes at the same asymptotic rate and keeps the false-negative
+// probability bounded by the same per-stage budget. The test becomes one
+// integer bound per word (bounds), and the pipeline runs it as a refinement
+// of its sketch filter (verify.Pipeline.UseSequentialTest).
 //
 // The paper found BayesLSH uniformly slower than CPSJoin, MINHASH and
-// ALLPAIRS, mostly due to its k = 1 candidate generation; this
-// implementation exists to let the benchmark harness test that claim.
+// ALLPAIRS. On the same kernel it still is, and what remains is its k = 1
+// candidate generation: at λ 0.5 on the 40 000-set ledger shapes it looks at
+// 3.3–4.2× CPSJoin's pre-candidates (115 M against 28 M flat), and the
+// sketch filter over them is most of its join; the buckets themselves cost
+// little.
 package bayeslsh
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime"
 
 	"repro/internal/exec"
+	"repro/internal/lshjoin"
 	"repro/internal/prep"
 	"repro/internal/tabhash"
 	"repro/internal/verify"
@@ -40,10 +45,10 @@ type Options struct {
 	// repetitions: a pair at similarity λ collides per repetition with
 	// probability λ, so L = ceil(ln(1/(1-ϕ))/λ).
 	TargetRecall float64
-	// SketchWords is the sketch width used for incremental pruning
-	// (default 8 words = 512 bits). Negative disables sketch pruning —
-	// the repository-wide convention — in which case candidates go
-	// straight from the size filter to exact verification.
+	// SketchWords is the sketch width used by the sequential test
+	// (default 8 words = 512 bits). Negative disables the test — the
+	// repository-wide convention — in which case candidates go straight
+	// from the size filter to exact verification.
 	SketchWords int
 	// T is the MinHash signature pool size (default 128).
 	T int
@@ -58,7 +63,7 @@ type Options struct {
 	Workers int
 }
 
-// gamma is the pruner's false-pruning budget over all stages.
+// gamma is the sequential test's false-pruning budget over all words.
 const gamma = 0.05
 
 func (o *Options) withDefaults() Options {
@@ -91,18 +96,11 @@ func Join(sets [][]uint32, lambda float64, o *Options) ([]verify.Pair, verify.Co
 // JoinIndexed runs the join against a prebuilt index, excluding
 // preprocessing from the join work. The index fixes T and the sketch
 // width; an index without sketches (or a negative SketchWords) disables
-// the incremental pruner.
+// the sequential test.
 func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, verify.Counters) {
 	defer runtime.KeepAlive(ix) // a loaded index's matrices live only as long as ix
 	opt := o.withDefaults()
-	opt.T = ix.T
-	if opt.SketchWords > 0 && ix.Words > 0 {
-		opt.SketchWords = ix.Words
-	} else {
-		opt.SketchWords = -1
-	}
-	sets := ix.Sets
-	if len(sets) < 2 {
+	if len(ix.Sets) < 2 {
 		return nil, verify.Counters{}
 	}
 	if lambda <= 0 || lambda >= 1 {
@@ -110,100 +108,44 @@ func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, ver
 	}
 	l := max(1, int(math.Ceil(math.Log(1/(1-opt.TargetRecall))/lambda)))
 
-	sigs := ix.Sigs
-	workers := exec.EffectiveWorkers(opt.Workers)
-	tail := verify.NewPipeline(sets, lambda, workers)
-	var sketches []uint64
-	var pruner *Pruner
-	w := 0
-	if opt.SketchWords > 0 {
-		w = opt.SketchWords
-		sketches = ix.Sketches
-		pruner = NewPruner(w, lambda, gamma)
-	}
-
 	// Draw every repetition's bucket position up front so the join's
 	// randomness is fixed before any task starts (identical result sets
 	// across worker counts).
 	rng := tabhash.NewSplitMix64(opt.Seed + 0x1717)
-	positions := make([]int, l)
+	positions := make([][]int, l)
 	for rep := range positions {
-		positions[rep] = rng.Intn(opt.T)
+		positions[rep] = []int{rng.Intn(ix.T)}
 	}
 
-	scratch := tail.NewScratches(workers)
-	roots := make([]exec.Task, l)
-	for rep, pos := range positions {
-		roots[rep] = func(c *exec.Ctx) {
-			s := scratch[c.Worker()]
-			buckets := make(map[uint32][]uint32, len(sets)/4+1)
-			for id := range sets {
-				val := sigs[id*opt.T+pos]
-				buckets[val] = append(buckets[val], uint32(id))
-			}
-			for _, bucket := range buckets {
-				for i, a := range bucket {
-					for _, b := range bucket[i+1:] {
-						s.Pre++
-						if !tail.SizeCompatible(a, b) {
-							continue
-						}
-						if pruner != nil && !pruner.Survives(sketches[int(a)*w:][:w], sketches[int(b)*w:][:w]) {
-							continue
-						}
-						s.Candidate(a, b)
-					}
-				}
-			}
-		}
+	workers := exec.EffectiveWorkers(opt.Workers)
+	bf := verify.NewPipeline(ix.Sets, lambda, workers)
+	if opt.SketchWords > 0 && ix.Words > 0 {
+		bf.UseSequentialTest(ix.Words, ix.Sketches, bounds(ix.Words, lambda, gamma))
 	}
-	exec.Run(workers, roots...)
-	return tail.Res.Pairs(), tail.Counters(scratch)
+	return lshjoin.Repeat(ix, bf, positions, opt.Seed, workers)
 }
 
-// Pruner performs incremental sketch comparison with early termination:
-// after each 64-bit word, the candidate is dropped if even an optimistic
-// (upper confidence bound) read of the agreement rate cannot reach the
-// threshold.
-type Pruner struct {
-	// slack[w] is the confidence radius after w words.
-	slack []float64
-	// maxDist[w] is the largest Hamming distance over the first w+1 words
-	// that survives, -1 if none does: NewPruner's float test, made once per
-	// distance so that Survives only compares integers.
-	maxDist []int
-}
-
-// NewPruner builds a pruner for the given sketch width, threshold, and
-// per-stage error budget gamma.
-func NewPruner(words int, lambda, gamma float64) *Pruner {
-	p := &Pruner{slack: make([]float64, words+1), maxDist: make([]int, words)}
-	// Hoeffding: Pr[p̂ < p - eps] <= exp(-2 eps² m). Budget gamma/words
-	// per stage keeps the total false-pruning probability below gamma.
+// bounds is the sequential test in integers: bounds[w-1] is the largest
+// Hamming distance over the first w sketch words at which a candidate
+// survives, -1 if none does. The test drops a candidate after word w when
+// even an optimistic read of its bit-agreement rate, agree/m plus the
+// Hoeffding radius at m = 64w bits, cannot reach the rate (1+λ)/2 that
+// similarity λ implies: Pr[p̂ < p - ε] ≤ exp(-2ε²m), with a budget of
+// gamma/words per word, keeps the chance of dropping a true pair below
+// gamma over all of them.
+func bounds(words int, lambda, gamma float64) []int {
+	out := make([]int, words)
 	perStage := gamma / float64(words)
 	need := (1 + lambda) / 2 // required bit-agreement rate
 	for w := 1; w <= words; w++ {
 		m := float64(64 * w)
-		p.slack[w] = math.Sqrt(math.Log(1/perStage) / (2 * m))
-		// The candidate is pruned when agree/m + slack < need, agree being
-		// 64w minus the distance; agree/m only grows with agree.
+		slack := math.Sqrt(math.Log(1/perStage) / (2 * m))
+		// agree is 64w minus the distance; agree/m only grows with agree.
 		d := 64 * w
-		for d >= 0 && float64(64*w-d)/m+p.slack[w] < need {
+		for d >= 0 && float64(64*w-d)/m+slack < need {
 			d--
 		}
-		p.maxDist[w-1] = d
+		out[w-1] = d
 	}
-	return p
-}
-
-// Survives reports whether the candidate survives incremental pruning.
-func (p *Pruner) Survives(a, b []uint64) bool {
-	d := 0
-	for w, most := range p.maxDist {
-		d += bits.OnesCount64(a[w] ^ b[w])
-		if d > most {
-			return false
-		}
-	}
-	return true
+	return out
 }

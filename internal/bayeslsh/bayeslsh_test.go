@@ -1,6 +1,8 @@
 package bayeslsh
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
@@ -43,34 +45,26 @@ func TestRecall(t *testing.T) {
 	}
 }
 
-func TestPrunerMonotoneSlack(t *testing.T) {
-	p := NewPruner(8, 0.5, 0.05)
-	for w := 2; w <= 8; w++ {
-		if p.slack[w] >= p.slack[w-1] {
-			t.Fatalf("slack not shrinking: slack[%d]=%v >= slack[%d]=%v",
-				w, p.slack[w], w-1, p.slack[w-1])
-		}
-	}
-}
-
 // TestPrunerBoundsMatchTheFloatTest proves the integer bounds exhaustively:
 // at every width from 1 to 16 words, every λ from 0.5 to 0.9 in steps of
-// 0.05 and every distance over every prefix, a distance passes maxDist
-// exactly when the float test the pruner made per word, agree/m + slack <
-// (1+λ)/2, keeps the candidate.
+// 0.05 and every distance over every prefix, a distance is within bounds
+// exactly when the Hoeffding test keeps the candidate: it is dropped after w
+// words when agree/m + √(ln(W/γ)/(2m)) < (1+λ)/2, m = 64w bits, agree = m
+// minus the distance.
 func TestPrunerBoundsMatchTheFloatTest(t *testing.T) {
 	for words := 1; words <= 16; words++ {
 		for l := 50; l <= 90; l += 5 {
 			lambda := float64(l) / 100
-			p := NewPruner(words, lambda, gamma)
+			b := bounds(words, lambda, gamma)
 			need := (1 + lambda) / 2
 			for w := 1; w <= words; w++ {
 				m := float64(64 * w)
+				slack := math.Sqrt(math.Log(float64(words)/gamma) / (2 * m))
 				for d := 0; d <= 64*w; d++ {
-					keep := !(float64(64*w-d)/m+p.slack[w] < need)
-					if got := d <= p.maxDist[w-1]; got != keep {
-						t.Fatalf("W=%d λ=%v: distance %d over %d words kept=%v, float test %v (maxDist %d)",
-							words, lambda, d, w, got, keep, p.maxDist[w-1])
+					keep := !(float64(64*w-d)/m+slack < need)
+					if got := d <= b[w-1]; got != keep {
+						t.Fatalf("W=%d λ=%v: distance %d over %d words kept=%v, float test %v (bound %d)",
+							words, lambda, d, w, got, keep, b[w-1])
 					}
 				}
 			}
@@ -78,22 +72,30 @@ func TestPrunerBoundsMatchTheFloatTest(t *testing.T) {
 	}
 }
 
+// survives reports whether a pair of sets with sketches a and b becomes a
+// candidate of a two-set pipeline at λ that runs the sequential test.
+func survives(a, b []uint64, lambda float64) bool {
+	p := verify.NewPipeline([][]uint32{{1}, {1}}, lambda, 1)
+	p.UseSequentialTest(len(a), append(slices.Clone(a), b...), bounds(len(a), lambda, gamma))
+	s := p.NewScratches(1)
+	s[0].BruteForcePairs([]uint32{0, 1})
+	return p.Counters(s).Candidates == 1
+}
+
 func TestPrunerAcceptsIdentical(t *testing.T) {
-	p := NewPruner(8, 0.9, 0.05)
 	s := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	if !p.Survives(s, s) {
+	if !survives(s, s, 0.9) {
 		t.Fatal("identical sketches pruned")
 	}
 }
 
 func TestPrunerRejectsOpposite(t *testing.T) {
-	p := NewPruner(8, 0.5, 0.05)
 	a := make([]uint64, 8)
 	b := make([]uint64, 8)
 	for i := range b {
 		b[i] = ^uint64(0)
 	}
-	if p.Survives(a, b) {
+	if survives(a, b, 0.5) {
 		t.Fatal("fully disagreeing sketches survived")
 	}
 }
@@ -102,7 +104,6 @@ func TestPrunerRejectsOpposite(t *testing.T) {
 // pruning with probability ~ 1 - gamma.
 func TestPrunerRarelyDropsTruePairs(t *testing.T) {
 	const lambda, gamma = 0.6, 0.05
-	p := NewPruner(8, lambda, gamma)
 	maker := sketch.NewMaker(8, 7)
 	drops, trials := 0, 0
 	for trial := 0; trial < 300; trial++ {
@@ -114,7 +115,7 @@ func TestPrunerRarelyDropsTruePairs(t *testing.T) {
 			continue
 		}
 		trials++
-		if !p.Survives(maker.Sketch(a), maker.Sketch(b)) {
+		if !survives(maker.Sketch(a), maker.Sketch(b), lambda) {
 			drops++
 		}
 	}

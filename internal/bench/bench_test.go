@@ -160,14 +160,29 @@ func TestRunAblation(t *testing.T) {
 	}
 }
 
+// TestRunBayes: every row reports both methods' recall against the exact
+// result, CPSJoin's at least the recall it was stopped at, and the table
+// prints both columns.
 func TestRunBayes(t *testing.T) {
 	ws := []Workload{mustWorkload(t, "UNIFORM005")}
-	rows := RunBayes(ws, DefaultConfig(), io.Discard)
+	cfg := DefaultConfig()
+	rows := RunBayes(ws, cfg, io.Discard)
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	if !strings.Contains(render(t, TableOf(rows), false), "UNIFORM005") {
-		t.Error("bayes output missing dataset")
+	for _, r := range rows {
+		if r.CPRecall < cfg.TargetRecall-1e-9 || r.CPRecall > 1 {
+			t.Errorf("λ=%v: cp_recall %v, stopped at %v", r.Threshold, r.CPRecall, cfg.TargetRecall)
+		}
+		if r.BayesRecall < 0.5 || r.BayesRecall > 1 {
+			t.Errorf("λ=%v: bayes_recall %v suspiciously low", r.Threshold, r.BayesRecall)
+		}
+	}
+	out := render(t, TableOf(rows), false)
+	for _, s := range []string{"UNIFORM005", "bayes_recall", "cp_recall"} {
+		if !strings.Contains(out, s) {
+			t.Errorf("bayes output missing %q", s)
+		}
 	}
 }
 

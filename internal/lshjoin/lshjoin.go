@@ -4,7 +4,9 @@
 // finished by the same BRUTEFORCEPAIRS subroutine as CPSJoin's nodes —
 // verify.Pipeline, size filter, 1-bit minwise sketch filter, dedup, exact
 // verification. This package owns the bucketing and the choice of k and L;
-// it has no pair loop of its own.
+// it has no pair loop of its own. Its repetition loop, Repeat, runs
+// BayesLSH-lite as well (internal/bayeslsh): k = 1, with that method's
+// sequential sketch test in the pipeline.
 //
 // The number of concatenated hash functions k is chosen per dataset and
 // threshold by estimating the combined cost of bucket lookups and bucket
@@ -112,7 +114,6 @@ func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, ver
 		panic(fmt.Sprintf("lshjoin: lambda %v out of (0,1)", lambda))
 	}
 
-	sigs := ix.Sigs
 	workers := exec.EffectiveWorkers(opt.Workers)
 	bf := verify.NewPipeline(sets, lambda, workers)
 	bf.Tracker = verify.NewRecallTracker(opt.GroundTruth, opt.StopAtRecall)
@@ -125,7 +126,7 @@ func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, ver
 	// The k values of a bucket key sit at distinct positions: no more than T.
 	k := min(opt.K, opt.T)
 	if k <= 0 {
-		k = chooseK(sets, sigs, opt.T, lambda, opt.TargetRecall, rng)
+		k = chooseK(sets, ix.Sigs, opt.T, lambda, opt.TargetRecall, rng)
 	}
 	l := min(Repetitions(lambda, k, opt.TargetRecall), maxL)
 
@@ -138,17 +139,28 @@ func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, ver
 		allPositions[rep] = make([]int, k)
 		samplePositions(rng, allPositions[rep], opt.T)
 	}
+	return Repeat(ix, bf, allPositions, opt.Seed, workers)
+}
 
-	hasher := tabhash.NewTable64(opt.Seed + 0x7e7e)
+// Repeat runs the repetitions of an LSH join over ix: one task per entry of
+// positions, which buckets every set by the hash of its signature values at
+// those positions and finishes each bucket with bf's BRUTEFORCEPAIRS, until
+// bf's recall tracker, if any, is reached. It returns bf's result set and
+// counters. MinHash LSH calls it with k positions per repetition and
+// BayesLSH-lite with one, its sequential test switched on in bf.
+func Repeat(ix *prep.Index, bf *verify.Pipeline, positions [][]int, seed uint64, workers int) ([]verify.Pair, verify.Counters) {
+	defer runtime.KeepAlive(ix) // a loaded index's matrices live only as long as ix
+	sets, sigs, t := ix.Sets, ix.Sigs, ix.T
+	hasher := tabhash.NewTable64(seed + 0x7e7e)
 	scratch := bf.NewScratches(workers)
-	roots := make([]exec.Task, l)
+	roots := make([]exec.Task, len(positions))
 	for rep := range roots {
 		roots[rep] = func(c *exec.Ctx) {
 			if bf.Tracker.Reached() {
 				return // before paying for the buckets
 			}
 			s := scratch[c.Worker()]
-			for _, bucket := range bucketize(sets, sigs, opt.T, allPositions[rep], hasher) {
+			for _, bucket := range bucketize(sets, sigs, t, positions[rep], hasher) {
 				if bf.Tracker.Reached() {
 					return
 				}

@@ -28,10 +28,15 @@ import (
 // pairs are looked at and which survive do not
 // (TestKernelMatchesPerPairReference, on each path).
 //
+// BayesLSH-lite's sequential sketch test (UseSequentialTest) is a refinement
+// of the same filter: within applies its widest bound, and compare checks
+// only within's hits against the bound of every shorter prefix, word by word,
+// before they go on.
+//
 // A Pipeline is the half all workers share, read-only while they run apart
 // from the result set and the tracker, which are safe for concurrent use;
-// the caller calls UseSketches and sets Owners and Tracker after NewPipeline
-// and before NewScratches.
+// the caller calls UseSketches or UseSequentialTest and sets Owners and
+// Tracker after NewPipeline and before NewScratches.
 type Pipeline struct {
 	Lambda float64
 	Sizes  []uint32 // len(sets[i]), so that gathering a block never touches sets
@@ -42,11 +47,16 @@ type Pipeline struct {
 
 	// Words is the sketch width in 64-bit words, Sketches the flattened
 	// n × Words matrix; a pair whose sketches are further apart than MaxHam
-	// bits is rejected — sketch.Filter.Accept's decision. UseSketches sets
-	// all three; all zero with the sketch filter off.
+	// bits is rejected — sketch.Filter.Accept's decision. UseSketches or
+	// UseSequentialTest sets all three; all zero with the sketch filter off.
 	Words    int
 	Sketches []uint64
 	MaxHam   int
+
+	// prefix[w-1] is the most bits a pair's first w sketch words may differ
+	// in under the sequential test, for every w short of Words (MaxHam is
+	// the bound over all of them); nil without the test.
+	prefix []int
 
 	// Owners restricts an R-S join to pairs of different owners; nil for a
 	// self-join.
@@ -88,13 +98,28 @@ func (p *Pipeline) UseSketches(words int, sketches []uint64, delta float64) {
 	p.MaxHam = 64*words - sketch.NewFilter(words, p.Lambda, delta).MinAgree
 }
 
-// SizeCompatible reports whether sets a and b pass the size filter, the
-// kernel's window, for a caller that meets its pairs one at a time: whether
-// the smaller size over the larger reaches Lambda, which no similarity of
-// the two exceeds.
-func (p *Pipeline) SizeCompatible(a, b uint32) bool {
-	w, size := p.window[p.Sizes[a]], p.Sizes[b]
-	return w[0] <= size && size < w[1]
+// UseSequentialTest turns on a sequential sketch test over the given n ×
+// words matrix: a pair passes when, for every w, its first w words differ in
+// at most bounds[w-1] bits. MaxHam is the last bound — every pair that passes
+// the test passes it, so within runs as for UseSketches — and the rest are
+// checked on within's hits only (sequential).
+func (p *Pipeline) UseSequentialTest(words int, sketches []uint64, bounds []int) {
+	p.Words, p.Sketches = words, sketches
+	p.MaxHam, p.prefix = bounds[words-1], bounds[:words-1]
+}
+
+// sequential reports whether sketch rows a and b, a pair within MaxHam, pass
+// the rest of the sequential test: their distance, summed word by word,
+// stays within every shorter prefix's bound.
+func (p *Pipeline) sequential(a, b []uint64) bool {
+	d := 0
+	for w, most := range p.prefix {
+		d += bits.OnesCount64(a[w] ^ b[w])
+		if d > most {
+			return false
+		}
+	}
+	return true
 }
 
 // Counters sums the workers' shares of the candidate counters and reads
@@ -151,12 +176,12 @@ func (p *Pipeline) NewScratches(workers int) []*Scratch {
 	return out
 }
 
-// Candidate finishes the pipeline for a pair that passed the size and sketch
+// candidate finishes the pipeline for a pair that passed the size and sketch
 // filters: ownership, dedup, exact verification. Two workers can race past
 // the dedup check and verify the same pair; ResultSet.Add keeps the result
 // set exact, so only the Candidates counter can drift by the handful of
 // double-verified pairs.
-func (s *Scratch) Candidate(a, b uint32) {
+func (s *Scratch) candidate(a, b uint32) {
 	p := s.p
 	if (p.Owners != nil && p.Owners[a] == p.Owners[b]) || p.Res.Contains(a, b) {
 		return
@@ -226,7 +251,8 @@ func fetch[T uint32 | uint64](p *Pipeline, dst []uint64, stride int, ids []T) {
 // within it; all count as pre-candidates. Rows are in size order, so the
 // partners passing the size filter — the row's size window — are a window
 // [lo, hi) of b whose ends only move forward; within it, within picks the
-// partners that pass the sketch filter.
+// partners that pass the sketch filter, and the sequential test, if on,
+// checks each of them.
 func (s *Scratch) compare(a, b *block, tri bool) {
 	if tri {
 		s.Pre += int64(len(a.keys) * (len(a.keys) - 1) / 2)
@@ -249,8 +275,13 @@ func (s *Scratch) compare(a, b *block, tri bool) {
 		if q >= hi {
 			continue
 		}
-		for _, i := range within(a.sk[p*stride:][:stride], b.sk[q*stride:hi*stride], maxHam, s.hits[:0]) {
-			s.Candidate(uint32(ka), uint32(b.keys[q+int(i)]))
+		row := a.sk[p*stride:][:stride]
+		for _, i := range within(row, b.sk[q*stride:hi*stride], maxHam, s.hits[:0]) {
+			j := q + int(i)
+			if s.p.prefix != nil && !s.p.sequential(row, b.sk[j*stride:]) {
+				continue
+			}
+			s.candidate(uint32(ka), uint32(b.keys[j]))
 		}
 	}
 }

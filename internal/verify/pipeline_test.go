@@ -1,12 +1,15 @@
 package verify
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"repro/internal/intset"
 	"repro/internal/sketch"
 )
 
@@ -55,6 +58,94 @@ func testNearMatchesHamming(t *testing.T) {
 			if got := s.Near(ids, center, bound, nil); !slices.Equal(got, want) {
 				t.Errorf("W=%d bound %d: Near returns %d ids, %d are fewer bits away, or not the same ones", words, bound, len(got), len(want))
 			}
+		}
+	}
+}
+
+// TestSequentialTestMatchesPerPairReference runs BruteForcePairs with the
+// sequential test over more points than one tile, at sketch widths padded
+// to one and to two 8-word blocks, and requires exactly the pairs a
+// per-pair reference picks: the size window, then the bound of every
+// prefix. Set i is {0, …, size-1}, so a pair inside the size window
+// verifies and the result set is the candidate set. A third of the points
+// put extra flips in their first word, and the bounds are tight there, so
+// some pairs within the last bound fail a shorter prefix: the test is more
+// than within. On the loop picked at start-up, then on withinGo if that was
+// another.
+func TestSequentialTestMatchesPerPairReference(t *testing.T) {
+	testSequentialTest(t)
+	WithGoKernel(func() { t.Run("go", testSequentialTest) })
+}
+
+func testSequentialTest(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n, lambda = 2*blockRows + 7, 0.5
+	for _, words := range []int{1, 3, 8, 16} {
+		sets := make([][]uint32, n)
+		for i := range sets {
+			sets[i] = make([]uint32, 1+rng.Intn(40))
+			for v := range sets[i] {
+				sets[i][v] = uint32(v)
+			}
+		}
+		center := randomWords(rng, words)
+		sketches := make([]uint64, 0, n*words)
+		for range n {
+			sk := slices.Clone(center)
+			for _, bit := range rng.Perm(64 * words)[:rng.Intn(16*words+1)] {
+				sk[bit/64] ^= 1 << (bit % 64)
+			}
+			if rng.Intn(3) == 0 {
+				for _, bit := range rng.Perm(64)[:8+rng.Intn(16)] {
+					sk[0] ^= 1 << bit
+				}
+			}
+			sketches = append(sketches, sk...)
+		}
+		bounds := make([]int, words)
+		for w := range bounds {
+			bounds[w] = 6 + 10*w + rng.Intn(3)
+		}
+		if words > 1 {
+			bounds[words-1] = 16 * words
+		}
+
+		var want []Pair
+		prefixOnly := 0
+		for a := range n {
+			for b := a + 1; b < n; b++ {
+				if lo, hi := intset.SizeWindow(len(sets[a]), lambda); len(sets[b]) < lo || len(sets[b]) > hi {
+					continue
+				}
+				ok, d := true, 0
+				for w := range words {
+					d += bits.OnesCount64(sketches[a*words+w] ^ sketches[b*words+w])
+					ok = ok && d <= bounds[w]
+				}
+				if ok {
+					want = append(want, Pair{uint32(a), uint32(b)})
+				} else if d <= bounds[words-1] {
+					prefixOnly++
+				}
+			}
+		}
+		if words > 1 && prefixOnly == 0 {
+			t.Fatalf("W=%d: no pair within the last bound fails a shorter prefix", words)
+		}
+
+		p := NewPipeline(sets, lambda, 1)
+		p.UseSequentialTest(words, sketches, bounds)
+		s := p.NewScratches(1)
+		ids := make([]uint32, n)
+		for i := range ids {
+			ids[i] = uint32(i)
+		}
+		s[0].BruteForcePairs(ids)
+		got := p.Res.Pairs()
+		slices.SortFunc(got, func(x, y Pair) int { return cmp.Compare(x.Key(), y.Key()) })
+		if c := p.Counters(s); !slices.Equal(got, want) || c.Candidates != int64(len(want)) {
+			t.Errorf("W=%d: %d results from %d candidates, the reference picks %d pairs, or not the same ones",
+				words, len(got), c.Candidates, len(want))
 		}
 	}
 }

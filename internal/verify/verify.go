@@ -1,6 +1,7 @@
 // Package verify is what every join ends in: exact similarity verification
 // with early termination (Verifier), the brute-force candidate pipeline the
-// approximate joins share (Pipeline: size filter, sketch filter, dedup,
+// approximate joins share (Pipeline: size filter, sketch filter — or
+// BayesLSH-lite's sequential sketch test, a refinement of it — dedup,
 // verification — BRUTEFORCEPAIRS of the paper's Algorithms 2 and 3), the one
 // result set (ResultSet, lock-striped, the same type at every worker count),
 // recall tracking against a known ground truth (RecallTracker), and the

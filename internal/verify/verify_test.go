@@ -55,6 +55,9 @@ func TestVerifyMatchesDirectJaccard(t *testing.T) {
 	}
 }
 
+// TestSizeCompatible runs pairs of sets of the given sizes through the
+// kernel with sketches off: the pair is a candidate exactly when the size
+// filter passes it.
 func TestSizeCompatible(t *testing.T) {
 	for _, c := range []struct {
 		lambda float64
@@ -72,8 +75,10 @@ func TestSizeCompatible(t *testing.T) {
 		{0.9, 70, 62, false},
 	} {
 		p := NewPipeline([][]uint32{make([]uint32, c.la), make([]uint32, c.lb)}, c.lambda, 1)
-		if got := p.SizeCompatible(0, 1); got != c.want {
-			t.Errorf("SizeCompatible(%d, %d) at %v = %v, want %v", c.la, c.lb, c.lambda, got, c.want)
+		s := p.NewScratches(1)
+		s[0].BruteForcePairs([]uint32{0, 1})
+		if got := p.Counters(s).Candidates == 1; got != c.want {
+			t.Errorf("sizes %d and %d at %v: candidate %v, want %v", c.la, c.lb, c.lambda, got, c.want)
 		}
 	}
 }
