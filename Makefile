@@ -88,11 +88,14 @@ test-benchmark:
 # at the same bucket on every one-worker run: non-test internal/lshjoin
 # keeps no buckets in a map[uint64][]uint32, whose iteration order Go
 # randomises. BayesLSH-lite is that join at k = 1 with a sequential sketch
-# test: its buckets are lshjoin's (no map in non-test internal/bayeslsh),
+# test, lshjoin.BayesJoin: internal/bayeslsh stays deleted and unimported,
 # its pairs go through the one kernel (SizeCompatible, the per-pair size
 # test, stays deleted), and its test is a refinement of that kernel's sketch
-# filter (NewPruner and Survives( stay out of non-test Go). Sketch popcounts
-# have one home: bits.OnesCount64 appears in non-test Go only in
+# filter (NewPruner and Survives( stay out of non-test Go). Every join that
+# ends in verify.Pipeline repeats on verify.Repeat, the one repetition loop
+# and stop rule: non-test internal/core/cpsjoin.go and internal/lshjoin build
+# no scratches (NewScratches) and queue no roots (exec.Run) of their own.
+# Sketch popcounts have one home: bits.OnesCount64 appears in non-test Go only in
 # internal/verify (within and the sequential test), internal/sketch
 # (Hamming) and internal/intset (the bitmap's count).
 surface:
@@ -118,7 +121,8 @@ surface:
 	@out=$$(grep -rn 'JaccardOverlapBound' --include='*.go' .; grep -rnE 'Ceil\((2 \* )?lambda' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/intset/'); if [ -n "$$out" ]; then echo "a threshold bound outside internal/intset (take MinOverlap, MinShare or SizeWindow):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -nE 'func (Print|CSV)[A-Z]|Fig2FromTable2' internal/bench/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a per-format printer in internal/bench (a row's header and cells print both formats through Table.Write):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'map\[uint64\]\[\]uint32' internal/lshjoin/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "MinHash buckets in a map (its iteration order moves the recall-stop point; keep them in a slice):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -n 'map\[' internal/bayeslsh/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a bucket map in internal/bayeslsh (its buckets are lshjoin's):"; echo "$$out"; exit 1; fi
+	@out=$$(ls -d internal/bayeslsh 2>/dev/null; grep -rn '"repro/internal/bayeslsh"' --include='*.go' .); if [ -n "$$out" ]; then echo "internal/bayeslsh is back (BayesLSH-lite is lshjoin.BayesJoin):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -nE 'NewScratches\(|exec\.Run\(' internal/core/cpsjoin.go internal/lshjoin/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second repetition loop (the Pipeline joins repeat on verify.Repeat):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'SizeCompatible|NewPruner|Survives\(' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a per-pair filter beside the kernel (the size window and the sequential test run in verify.Pipeline):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'bits\.OnesCount64' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./internal/(verify|sketch|intset)/'); if [ -n "$$out" ]; then echo "a popcount outside internal/verify, internal/sketch and internal/intset (sketch distances are within's or sketch.Hamming's):"; echo "$$out"; exit 1; fi
 	@deps=$$($(GO) list -deps ./cmd/experiments) || exit 1; out=$$(echo "$$deps" | grep -xE 'repro/internal/(shard|cpindex|contain|metrics)|net/http|testing'); if [ -n "$$out" ]; then echo "cmd/experiments links the serving stack:"; echo "$$out"; exit 1; fi

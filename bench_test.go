@@ -21,7 +21,6 @@ import (
 	"testing"
 
 	"repro/internal/allpairs"
-	"repro/internal/bayeslsh"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/lshjoin"
@@ -192,7 +191,7 @@ func BenchmarkBayesLSH(b *testing.B) {
 	ix := core.Preprocess(w.Sets, &core.Options{Seed: 42})
 	b.Run("bayeslsh", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			bayeslsh.JoinIndexed(ix, 0.5, &bayeslsh.Options{Seed: 42})
+			lshjoin.BayesJoinIndexed(ix, 0.5, &lshjoin.Options{Seed: 42})
 		}
 	})
 	b.Run("cpsjoin", func(b *testing.B) {

@@ -1,7 +1,6 @@
 package ssjoin
 
 import (
-	"repro/internal/bayeslsh"
 	"repro/internal/core"
 	"repro/internal/lshjoin"
 	"repro/internal/prep"
@@ -66,6 +65,6 @@ func (ix *Index) MinHashJoin(lambda float64, opts *Options) ([]Pair, Stats) {
 
 // BayesLSHJoin runs the BayesLSH-lite join against the index.
 func (ix *Index) BayesLSHJoin(lambda float64, opts *Options) ([]Pair, Stats) {
-	pairs, c := bayeslsh.JoinIndexed(ix.ix, lambda, opts.bayes())
+	pairs, c := lshjoin.BayesJoinIndexed(ix.ix, lambda, opts.lsh())
 	return fromPairs(pairs), fromCounters(c)
 }

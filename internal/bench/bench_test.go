@@ -1,9 +1,13 @@
 package bench
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/lshjoin"
 )
 
 // tinyScale keeps harness tests fast while exercising every code path.
@@ -82,16 +86,23 @@ func TestRunTable2Small(t *testing.T) {
 	if len(cells) != 4 {
 		t.Fatalf("got %d cells", len(cells))
 	}
-	for _, c := range cells {
-		if c.CPRecall < cfg.TargetRecall-1e-9 && c.Results > 0 {
-			t.Errorf("%s λ=%v: CP recall %v below target", c.Dataset, c.Threshold, c.CPRecall)
+	for i, c := range cells {
+		if c.CP.Recall < cfg.TargetRecall-1e-9 && c.Results > 0 {
+			t.Errorf("%s λ=%v: CP recall %v below target", c.Dataset, c.Threshold, c.CP.Recall)
 		}
+		what := fmt.Sprintf("%s λ=%v", c.Dataset, c.Threshold)
+		checkApprox(t, what+" cp", c.CP, cfg.TargetRecall, 4*10)
+		// MinHash LSH picks its k, and so its default count min(L, maxL),
+		// from the data: the count it runs without a target is the one.
+		ix := core.Preprocess(ws[i/2].Sets, &core.Options{Seed: cfg.Seed, Workers: cfg.Workers})
+		_, d := lshjoin.JoinIndexed(ix, c.Threshold, &lshjoin.Options{Seed: cfg.Seed, Workers: cfg.Workers, TargetRecall: cfg.TargetRecall})
+		checkApprox(t, what+" mh", c.MH, cfg.TargetRecall, 4*int(d.Repetitions))
 		if c.Results == 0 {
 			t.Errorf("%s λ=%v: empty exact result; workload has no join mass", c.Dataset, c.Threshold)
 		}
 	}
 	out := render(t, TableOf(cells), false)
-	for _, col := range []string{"TOKENS10K", "cp_recall", "mh_recall", "speedup"} {
+	for _, col := range []string{"TOKENS10K", "cp_recall", "mh_recall", "cp_reps", "mh_reps", "speedup"} {
 		if !strings.Contains(out, col) {
 			t.Errorf("Table 2 output missing %s:\n%s", col, out)
 		}
@@ -115,6 +126,7 @@ func TestRunFig3(t *testing.T) {
 			if p.Relative == 1.0 {
 				hasIndex = true
 			}
+			checkApprox(t, fmt.Sprintf("%s=%v", param, p.Value), p.Approx, cfg.TargetRecall, 4*10)
 		}
 		if !hasIndex {
 			t.Errorf("%s sweep has no index point with relative time 1.0", param)
@@ -154,15 +166,19 @@ func TestRunAblation(t *testing.T) {
 		if r.Recall < 0.5 {
 			t.Errorf("%s/%s recall %v suspiciously low", r.Dataset, r.Strategy, r.Recall)
 		}
+		checkApprox(t, r.Strategy, r.Approx, DefaultConfig().TargetRecall, 4*10)
 	}
 	if !strings.Contains(render(t, TableOf(rows), false), "adaptive") {
 		t.Error("ablation output missing adaptive row")
 	}
 }
 
-// TestRunBayes: every row reports both methods' recall against the exact
-// result, CPSJoin's at least the recall it was stopped at, and the table
-// prints both columns.
+// TestRunBayes: both methods run to the same target recall, so every row
+// reports each one's recall at or above the target, or marks its
+// repetitions as stopped at the cap below it, and the table prints the
+// recall and repetition columns of both. On UNIFORM005 both reach the
+// target; at one no join can reach, every cell runs to its cap and is
+// marked.
 func TestRunBayes(t *testing.T) {
 	ws := []Workload{mustWorkload(t, "UNIFORM005")}
 	cfg := DefaultConfig()
@@ -171,18 +187,45 @@ func TestRunBayes(t *testing.T) {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	for _, r := range rows {
-		if r.CPRecall < cfg.TargetRecall-1e-9 || r.CPRecall > 1 {
-			t.Errorf("λ=%v: cp_recall %v, stopped at %v", r.Threshold, r.CPRecall, cfg.TargetRecall)
-		}
-		if r.BayesRecall < 0.5 || r.BayesRecall > 1 {
-			t.Errorf("λ=%v: bayes_recall %v suspiciously low", r.Threshold, r.BayesRecall)
+		checkBayesRow(t, r, cfg.TargetRecall)
+		if r.Bayes.Recall < cfg.TargetRecall || r.CP.Recall < cfg.TargetRecall {
+			t.Errorf("λ=%v: bayes_recall %v, cp_recall %v, target %v", r.Threshold, r.Bayes.Recall, r.CP.Recall, cfg.TargetRecall)
 		}
 	}
 	out := render(t, TableOf(rows), false)
-	for _, s := range []string{"UNIFORM005", "bayes_recall", "cp_recall"} {
+	for _, s := range []string{"UNIFORM005", "bayes_recall", "cp_recall", "bayes_reps", "cp_reps"} {
 		if !strings.Contains(out, s) {
 			t.Errorf("bayes output missing %q", s)
 		}
+	}
+
+	cfg.TargetRecall = 1.01
+	for _, r := range RunBayes(ws, cfg, io.Discard) {
+		checkBayesRow(t, r, cfg.TargetRecall)
+		if !strings.HasSuffix(r.Bayes.reps(), "*") || !strings.HasSuffix(r.CP.reps(), "*") {
+			t.Errorf("λ=%v: unreachable target, cells %q and %q unmarked", r.Threshold, r.Bayes.reps(), r.CP.reps())
+		}
+	}
+}
+
+// checkBayesRow checks both of a bayes row's measurements against their
+// caps: 4× BayesLSH-lite's L and 4× CPSJoin's 10 repetitions.
+func checkBayesRow(t *testing.T, r BayesRow, target float64) {
+	t.Helper()
+	checkApprox(t, fmt.Sprintf("λ=%v bayes", r.Threshold), r.Bayes, target, 4*lshjoin.Repetitions(r.Threshold, 1, 0.95))
+	checkApprox(t, fmt.Sprintf("λ=%v cp", r.Threshold), r.CP, target, 4*10)
+}
+
+// checkApprox fails the test unless a ran between one repetition and its
+// cap and its cell is marked only if the join stopped at the cap below the
+// target, which is what the marker tells the reader.
+func checkApprox(t *testing.T, what string, a Approx, target float64, cap int) {
+	t.Helper()
+	if a.Reps < 1 || a.Reps > int64(cap) || a.Recall > 1 {
+		t.Errorf("%s: %d repetitions (cap %d), recall %v", what, a.Reps, cap, a.Recall)
+	}
+	if strings.HasSuffix(a.reps(), "*") && (a.Reps != int64(cap) || a.Recall >= target) {
+		t.Errorf("%s: cell %q marked at recall %v, target %v, cap %d", what, a.reps(), a.Recall, target, cap)
 	}
 }
 

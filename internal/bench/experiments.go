@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"repro/internal/allpairs"
-	"repro/internal/bayeslsh"
 	"repro/internal/core"
 	"repro/internal/lshjoin"
+	"repro/internal/prep"
 	"repro/internal/stats"
 	"repro/internal/verify"
 )
@@ -24,8 +24,8 @@ type Config struct {
 	// scale).
 	Runs int
 	// TargetRecall is the recall at which the approximate methods stop
-	// (0.9 in Table II, 0.8 in Figure 3), unless their own repetition cap
-	// stops them first.
+	// (0.9 in Table II, 0.8 in Figure 3), unless the repetition cap of
+	// verify.Repeat, 4× their default count, stops them first.
 	TargetRecall float64
 	// Seed drives the randomized algorithms.
 	Seed uint64
@@ -38,6 +38,44 @@ type Config struct {
 // DefaultConfig mirrors the paper's experimental setup at one run per cell.
 func DefaultConfig() Config {
 	return Config{Runs: 1, TargetRecall: 0.9, Seed: 42}
+}
+
+// Approx is one approximate join's measurement under the Section VI-2
+// protocol: its time, the recall it reached against the exact result and
+// how many repetitions it ran. A join stops early only at the target, so
+// Below, a recall under it, means it ran to its cap (verify.Repeat); its
+// repetitions then print with a trailing "*".
+type Approx struct {
+	Time   time.Duration
+	Recall float64
+	Reps   int64
+	Below  bool
+}
+
+// reps is the repetitions cell: the count, marked if the join ran out of
+// repetitions below the target.
+func (a Approx) reps() string {
+	if a.Below {
+		return itoa(a.Reps) + "*"
+	}
+	return itoa(a.Reps)
+}
+
+// approx times join, which runs to cfg's target against truth, and measures
+// its last run.
+func approx(cfg Config, truth []verify.Pair, join func() ([]verify.Pair, verify.Counters)) Approx {
+	var pairs []verify.Pair
+	var c verify.Counters
+	a := Approx{Time: timed(cfg.Runs, func() { pairs, c = join() })}
+	a.Recall, a.Reps = stats.Recall(pairs, truth), c.Repetitions
+	a.Below = a.Recall < cfg.TargetRecall
+	return a
+}
+
+// runCPS measures CPSJoin on ix to cfg's target recall against truth.
+func runCPS(ix *prep.Index, lambda float64, cfg Config, truth []verify.Pair) Approx {
+	opt := &core.Options{Seed: cfg.Seed, Workers: cfg.Workers, GroundTruth: truth, StopAtRecall: cfg.TargetRecall}
+	return approx(cfg, truth, func() ([]verify.Pair, verify.Counters) { return core.JoinIndexed(ix, lambda, opt) })
 }
 
 func timed(runs int, f func()) time.Duration {
@@ -92,11 +130,9 @@ func RunTable1(workloads []Workload) []Table1Row {
 type Table2Cell struct {
 	Dataset   string
 	Threshold float64
-	// Join times; the approximate methods stop at the target recall or at
-	// their repetition cap, whichever comes first.
-	CP, MH, ALL time.Duration
-	// Recall the approximate methods reached (ALL is exact).
-	CPRecall, MHRecall float64
+	// The approximate methods, each run to the target recall or its cap.
+	CP, MH Approx
+	ALL    time.Duration
 	// Result-set size of the exact join.
 	Results int
 }
@@ -104,28 +140,28 @@ type Table2Cell struct {
 func (Table2Cell) header() []string {
 	return []string{
 		"dataset", "threshold", "cp_seconds", "mh_seconds", "all_seconds",
-		"cp_recall", "mh_recall", "results", "speedup",
+		"cp_recall", "mh_recall", "cp_reps", "mh_reps", "results", "speedup",
 	}
 }
 
 func (c Table2Cell) cells() []string {
 	return []string{
 		c.Dataset, ftoa(c.Threshold),
-		ftoa(c.CP.Seconds()), ftoa(c.MH.Seconds()), ftoa(c.ALL.Seconds()),
-		ftoa(c.CPRecall), ftoa(c.MHRecall), itoa(int64(c.Results)),
-		ftoa(c.ALL.Seconds() / c.CP.Seconds()),
+		ftoa(c.CP.Time.Seconds()), ftoa(c.MH.Time.Seconds()), ftoa(c.ALL.Seconds()),
+		ftoa(c.CP.Recall), ftoa(c.MH.Recall), c.CP.reps(), c.MH.reps(), itoa(int64(c.Results)),
+		ftoa(c.ALL.Seconds() / c.CP.Time.Seconds()),
 	}
 }
 
 // RunTable2 measures join time for CPSJOIN, MINHASH and ALLPAIRS on every
 // workload and threshold — the experiment behind Table II and Figure 2.
-// Following Section VI-2, each approximate method stops repeating once its
-// recall against the exact result reaches cfg.TargetRecall, or at its own
-// cap (CPSJoin's Repetitions; MinHash LSH's L, derived from its per-pair
-// recall ϕ), whichever comes first; the cell reports the recall reached,
-// which may be below the target. Preprocessing (signatures, sketches) is
-// done once per workload and not counted towards join time, as in the
-// paper.
+// Following Section VI-2, each approximate method repeats until its recall
+// against the exact result reaches cfg.TargetRecall, or until 4× its
+// default repetition count (CPSJoin's Repetitions; MinHash LSH's L, derived
+// from its per-pair recall ϕ), the one stop rule of verify.Repeat; the cell
+// reports the recall reached and the repetitions run, marked where the cap
+// stopped a method below the target. Preprocessing (signatures, sketches) is
+// done once per workload and not counted towards join time, as in the paper.
 func RunTable2(workloads []Workload, thresholds []float64, cfg Config, progress io.Writer) []Table2Cell {
 	var cells []Table2Cell
 	for _, w := range workloads {
@@ -139,30 +175,11 @@ func RunTable2(workloads []Workload, thresholds []float64, cfg Config, progress 
 			})
 			cell.Results = len(truth)
 
-			var cpPairs []verify.Pair
-			cpOpts := &core.Options{
-				Seed:         cfg.Seed,
-				Workers:      cfg.Workers,
-				GroundTruth:  truth,
-				StopAtRecall: cfg.TargetRecall,
-			}
-			cell.CP = timed(cfg.Runs, func() {
-				cpPairs, _ = core.JoinIndexed(ix, lambda, cpOpts)
+			cell.CP = runCPS(ix, lambda, cfg, truth)
+			mhOpts := &lshjoin.Options{Seed: cfg.Seed, Workers: cfg.Workers, TargetRecall: cfg.TargetRecall, GroundTruth: truth, StopAtRecall: cfg.TargetRecall}
+			cell.MH = approx(cfg, truth, func() ([]verify.Pair, verify.Counters) {
+				return lshjoin.JoinIndexed(ix, lambda, mhOpts)
 			})
-			cell.CPRecall = stats.Recall(cpPairs, truth)
-
-			var mhPairs []verify.Pair
-			mhOpts := &lshjoin.Options{
-				Seed:         cfg.Seed,
-				Workers:      cfg.Workers,
-				TargetRecall: cfg.TargetRecall,
-				GroundTruth:  truth,
-				StopAtRecall: cfg.TargetRecall,
-			}
-			cell.MH = timed(cfg.Runs, func() {
-				mhPairs, _ = lshjoin.JoinIndexed(ix, lambda, mhOpts)
-			})
-			cell.MHRecall = stats.Recall(mhPairs, truth)
 
 			report(progress, "table2", cell)
 			cells = append(cells, cell)
@@ -172,23 +189,25 @@ func RunTable2(workloads []Workload, thresholds []float64, cfg Config, progress 
 }
 
 // Fig3Point is one point of Figure 3: join time as a function of one
-// CPSJoin parameter, with the others at their final settings.
+// CPSJoin parameter, with the others at their final settings. Its
+// repetitions cell is marked where the join ran to its cap below the
+// target, so that its time is not one at the target recall.
 type Fig3Point struct {
 	Dataset string
 	Param   string
 	Value   float64
-	Time    time.Duration
+	Approx
 	// Relative is the time divided by the time at the index setting
 	// (limit=250, ε=0.1, ℓ=8), matching the y-axis of Figure 3.
 	Relative float64
 }
 
 func (Fig3Point) header() []string {
-	return []string{"dataset", "param", "value", "seconds", "relative"}
+	return []string{"dataset", "param", "value", "seconds", "relative", "reps"}
 }
 
 func (p Fig3Point) cells() []string {
-	return []string{p.Dataset, p.Param, ftoa(p.Value), ftoa(p.Time.Seconds()), ftoa(p.Relative)}
+	return []string{p.Dataset, p.Param, ftoa(p.Value), ftoa(p.Time.Seconds()), ftoa(p.Relative), p.reps()}
 }
 
 // Fig3Sweeps mirror the parameter values of Figure 3.
@@ -202,21 +221,20 @@ var (
 // each workload at λ=0.5 and >= 80% recall, as in Section VI-B.
 func RunFig3(workloads []Workload, param string, cfg Config, progress io.Writer) ([]Fig3Point, error) {
 	const lambda = 0.5
-	target := cfg.TargetRecall
-	if target <= 0 || target > 0.9 {
-		target = 0.8
+	if cfg.TargetRecall <= 0 || cfg.TargetRecall > 0.9 {
+		cfg.TargetRecall = 0.8
 	}
 	var out []Fig3Point
 	for _, w := range workloads {
 		truth, _ := allpairs.JoinWorkers(w.Sets, lambda, cfg.Workers)
-		base := core.Options{Seed: cfg.Seed, Workers: cfg.Workers, GroundTruth: truth, StopAtRecall: target}
+		base := core.Options{Seed: cfg.Seed, Workers: cfg.Workers, GroundTruth: truth, StopAtRecall: cfg.TargetRecall}
 
 		// Preprocess outside the timed section; the words sweep needs a
 		// fresh index per point, the others share one.
-		run := func(opt core.Options) time.Duration {
+		run := func(opt core.Options) Approx {
 			ix := core.Preprocess(w.Sets, &opt)
-			return timed(cfg.Runs, func() {
-				core.JoinIndexed(ix, lambda, &opt)
+			return approx(cfg, truth, func() ([]verify.Pair, verify.Counters) {
+				return core.JoinIndexed(ix, lambda, &opt)
 			})
 		}
 
@@ -253,22 +271,22 @@ func RunFig3(workloads []Workload, param string, cfg Config, progress io.Writer)
 			return nil, fmt.Errorf("bench: unknown Fig3 parameter %q", param)
 		}
 
-		times := make([]time.Duration, len(values))
+		runs := make([]Approx, len(values))
 		var indexTime time.Duration
 		for i := range values {
-			times[i] = run(opts[i])
+			runs[i] = run(opts[i])
 			if values[i] == indexValue {
-				indexTime = times[i]
+				indexTime = runs[i].Time
 			}
 		}
 		for i := range values {
 			rel := 0.0
 			if indexTime > 0 {
-				rel = times[i].Seconds() / indexTime.Seconds()
+				rel = runs[i].Time.Seconds() / indexTime.Seconds()
 			}
 			p := Fig3Point{
 				Dataset: w.Name, Param: param, Value: values[i],
-				Time: times[i], Relative: rel,
+				Approx: runs[i], Relative: rel,
 			}
 			report(progress, "fig3", p)
 			out = append(out, p)
@@ -329,14 +347,15 @@ func RunTable4(workloads []Workload, cfg Config, progress io.Writer) []Table4Row
 type AblationRow struct {
 	Dataset  string
 	Strategy string
-	Time     time.Duration
-	Recall   float64
+	Approx
 }
 
-func (AblationRow) header() []string { return []string{"dataset", "strategy", "seconds", "recall"} }
+func (AblationRow) header() []string {
+	return []string{"dataset", "strategy", "seconds", "recall", "reps"}
+}
 
 func (r AblationRow) cells() []string {
-	return []string{r.Dataset, r.Strategy, ftoa(r.Time.Seconds()), ftoa(r.Recall)}
+	return []string{r.Dataset, r.Strategy, ftoa(r.Time.Seconds()), ftoa(r.Recall), r.reps()}
 }
 
 // RunAblation measures adaptive vs global vs individual stopping at λ=0.5.
@@ -359,14 +378,10 @@ func RunAblation(workloads []Workload, cfg Config, progress io.Writer) []Ablatio
 				Seed: cfg.Seed, Workers: cfg.Workers, Stopping: s.stop,
 				GroundTruth: truth, StopAtRecall: cfg.TargetRecall,
 			}
-			var pairs []verify.Pair
-			d := timed(cfg.Runs, func() {
-				pairs, _ = core.JoinIndexed(ix, lambda, opt)
+			r := AblationRow{Dataset: w.Name, Strategy: s.name}
+			r.Approx = approx(cfg, truth, func() ([]verify.Pair, verify.Counters) {
+				return core.JoinIndexed(ix, lambda, opt)
 			})
-			r := AblationRow{
-				Dataset: w.Name, Strategy: s.name, Time: d,
-				Recall: stats.Recall(pairs, truth),
-			}
 			report(progress, "ablation", r)
 			rows = append(rows, r)
 		}
@@ -384,14 +399,15 @@ type TheoryRow struct {
 	DepthBound   float64 // log(n)/ε reference value
 	PeakLiveMass int64
 	NodeMass     int64
-	Points       int64 // adaptive removals
+	Points       int64 // adaptive removals (BRUTEFORCEPOINT)
+	PairNodes    int64 // nodes finished by BRUTEFORCEPAIRS
 	Nodes        int64
 }
 
 func (TheoryRow) header() []string {
 	return []string{
 		"dataset", "n", "max_depth", "depth_bound", "peak_live_mass",
-		"node_mass", "bruteforced_points", "nodes", "peak_per_n",
+		"node_mass", "bruteforced_points", "bruteforced_nodes", "nodes", "peak_per_n",
 	}
 }
 
@@ -400,7 +416,7 @@ func (TheoryRow) header() []string {
 func (r TheoryRow) cells() []string {
 	return []string{
 		r.Dataset, itoa(int64(r.N)), itoa(int64(r.MaxDepth)), ftoa(r.DepthBound),
-		itoa(r.PeakLiveMass), itoa(r.NodeMass), itoa(r.Points), itoa(r.Nodes),
+		itoa(r.PeakLiveMass), itoa(r.NodeMass), itoa(r.Points), itoa(r.PairNodes), itoa(r.Nodes),
 		ftoa(float64(r.PeakLiveMass) / float64(r.N)),
 	}
 }
@@ -420,6 +436,7 @@ func RunTheory(workloads []Workload, cfg Config, progress io.Writer) []TheoryRow
 			PeakLiveMass: m.PeakLiveMass,
 			NodeMass:     m.NodeMass,
 			Points:       m.BruteForcedPoints,
+			PairNodes:    m.BruteForcedNodes,
 			Nodes:        m.Nodes,
 		}
 		report(progress, "theory", r)
@@ -428,52 +445,43 @@ func RunTheory(workloads []Workload, cfg Config, progress io.Writer) []TheoryRow
 	return rows
 }
 
-// BayesRow compares BayesLSH-lite against the other methods on one
-// workload (Section VI-A.2 reports it uniformly slower). CPSJoin stops at
-// the configured recall and BayesLSH-lite runs to its own, so the row shows
-// both recalls beside the two times.
+// BayesRow compares BayesLSH-lite against CPSJoin on one workload
+// (Section VI-A.2 reports it uniformly slower), both run to the same target
+// recall under the same stop rule.
 type BayesRow struct {
-	Dataset     string
-	Threshold   float64
-	Bayes       time.Duration
-	CP          time.Duration
-	BayesRecall float64
-	CPRecall    float64
+	Dataset   string
+	Threshold float64
+	Bayes, CP Approx
 }
 
 func (BayesRow) header() []string {
-	return []string{"dataset", "threshold", "bayes_seconds", "cp_seconds", "bayes_recall", "cp_recall"}
+	return []string{
+		"dataset", "threshold", "bayes_seconds", "cp_seconds",
+		"bayes_recall", "cp_recall", "bayes_reps", "cp_reps",
+	}
 }
 
 func (r BayesRow) cells() []string {
 	return []string{
-		r.Dataset, ftoa(r.Threshold), ftoa(r.Bayes.Seconds()), ftoa(r.CP.Seconds()),
-		ftoa(r.BayesRecall), ftoa(r.CPRecall),
+		r.Dataset, ftoa(r.Threshold), ftoa(r.Bayes.Time.Seconds()), ftoa(r.CP.Time.Seconds()),
+		ftoa(r.Bayes.Recall), ftoa(r.CP.Recall), r.Bayes.reps(), r.CP.reps(),
 	}
 }
 
-// RunBayes measures BayesLSH-lite against CPSJoin.
+// RunBayes measures BayesLSH-lite against CPSJoin, each to cfg's target
+// recall or its repetition cap.
 func RunBayes(workloads []Workload, cfg Config, progress io.Writer) []BayesRow {
 	var rows []BayesRow
 	for _, w := range workloads {
 		ix := core.Preprocess(w.Sets, &core.Options{Seed: cfg.Seed, Workers: cfg.Workers})
 		for _, lambda := range []float64{0.5, 0.7} {
 			truth, _ := allpairs.JoinWorkers(w.Sets, lambda, cfg.Workers)
-			var bp, cp []verify.Pair
-			bTime := timed(cfg.Runs, func() {
-				bp, _ = bayeslsh.JoinIndexed(ix, lambda, &bayeslsh.Options{Seed: cfg.Seed, Workers: cfg.Workers})
+			opt := &lshjoin.Options{Seed: cfg.Seed, Workers: cfg.Workers, GroundTruth: truth, StopAtRecall: cfg.TargetRecall}
+			r := BayesRow{Dataset: w.Name, Threshold: lambda}
+			r.Bayes = approx(cfg, truth, func() ([]verify.Pair, verify.Counters) {
+				return lshjoin.BayesJoinIndexed(ix, lambda, opt)
 			})
-			cpTime := timed(cfg.Runs, func() {
-				cp, _ = core.JoinIndexed(ix, lambda, &core.Options{
-					Seed: cfg.Seed, Workers: cfg.Workers,
-					GroundTruth: truth, StopAtRecall: cfg.TargetRecall,
-				})
-			})
-			r := BayesRow{
-				Dataset: w.Name, Threshold: lambda,
-				Bayes: bTime, CP: cpTime,
-				BayesRecall: stats.Recall(bp, truth), CPRecall: stats.Recall(cp, truth),
-			}
+			r.CP = runCPS(ix, lambda, cfg, truth)
 			report(progress, "bayes", r)
 			rows = append(rows, r)
 		}

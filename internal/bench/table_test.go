@@ -39,12 +39,15 @@ func TestCSVTable1(t *testing.T) {
 func TestCSVTable2(t *testing.T) {
 	tab := TableOf([]Table2Cell{{
 		Dataset: "Y", Threshold: 0.5,
-		CP: 100 * time.Millisecond, MH: time.Second, ALL: 2 * time.Second,
-		CPRecall: 0.95, MHRecall: 0.91, Results: 42,
+		CP:  Approx{Time: 100 * time.Millisecond, Recall: 0.95, Reps: 12},
+		MH:  Approx{Time: time.Second, Recall: 0.81, Reps: 40, Below: true},
+		ALL: 2 * time.Second, Results: 42,
 	}})
 	rows := parseCSV(t, render(t, tab, true))
-	// The last column is Figure 2's speedup, ALL/CP.
-	if len(rows) != 2 || rows[1][2] != "0.1" || rows[1][7] != "42" || rows[0][8] != "speedup" || rows[1][8] != "20" {
+	// A method that ran to its cap below the target is marked; the last
+	// column is Figure 2's speedup, ALL/CP.
+	if len(rows) != 2 || rows[1][2] != "0.1" || rows[1][7] != "12" || rows[1][8] != "40*" ||
+		rows[1][9] != "42" || rows[0][10] != "speedup" || rows[1][10] != "20" {
 		t.Fatalf("rows = %v", rows)
 	}
 }
@@ -55,15 +58,15 @@ func TestCSVTable2(t *testing.T) {
 func TestEveryRowRendersOneTable(t *testing.T) {
 	tables := map[string]Table{
 		"table1": TableOf([]Table1Row{{Dataset: "A", NumSets: 5, AvgSetSize: 2.5, SetsPerToken: 3}}),
-		"table2": TableOf([]Table2Cell{{Dataset: "A", Threshold: 0.5, CP: time.Millisecond, ALL: 3 * time.Millisecond}}),
+		"table2": TableOf([]Table2Cell{{Dataset: "A", Threshold: 0.5, CP: Approx{Time: time.Millisecond}, ALL: 3 * time.Millisecond}}),
 		"fig3":   TableOf([]Fig3Point{{Dataset: "A", Param: "limit", Value: 250, Relative: 1}}),
 		"table4": TableOf([]Table4Row{{Dataset: "A", Threshold: 0.5, Algorithm: "CP", Results: 23}}),
 		"ablation": TableOf([]AblationRow{
-			{Dataset: "A", Strategy: "adaptive", Recall: 0.9},
-			{Dataset: "A", Strategy: "global", Recall: 0.95},
+			{Dataset: "A", Strategy: "adaptive", Approx: Approx{Recall: 0.9, Reps: 10}},
+			{Dataset: "A", Strategy: "global", Approx: Approx{Recall: 0.85, Reps: 40, Below: true}},
 		}),
 		"theory": TableOf([]TheoryRow{{Dataset: "A", N: 5, PeakLiveMass: 9}}),
-		"bayes":  TableOf([]BayesRow{{Dataset: "A", Threshold: 0.5}}),
+		"bayes":  TableOf([]BayesRow{{Dataset: "A", Threshold: 0.5, Bayes: Approx{Reps: 24, Below: true}}}),
 	}
 	for name, tab := range tables {
 		if tab.Header[0] != "dataset" {

@@ -4,7 +4,13 @@
 //
 // CPSJoin solves the (λ, ϕ)-set similarity join: every pair with Jaccard
 // similarity at least λ is reported with probability at least ϕ, at 100%
-// precision. The algorithm recursively splits the collection along sampled
+// precision. The repetitions give the ϕ. With the sketch filter on (the
+// default), a pair's sketches are drawn once per join, so a pair near λ
+// that the filter rejects (probability up to δ) is rejected in every
+// repetition: such a pair is reported with probability about ϕ·(1 − δ),
+// and more repetitions do not lift that ceiling.
+//
+// The algorithm recursively splits the collection along sampled
 // MinHash positions (the Chosen Path Tree), so that the probability of a
 // pair meeting in a subproblem grows with its similarity; an adaptive
 // brute-force rule removes a point from the branching process exactly when
@@ -86,7 +92,8 @@ type Options struct {
 	// Delta is the sketch false-negative probability.
 	Delta float64
 	// Repetitions is the number of independent runs (the paper fixes 10,
-	// which achieved >90% recall on all datasets and thresholds).
+	// which achieved >90% recall on all datasets and thresholds). It is the
+	// count a join runs without a recall target; see GroundTruth.
 	Repetitions int
 	// Seed makes runs reproducible.
 	Seed uint64
@@ -100,11 +107,13 @@ type Options struct {
 	// Stopping selects the stopping strategy (ablation of Section IV-C.5).
 	Stopping Stopping
 	// GroundTruth, when non-nil together with StopAtRecall > 0, enables
-	// the paper's experimental procedure (Section VI-2): the join stops as
-	// soon as recall against the known exact result reaches StopAtRecall.
-	// All workers share one atomic view of the accumulated results
+	// the paper's experimental procedure (Section VI-2): repetitions run
+	// until recall against the known exact result reaches StopAtRecall, or
+	// until 4×Repetitions, the one stop rule of the approximate joins
+	// (verify.Repeat). Counters.Repetitions reports how many ran. All
+	// workers share one atomic view of the accumulated results
 	// (verify.RecallTracker), so the stopping decision is global rather
-	// than per worker. Repetitions remains the upper bound.
+	// than per worker.
 	GroundTruth  []verify.Pair
 	StopAtRecall float64
 	// Metrics, when non-nil, receives recursion statistics (explored tree
@@ -222,8 +231,7 @@ type joiner struct {
 
 	bf *verify.Pipeline // brute force: filters, result set, recall tracker
 
-	workers     int
-	states      []*taskState // one per worker
+	states      []*taskState // one per worker, in worker order
 	spawnCutoff int          // node size above which child subtrees become tasks
 
 	splitProb float64
@@ -255,7 +263,6 @@ func newJoiner(sets [][]uint32, owners []uint8, lambda float64, o *Options, ix *
 		opt:    opt,
 		t:      opt.T,
 	}
-	j.workers = exec.EffectiveWorkers(opt.Workers)
 	// A subtree is one task once its root fits within a few brute-force
 	// limits: large enough to amortize scheduling, small enough that a
 	// single repetition decomposes into many tasks.
@@ -264,7 +271,7 @@ func newJoiner(sets [][]uint32, owners []uint8, lambda float64, o *Options, ix *
 		ix = Preprocess(sets, &opt)
 	}
 	j.sigs = ix.Sigs
-	j.bf = verify.NewPipeline(sets, lambda, j.workers)
+	j.bf = verify.NewPipeline(sets, lambda, exec.EffectiveWorkers(opt.Workers))
 	j.bf.Owners = owners
 	j.bf.Tracker = verify.NewRecallTracker(opt.GroundTruth, opt.StopAtRecall)
 	if opt.SketchWords > 0 {
@@ -319,17 +326,14 @@ func (j *joiner) run() ([]verify.Pair, verify.Counters) {
 	if j.opt.Stopping == StopIndividual {
 		j.computeIndividualDepths()
 	}
-	scratch := j.bf.NewScratches(j.workers)
-	j.states = make([]*taskState, j.workers)
-	for i := range j.states {
-		j.states[i] = &taskState{j: j, bf: scratch[i], nodeSketch: make([]uint64, j.w)}
+	newState := func(s *verify.Scratch) *taskState {
+		ts := &taskState{j: j, bf: s, nodeSketch: make([]uint64, j.w)}
+		j.states = append(j.states, ts)
+		return ts
 	}
-	roots := make([]exec.Task, j.opt.Repetitions)
-	for rep := range roots {
-		seed := repSeed(j.opt.Seed, rep)
-		roots[rep] = func(c *exec.Ctx) { j.states[c.Worker()].recurse(c, j.root, 0, seed) }
-	}
-	exec.Run(j.workers, roots...)
+	pairs, c := verify.Repeat(j.bf, j.opt.Repetitions, newState, func(c *exec.Ctx, ts *taskState, rep int) {
+		ts.recurse(c, j.root, 0, repSeed(j.opt.Seed, rep))
+	})
 	if m := j.opt.Metrics; m != nil {
 		for _, ts := range j.states {
 			w := &ts.m
@@ -341,7 +345,7 @@ func (j *joiner) run() ([]verify.Pair, verify.Counters) {
 			m.BruteForcedNodes += w.BruteForcedNodes
 		}
 	}
-	return j.bf.Res.Pairs(), j.bf.Counters(scratch)
+	return pairs, c
 }
 
 // group is one minhash value met by split and the number of members

@@ -28,7 +28,7 @@ type kernelWorker struct {
 
 func newKernelWorker(shared *verify.Pipeline) *kernelWorker {
 	p := *shared
-	return &kernelWorker{p: &p, s: p.NewScratches(1)[0]}
+	return &kernelWorker{p: &p, s: p.NewScratches()[0]}
 }
 
 // refCheckPair is the per-pair pipeline the block kernel replaced, kept as

@@ -4,16 +4,26 @@
 // finished by the same BRUTEFORCEPAIRS subroutine as CPSJoin's nodes —
 // verify.Pipeline, size filter, 1-bit minwise sketch filter, dedup, exact
 // verification. This package owns the bucketing and the choice of k and L;
-// it has no pair loop of its own. Its repetition loop, Repeat, runs
-// BayesLSH-lite as well (internal/bayeslsh): k = 1, with that method's
-// sequential sketch test in the pipeline.
+// it has no pair loop of its own, and its repetitions run on verify.Repeat,
+// the repetition loop and stop rule of every approximate join.
 //
 // The number of concatenated hash functions k is chosen per dataset and
 // threshold by estimating the combined cost of bucket lookups and bucket
 // pair verification for k in {2, ..., 10}, as sketched by Cohen et al. and
 // described in Section V-B of the paper. The repetition count follows from
-// the target recall: a pair at similarity λ collides with probability λᵏ
-// per repetition, so L = ceil(ln(1/(1-ϕ)) / λᵏ).
+// the target recall ϕ: a pair at similarity λ collides with probability λᵏ
+// per repetition, so L = ceil(ln(1/(1-ϕ)) / λᵏ) buckets it at least once
+// with probability ϕ. The sketch filter then passes a pair near λ with
+// probability about 1 − δ, once for the whole join (a pair's sketches do
+// not change between repetitions), so with it on such a pair is reported
+// with probability about ϕ·(1 − δ): 0.898 was measured at J ∈ [0.50, 0.52)
+// with the defaults. Pairs well above λ keep ϕ.
+//
+// BayesJoin is the paper's third comparator (Section V-D), BayesLSH-lite
+// (Chakrabarti et al., TKDD 2015): the same join at k = 1, with a
+// sequential sketch test in place of the sketch filter. It draws its own
+// bucket positions and reads TargetRecall with its own default; K and Delta
+// do not apply to it.
 package lshjoin
 
 import (
@@ -27,22 +37,29 @@ import (
 	"repro/internal/verify"
 )
 
-// Options configures the MinHash LSH join.
+// Options configures the MinHash LSH join and BayesLSH-lite.
 type Options struct {
 	// K is the number of concatenated MinHash values per bucket key, at
 	// most T (they are distinct positions of the signature). 0 selects K
-	// automatically by cost estimation over {2..10}.
+	// automatically by cost estimation over {2..10}. BayesJoin ignores it:
+	// its k is 1.
 	K int
-	// TargetRecall is the per-pair recall probability ϕ (default 0.9). The
-	// repetition count L follows from it and K, capped at maxL.
+	// TargetRecall is the per-pair recall probability ϕ of candidate
+	// generation (default 0.9; 0.95 for BayesJoin, the BayesLSH package
+	// default). The default repetition count L follows from it and K,
+	// capped at maxL for Join.
 	TargetRecall float64
 	// T is the signature length used as the pool of MinHash values
 	// (default 128, as in the paper's implementation).
 	T int
 	// SketchWords is the 1-bit minwise sketch width in 64-bit words
-	// (default 8). 0 keeps the default; negative disables the filter.
+	// (default 8), used by Join's sketch filter and BayesJoin's sequential
+	// test. 0 keeps the default; negative disables either, and candidates
+	// go straight from the size filter to exact verification.
 	SketchWords int
-	// Delta is the sketch false-negative probability (default 0.05).
+	// Delta is the sketch filter's false-negative probability (default
+	// 0.05). BayesJoin ignores it: its test has a budget of its own
+	// (gamma).
 	Delta float64
 	// Seed makes runs reproducible.
 	Seed uint64
@@ -54,9 +71,11 @@ type Options struct {
 	// counts for a fixed Seed (StopAtRecall excepted: the early-stopping
 	// point depends on scheduling).
 	Workers int
-	// GroundTruth, when non-nil together with StopAtRecall > 0, stops
-	// repetitions as soon as recall against the known exact result reaches
-	// StopAtRecall (the paper's experimental procedure, Section VI-2). All
+	// GroundTruth, when non-nil together with StopAtRecall > 0, runs
+	// repetitions until recall against the known exact result reaches
+	// StopAtRecall, or until 4×L (the paper's experimental procedure,
+	// Section VI-2; verify.Repeat's stop rule). The positions of the extra
+	// repetitions are drawn after the first L, which stay as they are. All
 	// workers share one atomic view of the accumulated recall. Buckets are
 	// visited in a fixed order, so at one worker the stopping point, and
 	// with it the result set and counters, repeat from run to run.
@@ -64,13 +83,14 @@ type Options struct {
 	StopAtRecall float64
 }
 
-func (o *Options) withDefaults() Options {
+// withDefaults fills in every default, taking phi for TargetRecall.
+func (o *Options) withDefaults(phi float64) Options {
 	opt := Options{}
 	if o != nil {
 		opt = *o
 	}
 	if opt.TargetRecall <= 0 || opt.TargetRecall >= 1 {
-		opt.TargetRecall = 0.9
+		opt.TargetRecall = phi
 	}
 	if opt.T <= 0 {
 		opt.T = 128
@@ -87,89 +107,119 @@ func (o *Options) withDefaults() Options {
 // maxL caps the derived repetition count: a guard against tiny λᵏ.
 const maxL = 512
 
-// Join computes an approximate self-join at Jaccard threshold lambda,
-// reporting each true result pair with probability at least TargetRecall.
-// Returned pairs are deduplicated and exact-verified (100% precision).
+// gamma is BayesJoin's sequential test's false-pruning budget over all
+// words.
+const gamma = 0.05
+
+// Join computes an approximate self-join at Jaccard threshold lambda with
+// MinHash LSH. Returned pairs are deduplicated and exact-verified (100%
+// precision); see the package doc for the recall each pair gets.
 func Join(sets [][]uint32, lambda float64, o *Options) ([]verify.Pair, verify.Counters) {
-	opt := o.withDefaults()
 	if len(sets) < 2 {
 		return nil, verify.Counters{}
 	}
-	ix := prep.BuildParallel(sets, opt.T, max(opt.SketchWords, 0), opt.Seed, exec.EffectiveWorkers(opt.Workers))
-	return JoinIndexed(ix, lambda, o)
+	return JoinIndexed(build(sets, o), lambda, o)
 }
 
-// JoinIndexed runs the join against a prebuilt index (signatures and
-// sketches), excluding preprocessing from the join work, as in the paper's
-// measurements. The index fixes T and the sketch width.
-func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, verify.Counters) {
-	defer runtime.KeepAlive(ix) // a loaded index's matrices live only as long as ix
-	opt := o.withDefaults()
-	opt.T = ix.T
-	sets := ix.Sets
+// BayesJoin computes an approximate self-join at Jaccard threshold lambda
+// with BayesLSH-lite.
+func BayesJoin(sets [][]uint32, lambda float64, o *Options) ([]verify.Pair, verify.Counters) {
 	if len(sets) < 2 {
 		return nil, verify.Counters{}
 	}
-	if lambda <= 0 || lambda >= 1 {
-		panic(fmt.Sprintf("lshjoin: lambda %v out of (0,1)", lambda))
-	}
+	return BayesJoinIndexed(build(sets, o), lambda, o)
+}
 
-	workers := exec.EffectiveWorkers(opt.Workers)
-	bf := verify.NewPipeline(sets, lambda, workers)
-	bf.Tracker = verify.NewRecallTracker(opt.GroundTruth, opt.StopAtRecall)
+// build preprocesses sets with o's signature length, sketch width and seed.
+func build(sets [][]uint32, o *Options) *prep.Index {
+	opt := o.withDefaults(0)
+	return prep.BuildParallel(sets, opt.T, max(opt.SketchWords, 0), opt.Seed, exec.EffectiveWorkers(opt.Workers))
+}
+
+// JoinIndexed runs the MinHash LSH join against a prebuilt index
+// (signatures and sketches), excluding preprocessing from the join work, as
+// in the paper's measurements. The index fixes T and the sketch width.
+func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, verify.Counters) {
+	defer runtime.KeepAlive(ix) // a loaded index's matrices live only as long as ix
+	opt := o.withDefaults(0.9)
+	if len(ix.Sets) < 2 {
+		return nil, verify.Counters{}
+	}
+	bf := pipeline(ix, lambda, opt)
 	if opt.SketchWords > 0 && ix.Words > 0 {
 		bf.UseSketches(ix.Words, ix.Sketches, opt.Delta)
 	}
-
 	rng := tabhash.NewSplitMix64(opt.Seed + 0x1f1f)
-
 	// The k values of a bucket key sit at distinct positions: no more than T.
-	k := min(opt.K, opt.T)
+	k := min(opt.K, ix.T)
 	if k <= 0 {
-		k = chooseK(sets, ix.Sigs, opt.T, lambda, opt.TargetRecall, rng)
+		k = chooseK(ix.Sets, ix.Sigs, ix.T, lambda, opt.TargetRecall, rng)
 	}
-	l := min(Repetitions(lambda, k, opt.TargetRecall), maxL)
-
-	// Draw every repetition's bucket positions up front, one stream in
-	// repetition order: the join's only randomness is then fixed before
-	// any task starts, which is what makes the result set identical across
-	// worker counts.
-	allPositions := make([][]int, l)
-	for rep := 0; rep < l; rep++ {
-		allPositions[rep] = make([]int, k)
-		samplePositions(rng, allPositions[rep], opt.T)
-	}
-	return Repeat(ix, bf, allPositions, opt.Seed, workers)
+	return repeat(ix, bf, rng, k, min(Repetitions(lambda, k, opt.TargetRecall), maxL), opt.Seed)
 }
 
-// Repeat runs the repetitions of an LSH join over ix: one task per entry of
-// positions, which buckets every set by the hash of its signature values at
-// those positions and finishes each bucket with bf's BRUTEFORCEPAIRS, until
-// bf's recall tracker, if any, is reached. It returns bf's result set and
-// counters. MinHash LSH calls it with k positions per repetition and
-// BayesLSH-lite with one, its sequential test switched on in bf.
-func Repeat(ix *prep.Index, bf *verify.Pipeline, positions [][]int, seed uint64, workers int) ([]verify.Pair, verify.Counters) {
+// BayesJoinIndexed runs BayesLSH-lite against a prebuilt index, excluding
+// preprocessing from the join work. The index fixes T and the sketch width;
+// one without sketches (or a negative SketchWords) disables the sequential
+// test. Candidate generation is the original package's LSH mode, L =
+// ceil(ln(1/(1-ϕ))/λ) repetitions of single-MinHash bucketing. The test
+// compares a candidate's sketch word by word and drops the pair once the
+// upper confidence bound on its bit-agreement rate falls below what λ
+// implies; survivors are verified exactly (the "-lite" configuration the
+// paper benchmarks). The original bounds a Bayesian posterior on a uniform
+// prior; the Hoeffding bound here (bounds) prunes at the same asymptotic rate
+// within the same false-negative budget. On the kernel CPSJoin uses it is
+// still the slower join, as the paper found: at λ 0.5 on the 40 000-set
+// ledger shapes its k = 1 buckets give it 3.3–4.2× CPSJoin's pre-candidates.
+func BayesJoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, verify.Counters) {
 	defer runtime.KeepAlive(ix) // a loaded index's matrices live only as long as ix
-	sets, sigs, t := ix.Sets, ix.Sigs, ix.T
-	hasher := tabhash.NewTable64(seed + 0x7e7e)
-	scratch := bf.NewScratches(workers)
-	roots := make([]exec.Task, len(positions))
-	for rep := range roots {
-		roots[rep] = func(c *exec.Ctx) {
-			if bf.Tracker.Reached() {
-				return // before paying for the buckets
-			}
-			s := scratch[c.Worker()]
-			for _, bucket := range bucketize(sets, sigs, t, positions[rep], hasher) {
-				if bf.Tracker.Reached() {
-					return
-				}
-				s.BruteForcePairs(bucket)
-			}
-		}
+	opt := o.withDefaults(0.95)
+	if len(ix.Sets) < 2 {
+		return nil, verify.Counters{}
 	}
-	exec.Run(workers, roots...)
-	return bf.Res.Pairs(), bf.Counters(scratch)
+	bf := pipeline(ix, lambda, opt)
+	if opt.SketchWords > 0 && ix.Words > 0 {
+		bf.UseSequentialTest(ix.Words, ix.Sketches, bounds(ix.Words, lambda, gamma))
+	}
+	rng := tabhash.NewSplitMix64(opt.Seed + 0x1717)
+	return repeat(ix, bf, rng, 1, Repetitions(lambda, 1, opt.TargetRecall), opt.Seed)
+}
+
+// pipeline returns the brute-force pipeline of a join over ix at lambda,
+// with opt's worker count and recall target and the sketch filter off.
+func pipeline(ix *prep.Index, lambda float64, opt Options) *verify.Pipeline {
+	if lambda <= 0 || lambda >= 1 {
+		panic(fmt.Sprintf("lshjoin: lambda %v out of (0,1)", lambda))
+	}
+	bf := verify.NewPipeline(ix.Sets, lambda, exec.EffectiveWorkers(opt.Workers))
+	bf.Tracker = verify.NewRecallTracker(opt.GroundTruth, opt.StopAtRecall)
+	return bf
+}
+
+// repeat runs an LSH join's repetitions on verify.Repeat, l of them by
+// default: each buckets every set by the hash of its signature values at k
+// distinct positions and finishes each bucket with bf's BRUTEFORCEPAIRS.
+// Every repetition's positions are drawn from rng before any task starts,
+// one stream in repetition order — the join's only randomness is then fixed
+// up front, which is what makes the result set identical across worker
+// counts, and a join that may run past l draws the extra positions after
+// the first l.
+func repeat(ix *prep.Index, bf *verify.Pipeline, rng *tabhash.SplitMix64, k, l int, seed uint64) ([]verify.Pair, verify.Counters) {
+	positions := make([][]int, bf.Budget(l))
+	for rep := range positions {
+		positions[rep] = make([]int, k)
+		samplePositions(rng, positions[rep], ix.T)
+	}
+	hasher := tabhash.NewTable64(seed + 0x7e7e)
+	self := func(s *verify.Scratch) *verify.Scratch { return s }
+	return verify.Repeat(bf, l, self, func(_ *exec.Ctx, s *verify.Scratch, rep int) {
+		for _, bucket := range bucketize(ix.Sets, ix.Sigs, ix.T, positions[rep], hasher) {
+			if bf.Tracker.Reached() {
+				return
+			}
+			s.BruteForcePairs(bucket)
+		}
+	})
 }
 
 // Repetitions returns the repetition count needed for per-pair recall phi
@@ -265,4 +315,29 @@ func chooseK(sets [][]uint32, sigs []uint32, t int, lambda, phi float64, rng *ta
 		}
 	}
 	return bestK
+}
+
+// bounds is BayesJoin's sequential test in integers: bounds[w-1] is the
+// largest Hamming distance over the first w sketch words at which a
+// candidate survives, -1 if none does. The test drops a candidate after word
+// w when even an optimistic read of its bit-agreement rate, agree/m plus the
+// Hoeffding radius at m = 64w bits, cannot reach the rate (1+λ)/2 that
+// similarity λ implies: Pr[p̂ < p - ε] ≤ exp(-2ε²m), with a budget of
+// gamma/words per word, keeps the chance of dropping a true pair below
+// gamma over all of them.
+func bounds(words int, lambda, gamma float64) []int {
+	out := make([]int, words)
+	perStage := gamma / float64(words)
+	need := (1 + lambda) / 2 // required bit-agreement rate
+	for w := 1; w <= words; w++ {
+		m := float64(64 * w)
+		slack := math.Sqrt(math.Log(1/perStage) / (2 * m))
+		// agree is 64w minus the distance; agree/m only grows with agree.
+		d := 64 * w
+		for d >= 0 && float64(64*w-d)/m+slack < need {
+			d--
+		}
+		out[w-1] = d
+	}
+	return out
 }

@@ -1,9 +1,11 @@
 package lshjoin
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/intset"
 	"repro/internal/prep"
@@ -182,7 +184,9 @@ func TestDeterministicWithSeed(t *testing.T) {
 // the result set first: SHA-256 of the sorted pair set at every worker
 // count, and at one worker the three counters — Candidates are the pairs
 // that pass the filters and are not yet results, whichever is asked first —
-// on both shapes of the perf ledger, sketches on and off.
+// on both shapes of the perf ledger, sketches on and off. Repetitions,
+// recorded later, is L: without a recall target the join runs exactly its
+// default count.
 func TestGoldenJoin(t *testing.T) {
 	flat := prep.Build(datagen.LedgerShape(false, 3000, 1), 128, 8, 42)
 	skew := prep.Build(datagen.LedgerShape(true, 3000, 2), 128, 8, 42)
@@ -194,14 +198,14 @@ func TestGoldenJoin(t *testing.T) {
 		digest string
 		c      verify.Counters
 	}{
-		{"flat/l50/sketches", flat, 0.5, 0, "af93d1451d98b18f88c586b8d4b7e693e008d6b554acfddb2e1c9b1b9d0dbf1a", verify.Counters{PreCandidates: 91748, Candidates: 300, Results: 300}},
-		{"flat/l80/sketches", flat, 0.8, 0, "7aceaf503e30e58256e8366e609c1390436d1614da19f16546f5dfa4d8347ef1", verify.Counters{PreCandidates: 3466, Candidates: 222, Results: 222}},
-		{"flat/l50/none", flat, 0.5, -1, "e43e631a0ddd26252648bfe2f542627396da1420bde6d33583c4028eea7af787", verify.Counters{PreCandidates: 91748, Candidates: 80385, Results: 301}},
-		{"flat/l80/none", flat, 0.8, -1, "bb5a13436d99c86a036e1a3b786e1a30703c0325bbe2000580751bdc390a23bc", verify.Counters{PreCandidates: 3466, Candidates: 1323, Results: 223}},
-		{"skew/l50/sketches", skew, 0.5, 0, "867fee6e2a59767be20797d2f5d01e08d7aaf92f7e0ccad0a57b0724541cdaae", verify.Counters{PreCandidates: 40258, Candidates: 1578, Results: 1451}},
-		{"skew/l80/sketches", skew, 0.8, 0, "9ebeb527886402873aa2131274d29afbad32b4b52976e138469305ba90b73a41", verify.Counters{PreCandidates: 9219, Candidates: 450, Results: 450}},
-		{"skew/l50/none", skew, 0.5, -1, "27e203d859714693bb5ae00100ec2badb69a19aab1d5d300f048125bac08b165", verify.Counters{PreCandidates: 40258, Candidates: 21971, Results: 1466}},
-		{"skew/l80/none", skew, 0.8, -1, "9ebeb527886402873aa2131274d29afbad32b4b52976e138469305ba90b73a41", verify.Counters{PreCandidates: 9219, Candidates: 3794, Results: 450}},
+		{"flat/l50/sketches", flat, 0.5, 0, "af93d1451d98b18f88c586b8d4b7e693e008d6b554acfddb2e1c9b1b9d0dbf1a", verify.Counters{PreCandidates: 91748, Candidates: 300, Results: 300, Repetitions: 10}},
+		{"flat/l80/sketches", flat, 0.8, 0, "7aceaf503e30e58256e8366e609c1390436d1614da19f16546f5dfa4d8347ef1", verify.Counters{PreCandidates: 3466, Candidates: 222, Results: 222, Repetitions: 5}},
+		{"flat/l50/none", flat, 0.5, -1, "e43e631a0ddd26252648bfe2f542627396da1420bde6d33583c4028eea7af787", verify.Counters{PreCandidates: 91748, Candidates: 80385, Results: 301, Repetitions: 10}},
+		{"flat/l80/none", flat, 0.8, -1, "bb5a13436d99c86a036e1a3b786e1a30703c0325bbe2000580751bdc390a23bc", verify.Counters{PreCandidates: 3466, Candidates: 1323, Results: 223, Repetitions: 5}},
+		{"skew/l50/sketches", skew, 0.5, 0, "867fee6e2a59767be20797d2f5d01e08d7aaf92f7e0ccad0a57b0724541cdaae", verify.Counters{PreCandidates: 40258, Candidates: 1578, Results: 1451, Repetitions: 19}},
+		{"skew/l80/sketches", skew, 0.8, 0, "9ebeb527886402873aa2131274d29afbad32b4b52976e138469305ba90b73a41", verify.Counters{PreCandidates: 9219, Candidates: 450, Results: 450, Repetitions: 5}},
+		{"skew/l50/none", skew, 0.5, -1, "27e203d859714693bb5ae00100ec2badb69a19aab1d5d300f048125bac08b165", verify.Counters{PreCandidates: 40258, Candidates: 21971, Results: 1466, Repetitions: 19}},
+		{"skew/l80/none", skew, 0.8, -1, "9ebeb527886402873aa2131274d29afbad32b4b52976e138469305ba90b73a41", verify.Counters{PreCandidates: 9219, Candidates: 3794, Results: 450, Repetitions: 5}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range []int{0, 1, 2, 4} {
@@ -219,26 +223,78 @@ func TestGoldenJoin(t *testing.T) {
 	}
 }
 
+// approximate are the three joins that repeat on verify.Repeat, run against
+// a prebuilt index with seed 42, the given worker count and, with a non-nil
+// truth, the recall target.
+var approximate = []struct {
+	name string
+	join func(ix *prep.Index, lambda float64, workers int, truth []verify.Pair, target float64) ([]verify.Pair, verify.Counters)
+}{
+	{"cpsjoin", func(ix *prep.Index, lambda float64, workers int, truth []verify.Pair, target float64) ([]verify.Pair, verify.Counters) {
+		return core.JoinIndexed(ix, lambda, &core.Options{Seed: 42, Workers: workers, GroundTruth: truth, StopAtRecall: target})
+	}},
+	{"minhash", func(ix *prep.Index, lambda float64, workers int, truth []verify.Pair, target float64) ([]verify.Pair, verify.Counters) {
+		return JoinIndexed(ix, lambda, &Options{Seed: 42, Workers: workers, GroundTruth: truth, StopAtRecall: target})
+	}},
+	{"bayeslsh", func(ix *prep.Index, lambda float64, workers int, truth []verify.Pair, target float64) ([]verify.Pair, verify.Counters) {
+		return BayesJoinIndexed(ix, lambda, &Options{Seed: 42, Workers: workers, GroundTruth: truth, StopAtRecall: target})
+	}},
+}
+
 // TestStopAtRecallRepeats: at one worker a join that stops at a recall
-// target stops at the same bucket on every run — same pair set, same
-// counters — so a recall column measured with StopAtRecall repeats.
+// target stops at the same point on every run — same pair set, same
+// counters, repetitions included — so a recall column measured with
+// StopAtRecall repeats. MinHash LSH and BayesLSH-lite visit their buckets
+// in a fixed order; CPSJoin's recursion is depth-first.
 func TestStopAtRecallRepeats(t *testing.T) {
 	for _, skew := range []bool{false, true} {
 		sets := datagen.LedgerShape(skew, 3000, 1)
 		ix := prep.Build(sets, 128, 8, 42)
 		for _, lambda := range []float64{0.5, 0.7} {
 			truth := verify.BruteForceJoin(sets, lambda)
-			opt := &Options{Seed: 42, Workers: 1, GroundTruth: truth, StopAtRecall: 0.9}
-			var digest string
-			var c0 verify.Counters
-			for run := 0; run < 10; run++ {
-				pairs, c := JoinIndexed(ix, lambda, opt)
-				if d := stats.PairDigest(pairs); run == 0 {
-					digest, c0 = d, c
-				} else if d != digest || c != c0 {
-					t.Fatalf("skew=%v λ=%v run %d: pair set %s, counters %+v; run 0 gave %s, %+v",
-						skew, lambda, run, d, c, digest, c0)
+			for _, a := range approximate {
+				var digest string
+				var c0 verify.Counters
+				for run := 0; run < 10; run++ {
+					pairs, c := a.join(ix, lambda, 1, truth, 0.9)
+					if d := stats.PairDigest(pairs); run == 0 {
+						digest, c0 = d, c
+					} else if d != digest || c != c0 {
+						t.Fatalf("%s skew=%v λ=%v run %d: pair set %s, counters %+v; run 0 gave %s, %+v",
+							a.name, skew, lambda, run, d, c, digest, c0)
+					}
 				}
+			}
+		}
+	}
+}
+
+// TestCapExtendsEveryStream: a join that cannot reach its recall target —
+// the truth holds a pair below λ, which no join reports, and the target is
+// all of it — runs exactly four times its default count, and since the
+// extra repetitions only extend its random streams, it reports every pair
+// the join without a target does.
+func TestCapExtendsEveryStream(t *testing.T) {
+	sets := datagen.LedgerShape(true, 3000, 1)
+	ix := prep.Build(sets, 128, 8, 42)
+	const lambda = 0.6
+	truth := verify.BruteForceJoin(sets, lambda)
+	below := verify.Pair{A: 0, B: 1}
+	for intset.Jaccard(sets[below.A], sets[below.B]) >= lambda {
+		below.B++
+	}
+	unreachable := append(slices.Clone(truth), below)
+	for _, a := range approximate {
+		for _, workers := range []int{1, 4} {
+			base, c0 := a.join(ix, lambda, workers, nil, 0)
+			pairs, c := a.join(ix, lambda, workers, unreachable, 1)
+			if c0.Repetitions < 1 || c.Repetitions != 4*c0.Repetitions {
+				t.Errorf("%s workers=%d: %d repetitions with an unreachable target, %d without one",
+					a.name, workers, c.Repetitions, c0.Repetitions)
+			}
+			if r := stats.Recall(pairs, base); r != 1 || len(pairs) < len(base) {
+				t.Errorf("%s workers=%d: the capped run has %d pairs and finds %v of the %d of the default run",
+					a.name, workers, len(pairs), r, len(base))
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/bayeslsh"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/lshjoin"
@@ -33,7 +32,7 @@ var goldenJoins = []struct {
 		return pairs
 	}, "867fee6e2a59767be20797d2f5d01e08d7aaf92f7e0ccad0a57b0724541cdaae"},
 	{"bayeslsh", func(ix *prep.Index, workers int) []verify.Pair {
-		pairs, _ := bayeslsh.JoinIndexed(ix, 0.5, &bayeslsh.Options{Seed: 42, Workers: workers})
+		pairs, _ := lshjoin.BayesJoinIndexed(ix, 0.5, &lshjoin.Options{Seed: 42, Workers: workers})
 		return pairs
 	}, "171ca5089196b385e1b0de55bb61ee6d1db98b632386157f3cc6ee4299e67e86"},
 }

@@ -36,7 +36,8 @@ import (
 // A Pipeline is the half all workers share, read-only while they run apart
 // from the result set and the tracker, which are safe for concurrent use;
 // the caller calls UseSketches or UseSequentialTest and sets Owners and
-// Tracker after NewPipeline and before NewScratches.
+// Tracker after NewPipeline and before Repeat, the repetition loop that runs
+// the join's workers on it.
 type Pipeline struct {
 	Lambda float64
 	Sizes  []uint32 // len(sets[i]), so that gathering a block never touches sets
@@ -65,6 +66,8 @@ type Pipeline struct {
 	Verifier *Verifier
 	Res      *ResultSet
 	Tracker  *RecallTracker // nil without a recall target
+
+	workers int // the join's worker count: Repeat runs on that many
 }
 
 // NewPipeline returns the pipeline of a join over sets at threshold lambda
@@ -75,6 +78,7 @@ func NewPipeline(sets [][]uint32, lambda float64, workers int) *Pipeline {
 		Sizes:    make([]uint32, len(sets)),
 		Verifier: NewVerifier(sets, lambda),
 		Res:      NewResultSet(workers),
+		workers:  workers,
 	}
 	largest := 0
 	for i, set := range sets {
@@ -122,17 +126,6 @@ func (p *Pipeline) sequential(a, b []uint64) bool {
 	return true
 }
 
-// Counters sums the workers' shares of the candidate counters and reads
-// Results off the result set; call it once the workers are done.
-func (p *Pipeline) Counters(workers []*Scratch) Counters {
-	c := Counters{Results: int64(p.Res.Len())}
-	for _, s := range workers {
-		c.PreCandidates += s.Pre
-		c.Candidates += s.Cand
-	}
-	return c
-}
-
 // blockRows is the most points the kernel gathers at a time: a whole node at
 // CPSJoin's default Limit, 18 KB with 8-word sketches, so the block a row is
 // compared against stays in L1. Larger inputs go tile by tile.
@@ -147,7 +140,7 @@ type block struct {
 }
 
 // Scratch is one worker's half of the pipeline: its share of the candidate
-// counters (Pipeline.Counters sums them when the join ends) and the gathered
+// counters (Repeat sums them when the join ends) and the gathered
 // blocks. A worker runs one task at a time and tasks reach their Scratch
 // through exec.Ctx.Worker, so nothing here is locked, and nothing here is
 // live across calls.
@@ -161,9 +154,9 @@ type Scratch struct {
 	count     [4 * blockRows]uint32 // gather: counting sort by size
 }
 
-// NewScratches returns one scratch per worker.
-func (p *Pipeline) NewScratches(workers int) []*Scratch {
-	out := make([]*Scratch, workers)
+// NewScratches returns one scratch per worker of the join.
+func (p *Pipeline) NewScratches() []*Scratch {
+	out := make([]*Scratch, p.workers)
 	for i := range out {
 		s := &Scratch{p: p, stride: 8 * max(1, (p.Words+7)/8)}
 		s.center = make([]uint64, s.stride)

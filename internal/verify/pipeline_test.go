@@ -41,7 +41,7 @@ func testNearMatchesHamming(t *testing.T) {
 		}
 		p := NewPipeline(make([][]uint32, n), 0.5, 1)
 		p.Words, p.Sketches = words, sketches
-		s := p.NewScratches(1)[0]
+		s := p.NewScratches()[0]
 		var ids []uint32
 		for id := range n {
 			if rng.Intn(3) > 0 {
@@ -135,7 +135,7 @@ func testSequentialTest(t *testing.T) {
 
 		p := NewPipeline(sets, lambda, 1)
 		p.UseSequentialTest(words, sketches, bounds)
-		s := p.NewScratches(1)
+		s := p.NewScratches()
 		ids := make([]uint32, n)
 		for i := range ids {
 			ids[i] = uint32(i)
@@ -143,9 +143,9 @@ func testSequentialTest(t *testing.T) {
 		s[0].BruteForcePairs(ids)
 		got := p.Res.Pairs()
 		slices.SortFunc(got, func(x, y Pair) int { return cmp.Compare(x.Key(), y.Key()) })
-		if c := p.Counters(s); !slices.Equal(got, want) || c.Candidates != int64(len(want)) {
+		if !slices.Equal(got, want) || s[0].Cand != int64(len(want)) {
 			t.Errorf("W=%d: %d results from %d candidates, the reference picks %d pairs, or not the same ones",
-				words, len(got), c.Candidates, len(want))
+				words, len(got), s[0].Cand, len(want))
 		}
 	}
 }

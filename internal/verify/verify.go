@@ -4,8 +4,10 @@
 // BayesLSH-lite's sequential sketch test, a refinement of it — dedup,
 // verification — BRUTEFORCEPAIRS of the paper's Algorithms 2 and 3), the one
 // result set (ResultSet, lock-striped, the same type at every worker count),
-// recall tracking against a known ground truth (RecallTracker), and the
-// pre-candidate/candidate/result accounting reported in Table IV (Counters).
+// recall tracking against a known ground truth (RecallTracker), the one
+// repetition loop of the approximate joins with its one stop rule (Repeat),
+// and the pre-candidate/candidate/result accounting reported in Table IV
+// (Counters).
 package verify
 
 import "repro/internal/intset"
@@ -41,10 +43,14 @@ func PairFromKey(k uint64) Pair {
 //   - Candidates: pairs that survived the cheap checks (size bounds, 1-bit
 //     sketch filter) and were passed to exact verification.
 //   - Results: verified pairs with similarity >= lambda.
+//
+// Repetitions is how many repetitions an approximate join ran (Repeat); 0
+// for the exact joins.
 type Counters struct {
 	PreCandidates int64
 	Candidates    int64
 	Results       int64
+	Repetitions   int64
 }
 
 // Add accumulates other into c.
@@ -52,6 +58,7 @@ func (c *Counters) Add(other Counters) {
 	c.PreCandidates += other.PreCandidates
 	c.Candidates += other.Candidates
 	c.Results += other.Results
+	c.Repetitions += other.Repetitions
 }
 
 // Verifier performs exact Jaccard verification over a fixed collection.

@@ -75,9 +75,9 @@ func TestSizeCompatible(t *testing.T) {
 		{0.9, 70, 62, false},
 	} {
 		p := NewPipeline([][]uint32{make([]uint32, c.la), make([]uint32, c.lb)}, c.lambda, 1)
-		s := p.NewScratches(1)
+		s := p.NewScratches()
 		s[0].BruteForcePairs([]uint32{0, 1})
-		if got := p.Counters(s).Candidates == 1; got != c.want {
+		if got := s[0].Cand == 1; got != c.want {
 			t.Errorf("sizes %d and %d at %v: candidate %v, want %v", c.la, c.lb, c.lambda, got, c.want)
 		}
 	}

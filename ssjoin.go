@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"repro/internal/allpairs"
-	"repro/internal/bayeslsh"
 	"repro/internal/core"
 	"repro/internal/intset"
 	"repro/internal/lshjoin"
@@ -57,7 +56,13 @@ type Options struct {
 	// Repetitions is the number of independent CPSJoin runs (default 10).
 	Repetitions int
 	// TargetRecall is the per-pair recall ϕ for MinHashJoin and
-	// BayesLSHJoin repetition counts (default 0.9 and 0.95 respectively).
+	// BayesLSHJoin repetition counts (default 0.9 and 0.95 respectively):
+	// the probability that a pair at similarity λ meets in some bucket.
+	// With the sketch filter on, MinHashJoin reports a pair near λ with
+	// probability about TargetRecall·(1 − Delta), because a pair's sketches
+	// do not change between repetitions; pairs well above λ keep
+	// TargetRecall. CPSJoin's recall comes from Repetitions and has the
+	// same ceiling.
 	TargetRecall float64
 	// T is the MinHash signature length (default 128).
 	T int
@@ -116,21 +121,6 @@ func (o *Options) lsh() *lshjoin.Options {
 		T:            o.T,
 		SketchWords:  o.SketchWords,
 		Delta:        o.Delta,
-		Seed:         o.Seed,
-		Workers:      o.Workers,
-	}
-}
-
-func (o *Options) bayes() *bayeslsh.Options {
-	if o == nil {
-		return nil
-	}
-	// SketchWords passes through raw: negative disables sketching here
-	// exactly as it does for cps() and lsh() above.
-	return &bayeslsh.Options{
-		TargetRecall: o.TargetRecall,
-		SketchWords:  o.SketchWords,
-		T:            o.T,
 		Seed:         o.Seed,
 		Workers:      o.Workers,
 	}
@@ -252,7 +242,7 @@ func MinHashJoin(sets [][]uint32, lambda float64, opts *Options) ([]Pair, Stats)
 // BayesLSH-lite: single-hash LSH candidate generation with incremental
 // sketch pruning before exact verification.
 func BayesLSHJoin(sets [][]uint32, lambda float64, opts *Options) ([]Pair, Stats) {
-	pairs, c := bayeslsh.Join(sets, lambda, opts.bayes())
+	pairs, c := lshjoin.BayesJoin(sets, lambda, opts.lsh())
 	return fromPairs(pairs), fromCounters(c)
 }
 
