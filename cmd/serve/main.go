@@ -25,6 +25,9 @@
 // heap drops to the set headers and id maps, the file's pages live in the
 // page cache, and every query, containment included, verifies against the
 // mapped tokens at the hot tier's cost and answers byte-identically to it.
+// A shard file holds no containment side in either tier: a shard signs and
+// sorts its sets on its first containment query (about 0.5 KB of heap per
+// set), and a ring that is never asked one never builds it.
 // The flag is a restore
 // option: without -data it is a usage error, and when -data holds no
 // snapshot yet the index is built on the heap. A shard keeps the tier it

@@ -218,25 +218,13 @@ var (
 )
 
 // RunFig3 sweeps one CPSJoin parameter ("limit", "epsilon" or "words") on
-// each workload at λ=0.5 and >= 80% recall, as in Section VI-B.
+// each workload at λ=0.5 and cfg's target recall (0.8 in Section VI-B).
 func RunFig3(workloads []Workload, param string, cfg Config, progress io.Writer) ([]Fig3Point, error) {
 	const lambda = 0.5
-	if cfg.TargetRecall <= 0 || cfg.TargetRecall > 0.9 {
-		cfg.TargetRecall = 0.8
-	}
 	var out []Fig3Point
 	for _, w := range workloads {
 		truth, _ := allpairs.JoinWorkers(w.Sets, lambda, cfg.Workers)
 		base := core.Options{Seed: cfg.Seed, Workers: cfg.Workers, GroundTruth: truth, StopAtRecall: cfg.TargetRecall}
-
-		// Preprocess outside the timed section; the words sweep needs a
-		// fresh index per point, the others share one.
-		run := func(opt core.Options) Approx {
-			ix := core.Preprocess(w.Sets, &opt)
-			return approx(cfg, truth, func() ([]verify.Pair, verify.Counters) {
-				return core.JoinIndexed(ix, lambda, &opt)
-			})
-		}
 
 		var values []float64
 		var opts []core.Options
@@ -271,10 +259,23 @@ func RunFig3(workloads []Workload, param string, cfg Config, progress io.Writer)
 			return nil, fmt.Errorf("bench: unknown Fig3 parameter %q", param)
 		}
 
+		// Preprocess outside the timed section: the sketch width is the one
+		// swept parameter the index depends on, so the words sweep builds an
+		// index per point and the others share the workload's.
+		var shared *prep.Index
+		if param != "words" {
+			shared = core.Preprocess(w.Sets, &base)
+		}
 		runs := make([]Approx, len(values))
 		var indexTime time.Duration
-		for i := range values {
-			runs[i] = run(opts[i])
+		for i, opt := range opts {
+			ix := shared
+			if ix == nil {
+				ix = core.Preprocess(w.Sets, &opt)
+			}
+			runs[i] = approx(cfg, truth, func() ([]verify.Pair, verify.Counters) {
+				return core.JoinIndexed(ix, lambda, &opt)
+			})
 			if values[i] == indexValue {
 				indexTime = runs[i].Time
 			}

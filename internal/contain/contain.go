@@ -138,23 +138,6 @@ func (s *Signer) Build(sets [][]uint32) *Index {
 	return ix
 }
 
-// FromSignatures builds the index from precomputed flattened signatures
-// (the persistence path: signing is the expensive part of Build, so
-// snapshots store signatures and only the orders are sorted again on
-// load). sets supplies the cardinalities and must be the same
-// collection the signatures were computed from, in the same order, under
-// a signer of s's options; the index shares s. sigs is retained, not copied.
-func FromSignatures(sets [][]uint32, sigs []uint32, s *Signer) (*Index, error) {
-	ix := &Index{t: s.opts.T, signer: s, n: len(sets)}
-	if len(sigs) != len(sets)*ix.t {
-		return nil, fmt.Errorf("contain: %d signature words for %d sets with T=%d (want %d)",
-			len(sigs), len(sets), ix.t, len(sets)*ix.t)
-	}
-	ix.sigs = sigs
-	ix.sortBands(sets)
-	return ix, nil
-}
-
 // sortBands assigns every non-empty set to its cardinality band and sorts
 // the band's T orders over the signatures already in place: two
 // allocation-free passes size and fill the bands, so a band is one slice.
@@ -317,16 +300,6 @@ func (ix *Index) chooseR(xi float64) int {
 // Len returns the number of indexed sets (including empty ones).
 func (ix *Index) Len() int { return ix.n }
 
-// T returns the signature length.
-func (ix *Index) T() int { return ix.t }
-
-// Seed returns the seed the index hashes with.
-func (ix *Index) Seed() uint64 { return ix.signer.opts.Seed }
-
 // Signer returns the hash functions the index was built under: what signs
 // a query for QuerySigned.
 func (ix *Index) Signer() *Signer { return ix.signer }
-
-// Signatures returns the flattened n*T signature matrix backing the
-// index. The slice is shared, not copied; callers must not mutate it.
-func (ix *Index) Signatures() []uint32 { return ix.sigs }

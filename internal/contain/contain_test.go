@@ -193,35 +193,6 @@ func TestQueryInvariants(t *testing.T) {
 	}
 }
 
-func TestFromSignaturesRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	sets := buildCorpus(rng, 300)
-	a := Build(sets, Options{Seed: 55, T: 32})
-	b, err := FromSignatures(sets, a.Signatures(), a.Signer())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 60; i++ {
-		q := subsetOf(rng, sets[rng.Intn(len(sets))], 0.7)
-		if len(q) == 0 {
-			continue
-		}
-		// One signing serves both: they share the signer.
-		ca, cb := a.Query(q, 0.6), b.QuerySigned(a.Signer().Sign(q), len(q), 0.6)
-		if len(ca) != len(cb) {
-			t.Fatalf("rebuilt index differs: %v vs %v", ca, cb)
-		}
-		for j := range ca {
-			if ca[j] != cb[j] {
-				t.Fatalf("rebuilt index differs at %d: %v vs %v", j, ca, cb)
-			}
-		}
-	}
-	if _, err := FromSignatures(sets, a.Signatures()[:1], a.Signer()); err == nil {
-		t.Fatal("length mismatch must error")
-	}
-}
-
 func TestQueryPanicsOnBadThreshold(t *testing.T) {
 	ix := Build([][]uint32{{1, 2}}, Options{})
 	for _, bad := range []float64{0, -0.1, 1.1} {

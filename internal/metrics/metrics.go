@@ -1,6 +1,7 @@
 // Package metrics is the serving stack's instrumentation substrate:
-// atomic counters, gauges and fixed log-bucket latency histograms, plus a
-// registry that renders them in the Prometheus text exposition format.
+// atomic counters, fixed log-bucket latency histograms and gauges read at
+// scrape time, plus a registry that renders them in the Prometheus text
+// exposition format.
 //
 // The paper's evaluation is built on measured per-query behavior —
 // candidates generated, verifications run, time per repetition — and the
@@ -48,18 +49,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (negative to subtract).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // histBuckets is the fixed bucket count: bounds are 1024ns << i for
 // i in [0, histBuckets), i.e. 1.024µs up to ~8.6s; slower observations
@@ -122,7 +111,6 @@ type entry struct {
 	labels string // rendered `k="v",k2="v2"` form, "" when unlabeled
 
 	counter   *Counter
-	gauge     *Gauge
 	hist      *Histogram
 	counterFn func() uint64
 	gaugeFn   func() float64
@@ -229,13 +217,6 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	return c
 }
 
-// Gauge registers and returns a gauge.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	g := &Gauge{}
-	r.register(&entry{name: name, help: help, typ: typeGauge, labels: renderLabels(labels), gauge: g})
-	return g
-}
-
 // Histogram registers and returns a histogram.
 func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 	h := &Histogram{}
@@ -250,7 +231,9 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...st
 	r.register(&entry{name: name, help: help, typ: typeCounter, labels: renderLabels(labels), counterFn: fn})
 }
 
-// GaugeFunc registers a gauge read from fn at scrape time.
+// GaugeFunc registers a gauge read from fn at scrape time. It is the only
+// gauge: what a gauge reports (ring shape, cache size, queue depth) already
+// lives elsewhere, so the registry reads it instead of keeping a copy.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
 	r.register(&entry{name: name, help: help, typ: typeGauge, labels: renderLabels(labels), gaugeFn: fn})
 }
@@ -287,8 +270,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeSample(&b, e.name, e.labels, formatUint(e.counter.Value()))
 			case e.counterFn != nil:
 				writeSample(&b, e.name, e.labels, formatUint(e.counterFn()))
-			case e.gauge != nil:
-				writeSample(&b, e.name, e.labels, strconv.FormatInt(e.gauge.Value(), 10))
 			case e.gaugeFn != nil:
 				writeSample(&b, e.name, e.labels, formatFloat(e.gaugeFn()))
 			case e.hist != nil:

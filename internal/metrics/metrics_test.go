@@ -8,6 +8,8 @@ import (
 	"time"
 )
 
+// TestCounterGauge: a counter counts up; a gauge reports what its function
+// reads at each scrape, down as well as up.
 func TestCounterGauge(t *testing.T) {
 	var c Counter
 	c.Inc()
@@ -15,11 +17,18 @@ func TestCounterGauge(t *testing.T) {
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-3)
-	if g.Value() != 4 {
-		t.Fatalf("gauge = %d, want 4", g.Value())
+	r := NewRegistry()
+	depth := 7
+	r.GaugeFunc("test_depth", "queue depth", func() float64 { return float64(depth) })
+	for _, want := range []int{7, 4, -2} {
+		depth = want
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if line := "test_depth " + strconv.Itoa(want) + "\n"; !strings.Contains(b.String(), line) {
+			t.Fatalf("exposition lacks %q:\n%s", line, b.String())
+		}
 	}
 }
 
@@ -88,14 +97,15 @@ func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_ops_total", "operations", "op", "query")
 	c2 := r.Counter("test_ops_total", "operations", "op", "add")
-	g := r.Gauge("test_depth", "queue depth")
+	depth := 0.0
+	r.GaugeFunc("test_depth", "queue depth", func() float64 { return depth })
 	h := r.Histogram("test_latency_seconds", "latency")
 	r.GaugeFunc("test_live", "live items", func() float64 { return 42.5 })
 	r.CounterFunc("test_fn_total", "from fn", func() uint64 { return 9 })
 
 	c.Add(3)
 	c2.Inc()
-	g.Set(-2)
+	depth = -2
 	h.Observe(2 * time.Millisecond)
 	h.Observe(10 * time.Second)
 
@@ -221,7 +231,7 @@ func TestInvalidNamesPanic(t *testing.T) {
 		func() { r.Counter("0bad", "") },
 		func() { r.Counter("ok_total", "", "0bad", "v") },
 		func() { r.Counter("ok_total", "", "odd") },
-		func() { r.Gauge("ok_total", "") }, // one name, two types
+		func() { r.GaugeFunc("ok_total", "", func() float64 { return 0 }) }, // one name, two types
 	} {
 		func() {
 			defer func() {

@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cpindex"
@@ -214,39 +216,63 @@ func TestQueryContainValidation(t *testing.T) {
 	mustContain(t, x, sets[0][:5], 1)
 }
 
-// TestQueryContainSaveLoadRoundTrip: a snapshot persists the containment
-// signatures, so a loaded index answers byte-identically
-// without rebuilding — including for an index that never served a
-// containment query before Save (encoding forces the signing).
+// TestQueryContainSaveLoadRoundTrip: a snapshot stores no containment side
+// (every shard file's sections are exactly meta, sets, trees and ids, before
+// and after the saved index answered a containment query), and an index
+// loaded in either tier builds its own on its first containment query,
+// answering byte-identically to the index that was saved.
 func TestQueryContainSaveLoadRoundTrip(t *testing.T) {
 	sets, _ := workload(400, 0.8, 431)
 	extra, _ := workload(25, 0.8, 433)
 	probes := containProbes(sets, 50)
-	build := func() *Index {
-		x := Build(sets, 0.5, &Options{Shards: 3, Seed: 29, MergeThreshold: 500, Workers: 2})
-		x.Add(extra)
-		x.Delete(9)
-		return x
-	}
+	x := Build(sets, 0.5, &Options{Shards: 3, Seed: 29, MergeThreshold: 500, Workers: 2})
+	x.Add(extra)
+	x.Delete(9)
 
-	// never-queried twin: Save must sign, and the loaded answers must equal
-	// a fresh index's.
-	x := build()
-	dir := t.TempDir()
-	if err := x.Save(dir); err != nil {
-		t.Fatal(err)
+	save := func(stage string) string {
+		t.Helper()
+		dir := t.TempDir()
+		if err := x.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		m, err := snapshot.ReadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range m.Shards {
+			raw, err := os.ReadFile(filepath.Join(dir, e.File))
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := snapshot.OpenMapped(raw, shardKind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, sec := range snap.Sections() {
+				names = append(names, sec.Name)
+			}
+			if want := []string{"meta", "sets", "trees", "ids"}; !slices.Equal(names, want) {
+				t.Fatalf("%s: %s holds sections %q, want %q", stage, e.File, names, want)
+			}
+		}
+		return dir
 	}
-	y, err := Load(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pi, q := range probes {
-		for _, th := range containThresholds {
-			if !equalMatches(t, mustContain(t, y, q, th), mustContain(t, x, q, th)) {
-				t.Fatalf("probe %d t=%v: answers differ across save/load", pi, th)
+	dir := save("never queried")
+	for _, tier := range []Tier{TierHot, TierCold} {
+		y, err := LoadWithOptions(dir, LoadOptions{Workers: 2, Tiering: tier})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pi, q := range probes {
+			for _, th := range containThresholds {
+				if !equalMatches(t, mustContain(t, y, q, th), mustContain(t, x, q, th)) {
+					t.Fatalf("%s: probe %d t=%v: answers differ across save/load", tier, pi, th)
+				}
 			}
 		}
 	}
+	save("after containment queries")
 }
 
 // saveOneShard saves a one-shard index of sets to a fresh directory and
@@ -263,37 +289,6 @@ func saveOneShard(t *testing.T, sets [][]uint32) (dir, path string) {
 		t.Fatal(err)
 	}
 	return dir, filepath.Join(dir, m.Shards[0].File)
-}
-
-// rewriteContainSection rewrites the shard file at path with edit applied to
-// its contain payload (nil drops the section), every checksum fresh.
-func rewriteContainSection(t *testing.T, path string, edit func(payload []byte) []byte) {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := snapshot.OpenMapped(raw, shardKind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = snapshot.WriteFile(path, shardKind, func(w *snapshot.Writer) error {
-		for _, sec := range snap.Sections() {
-			payload := raw[sec.Off : sec.Off+sec.Len]
-			if sec.Name == "contain" {
-				if payload = edit(append([]byte(nil), payload...)); payload == nil {
-					continue
-				}
-			}
-			if err := w.Section(sec.Name, payload); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // editFile applies edit to the bytes of the file at path, checksums left as
@@ -364,7 +359,6 @@ func TestLoadRejectsCorruptShard(t *testing.T) {
 		{"trees flipped", flip("trees"), `section "trees": checksum mismatch`},
 		{"sets flipped", flip("sets"), `section "sets": checksum mismatch`},
 		{"ids flipped", flip("ids"), `section "ids": checksum mismatch`},
-		{"contain flipped", flip("contain"), `section "contain": checksum mismatch`},
 	})
 }
 
@@ -379,40 +373,13 @@ func TestLoadColdCorruptShard(t *testing.T) {
 	})
 }
 
-// TestLoadRejectsMissingContainSection: every container carries its containment
-// signatures, so a loaded shard never signs its sets. A shard file without the
-// section, or with one whose 16-byte header, re-sealed with a fresh checksum,
-// does not describe the shard and the matrix behind it or names a T or seed
-// other than the ring's, is corrupt — its candidates would not be the ring's —
-// and a load refuses it in either tier.
-func TestLoadRejectsMissingContainSection(t *testing.T) {
-	sets, _ := workload(120, 0.8, 441)
-	le := binary.LittleEndian
-	contain := func(edit func(payload []byte) []byte) func(t *testing.T, path string) {
-		return func(t *testing.T, path string) { rewriteContainSection(t, path, edit) }
-	}
-	checkLoadsRejected(t, sets, []corruptShard{
-		{"missing", contain(func([]byte) []byte { return nil }), "missing section"},
-		{"T = 0", contain(func(b []byte) []byte { le.PutUint32(b[0:], 0); return b }), "implausible signature length"},
-		{"T past the cap", contain(func(b []byte) []byte { le.PutUint32(b[0:], 1<<16+1); return b }), "implausible signature length"},
-		{"n of another shard", contain(func(b []byte) []byte { le.PutUint32(b[12:], 121); return b }), "covers 121 sets"},
-		{"another seed", contain(func(b []byte) []byte { le.PutUint64(b[4:], le.Uint64(b[4:])+1); return b }), "the ring signs under"},
-		{"another T", contain(func(b []byte) []byte { le.PutUint32(b[0:], 32); return b }), "signed under T=32"},
-		{"matrix a word short", contain(func(b []byte) []byte { return b[:len(b)-4] }), "signature bytes"},
-		{"matrix a byte over", contain(func(b []byte) []byte { return append(b, 0) }), "signature bytes"},
-		{"header truncated", contain(func(b []byte) []byte { return b[:15] }), "truncated"},
-	})
-}
-
 // TestColdContainmentReadsInPlace: a containment query leaves a cold shard
-// cold. The side holds no sets — candidates are verified against the token
-// region of the container, like any cold query — and its signature matrix is
-// the container's own, 4-aligned behind the section's 16-byte header. Answers
-// are those of the hot restore.
+// cold. Its containment side owns no sets: it signs them, and candidates are
+// verified against them, where the container holds them, like any cold
+// query. Answers are those of the hot restore.
 func TestColdContainmentReadsInPlace(t *testing.T) {
 	sets, _ := workload(300, 0.8, 443)
-	dir, path := saveOneShard(t, sets)
-	rewriteContainSection(t, path, func(b []byte) []byte { return b })
+	dir, _ := saveOneShard(t, sets)
 	hot, err := LoadWithOptions(dir, LoadOptions{Tiering: TierHot})
 	if err != nil {
 		t.Fatal(err)
@@ -432,15 +399,11 @@ func TestColdContainmentReadsInPlace(t *testing.T) {
 	if !s.cold || cold.Stats().ColdShards != 1 {
 		t.Fatal("a containment query moved a cold shard's sets to the heap")
 	}
-	sec := s.snap.Lookup("contain")
-	if (sec.Off+16)%4 != 0 || sec.Len != int64(16+4*64*len(sets)) {
-		t.Fatalf("contain section at %d+%d: the matrix does not start 16 bytes in, 4-aligned", sec.Off, sec.Len)
-	}
 	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
 		return // a big-endian host converts; nothing aliases
 	}
-	if data := s.snap.Bytes(); !aliases(data, s.contain.Load().Signatures()) || !aliases(data, s.ix.Sets()[0]) {
-		t.Fatal("a cold shard's signatures or sets are heap copies of its container")
+	if !aliases(s.snap.Bytes(), s.ix.Sets()[0]) {
+		t.Fatal("a cold shard's sets are heap copies of its container")
 	}
 	runtime.KeepAlive(s)
 }
@@ -567,20 +530,61 @@ func TestQueryContainCache(t *testing.T) {
 }
 
 // TestContainSideIsLazy: similarity-only workloads never pay for the
-// containment side — Build leaves it unbuilt, the first containment query
-// (or encode) builds it once.
+// containment side. Build leaves it unbuilt, and so do a Save (a shard file
+// holds none, so the ring draws no signer for it) and a load in either tier.
+// The first containment query builds every shard's once, also when it
+// arrives from several goroutines at once.
 func TestContainSideIsLazy(t *testing.T) {
 	sets, _ := workload(50, 0.8, 461)
-	x := Build(sets, 0.5, &Options{Shards: 1, Seed: 3})
-	sub := x.shards[0]
+	check := func(stage string, x *Index, built bool) {
+		t.Helper()
+		for i, sh := range x.shards {
+			if got := sh.contain.Load() != nil; got != built {
+				t.Fatalf("%s: shard %d has a containment side: %v, want %v", stage, i, got, built)
+			}
+		}
+	}
+	x := Build(sets, 0.5, &Options{Shards: 2, Seed: 3})
 	x.QueryAllErr(sets[0])
-	if sub.contain.Load() != nil {
-		t.Fatal("containment side built eagerly; the lazy contract changed")
+	check("built", x, false)
+	dir := t.TempDir()
+	if err := x.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	check("saved", x, false)
+	if x.signer.signer != nil {
+		t.Fatal("Save drew the ring's containment signer")
+	}
+	for _, tier := range []Tier{TierHot, TierCold} {
+		y, err := LoadWithOptions(dir, LoadOptions{Tiering: tier})
+		if err != nil {
+			t.Fatal(err)
+		}
+		y.QueryAllErr(sets[0])
+		check(string(tier)+" load", y, false)
+		answers := make([][]Match, 4)
+		var wg sync.WaitGroup
+		for g := range answers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := y.Search(Request{Set: sets[0], Mode: ModeContainment, Threshold: 0.5}, nil)
+				if err != nil {
+					t.Error(err)
+				}
+				answers[g] = res.Matches
+			}()
+		}
+		wg.Wait()
+		check(string(tier)+" load, after a containment query", y, true)
+		for g := range answers {
+			if !equalMatches(t, answers[g], answers[0]) {
+				t.Fatalf("%s load: concurrent first containment queries answer differently", tier)
+			}
+		}
 	}
 	mustContain(t, x, sets[0], 0.5)
-	if sub.contain.Load() == nil {
-		t.Fatal("containment side not built by the first containment query")
-	}
+	check("built, after a containment query", x, true)
 }
 
 // TestConfigureValidationAndPersistence: Configure rejects invalid

@@ -37,18 +37,18 @@ type localShard struct {
 	ix   *cpindex.Index
 	cold bool // ix's trie and sets are views of snap, not heap arrays
 
-	// A loaded shard's container: snap is the exact bytes Save copies and
-	// sigs the containment signatures in it, validated at load; file pins the
-	// mapping behind both (and behind a cold ix). All nil for a built shard.
+	// A loaded shard's container: snap is the exact bytes Save copies,
+	// validated at load; file pins the mapping behind it (and behind a cold
+	// ix). Both nil for a built shard.
 	snap *snapshot.Mapped
-	sigs []uint32
 	file *mmap.File
 
 	// contain is the shard's containment side, the LSH Ensemble candidate
-	// structure, built on the first containment query or encode — similarity-
-	// only workloads never pay for it. It owns no sets: a query verifies its
-	// candidates against ix's. containMu serializes the one-time build;
-	// readers go through the atomic pointer.
+	// structure. It is derived state, never stored: built on the first
+	// containment query, whether the shard was built, loaded or saved, so
+	// similarity-only workloads never pay for it. It owns no sets: a query
+	// verifies its candidates against ix's. containMu serializes the
+	// one-time build; readers go through the atomic pointer.
 	containMu sync.Mutex
 	contain   atomic.Pointer[contain.Index]
 }
@@ -85,7 +85,7 @@ func (s *localShard) query(p plan, q []uint32, dst []Match) ([]Match, cpindex.Qu
 	} else {
 		dst, st = s.ix.AppendAllWithStats(dst, q)
 	}
-	runtime.KeepAlive(s) // a cold ix and a loaded containment side read the mapping s pins
+	runtime.KeepAlive(s) // a cold ix reads the mapping s pins
 	return dst, st
 }
 
@@ -103,10 +103,8 @@ func (s *localShard) heapSets() [][]uint32 {
 
 // containSide returns the shard's containment side, building it on first
 // use. Double-checked under containMu so concurrent first queries build
-// once. A loaded shard sorts the signatures its container holds, which load
-// checked were signed under signer, the ring's; a built shard, which has no
-// container, signs its sets. Either way the side shares signer with every
-// other shard of the ring.
+// once. The side signs the shard's sets under signer, so it shares the
+// ring's hash functions with every other shard's.
 func (s *localShard) containSide(signer *ringSigner) *contain.Index {
 	if c := s.contain.Load(); c != nil {
 		return c
@@ -116,16 +114,8 @@ func (s *localShard) containSide(signer *ringSigner) *contain.Index {
 	if c := s.contain.Load(); c != nil {
 		return c
 	}
-	var c *contain.Index
-	if s.snap == nil {
-		c = signer.get().Build(s.ix.Sets())
-	} else {
-		var err error
-		if c, err = contain.FromSignatures(s.ix.Sets(), s.sigs, signer.get()); err != nil {
-			panic(err) // containHeader checked the length at load
-		}
-	}
-	runtime.KeepAlive(s) // the sets and signatures may alias the mapping s pins
+	c := signer.get().Build(s.ix.Sets())
+	runtime.KeepAlive(s) // a cold shard's sets alias the mapping s pins
 	s.contain.Store(c)
 	return c
 }
@@ -134,13 +124,12 @@ func (s *localShard) containSide(signer *ringSigner) *contain.Index {
 // the shard keeps, after validating all of it: every section's checksum, the
 // meta, the trie and the sets (cpindex's first touch), the id map against the
 // manifest-level identity — id bounds, id/set count agreement, the build
-// seed — and the containment section's framing against signer. A hot shard
-// then clones its trie and sets onto the heap; a cold one keeps the views.
-// Either way the shard pins the mapping and keeps the container, so saving
-// it is a byte copy and nothing it serves can fail later. Only the
-// containment side's sorted orders wait for a containment query, as after
-// Build: they are the one part of opening a shard that is not validation.
-func openLocalShard(path string, entry snapshot.ShardEntry, total int, tier Tier, signer *ringSigner) (_ *localShard, err error) {
+// seed. A hot shard then clones its trie and sets onto the heap; a cold one
+// keeps the views. Either way the shard pins the mapping and keeps the
+// container, so saving it is a byte copy and nothing it serves can fail
+// later. The containment side is not in the container: it is built on the
+// first containment query, as after Build.
+func openLocalShard(path string, entry snapshot.ShardEntry, total int, tier Tier) (_ *localShard, err error) {
 	f, err := mmap.Open(path)
 	if err != nil {
 		return nil, err
@@ -187,15 +176,7 @@ func openLocalShard(path string, entry snapshot.ShardEntry, total int, tier Tier
 		return nil, fmt.Errorf("%w: shard built with seed %d, manifest says %d (files shuffled?)",
 			snapshot.ErrCorrupt, got, entry.Seed)
 	}
-	if raw, err = snap.Section("contain"); err != nil {
-		return nil, err
-	}
-	sigs, err := containHeader(raw, len(ids), signer)
-	if err != nil {
-		return nil, err
-	}
-	s := &localShard{ids: ids, seed: entry.Seed, cold: tier == TierCold,
-		snap: snap, sigs: snapshot.View[uint32](sigs), file: f}
+	s := &localShard{ids: ids, seed: entry.Seed, cold: tier == TierCold, snap: snap, file: f}
 	if s.cold {
 		s.ix, err = m.InPlace()
 	} else {

@@ -140,7 +140,7 @@ func (x *Index) Save(dir string) error {
 		sh := shards[i]
 		file := shardFileName(gen, i)
 		m.Shards[i] = snapshot.ShardEntry{File: file, Seed: sh.seed, Sets: len(sh.ids)}
-		errs[i] = saveShard(filepath.Join(dir, file), sh, x.signer)
+		errs[i] = saveShard(filepath.Join(dir, file), sh)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -156,25 +156,22 @@ func (x *Index) Save(dir string) error {
 // saveShard writes one shard file: a loaded shard's container holds its
 // canonical bytes, so saving it is a file copy with no re-encode; a built
 // shard, which has no container, is encoded straight into the file.
-func saveShard(path string, sh *localShard, signer *ringSigner) error {
+func saveShard(path string, sh *localShard) error {
 	if sh.snap != nil {
 		err := snapshot.WriteRawFile(path, sh.snap.Bytes())
 		runtime.KeepAlive(sh) // the bytes are the mapping sh pins
 		return err
 	}
 	return snapshot.WriteFile(path, shardKind, func(w *snapshot.Writer) error {
-		return encodeShardSections(w, sh, signer)
+		return encodeShardSections(w, sh)
 	})
 }
 
-// encodeShardSections writes one shard's container body — cpindex
-// sections, the local→global id map, and the containment signatures. Only
-// a built shard is ever encoded. Encoding forces the containment side to
-// exist, so every container carries the section and a reader never signs
-// its sets: for a shard that never served a containment query that is one
-// signing pass plus the side's sorted orders (4·T bytes per set, about 0.1 s
-// per 10 000 sets in all) and 4·T bytes per set in the file.
-func encodeShardSections(w *snapshot.Writer, sh *localShard, signer *ringSigner) error {
+// encodeShardSections writes one shard's container body: the cpindex
+// sections and the local→global id map. Only a built shard is ever encoded.
+// The containment side is not written: it is derived from the sets on the
+// first containment query, so saving a shard neither signs nor sorts.
+func encodeShardSections(w *snapshot.Writer, sh *localShard) error {
 	if err := sh.ix.EncodeSections(w); err != nil {
 		return err
 	}
@@ -183,46 +180,7 @@ func encodeShardSections(w *snapshot.Writer, sh *localShard, signer *ringSigner)
 	for _, id := range sh.ids {
 		ids.Uvarint(uint64(id))
 	}
-	if err := w.Section("ids", ids.B); err != nil {
-		return err
-	}
-	c := sh.containSide(signer)
-	var cb snapshot.Buf
-	cb.U32(uint32(c.T()))
-	cb.U64(c.Seed())
-	cb.U32(uint32(c.Len()))
-	cb.B = append(cb.B, snapshot.Bytes(c.Signatures())...)
-	return w.Section("contain", cb.B)
-}
-
-// containHeader validates a containment section's framing against the
-// shard it belongs to and returns the signature bytes. The header is 16
-// bytes fixed-width (T u32, seed u64, n u32), so the matrix behind it is
-// 4-aligned in the container. The T and seed it names must be signer's:
-// every container a ring opens was written under the ring's own options,
-// and candidates signed under any others would not be the ring's answers.
-func containHeader(raw []byte, nsets int, signer *ringSigner) ([]byte, error) {
-	c := snapshot.NewCursor("contain", raw)
-	t := int(c.U32())
-	seed := c.U64()
-	if t == 0 || t > 1<<16 {
-		c.Fail("implausible signature length %d", t)
-	}
-	if n := c.U32(); uint64(nsets) != uint64(n) {
-		c.Fail("containment side covers %d sets, shard holds %d", n, nsets)
-	}
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-	if want := signer.opts; t != want.T || seed != want.Seed {
-		return nil, fmt.Errorf("%w: section %q: signed under T=%d seed %d, the ring signs under T=%d seed %d",
-			snapshot.ErrCorrupt, "contain", t, seed, want.T, want.Seed)
-	}
-	if nsets*t*4 != c.Remaining() {
-		return nil, fmt.Errorf("%w: section %q: %d signature bytes for %d sets with T=%d",
-			snapshot.ErrCorrupt, "contain", c.Remaining(), nsets, t)
-	}
-	return raw[len(raw)-c.Remaining():], nil
+	return w.Section("ids", ids.B)
 }
 
 // pruneUnreferenced deletes every shard file the freshly written
@@ -352,7 +310,7 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 	errs := make([]error, len(m.Shards))
 	exec.RunItems(exec.EffectiveWorkers(workers), len(m.Shards), func(i int) {
 		path := filepath.Join(dir, m.Shards[i].File)
-		x.shards[i], errs[i] = openLocalShard(path, m.Shards[i], m.Total, tier, x.signer)
+		x.shards[i], errs[i] = openLocalShard(path, m.Shards[i], m.Total, tier)
 	})
 	for i, err := range errs {
 		if err != nil {

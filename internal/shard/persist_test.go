@@ -599,7 +599,7 @@ func TestCrashedSaveLeavesPreviousSnapshotReadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, sh := range other.shards {
-		if err := saveShard(filepath.Join(dir, shardFileName(gen, i)), sh, other.signer); err != nil {
+		if err := saveShard(filepath.Join(dir, shardFileName(gen, i)), sh); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -129,10 +129,11 @@ func ContainSeed(seed uint64) uint64 {
 // 256 B of signature and 256 B of sorted orders) and the recall target is
 // its constant, so two shards of a ring can differ in nothing that would
 // make their candidates differ. The signer is drawn on first use, so a ring
-// that serves no containment query and encodes no shard never draws it.
+// that serves no containment query never draws it, whether it is built,
+// saved or loaded.
 type ringSigner struct {
-	// opts are the options every container the ring opens must have been
-	// signed under.
+	// opts are the options the signer is drawn from: contain's default T
+	// and the ring's ContainSeed.
 	opts   contain.Options
 	once   sync.Once
 	signer *contain.Signer
@@ -177,9 +178,8 @@ func ContiguousRanges(n, k int) [][2]int {
 type Index struct {
 	lambda float64
 	opt    Options
-	// signer is the ring's containment hash functions. Every container the
-	// ring opens was written under them, which the contain section's header
-	// must confirm. Set with opt.
+	// signer is the ring's containment hash functions, under which every
+	// shard's containment side signs its sets. Set with opt.
 	signer *ringSigner
 
 	// saveMu serializes Save calls (generation numbering and pruning in

@@ -57,9 +57,8 @@ import (
 // and the only one it reads (MinVersion == Version): a snapshot is a cache
 // of a rebuildable structure, not an archival format, so files of any other
 // version are rejected with ErrVersion and rebuilt from the input rather
-// than migrated. Version 5 aligns the two regions version 4 left where their
-// varint prefixes put them: the tokens of a sets payload and the signature
-// matrix of a shard's contain section.
+// than migrated. Version 5 aligns the token region of a sets payload, which
+// version 4 left where its varint prefix put it.
 const (
 	Version    = 5
 	MinVersion = 5
