@@ -276,15 +276,16 @@ func Build(sets [][]uint32, lambda float64, o *Options) *Index {
 	// Each tree is built into arrays of its own (trees are seeded by their
 	// index, so the structure is the same for any worker count), then the
 	// trees are concatenated in order.
-	all := make([]uint64, len(sets))
+	all := make([]uint32, len(sets))
 	for i := range all {
-		all[i] = uint64(i)
+		all[i] = uint32(i)
 	}
 	builders := make([]treeBuilder, opt.Trees)
 	exec.RunItems(workers, opt.Trees, func(tr int) {
 		b := &builders[tr]
 		*b = treeBuilder{opt: opt, sigs: sigs, splitProb: 1 / (lambda * float64(opt.T))}
 		b.add(all, 0, tabhash.Mix64(opt.Seed+uint64(tr)*0xc9f1))
+		b.depths, b.grouper = nil, grouper{} // the tree is built: let its scratch go
 	})
 	k.trie = new(trie)
 	ix := &Index{kernel: k}

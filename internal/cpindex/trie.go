@@ -3,6 +3,7 @@ package cpindex
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/snapshot"
@@ -57,23 +58,40 @@ type trieBucket struct {
 
 // treeBuilder grows one tree of the index into arrays of its own; Build
 // runs one per repetition, possibly concurrently, and concatenates them.
+// Its scratch (depths, grouper) is dropped as soon as its tree is built.
 type treeBuilder struct {
 	opt       Options
 	sigs      []uint32 // the collection's flattened signature matrix
 	splitProb float64
 	trie      trie
 	leaves    int
-	keys      [][]uint64 // one grouping buffer per depth, see add
+	depths    []depthScratch // one per depth, see add
+	grouper   grouper
 }
 
-// add appends the subtree over ids and returns its node index. Only the
-// low 32 bits of an entry are the record id — the high bits are the bucket
-// value that routed it here, left over from the parent's grouping sort —
-// and ids arrive ascending by record id, so leaves list ids in ascending
-// order. Each node derives its randomness from a seed determined by its
-// path from the root (parent seed plus the position/value bucket that
-// formed it), never from build order — the same discipline as the CPSJoin
-// recursion in internal/core, and what makes the structure reproducible.
+// depthScratch holds the ids of the node being split at one depth, grouped
+// by their value at the position being split on, and each group's end.
+type depthScratch struct{ ids, ends []uint32 }
+
+// grouper is the scratch of treeBuilder.group, as core's split groups a
+// CPSJoin node: an open-addressing table numbers the values, values[i] is
+// the i-th one met and counts[i] its number of ids (while scattering, where
+// its next id goes), and slot holds each id's value, then its number.
+type grouper struct {
+	table  []uint32 // a value's number+1, 0 when empty
+	slot   []uint32
+	values []uint32
+	counts []uint32
+	order  []uint64 // value<<32 | number, sorted
+}
+
+// add appends the subtree over ids and returns its node index. ids arrive
+// ascending (group keeps each bucket's ids in order), so leaves list ids in
+// ascending order. Each node derives its randomness from a seed determined
+// by its path from the root (parent seed plus the position/value bucket
+// that formed it), never from build order — the same discipline as the
+// CPSJoin recursion in internal/core, and what makes the structure
+// reproducible.
 //
 // A node becomes a leaf for one of three reasons, and only two of them
 // keep its ids. Small enough (at most LeafSize) and too deep (MaxDepth):
@@ -115,7 +133,7 @@ type treeBuilder struct {
 // above λ up to five. A collection whose background similarity is close to
 // λ splits deeper and needs ln(1-ϕ)/ln(1-p_d(λ)) trees for recall ϕ at the
 // threshold; TestRecallByBand measures the table's first column.
-func (b *treeBuilder) add(ids []uint64, depth int, seed uint64) int32 {
+func (b *treeBuilder) add(ids []uint32, depth int, seed uint64) int32 {
 	t := &b.trie
 	idx := int32(len(t.nodes))
 	posLo := len(t.pos)
@@ -132,54 +150,118 @@ func (b *treeBuilder) add(ids []uint64, depth int, seed uint64) int32 {
 	if posLo == posHi {
 		lo := uint32(len(t.leafIDs))
 		if !split { // a node that wanted to split and sampled nothing is dead
-			for _, id := range ids {
-				t.leafIDs = append(t.leafIDs, uint32(id))
-			}
+			t.leafIDs = append(t.leafIDs, ids...)
 		}
 		t.nodes = append(t.nodes, trieNode{leafLo: lo, leafHi: uint32(len(t.leafIDs))})
 		b.leaves++
 		return idx
 	}
 	t.nodes = append(t.nodes, trieNode{posLo: uint32(posLo), posHi: uint32(posHi)})
-	if depth == len(b.keys) { // depths are first reached one at a time
-		b.keys = append(b.keys, nil)
+	if depth == len(b.depths) { // depths are first reached one at a time
+		b.depths = append(b.depths, depthScratch{})
 	}
 	for pi := posLo; pi < posHi; pi++ {
-		// Group the ids by their minhash value at p: sorting (value, id)
-		// keys leaves each bucket a contiguous, id-ascending run. The keys
-		// live in this depth's buffer: children read their slice of it and
-		// write only deeper buffers, so it is free again once they return.
+		// Group the ids by their minhash value at p into this depth's
+		// buffer, reserving the bucket span before recursing, so the
+		// children's own entries (which land after it) cannot fragment it.
+		// Children read their run of the buffer and write only deeper ones,
+		// so it is free again once they return.
 		p := t.pos[pi].pos
-		keys := slices.Grow(b.keys[depth][:0], len(ids))[:len(ids)]
-		b.keys[depth] = keys
-		for j, id := range ids {
-			keys[j] = uint64(b.sigs[int(uint32(id))*b.opt.T+int(p)])<<32 | id&math.MaxUint32
-		}
-		slices.Sort(keys)
-		// Reserve the bucket span before recursing, so the children's own
-		// entries (which land after it) cannot fragment it.
+		d := &b.depths[depth]
+		d.ids = slices.Grow(d.ids[:0], len(ids))[:len(ids)]
 		bLo := len(t.buckets)
-		for j, k := range keys {
-			if j == 0 || k>>32 != keys[j-1]>>32 {
-				t.buckets = append(t.buckets, trieBucket{val: uint32(k >> 32)})
-			}
-		}
+		d.ends = b.group(d.ids, d.ends[:0], ids, p)
 		bHi := len(t.buckets)
 		t.pos[pi].bLo, t.pos[pi].bHi = uint32(bLo), uint32(bHi)
-		lo := 0
+		// The recursion may grow b.depths: hold this depth's runs, not d.
+		grouped, ends := d.ids, d.ends
+		lo := uint32(0)
 		for bi := bLo; bi < bHi; bi++ {
-			val := t.buckets[bi].val
-			hi := lo
-			for hi < len(keys) && uint32(keys[hi]>>32) == val {
-				hi++
-			}
+			hi := ends[bi-bLo]
 			// The call appends to t.buckets: index it only afterwards.
-			child := b.add(keys[lo:hi], depth+1, tabhash.DeriveSeed(seed, uint64(p), uint64(val)))
+			child := b.add(grouped[lo:hi], depth+1, tabhash.DeriveSeed(seed, uint64(p), uint64(t.buckets[bi].val)))
 			t.buckets[bi].child = child
 			lo = hi
 		}
 	}
 	return idx
+}
+
+// group writes ids into dst grouped by their minhash value at position p,
+// appends one bucket per value to the trie in ascending value order, and
+// appends each group's end in dst to ends. Within a group ids keep their
+// order, so dst is exactly the (value, id)-ascending order of the ids: what
+// sorting (value, id) keys yields, in time linear in the ids plus a sort of
+// the distinct values only. A table numbers the values in order of first
+// appearance and a counting scatter moves the ids, as core's split does;
+// values already in order need neither.
+func (b *treeBuilder) group(dst, ends, ids []uint32, p uint32) []uint32 {
+	g := &b.grouper
+	lg := bits.Len(uint(2*len(ids) - 1)) // table of 2^lg >= 2·len(ids) entries
+	// The root's call is the largest: it sizes the table and slots for the
+	// whole tree.
+	if len(g.table) < 1<<lg {
+		g.table = make([]uint32, 1<<lg)
+		g.slot = make([]uint32, len(ids))
+	}
+	table, slot := g.table[:1<<lg], g.slot[:len(ids)]
+	// Fetch the values in a loop of their own: each is a cache miss, and
+	// with nothing else in the loop many of them are in flight at once.
+	for i, id := range ids {
+		slot[i] = b.sigs[int(id)*b.opt.T+int(p)]
+	}
+	t := &b.trie
+	if slices.IsSorted(slot) {
+		// The ids are already in (value, id) order and their groups are
+		// runs, as a cluster's copies (one value at every position) always
+		// are. Hashing them anyway built a 33-copy cluster's trie, 26× the
+		// nodes of the rest, a third slower than sorting keys did.
+		copy(dst, ids)
+		for i, v := range slot {
+			if i+1 == len(slot) || slot[i+1] != v {
+				t.buckets = append(t.buckets, trieBucket{val: v})
+				ends = append(ends, uint32(i+1))
+			}
+		}
+		return ends
+	}
+	clear(table)
+	values, counts := g.values[:0], g.counts[:0]
+	for i, v := range slot {
+		// Values are tokens, often small and dense: hash multiplicatively.
+		for h := v * 0x9e3779b1 >> (32 - lg); ; h = (h + 1) & (1<<lg - 1) {
+			e := table[h]
+			if e == 0 {
+				values = append(values, v)
+				counts = append(counts, 0)
+				e = uint32(len(values))
+				table[h] = e
+			} else if values[e-1] != v {
+				continue
+			}
+			slot[i] = e - 1
+			counts[e-1]++
+			break
+		}
+	}
+	order := slices.Grow(g.order[:0], len(values))
+	for i, v := range values {
+		order = append(order, uint64(v)<<32|uint64(i))
+	}
+	slices.Sort(order)
+	at := uint32(0)
+	for _, o := range order {
+		i := uint32(o)
+		t.buckets = append(t.buckets, trieBucket{val: values[i]})
+		at, counts[i] = at+counts[i], at
+		ends = append(ends, at)
+	}
+	for i, id := range ids {
+		dst[counts[slot[i]]] = id
+		counts[slot[i]]++
+	}
+	g.values, g.counts, g.order = values, counts, order
+	return ends
 }
 
 // appendTree concatenates one built tree (whose root is its node 0) onto

@@ -401,6 +401,150 @@ func TestCandidateCountGate(t *testing.T) {
 	}
 }
 
+// sortBuilder is treeBuilder with the grouping it replaced, kept as the
+// reference group must agree with: each node's ids at a sampled position
+// become (value, id) keys, and sorting them leaves every bucket a
+// contiguous, id-ascending run. Only the low 32 bits of a key are the id.
+type sortBuilder struct {
+	treeBuilder
+	keys [][]uint64 // one key buffer per depth
+}
+
+func (b *sortBuilder) add(ids []uint64, depth int, seed uint64) int32 {
+	t := &b.trie
+	idx := int32(len(t.nodes))
+	posLo := len(t.pos)
+	split := len(ids) > b.opt.LeafSize && depth < b.opt.MaxDepth
+	if split {
+		rng := tabhash.NewSplitMix64(seed)
+		for pos := 0; pos < b.opt.T; pos++ {
+			if rng.Float64() < b.splitProb {
+				t.pos = append(t.pos, triePos{pos: uint32(pos)})
+			}
+		}
+	}
+	posHi := len(t.pos)
+	if posLo == posHi {
+		lo := uint32(len(t.leafIDs))
+		if !split {
+			for _, id := range ids {
+				t.leafIDs = append(t.leafIDs, uint32(id))
+			}
+		}
+		t.nodes = append(t.nodes, trieNode{leafLo: lo, leafHi: uint32(len(t.leafIDs))})
+		b.leaves++
+		return idx
+	}
+	t.nodes = append(t.nodes, trieNode{posLo: uint32(posLo), posHi: uint32(posHi)})
+	if depth == len(b.keys) {
+		b.keys = append(b.keys, nil)
+	}
+	for pi := posLo; pi < posHi; pi++ {
+		p := t.pos[pi].pos
+		keys := slices.Grow(b.keys[depth][:0], len(ids))[:len(ids)]
+		b.keys[depth] = keys
+		for j, id := range ids {
+			keys[j] = uint64(b.sigs[int(uint32(id))*b.opt.T+int(p)])<<32 | id&math.MaxUint32
+		}
+		slices.Sort(keys)
+		bLo := len(t.buckets)
+		for j, k := range keys {
+			if j == 0 || k>>32 != keys[j-1]>>32 {
+				t.buckets = append(t.buckets, trieBucket{val: uint32(k >> 32)})
+			}
+		}
+		bHi := len(t.buckets)
+		t.pos[pi].bLo, t.pos[pi].bHi = uint32(bLo), uint32(bHi)
+		lo := 0
+		for bi := bLo; bi < bHi; bi++ {
+			val := t.buckets[bi].val
+			hi := lo
+			for hi < len(keys) && uint32(keys[hi]>>32) == val {
+				hi++
+			}
+			child := b.add(keys[lo:hi], depth+1, tabhash.DeriveSeed(seed, uint64(p), uint64(val)))
+			t.buckets[bi].child = child
+			lo = hi
+		}
+	}
+	return idx
+}
+
+// sortBuild is Build's trie with every tree grown by sortBuilder, one after
+// the other.
+func sortBuild(sets [][]uint32, lambda float64, o Options) *trie {
+	opt := o.withDefaults()
+	if opt.MaxDepth <= 0 {
+		opt.MaxDepth = int(math.Ceil(math.Log(float64(len(sets)+1))/math.Log(1/lambda))) + 4
+	}
+	sigs := minhash.NewSigner(opt.T, opt.Seed).SignAll(sets)
+	all := make([]uint64, len(sets))
+	for i := range all {
+		all[i] = uint64(i)
+	}
+	out := new(trie)
+	for tr := 0; tr < opt.Trees; tr++ {
+		b := &sortBuilder{treeBuilder: treeBuilder{opt: opt, sigs: sigs, splitProb: 1 / (lambda * float64(opt.T))}}
+		b.add(all, 0, tabhash.Mix64(opt.Seed+uint64(tr)*0xc9f1))
+		out.appendTree(&b.trie)
+	}
+	return out
+}
+
+// clusterShape is 10 000 flat sets plus 33 copies of one of them: a cluster
+// over LeafSize that every sampled branch copies down to MaxDepth.
+func clusterShape() [][]uint32 {
+	sets := flatShape().collection(10000, 21)
+	for i := 0; i < 33; i++ {
+		sets = append(sets, sets[0])
+	}
+	return sets
+}
+
+// TestGroupMatchesSortReference: Build's linear-time grouping yields the
+// trie the sort-based grouping did, byte for byte, on the flat, skewed and
+// clustered shapes, at several leaf sizes and worker counts.
+func TestGroupMatchesSortReference(t *testing.T) {
+	n := 10000
+	if race.Enabled || testing.Short() {
+		n = 2000
+	}
+	// The cluster doubles its nodes with every level down to MaxDepth;
+	// 12 instead of the default 18 keeps the reference build within a
+	// second and still cuts the copies off there.
+	shapes := []struct {
+		name     string
+		sets     [][]uint32
+		maxDepth int
+	}{
+		{"flat", flatShape().collection(n, 19), 0},
+		{"skew", skewShape(n).collection(n, 20), 0},
+		{"cluster", clusterShape(), 12},
+	}
+	for _, sh := range shapes {
+		for _, leafSize := range []int{1, 4, 32} {
+			t.Run(fmt.Sprintf("%s/LeafSize=%d", sh.name, leafSize), func(t *testing.T) {
+				// Two trees: enough for two workers to build at once.
+				opt := Options{LeafSize: leafSize, MaxDepth: sh.maxDepth, Trees: 2, Seed: 23}
+				ref := sortBuild(sh.sets, 0.5, opt)
+				if sh.maxDepth > 0 && !slices.ContainsFunc(ref.nodes, func(n trieNode) bool {
+					return int(n.leafHi-n.leafLo) > leafSize
+				}) {
+					t.Fatal("no leaf over LeafSize: the cluster never reached MaxDepth")
+				}
+				want := ref.encode()
+				for _, workers := range []int{0, 2} {
+					opt.Workers = workers
+					if got := Build(sh.sets, 0.5, &opt).trie.encode(); !bytes.Equal(got, want) {
+						t.Errorf("Workers=%d: trie differs from the sort-grouped reference (%d bytes, reference %d)",
+							workers, len(got), len(want))
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestQueryZeroAllocs: steady-state Query and AppendAll (with a reused
 // destination) allocate nothing, against the heap view and the mapped one
 // (Query through its InPlace view, AppendAll through the lazy one).
@@ -469,11 +613,16 @@ func BenchmarkQueryAll(b *testing.B) {
 	}
 }
 
+// BenchmarkBuild builds a 10 000-set index of each ledger shape, the size
+// of one shard of the serving benchmark's catalogue.
 func BenchmarkBuild(b *testing.B) {
-	sets := flatShape().collection(10000, 17)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Build(sets, 0.5, &Options{Seed: uint64(i) + 1})
+	for _, sh := range []testShape{flatShape(), skewShape(10000)} {
+		sets := sh.collection(10000, 17)
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Build(sets, 0.5, &Options{Seed: uint64(i) + 1})
+			}
+		})
 	}
 }

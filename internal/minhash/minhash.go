@@ -13,14 +13,20 @@ package minhash
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/tabhash"
 )
 
-// Signer computes t-dimensional MinHash signatures.
+// Signer computes t-dimensional MinHash signatures. Function i is the
+// simple tabulation hash tabhash.NewTable32(Mix64(seed + i)); the t of
+// them are held as one tabhash.Family32, transposed, so a signature is
+// computed token by token: XOR the token's four rows into all t hash
+// values at once and fold them into the running minima. It is safe for
+// concurrent use.
 type Signer struct {
-	t      int
-	tables []*tabhash.Table32
+	t   int
+	fam *tabhash.Family32
 }
 
 // NewSigner returns a Signer with t independent MinHash functions derived
@@ -29,11 +35,7 @@ func NewSigner(t int, seed uint64) *Signer {
 	if t <= 0 {
 		panic(fmt.Sprintf("minhash: invalid signature length %d", t))
 	}
-	s := &Signer{t: t, tables: make([]*tabhash.Table32, t)}
-	for i := range s.tables {
-		s.tables[i] = tabhash.NewTable32(tabhash.Mix64(seed + uint64(i)))
-	}
-	return s
+	return &Signer{t: t, fam: tabhash.NewFamily32(t, seed, 1)}
 }
 
 // T returns the signature length.
@@ -48,7 +50,13 @@ func (s *Signer) Sign(set []uint32) []uint32 {
 	return sig
 }
 
+// signBlock is how many functions SignInto folds per pass over the set:
+// their running minima live in an array on its stack, so signing allocates
+// nothing at any t. 128, the default t everywhere, is one pass.
+const signBlock = 128
+
 // SignInto computes the signature of set into sig, which must have length t.
+// It allocates nothing.
 func (s *Signer) SignInto(set []uint32, sig []uint32) {
 	if len(set) == 0 {
 		panic("minhash: cannot sign an empty set")
@@ -56,16 +64,45 @@ func (s *Signer) SignInto(set []uint32, sig []uint32) {
 	if len(sig) != s.t {
 		panic(fmt.Sprintf("minhash: sig length %d, want %d", len(sig), s.t))
 	}
-	for i, table := range s.tables {
-		best := set[0]
-		bestHash := table.Hash(set[0])
-		for _, tok := range set[1:] {
-			if h := table.Hash(tok); h < bestHash {
-				bestHash = h
-				best = tok
-			}
+	var mins [signBlock]uint64
+	for lo := 0; lo < s.t; lo += signBlock {
+		hi := min(lo+signBlock, s.t)
+		s.signRange(set, lo, sig[lo:hi], mins[:hi-lo])
+	}
+}
+
+// signRange computes functions [lo, lo+len(mins)) of the signature into
+// sig, with mins as their running minima. The minima start above every
+// hash value but the largest, and a tie keeps the token already there, so
+// the first token is taken whatever it hashes to.
+func (s *Signer) signRange(set []uint32, lo int, sig []uint32, mins []uint64) {
+	for i := range mins {
+		mins[i] = math.MaxUint64
+		sig[i] = set[0]
+	}
+	f := s.fam
+	for _, tok := range set {
+		fold(tok, f.Row(0, tok)[lo:], f.Row(1, tok)[lo:], f.Row(2, tok)[lo:], f.Row(3, tok)[lo:], mins, sig)
+	}
+}
+
+// fold folds tok, whose hash values are the XOR of the rows r0 to r3, into
+// the running minima mins and their arg-min tokens sig. It is branch-free: the
+// new minimum is a min and the token a select on the same strict compare, so
+// a tie keeps the earlier token, as the one-function-at-a-time loop does.
+func fold(tok uint32, r0, r1, r2, r3, mins []uint64, sig []uint32) {
+	// Slicing everything to len(mins) lets the compiler drop the loop's
+	// bounds checks.
+	n := len(mins)
+	r0, r1, r2, r3, sig = r0[:n], r1[:n], r2[:n], r3[:n], sig[:n]
+	for i, m := range mins {
+		h := r0[i] ^ r1[i] ^ r2[i] ^ r3[i]
+		best := sig[i]
+		if h < m {
+			best = tok
 		}
 		sig[i] = best
+		mins[i] = min(h, m)
 	}
 }
 

@@ -3,9 +3,11 @@ package minhash
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/intset"
+	"repro/internal/tabhash"
 )
 
 func randomSet(rng *rand.Rand, size, universe int) []uint32 {
@@ -123,6 +125,103 @@ func TestSignAllLayout(t *testing.T) {
 	}
 }
 
+// refSigner is the one-function-at-a-time loop the token-major kernel
+// replaced, kept as the reference it must agree with bit for bit: function
+// i is its own tabhash.Table32, and its arg-min keeps the earlier token on a
+// tie.
+type refSigner []*tabhash.Table32
+
+func newRefSigner(t int, seed uint64) refSigner {
+	r := make(refSigner, t)
+	for i := range r {
+		r[i] = tabhash.NewTable32(tabhash.Mix64(seed + uint64(i)))
+	}
+	return r
+}
+
+func (r refSigner) sign(set []uint32) []uint32 {
+	sig := make([]uint32, len(r))
+	for i, table := range r {
+		best := set[0]
+		bestHash := table.Hash(set[0])
+		for _, tok := range set[1:] {
+			if h := table.Hash(tok); h < bestHash {
+				bestHash = h
+				best = tok
+			}
+		}
+		sig[i] = best
+	}
+	return sig
+}
+
+// TestSignMatchesReference: Sign, SignInto and SignAll yield the reference
+// loop's signatures bit for bit, at signature lengths below, at and above
+// one block of the kernel and not a multiple of eight, on sets of 1 to
+// 2 000 tokens over universes from 2^8 to 2^32 (tokens at and above 2^24,
+// so that all four key bytes vary), and SignInto allocates nothing.
+func TestSignMatchesReference(t *testing.T) {
+	rng := tabhash.NewSplitMix64(0x519)
+	sets := make([][]uint32, 0, 40)
+	for i := 0; i < cap(sets); i++ {
+		size := 1 + rng.Intn(60)
+		switch i % 8 {
+		case 0:
+			size = 2000
+		case 1:
+			size = 1
+		}
+		shift := uint(rng.Intn(25)) // universes from 2^8 to 2^32
+		set := make([]uint32, size)
+		for j := range set {
+			set[j] = uint32(rng.Next()) >> shift
+			if i%4 == 3 {
+				set[j] |= 1 << 24
+			}
+		}
+		sets = append(sets, intset.Normalize(set))
+	}
+	for _, n := range []int{1, 7, 64, 128, 300} {
+		seed := rng.Next()
+		s, ref := NewSigner(n, seed), newRefSigner(n, seed)
+		all := s.SignAll(sets)
+		into := make([]uint32, n)
+		for i, set := range sets {
+			want := ref.sign(set)
+			s.SignInto(set, into)
+			got := s.Sign(set)
+			for j := range want {
+				if got[j] != want[j] || into[j] != want[j] || all[i*n+j] != want[j] {
+					t.Fatalf("t=%d seed=%#x set %d (%d tokens) position %d: Sign %d SignInto %d SignAll %d, reference %d",
+						n, seed, i, len(set), j, got[j], into[j], all[i*n+j], want[j])
+				}
+			}
+		}
+		if n >= 128 {
+			if allocs := testing.AllocsPerRun(20, func() { s.SignInto(sets[0], into) }); allocs != 0 {
+				t.Errorf("t=%d: SignInto allocates %v times per call, want 0", n, allocs)
+			}
+		}
+	}
+}
+
+// TestFoldKeepsTheEarlierToken: a token whose hash equals the running
+// minimum does not displace the token already there, as in the reference
+// loop's strict compare. Distinct tokens practically never tie under a
+// 64-bit tabulation hash, so the rows are made up.
+func TestFoldKeepsTheEarlierToken(t *testing.T) {
+	mins := []uint64{5, 5, 5}
+	sig := []uint32{1, 1, 1}
+	zero := make([]uint64, 3)
+	fold(2, []uint64{4, 5, 6}, zero, zero, zero, mins, sig)
+	if want := []uint32{2, 1, 1}; !slices.Equal(sig, want) {
+		t.Errorf("arg-min tokens %v, want %v (a tie keeps the earlier token)", sig, want)
+	}
+	if want := []uint64{4, 5, 5}; !slices.Equal(mins, want) {
+		t.Errorf("minima %v, want %v", mins, want)
+	}
+}
+
 func TestEstimatePanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -132,15 +231,72 @@ func TestEstimatePanicsOnMismatch(t *testing.T) {
 	Estimate([]uint32{1, 2}, []uint32{1})
 }
 
+// BenchmarkSign measures SignInto at t = 128 on the shapes of the perf
+// ledger's join workloads (benchmark/gen.go), as sketch's
+// BenchmarkSketchInto does: flat is join_flat's sets, skew is join_skew's
+// size and token distributions, large is one set from the tail of skew.
+// SignInto must not allocate: it sits in prep's and cpindex's per-set loops
+// and on every cpindex query.
 func BenchmarkSign(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	set := randomSet(rng, 100, 100000)
-	s := NewSigner(128, 1)
-	sig := make([]uint32, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.SignInto(set, sig)
+	flat := make([][]uint32, 4096)
+	for i := range flat {
+		flat[i] = randomSet(rng, 10, 209)
 	}
+	zipf := rand.NewZipf(rng, 1.01, 1, 80000-1)
+	skew := make([][]uint32, 4096)
+	for i := range skew {
+		size := min(2000, max(2, int(math.Round(5*math.Exp(1.3*rng.NormFloat64())))))
+		set := make([]uint32, size)
+		for j := range set {
+			set[j] = uint32(zipf.Uint64())
+		}
+		skew[i] = intset.Normalize(set)
+	}
+	for _, bc := range []struct {
+		name string
+		sets [][]uint32
+	}{
+		{"flat", flat},
+		{"skew", skew},
+		{"large", [][]uint32{randomSet(rng, 1500, 80000)}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := NewSigner(128, 42)
+			sig := make([]uint32, s.T())
+			tokens := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				set := bc.sets[i%len(bc.sets)]
+				s.SignInto(set, sig)
+				tokens += len(set)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tokens), "ns/token")
+			if allocs := testing.AllocsPerRun(100, func() { s.SignInto(bc.sets[0], sig) }); allocs != 0 {
+				b.Errorf("SignInto allocates %v times per call, want 0", allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkNewSigner measures building a t = 128 signer against building
+// the 128 tabhash.Table32 of the reference loop: a cold restore opens one
+// signer per shard, so the transposed family must be no slower to draw.
+func BenchmarkNewSigner(b *testing.B) {
+	b.Run("family", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			NewSigner(128, uint64(i))
+		}
+	})
+	b.Run("tables", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			newRefSigner(128, uint64(i))
+		}
+	})
 }
 
 func BenchmarkEstimate(b *testing.B) {

@@ -84,10 +84,11 @@ func BuildParallel(sets [][]uint32, t, words int, seed uint64, workers int) *Ind
 			maker.SketchInto(sets[i], ix.Sketches[i*words:(i+1)*words])
 		}
 	}
-	// Sets per task: a few ms of hashing on ten-token sets (≈ 10 µs a set),
-	// long enough to amortize scheduling (and, per task, the switch from
-	// one hash family to the other), short enough that a chunk of large
-	// sets does not leave the other workers idle at the end.
+	// Sets per task: a few ms of hashing on ten-token sets (≈ 13 µs a set
+	// on one core of a 2-vCPU Xeon, a third of it signing), long enough to
+	// amortize scheduling (and, per task, the switch from one hash family
+	// to the other), short enough that a chunk of large sets does not
+	// leave the other workers idle at the end.
 	const chunk = 256
 	exec.RunChunks(workers, len(sets), chunk, func(c *exec.Ctx, lo, hi int) { sign(lo, hi) })
 	return ix

@@ -13,16 +13,18 @@
 // low bit of a Table64 over the eight bytes of the minimum. Evaluated one
 // function at a time that is 64*W functions with 8 KB + 16 KB of tables
 // each (12 MB at W = 8), every lookup of a small set a cache miss. Maker
-// stores the same tables transposed instead: for each key byte position
-// and byte value, one contiguous row holding that entry of all 64*W value
-// hashes (4 x 256 rows, 4 MB at W = 8), and of the bit hashes only the
-// bits that are used, packed 64 functions to a word (128 KB). A sketch is
-// then computed token by token — XOR four rows, take the element-wise
-// minimum with the running minima — followed by one pass of bit lookups.
-// The tables are filled from the same seeded streams in the same order, so
-// this is the same hash family evaluated in a different order: every
-// sketch is bit for bit what the function-at-a-time loop yields (kept as
-// the reference in the tests), at about 4.1 MB instead of 12 MB of tables.
+// holds the value hashes as one tabhash.Family32 instead, the same tables
+// transposed: for each key byte position and byte value, one contiguous
+// row holding that entry of all 64*W value hashes (4 x 256 rows, 4 MB at
+// W = 8); of the bit hashes it keeps only the bits that are used, packed 64
+// functions to a word (128 KB). A sketch is then computed token by token —
+// XOR four rows, take the element-wise minimum with the running minima —
+// followed by one pass of bit lookups. The tables hold the same draws of
+// the same seeded streams, so this is the same hash family evaluated in a
+// different order: every sketch is bit for bit what the function-at-a-time
+// loop yields (kept as the reference in the tests), at about 4.1 MB
+// instead of 12 MB of tables. minhash.Signer signs on the same kind of
+// family.
 package sketch
 
 import (
@@ -38,11 +40,9 @@ import (
 // concurrent use.
 type Maker struct {
 	words int
-	// rows holds the value hashes transposed, n = 64*words functions wide:
-	// the row of key byte position c and byte value v, at rows[(c*256+v)*n:],
-	// is entry v of table c of every value hash in function order, so
-	// hashing a token with all n functions XORs four contiguous rows.
-	rows []uint64
+	// vals holds the n = 64*words value hashes, transposed: hashing a token
+	// with all of them XORs four contiguous rows.
+	vals *tabhash.Family32
 	// bitrows holds the low bit of every bit-hash table entry: bit b of
 	// bitrows[(w*8+c)*256+v] is that of entry v of table c of function
 	// w*64+b. The 8*256 words one sketch word needs are contiguous.
@@ -60,30 +60,15 @@ func NewMaker(words int, seed uint64) *Maker {
 	nbits := 64 * words
 	m := &Maker{
 		words:   words,
-		rows:    make([]uint64, 4*256*nbits),
+		vals:    tabhash.NewFamily32(nbits, seed^0xa5a5a5a5a5a5a5a5, 2),
 		bitrows: make([]uint64, words*8*256),
 	}
 	m.mins.New = func() any {
 		buf := make([]uint64, nbits)
 		return &buf
 	}
-	// Function i draws its tables from the streams, and in the order, that
-	// tabhash.NewTable32 and NewTable64 do; only where the values are
-	// stored differs. Eight value hashes are filled abreast so that every
-	// store completes a cache line of its row.
-	var vals [8]tabhash.SplitMix64
-	for i0 := 0; i0 < nbits; i0 += len(vals) {
-		for j := range vals {
-			vals[j] = *tabhash.NewSplitMix64(tabhash.Mix64((seed ^ 0xa5a5a5a5a5a5a5a5) + uint64(i0+j)*2))
-		}
-		for v := 0; v < 256; v++ {
-			for c := 0; c < 4; c++ {
-				for j := range vals {
-					m.rows[(c*256+v)*nbits+i0+j] = vals[j].Next()
-				}
-			}
-		}
-	}
+	// Bit hash i draws its tables from the stream, and in the order, that
+	// tabhash.NewTable64 does; only its low bits are stored.
 	for i := 0; i < nbits; i++ {
 		rng := tabhash.NewSplitMix64(tabhash.Mix64((seed ^ 0x5a5a5a5a5a5a5a5a) + uint64(i)*2 + 1))
 		tab := m.bitrows[i/64*8*256:][:8*256]
@@ -119,9 +104,12 @@ func (m *Maker) SketchInto(set []uint32, out []uint64) {
 
 	// Token-major: each token's four rows are XORed into the hash values
 	// of all n functions at once and folded into the running minima.
+	// Slicing the rows to len(mins) lets the compiler drop the loops'
+	// bounds checks.
 	n := len(mins)
 	for k, tok := range set {
-		r0, r1, r2, r3 := m.row(0, tok, n), m.row(1, tok, n), m.row(2, tok, n), m.row(3, tok, n)
+		f := m.vals
+		r0, r1, r2, r3 := f.Row(0, tok)[:n], f.Row(1, tok)[:n], f.Row(2, tok)[:n], f.Row(3, tok)[:n]
 		if k == 0 {
 			for i := range mins {
 				mins[i] = r0[i] ^ r1[i] ^ r2[i] ^ r3[i]
@@ -150,11 +138,6 @@ func (m *Maker) SketchInto(set []uint32, out []uint64) {
 		}
 		out[w] = word
 	}
-}
-
-// row returns the n = 64*words value hashes of byte c of tok.
-func (m *Maker) row(c int, tok uint32, n int) []uint64 {
-	return m.rows[(c<<8|int(byte(tok>>(8*c))))*n:][:n]
 }
 
 // SketchAll sketches every set into a single flattened slice of length

@@ -9,6 +9,9 @@
 // lookups and three XORs.
 package tabhash
 
+// gamma is SplitMix64's state increment, the odd integer nearest 2^64/φ.
+const gamma = 0x9e3779b97f4a7c15
+
 // SplitMix64 is a tiny, high-quality PRNG used to fill tabulation tables and
 // to derive per-repetition seeds. It is the seed-expansion generator of
 // xoshiro/xoroshiro and passes BigCrush when used this way.
@@ -23,7 +26,7 @@ func NewSplitMix64(seed uint64) *SplitMix64 {
 
 // Next returns the next 64-bit value in the stream.
 func (s *SplitMix64) Next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
+	s.state += gamma
 	z := s.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -48,7 +51,7 @@ func (s *SplitMix64) Intn(n int) int {
 // Mix64 is a stateless avalanche mix of a 64-bit value (the splitmix64
 // finalizer). Useful for deriving independent seeds from (seed, index).
 func Mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
+	x += gamma
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
@@ -130,4 +133,51 @@ func (t *Table64) Hash(x uint64) uint64 {
 // Bit returns a single pseudorandom bit for x.
 func (t *Table64) Bit(x uint64) uint64 {
 	return t.Hash(x) & 1
+}
+
+// Family32 is n simple tabulation functions from 32-bit keys to 64-bit
+// values, stored transposed. Function i is the one NewTable32(Mix64(base +
+// i·stride)) returns, each entry the same draw of the same stream; only
+// where the entries are stored differs. For each key byte position c and
+// byte value v, one contiguous row holds entry v of table c of every
+// function, in function order (4 × 256 rows of n values). Hashing a key
+// with all n functions is then four row reads and their XOR, instead of
+// 4·n random table lines: what token-major MinHash signing and sketching
+// need.
+type Family32 struct {
+	n    int
+	rows []uint64 // the row of (c, v) is rows[(c*256+v)*n:][:n]
+}
+
+// NewFamily32 returns the n functions seeded Mix64(base + i·stride) for i
+// in [0, n). It panics if n <= 0.
+func NewFamily32(n int, base, stride uint64) *Family32 {
+	if n <= 0 {
+		panic("tabhash: NewFamily32 with non-positive n")
+	}
+	seeds := make([]uint64, n)
+	for i := range seeds {
+		seeds[i] = Mix64(base + uint64(i)*stride)
+	}
+	// NewTable32 draws entry v of table c as draw 4v+c of its stream, and
+	// draw k (from 0) of a SplitMix64 seeded s is Mix64(s + k·gamma). So
+	// each row can be computed where it lies, in memory order.
+	f := &Family32{n: n, rows: make([]uint64, 4*256*n)}
+	for c := 0; c < 4; c++ {
+		for v := 0; v < 256; v++ {
+			step := uint64(4*v+c) * gamma
+			row := f.rows[(c*256+v)*n:][:n]
+			for i, s := range seeds {
+				row[i] = Mix64(s + step)
+			}
+		}
+	}
+	return f
+}
+
+// Row returns the row of key byte c (0 to 3) of x: entry i is function
+// i's table c at that byte, so the XOR of the four rows of x is every
+// function's hash of x, in function order.
+func (f *Family32) Row(c int, x uint32) []uint64 {
+	return f.rows[(c<<8|int(byte(x>>(8*c))))*f.n:][:f.n]
 }

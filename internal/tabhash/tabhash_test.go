@@ -199,3 +199,33 @@ func BenchmarkTable64Hash(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestFamily32MatchesTable32: function i of a family is, entry for entry,
+// NewTable32(Mix64(base + i·stride)), at the signer's and the sketch's
+// seeding and at widths of one function up to more than 128.
+func TestFamily32MatchesTable32(t *testing.T) {
+	for _, tc := range []struct {
+		n            int
+		base, stride uint64
+	}{{1, 3, 1}, {7, 42, 1}, {64, 42 ^ 0xa5a5a5a5a5a5a5a5, 2}, {130, 9, 1}} {
+		f := NewFamily32(tc.n, tc.base, tc.stride)
+		keys := []uint32{0, 1, 255, 256, 0xdeadbeef, 1 << 24, 0xffffffff}
+		for i := 0; i < tc.n; i++ {
+			tab := NewTable32(Mix64(tc.base + uint64(i)*tc.stride))
+			for _, x := range keys {
+				got := f.Row(0, x)[i] ^ f.Row(1, x)[i] ^ f.Row(2, x)[i] ^ f.Row(3, x)[i]
+				if want := tab.Hash(x); got != want {
+					t.Fatalf("n=%d base=%#x function %d key %#x: %#x, Table32 %#x", tc.n, tc.base, i, x, got, want)
+				}
+			}
+			for c := 0; c < 4; c++ {
+				for v := 0; v < 256; v++ {
+					want := [4]*[256]uint64{&tab.t0, &tab.t1, &tab.t2, &tab.t3}[c][v]
+					if got := f.Row(c, uint32(v)<<(8*c))[i]; got != want {
+						t.Fatalf("n=%d function %d table %d entry %d: %#x, Table32 %#x", tc.n, i, c, v, got, want)
+					}
+				}
+			}
+		}
+	}
+}
