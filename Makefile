@@ -69,9 +69,11 @@ test-benchmark:
 # all-matches answer reduced by cpindex.Top at every threshold, so the
 # kernel's first-tree early exit and its plumbing (kindBest, a best
 # method, the narrowed special case in Search) stay out of non-test Go
-# outside benchmark/. Assembly stays in one file: no *.s outside
-# internal/verify, where within_amd64.s is the sketch filter's POPCNT loop
-# beside withinGo, its portable reference. The exact prefix-filter family
+# outside benchmark/. Assembly stays in exactly two kernel files, each
+# beside its portable Go reference: internal/verify/within_amd64.s, the
+# sketch filter's POPCNT loop (withinGo), and internal/tabhash/fold_amd64.s,
+# the tabulation family's AVX-512 min-fold (foldMinGo, foldArgMinGo); no
+# other *.s. The exact prefix-filter family
 # is one package on one frame: internal/ppjoin stays folded into
 # internal/allpairs, whose non-test Go declares no second frequency order
 # (rankByFrequency, func reorder) beside dataset.RemapByFrequency. A
@@ -106,9 +108,13 @@ test-benchmark:
 # token-major, on one transposed tabulation family (tabhash.Family32): the
 # one-function-at-a-time tables stay out of non-test internal/minhash and
 # internal/sketch (no NewTable32( or NewTable64( call there outside a
-# comment; the loops survive as the tests' references and in embed.go), and the search trie's builder
-# groups a node's ids in linear time, as core's split does, instead of
-# sorting (value, id) keys (no slices.Sort(keys) in non-test trie.go).
+# comment; the loops survive as the tests' references and in embed.go), and
+# the fold of a token's hash values into the running minima lives in
+# tabhash alone, as Family32.FoldMin and FoldArgMin: non-test
+# internal/minhash and internal/sketch read no rows (no .Row( call). The
+# search trie's builder groups a node's ids in linear time, as core's split
+# does, instead of sorting (value, id) keys (no slices.Sort(keys) in
+# non-test trie.go).
 surface:
 	@out=$$(grep -rn 'Deprecated:' --include='*.go' .); if [ -n "$$out" ]; then echo "deprecated surface:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'mux\.Handle' internal/shard/server.go | grep -v '("/v1/'); if [ -n "$$out" ]; then echo "endpoint outside /v1/:"; echo "$$out"; exit 1; fi
@@ -127,7 +133,9 @@ surface:
 	@out=$$(grep -rnE 'StatusBadGateway|cps_query_errors_total|queryErrors|materializeVictims|\) QueryErr\(|\) QueryContain\(' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./benchmark/'); if [ -n "$$out" ]; then echo "a query error path is back (shards are validated when opened; only a bad request fails):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'markDroppedLocked|sortedTombstones|map\[int\]struct\{\}' --include='*.go' internal/shard | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second deletion structure is back (a deleted id is one bit of the deleted set; seals and compactions only read it):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'kindBest|\) best\(|narrowed :=' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./benchmark/'); if [ -n "$$out" ]; then echo "the best-match early exit is back (a best-match query is the all-matches answer reduced by cpindex.Top):"; echo "$$out"; exit 1; fi
-	@out=$$(find . -name '*.s' -not -path './internal/verify/*' -not -path './.bench_build/*'); if [ -n "$$out" ]; then echo "assembly outside internal/verify (the sketch filter's kernel is the one assembly file):"; echo "$$out"; exit 1; fi
+	@out=$$(find . -name '*.s' -not -path './.bench_build/*' | sort | tr '\n' ' '); if [ "$$out" != "./internal/tabhash/fold_amd64.s ./internal/verify/within_amd64.s " ]; then echo "assembly other than the two kernels (internal/verify/within_amd64.s, internal/tabhash/fold_amd64.s):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -q '^func withinGo(' internal/verify/pipeline.go || echo withinGo; grep -q '^func foldMinGo(' internal/tabhash/fold.go || echo foldMinGo; grep -q '^func foldArgMinGo(' internal/tabhash/fold.go || echo foldArgMinGo); if [ -n "$$out" ]; then echo "an assembly kernel without its Go reference beside it:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -n '\.Row(' internal/minhash/*.go internal/sketch/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a fold outside internal/tabhash (sign and sketch through Family32.FoldArgMin and FoldMin):"; echo "$$out"; exit 1; fi
 	@out=$$(ls -d internal/ppjoin 2>/dev/null; grep -nE 'rankByFrequency|func reorder' internal/allpairs/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second copy of the exact prefix-filter family (PPJoin lives in internal/allpairs; its one frequency order is dataset.RemapByFrequency):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'JaccardOverlapBound' --include='*.go' .; grep -rnE 'Ceil\((2 \* )?lambda' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/intset/'); if [ -n "$$out" ]; then echo "a threshold bound outside internal/intset (take MinOverlap, MinShare or SizeWindow):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -nE 'func (Print|CSV)[A-Z]|Fig2FromTable2' internal/bench/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a per-format printer in internal/bench (a row's header and cells print both formats through Table.Write):"; echo "$$out"; exit 1; fi
@@ -180,8 +188,11 @@ ledger:
 # within it. FuzzIntersect runs the intersection merges on arbitrary sets
 # and requires every exact threshold decision (JaccardAtLeast,
 # ContainmentAtLeast, BraunBlanquetAtLeast, Verifier.Verify) to be the
-# similarity's own division compared with a fuzzed threshold. CI runs this
-# on every PR; crashers land in testdata/fuzz/ for replay.
+# similarity's own division compared with a fuzzed threshold. FuzzFold
+# runs the tabulation family's min-fold, the path picked at start-up and
+# the Go loops, at 1 to 600 functions on arbitrary keys and requires both
+# to give every function's minimum and arg-min key under NewTable32. CI
+# runs this on every PR; crashers land in testdata/fuzz/ for replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzContainer$$' -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/snapshot
@@ -190,6 +201,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrom$$' -fuzztime $(FUZZTIME) ./internal/prep
 	$(GO) test -run '^$$' -fuzz '^FuzzWithin$$' -fuzztime $(FUZZTIME) ./internal/verify
 	$(GO) test -run '^$$' -fuzz '^FuzzIntersect$$' -fuzztime $(FUZZTIME) ./internal/intset
+	$(GO) test -run '^$$' -fuzz '^FuzzFold$$' -fuzztime $(FUZZTIME) ./internal/tabhash
 
 clean:
 	rm -rf .bench_build/

@@ -6,6 +6,12 @@
 // t-dimensional signatures is a binomially concentrated estimator of the
 // Jaccard similarity.
 //
+// A signature is computed token by token on one tabhash.Family32, whose
+// FoldArgMin folds a token's hash values under all t functions into the
+// running minima and their arg-min tokens: on AVX-512, 8 functions per
+// instruction where the CPU has it, in Go elsewhere, the same signature
+// either way.
+//
 // The randomized embedding of Section II-A of the CPSJoin paper, which
 // turns any LSHable similarity join into a set similarity join, is
 // ssjoin.Embed, over any hash family.
@@ -21,9 +27,9 @@ import (
 // Signer computes t-dimensional MinHash signatures. Function i is the
 // simple tabulation hash tabhash.NewTable32(Mix64(seed + i)); the t of
 // them are held as one tabhash.Family32, transposed, so a signature is
-// computed token by token: XOR the token's four rows into all t hash
-// values at once and fold them into the running minima. It is safe for
-// concurrent use.
+// computed token by token: the family's FoldArgMin XORs the token's four
+// rows into all t hash values at once and folds them into the running
+// minima. It is safe for concurrent use.
 type Signer struct {
 	t   int
 	fam *tabhash.Family32
@@ -80,29 +86,8 @@ func (s *Signer) signRange(set []uint32, lo int, sig []uint32, mins []uint64) {
 		mins[i] = math.MaxUint64
 		sig[i] = set[0]
 	}
-	f := s.fam
 	for _, tok := range set {
-		fold(tok, f.Row(0, tok)[lo:], f.Row(1, tok)[lo:], f.Row(2, tok)[lo:], f.Row(3, tok)[lo:], mins, sig)
-	}
-}
-
-// fold folds tok, whose hash values are the XOR of the rows r0 to r3, into
-// the running minima mins and their arg-min tokens sig. It is branch-free: the
-// new minimum is a min and the token a select on the same strict compare, so
-// a tie keeps the earlier token, as the one-function-at-a-time loop does.
-func fold(tok uint32, r0, r1, r2, r3, mins []uint64, sig []uint32) {
-	// Slicing everything to len(mins) lets the compiler drop the loop's
-	// bounds checks.
-	n := len(mins)
-	r0, r1, r2, r3, sig = r0[:n], r1[:n], r2[:n], r3[:n], sig[:n]
-	for i, m := range mins {
-		h := r0[i] ^ r1[i] ^ r2[i] ^ r3[i]
-		best := sig[i]
-		if h < m {
-			best = tok
-		}
-		sig[i] = best
-		mins[i] = min(h, m)
+		s.fam.FoldArgMin(tok, lo, mins, sig)
 	}
 }
 

@@ -3,7 +3,6 @@ package minhash
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/intset"
@@ -155,12 +154,34 @@ func (r refSigner) sign(set []uint32) []uint32 {
 	return sig
 }
 
+// eachFoldPath runs f as subtest "go" on tabhash's Go fold and as subtest
+// "avx512" on the fold picked at start-up, which it skips, with a message,
+// where this CPU lacks AVX-512.
+func eachFoldPath(t *testing.T, f func(t *testing.T)) {
+	vector := tabhash.WithGoFold(func() { t.Run("go", f) })
+	if !vector {
+		t.Run("go", f)
+	}
+	t.Run("avx512", func(t *testing.T) {
+		if !vector {
+			t.Skip("this CPU has no AVX-512: the fold runs its Go loops alone")
+		}
+		f(t)
+	})
+}
+
 // TestSignMatchesReference: Sign, SignInto and SignAll yield the reference
-// loop's signatures bit for bit, at signature lengths below, at and above
-// one block of the kernel and not a multiple of eight, on sets of 1 to
-// 2 000 tokens over universes from 2^8 to 2^32 (tokens at and above 2^24,
-// so that all four key bytes vary), and SignInto allocates nothing.
+// loop's signatures bit for bit, on each fold path this CPU has, at
+// signature lengths below, at and above one 8-function block of the
+// AVX-512 kernel and one 128-function block of SignInto, and not a
+// multiple of eight, on sets of 1 to 2 000 tokens over universes from 2^8
+// to 2^32 (tokens at and above 2^24, so that all four key bytes vary), and
+// SignInto allocates nothing.
 func TestSignMatchesReference(t *testing.T) {
+	eachFoldPath(t, checkSignMatchesReference)
+}
+
+func checkSignMatchesReference(t *testing.T) {
 	rng := tabhash.NewSplitMix64(0x519)
 	sets := make([][]uint32, 0, 40)
 	for i := 0; i < cap(sets); i++ {
@@ -181,7 +202,7 @@ func TestSignMatchesReference(t *testing.T) {
 		}
 		sets = append(sets, intset.Normalize(set))
 	}
-	for _, n := range []int{1, 7, 64, 128, 300} {
+	for _, n := range []int{1, 7, 8, 9, 64, 128, 300, 512} {
 		seed := rng.Next()
 		s, ref := NewSigner(n, seed), newRefSigner(n, seed)
 		all := s.SignAll(sets)
@@ -205,23 +226,6 @@ func TestSignMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFoldKeepsTheEarlierToken: a token whose hash equals the running
-// minimum does not displace the token already there, as in the reference
-// loop's strict compare. Distinct tokens practically never tie under a
-// 64-bit tabulation hash, so the rows are made up.
-func TestFoldKeepsTheEarlierToken(t *testing.T) {
-	mins := []uint64{5, 5, 5}
-	sig := []uint32{1, 1, 1}
-	zero := make([]uint64, 3)
-	fold(2, []uint64{4, 5, 6}, zero, zero, zero, mins, sig)
-	if want := []uint32{2, 1, 1}; !slices.Equal(sig, want) {
-		t.Errorf("arg-min tokens %v, want %v (a tie keeps the earlier token)", sig, want)
-	}
-	if want := []uint64{4, 5, 5}; !slices.Equal(mins, want) {
-		t.Errorf("minima %v, want %v", mins, want)
-	}
-}
-
 func TestEstimatePanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -232,7 +236,8 @@ func TestEstimatePanicsOnMismatch(t *testing.T) {
 }
 
 // BenchmarkSign measures SignInto at t = 128 on the shapes of the perf
-// ledger's join workloads (benchmark/gen.go), as sketch's
+// ledger's join workloads (benchmark/gen.go), once per fold path this CPU
+// has (go, and avx512 where the CPU has it), as sketch's
 // BenchmarkSketchInto does: flat is join_flat's sets, skew is join_skew's
 // size and token distributions, large is one set from the tail of skew.
 // SignInto must not allocate: it sits in prep's and cpindex's per-set loops
@@ -253,31 +258,39 @@ func BenchmarkSign(b *testing.B) {
 		}
 		skew[i] = intset.Normalize(set)
 	}
-	for _, bc := range []struct {
+	shapes := []struct {
 		name string
 		sets [][]uint32
 	}{
 		{"flat", flat},
 		{"skew", skew},
 		{"large", [][]uint32{randomSet(rng, 1500, 80000)}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			s := NewSigner(128, 42)
-			sig := make([]uint32, s.T())
-			tokens := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				set := bc.sets[i%len(bc.sets)]
-				s.SignInto(set, sig)
-				tokens += len(set)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tokens), "ns/token")
-			if allocs := testing.AllocsPerRun(100, func() { s.SignInto(bc.sets[0], sig) }); allocs != 0 {
-				b.Errorf("SignInto allocates %v times per call, want 0", allocs)
-			}
-		})
+	}
+	run := func(path string) {
+		for _, bc := range shapes {
+			b.Run(path+"/"+bc.name, func(b *testing.B) {
+				s := NewSigner(128, 42)
+				sig := make([]uint32, s.T())
+				tokens := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					set := bc.sets[i%len(bc.sets)]
+					s.SignInto(set, sig)
+					tokens += len(set)
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tokens), "ns/token")
+				if allocs := testing.AllocsPerRun(100, func() { s.SignInto(bc.sets[0], sig) }); allocs != 0 {
+					b.Errorf("SignInto allocates %v times per call, want 0", allocs)
+				}
+			})
+		}
+	}
+	if tabhash.WithGoFold(func() { run("go") }) {
+		run("avx512")
+	} else {
+		run("go")
 	}
 }
 

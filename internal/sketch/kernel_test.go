@@ -113,9 +113,30 @@ func TestGoldenSketches(t *testing.T) {
 	}
 }
 
+// eachFoldPath runs f as subtest "go" on tabhash's Go fold and as subtest
+// "avx512" on the fold picked at start-up, which it skips, with a message,
+// where this CPU lacks AVX-512.
+func eachFoldPath(t *testing.T, f func(t *testing.T)) {
+	vector := tabhash.WithGoFold(func() { t.Run("go", f) })
+	if !vector {
+		t.Run("go", f)
+	}
+	t.Run("avx512", func(t *testing.T) {
+		if !vector {
+			t.Skip("this CPU has no AVX-512: the fold runs its Go loops alone")
+		}
+		f(t)
+	})
+}
+
 // TestKernelMatchesReference: for random seeds, widths and sets, Sketch,
-// SketchInto and SketchAll all produce exactly the reference loop's bits.
+// SketchInto and SketchAll all produce exactly the reference loop's bits,
+// on each fold path this CPU has, and SketchInto allocates nothing.
 func TestKernelMatchesReference(t *testing.T) {
+	eachFoldPath(t, checkKernelMatchesReference)
+}
+
+func checkKernelMatchesReference(t *testing.T) {
 	rng := tabhash.NewSplitMix64(7)
 	for trial := 0; trial < 12; trial++ {
 		words := 1 + rng.Intn(9)
@@ -146,6 +167,9 @@ func TestKernelMatchesReference(t *testing.T) {
 						trial, words, seed, i, w, got[w], into[w], all[i*words+w], want[w])
 				}
 			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() { m.SketchInto(sets[0], into) }); allocs != 0 && !race.Enabled {
+			t.Errorf("trial %d (words=%d): SketchInto allocates %v times per call, want 0", trial, words, allocs)
 		}
 	}
 }
@@ -180,7 +204,8 @@ func TestSketchIntoConcurrent(t *testing.T) {
 }
 
 // BenchmarkSketchInto measures the kernel on the shapes of the perf
-// ledger's join workloads (benchmark/gen.go): flat is join_flat's sets,
+// ledger's join workloads (benchmark/gen.go), once per fold path this CPU
+// has (go, and avx512 where the CPU has it): flat is join_flat's sets,
 // skew is join_skew's size and token distributions, large is one set from
 // the tail of skew, where the running minima rather than the table rows
 // dominate. SketchInto must not allocate: it sits in prep's per-set loop.
@@ -200,30 +225,38 @@ func BenchmarkSketchInto(b *testing.B) {
 		}
 		skew[i] = intset.Normalize(set)
 	}
-	for _, bc := range []struct {
+	shapes := []struct {
 		name string
 		sets [][]uint32
 	}{
 		{"flat", flat},
 		{"skew", skew},
 		{"large", [][]uint32{randomSet(rng, 1500, 80000)}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			m := NewMaker(8, 42)
-			out := make([]uint64, m.Words())
-			tokens := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				set := bc.sets[i%len(bc.sets)]
-				m.SketchInto(set, out)
-				tokens += len(set)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tokens), "ns/token")
-			if allocs := testing.AllocsPerRun(100, func() { m.SketchInto(bc.sets[0], out) }); allocs != 0 && !race.Enabled {
-				b.Errorf("SketchInto allocates %v times per call, want 0", allocs)
-			}
-		})
+	}
+	run := func(path string) {
+		for _, bc := range shapes {
+			b.Run(path+"/"+bc.name, func(b *testing.B) {
+				m := NewMaker(8, 42)
+				out := make([]uint64, m.Words())
+				tokens := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					set := bc.sets[i%len(bc.sets)]
+					m.SketchInto(set, out)
+					tokens += len(set)
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tokens), "ns/token")
+				if allocs := testing.AllocsPerRun(100, func() { m.SketchInto(bc.sets[0], out) }); allocs != 0 && !race.Enabled {
+					b.Errorf("SketchInto allocates %v times per call, want 0", allocs)
+				}
+			})
+		}
+	}
+	if tabhash.WithGoFold(func() { run("go") }) {
+		run("avx512")
+	} else {
+		run("go")
 	}
 }

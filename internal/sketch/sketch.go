@@ -18,13 +18,14 @@
 // row holding that entry of all 64*W value hashes (4 x 256 rows, 4 MB at
 // W = 8); of the bit hashes it keeps only the bits that are used, packed 64
 // functions to a word (128 KB). A sketch is then computed token by token —
-// XOR four rows, take the element-wise minimum with the running minima —
-// followed by one pass of bit lookups. The tables hold the same draws of
-// the same seeded streams, so this is the same hash family evaluated in a
-// different order: every sketch is bit for bit what the function-at-a-time
-// loop yields (kept as the reference in the tests), at about 4.1 MB
-// instead of 12 MB of tables. minhash.Signer signs on the same kind of
-// family.
+// the family's FoldMin XORs four rows and takes the element-wise minimum
+// with the running minima, on AVX-512 where the CPU has it and in Go
+// elsewhere — followed by one pass of bit lookups, in Go. The tables hold
+// the same draws of the same seeded streams, so this is the same hash
+// family evaluated in a different order: every sketch is bit for bit what
+// the function-at-a-time loop yields (kept as the reference in the tests),
+// at about 4.1 MB instead of 12 MB of tables. minhash.Signer signs on the
+// same kind of family.
 package sketch
 
 import (
@@ -102,23 +103,13 @@ func (m *Maker) SketchInto(set []uint32, out []uint64) {
 	defer m.mins.Put(buf)
 	mins := *buf
 
-	// Token-major: each token's four rows are XORed into the hash values
-	// of all n functions at once and folded into the running minima.
-	// Slicing the rows to len(mins) lets the compiler drop the loops'
-	// bounds checks.
-	n := len(mins)
-	for k, tok := range set {
-		f := m.vals
-		r0, r1, r2, r3 := f.Row(0, tok)[:n], f.Row(1, tok)[:n], f.Row(2, tok)[:n], f.Row(3, tok)[:n]
-		if k == 0 {
-			for i := range mins {
-				mins[i] = r0[i] ^ r1[i] ^ r2[i] ^ r3[i]
-			}
-			continue
-		}
-		for i, best := range mins {
-			mins[i] = min(best, r0[i]^r1[i]^r2[i]^r3[i])
-		}
+	// Token-major: each token's hash values under all n functions at once
+	// are folded into the running minima.
+	for i := range mins {
+		mins[i] = math.MaxUint64
+	}
+	for _, tok := range set {
+		m.vals.FoldMin(tok, mins)
 	}
 	// Bit b of sketch word w is the bit hash of minimum w*64+b: the XOR of
 	// its eight byte lookups, of which only bit b is kept.

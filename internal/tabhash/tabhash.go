@@ -2,11 +2,21 @@
 // deterministic PRNG used to seed it.
 //
 // The CPSJoin paper uses Zobrist hashing from 32 bits to 64 bits with 8-bit
-// characters as the hash family underlying MinHash, and Zobrist hashing to a
-// single bit for 1-bit minwise sketches. Simple tabulation hashing has been
-// shown to have strong minwise-hashing properties (Pătraşcu & Thorup, JACM
-// 2012) and is very fast in practice: a hash evaluation is four table
+// characters as the hash family underlying MinHash. The 1-bit minwise
+// sketches (package sketch) take each bit as the low bit of a Table64 hash
+// of a minimum, with eight 8-bit characters. Simple tabulation hashing has
+// been shown to have strong minwise-hashing properties (Pătraşcu & Thorup,
+// JACM 2012) and is very fast in practice: a hash evaluation is four table
 // lookups and three XORs.
+//
+// MinHash signing and sketching hash every key of a set with many
+// functions and keep each function's minimum. Family32 holds those
+// functions transposed and owns that fold: FoldMin keeps the minima,
+// FoldArgMin the minima and the keys that reach them. Where the CPU and the
+// OS have AVX-512F and AVX-512VL, the probe at start-up picks an amd64
+// kernel (fold_amd64.s) that folds 8 functions per instruction; elsewhere,
+// and for the last len%8 functions, the fold runs its Go loops. Both give
+// the same minima and keys bit for bit.
 package tabhash
 
 // gamma is SplitMix64's state increment, the odd integer nearest 2^64/φ.
@@ -92,12 +102,6 @@ func (t *Table32) Hash(x uint32) uint64 {
 	return t.t0[byte(x)] ^ t.t1[byte(x>>8)] ^ t.t2[byte(x>>16)] ^ t.t3[byte(x>>24)]
 }
 
-// Bit returns a single pseudorandom bit for x, derived from the same
-// tabulation tables. Used for the 1-bit minwise hashing of Li and König.
-func (t *Table32) Bit(x uint32) uint64 {
-	return t.Hash(x) & 1
-}
-
 // Table64 is a simple tabulation hash function from 64-bit keys to 64-bit
 // values, using eight 8-bit characters. It is used to hash minhash values
 // (which are 64-bit) down to sketch bits and bucket keys.
@@ -143,7 +147,7 @@ func (t *Table64) Bit(x uint64) uint64 {
 // function, in function order (4 × 256 rows of n values). Hashing a key
 // with all n functions is then four row reads and their XOR, instead of
 // 4·n random table lines: what token-major MinHash signing and sketching
-// need.
+// need, and what FoldMin and FoldArgMin (fold.go) do.
 type Family32 struct {
 	n    int
 	rows []uint64 // the row of (c, v) is rows[(c*256+v)*n:][:n]

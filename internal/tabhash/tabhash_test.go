@@ -140,19 +140,14 @@ func TestTable64Deterministic(t *testing.T) {
 }
 
 func TestBitBalance(t *testing.T) {
-	h32 := NewTable32(8)
 	h64 := NewTable64(8)
 	const n = 1 << 14
-	ones32, ones64 := 0, 0
+	ones := 0
 	for x := uint32(0); x < n; x++ {
-		ones32 += int(h32.Bit(x))
-		ones64 += int(h64.Bit(uint64(x) * 0x9e3779b97f4a7c15))
+		ones += int(h64.Bit(uint64(x) * 0x9e3779b97f4a7c15))
 	}
-	for name, ones := range map[string]int{"bit32": ones32, "bit64": ones64} {
-		frac := float64(ones) / n
-		if frac < 0.45 || frac > 0.55 {
-			t.Fatalf("%s biased: fraction of ones %v", name, frac)
-		}
+	if frac := float64(ones) / n; frac < 0.45 || frac > 0.55 {
+		t.Fatalf("bit64 biased: fraction of ones %v", frac)
 	}
 }
 
