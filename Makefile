@@ -87,9 +87,11 @@ test-benchmark:
 # per-format printer (func Print…, func CSV…), and Figure 2 is Table II's
 # speedup column, not a derived series (Fig2FromTable2). MinHash LSH visits
 # its buckets in a fixed order, so a join stopped at a recall target stops
-# at the same bucket on every one-worker run: non-test internal/lshjoin
-# keeps no buckets in a map[uint64][]uint32, whose iteration order Go
-# randomises. BayesLSH-lite is that join at k = 1 with a sequential sketch
+# at the same bucket on every one-worker run, and CPSJoin splits and counts
+# through the grouper: non-test internal/lshjoin and
+# internal/core/cpsjoin.go declare no map at all (a map's iteration order
+# is random, and the grouper numbers keys in order of first appearance).
+# BayesLSH-lite is that join at k = 1 with a sequential sketch
 # test, lshjoin.BayesJoin: internal/bayeslsh stays deleted and unimported,
 # its pairs go through the one kernel (SizeCompatible, the per-pair size
 # test, stays deleted), and its test is a refinement of that kernel's sketch
@@ -112,9 +114,14 @@ test-benchmark:
 # the fold of a token's hash values into the running minima lives in
 # tabhash alone, as Family32.FoldMin and FoldArgMin: non-test
 # internal/minhash and internal/sketch read no rows (no .Row( call). The
-# search trie's builder groups a node's ids in linear time, as core's split
-# does, instead of sorting (value, id) keys (no slices.Sort(keys) in
-# non-test trie.go).
+# search trie's builder groups a node's ids in linear time instead of
+# sorting (value, id) keys (no slices.Sort(keys) in non-test trie.go). Every
+# split and bucket numbers its keys through one grouper, internal/group:
+# CPSJoin's split and its literal Algorithm 2, the trie builder and MinHash
+# LSH keep only their own order and scatter. So there is one probe loop:
+# the table's multiplicative hash (0x9e3779b1) appears in no non-test Go
+# outside internal/group, and internal/cpindex declares no grouper type of
+# its own.
 surface:
 	@out=$$(grep -rn 'Deprecated:' --include='*.go' .); if [ -n "$$out" ]; then echo "deprecated surface:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'mux\.Handle' internal/shard/server.go | grep -v '("/v1/'); if [ -n "$$out" ]; then echo "endpoint outside /v1/:"; echo "$$out"; exit 1; fi
@@ -139,14 +146,15 @@ surface:
 	@out=$$(ls -d internal/ppjoin 2>/dev/null; grep -nE 'rankByFrequency|func reorder' internal/allpairs/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second copy of the exact prefix-filter family (PPJoin lives in internal/allpairs; its one frequency order is dataset.RemapByFrequency):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'JaccardOverlapBound' --include='*.go' .; grep -rnE 'Ceil\((2 \* )?lambda' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/intset/'); if [ -n "$$out" ]; then echo "a threshold bound outside internal/intset (take MinOverlap, MinShare or SizeWindow):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -nE 'func (Print|CSV)[A-Z]|Fig2FromTable2' internal/bench/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a per-format printer in internal/bench (a row's header and cells print both formats through Table.Write):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -n 'map\[uint64\]\[\]uint32' internal/lshjoin/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "MinHash buckets in a map (its iteration order moves the recall-stop point; keep them in a slice):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -n 'map\[' internal/lshjoin/*.go internal/core/cpsjoin.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a map in internal/lshjoin or internal/core/cpsjoin.go (number keys through internal/group; a map's iteration order moves the recall-stop point):"; echo "$$out"; exit 1; fi
 	@out=$$(ls -d internal/bayeslsh 2>/dev/null; grep -rn '"repro/internal/bayeslsh"' --include='*.go' .); if [ -n "$$out" ]; then echo "internal/bayeslsh is back (BayesLSH-lite is lshjoin.BayesJoin):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -nE 'NewScratches\(|exec\.Run\(' internal/core/cpsjoin.go internal/lshjoin/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second repetition loop (the Pipeline joins repeat on verify.Repeat):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'SizeCompatible|NewPruner|Survives\(' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a per-pair filter beside the kernel (the size window and the sequential test run in verify.Pipeline):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'bits\.OnesCount64' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./internal/(verify|sketch|intset)/'); if [ -n "$$out" ]; then echo "a popcount outside internal/verify, internal/sketch and internal/intset (sketch distances are within's or sketch.Hamming's):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'FromSignatures|containHeader|Section\("contain"' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "the containment side is stored again (it is derived: built from the sets on the first containment query):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -nE 'NewTable(32|64)\(' internal/minhash/*.go internal/sketch/*.go | grep -v '_test\.go:' | grep -vE '^[^:]+:[0-9]+:\s*//'); if [ -n "$$out" ]; then echo "a one-function-at-a-time hash table in internal/minhash or internal/sketch (sign and sketch on tabhash.Family32):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -Hn 'slices\.Sort(keys)' internal/cpindex/trie.go); if [ -n "$$out" ]; then echo "the trie builder sorts its keys again (group a node's ids in linear time, as core's split does):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -Hn 'slices\.Sort(keys)' internal/cpindex/trie.go); if [ -n "$$out" ]; then echo "the trie builder sorts its keys again (group a node's ids in linear time, through internal/group):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn '0x9e3779b1' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/group/'; grep -n 'type grouper' internal/cpindex/*.go); if [ -n "$$out" ]; then echo "a second probe loop (number keys through internal/group's one table):"; echo "$$out"; exit 1; fi
 	@deps=$$($(GO) list -deps ./cmd/experiments) || exit 1; out=$$(echo "$$deps" | grep -xE 'repro/internal/(shard|cpindex|contain|metrics)|net/http|testing'); if [ -n "$$out" ]; then echo "cmd/experiments links the serving stack:"; echo "$$out"; exit 1; fi
 
 # race is the quick local loop (-short skips the slowest suites);
@@ -191,8 +199,11 @@ ledger:
 # similarity's own division compared with a fuzzed threshold. FuzzFold
 # runs the tabulation family's min-fold, the path picked at start-up and
 # the Go loops, at 1 to 600 functions on arbitrary keys and requires both
-# to give every function's minimum and arg-min key under NewTable32. CI
-# runs this on every PR; crashers land in testdata/fuzz/ for replay.
+# to give every function's minimum and arg-min key under NewTable32.
+# FuzzGroup groups arbitrary 32- and 64-bit keys, twice on one grouper, and
+# requires the numbers, distinct keys and counts of a map's first-appearance
+# numbering. CI runs this on every PR; crashers land in testdata/fuzz/ for
+# replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzContainer$$' -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/snapshot
@@ -202,6 +213,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWithin$$' -fuzztime $(FUZZTIME) ./internal/verify
 	$(GO) test -run '^$$' -fuzz '^FuzzIntersect$$' -fuzztime $(FUZZTIME) ./internal/intset
 	$(GO) test -run '^$$' -fuzz '^FuzzFold$$' -fuzztime $(FUZZTIME) ./internal/tabhash
+	$(GO) test -run '^$$' -fuzz '^FuzzGroup$$' -fuzztime $(FUZZTIME) ./internal/group
 
 clean:
 	rm -rf .bench_build/

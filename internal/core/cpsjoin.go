@@ -24,8 +24,9 @@
 // share the subroutine: size window, XOR/popcount over gathered sketches
 // (POPCNT assembly on amd64, picked at start-up; Go elsewhere), and only
 // survivors reach the result-set lookup and exact verification.
-// Splitting groups a node by minhash value with a reusable open-addressing
-// table and a stable counting scatter into one buffer per sampled position.
+// Splitting groups a node by minhash value through internal/group, the
+// grouper the search trie and MinHash LSH share, and a stable counting
+// scatter into one buffer per sampled position.
 // The order of work differs from the paper's per-pair formulation; which
 // pairs are looked at, which survive and what every node draws do not
 // (TestGoldenJoin).
@@ -46,10 +47,10 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime"
 
 	"repro/internal/exec"
+	"repro/internal/group"
 	"repro/internal/prep"
 	"repro/internal/sketch"
 	"repro/internal/tabhash"
@@ -348,19 +349,15 @@ func (j *joiner) run() ([]verify.Pair, verify.Counters) {
 	return pairs, c
 }
 
-// group is one minhash value met by split and the number of members
-// carrying it (while scattering: where its next member goes).
-type group struct{ v, n uint32 }
-
 // taskState is one worker's execution context: its half of the brute-force
 // pipeline (with its share of the candidate counters), its tally of the
 // recursion statistics and all scratch of the recursion. A worker runs one
 // task at a time and tasks reach it through exec.Ctx.Worker, so nothing is
 // locked; the joiner is read-only while tasks run, except for the
 // concurrent result set. No buffer here is live across a recursive call:
-// node sketch and marked points are used up before recurse splits, and
-// split's table, groups and slots are dead once the child buffer — the one
-// allocation per call — is filled.
+// node sketch and marked points are used up before recurse splits, and the
+// grouper is dead once split's child buffer — the one allocation per call —
+// is filled, or bruteForceStrict has summed its counts.
 type taskState struct {
 	j          *joiner
 	bf         *verify.Scratch
@@ -368,9 +365,7 @@ type taskState struct {
 	liveMass   int64   // total size of the nodes on this worker's stack (m)
 	nodeSketch []uint64
 	marked     []uint32 // points the stopping rule takes out of a node
-	table      []uint64 // split: open addressing, value<<32 | group+1
-	groups     []group
-	slot       []uint32 // split: each member's value, then its group
+	grouper    group.Grouper[uint32]
 }
 
 // recurse processes one node of the Chosen Path Tree (Algorithm 1). Child
@@ -457,62 +452,33 @@ func (ts *taskState) recurse(c *exec.Ctx, node []uint32, depth int, seed uint64)
 
 // split groups node by the minhash value at pos and returns the groups of
 // two or more members — the children — in one new buffer, each as value,
-// count, ids. A table numbers the values in order of first appearance and
-// a counting scatter moves the ids, so members stay ascending and a value
-// carried by one member (most of them, deep in the tree) gets no room.
+// count, ids. The grouper numbers the values in order of first appearance
+// and a counting scatter moves the ids, so members stay ascending and a
+// value carried by one member (most of them, deep in the tree) gets no room.
 func (ts *taskState) split(node []uint32, pos int) []uint32 {
-	j := ts.j
-	lg := bits.Len(uint(2*len(node) - 1)) // table of 2^lg >= 2·len(node) entries
-	if len(ts.table) < 1<<lg {
-		ts.table = make([]uint64, 1<<lg)
-		ts.slot = make([]uint32, 1<<lg/2)
-	}
-	table, groups, slot := ts.table[:1<<lg], ts.groups[:0], ts.slot[:len(node)]
-	clear(table)
-	// Fetch the values in a loop of their own: each is a cache miss, and
-	// with nothing else in the loop many of them are in flight at once.
-	for i, id := range node {
-		slot[i] = j.sigs[int(id)*j.t+pos]
-	}
-	for i, v := range slot {
-		// Values are tokens, often small and dense: hash multiplicatively.
-		for h := v * 0x9e3779b1 >> (32 - lg); ; h = (h + 1) & (1<<lg - 1) {
-			e := table[h]
-			if e == 0 {
-				e = uint64(v)<<32 | uint64(len(groups)+1)
-				table[h] = e
-				groups = append(groups, group{v: v})
-			} else if uint32(e>>32) != v {
-				continue
-			}
-			slot[i] = uint32(e) - 1
-			groups[slot[i]].n++
-			break
-		}
-	}
-	ts.groups = groups
+	nums, vals, counts := ts.grouper.Group(ts.grouper.Column(ts.j.sigs, ts.j.t, pos, node))
 	total := 0
-	for _, g := range groups {
-		if g.n >= 2 {
-			total += 2 + int(g.n)
+	for _, n := range counts {
+		if n >= 2 {
+			total += 2 + int(n)
 		}
 	}
 	if total == 0 {
 		return nil
 	}
 	kids, at := make([]uint32, total), uint32(0)
-	for i, g := range groups {
-		groups[i].n = 0 // no room
-		if g.n >= 2 {
-			kids[at], kids[at+1] = g.v, g.n
-			groups[i].n = at + 2
-			at += 2 + g.n
+	for i, n := range counts {
+		counts[i] = 0 // from here on, the group's cursor into kids; 0: no room
+		if n >= 2 {
+			kids[at], kids[at+1] = vals[i], n
+			counts[i] = at + 2
+			at += 2 + n
 		}
 	}
 	for i, id := range node {
-		if g := &groups[slot[i]]; g.n != 0 {
-			kids[g.n] = id
-			g.n++
+		if c := &counts[nums[i]]; *c != 0 {
+			kids[*c] = id
+			*c++
 		}
 	}
 	return kids
@@ -589,7 +555,7 @@ func (ts *taskState) removeMarked(node, marked []uint32) []uint32 {
 }
 
 // bruteForceStrict is the literal Algorithm 2: exact average Braun-Blanquet
-// similarity from token counts over the embedded sets, recomputed after
+// similarity from the node's value counts at each position, recomputed after
 // every removal. bruteForceStep falls back to it when sketches are disabled.
 func (ts *taskState) bruteForceStrict(node []uint32) []uint32 {
 	j := ts.j
@@ -598,22 +564,17 @@ func (ts *taskState) bruteForceStrict(node []uint32) []uint32 {
 			ts.bruteForcePairs(node)
 			return nil
 		}
-		counts := make(map[uint64]int32, len(node)*j.t/4)
-		for _, id := range node {
-			sig := j.sigs[int(id)*j.t : (int(id)+1)*j.t]
-			for pos, v := range sig {
-				counts[uint64(pos)<<32|uint64(v)]++
+		sums := make([]int64, len(node)) // each member's count of (position, value) matches
+		for pos := 0; pos < j.t; pos++ {
+			nums, _, counts := ts.grouper.Group(ts.grouper.Column(j.sigs, j.t, pos, node))
+			for i, k := range nums {
+				sums[i] += int64(counts[k] - 1)
 			}
 		}
 		threshold := (1 - j.opt.Epsilon) * j.lambda
 		removed := false
-		for idx, id := range node {
-			sig := j.sigs[int(id)*j.t : (int(id)+1)*j.t]
-			sum := int64(0)
-			for pos, v := range sig {
-				sum += int64(counts[uint64(pos)<<32|uint64(v)] - 1)
-			}
-			avg := float64(sum) / (float64(j.t) * float64(len(node)-1))
+		for idx := range node {
+			avg := float64(sums[idx]) / (float64(j.t) * float64(len(node)-1))
 			if avg > threshold {
 				ts.bf.BruteForcePoints(node[idx:idx+1], node[:idx])
 				ts.bf.BruteForcePoints(node[idx:idx+1], node[idx+1:])

@@ -285,7 +285,7 @@ func Build(sets [][]uint32, lambda float64, o *Options) *Index {
 		b := &builders[tr]
 		*b = treeBuilder{opt: opt, sigs: sigs, splitProb: 1 / (lambda * float64(opt.T))}
 		b.add(all, 0, tabhash.Mix64(opt.Seed+uint64(tr)*0xc9f1))
-		b.depths, b.grouper = nil, grouper{} // the tree is built: let its scratch go
+		*b = treeBuilder{trie: b.trie, leaves: b.leaves} // the tree is built: let its scratch go
 	})
 	k.trie = new(trie)
 	ix := &Index{kernel: k}

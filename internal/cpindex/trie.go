@@ -3,9 +3,9 @@ package cpindex
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
+	"repro/internal/group"
 	"repro/internal/snapshot"
 	"repro/internal/tabhash"
 )
@@ -58,7 +58,7 @@ type trieBucket struct {
 
 // treeBuilder grows one tree of the index into arrays of its own; Build
 // runs one per repetition, possibly concurrently, and concatenates them.
-// Its scratch (depths, grouper) is dropped as soon as its tree is built.
+// Its scratch (depths, grouper, order) is dropped once its tree is built.
 type treeBuilder struct {
 	opt       Options
 	sigs      []uint32 // the collection's flattened signature matrix
@@ -66,24 +66,13 @@ type treeBuilder struct {
 	trie      trie
 	leaves    int
 	depths    []depthScratch // one per depth, see add
-	grouper   grouper
+	grouper   group.Grouper[uint32]
+	order     []uint64 // group: value<<32 | number, sorted
 }
 
 // depthScratch holds the ids of the node being split at one depth, grouped
 // by their value at the position being split on, and each group's end.
 type depthScratch struct{ ids, ends []uint32 }
-
-// grouper is the scratch of treeBuilder.group, as core's split groups a
-// CPSJoin node: an open-addressing table numbers the values, values[i] is
-// the i-th one met and counts[i] its number of ids (while scattering, where
-// its next id goes), and slot holds each id's value, then its number.
-type grouper struct {
-	table  []uint32 // a value's number+1, 0 when empty
-	slot   []uint32
-	values []uint32
-	counts []uint32
-	order  []uint64 // value<<32 | number, sorted
-}
 
 // add appends the subtree over ids and returns its node index. ids arrive
 // ascending (group keeps each bucket's ids in order), so leaves list ids in
@@ -192,59 +181,28 @@ func (b *treeBuilder) add(ids []uint32, depth int, seed uint64) int32 {
 // appends each group's end in dst to ends. Within a group ids keep their
 // order, so dst is exactly the (value, id)-ascending order of the ids: what
 // sorting (value, id) keys yields, in time linear in the ids plus a sort of
-// the distinct values only. A table numbers the values in order of first
-// appearance and a counting scatter moves the ids, as core's split does;
-// values already in order need neither.
+// the distinct values only. The grouper numbers the values in order of
+// first appearance and a counting scatter moves the ids; values already in
+// order need neither.
 func (b *treeBuilder) group(dst, ends, ids []uint32, p uint32) []uint32 {
-	g := &b.grouper
-	lg := bits.Len(uint(2*len(ids) - 1)) // table of 2^lg >= 2·len(ids) entries
-	// The root's call is the largest: it sizes the table and slots for the
-	// whole tree.
-	if len(g.table) < 1<<lg {
-		g.table = make([]uint32, 1<<lg)
-		g.slot = make([]uint32, len(ids))
-	}
-	table, slot := g.table[:1<<lg], g.slot[:len(ids)]
-	// Fetch the values in a loop of their own: each is a cache miss, and
-	// with nothing else in the loop many of them are in flight at once.
-	for i, id := range ids {
-		slot[i] = b.sigs[int(id)*b.opt.T+int(p)]
-	}
+	vals := b.grouper.Column(b.sigs, b.opt.T, int(p), ids)
 	t := &b.trie
-	if slices.IsSorted(slot) {
+	if slices.IsSorted(vals) {
 		// The ids are already in (value, id) order and their groups are
 		// runs, as a cluster's copies (one value at every position) always
 		// are. Hashing them anyway built a 33-copy cluster's trie, 26× the
 		// nodes of the rest, a third slower than sorting keys did.
 		copy(dst, ids)
-		for i, v := range slot {
-			if i+1 == len(slot) || slot[i+1] != v {
+		for i, v := range vals {
+			if i+1 == len(vals) || vals[i+1] != v {
 				t.buckets = append(t.buckets, trieBucket{val: v})
 				ends = append(ends, uint32(i+1))
 			}
 		}
 		return ends
 	}
-	clear(table)
-	values, counts := g.values[:0], g.counts[:0]
-	for i, v := range slot {
-		// Values are tokens, often small and dense: hash multiplicatively.
-		for h := v * 0x9e3779b1 >> (32 - lg); ; h = (h + 1) & (1<<lg - 1) {
-			e := table[h]
-			if e == 0 {
-				values = append(values, v)
-				counts = append(counts, 0)
-				e = uint32(len(values))
-				table[h] = e
-			} else if values[e-1] != v {
-				continue
-			}
-			slot[i] = e - 1
-			counts[e-1]++
-			break
-		}
-	}
-	order := slices.Grow(g.order[:0], len(values))
+	nums, values, counts := b.grouper.Group(vals)
+	order := slices.Grow(b.order[:0], len(values))
 	for i, v := range values {
 		order = append(order, uint64(v)<<32|uint64(i))
 	}
@@ -257,10 +215,10 @@ func (b *treeBuilder) group(dst, ends, ids []uint32, p uint32) []uint32 {
 		ends = append(ends, at)
 	}
 	for i, id := range ids {
-		dst[counts[slot[i]]] = id
-		counts[slot[i]]++
+		dst[counts[nums[i]]] = id
+		counts[nums[i]]++
 	}
-	g.values, g.counts, g.order = values, counts, order
+	b.order = order
 	return ends
 }
 

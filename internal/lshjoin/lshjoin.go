@@ -5,7 +5,9 @@
 // verify.Pipeline, size filter, 1-bit minwise sketch filter, dedup, exact
 // verification. This package owns the bucketing and the choice of k and L;
 // it has no pair loop of its own, and its repetitions run on verify.Repeat,
-// the repetition loop and stop rule of every approximate join.
+// the repetition loop and stop rule of every approximate join. Its buckets
+// are numbered by internal/group, the grouper CPSJoin's split shares, in
+// order of first appearance, so every run visits them in the same order.
 //
 // The number of concatenated hash functions k is chosen per dataset and
 // threshold by estimating the combined cost of bucket lookups and bucket
@@ -30,8 +32,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"repro/internal/exec"
+	"repro/internal/group"
 	"repro/internal/prep"
 	"repro/internal/tabhash"
 	"repro/internal/verify"
@@ -153,7 +157,7 @@ func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, ver
 	// The k values of a bucket key sit at distinct positions: no more than T.
 	k := min(opt.K, ix.T)
 	if k <= 0 {
-		k = chooseK(ix.Sets, ix.Sigs, ix.T, lambda, opt.TargetRecall, rng)
+		k = chooseK(ix.Sigs, ix.T, lambda, opt.TargetRecall, rng)
 	}
 	return repeat(ix, bf, rng, k, min(Repetitions(lambda, k, opt.TargetRecall), maxL), opt.Seed)
 }
@@ -211,13 +215,17 @@ func repeat(ix *prep.Index, bf *verify.Pipeline, rng *tabhash.SplitMix64, k, l i
 		samplePositions(rng, positions[rep], ix.T)
 	}
 	hasher := tabhash.NewTable64(seed + 0x7e7e)
-	self := func(s *verify.Scratch) *verify.Scratch { return s }
-	return verify.Repeat(bf, l, self, func(_ *exec.Ctx, s *verify.Scratch, rep int) {
-		for _, bucket := range bucketize(ix.Sets, ix.Sigs, ix.T, positions[rep], hasher) {
+	type worker struct { // one worker's half of bf and the grouper of its buckets
+		s *verify.Scratch
+		g group.Grouper[uint64]
+	}
+	newWorker := func(s *verify.Scratch) *worker { return &worker{s: s} }
+	return verify.Repeat(bf, l, newWorker, func(_ *exec.Ctx, w *worker, rep int) {
+		for _, bucket := range bucketize(&w.g, ix.Sigs, ix.T, positions[rep], hasher) {
 			if bf.Tracker.Reached() {
 				return
 			}
-			s.BruteForcePairs(bucket)
+			w.s.BruteForcePairs(bucket)
 		}
 	})
 }
@@ -236,51 +244,44 @@ func Repetitions(lambda float64, k int, phi float64) int {
 // samplePositions fills pos with distinct indices from [t], by rejection:
 // len(pos) must not exceed t.
 func samplePositions(rng *tabhash.SplitMix64, pos []int, t int) {
-	seen := make(map[int]bool, len(pos))
 	for i := range pos {
-		for {
-			p := rng.Intn(t)
-			if !seen[p] {
-				seen[p] = true
-				pos[i] = p
-				break
-			}
+		pos[i] = rng.Intn(t)
+		for slices.Contains(pos[:i], pos[i]) {
+			pos[i] = rng.Intn(t)
 		}
 	}
 }
 
-// bucketize groups set ids by the hash of their signature values at the
-// sampled positions. The buckets come back in order of first appearance
-// (the map only numbers them), so a join that stops at a recall target
-// stops after the same buckets on every run; they are views into one
-// array of ids.
-func bucketize(sets [][]uint32, sigs []uint32, t int, positions []int, hasher *tabhash.Table64) [][]uint32 {
-	index := make(map[uint64]int32, len(sets)/2)
-	of := make([]int32, len(sets)) // the bucket of each set
-	var sizes []int32
-	for id := range sets {
+// number numbers the sets by the hash of their signature values at the
+// sampled positions, in order of first appearance (group.Grouper.Group):
+// nums[id] is the bucket of set id and counts[b] the size of bucket b.
+func number(g *group.Grouper[uint64], sigs []uint32, t int, positions []int, hasher *tabhash.Table64) (nums []uint32, distinct []uint64, counts []uint32) {
+	keys := g.Keys(len(sigs) / t)
+	for id := range keys {
 		sig := sigs[id*t : (id+1)*t]
 		key := uint64(0x9e3779b97f4a7c15)
 		for _, p := range positions {
 			key = hasher.Hash(key ^ uint64(sig[p]))
 		}
-		b, ok := index[key]
-		if !ok {
-			b = int32(len(sizes))
-			index[key] = b
-			sizes = append(sizes, 0)
-		}
-		of[id] = b
-		sizes[b]++
+		keys[id] = key
 	}
-	ids := make([]uint32, len(sets))
-	buckets := make([][]uint32, len(sizes))
+	return g.Group(keys)
+}
+
+// bucketize groups set ids into buckets (number). The buckets come back in
+// order of first appearance, so a join that stops at a recall target stops
+// after the same buckets on every run; they are views into one array of
+// ids.
+func bucketize(g *group.Grouper[uint64], sigs []uint32, t int, positions []int, hasher *tabhash.Table64) [][]uint32 {
+	nums, _, counts := number(g, sigs, t, positions, hasher)
+	ids := make([]uint32, len(nums))
+	buckets := make([][]uint32, len(counts))
 	start := 0
-	for b, n := range sizes {
+	for b, n := range counts {
 		buckets[b] = ids[start : start : start+int(n)]
 		start += int(n)
 	}
-	for id, b := range of {
+	for id, b := range nums {
 		buckets[b] = append(buckets[b], uint32(id))
 	}
 	return buckets
@@ -291,24 +292,25 @@ func bucketize(sets [][]uint32, sigs []uint32, t int, positions []int, hasher *t
 // across the L(k) repetitions required for the target recall, by performing
 // one trial split per k and counting bucket sizes. It returns the k with the
 // lowest estimate (Section V-B of the paper).
-func chooseK(sets [][]uint32, sigs []uint32, t int, lambda, phi float64, rng *tabhash.SplitMix64) int {
+func chooseK(sigs []uint32, t int, lambda, phi float64, rng *tabhash.SplitMix64) int {
 	const (
 		costLookup  = 1.0 // relative cost of placing one set in a bucket
 		costCompare = 0.4 // relative cost of one sketch comparison
 	)
 	hasher := tabhash.NewTable64(rng.Next())
+	var g group.Grouper[uint64]
 	bestK, bestCost := min(2, t), math.Inf(1)
 	for k := 2; k <= min(10, t); k++ {
 		positions := make([]int, k)
 		samplePositions(rng, positions, t)
-		buckets := bucketize(sets, sigs, t, positions, hasher)
+		_, _, counts := number(&g, sigs, t, positions, hasher)
 		pairs := 0.0
-		for _, b := range buckets {
-			n := float64(len(b))
+		for _, c := range counts {
+			n := float64(c)
 			pairs += n * (n - 1) / 2
 		}
 		l := float64(Repetitions(lambda, k, phi))
-		cost := l * (costLookup*float64(len(sets)) + costCompare*pairs)
+		cost := l * (costLookup*float64(len(sigs)/t) + costCompare*pairs)
 		if cost < bestCost {
 			bestCost = cost
 			bestK = k
