@@ -121,7 +121,12 @@ test-benchmark:
 # LSH keep only their own order and scatter. So there is one probe loop:
 # the table's multiplicative hash (0x9e3779b1) appears in no non-test Go
 # outside internal/group, and internal/cpindex declares no grouper type of
-# its own.
+# its own. Chosen Path runs one way, on embedded sets: Braun-Blanquet, like
+# any LSHable similarity, is joined by Embed, EmbeddedThreshold and CPSJoin,
+# as Section II-A reduces it. The raw-set copy of Algorithms 1-2 (JoinBB,
+# BBOptions, bbJoiner, the facade's BraunBlanquetJoin and BruteForceBB,
+# intset.BraunBlanquetAtLeast) had no caller and checked nothing, so it
+# stays deleted from every Go file, test files included.
 surface:
 	@out=$$(grep -rn 'Deprecated:' --include='*.go' .); if [ -n "$$out" ]; then echo "deprecated surface:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'mux\.Handle' internal/shard/server.go | grep -v '("/v1/'); if [ -n "$$out" ]; then echo "endpoint outside /v1/:"; echo "$$out"; exit 1; fi
@@ -155,6 +160,7 @@ surface:
 	@out=$$(grep -nE 'NewTable(32|64)\(' internal/minhash/*.go internal/sketch/*.go | grep -v '_test\.go:' | grep -vE '^[^:]+:[0-9]+:\s*//'); if [ -n "$$out" ]; then echo "a one-function-at-a-time hash table in internal/minhash or internal/sketch (sign and sketch on tabhash.Family32):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -Hn 'slices\.Sort(keys)' internal/cpindex/trie.go); if [ -n "$$out" ]; then echo "the trie builder sorts its keys again (group a node's ids in linear time, through internal/group):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn '0x9e3779b1' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/group/'; grep -n 'type grouper' internal/cpindex/*.go); if [ -n "$$out" ]; then echo "a second probe loop (number keys through internal/group's one table):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE 'JoinBB|BBOptions|BraunBlanquetJoin|BruteForceBB|bbJoiner|BraunBlanquetAtLeast' --include='*.go' .); if [ -n "$$out" ]; then echo "the raw-set Braun-Blanquet join is back (join Braun-Blanquet through Embed, EmbeddedThreshold and CPSJoin):"; echo "$$out"; exit 1; fi
 	@deps=$$($(GO) list -deps ./cmd/experiments) || exit 1; out=$$(echo "$$deps" | grep -xE 'repro/internal/(shard|cpindex|contain|metrics)|net/http|testing'); if [ -n "$$out" ]; then echo "cmd/experiments links the serving stack:"; echo "$$out"; exit 1; fi
 
 # race is the quick local loop (-short skips the slowest suites);
@@ -195,11 +201,11 @@ ledger:
 # words at any bound and requires exactly the rows sketch.Hamming puts
 # within it. FuzzIntersect runs the intersection merges on arbitrary sets
 # and requires every exact threshold decision (JaccardAtLeast,
-# ContainmentAtLeast, BraunBlanquetAtLeast, Verifier.Verify) to be the
-# similarity's own division compared with a fuzzed threshold. FuzzFold
-# runs the tabulation family's min-fold, the path picked at start-up and
-# the Go loops, at 1 to 600 functions on arbitrary keys and requires both
-# to give every function's minimum and arg-min key under NewTable32.
+# ContainmentAtLeast, Verifier.Verify) to be the similarity's own division
+# compared with a fuzzed threshold. FuzzFold runs the tabulation family's
+# min-fold, the path picked at start-up and the Go loops, at 1 to 600
+# functions on arbitrary keys and requires both to give every function's
+# minimum and arg-min key under NewTable32.
 # FuzzGroup groups arbitrary 32- and 64-bit keys, twice on one grouper, and
 # requires the numbers, distinct keys and counts of a map's first-appearance
 # numbering. CI runs this on every PR; crashers land in testdata/fuzz/ for

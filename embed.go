@@ -3,6 +3,7 @@ package ssjoin
 import (
 	"fmt"
 
+	"repro/internal/intset"
 	"repro/internal/tabhash"
 )
 
@@ -74,7 +75,7 @@ func (AngularFamily) Sample(seed uint64) Hasher {
 // similarity join into a Jaccard self-join:
 //
 //	emb := ssjoin.Embed(sets, 128, seed, ssjoin.AngularFamily{})
-//	pairs, _ := ssjoin.CPSJoin(emb, ssjoin.EmbeddedThreshold(0.8), nil)
+//	pairs, _ := ssjoin.CPSJoin(emb, ssjoin.EmbeddedThreshold(0.8, 128), nil)
 //
 // Note that the resulting join is approximate with respect to the original
 // measure: the embedding introduces estimation error that the t parameter
@@ -111,13 +112,26 @@ func Embed(sets [][]uint32, t int, seed uint64, family Family) [][]uint32 {
 }
 
 // EmbeddedThreshold converts a similarity threshold λ on the original
-// measure into the Jaccard threshold to use on embedded sets. Embedded
-// sets have fixed size t, so Braun-Blanquet similarity B = |∩|/t and
-// Jaccard J = |∩|/(2t-|∩|) relate by J = B/(2-B), which is monotone; a
-// pair meets B >= λ exactly when it meets J >= λ/(2-λ).
-func EmbeddedThreshold(lambda float64) float64 {
+// measure into the Jaccard threshold to use on sets embedded at size t.
+// Embedded sets have fixed size t, so a pair sharing c tokens has
+// Braun-Blanquet similarity B = c/t and Jaccard J = c/(2t−c), both
+// increasing in c. The result is the Jaccard similarity of the smallest c
+// with c/t >= λ, intset.MinShare(t, λ), so a pair meets J >= the result
+// exactly when it meets B >= λ. The closed form λ/(2−λ) is not used: in
+// floating point it can round above that Jaccard similarity and drop the
+// pairs at B = λ (t = 50, λ = 0.04).
+func EmbeddedThreshold(lambda float64, t int) float64 {
 	if lambda <= 0 || lambda >= 1 {
 		panic(fmt.Sprintf("ssjoin: lambda %v out of (0,1)", lambda))
 	}
-	return lambda / (2 - lambda)
+	if t <= 0 {
+		panic(fmt.Sprintf("ssjoin: invalid embedding size %d", t))
+	}
+	c := intset.MinShare(t, lambda)
+	if c == t {
+		// Only identical sets pass, and a Jaccard threshold must stay below
+		// 1: t/(t+1) lies between the t−1 pair's (t−1)/(t+1) and 1.
+		return float64(t) / float64(t+1)
+	}
+	return float64(c) / float64(2*t-c)
 }

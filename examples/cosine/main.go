@@ -51,10 +51,11 @@ func main() {
 
 	// Embed with the SimHash family: every document becomes exactly 256
 	// tokens; shared tokens correspond to agreeing SimHash bits.
-	emb := ssjoin.Embed(sets, 256, 7, ssjoin.AngularFamily{})
+	const t = 256
+	emb := ssjoin.Embed(sets, t, 7, ssjoin.AngularFamily{})
 
 	// Join the embedded sets at the converted Jaccard threshold.
-	pairs, _ := ssjoin.CPSJoin(emb, ssjoin.EmbeddedThreshold(lambdaAngular), &ssjoin.Options{Seed: 8})
+	pairs, _ := ssjoin.CPSJoin(emb, ssjoin.EmbeddedThreshold(lambdaAngular, t), &ssjoin.Options{Seed: 8})
 	fmt.Printf("embedded join at angular λ=%.2f reported %d pairs\n", lambdaAngular, len(pairs))
 
 	// Check the output against the true angular similarity of the

@@ -63,9 +63,6 @@ func OpenMapped(snap *snapshot.Mapped, retain any) (*Mapped, error) {
 	return &Mapped{kernel: k, snap: snap, retain: retain, nodes: nodes, leaves: leaves}, nil
 }
 
-// Structure returns the persisted node/leaf counts.
-func (m *Mapped) Structure() (nodes, leaves int) { return m.nodes, m.leaves }
-
 // ensureStruct is the first touch: both bulk sections checksummed, then
 // validated and read in place.
 func (m *Mapped) ensureStruct() error {

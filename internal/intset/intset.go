@@ -8,11 +8,12 @@
 //
 // The package is also the one place a threshold becomes integers. Every
 // exact "similarity >= t" decision — the joins' verification and size
-// filters, their prefix and positional bounds, brute force, search — uses
-// the rule: the predicate float64(c)/float64(d) >= t, the division Jaccard,
-// Containment and BraunBlanquet themselves compute, and the integer bounds
-// MinOverlap, MinShare and SizeWindow derived from it. So a pair exactly at
-// the threshold is found by all of them or by none.
+// filters, their prefix and positional bounds, brute force, search, the
+// embedded threshold — uses the rule: the predicate
+// float64(c)/float64(d) >= t, the division Jaccard and Containment
+// themselves compute, and the integer bounds MinOverlap, MinShare and
+// SizeWindow derived from it. So a pair exactly at the threshold is found
+// by all of them or by none.
 package intset
 
 import (
@@ -148,8 +149,8 @@ func gallopIntersectSize(a, b []uint32) int {
 // required. Otherwise it returns false as soon as the elements left in the
 // merge can no longer close the gap, with a count below required. It is the
 // one early-exit merge behind every exact threshold decision (JaccardAtLeast,
-// ContainmentAtLeast, BraunBlanquetAtLeast), and required comes from the
-// threshold rule (MinOverlap, MinShare).
+// ContainmentAtLeast), and required comes from the threshold rule
+// (MinOverlap, MinShare).
 func IntersectSizeAtLeast(a, b []uint32, required int) (int, bool) {
 	if len(a) < required || len(b) < required {
 		return 0, false
@@ -227,27 +228,6 @@ func ContainmentAtLeast(q, y []uint32, t float64) (float64, bool) {
 		return 0, false
 	}
 	return float64(c) / float64(len(q)), true
-}
-
-// BraunBlanquet returns |a ∩ b| / max(|a|, |b|), with BB(∅, ∅) = 0.
-func BraunBlanquet(a, b []uint32) float64 {
-	m := max(len(a), len(b))
-	if m == 0 {
-		return 0
-	}
-	return float64(IntersectSize(a, b)) / float64(m)
-}
-
-// BraunBlanquetAtLeast reports whether BB(a, b) >= t, rejecting early like
-// JaccardAtLeast. The decision is bit-identical to
-// `BraunBlanquet(a, b) >= t`: the cutoff is MinShare.
-func BraunBlanquetAtLeast(a, b []uint32, t float64) bool {
-	m := max(len(a), len(b))
-	if m == 0 {
-		return 0 >= t
-	}
-	_, ok := IntersectSizeAtLeast(a, b, MinShare(m, t))
-	return ok
 }
 
 // The threshold rule. Whether a similarity reaches a threshold t is decided

@@ -25,7 +25,10 @@
 // (Chakrabarti et al., TKDD 2015): the same join at k = 1, with a
 // sequential sketch test in place of the sketch filter. It draws its own
 // bucket positions and reads TargetRecall with its own default; K and Delta
-// do not apply to it.
+// do not apply to it. Its test, too, runs once per pair for the whole join
+// and wrongly prunes a pair at λ with probability at most γ = 0.05, so such
+// a pair is reported with probability about ϕ·(1 − γ), 0.9025 at the
+// default ϕ = 0.95; pairs well above λ keep ϕ.
 package lshjoin
 
 import (

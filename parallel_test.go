@@ -51,8 +51,8 @@ func equalPairSets(a, b []Pair) bool {
 var workerCounts = []int{1, 2, 4, runtime.GOMAXPROCS(0)}
 
 // TestParallelDeterminism is the acceptance test of the execution layer:
-// CPSJoin, BraunBlanquetJoin and MinHashJoin return identical pair sets
-// for a fixed seed at every worker count.
+// CPSJoin and MinHashJoin return identical pair sets for a fixed seed at
+// every worker count.
 func TestParallelDeterminism(t *testing.T) {
 	sets := parallelWorkload(600, 77)
 	algorithms := []struct {
@@ -61,10 +61,6 @@ func TestParallelDeterminism(t *testing.T) {
 	}{
 		{"CPSJoin", func(workers int) []Pair {
 			p, _ := CPSJoin(sets, 0.5, &Options{Seed: 11, Workers: workers})
-			return p
-		}},
-		{"BraunBlanquetJoin", func(workers int) []Pair {
-			p, _ := BraunBlanquetJoin(sets, 0.5, &Options{Seed: 12, Workers: workers})
 			return p
 		}},
 		{"MinHashJoin", func(workers int) []Pair {
@@ -232,20 +228,6 @@ func BenchmarkCPSJoinParallel(b *testing.B) {
 			opts := &Options{Seed: 7, Workers: workers}
 			for i := 0; i < b.N; i++ {
 				ix.CPSJoin(0.5, opts)
-			}
-		})
-	}
-}
-
-// BenchmarkBraunBlanquetParallel is the scaling benchmark for the
-// reference (raw-set) join.
-func BenchmarkBraunBlanquetParallel(b *testing.B) {
-	sets := parallelWorkload(1500, 91)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := &Options{Seed: 7, Workers: workers}
-			for i := 0; i < b.N; i++ {
-				BraunBlanquetJoin(sets, 0.5, opts)
 			}
 		})
 	}

@@ -7,13 +7,15 @@ import (
 	"repro/internal/datagen"
 )
 
-// TestRecallByBand holds CPSJoin and MinHash LSH to their documented
-// per-pair guarantee at λ = 0.5, band by band. Both report a pair at
-// similarity λ with probability ϕ = 0.9 (MinHash LSH's TargetRecall,
-// CPSJoin's 10 repetitions), and their sketch filter, drawn once per join,
-// drops it in every repetition with probability up to δ = 0.05: near λ the
-// guarantee is ϕ·(1−δ) = 0.855, and a pair a tenth above λ, where the
-// filter almost never errs, keeps ϕ.
+// TestRecallByBand holds CPSJoin, MinHash LSH and BayesLSH-lite to their
+// documented per-pair guarantees at λ = 0.5, band by band. Each reports a
+// pair at similarity λ with probability ϕ: 0.9 for MinHash LSH's
+// TargetRecall and CPSJoin's 10 repetitions, 0.95 for BayesLSH-lite's
+// TargetRecall. A sketch test drawn once per join then drops the pair in
+// every repetition with probability up to a budget: the sketch filter's
+// δ = 0.05 for the first two, the sequential test's γ = 0.05 for
+// BayesLSH-lite. So near λ the guarantee is ϕ times one less the budget,
+// and a pair a tenth above λ, where the tests almost never err, keeps ϕ.
 //
 // The pairs are planted by datagen.PlantPairs into a flat background and
 // counted in the band of their exact Jaccard similarity. Each floor is the
@@ -21,20 +23,16 @@ import (
 // count, so a join that meets its guarantee fails a band with probability
 // about 0.1 %, treating pairs as independent.
 func TestRecallByBand(t *testing.T) {
-	const (
-		lambda = 0.5
-		phi    = 0.9
-		delta  = 0.05
-	)
+	const lambda = 0.5
 	bands := []struct {
 		name   string
 		lo, hi float64
-		p      float64 // the documented per-pair recall
+		near   bool // within a tenth of λ, where the sketch test can drop a pair
 	}{
-		{"[λ, λ+0.02)", lambda, lambda + 0.02, phi * (1 - delta)},
-		{"[λ+0.02, λ+0.05)", lambda + 0.02, lambda + 0.05, phi * (1 - delta)},
-		{"[λ+0.05, λ+0.1)", lambda + 0.05, lambda + 0.1, phi * (1 - delta)},
-		{"≥ λ+0.1", lambda + 0.1, 2, phi},
+		{"[λ, λ+0.02)", lambda, lambda + 0.02, true},
+		{"[λ+0.02, λ+0.05)", lambda + 0.02, lambda + 0.05, true},
+		{"[λ+0.05, λ+0.1)", lambda + 0.05, lambda + 0.1, true},
+		{"≥ λ+0.1", lambda + 0.1, 2, false},
 	}
 	ds := datagen.Uniform(2000, 50, 20000, 61)
 	var planted [][2]int
@@ -60,9 +58,14 @@ func TestRecallByBand(t *testing.T) {
 		}
 	}
 	for _, alg := range []struct {
-		name string
-		join func([][]uint32, float64, *Options) ([]Pair, Stats)
-	}{{"cpsjoin", CPSJoin}, {"minhash", MinHashJoin}} {
+		name        string
+		join        func([][]uint32, float64, *Options) ([]Pair, Stats)
+		phi, budget float64
+	}{
+		{"cpsjoin", CPSJoin, 0.9, 0.05},
+		{"minhash", MinHashJoin, 0.9, 0.05},
+		{"bayeslsh", BayesLSHJoin, 0.95, 0.05},
+	} {
 		t.Run(alg.name, func(t *testing.T) {
 			pairs, _ := alg.join(sets, lambda, &Options{Seed: 63, Workers: -1})
 			reported := make(map[Pair]bool, len(pairs))
@@ -76,13 +79,17 @@ func TestRecallByBand(t *testing.T) {
 				}
 			}
 			for b, bd := range bands {
+				p := alg.phi // the documented per-pair recall
+				if bd.near {
+					p *= 1 - alg.budget
+				}
 				n := float64(total[b])
-				floor := bd.p - 3*math.Sqrt(bd.p*(1-bd.p)/n)
+				floor := p - 3*math.Sqrt(p*(1-p)/n)
 				recall := float64(found[b]) / n
 				t.Logf("J in %s: recall %.3f (%d of %d), floor %.3f", bd.name, recall, found[b], total[b], floor)
 				if recall < floor {
 					t.Errorf("J in %s: recall %.3f (%d of %d) below the floor %.3f (%.3f less three binomial standard deviations)",
-						bd.name, recall, found[b], total[b], floor, bd.p)
+						bd.name, recall, found[b], total[b], floor, p)
 				}
 			}
 		})

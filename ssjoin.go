@@ -174,38 +174,6 @@ func CPSJoinRS(r, s [][]uint32, lambda float64, opts *Options) ([]Pair, Stats) {
 	return fromPairs(pairs), fromCounters(c)
 }
 
-// BraunBlanquetJoin computes an approximate self-join under Braun-Blanquet
-// similarity BB(x, y) = |x∩y|/max(|x|, |y|), running the paper's
-// Algorithms 1-2 directly on the raw (variable-size) sets — the
-// generalization beyond the fixed-size embedding that Section II-A notes
-// is straightforward. Same precision/recall contract as CPSJoin.
-func BraunBlanquetJoin(sets [][]uint32, lambda float64, opts *Options) ([]Pair, Stats) {
-	var bb *core.BBOptions
-	if opts != nil {
-		bb = &core.BBOptions{
-			Limit:       opts.Limit,
-			Epsilon:     opts.Epsilon,
-			EpsilonSet:  opts.EpsilonSet,
-			Repetitions: opts.Repetitions,
-			Seed:        opts.Seed,
-			Workers:     opts.Workers,
-		}
-	}
-	pairs, c := core.JoinBB(sets, lambda, bb)
-	return fromPairs(pairs), fromCounters(c)
-}
-
-// BruteForceBB computes the exact Braun-Blanquet self-join by exhaustive
-// verification — ground truth for BraunBlanquetJoin.
-func BruteForceBB(sets [][]uint32, lambda float64) []Pair {
-	return fromPairs(core.BruteForceJoinBB(sets, lambda))
-}
-
-// BraunBlanquet returns |a∩b|/max(|a|, |b|) for two normalized sets.
-func BraunBlanquet(a, b []uint32) float64 {
-	return intset.BraunBlanquet(a, b)
-}
-
 // AllPairs computes the exact self-join with the ALLPAIRS prefix-filtering
 // algorithm (Bayardo et al.), the paper's exact baseline. Exact algorithms
 // consult only Workers from opts (nil runs sequentially); results are

@@ -4,6 +4,9 @@ import (
 	"math"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/intset"
+	"repro/internal/race"
 )
 
 // workload builds a test collection with planted similar pairs.
@@ -151,37 +154,6 @@ func TestNormalizeSetAndJaccard(t *testing.T) {
 	}
 }
 
-func TestBraunBlanquetJoinPublic(t *testing.T) {
-	sets := workload(400, 30)
-	truth := BruteForceBB(sets, 0.5)
-	if len(truth) == 0 {
-		t.Fatal("no BB ground truth")
-	}
-	got, _ := BraunBlanquetJoin(sets, 0.5, &Options{Seed: 31})
-	truthSet := make(map[Pair]bool, len(truth))
-	for _, p := range truth {
-		truthSet[p] = true
-	}
-	hits := 0
-	for _, p := range got {
-		if !truthSet[p] {
-			t.Fatalf("false positive %v (BB=%v)", p, BraunBlanquet(sets[p.A], sets[p.B]))
-		}
-		hits++
-	}
-	if float64(hits) < 0.9*float64(len(truth)) {
-		t.Errorf("BB recall %d/%d", hits, len(truth))
-	}
-}
-
-func TestBraunBlanquetMeasure(t *testing.T) {
-	a := []uint32{1, 2, 3, 4}
-	b := []uint32{1, 2}
-	if got := BraunBlanquet(a, b); got != 0.5 {
-		t.Errorf("BraunBlanquet = %v, want 0.5", got)
-	}
-}
-
 func TestCPSJoinParallelPublic(t *testing.T) {
 	sets := workload(400, 32)
 	ix := NewIndex(sets, &Options{Seed: 33})
@@ -219,14 +191,47 @@ func TestEmbedJaccardFamily(t *testing.T) {
 	}
 }
 
+// TestEmbeddedThreshold checks the conversion cell by cell: for every
+// embedding size t <= 1024 and every overlap c, two embedded sets sharing
+// c tokens meet the Jaccard threshold exactly when c/t meets λ, at λ = c/t
+// and one ulp above it, where a rounded λ/(2−λ) drops or admits a pair.
+// The cells cost Θ(t³) merge steps, so -short and the race build stop at
+// t = 256.
 func TestEmbeddedThreshold(t *testing.T) {
-	// B = λ ⇔ J = λ/(2-λ). Compare with tolerance: Go folds the expected
-	// constant expressions in arbitrary precision.
-	if got, want := EmbeddedThreshold(0.5), 0.5/1.5; math.Abs(got-want) > 1e-15 {
-		t.Errorf("EmbeddedThreshold(0.5) = %v, want %v", got, want)
+	maxT := 1024
+	if testing.Short() || race.Enabled {
+		maxT = 256
 	}
-	if got, want := EmbeddedThreshold(0.9), 0.9/1.1; math.Abs(got-want) > 1e-15 {
-		t.Errorf("EmbeddedThreshold(0.9) = %v, want %v", got, want)
+	base := make([]uint32, 2*maxT)
+	for i := range base {
+		base[i] = uint32(i)
+	}
+	misses := 0
+	for size := 1; size <= maxT; size++ {
+		x := base[:size]
+		// sharing(c) is an embedded set with exactly c tokens of x.
+		sharing := func(c int) []uint32 { return base[size-c : 2*size-c] }
+		passes := func(c int, th float64) bool {
+			_, ok := intset.JaccardAtLeast(x, sharing(c), th)
+			return ok
+		}
+		for c := 1; c < size; c++ {
+			at := float64(c) / float64(size)
+			above := math.Nextafter(at, 1)
+			if th := EmbeddedThreshold(at, size); !passes(c, th) || passes(c-1, th) {
+				if misses++; misses <= 10 {
+					t.Errorf("t=%d λ=%d/%d: Jaccard threshold %v, want the %d-overlap pair and not the %d-overlap one", size, c, size, th, c, c-1)
+				}
+			}
+			if th := EmbeddedThreshold(above, size); !passes(c+1, th) || passes(c, th) {
+				if misses++; misses <= 10 {
+					t.Errorf("t=%d λ=%d/%d+1ulp: Jaccard threshold %v, want the %d-overlap pair and not the %d-overlap one", size, c, size, th, c+1, c)
+				}
+			}
+		}
+	}
+	if misses > 0 {
+		t.Errorf("%d (t, λ) cells decided differently from Braun-Blanquet", misses)
 	}
 }
 
@@ -236,7 +241,7 @@ func TestEmbeddedJoinFindsSimilarPairs(t *testing.T) {
 	sets := GenerateUniform(300, 30, 20000, 11)
 	sets, planted := PlantSimilarPairs(sets, 20, 0.85, 12)
 	emb := Embed(sets, 128, 13, JaccardFamily{})
-	got, _ := CPSJoin(emb, EmbeddedThreshold(0.7), &Options{Seed: 14})
+	got, _ := CPSJoin(emb, EmbeddedThreshold(0.7, 128), &Options{Seed: 14})
 	gotSet := make(map[Pair]bool)
 	for _, p := range got {
 		gotSet[p] = true

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestNestedPairAtTheThreshold joins y ⊂ x with J(x, y) = BB(x, y) =
-// |y|/|x| = λ exactly, at sizes where a product or a ratio of λ rounds past
-// the boundary (0.55·100 is above 55, 0.8/1.8·63 above 28). Every exact
+// TestNestedPairAtTheThreshold joins y ⊂ x with J(x, y) = |y|/|x| = λ
+// exactly, at sizes where a product or a ratio of λ rounds past the
+// boundary (0.55·100 is above 55, 0.8/1.8·63 above 28). Every exact
 // path reports the pair, and so does every approximate one here, on an
 // input small enough to be brute-forced, and a search and a sharded query
 // for y both find x.
@@ -43,9 +43,6 @@ func TestNestedPairAtTheThreshold(t *testing.T) {
 			check("BruteForce", BruteForce(sets, c.lambda))
 			pairs, _ = CPSJoin(sets, c.lambda, &Options{SketchWords: -1, Seed: 1})
 			check("CPSJoin without sketches", pairs)
-			check("BruteForceBB", BruteForceBB(sets, c.lambda))
-			pairs, _ = BraunBlanquetJoin(sets, c.lambda, &Options{Seed: 1})
-			check("BraunBlanquetJoin", pairs)
 
 			found := func(ms []Match) bool {
 				return slices.ContainsFunc(ms, func(m Match) bool { return m.ID == 1 && m.Sim == c.lambda })
