@@ -71,8 +71,9 @@ test-benchmark:
 # method, the narrowed special case in Search) stay out of non-test Go
 # outside benchmark/. Assembly stays in exactly two kernel files, each
 # beside its portable Go reference: internal/verify/within_amd64.s, the
-# sketch filter's POPCNT loop (withinGo), and internal/tabhash/fold_amd64.s,
-# the tabulation family's AVX-512 min-fold (foldMinGo, foldArgMinGo); no
+# sketch filter's POPCNT and AVX-512 loops (withinGo), and
+# internal/tabhash/fold_amd64.s, the tabulation families' AVX-512 folds of
+# a whole set (foldBitsGo for the sketch, argMinGo for the signature); no
 # other *.s. The exact prefix-filter family
 # is one package on one frame: internal/ppjoin stays folded into
 # internal/allpairs, whose non-test Go declares no second frequency order
@@ -107,12 +108,13 @@ test-benchmark:
 # no contain section and nothing writes or reads one (Section("contain"),
 # containHeader) or rebuilds a side from stored signatures (FromSignatures)
 # in non-test Go. MinHash signing and sketching evaluate their hash functions
-# token-major, on one transposed tabulation family (tabhash.Family32): the
+# token-major, on transposed tabulation families (tabhash.Family32 and its
+# 32-bit half, tabhash.Low32): the
 # one-function-at-a-time tables stay out of non-test internal/minhash and
 # internal/sketch (no NewTable32( or NewTable64( call there outside a
 # comment; the loops survive as the tests' references and in embed.go), and
 # the fold of a token's hash values into the running minima lives in
-# tabhash alone, as Family32.FoldMin and FoldArgMin: non-test
+# tabhash alone, as Family32.ArgMins and Low32.FoldBits: non-test
 # internal/minhash and internal/sketch read no rows (no .Row( call). The
 # search trie's builder groups a node's ids in linear time instead of
 # sorting (value, id) keys (no slices.Sort(keys) in non-test trie.go). Every
@@ -146,8 +148,8 @@ surface:
 	@out=$$(grep -rnE 'markDroppedLocked|sortedTombstones|map\[int\]struct\{\}' --include='*.go' internal/shard | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second deletion structure is back (a deleted id is one bit of the deleted set; seals and compactions only read it):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'kindBest|\) best\(|narrowed :=' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./benchmark/'); if [ -n "$$out" ]; then echo "the best-match early exit is back (a best-match query is the all-matches answer reduced by cpindex.Top):"; echo "$$out"; exit 1; fi
 	@out=$$(find . -name '*.s' -not -path './.bench_build/*' | sort | tr '\n' ' '); if [ "$$out" != "./internal/tabhash/fold_amd64.s ./internal/verify/within_amd64.s " ]; then echo "assembly other than the two kernels (internal/verify/within_amd64.s, internal/tabhash/fold_amd64.s):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -q '^func withinGo(' internal/verify/pipeline.go || echo withinGo; grep -q '^func foldMinGo(' internal/tabhash/fold.go || echo foldMinGo; grep -q '^func foldArgMinGo(' internal/tabhash/fold.go || echo foldArgMinGo); if [ -n "$$out" ]; then echo "an assembly kernel without its Go reference beside it:"; echo "$$out"; exit 1; fi
-	@out=$$(grep -n '\.Row(' internal/minhash/*.go internal/sketch/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a fold outside internal/tabhash (sign and sketch through Family32.FoldArgMin and FoldMin):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -q '^func withinGo(' internal/verify/pipeline.go || echo withinGo; grep -q '^func foldBitsGo(' internal/tabhash/fold.go || echo foldBitsGo; grep -q '^func argMinGo(' internal/tabhash/fold.go || echo argMinGo); if [ -n "$$out" ]; then echo "an assembly kernel without its Go reference beside it:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -n '\.Row(' internal/minhash/*.go internal/sketch/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a fold outside internal/tabhash (sign through Family32.ArgMins, sketch through Low32.FoldBits):"; echo "$$out"; exit 1; fi
 	@out=$$(ls -d internal/ppjoin 2>/dev/null; grep -nE 'rankByFrequency|func reorder' internal/allpairs/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second copy of the exact prefix-filter family (PPJoin lives in internal/allpairs; its one frequency order is dataset.RemapByFrequency):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'JaccardOverlapBound' --include='*.go' .; grep -rnE 'Ceil\((2 \* )?lambda' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/intset/'); if [ -n "$$out" ]; then echo "a threshold bound outside internal/intset (take MinOverlap, MinShare or SizeWindow):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -nE 'func (Print|CSV)[A-Z]|Fig2FromTable2' internal/bench/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a per-format printer in internal/bench (a row's header and cells print both formats through Table.Write):"; echo "$$out"; exit 1; fi
@@ -157,7 +159,7 @@ surface:
 	@out=$$(grep -rnE 'SizeCompatible|NewPruner|Survives\(' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a per-pair filter beside the kernel (the size window and the sequential test run in verify.Pipeline):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'bits\.OnesCount64' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./internal/(verify|sketch|intset)/'); if [ -n "$$out" ]; then echo "a popcount outside internal/verify, internal/sketch and internal/intset (sketch distances are within's or sketch.Hamming's):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'FromSignatures|containHeader|Section\("contain"' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "the containment side is stored again (it is derived: built from the sets on the first containment query):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -nE 'NewTable(32|64)\(' internal/minhash/*.go internal/sketch/*.go | grep -v '_test\.go:' | grep -vE '^[^:]+:[0-9]+:\s*//'); if [ -n "$$out" ]; then echo "a one-function-at-a-time hash table in internal/minhash or internal/sketch (sign and sketch on tabhash.Family32):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -nE 'NewTable(32|64)\(' internal/minhash/*.go internal/sketch/*.go | grep -v '_test\.go:' | grep -vE '^[^:]+:[0-9]+:\s*//'); if [ -n "$$out" ]; then echo "a one-function-at-a-time hash table in internal/minhash or internal/sketch (sign on tabhash.Family32, sketch on tabhash.Low32):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -Hn 'slices\.Sort(keys)' internal/cpindex/trie.go); if [ -n "$$out" ]; then echo "the trie builder sorts its keys again (group a node's ids in linear time, through internal/group):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn '0x9e3779b1' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/group/'; grep -n 'type grouper' internal/cpindex/*.go); if [ -n "$$out" ]; then echo "a second probe loop (number keys through internal/group's one table):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'JoinBB|BBOptions|BraunBlanquetJoin|BruteForceBB|bbJoiner|BraunBlanquetAtLeast' --include='*.go' .); if [ -n "$$out" ]; then echo "the raw-set Braun-Blanquet join is back (join Braun-Blanquet through Embed, EmbeddedThreshold and CPSJoin):"; echo "$$out"; exit 1; fi
@@ -197,15 +199,17 @@ ledger:
 # FuzzMappedDecode drive the same bytes through the heap and the mapped
 # view and require them to agree; FuzzReadFrom requires whatever prep
 # accepts to serialize back to the bytes it came from. FuzzWithin runs the
-# sketch filter's loop, the path picked at start-up and withinGo, on raw
-# words at any bound and requires exactly the rows sketch.Hamming puts
-# within it. FuzzIntersect runs the intersection merges on arbitrary sets
+# sketch filter's loop, the path picked at start-up and every path the CPU
+# has (withinGo, withinPOPCNT, withinAVX512 with its masked last group of
+# eight), on raw words at any bound and requires exactly the rows
+# sketch.Hamming puts within it. FuzzIntersect runs the intersection merges on arbitrary sets
 # and requires every exact threshold decision (JaccardAtLeast,
 # ContainmentAtLeast, Verifier.Verify) to be the similarity's own division
-# compared with a fuzzed threshold. FuzzFold runs the tabulation family's
-# min-fold, the path picked at start-up and the Go loops, at 1 to 600
-# functions on arbitrary keys and requires both to give every function's
-# minimum and arg-min key under NewTable32.
+# compared with a fuzzed threshold. FuzzFold runs the tabulation families'
+# folds, the path picked at start-up and the Go loops, on arbitrary keys:
+# the signature's at 1 to 600 functions and the 32-bit sketch fold at 1 to
+# 9 words, and requires both to give every function's arg-min key and the
+# low bit of its 32-bit minimum under NewTable32.
 # FuzzGroup groups arbitrary 32- and 64-bit keys, twice on one grouper, and
 # requires the numbers, distinct keys and counts of a map's first-appearance
 # numbering. CI runs this on every PR; crashers land in testdata/fuzz/ for

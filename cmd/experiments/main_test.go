@@ -111,7 +111,9 @@ func TestCSVFormat(t *testing.T) {
 // worker its CSV is a function of the code alone. The digest was taken at the
 // commit before the join family got one brute-force kernel, one result set,
 // one probe loop per exact join and a one-worker pool in place of its
-// sequential forks; whatever is simplified underneath, these bytes stay.
+// sequential forks, and re-recorded once when a sketch bit became the low
+// bit of a 32-bit minimum, which moved CPSJoin's rows and no ALLPAIRS row;
+// whatever is simplified underneath, these bytes stay.
 func TestTable4IsPinned(t *testing.T) {
 	if testing.Short() || race.Enabled {
 		t.Skip("runs every join on every smoke workload: 6 s, a minute under the race detector")
@@ -121,7 +123,7 @@ func TestTable4IsPinned(t *testing.T) {
 		t.Fatalf("exit %d\n%s", code, stderr)
 	}
 	sum := sha256.Sum256([]byte(stdout))
-	if got, want := hex.EncodeToString(sum[:]), "6561ab622ba282868328a6c24d2c395163e31c1226f9f5f5532aeff215471a8c"; got != want {
+	if got, want := hex.EncodeToString(sum[:]), "76e64867d8b76ff834aee519f900d4301d8727ce30e939a3d3d2c7e4f722362d"; got != want {
 		t.Errorf("table4 CSV hashes to %s, want %s:\n%s", got, want, stdout)
 	}
 }

@@ -22,8 +22,9 @@
 // and BRUTEFORCEPOINT alike) is verify.Pipeline, the block kernel this join
 // shares with the MinHash comparator, as Algorithms 2 and 3 of the paper
 // share the subroutine: size window, XOR/popcount over gathered sketches
-// (POPCNT assembly on amd64, picked at start-up; Go elsewhere), and only
-// survivors reach the result-set lookup and exact verification.
+// (AVX-512 or POPCNT assembly on amd64, picked at start-up; Go
+// elsewhere), and only survivors reach the result-set lookup and exact
+// verification.
 // Splitting groups a node by minhash value through internal/group, the
 // grouper the search trie and MinHash LSH share, and a stable counting
 // scatter into one buffer per sampled position.

@@ -7,10 +7,10 @@
 // Jaccard similarity.
 //
 // A signature is computed token by token on one tabhash.Family32, whose
-// FoldArgMin folds a token's hash values under all t functions into the
-// running minima and their arg-min tokens: on AVX-512, 8 functions per
-// instruction where the CPU has it, in Go elsewhere, the same signature
-// either way.
+// ArgMins folds each token's hash values under all t functions into the
+// running minima and their arg-min tokens: on AVX-512 where the CPU has it,
+// 128 functions per pass over the set with the minima in registers, in Go
+// elsewhere, the same signature either way.
 //
 // The randomized embedding of Section II-A of the CPSJoin paper, which
 // turns any LSHable similarity join into a set similarity join, is
@@ -19,7 +19,6 @@ package minhash
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/tabhash"
 )
@@ -27,7 +26,7 @@ import (
 // Signer computes t-dimensional MinHash signatures. Function i is the
 // simple tabulation hash tabhash.NewTable32(Mix64(seed + i)); the t of
 // them are held as one tabhash.Family32, transposed, so a signature is
-// computed token by token: the family's FoldArgMin XORs the token's four
+// computed token by token: the family's ArgMins XORs each token's four
 // rows into all t hash values at once and folds them into the running
 // minima. It is safe for concurrent use.
 type Signer struct {
@@ -56,11 +55,6 @@ func (s *Signer) Sign(set []uint32) []uint32 {
 	return sig
 }
 
-// signBlock is how many functions SignInto folds per pass over the set:
-// their running minima live in an array on its stack, so signing allocates
-// nothing at any t. 128, the default t everywhere, is one pass.
-const signBlock = 128
-
 // SignInto computes the signature of set into sig, which must have length t.
 // It allocates nothing.
 func (s *Signer) SignInto(set []uint32, sig []uint32) {
@@ -70,25 +64,7 @@ func (s *Signer) SignInto(set []uint32, sig []uint32) {
 	if len(sig) != s.t {
 		panic(fmt.Sprintf("minhash: sig length %d, want %d", len(sig), s.t))
 	}
-	var mins [signBlock]uint64
-	for lo := 0; lo < s.t; lo += signBlock {
-		hi := min(lo+signBlock, s.t)
-		s.signRange(set, lo, sig[lo:hi], mins[:hi-lo])
-	}
-}
-
-// signRange computes functions [lo, lo+len(mins)) of the signature into
-// sig, with mins as their running minima. The minima start above every
-// hash value but the largest, and a tie keeps the token already there, so
-// the first token is taken whatever it hashes to.
-func (s *Signer) signRange(set []uint32, lo int, sig []uint32, mins []uint64) {
-	for i := range mins {
-		mins[i] = math.MaxUint64
-		sig[i] = set[0]
-	}
-	for _, tok := range set {
-		s.fam.FoldArgMin(tok, lo, mins, sig)
-	}
+	s.fam.ArgMins(set, sig)
 }
 
 // SignAll computes signatures for every set, returned as a single flattened

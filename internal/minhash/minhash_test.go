@@ -172,9 +172,9 @@ func eachFoldPath(t *testing.T, f func(t *testing.T)) {
 
 // TestSignMatchesReference: Sign, SignInto and SignAll yield the reference
 // loop's signatures bit for bit, on each fold path this CPU has, at
-// signature lengths below, at and above one 8-function block of the
-// AVX-512 kernel and one 128-function block of SignInto, and not a
-// multiple of eight, on sets of 1 to 2 000 tokens over universes from 2^8
+// signature lengths below, at and above one 128-function block of the
+// AVX-512 kernel (below it, and past the last whole block, the Go loop
+// runs), and not a multiple of eight, on sets of 1 to 2 000 tokens over universes from 2^8
 // to 2^32 (tokens at and above 2^24, so that all four key bytes vary), and
 // SignInto allocates nothing.
 func TestSignMatchesReference(t *testing.T) {

@@ -26,15 +26,15 @@ var goldenJoins = []struct {
 	{"core", func(ix *prep.Index, workers int) []verify.Pair {
 		pairs, _ := core.JoinIndexed(ix, 0.5, &core.Options{Seed: 42, Workers: workers})
 		return pairs
-	}, "85d10547e9f145859938d0b4162f220c371804b4c2ce4dd16d5507ecb3ab3b5e"},
+	}, "d195c2ded9efe842650fdff1f6710c1ea1230f6bef6791d4d24e06e235b6bbf1"},
 	{"lshjoin", func(ix *prep.Index, workers int) []verify.Pair {
 		pairs, _ := lshjoin.JoinIndexed(ix, 0.5, &lshjoin.Options{Seed: 42, Workers: workers})
 		return pairs
-	}, "867fee6e2a59767be20797d2f5d01e08d7aaf92f7e0ccad0a57b0724541cdaae"},
+	}, "fff703c212150966b5e9233c5fad2504f8a0e2c524c026b7dc64f4e89d0a1f8d"},
 	{"bayeslsh", func(ix *prep.Index, workers int) []verify.Pair {
 		pairs, _ := lshjoin.BayesJoinIndexed(ix, 0.5, &lshjoin.Options{Seed: 42, Workers: workers})
 		return pairs
-	}, "171ca5089196b385e1b0de55bb61ee6d1db98b632386157f3cc6ee4299e67e86"},
+	}, "8f4c5e3639d6e7bee0271f7f100e01729fe3e812fcd8091afd2cc9f42f2894d6"},
 }
 
 func saveGolden(t *testing.T) string {

@@ -72,7 +72,7 @@ func BuildParallel(sets [][]uint32, t, words int, seed uint64, workers int) *Ind
 		ix.Sketches = make([]uint64, len(sets)*words)
 	}
 	// One hash family at a time over the range, so that the signer's and
-	// the maker's tables (1 MB and 4 MB) do not evict each other per set.
+	// the maker's tables (1 MB and 2 MB) do not evict each other per set.
 	sign := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			signer.SignInto(sets[i], ix.Sigs[i*t:(i+1)*t])
@@ -84,8 +84,8 @@ func BuildParallel(sets [][]uint32, t, words int, seed uint64, workers int) *Ind
 			maker.SketchInto(sets[i], ix.Sketches[i*words:(i+1)*words])
 		}
 	}
-	// Sets per task: about 2 ms of hashing on ten-token sets (≈ 8 µs a
-	// set on one core of a 2-vCPU Xeon with AVX-512, a sixth of it
+	// Sets per task: about 0.35 ms of hashing on ten-token sets (≈ 1.4 µs
+	// a set on one core of a 2-vCPU Xeon with AVX-512, about half of it
 	// signing), long enough to amortize scheduling (and, per task, the
 	// switch from one hash family to the other), short enough that a chunk
 	// of large sets does not leave the other workers idle at the end.

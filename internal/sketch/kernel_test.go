@@ -10,29 +10,22 @@ import (
 	"testing"
 
 	"repro/internal/intset"
-	"repro/internal/race"
 	"repro/internal/tabhash"
 )
 
-// refMaker is the per-function scalar loop the transposed kernel replaced,
-// kept as the reference it must agree with bit for bit: one tabhash.Table32
-// value hash and one tabhash.Table64 bit hash per sketch bit.
+// refMaker is the sketch by definition, one function at a time, kept as
+// the reference the transposed kernel must agree with bit for bit: bit i
+// is the low bit of the minimum of the low 32 bits of a tabhash.Table32.
 type refMaker struct {
-	words  int
-	minvs  []*tabhash.Table32
-	bitfns []*tabhash.Table64
+	words int
+	minvs []*tabhash.Table32
 }
 
 func newRefMaker(words int, seed uint64) *refMaker {
 	nbits := 64 * words
-	m := &refMaker{
-		words:  words,
-		minvs:  make([]*tabhash.Table32, nbits),
-		bitfns: make([]*tabhash.Table64, nbits),
-	}
+	m := &refMaker{words: words, minvs: make([]*tabhash.Table32, nbits)}
 	for i := 0; i < nbits; i++ {
 		m.minvs[i] = tabhash.NewTable32(tabhash.Mix64((seed ^ 0xa5a5a5a5a5a5a5a5) + uint64(i)*2))
-		m.bitfns[i] = tabhash.NewTable64(tabhash.Mix64((seed ^ 0x5a5a5a5a5a5a5a5a) + uint64(i)*2 + 1))
 	}
 	return m
 }
@@ -42,13 +35,11 @@ func (m *refMaker) sketch(set []uint32) []uint64 {
 	for w := range out {
 		for b := 0; b < 64; b++ {
 			table := m.minvs[w*64+b]
-			best := table.Hash(set[0])
+			best := uint32(table.Hash(set[0]))
 			for _, tok := range set[1:] {
-				if h := table.Hash(tok); h < best {
-					best = h
-				}
+				best = min(best, uint32(table.Hash(tok)))
 			}
-			out[w] |= m.bitfns[w*64+b].Bit(best) << uint(b)
+			out[w] |= uint64(best&1) << uint(b)
 		}
 	}
 	return out
@@ -94,9 +85,9 @@ func digest(words []uint64) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestGoldenSketches pins the sketches to the bytes the per-function loop
-// produced at the commit before the transposed kernel (digests recorded
-// there): the sketch is persisted in prep indexes and decides which pairs
+// TestGoldenSketches pins the sketches to the bytes the reference loop
+// (refMaker) gives for the sketch's definition, the low bit of each 32-bit
+// minimum: the sketch is persisted in prep indexes and decides which pairs
 // the joins report, so a kernel change must not move a single bit.
 func TestGoldenSketches(t *testing.T) {
 	sets := goldenSets()
@@ -104,8 +95,8 @@ func TestGoldenSketches(t *testing.T) {
 		words int
 		want  string
 	}{
-		{1, "ffb3dec0dc751d3413c17ede971553929f9cc716448963f4128adf39517c3c77"},
-		{8, "323ca60d2697c26565851f2a638a8e59557a306f10330e185a1b535799a19561"},
+		{1, "581b8225b9d10dc1716e5feeb16cc1d862ba3fc8ed473be87d2645c9a6a4fd21"},
+		{8, "354950b4c1317f85fefa8b3fc76988ff4d31db27af136c6045835f57c148b9c9"},
 	} {
 		if got := digest(NewMaker(tc.words, 42).SketchAll(sets)); got != tc.want {
 			t.Errorf("words=%d: SketchAll digest %s, want %s", tc.words, got, tc.want)
@@ -129,17 +120,19 @@ func eachFoldPath(t *testing.T, f func(t *testing.T)) {
 	})
 }
 
-// TestKernelMatchesReference: for random seeds, widths and sets, Sketch,
-// SketchInto and SketchAll all produce exactly the reference loop's bits,
-// on each fold path this CPU has, and SketchInto allocates nothing.
+// TestKernelMatchesReference: at every width from 1 to 9 words (so across
+// the kernel's 4-word blocks and each partial last block), for random seeds
+// and sets, Sketch, SketchInto and SketchAll all produce exactly the
+// reference loop's bits, on each fold path this CPU has, and SketchInto
+// allocates nothing.
 func TestKernelMatchesReference(t *testing.T) {
 	eachFoldPath(t, checkKernelMatchesReference)
 }
 
 func checkKernelMatchesReference(t *testing.T) {
 	rng := tabhash.NewSplitMix64(7)
-	for trial := 0; trial < 12; trial++ {
-		words := 1 + rng.Intn(9)
+	for trial := 0; trial < 18; trial++ {
+		words := 1 + trial%9
 		seed := rng.Next()
 		m, ref := NewMaker(words, seed), newRefMaker(words, seed)
 		sets := make([][]uint32, 20)
@@ -168,7 +161,7 @@ func checkKernelMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		if allocs := testing.AllocsPerRun(20, func() { m.SketchInto(sets[0], into) }); allocs != 0 && !race.Enabled {
+		if allocs := testing.AllocsPerRun(20, func() { m.SketchInto(sets[0], into) }); allocs != 0 {
 			t.Errorf("trial %d (words=%d): SketchInto allocates %v times per call, want 0", trial, words, allocs)
 		}
 	}
@@ -176,7 +169,7 @@ func checkKernelMatchesReference(t *testing.T) {
 
 // TestSketchIntoConcurrent shares one Maker between goroutines (as
 // prep.BuildParallel does); run under -race it checks that SketchInto keeps
-// no per-Maker state between calls beyond the pooled buffers.
+// no per-Maker state between calls.
 func TestSketchIntoConcurrent(t *testing.T) {
 	m := NewMaker(8, 11)
 	sets := goldenSets()
@@ -248,7 +241,7 @@ func BenchmarkSketchInto(b *testing.B) {
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tokens), "ns/token")
-				if allocs := testing.AllocsPerRun(100, func() { m.SketchInto(bc.sets[0], out) }); allocs != 0 && !race.Enabled {
+				if allocs := testing.AllocsPerRun(100, func() { m.SketchInto(bc.sets[0], out) }); allocs != 0 {
 					b.Errorf("SketchInto allocates %v times per call, want 0", allocs)
 				}
 			})

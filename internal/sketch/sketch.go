@@ -1,38 +1,44 @@
 // Package sketch implements the 1-bit minwise hashing sketches of Li and
 // König (CACM 2011) used by CPSJoin for fast similarity estimation.
 //
-// A sketch of a set x is a vector of 64*W bits where bit i is b_i(h_i(x)):
-// an independent MinHash h_i of x, hashed down to one bit by an independent
-// hash b_i. For two sets with Jaccard similarity J, each bit position
-// agrees independently with probability (1+J)/2, so the similarity can be
-// estimated from the Hamming distance of two sketches — computed word by
-// word with XOR and popcount, a handful of instructions total.
+// A sketch of a set x is a vector of 64*W bits where bit i is the low bit
+// of min_{j in x} h_i(j), the minimum of x under an independent hash
+// function h_i from 32-bit tokens to 32-bit values: b-bit minwise hashing
+// (Li and König, WWW 2010) at b = 1. For two sets with Jaccard similarity
+// J, each bit position agrees independently with probability (1+J)/2, so
+// the similarity can be estimated from the Hamming distance of two
+// sketches — computed word by word with XOR and popcount, a handful of
+// instructions total.
 //
-// Both hash families are simple tabulation (package tabhash): h_i is a
-// Table32 — four 256-entry tables, one per key byte, XORed — and b_i the
-// low bit of a Table64 over the eight bytes of the minimum. Evaluated one
-// function at a time that is 64*W functions with 8 KB + 16 KB of tables
-// each (12 MB at W = 8), every lookup of a small set a cache miss. Maker
-// holds the value hashes as one tabhash.Family32 instead, the same tables
-// transposed: for each key byte position and byte value, one contiguous
-// row holding that entry of all 64*W value hashes (4 x 256 rows, 4 MB at
-// W = 8); of the bit hashes it keeps only the bits that are used, packed 64
-// functions to a word (128 KB). A sketch is then computed token by token —
-// the family's FoldMin XORs four rows and takes the element-wise minimum
-// with the running minima, on AVX-512 where the CPU has it and in Go
-// elsewhere — followed by one pass of bit lookups, in Go. The tables hold
-// the same draws of the same seeded streams, so this is the same hash
-// family evaluated in a different order: every sketch is bit for bit what
-// the function-at-a-time loop yields (kept as the reference in the tests),
-// at about 4.1 MB instead of 12 MB of tables. minhash.Signer signs on the
-// same kind of family.
+// Why the bits stay independent and agree with probability (1+J)/2: the
+// functions h_i are drawn independently, so bit i depends on h_i alone.
+// Under h_i, the two sets share their minimum with probability J (the
+// least token of x ∪ y lies in x ∩ y), and then the bits agree. Otherwise
+// the two minima are the hashes of two different tokens. Simple tabulation
+// XORs one table entry per key byte, two different tokens differ in some
+// byte, and the low bit of every entry is drawn independently of the 31
+// bits above it, which decide which token is a minimum (bar a tie there, of
+// probability about 2^-31). So the two low bits agree with probability
+// 1/2, and the bit agrees with probability J + (1−J)/2 = (1+J)/2,
+// independently across bits: exactly what NewFilter's binomial calibration
+// assumes.
+//
+// The functions are simple tabulation (package tabhash): h_i is the low
+// 32 bits of a Table32, four 256-entry tables, one per key byte, XORed.
+// Maker holds them as one tabhash.Low32, the tables transposed: for each
+// key byte position and byte value, one contiguous row holding that entry
+// of all 64*W functions (4 x 256 rows, 2 MB at W = 8). A sketch is then a
+// fold of the set's tokens into 64*W running minima, on AVX-512 where the
+// CPU has it — 256 minima at a time in vector registers, their low bits
+// packed at the end — and in Go elsewhere, the same bits either way (the
+// function-at-a-time loop is kept as the reference in the tests).
+// minhash.Signer signs on the same kind of family, with 64-bit values.
 package sketch
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"repro/internal/tabhash"
 )
@@ -41,15 +47,9 @@ import (
 // concurrent use.
 type Maker struct {
 	words int
-	// vals holds the n = 64*words value hashes, transposed: hashing a token
-	// with all of them XORs four contiguous rows.
-	vals *tabhash.Family32
-	// bitrows holds the low bit of every bit-hash table entry: bit b of
-	// bitrows[(w*8+c)*256+v] is that of entry v of table c of function
-	// w*64+b. The 8*256 words one sketch word needs are contiguous.
-	bitrows []uint64
-	// mins pools the running-minimum buffers of SketchInto.
-	mins sync.Pool
+	// fam holds the n = 64*words hash functions, transposed: hashing a
+	// token with all of them XORs four contiguous rows.
+	fam *tabhash.Low32
 }
 
 // NewMaker returns a Maker producing sketches of the given number of 64-bit
@@ -58,26 +58,7 @@ func NewMaker(words int, seed uint64) *Maker {
 	if words <= 0 {
 		panic(fmt.Sprintf("sketch: invalid word count %d", words))
 	}
-	nbits := 64 * words
-	m := &Maker{
-		words:   words,
-		vals:    tabhash.NewFamily32(nbits, seed^0xa5a5a5a5a5a5a5a5, 2),
-		bitrows: make([]uint64, words*8*256),
-	}
-	m.mins.New = func() any {
-		buf := make([]uint64, nbits)
-		return &buf
-	}
-	// Bit hash i draws its tables from the stream, and in the order, that
-	// tabhash.NewTable64 does; only its low bits are stored.
-	for i := 0; i < nbits; i++ {
-		rng := tabhash.NewSplitMix64(tabhash.Mix64((seed ^ 0x5a5a5a5a5a5a5a5a) + uint64(i)*2 + 1))
-		tab := m.bitrows[i/64*8*256:][:8*256]
-		for j := range tab {
-			tab[j] |= (rng.Next() & 1) << (i % 64)
-		}
-	}
-	return m
+	return &Maker{words: words, fam: tabhash.NewLow32(64*words, seed^0xa5a5a5a5a5a5a5a5, 2)}
 }
 
 // Words returns the sketch width in 64-bit words.
@@ -91,7 +72,7 @@ func (m *Maker) Sketch(set []uint32) []uint64 {
 }
 
 // SketchInto computes the sketch of set into out, which must have length
-// Words().
+// Words(). It allocates nothing.
 func (m *Maker) SketchInto(set []uint32, out []uint64) {
 	if len(set) == 0 {
 		panic("sketch: cannot sketch an empty set")
@@ -99,36 +80,7 @@ func (m *Maker) SketchInto(set []uint32, out []uint64) {
 	if len(out) != m.words {
 		panic(fmt.Sprintf("sketch: out length %d, want %d", len(out), m.words))
 	}
-	buf := m.mins.Get().(*[]uint64)
-	defer m.mins.Put(buf)
-	mins := *buf
-
-	// Token-major: each token's hash values under all n functions at once
-	// are folded into the running minima.
-	for i := range mins {
-		mins[i] = math.MaxUint64
-	}
-	for _, tok := range set {
-		m.vals.FoldMin(tok, mins)
-	}
-	// Bit b of sketch word w is the bit hash of minimum w*64+b: the XOR of
-	// its eight byte lookups, of which only bit b is kept.
-	for w := range out {
-		tab := m.bitrows[w*8*256:][:8*256]
-		var word uint64
-		for b, x := range mins[w*64:][:64] {
-			fold := tab[byte(x)] ^
-				tab[1<<8|int(byte(x>>8))] ^
-				tab[2<<8|int(byte(x>>16))] ^
-				tab[3<<8|int(byte(x>>24))] ^
-				tab[4<<8|int(byte(x>>32))] ^
-				tab[5<<8|int(byte(x>>40))] ^
-				tab[6<<8|int(byte(x>>48))] ^
-				tab[7<<8|int(byte(x>>56))]
-			word |= fold & (1 << b)
-		}
-		out[w] = word
-	}
+	m.fam.FoldBits(set, out)
 }
 
 // SketchAll sketches every set into a single flattened slice of length

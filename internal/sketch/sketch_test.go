@@ -149,40 +149,57 @@ func TestFilterCalibration(t *testing.T) {
 	}
 }
 
-// TestFilterFalseNegativeRate: empirical false-negative rate on pairs at
-// exactly the threshold similarity must respect delta.
+// TestFilterFalseNegativeRate: on pairs at exactly the threshold
+// similarity, the filter's empirical false-negative rate stays within δ plus
+// three binomial standard deviations of the trial count, on each fold path
+// this CPU has. The cases put J = λ exactly at λ 0.5 and 0.8 on sets of 4
+// to 6, 10 and 40 tokens, where a sketch bit is the low bit of a minimum
+// over very few hash values: there the bits must still agree with
+// probability (1+J)/2 each, independently, as NewFilter's calibration
+// assumes. (No two sets of at most 6 tokens, one of them 6, have J = 0.8
+// exactly.)
 func TestFilterFalseNegativeRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const lambda, delta = 0.5, 0.05
-	size := 60
-	shared := int(math.Round(2 * lambda / (1 + lambda) * float64(size)))
+	eachFoldPath(t, checkFilterFalseNegativeRate)
+}
+
+func checkFilterFalseNegativeRate(t *testing.T) {
+	const delta, trials = 0.05, 2000
 	// A pool of independent sketch functions keeps the test honest without
 	// paying table construction for every trial.
 	makers := make([]*Maker, 24)
 	for i := range makers {
 		makers[i] = NewMaker(8, uint64(i))
 	}
-	f := NewFilter(8, lambda, delta)
-	misses, trials := 0, 0
-	for r := 0; r < 400; r++ {
-		a, b := overlappingPair(rng, size, shared, 100000)
-		if intset.Jaccard(a, b) < lambda {
-			continue // only count pairs actually above the threshold
+	floor := delta + 3*math.Sqrt(delta*(1-delta)/trials)
+	for _, tc := range []struct {
+		lambda     float64
+		a, b, both int // the two set sizes and their intersection: J = λ
+	}{
+		{0.5, 4, 5, 3}, {0.5, 6, 6, 4}, {0.5, 10, 11, 7}, {0.5, 40, 41, 27},
+		{0.8, 4, 5, 4}, {0.8, 10, 8, 8}, {0.8, 40, 41, 36},
+	} {
+		rng := rand.New(rand.NewSource(int64(7 + tc.a)))
+		f := NewFilter(8, tc.lambda, delta)
+		misses := 0
+		for r := range trials {
+			pool := randomSet(rng, tc.a+tc.b-tc.both, 1<<20)
+			rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+			x := intset.Normalize(slices.Clone(pool[:tc.a]))
+			y := intset.Normalize(slices.Clone(pool[tc.a-tc.both:]))
+			if j := intset.Jaccard(x, y); j != tc.lambda {
+				t.Fatalf("sizes %d and %d sharing %d: J = %v, not λ = %v", tc.a, tc.b, tc.both, j, tc.lambda)
+			}
+			m := makers[r%len(makers)]
+			if !f.Accept(m.Sketch(x), m.Sketch(y)) {
+				misses++
+			}
 		}
-		m := makers[r%len(makers)]
-		trials++
-		if !f.Accept(m.Sketch(a), m.Sketch(b)) {
-			misses++
+		rate := float64(misses) / trials
+		t.Logf("λ=%v sizes %d and %d: false-negative rate %.4f (%d/%d), floor %.4f", tc.lambda, tc.a, tc.b, rate, misses, trials, floor)
+		if rate > floor {
+			t.Errorf("λ=%v sizes %d and %d: false-negative rate %v (misses %d/%d) exceeds δ=%v plus three standard deviations, %v",
+				tc.lambda, tc.a, tc.b, rate, misses, trials, delta, floor)
 		}
-	}
-	if trials < 100 {
-		t.Fatalf("too few valid trials: %d", trials)
-	}
-	rate := float64(misses) / float64(trials)
-	// Allow generous sampling slack over delta.
-	if rate > delta+0.05 {
-		t.Errorf("false negative rate %v (misses %d/%d) exceeds δ=%v",
-			rate, misses, trials, delta)
 	}
 }
 

@@ -1,22 +1,24 @@
 package tabhash
 
-// foldMinAVX512 is foldMinGo in amd64 assembly (fold_amd64.s), 8 functions
-// to a ZMM register. The caller passes whole 8-function blocks, every slice
-// as long as mins, and leaves the tail to foldMinGo.
+// argMinAVX512 is argMinGo in amd64 assembly (fold_amd64.s) on a whole
+// block: ArgMins passes exactly argBlock keys in arg.
 //
 //go:noescape
-func foldMinAVX512(r0, r1, r2, r3, mins []uint64)
+func argMinAVX512(rows []uint64, n int, set []uint32, arg []uint32)
 
-// foldArgMinAVX512 is foldArgMinGo in amd64 assembly (fold_amd64.s), with
-// the same slices as foldMinAVX512 and arg as long as mins.
+// foldBitsAVX512 is foldBitsGo in amd64 assembly (fold_amd64.s): it folds a
+// whole block of bitBlock functions, reading up to lowPad entries past the
+// last row where fewer are left, and stores only the len(out) words asked
+// for.
 //
 //go:noescape
-func foldArgMinAVX512(x uint32, r0, r1, r2, r3, mins []uint64, arg []uint32)
+func foldBitsAVX512(rows []uint32, n int, set []uint32, out []uint64)
 
-// hasAVX512 reports whether the CPU has AVX-512F and AVX-512VL and the OS
-// saves the registers they use.
-func hasAVX512() bool
+// probeAVX512 reports whether the CPU has AVX-512F and AVX-512VL and the OS
+// saves the registers they use, and whether it then also has
+// AVX512_VPOPCNTDQ.
+func probeAVX512() (f, popcnt bool)
 
 func init() {
-	avx512 = hasAVX512()
+	avx512, vpopcntdq = probeAVX512()
 }

@@ -2,7 +2,6 @@ package tabhash
 
 import (
 	"encoding/binary"
-	"math"
 	"slices"
 	"testing"
 )
@@ -25,98 +24,91 @@ func eachFoldPath(t *testing.T, f func(t *testing.T)) {
 
 // TestFoldKeepsTheEarlierToken: a key whose hash equals the running minimum
 // does not displace the key already there, as in the one-function-at-a-time
-// loop's strict compare, in the 8-function blocks and in the tail alike.
-// Distinct keys practically never tie under a 64-bit tabulation hash, so
-// the rows are made up: key 2's hash under function i is 4 + i%3, against
-// minima of 5.
+// loop's strict compare, in the kernel's 128-function block and in the tail
+// after it alike. Distinct keys practically never tie under a 64-bit
+// tabulation hash, so the rows are made up: key 1 hashes to 5 and key 2 to
+// 4 + i%3 under function i, every other row is zero.
 func TestFoldKeepsTheEarlierToken(t *testing.T) {
 	eachFoldPath(t, func(t *testing.T) {
-		const n = 11
+		const n = argBlock + 11
 		f := &Family32{n: n, rows: make([]uint64, 4*256*n)}
+		var want []uint32
 		for i := range n {
+			f.Row(0, 1)[i] = 5
 			f.Row(0, 2)[i] = 4 + uint64(i%3)
+			want = append(want, []uint32{2, 1, 1}[i%3])
 		}
-		mins, arg := slices.Repeat([]uint64{5}, n), slices.Repeat([]uint32{1}, n)
-		f.FoldArgMin(2, 0, mins, arg)
-		if want := []uint32{2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1}; !slices.Equal(arg, want) {
+		arg := make([]uint32, n)
+		f.ArgMins([]uint32{1, 2}, arg)
+		if !slices.Equal(arg, want) {
 			t.Errorf("arg-min keys %v, want %v (a tie keeps the earlier key)", arg, want)
-		}
-		want := []uint64{4, 5, 5, 4, 5, 5, 4, 5, 5, 4, 5}
-		if !slices.Equal(mins, want) {
-			t.Errorf("FoldArgMin minima %v, want %v", mins, want)
-		}
-		mins = slices.Repeat([]uint64{5}, n)
-		f.FoldMin(2, mins)
-		if !slices.Equal(mins, want) {
-			t.Errorf("FoldMin minima %v, want %v", mins, want)
 		}
 	})
 }
 
-// TestFoldPastTheFamilyPanics: minima for more functions than the family
-// has, from offset 0 or further in, are refused rather than folded with
-// the next rows' entries.
+// TestFoldPastTheFamilyPanics: arg-min keys for more functions than the
+// family has, and a sketch of other than one word per 64 functions, are
+// refused rather than folded with the next rows' entries.
 func TestFoldPastTheFamilyPanics(t *testing.T) {
-	f := NewFamily32(16, 1, 1)
-	for _, tc := range []struct{ lo, n int }{{0, 17}, {9, 8}, {17, 1}} {
+	f, low := NewFamily32(16, 1, 1), NewLow32(128, 1, 1)
+	for name, fold := range map[string]func(){
+		"ArgMins with 17 keys on 16 functions":   func() { f.ArgMins([]uint32{1}, make([]uint32, 17)) },
+		"FoldBits with 3 words on 128 functions": func() { low.FoldBits([]uint32{1}, make([]uint64, 3)) },
+		"FoldBits with 1 word on 128 functions":  func() { low.FoldBits([]uint32{1}, make([]uint64, 1)) },
+		"ArgMins of an empty set":                func() { f.ArgMins(nil, make([]uint32, 1)) },
+		"FoldBits of an empty set":               func() { low.FoldBits(nil, make([]uint64, 2)) },
+		"NewLow32 with 100 functions":            func() { NewLow32(100, 1, 1) },
+		"NewLow32 with no functions":             func() { NewLow32(0, 1, 1) },
+		"NewFamily32 with a negative width":      func() { NewFamily32(-1, 1, 1) },
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("FoldArgMin at offset %d with %d minima on 16 functions did not panic", tc.lo, tc.n)
+					t.Errorf("%s did not panic", name)
 				}
 			}()
-			f.FoldArgMin(1, tc.lo, make([]uint64, tc.n), make([]uint32, tc.n))
+			fold()
 		}()
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("FoldMin with 17 minima on 16 functions did not panic")
-		}
-	}()
-	f.FoldMin(1, make([]uint64, 17))
 }
 
 // foldRef is the fold by definition, one function at a time: function i's
 // minimum over keys under NewTable32(Mix64(base + i·stride)) and the first
-// key to reach it.
-func foldRef(n int, base, stride uint64, keys []uint32) ([]uint64, []uint32) {
-	mins, arg := make([]uint64, n), make([]uint32, n)
+// key to reach it, and the minimum of its low 32 bits.
+func foldRef(n int, base, stride uint64, keys []uint32) (arg []uint32, low []uint32) {
+	arg, low = make([]uint32, n), make([]uint32, n)
 	for i := range n {
 		tab := NewTable32(Mix64(base + uint64(i)*stride))
-		mins[i], arg[i] = math.MaxUint64, keys[0]
+		best := tab.Hash(keys[0])
+		arg[i], low[i] = keys[0], uint32(best)
 		for _, x := range keys {
-			if h := tab.Hash(x); h < mins[i] {
-				mins[i], arg[i] = h, x
+			h := tab.Hash(x)
+			if h < best {
+				best, arg[i] = h, x
 			}
+			low[i] = min(low[i], uint32(h))
 		}
 	}
-	return mins, arg
+	return arg, low
 }
 
-// folded folds keys with FoldMin over all n functions and with FoldArgMin
-// in blocks of 128, as minhash.Signer does, and returns both minima and the
-// arg-min keys.
-func folded(f *Family32, keys []uint32) (mins, argMins []uint64, arg []uint32) {
-	mins, argMins, arg = make([]uint64, f.n), make([]uint64, f.n), make([]uint32, f.n)
-	for i := range mins {
-		mins[i], argMins[i], arg[i] = math.MaxUint64, math.MaxUint64, keys[0]
+// sketchRef packs the low bit of each minimum of low, 64 to a word.
+func sketchRef(low []uint32) []uint64 {
+	out := make([]uint64, len(low)/64)
+	for i, m := range low {
+		out[i/64] |= uint64(m&1) << (i % 64)
 	}
-	for _, x := range keys {
-		f.FoldMin(x, mins)
-		for lo := 0; lo < f.n; lo += 128 {
-			hi := min(lo+128, f.n)
-			f.FoldArgMin(x, lo, argMins[lo:hi], arg[lo:hi])
-		}
-	}
-	return mins, argMins, arg
+	return out
 }
 
-// FuzzFold requires FoldMin and FoldArgMin, on the path picked at start-up
-// and on the Go loops, to give exactly the minima and arg-min keys of the
-// one-function-at-a-time loop over NewTable32, at any width from 1 to 600
-// functions (so across the 8-function blocks, their tail and FoldArgMin's
-// 128-function offsets) and on any keys, duplicates included. The seed
-// corpus covers the widths 1, 7, 8, 9, 64, 128, 300 and 512.
+// FuzzFold requires ArgMins and FoldBits, on the path picked at start-up
+// and on the Go loops, to give exactly the arg-min keys and the low bits of
+// the minima of the one-function-at-a-time loop over NewTable32, on any
+// keys, duplicates included: ArgMins at any width from 1 to 600 functions
+// (so across the kernel's 128-function blocks and the tail after them),
+// FoldBits at every width from 1 to 9 words (across its 256-function
+// blocks, and the partial last block of 1 to 3 words). The seed corpus
+// covers the widths 1, 7, 8, 9, 64, 128, 300 and 512.
 func FuzzFold(f *testing.F) {
 	rng := NewSplitMix64(0xf01d)
 	for i, n := range []uint16{1, 7, 8, 9, 64, 128, 300, 512} {
@@ -128,6 +120,7 @@ func FuzzFold(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, n uint16, raw []byte) {
 		width := 1 + int(n-1)%600
+		words := 1 + int(n)%9
 		stride := 1 + seed%2
 		keys := []uint32{0}
 		if len(raw) >= 4 {
@@ -136,16 +129,29 @@ func FuzzFold(f *testing.F) {
 				keys[i] = binary.LittleEndian.Uint32(raw[4*i:])
 			}
 		}
-		fam := NewFamily32(width, seed, stride)
-		mins, argMins, arg := folded(fam, keys)
-		goMins, goArgMins, goArg := mins, argMins, arg
-		WithGoFold(func() { goMins, goArgMins, goArg = folded(fam, keys) })
-		wantMins, wantArg := foldRef(width, seed, stride, keys)
+		fam, low := NewFamily32(width, seed, stride), NewLow32(64*words, seed, stride)
+		folded := func() ([]uint32, []uint64) {
+			arg, sk := make([]uint32, width), make([]uint64, words)
+			fam.ArgMins(keys, arg)
+			low.FoldBits(keys, sk)
+			return arg, sk
+		}
+		arg, sk := folded()
+		goArg, goSk := arg, sk
+		WithGoFold(func() { goArg, goSk = folded() })
+		wantArg, _ := foldRef(width, seed, stride, keys)
+		_, wantLow := foldRef(64*words, seed, stride, keys)
+		wantSk := sketchRef(wantLow)
 		for i := range width {
-			if mins[i] != wantMins[i] || argMins[i] != wantMins[i] || arg[i] != wantArg[i] ||
-				goMins[i] != wantMins[i] || goArgMins[i] != wantMins[i] || goArg[i] != wantArg[i] {
-				t.Fatalf("n=%d seed=%#x stride %d function %d: FoldMin %#x, FoldArgMin %#x key %d; Go loops %#x, %#x key %d; Table32 %#x key %d",
-					width, seed, stride, i, mins[i], argMins[i], arg[i], goMins[i], goArgMins[i], goArg[i], wantMins[i], wantArg[i])
+			if arg[i] != wantArg[i] || goArg[i] != wantArg[i] {
+				t.Fatalf("n=%d seed=%#x stride %d function %d: ArgMins key %d, Go loop %d; Table32 %d",
+					width, seed, stride, i, arg[i], goArg[i], wantArg[i])
+			}
+		}
+		for w := range words {
+			if sk[w] != wantSk[w] || goSk[w] != wantSk[w] {
+				t.Fatalf("%d words seed=%#x stride %d word %d: FoldBits %#x, Go loop %#x; Table32 %#x",
+					words, seed, stride, w, sk[w], goSk[w], wantSk[w])
 			}
 		}
 	})

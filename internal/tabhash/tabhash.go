@@ -2,21 +2,21 @@
 // deterministic PRNG used to seed it.
 //
 // The CPSJoin paper uses Zobrist hashing from 32 bits to 64 bits with 8-bit
-// characters as the hash family underlying MinHash. The 1-bit minwise
-// sketches (package sketch) take each bit as the low bit of a Table64 hash
-// of a minimum, with eight 8-bit characters. Simple tabulation hashing has
-// been shown to have strong minwise-hashing properties (Pătraşcu & Thorup,
-// JACM 2012) and is very fast in practice: a hash evaluation is four table
-// lookups and three XORs.
+// characters as the hash family underlying MinHash. Simple tabulation
+// hashing has been shown to have strong minwise-hashing properties
+// (Pătraşcu & Thorup, JACM 2012) and is very fast in practice: a hash
+// evaluation is four table lookups and three XORs.
 //
 // MinHash signing and sketching hash every key of a set with many
 // functions and keep each function's minimum. Family32 holds those
-// functions transposed and owns that fold: FoldMin keeps the minima,
-// FoldArgMin the minima and the keys that reach them. Where the CPU and the
-// OS have AVX-512F and AVX-512VL, the probe at start-up picks an amd64
-// kernel (fold_amd64.s) that folds 8 functions per instruction; elsewhere,
-// and for the last len%8 functions, the fold runs its Go loops. Both give
-// the same minima and keys bit for bit.
+// functions transposed and owns that fold: ArgMins keeps the keys that
+// reach the minima. Low32 holds the low 32 bits of the same kind of family
+// at half the size, and FoldBits keeps the low bit of each minimum, the
+// 1-bit minwise sketch. Where the CPU and the OS have AVX-512F and
+// AVX-512VL, the probe at start-up picks amd64 kernels (fold_amd64.s) that
+// fold a whole set with the running minima in vector registers; elsewhere,
+// and for functions past the last whole 128-function block of ArgMins, the
+// fold runs its Go loops. Both give the same minima and keys bit for bit.
 package tabhash
 
 // gamma is SplitMix64's state increment, the odd integer nearest 2^64/φ.
@@ -103,8 +103,8 @@ func (t *Table32) Hash(x uint32) uint64 {
 }
 
 // Table64 is a simple tabulation hash function from 64-bit keys to 64-bit
-// values, using eight 8-bit characters. It is used to hash minhash values
-// (which are 64-bit) down to sketch bits and bucket keys.
+// values, using eight 8-bit characters. MinHash LSH hashes the signature
+// values at its sampled positions into bucket keys with it.
 type Table64 struct {
 	t [8][256]uint64
 }
@@ -134,11 +134,6 @@ func (t *Table64) Hash(x uint64) uint64 {
 		t.t[7][byte(x>>56)]
 }
 
-// Bit returns a single pseudorandom bit for x.
-func (t *Table64) Bit(x uint64) uint64 {
-	return t.Hash(x) & 1
-}
-
 // Family32 is n simple tabulation functions from 32-bit keys to 64-bit
 // values, stored transposed. Function i is the one NewTable32(Mix64(base +
 // i·stride)) returns, each entry the same draw of the same stream; only
@@ -146,8 +141,8 @@ func (t *Table64) Bit(x uint64) uint64 {
 // byte value v, one contiguous row holds entry v of table c of every
 // function, in function order (4 × 256 rows of n values). Hashing a key
 // with all n functions is then four row reads and their XOR, instead of
-// 4·n random table lines: what token-major MinHash signing and sketching
-// need, and what FoldMin and FoldArgMin (fold.go) do.
+// 4·n random table lines: what token-major MinHash signing needs, and what
+// ArgMins (fold.go) does.
 type Family32 struct {
 	n    int
 	rows []uint64 // the row of (c, v) is rows[(c*256+v)*n:][:n]
@@ -156,27 +151,41 @@ type Family32 struct {
 // NewFamily32 returns the n functions seeded Mix64(base + i·stride) for i
 // in [0, n). It panics if n <= 0.
 func NewFamily32(n int, base, stride uint64) *Family32 {
+	seeds := seedsOf(n, base, stride)
+	f := &Family32{n: n, rows: make([]uint64, 4*256*n)}
+	fill(f.rows, seeds)
+	return f
+}
+
+// seedsOf returns Mix64(base + i·stride) for i in [0, n), the seeds of
+// functions 0 to n-1 of a family, and panics if n <= 0.
+func seedsOf(n int, base, stride uint64) []uint64 {
 	if n <= 0 {
-		panic("tabhash: NewFamily32 with non-positive n")
+		panic("tabhash: a family of non-positive size")
 	}
 	seeds := make([]uint64, n)
 	for i := range seeds {
 		seeds[i] = Mix64(base + uint64(i)*stride)
 	}
-	// NewTable32 draws entry v of table c as draw 4v+c of its stream, and
-	// draw k (from 0) of a SplitMix64 seeded s is Mix64(s + k·gamma). So
-	// each row can be computed where it lies, in memory order.
-	f := &Family32{n: n, rows: make([]uint64, 4*256*n)}
+	return seeds
+}
+
+// fill writes every row of a family of len(seeds) functions to rows, each
+// entry cut to T (a Low32 keeps the low half). NewTable32 draws entry v of
+// table c as draw 4v+c of its stream, and draw k (from 0) of a SplitMix64
+// seeded s is Mix64(s + k·gamma). So each row can be computed where it
+// lies, in memory order.
+func fill[T uint32 | uint64](rows []T, seeds []uint64) {
+	n := len(seeds)
 	for c := 0; c < 4; c++ {
 		for v := 0; v < 256; v++ {
 			step := uint64(4*v+c) * gamma
-			row := f.rows[(c*256+v)*n:][:n]
+			row := rows[(c*256+v)*n:][:n]
 			for i, s := range seeds {
-				row[i] = Mix64(s + step)
+				row[i] = T(Mix64(s + step))
 			}
 		}
 	}
-	return f
 }
 
 // Row returns the row of key byte c (0 to 3) of x: entry i is function
@@ -184,4 +193,34 @@ func NewFamily32(n int, base, stride uint64) *Family32 {
 // function's hash of x, in function order.
 func (f *Family32) Row(c int, x uint32) []uint64 {
 	return f.rows[(c<<8|int(byte(x>>(8*c))))*f.n:][:f.n]
+}
+
+// Low32 is n simple tabulation functions from 32-bit keys to 32-bit values,
+// stored transposed as Family32 stores its functions: function i is the low
+// 32 bits of function i of NewFamily32(n, base, stride), entry for entry,
+// at half the size (2 MB at n = 512). FoldBits (fold.go) folds a set
+// through it into a 1-bit minwise sketch.
+type Low32 struct {
+	n int
+	// rows is as Family32's, followed by lowPad entries that the AVX-512
+	// fold may read past the last row and never uses.
+	rows []uint32
+}
+
+// lowPad is how far past its functions a pass of the Low32 fold may read:
+// the kernel folds a whole block of 256 functions, of which fewer may be
+// left.
+const lowPad = 256
+
+// NewLow32 returns the low halves of the n functions seeded Mix64(base +
+// i·stride) for i in [0, n). It panics unless n is a positive multiple of
+// 64, a whole number of sketch words.
+func NewLow32(n int, base, stride uint64) *Low32 {
+	if n%64 != 0 {
+		panic("tabhash: NewLow32 with n not a multiple of 64")
+	}
+	seeds := seedsOf(n, base, stride)
+	f := &Low32{n: n, rows: make([]uint32, 4*256*n+lowPad)}
+	fill(f.rows, seeds)
+	return f
 }

@@ -139,15 +139,21 @@ func TestTable64Deterministic(t *testing.T) {
 	}
 }
 
+// TestBitBalance: the low bit of a Low32 function, the bit a sketch keeps
+// of each minimum, is balanced over keys, function by function.
 func TestBitBalance(t *testing.T) {
-	h64 := NewTable64(8)
-	const n = 1 << 14
-	ones := 0
-	for x := uint32(0); x < n; x++ {
-		ones += int(h64.Bit(uint64(x) * 0x9e3779b97f4a7c15))
-	}
-	if frac := float64(ones) / n; frac < 0.45 || frac > 0.55 {
-		t.Fatalf("bit64 biased: fraction of ones %v", frac)
+	const n, keys = 64, 1 << 12
+	f := NewLow32(n, 8, 2)
+	for i := range n {
+		ones := 0
+		for x := uint32(0); x < keys; x++ {
+			x := x * 0x9e3779b9
+			ones += int((f.rows[int(byte(x))*n+i] ^ f.rows[(256+int(byte(x>>8)))*n+i] ^
+				f.rows[(512+int(byte(x>>16)))*n+i] ^ f.rows[(768+int(x>>24))*n+i]) & 1)
+		}
+		if frac := float64(ones) / keys; frac < 0.45 || frac > 0.55 {
+			t.Fatalf("function %d: low bit biased, fraction of ones %v", i, frac)
+		}
 	}
 }
 
@@ -197,13 +203,18 @@ func BenchmarkTable64Hash(b *testing.B) {
 
 // TestFamily32MatchesTable32: function i of a family is, entry for entry,
 // NewTable32(Mix64(base + i·stride)), at the signer's and the sketch's
-// seeding and at widths of one function up to more than 128.
+// seeding and at widths of one function up to more than 128, and function i
+// of a Low32 is the low half of each entry.
 func TestFamily32MatchesTable32(t *testing.T) {
 	for _, tc := range []struct {
 		n            int
 		base, stride uint64
 	}{{1, 3, 1}, {7, 42, 1}, {64, 42 ^ 0xa5a5a5a5a5a5a5a5, 2}, {130, 9, 1}} {
 		f := NewFamily32(tc.n, tc.base, tc.stride)
+		var low *Low32
+		if tc.n%64 == 0 {
+			low = NewLow32(tc.n, tc.base, tc.stride)
+		}
 		keys := []uint32{0, 1, 255, 256, 0xdeadbeef, 1 << 24, 0xffffffff}
 		for i := 0; i < tc.n; i++ {
 			tab := NewTable32(Mix64(tc.base + uint64(i)*tc.stride))
@@ -218,6 +229,12 @@ func TestFamily32MatchesTable32(t *testing.T) {
 					want := [4]*[256]uint64{&tab.t0, &tab.t1, &tab.t2, &tab.t3}[c][v]
 					if got := f.Row(c, uint32(v)<<(8*c))[i]; got != want {
 						t.Fatalf("n=%d function %d table %d entry %d: %#x, Table32 %#x", tc.n, i, c, v, got, want)
+					}
+					if low == nil {
+						continue
+					}
+					if got := low.rows[(c*256+v)*tc.n+i]; got != uint32(want) {
+						t.Fatalf("Low32 n=%d function %d table %d entry %d: %#x, Table32 %#x", tc.n, i, c, v, got, want)
 					}
 				}
 			}

@@ -23,10 +23,11 @@ import (
 // trick of the exact joins the paper benchmarks against, Mann, Augsten and
 // Bouros, PVLDB 2016), and runs the sketch filter over the window as one
 // unrolled XOR/popcount block per pair with a single comparison at its end
-// (within) — on amd64 in assembly with the POPCNT instruction, picked once
-// at start-up. The order of work differs from a per-pair formulation; which
-// pairs are looked at and which survive do not
-// (TestKernelMatchesPerPairReference, on each path).
+// (within) — on amd64 in assembly, eight rows at a time with AVX-512's
+// VPOPCNTQ or one row at a time with POPCNT, picked once at start-up. The
+// order of work differs from a per-pair formulation; which pairs are
+// looked at and which survive do not (TestKernelMatchesPerPairReference,
+// on each path).
 //
 // BayesLSH-lite's sequential sketch test (UseSequentialTest) is a refinement
 // of the same filter: within applies its widest bound, and compare checks
@@ -300,9 +301,11 @@ func headBound(maxHam int) int {
 	return headBits
 }
 
-// popcnt is withinPOPCNT where the probe at start-up found the POPCNT
-// instruction (within_amd64.go), and nil on other CPUs and architectures.
-var popcnt func(row, rows []uint64, maxHam, head int, hits []int32) int
+// kernel is the path the probe at start-up picked (within_amd64.go):
+// withinAVX512 where the CPU and the OS have AVX-512 and VPOPCNTQ,
+// withinPOPCNT where the CPU has the POPCNT instruction, and nil on other
+// CPUs and architectures, where within runs withinGo.
+var kernel func(row, rows []uint64, maxHam, head int, hits []int32) int
 
 // within appends to hits the index of every row of rows at most maxHam bits
 // from row, and returns it; rows are len(row) words each, a multiple of 8,
@@ -310,24 +313,25 @@ var popcnt func(row, rows []uint64, maxHam, head int, hits []int32) int
 // partner's first four words are XORed with the row's and popcounted, the
 // pair leaves if that is over headBound(maxHam), the rest of the row is
 // XORed and popcounted fully unrolled, 8 words at a time, and the sum is
-// compared with maxHam once. within picks the path — withinPOPCNT where the
-// CPU has the instruction, withinGo otherwise — and hands it hits resliced
-// to one slot per row, so that a hits too short panics here instead of
-// being overrun.
+// compared with maxHam once. withinAVX512 does the same for eight partners
+// at once, without the early exit. within picks the path — kernel if the
+// probe found one, withinGo otherwise — and hands it hits resliced to one
+// slot per row, so that a hits too short panics here instead of being
+// overrun.
 func within(row, rows []uint64, maxHam int, hits []int32) []int32 {
 	if len(row) == 0 || len(row)%8 != 0 {
 		panic("verify: sketch rows are not whole 8-word blocks")
 	}
 	n, head := len(hits), headBound(maxHam)
 	out := hits[n : n+len(rows)/len(row)]
-	if popcnt != nil {
-		return hits[:n+popcnt(row, rows, maxHam, head, out)]
+	if kernel != nil {
+		return hits[:n+kernel(row, rows, maxHam, head, out)]
 	}
 	return hits[:n+withinGo(row, rows, maxHam, head, out)]
 }
 
-// withinGo is within's loop in Go, the reference for withinPOPCNT and the
-// path wherever that is missing: it writes the passing row indices to hits
+// withinGo is within's loop in Go, the reference for withinPOPCNT and
+// withinAVX512 and the path wherever neither runs: it writes the passing row indices to hits
 // in order, leaving a pair after four words if they are over head, and
 // returns how many. The row is read through a pointer rather than held in
 // eight locals: under the default GOAMD64=v1 each bits.OnesCount64 tests a
@@ -359,12 +363,12 @@ func withinGo(row, rows []uint64, maxHam, head int, hits []int32) int {
 // was a different loop; if it was not, f is not run. Tests outside this
 // package use it to run the join once per path; no join calls it.
 func WithGoKernel(f func()) bool {
-	if popcnt == nil {
+	if kernel == nil {
 		return false
 	}
-	k := popcnt
-	popcnt = nil
-	defer func() { popcnt = k }()
+	k := kernel
+	kernel = nil
+	defer func() { kernel = k }()
 	f()
 	return true
 }

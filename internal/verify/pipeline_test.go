@@ -150,17 +150,29 @@ func testSequentialTest(t *testing.T) {
 	}
 }
 
+// withinPath is one of within's loops: withinGo everywhere, and on amd64
+// the assembly paths, which within_amd64_test.go adds, each with whether
+// this CPU can run it and, if not, why.
+type withinPath struct {
+	name string
+	f    func(row, rows []uint64, maxHam, head int, hits []int32) int
+	skip string // empty where this CPU runs the path
+}
+
+var withinPaths = []withinPath{{name: "go", f: withinGo}}
+
 // FuzzWithin feeds the sketch filter a row and its partners as raw words,
 // one to three 8-word blocks wide, at any bound, and requires within — the
-// loop picked at start-up — and withinGo to pick exactly the partners at
-// most that many bits away. The seeds put partners one bit under, on and
-// one bit over the bound.
+// loop picked at start-up — and every path this CPU can run to pick
+// exactly the partners at most that many bits away. The seeds put partners
+// one bit under, on and one bit over the bound, in groups of eight rows
+// and a partial last group of one to seven.
 func FuzzWithin(f *testing.F) {
 	rng := rand.New(rand.NewSource(13))
 	for i, maxHam := range []int{-1, 0, 1, 34, headCut - 1, headCut, 144, 511, 1000} {
 		stride := 8 * (1 + i%3)
 		words := randomWords(rng, stride)
-		for k := range 30 {
+		for k := range 30 + i%8 {
 			partner := slices.Clone(words[:stride])
 			for _, bit := range rng.Perm(64 * stride)[:min(64*stride, max(0, maxHam+k%3-1))] {
 				partner[bit/64] ^= 1 << (bit % 64)
@@ -185,29 +197,29 @@ func FuzzWithin(f *testing.F) {
 			t.Fatalf("stride %d, maxHam %d: within picks %v, want %v", stride, maxHam, got, want)
 		}
 		hits := make([]int32, len(rows)/stride)
-		if got := hits[:withinGo(row, rows, maxHam, headBound(maxHam), hits)]; !slices.Equal(got, want) {
-			t.Fatalf("stride %d, maxHam %d: withinGo picks %v, want %v", stride, maxHam, got, want)
+		for _, path := range withinPaths {
+			if path.skip != "" {
+				continue
+			}
+			if got := hits[:path.f(row, rows, maxHam, headBound(maxHam), hits)]; !slices.Equal(got, want) {
+				t.Fatalf("stride %d, maxHam %d: %s picks %v, want %v", stride, maxHam, path.name, got, want)
+			}
 		}
 	})
 }
 
 // BenchmarkWithin times the sketch filter's loop over a tile of 256 random
 // 8-word rows, on each path this CPU can run, at the bound of λ 0.5 (144,
-// no early exit) and of λ 0.9 (34, the exit after four words); ns/row is
-// per partner.
+// no early exit) and of λ 0.9 (34, the exit after four words, which the
+// AVX-512 path does not take); ns/row is per partner.
 func BenchmarkWithin(b *testing.B) {
-	type path struct {
-		name string
-		f    func(row, rows []uint64, maxHam, head int, hits []int32) int
-	}
-	paths := []path{{"go", withinGo}}
-	if popcnt != nil {
-		paths = append(paths, path{"popcnt", popcnt})
-	}
 	rng := rand.New(rand.NewSource(17))
 	row, rows := randomWords(rng, 8), randomWords(rng, blockRows*8)
 	hits := make([]int32, blockRows)
-	for _, p := range paths {
+	for _, p := range withinPaths {
+		if p.skip != "" {
+			continue
+		}
 		for _, lambda := range []float64{0.5, 0.9} {
 			maxHam := 64*8 - sketch.NewFilter(8, lambda, 0.05).MinAgree
 			b.Run(fmt.Sprintf("%s/l%02.0f", p.name, 100*lambda), func(b *testing.B) {
