@@ -128,7 +128,12 @@ test-benchmark:
 # as Section II-A reduces it. The raw-set copy of Algorithms 1-2 (JoinBB,
 # BBOptions, bbJoiner, the facade's BraunBlanquetJoin and BruteForceBB,
 # intset.BraunBlanquetAtLeast) had no caller and checked nothing, so it
-# stays deleted from every Go file, test files included.
+# stays deleted from every Go file, test files included. The join and the
+# search trie expand a Chosen Path node one way, through internal/chosenpath:
+# its sampling loop, split probability, child seed and split scatter are the
+# only ones, so non-test internal/core and internal/cpindex call no
+# DeriveSeed( and compute no 1 / (lambda, and the two copies it replaced
+# (func (ts *taskState) split, func (b *treeBuilder) group) stay deleted.
 surface:
 	@out=$$(grep -rn 'Deprecated:' --include='*.go' .); if [ -n "$$out" ]; then echo "deprecated surface:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'mux\.Handle' internal/shard/server.go | grep -v '("/v1/'); if [ -n "$$out" ]; then echo "endpoint outside /v1/:"; echo "$$out"; exit 1; fi
@@ -163,6 +168,7 @@ surface:
 	@out=$$(grep -Hn 'slices\.Sort(keys)' internal/cpindex/trie.go); if [ -n "$$out" ]; then echo "the trie builder sorts its keys again (group a node's ids in linear time, through internal/group):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn '0x9e3779b1' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/group/'; grep -n 'type grouper' internal/cpindex/*.go); if [ -n "$$out" ]; then echo "a second probe loop (number keys through internal/group's one table):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'JoinBB|BBOptions|BraunBlanquetJoin|BruteForceBB|bbJoiner|BraunBlanquetAtLeast' --include='*.go' .); if [ -n "$$out" ]; then echo "the raw-set Braun-Blanquet join is back (join Braun-Blanquet through Embed, EmbeddedThreshold and CPSJoin):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE 'DeriveSeed\(|1 / \(lambda|func \(ts \*taskState\) split|func \(b \*treeBuilder\) group' --include='*.go' internal/core internal/cpindex | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second Chosen Path node expansion (sample, split and seed a node through internal/chosenpath):"; echo "$$out"; exit 1; fi
 	@deps=$$($(GO) list -deps ./cmd/experiments) || exit 1; out=$$(echo "$$deps" | grep -xE 'repro/internal/(shard|cpindex|contain|metrics)|net/http|testing'); if [ -n "$$out" ]; then echo "cmd/experiments links the serving stack:"; echo "$$out"; exit 1; fi
 
 # race is the quick local loop (-short skips the slowest suites);
@@ -212,8 +218,10 @@ ledger:
 # low bit of its 32-bit minimum under NewTable32.
 # FuzzGroup groups arbitrary 32- and 64-bit keys, twice on one grouper, and
 # requires the numbers, distinct keys and counts of a map's first-appearance
-# numbering. CI runs this on every PR; crashers land in testdata/fuzz/ for
-# replay.
+# numbering. FuzzSplit splits arbitrary columns, sorted (the runs path) or
+# not, twice on one Splitter behind a dst prefix, and requires a map's
+# groups in order of first appearance. CI runs this on every PR; crashers
+# land in testdata/fuzz/ for replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzContainer$$' -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/snapshot
@@ -224,6 +232,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIntersect$$' -fuzztime $(FUZZTIME) ./internal/intset
 	$(GO) test -run '^$$' -fuzz '^FuzzFold$$' -fuzztime $(FUZZTIME) ./internal/tabhash
 	$(GO) test -run '^$$' -fuzz '^FuzzGroup$$' -fuzztime $(FUZZTIME) ./internal/group
+	$(GO) test -run '^$$' -fuzz '^FuzzSplit$$' -fuzztime $(FUZZTIME) ./internal/chosenpath
 
 clean:
 	rm -rf .bench_build/

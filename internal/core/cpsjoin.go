@@ -25,9 +25,8 @@
 // (AVX-512 or POPCNT assembly on amd64, picked at start-up; Go
 // elsewhere), and only survivors reach the result-set lookup and exact
 // verification.
-// Splitting groups a node by minhash value through internal/group, the
-// grouper the search trie and MinHash LSH share, and a stable counting
-// scatter into one buffer per sampled position.
+// Splitting is internal/chosenpath, the node expansion the search trie
+// shares: sampled positions, one buffer of groups per position, child seeds.
 // The order of work differs from the paper's per-pair formulation; which
 // pairs are looked at, which survive and what every node draws do not
 // (TestGoldenJoin).
@@ -50,6 +49,7 @@ import (
 	"math"
 	"runtime"
 
+	"repro/internal/chosenpath"
 	"repro/internal/exec"
 	"repro/internal/group"
 	"repro/internal/prep"
@@ -236,7 +236,6 @@ type joiner struct {
 	states      []*taskState // one per worker, in worker order
 	spawnCutoff int          // node size above which child subtrees become tasks
 
-	splitProb float64
 	maxDepth  int
 	nearBound int   // bruteForceStep: a member fewer bits than this from the node sketch is removed
 	kx        []int // per-point stopping depth for StopIndividual
@@ -286,7 +285,6 @@ func newJoiner(sets [][]uint32, owners []uint8, lambda float64, o *Options, ix *
 	for i := range j.root {
 		j.root[i] = uint32(i)
 	}
-	j.splitProb = 1 / (lambda * float64(opt.T))
 	j.maxDepth = maxDepth(len(sets), opt.Epsilon)
 	return j
 }
@@ -311,16 +309,6 @@ func repSeed(seed uint64, rep int) uint64 {
 	return tabhash.Mix64(seed + uint64(rep)*0x9d5)
 }
 
-// childSeed derives a child node's seed from its parent's seed and the
-// (position, minhash value) bucket that formed it. Both inputs are stable
-// properties of the tree, so the full ensemble of recursion trees is
-// deterministic no matter which worker expands which subtree — neither the
-// order in which split emits the buckets nor task scheduling enters the
-// derivation.
-func childSeed(seed uint64, pos int, v uint32) uint64 {
-	return tabhash.DeriveSeed(seed, uint64(pos), uint64(v))
-}
-
 func (j *joiner) run() ([]verify.Pair, verify.Counters) {
 	if j == nil { // fewer than two sets
 		return nil, verify.Counters{}
@@ -329,7 +317,7 @@ func (j *joiner) run() ([]verify.Pair, verify.Counters) {
 		j.computeIndividualDepths()
 	}
 	newState := func(s *verify.Scratch) *taskState {
-		ts := &taskState{j: j, bf: s, nodeSketch: make([]uint64, j.w)}
+		ts := &taskState{j: j, bf: s, nodeSketch: make([]uint64, j.w), splitter: chosenpath.New(j.sigs, j.t, j.lambda)}
 		j.states = append(j.states, ts)
 		return ts
 	}
@@ -356,9 +344,9 @@ func (j *joiner) run() ([]verify.Pair, verify.Counters) {
 // task at a time and tasks reach it through exec.Ctx.Worker, so nothing is
 // locked; the joiner is read-only while tasks run, except for the
 // concurrent result set. No buffer here is live across a recursive call:
-// node sketch and marked points are used up before recurse splits, and the
-// grouper is dead once split's child buffer — the one allocation per call —
-// is filled, or bruteForceStrict has summed its counts.
+// node sketch and marked points are used up before recurse splits, the
+// splitter's grouper is dead once Split's child buffer — the one allocation
+// per call — is filled, and bruteForceStrict's once it has summed its counts.
 type taskState struct {
 	j          *joiner
 	bf         *verify.Scratch
@@ -366,7 +354,8 @@ type taskState struct {
 	liveMass   int64   // total size of the nodes on this worker's stack (m)
 	nodeSketch []uint64
 	marked     []uint32 // points the stopping rule takes out of a node
-	grouper    group.Grouper[uint32]
+	splitter   chosenpath.Splitter
+	grouper    group.Grouper[uint32] // bruteForceStrict's counts
 }
 
 // recurse processes one node of the Chosen Path Tree (Algorithm 1). Child
@@ -378,7 +367,7 @@ type taskState struct {
 // A node is its member ids in ascending order, and the order is part of the
 // randomness contract: bruteForceStep samples the node sketch by position,
 // so the same members in another order would draw another sketch. The
-// root, split and the stopping rules' remainders all keep ids ascending;
+// root, Split and the stopping rules' remainders all keep ids ascending;
 // size order exists only inside the kernel's gathered blocks.
 func (ts *taskState) recurse(c *exec.Ctx, node []uint32, depth int, seed uint64) {
 	j := ts.j
@@ -428,20 +417,15 @@ func (ts *taskState) recurse(c *exec.Ctx, node []uint32, depth int, seed uint64)
 		}
 	}
 
-	// Splitting step: sample each signature position with probability
-	// 1/(λt) (expected 1/λ positions) and split the node by the minhash
-	// value at each sampled position (Section V-A.3).
+	// Splitting step: the node's generator, past the node sketch, samples
+	// the positions; each group of two or more members is a child.
 	spawn := len(node) > j.spawnCutoff
-	for pos := 0; pos < j.t; pos++ {
-		if rng.Float64() >= j.splitProb {
-			continue
-		}
-		// kids is value, count, ids for one child after the other.
-		for kids := ts.split(node, pos); len(kids) > 0; {
+	for pos := range ts.splitter.Positions(rng) {
+		for kids := ts.splitter.Split(nil, node, pos, 2); len(kids) > 0; {
 			v, n := kids[0], int(kids[1])
 			child := kids[2 : 2+n : 2+n]
 			kids = kids[2+n:]
-			cseed := childSeed(seed, pos, v)
+			cseed := chosenpath.ChildSeed(seed, pos, v)
 			if spawn && len(child) > spawnFloor {
 				c.Spawn(func(c *exec.Ctx) { j.states[c.Worker()].recurse(c, child, depth+1, cseed) })
 			} else {
@@ -449,40 +433,6 @@ func (ts *taskState) recurse(c *exec.Ctx, node []uint32, depth int, seed uint64)
 			}
 		}
 	}
-}
-
-// split groups node by the minhash value at pos and returns the groups of
-// two or more members — the children — in one new buffer, each as value,
-// count, ids. The grouper numbers the values in order of first appearance
-// and a counting scatter moves the ids, so members stay ascending and a
-// value carried by one member (most of them, deep in the tree) gets no room.
-func (ts *taskState) split(node []uint32, pos int) []uint32 {
-	nums, vals, counts := ts.grouper.Group(ts.grouper.Column(ts.j.sigs, ts.j.t, pos, node))
-	total := 0
-	for _, n := range counts {
-		if n >= 2 {
-			total += 2 + int(n)
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	kids, at := make([]uint32, total), uint32(0)
-	for i, n := range counts {
-		counts[i] = 0 // from here on, the group's cursor into kids; 0: no room
-		if n >= 2 {
-			kids[at], kids[at+1] = vals[i], n
-			counts[i] = at + 2
-			at += 2 + n
-		}
-	}
-	for i, id := range node {
-		if c := &counts[nums[i]]; *c != 0 {
-			kids[*c] = id
-			*c++
-		}
-	}
-	return kids
 }
 
 // globalDepth is StopGlobal's fixed depth k = ln(n)/ln(1/λ), balancing

@@ -3,14 +3,11 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"maps"
-	"math/bits"
 	"slices"
 	"testing"
 
 	"repro/internal/exec"
 	"repro/internal/intset"
-	"repro/internal/prep"
 	"repro/internal/sketch"
 	"repro/internal/tabhash"
 	"repro/internal/verify"
@@ -319,64 +316,4 @@ func testKernelMatchesPerPairReference(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestSplitMatchesMapGrouping compares split's children with the buckets of
-// the map it replaced, as sets of (value, ascending ids), on random nodes
-// with 1, 2, n/2 and n distinct values at the position — four workers at a
-// time on one shared joiner.
-func TestSplitMatchesMapGrouping(t *testing.T) {
-	const n, positions = 3000, 4
-	rng := tabhash.NewSplitMix64(99)
-	sets := make([][]uint32, n)
-	sigs := make([]uint32, n*positions)
-	for i := range sets {
-		sets[i] = []uint32{1, 2}
-		sigs[i*positions] = 7                                 // one value
-		sigs[i*positions+1] = uint32(rng.Intn(2)) << 31       // two
-		sigs[i*positions+2] = uint32(rng.Intn(n/2)) * 0x10001 // about n/2
-		sigs[i*positions+3] = bits.Reverse32(uint32(i))       // n: all distinct
-	}
-	ix := &prep.Index{Sets: sets, T: positions, Sigs: sigs}
-	j := newJoiner(sets, nil, 0.5, &Options{Workers: 4}, ix)
-	j.states = make([]*taskState, 4)
-	for i := range j.states {
-		j.states[i] = &taskState{j: j}
-	}
-	var nodes [][]uint32
-	for _, size := range []int{2, 3, 10, 257, 1000, n} {
-		for rep := 0; rep < 6; rep++ {
-			var node []uint32
-			for id := 0; id < n && len(node) < size; id++ {
-				if rng.Intn(n) < size+size/4 || n-id <= size-len(node) {
-					node = append(node, uint32(id))
-				}
-			}
-			nodes = append(nodes, node)
-		}
-	}
-	exec.RunChunks(4, len(nodes)*positions, 1, func(c *exec.Ctx, lo, hi int) {
-		ts := j.states[c.Worker()]
-		for i := lo; i < hi; i++ {
-			node, pos := nodes[i/positions], i%positions
-			want := map[uint32][]uint32{}
-			for _, id := range node {
-				v := sigs[int(id)*positions+pos]
-				want[v] = append(want[v], id)
-			}
-			maps.DeleteFunc(want, func(_ uint32, ids []uint32) bool { return len(ids) < 2 })
-			got := map[uint32][]uint32{}
-			for kids := ts.split(node, pos); len(kids) > 0; {
-				v, cnt := kids[0], int(kids[1])
-				if _, dup := got[v]; dup || cnt < 2 {
-					t.Errorf("node of %d, position %d: value %d emitted twice or with %d members", len(node), pos, v, cnt)
-				}
-				got[v] = kids[2 : 2+cnt]
-				kids = kids[2+cnt:]
-			}
-			if !maps.EqualFunc(got, want, slices.Equal[[]uint32]) {
-				t.Errorf("node of %d, position %d: split yields %d children, the map %d, or their members differ", len(node), pos, len(got), len(want))
-			}
-		}
-	})
 }

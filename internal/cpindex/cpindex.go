@@ -21,6 +21,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/chosenpath"
 	"repro/internal/exec"
 	"repro/internal/intset"
 	"repro/internal/minhash"
@@ -34,7 +35,7 @@ type Options struct {
 	// LeafSize stops splitting when a node is at most this large
 	// (default 32).
 	LeafSize int
-	// MaxDepth caps tree depth (default ln(n)/ln(1/λ) + 4, the classic
+	// MaxDepth caps tree depth (default ⌈ln(n+1)/ln(1/λ)⌉ + 4, the classic
 	// worst-case parameterization).
 	MaxDepth int
 	// Trees is the number of independent trees (repetitions). A tree finds
@@ -283,7 +284,7 @@ func Build(sets [][]uint32, lambda float64, o *Options) *Index {
 	builders := make([]treeBuilder, opt.Trees)
 	exec.RunItems(workers, opt.Trees, func(tr int) {
 		b := &builders[tr]
-		*b = treeBuilder{opt: opt, sigs: sigs, splitProb: 1 / (lambda * float64(opt.T))}
+		*b = treeBuilder{opt: opt, splitter: chosenpath.New(sigs, opt.T, lambda)}
 		b.add(all, 0, tabhash.Mix64(opt.Seed+uint64(tr)*0xc9f1))
 		*b = treeBuilder{trie: b.trie, leaves: b.leaves} // the tree is built: let its scratch go
 	})

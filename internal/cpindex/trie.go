@@ -5,7 +5,7 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/group"
+	"repro/internal/chosenpath"
 	"repro/internal/snapshot"
 	"repro/internal/tabhash"
 )
@@ -57,30 +57,24 @@ type trieBucket struct {
 }
 
 // treeBuilder grows one tree of the index into arrays of its own; Build
-// runs one per repetition, possibly concurrently, and concatenates them.
-// Its scratch (depths, grouper, order) is dropped once its tree is built.
+// runs one per repetition, possibly concurrently, concatenates them and
+// drops the scratch (kids, byValue, the splitter's grouper).
 type treeBuilder struct {
-	opt       Options
-	sigs      []uint32 // the collection's flattened signature matrix
-	splitProb float64
-	trie      trie
-	leaves    int
-	depths    []depthScratch // one per depth, see add
-	grouper   group.Grouper[uint32]
-	order     []uint64 // group: value<<32 | number, sorted
+	opt      Options
+	splitter chosenpath.Splitter
+	trie     trie
+	leaves   int
+	kids     [][]uint32 // one Split buffer per depth, see add
+	byValue  []uint64   // add: value<<32 | offset in kids of each group, sorted
 }
 
-// depthScratch holds the ids of the node being split at one depth, grouped
-// by their value at the position being split on, and each group's end.
-type depthScratch struct{ ids, ends []uint32 }
-
-// add appends the subtree over ids and returns its node index. ids arrive
-// ascending (group keeps each bucket's ids in order), so leaves list ids in
-// ascending order. Each node derives its randomness from a seed determined
-// by its path from the root (parent seed plus the position/value bucket
-// that formed it), never from build order — the same discipline as the
-// CPSJoin recursion in internal/core, and what makes the structure
-// reproducible.
+// add appends the subtree over ids and returns its node index. It expands a
+// node through internal/chosenpath, as the CPSJoin recursion in internal/core
+// does: the node's generator samples the positions, Split groups the ids at
+// each, and every child's seed is determined by its path from the root,
+// never by build order, which is what makes the structure reproducible. ids
+// arrive ascending (Split keeps each group's ids in node order), so leaves
+// list ids in ascending order.
 //
 // A node becomes a leaf for one of three reasons, and only two of them
 // keep its ids. Small enough (at most LeafSize) and too deep (MaxDepth):
@@ -128,11 +122,8 @@ func (b *treeBuilder) add(ids []uint32, depth int, seed uint64) int32 {
 	posLo := len(t.pos)
 	split := len(ids) > b.opt.LeafSize && depth < b.opt.MaxDepth
 	if split {
-		rng := tabhash.NewSplitMix64(seed)
-		for pos := 0; pos < b.opt.T; pos++ {
-			if rng.Float64() < b.splitProb {
-				t.pos = append(t.pos, triePos{pos: uint32(pos)})
-			}
+		for pos := range b.splitter.Positions(tabhash.NewSplitMix64(seed)) {
+			t.pos = append(t.pos, triePos{pos: uint32(pos)})
 		}
 	}
 	posHi := len(t.pos)
@@ -146,80 +137,37 @@ func (b *treeBuilder) add(ids []uint32, depth int, seed uint64) int32 {
 		return idx
 	}
 	t.nodes = append(t.nodes, trieNode{posLo: uint32(posLo), posHi: uint32(posHi)})
-	if depth == len(b.depths) { // depths are first reached one at a time
-		b.depths = append(b.depths, depthScratch{})
+	if depth == len(b.kids) { // depths are first reached one at a time
+		b.kids = append(b.kids, nil)
 	}
 	for pi := posLo; pi < posHi; pi++ {
-		// Group the ids by their minhash value at p into this depth's
-		// buffer, reserving the bucket span before recursing, so the
-		// children's own entries (which land after it) cannot fragment it.
-		// Children read their run of the buffer and write only deeper ones,
-		// so it is free again once they return.
-		p := t.pos[pi].pos
-		d := &b.depths[depth]
-		d.ids = slices.Grow(d.ids[:0], len(ids))[:len(ids)]
+		// Group the ids by their value at p into this depth's buffer and
+		// reserve the bucket span, in value order, before recursing, so the
+		// children's own entries cannot fragment it; a bucket's child is its
+		// group's offset in the buffer until the child is built. Children
+		// write only deeper buffers, so this one is free once they return.
+		p := int(t.pos[pi].pos)
+		kids := b.splitter.Split(b.kids[depth][:0], ids, p, 1)
+		byValue := b.byValue[:0]
+		for at := 0; at < len(kids); at += 2 + int(kids[at+1]) {
+			byValue = append(byValue, uint64(kids[at])<<32|uint64(at))
+		}
+		slices.Sort(byValue)
+		b.kids[depth], b.byValue = kids, byValue
 		bLo := len(t.buckets)
-		d.ends = b.group(d.ids, d.ends[:0], ids, p)
+		for _, k := range byValue {
+			t.buckets = append(t.buckets, trieBucket{val: uint32(k >> 32), child: int32(uint32(k))})
+		}
 		bHi := len(t.buckets)
 		t.pos[pi].bLo, t.pos[pi].bHi = uint32(bLo), uint32(bHi)
-		// The recursion may grow b.depths: hold this depth's runs, not d.
-		grouped, ends := d.ids, d.ends
-		lo := uint32(0)
 		for bi := bLo; bi < bHi; bi++ {
-			hi := ends[bi-bLo]
+			at := t.buckets[bi].child
 			// The call appends to t.buckets: index it only afterwards.
-			child := b.add(grouped[lo:hi], depth+1, tabhash.DeriveSeed(seed, uint64(p), uint64(t.buckets[bi].val)))
+			child := b.add(kids[at+2:at+2+int32(kids[at+1])], depth+1, chosenpath.ChildSeed(seed, p, t.buckets[bi].val))
 			t.buckets[bi].child = child
-			lo = hi
 		}
 	}
 	return idx
-}
-
-// group writes ids into dst grouped by their minhash value at position p,
-// appends one bucket per value to the trie in ascending value order, and
-// appends each group's end in dst to ends. Within a group ids keep their
-// order, so dst is exactly the (value, id)-ascending order of the ids: what
-// sorting (value, id) keys yields, in time linear in the ids plus a sort of
-// the distinct values only. The grouper numbers the values in order of
-// first appearance and a counting scatter moves the ids; values already in
-// order need neither.
-func (b *treeBuilder) group(dst, ends, ids []uint32, p uint32) []uint32 {
-	vals := b.grouper.Column(b.sigs, b.opt.T, int(p), ids)
-	t := &b.trie
-	if slices.IsSorted(vals) {
-		// The ids are already in (value, id) order and their groups are
-		// runs, as a cluster's copies (one value at every position) always
-		// are. Hashing them anyway built a 33-copy cluster's trie, 26× the
-		// nodes of the rest, a third slower than sorting keys did.
-		copy(dst, ids)
-		for i, v := range vals {
-			if i+1 == len(vals) || vals[i+1] != v {
-				t.buckets = append(t.buckets, trieBucket{val: v})
-				ends = append(ends, uint32(i+1))
-			}
-		}
-		return ends
-	}
-	nums, values, counts := b.grouper.Group(vals)
-	order := slices.Grow(b.order[:0], len(values))
-	for i, v := range values {
-		order = append(order, uint64(v)<<32|uint64(i))
-	}
-	slices.Sort(order)
-	at := uint32(0)
-	for _, o := range order {
-		i := uint32(o)
-		t.buckets = append(t.buckets, trieBucket{val: values[i]})
-		at, counts[i] = at+counts[i], at
-		ends = append(ends, at)
-	}
-	for i, id := range ids {
-		dst[counts[nums[i]]] = id
-		counts[nums[i]]++
-	}
-	b.order = order
-	return ends
 }
 
 // appendTree concatenates one built tree (whose root is its node 0) onto

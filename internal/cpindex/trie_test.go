@@ -24,15 +24,24 @@ import (
 // query became the all-matches walk reduced by Top; the all-matches halves
 // did not change. TestGoldenPointerWalk also checks them against refTree, an independent
 // pointer-tree build and walk, so they are not the kernel pinned to itself.
+// encoded is the SHA-256 of the index's Encode, recorded before the builder
+// expanded its nodes through internal/chosenpath: it pins the trie's layout
+// byte for byte across commits, which neither the answers nor a reference
+// built in the same commit (TestGroupMatchesSortReference) do.
 var goldenShapes = []struct {
 	n, leafSize   int
 	nodes, leaves int
 	digest        string
+	encoded       string
 }{
-	{400, 4, 12972, 10193, "9106390e2e410c39c5d0c80273a6996705134eacdf2870bedfc92c1f4f50ba58"},
-	{1500, 32, 13930, 13925, "57e580bbfce379fc8a66cb4cd1cc42201345764bfecf71c0f8e5a0961773d7f5"},
-	{50, 1, 1347681, 782953, "a47b517e68306d3dfabd90ffc961dce600be14fe54bab94dfcbb5e35a1c1e591"},
-	{0, 32, 6, 6, "f03c505957b59072d4d0a15035bd65822ef9f0e8772538985ef5f3d0ab94cf71"},
+	{400, 4, 12972, 10193, "9106390e2e410c39c5d0c80273a6996705134eacdf2870bedfc92c1f4f50ba58",
+		"d8c526df3e15025581a1d8afa70a98834f1c7c82f56502b4cfb9c59cce9f3957"},
+	{1500, 32, 13930, 13925, "57e580bbfce379fc8a66cb4cd1cc42201345764bfecf71c0f8e5a0961773d7f5",
+		"b06453fb2c01e8eefbbf6bd96c530bc6f4b2fadd230089121503715248376268"},
+	{50, 1, 1347681, 782953, "a47b517e68306d3dfabd90ffc961dce600be14fe54bab94dfcbb5e35a1c1e591",
+		"1f22d0e220f7ff9e0814246b6c781135ab1fd227bda654ddf57a5fc711fd1c1a"},
+	{0, 32, 6, 6, "f03c505957b59072d4d0a15035bd65822ef9f0e8772538985ef5f3d0ab94cf71",
+		"55cb39f6189a6d022b98374b897ff6b8e7f67c054bffa8a19df177ca40f373e5"},
 }
 
 // refTree is the reference the goldens are checked against: the index as
@@ -182,7 +191,8 @@ func indexDigest(t *testing.T, ix *Index, queries [][]uint32) string {
 
 // TestGoldenPointerWalk: the kernel reproduces the reference pointer
 // walk's answers and QueryStats, and the recorded digests of them, after
-// Build, after Encode→Decode, and through the mapped view.
+// Build, after Encode→Decode, and through the mapped view; and Build encodes
+// to the recorded bytes.
 func TestGoldenPointerWalk(t *testing.T) {
 	for _, tc := range goldenShapes {
 		t.Run(fmt.Sprintf("n=%d/leaf=%d", tc.n, tc.leafSize), func(t *testing.T) {
@@ -214,6 +224,9 @@ func TestGoldenPointerWalk(t *testing.T) {
 			var buf bytes.Buffer
 			if err := ix.Encode(&buf); err != nil {
 				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.encoded {
+				t.Errorf("Encode: SHA-256 %s, recorded %s", got, tc.encoded)
 			}
 			dec, err := Decode(bytes.NewReader(buf.Bytes()))
 			if err != nil {
@@ -402,12 +415,16 @@ func TestCandidateCountGate(t *testing.T) {
 }
 
 // sortBuilder is treeBuilder with the grouping it replaced, kept as the
-// reference group must agree with: each node's ids at a sampled position
-// become (value, id) keys, and sorting them leaves every bucket a
-// contiguous, id-ascending run. Only the low 32 bits of a key are the id.
+// reference the builder's expansion through internal/chosenpath must agree
+// with: its own sampling loop, split probability and seed derivation, and
+// each node's ids at a sampled position become (value, id) keys, whose sort
+// leaves every bucket a contiguous, id-ascending run. Only the low 32 bits
+// of a key are the id.
 type sortBuilder struct {
 	treeBuilder
-	keys [][]uint64 // one key buffer per depth
+	sigs      []uint32 // the collection's flattened signature matrix
+	splitProb float64
+	keys      [][]uint64 // one key buffer per depth
 }
 
 func (b *sortBuilder) add(ids []uint64, depth int, seed uint64) int32 {
@@ -484,7 +501,7 @@ func sortBuild(sets [][]uint32, lambda float64, o Options) *trie {
 	}
 	out := new(trie)
 	for tr := 0; tr < opt.Trees; tr++ {
-		b := &sortBuilder{treeBuilder: treeBuilder{opt: opt, sigs: sigs, splitProb: 1 / (lambda * float64(opt.T))}}
+		b := &sortBuilder{treeBuilder: treeBuilder{opt: opt}, sigs: sigs, splitProb: 1 / (lambda * float64(opt.T))}
 		b.add(all, 0, tabhash.Mix64(opt.Seed+uint64(tr)*0xc9f1))
 		out.appendTree(&b.trie)
 	}
@@ -614,14 +631,24 @@ func BenchmarkQueryAll(b *testing.B) {
 }
 
 // BenchmarkBuild builds a 10 000-set index of each ledger shape, the size
-// of one shard of the serving benchmark's catalogue.
+// of one shard of the serving benchmark's catalogue, and the cluster shape
+// at MaxDepth 12 as TestGroupMatchesSortReference builds it: 33 copies of
+// one set that every sampled branch carries down, through the builder's
+// sorted-column path.
 func BenchmarkBuild(b *testing.B) {
-	for _, sh := range []testShape{flatShape(), skewShape(10000)} {
-		sets := sh.collection(10000, 17)
+	for _, sh := range []struct {
+		name     string
+		sets     [][]uint32
+		maxDepth int
+	}{
+		{"flat", flatShape().collection(10000, 17), 0},
+		{"skew", skewShape(10000).collection(10000, 17), 0},
+		{"cluster", clusterShape(), 12},
+	} {
 		b.Run(sh.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Build(sets, 0.5, &Options{Seed: uint64(i) + 1})
+				Build(sh.sets, 0.5, &Options{Seed: uint64(i) + 1, MaxDepth: sh.maxDepth})
 			}
 		})
 	}

@@ -1,6 +1,6 @@
 // Package group numbers keys in order of first appearance through one
-// reusable open-addressing table: the grouping step of CPSJoin's split and
-// literal Algorithm 2, the search trie's builder and MinHash LSH's buckets.
+// reusable open-addressing table: the grouping step of the Chosen Path split
+// (internal/chosenpath), CPSJoin's literal Algorithm 2 and MinHash LSH.
 package group
 
 import (

@@ -1,7 +1,9 @@
 package verify
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -83,7 +85,8 @@ func (r *ResultSet) Contains(i, j uint32) bool {
 // Len returns the number of distinct pairs added so far.
 func (r *ResultSet) Len() int { return int(r.n.Load()) }
 
-// Pairs returns the pairs in unspecified order. It must not race with
+// Pairs returns the pairs sorted by A, then B, not in map order, so a join's
+// output is a function of its input and seed. It must not race with
 // concurrent Adds if a consistent snapshot is required; the joins call it
 // only after the pool has quiesced.
 func (r *ResultSet) Pairs() []Pair {
@@ -96,6 +99,7 @@ func (r *ResultSet) Pairs() []Pair {
 		}
 		s.mu.Unlock()
 	}
+	slices.SortFunc(out, func(a, b Pair) int { return cmp.Compare(a.Key(), b.Key()) })
 	return out
 }
 

@@ -8,6 +8,7 @@ package ssjoin
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -79,6 +80,40 @@ func TestParallelDeterminism(t *testing.T) {
 				if !equalPairSets(ref, got) {
 					t.Errorf("workers=%d: %d pairs differ from sequential %d pairs",
 						workers, len(got), len(ref))
+				}
+			}
+		})
+	}
+}
+
+// TestSameSeedSameOrder: the approximate joins return their pairs in one
+// order, not only one set — two runs at one seed, on one worker or several,
+// return slices.Equal results, sorted by A then B (the result set's map
+// order used to leak into the output). CPSJoinRS shifts B after sorting,
+// which keeps the order.
+func TestSameSeedSameOrder(t *testing.T) {
+	sets := parallelWorkload(600, 78)
+	r, s := sets[:300], sets[300:]
+	for _, alg := range []struct {
+		name string
+		run  func(o *Options) ([]Pair, Stats)
+	}{
+		{"CPSJoin", func(o *Options) ([]Pair, Stats) { return CPSJoin(sets, 0.5, o) }},
+		{"CPSJoinRS", func(o *Options) ([]Pair, Stats) { return CPSJoinRS(r, s, 0.5, o) }},
+		{"MinHashJoin", func(o *Options) ([]Pair, Stats) { return MinHashJoin(sets, 0.5, o) }},
+		{"BayesLSHJoin", func(o *Options) ([]Pair, Stats) { return BayesLSHJoin(sets, 0.5, o) }},
+	} {
+		t.Run(alg.name, func(t *testing.T) {
+			ref, _ := alg.run(&Options{Seed: 5, Workers: 1})
+			if len(ref) < 10 {
+				t.Fatalf("%d pairs: too few for an order to show", len(ref))
+			}
+			if !slices.Equal(ref, sortedPairs(ref)) {
+				t.Error("pairs are not sorted by A, then B")
+			}
+			for _, workers := range []int{1, 1, 4} {
+				if got, _ := alg.run(&Options{Seed: 5, Workers: workers}); !slices.Equal(got, ref) {
+					t.Errorf("workers=%d: %d pairs, not the first run's %d in its order", workers, len(got), len(ref))
 				}
 			}
 		})
