@@ -134,6 +134,13 @@ test-benchmark:
 # only ones, so non-test internal/core and internal/cpindex call no
 # DeriveSeed( and compute no 1 / (lambda, and the two copies it replaced
 # (func (ts *taskState) split, func (b *treeBuilder) group) stay deleted.
+# Every serving setting has one home. The build parameters are shard.Options,
+# which the facade aliases (no type ShardedOptions struct to translate field
+# by field), and hash partitioning is its one bool (no type Partition int,
+# PartitionHash, PartitionContiguous). The result cache and auto-compaction
+# are set only by Configure, and a snapshot holds data, not the settings of
+# the process that opens it: no manifest field carries them (RuntimeState,
+# json:"runtime) in non-test Go.
 surface:
 	@out=$$(grep -rn 'Deprecated:' --include='*.go' .); if [ -n "$$out" ]; then echo "deprecated surface:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'mux\.Handle' internal/shard/server.go | grep -v '("/v1/'); if [ -n "$$out" ]; then echo "endpoint outside /v1/:"; echo "$$out"; exit 1; fi
@@ -169,6 +176,7 @@ surface:
 	@out=$$(grep -rn '0x9e3779b1' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/group/'; grep -n 'type grouper' internal/cpindex/*.go); if [ -n "$$out" ]; then echo "a second probe loop (number keys through internal/group's one table):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'JoinBB|BBOptions|BraunBlanquetJoin|BruteForceBB|bbJoiner|BraunBlanquetAtLeast' --include='*.go' .); if [ -n "$$out" ]; then echo "the raw-set Braun-Blanquet join is back (join Braun-Blanquet through Embed, EmbeddedThreshold and CPSJoin):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'DeriveSeed\(|1 / \(lambda|func \(ts \*taskState\) split|func \(b \*treeBuilder\) group' --include='*.go' internal/core internal/cpindex | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second Chosen Path node expansion (sample, split and seed a node through internal/chosenpath):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE 'RuntimeState|json:"runtime|type Partition int|PartitionHash|PartitionContiguous|type ShardedOptions struct' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second home for a serving setting (build parameters are shard.Options; the cache and auto-compaction are set only by Configure and never saved):"; echo "$$out"; exit 1; fi
 	@deps=$$($(GO) list -deps ./cmd/experiments) || exit 1; out=$$(echo "$$deps" | grep -xE 'repro/internal/(shard|cpindex|contain|metrics)|net/http|testing'); if [ -n "$$out" ]; then echo "cmd/experiments links the serving stack:"; echo "$$out"; exit 1; fi
 
 # race is the quick local loop (-short skips the slowest suites);

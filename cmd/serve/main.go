@@ -60,7 +60,9 @@
 //
 // Performance: -cache N caches up to N hot query results (invalidated
 // automatically by appends, deletes, seals and compactions; hit/miss
-// counters appear in /v1/stats and /v1/metrics). -pprof
+// counters appear in /v1/stats and /v1/metrics). Like -auto-compact it is
+// a setting of this process: a snapshot does not store it, so a restore
+// serves with the cache the flag asks for and none without it. -pprof
 // mounts the net/http/pprof profiling endpoints under /debug/pprof/ on
 // the serving listener — registered explicitly on the opt-in mux, so
 // profiling endpoints exist only when asked for:
@@ -118,7 +120,7 @@ func main() {
 		dataDir   = flag.String("data", "", "snapshot directory: restore from it on start if it holds a manifest")
 		saveOnEnd = flag.Bool("save-on-shutdown", false, "snapshot the index into -data on graceful shutdown (requires -data)")
 		autoComp  = flag.Bool("auto-compact", false, "background-compact small and tombstone-heavy shards after each seal")
-		cacheSize = flag.Int("cache", 0, "hot-query result cache entries (0 disables; invalidated automatically on any mutation); when given, overrides a restored snapshot's cache size")
+		cacheSize = flag.Int("cache", 0, "hot-query result cache entries (0 disables; invalidated automatically on any mutation); applies to a built or restored index alike")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/")
 		metricsOn = flag.Bool("metrics", true, "expose Prometheus metrics on /v1/metrics")
 		tierName  = flag.String("tier", "", "storage tier of the shards a restore opens, each validated in full either way: hot (copied to the heap; the default) or cold (memory-mapped, used in place); requires -data")
@@ -127,8 +129,7 @@ func main() {
 	)
 	flag.Parse()
 	// given names the flags set on the command line, as opposed to left at
-	// their defaults: -tier must come with -data, and a restored snapshot's
-	// cache size yields only to a given -cache.
+	// their defaults: -tier must come with -data.
 	given := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
 
@@ -180,32 +181,24 @@ func main() {
 		if err != nil {
 			fatal("loading input failed", "input", *input, "err", err)
 		}
-		opts := &shard.Options{
+		ix = shard.Build(catalogue, *threshold, &shard.Options{
 			Shards:         *shards,
+			HashPartition:  *hashPart,
 			MergeThreshold: *merge,
 			Trees:          *trees,
 			Seed:           *seed,
 			Workers:        *workers,
-		}
-		if *hashPart {
-			opts.Partition = shard.PartitionHash
-		}
-		ix = shard.Build(catalogue, *threshold, opts)
+		})
 		st := ix.Stats()
 		logger.Info("indexed collection",
 			"sets", st.Sets, "shards", st.Shards, "partition", st.Partition,
 			"nodes", st.Nodes, "seconds", time.Since(start).Seconds(), "addr", *addr)
 	}
 
-	// One validated Configure call applies the runtime tuning. Flags
-	// override what a restored snapshot carried: -auto-compact always wins,
-	// -cache only when given (so a snapshot's persisted cache size survives a
-	// plain restart, and -cache 0 turns it off).
-	rt := ix.Runtime()
-	rt.AutoCompact = *autoComp
-	if given["cache"] {
-		rt.CacheSize = *cacheSize
-	}
+	// One validated Configure call applies the runtime tuning from the
+	// flags alone, whether the index was built or restored: a snapshot
+	// stores no serving settings.
+	rt := shard.RuntimeOptions{AutoCompact: *autoComp, CacheSize: *cacheSize}
 	if err := ix.Configure(rt); err != nil {
 		fatal("runtime configuration rejected", "err", err)
 	}

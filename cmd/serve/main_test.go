@@ -168,10 +168,10 @@ func TestSIGTERMDrainsAndSaves(t *testing.T) {
 	}
 }
 
-// TestCacheFlagOverridesRestoredCache: a snapshot carries its cache size, and
-// -cache overrides it only when given — so a plain restart keeps the saved
-// cache and -cache 0 turns it off, as its help says.
-func TestCacheFlagOverridesRestoredCache(t *testing.T) {
+// TestCacheFlagAppliesAtRestore: a snapshot stores no serving settings, so
+// an index saved with a cache restores without one unless -cache asks for
+// it, and with -cache 64 it serves with one.
+func TestCacheFlagAppliesAtRestore(t *testing.T) {
 	ix := shard.Build([][]uint32{{1, 2, 3, 4}, {1, 2, 3, 5}, {10, 11, 12}, {20, 21, 22, 23}}, 0.5,
 		&shard.Options{Shards: 2, Seed: 42})
 	if err := ix.Configure(shard.RuntimeOptions{CacheSize: 4096}); err != nil {
@@ -185,8 +185,8 @@ func TestCacheFlagOverridesRestoredCache(t *testing.T) {
 		args []string
 		want bool
 	}{
-		{nil, true},
-		{[]string{"-cache", "0"}, false},
+		{nil, false},
+		{[]string{"-cache", "64"}, true},
 	} {
 		s := startServe(t, append([]string{"-data", data}, tc.args...)...)
 		if got := s.stats(t).CacheEnabled; got != tc.want {

@@ -101,7 +101,8 @@ func (w *scratch) touch(yi uint32) {
 // the given worker count (0 = one worker, negative = GOMAXPROCS) in chunks
 // small enough that stealing balances the skew from size-sorted probes. A
 // worker's scratch is O(|ys|), so memory scales with the worker count, not
-// the probe count; pairs and counters are concatenated in worker order.
+// the probe count. Pairs and counters are concatenated in worker order, so
+// the pairs' order depends on scheduling until the caller sorts them.
 func join(xs, ys [][]uint32, lambda float64, workers int, probe func(w *scratch, xi int)) ([]verify.Pair, verify.Counters) {
 	workers = exec.EffectiveWorkers(workers)
 	largest := 0
@@ -151,11 +152,15 @@ func (w *scratch) verify(xi uint32, x []uint32, ys [][]uint32) {
 	w.touched = w.touched[:0]
 }
 
-// inOriginalIDs renames self-join pairs from size-sorted positions to input indices.
+// inOriginalIDs renames self-join pairs from size-sorted positions to input
+// indices and sorts them by A, then B (verify.SortPairs): the workers
+// concatenate their pairs in an order that depends on how the probes were
+// scheduled.
 func inOriginalIDs(pairs []verify.Pair, perm []int) []verify.Pair {
 	for i, p := range pairs {
 		pairs[i] = verify.MakePair(uint32(perm[p.A]), uint32(perm[p.B]))
 	}
+	verify.SortPairs(pairs)
 	return pairs
 }
 
@@ -171,7 +176,8 @@ func Join(sets [][]uint32, lambda float64) ([]verify.Pair, verify.Counters) {
 // execution layer (0 = one worker, negative = GOMAXPROCS). Postings are in
 // id order, which is size order, so each probe binary-searches its minimum
 // partner size (the scratch's lo) and stops at the first posting with id >=
-// its own. Pairs and counters are identical for any worker count.
+// its own. Pairs (sorted by A, then B) and counters are identical for any
+// worker count.
 func JoinWorkers(sets [][]uint32, lambda float64, workers int) ([]verify.Pair, verify.Counters) {
 	if len(sets) < 2 {
 		return nil, verify.Counters{}

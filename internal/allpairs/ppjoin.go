@@ -25,7 +25,7 @@ func PPJoin(sets [][]uint32, lambda float64) ([]verify.Pair, verify.Counters) {
 // PPJoinWorkers is PPJoin executed with the given worker count on the
 // shared execution layer (0 = one worker, negative = GOMAXPROCS). It probes
 // like JoinWorkers, and the positional filter state is per probe, so pairs
-// and counters are identical for any worker count.
+// (sorted by A, then B) and counters are identical for any worker count.
 func PPJoinWorkers(sets [][]uint32, lambda float64, workers int) ([]verify.Pair, verify.Counters) {
 	if len(sets) < 2 {
 		return nil, verify.Counters{}

@@ -23,7 +23,8 @@ func JoinRS(r, s [][]uint32, lambda float64) ([]verify.Pair, verify.Counters) {
 // JoinRSWorkers is JoinRS with the R-side probes spread over the given
 // number of workers (0 = one worker, negative = GOMAXPROCS). The S index
 // is built once and read-only during probing, and each probe is
-// independent, so pairs and counters are identical for any worker count.
+// independent, so pairs and counters are identical for any worker count;
+// the pairs are sorted by A, then B.
 func JoinRSWorkers(r, s [][]uint32, lambda float64, workers int) ([]verify.Pair, verify.Counters) {
 	if len(r) == 0 || len(s) == 0 {
 		return nil, verify.Counters{}
@@ -41,7 +42,7 @@ func JoinRSWorkers(r, s [][]uint32, lambda float64, workers int) ([]verify.Pair,
 	}
 	// The index holds every size, so a set of S is a candidate once, however
 	// many prefix tokens it shares; the size filter comes at verification.
-	return join(rr, ss, lambda, workers, func(w *scratch, xi int) {
+	pairs, c := join(rr, ss, lambda, workers, func(w *scratch, xi int) {
 		x := rr[xi]
 		for _, tok := range x[:probePrefix(len(x), lambda)] {
 			for _, yi := range index[tok] {
@@ -51,4 +52,6 @@ func JoinRSWorkers(r, s [][]uint32, lambda float64, workers int) ([]verify.Pair,
 			}
 		}
 	})
+	verify.SortPairs(pairs)
+	return pairs, c
 }

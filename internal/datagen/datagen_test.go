@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/intset"
+	"repro/internal/snapshot"
 	"repro/internal/tabhash"
 )
 
@@ -12,7 +13,7 @@ func TestTokensShape(t *testing.T) {
 	cfg := DefaultTokensConfig(200, 1) // scaled-down cap for test speed
 	cfg.PairsPerJ = 5
 	ds, planted := Tokens(cfg)
-	if err := ds.Validate(); err != nil {
+	if err := snapshot.ValidateSets(ds.Sets); err != nil {
 		t.Fatal(err)
 	}
 	if len(ds.Sets) < 100 {
@@ -88,7 +89,7 @@ func TestTokensBackgroundDissimilar(t *testing.T) {
 
 func TestUniformStats(t *testing.T) {
 	ds := Uniform(2000, 10, 200, 5)
-	if err := ds.Validate(); err != nil {
+	if err := snapshot.ValidateSets(ds.Sets); err != nil {
 		t.Fatal(err)
 	}
 	st := ds.ComputeStats()
@@ -123,7 +124,7 @@ func TestZipfSkewProducesRareTokens(t *testing.T) {
 
 func TestZipfValid(t *testing.T) {
 	ds := Zipf(500, 8, 300, 0.8, 7)
-	if err := ds.Validate(); err != nil {
+	if err := snapshot.ValidateSets(ds.Sets); err != nil {
 		t.Fatal(err)
 	}
 	for _, set := range ds.Sets {
@@ -149,7 +150,7 @@ func TestPlantPairsSimilarity(t *testing.T) {
 			t.Errorf("planted mean J %v, want ~%v", mean, target)
 		}
 	}
-	if err := ds.Validate(); err != nil {
+	if err := snapshot.ValidateSets(ds.Sets); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -161,7 +162,7 @@ func TestClusteredStructure(t *testing.T) {
 		mutation   = 0.1
 	)
 	ds := Clustered(clusters, perCluster, 20, 100000, mutation, 70)
-	if err := ds.Validate(); err != nil {
+	if err := snapshot.ValidateSets(ds.Sets); err != nil {
 		t.Fatal(err)
 	}
 	if len(ds.Sets) != clusters*perCluster {
@@ -224,7 +225,7 @@ func TestProfileGenerate(t *testing.T) {
 			t.Fatalf("missing profile %s", name)
 		}
 		ds := p.Generate(3000, 10)
-		if err := ds.Validate(); err != nil {
+		if err := snapshot.ValidateSets(ds.Sets); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		st := ds.ComputeStats()

@@ -269,17 +269,3 @@ func (d *Dataset) Clone() *Dataset {
 	}
 	return out
 }
-
-// Validate checks the dataset invariants: every set is strictly increasing
-// and non-empty. It returns the first violation found.
-func (d *Dataset) Validate() error {
-	for i, set := range d.Sets {
-		if len(set) == 0 {
-			return fmt.Errorf("dataset: set %d is empty", i)
-		}
-		if !intset.IsSet(set) {
-			return fmt.Errorf("dataset: set %d is not sorted/unique", i)
-		}
-	}
-	return nil
-}

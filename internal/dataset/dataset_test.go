@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/snapshot"
 )
 
 func TestParseBasic(t *testing.T) {
@@ -177,7 +179,7 @@ func TestRemapByFrequency(t *testing.T) {
 	if remap[10] != 0 || remap[20] != 1 || remap[30] != 2 {
 		t.Fatalf("remap = %v", remap)
 	}
-	if err := ds.Validate(); err != nil {
+	if err := snapshot.ValidateSets(ds.Sets); err != nil {
 		t.Fatal(err)
 	}
 	// Rare-first order within each set means ascending new ids.
@@ -199,7 +201,7 @@ func TestRemapPreservesStructure(t *testing.T) {
 	}
 	orig := ds.Clone()
 	ds.RemapByFrequency()
-	if err := ds.Validate(); err != nil {
+	if err := snapshot.ValidateSets(ds.Sets); err != nil {
 		t.Fatal(err)
 	}
 	// Sizes are preserved (bijection on tokens).
@@ -243,22 +245,6 @@ func TestSortBySize(t *testing.T) {
 	}
 	if perm[0] != 1 || perm[1] != 2 || perm[2] != 0 {
 		t.Fatalf("perm = %v", perm)
-	}
-}
-
-func TestValidate(t *testing.T) {
-	good := &Dataset{Sets: [][]uint32{{1, 2}, {3}}}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid dataset rejected: %v", err)
-	}
-	for _, bad := range []*Dataset{
-		{Sets: [][]uint32{{}}},
-		{Sets: [][]uint32{{2, 1}}},
-		{Sets: [][]uint32{{1, 1}}},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("invalid dataset %v accepted", bad.Sets)
-		}
 	}
 }
 

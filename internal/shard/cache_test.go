@@ -1,10 +1,22 @@
 package shard
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/race"
 )
+
+// buildCached builds an index and turns its result cache on with room for
+// entries answers, the one way a cache is set.
+func buildCached(t *testing.T, sets [][]uint32, o *Options, entries int) *Index {
+	t.Helper()
+	x := Build(sets, 0.5, o)
+	if err := x.Configure(RuntimeOptions{CacheSize: entries}); err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
 
 // TestCacheIdenticalAnswers pins the cache's core contract: with the
 // cache enabled, every entry point answers byte-identically to the
@@ -13,7 +25,7 @@ import (
 func TestCacheIdenticalAnswers(t *testing.T) {
 	sets, _ := workload(900, 0.8, 301)
 	plain := Build(sets, 0.5, &Options{Shards: 3, Seed: 9, MergeThreshold: 64})
-	cached := Build(sets, 0.5, &Options{Shards: 3, Seed: 9, MergeThreshold: 64, CacheSize: 128})
+	cached := buildCached(t, sets, &Options{Shards: 3, Seed: 9, MergeThreshold: 64}, 128)
 
 	check := func(stage string) {
 		t.Helper()
@@ -77,7 +89,7 @@ func TestCacheIdenticalAnswers(t *testing.T) {
 // invalidation on the raw cache path.
 func TestCacheHitMissCounters(t *testing.T) {
 	sets, _ := workload(300, 0.8, 311)
-	x := Build(sets, 0.5, &Options{Shards: 2, Seed: 11, CacheSize: 32})
+	x := buildCached(t, sets, &Options{Shards: 2, Seed: 11}, 32)
 	q := sets[3]
 
 	mustQuery(t, x, q) // miss
@@ -163,7 +175,7 @@ func TestCacheLRUEviction(t *testing.T) {
 // and above it — and the all-matches query after a best-of one hits too.
 func TestCacheBestSharesAllEntry(t *testing.T) {
 	sets, _ := workload(600, 0.8, 341)
-	x := Build(sets, 0.5, &Options{Shards: 3, Seed: 21, CacheSize: 64})
+	x := buildCached(t, sets, &Options{Shards: 3, Seed: 21}, 64)
 	hits := func() uint64 {
 		_, h, _ := x.cache.Load().stats()
 		return h
@@ -227,6 +239,35 @@ func TestConfigureCacheAfterBuild(t *testing.T) {
 	}
 	if x.Stats().CacheEnabled {
 		t.Fatal("cache on after Configure(CacheSize: 0)")
+	}
+}
+
+// TestConcurrentConfigureAgrees: Configure calls racing each other leave
+// Runtime reporting the cache that is installed, not another call's size
+// (the options and the cache are replaced under one lock). Run it under
+// -race too.
+func TestConcurrentConfigureAgrees(t *testing.T) {
+	sets, _ := workload(200, 0.8, 351)
+	x := Build(sets, 0.5, &Options{Shards: 2, Seed: 17})
+	for round := 0; round < 50; round++ {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(size int) {
+				defer wg.Done()
+				if err := x.Configure(RuntimeOptions{CacheSize: size}); err != nil {
+					t.Error(err)
+				}
+			}(g * 8) // one of the four turns the cache off
+		}
+		wg.Wait()
+		installed := 0
+		if c := x.cache.Load(); c != nil {
+			installed = c.max
+		}
+		if got := x.Runtime().CacheSize; got != installed {
+			t.Fatalf("round %d: Runtime().CacheSize = %d, installed cache holds %d", round, got, installed)
+		}
 	}
 }
 

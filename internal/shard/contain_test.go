@@ -78,20 +78,20 @@ func TestQueryContainAgainstBruteForce(t *testing.T) {
 	probes := containProbes(sets, 120)
 	probes = append(probes, containProbes(extra, 20)...)
 
-	for _, part := range []Partition{PartitionContiguous, PartitionHash} {
+	for _, hash := range []bool{false, true} {
 		for _, shards := range []int{1, 4} {
 			x := Build(sets, 0.5, &Options{
-				Shards: shards, Partition: part, Seed: 17, MergeThreshold: 500, Workers: 2,
+				Shards: shards, HashPartition: hash, Seed: 17, MergeThreshold: 500, Workers: 2,
 			})
 			bufferedIDs := x.Add(extra) // stays buffered: threshold not reached
 			if st := x.Stats(); st.Buffered != len(extra) {
-				t.Fatalf("%v/%d: setup buffered %d, want %d", part, shards, st.Buffered, len(extra))
+				t.Fatalf("hash=%v/%d: setup buffered %d, want %d", hash, shards, st.Buffered, len(extra))
 			}
 			all := append(append([][]uint32{}, sets...), extra...)
 			dead := map[int]bool{3: true, 77: true, bufferedIDs[5]: true}
 			for id := range dead {
 				if !x.Delete(id) {
-					t.Fatalf("%v/%d: Delete(%d) found nothing", part, shards, id)
+					t.Fatalf("hash=%v/%d: Delete(%d) found nothing", hash, shards, id)
 				}
 			}
 			buffered := map[int]bool{}
@@ -110,17 +110,17 @@ func TestQueryContainAgainstBruteForce(t *testing.T) {
 					got := mustContain(t, x, q, th)
 					for i, m := range got {
 						if i > 0 && got[i-1].ID >= m.ID {
-							t.Fatalf("%v/%d: probe %d t=%v: ids not strictly ascending: %v",
-								part, shards, pi, th, got)
+							t.Fatalf("hash=%v/%d: probe %d t=%v: ids not strictly ascending: %v",
+								hash, shards, pi, th, got)
 						}
 						if dead[m.ID] {
-							t.Fatalf("%v/%d: probe %d t=%v: deleted id %d returned",
-								part, shards, pi, th, m.ID)
+							t.Fatalf("hash=%v/%d: probe %d t=%v: deleted id %d returned",
+								hash, shards, pi, th, m.ID)
 						}
 						want, ok := inTruth[m.ID]
 						if !ok || want != m.Sim {
-							t.Fatalf("%v/%d: probe %d t=%v: match %+v not in truth (want sim %v, in truth %v)",
-								part, shards, pi, th, m, want, ok)
+							t.Fatalf("hash=%v/%d: probe %d t=%v: match %+v not in truth (want sim %v, in truth %v)",
+								hash, shards, pi, th, m, want, ok)
 						}
 					}
 					returned := make(map[int]bool, len(got))
@@ -132,18 +132,18 @@ func TestQueryContainAgainstBruteForce(t *testing.T) {
 						if returned[m.ID] {
 							hits++
 						} else if buffered[m.ID] {
-							t.Fatalf("%v/%d: probe %d t=%v: buffered id %d missed (buffer scans are exact)",
-								part, shards, pi, th, m.ID)
+							t.Fatalf("hash=%v/%d: probe %d t=%v: buffered id %d missed (buffer scans are exact)",
+								hash, shards, pi, th, m.ID)
 						}
 					}
 				}
 			}
 			if truthPairs == 0 {
-				t.Fatalf("%v/%d: degenerate workload: empty truth", part, shards)
+				t.Fatalf("hash=%v/%d: degenerate workload: empty truth", hash, shards)
 			}
 			if recall := float64(hits) / float64(truthPairs); recall < 0.9 {
-				t.Fatalf("%v/%d: aggregate recall %.3f (%d/%d) below 0.9",
-					part, shards, recall, hits, truthPairs)
+				t.Fatalf("hash=%v/%d: aggregate recall %.3f (%d/%d) below 0.9",
+					hash, shards, recall, hits, truthPairs)
 			}
 		}
 	}
@@ -161,19 +161,19 @@ func TestQueryContainIdenticalAcrossTopologies(t *testing.T) {
 
 	type config struct {
 		shards  int
-		part    Partition
+		hash    bool
 		workers int
 	}
 	configs := []config{
-		{1, PartitionContiguous, 0},
-		{4, PartitionContiguous, 4},
-		{4, PartitionHash, 0},
-		{4, PartitionHash, 4},
+		{1, false, 0},
+		{4, false, 4},
+		{4, true, 0},
+		{4, true, 4},
 	}
 	var ref [][]cpindex.Match
 	for ci, c := range configs {
 		x := Build(sets, 0.5, &Options{
-			Shards: c.shards, Partition: c.part, Seed: 23, MergeThreshold: 500, Workers: c.workers,
+			Shards: c.shards, HashPartition: c.hash, Seed: 23, MergeThreshold: 500, Workers: c.workers,
 		})
 		x.Add(extra)
 		x.Delete(11)
@@ -588,9 +588,9 @@ func TestContainSideIsLazy(t *testing.T) {
 }
 
 // TestConfigureValidationAndPersistence: Configure rejects invalid
-// options, reports the applied state via Runtime, survives a Save/Load
-// cycle, and a manifest smuggling invalid runtime state is rejected as
-// corrupt.
+// options without changing anything, reports the applied state via
+// Runtime, and Save stores none of it: the manifest carries no runtime key,
+// because the serving settings belong to the process, not to the snapshot.
 func TestConfigureValidationAndPersistence(t *testing.T) {
 	sets, _ := workload(200, 0.8, 471)
 	x := Build(sets, 0.5, &Options{Shards: 2, Seed: 13, Workers: 2})
@@ -608,60 +608,24 @@ func TestConfigureValidationAndPersistence(t *testing.T) {
 	if got := x.Runtime(); got != want {
 		t.Fatalf("Runtime() = %+v, want %+v", got, want)
 	}
+	if err := x.Configure(RuntimeOptions{CacheSize: -5}); err == nil {
+		t.Fatal("negative cache size accepted on a configured index")
+	}
+	if got := x.Runtime(); got != want || !x.Stats().CacheEnabled {
+		t.Fatalf("a rejected Configure changed the configured state: %+v", got)
+	}
 
 	dir := t.TempDir()
 	if err := x.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	y, err := Load(dir, 2)
+	mraw, err := os.ReadFile(filepath.Join(dir, snapshot.ManifestFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := y.Runtime(); got != want {
-		t.Fatalf("Runtime() after reload = %+v, want %+v", got, want)
-	}
-	// The restored configuration changes no answer.
-	probes := containProbes(sets, 20)
-	for pi, q := range probes {
-		id1, s1, ok1 := mustQuery(t, x, q)
-		id2, s2, ok2 := mustQuery(t, y, q)
-		if id1 != id2 || s1 != s2 || ok1 != ok2 {
-			t.Fatalf("probe %d: similarity answer changed across configured reload", pi)
+	for _, key := range []string{"runtime", "cache_size", "auto_compact"} {
+		if strings.Contains(string(mraw), `"`+key+`"`) {
+			t.Errorf("manifest of a configured index carries %q", key)
 		}
-	}
-
-	// Back to defaults: a zero runtime is not persisted, and a reload
-	// starts on the defaults again.
-	if err := y.Configure(RuntimeOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	dir2 := t.TempDir()
-	if err := y.Save(dir2); err != nil {
-		t.Fatal(err)
-	}
-	z, err := Load(dir2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := z.Runtime(); got != (RuntimeOptions{}) {
-		t.Fatalf("Runtime() after default reload = %+v, want zero", got)
-	}
-
-	// A manifest with invalid runtime state must fail Load as corrupt, not
-	// half-apply it.
-	mpath := filepath.Join(dir, snapshot.ManifestFile)
-	mraw, err := os.ReadFile(mpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	patched := strings.Replace(string(mraw), `"cache_size": 32`, `"cache_size": -5`, 1)
-	if patched == string(mraw) {
-		t.Fatalf("manifest carries no cache_size marker:\n%s", mraw)
-	}
-	if err := os.WriteFile(mpath, []byte(patched), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(dir, 2); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Fatalf("Load with invalid runtime state: %v, want ErrCorrupt", err)
 	}
 }

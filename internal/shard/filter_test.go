@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 
@@ -61,10 +60,10 @@ func TestFilteringRingDeterministic(t *testing.T) {
 		queries = append(queries, sets[p[0]], sets[p[1]])
 	}
 
-	for _, part := range []Partition{PartitionContiguous, PartitionHash} {
-		t.Run(fmt.Sprint(part), func(t *testing.T) {
+	for _, hash := range []bool{false, true} {
+		t.Run((&Options{HashPartition: hash}).partitionName(), func(t *testing.T) {
 			build := func(workers int) *Index {
-				return Build(sets, 0.5, &Options{Shards: 3, Partition: part, Seed: 33, Workers: workers})
+				return Build(sets, 0.5, &Options{Shards: 3, HashPartition: hash, Seed: 33, Workers: workers})
 			}
 			base := build(0)
 			if st := base.Stats(); slices.Min(st.ShardSizes) <= 32 {

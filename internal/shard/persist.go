@@ -88,7 +88,7 @@ func (x *Index) Save(dir string) error {
 	m := &snapshot.Manifest{
 		FormatVersion:   snapshot.Version,
 		Lambda:          x.lambda,
-		Partition:       x.opt.Partition.String(),
+		Partition:       x.opt.partitionName(),
 		PrimaryShards:   x.opt.Shards,
 		MergeThreshold:  x.opt.MergeThreshold,
 		Trees:           x.opt.Trees,
@@ -104,12 +104,6 @@ func (x *Index) Save(dir string) error {
 		CompactedShards: x.compactedShards,
 		RingGeneration:  x.generation,
 		Side:            side,
-	}
-	if rt := x.runtime; rt != (RuntimeOptions{}) {
-		m.Runtime = &snapshot.RuntimeState{
-			AutoCompact: rt.AutoCompact,
-			CacheSize:   rt.CacheSize,
-		}
 	}
 	x.mu.RUnlock()
 
@@ -228,9 +222,11 @@ type LoadOptions struct {
 // parallel tasks on the execution layer with the given worker count (0 =
 // sequential, negative = GOMAXPROCS), which also becomes the loaded index's
 // Workers option for future seals and batch queries; everything else —
-// options, counters, side shard, deleted set, runtime options — comes from
-// the manifest. A corrupt or truncated snapshot returns a descriptive error
-// wrapping snapshot.ErrCorrupt (or ErrVersion), never a panic; what loads
+// options, counters, side shard, deleted set — comes from the manifest.
+// The loaded index starts with zero RuntimeOptions (no cache, no
+// auto-compaction): the process that opens it sets them with Configure. A
+// corrupt or truncated snapshot returns a descriptive error wrapping
+// snapshot.ErrCorrupt (or ErrVersion), never a panic; what loads
 // cannot fail a query later, in either tier.
 func Load(dir string, workers int) (*Index, error) {
 	return LoadWithOptions(dir, LoadOptions{Workers: workers})
@@ -247,13 +243,8 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	var part Partition
-	switch m.Partition {
-	case PartitionContiguous.String():
-		part = PartitionContiguous
-	case PartitionHash.String():
-		part = PartitionHash
-	default:
+	hash := m.Partition == "hash"
+	if !hash && m.Partition != "contiguous" {
 		return nil, fmt.Errorf("%s: %w: unknown partition scheme %q",
 			dir, snapshot.ErrCorrupt, m.Partition)
 	}
@@ -267,7 +258,7 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 
 	opt := (&Options{
 		Shards:         m.PrimaryShards,
-		Partition:      part,
+		HashPartition:  hash,
 		MergeThreshold: m.MergeThreshold,
 		Trees:          m.Trees,
 		LeafSize:       m.LeafSize,
@@ -367,14 +358,6 @@ func LoadWithOptions(dir string, lo LoadOptions) (*Index, error) {
 	x.live = len(x.side.ids) - tombs
 	for _, sh := range x.shards {
 		x.live += len(sh.ids)
-	}
-	// Re-apply the runtime configuration the index was saved with, so a
-	// restart restores tuning (cache, auto-compaction) and not just data.
-	// Absent when everything was at its default.
-	if rt := m.Runtime; rt != nil {
-		if err := x.Configure(RuntimeOptions{AutoCompact: rt.AutoCompact, CacheSize: rt.CacheSize}); err != nil {
-			return nil, fmt.Errorf("%s: %w: saved runtime options: %v", dir, snapshot.ErrCorrupt, err)
-		}
 	}
 	return x, nil
 }

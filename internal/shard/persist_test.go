@@ -24,44 +24,44 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	extra, _ := workload(70, 0.8, 303) // 150 sets: workload plants extra pairs
 	queries := append(append([][]uint32{}, sets[:150]...), extra...)
 
-	for _, part := range []Partition{PartitionContiguous, PartitionHash} {
+	for _, hash := range []bool{false, true} {
 		for _, shards := range []int{1, 3, 5} {
 			x := Build(sets, 0.5, &Options{
-				Shards: shards, Partition: part, Seed: 7, MergeThreshold: 100, Workers: 4,
+				Shards: shards, HashPartition: hash, Seed: 7, MergeThreshold: 100, Workers: 4,
 			})
 			// First Add seals into a new shard; second stays buffered, so
 			// the save covers sealed appends AND live side-shard state.
 			x.Add(extra[:100])
 			x.Add(extra[100:])
 			if st := x.Stats(); st.Merges != 1 || st.Buffered != len(extra)-100 {
-				t.Fatalf("%v/%d: setup produced %+v", part, shards, st)
+				t.Fatalf("hash=%v/%d: setup produced %+v", hash, shards, st)
 			}
 
 			dir := t.TempDir()
 			if err := x.Save(dir); err != nil {
-				t.Fatalf("%v/%d: Save: %v", part, shards, err)
+				t.Fatalf("hash=%v/%d: Save: %v", hash, shards, err)
 			}
 			want := x.QueryBatchErr(queries)
 
 			for _, workers := range []int{0, 1, 4, 8} {
 				y, err := Load(dir, workers)
 				if err != nil {
-					t.Fatalf("%v/%d/w=%d: Load: %v", part, shards, workers, err)
+					t.Fatalf("hash=%v/%d/w=%d: Load: %v", hash, shards, workers, err)
 				}
 				if y.Len() != x.Len() {
-					t.Fatalf("%v/%d/w=%d: Len %d != %d", part, shards, workers, y.Len(), x.Len())
+					t.Fatalf("hash=%v/%d/w=%d: Len %d != %d", hash, shards, workers, y.Len(), x.Len())
 				}
 				got := y.QueryBatchErr(queries)
 				for i := range got {
 					if !equalMatches(t, got[i], want[i]) {
-						t.Fatalf("%v/%d/w=%d: query %d differs after reload", part, shards, workers, i)
+						t.Fatalf("hash=%v/%d/w=%d: query %d differs after reload", hash, shards, workers, i)
 					}
 				}
 				for _, q := range queries[:40] {
 					id1, sim1, ok1 := mustQuery(t, x, q)
 					id2, sim2, ok2 := mustQuery(t, y, q)
 					if id1 != id2 || sim1 != sim2 || ok1 != ok2 {
-						t.Fatalf("%v/%d/w=%d: Query differs after reload", part, shards, workers)
+						t.Fatalf("hash=%v/%d/w=%d: Query differs after reload", hash, shards, workers)
 					}
 				}
 			}
@@ -349,9 +349,11 @@ func TestLoadCorruptionRejected(t *testing.T) {
 // TestLoadIgnoresRetiredManifestKeys: a directory saved by an earlier build
 // may carry manifest keys this one no longer writes — the three compaction
 // knobs, the shipped-shard record of a ring that was placed on peers, and
-// the tier the ring was saved under, "auto" included. They are ignored: the
-// directory loads hot with no explicit tier and cold with TierCold, answers
-// as the index that was saved either way, and a re-save drops them.
+// the serving settings it was saved with: the tier ("auto" included), the
+// cache size and auto-compaction. They are ignored: the directory loads hot
+// with no explicit tier and cold with TierCold, with zero RuntimeOptions and
+// no cache, answers as the index that was saved either way, and a re-save
+// drops them.
 func TestLoadIgnoresRetiredManifestKeys(t *testing.T) {
 	sets, _ := workload(300, 0.8, 343)
 	x := Build(sets, 0.5, &Options{Shards: 2, Seed: 41, MergeThreshold: 40, Workers: 2})
@@ -378,7 +380,7 @@ func TestLoadIgnoresRetiredManifestKeys(t *testing.T) {
 	}
 	want := x.QueryBatchErr(sets[:60])
 	for _, saved := range []string{"cold", "auto"} {
-		m["runtime"] = map[string]any{"tiering": saved}
+		m["runtime"] = map[string]any{"tiering": saved, "cache_size": 64, "auto_compact": true}
 		if raw, err = json.Marshal(m); err != nil {
 			t.Fatal(err)
 		}
@@ -397,6 +399,9 @@ func TestLoadIgnoresRetiredManifestKeys(t *testing.T) {
 			if st := y.Stats(); st.ColdShards != wantCold {
 				t.Fatalf("saved tier %q, load tier %q: %d cold shards, want %d", saved, tier, st.ColdShards, wantCold)
 			}
+			if rt, st := y.Runtime(), y.Stats(); rt != (RuntimeOptions{}) || st.CacheEnabled {
+				t.Fatalf("saved tier %q, load tier %q: the saved runtime block was applied: %+v, cache enabled %v", saved, tier, rt, st.CacheEnabled)
+			}
 			got := y.QueryBatchErr(sets[:60])
 			for i := range want {
 				if !equalMatches(t, got[i], want[i]) {
@@ -411,7 +416,7 @@ func TestLoadIgnoresRetiredManifestKeys(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, key := range []string{"compact_small", "compact_min_shards", "compact_tombstone_ratio", "placement", "runtime", "tiering"} {
+			for _, key := range []string{"compact_small", "compact_min_shards", "compact_tombstone_ratio", "placement", "runtime", "tiering", "cache_size", "auto_compact"} {
 				if strings.Contains(string(resaved), `"`+key+`"`) {
 					t.Errorf("re-saved manifest still carries %q", key)
 				}

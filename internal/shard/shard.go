@@ -37,29 +37,6 @@ import (
 	"repro/internal/tabhash"
 )
 
-// Partition selects how Build assigns sets to shards.
-type Partition int
-
-const (
-	// PartitionContiguous splits the id range [0, n) into Shards nearly
-	// equal contiguous ranges — cache-friendly and offset-addressable.
-	PartitionContiguous Partition = iota
-	// PartitionHash assigns each id by a seeded hash — spreads clustered
-	// input (e.g. sorted-by-size collections) evenly across shards.
-	PartitionHash
-)
-
-func (p Partition) String() string {
-	switch p {
-	case PartitionContiguous:
-		return "contiguous"
-	case PartitionHash:
-		return "hash"
-	default:
-		return fmt.Sprintf("partition(%d)", int(p))
-	}
-}
-
 // Options configures a sharded index. The cpindex knobs (Trees, LeafSize,
 // T) apply to every shard.
 type Options struct {
@@ -67,8 +44,11 @@ type Options struct {
 	// raised to 1; values above the set count are clamped down so no shard
 	// starts empty).
 	Shards int
-	// Partition selects the id-to-shard assignment (default contiguous).
-	Partition Partition
+	// HashPartition assigns each id to a shard by a seeded hash, spreading
+	// clustered input (e.g. sorted-by-size collections) evenly across the
+	// shards, instead of the default: Shards nearly equal contiguous id
+	// ranges, cache-friendly and offset-addressable.
+	HashPartition bool
 	// MergeThreshold is the side-shard size at which buffered appends are
 	// sealed into the ring as a full shard (default 1024).
 	MergeThreshold int
@@ -84,11 +64,14 @@ type Options struct {
 	// execution layer: 0 runs sequentially, negative selects GOMAXPROCS.
 	// Results are identical for any worker count.
 	Workers int
-	// CacheSize enables the hot-query result cache with room for that
-	// many entries (0, the default, disables it). Entries are keyed on
-	// the index version, which every mutation bumps, so a cached answer
-	// is always the answer the uncached path would give; see resultCache.
-	CacheSize int
+}
+
+// partitionName is the partition scheme's name in a manifest and in Stats.
+func (o *Options) partitionName() string {
+	if o.HashPartition {
+		return "hash"
+	}
+	return "contiguous"
 }
 
 func (o *Options) withDefaults() Options {
@@ -250,9 +233,9 @@ type Index struct {
 	// shards they removed or rewrote.
 	compactions     int
 	compactedShards int
-	// runtime holds the operational knobs currently applied (cache,
-	// auto-compaction). Save persists it so Load can re-apply the configured
-	// state. Guarded by mu.
+	// runtime holds the operational knobs Configure last applied (cache,
+	// auto-compaction); zero until then. Guarded by mu, which Configure
+	// also holds while it installs the cache.
 	runtime RuntimeOptions
 
 	// metrics is the index's instrumentation hub (latency histograms,
@@ -292,13 +275,12 @@ func Build(sets [][]uint32, lambda float64, o *Options) *Index {
 
 	// Assign global ids to shards.
 	members := make([][]int, opt.Shards)
-	switch opt.Partition {
-	case PartitionHash:
+	if opt.HashPartition {
 		for id := range sets {
 			s := int(tabhash.Mix64(opt.Seed^uint64(id)) % uint64(opt.Shards))
 			members[s] = append(members[s], id)
 		}
-	default:
+	} else {
 		for s, r := range ContiguousRanges(len(sets), opt.Shards) {
 			ids := make([]int, 0, r[1]-r[0])
 			for id := r[0]; id < r[1]; id++ {
@@ -329,10 +311,6 @@ func Build(sets [][]uint32, lambda float64, o *Options) *Index {
 		}
 	}
 	exec.Run(workers, tasks...)
-	if opt.CacheSize > 0 {
-		x.cache.Store(newResultCache(opt.CacheSize))
-		x.runtime.CacheSize = opt.CacheSize
-	}
 	return x
 }
 
@@ -354,37 +332,41 @@ func (x *Index) buildShard(sets [][]uint32, ids []int, slot, workers int) *local
 
 // RuntimeOptions are the operational knobs adjustable on a built or
 // loaded index without rebuilding anything — as opposed to the
-// build-time parameters in Options. Configure applies the whole set
-// atomically; Save persists it and Load re-applies it, so a restarted
-// service keeps its configured state.
+// build-time parameters in Options. Configure is the one place they are
+// set: Build and Load start every index with none, and Save does not
+// store them, because they belong to the process serving the index, not to
+// its data.
 type RuntimeOptions struct {
 	// AutoCompact runs Compact in a background goroutine after every seal,
 	// so a long-running service reclaims small shards and tombstones
-	// without operator intervention. Queries are never blocked either way;
-	// Options carries the policy knobs.
+	// without operator intervention. Queries are never blocked either way.
 	AutoCompact bool
 	// CacheSize installs the hot-query result cache with room for that
-	// many entries; 0 removes it. Negative values are rejected.
+	// many entries; 0 removes it. Negative values are rejected. Entries are
+	// keyed on the index version, which every mutation bumps, so a cached
+	// answer is always the answer the uncached path would give; see
+	// resultCache.
 	CacheSize int
 }
 
-// Configure applies the runtime options in one validated call and
-// remembers them as the index's configured state, which Save persists and
-// Load re-applies. It fails only on invalid options, before changing
-// anything. Safe on a serving index: queries pick a new cache up
-// atomically — entries are version-keyed, so there is no warm-up hazard.
+// Configure applies the runtime options in one validated call. It fails
+// only on invalid options, before changing anything. Safe on a serving
+// index: queries pick a new cache up atomically — entries are
+// version-keyed, so there is no warm-up hazard — and the options and the
+// cache are replaced under one lock, so concurrent calls leave Runtime
+// reporting the cache that is installed.
 func (x *Index) Configure(ro RuntimeOptions) error {
 	if ro.CacheSize < 0 {
 		return fmt.Errorf("shard: cache size %d must be >= 0", ro.CacheSize)
 	}
-	x.mu.Lock()
-	x.runtime = ro
-	x.mu.Unlock()
+	var c *resultCache
 	if ro.CacheSize > 0 {
-		x.cache.Store(newResultCache(ro.CacheSize))
-	} else {
-		x.cache.Store(nil)
+		c = newResultCache(ro.CacheSize)
 	}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.runtime = ro
+	x.cache.Store(c)
 	return nil
 }
 

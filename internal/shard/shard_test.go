@@ -185,7 +185,7 @@ func checkBestIsAllsTop(t *testing.T, x *Index, queries [][]uint32, th float64) 
 
 func TestHashPartitionCoversAllIDs(t *testing.T) {
 	sets, _ := workload(800, 0.8, 107)
-	x := Build(sets, 0.7, &Options{Shards: 5, Partition: PartitionHash, Seed: 17})
+	x := Build(sets, 0.7, &Options{Shards: 5, HashPartition: true, Seed: 17})
 	st := x.Stats()
 	if st.Shards != 5 {
 		t.Fatalf("got %d shards, want 5", st.Shards)

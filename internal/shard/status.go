@@ -69,7 +69,7 @@ func (x *Index) Stats() Stats {
 		CompactedShards: x.compactedShards,
 		Reclaimed:       x.reclaimed,
 		Generation:      x.generation,
-		Partition:       x.opt.Partition.String(),
+		Partition:       x.opt.partitionName(),
 		Workers:         x.opt.Workers,
 	}
 	if c := x.cache.Load(); c != nil {

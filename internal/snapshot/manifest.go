@@ -66,20 +66,6 @@ type Manifest struct {
 	// bitmap bounds the cost by ids ever assigned (Total/8 bytes) instead of
 	// by lifetime delete volume. A load checks that none is held.
 	DroppedBitmap []byte `json:"dropped_bitmap,omitempty"`
-	// Runtime carries the runtime options applied to the index via
-	// Configure, so a Load re-applies them instead of callers having to
-	// remember to. Absent when every option is at its default.
-	Runtime *RuntimeState `json:"runtime,omitempty"`
-}
-
-// RuntimeState is the persisted form of the index's runtime options
-// (cache, auto-compaction): operational knobs rather than build-time
-// parameters, but part of the service's identity across a restart all the
-// same. The storage tier is not one of them: it is chosen by whoever opens
-// the directory.
-type RuntimeState struct {
-	AutoCompact bool `json:"auto_compact,omitempty"`
-	CacheSize   int  `json:"cache_size,omitempty"`
 }
 
 // DroppedIDs decodes the dropped half of the deleted set (nil when empty).
@@ -131,7 +117,9 @@ func ReadManifest(dir string) (*Manifest, error) {
 // does not declare are ignored, so a directory written by an earlier build
 // still loads: its compaction knobs (compact_small, compact_min_shards,
 // compact_tombstone_ratio), its shipped-shard record (placement) and the
-// tier it was saved under (runtime.tiering) are skipped.
+// serving settings it was saved with (runtime: tiering, cache_size,
+// auto_compact) are skipped. A snapshot holds data; the process that opens
+// it chooses how to serve it.
 func decodeManifest(path string, data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {

@@ -461,6 +461,27 @@ func TestSetsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestValidateSets: the check a set list arriving outside a sets section
+// gets (a manifest's side shard, a generated dataset): every set non-empty
+// and strictly increasing, the first violation named.
+func TestValidateSets(t *testing.T) {
+	if err := ValidateSets([][]uint32{{1, 2}, {3}}); err != nil {
+		t.Errorf("valid sets rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		sets [][]uint32
+		want string
+	}{
+		{[][]uint32{{1}, {}}, "set 1 is empty"},
+		{[][]uint32{{2, 1}}, "set 0 not strictly increasing"},
+		{[][]uint32{{1, 2}, {1, 1}}, "set 1 not strictly increasing"},
+	} {
+		if err := ValidateSets(tc.sets); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ValidateSets(%v) = %v, want ErrCorrupt mentioning %q", tc.sets, err, tc.want)
+		}
+	}
+}
+
 // TestReadSetsGuards: one crafted payload per guard of the one sets reader.
 func TestReadSetsGuards(t *testing.T) {
 	payload := func(sizes []uint64, pad []byte, tokens ...uint32) []byte {

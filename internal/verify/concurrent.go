@@ -99,8 +99,14 @@ func (r *ResultSet) Pairs() []Pair {
 		}
 		s.mu.Unlock()
 	}
-	slices.SortFunc(out, func(a, b Pair) int { return cmp.Compare(a.Key(), b.Key()) })
+	SortPairs(out)
 	return out
+}
+
+// SortPairs sorts pairs by A, then B: the one order every join returns its
+// pairs in, whatever the worker count or the order they were found in.
+func SortPairs(pairs []Pair) {
+	slices.SortFunc(pairs, func(a, b Pair) int { return cmp.Compare(a.Key(), b.Key()) })
 }
 
 // RecallTracker gives the workers of a parallel join a shared atomic view

@@ -227,8 +227,9 @@ func modelOps() int {
 // The cache dimension rides the grid: configurations alternate, two with
 // the versioned result cache off and two with it on, so both face the
 // same op sequences. The cache is deliberately small (it evicts
-// constantly), and every save/load cycle also checks that re-applying
-// the runtime configuration to a freshly loaded index changes no answer.
+// constantly). A snapshot stores no runtime configuration, so every
+// save/load cycle re-applies it to the freshly loaded index, and answers
+// must not change.
 //
 // The storage-tier dimension crosses the whole grid with the hot and the
 // cold tier. A shard keeps the tier it was opened in, so a cold cell saves
@@ -289,13 +290,11 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 				LeafSize:       1 << 20, // exact mode: every tree is one scanned leaf
 				Seed:           uint64(seed),
 				Workers:        cfg.workers,
-				CacheSize:      cacheSize,
 			})
 
-			// The cache goes through the consolidated runtime configuration,
-			// which Save persists and Load re-applies — so the explicit
-			// re-apply after each round trip is also checking that Configure
-			// is idempotent on an already-restored index.
+			// The cache goes through the runtime configuration, which a
+			// snapshot does not store: every restore below starts without
+			// a cache and re-applies it, as a restarted service does.
 			reconfigure := func(ix *ShardedIndex) {
 				if err := ix.Configure(RuntimeOptions{CacheSize: cacheSize}); err != nil {
 					t.Fatalf("Configure: %v", err)
@@ -313,6 +312,7 @@ func TestShardedIndexMatchesModel(t *testing.T) {
 				if ix, err = reload(); err != nil {
 					t.Fatalf("cold restore of the build: %v", err)
 				}
+				reconfigure(ix)
 				if st := ix.Stats(); st.HotShards != 0 || st.ColdShards == 0 {
 					t.Fatalf("cold restore of the build: %d hot / %d cold shards", st.HotShards, st.ColdShards)
 				}

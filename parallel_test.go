@@ -86,11 +86,12 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestSameSeedSameOrder: the approximate joins return their pairs in one
-// order, not only one set — two runs at one seed, on one worker or several,
-// return slices.Equal results, sorted by A then B (the result set's map
-// order used to leak into the output). CPSJoinRS shifts B after sorting,
-// which keeps the order.
+// TestSameSeedSameOrder: every join returns its pairs in one order, not
+// only one set — two runs at one seed, on one worker or several, return
+// slices.Equal results, sorted by A then B (the result set's map order used
+// to leak into the approximate joins' output, and the exact joins returned
+// their workers' pairs in scheduling order). CPSJoinRS shifts B after
+// sorting, which keeps the order.
 func TestSameSeedSameOrder(t *testing.T) {
 	sets := parallelWorkload(600, 78)
 	r, s := sets[:300], sets[300:]
@@ -102,6 +103,9 @@ func TestSameSeedSameOrder(t *testing.T) {
 		{"CPSJoinRS", func(o *Options) ([]Pair, Stats) { return CPSJoinRS(r, s, 0.5, o) }},
 		{"MinHashJoin", func(o *Options) ([]Pair, Stats) { return MinHashJoin(sets, 0.5, o) }},
 		{"BayesLSHJoin", func(o *Options) ([]Pair, Stats) { return BayesLSHJoin(sets, 0.5, o) }},
+		{"AllPairs", func(o *Options) ([]Pair, Stats) { return AllPairs(sets, 0.5, o) }},
+		{"PPJoin", func(o *Options) ([]Pair, Stats) { return PPJoin(sets, 0.5, o) }},
+		{"AllPairsRS", func(o *Options) ([]Pair, Stats) { return AllPairsRS(r, s, 0.5, o) }},
 	} {
 		t.Run(alg.name, func(t *testing.T) {
 			ref, _ := alg.run(&Options{Seed: 5, Workers: 1})

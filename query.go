@@ -55,9 +55,10 @@ func (s *ShardedIndex) Search(q Query) (Result, error) {
 	return res, err
 }
 
-// RuntimeOptions is the consolidated post-construction configuration of
-// a ShardedIndex: everything that tunes a built or loaded index without
-// changing its answers. See ShardedIndex.Configure.
+// RuntimeOptions is the post-construction configuration of a
+// ShardedIndex: the result cache and auto-compaction, which tune a built or
+// loaded index without changing its answers. ShardedIndex.Configure is the
+// only place they are set.
 type RuntimeOptions = shard.RuntimeOptions
 
 // Tier names a shard storage tier for LoadOptions.Tiering: TierHot keeps
@@ -76,9 +77,9 @@ const (
 )
 
 // Configure applies the runtime configuration in one validated call. It
-// is idempotent, fails only on invalid options (changing nothing), and the
-// applied state is saved with the index and re-applied automatically by
-// LoadShardedIndex.
+// is idempotent and fails only on invalid options (changing nothing). The
+// configuration belongs to this process: Save does not store it, and a
+// loaded index starts with none.
 func (s *ShardedIndex) Configure(ro RuntimeOptions) error {
 	return s.ix.Configure(ro)
 }

@@ -6,38 +6,13 @@ import (
 	"repro/internal/shard"
 )
 
-// ShardedOptions configures a ShardedIndex.
-type ShardedOptions struct {
-	// Shards is the number of primary shards the collection is partitioned
-	// into (default 4). Each shard is an independent Chosen Path index.
-	Shards int
-	// HashPartition assigns sets to shards by a seeded id hash instead of
-	// contiguous ranges — use it when the input order is correlated with
-	// set structure (e.g. sorted by size) and shards should stay balanced.
-	HashPartition bool
-	// MergeThreshold is the buffered-append count at which Add seals the
-	// side shard into the ring as a full shard (default 1024).
-	MergeThreshold int
-	// Trees, LeafSize, T, Seed are the per-shard index parameters, as in
-	// SearchOptions (recall is per shard, so it does not depend on the
-	// shard count); shard k is built with seed shard.SeedFor(Seed, k).
-	Trees    int
-	LeafSize int
-	T        int
-	Seed     uint64
-	// Workers parallelizes construction, sealing and QueryBatch on the
-	// shared execution layer: 0 sequential, negative GOMAXPROCS. Results
-	// are identical for any worker count.
-	Workers int
-	// AutoCompact runs Compact in the background after every seal, so a
-	// long-lived index reclaims small shards and tombstones on its own.
-	AutoCompact bool
-	// CacheSize enables the hot-query result cache with room for that
-	// many entries (0 disables it). Cached answers are keyed on an
-	// internal version bumped by every mutation, so they are always
-	// identical to what the uncached path would return.
-	CacheSize int
-}
+// ShardedOptions are a ShardedIndex's build parameters: the shard count,
+// HashPartition (a seeded id hash instead of contiguous ranges, for input
+// whose order follows set structure), MergeThreshold, the per-shard Trees,
+// LeafSize, T and Seed of SearchOptions (shard k is built with seed
+// shard.SeedFor(Seed, k)), and Workers. The result cache and
+// auto-compaction are not build parameters: set them with Configure.
+type ShardedOptions = shard.Options
 
 // ShardedIndex is a similarity search index partitioned into independently
 // built shards — the serving-scale counterpart of SearchIndex. Queries fan
@@ -52,29 +27,7 @@ type ShardedIndex struct {
 // NewShardedIndex builds a sharded search index over the collection for
 // similarity threshold lambda. The collection is referenced, not copied.
 func NewShardedIndex(sets [][]uint32, lambda float64, opts *ShardedOptions) *ShardedIndex {
-	var o *shard.Options
-	if opts != nil {
-		o = &shard.Options{
-			Shards:         opts.Shards,
-			MergeThreshold: opts.MergeThreshold,
-			Trees:          opts.Trees,
-			LeafSize:       opts.LeafSize,
-			T:              opts.T,
-			Seed:           opts.Seed,
-			Workers:        opts.Workers,
-			CacheSize:      opts.CacheSize,
-		}
-		if opts.HashPartition {
-			o.Partition = shard.PartitionHash
-		}
-	}
-	ix := shard.Build(sets, lambda, o)
-	if opts != nil && opts.AutoCompact {
-		rt := ix.Runtime()
-		rt.AutoCompact = true
-		ix.Configure(rt) // cannot fail: the state Build installed plus one flag
-	}
-	return &ShardedIndex{ix: ix}
+	return &ShardedIndex{ix: shard.Build(sets, lambda, opts)}
 }
 
 // QueryBatch answers many normalized queries at once as parallel tasks
@@ -152,7 +105,8 @@ func (s *ShardedIndex) Save(dir string) error {
 
 // LoadShardedIndex reopens an index saved by Save in the hot tier, loading
 // shard files as parallel tasks with the given worker count (which also becomes the
-// loaded index's Workers option). The loaded index answers Search and
+// loaded index's Workers option). It starts with zero RuntimeOptions, since a
+// snapshot stores no serving settings. The loaded index answers Search and
 // QueryBatch identically to the one that was saved, and Add continues
 // assigning ids from where it left off. Every shard file is validated here:
 // corrupt, truncated or wrong-version snapshots yield descriptive errors,
