@@ -228,8 +228,11 @@ ledger:
 # requires the numbers, distinct keys and counts of a map's first-appearance
 # numbering. FuzzSplit splits arbitrary columns, sorted (the runs path) or
 # not, twice on one Splitter behind a dst prefix, and requires a map's
-# groups in order of first appearance. CI runs this on every PR; crashers
-# land in testdata/fuzz/ for replay.
+# groups in order of first appearance. FuzzParse parses arbitrary bytes as
+# a one-set-per-line input and requires the sets, or the ErrBadToken error
+# and its line, of the bufio.Scanner + strconv parser the arena parse
+# replaced, and a Write/Parse round trip of whatever it accepts. CI runs
+# this on every PR; crashers land in testdata/fuzz/ for replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzContainer$$' -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/snapshot
@@ -241,6 +244,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFold$$' -fuzztime $(FUZZTIME) ./internal/tabhash
 	$(GO) test -run '^$$' -fuzz '^FuzzGroup$$' -fuzztime $(FUZZTIME) ./internal/group
 	$(GO) test -run '^$$' -fuzz '^FuzzSplit$$' -fuzztime $(FUZZTIME) ./internal/chosenpath
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/dataset
 
 clean:
 	rm -rf .bench_build/

@@ -5,6 +5,12 @@
 // written one pair per line as "i j similarity" using 0-based line indices
 // of the (cleaned) input.
 //
+// With -save-index the index is built once from the input, and the save
+// runs on its own goroutine beside the join, which reads the same index.
+// The run waits for the save before it creates the pair file: a failed
+// save fails the run (exit 1, "saving index") and no pairs are written.
+// The saved file is the same as a save before the join would write.
+//
 // Usage:
 //
 //	ssjoin -input sets.txt -threshold 0.5 [-algorithm cpsjoin] [-seed 42]
@@ -18,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strconv"
 
 	ssjoin "repro"
 )
@@ -76,23 +83,8 @@ func main() {
 			}
 		}
 	}
-	if *saveIndex != "" {
-		if ix == nil {
-			ix = ssjoin.NewIndex(sets, opts0)
-		}
-		if err := ix.Save(*saveIndex); err != nil {
-			fatalf("saving index: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "ssjoin: index saved to %s\n", *saveIndex)
-	}
-
 	opts := &ssjoin.Options{Seed: *seed, Repetitions: *reps, TargetRecall: *recall, Workers: *workers}
-
-	var (
-		pairs []ssjoin.Pair
-		stats ssjoin.Stats
-		sets2 [][]uint32
-	)
+	var sets2 [][]uint32
 	if *input2 != "" {
 		sets2, err = ssjoin.LoadSets(*input2)
 		if err != nil {
@@ -101,24 +93,48 @@ func main() {
 		if !*noClean {
 			sets2 = ssjoin.CleanSets(sets2)
 		}
+	}
+
+	// The save only reads the index, as the join does, so it runs beside
+	// the join; its result is awaited before the pair file is created.
+	var saved chan error
+	if *saveIndex != "" {
+		if ix == nil {
+			ix = ssjoin.NewIndex(sets, opts0)
+		}
+		saved = make(chan error, 1)
+		go func() { saved <- ix.Save(*saveIndex) }()
+	}
+
+	var (
+		pairs []ssjoin.Pair
+		stats ssjoin.Stats
+	)
+	if *input2 != "" {
 		switch *algorithm {
 		case "cpsjoin":
 			pairs, stats = ssjoin.CPSJoinRS(sets, sets2, *threshold, opts)
 		case "allpairs":
 			pairs, stats = ssjoin.AllPairsRS(sets, sets2, *threshold, opts)
 		default:
-			fatalf("R-S joins support cpsjoin and allpairs, not %q", *algorithm)
+			err = fmt.Errorf("ssjoin: R-S joins support cpsjoin and allpairs, not %q", *algorithm)
 		}
 	} else if join := indexed[ssjoin.Algorithm(*algorithm)]; ix != nil && join != nil {
 		// Reuse the loaded/saved preprocessing.
 		pairs, stats = join(ix, *threshold, opts)
 	} else {
 		pairs, stats, err = ssjoin.Join(sets, *threshold, ssjoin.Algorithm(*algorithm), opts)
-		if err != nil {
-			// The library's error already names the package.
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	}
+	if saved != nil {
+		if err := <-saved; err != nil {
+			fatalf("saving index: %v", err)
 		}
+		fmt.Fprintf(os.Stderr, "ssjoin: index saved to %s\n", *saveIndex)
+	}
+	if err != nil {
+		// The error already names the program, as ssjoin's own errors do.
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	out := os.Stdout
@@ -128,13 +144,15 @@ func main() {
 			fatalf("%v", err)
 		}
 	}
-	w := bufio.NewWriter(out)
+	w := bufio.NewWriterSize(out, 64<<10)
+	var line []byte
 	for _, p := range pairs {
 		b := sets[p.B]
 		if sets2 != nil {
 			b = sets2[p.B]
 		}
-		fmt.Fprintf(w, "%d %d %.4f\n", p.A, p.B, ssjoin.Jaccard(sets[p.A], b))
+		line = appendPair(line[:0], p.A, p.B, ssjoin.Jaccard(sets[p.A], b))
+		w.Write(line) // a failed write sticks in w; Flush reports it
 	}
 	// Some file systems report a failed write only at close, so a pair file
 	// is complete only once Close has succeeded too.
@@ -149,6 +167,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ssjoin: %d pairs, %d pre-candidates, %d candidates verified\n",
 			stats.Results, stats.PreCandidates, stats.Candidates)
 	}
+}
+
+// appendPair appends one line of the pair file, "a b similarity" with the
+// similarity to four decimals: fmt's "%d %d %.4f\n" without fmt.
+func appendPair(dst []byte, a, b int, sim float64) []byte {
+	dst = strconv.AppendInt(dst, int64(a), 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(b), 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendFloat(dst, sim, 'f', 4, 64)
+	return append(dst, '\n')
 }
 
 // indexed lists the joins that run over a preprocessed index.

@@ -1,11 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -89,9 +90,10 @@ func TestUnknownAlgorithmMessage(t *testing.T) {
 	}
 }
 
-// sortedPairs runs ssjoin with -output and returns the pair file's lines in
-// canonical order (workers emit pairs in the order they find them).
-func sortedPairs(t *testing.T, args ...string) string {
+// pairFile runs ssjoin with -output and returns the pair file. Every join
+// returns its pairs sorted by A, then B, so files are compared byte for
+// byte.
+func pairFile(t *testing.T, args ...string) string {
 	t.Helper()
 	out := filepath.Join(t.TempDir(), "pairs.txt")
 	if msg, err := ssjoinCmd(t, append(args, "-output", out)...).CombinedOutput(); err != nil {
@@ -101,15 +103,13 @@ func sortedPairs(t *testing.T, args ...string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSuffix(string(got), "\n"), "\n")
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
+	return string(got)
 }
 
-// TestLoadIndexMatchesInput: a run over a saved index writes the pair set
-// of the run that read the sets and built it — for every join that
-// preprocesses, since all three are JoinIndexed over the same signatures
-// and sketches either way.
+// TestLoadIndexMatchesInput: a run over a saved index writes, byte for
+// byte, the pair file of the run that read the sets and built it — for
+// every join that preprocesses, since all three are JoinIndexed over the
+// same signatures and sketches either way.
 func TestLoadIndexMatchesInput(t *testing.T) {
 	input := filepath.Join(t.TempDir(), "sets.txt")
 	if err := ssjoin.SaveSets(input, datagen.LedgerShape(true, 600, 9)); err != nil {
@@ -117,14 +117,14 @@ func TestLoadIndexMatchesInput(t *testing.T) {
 	}
 	index := filepath.Join(t.TempDir(), "ix.bin")
 	for _, alg := range []string{"cpsjoin", "minhash", "bayeslsh"} {
-		want := sortedPairs(t, "-input", input, "-algorithm", alg, "-threshold", "0.5", "-seed", "7", "-save-index", index)
+		want := pairFile(t, "-input", input, "-algorithm", alg, "-threshold", "0.5", "-seed", "7", "-save-index", index)
 		if strings.Count(want, "\n") < 20 {
 			t.Fatalf("%s: the -input run found next to nothing:\n%s", alg, want)
 		}
 		for _, workers := range []string{"1", "4"} {
-			if got := sortedPairs(t, "-load-index", index, "-algorithm", alg, "-threshold", "0.5", "-seed", "7", "-workers", workers); got != want {
-				t.Errorf("%s, -workers %s: -load-index pairs differ from the -input run's\n got %d lines\nwant %d lines",
-					alg, workers, strings.Count(got, "\n")+1, strings.Count(want, "\n")+1)
+			if got := pairFile(t, "-load-index", index, "-algorithm", alg, "-threshold", "0.5", "-seed", "7", "-workers", workers); got != want {
+				t.Errorf("%s, -workers %s: -load-index pair file differs from the -input run's\n got %d lines\nwant %d lines",
+					alg, workers, strings.Count(got, "\n"), strings.Count(want, "\n"))
 			}
 		}
 	}
@@ -140,5 +140,72 @@ func TestInputWithLoadIndexIsUsageError(t *testing.T) {
 	}
 	if !strings.Contains(string(msg), "exactly one of -input and -load-index") {
 		t.Errorf("stderr does not say why:\n%s", msg)
+	}
+}
+
+// TestSaveFailureWritesNoPairs: the save runs beside the join, but a save
+// that fails still fails the run, and before any pair file exists.
+func TestSaveFailureWritesNoPairs(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "pairs.txt")
+	index := filepath.Join(dir, "missing", "ix.bin")
+	msg, err := ssjoinCmd(t, "-input", writeInput(t), "-threshold", "0.5", "-save-index", index, "-output", out).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("ssjoin -save-index into a missing directory: err = %v, want exit status 1\n%s", err, msg)
+	}
+	if !strings.Contains(string(msg), "saving index") {
+		t.Errorf("stderr does not name the failed save:\n%s", msg)
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("the pair file exists after a failed save (stat: %v)", err)
+	}
+}
+
+// TestSavedIndexIndependentOfWorkers: the index file a single-shot run
+// saves beside its join is the same at every worker count, and the same as
+// the library's NewIndex(…).Save over the cleaned input.
+func TestSavedIndexIndependentOfWorkers(t *testing.T) {
+	dir := t.TempDir()
+	input := filepath.Join(dir, "sets.txt")
+	if err := ssjoin.SaveSets(input, datagen.LedgerShape(false, 600, 4)); err != nil {
+		t.Fatal(err)
+	}
+	sets, err := ssjoin.LoadSets(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := filepath.Join(dir, "lib.bin")
+	if err := ssjoin.NewIndex(ssjoin.CleanSets(sets), &ssjoin.Options{Seed: 7, Workers: 1}).Save(lib); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []string{"1", "2"} {
+		index := filepath.Join(dir, "ix"+workers+".bin")
+		pairFile(t, "-input", input, "-threshold", "0.5", "-seed", "7", "-workers", workers, "-save-index", index)
+		got, err := os.ReadFile(index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("-workers %s: the saved index (%d bytes) differs from NewIndex(…).Save's (%d bytes)", workers, len(got), len(want))
+		}
+	}
+}
+
+// TestPairLineMatchesFmt: appendPair writes what fmt's "%d %d %.4f\n"
+// wrote, at the fourth decimal's rounding edges too.
+func TestPairLineMatchesFmt(t *testing.T) {
+	var line []byte
+	for _, sim := range []float64{1.0 / 3, 2.0 / 3, 0.33335, 0.99995, 0.5, 1, 0.00005, 0.12345, 0.87654999} {
+		for _, ab := range [][2]int{{0, 1}, {7, 42}, {123456, 9876543}} {
+			line = appendPair(line[:0], ab[0], ab[1], sim)
+			if want := fmt.Sprintf("%d %d %.4f\n", ab[0], ab[1], sim); string(line) != want {
+				t.Errorf("appendPair(%d, %d, %v) = %q, want %q", ab[0], ab[1], sim, line, want)
+			}
+		}
 	}
 }

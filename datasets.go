@@ -10,7 +10,8 @@ import (
 
 // LoadSets reads a collection from a file in the standard one-set-per-line
 // token format (whitespace- or comma-separated non-negative integers).
-// Sets are normalized; empty lines are skipped.
+// Sets are normalized; empty lines are skipped. The sets share one backing
+// array, each capped at its own end, so appending to one copies it.
 func LoadSets(path string) ([][]uint32, error) {
 	ds, err := dataset.Load(path)
 	if err != nil {

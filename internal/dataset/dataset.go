@@ -2,6 +2,12 @@
 // join algorithm in this repository, together with IO in the one-set-per-line
 // token format used by the benchmark framework of Mann et al. (VLDB 2016)
 // and the dataset statistics reported in Table I of the CPSJoin paper.
+//
+// Parse and Load read the input once and parse it in one pass into a single
+// token arena: the sets of a parsed Dataset share that arena, each a
+// three-index slice of it (its capacity ends where the set does), so an
+// append to one set reallocates that set instead of writing into the next.
+// A set kept from a parsed Dataset keeps the whole arena reachable.
 package dataset
 
 import (
@@ -9,7 +15,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -27,70 +35,96 @@ type Dataset struct {
 // ErrBadToken is returned when parsing encounters a non-integer token.
 var ErrBadToken = errors.New("dataset: malformed token")
 
-// Parse reads a dataset in the Mann et al. format: one set per line,
-// whitespace-separated non-negative integer tokens. Empty lines are skipped.
-// Sets are normalized (sorted, duplicate tokens removed).
+// Parse reads a dataset in the Mann et al. format: one set per line of
+// non-negative integer tokens below 2^32, separated by spaces, tabs,
+// commas or carriage returns. Lines with no token are skipped. Sets are
+// normalized (sorted, duplicate tokens removed). Parse reads r to its end
+// and parses the bytes in one pass; there is no limit on the length of a
+// line.
 func Parse(r io.Reader) (*Dataset, error) {
-	ds := &Dataset{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		set, err := parseLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
-		}
-		if set == nil {
-			continue
-		}
-		ds.Sets = append(ds.Sets, intset.Normalize(set))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return ds, nil
-}
-
-func parseLine(line []byte) ([]uint32, error) {
-	var set []uint32
-	i := 0
-	for i < len(line) {
-		// Skip whitespace.
-		for i < len(line) && (line[i] == ' ' || line[i] == '\t' || line[i] == '\r' || line[i] == ',') {
-			i++
-		}
-		if i >= len(line) {
-			break
-		}
-		j := i
-		for j < len(line) && line[j] != ' ' && line[j] != '\t' && line[j] != '\r' && line[j] != ',' {
-			j++
-		}
-		v, err := strconv.ParseUint(string(line[i:j]), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %q", ErrBadToken, line[i:j])
-		}
-		set = append(set, uint32(v))
-		i = j
-	}
-	return set, nil
-}
-
-// Load reads a dataset from a file.
-func Load(path string) (*Dataset, error) {
-	f, err := os.Open(path)
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	ds, err := Parse(bufio.NewReaderSize(f, 1<<20))
+	return parse(data)
+}
+
+// Load reads a dataset from a file, as Parse does.
+func Load(path string) (*Dataset, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	ds, err := parse(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	ds.Name = path
 	return ds, nil
+}
+
+// parse is Parse over the whole input. Every token lands in one arena;
+// each line's tokens are normalized where they lie and the arena is cut
+// back to the survivors, so a set is a contiguous run of it. The sets are
+// sliced out once the arena has stopped growing.
+func parse(data []byte) (*Dataset, error) {
+	// A token and its separator take three to five bytes in typical
+	// inputs; append grows the arena if a third of the input was too few.
+	arena := make([]uint32, 0, len(data)/3+1)
+	var ends []int // ends[k] is the arena offset just past set k
+	line, start := 1, 0
+	for i := 0; i < len(data); {
+		switch b := data[i]; {
+		case b == '\n':
+			arena, ends = endSet(arena, ends, start)
+			start = len(arena)
+			line++
+			i++
+			continue
+		case isSeparator(b):
+			i++
+			continue
+		}
+		j, v, ok := i, uint64(0), true
+		for ; j < len(data) && data[j] != '\n' && !isSeparator(data[j]); j++ {
+			d := data[j] - '0'
+			if d > 9 {
+				ok = false
+				continue
+			}
+			if v = v*10 + uint64(d); v > math.MaxUint32 {
+				ok, v = false, 0
+			}
+		}
+		if !ok {
+			return nil, fmt.Errorf("line %d: %w: %q", line, ErrBadToken, data[i:j])
+		}
+		arena = append(arena, uint32(v))
+		i = j
+	}
+	arena, ends = endSet(arena, ends, start)
+	ds := &Dataset{Sets: make([][]uint32, len(ends))}
+	from := 0
+	for k, end := range ends {
+		// The third index caps each set at its own end, so an append to
+		// one set copies it instead of overwriting the next.
+		ds.Sets[k] = arena[from:end:end]
+		from = end
+	}
+	return ds, nil
+}
+
+func isSeparator(b byte) bool { return b == ' ' || b == '\t' || b == '\r' || b == ',' }
+
+// endSet closes the line whose tokens are arena[start:]: it normalizes
+// them in place, cuts the arena back to the set and records the set's end.
+// A line with no token yields no set.
+func endSet(arena []uint32, ends []int, start int) ([]uint32, []int) {
+	if len(arena) == start {
+		return arena, ends
+	}
+	arena = arena[:start+len(intset.Normalize(arena[start:]))]
+	return arena, append(ends, len(arena))
 }
 
 // Write serializes the dataset, one set per line of space-separated tokens.
@@ -131,29 +165,50 @@ func (d *Dataset) Save(path string) error {
 
 // Clean applies the preprocessing from the paper's experiments: duplicate
 // records are removed and records containing fewer than two tokens are
-// dropped. It returns the number of sets removed.
+// dropped. The first copy of a set survives, and the survivors keep their
+// input order. It returns the number of sets removed.
 func (d *Dataset) Clean() int {
 	before := len(d.Sets)
-	seen := make(map[string]bool, len(d.Sets))
+	// latest maps a hash to 1 + the last survivor with it; prev chains
+	// each survivor to the one before it with the same hash (-1 ends a
+	// chain), so a set is compared exactly with every survivor sharing
+	// its hash.
+	latest := make(map[uint64]int, len(d.Sets))
+	prev := make([]int, 0, len(d.Sets))
 	out := d.Sets[:0]
-	key := make([]byte, 0, 256)
 	for _, set := range d.Sets {
 		if len(set) < 2 {
 			continue
 		}
-		key = key[:0]
-		for _, tok := range set {
-			key = append(key, byte(tok), byte(tok>>8), byte(tok>>16), byte(tok>>24))
+		h := setHash(set)
+		k := latest[h] - 1
+		for k >= 0 && !slices.Equal(out[k], set) {
+			k = prev[k]
 		}
-		k := string(key)
-		if seen[k] {
+		if k >= 0 {
 			continue
 		}
-		seen[k] = true
+		prev = append(prev, latest[h]-1)
+		latest[h] = len(out) + 1
 		out = append(out, set)
 	}
 	d.Sets = out
 	return before - len(d.Sets)
+}
+
+// setHash is the hash Clean buckets sets by; a test replaces it to force
+// every set into one bucket.
+var setHash = hashSet
+
+// hashSet hashes a set's length and tokens to 64 bits, one
+// multiply-xorshift round per token.
+func hashSet(set []uint32) uint64 {
+	h := uint64(len(set))
+	for _, t := range set {
+		h = (h ^ uint64(t)) * 0xbf58476d1ce4e5b9
+		h ^= h >> 31
+	}
+	return h
 }
 
 // Stats summarizes a dataset in the terms of Table I of the paper.

@@ -18,7 +18,7 @@ package intset
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // IsSet reports whether s is strictly increasing (sorted, duplicate-free).
@@ -37,7 +37,7 @@ func Normalize(s []uint32) []uint32 {
 	if IsSet(s) {
 		return s
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	out := s[:0]
 	for i, v := range s {
 		if i == 0 || v != s[i-1] {
