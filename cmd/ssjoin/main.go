@@ -14,7 +14,7 @@
 // Usage:
 //
 //	ssjoin -input sets.txt -threshold 0.5 [-algorithm cpsjoin] [-seed 42]
-//	       [-repetitions 10] [-stats] [-output pairs.txt] [-save-index ix.bin]
+//	       [-repetitions 6] [-stats] [-output pairs.txt] [-save-index ix.bin]
 //	ssjoin -load-index ix.bin -threshold 0.7 [...]
 package main
 
@@ -37,8 +37,8 @@ func main() {
 		threshold  = flag.Float64("threshold", 0.5, "Jaccard similarity threshold in (0,1)")
 		algorithm  = flag.String("algorithm", "cpsjoin", "join algorithm: cpsjoin, allpairs, ppjoin, minhash, bayeslsh, bruteforce")
 		seed       = flag.Uint64("seed", 42, "random seed for approximate algorithms")
-		reps       = flag.Int("repetitions", 0, "CPSJoin repetitions (0 = default 10)")
-		recall     = flag.Float64("recall", 0, "target recall for minhash/bayeslsh (0 = default)")
+		reps       = flag.Int("repetitions", 0, "CPSJoin repetitions, at least 0 (0 = default 6 at sketch δ 0.01; the paper's Table III runs 10 at δ 0.05)")
+		recall     = flag.Float64("recall", 0, "target recall for minhash/bayeslsh in [0,1) (0 = default)")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the join and preprocessing (1 = sequential; the reported pair set is independent of this, -stats counters may vary slightly)")
 		noClean    = flag.Bool("no-clean", false, "skip duplicate/singleton removal")
 		printStats = flag.Bool("stats", false, "print candidate statistics to stderr")
@@ -54,6 +54,12 @@ func main() {
 	}
 	if *threshold <= 0 || *threshold >= 1 {
 		fatalf("threshold %v out of (0,1)", *threshold)
+	}
+	if *reps < 0 {
+		fatalf("repetitions %d is negative (0 = the default)", *reps)
+	}
+	if *recall < 0 || *recall >= 1 {
+		fatalf("recall %v out of [0,1) (0 = the default)", *recall)
 	}
 
 	var (
@@ -164,8 +170,13 @@ func main() {
 	}
 
 	if *printStats {
-		fmt.Fprintf(os.Stderr, "ssjoin: %d pairs, %d pre-candidates, %d candidates verified\n",
-			stats.Results, stats.PreCandidates, stats.Candidates)
+		// The approximate joins also say how many repetitions they ran.
+		reran := ""
+		if stats.Repetitions > 0 {
+			reran = fmt.Sprintf(", %d repetitions", stats.Repetitions)
+		}
+		fmt.Fprintf(os.Stderr, "ssjoin: %d pairs, %d pre-candidates, %d candidates verified%s\n",
+			stats.Results, stats.PreCandidates, stats.Candidates, reran)
 	}
 }
 

@@ -90,6 +90,66 @@ func TestUnknownAlgorithmMessage(t *testing.T) {
 	}
 }
 
+// checkRejected runs ssjoin with args and requires exit status 1 and a
+// message naming the flag.
+func checkRejected(t *testing.T, flag string, args ...string) {
+	t.Helper()
+	msg, err := ssjoinCmd(t, append([]string{"-input", writeInput(t)}, args...)...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("ssjoin %v: err = %v, want exit status 1\n%s", args, err, msg)
+	}
+	if !strings.HasPrefix(string(msg), "ssjoin: "+flag+" ") {
+		t.Errorf("ssjoin %v: stderr %q does not name %s", args, msg, flag)
+	}
+}
+
+// TestNegativeRepetitionsRejected: a negative count is an error, not the
+// default count.
+func TestNegativeRepetitionsRejected(t *testing.T) {
+	checkRejected(t, "repetitions", "-repetitions", "-3")
+}
+
+// TestRecallOutOfRangeRejected: a target recall is in [0, 1), 0 being the
+// default; anything else is an error, not the default target.
+func TestRecallOutOfRangeRejected(t *testing.T) {
+	for _, v := range []string{"1.5", "1", "-0.5"} {
+		checkRejected(t, "recall", "-algorithm", "minhash", "-recall", v)
+	}
+}
+
+// TestStatsPrintRepetitions: the -stats line ends with the repetitions the
+// join ran: CPSJoin's default 6 or the -repetitions given, and MinHash
+// LSH's L, derived from its target recall, as the library reports it.
+func TestStatsPrintRepetitions(t *testing.T) {
+	input := writeInput(t)
+	sets, err := ssjoin.LoadSets(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, mh := ssjoin.MinHashJoin(ssjoin.CleanSets(sets), 0.5, &ssjoin.Options{Seed: 42, Workers: 1})
+	if mh.Repetitions < 1 {
+		t.Fatalf("MinHashJoin reports %d repetitions", mh.Repetitions)
+	}
+	for _, tc := range []struct {
+		args []string
+		reps int64
+	}{
+		{nil, 6},
+		{[]string{"-repetitions", "3"}, 3},
+		{[]string{"-algorithm", "minhash"}, mh.Repetitions},
+	} {
+		args := append([]string{"-input", input, "-threshold", "0.5", "-workers", "1", "-stats", "-output", filepath.Join(t.TempDir(), "pairs.txt")}, tc.args...)
+		msg, err := ssjoinCmd(t, args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("ssjoin %v: %v\n%s", tc.args, err, msg)
+		}
+		if want := fmt.Sprintf(" candidates verified, %d repetitions\n", tc.reps); !strings.HasSuffix(string(msg), want) {
+			t.Errorf("ssjoin %v -stats: stderr %q, want it to end with %q", tc.args, msg, want)
+		}
+	}
+}
+
 // pairFile runs ssjoin with -output and returns the pair file. Every join
 // returns its pairs sorted by A, then B, so files are compared byte for
 // byte.

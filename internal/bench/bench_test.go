@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/lshjoin"
 )
 
@@ -91,10 +90,10 @@ func TestRunTable2Small(t *testing.T) {
 			t.Errorf("%s λ=%v: CP recall %v below target", c.Dataset, c.Threshold, c.CP.Recall)
 		}
 		what := fmt.Sprintf("%s λ=%v", c.Dataset, c.Threshold)
-		checkApprox(t, what+" cp", c.CP, cfg.TargetRecall, 4*10)
+		checkApprox(t, what+" cp", c.CP, cfg.TargetRecall, 4*TableIII(cfg).Repetitions)
 		// MinHash LSH picks its k, and so its default count min(L, maxL),
 		// from the data: the count it runs without a target is the one.
-		ix := core.Preprocess(ws[i/2].Sets, &core.Options{Seed: cfg.Seed, Workers: cfg.Workers})
+		ix := preprocess(ws[i/2].Sets, cfg)
 		_, d := lshjoin.JoinIndexed(ix, c.Threshold, &lshjoin.Options{Seed: cfg.Seed, Workers: cfg.Workers, TargetRecall: cfg.TargetRecall})
 		checkApprox(t, what+" mh", c.MH, cfg.TargetRecall, 4*int(d.Repetitions))
 		if c.Results == 0 {
@@ -209,11 +208,11 @@ func TestRunBayes(t *testing.T) {
 }
 
 // checkBayesRow checks both of a bayes row's measurements against their
-// caps: 4× BayesLSH-lite's L and 4× CPSJoin's 10 repetitions.
+// caps: 4× BayesLSH-lite's L and 4× the 10 repetitions TableIII states.
 func checkBayesRow(t *testing.T, r BayesRow, target float64) {
 	t.Helper()
 	checkApprox(t, fmt.Sprintf("λ=%v bayes", r.Threshold), r.Bayes, target, 4*lshjoin.Repetitions(r.Threshold, 1, 0.95))
-	checkApprox(t, fmt.Sprintf("λ=%v cp", r.Threshold), r.CP, target, 4*10)
+	checkApprox(t, fmt.Sprintf("λ=%v cp", r.Threshold), r.CP, target, 4*TableIII(Config{}).Repetitions)
 }
 
 // checkApprox fails the test unless a ran between one repetition and its

@@ -72,10 +72,32 @@ func approx(cfg Config, truth []verify.Pair, join func() ([]verify.Pair, verify.
 	return a
 }
 
+// TableIII returns the CPSJoin options every experiment starts from: cfg's
+// seed and workers at the paper's final parameters (Table III). The
+// product's defaults spend the recall budget as 6 repetitions at δ = 0.01
+// (core.Options); the paper's tables are reproduced at its own 10
+// repetitions and δ = 0.05, stated here.
+func TableIII(cfg Config) core.Options {
+	return core.Options{Seed: cfg.Seed, Workers: cfg.Workers, Repetitions: 10, Delta: 0.05}
+}
+
+// toTarget returns TableIII(cfg) run to cfg's target recall against truth.
+func toTarget(cfg Config, truth []verify.Pair) core.Options {
+	opt := TableIII(cfg)
+	opt.GroundTruth, opt.StopAtRecall = truth, cfg.TargetRecall
+	return opt
+}
+
+// preprocess builds the index every join of a workload runs against.
+func preprocess(sets [][]uint32, cfg Config) *prep.Index {
+	opt := TableIII(cfg)
+	return core.Preprocess(sets, &opt)
+}
+
 // runCPS measures CPSJoin on ix to cfg's target recall against truth.
 func runCPS(ix *prep.Index, lambda float64, cfg Config, truth []verify.Pair) Approx {
-	opt := &core.Options{Seed: cfg.Seed, Workers: cfg.Workers, GroundTruth: truth, StopAtRecall: cfg.TargetRecall}
-	return approx(cfg, truth, func() ([]verify.Pair, verify.Counters) { return core.JoinIndexed(ix, lambda, opt) })
+	opt := toTarget(cfg, truth)
+	return approx(cfg, truth, func() ([]verify.Pair, verify.Counters) { return core.JoinIndexed(ix, lambda, &opt) })
 }
 
 func timed(runs int, f func()) time.Duration {
@@ -157,7 +179,7 @@ func (c Table2Cell) cells() []string {
 // workload and threshold — the experiment behind Table II and Figure 2.
 // Following Section VI-2, each approximate method repeats until its recall
 // against the exact result reaches cfg.TargetRecall, or until 4× its
-// default repetition count (CPSJoin's Repetitions; MinHash LSH's L, derived
+// default repetition count (CPSJoin's Table III 10; MinHash LSH's L, derived
 // from its per-pair recall ϕ), the one stop rule of verify.Repeat; the cell
 // reports the recall reached and the repetitions run, marked where the cap
 // stopped a method below the target. Preprocessing (signatures, sketches) is
@@ -165,7 +187,7 @@ func (c Table2Cell) cells() []string {
 func RunTable2(workloads []Workload, thresholds []float64, cfg Config, progress io.Writer) []Table2Cell {
 	var cells []Table2Cell
 	for _, w := range workloads {
-		ix := core.Preprocess(w.Sets, &core.Options{Seed: cfg.Seed, Workers: cfg.Workers})
+		ix := preprocess(w.Sets, cfg)
 		for _, lambda := range thresholds {
 			cell := Table2Cell{Dataset: w.Name, Threshold: lambda}
 
@@ -224,7 +246,7 @@ func RunFig3(workloads []Workload, param string, cfg Config, progress io.Writer)
 	var out []Fig3Point
 	for _, w := range workloads {
 		truth, _ := allpairs.JoinWorkers(w.Sets, lambda, cfg.Workers)
-		base := core.Options{Seed: cfg.Seed, Workers: cfg.Workers, GroundTruth: truth, StopAtRecall: cfg.TargetRecall}
+		base := toTarget(cfg, truth)
 
 		var values []float64
 		var opts []core.Options
@@ -322,13 +344,11 @@ func (r Table4Row) cells() []string {
 func RunTable4(workloads []Workload, cfg Config, progress io.Writer) []Table4Row {
 	var rows []Table4Row
 	for _, w := range workloads {
-		ix := core.Preprocess(w.Sets, &core.Options{Seed: cfg.Seed, Workers: cfg.Workers})
+		ix := preprocess(w.Sets, cfg)
 		for _, lambda := range []float64{0.5, 0.7} {
 			truth, ac := allpairs.JoinWorkers(w.Sets, lambda, cfg.Workers)
-			_, cc := core.JoinIndexed(ix, lambda, &core.Options{
-				Seed: cfg.Seed, Workers: cfg.Workers,
-				GroundTruth: truth, StopAtRecall: cfg.TargetRecall,
-			})
+			opt := toTarget(cfg, truth)
+			_, cc := core.JoinIndexed(ix, lambda, &opt)
 			for _, r := range []Table4Row{
 				{Dataset: w.Name, Threshold: lambda, Algorithm: "ALL",
 					PreCandidates: ac.PreCandidates, Candidates: ac.Candidates, Results: ac.Results},
@@ -373,15 +393,13 @@ func RunAblation(workloads []Workload, cfg Config, progress io.Writer) []Ablatio
 	var rows []AblationRow
 	for _, w := range workloads {
 		truth, _ := allpairs.JoinWorkers(w.Sets, lambda, cfg.Workers)
-		ix := core.Preprocess(w.Sets, &core.Options{Seed: cfg.Seed, Workers: cfg.Workers})
+		ix := preprocess(w.Sets, cfg)
 		for _, s := range strategies {
-			opt := &core.Options{
-				Seed: cfg.Seed, Workers: cfg.Workers, Stopping: s.stop,
-				GroundTruth: truth, StopAtRecall: cfg.TargetRecall,
-			}
+			opt := toTarget(cfg, truth)
+			opt.Stopping = s.stop
 			r := AblationRow{Dataset: w.Name, Strategy: s.name}
 			r.Approx = approx(cfg, truth, func() ([]verify.Pair, verify.Counters) {
-				return core.JoinIndexed(ix, lambda, opt)
+				return core.JoinIndexed(ix, lambda, &opt)
 			})
 			report(progress, "ablation", r)
 			rows = append(rows, r)
@@ -426,9 +444,11 @@ func (r TheoryRow) cells() []string {
 func RunTheory(workloads []Workload, cfg Config, progress io.Writer) []TheoryRow {
 	var rows []TheoryRow
 	for _, w := range workloads {
-		ix := core.Preprocess(w.Sets, &core.Options{Seed: cfg.Seed, Workers: cfg.Workers})
+		ix := preprocess(w.Sets, cfg)
 		var m core.Metrics
-		core.JoinIndexed(ix, 0.5, &core.Options{Seed: cfg.Seed, Workers: cfg.Workers, Metrics: &m})
+		opt := TableIII(cfg)
+		opt.Metrics = &m
+		core.JoinIndexed(ix, 0.5, &opt)
 		r := TheoryRow{
 			Dataset:      w.Name,
 			N:            len(w.Sets),
@@ -474,7 +494,7 @@ func (r BayesRow) cells() []string {
 func RunBayes(workloads []Workload, cfg Config, progress io.Writer) []BayesRow {
 	var rows []BayesRow
 	for _, w := range workloads {
-		ix := core.Preprocess(w.Sets, &core.Options{Seed: cfg.Seed, Workers: cfg.Workers})
+		ix := preprocess(w.Sets, cfg)
 		for _, lambda := range []float64{0.5, 0.7} {
 			truth, _ := allpairs.JoinWorkers(w.Sets, lambda, cfg.Workers)
 			opt := &lshjoin.Options{Seed: cfg.Seed, Workers: cfg.Workers, GroundTruth: truth, StopAtRecall: cfg.TargetRecall}

@@ -17,14 +17,15 @@ import (
 
 // The three joins over the skew collection of their own TestGoldenJoin
 // (datagen.LedgerShape(true, 3000, 2), T = 128, 8 sketch words, seed 42,
-// λ = 0.5), with the pair digests pinned there.
+// λ = 0.5; CPSJoin at Table III's 10 repetitions and δ = 0.05, as its
+// golden states), with the pair digests pinned there.
 var goldenJoins = []struct {
 	name   string
 	join   func(ix *prep.Index, workers int) []verify.Pair
 	digest string
 }{
 	{"core", func(ix *prep.Index, workers int) []verify.Pair {
-		pairs, _ := core.JoinIndexed(ix, 0.5, &core.Options{Seed: 42, Workers: workers})
+		pairs, _ := core.JoinIndexed(ix, 0.5, &core.Options{Seed: 42, Workers: workers, Repetitions: 10, Delta: 0.05})
 		return pairs
 	}, "d195c2ded9efe842650fdff1f6710c1ea1230f6bef6791d4d24e06e235b6bbf1"},
 	{"lshjoin", func(ix *prep.Index, workers int) []verify.Pair {

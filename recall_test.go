@@ -8,14 +8,15 @@ import (
 )
 
 // TestRecallByBand holds CPSJoin, MinHash LSH and BayesLSH-lite to their
-// documented per-pair guarantees at λ = 0.5, band by band. Each reports a
-// pair at similarity λ with probability ϕ: 0.9 for MinHash LSH's
-// TargetRecall and CPSJoin's 10 repetitions, 0.95 for BayesLSH-lite's
-// TargetRecall. A sketch test drawn once per join then drops the pair in
-// every repetition with probability up to a budget: the sketch filter's
-// δ = 0.05 for the first two, the sequential test's γ = 0.05 for
-// BayesLSH-lite. So near λ the guarantee is ϕ times one less the budget,
-// and a pair a tenth above λ, where the tests almost never err, keeps ϕ.
+// documented per-pair guarantees at λ = 0.5, band by band, at their
+// defaults. Each reports a pair at similarity λ with probability ϕ: 0.9 for
+// MinHash LSH's TargetRecall and CPSJoin's 6 repetitions, 0.95 for
+// BayesLSH-lite's TargetRecall. A sketch test drawn once per join then drops
+// the pair in every repetition with probability up to a budget: the sketch
+// filter's δ, 0.01 for CPSJoin and 0.05 for MinHash LSH, and the sequential
+// test's γ = 0.05 for BayesLSH-lite. So near λ the guarantee is ϕ times one
+// less the budget, and a pair a tenth above λ, where the tests almost never
+// err, keeps ϕ.
 //
 // The pairs are planted by datagen.PlantPairs into a flat background and
 // counted in the band of their exact Jaccard similarity. Each floor is the
@@ -62,7 +63,7 @@ func TestRecallByBand(t *testing.T) {
 		join        func([][]uint32, float64, *Options) ([]Pair, Stats)
 		phi, budget float64
 	}{
-		{"cpsjoin", CPSJoin, 0.9, 0.05},
+		{"cpsjoin", CPSJoin, 0.9, 0.01},
 		{"minhash", MinHashJoin, 0.9, 0.05},
 		{"bayeslsh", BayesLSHJoin, 0.95, 0.05},
 	} {
