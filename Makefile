@@ -140,7 +140,12 @@ test-benchmark:
 # PartitionHash, PartitionContiguous). The result cache and auto-compaction
 # are set only by Configure, and a snapshot holds data, not the settings of
 # the process that opens it: no manifest field carries them (RuntimeState,
-# json:"runtime) in non-test Go.
+# json:"runtime) in non-test Go. The signature matrix has one layout,
+# position-major (T × n): a split reads a node's values from one contiguous
+# column, sigs[pos*n:(pos+1)*n], so the row-major gather that fetched one
+# cache line per member (group.(*Grouper).Column) stays deleted — no
+# Column( method or call in non-test internal/group, internal/chosenpath or
+# internal/core.
 surface:
 	@out=$$(grep -rn 'Deprecated:' --include='*.go' .); if [ -n "$$out" ]; then echo "deprecated surface:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'mux\.Handle' internal/shard/server.go | grep -v '("/v1/'); if [ -n "$$out" ]; then echo "endpoint outside /v1/:"; echo "$$out"; exit 1; fi
@@ -177,6 +182,7 @@ surface:
 	@out=$$(grep -rnE 'JoinBB|BBOptions|BraunBlanquetJoin|BruteForceBB|bbJoiner|BraunBlanquetAtLeast' --include='*.go' .); if [ -n "$$out" ]; then echo "the raw-set Braun-Blanquet join is back (join Braun-Blanquet through Embed, EmbeddedThreshold and CPSJoin):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'DeriveSeed\(|1 / \(lambda|func \(ts \*taskState\) split|func \(b \*treeBuilder\) group' --include='*.go' internal/core internal/cpindex | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second Chosen Path node expansion (sample, split and seed a node through internal/chosenpath):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'RuntimeState|json:"runtime|type Partition int|PartitionHash|PartitionContiguous|type ShardedOptions struct' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second home for a serving setting (build parameters are shard.Options; the cache and auto-compaction are set only by Configure and never saved):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -n 'Column(' internal/group/*.go internal/chosenpath/*.go internal/core/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a row-major column gather is back (the signature matrix is position-major: read sigs[pos*n:(pos+1)*n]):"; echo "$$out"; exit 1; fi
 	@deps=$$($(GO) list -deps ./cmd/experiments) || exit 1; out=$$(echo "$$deps" | grep -xE 'repro/internal/(shard|cpindex|contain|metrics)|net/http|testing'); if [ -n "$$out" ]; then echo "cmd/experiments links the serving stack:"; echo "$$out"; exit 1; fi
 
 # race is the quick local loop (-short skips the slowest suites);

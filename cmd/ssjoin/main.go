@@ -37,8 +37,8 @@ func main() {
 		threshold  = flag.Float64("threshold", 0.5, "Jaccard similarity threshold in (0,1)")
 		algorithm  = flag.String("algorithm", "cpsjoin", "join algorithm: cpsjoin, allpairs, ppjoin, minhash, bayeslsh, bruteforce")
 		seed       = flag.Uint64("seed", 42, "random seed for approximate algorithms")
-		reps       = flag.Int("repetitions", 0, "CPSJoin repetitions, at least 0 (0 = default 6 at sketch δ 0.01; the paper's Table III runs 10 at δ 0.05)")
-		recall     = flag.Float64("recall", 0, "target recall for minhash/bayeslsh in [0,1) (0 = default)")
+		reps       = flag.Int("repetitions", 0, "CPSJoin repetitions, at least 0 (0 = default 6 at sketch δ 0.01; the paper's Table III runs 10 at δ 0.05); cpsjoin only")
+		recall     = flag.Float64("recall", 0, "target recall for minhash/bayeslsh in [0,1) (0 = default); minhash and bayeslsh only")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the join and preprocessing (1 = sequential; the reported pair set is independent of this, -stats counters may vary slightly)")
 		noClean    = flag.Bool("no-clean", false, "skip duplicate/singleton removal")
 		printStats = flag.Bool("stats", false, "print candidate statistics to stderr")
@@ -60,6 +60,14 @@ func main() {
 	}
 	if *recall < 0 || *recall >= 1 {
 		fatalf("recall %v out of [0,1) (0 = the default)", *recall)
+	}
+	// A flag the chosen join does not read is refused, not ignored.
+	alg := ssjoin.Algorithm(*algorithm)
+	if *reps != 0 && alg != ssjoin.AlgCPSJoin {
+		fatalf("repetitions %d applies only to cpsjoin, not %s", *reps, alg)
+	}
+	if *recall != 0 && alg != ssjoin.AlgMinHash && alg != ssjoin.AlgBayesLSH {
+		fatalf("recall %v applies only to minhash and bayeslsh, not %s", *recall, alg)
 	}
 
 	var (
@@ -125,11 +133,11 @@ func main() {
 		default:
 			err = fmt.Errorf("ssjoin: R-S joins support cpsjoin and allpairs, not %q", *algorithm)
 		}
-	} else if join := indexed[ssjoin.Algorithm(*algorithm)]; ix != nil && join != nil {
+	} else if join := indexed[alg]; ix != nil && join != nil {
 		// Reuse the loaded/saved preprocessing.
 		pairs, stats = join(ix, *threshold, opts)
 	} else {
-		pairs, stats, err = ssjoin.Join(sets, *threshold, ssjoin.Algorithm(*algorithm), opts)
+		pairs, stats, err = ssjoin.Join(sets, *threshold, alg, opts)
 	}
 	if saved != nil {
 		if err := <-saved; err != nil {

@@ -118,6 +118,26 @@ func TestRecallOutOfRangeRejected(t *testing.T) {
 	}
 }
 
+// TestRepetitionsOnlyForCPSJoin: MinHash LSH derives its own repetition
+// count, so -repetitions beside it is refused, not ignored.
+func TestRepetitionsOnlyForCPSJoin(t *testing.T) {
+	checkRejected(t, "repetitions", "-algorithm", "minhash", "-repetitions", "3")
+}
+
+// TestRecallOnlyForLSHJoins: CPSJoin runs its repetitions, not a recall
+// target, so -recall beside it is refused, not ignored.
+func TestRecallOnlyForLSHJoins(t *testing.T) {
+	checkRejected(t, "recall", "-algorithm", "cpsjoin", "-recall", "0.5")
+}
+
+// TestExactJoinTakesNeitherKnob: an exact join reads neither flag, alone or
+// together.
+func TestExactJoinTakesNeitherKnob(t *testing.T) {
+	checkRejected(t, "repetitions", "-algorithm", "allpairs", "-repetitions", "3", "-recall", "0.5")
+	checkRejected(t, "repetitions", "-algorithm", "allpairs", "-repetitions", "3")
+	checkRejected(t, "recall", "-algorithm", "allpairs", "-recall", "0.5")
+}
+
 // TestStatsPrintRepetitions: the -stats line ends with the repetitions the
 // join ran: CPSJoin's default 6 or the -repetitions given, and MinHash
 // LSH's L, derived from its target recall, as the library reports it.
@@ -187,6 +207,26 @@ func TestLoadIndexMatchesInput(t *testing.T) {
 					alg, workers, strings.Count(got, "\n"), strings.Count(want, "\n"))
 			}
 		}
+	}
+}
+
+// TestRowMajorIndexRefused: testdata/rowmajor.ix was saved (from
+// writeInput's sets) while the signature matrix was stored row-major, in a
+// section of the same length as today's position-major one. Loading it
+// fails the run, and no pair file is created, instead of joining on
+// transposed values.
+func TestRowMajorIndexRefused(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "pairs.txt")
+	msg, err := ssjoinCmd(t, "-load-index", filepath.Join("testdata", "rowmajor.ix"), "-threshold", "0.5", "-output", out).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("ssjoin -load-index testdata/rowmajor.ix: err = %v, want exit status 1\n%s", err, msg)
+	}
+	if !strings.Contains(string(msg), "corrupt index file") {
+		t.Errorf("stderr does not say the index was refused:\n%s", msg)
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("the pair file exists after a refused index (stat: %v)", err)
 	}
 }
 

@@ -2,6 +2,11 @@
 // streams and the search index of Christiani and Pagh (STOC 2017) stores:
 // it samples positions, groups the node by minhash value and seeds the
 // children. Stop rules, leaves, child order and scheduling are the caller's.
+//
+// The signature matrix is position-major (internal/prep's layout): a
+// position's values over the collection are one contiguous column, and a
+// node's ascending ids read it forward, where a row-major matrix cost one
+// cache line per member per sampled position.
 package chosenpath
 
 import (
@@ -15,15 +20,16 @@ import (
 // Splitter expands nodes over one signature matrix at one threshold. Its
 // grouper is scratch: each goroutine needs a Splitter of its own.
 type Splitter struct {
-	sigs    []uint32 // flattened n × t signatures
-	t       int
+	sigs    []uint32 // t × n signatures, position-major
+	t, n    int
 	prob    float64 // a position's sampling probability, 1/(λt)
 	grouper group.Grouper[uint32]
 }
 
-// New returns a Splitter over the flattened n × t matrix sigs at lambda.
+// New returns a Splitter over the position-major t × n matrix sigs (set i's
+// value at position p is sigs[p*n+i]) at lambda.
 func New(sigs []uint32, t int, lambda float64) Splitter {
-	return Splitter{sigs: sigs, t: t, prob: 1 / (lambda * float64(t))}
+	return Splitter{sigs: sigs, t: t, n: len(sigs) / t, prob: 1 / (lambda * float64(t))}
 }
 
 // Positions yields the positions a node samples, ascending, from one
@@ -50,7 +56,10 @@ func ChildSeed(seed uint64, pos int, v uint32) uint64 {
 // grouper numbers the values and a counting scatter moves the ids; a sorted
 // column (a cluster's copies) is its runs, copied: hashing was a third slower.
 func (s *Splitter) Split(dst, node []uint32, pos, minSize int) []uint32 {
-	vals := s.grouper.Column(s.sigs, s.t, pos, node)
+	col, vals := s.sigs[pos*s.n:(pos+1)*s.n], s.grouper.Keys(len(node))
+	for i, id := range node {
+		vals[i] = col[id]
+	}
 	if slices.IsSorted(vals) {
 		total := 0 // the first pass sizes the runs, the second copies them
 		for pass := 0; pass < 2; pass++ {

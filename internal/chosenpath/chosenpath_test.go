@@ -6,19 +6,22 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/exec"
+	"repro/internal/minhash"
 	"repro/internal/race"
 	"repro/internal/tabhash"
 )
 
 // mapSplit is the reference Split is held to: a map from value to its
 // group's members, visited in order of first appearance, with the groups of
-// fewer than minSize members dropped.
+// fewer than minSize members dropped. sigs is position-major.
 func mapSplit(sigs []uint32, t int, node []uint32, pos, minSize int) []uint32 {
 	groups := map[uint32][]uint32{}
 	var order []uint32
+	n := len(sigs) / t
 	for _, id := range node {
-		v := sigs[int(id)*t+pos]
+		v := sigs[pos*n+int(id)]
 		if _, seen := groups[v]; !seen {
 			order = append(order, v)
 		}
@@ -56,12 +59,12 @@ func TestSplitMatchesMapGrouping(t *testing.T) {
 	const n, positions = 3000, 5
 	rng := tabhash.NewSplitMix64(99)
 	sigs := make([]uint32, n*positions)
-	for i := 0; i < n; i++ {
-		sigs[i*positions] = 7                                 // one value
-		sigs[i*positions+1] = uint32(rng.Intn(2)) << 31       // two
-		sigs[i*positions+2] = uint32(rng.Intn(n/2)) * 0x10001 // about n/2
-		sigs[i*positions+3] = bits.Reverse32(uint32(i))       // n: all distinct
-		sigs[i*positions+4] = uint32(i / 7)                   // runs: sorted on every node
+	for i := 0; i < n; i++ { // position-major: position p of set i at p*n+i
+		sigs[i] = 7                                   // one value
+		sigs[n+i] = uint32(rng.Intn(2)) << 31         // two
+		sigs[2*n+i] = uint32(rng.Intn(n/2)) * 0x10001 // about n/2
+		sigs[3*n+i] = bits.Reverse32(uint32(i))       // n: all distinct
+		sigs[4*n+i] = uint32(i / 7)                   // runs: sorted on every node
 	}
 	var nodes [][]uint32
 	for _, size := range []int{0, 1, 2, 3, 10, 257, 1000, n} {
@@ -182,4 +185,47 @@ func FuzzSplit(f *testing.F) {
 		checkSplit(t, &s, prefix, node[:min(int(shape/16), len(node))], 0, minSize)
 		checkSplit(t, &s, prefix, node, 0, minSize)
 	})
+}
+
+// BenchmarkSplit splits over the signatures of a 40 000-set ledger-shaped
+// collection at T = 128 (minhash's SignAll, the matrix the join reads), at
+// the join's minimum group size of 2: the root, all 40 000 ids, at every
+// position in turn, and nodes of about 1 000 ascending ids drawn uniformly
+// from it, the size of a node a few levels down. Each iteration takes the
+// next of 64 such nodes and the next position, so that, as in the
+// recursion, a split does not find the values it reads left in cache by
+// the split before it. ns/member is the time per member per split: the
+// value fetch and the grouping together.
+func BenchmarkSplit(b *testing.B) {
+	const n, T = 40000, 128
+	sets := datagen.LedgerShape(false, n, 1)
+	s := New(minhash.NewSigner(T, 42).SignAll(sets), T, 0.5)
+	root := make([]uint32, n)
+	for i := range root {
+		root[i] = uint32(i)
+	}
+	rng := tabhash.NewSplitMix64(7)
+	nodes := make([][]uint32, 64)
+	for k := range nodes {
+		for i := range n {
+			if rng.Intn(n) < 1000 {
+				nodes[k] = append(nodes[k], uint32(i))
+			}
+		}
+	}
+	for _, bc := range []struct {
+		name  string
+		nodes [][]uint32
+	}{{"root", [][]uint32{root}}, {"node1000", nodes}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var dst []uint32
+			members := 0
+			for i := 0; b.Loop(); i++ {
+				node := bc.nodes[i%len(bc.nodes)]
+				dst = s.Split(dst[:0], node, (i*37)%T, 2)
+				members += len(node)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(members), "ns/member")
+		})
+	}
 }

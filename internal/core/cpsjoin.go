@@ -30,6 +30,9 @@
 // verification.
 // Splitting is internal/chosenpath, the node expansion the search trie
 // shares: sampled positions, one buffer of groups per position, child seeds.
+// It reads internal/prep's position-major signature matrix, so a node's
+// ascending ids walk one contiguous column per sampled position, as the
+// literal Algorithm 2 (bruteForceStrict) does at every position.
 // The order of work differs from the paper's per-pair formulation; which
 // pairs are looked at, which survive and what every node draws do not
 // (TestGoldenJoin).
@@ -245,7 +248,7 @@ type joiner struct {
 	opt    Options
 
 	t        int
-	sigs     []uint32 // flattened n × t signatures
+	sigs     []uint32 // t × n signatures, position-major (prep.Index.Sigs)
 	w        int      // sketch words; 0 if disabled
 	sketches []uint64 // flattened n × w sketches
 	root     []uint32 // 0..n-1: the root node of every repetition, read-only
@@ -535,8 +538,13 @@ func (ts *taskState) bruteForceStrict(node []uint32) []uint32 {
 			return nil
 		}
 		sums := make([]int64, len(node)) // each member's count of (position, value) matches
+		n := len(j.sets)
 		for pos := 0; pos < j.t; pos++ {
-			nums, _, counts := ts.grouper.Group(ts.grouper.Column(j.sigs, j.t, pos, node))
+			col, vals := j.sigs[pos*n:(pos+1)*n], ts.grouper.Keys(len(node))
+			for i, id := range node {
+				vals[i] = col[id]
+			}
+			nums, _, counts := ts.grouper.Group(vals)
 			for i, k := range nums {
 				sums[i] += int64(counts[k] - 1)
 			}

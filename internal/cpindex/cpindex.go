@@ -314,17 +314,16 @@ func Build(sets [][]uint32, lambda float64, o *Options) *Index {
 	return ix
 }
 
-// signAll computes the flattened signature matrix, chunked across workers.
+// signAll computes the position-major signature matrix (the layout
+// internal/prep builds and internal/chosenpath reads), chunked across
+// workers.
 func signAll(signer *minhash.Signer, sets [][]uint32, workers int) []uint32 {
 	const chunk = 256
-	t := signer.T()
-	flat := make([]uint32, len(sets)*t)
+	sigs := make([]uint32, len(sets)*signer.T())
 	exec.RunChunks(workers, len(sets), chunk, func(c *exec.Ctx, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			signer.SignInto(sets[i], flat[i*t:(i+1)*t])
-		}
+		signer.SignColumns(sets, lo, hi, sigs)
 	})
-	return flat
+	return sigs
 }
 
 // Sets returns the indexed collection (not a copy: for an InPlace view, the

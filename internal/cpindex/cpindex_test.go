@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/intset"
+	"repro/internal/minhash"
 )
 
 // buildWorkload returns a collection plus query/target pairs at the given
@@ -135,6 +136,25 @@ func TestBuildStats(t *testing.T) {
 	}
 	if ix.Leaves > ix.Nodes {
 		t.Errorf("leaves %d > nodes %d", ix.Leaves, ix.Nodes)
+	}
+}
+
+// TestSignAllIsPositionMajor: the trie builder's matrix has the join's
+// layout, position p of set i at [p*n+i], the value Sign gives it, for any
+// worker count.
+func TestSignAllIsPositionMajor(t *testing.T) {
+	sets, _ := buildWorkload(700, 0.7, 15) // several 256-set chunks
+	signer := minhash.NewSigner(24, 16)
+	n := len(sets)
+	for _, workers := range []int{1, 2, 4} {
+		sigs := signAll(signer, sets, workers)
+		for i, set := range sets {
+			for p, want := range signer.Sign(set) {
+				if got := sigs[p*n+i]; got != want {
+					t.Fatalf("workers=%d: sigs[%d*n+%d] = %d, Sign gives %d", workers, p, i, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -67,8 +67,10 @@ func refBuild(opt Options, lambda float64, sigs []uint32, ids []uint32, depth in
 	}
 	for _, p := range n.pos {
 		groups := map[uint32][]uint32{}
+		sets := len(sigs) / opt.T
+		col := sigs[int(p)*sets : (int(p)+1)*sets] // position-major
 		for _, id := range ids {
-			v := sigs[int(id)*opt.T+int(p)]
+			v := col[id]
 			groups[v] = append(groups[v], id)
 		}
 		kids := map[uint32]*refTree{}
@@ -422,7 +424,7 @@ func TestCandidateCountGate(t *testing.T) {
 // of a key are the id.
 type sortBuilder struct {
 	treeBuilder
-	sigs      []uint32 // the collection's flattened signature matrix
+	sigs      []uint32 // the collection's position-major signature matrix
 	splitProb float64
 	keys      [][]uint64 // one key buffer per depth
 }
@@ -460,8 +462,9 @@ func (b *sortBuilder) add(ids []uint64, depth int, seed uint64) int32 {
 		p := t.pos[pi].pos
 		keys := slices.Grow(b.keys[depth][:0], len(ids))[:len(ids)]
 		b.keys[depth] = keys
+		n := len(b.sigs) / b.opt.T
 		for j, id := range ids {
-			keys[j] = uint64(b.sigs[int(uint32(id))*b.opt.T+int(p)])<<32 | id&math.MaxUint32
+			keys[j] = uint64(b.sigs[int(p)*n+int(uint32(id))])<<32 | id&math.MaxUint32
 		}
 		slices.Sort(keys)
 		bLo := len(t.buckets)

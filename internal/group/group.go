@@ -26,17 +26,6 @@ func (g *Grouper[K]) Keys(n int) []K {
 	return g.keys
 }
 
-// Column returns column col of the rows of m, a row-major matrix of the
-// given width, in a Keys buffer. The loop does nothing but fetch: each key
-// is a cache miss, and this way many of them are in flight at once.
-func (g *Grouper[K]) Column(m []K, width, col int, rows []uint32) []K {
-	keys := g.Keys(len(rows))
-	for i, r := range rows {
-		keys[i] = m[int(r)*width+col]
-	}
-	return keys
-}
-
 // Group numbers keys in order of first appearance: distinct[j] is the j-th
 // distinct key, counts[j] the number of keys equal to it, and nums[i] the
 // number of keys[i]. The slices are scratch, valid until the next call; the

@@ -259,14 +259,15 @@ func samplePositions(rng *tabhash.SplitMix64, pos []int, t int) {
 // sampled positions, in order of first appearance (group.Grouper.Group):
 // nums[id] is the bucket of set id and counts[b] the size of bucket b.
 func number(g *group.Grouper[uint64], sigs []uint32, t int, positions []int, hasher *tabhash.Table64) (nums []uint32, distinct []uint64, counts []uint32) {
-	keys := g.Keys(len(sigs) / t)
+	n := len(sigs) / t
+	keys := g.Keys(n)
 	for id := range keys {
-		sig := sigs[id*t : (id+1)*t]
-		key := uint64(0x9e3779b97f4a7c15)
-		for _, p := range positions {
-			key = hasher.Hash(key ^ uint64(sig[p]))
+		keys[id] = 0x9e3779b97f4a7c15
+	}
+	for _, p := range positions { // a key folds in its positions in order, a column at a time
+		for id, v := range sigs[p*n : (p+1)*n] {
+			keys[id] = hasher.Hash(keys[id] ^ uint64(v))
 		}
-		keys[id] = key
 	}
 	return g.Group(keys)
 }

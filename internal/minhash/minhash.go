@@ -67,17 +67,33 @@ func (s *Signer) SignInto(set []uint32, sig []uint32) {
 	s.fam.ArgMins(set, sig)
 }
 
-// SignAll computes signatures for every set, returned as a single flattened
-// slice of length len(sets)*t; the signature of set i occupies
-// [i*t, (i+1)*t). A flattened layout keeps the per-record overhead at one
-// slice header for the whole collection and gives sequential memory access
-// in the join inner loops.
+// SignAll computes the signatures of every set as one position-major
+// matrix of length len(sets)*t: position p of set i is at [p*len(sets)+i].
+// A position's values over the collection are then one contiguous column,
+// which is what a Chosen Path split and an LSH bucket key read for a run of
+// ascending ids; the whole matrix is one slice header.
 func (s *Signer) SignAll(sets [][]uint32) []uint32 {
-	flat := make([]uint32, len(sets)*s.t)
-	for i, set := range sets {
-		s.SignInto(set, flat[i*s.t:(i+1)*s.t])
+	sigs := make([]uint32, len(sets)*s.t)
+	s.SignColumns(sets, 0, len(sets), sigs)
+	return sigs
+}
+
+// SignColumns signs sets[lo:hi] into sigs, the position-major matrix of all
+// of sets (see SignAll). Calls on disjoint ranges write disjoint elements,
+// so they may run concurrently. Each set is signed into a row buffer, whose
+// values are then scattered into the t columns.
+func (s *Signer) SignColumns(sets [][]uint32, lo, hi int, sigs []uint32) {
+	n := len(sets)
+	if len(sigs) != n*s.t {
+		panic(fmt.Sprintf("minhash: matrix length %d, want %d", len(sigs), n*s.t))
 	}
-	return flat
+	row := make([]uint32, s.t)
+	for i := lo; i < hi; i++ {
+		s.SignInto(sets[i], row)
+		for p, v := range row {
+			sigs[p*n+i] = v
+		}
+	}
 }
 
 // Estimate returns the fraction of agreeing positions of two signatures,

@@ -3,6 +3,7 @@ package minhash
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/intset"
@@ -102,24 +103,34 @@ func TestEstimatorUnbiased(t *testing.T) {
 	}
 }
 
+// TestSignAllLayout: SignAll is position-major, position p of set i at
+// [p*n+i], and SignColumns over any two ranges that cover the sets, signed
+// in either order, writes the same matrix.
 func TestSignAllLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	sets := make([][]uint32, 20)
+	sets := make([][]uint32, 37)
 	for i := range sets {
 		sets[i] = randomSet(rng, 2+rng.Intn(20), 300)
 	}
+	n := len(sets)
 	s := NewSigner(16, 7)
 	flat := s.SignAll(sets)
-	if len(flat) != 20*16 {
+	if len(flat) != n*16 {
 		t.Fatalf("flat length %d", len(flat))
 	}
 	for i, set := range sets {
-		want := s.Sign(set)
-		got := flat[i*16 : (i+1)*16]
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("SignAll disagrees with Sign for set %d", i)
+		for p, want := range s.Sign(set) {
+			if got := flat[p*n+i]; got != want {
+				t.Fatalf("SignAll disagrees with Sign for set %d at position %d: %d, want %d", i, p, got, want)
 			}
+		}
+	}
+	for _, cut := range []int{1, 15, 16, 17, 20, 36} {
+		split := make([]uint32, n*16)
+		s.SignColumns(sets, cut, n, split)
+		s.SignColumns(sets, 0, cut, split)
+		if !slices.Equal(split, flat) {
+			t.Errorf("SignColumns over [0,%d) and [%d,%d) differs from SignAll", cut, cut, n)
 		}
 	}
 }
@@ -212,9 +223,9 @@ func checkSignMatchesReference(t *testing.T) {
 			s.SignInto(set, into)
 			got := s.Sign(set)
 			for j := range want {
-				if got[j] != want[j] || into[j] != want[j] || all[i*n+j] != want[j] {
+				if got[j] != want[j] || into[j] != want[j] || all[j*len(sets)+i] != want[j] {
 					t.Fatalf("t=%d seed=%#x set %d (%d tokens) position %d: Sign %d SignInto %d SignAll %d, reference %d",
-						n, seed, i, len(set), j, got[j], into[j], all[i*n+j], want[j])
+						n, seed, i, len(set), j, got[j], into[j], all[j*len(sets)+i], want[j])
 				}
 			}
 		}

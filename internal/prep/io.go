@@ -22,15 +22,23 @@ import (
 //	meta      seed, set count, signature length, sketch width
 //	sets      snapshot.EncodeSets: set sizes as varints, padding, then all
 //	          tokens (uint32, LE)
-//	sigs      the flattened n×T signature matrix
+//	sigcols   the T×n signature matrix, position-major: set i's value at
+//	          position p is element p*n+i (uint32, LE)
 //	sketches  the flattened n×Words sketch matrix (present iff Words > 0)
+//
+// The signature section was "sigs" while the matrix was row-major (n×T). A
+// row-major matrix is exactly as long as a position-major one, so an older
+// file would load without complaint and join on the wrong values; under the
+// new name it fails the exact-section check with ErrCorrupt instead. The
+// container version is not bumped for it: it is shared with the shard
+// snapshots, whose bytes did not change.
 //
 // The sets themselves are stored so a loaded index is self-contained:
 // the joins verify candidates against the exact token lists.
 //
 // Neither direction copies a matrix: loading checksums every section once
 // (the only full read), copies the small sets section out of it and hands
-// out sigs and sketches as snapshot.View over the container bytes; saving
+// out the two matrices as snapshot.View over the container bytes; saving
 // hands the writer snapshot.Bytes of the two slices.
 
 // snapshotKind tags a prep index container.
@@ -118,7 +126,7 @@ func decodeSections(data []byte) (*Index, error) {
 
 	// Exactly the sections WriteTo emits, in its order: anything else would
 	// load into an index that no longer serializes to the bytes it came from.
-	want := []string{"meta", "sets", "sigs", "sketches"}
+	want := []string{"meta", "sets", "sigcols", "sketches"}
 	if words == 0 {
 		want = want[:3]
 	}
@@ -143,7 +151,7 @@ func decodeSections(data []byte) (*Index, error) {
 	// The matrix sections are fixed-width, so their element counts are
 	// implied by the header: the payload must be exactly that long, so a
 	// corrupt header can never yield a matrix the bytes do not back.
-	if raw, err = matrix(m, "sigs", n*uint64(t)*4); err != nil {
+	if raw, err = matrix(m, "sigcols", n*uint64(t)*4); err != nil {
 		return nil, err
 	}
 	ix.Sigs = snapshot.View[uint32](raw)
@@ -183,7 +191,7 @@ func (ix *Index) writeSections(w *snapshot.Writer) error {
 	if err := w.Section("sets", snapshot.EncodeSets(ix.Sets)); err != nil {
 		return err
 	}
-	if err := w.Section("sigs", snapshot.Bytes(ix.Sigs)); err != nil {
+	if err := w.Section("sigcols", snapshot.Bytes(ix.Sigs)); err != nil {
 		return err
 	}
 	if ix.Words > 0 {

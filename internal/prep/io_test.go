@@ -292,16 +292,20 @@ func goldenSets() [][]uint32 {
 // three zero bytes that 4-align its tokens behind 17 bytes of sizes; meta,
 // sigs and sketches are byte for byte what they were. Re-recorded for the
 // sketched cases when a sketch bit became the low bit of a 32-bit minimum:
-// only the sketches section moved (words 0 keeps its digest).
+// only the sketches section moved (words 0 keeps its digest). Re-recorded
+// when the signature matrix became position-major: the "sigs" section of
+// the n×T matrix became the "sigcols" section of the same values T×n, and
+// nothing else moved (TestRowMajorFileRefused rebuilds the earlier bytes
+// from the new index and holds them to the earlier digests).
 func TestGoldenIndexBytes(t *testing.T) {
 	sets := goldenSets()
 	for _, tc := range []struct {
 		words int
 		want  string
 	}{
-		{0, "0bd121e99e9fef9354b88bc286ae2a83c9797973d0443b249739f71ceac3a6cd"},
-		{1, "8ae7dd2ea84d5cd7335ebeca6ecb5d37389f249619d3ee3b91c7597b4795809e"},
-		{8, "b3be237a6328a8d3c50032d5edbb761d22eeb94a2bc31ba5a059645f9dbe4165"},
+		{0, "debfdd76dd311dd4900ebd67446f0f9cbbdec77d6cdd7733b281bc1e53c665ca"},
+		{1, "9622678f160aa13f215c973172ddcb2591ccaa83354f50e03718a4018d7d1294"},
+		{8, "53ce641172e33acb23d2dc9f900527e911dd89298793e77936edd9fd8d1a84e2"},
 	} {
 		var buf bytes.Buffer
 		if _, err := Build(sets, 16, tc.words, 42).WriteTo(&buf); err != nil {
@@ -339,10 +343,10 @@ func TestSectionLayoutChecked(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, order := range [][]string{
-		{"meta", "sets", "sketches", "sigs"},
-		{"meta", "sets", "sigs"},
-		{"meta", "sets", "sigs", "sketches", "sigs"},
-		{"meta", "sets", "sigs", "sketches", "extra"},
+		{"meta", "sets", "sketches", "sigcols"},
+		{"meta", "sets", "sigcols"},
+		{"meta", "sets", "sigcols", "sketches", "sigcols"},
+		{"meta", "sets", "sigcols", "sketches", "extra"},
 	} {
 		var buf bytes.Buffer
 		w, err := snapshot.NewWriter(&buf, snapshotKind)
@@ -359,6 +363,70 @@ func TestSectionLayoutChecked(t *testing.T) {
 			t.Fatal(err)
 		}
 		rejected(t, fmt.Sprintf("sections %v", order), buf.Bytes())
+	}
+}
+
+// rowMajorFile is ix as the writer stored it while the signature matrix was
+// row-major: the same container with the matrix transposed to n×T, in a
+// section named "sigs".
+func rowMajorFile(t *testing.T, ix *Index) []byte {
+	t.Helper()
+	m, err := snapshot.OpenMapped(serialize(t, ix), snapshotKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(ix.Sets)
+	rows := make([]uint32, len(ix.Sigs))
+	for p := 0; p < ix.T; p++ {
+		for i := 0; i < n; i++ {
+			rows[i*ix.T+p] = ix.Sigs[p*n+i]
+		}
+	}
+	var buf bytes.Buffer
+	w, err := snapshot.NewWriter(&buf, snapshotKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range m.Sections() {
+		payload, err := m.Section(s.Name)
+		if s.Name == "sigcols" {
+			s.Name, payload = "sigs", snapshot.Bytes(rows)
+		}
+		if err == nil {
+			err = w.Section(s.Name, payload)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRowMajorFileRefused: a file written while the signature matrix was
+// row-major is as long as its position-major successor, so only the section
+// name tells them apart. rowMajorFile rebuilds such a file byte for byte
+// (the digests TestGoldenIndexBytes pinned before the layout changed), and
+// both loaders refuse it with ErrCorrupt instead of joining on transposed
+// values.
+func TestRowMajorFileRefused(t *testing.T) {
+	sets := goldenSets()
+	for _, tc := range []struct {
+		words int
+		want  string
+	}{
+		{0, "0bd121e99e9fef9354b88bc286ae2a83c9797973d0443b249739f71ceac3a6cd"},
+		{1, "8ae7dd2ea84d5cd7335ebeca6ecb5d37389f249619d3ee3b91c7597b4795809e"},
+		{8, "b3be237a6328a8d3c50032d5edbb761d22eeb94a2bc31ba5a059645f9dbe4165"},
+	} {
+		raw := rowMajorFile(t, Build(sets, 16, tc.words, 42))
+		sum := sha256.Sum256(raw)
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Fatalf("words=%d: row-major file digest %s, want the earlier writer's %s", tc.words, got, tc.want)
+		}
+		rejected(t, fmt.Sprintf("row-major file, words=%d", tc.words), raw)
 	}
 }
 

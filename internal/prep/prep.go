@@ -8,6 +8,14 @@
 // once for each set and similarity measure"). This package makes that
 // factoring explicit: build an Index once, run many joins against it.
 //
+// The signature matrix is position-major (T × n), the one layout every join
+// reads: a Chosen Path node is split on one position, so its ascending ids
+// walk one contiguous column forward instead of fetching one cache line per
+// member from a row-major matrix, and MinHash LSH builds its bucket keys a
+// column at a time. The build signs each set into a row buffer and
+// scatters the row into the T columns (minhash.Signer.SignColumns); there
+// is no transpose pass and no second matrix.
+//
 // An Index persists into the repository's snapshot container (io.go has the
 // section layout), because every later join at another threshold is a new
 // process that pays the load. Load therefore maps the file, locates the
@@ -31,8 +39,10 @@ import (
 type Index struct {
 	// Sets is the underlying collection (not copied).
 	Sets [][]uint32
-	// T is the MinHash signature length; Sigs is the flattened n×T
-	// signature matrix.
+	// T is the MinHash signature length; Sigs is the T×n signature matrix,
+	// position-major: set i's value at position p is Sigs[p*n+i], so a
+	// position over the collection is one contiguous column (see
+	// minhash.Signer.SignAll).
 	T    int
 	Sigs []uint32
 	// Words is the sketch width in 64-bit words (0 = no sketches);
@@ -55,8 +65,8 @@ func Build(sets [][]uint32, t, words int, seed uint64) *Index {
 
 // BuildParallel is Build with the per-set hashing spread across the given
 // number of workers on the shared execution layer. The hash functions are
-// fixed by the seed and each set's signature and sketch land in
-// preallocated flat slots, so the result is byte-identical to the
+// fixed by the seed and each set's signature values and sketch land in
+// preallocated slots of their own, so the result is byte-identical to the
 // sequential Build for any worker count.
 func BuildParallel(sets [][]uint32, t, words int, seed uint64, workers int) *Index {
 	if t <= 0 {
@@ -74,9 +84,7 @@ func BuildParallel(sets [][]uint32, t, words int, seed uint64, workers int) *Ind
 	// One hash family at a time over the range, so that the signer's and
 	// the maker's tables (1 MB and 2 MB) do not evict each other per set.
 	sign := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			signer.SignInto(sets[i], ix.Sigs[i*t:(i+1)*t])
-		}
+		signer.SignColumns(sets, lo, hi, ix.Sigs)
 		if maker == nil {
 			return
 		}
@@ -92,11 +100,6 @@ func BuildParallel(sets [][]uint32, t, words int, seed uint64, workers int) *Ind
 	const chunk = 256
 	exec.RunChunks(workers, len(sets), chunk, func(c *exec.Ctx, lo, hi int) { sign(lo, hi) })
 	return ix
-}
-
-// Sig returns the signature of set i.
-func (ix *Index) Sig(i int) []uint32 {
-	return ix.Sigs[i*ix.T : (i+1)*ix.T]
 }
 
 // Sketch returns the sketch of set i; it panics if sketches are disabled.

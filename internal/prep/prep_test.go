@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/minhash"
 )
 
 func TestBuildShape(t *testing.T) {
@@ -16,8 +17,27 @@ func TestBuildShape(t *testing.T) {
 	if len(ix.Sketches) != 50*4 {
 		t.Fatalf("sketches length %d", len(ix.Sketches))
 	}
-	if len(ix.Sig(3)) != 64 || len(ix.Sketch(3)) != 4 {
-		t.Fatal("accessor lengths wrong")
+	if len(ix.Sketch(3)) != 4 {
+		t.Fatal("accessor length wrong")
+	}
+}
+
+// TestSigsArePositionMajor: position p of set i is Sigs[p*n+i], the value
+// minhash.Signer.Sign gives it, whichever worker count built the matrix.
+func TestSigsArePositionMajor(t *testing.T) {
+	sets := datagen.Uniform(700, 10, 500, 4).Sets // several 256-set chunks
+	const T, seed = 24, 11
+	signer := minhash.NewSigner(T, seed)
+	n := len(sets)
+	for _, workers := range []int{1, 2, 4} {
+		ix := BuildParallel(sets, T, 1, seed, workers)
+		for i, set := range sets {
+			for p, want := range signer.Sign(set) {
+				if got := ix.Sigs[p*n+i]; got != want {
+					t.Fatalf("workers=%d: Sigs[%d*n+%d] = %d, Sign gives %d", workers, p, i, got, want)
+				}
+			}
+		}
 	}
 }
 
