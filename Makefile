@@ -87,19 +87,24 @@ test-benchmark:
 # prints them as text or CSV: non-test internal/bench declares no
 # per-format printer (func Print…, func CSV…), and Figure 2 is Table II's
 # speedup column, not a derived series (Fig2FromTable2). MinHash LSH visits
-# its buckets in a fixed order, so a join stopped at a recall target stops
-# at the same bucket on every one-worker run, and CPSJoin splits and counts
-# through the grouper: non-test internal/lshjoin and
-# internal/core/cpsjoin.go declare no map at all (a map's iteration order
-# is random, and the grouper numbers keys in order of first appearance).
+# its buckets in a fixed order, so its one-worker counters repeat from run
+# to run, and CPSJoin splits and counts through the grouper: non-test
+# internal/lshjoin and internal/core/cpsjoin.go declare no map at all (a
+# map's iteration order is random, and the grouper numbers keys in order of
+# first appearance).
 # BayesLSH-lite is that join at k = 1 with a sequential sketch
 # test, lshjoin.BayesJoin: internal/bayeslsh stays deleted and unimported,
 # its pairs go through the one kernel (SizeCompatible, the per-pair size
 # test, stays deleted), and its test is a refinement of that kernel's sketch
 # filter (NewPruner and Survives( stay out of non-test Go). Every join that
-# ends in verify.Pipeline repeats on verify.Repeat, the one repetition loop
-# and stop rule: non-test internal/core/cpsjoin.go and internal/lshjoin build
-# no scratches (NewScratches) and queue no roots (exec.Run) of their own.
+# ends in verify.Pipeline repeats on verify.Repeat, the one repetition loop:
+# non-test internal/core/cpsjoin.go and internal/lshjoin build no scratches
+# (NewScratches) and queue no roots (exec.Run) of their own. A join runs its
+# count: the paper's protocol (repeat until recall reaches a target) is
+# internal/bench's search over whole joins, whose repetition i draws only
+# from the seed and i, so no join stops part-way through a repetition on a
+# ground truth, which made its output depend on scheduling (RecallTracker,
+# StopAtRecall, GroundTruth and Pipeline.Budget( stay out of non-test Go).
 # Sketch popcounts have one home: bits.OnesCount64 appears in non-test Go only in
 # internal/verify (within and the sequential test), internal/sketch
 # (Hamming) and internal/intset (the bitmap's count). The containment side
@@ -170,9 +175,10 @@ surface:
 	@out=$$(ls -d internal/ppjoin 2>/dev/null; grep -nE 'rankByFrequency|func reorder' internal/allpairs/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second copy of the exact prefix-filter family (PPJoin lives in internal/allpairs; its one frequency order is dataset.RemapByFrequency):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'JaccardOverlapBound' --include='*.go' .; grep -rnE 'Ceil\((2 \* )?lambda' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/intset/'); if [ -n "$$out" ]; then echo "a threshold bound outside internal/intset (take MinOverlap, MinShare or SizeWindow):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -nE 'func (Print|CSV)[A-Z]|Fig2FromTable2' internal/bench/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a per-format printer in internal/bench (a row's header and cells print both formats through Table.Write):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -n 'map\[' internal/lshjoin/*.go internal/core/cpsjoin.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a map in internal/lshjoin or internal/core/cpsjoin.go (number keys through internal/group; a map's iteration order moves the recall-stop point):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -n 'map\[' internal/lshjoin/*.go internal/core/cpsjoin.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a map in internal/lshjoin or internal/core/cpsjoin.go (number keys through internal/group; a map's iteration order moves the one-worker counters):"; echo "$$out"; exit 1; fi
 	@out=$$(ls -d internal/bayeslsh 2>/dev/null; grep -rn '"repro/internal/bayeslsh"' --include='*.go' .); if [ -n "$$out" ]; then echo "internal/bayeslsh is back (BayesLSH-lite is lshjoin.BayesJoin):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -nE 'NewScratches\(|exec\.Run\(' internal/core/cpsjoin.go internal/lshjoin/*.go | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a second repetition loop (the Pipeline joins repeat on verify.Repeat):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE 'RecallTracker|StopAtRecall|GroundTruth|\.Budget\(' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "an in-join stop rule is back (a join runs its count; the protocol's stop is internal/bench's search over whole joins):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'SizeCompatible|NewPruner|Survives\(' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a per-pair filter beside the kernel (the size window and the sequential test run in verify.Pipeline):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'bits\.OnesCount64' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./internal/(verify|sketch|intset)/'); if [ -n "$$out" ]; then echo "a popcount outside internal/verify, internal/sketch and internal/intset (sketch distances are within's or sketch.Hamming's):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'FromSignatures|containHeader|Section\("contain"' --include='*.go' . | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "the containment side is stored again (it is derived: built from the sets on the first containment query):"; echo "$$out"; exit 1; fi

@@ -1,6 +1,8 @@
 // Command datagen generates the synthetic benchmark datasets of the
 // CPSJoin evaluation: TOKENS, UNIFORM, ZIPF, and scaled analogues of the
-// real datasets of Mann et al. (see DESIGN.md §4).
+// real datasets of Mann et al., which are not redistributable: each profile
+// keeps a real dataset's average set size and token-frequency structure
+// (README, "Reproducing the paper").
 //
 // Usage:
 //
@@ -37,6 +39,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "datagen: -output is required")
 		flag.Usage()
 		os.Exit(2)
+	}
+	// A set has at least two distinct tokens, so a smaller universe, like
+	// no sets, no set size or no token cap, has nothing to generate.
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{{"n", *n, 1}, {"avg", *avg, 1}, {"universe", *universe, 2}, {"cap", *cap, 1}} {
+		if f.val < f.min {
+			fatalf("%s %d out of range (at least %d)", f.name, f.val, f.min)
+		}
 	}
 
 	var sets [][]uint32

@@ -24,9 +24,10 @@
 // Every experiment prints one table: -format table aligns its columns as
 // text under a banner, -format csv writes the same header and cells as CSV.
 // The approximate joins of table2, fig3a–fig3c, tokens, ablation and bayes
-// run to the target recall (-recall) or to their repetition cap, 4× their
-// default count; a repetitions cell marked with "*" (as in 40*) stopped at
-// the cap below the target. Sketches are drawn once per join, so a pair
+// run the fewest whole repetitions whose recall reaches the target
+// (-recall), searched up to a cap of 4× their default count; a repetitions
+// cell marked with "*" (as in 40*) is the cap, where even it fell below the
+// target. Sketches are drawn once per join, so a pair
 // near λ that the sketch filter or sequential test drops (δ = 0.05) is
 // dropped in every repetition: it is reported with probability about ϕ·(1−δ).
 //
@@ -51,7 +52,7 @@ func main() {
 		runs      = flag.Int("runs", 1, "timed runs per measurement (minimum reported)")
 		seed      = flag.Uint64("seed", 42, "random seed")
 		recall    = flag.Float64("recall", 0.9, "target recall for approximate methods")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines per measured algorithm (1 = sequential; join result sets are identical across values, but timings, candidate counters and recall-stop points vary with scheduling — use 1 for bit-reproducible experiment tables)")
+		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines per measured algorithm (1 = sequential; join result sets, and with them every recall, repetition and result count, are identical across values, but timings and candidate counters vary with scheduling — use 1 for bit-reproducible candidate columns)")
 		quiet     = flag.Bool("quiet", false, "suppress progress output")
 		format    = flag.String("format", "table", "output format: table or csv")
 	)
@@ -99,7 +100,7 @@ func main() {
 	}
 
 	// capped explains a repetitions cell's marker, ceiling a pair's recall near λ.
-	const capped = "reps N* = stopped at the cap, 4x the default count, below the target"
+	const capped = "reps N* = the cap, 4x the default count, still below the target"
 	const ceiling = "sketches are fixed per join, so a pair near λ is reported with probability about ϕ·(1−δ), δ = 0.05"
 	experiments := []struct {
 		name, banner string

@@ -115,8 +115,8 @@ func ProfileNames() []string {
 
 // GenerateProfile generates a synthetic analogue of one of the paper's
 // real benchmark datasets (see ProfileNames), scaled to n sets while
-// preserving average set size and token-frequency structure. See DESIGN.md
-// for the substitution rationale.
+// preserving average set size and token-frequency structure: the real
+// datasets are not redistributable.
 func GenerateProfile(name string, n int, seed uint64) ([][]uint32, error) {
 	p, ok := datagen.ProfileByName(name)
 	if !ok {

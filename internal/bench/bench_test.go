@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -174,7 +175,7 @@ func TestRunAblation(t *testing.T) {
 
 // TestRunBayes: both methods run to the same target recall, so every row
 // reports each one's recall at or above the target, or marks its
-// repetitions as stopped at the cap below it, and the table prints the
+// repetitions as the cap, still below it, and the table prints the
 // recall and repetition columns of both. On UNIFORM005 both reach the
 // target; at one no join can reach, every cell runs to its cap and is
 // marked.
@@ -216,7 +217,7 @@ func checkBayesRow(t *testing.T, r BayesRow, target float64) {
 }
 
 // checkApprox fails the test unless a ran between one repetition and its
-// cap and its cell is marked only if the join stopped at the cap below the
+// cap and its cell is marked only if the join ran at the cap below the
 // target, which is what the marker tells the reader.
 func checkApprox(t *testing.T, what string, a Approx, target float64, cap int) {
 	t.Helper()
@@ -258,4 +259,41 @@ func mustWorkload(t *testing.T, name string) Workload {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// TestCountsIndependentOfWorkers: search runs whole joins, whose result sets
+// are functions of the seed alone, so Table II's recall, repetition and
+// results columns and Table IV's pre-candidates and results are the same at
+// one worker and at four. Candidates are left out: two workers can verify
+// one pair twice, so that column may drift by the pairs verified twice.
+func TestCountsIndependentOfWorkers(t *testing.T) {
+	w, err := WorkloadByName("AOL", SmokeScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type counts struct {
+		table2 [][]string
+		table4 [][2]int64
+	}
+	run := func(workers int) counts {
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		var c counts
+		for _, cell := range RunTable2([]Workload{w}, []float64{0.5, 0.7}, cfg, nil) {
+			c.table2 = append(c.table2, []string{ftoa(cell.CP.Recall), ftoa(cell.MH.Recall), cell.CP.reps(), cell.MH.reps(), itoa(int64(cell.Results))})
+		}
+		for _, r := range RunTable4([]Workload{w}, cfg, nil) {
+			c.table4 = append(c.table4, [2]int64{r.PreCandidates, r.Results})
+		}
+		return c
+	}
+	one, four := run(1), run(4)
+	for i := range one.table2 {
+		if !slices.Equal(one.table2[i], four.table2[i]) {
+			t.Errorf("table2 row %d: recall, reps and results %v at one worker, %v at four", i, one.table2[i], four.table2[i])
+		}
+	}
+	if !slices.Equal(one.table4, four.table4) {
+		t.Errorf("table4 pre-candidates and results %v at one worker, %v at four", one.table4, four.table4)
+	}
 }

@@ -23,15 +23,17 @@ type Config struct {
 	// reported (the paper averages five; minimum is steadier at small
 	// scale).
 	Runs int
-	// TargetRecall is the recall at which the approximate methods stop
-	// (0.9 in Table II, 0.8 in Figure 3), unless the repetition cap of
-	// verify.Repeat, 4× their default count, stops them first.
+	// TargetRecall is the recall the approximate methods are run to (0.9 in
+	// Table II, 0.8 in Figure 3): each runs the fewest whole repetitions
+	// whose recall reaches it, at most capFactor× its default count
+	// (search).
 	TargetRecall float64
 	// Seed drives the randomized algorithms.
 	Seed uint64
 	// Workers is the worker count handed to every algorithm (0 =
-	// sequential, negative = GOMAXPROCS). Timings change with it; result
-	// sets do not.
+	// sequential, negative = GOMAXPROCS). Timings and candidate counts
+	// change with it; result sets, and so recall and repetition counts, do
+	// not.
 	Workers int
 }
 
@@ -41,10 +43,10 @@ func DefaultConfig() Config {
 }
 
 // Approx is one approximate join's measurement under the Section VI-2
-// protocol: its time, the recall it reached against the exact result and
-// how many repetitions it ran. A join stops early only at the target, so
-// Below, a recall under it, means it ran to its cap (verify.Repeat); its
-// repetitions then print with a trailing "*".
+// protocol: its time at the repetition count search found, the recall it
+// reached against the exact result and that count. Below, a recall under the
+// target, means no count up to the cap reached it; its repetitions then
+// print with a trailing "*".
 type Approx struct {
 	Time   time.Duration
 	Recall float64
@@ -61,14 +63,70 @@ func (a Approx) reps() string {
 	return itoa(a.Reps)
 }
 
-// approx times join, which runs to cfg's target against truth, and measures
-// its last run.
-func approx(cfg Config, truth []verify.Pair, join func() ([]verify.Pair, verify.Counters)) Approx {
-	var pairs []verify.Pair
-	var c verify.Counters
-	a := Approx{Time: timed(cfg.Runs, func() { pairs, c = join() })}
-	a.Recall, a.Reps = stats.Recall(pairs, truth), c.Repetitions
-	a.Below = a.Recall < cfg.TargetRecall
+// capFactor is how far past its default count search lets a join repeat.
+const capFactor = 4
+
+// repJoin runs one approximate join at exactly r repetitions, or at its
+// default count for r = 0.
+type repJoin func(r int) ([]verify.Pair, verify.Counters)
+
+// found is what search returns: the join's measurement at the count it
+// found, untimed, and the counters of that run.
+type found struct {
+	Approx
+	verify.Counters
+}
+
+// search is the paper's protocol (Section VI-2), run over whole joins:
+// repeat until recall against truth reaches cfg.TargetRecall. It finds the
+// fewest repetitions r ≤ capFactor × the default count d whose recall
+// reaches the target: it runs the join at d, then doubles r up to the cap
+// while the target is missed, or bisects below the first count that meets
+// it. Every approximate join's repetition i draws only from its seed and i,
+// so the pairs found at r are a subset of those found at r + 1 and recall
+// only grows with r. An empty exact result sets no target to search for: the
+// join then runs its default count. The probes are untimed; approx times the
+// count found.
+func search(cfg Config, truth []verify.Pair, join repJoin) found {
+	probes := map[int]found{}
+	probe := func(r int) found {
+		if f, ok := probes[r]; ok {
+			return f
+		}
+		pairs, c := join(r)
+		f := found{Approx{Recall: stats.Recall(pairs, truth), Reps: c.Repetitions}, c}
+		probes[int(c.Repetitions)] = f
+		return f
+	}
+	reaches := func(r int) bool { return probe(r).Recall >= cfg.TargetRecall }
+	d := int(probe(0).Reps)
+	if len(truth) == 0 {
+		return probe(d)
+	}
+	lo, hi := 0, d // lo misses the target (0: no count); hi, once found, reaches it
+	for !reaches(hi) {
+		if hi == capFactor*d {
+			f := probe(hi)
+			f.Below = true
+			return f
+		}
+		lo, hi = hi, min(2*hi, capFactor*d)
+	}
+	for hi-lo > 1 {
+		if mid := (lo + hi) / 2; reaches(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return probe(hi)
+}
+
+// approx measures join under the protocol: search's count, timed over
+// cfg.Runs joins.
+func approx(cfg Config, truth []verify.Pair, join repJoin) Approx {
+	a := search(cfg, truth, join).Approx
+	a.Time = timed(cfg.Runs, func() { join(int(a.Reps)) })
 	return a
 }
 
@@ -81,23 +139,22 @@ func TableIII(cfg Config) core.Options {
 	return core.Options{Seed: cfg.Seed, Workers: cfg.Workers, Repetitions: 10, Delta: 0.05}
 }
 
-// toTarget returns TableIII(cfg) run to cfg's target recall against truth.
-func toTarget(cfg Config, truth []verify.Pair) core.Options {
-	opt := TableIII(cfg)
-	opt.GroundTruth, opt.StopAtRecall = truth, cfg.TargetRecall
-	return opt
+// cps is CPSJoin on ix with opt's options, as search runs it: at r
+// repetitions, or opt's own count for r = 0.
+func cps(ix *prep.Index, lambda float64, opt core.Options) repJoin {
+	return func(r int) ([]verify.Pair, verify.Counters) {
+		o := opt
+		if r > 0 {
+			o.Repetitions = r
+		}
+		return core.JoinIndexed(ix, lambda, &o)
+	}
 }
 
 // preprocess builds the index every join of a workload runs against.
 func preprocess(sets [][]uint32, cfg Config) *prep.Index {
 	opt := TableIII(cfg)
 	return core.Preprocess(sets, &opt)
-}
-
-// runCPS measures CPSJoin on ix to cfg's target recall against truth.
-func runCPS(ix *prep.Index, lambda float64, cfg Config, truth []verify.Pair) Approx {
-	opt := toTarget(cfg, truth)
-	return approx(cfg, truth, func() ([]verify.Pair, verify.Counters) { return core.JoinIndexed(ix, lambda, &opt) })
 }
 
 func timed(runs int, f func()) time.Duration {
@@ -177,13 +234,14 @@ func (c Table2Cell) cells() []string {
 
 // RunTable2 measures join time for CPSJOIN, MINHASH and ALLPAIRS on every
 // workload and threshold — the experiment behind Table II and Figure 2.
-// Following Section VI-2, each approximate method repeats until its recall
-// against the exact result reaches cfg.TargetRecall, or until 4× its
-// default repetition count (CPSJoin's Table III 10; MinHash LSH's L, derived
-// from its per-pair recall ϕ), the one stop rule of verify.Repeat; the cell
-// reports the recall reached and the repetitions run, marked where the cap
-// stopped a method below the target. Preprocessing (signatures, sketches) is
-// done once per workload and not counted towards join time, as in the paper.
+// Following Section VI-2, each approximate method runs the fewest whole
+// repetitions whose recall against the exact result reaches
+// cfg.TargetRecall, at most capFactor× its default count (CPSJoin's Table
+// III 10; MinHash LSH's L, derived from its per-pair recall ϕ), found by
+// search; the cell reports the recall reached and the repetitions run,
+// marked where even the cap fell below the target. Preprocessing
+// (signatures, sketches) is done once per workload and not counted towards
+// join time, as in the paper.
 func RunTable2(workloads []Workload, thresholds []float64, cfg Config, progress io.Writer) []Table2Cell {
 	var cells []Table2Cell
 	for _, w := range workloads {
@@ -197,10 +255,9 @@ func RunTable2(workloads []Workload, thresholds []float64, cfg Config, progress 
 			})
 			cell.Results = len(truth)
 
-			cell.CP = runCPS(ix, lambda, cfg, truth)
-			mhOpts := &lshjoin.Options{Seed: cfg.Seed, Workers: cfg.Workers, TargetRecall: cfg.TargetRecall, GroundTruth: truth, StopAtRecall: cfg.TargetRecall}
-			cell.MH = approx(cfg, truth, func() ([]verify.Pair, verify.Counters) {
-				return lshjoin.JoinIndexed(ix, lambda, mhOpts)
+			cell.CP = approx(cfg, truth, cps(ix, lambda, TableIII(cfg)))
+			cell.MH = approx(cfg, truth, func(r int) ([]verify.Pair, verify.Counters) {
+				return lshjoin.JoinIndexed(ix, lambda, &lshjoin.Options{Seed: cfg.Seed, Workers: cfg.Workers, TargetRecall: cfg.TargetRecall, L: r})
 			})
 
 			report(progress, "table2", cell)
@@ -246,7 +303,7 @@ func RunFig3(workloads []Workload, param string, cfg Config, progress io.Writer)
 	var out []Fig3Point
 	for _, w := range workloads {
 		truth, _ := allpairs.JoinWorkers(w.Sets, lambda, cfg.Workers)
-		base := toTarget(cfg, truth)
+		base := TableIII(cfg)
 
 		var values []float64
 		var opts []core.Options
@@ -295,9 +352,7 @@ func RunFig3(workloads []Workload, param string, cfg Config, progress io.Writer)
 			if ix == nil {
 				ix = core.Preprocess(w.Sets, &opt)
 			}
-			runs[i] = approx(cfg, truth, func() ([]verify.Pair, verify.Counters) {
-				return core.JoinIndexed(ix, lambda, &opt)
-			})
+			runs[i] = approx(cfg, truth, cps(ix, lambda, opt))
 			if values[i] == indexValue {
 				indexTime = runs[i].Time
 			}
@@ -340,15 +395,15 @@ func (r Table4Row) cells() []string {
 }
 
 // RunTable4 collects pre-candidate/candidate/result counts for ALLPAIRS
-// and CPSJOIN at λ in {0.5, 0.7}, as in Table IV.
+// and CPSJOIN at λ in {0.5, 0.7}, as in Table IV, CPSJoin's at the
+// repetition count search finds for cfg's target recall.
 func RunTable4(workloads []Workload, cfg Config, progress io.Writer) []Table4Row {
 	var rows []Table4Row
 	for _, w := range workloads {
 		ix := preprocess(w.Sets, cfg)
 		for _, lambda := range []float64{0.5, 0.7} {
 			truth, ac := allpairs.JoinWorkers(w.Sets, lambda, cfg.Workers)
-			opt := toTarget(cfg, truth)
-			_, cc := core.JoinIndexed(ix, lambda, &opt)
+			cc := search(cfg, truth, cps(ix, lambda, TableIII(cfg))).Counters
 			for _, r := range []Table4Row{
 				{Dataset: w.Name, Threshold: lambda, Algorithm: "ALL",
 					PreCandidates: ac.PreCandidates, Candidates: ac.Candidates, Results: ac.Results},
@@ -395,12 +450,10 @@ func RunAblation(workloads []Workload, cfg Config, progress io.Writer) []Ablatio
 		truth, _ := allpairs.JoinWorkers(w.Sets, lambda, cfg.Workers)
 		ix := preprocess(w.Sets, cfg)
 		for _, s := range strategies {
-			opt := toTarget(cfg, truth)
+			opt := TableIII(cfg)
 			opt.Stopping = s.stop
 			r := AblationRow{Dataset: w.Name, Strategy: s.name}
-			r.Approx = approx(cfg, truth, func() ([]verify.Pair, verify.Counters) {
-				return core.JoinIndexed(ix, lambda, &opt)
-			})
+			r.Approx = approx(cfg, truth, cps(ix, lambda, opt))
 			report(progress, "ablation", r)
 			rows = append(rows, r)
 		}
@@ -468,7 +521,7 @@ func RunTheory(workloads []Workload, cfg Config, progress io.Writer) []TheoryRow
 
 // BayesRow compares BayesLSH-lite against CPSJoin on one workload
 // (Section VI-A.2 reports it uniformly slower), both run to the same target
-// recall under the same stop rule.
+// recall by the same search.
 type BayesRow struct {
 	Dataset   string
 	Threshold float64
@@ -497,12 +550,11 @@ func RunBayes(workloads []Workload, cfg Config, progress io.Writer) []BayesRow {
 		ix := preprocess(w.Sets, cfg)
 		for _, lambda := range []float64{0.5, 0.7} {
 			truth, _ := allpairs.JoinWorkers(w.Sets, lambda, cfg.Workers)
-			opt := &lshjoin.Options{Seed: cfg.Seed, Workers: cfg.Workers, GroundTruth: truth, StopAtRecall: cfg.TargetRecall}
 			r := BayesRow{Dataset: w.Name, Threshold: lambda}
-			r.Bayes = approx(cfg, truth, func() ([]verify.Pair, verify.Counters) {
-				return lshjoin.BayesJoinIndexed(ix, lambda, opt)
+			r.Bayes = approx(cfg, truth, func(r int) ([]verify.Pair, verify.Counters) {
+				return lshjoin.BayesJoinIndexed(ix, lambda, &lshjoin.Options{Seed: cfg.Seed, Workers: cfg.Workers, L: r})
 			})
-			r.CP = runCPS(ix, lambda, cfg, truth)
+			r.CP = approx(cfg, truth, cps(ix, lambda, TableIII(cfg)))
 			report(progress, "bayes", r)
 			rows = append(rows, r)
 		}

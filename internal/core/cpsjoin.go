@@ -104,7 +104,9 @@ type Options struct {
 	Delta float64
 	// Repetitions is the number of independent runs (default 6; the paper
 	// fixes 10, which achieved >90% recall on all datasets and thresholds).
-	// It is the count a join runs without a recall target; see GroundTruth.
+	// A join runs exactly this many, and Counters.Repetitions reports it.
+	// Repetition i draws only from Seed and i, so the pairs a join finds at
+	// r repetitions are a subset of those it finds at r + 1.
 	Repetitions int
 	// Seed makes runs reproducible.
 	Seed uint64
@@ -112,21 +114,10 @@ type Options struct {
 	// layer (internal/exec): 0 runs sequentially, negative selects
 	// GOMAXPROCS. The result set and the recursion Metrics except
 	// PeakLiveMass are identical across worker counts for a fixed Seed and
-	// options; only the candidate counters (and, with StopAtRecall, the
-	// early-stopping point) depend on scheduling.
+	// options; only the candidate counter depends on scheduling.
 	Workers int
 	// Stopping selects the stopping strategy (ablation of Section IV-C.5).
 	Stopping Stopping
-	// GroundTruth, when non-nil together with StopAtRecall > 0, enables
-	// the paper's experimental procedure (Section VI-2): repetitions run
-	// until recall against the known exact result reaches StopAtRecall, or
-	// until 4×Repetitions, the one stop rule of the approximate joins
-	// (verify.Repeat). Counters.Repetitions reports how many ran. All
-	// workers share one atomic view of the accumulated results
-	// (verify.RecallTracker), so the stopping decision is global rather
-	// than per worker.
-	GroundTruth  []verify.Pair
-	StopAtRecall float64
 	// Metrics, when non-nil, receives recursion statistics (explored tree
 	// depth, node counts, peak live node mass) for validating the
 	// theoretical bounds of Section IV (Lemma 4, Lemma 8, Remark 9).
@@ -253,7 +244,7 @@ type joiner struct {
 	sketches []uint64 // flattened n × w sketches
 	root     []uint32 // 0..n-1: the root node of every repetition, read-only
 
-	bf *verify.Pipeline // brute force: filters, result set, recall tracker
+	bf *verify.Pipeline // brute force: filters, result set
 
 	states      []*taskState // one per worker, in worker order
 	spawnCutoff int          // node size above which child subtrees become tasks
@@ -296,7 +287,6 @@ func newJoiner(sets [][]uint32, owners []uint8, lambda float64, o *Options, ix *
 	j.sigs = ix.Sigs
 	j.bf = verify.NewPipeline(sets, lambda, exec.EffectiveWorkers(opt.Workers))
 	j.bf.Owners = owners
-	j.bf.Tracker = verify.NewRecallTracker(opt.GroundTruth, opt.StopAtRecall)
 	if opt.SketchWords > 0 {
 		j.w = ix.Words
 		j.sketches = ix.Sketches
@@ -393,9 +383,6 @@ type taskState struct {
 // size order exists only inside the kernel's gathered blocks.
 func (ts *taskState) recurse(c *exec.Ctx, node []uint32, depth int, seed uint64) {
 	j := ts.j
-	if j.bf.Tracker.Reached() {
-		return
-	}
 	if j.opt.Metrics != nil {
 		m := &ts.m
 		m.MaxDepth = max(m.MaxDepth, depth)

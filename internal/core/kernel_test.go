@@ -53,8 +53,8 @@ func refCheckPair(w *kernelWorker, f *sketch.Filter, a, b uint32) {
 		return
 	}
 	s.Cand++
-	if p.Verifier.Verify(a, b) && p.Res.Add(a, b) {
-		p.Tracker.Hit(a, b)
+	if p.Verifier.Verify(a, b) {
+		p.Res.Add(a, b)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package datagen generates the synthetic workloads used in the paper's
 // evaluation (TOKENS, UNIFORM, ZIPF) plus scaled-down synthetic analogues
 // of the real-world benchmark datasets of Mann et al., which are not
-// redistributable. See DESIGN.md §4 for the substitution rationale.
+// redistributable: an analogue keeps its dataset's average set size and
+// token-frequency structure, which is what the paper's comparisons turn on.
 package datagen
 
 import (

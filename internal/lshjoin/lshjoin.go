@@ -5,17 +5,17 @@
 // verify.Pipeline, size filter, 1-bit minwise sketch filter, dedup, exact
 // verification. This package owns the bucketing and the choice of k and L;
 // it has no pair loop of its own, and its repetitions run on verify.Repeat,
-// the repetition loop and stop rule of every approximate join. Its buckets
-// are numbered by internal/group, the grouper CPSJoin's split shares, in
-// order of first appearance, so every run visits them in the same order.
+// the repetition loop of every approximate join. Its buckets are numbered by
+// internal/group, the grouper CPSJoin's split shares, in order of first
+// appearance, so every run visits them in the same order.
 //
 // The number of concatenated hash functions k is chosen per dataset and
 // threshold by estimating the combined cost of bucket lookups and bucket
 // pair verification for k in {2, ..., 10}, as sketched by Cohen et al. and
-// described in Section V-B of the paper. The repetition count follows from
-// the target recall ϕ: a pair at similarity λ collides with probability λᵏ
-// per repetition, so L = ceil(ln(1/(1-ϕ)) / λᵏ) buckets it at least once
-// with probability ϕ. The sketch filter then passes a pair near λ with
+// described in Section V-B of the paper. Unless set, the repetition count
+// follows from the target recall ϕ: a pair at similarity λ collides with
+// probability λᵏ per repetition, so L = ceil(ln(1/(1-ϕ)) / λᵏ) buckets it at
+// least once with probability ϕ. The sketch filter then passes a pair near λ with
 // probability about 1 − δ, once for the whole join (a pair's sketches do
 // not change between repetitions), so with it on such a pair is reported
 // with probability about ϕ·(1 − δ): 0.898 was measured at J ∈ [0.50, 0.52)
@@ -56,6 +56,13 @@ type Options struct {
 	// default). The default repetition count L follows from it and K,
 	// capped at maxL for Join.
 	TargetRecall float64
+	// L is the number of repetitions, the paper's L beside K. 0 derives it
+	// from TargetRecall and K (Repetitions, capped at maxL for Join). A join
+	// runs exactly L repetitions and Counters.Repetitions reports it. The
+	// bucket positions of repetition i are the i-th draw of one stream that
+	// starts after K's, so the pairs a join finds at L are a subset of those
+	// it finds at L + 1.
+	L int
 	// T is the signature length used as the pool of MinHash values
 	// (default 128, as in the paper's implementation).
 	T int
@@ -75,19 +82,8 @@ type Options struct {
 	// shared concurrent result set. 0 is one worker, negative selects
 	// GOMAXPROCS. The bucket positions of every repetition are drawn
 	// before any task starts, so the result set is identical across worker
-	// counts for a fixed Seed (StopAtRecall excepted: the early-stopping
-	// point depends on scheduling).
+	// counts for a fixed Seed.
 	Workers int
-	// GroundTruth, when non-nil together with StopAtRecall > 0, runs
-	// repetitions until recall against the known exact result reaches
-	// StopAtRecall, or until 4×L (the paper's experimental procedure,
-	// Section VI-2; verify.Repeat's stop rule). The positions of the extra
-	// repetitions are drawn after the first L, which stay as they are. All
-	// workers share one atomic view of the accumulated recall. Buckets are
-	// visited in a fixed order, so at one worker the stopping point, and
-	// with it the result set and counters, repeat from run to run.
-	GroundTruth  []verify.Pair
-	StopAtRecall float64
 }
 
 // withDefaults fills in every default, taking phi for TargetRecall.
@@ -113,6 +109,15 @@ func (o *Options) withDefaults(phi float64) Options {
 
 // maxL caps the derived repetition count: a guard against tiny λᵏ.
 const maxL = 512
+
+// reps is the repetition count of a join whose derived count is derived: L
+// if set.
+func (o *Options) reps(derived int) int {
+	if o.L > 0 {
+		return o.L
+	}
+	return derived
+}
 
 // gamma is BayesJoin's sequential test's false-pruning budget over all
 // words.
@@ -162,7 +167,7 @@ func JoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair, ver
 	if k <= 0 {
 		k = chooseK(ix.Sigs, ix.T, lambda, opt.TargetRecall, rng)
 	}
-	return repeat(ix, bf, rng, k, min(Repetitions(lambda, k, opt.TargetRecall), maxL), opt.Seed)
+	return repeat(ix, bf, rng, k, opt.reps(min(Repetitions(lambda, k, opt.TargetRecall), maxL)), opt.Seed)
 }
 
 // BayesJoinIndexed runs BayesLSH-lite against a prebuilt index, excluding
@@ -189,30 +194,27 @@ func BayesJoinIndexed(ix *prep.Index, lambda float64, o *Options) ([]verify.Pair
 		bf.UseSequentialTest(ix.Words, ix.Sketches, bounds(ix.Words, lambda, gamma))
 	}
 	rng := tabhash.NewSplitMix64(opt.Seed + 0x1717)
-	return repeat(ix, bf, rng, 1, Repetitions(lambda, 1, opt.TargetRecall), opt.Seed)
+	return repeat(ix, bf, rng, 1, opt.reps(Repetitions(lambda, 1, opt.TargetRecall)), opt.Seed)
 }
 
 // pipeline returns the brute-force pipeline of a join over ix at lambda,
-// with opt's worker count and recall target and the sketch filter off.
+// with opt's worker count and the sketch filter off.
 func pipeline(ix *prep.Index, lambda float64, opt Options) *verify.Pipeline {
 	if lambda <= 0 || lambda >= 1 {
 		panic(fmt.Sprintf("lshjoin: lambda %v out of (0,1)", lambda))
 	}
-	bf := verify.NewPipeline(ix.Sets, lambda, exec.EffectiveWorkers(opt.Workers))
-	bf.Tracker = verify.NewRecallTracker(opt.GroundTruth, opt.StopAtRecall)
-	return bf
+	return verify.NewPipeline(ix.Sets, lambda, exec.EffectiveWorkers(opt.Workers))
 }
 
-// repeat runs an LSH join's repetitions on verify.Repeat, l of them by
-// default: each buckets every set by the hash of its signature values at k
-// distinct positions and finishes each bucket with bf's BRUTEFORCEPAIRS.
-// Every repetition's positions are drawn from rng before any task starts,
-// one stream in repetition order — the join's only randomness is then fixed
-// up front, which is what makes the result set identical across worker
-// counts, and a join that may run past l draws the extra positions after
-// the first l.
+// repeat runs an LSH join's l repetitions on verify.Repeat: each buckets
+// every set by the hash of its signature values at k distinct positions and
+// finishes each bucket with bf's BRUTEFORCEPAIRS. Every repetition's
+// positions are drawn from rng before any task starts, one stream in
+// repetition order — the join's only randomness is then fixed up front,
+// which is what makes the result set identical across worker counts, and a
+// join at l + 1 repetitions draws the same first l.
 func repeat(ix *prep.Index, bf *verify.Pipeline, rng *tabhash.SplitMix64, k, l int, seed uint64) ([]verify.Pair, verify.Counters) {
-	positions := make([][]int, bf.Budget(l))
+	positions := make([][]int, l)
 	for rep := range positions {
 		positions[rep] = make([]int, k)
 		samplePositions(rng, positions[rep], ix.T)
@@ -225,9 +227,6 @@ func repeat(ix *prep.Index, bf *verify.Pipeline, rng *tabhash.SplitMix64, k, l i
 	newWorker := func(s *verify.Scratch) *worker { return &worker{s: s} }
 	return verify.Repeat(bf, l, newWorker, func(_ *exec.Ctx, w *worker, rep int) {
 		for _, bucket := range bucketize(&w.g, ix.Sigs, ix.T, positions[rep], hasher) {
-			if bf.Tracker.Reached() {
-				return
-			}
 			w.s.BruteForcePairs(bucket)
 		}
 	})
@@ -273,9 +272,7 @@ func number(g *group.Grouper[uint64], sigs []uint32, t int, positions []int, has
 }
 
 // bucketize groups set ids into buckets (number). The buckets come back in
-// order of first appearance, so a join that stops at a recall target stops
-// after the same buckets on every run; they are views into one array of
-// ids.
+// order of first appearance, views into one array of ids.
 func bucketize(g *group.Grouper[uint64], sigs []uint32, t int, positions []int, hasher *tabhash.Table64) [][]uint32 {
 	nums, _, counts := number(g, sigs, t, positions, hasher)
 	ids := make([]uint32, len(nums))

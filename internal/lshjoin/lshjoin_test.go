@@ -1,7 +1,6 @@
 package lshjoin
 
 import (
-	"slices"
 	"testing"
 	"time"
 
@@ -226,77 +225,59 @@ func TestGoldenJoin(t *testing.T) {
 }
 
 // approximate are the three joins that repeat on verify.Repeat, run against
-// a prebuilt index with seed 42, the given worker count and, with a non-nil
-// truth, the recall target.
+// a prebuilt index with seed 42, the given worker count and r repetitions (0:
+// the join's default count).
 var approximate = []struct {
 	name string
-	join func(ix *prep.Index, lambda float64, workers int, truth []verify.Pair, target float64) ([]verify.Pair, verify.Counters)
+	join func(ix *prep.Index, lambda float64, workers, r int) ([]verify.Pair, verify.Counters)
 }{
-	{"cpsjoin", func(ix *prep.Index, lambda float64, workers int, truth []verify.Pair, target float64) ([]verify.Pair, verify.Counters) {
-		return core.JoinIndexed(ix, lambda, &core.Options{Seed: 42, Workers: workers, GroundTruth: truth, StopAtRecall: target})
+	{"cpsjoin", func(ix *prep.Index, lambda float64, workers, r int) ([]verify.Pair, verify.Counters) {
+		return core.JoinIndexed(ix, lambda, &core.Options{Seed: 42, Workers: workers, Repetitions: r})
 	}},
-	{"minhash", func(ix *prep.Index, lambda float64, workers int, truth []verify.Pair, target float64) ([]verify.Pair, verify.Counters) {
-		return JoinIndexed(ix, lambda, &Options{Seed: 42, Workers: workers, GroundTruth: truth, StopAtRecall: target})
+	{"minhash", func(ix *prep.Index, lambda float64, workers, r int) ([]verify.Pair, verify.Counters) {
+		return JoinIndexed(ix, lambda, &Options{Seed: 42, Workers: workers, L: r})
 	}},
-	{"bayeslsh", func(ix *prep.Index, lambda float64, workers int, truth []verify.Pair, target float64) ([]verify.Pair, verify.Counters) {
-		return BayesJoinIndexed(ix, lambda, &Options{Seed: 42, Workers: workers, GroundTruth: truth, StopAtRecall: target})
+	{"bayeslsh", func(ix *prep.Index, lambda float64, workers, r int) ([]verify.Pair, verify.Counters) {
+		return BayesJoinIndexed(ix, lambda, &Options{Seed: 42, Workers: workers, L: r})
 	}},
 }
 
-// TestStopAtRecallRepeats: at one worker a join that stops at a recall
-// target stops at the same point on every run — same pair set, same
-// counters, repetitions included — so a recall column measured with
-// StopAtRecall repeats. MinHash LSH and BayesLSH-lite visit their buckets
-// in a fixed order; CPSJoin's recursion is depth-first.
-func TestStopAtRecallRepeats(t *testing.T) {
-	for _, skew := range []bool{false, true} {
-		sets := datagen.LedgerShape(skew, 3000, 1)
-		ix := prep.Build(sets, 128, 8, 42)
-		for _, lambda := range []float64{0.5, 0.7} {
-			truth := verify.BruteForceJoin(sets, lambda)
-			for _, a := range approximate {
-				var digest string
-				var c0 verify.Counters
-				for run := 0; run < 10; run++ {
-					pairs, c := a.join(ix, lambda, 1, truth, 0.9)
-					if d := stats.PairDigest(pairs); run == 0 {
-						digest, c0 = d, c
-					} else if d != digest || c != c0 {
-						t.Fatalf("%s skew=%v λ=%v run %d: pair set %s, counters %+v; run 0 gave %s, %+v",
-							a.name, skew, lambda, run, d, c, digest, c0)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestCapExtendsEveryStream: a join that cannot reach its recall target —
-// the truth holds a pair below λ, which no join reports, and the target is
-// all of it — runs exactly four times its default count, and since the
-// extra repetitions only extend its random streams, it reports every pair
-// the join without a target does.
-func TestCapExtendsEveryStream(t *testing.T) {
+// TestRepetitionsNest: repetition i of every approximate join draws only from
+// its seed and i, so the pairs a join finds at r repetitions are a subset of
+// those it finds at r + 1, at every worker count — the property that lets a
+// harness search the repetition count a recall target needs by running
+// whole joins. Checked at r = 1, d − 1 and d for the default count d, and
+// from d to 4d, the harness's cap; every join runs exactly its count.
+func TestRepetitionsNest(t *testing.T) {
 	sets := datagen.LedgerShape(true, 3000, 1)
 	ix := prep.Build(sets, 128, 8, 42)
-	const lambda = 0.6
-	truth := verify.BruteForceJoin(sets, lambda)
-	below := verify.Pair{A: 0, B: 1}
-	for intset.Jaccard(sets[below.A], sets[below.B]) >= lambda {
-		below.B++
-	}
-	unreachable := append(slices.Clone(truth), below)
+	const lambda = 0.5
 	for _, a := range approximate {
 		for _, workers := range []int{1, 4} {
-			base, c0 := a.join(ix, lambda, workers, nil, 0)
-			pairs, c := a.join(ix, lambda, workers, unreachable, 1)
-			if c0.Repetitions < 1 || c.Repetitions != 4*c0.Repetitions {
-				t.Errorf("%s workers=%d: %d repetitions with an unreachable target, %d without one",
-					a.name, workers, c.Repetitions, c0.Repetitions)
+			at := map[int][]verify.Pair{}
+			run := func(r int) []verify.Pair {
+				if pairs, ok := at[r]; ok {
+					return pairs
+				}
+				pairs, c := a.join(ix, lambda, workers, r)
+				if c.Repetitions != int64(r) {
+					t.Errorf("%s workers=%d: asked for %d repetitions, ran %d", a.name, workers, r, c.Repetitions)
+				}
+				at[r] = pairs
+				return pairs
 			}
-			if r := stats.Recall(pairs, base); r != 1 || len(pairs) < len(base) {
-				t.Errorf("%s workers=%d: the capped run has %d pairs and finds %v of the %d of the default run",
-					a.name, workers, len(pairs), r, len(base))
+			def, c := a.join(ix, lambda, workers, 0)
+			d := int(c.Repetitions)
+			if d < 2 {
+				t.Fatalf("%s: default count %d, too few to check d − 1", a.name, d)
+			}
+			at[d] = def
+			for _, pair := range [][2]int{{1, 2}, {d - 1, d}, {d, d + 1}, {d, 4 * d}} {
+				small, big := run(pair[0]), run(pair[1])
+				if r := stats.Recall(big, small); r != 1 || len(big) < len(small) {
+					t.Errorf("%s workers=%d: %d repetitions find %v of the %d pairs of %d (%d pairs)",
+						a.name, workers, pair[1], r, len(small), pair[0], len(big))
+				}
 			}
 		}
 	}

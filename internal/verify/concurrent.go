@@ -2,7 +2,6 @@ package verify
 
 import (
 	"cmp"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -107,60 +106,4 @@ func (r *ResultSet) Pairs() []Pair {
 // pairs in, whatever the worker count or the order they were found in.
 func SortPairs(pairs []Pair) {
 	slices.SortFunc(pairs, func(a, b Pair) int { return cmp.Compare(a.Key(), b.Key()) })
-}
-
-// RecallTracker gives the workers of a parallel join a shared atomic view
-// of how much of a known ground truth they have accumulated, fixing the
-// weakness of the earlier per-worker StopAtRecall accounting: each worker
-// saw only its own results, so the ensemble kept running long after the
-// union had reached the target.
-//
-// Workers report every newly added pair through Hit; once the hit count
-// reaches ceil(target * |truth|), Reached flips permanently and all
-// workers wind down. The check is O(1) per added pair — no rescans of the
-// truth set.
-type RecallTracker struct {
-	truth map[uint64]struct{}
-	need  int64
-	hits  atomic.Int64
-	done  atomic.Bool
-}
-
-// NewRecallTracker returns a tracker for the given ground truth and recall
-// target, or nil (a no-op tracker) when the stopping rule is disabled.
-// The nil receiver is valid for all methods.
-func NewRecallTracker(truth []Pair, target float64) *RecallTracker {
-	if target <= 0 || truth == nil {
-		return nil
-	}
-	t := &RecallTracker{truth: make(map[uint64]struct{}, len(truth))}
-	for _, p := range truth {
-		t.truth[p.Key()] = struct{}{}
-	}
-	t.need = int64(math.Ceil(target * float64(len(t.truth))))
-	if t.need <= 0 {
-		// Empty ground truth: the target is vacuously met, so the join
-		// stops before doing any work at all.
-		t.done.Store(true)
-	}
-	return t
-}
-
-// Hit records a newly reported pair; call it only for pairs that were
-// actually added (Add returned true), so each truth pair counts once.
-func (t *RecallTracker) Hit(i, j uint32) {
-	if t == nil || t.done.Load() {
-		return
-	}
-	if _, ok := t.truth[MakePair(i, j).Key()]; !ok {
-		return
-	}
-	if t.hits.Add(1) >= t.need {
-		t.done.Store(true)
-	}
-}
-
-// Reached reports whether the recall target has been met.
-func (t *RecallTracker) Reached() bool {
-	return t != nil && t.done.Load()
 }

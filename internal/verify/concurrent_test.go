@@ -85,61 +85,3 @@ func TestConcurrentResultSetContention(t *testing.T) {
 		t.Errorf("len(Pairs) = %d, want %d", got, want)
 	}
 }
-
-func TestRecallTrackerNil(t *testing.T) {
-	var tr *RecallTracker
-	tr.Hit(1, 2) // must not panic
-	if tr.Reached() {
-		t.Error("nil tracker reports reached")
-	}
-	if NewRecallTracker(nil, 0.9) != nil {
-		t.Error("nil truth should disable the tracker")
-	}
-	if NewRecallTracker([]Pair{{A: 1, B: 2}}, 0) != nil {
-		t.Error("zero target should disable the tracker")
-	}
-}
-
-func TestRecallTrackerReaches(t *testing.T) {
-	truth := []Pair{{A: 0, B: 1}, {A: 2, B: 3}, {A: 4, B: 5}, {A: 6, B: 7}}
-	tr := NewRecallTracker(truth, 0.75) // needs 3 of 4
-	tr.Hit(9, 10)                       // not in truth
-	tr.Hit(0, 1)
-	tr.Hit(2, 3)
-	if tr.Reached() {
-		t.Error("reached after 2 of 3 required hits")
-	}
-	tr.Hit(5, 4) // unordered must normalize
-	if !tr.Reached() {
-		t.Error("not reached after 3 hits")
-	}
-}
-
-func TestRecallTrackerEmptyTruth(t *testing.T) {
-	tr := NewRecallTracker([]Pair{}, 0.9)
-	if !tr.Reached() {
-		t.Error("empty ground truth must be vacuously reached")
-	}
-}
-
-func TestRecallTrackerConcurrent(t *testing.T) {
-	truth := make([]Pair, 1000)
-	for i := range truth {
-		truth[i] = Pair{A: uint32(2 * i), B: uint32(2*i + 1)}
-	}
-	tr := NewRecallTracker(truth, 0.9)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < len(truth); i += 8 {
-				tr.Hit(truth[i].A, truth[i].B)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if !tr.Reached() {
-		t.Error("tracker did not reach target after all truth pairs hit")
-	}
-}

@@ -35,10 +35,9 @@ import (
 // before they go on.
 //
 // A Pipeline is the half all workers share, read-only while they run apart
-// from the result set and the tracker, which are safe for concurrent use;
-// the caller calls UseSketches or UseSequentialTest and sets Owners and
-// Tracker after NewPipeline and before Repeat, the repetition loop that runs
-// the join's workers on it.
+// from the result set, which is safe for concurrent use; the caller calls
+// UseSketches or UseSequentialTest and sets Owners after NewPipeline and
+// before Repeat, the repetition loop that runs the join's workers on it.
 type Pipeline struct {
 	Lambda float64
 	Sizes  []uint32 // len(sets[i]), so that gathering a block never touches sets
@@ -66,7 +65,6 @@ type Pipeline struct {
 
 	Verifier *Verifier
 	Res      *ResultSet
-	Tracker  *RecallTracker // nil without a recall target
 
 	workers int // the join's worker count: Repeat runs on that many
 }
@@ -181,8 +179,8 @@ func (s *Scratch) candidate(a, b uint32) {
 		return
 	}
 	s.Cand++
-	if p.Verifier.Verify(a, b) && p.Res.Add(a, b) {
-		p.Tracker.Hit(a, b)
+	if p.Verifier.Verify(a, b) {
+		p.Res.Add(a, b)
 	}
 }
 

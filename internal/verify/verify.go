@@ -4,10 +4,9 @@
 // BayesLSH-lite's sequential sketch test, a refinement of it — dedup,
 // verification — BRUTEFORCEPAIRS of the paper's Algorithms 2 and 3), the one
 // result set (ResultSet, lock-striped, the same type at every worker count),
-// recall tracking against a known ground truth (RecallTracker), the one
-// repetition loop of the approximate joins with its one stop rule (Repeat),
-// and the pre-candidate/candidate/result accounting reported in Table IV
-// (Counters).
+// the one repetition loop of the approximate joins (Repeat), which runs
+// exactly the count it is given, and the pre-candidate/candidate/result
+// accounting reported in Table IV (Counters).
 package verify
 
 import "repro/internal/intset"
@@ -44,8 +43,8 @@ func PairFromKey(k uint64) Pair {
 //     sketch filter) and were passed to exact verification.
 //   - Results: verified pairs with similarity >= lambda.
 //
-// Repetitions is how many repetitions an approximate join ran (Repeat); 0
-// for the exact joins.
+// Repetitions is how many repetitions an approximate join ran, its count
+// (Repeat); 0 for the exact joins.
 type Counters struct {
 	PreCandidates int64
 	Candidates    int64
