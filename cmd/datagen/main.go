@@ -15,7 +15,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"strings"
 
 	ssjoin "repro"
@@ -50,6 +52,10 @@ func main() {
 			fatalf("%s %d out of range (at least %d)", f.name, f.val, f.min)
 		}
 	}
+	// A Zipf weight i^-skew is a distribution only for a finite skew ≥ 0.
+	if math.IsNaN(*skew) || math.IsInf(*skew, 0) || *skew < 0 {
+		fatalf("skew %v out of range (a finite number at least 0)", *skew)
+	}
 
 	var sets [][]uint32
 	switch *kind {
@@ -60,11 +66,10 @@ func main() {
 	case "zipf":
 		sets = ssjoin.GenerateZipf(*n, *avg, *universe, *skew, *seed)
 	case "profile":
-		var err error
-		sets, err = ssjoin.GenerateProfile(*profile, *n, *seed)
-		if err != nil {
-			fatalf("%v", err)
+		if !slices.Contains(ssjoin.ProfileNames(), *profile) {
+			fatalf("unknown profile %q (have %v)", *profile, ssjoin.ProfileNames())
 		}
+		sets, _ = ssjoin.GenerateProfile(*profile, *n, *seed) // fails only on an unknown name
 	default:
 		fatalf("unknown kind %q (want tokens, uniform, zipf or profile)", *kind)
 	}

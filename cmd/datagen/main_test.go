@@ -2,11 +2,14 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	ssjoin "repro"
 )
 
 // TestMain lets the test binary stand in for the datagen command:
@@ -75,6 +78,30 @@ func TestNBelowOneRejected(t *testing.T) {
 // TestAvgBelowOneRejected: no average set size is nothing to generate.
 func TestAvgBelowOneRejected(t *testing.T) {
 	checkRejected(t, "avg", "-kind", "uniform", "-avg", "-1")
+}
+
+// TestSkewOutOfRangeRejected: a Zipf weight i^-skew is a distribution only
+// for a finite skew of at least 0; NaN weights drew token 0 for every set.
+func TestSkewOutOfRangeRejected(t *testing.T) {
+	for _, v := range []string{"NaN", "Inf", "-Inf", "-0.5"} {
+		checkRejected(t, "skew", "-kind", "zipf", "-n", "3", "-universe", "10", "-skew", v)
+	}
+}
+
+// TestUnknownProfileRejected: the message is the command's own, listing
+// the profiles there are, with no library prefix inside it.
+func TestUnknownProfileRejected(t *testing.T) {
+	out, msg, err := datagen(t, "-kind", "profile", "-profile", "NOPE", "-n", "3")
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("err = %v, want exit status 1\n%s", err, msg)
+	}
+	if want := fmt.Sprintf("datagen: unknown profile %q (have %v)\n", "NOPE", ssjoin.ProfileNames()); string(msg) != want {
+		t.Errorf("stderr %q, want %q", msg, want)
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("wrote %s", out)
+	}
 }
 
 // TestSmallestValuesAccepted: the least accepted values generate.

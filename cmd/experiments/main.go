@@ -62,6 +62,12 @@ func main() {
 		os.Exit(2)
 	}
 
+	// A target recall is a probability that some repetition count reaches;
+	// above 1 every cell would read "below target", even at recall 1.
+	if !(*recall > 0 && *recall <= 1) {
+		fatalf("recall %v out of range (0, 1]", *recall)
+	}
+
 	var scale bench.Scale
 	switch *scaleName {
 	case "smoke":

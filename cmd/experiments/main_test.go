@@ -87,6 +87,17 @@ func TestTablesPrintEveryWorkload(t *testing.T) {
 	}
 }
 
+// TestRecallOutOfRangeRejected: a target recall outside (0, 1] exits 1
+// naming the flag and prints no table.
+func TestRecallOutOfRangeRejected(t *testing.T) {
+	for _, v := range []string{"1.5", "0", "-0.2", "NaN"} {
+		stdout, stderr, code := experiments(t, "-quiet", "-scale", "smoke", "-workers", "1", "-recall", v, "ablation")
+		if code != 1 || !strings.HasPrefix(stderr, "experiments: recall ") || stdout != "" {
+			t.Errorf("-recall %s: exit %d, stdout %q, stderr %q; want exit 1 and an error naming recall", v, code, stdout, stderr)
+		}
+	}
+}
+
 // TestCSVFormat: -format csv drops the banner and writes exactly the CSV
 // form of the rows' table.
 func TestCSVFormat(t *testing.T) {

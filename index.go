@@ -17,12 +17,11 @@ type Index struct {
 	ix *prep.Index
 }
 
-// NewIndex preprocesses a collection with the embedding parameters from
-// opts (signature length T, sketch width SketchWords, Seed). With
-// opts.Workers set, the per-set hashing runs on the parallel execution
-// layer; the built index is identical for any worker count. The
-// collection is referenced, not copied; do not mutate it while the index
-// is in use.
+// NewIndex preprocesses a collection with opts.Seed: MinHash signatures of
+// length 128 and 8-word sketches. With opts.Workers set, the per-set
+// hashing runs on the parallel execution layer; the built index is
+// identical for any worker count. The collection is referenced, not
+// copied; do not mutate it while the index is in use.
 func NewIndex(sets [][]uint32, opts *Options) *Index {
 	return &Index{ix: core.Preprocess(sets, opts.cps())}
 }
@@ -49,9 +48,9 @@ func LoadIndex(path string) (*Index, error) {
 	return &Index{ix: p}, nil
 }
 
-// CPSJoin runs CPSJoin against the index at the given threshold. T and
-// SketchWords in opts are ignored (the index fixes them); opts.Workers
-// selects the parallelism of the join itself.
+// CPSJoin runs CPSJoin against the index at the given threshold, on the
+// index's signatures and sketches; opts.Workers selects the parallelism of
+// the join itself.
 func (ix *Index) CPSJoin(lambda float64, opts *Options) ([]Pair, Stats) {
 	pairs, c := core.JoinIndexed(ix.ix, lambda, opts.cps())
 	return fromPairs(pairs), fromCounters(c)

@@ -1,9 +1,10 @@
 // Package bench regenerates the tables and figures of the paper's own
 // evaluation (Christiani, Pagh & Sivertsen, Section VI, whose protocol
 // follows Mann, Augsten & Bouros, PVLDB 2016) and nothing else: the
-// workloads (workloads.go), one Run/Print pair per artifact
-// (experiments.go) and their CSV form (csv.go), driven by cmd/experiments
-// and the root package's benchmarks. It imports the join algorithms only.
+// workloads (workloads.go), one Run function per artifact
+// (experiments.go) and the table that prints its rows as text or CSV
+// (table.go), driven by cmd/experiments and the root package's
+// benchmarks. It imports the join algorithms only.
 // How fast the system is end to end is the business of the ledger in
 // benchmark/; the serving stack's contracts are Go tests next to the code.
 package bench

@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"slices"
-	"sort"
 
 	"repro/internal/verify"
 )
@@ -50,22 +49,11 @@ func Precision(got, truth []verify.Pair) float64 {
 	return float64(hit) / float64(len(got))
 }
 
-// SortPairs orders pairs lexicographically, for deterministic output and
-// comparison in tests.
-func SortPairs(pairs []verify.Pair) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
-	})
-}
-
 // PairDigest is the SHA-256 of the sorted pair set, eight little-endian
 // bytes a pair: what the golden tests pin a join's answer to.
 func PairDigest(pairs []verify.Pair) string {
 	pairs = slices.Clone(pairs)
-	SortPairs(pairs)
+	verify.SortPairs(pairs)
 	h := sha256.New()
 	var b [8]byte
 	for _, p := range pairs {

@@ -42,17 +42,6 @@ func TestPrecision(t *testing.T) {
 	}
 }
 
-func TestSortPairs(t *testing.T) {
-	ps := pairs([2]uint32{3, 4}, [2]uint32{1, 5}, [2]uint32{1, 2})
-	SortPairs(ps)
-	want := pairs([2]uint32{1, 2}, [2]uint32{1, 5}, [2]uint32{3, 4})
-	for i := range want {
-		if ps[i] != want[i] {
-			t.Fatalf("SortPairs = %v", ps)
-		}
-	}
-}
-
 func TestEqualPairSets(t *testing.T) {
 	a := pairs([2]uint32{1, 2}, [2]uint32{3, 4})
 	b := pairs([2]uint32{3, 4}, [2]uint32{1, 2})

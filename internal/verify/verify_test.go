@@ -2,6 +2,7 @@ package verify
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -24,6 +25,17 @@ func TestPairKeyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSortPairs: A first, then B, also for R-S pairs, whose A may exceed
+// their B.
+func TestSortPairs(t *testing.T) {
+	ps := []Pair{{A: 3, B: 4}, {A: 1, B: 5}, {A: 3, B: 1}, {A: 1, B: 2}}
+	SortPairs(ps)
+	want := []Pair{{A: 1, B: 2}, {A: 1, B: 5}, {A: 3, B: 1}, {A: 3, B: 4}}
+	if !slices.Equal(ps, want) {
+		t.Fatalf("SortPairs = %v, want %v", ps, want)
 	}
 }
 

@@ -12,7 +12,10 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/lshjoin"
+	"repro/internal/verify"
 )
 
 // parallelWorkload builds a dataset with planted pairs across the
@@ -181,7 +184,8 @@ func TestParallelBayesLSH(t *testing.T) {
 	}
 	// Sketch pruning disabled: recall can only go up (nothing is pruned
 	// before exact verification), precision stays exact.
-	noSketch, _ := BayesLSHJoin(sets, 0.5, &Options{Seed: 9, SketchWords: -1})
+	ns, _ := lshjoin.BayesJoin(sets, 0.5, &lshjoin.Options{Seed: 9, SketchWords: -1})
+	noSketch := fromPairs(ns)
 	if len(noSketch) < len(ref) {
 		t.Errorf("disabling sketch pruning lost pairs: %d < %d", len(noSketch), len(ref))
 	}
@@ -192,15 +196,16 @@ func TestParallelBayesLSH(t *testing.T) {
 	}
 }
 
-// TestSketchDisabledUniform checks the convention on the other two
-// converters at the public API level.
+// TestSketchDisabledUniform checks the convention on every approximate
+// join, through the internal options that keep the sketch width.
 func TestSketchDisabledUniform(t *testing.T) {
 	sets := parallelWorkload(300, 82)
-	for _, alg := range []Algorithm{AlgCPSJoin, AlgMinHash, AlgBayesLSH} {
-		pairs, _, err := Join(sets, 0.5, alg, &Options{Seed: 3, SketchWords: -1})
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
+	cps, _ := core.Join(sets, 0.5, &core.Options{Seed: 3, SketchWords: -1})
+	noLSH := &lshjoin.Options{Seed: 3, SketchWords: -1}
+	mh, _ := lshjoin.Join(sets, 0.5, noLSH)
+	bayes, _ := lshjoin.BayesJoin(sets, 0.5, noLSH)
+	for alg, got := range map[Algorithm][]verify.Pair{AlgCPSJoin: cps, AlgMinHash: mh, AlgBayesLSH: bayes} {
+		pairs := fromPairs(got)
 		if len(pairs) == 0 {
 			t.Errorf("%s with sketching disabled found no pairs", alg)
 		}

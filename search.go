@@ -22,7 +22,9 @@ type SearchIndex struct {
 	workers int
 }
 
-// SearchOptions configures SearchIndex construction.
+// SearchOptions configures SearchIndex construction. The tree shape is
+// fixed: nodes of at most 32 sets are leaves, and signatures have length
+// 128.
 type SearchOptions struct {
 	// Trees is the number of independent search trees (default 10). One
 	// tree finds a neighbor at similarity J only with the survival
@@ -32,11 +34,6 @@ type SearchOptions struct {
 	// recall at J = λ and 1.000 from J = 0.55 up on 10 000 sets. Thresholds
 	// near 1 and collections dense in near-threshold pairs need more.
 	Trees int
-	// LeafSize stops splitting at this node size (default 32): smaller
-	// nodes are leaves whose sets every query that reaches them verifies.
-	LeafSize int
-	// T is the MinHash signature length (default 128).
-	T int
 	// Seed makes construction reproducible.
 	Seed uint64
 	// Workers parallelizes construction on the shared execution layer:
@@ -52,13 +49,7 @@ func NewSearchIndex(sets [][]uint32, lambda float64, opts *SearchOptions) *Searc
 	var o *cpindex.Options
 	workers := 0
 	if opts != nil {
-		o = &cpindex.Options{
-			Trees:    opts.Trees,
-			LeafSize: opts.LeafSize,
-			T:        opts.T,
-			Seed:     opts.Seed,
-			Workers:  opts.Workers,
-		}
+		o = &cpindex.Options{Trees: opts.Trees, Seed: opts.Seed, Workers: opts.Workers}
 		workers = opts.Workers
 	}
 	return &SearchIndex{ix: cpindex.Build(sets, lambda, o), workers: workers}

@@ -8,10 +8,11 @@ import (
 
 // ShardedOptions are a ShardedIndex's build parameters: the shard count,
 // HashPartition (a seeded id hash instead of contiguous ranges, for input
-// whose order follows set structure), MergeThreshold, the per-shard Trees,
-// LeafSize, T and Seed of SearchOptions (shard k is built with seed
-// shard.SeedFor(Seed, k)), and Workers. The result cache and
-// auto-compaction are not build parameters: set them with Configure.
+// whose order follows set structure), MergeThreshold, the per-shard
+// cpindex parameters Trees, LeafSize and T (defaults 10, 32 and 128, a
+// SearchIndex's), Seed (shard k is built with seed shard.SeedFor(Seed, k)),
+// and Workers. The result cache and auto-compaction are not build
+// parameters: set them with Configure.
 type ShardedOptions = shard.Options
 
 // ShardedIndex is a similarity search index partitioned into independently

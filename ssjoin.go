@@ -50,11 +50,16 @@ type Stats struct {
 	Repetitions int64
 }
 
-// Options tunes the approximate join algorithms. The zero value reproduces
-// the paper's final parameter settings (Table III) except for CPSJoin's
-// recall budget: 6 repetitions at Delta 0.01 in place of Table III's 10 at
-// 0.05, a modelled recall at λ no lower in 60 % of the recursion. Set
-// Repetitions 10 and Delta 0.05 to run Table III's.
+// Options tunes the join algorithms. The paper's parameters that are not
+// fields here are fixed at Table III's settings — signature length t =
+// 128, brute-force limit 250 and ε = 0.1, sketch width ℓ = 8 words,
+// MinHash's bucket width k by cost estimation: the paper sweeps them once
+// (Figure 3) and runs every dataset at one setting, and cmd/experiments
+// reproduces that sweep on the internal options. CPSJoin's recall budget
+// differs from Table III: 6 repetitions at sketch false-negative
+// probability δ = 0.01 in place of 10 at 0.05, a modelled recall at λ no
+// lower in 60 % of the recursion. Table III's pair is bench.TableIII, run
+// by cmd/experiments.
 type Options struct {
 	// Seed makes runs reproducible. Two runs with the same seed, input and
 	// options return identical results — including across different
@@ -66,34 +71,12 @@ type Options struct {
 	// TargetRecall is the per-pair recall ϕ for MinHashJoin and
 	// BayesLSHJoin repetition counts (default 0.9 and 0.95 respectively):
 	// the probability that a pair at similarity λ meets in some bucket.
-	// With the sketch filter on, MinHashJoin reports a pair near λ with
-	// probability about TargetRecall·(1 − Delta), because a pair's sketches
-	// do not change between repetitions; pairs well above λ keep
-	// TargetRecall. CPSJoin does not read it: its recall comes from
-	// Repetitions and has the same ceiling, 1 − Delta.
+	// MinHashJoin reports a pair near λ with probability about
+	// TargetRecall·(1 − δ), δ = 0.05, because a pair's sketches do not
+	// change between repetitions; pairs well above λ keep TargetRecall.
+	// CPSJoin does not read it: its recall comes from Repetitions and has
+	// the same ceiling, 1 − δ at its δ of 0.01.
 	TargetRecall float64
-	// T is the MinHash signature length (default 128).
-	T int
-	// Limit is CPSJoin's brute-force size threshold (default 250).
-	Limit int
-	// Epsilon is CPSJoin's brute-force aggressiveness (default 0.1). Set
-	// EpsilonSet to use a zero Epsilon.
-	Epsilon    float64
-	EpsilonSet bool
-	// SketchWords is the 1-bit minwise sketch width in 64-bit words
-	// (default 8). A negative value disables sketch filtering — uniformly,
-	// for every algorithm: CPSJoin and MinHashJoin skip the sketch
-	// pre-filter, and BayesLSHJoin skips its incremental sketch pruning
-	// (candidates go straight from the size filter to exact
-	// verification).
-	SketchWords int
-	// Delta is the sketch false-negative probability (default 0.01 for
-	// CPSJoin, 0.05 — Table III's — for MinHashJoin; BayesLSHJoin's
-	// sequential test has a budget of its own, 0.05).
-	Delta float64
-	// K fixes the number of concatenated hashes for MinHashJoin
-	// (0 = choose automatically by cost estimation).
-	K int
 	// Workers is the number of worker goroutines of the parallel
 	// execution layer shared by every join algorithm and by index
 	// construction: 0 (the default) runs sequentially, negative selects
@@ -108,32 +91,14 @@ func (o *Options) cps() *core.Options {
 	if o == nil {
 		return nil
 	}
-	return &core.Options{
-		T:           o.T,
-		Limit:       o.Limit,
-		Epsilon:     o.Epsilon,
-		EpsilonSet:  o.EpsilonSet,
-		SketchWords: o.SketchWords,
-		Delta:       o.Delta,
-		Repetitions: o.Repetitions,
-		Seed:        o.Seed,
-		Workers:     o.Workers,
-	}
+	return &core.Options{Repetitions: o.Repetitions, Seed: o.Seed, Workers: o.Workers}
 }
 
 func (o *Options) lsh() *lshjoin.Options {
 	if o == nil {
 		return nil
 	}
-	return &lshjoin.Options{
-		K:            o.K,
-		TargetRecall: o.TargetRecall,
-		T:            o.T,
-		SketchWords:  o.SketchWords,
-		Delta:        o.Delta,
-		Seed:         o.Seed,
-		Workers:      o.Workers,
-	}
+	return &lshjoin.Options{TargetRecall: o.TargetRecall, Seed: o.Seed, Workers: o.Workers}
 }
 
 // workers extracts the Workers knob for the exact algorithms, which take

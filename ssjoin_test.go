@@ -3,6 +3,8 @@ package ssjoin
 import (
 	"math"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/intset"
@@ -15,6 +17,32 @@ func workload(n int, seed uint64) [][]uint32 {
 	sets, _ = PlantSimilarPairs(sets, n/20, 0.6, seed+1)
 	sets, _ = PlantSimilarPairs(sets, n/20, 0.85, seed+2)
 	return sets
+}
+
+// TestOptionsAreWhatCallersSet: the facade's option structs hold exactly
+// the fields the commands and examples set. The paper's parameters (t,
+// limit, ε, sketch width, δ, k, leaf size) are swept on the internal
+// options, where the experiments set them; a field added here that no
+// caller sets is surface to document and keep for nothing.
+func TestOptionsAreWhatCallersSet(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		want []string
+	}{
+		{Options{}, []string{"Seed", "Repetitions", "TargetRecall", "Workers"}},
+		{SearchOptions{}, []string{"Trees", "Seed", "Workers"}},
+	} {
+		typ := reflect.TypeOf(c.v)
+		var got []string
+		for i := range typ.NumField() {
+			if f := typ.Field(i); f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s fields %v, want %v", typ.Name(), got, c.want)
+		}
+	}
 }
 
 func TestAllAlgorithmsAgreeOnPrecision(t *testing.T) {

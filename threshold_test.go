@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestNestedPairAtTheThreshold joins y ⊂ x with J(x, y) = |y|/|x| = λ
@@ -41,8 +43,8 @@ func TestNestedPairAtTheThreshold(t *testing.T) {
 				t.Errorf("AllPairsRS at λ = %v: %v, want [{0 0}]", c.lambda, pairs)
 			}
 			check("BruteForce", BruteForce(sets, c.lambda))
-			pairs, _ = CPSJoin(sets, c.lambda, &Options{SketchWords: -1, Seed: 1})
-			check("CPSJoin without sketches", pairs)
+			cps, _ := core.Join(sets, c.lambda, &core.Options{SketchWords: -1, Seed: 1})
+			check("CPSJoin without sketches", fromPairs(cps))
 
 			found := func(ms []Match) bool {
 				return slices.ContainsFunc(ms, func(m Match) bool { return m.ID == 1 && m.Sim == c.lambda })
